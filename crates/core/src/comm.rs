@@ -5,7 +5,7 @@
 //! collective operations (in [`crate::coll`]) are built on the typed
 //! send/receive implemented here. A send with a noncontiguous datatype runs
 //! the configured pack engine (single- or dual-context — the heart of the
-//! paper's §4.1 comparison); the executed operation counts are converted to
+//! paper's §4.1 comparison); its exact operation counts are converted to
 //! simulated time under the cluster's cost model:
 //!
 //! * re-search segments → `CostKind::Search` at the signature-walk rate,
@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use ncd_datatype::{BlockMode, Datatype, LastBlock, OpCounts, Unpacker};
+use ncd_datatype::{BlockMode, Datatype, OpCounts, PackEngine, Unpacker};
 use ncd_simnet::{ratio_to_millis, CostKind, Rank, Tag};
 
 use crate::commstats::gini;
@@ -252,9 +252,8 @@ impl<'a> Comm<'a> {
         }
     }
 
-    /// Charge the time cost of executed datatype-engine operations.
-    /// Charge the simulated clock for a batch of executed datatype engine
-    /// operations (either a whole stream, or one pipeline block's delta).
+    /// Charge the simulated clock for a batch of datatype engine operations
+    /// (either a whole stream, or one pipeline block).
     pub(crate) fn charge_op_counts(&mut self, c: &OpCounts) {
         let model = self.rank.cost_model().clone();
         if c.searched_segments > 0 {
@@ -324,13 +323,6 @@ impl<'a> Comm<'a> {
     }
 
     /// Produce the wire bytes for a typed message, charging pack costs.
-    ///
-    /// The engine is driven block by block: each pipeline block's op-count
-    /// delta is charged to the simulated clock as it is produced, and the
-    /// block is reported through [`Rank::observe_pack_block`] — into the
-    /// always-on flight recorder, the trace's `dt` lane / Chrome datatype
-    /// track, and the `datatype/*` metrics histograms. Aggregate totals are
-    /// identical to one-shot charging up to per-charge nanosecond rounding.
     pub(crate) fn prepare_send(&mut self, buf: &[u8], dt: &Datatype, count: usize) -> Vec<u8> {
         let total = dt.size() * count;
         if total == 0 {
@@ -339,36 +331,53 @@ impl<'a> Comm<'a> {
         if dt.is_contiguous() {
             return buf[..total].to_vec();
         }
-        let mut engine = self
-            .cfg
-            .engine_kind()
-            .build(dt, count, self.cfg.engine.clone());
-        let name = engine.name();
+        self.pack_pipeline(buf, dt, count, |_, _| {})
+    }
+
+    /// Run the configured pack engine over a noncontiguous message and
+    /// return the packed payload. `buf` is checked against the type's
+    /// bounds before any byte is copied or any cost charged.
+    ///
+    /// The engine is driven block by block, appending straight into the
+    /// payload: each pipeline block's op counts are charged to the simulated
+    /// clock as it is produced, the block is reported through
+    /// [`Rank::observe_pack_block`] — into the always-on flight recorder,
+    /// the trace's `dt` lane / Chrome datatype track, and the `datatype/*`
+    /// metrics histograms — and then `block_done(self, block bytes)` runs
+    /// (the nonblocking send puts the block on the NIC there). Aggregate
+    /// totals are identical to one-shot charging up to per-charge
+    /// nanosecond rounding.
+    pub(crate) fn pack_pipeline(
+        &mut self,
+        buf: &[u8],
+        dt: &Datatype,
+        count: usize,
+        mut block_done: impl FnMut(&mut Self, usize),
+    ) -> Vec<u8> {
+        let kind = self.cfg.engine_kind();
+        let mut engine = PackEngine::new(kind, dt, count, self.cfg.engine, buf)
+            .expect("datatype out of bounds during send");
+        let name = kind.name();
         let mut counts = OpCounts::default();
-        let mut prev = OpCounts::default();
-        let mut observer = LastBlock::default();
-        let mut payload = Vec::with_capacity(total);
+        let mut payload = Vec::with_capacity(dt.size() * count);
         loop {
             let block_start = self.rank.now();
-            observer.0 = None;
-            let block = engine
-                .next_block_observed(buf, &mut counts, &mut observer)
-                .expect("datatype out of bounds during send");
-            let Some(block) = block else { break };
-            self.charge_op_counts(&op_counts_delta(&counts, &prev));
-            prev = counts;
-            if let Some(obs) = observer.0 {
-                self.rank.observe_pack_block(
-                    name,
-                    block_start,
-                    obs.index,
-                    obs.mode == BlockMode::Packed,
-                    obs.seek_segments,
-                    obs.lookahead_segments,
-                    obs.bytes,
-                );
-            }
-            payload.extend_from_slice(&block.data);
+            let mut block = OpCounts::default();
+            let Some(obs) = engine.next_block(&mut payload, &mut block) else {
+                break;
+            };
+            self.charge_op_counts(&block);
+            counts.merge(&block);
+            self.rank.observe_pack_block(
+                name,
+                block_start,
+                obs.index,
+                obs.mode == BlockMode::Packed,
+                obs.seek_segments,
+                obs.lookahead_segments,
+                obs.bytes,
+            );
+            block_done(self, obs.bytes as usize);
         }
         self.record_engine_metrics(name, &counts);
         payload
@@ -461,20 +470,6 @@ impl<'a> Comm<'a> {
     }
 }
 
-/// Per-block delta between two cumulative [`OpCounts`] snapshots.
-pub(crate) fn op_counts_delta(cur: &OpCounts, prev: &OpCounts) -> OpCounts {
-    OpCounts {
-        searched_segments: cur.searched_segments - prev.searched_segments,
-        lookahead_segments: cur.lookahead_segments - prev.lookahead_segments,
-        packed_segments: cur.packed_segments - prev.packed_segments,
-        packed_bytes: cur.packed_bytes - prev.packed_bytes,
-        direct_segments: cur.direct_segments - prev.direct_segments,
-        direct_bytes: cur.direct_bytes - prev.direct_bytes,
-        packed_blocks: cur.packed_blocks - prev.packed_blocks,
-        direct_blocks: cur.direct_blocks - prev.direct_blocks,
-    }
-}
-
 /// Reinterpret f64s as little-endian bytes (portable, explicit).
 pub fn f64s_to_bytes(data: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() * 8);
@@ -563,6 +558,39 @@ mod tests {
         let col = matrix_column_type(rows, cols, 3).unwrap();
         let expected = ncd_datatype::pack_all(&col, cols, src).unwrap();
         assert_eq!(dst, &expected);
+    }
+
+    #[test]
+    fn short_buffers_fail_before_any_charge_or_copy() {
+        // `cols` columns of the column type touch the whole matrix. With a
+        // buffer one byte short, the last block used to be the one that
+        // noticed — after every earlier block had been charged.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (rows, cols) = (64, 64);
+        let n = rows * cols * 24;
+        for cfg in [MpiConfig::baseline(), MpiConfig::optimized()] {
+            let mut cfg = cfg;
+            cfg.engine.block_size = 4096;
+            let out = Cluster::new(ClusterConfig::uniform(1)).run(move |rank| {
+                let mut comm = Comm::new(rank, cfg.clone());
+                let col = matrix_column_type(rows, cols, 3).unwrap();
+                let short = vec![3u8; n - 1];
+                let send = catch_unwind(AssertUnwindSafe(|| {
+                    comm.prepare_send(&short, &col, cols);
+                }));
+                let mut dst = vec![0u8; n - 1];
+                let recv = catch_unwind(AssertUnwindSafe(|| {
+                    comm.deliver_recv(&mut dst, &col, cols, &[7u8; 4096]);
+                }));
+                let stats = comm.rank_ref().stats();
+                (
+                    send.is_err() && recv.is_err(),
+                    stats.pack.as_ns() + stats.search.as_ns(),
+                    dst.iter().all(|&b| b == 0),
+                )
+            });
+            assert_eq!(out[0], (true, 0, true));
+        }
     }
 
     #[test]

@@ -34,11 +34,10 @@
 //! true for every collective, scatter, and begin/end pattern in this
 //! workspace, where all sends of a phase are posted before anyone waits.
 
-use ncd_datatype::LastBlock;
-use ncd_datatype::{BlockMode, Datatype, OpCounts};
+use ncd_datatype::Datatype;
 use ncd_simnet::{NetMsg, SimTime, Tag};
 
-use crate::comm::{op_counts_delta, Comm};
+use crate::comm::Comm;
 
 /// A pending nonblocking operation. Obtain from [`Comm::isend`] /
 /// [`Comm::irecv`]; complete with [`Comm::wait`], [`Comm::waitall`], or
@@ -117,42 +116,12 @@ impl Comm<'_> {
         }
         let (global, ctx) = self.resolve_dst(dst);
         let trace_start = self.rank_mut().isend_begin();
-        let mut engine = self
-            .config()
-            .engine_kind()
-            .build(dt, count, self.config().engine.clone());
-        let name = engine.name();
-        let mut counts = OpCounts::default();
-        let mut prev = OpCounts::default();
-        let mut observer = LastBlock::default();
-        let mut payload = Vec::with_capacity(total);
         let mut done = self.rank_ref().now();
-        loop {
-            let block_start = self.rank_ref().now();
-            observer.0 = None;
-            let block = engine
-                .next_block_observed(buf, &mut counts, &mut observer)
-                .expect("datatype out of bounds during send");
-            let Some(block) = block else { break };
-            self.charge_op_counts(&op_counts_delta(&counts, &prev));
-            prev = counts;
-            if let Some(obs) = observer.0 {
-                self.rank_mut().observe_pack_block(
-                    name,
-                    block_start,
-                    obs.index,
-                    obs.mode == BlockMode::Packed,
-                    obs.seek_segments,
-                    obs.lookahead_segments,
-                    obs.bytes,
-                );
-            }
-            // The block goes onto the NIC as soon as it exists: its wire
-            // time runs concurrently with packing the next block.
-            done = self.rank_mut().nic_reserve(block.data.len());
-            payload.extend_from_slice(&block.data);
-        }
-        self.record_engine_metrics(name, &counts);
+        // Each block goes onto the NIC as soon as it exists: its wire time
+        // runs concurrently with packing the next block.
+        let payload = self.pack_pipeline(buf, dt, count, |comm, block_bytes| {
+            done = comm.rank_mut().nic_reserve(block_bytes);
+        });
         self.rank_mut()
             .isend_finish(global, tag, ctx, payload, trace_start, done);
         Request {

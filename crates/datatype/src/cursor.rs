@@ -3,15 +3,20 @@
 //! A [`TypeCursor`] is what the paper calls a **context** — a snapshot of
 //! how far a derived datatype (replicated `count` times, as in an MPI send
 //! with a count argument) has been processed, measured in *packed bytes*.
-//! The cursor yields contiguous memory ranges in pack order, can *peek*
-//! ahead without committing, can be cheaply cloned (a snapshot — this is
+//! The cursor yields contiguous memory ranges in pack order, can *look
+//! ahead* without committing, can be cheaply cloned (a snapshot — this is
 //! what makes the dual-context design O(1)), and can be *searched*: reset
-//! to the beginning and walked forward segment by segment until a target
-//! packed offset is reached, counting the segments visited. The search walk
-//! is exactly the baseline engine's recovery path whose cost grows linearly
-//! per block and therefore quadratically per message.
+//! to the beginning and moved to a target packed offset, reporting the
+//! segments a walk from the start visits on the way. That walk is the
+//! baseline engine's recovery path, whose cost grows linearly per block and
+//! therefore quadratically per message — on the *simulated* machine. The
+//! host does not re-enact it: the landing position and the visited count
+//! are computed in closed form from the type's prefix sums (replica by
+//! division, segment by binary search), and a property test proves both
+//! equal to the executed segment-by-segment walk.
 
 use crate::desc::Datatype;
+use crate::error::{Result, TypeError};
 
 /// A contiguous range of user-buffer memory produced by cursor traversal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,72 +70,117 @@ impl TypeCursor {
     }
 
     pub fn is_done(&self) -> bool {
-        self.dt.size() == 0 || self.count == 0 || self.packed >= self.total_bytes()
+        self.packed >= self.total_bytes()
     }
 
     pub fn datatype(&self) -> &Datatype {
         &self.dt
     }
 
-    fn current_segment(&self) -> Option<MemRange> {
-        if self.is_done() {
-            return None;
+    /// Check that a buffer of `buf_len` bytes holds every byte the whole
+    /// (type, count) stream touches — once per message, so the copy loops
+    /// behind [`TypeCursor::consume`] need no per-piece check and a short
+    /// buffer is reported before anything was copied or charged.
+    pub(crate) fn check_fits(&self, buf_len: usize) -> Result<()> {
+        let (lb, ub) = self.dt.true_bounds(self.count);
+        if lb < 0 || ub > buf_len as i64 {
+            return Err(TypeError::OutOfBounds {
+                offset: lb,
+                len: (ub - lb) as usize,
+                buf_len,
+            });
         }
-        let seg = self.dt.segments()[self.seg];
-        let base = self.rep as i64 * self.dt.extent();
-        Some(MemRange {
-            offset: base + seg.offset + self.seg_off as i64,
-            len: seg.len - self.seg_off,
-        })
-    }
-
-    fn step_segment(&mut self) {
-        self.seg_off = 0;
-        self.seg += 1;
-        if self.seg == self.dt.num_segments() {
-            self.seg = 0;
-            self.rep += 1;
-        }
+        Ok(())
     }
 
     /// Consume and return the next contiguous range, limited to `max_len`
     /// bytes. Returns `None` when the stream is exhausted.
     pub fn next_range(&mut self, max_len: usize) -> Option<MemRange> {
-        if max_len == 0 {
+        if max_len == 0 || self.is_done() {
             return None;
         }
-        let cur = self.current_segment()?;
-        let take = cur.len.min(max_len);
-        self.seg_off += take;
-        self.packed += take;
-        if self.seg_off == self.dt.segments()[self.seg].len {
-            self.step_segment();
-        }
-        Some(MemRange {
-            offset: cur.offset,
-            len: take,
-        })
-    }
-
-    /// Peek at up to `max_segments` upcoming ranges, visiting at most
-    /// `max_bytes`, without moving the cursor. Returns the ranges and the
-    /// number of *segments visited* (the signature-parse work a look-ahead
-    /// pays for).
-    pub fn peek(&self, max_segments: usize, max_bytes: usize) -> (Vec<MemRange>, u64) {
-        let mut probe = self.clone();
-        let mut out = Vec::new();
-        let mut bytes = 0usize;
-        while out.len() < max_segments && bytes < max_bytes {
-            match probe.next_range(max_bytes - bytes) {
-                Some(r) => {
-                    bytes += r.len;
-                    out.push(r);
-                }
-                None => break,
+        let seg = self.dt.segments()[self.seg];
+        let range = MemRange {
+            offset: self.rep as i64 * self.dt.extent() + seg.offset + self.seg_off as i64,
+            len: (seg.len - self.seg_off).min(max_len),
+        };
+        self.seg_off += range.len;
+        self.packed += range.len;
+        if self.seg_off == seg.len {
+            self.seg_off = 0;
+            self.seg += 1;
+            if self.seg == self.dt.num_segments() {
+                self.seg = 0;
+                self.rep += 1;
             }
         }
-        let visited = out.len() as u64;
-        (out, visited)
+        Some(range)
+    }
+
+    /// Consume up to `limit` packed bytes, handing each contiguous piece to
+    /// `piece(buffer offset, len)` in pack order, and return the number of
+    /// pieces. Runs of whole segments inside a replica go through one tight
+    /// loop with the replica's base offset hoisted. Offsets are handed out
+    /// as `usize`: the caller has passed [`TypeCursor::check_fits`] for the
+    /// buffer it indexes.
+    pub(crate) fn consume(&mut self, limit: usize, mut piece: impl FnMut(usize, usize)) -> u64 {
+        let mut left = limit.min(self.remaining());
+        self.packed += left;
+        let (segs, extent) = (self.dt.segments(), self.dt.extent());
+        let mut pieces = 0u64;
+        while left > 0 {
+            let base = self.rep as i64 * extent;
+            let head = segs[self.seg];
+            if self.seg_off > 0 || head.len > left {
+                // A segment entered or left part-way.
+                let take = (head.len - self.seg_off).min(left);
+                piece((base + head.offset) as usize + self.seg_off, take);
+                pieces += 1;
+                left -= take;
+                self.seg_off += take;
+                if self.seg_off == head.len {
+                    self.seg_off = 0;
+                    self.seg += 1;
+                }
+            } else {
+                // A run of whole segments inside this replica.
+                let mut n = 0;
+                for s in &segs[self.seg..] {
+                    if s.len > left {
+                        break;
+                    }
+                    piece((base + s.offset) as usize, s.len);
+                    left -= s.len;
+                    n += 1;
+                }
+                pieces += n as u64;
+                self.seg += n;
+            }
+            if self.seg == segs.len() {
+                self.seg = 0;
+                self.rep += 1;
+            }
+        }
+        pieces
+    }
+
+    /// Look ahead over up to `max_segments` upcoming ranges and at most
+    /// `max_bytes`, without moving the cursor. Returns the number of
+    /// *segments visited* (the signature-parse work a look-ahead pays for)
+    /// and the bytes they cover — all a density classifier needs.
+    pub fn lookahead(&self, max_segments: usize, max_bytes: usize) -> (u64, usize) {
+        let limit = max_bytes.min(self.remaining());
+        let segs = self.dt.segments();
+        let (mut seg, mut seg_off) = (self.seg, self.seg_off);
+        let (mut visited, mut bytes) = (0usize, 0usize);
+        while visited < max_segments && bytes < limit {
+            bytes += (segs[seg].len - seg_off).min(limit - bytes);
+            visited += 1;
+            // Only lengths matter here, so the next replica is a wrap.
+            seg_off = 0;
+            seg = (seg + 1) % segs.len();
+        }
+        (visited as u64, bytes)
     }
 
     /// Ordinal of the segment the cursor currently sits in, counted across
@@ -138,6 +188,11 @@ impl TypeCursor {
     /// uses this to label where a pipeline block's window began.
     pub fn segment_ordinal(&self) -> u64 {
         (self.rep * self.dt.num_segments() + self.seg) as u64
+    }
+
+    /// Byte offset of the cursor inside the segment it sits in.
+    pub fn segment_offset(&self) -> usize {
+        self.seg_off
     }
 
     /// Rewind to the beginning of the stream.
@@ -148,10 +203,15 @@ impl TypeCursor {
         self.packed = 0;
     }
 
-    /// Walk forward from the current position until `target` packed bytes
-    /// have been consumed, counting segments visited. Only the signature is
-    /// walked (no data is touched); the count is what a cost model charges
-    /// per visited segment.
+    /// Move forward to `target` packed bytes and return the number of
+    /// segments a walk from the current position visits on the way (a
+    /// segment entered part-way or left part-way counts once). Only the
+    /// signature is involved (no data is touched); the count is what a cost
+    /// model charges per visited segment.
+    ///
+    /// O(log segments): the replica is `target / size`, the segment is found
+    /// by binary search over the type's prefix sums, and the visited count
+    /// is the difference of segment ordinals.
     ///
     /// Panics if `target` is behind the current position or beyond the end.
     pub fn advance_to(&mut self, target: usize) -> u64 {
@@ -161,25 +221,23 @@ impl TypeCursor {
             self.packed
         );
         assert!(target <= self.total_bytes(), "target beyond stream end");
-        let mut visited = 0u64;
-        while self.packed < target {
-            let cur = self
-                .current_segment()
-                .expect("stream ended before target despite bound check");
-            visited += 1;
-            let take = cur.len.min(target - self.packed);
-            self.seg_off += take;
-            self.packed += take;
-            if self.seg_off == self.dt.segments()[self.seg].len {
-                self.step_segment();
-            }
+        if target == self.packed {
+            return 0;
         }
-        visited
+        let from = self.segment_ordinal();
+        let within = target % self.dt.size();
+        let starts = self.dt.segment_starts();
+        self.rep = target / self.dt.size();
+        self.seg = starts.partition_point(|&s| s <= within) - 1;
+        self.seg_off = within - starts[self.seg];
+        self.packed = target;
+        self.segment_ordinal() + u64::from(self.seg_off > 0) - from
     }
 
     /// The baseline engine's recovery path: rewind and re-search the whole
     /// datatype from the start until `target` packed bytes. Returns segments
-    /// visited — a cost that grows linearly with `target`.
+    /// visited — a cost that grows linearly with `target`, computed (not
+    /// paid) by the host.
     pub fn search_from_start(&mut self, target: usize) -> u64 {
         self.rewind();
         self.advance_to(target)
@@ -245,17 +303,67 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_advance() {
+    fn lookahead_does_not_advance() {
         let col = column_type();
-        let c = TypeCursor::new(&col, 1);
-        let (ranges, visited) = c.peek(3, usize::MAX);
-        assert_eq!(ranges.len(), 3);
-        assert_eq!(visited, 3);
+        let mut c = TypeCursor::new(&col, 2);
+        assert_eq!(c.lookahead(3, usize::MAX), (3, 72));
         assert_eq!(c.packed_offset(), 0);
-        let (ranges2, _) = c.peek(100, 50);
         // 24 + 24 + 2 bytes = 50 -> 3 ranges, last truncated
-        assert_eq!(ranges2.len(), 3);
-        assert_eq!(ranges2[2].len, 2);
+        assert_eq!(c.lookahead(100, 50), (3, 50));
+        // From inside a segment, across the replica boundary, to the end.
+        c.advance_to(7 * 24 + 4);
+        assert_eq!(c.lookahead(3, usize::MAX), (3, 20 + 24 + 24));
+        assert_eq!(c.lookahead(100, usize::MAX), (9, 20 + 8 * 24));
+        assert_eq!(c.lookahead(0, usize::MAX), (0, 0));
+    }
+
+    #[test]
+    fn consume_yields_the_ranges_next_range_yields() {
+        let col = Datatype::resized(0, 24, &column_type()).unwrap();
+        for limit in [1usize, 10, 24, 25, 100, 192, 200, 1000] {
+            let mut by_range = TypeCursor::new(&col, 3);
+            let mut by_run = by_range.clone();
+            while !by_range.is_done() {
+                let mut want = Vec::new();
+                let mut left = limit;
+                while let Some(r) = by_range.next_range(left) {
+                    left -= r.len;
+                    want.push((r.offset as usize, r.len));
+                }
+                let mut got = Vec::new();
+                let pieces = by_run.consume(limit, |at, len| got.push((at, len)));
+                assert_eq!(got, want, "limit {limit}");
+                assert_eq!(pieces as usize, want.len());
+                assert_eq!(by_run.packed_offset(), by_range.packed_offset());
+                assert_eq!(by_run.segment_ordinal(), by_range.segment_ordinal());
+                assert_eq!(by_run.segment_offset(), by_range.segment_offset());
+            }
+            assert_eq!(by_run.consume(limit, |_, _| unreachable!()), 0);
+        }
+    }
+
+    #[test]
+    fn check_fits_uses_the_extremes_of_first_and_last_replica() {
+        let col = Datatype::resized(0, 24, &column_type()).unwrap();
+        // 8 columns of an 8x8 matrix of 24-byte elements: the whole matrix.
+        let c = TypeCursor::new(&col, 8);
+        assert_eq!(col.true_bounds(8), (0, 8 * 8 * 24));
+        assert!(c.check_fits(8 * 8 * 24).is_ok());
+        assert_eq!(
+            c.check_fits(8 * 8 * 24 - 1),
+            Err(TypeError::OutOfBounds {
+                offset: 0,
+                len: 8 * 8 * 24,
+                buf_len: 8 * 8 * 24 - 1,
+            })
+        );
+        // A type whose first byte lies before the buffer start.
+        let before = Datatype::hindexed(&[(-8, 1), (16, 1)], &Datatype::double()).unwrap();
+        assert_eq!(before.true_bounds(2), (-8, 24 + 32));
+        assert!(TypeCursor::new(&before, 2).check_fits(1 << 20).is_err());
+        // Nothing touched, nothing to check.
+        assert_eq!(col.true_bounds(0), (0, 0));
+        assert!(TypeCursor::new(&col, 0).check_fits(0).is_ok());
     }
 
     #[test]
@@ -290,6 +398,24 @@ mod tests {
         let mut c = TypeCursor::new(&col, 1);
         assert_eq!(c.advance_to(0), 0);
         assert_eq!(c.packed_offset(), 0);
+        // Nor does staying put inside a segment.
+        c.advance_to(30);
+        assert_eq!(c.advance_to(30), 0);
+    }
+
+    #[test]
+    fn advance_to_counts_partial_segments_once() {
+        let col = column_type();
+        let mut c = TypeCursor::new(&col, 2);
+        assert_eq!(c.advance_to(10), 1); // into segment 0
+        assert_eq!(c.advance_to(20), 1); // still segment 0
+        assert_eq!(c.advance_to(24), 1); // finishes segment 0
+        assert_eq!(c.advance_to(48), 1); // boundary to boundary
+        assert_eq!(c.advance_to(192 + 1), 7); // 6 whole + 1 byte of replica 1
+        assert_eq!((c.segment_ordinal(), c.segment_offset()), (8, 1));
+        assert_eq!(c.advance_to(2 * 192), 8);
+        assert!(c.is_done());
+        assert_eq!((c.segment_ordinal(), c.segment_offset()), (16, 0));
     }
 
     #[test]

@@ -134,6 +134,15 @@ struct Inner {
     extent: i64,
     /// Flattened, coalesced type map for one instance (replica 0).
     segments: Vec<Segment>,
+    /// Exclusive prefix sum of segment lengths: `starts[i]` is the packed
+    /// offset at which segment `i` begins. Strictly increasing (segments
+    /// are non-empty), which is what lets a cursor land on a packed offset
+    /// by binary search instead of a walk.
+    starts: Vec<usize>,
+    /// Lowest byte offset and one-past-highest byte offset replica 0
+    /// touches, whatever `lb`/`extent` a resize declared.
+    true_lb: i64,
+    true_ub: i64,
 }
 
 /// A committed derived datatype. Cheap to clone (`Arc` inside).
@@ -174,6 +183,9 @@ impl Datatype {
                 offset: 0,
                 len: size,
             }],
+            starts: vec![0],
+            true_lb: 0,
+            true_ub: size as i64,
         }))
     }
 
@@ -322,6 +334,24 @@ impl Datatype {
         &self.0.segments
     }
 
+    /// Packed offset at which each segment of one instance begins (the
+    /// exclusive prefix sum of segment lengths).
+    pub(crate) fn segment_starts(&self) -> &[usize] {
+        &self.0.starts
+    }
+
+    /// Lowest byte offset and one-past-highest byte offset that `count`
+    /// consecutive instances touch, relative to the buffer start: the
+    /// extremes sit in replica 0 and replica `count - 1` (extents are never
+    /// negative). `(0, 0)` when nothing is touched.
+    pub fn true_bounds(&self, count: usize) -> (i64, i64) {
+        if count == 0 || self.0.segments.is_empty() {
+            return (0, 0);
+        }
+        let last = (count - 1) as i64 * self.0.extent;
+        (self.0.true_lb, self.0.true_ub + last)
+    }
+
     /// Average contiguous segment length in bytes (density measure); 0 for
     /// empty types.
     pub fn avg_segment_len(&self) -> usize {
@@ -353,19 +383,25 @@ impl Datatype {
         let mut sink = Sink::new(MAX_SEGMENTS);
         flatten(&kind, 0, &mut sink)?;
         let segments = sink.finish();
-        let size: usize = segments.iter().map(|s| s.len).sum();
+        let mut starts = Vec::with_capacity(segments.len());
+        let mut size = 0usize;
+        for s in &segments {
+            // The cursor's closed-form seek needs `starts` strictly
+            // increasing; `Sink::push` drops empty pieces.
+            assert!(s.len > 0, "flattened segment of zero length");
+            starts.push(size);
+            size += s.len;
+        }
+        // "True" bounds: the lowest and highest byte touched.
+        let true_lb = segments.iter().map(|s| s.offset).min().unwrap_or(0);
+        let true_ub = segments.iter().map(Segment::end).max().unwrap_or(0);
         let (lb, extent) = match &kind {
             Kind::Resized { lb, extent, .. } => (*lb, *extent),
-            _ => {
-                // "True extent": from the lowest to the highest byte touched.
-                let lb = segments.iter().map(|s| s.offset).min().unwrap_or(0);
-                let ub = segments.iter().map(Segment::end).max().unwrap_or(0);
-                // Constructors that replicate a child must preserve the
-                // child's own (possibly resized) spacing at the tail; using
-                // the touched-byte bound is the MPI "true extent", which is
-                // what all workloads in this workspace rely on.
-                (lb, ub - lb)
-            }
+            // Constructors that replicate a child must preserve the
+            // child's own (possibly resized) spacing at the tail; using
+            // the touched-byte bound is the MPI "true extent", which is
+            // what all workloads in this workspace rely on.
+            _ => (true_lb, true_ub - true_lb),
         };
         Ok(Datatype(Arc::new(Inner {
             kind,
@@ -373,6 +409,9 @@ impl Datatype {
             lb,
             extent,
             segments,
+            starts,
+            true_lb,
+            true_ub,
         })))
     }
 }

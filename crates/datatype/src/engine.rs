@@ -1,38 +1,45 @@
-//! Pipelined pack engines: the baseline single-context design and the
-//! paper's dual-context look-ahead design (§4.1).
+//! The pipelined pack engine, in its two context-management personalities:
+//! the baseline single-context design and the paper's dual-context
+//! look-ahead design (§4.1).
 //!
-//! Both engines produce the message byte stream in pipeline *blocks*. Before
-//! each block they **look ahead** over the upcoming portion of the datatype
+//! The engine produces the message byte stream in pipeline *blocks*. Before
+//! each block it **looks ahead** over the upcoming portion of the datatype
 //! signature to classify it as *dense* (long contiguous pieces — ship the
 //! pieces directly, `writev`-style, without an intermediate copy) or
 //! *sparse* (many short pieces — pack them into an intermediate buffer
-//! first). The difference is purely in context management:
+//! first). The two [`EngineKind`]s differ purely in context management:
 //!
-//! * [`SingleContextEngine`] models MPICH2-at-the-time: there is **one**
-//!   context, and the look-ahead advances it. In the dense case that is
-//!   harmless (the look-ahead doubles as the iovec walk). In the sparse
+//! * [`EngineKind::SingleContext`] models MPICH2-at-the-time: there is
+//!   **one** context, and the look-ahead advances it. In the dense case that
+//!   is harmless (the look-ahead doubles as the iovec walk). In the sparse
 //!   case the data must be packed *from the pre-look-ahead position*, which
 //!   the single context no longer holds — so the engine **re-searches the
 //!   datatype from the very beginning** to recover it. The search work per
 //!   block grows linearly with the position, hence quadratically over the
 //!   message. This is the pathology of Figures 12–13.
 //!
-//! * [`DualContextEngine`] is the paper's fix: a look-ahead context parses
-//!   the upcoming signature while a separate pack context stays at the pack
-//!   position. The look-ahead work is bounded by a small window (15
+//! * [`EngineKind::DualContext`] is the paper's fix: a look-ahead context
+//!   parses the upcoming signature while a separate pack context stays at
+//!   the pack position. The look-ahead work is bounded by a small window (15
 //!   segments, the constant the paper reports), so it is near-constant per
 //!   block and no search is ever performed.
 //!
-//! Engines return [`OpCounts`] — real, executed operation counts — which the
-//! communication layer converts into simulated time.
+//! The engine reports [`OpCounts`], which the communication layer converts
+//! into simulated time. The counts are *exact* — the number of operations
+//! the modelled engine executes — but the host does not pay the simulated
+//! machine's quadratic to obtain them: the re-search count comes from
+//! [`TypeCursor::search_from_start`]'s closed form (proven equal to the
+//! executed walk by `tests/prop_datatype.rs`), and both personalities share
+//! one block routine that copies straight into the caller's payload at the
+//! speed of a hand-written loop.
 
-use crate::cursor::{MemRange, TypeCursor};
+use crate::cursor::TypeCursor;
 use crate::desc::Datatype;
 use crate::error::{Result, TypeError};
-use crate::observe::{BlockObservation, NullObserver, PackObserver};
+use crate::observe::{BlockObservation, PackObserver};
 
 /// Tunables of the pipeline and density classifier.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct EngineParams {
     /// Pipeline granularity: maximum packed bytes per block.
     pub block_size: usize,
@@ -53,7 +60,7 @@ impl Default for EngineParams {
     }
 }
 
-/// Executed-operation counters for one pack (or unpack) stream.
+/// Operation counters for one pack (or unpack) stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Segments walked while re-searching a lost context (baseline only).
@@ -100,334 +107,150 @@ pub enum BlockMode {
     Direct,
 }
 
-/// One pipeline block: the bytes plus how they were produced.
-#[derive(Clone, Debug)]
-pub struct Block {
-    pub data: Vec<u8>,
-    pub mode: BlockMode,
-}
-
-/// A pipelined pack engine over `count` replicas of a datatype.
-pub trait PackEngine {
-    /// Engine name for reports ("single-context", "dual-context").
-    fn name(&self) -> &'static str;
-
-    /// Produce the next pipeline block from `src`, or `None` when the
-    /// message is complete. Operation counts accumulate into `counts`, and
-    /// `observer` receives one [`BlockObservation`] per produced block.
-    fn next_block_observed(
-        &mut self,
-        src: &[u8],
-        counts: &mut OpCounts,
-        observer: &mut dyn PackObserver,
-    ) -> Result<Option<Block>>;
-
-    /// Produce the next pipeline block without observation.
-    fn next_block(&mut self, src: &[u8], counts: &mut OpCounts) -> Result<Option<Block>> {
-        self.next_block_observed(src, counts, &mut NullObserver)
-    }
-
-    /// Drain the whole stream, concatenating all blocks (convenience for
-    /// tests and non-pipelined callers).
-    fn pack_all(&mut self, src: &[u8], counts: &mut OpCounts) -> Result<Vec<u8>> {
-        self.pack_all_observed(src, counts, &mut NullObserver)
-    }
-
-    /// Drain the whole stream under observation.
-    fn pack_all_observed(
-        &mut self,
-        src: &[u8],
-        counts: &mut OpCounts,
-        observer: &mut dyn PackObserver,
-    ) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        while let Some(b) = self.next_block_observed(src, counts, observer)? {
-            out.extend_from_slice(&b.data);
-        }
-        Ok(out)
-    }
-}
-
-/// Copy `ranges` out of `src` appending to `out`; bounds-checked.
-fn gather(src: &[u8], ranges: &[MemRange], out: &mut Vec<u8>) -> Result<()> {
-    for r in ranges {
-        let start = r.offset;
-        if start < 0 || (start as usize) + r.len > src.len() {
-            return Err(TypeError::OutOfBounds {
-                offset: start,
-                len: r.len,
-                buf_len: src.len(),
-            });
-        }
-        out.extend_from_slice(&src[start as usize..start as usize + r.len]);
-    }
-    Ok(())
-}
-
-/// Classify a look-ahead window: dense iff the average piece length clears
-/// the threshold. Empty windows count as dense (nothing to pack).
-fn classify(ranges: &[MemRange], dense_threshold: usize) -> BlockMode {
-    if ranges.is_empty() {
-        return BlockMode::Direct;
-    }
-    let bytes: usize = ranges.iter().map(|r| r.len).sum();
-    if bytes / ranges.len() >= dense_threshold {
-        BlockMode::Direct
-    } else {
-        BlockMode::Packed
-    }
-}
-
-/// The faithful baseline: one context, look-ahead steals it, sparse blocks
-/// trigger a re-search from the start of the datatype.
-pub struct SingleContextEngine {
-    cursor: TypeCursor,
-    params: EngineParams,
-    block_index: u64,
-}
-
-impl SingleContextEngine {
-    pub fn new(dt: &Datatype, count: usize, params: EngineParams) -> Self {
-        SingleContextEngine {
-            cursor: TypeCursor::new(dt, count),
-            params,
-            block_index: 0,
-        }
-    }
-}
-
-impl PackEngine for SingleContextEngine {
-    fn name(&self) -> &'static str {
-        "single-context"
-    }
-
-    fn next_block_observed(
-        &mut self,
-        src: &[u8],
-        counts: &mut OpCounts,
-        observer: &mut dyn PackObserver,
-    ) -> Result<Option<Block>> {
-        if self.cursor.is_done() {
-            return Ok(None);
-        }
-        let pre_lookahead = self.cursor.packed_offset();
-        let window_start_segment = self.cursor.segment_ordinal();
-
-        // Look-ahead: advance THE context over the window, recording the
-        // ranges seen (they double as the iovec in the dense case).
-        let mut window = Vec::with_capacity(self.params.lookahead_segments);
-        let mut window_bytes = 0usize;
-        while window.len() < self.params.lookahead_segments && window_bytes < self.params.block_size
-        {
-            match self
-                .cursor
-                .next_range(self.params.block_size - window_bytes)
-            {
-                Some(r) => {
-                    window_bytes += r.len;
-                    window.push(r);
-                }
-                None => break,
-            }
-        }
-        counts.lookahead_segments += window.len() as u64;
-
-        match classify(&window, self.params.dense_threshold) {
-            BlockMode::Direct => {
-                // Dense: the look-ahead walk already produced the iovec;
-                // ship it directly. Context is consistently past the block.
-                let mut data = Vec::with_capacity(window_bytes);
-                gather(src, &window, &mut data)?;
-                counts.direct_segments += window.len() as u64;
-                counts.direct_bytes += window_bytes as u64;
-                counts.direct_blocks += 1;
-                observer.on_block(&BlockObservation {
-                    index: self.block_index,
-                    mode: BlockMode::Direct,
-                    seek_segments: 0,
-                    seek_target: 0,
-                    lookahead_segments: window.len() as u64,
-                    window_start_segment,
-                    bytes: window_bytes as u64,
-                });
-                self.block_index += 1;
-                Ok(Some(Block {
-                    data,
-                    mode: BlockMode::Direct,
-                }))
-            }
-            BlockMode::Packed => {
-                // Sparse: we must pack starting at `pre_lookahead`, but the
-                // single context has moved past it. Recover by re-searching
-                // the entire datatype from the beginning — the quadratic
-                // pathology.
-                let seek_segments = self.cursor.search_from_start(pre_lookahead);
-                counts.searched_segments += seek_segments;
-
-                let mut data = Vec::with_capacity(self.params.block_size);
-                let mut packed = 0usize;
-                let mut segs = 0u64;
-                while packed < self.params.block_size {
-                    match self.cursor.next_range(self.params.block_size - packed) {
-                        Some(r) => {
-                            gather(src, std::slice::from_ref(&r), &mut data)?;
-                            packed += r.len;
-                            segs += 1;
-                        }
-                        None => break,
-                    }
-                }
-                counts.packed_segments += segs;
-                counts.packed_bytes += packed as u64;
-                counts.packed_blocks += 1;
-                observer.on_block(&BlockObservation {
-                    index: self.block_index,
-                    mode: BlockMode::Packed,
-                    seek_segments,
-                    seek_target: pre_lookahead as u64,
-                    lookahead_segments: window.len() as u64,
-                    window_start_segment,
-                    bytes: packed as u64,
-                });
-                self.block_index += 1;
-                Ok(Some(Block {
-                    data,
-                    mode: BlockMode::Packed,
-                }))
-            }
-        }
-    }
-}
-
-/// The paper's dual-context look-ahead engine: a look-ahead context
-/// classifies while a separate pack context keeps the pack position; no
-/// search, ever.
-pub struct DualContextEngine {
-    pack_cursor: TypeCursor,
-    params: EngineParams,
-    block_index: u64,
-}
-
-impl DualContextEngine {
-    pub fn new(dt: &Datatype, count: usize, params: EngineParams) -> Self {
-        DualContextEngine {
-            pack_cursor: TypeCursor::new(dt, count),
-            params,
-            block_index: 0,
-        }
-    }
-}
-
-impl PackEngine for DualContextEngine {
-    fn name(&self) -> &'static str {
-        "dual-context"
-    }
-
-    fn next_block_observed(
-        &mut self,
-        src: &[u8],
-        counts: &mut OpCounts,
-        observer: &mut dyn PackObserver,
-    ) -> Result<Option<Block>> {
-        if self.pack_cursor.is_done() {
-            return Ok(None);
-        }
-        let window_start_segment = self.pack_cursor.segment_ordinal();
-
-        // Context 1 (look-ahead): a snapshot of the pack context, rolled
-        // forward over the signature only. This is the "redundant parsing"
-        // the paper accepts: bounded by the window, hence near-constant.
-        let (window, visited) = self
-            .pack_cursor
-            .peek(self.params.lookahead_segments, self.params.block_size);
-        counts.lookahead_segments += visited;
-
-        match classify(&window, self.params.dense_threshold) {
-            BlockMode::Direct => {
-                // Context 2 (pack) walks the same region and ships directly.
-                let bytes: usize = window.iter().map(|r| r.len).sum();
-                let mut data = Vec::with_capacity(bytes);
-                let mut shipped = 0usize;
-                let mut segs = 0u64;
-                while shipped < bytes {
-                    let r = self
-                        .pack_cursor
-                        .next_range(bytes - shipped)
-                        .expect("peek promised these bytes");
-                    gather(src, std::slice::from_ref(&r), &mut data)?;
-                    shipped += r.len;
-                    segs += 1;
-                }
-                counts.direct_segments += segs;
-                counts.direct_bytes += shipped as u64;
-                counts.direct_blocks += 1;
-                observer.on_block(&BlockObservation {
-                    index: self.block_index,
-                    mode: BlockMode::Direct,
-                    seek_segments: 0,
-                    seek_target: 0,
-                    lookahead_segments: visited,
-                    window_start_segment,
-                    bytes: shipped as u64,
-                });
-                self.block_index += 1;
-                Ok(Some(Block {
-                    data,
-                    mode: BlockMode::Direct,
-                }))
-            }
-            BlockMode::Packed => {
-                // Pack a full pipeline block from the pack context. No
-                // search: the context never moved.
-                let mut data = Vec::with_capacity(self.params.block_size);
-                let mut packed = 0usize;
-                let mut segs = 0u64;
-                while packed < self.params.block_size {
-                    match self.pack_cursor.next_range(self.params.block_size - packed) {
-                        Some(r) => {
-                            gather(src, std::slice::from_ref(&r), &mut data)?;
-                            packed += r.len;
-                            segs += 1;
-                        }
-                        None => break,
-                    }
-                }
-                counts.packed_segments += segs;
-                counts.packed_bytes += packed as u64;
-                counts.packed_blocks += 1;
-                observer.on_block(&BlockObservation {
-                    index: self.block_index,
-                    mode: BlockMode::Packed,
-                    seek_segments: 0,
-                    seek_target: 0,
-                    lookahead_segments: visited,
-                    window_start_segment,
-                    bytes: packed as u64,
-                });
-                self.block_index += 1;
-                Ok(Some(Block {
-                    data,
-                    mode: BlockMode::Packed,
-                }))
-            }
-        }
-    }
-}
-
-/// Which engine a communicator uses — the "MVAPICH2-0.9.5" vs
+/// Which context management the engine models — the "MVAPICH2-0.9.5" vs
 /// "MVAPICH2-New" switch of the paper's evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
+    /// The faithful baseline: one context, look-ahead steals it, sparse
+    /// blocks trigger a re-search from the start of the datatype.
     SingleContext,
+    /// The paper's dual-context look-ahead: a look-ahead context classifies
+    /// while a separate pack context keeps the pack position; no search,
+    /// ever.
     DualContext,
 }
 
 impl EngineKind {
-    pub fn build(self, dt: &Datatype, count: usize, params: EngineParams) -> Box<dyn PackEngine> {
+    /// Engine name for reports.
+    pub fn name(self) -> &'static str {
         match self {
-            EngineKind::SingleContext => Box::new(SingleContextEngine::new(dt, count, params)),
-            EngineKind::DualContext => Box::new(DualContextEngine::new(dt, count, params)),
+            EngineKind::SingleContext => "single-context",
+            EngineKind::DualContext => "dual-context",
         }
+    }
+}
+
+/// A pipelined pack engine over `count` replicas of a datatype laid out in
+/// one source buffer.
+pub struct PackEngine<'a> {
+    kind: EngineKind,
+    /// The pack position. Look-ahead reads past it without moving it; what
+    /// the single-context personality adds is the *count* of the re-search
+    /// its one, moved context would need to get back here.
+    cursor: TypeCursor,
+    params: EngineParams,
+    src: &'a [u8],
+    block_index: u64,
+}
+
+impl<'a> PackEngine<'a> {
+    /// Fails with [`TypeError::OutOfBounds`] — before any byte is copied —
+    /// unless `src` holds every byte `count` instances of `dt` touch.
+    pub fn new(
+        kind: EngineKind,
+        dt: &Datatype,
+        count: usize,
+        params: EngineParams,
+        src: &'a [u8],
+    ) -> Result<Self> {
+        assert!(
+            params.block_size > 0 && params.lookahead_segments > 0,
+            "a pipeline needs a block size and a look-ahead window"
+        );
+        let cursor = TypeCursor::new(dt, count);
+        cursor.check_fits(src.len())?;
+        Ok(PackEngine {
+            kind,
+            cursor,
+            params,
+            src,
+            block_index: 0,
+        })
+    }
+
+    /// Append the next pipeline block to `out` and add its operations to
+    /// `counts`; `None` when the message is complete.
+    pub fn next_block(
+        &mut self,
+        out: &mut Vec<u8>,
+        counts: &mut OpCounts,
+    ) -> Option<BlockObservation> {
+        if self.cursor.is_done() {
+            return None;
+        }
+        let EngineParams {
+            block_size,
+            lookahead_segments,
+            dense_threshold,
+        } = self.params;
+        let start = self.cursor.packed_offset();
+        let window_start_segment = self.cursor.segment_ordinal();
+
+        // Look-ahead over the signature only, bounded by the window, hence
+        // near-constant per block. Dense iff the average piece clears the
+        // threshold.
+        let (window_segments, window_bytes) = self.cursor.lookahead(lookahead_segments, block_size);
+        counts.lookahead_segments += window_segments;
+        let mode = if window_bytes / window_segments as usize >= dense_threshold {
+            BlockMode::Direct
+        } else {
+            BlockMode::Packed
+        };
+
+        // Dense: the window is the iovec, shipped as it stands. Sparse: a
+        // full pipeline block is packed from the pre-look-ahead position —
+        // which a single context has moved past, so it first re-searches
+        // the datatype from the beginning: the quadratic pathology.
+        let limit = match mode {
+            BlockMode::Direct => window_bytes,
+            BlockMode::Packed => block_size,
+        };
+        let lost_context = mode == BlockMode::Packed && self.kind == EngineKind::SingleContext;
+        let seek_segments = if lost_context {
+            self.cursor.search_from_start(start)
+        } else {
+            0
+        };
+        counts.searched_segments += seek_segments;
+
+        let src = self.src;
+        let segments = self.cursor.consume(limit, |at, len| {
+            out.extend_from_slice(&src[at..at + len]);
+        });
+        let bytes = (self.cursor.packed_offset() - start) as u64;
+        match mode {
+            BlockMode::Direct => {
+                counts.direct_segments += segments;
+                counts.direct_bytes += bytes;
+                counts.direct_blocks += 1;
+            }
+            BlockMode::Packed => {
+                counts.packed_segments += segments;
+                counts.packed_bytes += bytes;
+                counts.packed_blocks += 1;
+            }
+        }
+        let index = self.block_index;
+        self.block_index += 1;
+        Some(BlockObservation {
+            index,
+            mode,
+            seek_segments,
+            seek_target: if lost_context { start as u64 } else { 0 },
+            lookahead_segments: window_segments,
+            window_start_segment,
+            bytes,
+        })
+    }
+
+    /// Drain the whole stream into one buffer, reporting every block to
+    /// `observer`.
+    pub fn pack_all(mut self, counts: &mut OpCounts, observer: &mut dyn PackObserver) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.cursor.remaining());
+        while let Some(obs) = self.next_block(&mut out, counts) {
+            observer.on_block(&obs);
+        }
+        out
     }
 }
 
@@ -446,33 +269,26 @@ impl Unpacker {
     }
 
     /// Scatter `bytes` into `dst` at the current position, advancing it.
-    /// Returns per-call op counts (unpack cost mirrors pack cost).
+    /// Returns per-call op counts (unpack cost mirrors pack cost). Nothing
+    /// is written unless the stream fits the type and the type fits `dst`.
     pub fn unpack(&mut self, dst: &mut [u8], bytes: &[u8]) -> Result<OpCounts> {
-        let mut counts = OpCounts::default();
-        let mut consumed = 0usize;
-        while consumed < bytes.len() {
-            let r = match self.cursor.next_range(bytes.len() - consumed) {
-                Some(r) => r,
-                None => {
-                    return Err(TypeError::StreamOverrun {
-                        extra: bytes.len() - consumed,
-                    })
-                }
-            };
-            if r.offset < 0 || (r.offset as usize) + r.len > dst.len() {
-                return Err(TypeError::OutOfBounds {
-                    offset: r.offset,
-                    len: r.len,
-                    buf_len: dst.len(),
-                });
-            }
-            dst[r.offset as usize..r.offset as usize + r.len]
-                .copy_from_slice(&bytes[consumed..consumed + r.len]);
-            consumed += r.len;
-            counts.packed_segments += 1;
+        if bytes.len() > self.cursor.remaining() {
+            return Err(TypeError::StreamOverrun {
+                extra: bytes.len() - self.cursor.remaining(),
+            });
         }
-        counts.packed_bytes += consumed as u64;
-        Ok(counts)
+        self.cursor.check_fits(dst.len())?;
+        let mut rest = bytes;
+        let segments = self.cursor.consume(bytes.len(), |at, len| {
+            let (piece, tail) = rest.split_at(len);
+            dst[at..at + len].copy_from_slice(piece);
+            rest = tail;
+        });
+        Ok(OpCounts {
+            packed_segments: segments,
+            packed_bytes: bytes.len() as u64,
+            ..OpCounts::default()
+        })
     }
 
     pub fn is_done(&self) -> bool {
@@ -487,6 +303,24 @@ impl Unpacker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::BlockLog;
+
+    const KINDS: [EngineKind; 2] = [EngineKind::SingleContext, EngineKind::DualContext];
+
+    fn pack(
+        kind: EngineKind,
+        dt: &Datatype,
+        count: usize,
+        params: EngineParams,
+        src: &[u8],
+    ) -> (Vec<u8>, OpCounts, BlockLog) {
+        let mut counts = OpCounts::default();
+        let mut log = BlockLog::new();
+        let out = PackEngine::new(kind, dt, count, params, src)
+            .expect("in bounds")
+            .pack_all(&mut counts, &mut log);
+        (out, counts, log)
+    }
 
     /// 8x8 matrix of 3-double elements; the first-column datatype of the
     /// paper's Figures 4-6.
@@ -513,11 +347,9 @@ mod tests {
     fn both_engines_produce_identical_streams() {
         let (m, col) = matrix_and_column();
         let expected = naive_pack(&m, &col, 1);
-        for kind in [EngineKind::SingleContext, EngineKind::DualContext] {
-            let mut e = kind.build(&col, 1, EngineParams::default());
-            let mut counts = OpCounts::default();
-            let got = e.pack_all(&m, &mut counts).unwrap();
-            assert_eq!(got, expected, "{} diverged", e.name());
+        for kind in KINDS {
+            let (got, counts, _) = pack(kind, &col, 1, EngineParams::default(), &m);
+            assert_eq!(got, expected, "{} diverged", kind.name());
             assert_eq!(counts.total_bytes() as usize, expected.len());
         }
     }
@@ -531,14 +363,10 @@ mod tests {
             lookahead_segments: 4,
             dense_threshold: 512,
         };
-        let mut single = SingleContextEngine::new(&col, 1, params.clone());
-        let mut c1 = OpCounts::default();
-        single.pack_all(&m, &mut c1).unwrap();
+        let (_, c1, _) = pack(EngineKind::SingleContext, &col, 1, params, &m);
         assert!(c1.searched_segments > 0, "baseline must re-search");
 
-        let mut dual = DualContextEngine::new(&col, 1, params);
-        let mut c2 = OpCounts::default();
-        dual.pack_all(&m, &mut c2).unwrap();
+        let (_, c2, _) = pack(EngineKind::DualContext, &col, 1, params, &m);
         assert_eq!(c2.searched_segments, 0, "dual-context never searches");
         assert_eq!(c1.packed_bytes, c2.packed_bytes);
     }
@@ -557,10 +385,9 @@ mod tests {
         };
         let search_for = |count: usize| {
             let buf = vec![1u8; 64 * 64 * 24];
-            let mut e = SingleContextEngine::new(&col_r, count, params.clone());
-            let mut c = OpCounts::default();
-            e.pack_all(&buf, &mut c).unwrap();
-            c.searched_segments
+            pack(EngineKind::SingleContext, &col_r, count, params, &buf)
+                .1
+                .searched_segments
         };
         let s1 = search_for(16);
         let s2 = search_for(32);
@@ -577,14 +404,13 @@ mod tests {
         let row = Datatype::contiguous(512, &Datatype::double()).unwrap(); // 4096 B
         let t = Datatype::hvector(8, 1, 8192, &row).unwrap();
         let buf = vec![7u8; 8 * 8192];
-        for kind in [EngineKind::SingleContext, EngineKind::DualContext] {
-            let mut e = kind.build(&t, 1, EngineParams::default());
-            let mut c = OpCounts::default();
-            let out = e.pack_all(&buf, &mut c).unwrap();
+        for kind in KINDS {
+            let name = kind.name();
+            let (out, c, _) = pack(kind, &t, 1, EngineParams::default(), &buf);
             assert_eq!(out.len(), 8 * 4096);
-            assert_eq!(c.packed_bytes, 0, "{}: dense must not copy", e.name());
+            assert_eq!(c.packed_bytes, 0, "{name}: dense must not copy");
             assert_eq!(c.direct_bytes, 8 * 4096);
-            assert_eq!(c.searched_segments, 0, "{}: dense never searches", e.name());
+            assert_eq!(c.searched_segments, 0, "{name}: dense never searches");
             assert!(c.direct_blocks > 0 && c.packed_blocks == 0);
         }
     }
@@ -597,12 +423,18 @@ mod tests {
             lookahead_segments: 15,
             dense_threshold: 512,
         };
-        let mut e = DualContextEngine::new(&col, 1, params);
+        let mut e = PackEngine::new(EngineKind::DualContext, &col, 1, params, &m).unwrap();
         let mut counts = OpCounts::default();
+        let mut out = Vec::new();
         let mut blocks = Vec::new();
-        while let Some(b) = e.next_block(&m, &mut counts).unwrap() {
-            assert!(b.data.len() <= 64);
+        while let Some(b) = e.next_block(&mut out, &mut counts) {
+            // Each block appends exactly its bytes to the caller's buffer.
+            assert!(b.bytes <= 64);
             blocks.push(b);
+            assert_eq!(
+                out.len() as u64,
+                blocks.iter().map(|b| b.bytes).sum::<u64>()
+            );
         }
         assert_eq!(blocks.len(), 3); // 192 bytes / 64
         assert!(blocks.iter().all(|b| b.mode == BlockMode::Packed));
@@ -611,23 +443,59 @@ mod tests {
     }
 
     #[test]
-    fn out_of_bounds_is_reported() {
-        let col = matrix_and_column().1;
-        let small = vec![0u8; 10];
-        let mut e = DualContextEngine::new(&col, 1, EngineParams::default());
-        let mut c = OpCounts::default();
-        assert!(matches!(
-            e.next_block(&small, &mut c),
-            Err(TypeError::OutOfBounds { .. })
-        ));
+    fn out_of_bounds_is_reported_before_anything_is_copied() {
+        let (m, col) = matrix_and_column();
+        // All 8 columns touch the whole matrix; one byte short must fail
+        // up front for both engines and the unpacker, not mid-stream.
+        let col_r = Datatype::resized(0, 24, &col).unwrap();
+        let short = &m[..m.len() - 1];
+        let want = TypeError::OutOfBounds {
+            offset: 0,
+            len: m.len(),
+            buf_len: m.len() - 1,
+        };
+        for kind in KINDS {
+            let e = PackEngine::new(kind, &col_r, 8, EngineParams::default(), short);
+            assert_eq!(e.err(), Some(want.clone()), "{}", kind.name());
+            assert!(PackEngine::new(kind, &col_r, 8, EngineParams::default(), &m).is_ok());
+        }
+        let packed = naive_pack(&m, &col_r, 8);
+        let mut dst = vec![0u8; m.len() - 1];
+        let mut u = Unpacker::new(&col_r, 8);
+        assert_eq!(u.unpack(&mut dst, &packed[..48]), Err(want));
+        assert!(dst.iter().all(|&b| b == 0), "nothing written");
+        assert_eq!(u.remaining(), packed.len(), "nothing consumed");
+    }
+
+    #[test]
+    fn negative_lower_bound_is_out_of_bounds_not_a_wild_index() {
+        // A resized type whose data starts 8 bytes before the buffer.
+        let inner = Datatype::hindexed(&[(-8, 1), (8, 1)], &Datatype::double()).unwrap();
+        let t = Datatype::resized(-8, 32, &inner).unwrap();
+        let mut buf = vec![0u8; 256];
+        let want = TypeError::OutOfBounds {
+            offset: -8,
+            len: 24 + 32,
+            buf_len: 256,
+        };
+        for kind in KINDS {
+            let e = PackEngine::new(kind, &t, 2, EngineParams::default(), &buf);
+            assert_eq!(e.err(), Some(want.clone()), "{}", kind.name());
+        }
+        let mut u = Unpacker::new(&t, 2);
+        assert_eq!(u.unpack(&mut buf, &[1u8; 16]), Err(want));
     }
 
     #[test]
     fn unpack_reverses_pack() {
         let (m, col) = matrix_and_column();
-        let mut e = DualContextEngine::new(&col, 1, EngineParams::default());
-        let mut c = OpCounts::default();
-        let packed = e.pack_all(&m, &mut c).unwrap();
+        let (packed, ..) = pack(
+            EngineKind::DualContext,
+            &col,
+            1,
+            EngineParams::default(),
+            &m,
+        );
 
         let mut dst = vec![0u8; m.len()];
         let mut u = Unpacker::new(&col, 1);
@@ -673,6 +541,7 @@ mod tests {
             u.unpack(&mut dst, &too_much),
             Err(TypeError::StreamOverrun { extra: 1 })
         ));
+        assert!(dst.iter().all(|&b| b == 0), "nothing written");
     }
 
     #[test]
@@ -683,13 +552,8 @@ mod tests {
             lookahead_segments: 4,
             dense_threshold: 512,
         };
-        let mut e = DualContextEngine::new(&col, 1, params);
-        let mut counts = OpCounts::default();
-        let mut nblocks = 0u64;
-        while e.next_block(&m, &mut counts).unwrap().is_some() {
-            nblocks += 1;
-        }
-        assert!(counts.lookahead_segments <= nblocks * 4);
+        let (_, counts, log) = pack(EngineKind::DualContext, &col, 1, params, &m);
+        assert!(counts.lookahead_segments <= log.blocks.len() as u64 * 4);
     }
 
     #[test]
@@ -748,19 +612,14 @@ mod tests {
 
     #[test]
     fn observer_sees_every_block_and_matches_counts() {
-        use crate::observe::BlockLog;
         let (m, col) = matrix_and_column();
         let params = EngineParams {
             block_size: 48,
             lookahead_segments: 4,
             dense_threshold: 512,
         };
-        for kind in [EngineKind::SingleContext, EngineKind::DualContext] {
-            let mut e = kind.build(&col, 1, params.clone());
-            let mut counts = OpCounts::default();
-            let mut log = BlockLog::new();
-            e.pack_all_observed(&m, &mut counts, &mut log).unwrap();
-
+        for kind in KINDS {
+            let (_, counts, log) = pack(kind, &col, 1, params, &m);
             assert_eq!(
                 log.blocks.len() as u64,
                 counts.packed_blocks + counts.direct_blocks
@@ -783,17 +642,13 @@ mod tests {
 
     #[test]
     fn single_context_observer_reports_growing_seeks() {
-        use crate::observe::BlockLog;
         let (m, col) = matrix_and_column();
         let params = EngineParams {
             block_size: 48,
             lookahead_segments: 4,
             dense_threshold: 512,
         };
-        let mut e = SingleContextEngine::new(&col, 1, params.clone());
-        let mut counts = OpCounts::default();
-        let mut log = BlockLog::new();
-        e.pack_all_observed(&m, &mut counts, &mut log).unwrap();
+        let (_, _, log) = pack(EngineKind::SingleContext, &col, 1, params, &m);
         // Sparse stream: every block after the first seeks further back
         // (seek targets strictly increase with position).
         let targets: Vec<u64> = log.blocks.iter().map(|b| b.seek_target).collect();
@@ -801,20 +656,18 @@ mod tests {
         assert!(log.blocks.last().unwrap().seek_segments >= log.blocks[0].seek_segments);
 
         // Dual-context on the same stream: zero seeks everywhere.
-        let mut d = DualContextEngine::new(&col, 1, params);
-        let mut dc = OpCounts::default();
-        let mut dlog = BlockLog::new();
-        d.pack_all_observed(&m, &mut dc, &mut dlog).unwrap();
+        let (_, _, dlog) = pack(EngineKind::DualContext, &col, 1, params, &m);
         assert!(dlog.blocks.iter().all(|b| b.seek_segments == 0));
     }
 
     #[test]
     fn empty_message_yields_no_blocks() {
         let t = Datatype::contiguous(0, &Datatype::double()).unwrap();
-        for kind in [EngineKind::SingleContext, EngineKind::DualContext] {
-            let mut e = kind.build(&t, 3, EngineParams::default());
+        for kind in KINDS {
+            let mut e = PackEngine::new(kind, &t, 3, EngineParams::default(), &[]).unwrap();
             let mut c = OpCounts::default();
-            assert!(e.next_block(&[], &mut c).unwrap().is_none());
+            assert!(e.next_block(&mut Vec::new(), &mut c).is_none());
+            assert_eq!(c, OpCounts::default());
         }
     }
 }

@@ -8,17 +8,21 @@
 //!   vector, hvector, indexed, hindexed, indexed-block, struct, subarray,
 //!   resized) committed into a flat, coalesced segment map;
 //! * [`TypeCursor`] — a *context*: a resumable position in the packed
-//!   stream, with cheap snapshots and an instrumented linear *search*;
-//! * [`SingleContextEngine`] — the baseline pipelined pack engine that
-//!   loses its context to look-ahead and pays a quadratically growing
-//!   re-search (the behaviour of MPICH2 the paper analyses in §3.1);
-//! * [`DualContextEngine`] — the paper's §4.1 dual-context look-ahead
-//!   design that eliminates the search entirely;
+//!   stream, with cheap snapshots and a *search* whose segment count is
+//!   exact but computed in closed form;
+//! * [`PackEngine`] — the pipelined pack engine, as
+//!   [`EngineKind::SingleContext`] (the baseline that loses its context to
+//!   look-ahead and is charged a quadratically growing re-search — the
+//!   behaviour of MPICH2 the paper analyses in §3.1) or
+//!   [`EngineKind::DualContext`] (the paper's §4.1 dual-context look-ahead
+//!   design that eliminates the search entirely);
 //! * [`Unpacker`] and whole-message [`pack_all`]/[`unpack_all`] helpers.
 //!
-//! Engines report [`OpCounts`] — counts of operations actually executed —
-//! which the `ncd-core` communication layer converts into simulated time
-//! under its cost model.
+//! Engines report [`OpCounts`] — the exact number of operations the
+//! modelled engine executes, proven equal to an executed walk by property
+//! test — which the `ncd-core` communication layer converts into simulated
+//! time under its cost model. The host itself packs at the speed of a
+//! hand-written copy loop; the quadratic exists on the simulated clock only.
 //!
 //! ```
 //! use ncd_datatype::{matrix_column_type, pack_all, unpack_all};
@@ -42,12 +46,9 @@ pub mod pack;
 
 pub use cursor::{MemRange, TypeCursor};
 pub use desc::{Datatype, Primitive, Segment, StructField, MAX_SEGMENTS};
-pub use engine::{
-    Block, BlockMode, DualContextEngine, EngineKind, EngineParams, OpCounts, PackEngine,
-    SingleContextEngine, Unpacker,
-};
+pub use engine::{BlockMode, EngineKind, EngineParams, OpCounts, PackEngine, Unpacker};
 pub use error::{Result, TypeError};
-pub use observe::{BlockLog, BlockObservation, LastBlock, NullObserver, PackObserver};
+pub use observe::{BlockLog, BlockObservation, NullObserver, PackObserver};
 pub use pack::{
     hindexed_from_f64_indices, matrix_column_type, pack_all, pack_all_profiled, unpack_all,
 };

@@ -9,9 +9,13 @@
 //! histograms and the trace's datatype track; `examples/pack_profile.rs`
 //! prints them directly to reproduce the paper's Figure 9-style contrast.
 //!
-//! Observation is pull-free and allocation-free: engines invoke
-//! [`PackObserver::on_block`] once per produced block with a stack
-//! [`BlockObservation`]; the default [`NullObserver`] compiles to nothing.
+//! Observation is allocation-free: [`PackEngine::next_block`] returns one
+//! stack [`BlockObservation`] per produced block, and
+//! [`PackEngine::pack_all`] forwards each to a [`PackObserver`]; the
+//! [`NullObserver`] ignores them.
+//!
+//! [`PackEngine::next_block`]: crate::PackEngine::next_block
+//! [`PackEngine::pack_all`]: crate::PackEngine::pack_all
 
 use crate::engine::BlockMode;
 
@@ -44,8 +48,7 @@ pub trait PackObserver {
     fn on_block(&mut self, obs: &BlockObservation);
 }
 
-/// Ignores everything — the observer behind the plain
-/// [`PackEngine::next_block`](crate::PackEngine::next_block) path.
+/// Ignores everything.
 pub struct NullObserver;
 
 impl PackObserver for NullObserver {
@@ -105,17 +108,6 @@ impl PackObserver for BlockLog {
     }
 }
 
-/// Keeps only the most recent observation — the communication layer's
-/// per-block capture buffer (one `next_block` call produces at most one).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LastBlock(pub Option<BlockObservation>);
-
-impl PackObserver for LastBlock {
-    fn on_block(&mut self, obs: &BlockObservation) {
-        self.0 = Some(*obs);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,14 +144,5 @@ mod tests {
         assert_eq!(log.total_seek(), 0);
         assert_eq!(log.total_bytes(), 0);
         assert_eq!(log.seek_per_block(), 0.0);
-    }
-
-    #[test]
-    fn last_block_keeps_latest() {
-        let mut last = LastBlock::default();
-        assert!(last.0.is_none());
-        last.on_block(&obs(0, BlockMode::Packed, 1, 10));
-        last.on_block(&obs(1, BlockMode::Direct, 0, 20));
-        assert_eq!(last.0.expect("observed").index, 1);
     }
 }

@@ -4,31 +4,25 @@
 
 use crate::cursor::TypeCursor;
 use crate::desc::Datatype;
-use crate::engine::{EngineKind, EngineParams, OpCounts};
-use crate::error::{Result, TypeError};
+use crate::engine::{EngineKind, EngineParams, OpCounts, PackEngine, Unpacker};
+use crate::error::Result;
 use crate::observe::PackObserver;
 
 /// Pack `count` instances of `dt` from `src` into a fresh contiguous buffer.
 pub fn pack_all(dt: &Datatype, count: usize, src: &[u8]) -> Result<Vec<u8>> {
     let mut cursor = TypeCursor::new(dt, count);
+    cursor.check_fits(src.len())?;
     let mut out = Vec::with_capacity(cursor.total_bytes());
-    while let Some(r) = cursor.next_range(usize::MAX) {
-        if r.offset < 0 || (r.offset as usize) + r.len > src.len() {
-            return Err(TypeError::OutOfBounds {
-                offset: r.offset,
-                len: r.len,
-                buf_len: src.len(),
-            });
-        }
-        out.extend_from_slice(&src[r.offset as usize..r.offset as usize + r.len]);
-    }
+    cursor.consume(usize::MAX, |at, len| {
+        out.extend_from_slice(&src[at..at + len]);
+    });
     Ok(out)
 }
 
 /// Pack `count` instances of `dt` through a pipelined engine while an
 /// observer watches every block — the profiling entry point behind
 /// `examples/pack_profile.rs` and `datatype_report()`. Returns the packed
-/// bytes and the engine's executed-operation counts.
+/// bytes and the engine's operation counts.
 pub fn pack_all_profiled(
     kind: EngineKind,
     dt: &Datatype,
@@ -37,9 +31,8 @@ pub fn pack_all_profiled(
     src: &[u8],
     observer: &mut dyn PackObserver,
 ) -> Result<(Vec<u8>, OpCounts)> {
-    let mut engine = kind.build(dt, count, params);
     let mut counts = OpCounts::default();
-    let bytes = engine.pack_all_observed(src, &mut counts, observer)?;
+    let bytes = PackEngine::new(kind, dt, count, params, src)?.pack_all(&mut counts, observer);
     Ok((bytes, counts))
 }
 
@@ -47,8 +40,7 @@ pub fn pack_all_profiled(
 /// out in `dst`. The stream may be shorter than the type (partial receive)
 /// but not longer.
 pub fn unpack_all(dt: &Datatype, count: usize, dst: &mut [u8], bytes: &[u8]) -> Result<()> {
-    let mut u = crate::engine::Unpacker::new(dt, count);
-    u.unpack(dst, bytes)?;
+    Unpacker::new(dt, count).unpack(dst, bytes)?;
     Ok(())
 }
 

@@ -2,16 +2,33 @@
 //! must be identical for every block size, look-ahead window and density
 //! threshold — only the *costs* (op counts) may differ. This pins down the
 //! separation between correctness and the performance model.
+//!
+//! The costs themselves are pinned against a reference engine
+//! (`common::reference_blocks`: executed linear re-search, materialized
+//! look-ahead window, one `Vec` per block): for both personalities and the
+//! whole parameter grid, every field of every [`BlockObservation`] and the
+//! final [`OpCounts`] must be equal.
+//!
+//! [`BlockObservation`]: ncd_datatype::BlockObservation
 
+mod common;
+
+use common::assert_matches_reference;
 use ncd_datatype::{
-    matrix_column_type, pack_all, Datatype, DualContextEngine, EngineParams, OpCounts, PackEngine,
-    SingleContextEngine,
+    matrix_column_type, pack_all, pack_all_profiled, Datatype, EngineKind, EngineParams,
+    NullObserver, OpCounts,
 };
 
-fn stream(engine: &mut dyn PackEngine, src: &[u8]) -> (Vec<u8>, OpCounts) {
-    let mut counts = OpCounts::default();
-    let bytes = engine.pack_all(src, &mut counts).expect("pack");
-    (bytes, counts)
+const KINDS: [EngineKind; 2] = [EngineKind::SingleContext, EngineKind::DualContext];
+
+fn stream(
+    kind: EngineKind,
+    dt: &Datatype,
+    count: usize,
+    params: EngineParams,
+    src: &[u8],
+) -> (Vec<u8>, OpCounts) {
+    pack_all_profiled(kind, dt, count, params, src, &mut NullObserver).expect("pack")
 }
 
 #[test]
@@ -27,15 +44,15 @@ fn all_block_sizes_produce_the_same_stream() {
                     lookahead_segments: lookahead,
                     dense_threshold,
                 };
-                let (a, ca) = stream(
-                    &mut SingleContextEngine::new(&col, 32, params.clone()),
-                    &src,
-                );
-                let (b, cb) = stream(&mut DualContextEngine::new(&col, 32, params), &src);
+                let (a, ca) = stream(EngineKind::SingleContext, &col, 32, params, &src);
+                let (b, cb) = stream(EngineKind::DualContext, &col, 32, params, &src);
                 assert_eq!(a, reference, "single bs={block_size} la={lookahead}");
                 assert_eq!(b, reference, "dual bs={block_size} la={lookahead}");
                 assert_eq!(ca.total_bytes(), cb.total_bytes(), "bytes moved must agree");
                 assert_eq!(cb.searched_segments, 0, "dual never searches");
+                for kind in KINDS {
+                    assert_matches_reference(kind, &col, 32, params, &src);
+                }
             }
         }
     }
@@ -55,7 +72,7 @@ fn dense_threshold_controls_direct_vs_packed_but_not_bytes() {
             lookahead_segments: 15,
             dense_threshold: threshold,
         };
-        stream(&mut DualContextEngine::new(&t, 1, params), &src)
+        stream(EngineKind::DualContext, &t, 1, params, &src)
     };
     let (low, clow) = run(1); // everything dense -> direct
     let (high, chigh) = run(1 << 20); // everything sparse -> packed
@@ -79,7 +96,7 @@ fn search_cost_is_monotone_in_block_count() {
             lookahead_segments: 8,
             dense_threshold: 512,
         };
-        let (_, c) = stream(&mut SingleContextEngine::new(&col, 64, params), &src);
+        let (_, c) = stream(EngineKind::SingleContext, &col, 64, params, &src);
         c.searched_segments
     };
     let coarse = search_for(32 * 1024);
@@ -116,9 +133,46 @@ fn lookahead_window_does_not_change_the_stream_boundary_behaviour() {
             lookahead_segments: lookahead,
             dense_threshold: 256,
         };
-        let (a, _) = stream(&mut SingleContextEngine::new(&t, 1, params.clone()), &src);
-        let (b, _) = stream(&mut DualContextEngine::new(&t, 1, params), &src);
+        let (a, _) = stream(EngineKind::SingleContext, &t, 1, params, &src);
+        let (b, _) = stream(EngineKind::DualContext, &t, 1, params, &src);
         assert_eq!(a, reference, "single la={lookahead}");
         assert_eq!(b, reference, "dual la={lookahead}");
+        // Dense and sparse blocks interleave here, and blocks end inside
+        // segments: the reference must agree on every one of them.
+        for kind in KINDS {
+            for count in [1, 3] {
+                let src: Vec<u8> = (0..span * 3).map(|i| (i % 247) as u8).collect();
+                assert_matches_reference(kind, &t, count, params, &src);
+            }
+        }
     }
+}
+
+#[test]
+fn figure_12_counts_at_512_are_pinned() {
+    // The constants the benchmark's traced run prints for the 512x512
+    // column type (`datatype.segments_searched`, `datatype.segments_packed`).
+    // They are simulated-machine work: no host-side change may move them.
+    let n = 512;
+    let col = matrix_column_type(n, n, 3).expect("column");
+    let src = vec![3u8; n * n * 24];
+    let (_, single) = stream(
+        EngineKind::SingleContext,
+        &col,
+        n,
+        EngineParams::default(),
+        &src,
+    );
+    assert_eq!(single.searched_segments, 12_451_872);
+    assert_eq!(single.packed_segments + single.direct_segments, 262_208);
+    let (_, dual) = stream(
+        EngineKind::DualContext,
+        &col,
+        n,
+        EngineParams::default(),
+        &src,
+    );
+    assert_eq!(dual.searched_segments, 0);
+    assert_eq!(dual.packed_segments + dual.direct_segments, 262_208);
+    assert_eq!(dual.lookahead_segments, single.lookahead_segments);
 }

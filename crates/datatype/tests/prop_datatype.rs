@@ -6,11 +6,17 @@
 //! * unpack is the left inverse of pack on the bytes the type covers;
 //! * the single-context engine's search count is zero exactly when no
 //!   sparse block ever follows a look-ahead;
-//! * cursor seek/advance agree with plain traversal.
+//! * the cursor's closed-form seek/advance land where the executed
+//!   segment-by-segment walk lands **and report the count it reports**;
+//! * both engines' block streams equal the reference engine's
+//!   (`common::reference_blocks`), field by field.
 
+mod common;
+
+use common::{assert_matches_reference, position, walk_from_start, walk_to};
 use ncd_datatype::{
-    pack_all, unpack_all, BlockLog, Datatype, DualContextEngine, EngineParams, OpCounts,
-    PackEngine, SingleContextEngine, TypeCursor,
+    pack_all, pack_all_profiled, unpack_all, BlockLog, Datatype, EngineKind, EngineParams,
+    NullObserver, TypeCursor,
 };
 use proptest::prelude::*;
 
@@ -93,17 +99,37 @@ proptest! {
             lookahead_segments: lookahead,
             dense_threshold: 64,
         };
-        let mut single = SingleContextEngine::new(&dt, count, params.clone());
-        let mut c1 = OpCounts::default();
-        let got1 = single.pack_all(&src, &mut c1).expect("single pack");
+        let mut ignore = NullObserver;
+        let (got1, c1) =
+            pack_all_profiled(EngineKind::SingleContext, &dt, count, params, &src, &mut ignore)
+                .expect("single pack");
         prop_assert_eq!(&got1, &expected);
         prop_assert_eq!(c1.total_bytes() as usize, expected.len());
 
-        let mut dual = DualContextEngine::new(&dt, count, params);
-        let mut c2 = OpCounts::default();
-        let got2 = dual.pack_all(&src, &mut c2).expect("dual pack");
+        let (got2, c2) =
+            pack_all_profiled(EngineKind::DualContext, &dt, count, params, &src, &mut ignore)
+                .expect("dual pack");
         prop_assert_eq!(&got2, &expected);
         prop_assert_eq!(c2.searched_segments, 0);
+    }
+
+    #[test]
+    fn engines_match_reference_block_stream(
+        dt in arb_datatype(),
+        count in 1usize..4,
+        block_size in 1usize..512,
+        lookahead in 1usize..20,
+        dense_threshold in 1usize..96,
+    ) {
+        let src = buffer_for(&dt, count);
+        let params = EngineParams {
+            block_size,
+            lookahead_segments: lookahead,
+            dense_threshold,
+        };
+        for kind in [EngineKind::SingleContext, EngineKind::DualContext] {
+            assert_matches_reference(kind, &dt, count, params, &src);
+        }
     }
 
     #[test]
@@ -123,19 +149,19 @@ proptest! {
             lookahead_segments: lookahead,
             dense_threshold: 64,
         };
-        let mut single = SingleContextEngine::new(&dt, count, params.clone());
-        let mut c1 = OpCounts::default();
         let mut log1 = BlockLog::default();
-        let out1 = single.pack_all_observed(&src, &mut c1, &mut log1).expect("single pack");
+        let (out1, c1) =
+            pack_all_profiled(EngineKind::SingleContext, &dt, count, params, &src, &mut log1)
+                .expect("single pack");
         prop_assert_eq!(log1.total_bytes(), c1.total_bytes());
         prop_assert_eq!(log1.total_bytes() as usize, out1.len());
         prop_assert_eq!(log1.blocks.len() as u64, c1.packed_blocks + c1.direct_blocks);
         prop_assert_eq!(log1.total_seek(), c1.searched_segments);
 
-        let mut dual = DualContextEngine::new(&dt, count, params);
-        let mut c2 = OpCounts::default();
         let mut log2 = BlockLog::default();
-        let out2 = dual.pack_all_observed(&src, &mut c2, &mut log2).expect("dual pack");
+        let (out2, c2) =
+            pack_all_profiled(EngineKind::DualContext, &dt, count, params, &src, &mut log2)
+                .expect("dual pack");
         prop_assert_eq!(log2.total_bytes(), c2.total_bytes());
         prop_assert_eq!(log2.total_bytes() as usize, out2.len());
         prop_assert_eq!(log2.blocks.len() as u64, c2.packed_blocks + c2.direct_blocks);
@@ -166,28 +192,49 @@ proptest! {
     }
 
     #[test]
-    fn cursor_seek_matches_traversal(
-        dt in arb_datatype(),
-        count in 1usize..4,
-        frac in 0.0f64..1.0,
-    ) {
+    fn cursor_seek_matches_traversal(dt in arb_datatype(), count in 1usize..4) {
+        // Targets: both ends, and every segment boundary of every replica
+        // (replica boundaries among them) with its two neighbours.
         let total = dt.size() * count;
-        let target = (total as f64 * frac) as usize;
-        // Walk via next_range to the target...
-        let mut walk = TypeCursor::new(&dt, count);
-        let mut consumed = 0usize;
-        while consumed < target {
-            let r = walk.next_range(target - consumed).expect("enough bytes");
-            consumed += r.len;
+        let mut targets = vec![0, total];
+        let mut boundary = 0usize;
+        for _ in 0..count {
+            for s in dt.segments() {
+                targets.extend([boundary.saturating_sub(1), boundary, boundary + 1]);
+                boundary += s.len;
+            }
         }
-        // ...and compare against a search from the start.
-        let mut seek = TypeCursor::new(&dt, count);
-        seek.search_from_start(target);
-        prop_assert_eq!(seek.packed_offset(), walk.packed_offset());
-        // Both cursors must yield the same next range.
-        let a = seek.next_range(17);
-        let b = walk.next_range(17);
-        prop_assert_eq!(a, b);
+        targets.retain(|&t| t <= total);
+        targets.sort_unstable();
+        targets.dedup();
+
+        for &target in &targets {
+            // The closed form must report the count the executed walk
+            // reports and land exactly where it lands...
+            let (visited, walk) = walk_from_start(&dt, count, target);
+            let mut seek = TypeCursor::new(&dt, count);
+            seek.advance_to(total - total / 3); // so the rewind matters
+            let searched = seek.search_from_start(target);
+            prop_assert_eq!(
+                (searched, position(&seek)),
+                (visited, position(&walk)),
+                "search_from_start({})", target
+            );
+            // ...and both cursors must continue identically.
+            prop_assert_eq!(seek.clone().next_range(17), walk.clone().next_range(17));
+
+            // Forward moves from here, not only from the start.
+            for &further in targets.iter().filter(|&&t| t >= target).step_by(3) {
+                let mut walked = walk.clone();
+                let visited = walk_to(&mut walked, further);
+                let mut advanced = seek.clone();
+                prop_assert_eq!(
+                    (advanced.advance_to(further), position(&advanced)),
+                    (visited, position(&walked)),
+                    "advance_to({} -> {})", target, further
+                );
+            }
+        }
     }
 
     #[test]

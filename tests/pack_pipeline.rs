@@ -6,7 +6,8 @@
 
 use nucomm::core::{Comm, MpiConfig};
 use nucomm::datatype::{
-    pack_all_profiled, BlockLog, Datatype, EngineKind, EngineParams, StructField,
+    matrix_column_type, pack_all_profiled, BlockLog, Datatype, EngineKind, EngineParams,
+    StructField,
 };
 use nucomm::simnet::{last_run_dump, Cluster, ClusterConfig, Tag};
 
@@ -115,4 +116,57 @@ fn typed_send_lands_in_flight_recorder() {
         "dump missing pack events:\n{dump}"
     );
     assert!(dump.contains("sparse"), "particle blocks classify sparse");
+}
+
+/// Sender's final clock and its `Stats.search` / `Stats.pack`, in simulated
+/// ns, after one N=256 column-type transpose send.
+fn transpose_256_sender(mut cfg: MpiConfig, block_size: usize) -> (u64, u64, u64) {
+    cfg.engine.block_size = block_size;
+    let n = 256;
+    let out = Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
+        let mut comm = Comm::new(rank, cfg.clone());
+        let col = matrix_column_type(n, n, 3).expect("column type");
+        let bytes = n * n * 24;
+        if comm.rank() == 0 {
+            let src: Vec<u8> = (0..bytes).map(|i| (i % 253) as u8).collect();
+            comm.send(&src, &col, n, 1, Tag(0));
+        } else {
+            let row = Datatype::contiguous(bytes, &Datatype::byte()).expect("row");
+            comm.recv(&mut vec![0u8; bytes], &row, 1, Some(0), Tag(0));
+        }
+        let stats = comm.rank_ref().stats();
+        (
+            comm.rank_ref().now().as_ns(),
+            stats.search.as_ns(),
+            stats.pack.as_ns(),
+        )
+    });
+    out[0]
+}
+
+#[test]
+fn transpose_256_sim_clock_is_pinned() {
+    // Captured at the commit before the engine went closed-form and
+    // in-place. Every pipeline block is charged on its own and each charge
+    // rounds to whole nanoseconds, so these literals lock both the counts
+    // and the per-block charge order: a host-side speed-up of the pack
+    // path must not move the simulated clock by one nanosecond.
+    for (cfg, block_size, want) in [
+        (
+            MpiConfig::baseline(),
+            4096,
+            (54_796_320, 50_201_088, 3_283_712),
+        ),
+        (
+            MpiConfig::baseline(),
+            65536,
+            (7_578_864, 3_014_688, 3_252_656),
+        ),
+        (MpiConfig::optimized(), 4096, (4_595_232, 0, 3_283_712)),
+        (MpiConfig::optimized(), 65536, (4_564_176, 0, 3_252_656)),
+    ] {
+        let label = cfg.flavor.label();
+        let got = transpose_256_sender(cfg, block_size);
+        assert_eq!(got, want, "{label} block_size={block_size}");
+    }
 }
