@@ -5,9 +5,7 @@
 //! its testbed stopped; the algorithmic crossovers it studies keep moving
 //! with N. This bench sweeps `MPI_Allgatherv` to N = 1024 with the ring
 //! and recursive-doubling algorithms pinned, and runs the §5.5 multigrid
-//! application at 128 ranks — sizes the old threads-as-ranks runtime
-//! could not reach in CI smoke time (1024 OS threads of stack plus real
-//! context switches per simulated hop).
+//! application at 128 ranks.
 //!
 //! What the sweep shows: the ring pays `(N-1)` serialized neighbour hops,
 //! recursive doubling pays `ceil(log2 N)` rounds of doubling volume. For

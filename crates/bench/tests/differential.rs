@@ -1,14 +1,14 @@
-//! Differential proof for the event-driven scheduler: the same workloads
-//! produce byte-identical observability artifacts under both backends.
+//! Differential proof for the task backends: the same workloads produce
+//! byte-identical observability artifacts whether ranks are carried by
+//! the hand-written fiber switch or by the portable condvar baton.
 //!
-//! The event scheduler replaces one OS thread per rank with cooperatively
-//! scheduled fibers, but simulated time, message matching, and every
-//! recorded artifact are supposed to be functions of the *simulation*
-//! alone, not of who runs it. These tests run the fig14 / fig15 /
-//! ext_overlap workload shapes under `SchedBackend::Threads` and
-//! `SchedBackend::Events` and assert the chrome trace export, the
-//! communication matrix, and the wait-state diagnosis JSON agree byte for
-//! byte — the refactor's correctness contract (ISSUE 9).
+//! Simulated time, message matching, and every recorded artifact are
+//! supposed to be functions of the *simulation* alone, not of who runs
+//! it. These tests run the fig14 / fig15 / ext_overlap workload shapes
+//! under `TaskBackend::Fiber` and `TaskBackend::Handoff` and assert the
+//! makespan, the chrome trace export, the communication matrix, and the
+//! wait-state diagnosis JSON agree byte for byte. Off x86-64 unix there
+//! is no fiber backend; the workloads then run under the baton alone.
 
 use ncd_bench::time_phase_traced;
 use ncd_core::{Comm, MpiConfig, WPeer};
@@ -16,21 +16,26 @@ use ncd_datatype::Datatype;
 use ncd_petsc::{DistributedArray, ScatterBackend, StencilKind};
 use ncd_simnet::{
     chrome_trace_json, comm_matrix_json, diagnose, diagnosis_json, ClusterCommMap, ClusterConfig,
-    SchedBackend, SimTime, TraceEvent,
+    SimTime, TaskBackend, TraceEvent,
 };
 
 /// Run `body` under one backend and collapse the observable artifacts to
 /// comparable byte strings.
 fn artifacts<F>(
     cfg: ClusterConfig,
-    backend: SchedBackend,
+    backend: TaskBackend,
     body: F,
 ) -> (SimTime, String, String, String)
 where
     F: Fn(&mut Comm, usize) + Send + Sync,
 {
     let (t, _, _, map, _, traces): (_, _, _, ClusterCommMap, _, Vec<Vec<TraceEvent>>) =
-        time_phase_traced(cfg.with_backend(backend), MpiConfig::optimized(), 2, body);
+        time_phase_traced(
+            cfg.with_task_backend(backend),
+            MpiConfig::optimized(),
+            2,
+            body,
+        );
     let trace = chrome_trace_json(&traces);
     let matrix = comm_matrix_json(&map);
     let diag = diagnosis_json(&diagnose(&traces));
@@ -41,18 +46,20 @@ fn assert_backends_agree<F>(name: &str, cfg: ClusterConfig, body: F)
 where
     F: Fn(&mut Comm, usize) + Send + Sync + Clone,
 {
-    let (te, trace_e, matrix_e, diag_e) =
-        artifacts(cfg.clone(), SchedBackend::Events, body.clone());
-    let (tt, trace_t, matrix_t, diag_t) = artifacts(cfg, SchedBackend::Threads, body);
-    assert!(te > SimTime::ZERO, "{name}: workload did no simulated work");
+    let (th, trace_h, matrix_h, diag_h) =
+        artifacts(cfg.clone(), TaskBackend::Handoff, body.clone());
+    assert!(th > SimTime::ZERO, "{name}: workload did no simulated work");
     assert!(
-        trace_e.matches("\"ph\"").count() > 10,
+        trace_h.matches("\"ph\"").count() > 10,
         "{name}: trace export is vacuously small"
     );
-    assert_eq!(te, tt, "{name}: makespan differs across backends");
-    assert_eq!(trace_e, trace_t, "{name}: chrome trace differs");
-    assert_eq!(matrix_e, matrix_t, "{name}: comm matrix differs");
-    assert_eq!(diag_e, diag_t, "{name}: diagnosis differs");
+    if cfg!(all(target_arch = "x86_64", unix)) {
+        let (tf, trace_f, matrix_f, diag_f) = artifacts(cfg, TaskBackend::Fiber, body);
+        assert_eq!(tf, th, "{name}: makespan differs across backends");
+        assert_eq!(trace_f, trace_h, "{name}: chrome trace differs");
+        assert_eq!(matrix_f, matrix_h, "{name}: comm matrix differs");
+        assert_eq!(diag_f, diag_h, "{name}: diagnosis differs");
+    }
 }
 
 /// fig14's workload: allgatherv where rank 0 contributes a 32 KB outlier

@@ -31,8 +31,7 @@ use std::fmt::Write as _;
 
 use ncd_simnet::export::json_escape;
 use ncd_simnet::{
-    Cluster, ClusterConfig, CostKnobs, Diagnosis, KnobDim, SchedBackend, WaitPattern,
-    SCHEMA_VERSION,
+    Cluster, ClusterConfig, CostKnobs, Diagnosis, KnobDim, WaitPattern, SCHEMA_VERSION,
 };
 
 use crate::coll::{AllgathervAlgorithm, AlltoallwSchedule};
@@ -369,7 +368,7 @@ where
     F: Fn(&mut Comm) + Send + Sync,
 {
     let run = |cl: ClusterConfig, mp: &MpiConfig| -> u64 {
-        let times = Cluster::new(cl.with_backend(SchedBackend::Events)).run(|rank| {
+        let times = Cluster::new(cl).run(|rank| {
             let mut comm = Comm::new(rank, mp.clone());
             workload(&mut comm);
             comm.rank_ref().now()

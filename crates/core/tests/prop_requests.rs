@@ -10,14 +10,13 @@
 //!    bit-exactly through a typed receive.
 //! 3. **Scheduler independence**: simulated results are functions of the
 //!    simulation, not of who runs it — the FIFO property holds under both
-//!    the threaded and the event-driven backend, and randomized
+//!    task backends (fiber and handoff), and randomized
 //!    alltoallw/scatterv schedules produce identical clocks and payloads
-//!    under the event scheduler no matter how its ready-queue ties are
-//!    broken (ISSUE 9).
+//!    no matter how the scheduler's ready-queue ties are broken.
 
 use ncd_core::{Comm, MpiConfig, Request, WPeer};
 use ncd_datatype::{pack_all, unpack_all, Datatype};
-use ncd_simnet::{Cluster, ClusterConfig, SchedBackend, SimTime, Tag};
+use ncd_simnet::{Cluster, ClusterConfig, SimTime, Tag, TaskBackend};
 use proptest::prelude::*;
 
 proptest! {
@@ -30,15 +29,15 @@ proptest! {
         delays in proptest::collection::vec(0u64..2_000_000, 12),
         post_keys in proptest::collection::vec(0u32..1_000_000, 24),
         use_waitany in any::<bool>(),
-        use_threads in any::<bool>(),
+        use_handoff in any::<bool>(),
     ) {
         let tags = [Tag(5), Tag(6)];
-        let backend = if use_threads {
-            SchedBackend::Threads
+        let backend = if use_handoff {
+            TaskBackend::Handoff
         } else {
-            SchedBackend::Events
+            TaskBackend::default_for_target()
         };
-        let cfg = ClusterConfig::uniform(n_senders + 1).with_backend(backend);
+        let cfg = ClusterConfig::uniform(n_senders + 1).with_task_backend(backend);
         let out = Cluster::new(cfg).run(move |rank| {
             let mut comm = Comm::new(rank, MpiConfig::optimized());
             let me = comm.rank();
@@ -174,8 +173,7 @@ proptest! {
         // volume matrix, so the schedule is globally consistent.
         let vol = |i: usize, j: usize| vols[(i * nranks + j) % vols.len()];
         let run = |tie_seed: Option<u64>| -> Vec<(SimTime, Vec<u8>, Vec<u8>)> {
-            let mut cfg = ClusterConfig::uniform(nranks)
-                .with_backend(SchedBackend::Events);
+            let mut cfg = ClusterConfig::uniform(nranks);
             if let Some(s) = tie_seed {
                 cfg = cfg.with_tie_break_seed(s);
             }

@@ -31,7 +31,9 @@
 //! [`TypeCursor::search_from_start`]'s closed form (proven equal to the
 //! executed walk by `tests/prop_datatype.rs`), and both personalities share
 //! one block routine that copies straight into the caller's payload at the
-//! speed of a hand-written loop.
+//! speed of a hand-written loop — or, where the replicas of a message
+//! interleave in memory, faster than the pack-order loop: such messages are
+//! gathered a tile of replicas at a time (`TileGather`).
 
 use crate::cursor::TypeCursor;
 use crate::desc::Datatype;
@@ -141,6 +143,9 @@ pub struct PackEngine<'a> {
     params: EngineParams,
     src: &'a [u8],
     block_index: u64,
+    /// `Some` when the message's replicas interleave in memory: the host
+    /// copy then runs a tile of replicas at a time (see [`TileGather`]).
+    tiles: Option<TileGather>,
 }
 
 impl<'a> PackEngine<'a> {
@@ -165,6 +170,12 @@ impl<'a> PackEngine<'a> {
             params,
             src,
             block_index: 0,
+            tiles: TileGather::worthwhile(dt, count).then(|| TileGather {
+                count,
+                next_replica: 0,
+                stage: Vec::new(),
+                taken: 0,
+            }),
         })
     }
 
@@ -214,9 +225,17 @@ impl<'a> PackEngine<'a> {
         counts.searched_segments += seek_segments;
 
         let src = self.src;
-        let segments = self.cursor.consume(limit, |at, len| {
-            out.extend_from_slice(&src[at..at + len]);
-        });
+        let segments = match &mut self.tiles {
+            None => self.cursor.consume(limit, |at, len| {
+                out.extend_from_slice(&src[at..at + len]);
+            }),
+            Some(tiles) => {
+                let segments = self.cursor.consume(limit, |_, _| {});
+                let bytes = self.cursor.packed_offset() - start;
+                tiles.append(self.cursor.datatype(), src, bytes, out);
+                segments
+            }
+        };
         let bytes = (self.cursor.packed_offset() - start) as u64;
         match mode {
             BlockMode::Direct => {
@@ -251,6 +270,87 @@ impl<'a> PackEngine<'a> {
             observer.on_block(&obs);
         }
         out
+    }
+}
+
+/// Host-side copy order for messages whose replicas interleave in memory —
+/// the columns of a row-major matrix, each a strided vector resized to an
+/// extent of one element. In pack order every piece of such a message sits
+/// on another page and cache line than the one before, and the line is
+/// fetched again for the next column. Gathering [`TILE_REPLICAS`] replicas
+/// per pass, segment by segment, reads each line once; the pieces land in a
+/// stage laid out in pack order and the pipeline blocks append their bytes
+/// from it. Only the order of the host's loads changes.
+struct TileGather {
+    count: usize,
+    /// First replica not yet gathered.
+    next_replica: usize,
+    /// The current tile, and how much of it blocks have taken.
+    stage: Vec<u8>,
+    taken: usize,
+}
+
+/// Eight pieces of one to four doubles cover whole cache lines, and eight
+/// output streams plus the source still fit one L1 set when the columns
+/// are a power of two apart.
+const TILE_REPLICAS: usize = 8;
+
+/// A tile must stay cache-resident between its gather and its blocks.
+const TILE_MAX_BYTES: usize = 1 << 20;
+
+impl TileGather {
+    /// Tiling pays when neighbouring replicas share cache lines that pack
+    /// order would visit once per replica: pieces shorter than a line, and
+    /// one replica spread over more memory than a tile of extents covers.
+    fn worthwhile(dt: &Datatype, count: usize) -> bool {
+        let (lb, ub) = dt.true_bounds(1);
+        count >= TILE_REPLICAS
+            && dt.extent() > 0
+            && dt.avg_segment_len() < 64
+            && ub - lb > TILE_REPLICAS as i64 * dt.extent()
+            && dt.size() * TILE_REPLICAS <= TILE_MAX_BYTES
+    }
+
+    /// Append the next `want` bytes of the packed stream to `out`.
+    fn append(&mut self, dt: &Datatype, src: &[u8], mut want: usize, out: &mut Vec<u8>) {
+        while want > 0 {
+            if self.taken == self.stage.len() {
+                self.gather(dt, src);
+            }
+            let take = want.min(self.stage.len() - self.taken);
+            out.extend_from_slice(&self.stage[self.taken..self.taken + take]);
+            self.taken += take;
+            want -= take;
+        }
+    }
+
+    /// Stage the next tile: for each segment, that segment of every replica.
+    fn gather(&mut self, dt: &Datatype, src: &[u8]) {
+        let replicas = (self.count - self.next_replica).min(TILE_REPLICAS);
+        let (size, extent) = (dt.size(), dt.extent() as usize);
+        self.stage.resize(replicas * size, 0);
+        for (seg, &start) in dt.segments().iter().zip(dt.segment_starts()) {
+            let from = (self.next_replica as i64 * dt.extent() + seg.offset) as usize;
+            // A constant length compiles to plain loads and stores, a
+            // variable one to a `memcpy` call per piece.
+            macro_rules! pieces {
+                ($len:expr) => {
+                    for r in 0..replicas {
+                        let (to, at) = (r * size + start, from + r * extent);
+                        self.stage[to..to + $len].copy_from_slice(&src[at..at + $len]);
+                    }
+                };
+            }
+            match seg.len {
+                8 => pieces!(8),
+                16 => pieces!(16),
+                24 => pieces!(24),
+                32 => pieces!(32),
+                len => pieces!(len),
+            }
+        }
+        self.taken = 0;
+        self.next_replica += replicas;
     }
 }
 

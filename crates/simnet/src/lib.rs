@@ -6,9 +6,8 @@
 //! Opteron nodes, two processes per node). That hardware is not available
 //! here, so this crate provides the substitution: a cluster **simulated in a
 //! single OS process**, where every MPI-style *rank* is a cooperatively
-//! scheduled resumable task (see [`sched`]; a threads-as-ranks backend is
-//! retained behind [`SchedBackend`] for differential testing) and every
-//! message travels through an in-memory channel.
+//! scheduled resumable task (see [`sched`]) and every message is pushed
+//! into the receiving rank's in-memory [`mailbox`].
 //!
 //! Correctness is real — ranks exchange real bytes and algorithms run
 //! unmodified. Performance is *simulated*: each rank owns a logical clock
@@ -26,8 +25,8 @@
 //! Determinism: every source of noise (per-operation jitter modelling OS and
 //! heterogeneity skew) is drawn from a per-rank RNG seeded from
 //! `(cluster seed, rank)`, so simulated timings are bit-reproducible across
-//! runs and thread schedules, as long as the algorithms themselves consume
-//! randomness and messages in a deterministic order.
+//! runs, as long as the algorithms themselves consume randomness and
+//! messages in a deterministic order.
 //!
 //! ```
 //! use ncd_simnet::{ClusterConfig, Cluster, Tag};
@@ -95,7 +94,7 @@ pub use recorder::{
     trigger, Anomaly, RankRecorder, RecCode, Recorded, DECISION_SLOTS, DIAGNOSIS_SLOTS,
     DRIFT_SLOTS,
 };
-pub use runtime::{Cluster, ClusterConfig, Rank, SchedBackend, SpeedProfile};
+pub use runtime::{Cluster, ClusterConfig, Rank, SpeedProfile};
 pub use sched::{last_sched_stats, SchedStats, TaskBackend, DEPTH_BUCKETS, MIN_STACK_BYTES};
 pub use stats::{CostKind, Stats};
 pub use time::{CostModel, SimTime};

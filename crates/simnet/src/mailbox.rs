@@ -1,23 +1,19 @@
 //! Message envelopes and MPI-style (source, tag) matching.
 //!
-//! Each rank owns a single unbounded channel on which all other ranks
-//! deposit [`NetMsg`] envelopes. Matching follows MPI semantics: a receive
-//! names a source (or any) and a tag (or [`ANY_TAG`]); messages that arrive
-//! before a matching receive is posted are parked in an *unexpected queue*
-//! and matched in FIFO order per (source, tag), exactly as an MPI
-//! implementation's unexpected-message queue behaves.
+//! Each rank has one [`Mailbox`]: the FIFO queue of [`NetMsg`] envelopes
+//! that senders have posted to it and no receive has consumed yet — what
+//! an MPI implementation calls its unexpected-message queue. Matching
+//! follows MPI semantics: a receive names a source (or any) and a tag (or
+//! [`ANY_TAG`]) and takes the *earliest* queued envelope that fits, so
+//! order is FIFO per (source, tag) and an any-source receive sees physical
+//! posting order.
 //!
-//! Blocking is a property of the runtime, not of this module: under the
-//! threaded backend [`Mailbox::recv_match`] blocks the rank's OS thread on
-//! the channel, while the event scheduler only ever uses the non-blocking
-//! half ([`Mailbox::try_match`] / [`Mailbox::probe`] / [`Mailbox::peek`])
-//! and parks the rank's task on a miss (see [`crate::sched`]). Both drain
-//! the channel into the same unexpected queue, so matching order — and
-//! therefore every simulated result — is identical.
+//! Nothing here blocks. The mailboxes live in the scheduler's control
+//! block (see [`crate::sched`]): a sender pushes straight into the
+//! destination's queue, and a receive that finds no match parks the
+//! rank's task until a covering envelope is pushed.
 
 use std::collections::VecDeque;
-
-use crossbeam::channel::Receiver;
 
 use crate::time::SimTime;
 
@@ -48,99 +44,62 @@ pub struct NetMsg {
 }
 
 impl NetMsg {
-    fn matches(&self, src: Option<usize>, tag: Tag, context: u32) -> bool {
+    /// Whether a receive naming `(src, tag, context)` — `None` / [`ANY_TAG`]
+    /// being wildcards — takes this envelope.
+    pub(crate) fn matches(&self, src: Option<usize>, tag: Tag, context: u32) -> bool {
         self.context == context
             && src.is_none_or(|s| s == self.src)
             && (tag == ANY_TAG || tag == self.tag)
     }
 }
 
-/// Receiving endpoint of one rank: the channel plus the unexpected queue.
+/// The envelopes posted to one rank and not yet received, in posting
+/// order.
+#[derive(Default)]
 pub struct Mailbox {
-    rx: Receiver<NetMsg>,
-    unexpected: VecDeque<NetMsg>,
+    queue: VecDeque<NetMsg>,
 }
 
 impl Mailbox {
-    pub fn new(rx: Receiver<NetMsg>) -> Self {
-        Mailbox {
-            rx,
-            unexpected: VecDeque::new(),
-        }
+    /// Post an envelope (called on the sender's behalf; never blocks —
+    /// sends are eager).
+    pub fn push(&mut self, msg: NetMsg) {
+        self.queue.push_back(msg);
     }
 
-    /// Blockingly receive the first message matching `(src, tag)`.
-    ///
-    /// Checks the unexpected queue first (FIFO), then drains the channel,
-    /// parking non-matching arrivals, until a match appears. Panics if all
-    /// senders disconnected without a match — in a correctly paired program
-    /// that indicates a peer exited early (e.g. panicked).
-    pub fn recv_match(&mut self, src: Option<usize>, tag: Tag, context: u32) -> NetMsg {
-        if let Some(pos) = self
-            .unexpected
-            .iter()
-            .position(|m| m.matches(src, tag, context))
-        {
-            return self.unexpected.remove(pos).expect("position just found");
-        }
-        loop {
-            let msg = self
-                .rx
-                .recv()
-                .expect("peer rank disconnected while a receive was pending");
-            if msg.matches(src, tag, context) {
-                return msg;
-            }
-            self.unexpected.push_back(msg);
-        }
-    }
-
-    /// Non-blocking receive: take the first FIFO match out of the
-    /// unexpected queue (draining the channel first), or `None` when no
-    /// matching envelope has physically arrived yet. This is the matching
-    /// half of a *posted* receive — the request layer holds the posted
-    /// receive and asks the mailbox for its envelope when it needs to make
-    /// progress.
+    /// Take the earliest queued envelope matching `(src, tag, context)`,
+    /// or `None` when no such envelope has been posted yet. This is the
+    /// matching half of a *posted* receive — the request layer holds the
+    /// posted receive and asks the mailbox for its envelope when it needs
+    /// to make progress.
     pub fn try_match(&mut self, src: Option<usize>, tag: Tag, context: u32) -> Option<NetMsg> {
-        while let Ok(msg) = self.rx.try_recv() {
-            self.unexpected.push_back(msg);
-        }
         let pos = self
-            .unexpected
+            .queue
             .iter()
             .position(|m| m.matches(src, tag, context))?;
-        self.unexpected.remove(pos)
+        self.queue.remove(pos)
     }
 
-    /// Non-blocking probe: is a matching message already available?
-    /// Drains the channel into the unexpected queue to make the answer
-    /// authoritative at the time of the call.
-    pub fn probe(&mut self, src: Option<usize>, tag: Tag, context: u32) -> bool {
-        self.peek(src, tag, context).is_some()
+    /// Borrow the envelope [`Mailbox::try_match`] would take, so the
+    /// caller can inspect its metadata (e.g. its simulated arrival time)
+    /// without consuming it.
+    pub fn peek(&self, src: Option<usize>, tag: Tag, context: u32) -> Option<&NetMsg> {
+        self.queue.iter().find(|m| m.matches(src, tag, context))
     }
 
-    /// Like [`Mailbox::probe`], but hands back a borrow of the earliest
-    /// matching envelope so the caller can inspect its metadata (e.g. its
-    /// simulated arrival time) without consuming it.
-    pub fn peek(&mut self, src: Option<usize>, tag: Tag, context: u32) -> Option<&NetMsg> {
-        while let Ok(msg) = self.rx.try_recv() {
-            self.unexpected.push_back(msg);
-        }
-        self.unexpected
-            .iter()
-            .find(|m| m.matches(src, tag, context))
+    /// Number of envelopes currently queued.
+    pub fn len(&self) -> usize {
+        self.queue.len()
     }
 
-    /// Number of messages currently parked in the unexpected queue.
-    pub fn unexpected_len(&self) -> usize {
-        self.unexpected.len()
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
 
     fn msg(src: usize, tag: u32, byte: u8) -> NetMsg {
         NetMsg {
@@ -166,84 +125,53 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_arrivals_are_parked_and_matched_fifo() {
-        let (tx, rx) = unbounded();
-        let mut mb = Mailbox::new(rx);
-        tx.send(msg(1, 5, b'a')).expect("mailbox channel open");
-        tx.send(msg(2, 7, b'b')).expect("mailbox channel open");
-        tx.send(msg(1, 5, b'c')).expect("mailbox channel open");
+    fn out_of_order_arrivals_are_matched_fifo_per_source_and_tag() {
+        let mut mb = Mailbox::default();
+        mb.push(msg(1, 5, b'a'));
+        mb.push(msg(2, 7, b'b'));
+        mb.push(msg(1, 5, b'c'));
 
-        // Ask for tag 7 first: the two tag-5 messages get parked.
-        let m = mb.recv_match(Some(2), Tag(7), 0);
-        assert_eq!(m.data, vec![b'b']);
-        // Only 'a' was drained past; 'c' still sits in the channel.
-        assert_eq!(mb.unexpected_len(), 1);
+        // Ask for tag 7 first: the two tag-5 messages stay queued.
+        assert_eq!(mb.try_match(Some(2), Tag(7), 0).unwrap().data, vec![b'b']);
+        assert_eq!(mb.len(), 2);
 
         // Tag-5 messages from rank 1 must come back in FIFO order.
-        assert_eq!(mb.recv_match(Some(1), Tag(5), 0).data, vec![b'a']);
-        assert_eq!(mb.recv_match(Some(1), Tag(5), 0).data, vec![b'c']);
-        assert_eq!(mb.unexpected_len(), 0);
+        assert_eq!(mb.try_match(Some(1), Tag(5), 0).unwrap().data, vec![b'a']);
+        assert_eq!(mb.try_match(Some(1), Tag(5), 0).unwrap().data, vec![b'c']);
+        assert!(mb.is_empty());
     }
 
     #[test]
-    fn any_source_matches_earliest_parked() {
-        let (tx, rx) = unbounded();
-        let mut mb = Mailbox::new(rx);
-        tx.send(msg(4, 1, b'x')).expect("mailbox channel open");
-        tx.send(msg(5, 1, b'y')).expect("mailbox channel open");
-        // Park both.
-        assert!(mb.probe(None, Tag(1), 0));
-        let m = mb.recv_match(None, Tag(1), 0);
+    fn any_source_matches_earliest_queued() {
+        let mut mb = Mailbox::default();
+        mb.push(msg(4, 1, b'x'));
+        mb.push(msg(5, 1, b'y'));
+        let m = mb.try_match(None, Tag(1), 0).unwrap();
         assert_eq!((m.src, m.data[0]), (4, b'x'));
     }
 
     #[test]
-    fn probe_does_not_consume() {
-        let (tx, rx) = unbounded();
-        let mut mb = Mailbox::new(rx);
-        assert!(!mb.probe(Some(0), Tag(3), 0));
-        tx.send(msg(0, 3, b'z')).expect("mailbox channel open");
-        assert!(mb.probe(Some(0), Tag(3), 0));
-        assert!(mb.probe(Some(0), Tag(3), 0)); // still there
-        assert_eq!(mb.recv_match(Some(0), Tag(3), 0).data, vec![b'z']);
-        assert!(!mb.probe(Some(0), Tag(3), 0));
-    }
-
-    #[test]
-    fn try_match_is_nonblocking_and_fifo() {
-        let (tx, rx) = unbounded();
-        let mut mb = Mailbox::new(rx);
+    fn try_match_returns_none_without_blocking() {
+        let mut mb = Mailbox::default();
         assert!(mb.try_match(Some(1), Tag(5), 0).is_none());
-        tx.send(msg(1, 5, b'a')).expect("mailbox channel open");
-        tx.send(msg(1, 5, b'b')).expect("mailbox channel open");
-        tx.send(msg(2, 5, b'c')).expect("mailbox channel open");
-        // Same (src, tag): FIFO order; other sources are left parked.
+        mb.push(msg(1, 5, b'a'));
+        mb.push(msg(2, 5, b'c'));
         assert_eq!(mb.try_match(Some(1), Tag(5), 0).unwrap().data, vec![b'a']);
-        assert_eq!(mb.try_match(Some(1), Tag(5), 0).unwrap().data, vec![b'b']);
         assert!(mb.try_match(Some(1), Tag(5), 0).is_none());
-        assert_eq!(mb.unexpected_len(), 1, "rank 2's message stays parked");
+        assert_eq!(mb.len(), 1, "rank 2's message stays queued");
         assert_eq!(mb.try_match(None, ANY_TAG, 0).unwrap().data, vec![b'c']);
     }
 
     #[test]
     fn peek_exposes_arrival_without_consuming() {
-        let (tx, rx) = unbounded();
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::default();
+        assert!(mb.peek(Some(0), Tag(3), 0).is_none());
         let mut m = msg(0, 3, b'z');
         m.arrival = SimTime(777);
-        tx.send(m).expect("mailbox channel open");
+        mb.push(m);
         assert_eq!(mb.peek(Some(0), Tag(3), 0).unwrap().arrival, SimTime(777));
         assert!(mb.peek(Some(0), Tag(3), 0).is_some(), "still there");
-        assert_eq!(mb.recv_match(Some(0), Tag(3), 0).data, vec![b'z']);
+        assert_eq!(mb.try_match(Some(0), Tag(3), 0).unwrap().data, vec![b'z']);
         assert!(mb.peek(Some(0), Tag(3), 0).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "disconnected")]
-    fn disconnected_sender_panics() {
-        let (tx, rx) = unbounded::<NetMsg>();
-        drop(tx);
-        let mut mb = Mailbox::new(rx);
-        mb.recv_match(None, ANY_TAG, 0);
     }
 }

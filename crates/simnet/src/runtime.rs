@@ -1,25 +1,16 @@
 //! The cluster runtime: ranks as scheduled tasks over simulated time.
 //!
 //! [`Cluster::run`] hands every rank a [`Rank`] handle — its identity, its
-//! simulated clock, channels to every peer, and the cost model — and runs
-//! all of them to completion. All communication is real (bytes through
-//! channels); all timing is simulated (see the crate docs for the
-//! rationale). Two execution backends implement the same contract:
-//!
-//! - [`SchedBackend::Events`] (the default): every rank is a resumable
-//!   task driven by the deterministic event scheduler in [`crate::sched`] —
-//!   one OS thread total, fiber context switches instead of kernel ones,
-//!   park/unpark on the simulated clock. This is what lets N=1024 sweeps
-//!   run in CI smoke time.
-//! - [`SchedBackend::Threads`]: the original threads-as-ranks substrate
-//!   (one OS thread per rank, blocking channel receives), kept for
-//!   differential testing — both backends must produce bitwise-identical
-//!   traces, matrices, and timings.
+//! simulated clock, its side of the scheduler and the cost model — and runs
+//! all of them to completion. All communication is real (bytes move from
+//! the sender into the receiver's mailbox); all timing is simulated (see
+//! the crate docs for the rationale). Every rank is a resumable task driven
+//! by the deterministic event scheduler in [`crate::sched`]: fiber context
+//! switches instead of kernel ones, park/unpark on the simulated clock.
+//! This is what lets N=1024 sweeps run in CI smoke time.
 
 use std::sync::{Arc, Mutex};
-use std::thread;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,39 +21,10 @@ use crate::mailbox::{Mailbox, NetMsg, Tag};
 use crate::metrics::MetricsRegistry;
 use crate::profile::Profiler;
 use crate::recorder::{self, Anomaly, RankRecorder, RecCode};
-use crate::sched::{self, EventCtl, EventHandle, Task, TaskBackend, TaskShared};
+use crate::sched::{self, EventCtl, EventHandle, Stacks, Task, TaskBackend, TaskShared};
 use crate::stats::{CostKind, Stats};
 use crate::time::{CostModel, SimTime};
 use crate::trace::{EventKind, TraceEvent};
-
-/// Which execution substrate carries the ranks of a cluster.
-///
-/// Simulated results (clocks, traces, matrices, goldens) are identical
-/// across backends — that invariant is what the differential tests pin.
-/// The event backend is one OS thread and scales to thousands of ranks;
-/// the threaded backend burns one OS thread per rank and exists for
-/// differential runs and as a reference semantics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedBackend {
-    /// Cooperatively scheduled resumable tasks over the simulated clock
-    /// (see [`crate::sched`]). The default.
-    Events,
-    /// One OS thread per rank (the original threads-as-ranks runtime).
-    Threads,
-}
-
-impl SchedBackend {
-    /// Backend requested by the `NCD_SCHED` environment variable
-    /// (`events` / `threads`), if any — how a differential run flips a
-    /// whole test suite without touching code.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("NCD_SCHED").as_deref() {
-            Ok("events") => Some(SchedBackend::Events),
-            Ok("threads") => Some(SchedBackend::Threads),
-            _ => None,
-        }
-    }
-}
 
 /// How per-rank CPU speeds are assigned, modelling node heterogeneity.
 ///
@@ -77,7 +39,8 @@ pub enum SpeedProfile {
     /// Ranks `0..n/2` run at `fast`, ranks `n/2..n` at `slow`
     /// (relative CPU speed multipliers; CPU costs are divided by speed).
     MixedHalves { fast: f64, slow: f64 },
-    /// Explicit per-rank speeds; must have exactly `n_ranks` entries.
+    /// Explicit per-rank speeds; must have exactly `n_ranks` entries,
+    /// each finite and positive ([`Cluster::new`] checks).
     PerRank(Vec<f64>),
 }
 
@@ -92,10 +55,7 @@ impl SpeedProfile {
                     *slow
                 }
             }
-            SpeedProfile::PerRank(v) => {
-                assert_eq!(v.len(), size, "PerRank speed table length mismatch");
-                v[rank]
-            }
+            SpeedProfile::PerRank(v) => v[rank],
         }
     }
 }
@@ -111,10 +71,8 @@ pub struct ClusterConfig {
     /// Capacity of each rank's always-on flight recorder (rounded up to a
     /// power of two; see [`crate::recorder`]).
     pub recorder_capacity: usize,
-    /// Execution substrate (overridable per-process via `NCD_SCHED`).
-    pub backend: SchedBackend,
-    /// Stack bytes per rank task under the event backend (lazily
-    /// committed; raise for deeply recursive rank programs).
+    /// Stack bytes per rank task (lazily committed; raise for deeply
+    /// recursive rank programs).
     pub stack_bytes: usize,
     /// When set, the event scheduler breaks equal-simulated-time ties in
     /// its ready queue pseudorandomly from this seed instead of by rank
@@ -126,19 +84,18 @@ pub struct ClusterConfig {
     /// `None` (the default) charges the model unmodified with zero
     /// overhead; all-1.0 knobs are bitwise identical to `None`.
     pub knobs: Option<CostKnobs>,
-    /// Suspend/resume primitive for rank tasks under the event backend
-    /// (see [`TaskBackend`]). `None` resolves to the target default at
-    /// run time; constructors seed it from `NCD_SCHED_TASKS` so a whole
-    /// suite can be flipped onto the portable backend without code
-    /// changes.
+    /// Suspend/resume primitive for rank tasks (see [`TaskBackend`]).
+    /// `None` resolves to the target default at run time; constructors
+    /// seed it from `NCD_SCHED_TASKS` so a whole suite can be flipped
+    /// onto the portable backend without code changes.
     pub task_backend: Option<TaskBackend>,
 }
 
 /// Default flight-recorder window per rank.
 pub const DEFAULT_RECORDER_CAPACITY: usize = 256;
 
-/// Default per-rank task stack under the event backend (1 MiB, lazily
-/// committed by the OS so idle ranks cost address space, not memory).
+/// Default per-rank task stack (1 MiB, lazily committed by the OS so
+/// idle ranks cost address space, not memory).
 pub const DEFAULT_STACK_BYTES: usize = 1 << 20;
 
 impl ClusterConfig {
@@ -151,7 +108,6 @@ impl ClusterConfig {
             speeds: SpeedProfile::Uniform,
             seed: 0x5eed,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-            backend: SchedBackend::from_env().unwrap_or(SchedBackend::Events),
             stack_bytes: DEFAULT_STACK_BYTES,
             sched_tie_seed: None,
             knobs: None,
@@ -174,7 +130,6 @@ impl ClusterConfig {
             },
             seed: 0x2007,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-            backend: SchedBackend::from_env().unwrap_or(SchedBackend::Events),
             stack_bytes: DEFAULT_STACK_BYTES,
             sched_tie_seed: None,
             knobs: None,
@@ -197,14 +152,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Pin the execution backend, ignoring `NCD_SCHED` (differential
-    /// tests run the same workload under both).
-    pub fn with_backend(mut self, backend: SchedBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Per-rank task stack size under the event backend.
+    /// Per-rank task stack size.
     pub fn with_stack_bytes(mut self, bytes: usize) -> Self {
         self.stack_bytes = bytes;
         self
@@ -223,9 +171,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Pin the task suspend/resume primitive of the event backend,
-    /// ignoring `NCD_SCHED_TASKS` (differential tests pit the asm
-    /// fiber switch against the portable baton this way).
+    /// Pin the task suspend/resume primitive, ignoring `NCD_SCHED_TASKS`
+    /// (differential tests pit the asm fiber switch against the portable
+    /// baton this way).
     pub fn with_task_backend(mut self, backend: TaskBackend) -> Self {
         self.task_backend = Some(backend);
         self
@@ -237,63 +185,25 @@ pub struct Cluster {
     cfg: ClusterConfig,
 }
 
-/// The per-run channel mesh: every rank's sender (shared), each rank's
-/// receiver, and each rank's flight recorder.
-type Wiring = (
-    Arc<Vec<Sender<NetMsg>>>,
-    Vec<Receiver<NetMsg>>,
-    Vec<Arc<RankRecorder>>,
-);
-
 impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Self {
         assert!(cfg.n_ranks > 0, "cluster needs at least one rank");
+        if let SpeedProfile::PerRank(v) = &cfg.speeds {
+            assert_eq!(v.len(), cfg.n_ranks, "PerRank speed table length mismatch");
+            // CPU costs are divided by the speed.
+            assert!(
+                v.iter().all(|s| s.is_finite() && *s > 0.0),
+                "PerRank speeds must be finite and positive: {v:?}"
+            );
+        }
         Cluster { cfg }
-    }
-
-    /// Run `f` on every rank concurrently (SPMD style) and collect the
-    /// per-rank return values, indexed by rank.
-    ///
-    /// Panics in any rank propagate after every other rank has been run
-    /// as far as it can go, with a flight-recorder dump triggered for
-    /// the lowest-numbered panicking rank.
-    pub fn run<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut Rank) -> R + Send + Sync,
-    {
-        match self.cfg.backend {
-            SchedBackend::Events => self.run_events(f),
-            SchedBackend::Threads => self.run_threads(f),
-        }
-    }
-
-    /// Per-run channel mesh and flight recorders. Recorders are parked
-    /// in the process global immediately, so evidence survives even if
-    /// a rank panics before the run completes.
-    fn wire_up(&self) -> Wiring {
-        let n = self.cfg.n_ranks;
-        let mut txs: Vec<Sender<NetMsg>> = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let recorders: Vec<Arc<RankRecorder>> = (0..n)
-            .map(|r| Arc::new(RankRecorder::new(r, self.cfg.recorder_capacity)))
-            .collect();
-        recorder::store_last_run(recorders.clone());
-        (Arc::new(txs), rxs, recorders)
     }
 
     fn make_rank(
         cfg: &ClusterConfig,
         rank_id: usize,
-        txs: Arc<Vec<Sender<NetMsg>>>,
-        rx: Receiver<NetMsg>,
         recorder: Arc<RankRecorder>,
-        sched: Option<EventHandle>,
+        sched: EventHandle,
     ) -> Rank {
         let n = cfg.n_ranks;
         Rank {
@@ -301,8 +211,6 @@ impl Cluster {
             size: n,
             now: SimTime::ZERO,
             nic_free: SimTime::ZERO,
-            txs,
-            mailbox: Mailbox::new(rx),
             cost: cfg.cost.clone(),
             speed: cfg.speeds.speed_of(rank_id, n),
             rng: StdRng::seed_from_u64(
@@ -322,41 +230,53 @@ impl Cluster {
         }
     }
 
-    /// The event-driven backend: every rank is a resumable task, one
-    /// scheduler thread drives them in simulated-time order (see
-    /// [`crate::sched`] for the event loop and park/unpark protocol).
-    fn run_events<R, F>(&self, f: F) -> Vec<R>
+    /// Run `f` on every rank concurrently (SPMD style) and collect the
+    /// per-rank return values, indexed by rank.
+    ///
+    /// Every rank is a resumable task; one scheduler drives them in
+    /// simulated-time order (see [`crate::sched`] for the event loop and
+    /// the park/unpark protocol). Panics in any rank propagate after
+    /// every other rank has been run as far as it can go, with a
+    /// flight-recorder dump triggered for the lowest-numbered panicking
+    /// rank.
+    pub fn run<R, F>(&self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut Rank) -> R + Send + Sync,
     {
         let n = self.cfg.n_ranks;
-        let (txs, rxs, recorders) = self.wire_up();
+        // Recorders are parked in the process global immediately, so
+        // evidence survives even if a rank panics before the run
+        // completes.
+        let recorders: Vec<Arc<RankRecorder>> = (0..n)
+            .map(|r| Arc::new(RankRecorder::new(r, self.cfg.recorder_capacity)))
+            .collect();
+        recorder::store_last_run(recorders.clone());
         let ctl = Arc::new(EventCtl::new(n));
         let task_backend = self
             .cfg
             .task_backend
             .unwrap_or_else(TaskBackend::default_for_target);
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let mut stacks = Stacks::new(task_backend, n, self.cfg.stack_bytes);
         let mut tasks: Vec<Task> = Vec::with_capacity(n);
-        for (rank_id, rx) in rxs.into_iter().enumerate() {
+        for (rank_id, recorder) in recorders.iter().enumerate() {
             let shared = Arc::new(TaskShared::new(task_backend));
             let handle = EventHandle::new(ctl.clone(), shared.clone(), rank_id);
             let cfg = &self.cfg;
             let f = &f;
             let results = &results;
-            let txs = txs.clone();
-            let recorder = recorders[rank_id].clone();
+            let recorder = recorder.clone();
             let body = Box::new(move || {
-                let mut rank = Self::make_rank(cfg, rank_id, txs, rx, recorder, Some(handle));
+                let mut rank = Self::make_rank(cfg, rank_id, recorder, handle);
                 let r = f(&mut rank);
                 *results[rank_id].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
             });
             // SAFETY: the body borrows `f`, `results` and `self.cfg`;
             // `sched::drive` runs or unwinds every task before
             // returning, and the task vector is dropped before any of
-            // those borrows expire below.
-            tasks.push(unsafe { Task::spawn(shared, body, self.cfg.stack_bytes) });
+            // those borrows expire, and before `stacks`, below.
+            tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, rank_id) });
         }
         let outcome = sched::drive(&ctl, &mut tasks, self.cfg.sched_tie_seed);
         drop(tasks);
@@ -376,56 +296,9 @@ impl Cluster {
             }
         }
     }
-
-    /// The original threads-as-ranks backend: one OS thread per rank,
-    /// joined in rank order. Panics propagate after all threads have
-    /// been joined.
-    fn run_threads<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut Rank) -> R + Send + Sync,
-    {
-        let (txs, rxs, recorders) = self.wire_up();
-        let f = &f;
-        let cfg = &self.cfg;
-        let txs = &txs;
-        let recorders = &recorders;
-        let results: Vec<R> = thread::scope(|scope| {
-            let handles: Vec<_> = rxs
-                .into_iter()
-                .enumerate()
-                .map(|(rank_id, rx)| {
-                    scope.spawn(move || {
-                        let mut rank = Self::make_rank(
-                            cfg,
-                            rank_id,
-                            txs.clone(),
-                            rx,
-                            recorders[rank_id].clone(),
-                            None,
-                        );
-                        f(&mut rank)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(rank_id, h)| match h.join() {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let dump = recorder::render_dump(recorders);
-                        recorder::trigger(&Anomaly::Panic { rank: rank_id }, &dump);
-                        std::panic::resume_unwind(e)
-                    }
-                })
-                .collect()
-        });
-        results
-    }
 }
 
-/// Handle given to each rank's thread: identity, clock, network, stats.
+/// Handle given to each rank's task: identity, clock, network, stats.
 pub struct Rank {
     rank: usize,
     size: usize,
@@ -436,8 +309,6 @@ pub struct Rank {
     /// advances independently, and a completion wait charges only the
     /// residual). Never behind `now` after a blocking send.
     nic_free: SimTime,
-    txs: Arc<Vec<Sender<NetMsg>>>,
-    mailbox: Mailbox,
     cost: CostModel,
     speed: f64,
     rng: StdRng,
@@ -461,9 +332,9 @@ pub struct Rank {
     /// record per closed comm-map epoch. Off by default; enabling it also
     /// enables the comm map it derives from.
     history: RankHistory,
-    /// Park/unpark handle under the event backend (`None` under
-    /// threads-as-ranks, where blocking falls through to the channel).
-    sched: Option<EventHandle>,
+    /// This rank's side of the scheduler: its mailbox, its peers'
+    /// mailboxes, and the park/unpark protocol.
+    sched: EventHandle,
     /// Counterfactual cost factors for this rank, resolved once from
     /// [`ClusterConfig::knobs`]. `None` = charge the model unmodified.
     knobs: Option<ResolvedKnobs>,
@@ -1021,7 +892,7 @@ impl Rank {
     /// Charges the sender `o_send + jitter` of CPU plus the wire
     /// serialization time, and stamps the message with
     /// `departure + latency` as its arrival time. Sends are eager and never
-    /// block (the channel is unbounded), which matches the "post sends in
+    /// block (mailboxes are unbounded), which matches the "post sends in
     /// any order, receive later" usage the collective algorithms rely on.
     pub fn send_bytes(&mut self, dst: usize, tag: Tag, data: Vec<u8>) {
         self.send_bytes_ctx(dst, tag, 0, data);
@@ -1030,19 +901,35 @@ impl Rank {
     /// Like [`Rank::send_bytes`] but within a communicator context (MPI
     /// communicators keep their traffic apart via contexts; 0 = world).
     pub fn send_bytes_ctx(&mut self, dst: usize, tag: Tag, context: u32, data: Vec<u8>) {
-        assert!(dst < self.size, "send to rank {dst} of {}", self.size);
         let trace_start = self.now;
-        let bytes = data.len();
         let overhead = self.cost.send_overhead_ns + self.jitter_ns();
         self.charge_cpu(CostKind::Comm, overhead);
-        self.charge_fixed(CostKind::Comm, self.wire_ns_scaled(bytes));
+        self.charge_fixed(CostKind::Comm, self.wire_ns_scaled(data.len()));
         // A blocking send serializes on the CPU timeline; keep the NIC
         // timeline consistent for any nonblocking sends that follow.
         self.nic_free = self.nic_free.max(self.now);
+        self.post(dst, tag, context, data, trace_start, self.now);
+    }
+
+    /// The one way a message leaves this rank: stats, correlation id,
+    /// flight recorder, trace, and delivery into the destination's
+    /// mailbox. Its last byte is on the wire at `departure`, and it
+    /// arrives one latency later (self-sends skip the wire).
+    fn post(
+        &mut self,
+        dst: usize,
+        tag: Tag,
+        context: u32,
+        data: Vec<u8>,
+        trace_start: SimTime,
+        departure: SimTime,
+    ) {
+        assert!(dst < self.size, "send to rank {dst} of {}", self.size);
+        let bytes = data.len();
         let arrival = if dst == self.rank {
-            self.now // self-sends skip the wire
+            departure
         } else {
-            self.now + SimTime::from_ns_f64(self.latency_ns_scaled())
+            departure + SimTime::from_ns_f64(self.latency_ns_scaled())
         };
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += bytes as u64;
@@ -1057,30 +944,15 @@ impl Rank {
                 end: self.now,
             });
         }
-        self.txs[dst]
-            .send(NetMsg {
-                src: self.rank,
-                tag,
-                context,
-                data,
-                arrival,
-                seq,
-            })
-            .expect("destination rank hung up");
-        self.notify_deposit(dst, tag, context);
-    }
-
-    /// Mirror a just-made channel deposit to the event scheduler so a
-    /// parked destination is woken (no-op under threads, where the
-    /// channel itself wakes the blocked receiver; no-op for self-sends —
-    /// a running rank is not parked).
-    fn notify_deposit(&self, dst: usize, tag: Tag, context: u32) {
-        if dst == self.rank {
-            return;
-        }
-        if let Some(h) = &self.sched {
-            h.notify_deposit(dst, self.rank, tag, context);
-        }
+        let msg = NetMsg {
+            src: self.rank,
+            tag,
+            context,
+            data,
+            arrival,
+            seq,
+        };
+        self.sched.post(dst, msg);
     }
 
     /// Blockingly receive a message matching `(src, tag)`; returns the
@@ -1105,28 +977,20 @@ impl Rank {
         (data, src)
     }
 
-    /// Blockingly pull the envelope matching `(src, tag, context)` off the
-    /// wire *without any simulated-time accounting* — the physical half of
-    /// a receive. Pair with [`Rank::complete_recv_msg`], which does the
-    /// accounting; [`Rank::recv_bytes_ctx`] is exactly that composition.
+    /// Blockingly take the envelope matching `(src, tag, context)` out of
+    /// this rank's mailbox *without any simulated-time accounting* — the
+    /// physical half of a receive. Pair with [`Rank::complete_recv_msg`],
+    /// which does the accounting; [`Rank::recv_bytes_ctx`] is exactly that
+    /// composition.
     ///
-    /// Under the event backend "blocking" means parking this rank's task
-    /// with the scheduler until a matching deposit exists; under threads
-    /// it blocks the rank's OS thread on the channel. The matching result
-    /// is identical either way.
+    /// "Blocking" means parking this rank's task with the scheduler until
+    /// a matching envelope has been posted.
     pub fn fetch_msg_ctx(&mut self, src: Option<usize>, tag: Tag, context: u32) -> NetMsg {
-        match &self.sched {
-            None => self.mailbox.recv_match(src, tag, context),
-            Some(_) => loop {
-                if let Some(msg) = self.mailbox.try_match(src, tag, context) {
-                    return msg;
-                }
-                let at = self.now;
-                self.sched
-                    .as_ref()
-                    .expect("checked above")
-                    .park_blocked(src, tag, context, at);
-            },
+        loop {
+            if let Some(msg) = self.sched.mailbox(|mb| mb.try_match(src, tag, context)) {
+                return msg;
+            }
+            self.sched.park_blocked(src, tag, context, self.now);
         }
     }
 
@@ -1134,24 +998,33 @@ impl Rank {
     /// matching envelope if one has physically arrived (its simulated
     /// arrival time may still lie in the future), else `None`.
     ///
-    /// Under the event backend a miss yields to the scheduler once (a
-    /// polling park: woken by a matching deposit or when no other rank is
-    /// ready) and re-checks, so `while !test { compute }` progress loops
-    /// interleave with the peers they are waiting on.
+    /// A miss yields to the scheduler once (a polling park: woken by a
+    /// matching post or when no other rank is ready) and re-checks, so
+    /// `while !test { compute }` progress loops interleave with the peers
+    /// they are waiting on.
     pub fn try_fetch_msg_ctx(
         &mut self,
         src: Option<usize>,
         tag: Tag,
         context: u32,
     ) -> Option<NetMsg> {
-        if let Some(msg) = self.mailbox.try_match(src, tag, context) {
-            return Some(msg);
+        self.poll_mailbox(src, tag, context, |mb| mb.try_match(src, tag, context))
+    }
+
+    /// Look for an envelope matching `(src, tag, context)` with `look`; on
+    /// a miss, yield to the scheduler once and look again.
+    fn poll_mailbox<R>(
+        &mut self,
+        src: Option<usize>,
+        tag: Tag,
+        context: u32,
+        look: impl Fn(&mut Mailbox) -> Option<R>,
+    ) -> Option<R> {
+        if let Some(found) = self.sched.mailbox(&look) {
+            return Some(found);
         }
-        if let Some(h) = &self.sched {
-            h.park_polling(src, tag, context, self.now);
-            return self.mailbox.try_match(src, tag, context);
-        }
-        None
+        self.sched.park_polling(src, tag, context, self.now);
+        self.sched.mailbox(&look)
     }
 
     /// The accounting half of a receive: charge the residual wait (zero
@@ -1211,22 +1084,15 @@ impl Rank {
 
     /// Non-blocking probe for a matching message (real arrival, i.e. the
     /// message exists; simulated arrival time may still be in the future).
-    /// Under the event backend a miss yields once (like
-    /// [`Rank::try_fetch_msg_ctx`]) so probe spin loops stay live.
+    /// A miss yields once (like [`Rank::try_fetch_msg_ctx`]) so probe spin
+    /// loops stay live.
     pub fn probe(&mut self, src: Option<usize>, tag: Tag) -> bool {
         self.probe_ctx(src, tag, 0)
     }
 
     /// Probe within a communicator context.
     pub fn probe_ctx(&mut self, src: Option<usize>, tag: Tag, context: u32) -> bool {
-        if self.mailbox.probe(src, tag, context) {
-            return true;
-        }
-        if let Some(h) = &self.sched {
-            h.park_polling(src, tag, context, self.now);
-            return self.mailbox.probe(src, tag, context);
-        }
-        false
+        self.peek_arrival(src, tag, context).is_some()
     }
 
     /// `MPI_Iprobe` in simulated time: true iff a matching message has both
@@ -1241,18 +1107,17 @@ impl Rank {
     /// [`Rank::iprobe`] within a communicator context.
     pub fn iprobe_ctx(&mut self, src: Option<usize>, tag: Tag, context: u32) -> bool {
         let now = self.now;
-        if let Some(m) = self.mailbox.peek(src, tag, context) {
-            // The envelope exists; whether its simulated arrival has
-            // passed is a pure clock question — no reason to yield.
-            return m.arrival <= now;
-        }
-        if let Some(h) = &self.sched {
-            h.park_polling(src, tag, context, now);
-            if let Some(m) = self.mailbox.peek(src, tag, context) {
-                return m.arrival <= now;
-            }
-        }
-        false
+        self.peek_arrival(src, tag, context)
+            .is_some_and(|arrival| arrival <= now)
+    }
+
+    /// Simulated arrival time of the earliest matching envelope, yielding
+    /// to the scheduler once if there is none. When the envelope exists,
+    /// whether its arrival has passed is a pure clock question — no reason
+    /// to yield.
+    fn peek_arrival(&mut self, src: Option<usize>, tag: Tag, context: u32) -> Option<SimTime> {
+        let arrival = |mb: &mut Mailbox| mb.peek(src, tag, context).map(|m| m.arrival);
+        self.poll_mailbox(src, tag, context, arrival)
     }
 
     /// Charge the CPU-side posting cost of a nonblocking send (`o_send`
@@ -1282,7 +1147,7 @@ impl Rank {
 
     /// Post a nonblocking message whose wire serialization completes at
     /// `done` (from [`Rank::nic_reserve`]): stats, flight recorder, trace,
-    /// and the channel send. The message arrives at `done` plus latency
+    /// and delivery. The message arrives at `done` plus latency
     /// (self-sends skip the latency, as in the blocking path).
     pub fn isend_finish(
         &mut self,
@@ -1293,37 +1158,7 @@ impl Rank {
         trace_start: SimTime,
         done: SimTime,
     ) {
-        assert!(dst < self.size, "send to rank {dst} of {}", self.size);
-        let bytes = data.len();
-        let arrival = if dst == self.rank {
-            done // self-sends skip the wire latency
-        } else {
-            done + SimTime::from_ns_f64(self.latency_ns_scaled())
-        };
-        self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        let seq = self.send_seq;
-        self.send_seq += 1;
-        self.recorder
-            .record(RecCode::Send, self.now, dst as u64, bytes as u64, seq, 0, 0);
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent {
-                kind: EventKind::Send { dst, bytes, seq },
-                start: trace_start,
-                end: self.now,
-            });
-        }
-        self.txs[dst]
-            .send(NetMsg {
-                src: self.rank,
-                tag,
-                context,
-                data,
-                arrival,
-                seq,
-            })
-            .expect("destination rank hung up");
-        self.notify_deposit(dst, tag, context);
+        self.post(dst, tag, context, data, trace_start, done);
     }
 
     /// Nonblocking eager send of a pre-packed payload: posting overhead on
@@ -1489,7 +1324,6 @@ mod tests {
             },
             seed: 1,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-            backend: SchedBackend::Events,
             stack_bytes: DEFAULT_STACK_BYTES,
             sched_tie_seed: None,
             knobs: None,
@@ -1503,6 +1337,22 @@ mod tests {
         assert_eq!(out[2], out[3]);
         assert!(out[2] > out[0]);
         assert_eq!(out[2].as_ns(), 2 * out[0].as_ns());
+    }
+
+    #[test]
+    #[should_panic(expected = "PerRank speed table length mismatch")]
+    fn per_rank_speed_table_of_wrong_length_is_rejected_at_construction() {
+        let mut cfg = ClusterConfig::uniform(3);
+        cfg.speeds = SpeedProfile::PerRank(vec![1.0, 1.0]);
+        Cluster::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn per_rank_speed_of_zero_is_rejected_at_construction() {
+        let mut cfg = ClusterConfig::uniform(2);
+        cfg.speeds = SpeedProfile::PerRank(vec![1.0, 0.0]);
+        Cluster::new(cfg);
     }
 
     #[test]
@@ -1557,13 +1407,13 @@ mod tests {
         });
     }
 
-    /// The dump hook is process-global; tests that install one must not
-    /// overlap.
+    /// The dump hook is process-global; tests that install one, or that
+    /// trigger an anomaly a hook would see, must not overlap.
     static HOOK_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn flight_recorder_is_always_on() {
-        let counts = Cluster::new(ClusterConfig::uniform(2)).run(|r| {
+        let out = Cluster::new(ClusterConfig::uniform(2)).run(|r| {
             // No tracing, no metrics: the recorder still sees traffic.
             if r.rank() == 0 {
                 r.send_bytes(1, Tag(0), vec![0u8; 64]);
@@ -1571,10 +1421,13 @@ mod tests {
                 let _ = r.recv_bytes(Some(0), Tag(0));
             }
             r.trace_mark("done");
-            r.flight_recorder().recorded()
+            (r.flight_recorder().recorded(), r.flight_recorder().clone())
         });
+        // Rendered from the run's own recorders: the process-wide
+        // last-run store belongs to whichever parallel test ran last.
+        let (counts, recorders): (Vec<_>, Vec<_>) = out.into_iter().unzip();
         assert_eq!(counts, vec![2, 2]); // send+mark / recv+mark
-        let dump = crate::recorder::last_run_dump().expect("run recorded");
+        let dump = crate::recorder::render_dump(&recorders);
         assert!(dump.contains("send       dst=1 bytes=64"), "{dump}");
         assert!(dump.contains("recv       src=0 bytes=64"), "{dump}");
         assert!(dump.contains("mark       done"), "{dump}");
@@ -1828,8 +1681,9 @@ mod tests {
                 let msg = r.fetch_msg_ctx(Some(0), Tag(0), 0);
                 let _ = r.complete_recv_msg(msg);
             }
-            r.take_trace()
+            (r.take_trace(), r.flight_recorder().clone())
         });
+        let (out, recorders): (Vec<_>, Vec<_>) = out.into_iter().unzip();
         assert!(out[0].iter().any(
             |e| matches!(e.kind, EventKind::SendWait { residual } if residual > SimTime::ZERO)
         ));
@@ -1840,7 +1694,7 @@ mod tests {
                 tag: 0
             }
         )));
-        let dump = crate::recorder::last_run_dump().expect("run recorded");
+        let dump = crate::recorder::render_dump(&recorders);
         assert!(dump.contains("send-wait  residual_ns="), "{dump}");
         assert!(dump.contains("irecv      src=0 tag=0"), "{dump}");
     }
@@ -1856,31 +1710,10 @@ mod tests {
         });
     }
 
-    /// The same program yields the same clocks, payloads, and stats under
-    /// both backends — the simnet-level version of the differential
-    /// contract (the bench crate proves it on full workloads).
-    #[test]
-    fn event_and_thread_backends_agree() {
-        let run = |backend: SchedBackend| {
-            Cluster::new(ClusterConfig::paper_testbed(6).with_backend(backend)).run(|r| {
-                let right = (r.rank() + 1) % r.size();
-                let left = (r.rank() + r.size() - 1) % r.size();
-                for i in 0..8u32 {
-                    r.compute_flops(10_000 * (r.rank() as u64 + 1));
-                    r.send_bytes(right, Tag(i), vec![i as u8; 256 * (r.rank() + 1)]);
-                    let (d, src) = r.recv_bytes(Some(left), Tag(i));
-                    assert_eq!((d[0], src), (i as u8, left));
-                }
-                (r.now(), r.stats().wait, r.stats().comm, r.stats().compute)
-            })
-        };
-        assert_eq!(run(SchedBackend::Events), run(SchedBackend::Threads));
-    }
-
     /// The portable handoff task backend and the asm fiber backend must
-    /// produce bitwise-identical simulated results — the differential
-    /// contract one layer below [`SchedBackend`]: same event-loop
-    /// policy, different suspend/resume primitive.
+    /// produce bitwise-identical simulated results: same event-loop
+    /// policy, different suspend/resume primitive (the bench crate
+    /// proves it on full workloads).
     #[cfg(all(target_arch = "x86_64", unix))]
     #[test]
     fn fiber_and_handoff_task_backends_agree() {
@@ -1900,57 +1733,65 @@ mod tests {
         assert_eq!(run(TaskBackend::Fiber), run(TaskBackend::Handoff));
     }
 
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("panic payload is a message")
+    }
+
     /// Two ranks blocked on receives nobody will send: the event
     /// scheduler proves the negative (no runnable rank, no message in
-    /// flight) and panics instead of hanging — a diagnosis the threaded
-    /// backend fundamentally cannot make.
+    /// flight) and panics instead of hanging.
     #[test]
     fn event_backend_detects_deadlock() {
+        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let res = std::panic::catch_unwind(|| {
-            Cluster::new(ClusterConfig::uniform(2).with_backend(SchedBackend::Events)).run(|r| {
+            Cluster::new(ClusterConfig::uniform(2)).run(|r| {
                 let peer = 1 - r.rank();
                 let _ = r.recv_bytes(Some(peer), Tag(0));
             })
         });
         let payload = res.expect_err("deadlocked cluster must not return");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("panic payload is a message");
+        let msg = panic_message(payload);
         assert!(msg.contains("deadlock"), "unexpected message: {msg}");
     }
 
+    /// A send to a rank whose program has already returned is an error
+    /// in the simulated program, reported on the sender.
+    #[test]
+    fn send_to_finished_rank_panics() {
+        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let res = std::panic::catch_unwind(|| {
+            Cluster::new(ClusterConfig::uniform(2)).run(|r| {
+                if r.rank() == 0 {
+                    // The failed probe yields, so rank 1 runs and returns.
+                    assert!(!r.probe(Some(1), Tag(0)));
+                    r.compute_flops(1_000_000);
+                    r.send_bytes(1, Tag(0), vec![1]);
+                }
+            })
+        });
+        let payload = res.expect_err("send to an exited rank must not succeed");
+        let msg = panic_message(payload);
+        assert!(msg.contains("hung up"), "unexpected message: {msg}");
+    }
+
     /// A rank that exits while a peer still waits on it is reported as a
-    /// disconnect (matching the threaded backend's channel-close error),
-    /// not as a deadlock.
+    /// disconnect, not as a deadlock.
     #[test]
     fn event_backend_reports_peer_disconnect() {
+        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let res = std::panic::catch_unwind(|| {
-            Cluster::new(ClusterConfig::uniform(2).with_backend(SchedBackend::Events)).run(|r| {
+            Cluster::new(ClusterConfig::uniform(2)).run(|r| {
                 if r.rank() == 0 {
                     let _ = r.recv_bytes(Some(1), Tag(0));
                 }
             })
         });
         let payload = res.expect_err("orphaned receive must not return");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("panic payload is a message");
+        let msg = panic_message(payload);
         assert!(msg.contains("disconnected"), "unexpected message: {msg}");
-    }
-
-    #[test]
-    fn backend_env_parse() {
-        assert_eq!(SchedBackend::from_env(), None);
-        // `from_env` reads NCD_SCHED; the parse itself is pure, so drive
-        // it through the public constructor default instead of mutating
-        // the process environment (tests run concurrently).
-        assert_eq!(
-            ClusterConfig::uniform(1).backend,
-            SchedBackend::from_env().unwrap_or(SchedBackend::Events)
-        );
     }
 }

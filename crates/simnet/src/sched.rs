@@ -1,13 +1,12 @@
 //! The event-driven rank scheduler: ranks as cooperatively scheduled
 //! resumable tasks over the simulated clock.
 //!
-//! Threads-as-ranks pays one OS thread — kernel stack, scheduler slot,
-//! condvar wakeups on every message — per simulated rank, which caps
-//! clusters at a few dozen ranks and taxes every benchmark with real
-//! scheduling noise that has nothing to do with simulated time. This
-//! module replaces that substrate: each rank runs on a userspace
-//! *fiber* (a heap-allocated stack plus a ~20-instruction context
-//! switch), and a single scheduler thread drives all of them.
+//! Each rank runs on a userspace *fiber* (a heap-allocated stack plus a
+//! ~20-instruction context switch) or, off x86-64 unix, on a parked OS
+//! thread handed a baton; a single scheduler drives all of them and
+//! exactly one rank runs at any instant. That costs no kernel scheduling
+//! per message, scales to thousands of ranks, and keeps host scheduling
+//! noise out of the run entirely.
 //!
 //! ## The event loop
 //!
@@ -21,41 +20,41 @@
 //! live), both of which record what the rank is waiting for and switch
 //! back to the scheduler.
 //!
-//! Senders never block (channels are unbounded); instead every channel
-//! deposit also enqueues a `(dst, src, tag, context)` event with the
-//! scheduler (`EventHandle::notify_deposit`). Between resumes the
-//! scheduler drains these events and moves every parked rank whose
-//! match pattern covers a deposit back onto the ready queue. Ranks
-//! parked `Polling` are additionally promoted wholesale whenever the
-//! ready queue runs dry, so `while !comm.test(..) { compute }` loops
-//! make progress without a matching deposit.
+//! ## Delivery
+//!
+//! The scheduler's control block owns every rank's [`Mailbox`]. Senders
+//! never block: `EventHandle::post` takes the control lock once, appends
+//! the envelope to the destination's mailbox and, if the destination is
+//! parked on a pattern the envelope covers, moves it onto the ready
+//! queue right there. Ranks parked `Polling` are additionally promoted
+//! wholesale whenever the ready queue runs dry, so
+//! `while !comm.test(..) { compute }` loops make progress without a
+//! matching envelope.
 //!
 //! ## Determinism
 //!
 //! The loop consults nothing but simulated time, rank ids and the
-//! deposit order produced by the ranks themselves, so a cluster run is
-//! a deterministic function of the program — unlike threads-as-ranks,
-//! where the OS interleaving leaks into physical message order (it
-//! never leaked into *simulated* results because matching is by
-//! explicit source and arrival timestamps are computed by the sender;
-//! the event scheduler keeps exactly that contract, which is why golden
-//! traces are bitwise identical across both backends). For tie-break
-//! robustness testing, `drive` accepts a seed that shuffles which of
-//! several ready ranks *with equal simulated time* runs first; results
-//! must not depend on it.
+//! posting order produced by the ranks themselves, and only one rank
+//! runs at a time, so physical message order — and with it the whole
+//! cluster run — is a deterministic function of the program; host
+//! thread interleaving has no way in. For tie-break robustness testing,
+//! `drive` accepts a seed that shuffles which of several ready ranks
+//! *with equal simulated time* runs first; results must not depend on
+//! it.
 //!
 //! ## Stalls
 //!
-//! Threads-as-ranks hangs forever on a communication deadlock. The
-//! event scheduler can see one: no rank is ready, no deposit is
-//! pending, and promotion of the polling set twice produced the exact
-//! same picture. It then *poisons* the run — every parked rank's next
-//! park panics (unwinding its fiber so stacks and results drop
-//! cleanly) — and reports the first panic in rank order, mirroring the
-//! join-order panic propagation of the threaded backend.
+//! Because the scheduler sees every mailbox and every parked rank, it
+//! can prove a communication deadlock instead of hanging on it: no rank
+//! is ready, and promotion of the polling set twice produced the exact
+//! same picture with nothing posted in between. It then *poisons* the
+//! run — every parked rank's next park panics (unwinding its fiber so
+//! stacks and results drop cleanly) — and reports the first panic in
+//! rank order, so the failure is attributed to the same rank on every
+//! run.
 
 use std::any::Any;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -63,7 +62,7 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::mailbox::{Tag, ANY_TAG};
+use crate::mailbox::{Mailbox, NetMsg, Tag};
 use crate::time::SimTime;
 
 /// Smallest fiber stack the scheduler will allocate; requests below it
@@ -72,7 +71,7 @@ use crate::time::SimTime;
 pub const MIN_STACK_BYTES: usize = 64 * 1024;
 
 /// How often an identical polling picture must recur (with the ready
-/// queue empty and no deposits in between) before the run is declared
+/// queue empty and nothing posted in between) before the run is declared
 /// stalled. Two would suffice; three adds margin for degenerate
 /// zero-cost models where progress does not advance the clock.
 const STALL_ROUNDS: u32 = 3;
@@ -86,8 +85,8 @@ const MAX_DRAIN_RESUMES: u32 = 16;
 // Park/unpark protocol shared between ranks and the scheduler
 // ---------------------------------------------------------------------------
 
-/// What a parked rank is waiting for — the receive-side match pattern,
-/// mirroring [`crate::mailbox::NetMsg`] matching exactly.
+/// What a parked rank is waiting for — the `(src, tag, context)` of its
+/// receive, matched against envelopes by [`NetMsg::matches`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct MatchPat {
     src: Option<usize>,
@@ -95,43 +94,31 @@ struct MatchPat {
     context: u32,
 }
 
-impl MatchPat {
-    fn matches(&self, src: usize, tag: Tag, context: u32) -> bool {
-        self.context == context
-            && self.src.is_none_or(|s| s == src)
-            && (self.tag == ANY_TAG || self.tag == tag)
-    }
-}
-
 /// Scheduler-visible state of one rank.
 #[derive(Clone, Copy, Debug)]
 enum Slot {
     /// Running, on the ready queue, or not yet started.
     Runnable,
-    /// Parked in a blocking receive: wake only on a matching deposit
-    /// (or poison).
+    /// Parked in a blocking receive: wake only on a matching post (or
+    /// poison).
     Blocked { pat: MatchPat, at: SimTime },
     /// Parked after a failed non-blocking probe/test: wake on a
-    /// matching deposit, or wholesale when the ready queue runs dry.
+    /// matching post, or wholesale when the ready queue runs dry.
     Polling { pat: MatchPat, at: SimTime },
-}
-
-/// One channel deposit, mirrored to the scheduler so it can wake the
-/// destination if it is parked on a covering pattern.
-#[derive(Clone, Copy, Debug)]
-struct Deposit {
-    dst: usize,
-    src: usize,
-    tag: Tag,
-    context: u32,
+    /// The rank's program returned or panicked; a send to it is an
+    /// error in the program being simulated.
+    Finished,
 }
 
 struct CtlInner {
     slots: Vec<Slot>,
-    deposits: VecDeque<Deposit>,
-    /// Monotone count of processed deposits (part of the stall
-    /// signature: identical polling pictures only count as no progress
-    /// if nothing was deposited in between).
+    /// Per rank: the envelopes posted to it and not yet received.
+    mailboxes: Vec<Mailbox>,
+    /// Runnable ranks waiting for their turn, by `(park time, rank)`.
+    ready: BTreeSet<(SimTime, usize)>,
+    /// Monotone count of envelopes posted to a rank other than the
+    /// sender (part of the stall signature: identical polling pictures
+    /// only count as no progress if nothing was posted in between).
     deposits_seen: u64,
     /// When set, every park attempt panics with this message instead of
     /// suspending — how the scheduler unwinds ranks after a peer died
@@ -141,6 +128,8 @@ struct CtlInner {
     parks_blocked: u64,
     /// Introspection: polling parks taken ([`EventHandle::park_polling`]).
     parks_polling: u64,
+    /// Introspection: parked ranks woken by [`EventHandle::post`].
+    deposit_wakes: u64,
 }
 
 /// Shared scheduler state: one per [`drive`] invocation, visible to
@@ -154,11 +143,13 @@ impl EventCtl {
         EventCtl {
             inner: Mutex::new(CtlInner {
                 slots: vec![Slot::Runnable; n_ranks],
-                deposits: VecDeque::new(),
+                mailboxes: (0..n_ranks).map(|_| Mailbox::default()).collect(),
+                ready: (0..n_ranks).map(|r| (SimTime::ZERO, r)).collect(),
                 deposits_seen: 0,
                 poison: None,
                 parks_blocked: 0,
                 parks_polling: 0,
+                deposit_wakes: 0,
             }),
         }
     }
@@ -168,9 +159,9 @@ impl EventCtl {
     }
 }
 
-/// A rank's side of the park/unpark protocol, held by
-/// [`crate::runtime::Rank`] under the event backend (`None` under
-/// threads-as-ranks).
+/// A rank's side of the scheduler: its mailbox, posting to its peers'
+/// mailboxes, and the park/unpark protocol. Held by
+/// [`crate::runtime::Rank`].
 #[derive(Clone)]
 pub(crate) struct EventHandle {
     ctl: Arc<EventCtl>,
@@ -183,8 +174,8 @@ impl EventHandle {
         EventHandle { ctl, shared, rank }
     }
 
-    /// Park in a blocking receive until a deposit matching
-    /// `(src, tag, context)` is made (the caller re-checks its mailbox
+    /// Park in a blocking receive until an envelope matching
+    /// `(src, tag, context)` is posted (the caller re-checks its mailbox
     /// on return and parks again on a false wake).
     pub(crate) fn park_blocked(&self, src: Option<usize>, tag: Tag, context: u32, at: SimTime) {
         self.park(Slot::Blocked {
@@ -194,7 +185,7 @@ impl EventHandle {
     }
 
     /// Yield after a failed non-blocking match, waking on a matching
-    /// deposit or when no other rank is ready — exactly once, so
+    /// post or when no other rank is ready — exactly once, so
     /// `while !probe { .. }` spin loops interleave with peers instead
     /// of monopolizing the scheduler.
     pub(crate) fn park_polling(&self, src: Option<usize>, tag: Tag, context: u32, at: SimTime) {
@@ -214,7 +205,7 @@ impl EventHandle {
             match slot {
                 Slot::Blocked { .. } => inner.parks_blocked += 1,
                 Slot::Polling { .. } => inner.parks_polling += 1,
-                Slot::Runnable => {}
+                Slot::Runnable | Slot::Finished => {}
             }
             inner.slots[self.rank] = slot;
         }
@@ -229,16 +220,35 @@ impl EventHandle {
         }
     }
 
-    /// Mirror a channel deposit to the scheduler (called by the sender
-    /// right after the channel send; self-sends are filtered by the
-    /// caller — a running rank cannot be parked).
-    pub(crate) fn notify_deposit(&self, dst: usize, src: usize, tag: Tag, context: u32) {
-        self.ctl.lock().deposits.push_back(Deposit {
-            dst,
-            src,
-            tag,
-            context,
-        });
+    /// Deliver `msg` to rank `dst`: append it to the destination's
+    /// mailbox and, if the destination is parked on a pattern the
+    /// envelope covers, make it runnable — all under one lock. Only one
+    /// rank runs at a time, so nothing can change the destination's
+    /// slot between this post and the scheduler's next decision. A
+    /// self-send only queues: a running rank is not parked.
+    pub(crate) fn post(&self, dst: usize, msg: NetMsg) {
+        let mut inner = self.ctl.lock();
+        if matches!(inner.slots[dst], Slot::Finished) {
+            drop(inner);
+            panic!("destination rank hung up");
+        }
+        if dst != self.rank {
+            inner.deposits_seen += 1;
+            if let Slot::Blocked { pat, at } | Slot::Polling { pat, at } = inner.slots[dst] {
+                if msg.matches(pat.src, pat.tag, pat.context) {
+                    inner.slots[dst] = Slot::Runnable;
+                    inner.ready.insert((at, dst));
+                    inner.deposit_wakes += 1;
+                }
+            }
+        }
+        inner.mailboxes[dst].push(msg);
+    }
+
+    /// Run `f` on this rank's mailbox, under the control lock (so `f`
+    /// must not park).
+    pub(crate) fn mailbox<R>(&self, f: impl FnOnce(&mut Mailbox) -> R) -> R {
+        f(&mut self.ctl.lock().mailboxes[self.rank])
     }
 }
 
@@ -273,14 +283,18 @@ impl TaskBackend {
         }
     }
 
-    /// Override from `NCD_SCHED_TASKS` (`fiber` | `handoff`),
-    /// mirroring `NCD_SCHED` one layer up; `None` when unset or
-    /// unrecognized.
+    /// Override from the `NCD_SCHED_TASKS` environment variable
+    /// (`fiber` | `handoff`); `None` when unset. Any other value panics
+    /// rather than silently running — and timing — the wrong primitive.
     pub fn from_env() -> Option<TaskBackend> {
-        match std::env::var("NCD_SCHED_TASKS").as_deref() {
-            Ok("fiber") => Some(TaskBackend::Fiber),
-            Ok("handoff") => Some(TaskBackend::Handoff),
-            _ => None,
+        std::env::var_os("NCD_SCHED_TASKS").map(|v| Self::parse_env(&v.to_string_lossy()))
+    }
+
+    fn parse_env(value: &str) -> TaskBackend {
+        match value {
+            "fiber" => TaskBackend::Fiber,
+            "handoff" => TaskBackend::Handoff,
+            other => panic!("NCD_SCHED_TASKS={other:?} is not one of \"fiber\", \"handoff\""),
         }
     }
 
@@ -296,7 +310,7 @@ impl TaskBackend {
 /// bucket absorbs every depth `>= 2^(DEPTH_BUCKETS-1)`.
 pub const DEPTH_BUCKETS: usize = 16;
 
-/// Counters and distributions from one [`drive`] invocation — the
+/// Counters and distributions from one cluster run — the
 /// scheduler observing itself, so a bench can report how hard the
 /// event loop worked (switch counts, queue pressure, stack use)
 /// alongside the simulated results it produced.
@@ -310,11 +324,11 @@ pub struct SchedStats {
     /// Context switches into a task (clean scheduling decisions; the
     /// poison resumes of a failed run's drain are not counted).
     pub resumes: u64,
-    /// Blocking parks taken ([`EventHandle::park_blocked`]).
+    /// Blocking parks taken (a blocking receive found no envelope).
     pub parks_blocked: u64,
-    /// Polling parks taken ([`EventHandle::park_polling`]).
+    /// Polling parks taken (a non-blocking probe/test found no envelope).
     pub parks_polling: u64,
-    /// Parked ranks woken by a matching deposit.
+    /// Parked ranks woken by a matching post.
     pub deposit_wakes: u64,
     /// Dry-queue promotions of the whole polling set.
     pub poll_promotions: u64,
@@ -354,7 +368,7 @@ impl SchedStats {
 /// [`last_sched_stats`] whether the run succeeded or stalled.
 static LAST_SCHED_STATS: Mutex<Option<SchedStats>> = Mutex::new(None);
 
-/// Introspection snapshot of the most recent event-driven run
+/// Introspection snapshot of the most recent cluster run
 /// (process-global; `None` before the first such run). Benches read
 /// this right after a cluster run to report scheduler behaviour —
 /// concurrent runs race on it, so it is a reporting aid, not an API
@@ -372,8 +386,8 @@ pub fn last_sched_stats() -> Option<SchedStats> {
 
 /// Why a driven run did not complete cleanly.
 pub(crate) struct RankPanic {
-    /// Lowest-numbered rank whose task panicked (matching the threaded
-    /// backend, which joins and propagates in rank order).
+    /// Lowest-numbered rank whose task panicked, so the failure is
+    /// attributed to the same rank on every run.
     pub rank: usize,
     pub payload: Box<dyn Any + Send>,
 }
@@ -411,6 +425,7 @@ pub(crate) fn drive_with_stats(
     let inner = ctl.lock();
     stats.parks_blocked = inner.parks_blocked;
     stats.parks_polling = inner.parks_polling;
+    stats.deposit_wakes = inner.deposit_wakes;
     drop(inner);
     (result, stats)
 }
@@ -422,8 +437,6 @@ fn drive_loop(
     stats: &mut SchedStats,
 ) -> Result<(), RankPanic> {
     let n = tasks.len();
-    let mut ready: BTreeSet<(SimTime, usize)> = (0..n).map(|r| (SimTime::ZERO, r)).collect();
-    let mut finished = vec![false; n];
     let mut n_finished = 0usize;
     let mut panics: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
     let mut tie_rng = tie_seed.map(StdRng::seed_from_u64);
@@ -433,83 +446,57 @@ fn drive_loop(
     let mut poll_repeats = 0u32;
 
     loop {
-        // Deliver deposit events: wake parked ranks whose pattern
-        // covers a new envelope.
-        {
-            let mut inner = ctl.lock();
-            while let Some(d) = inner.deposits.pop_front() {
-                inner.deposits_seen += 1;
-                let wake = match inner.slots[d.dst] {
-                    Slot::Blocked { pat, at } | Slot::Polling { pat, at }
-                        if pat.matches(d.src, d.tag, d.context) =>
-                    {
-                        Some(at)
-                    }
+        let mut inner = ctl.lock();
+        let depth = inner.ready.len();
+        let Some(r) = pop_min(&mut inner.ready, &mut tie_rng) else {
+            // Ready queue dry: promote the polling set so spin loops
+            // keep running, or conclude the run.
+            let pollers: Vec<(usize, SimTime)> = inner
+                .slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| match s {
+                    Slot::Polling { at, .. } => Some((i, *at)),
                     _ => None,
-                };
-                if let Some(at) = wake {
-                    inner.slots[d.dst] = Slot::Runnable;
-                    ready.insert((at, d.dst));
-                    stats.deposit_wakes += 1;
-                }
-            }
-        }
-
-        let depth = ready.len();
-        let next = pop_min(&mut ready, &mut tie_rng);
-        let r = match next {
-            Some(r) => r,
-            None => {
-                // Ready queue dry: promote the polling set so spin
-                // loops keep running, or conclude the run.
-                let (pollers, seen) = {
-                    let inner = ctl.lock();
-                    let pollers: Vec<(usize, SimTime)> = inner
-                        .slots
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, s)| match s {
-                            Slot::Polling { at, .. } => Some((i, *at)),
-                            _ => None,
-                        })
-                        .collect();
-                    (pollers, inner.deposits_seen)
-                };
-                if !pollers.is_empty() {
-                    let sig = (seen, pollers.clone());
-                    if poll_sig.as_ref() == Some(&sig) {
-                        poll_repeats += 1;
-                        if poll_repeats >= STALL_ROUNDS {
-                            return stall(ctl, tasks, &finished, panics);
-                        }
-                    } else {
-                        poll_sig = Some(sig);
-                        poll_repeats = 0;
-                    }
-                    stats.poll_promotions += 1;
-                    stats.promoted_tasks += pollers.len() as u64;
-                    let mut inner = ctl.lock();
-                    for &(i, at) in &pollers {
-                        inner.slots[i] = Slot::Runnable;
-                        ready.insert((at, i));
-                    }
-                    continue;
-                }
+                })
+                .collect();
+            if pollers.is_empty() {
+                drop(inner);
                 if n_finished == n {
                     break;
                 }
                 // Only Blocked ranks remain and nothing can wake them.
-                return stall(ctl, tasks, &finished, panics);
+                return stall(ctl, tasks, panics);
             }
+            let sig = (inner.deposits_seen, pollers.clone());
+            if poll_sig.as_ref() == Some(&sig) {
+                poll_repeats += 1;
+                if poll_repeats >= STALL_ROUNDS {
+                    drop(inner);
+                    return stall(ctl, tasks, panics);
+                }
+            } else {
+                poll_sig = Some(sig);
+                poll_repeats = 0;
+            }
+            stats.poll_promotions += 1;
+            stats.promoted_tasks += pollers.len() as u64;
+            for &(i, at) in &pollers {
+                inner.slots[i] = Slot::Runnable;
+                inner.ready.insert((at, i));
+            }
+            continue;
         };
+        // The lock is released before the switch: the resumed rank
+        // takes it on every mailbox operation.
+        drop(inner);
 
-        ctl.lock().slots[r] = Slot::Runnable;
         stats.resumes += 1;
         stats.observe_depth(depth);
         tasks[r].resume();
         stats.max_stack_bytes = stats.max_stack_bytes.max(tasks[r].stack_in_use());
         if tasks[r].is_done() {
-            finished[r] = true;
+            ctl.lock().slots[r] = Slot::Finished;
             n_finished += 1;
             if let Some(p) = tasks[r].take_panic() {
                 panics.push((r, p));
@@ -530,18 +517,19 @@ fn drive_loop(
 fn stall(
     ctl: &EventCtl,
     tasks: &mut [Task],
-    finished: &[bool],
     mut panics: Vec<(usize, Box<dyn Any + Send>)>,
 ) -> Result<(), RankPanic> {
     let had_panic = !panics.is_empty();
-    let msg = if had_panic || finished.iter().any(|&f| f) {
-        // A peer already exited; the parked ranks wait on it in vain —
-        // the same condition the mailbox reports under threads.
+    let mut inner = ctl.lock();
+    let msg = if inner.slots.iter().any(|s| matches!(s, Slot::Finished)) {
+        // A peer already exited (returned or panicked); the parked
+        // ranks wait on it in vain.
         "peer rank disconnected while a receive was pending"
     } else {
         "simulated deadlock: every rank is parked and no message can arrive"
     };
-    ctl.lock().poison = Some(msg);
+    inner.poison = Some(msg);
+    drop(inner);
     let mut induced: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
     for (r, task) in tasks.iter_mut().enumerate() {
         let mut tries = 0;
@@ -676,6 +664,37 @@ impl TaskShared {
     }
 }
 
+/// Fiber stacks per allocation: 64 MiB at the default stack size. (One
+/// allocation for all could exceed what the OS grants a single request.)
+const STACKS_PER_SLAB: usize = 64;
+
+/// The stacks of one run's tasks. Fiber stacks are equal slices of a few
+/// large allocations, not an allocation each: a request that large is
+/// served with fresh, lazily committed pages that go back to the OS when
+/// the run ends, whereas a thousand separate 1 MiB requests are carved
+/// out of whatever heap earlier runs left dirty, and resident memory
+/// then swings with allocator history.
+pub(crate) struct Stacks {
+    /// Per-task stack size, a multiple of 16.
+    bytes: usize,
+    /// The vectors never hold an element: only their capacity is used,
+    /// as 16-aligned uninitialized memory. Empty under the handoff
+    /// backend, whose threads bring their own stacks.
+    slabs: Vec<Vec<u128>>,
+}
+
+impl Stacks {
+    pub(crate) fn new(backend: TaskBackend, n_tasks: usize, stack_bytes: usize) -> Self {
+        let bytes = stack_bytes.max(MIN_STACK_BYTES).next_multiple_of(16);
+        let slabs = (0..n_tasks)
+            .step_by(STACKS_PER_SLAB)
+            .filter(|_| backend == TaskBackend::Fiber)
+            .map(|first| Vec::with_capacity((n_tasks - first).min(STACKS_PER_SLAB) * (bytes / 16)))
+            .collect();
+        Stacks { bytes, slabs }
+    }
+}
+
 /// A rank as a resumable task on the backend its [`TaskShared`] was
 /// built for.
 pub(crate) enum Task {
@@ -686,26 +705,39 @@ pub(crate) enum Task {
 
 impl Task {
     /// Prepare a suspended task that will run `body` on its first
-    /// resume, on the backend `shared` was built for.
+    /// resume, on the backend `shared` was built for, with slot `index`
+    /// of `stacks` as its stack.
     ///
     /// # Safety
     /// `body`'s borrows are erased to `'static`. The caller must keep
     /// everything `body` captures alive until the task is done or the
     /// task is leaked without further resumes — [`drive`] guarantees
-    /// the former by draining every task before returning.
+    /// the former by draining every task before returning. `stacks`
+    /// must outlive the task, and no other live task may use `index`.
     pub(crate) unsafe fn spawn(
         shared: Arc<TaskShared>,
         body: Box<dyn FnOnce() + Send + '_>,
-        stack_bytes: usize,
+        stacks: &mut Stacks,
+        index: usize,
     ) -> Task {
         let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
         match shared.imp {
             #[cfg(all(target_arch = "x86_64", unix))]
             SharedImpl::Fiber(_) => {
-                Task::Fiber(unsafe { fiber::Task::spawn(shared, body, stack_bytes) })
+                let bytes = stacks.bytes;
+                let (slab, slot) = (index / STACKS_PER_SLAB, index % STACKS_PER_SLAB);
+                let slab = stacks.slabs.get_mut(slab).expect("no fiber stack slab");
+                assert!(
+                    (slot + 1) * bytes <= slab.capacity() * 16,
+                    "no fiber stack slot {index}"
+                );
+                // SAFETY: the slot lies inside the slab's allocation by
+                // the assert above.
+                let base = unsafe { slab.as_mut_ptr().cast::<u8>().add(slot * bytes) };
+                Task::Fiber(unsafe { fiber::Task::spawn(shared, body, base, bytes) })
             }
             SharedImpl::Handoff(_) => {
-                Task::Handoff(handoff::Task::spawn(shared, body, stack_bytes))
+                Task::Handoff(handoff::Task::spawn(shared, body, stacks.bytes))
             }
         }
     }
@@ -824,38 +856,24 @@ mod fiber {
     /// page without mmap).
     const STACK_CANARY: u64 = 0x5EED_F1BE_DEAD_57AC;
 
+    /// One task's slot of the run's [`Stacks`]: `len` bytes at the
+    /// 16-aligned `base`. Uninitialized memory is fine for a stack, and
+    /// it is lazily committed by the OS, so a 1 MiB default costs
+    /// address space, not resident pages.
     struct Stack {
         base: *mut u8,
-        layout: std::alloc::Layout,
+        len: usize,
     }
 
     impl Stack {
-        fn new(bytes: usize) -> Self {
-            let bytes = bytes.max(MIN_STACK_BYTES);
-            let layout = std::alloc::Layout::from_size_align(bytes, 16).expect("stack layout");
-            // SAFETY: non-zero size; uninitialized memory is fine for a
-            // stack. Lazily committed by the OS, so a 1 MiB default
-            // costs address space, not resident pages.
-            let base = unsafe { std::alloc::alloc(layout) };
-            assert!(!base.is_null(), "fiber stack allocation failed");
-            unsafe { (base as *mut u64).write(STACK_CANARY) };
-            Stack { base, layout }
-        }
-
         /// 16-aligned top-of-stack (stacks grow down).
         fn top(&self) -> *mut u8 {
-            let top = self.base as usize + self.layout.size();
+            let top = self.base as usize + self.len;
             (top & !0xF) as *mut u8
         }
 
         fn canary_intact(&self) -> bool {
             unsafe { (self.base as *const u64).read() == STACK_CANARY }
-        }
-    }
-
-    impl Drop for Stack {
-        fn drop(&mut self) {
-            unsafe { std::alloc::dealloc(self.base, self.layout) };
         }
     }
 
@@ -919,14 +937,17 @@ mod fiber {
 
     impl Task {
         /// Prepare a suspended fiber that will run `body` on its first
-        /// resume (see [`super::Task::spawn`] for the safety
-        /// contract; `shared.imp` must be the fiber variant).
+        /// resume, on the `len`-byte stack at `base` (see
+        /// [`super::Task::spawn`] for the safety contract; `shared.imp`
+        /// must be the fiber variant).
         pub(super) unsafe fn spawn(
             shared: Arc<TaskShared>,
             body: Box<dyn FnOnce() + Send + 'static>,
-            stack_bytes: usize,
+            base: *mut u8,
+            len: usize,
         ) -> Task {
-            let stack = Stack::new(stack_bytes);
+            let stack = Stack { base, len };
+            unsafe { (base as *mut u64).write(STACK_CANARY) };
             let entry = Box::into_raw(Box::new(FiberEntry {
                 body,
                 shared: shared.clone(),
@@ -1008,11 +1029,10 @@ mod fiber {
     }
 }
 
-/// Portable fallback: each task is an OS thread, but — unlike
-/// threads-as-ranks — exactly one of {scheduler, some task} is ever
-/// runnable, handing a condvar baton back and forth. Scheduling policy
-/// and simulated results are identical to the fiber backend; only the
-/// suspend/resume cost differs.
+/// Portable fallback: each task is an OS thread, but exactly one of
+/// {scheduler, some task} is ever runnable, handing a condvar baton
+/// back and forth. Scheduling policy and simulated results are identical
+/// to the fiber backend; only the suspend/resume cost differs.
 mod handoff {
     use super::*;
     use std::sync::Condvar;
@@ -1074,7 +1094,7 @@ mod handoff {
         ) -> Task {
             let inner = shared.clone();
             let thread = std::thread::Builder::new()
-                .stack_size(stack_bytes.max(MIN_STACK_BYTES))
+                .stack_size(stack_bytes)
                 .spawn(move || {
                     inner.baton().wait_for(Turn::Task);
                     inner.finish(catch_unwind(AssertUnwindSafe(body)));
@@ -1115,9 +1135,16 @@ mod handoff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::ANY_TAG;
 
     fn new_shared() -> Arc<TaskShared> {
         Arc::new(TaskShared::new(TaskBackend::default_for_target()))
+    }
+
+    /// `n` minimum-size stacks for tasks made by [`new_shared`]; declare
+    /// it before the tasks so it is dropped after them.
+    fn new_stacks(n: usize) -> Stacks {
+        Stacks::new(TaskBackend::default_for_target(), n, MIN_STACK_BYTES)
     }
 
     fn spawn_counted(
@@ -1126,6 +1153,7 @@ mod tests {
         id: usize,
         yields: usize,
         ctl: Arc<EventCtl>,
+        stacks: &mut Stacks,
     ) -> Task {
         let handle = EventHandle::new(ctl, shared.clone(), id);
         let body = Box::new(move || {
@@ -1135,7 +1163,19 @@ mod tests {
             }
             log.lock().unwrap().push(id);
         });
-        unsafe { Task::spawn(shared.clone(), body, MIN_STACK_BYTES) }
+        unsafe { Task::spawn(shared.clone(), body, stacks, id) }
+    }
+
+    #[test]
+    fn task_backend_env_values_parse() {
+        assert_eq!(TaskBackend::parse_env("fiber"), TaskBackend::Fiber);
+        assert_eq!(TaskBackend::parse_env("handoff"), TaskBackend::Handoff);
+    }
+
+    #[test]
+    #[should_panic(expected = "NCD_SCHED_TASKS=\"handof\" is not one of \"fiber\", \"handoff\"")]
+    fn misspelt_task_backend_env_value_is_rejected() {
+        TaskBackend::parse_env("handof");
     }
 
     #[test]
@@ -1143,7 +1183,8 @@ mod tests {
         let ctl = Arc::new(EventCtl::new(8));
         let log = Arc::new(Mutex::new(Vec::new()));
         let shared = new_shared();
-        let mut task = spawn_counted(&shared, log.clone(), 7, 3, ctl);
+        let mut stacks = new_stacks(8);
+        let mut task = spawn_counted(&shared, log.clone(), 7, 3, ctl, &mut stacks);
         let mut resumes = 0;
         while !task.is_done() {
             task.resume();
@@ -1160,10 +1201,18 @@ mod tests {
         let n = 4;
         let ctl = Arc::new(EventCtl::new(n));
         let log = Arc::new(Mutex::new(Vec::new()));
+        let mut stacks = Stacks::new(backend, n, MIN_STACK_BYTES);
         let mut tasks = Vec::new();
         for id in 0..n {
             let shared = Arc::new(TaskShared::new(backend));
-            tasks.push(spawn_counted(&shared, log.clone(), id, 2, ctl.clone()));
+            tasks.push(spawn_counted(
+                &shared,
+                log.clone(),
+                id,
+                2,
+                ctl.clone(),
+                &mut stacks,
+            ));
         }
         let (result, stats) = drive_with_stats(&ctl, &mut tasks, None);
         result.unwrap_or_else(|p| {
@@ -1240,6 +1289,7 @@ mod tests {
     #[test]
     fn panic_in_task_is_captured_and_attributed() {
         let ctl = Arc::new(EventCtl::new(2));
+        let mut stacks = new_stacks(2);
         let mut tasks = Vec::new();
         for id in 0..2 {
             let shared = new_shared();
@@ -1248,7 +1298,7 @@ mod tests {
             } else {
                 Box::new(|| {})
             };
-            tasks.push(unsafe { Task::spawn(shared, body, MIN_STACK_BYTES) });
+            tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, id) });
         }
         let err = drive(&ctl, &mut tasks, None).expect_err("panic surfaces");
         assert_eq!(err.rank, 1);
@@ -1259,12 +1309,13 @@ mod tests {
     #[test]
     fn blocked_forever_is_reported_as_deadlock() {
         let ctl = Arc::new(EventCtl::new(1));
+        let mut stacks = new_stacks(1);
         let shared = new_shared();
         let handle = EventHandle::new(ctl.clone(), shared.clone(), 0);
         let body = Box::new(move || {
             handle.park_blocked(Some(0), Tag(1), 0, SimTime::ZERO);
         });
-        let mut tasks = vec![unsafe { Task::spawn(shared, body, MIN_STACK_BYTES) }];
+        let mut tasks = vec![unsafe { Task::spawn(shared, body, &mut stacks, 0) }];
         let err = drive(&ctl, &mut tasks, None).expect_err("deadlock");
         assert_eq!(err.rank, 0);
         let msg = err.payload.downcast_ref::<String>().cloned().unwrap();
@@ -1275,6 +1326,7 @@ mod tests {
     #[test]
     fn deposit_wakes_matching_blocked_task() {
         let ctl = Arc::new(EventCtl::new(2));
+        let mut stacks = new_stacks(2);
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut tasks = Vec::new();
         {
@@ -1283,9 +1335,11 @@ mod tests {
             let log = log.clone();
             let body = Box::new(move || {
                 handle.park_blocked(Some(1), Tag(9), 0, SimTime(5));
+                let msg = handle.mailbox(|mb| mb.try_match(Some(1), Tag(9), 0));
+                assert_eq!(msg.expect("woken by its envelope").arrival, SimTime(7));
                 log.lock().unwrap().push("woken");
             });
-            tasks.push(unsafe { Task::spawn(shared, body, MIN_STACK_BYTES) });
+            tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, 0) });
         }
         {
             let shared = new_shared();
@@ -1293,9 +1347,19 @@ mod tests {
             let log = log.clone();
             let body = Box::new(move || {
                 log.lock().unwrap().push("sent");
-                handle.notify_deposit(0, 1, Tag(9), 0);
+                handle.post(
+                    0,
+                    NetMsg {
+                        src: 1,
+                        tag: Tag(9),
+                        context: 0,
+                        data: Vec::new(),
+                        arrival: SimTime(7),
+                        seq: 0,
+                    },
+                );
             });
-            tasks.push(unsafe { Task::spawn(shared, body, MIN_STACK_BYTES) });
+            tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, 1) });
         }
         let (result, stats) = drive_with_stats(&ctl, &mut tasks, None);
         result.unwrap_or_else(|p| {
@@ -1311,6 +1375,7 @@ mod tests {
     fn thousand_tasks_are_cheap() {
         let n = 1000;
         let ctl = Arc::new(EventCtl::new(n));
+        let mut stacks = new_stacks(n);
         let total = Arc::new(Mutex::new(0u64));
         let mut tasks = Vec::new();
         for id in 0..n {
@@ -1321,7 +1386,7 @@ mod tests {
                 handle.park_polling(None, ANY_TAG, 0, SimTime(id as u64));
                 *total.lock().unwrap() += id as u64;
             });
-            tasks.push(unsafe { Task::spawn(shared, body, MIN_STACK_BYTES) });
+            tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, id) });
         }
         drive(&ctl, &mut tasks, None).unwrap_or_else(|p| {
             std::panic::resume_unwind(p.payload);
@@ -1335,6 +1400,7 @@ mod tests {
         let run = |seed: Option<u64>| {
             let n = 5;
             let ctl = Arc::new(EventCtl::new(n));
+            let mut stacks = new_stacks(n);
             let log = Arc::new(Mutex::new(Vec::new()));
             let mut tasks = Vec::new();
             for id in 0..n {
@@ -1347,7 +1413,7 @@ mod tests {
                     handle.park_polling(None, ANY_TAG, 0, SimTime((n - id) as u64));
                     log.lock().unwrap().push(id);
                 });
-                tasks.push(unsafe { Task::spawn(shared, body, MIN_STACK_BYTES) });
+                tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, id) });
             }
             drive(&ctl, &mut tasks, seed).unwrap_or_else(|p| {
                 std::panic::resume_unwind(p.payload);

@@ -1,0 +1,78 @@
+//! Pins the scheduler's *decisions*, not only the results they lead to.
+//!
+//! Goldens and baselines prove that simulated time, traces and matrices
+//! are unchanged; they cannot see whether the event loop got there by
+//! the same sequence of parks, wakes and promotions. This test runs one
+//! fixed program and compares the scheduler's own survey against
+//! literals, under both task backends. The file holds a single test so
+//! it is a process of its own and nothing else can overwrite
+//! `last_sched_stats()` between the run and the read.
+
+use ncd_simnet::{last_sched_stats, Cluster, ClusterConfig, Rank, Tag, TaskBackend, DEPTH_BUCKETS};
+
+/// A 16-rank ring exchange in both directions with rank-dependent
+/// compute (blocking parks and deposit wakes), then an any-source gather
+/// onto rank 0 from ranks 1..8. Rank 0 awaits each contribution in an
+/// `iprobe` spin loop and releases one more contributor per failed
+/// probe, so the loop sees every polling outcome: a dry-queue promotion
+/// (nobody released yet), a deposit wake (envelope posted while parked)
+/// and an envelope that exists but has not yet arrived in simulated time.
+fn program(r: &mut Rank) -> u64 {
+    let (me, n) = (r.rank(), r.size());
+    let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+    for i in 0..6u32 {
+        r.compute_flops(25_000 * (me as u64 % 5 + 1));
+        r.send_bytes(right, Tag(i), vec![i as u8; 128 * (me + 1)]);
+        let (d, src) = r.recv_bytes(Some(left), Tag(i));
+        assert_eq!((d.len(), src), (128 * (left + 1), left));
+        r.send_bytes(left, Tag(i), vec![i as u8; 16]);
+        let (d, src) = r.recv_bytes(Some(right), Tag(i));
+        assert_eq!((d.len(), src), (16, right));
+    }
+    const GO: Tag = Tag(99);
+    const GATHER: Tag = Tag(100);
+    if me == 0 {
+        let mut next = 1;
+        for _ in 1..8 {
+            while !r.iprobe(None, GATHER) {
+                r.compute_flops(2_000);
+                if next < 8 {
+                    r.send_bytes(next, GO, Vec::new());
+                    next += 1;
+                }
+            }
+            let (d, src) = r.recv_bytes(None, GATHER);
+            assert_eq!(d, vec![src as u8; 64]);
+        }
+    } else if me < 8 {
+        let _ = r.recv_bytes(Some(0), GO);
+        r.compute_flops(40_000 * (8 - me as u64));
+        r.send_bytes(0, GATHER, vec![me as u8; 64]);
+    }
+    r.now().as_ns()
+}
+
+#[test]
+fn scheduling_decisions_match_the_recorded_survey() {
+    let mut ready_depth_log2 = [0u64; DEPTH_BUCKETS];
+    ready_depth_log2[..5].copy_from_slice(&[5, 4, 8, 104, 1]);
+    let mut clocks = None;
+    for backend in [TaskBackend::default_for_target(), TaskBackend::Handoff] {
+        let cfg = ClusterConfig::paper_testbed(16).with_task_backend(backend);
+        let out = Cluster::new(cfg).run(program);
+        let s = last_sched_stats().expect("a cluster just ran");
+        assert_eq!(s.backend, backend.label());
+        assert_eq!(
+            (s.resumes, s.parks_blocked, s.parks_polling),
+            (122, 103, 3),
+            "{backend:?}"
+        );
+        assert_eq!(
+            (s.deposit_wakes, s.poll_promotions, s.promoted_tasks),
+            (105, 1, 1),
+            "{backend:?}"
+        );
+        assert_eq!(s.ready_depth_log2, ready_depth_log2, "{backend:?}");
+        assert_eq!(*clocks.get_or_insert(out.clone()), out, "{backend:?}");
+    }
+}

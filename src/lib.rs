@@ -9,8 +9,8 @@
 //!
 //! The stack, bottom to top:
 //!
-//! * [`simnet`] — threads-as-ranks cluster with a LogGP-style simulated
-//!   clock (substitute for the InfiniBand testbed);
+//! * [`simnet`] — event-scheduled cluster of rank tasks with a LogGP-style
+//!   simulated clock (substitute for the InfiniBand testbed);
 //! * [`datatype`] — MPI-style derived datatypes with the baseline
 //!   single-context pack engine and the paper's dual-context look-ahead
 //!   engine (§4.1);
