@@ -9,7 +9,7 @@
 //!   paper's choice)};
 //! * the outlier-ratio threshold of the allgatherv detector.
 
-use ncd_bench::{report, time_phase, Series};
+use ncd_bench::{report, time_phase, BenchCli, Observe, RunCapture, Series};
 use ncd_core::{AlltoallwSchedule, Comm, MpiConfig, WPeer};
 use ncd_datatype::{matrix_column_type, Datatype, EngineParams};
 use ncd_simnet::{Cluster, ClusterConfig, SimTime, Tag};
@@ -42,7 +42,7 @@ where
 
 /// Sweep the dual-context engine's look-ahead window on the transpose
 /// workload.
-fn ablate_lookahead() {
+fn ablate_lookahead(cli: &BenchCli) {
     let n = 512usize;
     let mut s = Series::new("dual-context");
     for window in [1usize, 4, 15, 64, 256] {
@@ -52,7 +52,8 @@ fn ablate_lookahead() {
             ..EngineParams::default()
         };
         let bytes = n * n * 24;
-        let (t, _) = time_phase(ClusterConfig::uniform(2), cfg, 2, move |comm, _| {
+        let cluster = ClusterConfig::uniform(2);
+        let run = time_phase(cluster, cfg, 2, Observe::NONE, move |comm, _| {
             let col = matrix_column_type(n, n, 3).expect("column type");
             if comm.rank() == 0 {
                 comm.send(&vec![1u8; bytes], &col, n, 1, Tag(0));
@@ -62,13 +63,15 @@ fn ablate_lookahead() {
                 comm.recv(&mut dst, &row, 1, Some(0), Tag(0));
             }
         });
-        s.push(window.to_string(), t.as_ms());
+        s.push(window.to_string(), run.time.as_ms());
     }
     report(
+        cli,
         "ablation_lookahead_window",
         "window (segments)",
         "512x512 transpose latency (msec)",
         &[s],
+        &RunCapture::default(),
     );
 }
 
@@ -81,7 +84,7 @@ fn ablate_lookahead() {
 /// distance order), so its receiver idles through ~170 us of datatype
 /// processing; the small-first bin removes that wait. Metric: mean
 /// per-rank completion (the benefit accrues to the cheap receivers).
-fn ablate_bins() {
+fn ablate_bins(cli: &BenchCli) {
     let mut rr = Series::new("round-robin (1 bin)");
     let mut zero_exempt = Series::new("zero-exempt (2 bins)");
     let mut binned = Series::new("three bins");
@@ -136,17 +139,19 @@ fn ablate_bins() {
         binned.push(n.to_string(), run(AlltoallwSchedule::Binned, 1024).as_us());
     }
     report(
+        cli,
         "ablation_alltoallw_bins",
         "processes",
         "mean completion (usec)",
         &[rr, zero_exempt, binned],
+        &RunCapture::default(),
     );
 }
 
 /// Sweep the outlier-ratio threshold on a mildly skewed volume set: too
 /// low a threshold sends uniform workloads down the (slower there)
 /// binomial algorithms; too high misses real outliers.
-fn ablate_outlier_threshold() {
+fn ablate_outlier_threshold(cli: &BenchCli) {
     let n = 64usize;
     let mut uniform_s = Series::new("heavy tail (ratio=4)");
     let mut outlier_s = Series::new("one 32KB outlier");
@@ -154,7 +159,8 @@ fn ablate_outlier_threshold() {
         let run = |outlier: bool| -> SimTime {
             let mut cfg = MpiConfig::optimized();
             cfg.outlier_ratio = threshold;
-            let (t, _) = time_phase(ClusterConfig::uniform(n), cfg, 5, move |comm, _| {
+            let cluster = ClusterConfig::uniform(n);
+            time_phase(cluster, cfg, 5, Observe::NONE, move |comm, _| {
                 // Heavy-tailed spread (ratio exactly 4 between the max and
                 // the 0.9-quantile) vs one true outlier (ratio ~4096).
                 let mut counts: Vec<usize> = (0..n)
@@ -168,22 +174,25 @@ fn ablate_outlier_threshold() {
                 let send = vec![me as u8; counts[me]];
                 let mut recv = vec![0u8; counts.iter().sum()];
                 comm.allgatherv(&send, &counts, &mut recv);
-            });
-            t
+            })
+            .time
         };
         uniform_s.push(format!("{threshold}"), run(false).as_us());
         outlier_s.push(format!("{threshold}"), run(true).as_us());
     }
     report(
+        cli,
         "ablation_outlier_threshold",
         "ratio threshold",
         "allgatherv latency (usec), 64 procs",
         &[uniform_s, outlier_s],
+        &RunCapture::default(),
     );
 }
 
 fn main() {
-    ablate_lookahead();
-    ablate_bins();
-    ablate_outlier_threshold();
+    let cli = BenchCli::parse();
+    ablate_lookahead(&cli);
+    ablate_bins(&cli);
+    ablate_outlier_threshold(&cli);
 }

@@ -19,8 +19,8 @@
 //! `--baseline check`.
 
 use ncd_bench::{
-    amr_diag_loop, amr_diag_workload, improvement_pct, relabel, report, report_with_diagnosis,
-    report_with_observability, whatif_phase, BenchCli, Series, AMR_DIAG_OUTLIER,
+    amr_diag_loop, amr_diag_workload, improvement_pct, relabel, report, whatif_phase, BenchCli,
+    Observe, RunCapture, Series, AMR_DIAG_OUTLIER,
 };
 use ncd_core::{
     decisions_from_trace, detect_misselections, remediation_hints, render_hints, Comm, MpiConfig,
@@ -28,8 +28,7 @@ use ncd_core::{
 };
 use ncd_datatype::Datatype;
 use ncd_simnet::{
-    diagnose, merge_comm_maps, mirror_to_flight_recorder, Cluster, ClusterCommMap, ClusterConfig,
-    MetricsRegistry, SimTime, TraceEvent,
+    mirror_to_flight_recorder, Cluster, ClusterCommMap, ClusterConfig, MetricsRegistry,
 };
 
 const STEPS: usize = 10;
@@ -40,18 +39,23 @@ fn level(rank: usize, spot: usize, n: usize, depth: u32) -> u32 {
     depth.saturating_sub(d as u32)
 }
 
-fn run(nranks: usize, depth: u32, cfg: MpiConfig) -> (SimTime, MetricsRegistry, ClusterCommMap) {
+/// One run of [`STEPS`] refinement steps; `time` is the whole run's
+/// makespan.
+fn run(nranks: usize, depth: u32, cfg: MpiConfig) -> RunCapture {
+    const OBSERVE: Observe = Observe {
+        metrics: true,
+        comm_map: true,
+        ..Observe::NONE
+    };
     let out = Cluster::new(ClusterConfig::paper_testbed(nranks)).run(|rank| {
-        rank.enable_metrics();
-        rank.enable_comm_map();
+        OBSERVE.enable(rank);
         let mut comm = Comm::new(rank, cfg.clone());
         let me = comm.rank();
         let n = comm.size();
         comm.barrier();
         comm.rank_mut().reset_clock();
         // Drop the warmup barrier's traffic from the observability view.
-        let _ = comm.rank_mut().take_metrics();
-        let _ = comm.rank_mut().take_comm_map();
+        let _ = OBSERVE.take(comm.rank_mut());
         for step in 0..STEPS {
             let spot = (step * 5) % n;
             let my_level = level(me, spot, n, depth);
@@ -82,23 +86,13 @@ fn run(nranks: usize, depth: u32, cfg: MpiConfig) -> (SimTime, MetricsRegistry, 
             let mut recvbuf = vec![0u8; (sc + pc) * 8];
             comm.alltoallw(&sendbuf, &sends, &mut recvbuf, &recvs);
         }
-        let t = comm.rank_ref().now();
-        let metrics = comm.rank_mut().take_metrics();
-        let map = comm.rank_mut().take_comm_map();
-        (t, metrics, map)
+        OBSERVE.take(comm.rank_mut())
     });
-    let tmax = out.iter().map(|(t, _, _)| *t).max().expect("nonempty");
-    let mut merged = MetricsRegistry::enabled();
-    let mut maps = Vec::with_capacity(out.len());
-    for (_, m, map) in out {
-        merged.merge(&m);
-        maps.push(map);
-    }
-    (tmax, merged, merge_comm_maps(&maps))
+    RunCapture::merge(out)
 }
 
 fn main() {
-    let mut cli = BenchCli::parse();
+    let cli = BenchCli::parse();
     let smoke = cli.smoke;
     let (depth_ranks, depths) = if smoke {
         (16usize, 0..=2u32)
@@ -121,23 +115,28 @@ fn main() {
     let mut decisions = MetricsRegistry::enabled();
     let mut skew_map: Option<ClusterCommMap> = None;
     for depth in depths {
-        let (tb, mb, map) = run(depth_ranks, depth, MpiConfig::baseline());
-        let (tn, mn, _) = run(depth_ranks, depth, MpiConfig::optimized());
-        decisions.merge(&mb);
-        decisions.merge(&mn);
-        skew_map = Some(map);
-        base.push(depth.to_string(), tb.as_ms());
-        binned.push(depth.to_string(), tn.as_ms());
-        imp.push(depth.to_string(), improvement_pct(tb, tn));
+        let rb = run(depth_ranks, depth, MpiConfig::baseline());
+        let rn = run(depth_ranks, depth, MpiConfig::optimized());
+        decisions.merge(rb.metrics.as_ref().expect("metrics observed"));
+        decisions.merge(rn.metrics.as_ref().expect("metrics observed"));
+        skew_map = rb.comm_map;
+        base.push(depth.to_string(), rb.time.as_ms());
+        binned.push(depth.to_string(), rn.time.as_ms());
+        imp.push(depth.to_string(), improvement_pct(rb.time, rn.time));
     }
     let series_depth = vec![base, binned, imp];
-    report_with_observability(
+    let sweep = RunCapture {
+        metrics: Some(decisions),
+        comm_map: skew_map,
+        ..RunCapture::default()
+    };
+    report(
+        &cli,
         "ext_amr_depth",
         "refinement depth",
         &format!("time per run (msec), {depth_ranks} ranks"),
         &series_depth,
-        Some(&decisions),
-        skew_map.as_ref(),
+        &sweep,
     );
     cli.gate("ext_amr_depth", &series_depth[..2]);
 
@@ -146,25 +145,27 @@ fn main() {
     let mut binned = Series::new("three-bin");
     let mut imp = Series::new("improvement-%");
     for &n in scaling {
-        let (tb, _, _) = run(n, 2, MpiConfig::baseline());
-        let (tn, _, _) = run(n, 2, MpiConfig::optimized());
+        let tb = run(n, 2, MpiConfig::baseline()).time;
+        let tn = run(n, 2, MpiConfig::optimized()).time;
         base.push(n.to_string(), tb.as_ms());
         binned.push(n.to_string(), tn.as_ms());
         imp.push(n.to_string(), improvement_pct(tb, tn));
     }
     let series_scaling = vec![base, binned, imp];
     report(
+        &cli,
         "ext_amr_scaling",
         "processes",
         "time per run (msec), depth 2",
         &series_scaling,
+        &RunCapture::default(),
     );
     cli.gate("ext_amr_scaling", &series_scaling[..2]);
 
     // (c) Root-cause diagnosis phase. Runs last so the flight recorders
     // parked by this run are the ones a later anomaly dump would show,
     // with the mirrored findings in them.
-    let (diag_series, diag_map, diag_traces) = diagnosis_phase(&cli, depth_ranks);
+    let (diag_series, mut diag_run) = diagnosis_phase(&cli, depth_ranks);
 
     // (d) Counterfactual verification (`--whatif`): plan interventions
     // from the diagnosis the phase above just produced, deterministically
@@ -172,12 +173,11 @@ fn main() {
     // survive measurement. The resulting byte-stable JSON rides into the
     // observatory ledger as the run's `whatif.json` artifact.
     if cli.whatif {
-        cli.whatif_artifact = whatif_phase(
+        diag_run.whatif = whatif_phase(
             "ext_amr_skew",
             &ClusterConfig::paper_testbed(depth_ranks),
             &MpiConfig::baseline(),
-            &diag_traces,
-            Some(&diag_map),
+            &diag_run,
             amr_diag_workload,
         );
     }
@@ -196,15 +196,7 @@ fn main() {
             ("steps".to_string(), STEPS.to_string()),
             ("diag_flavor".to_string(), "baseline-ring".to_string()),
         ];
-        cli.observatory(
-            "ext_amr_skew",
-            &knobs,
-            &ledgered,
-            None,
-            Some(&diag_map),
-            None,
-            Some(&diag_traces),
-        );
+        cli.observatory("ext_amr_skew", &knobs, &ledgered, &diag_run);
     }
 }
 
@@ -215,47 +207,50 @@ fn main() {
 /// on the outlier rank via sender-caused patterns, and the remediation
 /// join must cross-reference the misselection the decision audit flags.
 /// The outlier's blame share is gated so the classifier cannot silently
-/// drift. Returns the gated blame-share series plus the run's traffic
-/// matrix and per-rank traces so the observatory pass can ledger them.
-fn diagnosis_phase(
-    cli: &BenchCli,
-    nranks: usize,
-) -> (Series, ClusterCommMap, Vec<Vec<TraceEvent>>) {
+/// drift. Returns the gated blame-share series plus the run's capture
+/// (traffic matrix and per-rank traces) so the observatory pass can
+/// ledger it.
+fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
     const OUTLIER: usize = AMR_DIAG_OUTLIER;
+    const COMM_MAP: Observe = Observe {
+        comm_map: true,
+        ..Observe::NONE
+    };
+    const OBSERVE: Observe = Observe {
+        tracing: true,
+        ..COMM_MAP
+    };
     let cluster = ClusterConfig::paper_testbed(nranks);
     let cost = cluster.cost.clone();
     let cfg = MpiConfig::baseline();
     let mpi = cfg.clone();
     let out = Cluster::new(cluster).run(move |rank| {
-        rank.enable_tracing();
-        rank.enable_comm_map();
+        OBSERVE.enable(rank);
         let mut comm = Comm::new(rank, mpi.clone());
         comm.barrier();
         comm.rank_mut().reset_clock();
-        let _ = comm.rank_mut().take_comm_map(); // drop warmup traffic
-                                                 // The measured loop is shared with the what-if replay
-                                                 // (`amr_diag_workload`), so the counterfactual verifies exactly
-                                                 // the workload this phase diagnosed.
+        // Drop the warmup barrier's traffic; its trace events stay, as in
+        // the committed reference run.
+        let _ = COMM_MAP.take(comm.rank_mut());
+        // The measured loop is shared with the what-if replay
+        // (`amr_diag_workload`), so the counterfactual verifies exactly
+        // the workload this phase diagnosed.
         amr_diag_loop(&mut comm);
-        let map = comm.rank_mut().take_comm_map();
-        let trace = comm.rank_mut().take_trace();
-        (trace, map)
+        OBSERVE.take(comm.rank_mut())
     });
-    let (traces, maps): (Vec<_>, Vec<_>) = out.into_iter().unzip();
-    let map = merge_comm_maps(&maps);
-    let diag = diagnose(&traces);
+    let run = RunCapture::merge(out);
+    let traces = run.traces.as_ref().expect("traced");
+    let diag = run.diagnosis().expect("traced");
     let decisions = decisions_from_trace(&traces[OUTLIER]);
-    let audit = detect_misselections(&decisions, Some(&map), &cost, &cfg);
+    let audit = detect_misselections(&decisions, run.comm_map.as_ref(), &cost, &cfg);
     let hints = remediation_hints(&diag, &decisions, &audit, &[]);
-    report_with_diagnosis(
+    report(
+        cli,
         "ext_amr_diagnosis",
         "metric",
         &format!("skewed allgatherv under the baseline ring, {nranks} ranks"),
         &[],
-        None,
-        Some(&map),
-        None,
-        Some(&diag),
+        &run,
     );
     print!("{}", render_hints(&hints));
     let mirrored = mirror_to_flight_recorder(&diag, 5);
@@ -280,5 +275,5 @@ fn diagnosis_phase(
     let mut s = Series::new("outlier-blame-share-%");
     s.push("allgatherv", share);
     cli.gate("ext_amr_diagnosis", std::slice::from_ref(&s));
-    (s, map, traces)
+    (s, run)
 }

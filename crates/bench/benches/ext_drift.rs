@@ -20,15 +20,12 @@
 //! The per-regime step latencies are gated against committed baselines
 //! with `--baseline check` (smoke and full stored separately).
 
-use ncd_bench::{report_with_history, BenchCli, Series};
+use ncd_bench::{report, BenchCli, Observe, RunCapture, Series};
 use ncd_core::{
     drift_events_from_trace, pattern_recurrence, AllgathervAlgorithm, Comm, DriftConfig,
     DriftEvent, MpiConfig,
 };
-use ncd_simnet::{
-    merge_comm_maps, merge_histories, Cluster, ClusterCommMap, ClusterConfig, History,
-    MetricsRegistry, SimTime, TraceEvent,
-};
+use ncd_simnet::{Cluster, ClusterConfig, SimTime};
 
 const BASE_DOUBLES: usize = 16;
 
@@ -83,22 +80,12 @@ fn counts_for(n: usize, r: &Regime) -> Vec<usize> {
         .collect()
 }
 
-#[allow(clippy::type_complexity)]
-fn run(
-    nranks: usize,
-    epochs: usize,
-) -> (
-    Vec<SimTime>,
-    MetricsRegistry,
-    ClusterCommMap,
-    History,
-    Vec<DriftEvent>,
-    Vec<Vec<TraceEvent>>,
-) {
+/// The whole remeshing run under every observer (no warm-up: the first
+/// regime is part of the story). Returns the per-regime step latencies,
+/// the drift events the online monitor fired, and the capture.
+fn run(nranks: usize, epochs: usize) -> (Vec<SimTime>, Vec<DriftEvent>, RunCapture) {
     let out = Cluster::new(ClusterConfig::paper_testbed(nranks)).run(|rank| {
-        rank.enable_metrics();
-        rank.enable_tracing();
-        rank.enable_history();
+        Observe::ALL.enable(rank);
         let mut comm = Comm::new(rank, MpiConfig::optimized());
         let me = comm.rank();
         let n = comm.size();
@@ -122,59 +109,45 @@ fn run(
             ));
             last = now;
         }
-        let trace = comm.rank_mut().take_trace();
-        let drift = drift_events_from_trace(&trace);
-        let metrics = comm.rank_mut().take_metrics();
-        let map = comm.rank_mut().take_comm_map();
-        let history = comm.rank_mut().take_history();
-        (marks, metrics, map, history, drift, trace)
+        (marks, Observe::ALL.take(comm.rank_mut()))
     });
     let nregimes = out[0].0.len();
     let marks = (0..nregimes)
-        .map(|i| out.iter().map(|(m, ..)| m[i]).max().expect("nonempty"))
+        .map(|i| out.iter().map(|(m, _)| m[i]).max().expect("nonempty"))
         .collect();
-    let mut merged = MetricsRegistry::enabled();
-    let mut maps = Vec::with_capacity(out.len());
-    let mut histories = Vec::with_capacity(out.len());
-    let mut drift = Vec::new();
-    let mut traces = Vec::with_capacity(out.len());
-    for (_, m, map, h, d, tr) in out {
-        merged.merge(&m);
-        maps.push(map);
-        histories.push(h);
-        if drift.is_empty() {
-            drift = d; // SPMD: every rank's monitor fires identically
-        }
-        traces.push(tr);
-    }
-    (
-        marks,
-        merged,
-        merge_comm_maps(&maps),
-        merge_histories(&histories),
-        drift,
-        traces,
-    )
+    let capture = RunCapture::merge(out.into_iter().map(|(_, part)| part).collect());
+    // SPMD: every rank's monitor fires identically; the first rank that
+    // saw any event stands for the run.
+    let drift = capture
+        .traces
+        .iter()
+        .flatten()
+        .map(|trace| drift_events_from_trace(trace))
+        .find(|events| !events.is_empty())
+        .unwrap_or_default();
+    (marks, drift, capture)
 }
 
 fn main() {
     let cli = BenchCli::parse();
     let (nranks, epochs) = if cli.smoke { (16, 8) } else { (64, 12) };
 
-    let (marks, metrics, map, history, drift, traces) = run(nranks, epochs);
+    let (marks, drift, mut capture) = run(nranks, epochs);
     let mut lat = Series::new("step-latency");
     for (i, t) in marks.iter().enumerate() {
         lat.push(format!("regime{i}"), t.as_us());
     }
     let series = vec![lat];
-    report_with_history(
+    // The report is about the history; the traces (and the diagnosis
+    // section they would add) are for the ledger only.
+    let traces = capture.traces.take();
+    report(
+        &cli,
         "ext_drift",
         "regime",
         &format!("time per exchange step (usec), {nranks} ranks, pinned ring"),
         &series,
-        Some(&metrics),
-        Some(&map),
-        Some(&history),
+        &capture,
     );
 
     // Every injected remesh (the entry into regimes 1 and 2) must be
@@ -198,7 +171,7 @@ fn main() {
     // Recurrence: three stationary regimes → exactly three distinct
     // pattern hashes on the ring series, dominant recurring every epoch
     // of its regime.
-    let rec = pattern_recurrence(&history);
+    let rec = pattern_recurrence(capture.history.as_ref().expect("history observed"));
     let ring = rec
         .iter()
         .find(|r| r.label == "allgatherv/ring")
@@ -223,14 +196,7 @@ fn main() {
             ("regimes".to_string(), "3".to_string()),
             ("algorithm".to_string(), "ring-pinned".to_string()),
         ];
-        cli.observatory(
-            "ext_drift",
-            &knobs,
-            &series,
-            Some(&metrics),
-            Some(&map),
-            Some(&history),
-            Some(&traces),
-        );
+        capture.traces = traces;
+        cli.observatory("ext_drift", &knobs, &series, &capture);
     }
 }

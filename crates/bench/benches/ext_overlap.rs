@@ -11,7 +11,7 @@
 //! lower-is-better latency series are gated against committed baselines
 //! with `--baseline check`.
 
-use ncd_bench::{improvement_pct, report, time_phase_traced, BenchCli, Series};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, Observe, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig};
 use ncd_petsc::{DistributedArray, ScatterBackend, StencilKind};
 use ncd_simnet::{Cluster, ClusterConfig, SimTime};
@@ -69,10 +69,12 @@ fn main() {
     }
     let series = vec![seq, ovl, hidden];
     report(
+        &cli,
         "ext_overlap",
         "interior flops",
         &format!("latency per exchange (usec), {grid}x{grid} star DA, {nranks} ranks"),
         &series,
+        &RunCapture::default(),
     );
     // Gate the two latency series only; the derived hidden-% series is
     // higher-is-better and stays out of the baseline.
@@ -83,10 +85,11 @@ fn main() {
     // differential as wait-time growth on the scatter's end phase.
     if cli.wants_observatory() {
         let flops = *sweep.last().expect("nonempty sweep");
-        let (_, _, metrics, map, history, traces) = time_phase_traced(
+        let traced = time_phase(
             ClusterConfig::paper_testbed(nranks),
             MpiConfig::optimized(),
             3,
+            Observe::ALL,
             move |comm, _| {
                 let da = DistributedArray::new(comm, &[grid, grid], 1, StencilKind::Star, 1);
                 let mut g = da.create_global_vec();
@@ -105,14 +108,6 @@ fn main() {
             ("interior_flops".to_string(), flops.to_string()),
             ("mode".to_string(), "overlapped".to_string()),
         ];
-        cli.observatory(
-            "ext_overlap",
-            &knobs,
-            &series,
-            Some(&metrics),
-            Some(&map),
-            Some(&history),
-            Some(&traces),
-        );
+        cli.observatory("ext_overlap", &knobs, &series, &traced);
     }
 }

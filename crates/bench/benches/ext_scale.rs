@@ -16,7 +16,7 @@
 //! overhead term. The multigrid point pins the §5.5 claim at the paper's
 //! full 128-process machine size.
 
-use ncd_bench::{report, time_phase, time_phase_traced, BenchCli, Series};
+use ncd_bench::{report, time_phase, BenchCli, Observe, RunCapture, Series};
 use ncd_core::{AllgathervAlgorithm, Comm, MpiConfig};
 use ncd_petsc::{richardson, KspSettings, LaplacianOp, Multigrid, PVec, ScatterBackend};
 use ncd_simnet::{Cluster, ClusterConfig, SimTime};
@@ -31,13 +31,14 @@ fn uniform_allgatherv(comm: &mut Comm, algo: AllgathervAlgorithm, block: usize) 
 }
 
 fn allgatherv_latency(nprocs: usize, algo: AllgathervAlgorithm, block: usize) -> SimTime {
-    let (t, _) = time_phase(
+    time_phase(
         ClusterConfig::uniform(nprocs),
         MpiConfig::optimized(),
         1,
+        Observe::NONE,
         move |comm, _| uniform_allgatherv(comm, algo, block),
-    );
-    t
+    )
+    .time
 }
 
 const GRID: usize = 100;
@@ -126,11 +127,14 @@ fn main() {
     mark("allgatherv small-block sweep");
     let series_a = [ring_s, rd_s, ratio];
     cli.gate("ext_scale_allgatherv_small", &series_a[..2]);
+    let plain = RunCapture::default();
     report(
+        &cli,
         "ext_scale_allgatherv_small",
         "processes",
         "latency (usec), 64 B/rank",
         &series_a,
+        &plain,
     );
 
     // (b) Large block: bandwidth-bound, gap closes. Skipped in smoke —
@@ -149,10 +153,12 @@ fn main() {
         let series_b = [ring_l, rd_l];
         cli.gate("ext_scale_allgatherv_large", &series_b);
         report(
+            &cli,
             "ext_scale_allgatherv_large",
             "processes",
             "latency (usec), 16 KB/rank",
             &series_b,
+            &plain,
         );
     }
 
@@ -167,20 +173,23 @@ fn main() {
     let series_c = [mg];
     cli.gate("ext_scale_multigrid", &series_c);
     report(
+        &cli,
         "ext_scale_multigrid",
         "processes",
         "execution time (sec)",
         &series_c,
+        &plain,
     );
 
     // Observatory pass: one fully traced run of the smallest sweep point
     // (tracing all 1024 ranks would dominate the bench); the ledgered run
     // still carries the gated big-N series.
     if cli.wants_observatory() {
-        let (_, _, metrics, map, history, traces) = time_phase_traced(
+        let traced = time_phase(
             ClusterConfig::uniform(procs[0]),
             MpiConfig::optimized(),
             1,
+            Observe::ALL,
             |comm, _| uniform_allgatherv(comm, AllgathervAlgorithm::RecursiveDoubling, SMALL_BLOCK),
         );
         let knobs = vec![
@@ -191,14 +200,6 @@ fn main() {
         let mut ledgered: Vec<Series> = Vec::new();
         ledgered.extend(series_a);
         ledgered.extend(series_c);
-        cli.observatory(
-            "ext_scale",
-            &knobs,
-            &ledgered,
-            Some(&metrics),
-            Some(&map),
-            Some(&history),
-            Some(&traces),
-        );
+        cli.observatory("ext_scale", &knobs, &ledgered, &traced);
     }
 }

@@ -14,9 +14,7 @@
 //! with a `-log_view`-style per-engine table (blocks, sparse/dense mix,
 //! seek segments) that makes the quadratic re-search directly visible.
 
-use ncd_bench::{
-    improvement_pct, report_with_metrics, time_phase_metrics, time_phase_traced, BenchCli, Series,
-};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, Observe, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig};
 use ncd_datatype::{matrix_column_type, Datatype};
 use ncd_simnet::{ClusterConfig, MetricsRegistry, SimTime, Tag};
@@ -38,12 +36,12 @@ fn transpose_once(comm: &mut Comm, n: usize) {
 
 fn transpose_latency(n: usize, cfg: MpiConfig, merged: &mut MetricsRegistry) -> SimTime {
     let reps = if n <= 256 { 3 } else { 1 };
-    let (t, _, metrics) =
-        time_phase_metrics(ClusterConfig::uniform(2), cfg, reps, move |comm, _| {
-            transpose_once(comm, n)
-        });
-    merged.merge(&metrics);
-    t
+    let cluster = ClusterConfig::uniform(2);
+    let run = time_phase(cluster, cfg, reps, Observe::METRICS, move |comm, _| {
+        transpose_once(comm, n)
+    });
+    merged.merge(run.metrics.as_ref().expect("metrics observed"));
+    run.time
 }
 
 fn main() {
@@ -66,12 +64,17 @@ fn main() {
         imp.push(label, improvement_pct(tb, tn));
     }
     let series = [base, new, imp];
-    report_with_metrics(
+    let sweep = RunCapture {
+        metrics: Some(metrics),
+        ..RunCapture::default()
+    };
+    report(
+        &cli,
         "fig12_transpose",
         "matrix",
         "latency (msec)",
         &series,
-        Some(&metrics),
+        &sweep,
     );
 
     // Observatory pass: one traced transpose at the sweep's largest
@@ -80,10 +83,11 @@ fn main() {
     // differential classifies as pack-side.
     if cli.wants_observatory() {
         let n = *sizes.last().expect("nonempty sweep");
-        let (_, _, tm, map, history, traces) = time_phase_traced(
+        let traced = time_phase(
             ClusterConfig::uniform(2),
             MpiConfig::optimized(),
             1,
+            Observe::ALL,
             move |comm, _| transpose_once(comm, n),
         );
         let knobs = vec![
@@ -91,14 +95,6 @@ fn main() {
             ("ranks".to_string(), "2".to_string()),
             ("flavor".to_string(), "auto".to_string()),
         ];
-        cli.observatory(
-            "fig12_transpose",
-            &knobs,
-            &series,
-            Some(&tm),
-            Some(&map),
-            Some(&history),
-            Some(&traces),
-        );
+        cli.observatory("fig12_transpose", &knobs, &series, &traced);
     }
 }

@@ -10,10 +10,7 @@
 //! machine-readable run report — the plotted series plus the cluster-wide
 //! metrics snapshot — to `target/figures/<name>.json`.
 
-use ncd_bench::{
-    aggregate, relabel, report_with_metrics, time_phase_metrics, time_phase_traced, BenchCli,
-    Series,
-};
+use ncd_bench::{aggregate, relabel, report, time_phase, BenchCli, Observe, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig};
 use ncd_datatype::{matrix_column_type, Datatype};
 use ncd_simnet::{ClusterConfig, CostKind, MetricsRegistry, Tag};
@@ -34,11 +31,11 @@ fn transpose_once(comm: &mut Comm, n: usize) {
 }
 
 fn breakdown(n: usize, cfg: MpiConfig) -> (f64, f64, f64, MetricsRegistry) {
-    let (_, stats, metrics) =
-        time_phase_metrics(ClusterConfig::uniform(2), cfg, 1, move |comm, _| {
-            transpose_once(comm, n)
-        });
-    let total = aggregate(&stats);
+    let cluster = ClusterConfig::uniform(2);
+    let run = time_phase(cluster, cfg, 1, Observe::METRICS, move |comm, _| {
+        transpose_once(comm, n)
+    });
+    let total = aggregate(&run.stats);
     // "Comm" from the application's view includes time blocked on the wire.
     let comm_frac = total.fraction(CostKind::Comm) + total.fraction(CostKind::Wait);
     let pack_frac = total.fraction(CostKind::Pack);
@@ -48,7 +45,7 @@ fn breakdown(n: usize, cfg: MpiConfig) -> (f64, f64, f64, MetricsRegistry) {
         comm_frac * scale,
         pack_frac * scale,
         search_frac * scale,
-        metrics,
+        run.metrics.expect("metrics observed"),
     )
 }
 
@@ -77,7 +74,11 @@ fn main() {
             merged.merge(&m);
         }
         let series = [comm_s, pack_s, search_s];
-        report_with_metrics(name, "matrix", "% of time", &series, Some(&merged));
+        let sweep = RunCapture {
+            metrics: Some(merged),
+            ..RunCapture::default()
+        };
+        report(&cli, name, "matrix", "% of time", &series, &sweep);
         if cli.wants_observatory() {
             ledgered.extend(relabel(prefix, &series));
         }
@@ -89,10 +90,11 @@ fn main() {
     // pack-pipeline counters that explain it.
     if cli.wants_observatory() {
         let n = *sizes.last().expect("nonempty sweep");
-        let (_, _, tm, map, history, traces) = time_phase_traced(
+        let traced = time_phase(
             ClusterConfig::uniform(2),
             MpiConfig::optimized(),
             1,
+            Observe::ALL,
             move |comm, _| transpose_once(comm, n),
         );
         let knobs = vec![
@@ -100,14 +102,6 @@ fn main() {
             ("ranks".to_string(), "2".to_string()),
             ("flavor".to_string(), "auto".to_string()),
         ];
-        cli.observatory(
-            "fig13_breakdown",
-            &knobs,
-            &ledgered,
-            Some(&tm),
-            Some(&map),
-            Some(&history),
-            Some(&traces),
-        );
+        cli.observatory("fig13_breakdown", &knobs, &ledgered, &traced);
     }
 }

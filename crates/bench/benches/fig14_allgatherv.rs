@@ -14,7 +14,7 @@
 //! at 64 processes / 32 KB.
 
 use ncd_bench::{
-    improvement_pct, relabel, report, time_phase, time_phase_traced, BenchCli, Series,
+    improvement_pct, relabel, report, time_phase, BenchCli, Observe, RunCapture, Series,
 };
 use ncd_core::{Comm, MpiConfig};
 use ncd_simnet::{ClusterConfig, SimTime};
@@ -31,10 +31,11 @@ fn skewed_allgatherv(comm: &mut Comm, outlier_doubles: usize) {
 }
 
 fn allgatherv_latency(nprocs: usize, outlier_doubles: usize, cfg: MpiConfig) -> SimTime {
-    let (t, _) = time_phase(ClusterConfig::uniform(nprocs), cfg, 5, move |comm, _| {
+    let cluster = ClusterConfig::uniform(nprocs);
+    time_phase(cluster, cfg, 5, Observe::NONE, move |comm, _| {
         skewed_allgatherv(comm, outlier_doubles)
-    });
-    t
+    })
+    .time
 }
 
 fn main() {
@@ -61,6 +62,7 @@ fn main() {
     let series_a = [base_a, new_a, imp_a];
     cli.gate("fig14a_allgatherv_size", &series_a[..2]);
     report(
+        &cli,
         "fig14a_allgatherv_size",
         "msg (doubles)",
         if smoke {
@@ -69,6 +71,7 @@ fn main() {
             "latency (usec), 64 procs"
         },
         &series_a,
+        &RunCapture::default(),
     );
 
     // (b) Varying process count with a 32 KB outlier.
@@ -90,10 +93,12 @@ fn main() {
     let series_b = [base_b, new_b, imp_b];
     cli.gate("fig14b_allgatherv_procs", &series_b[..2]);
     report(
+        &cli,
         "fig14b_allgatherv_procs",
         "processes",
         "latency (usec), 32KB outlier",
         &series_b,
+        &RunCapture::default(),
     );
 
     // Observatory pass: one fully traced run of the representative
@@ -102,10 +107,11 @@ fn main() {
     // decision audit, the critical path and the wait-state diagnosis the
     // differential engine attributes regressions with.
     if cli.wants_observatory() {
-        let (_, _, metrics, map, history, traces) = time_phase_traced(
+        let traced = time_phase(
             ClusterConfig::uniform(procs_a),
             MpiConfig::optimized(),
             5,
+            Observe::ALL,
             |comm, _| skewed_allgatherv(comm, 4096),
         );
         let knobs = vec![
@@ -115,14 +121,6 @@ fn main() {
         ];
         let mut ledgered = relabel("a", &series_a);
         ledgered.extend(relabel("b", &series_b));
-        cli.observatory(
-            "fig14_allgatherv",
-            &knobs,
-            &ledgered,
-            Some(&metrics),
-            Some(&map),
-            Some(&history),
-            Some(&traces),
-        );
+        cli.observatory("fig14_allgatherv", &knobs, &ledgered, &traced);
     }
 }

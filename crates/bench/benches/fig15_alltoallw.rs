@@ -14,7 +14,7 @@
 //!
 //! Paper result: ~50% improvement at 32 processes, >88% at 128.
 
-use ncd_bench::{improvement_pct, report, time_phase, time_phase_traced, BenchCli, Series};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, Observe, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig, WPeer};
 use ncd_datatype::Datatype;
 use ncd_simnet::{ClusterConfig, SimTime};
@@ -42,10 +42,11 @@ fn ring_exchange(comm: &mut Comm) {
 }
 
 fn ring_exchange_latency(nprocs: usize, cfg: MpiConfig) -> SimTime {
-    let (t, _) = time_phase(ClusterConfig::paper_testbed(nprocs), cfg, 10, |comm, _| {
+    let cluster = ClusterConfig::paper_testbed(nprocs);
+    time_phase(cluster, cfg, 10, Observe::NONE, |comm, _| {
         ring_exchange(comm)
-    });
-    t
+    })
+    .time
 }
 
 fn main() {
@@ -71,7 +72,14 @@ fn main() {
     // derived from them.
     let series = [base, new, imp];
     cli.gate("fig15_alltoallw", &series[..2]);
-    report("fig15_alltoallw", "processes", "latency (usec)", &series);
+    report(
+        &cli,
+        "fig15_alltoallw",
+        "processes",
+        "latency (usec)",
+        &series,
+        &RunCapture::default(),
+    );
 
     // Observatory pass: one fully traced ring exchange under the
     // optimized schedule (a mid-size machine — tracing 128 heterogeneous
@@ -79,10 +87,11 @@ fn main() {
     // show up with wait-state blame attached.
     if cli.wants_observatory() {
         let n = if cli.smoke { 16 } else { 32 };
-        let (_, _, metrics, map, history, traces) = time_phase_traced(
+        let traced = time_phase(
             ClusterConfig::paper_testbed(n),
             MpiConfig::optimized(),
             10,
+            Observe::ALL,
             |comm, _| ring_exchange(comm),
         );
         let knobs = vec![
@@ -90,14 +99,6 @@ fn main() {
             ("matrix".to_string(), "10x10-doubles".to_string()),
             ("flavor".to_string(), "auto".to_string()),
         ];
-        cli.observatory(
-            "fig15_alltoallw",
-            &knobs,
-            &series,
-            Some(&metrics),
-            Some(&map),
-            Some(&history),
-            Some(&traces),
-        );
+        cli.observatory("fig15_alltoallw", &knobs, &series, &traced);
     }
 }

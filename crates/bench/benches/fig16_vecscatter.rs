@@ -16,7 +16,7 @@
 //! Paper result: the optimized MPI recovers to within ~4% of hand-tuned
 //! (>95% better than the baseline at 128 procs).
 
-use ncd_bench::{improvement_pct, report, time_phase_traced, BenchCli, Series};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, Observe, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig};
 use ncd_petsc::{IndexSet, Layout, PVec, ScatterBackend, VecScatter};
 use ncd_simnet::{Cluster, ClusterConfig, SimTime};
@@ -92,12 +92,22 @@ fn main() {
     }
     let latency = [hand, base, new];
     let improvement = [imp_new, imp_hand];
-    report("fig16a_vecscatter", "processes", "latency (usec)", &latency);
+    let plain = RunCapture::default();
     report(
+        &cli,
+        "fig16a_vecscatter",
+        "processes",
+        "latency (usec)",
+        &latency,
+        &plain,
+    );
+    report(
+        &cli,
         "fig16b_vecscatter_improvement",
         "processes",
         "% improvement over MVAPICH2-0.9.5",
         &improvement,
+        &plain,
     );
 
     // Observatory pass: one traced scatter (plan creation + apply) under
@@ -106,10 +116,11 @@ fn main() {
     // differential diffs structurally.
     if cli.wants_observatory() {
         let n = if cli.smoke { 16 } else { 32 };
-        let (_, _, metrics, map, history, traces) = time_phase_traced(
+        let traced = time_phase(
             ClusterConfig::paper_testbed(n),
             MpiConfig::optimized(),
             3,
+            Observe::ALL,
             |comm, _| {
                 let n_global = LOCAL_ELEMS * comm.size();
                 let layout = Layout::balanced(n_global, comm.size());
@@ -136,14 +147,6 @@ fn main() {
         let mut ledgered: Vec<Series> = Vec::new();
         ledgered.extend(latency);
         ledgered.extend(improvement);
-        cli.observatory(
-            "fig16_vecscatter",
-            &knobs,
-            &ledgered,
-            Some(&metrics),
-            Some(&map),
-            Some(&history),
-            Some(&traces),
-        );
+        cli.observatory("fig16_vecscatter", &knobs, &ledgered, &traced);
     }
 }

@@ -16,7 +16,7 @@
 //! (≈90% improvement there) and sits within ~3% of hand-tuned (which leads
 //! by ~10% at 4 processes).
 
-use ncd_bench::{improvement_pct, report, time_phase_traced, BenchCli, Series};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, Observe, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig};
 use ncd_petsc::{richardson, KspSettings, LaplacianOp, Multigrid, PVec, ScatterBackend};
 use ncd_simnet::{Cluster, ClusterConfig, SimTime};
@@ -117,17 +117,22 @@ fn main() {
     }
     let time = [hand, base, new];
     let improvement = [imp_new, imp_hand];
+    let plain = RunCapture::default();
     report(
+        &cli,
         "fig17a_multigrid",
         "processes",
         "execution time (sec)",
         &time,
+        &plain,
     );
     report(
+        &cli,
         "fig17b_multigrid_improvement",
         "processes",
         "% improvement over MVAPICH2-0.9.5",
         &improvement,
+        &plain,
     );
 
     // Observatory pass: one traced solve on the smallest machine of the
@@ -135,10 +140,11 @@ fn main() {
     // a representative ghost-exchange pattern), optimized datatype path.
     if cli.wants_observatory() {
         let n = procs[0];
-        let (_, _, metrics, map, history, traces) = time_phase_traced(
+        let traced = time_phase(
             ClusterConfig::paper_testbed(n),
             MpiConfig::optimized(),
             1,
+            Observe::ALL,
             |comm, _| mg_solve(comm, ScatterBackend::Datatype),
         );
         let knobs = vec![
@@ -150,14 +156,6 @@ fn main() {
         let mut ledgered: Vec<Series> = Vec::new();
         ledgered.extend(time);
         ledgered.extend(improvement);
-        cli.observatory(
-            "fig17_multigrid",
-            &knobs,
-            &ledgered,
-            Some(&metrics),
-            Some(&map),
-            Some(&history),
-            Some(&traces),
-        );
+        cli.observatory("fig17_multigrid", &knobs, &ledgered, &traced);
     }
 }

@@ -12,10 +12,12 @@
 //! as an exact, explainable delta.
 //!
 //! Only lower-is-better series (latencies) should be gated — benches pass
-//! those explicitly to [`crate::baseline_gate`] and keep derived
+//! those explicitly to [`crate::BenchCli::gate`] and keep derived
 //! higher-is-better series (improvement %) out of the snapshot.
 
 use std::path::{Path, PathBuf};
+
+use ncd_simnet::Json;
 
 use crate::Series;
 
@@ -24,7 +26,7 @@ use crate::Series;
 /// about *why* the gate failed.
 pub const EXIT_MISSING_BASELINE: i32 = 3;
 
-/// What [`crate::baseline_gate`] should do, from `--baseline write|check`
+/// What [`crate::BenchCli::gate`] should do, from `--baseline write|check`
 /// (or `NCD_BASELINE=write|check`). Unrecognized values abort rather than
 /// silently skipping the gate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,56 +37,6 @@ pub enum BaselineMode {
     Write,
     /// Compare against the stored snapshot; exit nonzero on regression.
     Check,
-}
-
-/// Parse the baseline mode from an explicit argument list + env value
-/// (separated from the process globals for testability).
-pub fn mode_from(args: &[String], env: Option<&str>) -> BaselineMode {
-    let mut found: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(v) = a.strip_prefix("--baseline=") {
-            found = Some(v);
-        } else if a == "--baseline" {
-            found = it.next().map(String::as_str);
-        }
-    }
-    match found.or(env) {
-        None => BaselineMode::Off,
-        Some("write") => BaselineMode::Write,
-        Some("check") => BaselineMode::Check,
-        Some(other) => panic!("--baseline must be 'write' or 'check', got {other:?}"),
-    }
-}
-
-/// The baseline mode requested for this process.
-pub fn baseline_mode() -> BaselineMode {
-    let args: Vec<String> = std::env::args().collect();
-    let env = std::env::var("NCD_BASELINE").ok();
-    mode_from(&args, env.as_deref())
-}
-
-/// Relative tolerance in percent before a slower point counts as a
-/// regression (`--tolerance <pct>`, `--tolerance=<pct>`, or
-/// `NCD_BASELINE_TOL`; default 10).
-pub fn tolerance_pct() -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    let mut found: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(v) = a.strip_prefix("--tolerance=") {
-            found = Some(v.to_string());
-        } else if a == "--tolerance" {
-            found = it.next().cloned();
-        }
-    }
-    let found = found.or_else(|| std::env::var("NCD_BASELINE_TOL").ok());
-    match found {
-        None => 10.0,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("--tolerance must be a number, got {v:?}")),
-    }
 }
 
 /// Directory the snapshots are committed under (inside the bench crate, so
@@ -148,160 +100,46 @@ pub fn missing_snapshot_message(
 /// bytes on every write). Leads with the shared
 /// [`ncd_simnet::SCHEMA_VERSION`] like every export in the workspace.
 pub fn snapshot_json(name: &str, smoke: bool, series: &[Series]) -> String {
-    let esc = ncd_simnet::export::json_escape;
     let mut out = format!(
         "{{\"schema\":{},\"name\":\"{}\",\"mode\":\"{}\",\"series\":[",
         ncd_simnet::SCHEMA_VERSION,
-        esc(name),
+        ncd_simnet::export::json_escape(name),
         if smoke { "smoke" } else { "full" }
     );
-    for (i, s) in series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"label\":\"{}\",\"points\":[", esc(&s.label)));
-        for (j, (x, y)) in s.points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[\"{}\",{y}]", esc(x)));
-        }
-        out.push_str("]}");
-    }
+    crate::push_series_json(&mut out, series, false);
     out.push_str("]}\n");
     out
 }
 
-/// Parse a snapshot produced by [`snapshot_json`] back into series.
-/// Panics with a position on malformed input (a corrupted baseline file
-/// should fail loudly, not silently pass the gate).
-pub fn parse_snapshot(text: &str) -> Vec<Series> {
-    let mut p = Scanner {
-        s: text.as_bytes(),
-        pos: 0,
-    };
-    p.expect_str("{\"schema\":");
-    let _ = p.number();
-    p.expect_str(",\"name\":");
-    let _ = p.string();
-    p.expect_str(",\"mode\":");
-    let _ = p.string();
-    p.expect_str(",\"series\":[");
-    let mut series = Vec::new();
-    if p.peek() != b']' {
-        loop {
-            p.expect_str("{\"label\":");
-            let label = p.string();
-            p.expect_str(",\"points\":[");
-            let mut s = Series::new(label);
-            if p.peek() != b']' {
-                loop {
-                    p.expect(b'[');
-                    let x = p.string();
-                    p.expect(b',');
-                    let y = p.number();
-                    p.expect(b']');
-                    s.push(x, y);
-                    match p.bump() {
-                        b',' => continue,
-                        b']' => break,
-                        c => panic!("expected ',' or ']' got '{}' at {}", c as char, p.pos),
-                    }
-                }
-            } else {
-                p.bump();
-            }
-            p.expect(b'}');
-            series.push(s);
-            match p.bump() {
-                b',' => continue,
-                b']' => break,
-                c => panic!("expected ',' or ']' got '{}' at {}", c as char, p.pos),
-            }
-        }
-    } else {
-        p.bump();
-    }
-    p.expect(b'}');
-    series
-}
-
-/// Fixed-grammar scanner for the snapshot format: the writer is ours and
-/// byte-stable, so this only needs to read exactly what
-/// [`snapshot_json`] emits (plus JSON string escapes).
-struct Scanner<'a> {
-    s: &'a [u8],
-    pos: usize,
-}
-
-impl Scanner<'_> {
-    fn peek(&self) -> u8 {
-        assert!(self.pos < self.s.len(), "unexpected end of baseline file");
-        self.s[self.pos]
-    }
-
-    fn bump(&mut self) -> u8 {
-        let c = self.peek();
-        self.pos += 1;
-        c
-    }
-
-    fn expect(&mut self, c: u8) {
-        let got = self.bump();
-        assert_eq!(
-            got as char,
-            c as char,
-            "baseline parse error at byte {}",
-            self.pos - 1
-        );
-    }
-
-    fn expect_str(&mut self, s: &str) {
-        for &c in s.as_bytes() {
-            self.expect(c);
-        }
-    }
-
-    fn string(&mut self) -> String {
-        self.expect(b'"');
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                b'"' => return out,
-                b'\\' => match self.bump() {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = (self.bump() as char)
-                                .to_digit(16)
-                                .expect("hex digit in \\u escape");
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).expect("valid scalar"));
-                    }
-                    c => panic!("bad escape '\\{}' at {}", c as char, self.pos),
-                },
-                c => out.push(c as char),
-            }
-        }
-    }
-
-    fn number(&mut self) -> f64 {
-        let start = self.pos;
-        while self.pos < self.s.len()
-            && (self.s[self.pos].is_ascii_digit() || b"-+.eE".contains(&self.s[self.pos]))
+/// Parse a snapshot produced by [`snapshot_json`] back into series. A
+/// corrupted baseline file is an error for the gate to report with the
+/// file's path, never a silent pass.
+pub fn parse_snapshot(text: &str) -> Result<Vec<Series>, String> {
+    let doc = ncd_simnet::parse_json(text)?;
+    let mut out = Vec::new();
+    for s in doc
+        .get("series")
+        .and_then(Json::as_array)
+        .ok_or("missing \"series\" array")?
+    {
+        let label = s
+            .get("label")
+            .and_then(Json::as_str)
+            .ok_or("series without a \"label\"")?;
+        let mut series = Series::new(label);
+        for p in s
+            .get("points")
+            .and_then(Json::as_array)
+            .ok_or_else(|| format!("series {label:?} has no \"points\" array"))?
         {
-            self.pos += 1;
+            match p.as_array().unwrap_or_default() {
+                [Json::Str(x), Json::Num(y)] => series.push(x.as_str(), *y),
+                _ => return Err(format!("series {label:?}: a point is not [\"x\", y]")),
+            }
         }
-        let text = std::str::from_utf8(&self.s[start..self.pos]).expect("ascii number");
-        text.parse()
-            .unwrap_or_else(|_| panic!("bad number '{text}' at {start}"))
+        out.push(series);
     }
+    Ok(out)
 }
 
 /// One point that moved beyond tolerance (or disappeared/appeared).
@@ -429,56 +267,36 @@ mod tests {
     }
 
     #[test]
-    fn mode_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(mode_from(&args(&["bench"]), None), BaselineMode::Off);
-        assert_eq!(
-            mode_from(&args(&["bench", "--baseline", "write"]), None),
-            BaselineMode::Write
-        );
-        assert_eq!(
-            mode_from(&args(&["bench", "--baseline=check"]), None),
-            BaselineMode::Check
-        );
-        assert_eq!(
-            mode_from(&args(&["bench"]), Some("check")),
-            BaselineMode::Check
-        );
-        // Command line wins over the environment.
-        assert_eq!(
-            mode_from(&args(&["bench", "--baseline=write"]), Some("check")),
-            BaselineMode::Write
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "must be 'write' or 'check'")]
-    fn bad_mode_panics() {
-        mode_from(
-            &["bench".to_string(), "--baseline=frobnicate".to_string()],
-            None,
-        );
-    }
-
-    #[test]
     fn snapshot_round_trips() {
         let s = vec![
             series("ring", &[("2", 10.5), ("4", 21.25)]),
             series("rd \"x\"", &[("8", 3.0)]),
+            series("latency-µs", &[("64 KiB → 1", 0.5)]),
         ];
         let json = snapshot_json("fig14", true, &s);
         assert!(json.starts_with("{\"schema\":1,\"name\":\"fig14\",\"mode\":\"smoke\""));
-        let back = parse_snapshot(&json);
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].label, "ring");
-        assert_eq!(
-            back[0].points,
-            vec![("2".to_string(), 10.5), ("4".to_string(), 21.25)]
-        );
-        assert_eq!(back[1].label, "rd \"x\"");
-        assert_eq!(back[1].points, vec![("8".to_string(), 3.0)]);
+        let back = parse_snapshot(&json).expect("own output parses");
+        assert_eq!(back.len(), 3);
+        for (b, s) in back.iter().zip(&s) {
+            assert_eq!(b.label, s.label);
+            assert_eq!(b.points, s.points);
+        }
+        // The gate joins by label: a non-ASCII one must survive the trip.
+        assert!(check_series(&back, &s, 10.0).is_empty());
         // Byte stability: re-serializing the parse gives identical bytes.
         assert_eq!(snapshot_json("fig14", true, &back), json);
+    }
+
+    #[test]
+    fn damaged_snapshots_are_errors_not_panics() {
+        let json = snapshot_json("fig14", true, &[series("ring", &[("2", 10.5)])]);
+        for cut in 1..json.len() - 1 {
+            assert!(parse_snapshot(&json[..cut]).is_err(), "truncated at {cut}");
+        }
+        let not_a_pair = json.replace("[\"2\",10.5]", "[\"2\"]");
+        let err = parse_snapshot(&not_a_pair).err().expect("a point of one");
+        assert!(err.contains("series \"ring\""), "{err}");
+        assert!(parse_snapshot("{\"schema\":1}").is_err());
     }
 
     #[test]

@@ -7,38 +7,32 @@
 //! `reps` times, and report the **maximum per-rank simulated time divided
 //! by reps** — the way MPI benchmarks report collective latency.
 
+use std::path::{Path, PathBuf};
+
 use ncd_core::{Comm, DriftConfig, MpiConfig};
 use ncd_simnet::{
     merge_comm_maps, merge_histories, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, History,
-    MetricsRegistry, RunManifest, SimTime, Stats, TraceEvent, SCHEMA_VERSION,
+    MetricsRegistry, Rank, RankCommMap, RankHistory, RunManifest, SimTime, Stats, TraceEvent,
+    SCHEMA_VERSION,
 };
 
 pub mod baseline;
 pub mod workloads;
 
-pub use baseline::{
-    baseline_mode, check_series, tolerance_pct, BaselineMode, EXIT_MISSING_BASELINE,
-};
+pub use baseline::{check_series, BaselineMode, EXIT_MISSING_BASELINE};
 pub use workloads::{
     amr_diag_counts, amr_diag_loop, amr_diag_workload, AMR_DIAG_OUTLIER, AMR_DIAG_STEPS,
 };
 
-/// Whether the bench was asked to run reduced problem sizes (`--smoke` on
-/// the command line or `NCD_SMOKE=1` in the environment) — used by CI so
-/// the full figure sweep doesn't run on every push. Baselines written in
-/// smoke mode are stored separately (see [`baseline::baseline_path`]).
-pub fn smoke_mode() -> bool {
-    std::env::args().any(|a| a == "--smoke") || std::env::var("NCD_SMOKE").as_deref() == Ok("1")
-}
-
 /// The harness options every bench target accepts, parsed once at the top
-/// of `main`. Centralizing the parse means `--smoke`, `--report json`,
-/// `--baseline write|check` and `--tolerance <pct>` behave identically
-/// across every `fig*`/`ext_*`/`crit_*` bench instead of each target
-/// re-reading the globals it happens to care about.
+/// of `main`, so `--smoke`, `--report json`, `--baseline write|check` and
+/// `--tolerance <pct>` behave identically across every
+/// `fig*`/`ext_*`/`crit_*` bench.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchCli {
-    /// Reduced problem sizes (`--smoke` / `NCD_SMOKE=1`).
+    /// Reduced problem sizes (`--smoke` / `NCD_SMOKE=1`), so CI does not
+    /// run the full figure sweep on every push. Baselines written in
+    /// smoke mode are stored separately (see [`baseline::baseline_path`]).
     pub smoke: bool,
     /// Machine-readable report requested (`--report json` / `NCD_REPORT`).
     pub report_json: bool,
@@ -56,32 +50,14 @@ pub struct BenchCli {
     /// (`--whatif` / `NCD_WHATIF=1`): plan interventions from the
     /// findings, replay each deterministically, report verified gains.
     pub whatif: bool,
-    /// The what-if phase's byte-stable JSON, stashed by [`whatif_phase`]
-    /// so [`BenchCli::observatory`] can ledger it as the `whatif.json`
-    /// artifact without changing its signature at every bench call site.
-    /// `None` leaves ledgered runs byte-identical to a no-whatif run.
-    pub whatif_artifact: Option<String>,
 }
 
 impl BenchCli {
-    /// Parse from the process arguments and environment.
+    /// Parse from the process arguments, falling back to the `NCD_*`
+    /// environment for whatever the command line leaves unset.
     pub fn parse() -> BenchCli {
         let args: Vec<String> = std::env::args().collect();
-        let mut cli = BenchCli::from_args(&args);
-        cli.smoke = smoke_mode();
-        cli.report_json = json_report_requested();
-        cli.baseline = baseline_mode();
-        cli.tolerance_pct = tolerance_pct();
-        if !cli.ledger {
-            cli.ledger = std::env::var("NCD_LEDGER").as_deref() == Ok("1");
-        }
-        if cli.compare.is_none() {
-            cli.compare = std::env::var("NCD_COMPARE").ok().filter(|s| !s.is_empty());
-        }
-        if !cli.whatif {
-            cli.whatif = std::env::var("NCD_WHATIF").as_deref() == Ok("1");
-        }
-        cli
+        BenchCli::parse_from(&args, |key| std::env::var(key).ok())
     }
 
     /// Pure parse over an explicit argument list (no environment), for
@@ -90,56 +66,53 @@ impl BenchCli {
     /// `--baseline=<mode>`, `--tolerance <pct>` / `--tolerance=<pct>`,
     /// `--ledger`, `--compare <spec>` / `--compare=<spec>`, `--whatif`.
     pub fn from_args(args: &[String]) -> BenchCli {
-        let mut report_json = false;
-        let mut tolerance = 10.0;
-        let mut ledger = false;
-        let mut compare: Option<String> = None;
+        BenchCli::parse_from(args, |_| None)
+    }
+
+    /// One pass over `args`; `env` answers for whatever they leave unset.
+    fn parse_from(args: &[String], env: impl Fn(&str) -> Option<String>) -> BenchCli {
+        let (mut smoke, mut ledger, mut whatif) = (false, false, false);
+        let (mut report, mut baseline, mut tolerance, mut compare) = (None, None, None, None);
         let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--report=json" => report_json = true,
-                "--report" => {
-                    if it.next().map(String::as_str) == Some("json") {
-                        report_json = true;
-                    }
-                }
-                "--tolerance" => {
-                    if let Some(v) = it.next() {
-                        tolerance = v
-                            .parse()
-                            .unwrap_or_else(|_| panic!("--tolerance must be a number, got {v:?}"));
-                    }
-                }
-                "--ledger" => ledger = true,
+        while let Some(arg) = it.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag, Some(value.to_string())),
+                None => (arg.as_str(), None),
+            };
+            let valued = inline.is_some();
+            let mut value = || inline.clone().or_else(|| it.next().cloned());
+            match flag {
+                "--smoke" if !valued => smoke = true,
+                "--ledger" if !valued => ledger = true,
+                "--whatif" if !valued => whatif = true,
+                "--report" => report = value(),
+                "--baseline" => baseline = value(),
+                "--tolerance" => tolerance = value(),
                 "--compare" => {
-                    compare = Some(
-                        it.next()
-                            .unwrap_or_else(|| {
-                                panic!("--compare needs a run id, 'latest', or a path")
-                            })
-                            .clone(),
-                    );
+                    compare = Some(value().expect("--compare needs a run id, 'latest', or a path"))
                 }
-                other => {
-                    if let Some(v) = other.strip_prefix("--tolerance=") {
-                        tolerance = v
-                            .parse()
-                            .unwrap_or_else(|_| panic!("--tolerance must be a number, got {v:?}"));
-                    } else if let Some(v) = other.strip_prefix("--compare=") {
-                        compare = Some(v.to_string());
-                    }
-                }
+                _ => {}
             }
         }
+        let on = |key: &str| env(key).as_deref() == Some("1");
         BenchCli {
-            smoke: args.iter().any(|a| a == "--smoke"),
-            report_json,
-            baseline: baseline::mode_from(args, None),
-            tolerance_pct: tolerance,
-            ledger,
-            compare,
-            whatif: args.iter().any(|a| a == "--whatif"),
-            whatif_artifact: None,
+            smoke: smoke || on("NCD_SMOKE"),
+            report_json: report.or_else(|| env("NCD_REPORT")).as_deref() == Some("json"),
+            baseline: match baseline.or_else(|| env("NCD_BASELINE")).as_deref() {
+                None => BaselineMode::Off,
+                Some("write") => BaselineMode::Write,
+                Some("check") => BaselineMode::Check,
+                Some(other) => panic!("--baseline must be 'write' or 'check', got {other:?}"),
+            },
+            tolerance_pct: match tolerance.or_else(|| env("NCD_BASELINE_TOL")) {
+                None => 10.0,
+                Some(v) => v
+                    .parse()
+                    .unwrap_or_else(|_| panic!("--tolerance must be a number, got {v:?}")),
+            },
+            ledger: ledger || on("NCD_LEDGER"),
+            compare: compare.or_else(|| env("NCD_COMPARE").filter(|s| !s.is_empty())),
+            whatif: whatif || on("NCD_WHATIF"),
         }
     }
 
@@ -150,70 +123,45 @@ impl BenchCli {
         self.ledger || self.compare.is_some()
     }
 
-    /// Ledger the current run's artifacts and, when `--compare` was
+    /// Ledger the captured run ([`ledger_run`]) and, when `--compare` was
     /// given, print and persist the differential against the base run.
     ///
     /// The comparison base is resolved *before* the current run is
     /// written, so `--compare latest` means "the previous ledgered run",
-    /// not the one this call creates. Returns the computed
-    /// [`RunDiff`](ncd_core::RunDiff)
-    /// when a comparison ran, `None` when only ledgering (or neither flag
-    /// was given). Exits nonzero when the compare spec cannot be
-    /// resolved — a CI observatory step must not silently skip its
-    /// reference run.
-    #[allow(clippy::too_many_arguments)]
+    /// not the one this call creates. Exits nonzero when the compare spec
+    /// cannot be resolved — a CI observatory step must not silently skip
+    /// its reference run.
     pub fn observatory(
         &self,
         name: &str,
         knobs: &[(String, String)],
         series: &[Series],
-        metrics: Option<&MetricsRegistry>,
-        comm_map: Option<&ClusterCommMap>,
-        history: Option<&History>,
-        traces: Option<&[Vec<TraceEvent>]>,
-    ) -> Option<ncd_core::RunDiff> {
+        capture: &RunCapture,
+    ) {
         if !self.wants_observatory() {
-            return None;
+            return;
         }
         let root = ncd_simnet::ledger_root();
         let base_dir = self
             .compare
             .as_ref()
             .map(|spec| resolve_compare_dir(&root, name, spec));
-        let manifest = report_to_ledger(
-            name,
-            self.smoke,
-            knobs,
-            series,
-            metrics,
-            comm_map,
-            history,
-            traces,
-            self.whatif_artifact.as_deref(),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("cannot write the run ledger for {name}: {e}");
-            std::process::exit(1);
+        let manifest = ledger_run(name, self.smoke, knobs, series, capture)
+            .unwrap_or_else(|e| die(format!("cannot write the run ledger for {name}: {e}")));
+        let Some(base_dir) = base_dir else { return };
+        let base_dir = base_dir.unwrap_or_else(|e| {
+            die(format!(
+                "--compare for {name}: {e}\n\
+                 ledger a reference run first: cargo bench ... -- {}--ledger",
+                if self.smoke { "--smoke " } else { "" }
+            ))
         });
-        let base_dir = match base_dir? {
-            Ok(dir) => dir,
-            Err(e) => {
-                eprintln!(
-                    "--compare for {name}: {e}\n\
-                     ledger a reference run first: cargo bench ... -- {}--ledger",
-                    if self.smoke { "--smoke " } else { "" }
-                );
-                std::process::exit(1);
-            }
-        };
-        let load = |dir: &std::path::Path| -> ncd_core::RunRecord {
+        let load = |dir: &Path| -> ncd_core::RunRecord {
             let run = ncd_simnet::read_run(dir).unwrap_or_else(|e| {
-                eprintln!("cannot read ledgered run {}: {e}", dir.display());
-                std::process::exit(1);
+                die(format!("cannot read ledgered run {}: {e}", dir.display()))
             });
             ncd_core::RunRecord::from_ledger(&run).unwrap_or_else(|e| {
-                eprintln!("malformed run artifacts in {}: {e}", dir.display());
-                std::process::exit(1);
+                die(format!("malformed run artifacts in {}: {e}", dir.display()))
             })
         };
         let base = load(&base_dir);
@@ -230,69 +178,80 @@ impl BenchCli {
                 bench_dir.join("diff.json").display()
             );
         }
-        Some(diff)
     }
 
-    /// [`baseline_gate`] driven by this parse instead of re-reading the
-    /// process globals.
+    /// Apply the requested baseline handling to a bench's gated series.
+    ///
+    /// * `--baseline write`: snapshot `series` under `benches/baselines/`.
+    /// * `--baseline check`: compare against the committed snapshot and
+    ///   **exit nonzero** with a diff table when a point regressed beyond
+    ///   the tolerance (or the snapshot is missing, unreadable or
+    ///   shape-mismatched).
+    /// * otherwise: no-op.
+    ///
+    /// Gate only lower-is-better series (latencies); derived higher-is-better
+    /// series like improvement % must stay out.
     pub fn gate(&self, name: &str, series: &[Series]) {
-        gate_with(name, series, self.smoke, self.baseline, self.tolerance_pct)
-    }
-}
-
-/// Apply the requested baseline handling to a bench's gated series.
-///
-/// * `--baseline write`: snapshot `series` under `benches/baselines/`.
-/// * `--baseline check`: compare against the committed snapshot and
-///   **exit nonzero** with a diff table when a point regressed beyond
-///   [`tolerance_pct`] (or the snapshot is missing/shape-mismatched).
-/// * otherwise: no-op.
-///
-/// Gate only lower-is-better series (latencies); derived higher-is-better
-/// series like improvement % must stay out.
-pub fn baseline_gate(name: &str, series: &[Series]) {
-    gate_with(name, series, smoke_mode(), baseline_mode(), tolerance_pct())
-}
-
-fn gate_with(name: &str, series: &[Series], smoke: bool, mode: BaselineMode, tol: f64) {
-    let path = baseline::baseline_path(name, smoke);
-    match mode {
-        BaselineMode::Off => {}
-        BaselineMode::Write => {
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent).expect("create baseline dir");
+        let path = baseline::baseline_path(name, self.smoke);
+        match self.baseline {
+            BaselineMode::Off => {}
+            BaselineMode::Write => {
+                if let Some(parent) = path.parent() {
+                    std::fs::create_dir_all(parent).expect("create baseline dir");
+                }
+                std::fs::write(&path, baseline::snapshot_json(name, self.smoke, series))
+                    .expect("write baseline snapshot");
+                println!("baseline written: {}", path.display());
             }
-            std::fs::write(&path, baseline::snapshot_json(name, smoke, series))
-                .expect("write baseline snapshot");
-            println!("baseline written: {}", path.display());
-        }
-        BaselineMode::Check => {
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprint!(
-                    "{}",
-                    baseline::missing_snapshot_message(
-                        name,
-                        &path,
-                        baseline::bench_target().as_deref(),
-                        smoke,
-                        &e.to_string(),
-                    )
-                );
-                std::process::exit(EXIT_MISSING_BASELINE);
-            });
-            let base = baseline::parse_snapshot(&text);
-            let regs = check_series(&base, series, tol);
-            if regs.is_empty() {
-                println!(
-                    "baseline check passed: {name} ({} series, tolerance {tol}%)",
-                    series.len()
-                );
-            } else {
-                eprint!("{}", gate_failure_report(name, &regs, tol));
-                std::process::exit(1);
+            BaselineMode::Check => {
+                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                    eprint!(
+                        "{}",
+                        baseline::missing_snapshot_message(
+                            name,
+                            &path,
+                            baseline::bench_target().as_deref(),
+                            self.smoke,
+                            &e.to_string(),
+                        )
+                    );
+                    std::process::exit(EXIT_MISSING_BASELINE);
+                });
+                let base = baseline::parse_snapshot(&text).unwrap_or_else(|e| {
+                    die(format!(
+                        "baseline check FAILED for {name}: malformed snapshot {}: {e}",
+                        path.display()
+                    ))
+                });
+                let tol = self.tolerance_pct;
+                let regs = check_series(&base, series, tol);
+                if regs.is_empty() {
+                    println!(
+                        "baseline check passed: {name} ({} series, tolerance {tol}%)",
+                        series.len()
+                    );
+                } else {
+                    eprint!("{}", gate_failure_report(name, &regs, tol));
+                    std::process::exit(1);
+                }
             }
         }
     }
+}
+
+/// A failure a CI step must not skip over: say why and exit 1.
+fn die(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
+}
+
+/// Best-effort write of `target/<sub>/<file>` (benches may run in
+/// read-only setups): the path when it worked.
+fn write_out(sub: &str, file: String, text: &str) -> Option<PathBuf> {
+    let dir = Path::new("target").join(sub);
+    std::fs::create_dir_all(&dir).ok()?;
+    let path = dir.join(file);
+    std::fs::write(&path, text).ok().map(|()| path)
 }
 
 /// Compose the full failure output for a baseline-gate regression: the
@@ -303,21 +262,17 @@ fn gate_with(name: &str, series: &[Series], smoke: bool, mode: BaselineMode, tol
 /// to the process anomaly hook ([`ncd_simnet::dump_on`]) as a
 /// [`ncd_simnet::Anomaly::BaselineRegression`].
 ///
-/// Split out of [`baseline_gate`] so tests can exercise the whole failure
+/// Split out of [`BenchCli::gate`] so tests can exercise the whole failure
 /// path without exiting the process.
 pub fn gate_failure_report(name: &str, regs: &[baseline::Regression], tol: f64) -> String {
     let mut out = baseline::render_regressions(name, regs, tol);
     if let Some(dump) = ncd_simnet::last_run_dump() {
         out.push_str(&dump);
-        let dir = std::path::Path::new("target").join("flight");
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join(format!("{name}.flight.txt"));
-            if std::fs::write(&path, &dump).is_ok() {
-                out.push_str(&format!(
-                    "flight recorder dump written: {}\n",
-                    path.display()
-                ));
-            }
+        if let Some(path) = write_out("flight", format!("{name}.flight.txt"), &dump) {
+            out.push_str(&format!(
+                "flight recorder dump written: {}\n",
+                path.display()
+            ));
         }
         ncd_simnet::trigger(
             &ncd_simnet::Anomaly::BaselineRegression {
@@ -532,293 +487,192 @@ pub fn comm_report(map: &ClusterCommMap) -> Option<String> {
     Some(out)
 }
 
-/// Run `body` on a cluster and return the per-iteration completion time
-/// (max over ranks), plus each rank's stats for breakdown reporting.
+/// Which of a rank's observers a run switches on — one field per
+/// `Rank::enable_*` switch. None of them ever touches the simulated
+/// clock, so times and [`Stats`] are identical under every set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Observe {
+    /// The named-metrics registry (`Rank::enable_metrics`).
+    pub metrics: bool,
+    /// The who-talks-to-whom map (`Rank::enable_comm_map`).
+    pub comm_map: bool,
+    /// The epoch time series with the online drift monitor armed
+    /// (`Rank::enable_history`). It is derived from closed comm-map
+    /// epochs, so the rank keeps a comm map for it either way; the
+    /// capture holds that map only when `comm_map` is set too.
+    pub history: bool,
+    /// Per-rank event tracing (`Rank::enable_tracing`) — what the
+    /// critical path, the decision audit and the wait-state diagnosis are
+    /// derived from, and the most expensive observer.
+    pub tracing: bool,
+}
+
+impl Observe {
+    /// Nothing observed: times and [`Stats`] only.
+    pub const NONE: Observe = Observe {
+        metrics: false,
+        comm_map: false,
+        history: false,
+        tracing: false,
+    };
+    /// The metrics registry alone.
+    pub const METRICS: Observe = Observe {
+        metrics: true,
+        ..Observe::NONE
+    };
+    /// Every observer — everything the observatory ledger persists.
+    /// Benches run it once, on a representative configuration, only when
+    /// [`BenchCli::wants_observatory`].
+    pub const ALL: Observe = Observe {
+        metrics: true,
+        comm_map: true,
+        history: true,
+        tracing: true,
+    };
+
+    /// Switch the requested observers on; call before the rank does any
+    /// work that should be observed.
+    pub fn enable(self, rank: &mut Rank) {
+        if self.metrics {
+            rank.enable_metrics();
+        }
+        if self.comm_map {
+            rank.enable_comm_map();
+        }
+        if self.history {
+            rank.enable_history();
+        }
+        if self.tracing {
+            rank.enable_tracing();
+        }
+    }
+
+    /// Take the rank's clock reading, its [`Stats`] and what the requested
+    /// observers hold, leaving each one empty and still switched on.
+    /// Called after a warm-up with the result discarded, it drops the
+    /// warm-up's observations.
+    pub fn take(self, rank: &mut Rank) -> RankCapture {
+        RankCapture {
+            time: rank.now(),
+            stats: rank.take_stats(),
+            metrics: self.metrics.then(|| rank.take_metrics()),
+            comm_map: self.comm_map.then(|| rank.take_comm_map()),
+            history: self.history.then(|| rank.take_history()),
+            trace: self.tracing.then(|| rank.take_trace()),
+        }
+    }
+}
+
+/// One rank's share of a [`RunCapture`]: what [`Observe::take`] returns
+/// from inside a rank closure and [`RunCapture::merge`] joins.
+#[derive(Debug)]
+pub struct RankCapture {
+    time: SimTime,
+    stats: Stats,
+    metrics: Option<MetricsRegistry>,
+    comm_map: Option<RankCommMap>,
+    history: Option<RankHistory>,
+    trace: Option<Vec<TraceEvent>>,
+}
+
+/// Everything one observed run produced. [`report`], [`ledger_run`] and
+/// [`BenchCli::observatory`] print and persist a section or artifact for
+/// exactly the parts that are `Some`; the default value holds nothing.
+#[derive(Debug, Default)]
+pub struct RunCapture {
+    /// Completion time, max over ranks ([`time_phase`]: per iteration).
+    pub time: SimTime,
+    /// Each rank's cost breakdown since its last [`Observe::take`].
+    pub stats: Vec<Stats>,
+    /// The per-rank registries merged cluster-wide.
+    pub metrics: Option<MetricsRegistry>,
+    pub comm_map: Option<ClusterCommMap>,
+    pub history: Option<History>,
+    /// Every rank's trace, indexed by rank.
+    pub traces: Option<Vec<Vec<TraceEvent>>>,
+    /// The causal profile's byte-stable JSON when the bench ran
+    /// [`whatif_phase`]; `None` keeps the ledgered artifact set — and
+    /// therefore the run id — identical to a run without it.
+    pub whatif: Option<String>,
+}
+
+impl RunCapture {
+    /// Join the ranks' shares (in rank order) into the cluster-wide view.
+    pub fn merge(parts: Vec<RankCapture>) -> RunCapture {
+        let time = parts.iter().map(|p| p.time).max().unwrap_or_default();
+        let mut metrics: Option<MetricsRegistry> = None;
+        let (mut maps, mut histories, mut traces) = (Vec::new(), Vec::new(), Vec::new());
+        let mut stats = Vec::with_capacity(parts.len());
+        for part in parts {
+            stats.push(part.stats);
+            if let Some(m) = part.metrics {
+                metrics
+                    .get_or_insert_with(MetricsRegistry::enabled)
+                    .merge(&m);
+            }
+            maps.extend(part.comm_map);
+            histories.extend(part.history);
+            traces.extend(part.trace);
+        }
+        RunCapture {
+            time,
+            stats,
+            metrics,
+            comm_map: (!maps.is_empty()).then(|| merge_comm_maps(&maps)),
+            history: (!histories.is_empty()).then(|| merge_histories(&histories)),
+            traces: (!traces.is_empty()).then_some(traces),
+            whatif: None,
+        }
+    }
+
+    /// The wait-state classification of the traces, when the run was
+    /// traced.
+    pub fn diagnosis(&self) -> Option<Diagnosis> {
+        self.traces.as_deref().map(ncd_simnet::diagnose)
+    }
+}
+
+/// Run `body` on a cluster under the `observe` set and capture the
+/// per-iteration completion time (max over ranks), each rank's stats for
+/// breakdown reporting, and what the observers saw over the measured
+/// iterations.
 ///
 /// `body` receives the communicator and the iteration index; one warmup
-/// iteration (index `usize::MAX`) runs before the clocks reset.
-pub fn time_phase<F>(
+/// iteration (index `usize::MAX`) runs before the clocks reset, and its
+/// observations are dropped.
+pub fn time_phase(
     cluster_cfg: ClusterConfig,
     mpi_cfg: MpiConfig,
     reps: usize,
-    body: F,
-) -> (SimTime, Vec<Stats>)
-where
-    F: Fn(&mut Comm, usize) + Send + Sync,
-{
+    observe: Observe,
+    body: impl Fn(&mut Comm, usize) + Send + Sync,
+) -> RunCapture {
     assert!(reps > 0);
-    let out = Cluster::new(cluster_cfg).run(|rank| {
+    let parts = Cluster::new(cluster_cfg).run(|rank| {
+        observe.enable(rank);
         let mut comm = Comm::new(rank, mpi_cfg.clone());
         body(&mut comm, usize::MAX); // warmup
         comm.barrier();
         comm.rank_mut().reset_clock();
-        let _ = comm.rank_mut().take_stats();
+        let _ = observe.take(comm.rank_mut());
         for it in 0..reps {
             body(&mut comm, it);
         }
-        let t = comm.rank_ref().now();
-        let stats = comm.rank_ref().stats().clone();
-        (t, stats)
+        observe.take(comm.rank_mut())
     });
-    let tmax = out.iter().map(|(t, _)| *t).max().expect("nonempty cluster");
-    let stats = out.into_iter().map(|(_, s)| s).collect();
-    (SimTime::from_ns(tmax.as_ns() / reps as u64), stats)
+    let mut capture = RunCapture::merge(parts);
+    capture.time = SimTime::from_ns(capture.time.as_ns() / reps as u64);
+    capture
 }
 
-/// [`time_phase`] with the metrics registry enabled on every rank: also
-/// returns the cluster-wide merge of the per-rank registries collected
-/// over the measured (post-warmup) iterations.
-pub fn time_phase_metrics<F>(
-    cluster_cfg: ClusterConfig,
-    mpi_cfg: MpiConfig,
-    reps: usize,
-    body: F,
-) -> (SimTime, Vec<Stats>, MetricsRegistry)
-where
-    F: Fn(&mut Comm, usize) + Send + Sync,
-{
-    assert!(reps > 0);
-    let out = Cluster::new(cluster_cfg).run(|rank| {
-        rank.enable_metrics();
-        let mut comm = Comm::new(rank, mpi_cfg.clone());
-        body(&mut comm, usize::MAX); // warmup
-        comm.barrier();
-        comm.rank_mut().reset_clock();
-        let _ = comm.rank_mut().take_stats();
-        let _ = comm.rank_mut().take_metrics(); // drop warmup metrics
-        for it in 0..reps {
-            body(&mut comm, it);
-        }
-        let t = comm.rank_ref().now();
-        let stats = comm.rank_ref().stats().clone();
-        let metrics = comm.rank_mut().take_metrics();
-        (t, stats, metrics)
-    });
-    let tmax = out
-        .iter()
-        .map(|(t, _, _)| *t)
-        .max()
-        .expect("nonempty cluster");
-    let mut merged = MetricsRegistry::enabled();
-    let mut stats = Vec::with_capacity(out.len());
-    for (_, s, m) in out {
-        merged.merge(&m);
-        stats.push(s);
-    }
-    (SimTime::from_ns(tmax.as_ns() / reps as u64), stats, merged)
-}
-
-/// [`time_phase_metrics`] with the communication map additionally enabled
-/// on every rank: also returns the cluster-merged [`ClusterCommMap`]
-/// covering the measured (post-warmup) iterations. Neither the metrics
-/// registry nor the comm map ever touches the simulated clock, so the
-/// returned times are identical to an uninstrumented run.
-pub fn time_phase_observed<F>(
-    cluster_cfg: ClusterConfig,
-    mpi_cfg: MpiConfig,
-    reps: usize,
-    body: F,
-) -> (SimTime, Vec<Stats>, MetricsRegistry, ClusterCommMap)
-where
-    F: Fn(&mut Comm, usize) + Send + Sync,
-{
-    assert!(reps > 0);
-    let out = Cluster::new(cluster_cfg).run(|rank| {
-        rank.enable_metrics();
-        rank.enable_comm_map();
-        let mut comm = Comm::new(rank, mpi_cfg.clone());
-        body(&mut comm, usize::MAX); // warmup
-        comm.barrier();
-        comm.rank_mut().reset_clock();
-        let _ = comm.rank_mut().take_stats();
-        let _ = comm.rank_mut().take_metrics(); // drop warmup metrics
-        let _ = comm.rank_mut().take_comm_map(); // drop warmup traffic
-        for it in 0..reps {
-            body(&mut comm, it);
-        }
-        let t = comm.rank_ref().now();
-        let stats = comm.rank_ref().stats().clone();
-        let metrics = comm.rank_mut().take_metrics();
-        let map = comm.rank_mut().take_comm_map();
-        (t, stats, metrics, map)
-    });
-    let tmax = out
-        .iter()
-        .map(|(t, _, _, _)| *t)
-        .max()
-        .expect("nonempty cluster");
-    let mut merged = MetricsRegistry::enabled();
-    let mut stats = Vec::with_capacity(out.len());
-    let mut maps = Vec::with_capacity(out.len());
-    for (_, s, m, map) in out {
-        merged.merge(&m);
-        stats.push(s);
-        maps.push(map);
-    }
-    let comm_map = merge_comm_maps(&maps);
-    (
-        SimTime::from_ns(tmax.as_ns() / reps as u64),
-        stats,
-        merged,
-        comm_map,
-    )
-}
-
-/// [`time_phase_observed`] with the epoch history additionally enabled on
-/// every rank: also returns the cluster-merged [`History`] time series of
-/// the measured (post-warmup) iterations — one point per collective epoch
-/// and profiling stage — with the online drift monitor armed, so regime
-/// shifts inside the measured window land in the trace, metrics, and the
-/// flight recorder's drift ring. Like the other observers, the history
-/// never touches the simulated clock.
-#[allow(clippy::type_complexity)]
-pub fn time_phase_history<F>(
-    cluster_cfg: ClusterConfig,
-    mpi_cfg: MpiConfig,
-    reps: usize,
-    body: F,
-) -> (
-    SimTime,
-    Vec<Stats>,
-    MetricsRegistry,
-    ClusterCommMap,
-    History,
-)
-where
-    F: Fn(&mut Comm, usize) + Send + Sync,
-{
-    assert!(reps > 0);
-    let out = Cluster::new(cluster_cfg).run(|rank| {
-        rank.enable_metrics();
-        rank.enable_history(); // also enables the comm map it derives from
-        let mut comm = Comm::new(rank, mpi_cfg.clone());
-        body(&mut comm, usize::MAX); // warmup
-        comm.barrier();
-        comm.rank_mut().reset_clock();
-        let _ = comm.rank_mut().take_stats();
-        let _ = comm.rank_mut().take_metrics(); // drop warmup metrics
-        let _ = comm.rank_mut().take_comm_map(); // drop warmup traffic
-        let _ = comm.rank_mut().take_history(); // drop warmup epochs
-        for it in 0..reps {
-            body(&mut comm, it);
-        }
-        let t = comm.rank_ref().now();
-        let stats = comm.rank_ref().stats().clone();
-        let metrics = comm.rank_mut().take_metrics();
-        let map = comm.rank_mut().take_comm_map();
-        let history = comm.rank_mut().take_history();
-        (t, stats, metrics, map, history)
-    });
-    let tmax = out
-        .iter()
-        .map(|(t, _, _, _, _)| *t)
-        .max()
-        .expect("nonempty cluster");
-    let mut merged = MetricsRegistry::enabled();
-    let mut stats = Vec::with_capacity(out.len());
-    let mut maps = Vec::with_capacity(out.len());
-    let mut histories = Vec::with_capacity(out.len());
-    for (_, s, m, map, h) in out {
-        merged.merge(&m);
-        stats.push(s);
-        maps.push(map);
-        histories.push(h);
-    }
-    (
-        SimTime::from_ns(tmax.as_ns() / reps as u64),
-        stats,
-        merged,
-        merge_comm_maps(&maps),
-        merge_histories(&histories),
-    )
-}
-
-/// [`time_phase_history`] with per-rank event tracing additionally
-/// enabled: also returns every rank's trace of the measured (post-warmup)
-/// iterations, so the caller can derive the critical path, the
-/// algorithm-decision audit, and the wait-state diagnosis — everything
-/// the observatory ledger persists. This is the most expensive
-/// observation mode; benches run it once, on a representative
-/// configuration, only when [`BenchCli::wants_observatory`].
-#[allow(clippy::type_complexity)]
-pub fn time_phase_traced<F>(
-    cluster_cfg: ClusterConfig,
-    mpi_cfg: MpiConfig,
-    reps: usize,
-    body: F,
-) -> (
-    SimTime,
-    Vec<Stats>,
-    MetricsRegistry,
-    ClusterCommMap,
-    History,
-    Vec<Vec<TraceEvent>>,
-)
-where
-    F: Fn(&mut Comm, usize) + Send + Sync,
-{
-    assert!(reps > 0);
-    let out = Cluster::new(cluster_cfg).run(|rank| {
-        rank.enable_metrics();
-        rank.enable_history(); // also enables the comm map it derives from
-        rank.enable_tracing();
-        let mut comm = Comm::new(rank, mpi_cfg.clone());
-        body(&mut comm, usize::MAX); // warmup
-        comm.barrier();
-        comm.rank_mut().reset_clock();
-        let _ = comm.rank_mut().take_stats();
-        let _ = comm.rank_mut().take_metrics(); // drop warmup metrics
-        let _ = comm.rank_mut().take_comm_map(); // drop warmup traffic
-        let _ = comm.rank_mut().take_history(); // drop warmup epochs
-        let _ = comm.rank_mut().take_trace(); // drop warmup events
-        for it in 0..reps {
-            body(&mut comm, it);
-        }
-        let t = comm.rank_ref().now();
-        let stats = comm.rank_ref().stats().clone();
-        let metrics = comm.rank_mut().take_metrics();
-        let map = comm.rank_mut().take_comm_map();
-        let history = comm.rank_mut().take_history();
-        let trace = comm.rank_mut().take_trace();
-        (t, stats, metrics, map, history, trace)
-    });
-    let tmax = out
-        .iter()
-        .map(|(t, ..)| *t)
-        .max()
-        .expect("nonempty cluster");
-    let mut merged = MetricsRegistry::enabled();
-    let mut stats = Vec::with_capacity(out.len());
-    let mut maps = Vec::with_capacity(out.len());
-    let mut histories = Vec::with_capacity(out.len());
-    let mut traces = Vec::with_capacity(out.len());
-    for (_, s, m, map, h, tr) in out {
-        merged.merge(&m);
-        stats.push(s);
-        maps.push(map);
-        histories.push(h);
-        traces.push(tr);
-    }
-    (
-        SimTime::from_ns(tmax.as_ns() / reps as u64),
-        stats,
-        merged,
-        merge_comm_maps(&maps),
-        merge_histories(&histories),
-        traces,
-    )
-}
-
-/// Byte-stable JSON of a bench's series for the observatory ledger: the
-/// same `[x, y]` point layout as the figure report, led by the shared
-/// schema version so the differential engine can re-load it.
-pub fn series_json(name: &str, smoke: bool, series: &[Series]) -> String {
+/// The `{"label":…,"points":[["x",y],…]}` objects of `series`, comma
+/// separated — the one series layout every JSON writer of this crate
+/// shares. `null_non_finite` writes a non-finite `y` as `null` (the two
+/// report writers) instead of Rust's `NaN`/`inf` (the baseline snapshot,
+/// whose gated latencies are finite and which must fail to parse rather
+/// than pass the gate if one ever is not).
+fn push_series_json(out: &mut String, series: &[Series], null_non_finite: bool) {
     let esc = ncd_simnet::export::json_escape;
-    let mut out = format!(
-        "{{\"schema\":{SCHEMA_VERSION},\"name\":\"{}\",\"mode\":\"{}\",\"series\":[",
-        esc(name),
-        if smoke { "smoke" } else { "full" }
-    );
     for (i, s) in series.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -828,15 +682,26 @@ pub fn series_json(name: &str, smoke: bool, series: &[Series]) -> String {
             if j > 0 {
                 out.push(',');
             }
-            let y_json = if y.is_finite() {
-                y.to_string()
+            if null_non_finite && !y.is_finite() {
+                out.push_str(&format!("[\"{}\",null]", esc(x)));
             } else {
-                "null".to_string()
-            };
-            out.push_str(&format!("[\"{}\",{y_json}]", esc(x)));
+                out.push_str(&format!("[\"{}\",{y}]", esc(x)));
+            }
         }
         out.push_str("]}");
     }
+}
+
+/// Byte-stable JSON of a bench's series for the observatory ledger: the
+/// same `[x, y]` point layout as the figure report, led by the shared
+/// schema version so the differential engine can re-load it.
+pub fn series_json(name: &str, smoke: bool, series: &[Series]) -> String {
+    let mut out = format!(
+        "{{\"schema\":{SCHEMA_VERSION},\"name\":\"{}\",\"mode\":\"{}\",\"series\":[",
+        ncd_simnet::export::json_escape(name),
+        if smoke { "smoke" } else { "full" }
+    );
+    push_series_json(&mut out, series, true);
     out.push_str("]}");
     out
 }
@@ -844,66 +709,49 @@ pub fn series_json(name: &str, smoke: bool, series: &[Series]) -> String {
 /// Persist one run into the observatory ledger
 /// (`target/observatory/<name>/<run-id>/`, override with
 /// `NCD_OBSERVATORY`): the gated series plus every byte-stable export the
-/// bench collected — metrics snapshot, comm matrix, epoch history, and
-/// (from the traces) critical-path analysis, the algorithm-decision
-/// audit, and the wait-state diagnosis. The run id is a deterministic
-/// content hash, so re-ledgering an unchanged run is idempotent and an id
-/// change is itself a behaviour-change signal.
-///
-/// `whatif` is the causal profile's byte-stable JSON when the bench ran
-/// the what-if phase (see [`whatif_phase`]); `None` keeps the artifact
-/// set — and therefore the run id — identical to a run without it.
-#[allow(clippy::too_many_arguments)]
-pub fn report_to_ledger(
+/// capture holds — metrics snapshot, comm matrix, epoch history, (from
+/// the traces) critical-path analysis, the algorithm-decision audit and
+/// the wait-state diagnosis, and the what-if profile. The run id is a
+/// deterministic content hash, so re-ledgering an unchanged run is
+/// idempotent and an id change is itself a behaviour-change signal.
+pub fn ledger_run(
     name: &str,
     smoke: bool,
     knobs: &[(String, String)],
     series: &[Series],
-    metrics: Option<&MetricsRegistry>,
-    comm_map: Option<&ClusterCommMap>,
-    history: Option<&History>,
-    traces: Option<&[Vec<TraceEvent>]>,
-    whatif: Option<&str>,
+    capture: &RunCapture,
 ) -> std::io::Result<RunManifest> {
-    let mut artifacts: Vec<(String, String)> =
-        vec![("series.json".to_string(), series_json(name, smoke, series))];
-    if let Some(m) = metrics {
+    let mut artifacts: Vec<(String, String)> = Vec::new();
+    let mut add = |file: &str, json: String| artifacts.push((file.to_string(), json));
+    add("series.json", series_json(name, smoke, series));
+    if let Some(m) = &capture.metrics {
         // metrics_json carries no schema field of its own; wrap it so the
         // artifact leads with the shared version like every other export.
-        artifacts.push((
-            "metrics.json".to_string(),
-            format!(
-                "{{\"schema\":{SCHEMA_VERSION},\"metrics\":{}}}",
-                ncd_simnet::metrics_json(m)
-            ),
-        ));
+        let metrics = ncd_simnet::metrics_json(m);
+        add(
+            "metrics.json",
+            format!("{{\"schema\":{SCHEMA_VERSION},\"metrics\":{metrics}}}"),
+        );
     }
-    if let Some(map) = comm_map {
-        artifacts.push(("comm.json".to_string(), ncd_simnet::comm_matrix_json(map)));
+    if let Some(map) = &capture.comm_map {
+        add("comm.json", ncd_simnet::comm_matrix_json(map));
     }
-    if let Some(h) = history {
-        artifacts.push(("history.json".to_string(), ncd_simnet::history_json(h)));
+    if let Some(h) = &capture.history {
+        add("history.json", ncd_simnet::history_json(h));
     }
-    if let Some(traces) = traces {
+    if let Some(traces) = &capture.traces {
         let path = ncd_simnet::HbGraph::build(traces).critical_path();
         let attr = ncd_simnet::attribute_rounds(traces);
-        artifacts.push((
-            "analysis.json".to_string(),
-            ncd_simnet::analysis_json(&path, &attr),
-        ));
+        add("analysis.json", ncd_simnet::analysis_json(&path, &attr));
         // Decisions are symmetric across ranks (every rank selects from
         // the same counts); rank 0's audit stands for the run.
-        artifacts.push((
-            "decisions.json".to_string(),
-            ncd_core::decisions_json(&ncd_core::decisions_from_trace(&traces[0])),
-        ));
-        artifacts.push((
-            "diagnosis.json".to_string(),
-            ncd_simnet::diagnosis_json(&ncd_simnet::diagnose(traces)),
-        ));
+        let decisions = ncd_core::decisions_from_trace(&traces[0]);
+        add("decisions.json", ncd_core::decisions_json(&decisions));
+        let diagnosis = ncd_simnet::diagnose(traces);
+        add("diagnosis.json", ncd_simnet::diagnosis_json(&diagnosis));
     }
-    if let Some(json) = whatif {
-        artifacts.push(("whatif.json".to_string(), json.to_string()));
+    if let Some(json) = &capture.whatif {
+        add("whatif.json", json.clone());
     }
     let root = ncd_simnet::ledger_root();
     let mode = if smoke { "smoke" } else { "full" };
@@ -921,12 +769,8 @@ pub fn report_to_ledger(
 /// id, a run-directory path), a path to an *alternate ledger root*
 /// containing `<name>/latest` — e.g. a committed reference tree — is
 /// followed to that root's latest run for this bench.
-fn resolve_compare_dir(
-    root: &std::path::Path,
-    name: &str,
-    spec: &str,
-) -> Result<std::path::PathBuf, String> {
-    let p = std::path::Path::new(spec);
+fn resolve_compare_dir(root: &Path, name: &str, spec: &str) -> Result<PathBuf, String> {
+    let p = Path::new(spec);
     if p.is_dir() && p.join(name).join("latest").is_file() {
         let id = ncd_simnet::latest_run_id(p, name)
             .ok_or_else(|| format!("empty latest pointer under {}/{name}", p.display()))?;
@@ -946,32 +790,30 @@ fn resolve_compare_dir(
 /// the simulation) as fragile.
 pub const WHATIF_SEEDS: &[u64] = &[7, 99];
 
-/// Run the counterfactual what-if profiler over a diagnosis run's traces:
+/// Run the counterfactual what-if profiler over a traced diagnosis run:
 /// plan targeted interventions from the findings and the decision audit
 /// ([`ncd_core::plan_experiments`]), deterministically replay each one on
 /// the event backend ([`ncd_core::causal_profile`]), print the causal
 /// profile and the findings with their measured `verified_gain`, and
 /// write the byte-stable JSON to `target/analysis/<name>.whatif.json`.
 ///
-/// Returns the JSON for ledgering — benches stash it in
-/// [`BenchCli::whatif_artifact`] before calling
-/// [`BenchCli::observatory`]. `None` when the planner found nothing to
-/// test. `workload` must be the same workload the traces came from, or
-/// the replayed gains verify a different run than the one diagnosed.
-pub fn whatif_phase<F>(
+/// Returns the JSON for ledgering — benches store it in
+/// [`RunCapture::whatif`] before calling [`BenchCli::observatory`].
+/// `None` when the planner found nothing to test. `workload` must be the
+/// same workload `run` captured, or the replayed gains verify a different
+/// run than the one diagnosed.
+pub fn whatif_phase(
     name: &str,
     cluster: &ClusterConfig,
     mpi: &MpiConfig,
-    traces: &[Vec<TraceEvent>],
-    comm_map: Option<&ClusterCommMap>,
-    workload: F,
-) -> Option<String>
-where
-    F: Fn(&mut Comm) + Send + Sync,
-{
+    run: &RunCapture,
+    workload: impl Fn(&mut Comm) + Send + Sync,
+) -> Option<String> {
+    let traces = run.traces.as_deref().expect("what-if needs a traced run");
     let mut diag = ncd_simnet::diagnose(traces);
     let decisions = ncd_core::decisions_from_trace(&traces[0]);
-    let audit = ncd_core::detect_misselections(&decisions, comm_map, &cluster.cost, mpi);
+    let audit =
+        ncd_core::detect_misselections(&decisions, run.comm_map.as_ref(), &cluster.cost, mpi);
     let plan = ncd_core::plan_experiments(&diag, &decisions, &audit, 3);
     if plan.is_empty() {
         println!("\nwhat-if: no findings or flags to test for {name}");
@@ -982,12 +824,8 @@ where
     print!("{}", ncd_core::whatif_report(&profile));
     print!("\n{}", diag.render(5));
     let json = ncd_core::whatif_json(&profile);
-    let dir = std::path::Path::new("target").join("analysis");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}.whatif.json"));
-        if std::fs::write(&path, &json).is_ok() {
-            println!("what-if profile written: {}", path.display());
-        }
+    if let Some(path) = write_out("analysis", format!("{name}.whatif.json"), &json) {
+        println!("what-if profile written: {}", path.display());
     }
     Some(json)
 }
@@ -1042,25 +880,19 @@ pub fn relabel(prefix: &str, series: &[Series]) -> Vec<Series> {
         .collect()
 }
 
-/// Print an aligned table of several series sharing the x axis, and write
-/// the same data as CSV under `target/figures/<name>.csv`. When a JSON
-/// report is requested (see [`json_report_requested`]) the series are also
-/// written to `target/figures/<name>.json`; benches that collect metrics
-/// use [`report_with_metrics`] to include the registry snapshot.
-pub fn report(name: &str, x_label: &str, y_label: &str, series: &[Series]) {
-    report_impl(name, x_label, y_label, series, None, None, None, None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn report_impl(
+/// Print an aligned table of several series sharing the x axis and write
+/// the same data as CSV under `target/figures/<name>.csv`, followed by one
+/// section — and one `target/analysis/<name>.*` artifact for CI upload —
+/// per part `capture` holds. Pass `&RunCapture::default()` for a plain
+/// sweep. With `--report json` the series and the metrics snapshot are
+/// also written to `target/figures/<name>.json`.
+pub fn report(
+    cli: &BenchCli,
     name: &str,
     x_label: &str,
     y_label: &str,
     series: &[Series],
-    metrics: Option<&MetricsRegistry>,
-    comm_map: Option<&ClusterCommMap>,
-    history: Option<&History>,
-    diagnosis: Option<&Diagnosis>,
+    capture: &RunCapture,
 ) {
     println!("\n=== {name} ({y_label}) ===");
     print!("{:>14}", x_label);
@@ -1068,58 +900,52 @@ fn report_impl(
         print!("{:>22}", s.label);
     }
     println!();
+    // One row per point index, named by the first series that has it.
     let npoints = series.iter().map(|s| s.points.len()).max().unwrap_or(0);
-    for i in 0..npoints {
-        let x = series
-            .iter()
-            .find_map(|s| s.points.get(i).map(|(x, _)| x.clone()))
-            .unwrap_or_default();
+    let rows: Vec<(&str, Vec<Option<f64>>)> = (0..npoints)
+        .map(|i| {
+            let x = series.iter().find_map(|s| s.points.get(i));
+            let ys = series.iter().map(|s| s.points.get(i).map(|(_, y)| *y));
+            (x.map_or("", |(x, _)| x.as_str()), ys.collect())
+        })
+        .collect();
+    for (x, ys) in &rows {
         print!("{x:>14}");
-        for s in series {
-            match s.points.get(i) {
-                Some((_, y)) => print!("{y:>22.3}"),
+        for y in ys {
+            match y {
+                Some(y) => print!("{y:>22.3}"),
                 None => print!("{:>22}", "-"),
             }
         }
         println!();
     }
 
-    // The pack-pipeline summary rides along whenever the collected metrics
-    // saw datatype-engine activity (noncontiguous sends).
+    // Metrics: the pack-pipeline summary whenever the registry saw
+    // datatype-engine activity (noncontiguous sends), and the
+    // algorithm-decision audit whenever an auto-selecting collective ran
+    // under it (`<name>.decisions.txt`).
+    let metrics = capture.metrics.as_ref();
     if let Some(table) = metrics.and_then(datatype_report) {
         print!("{table}");
     }
-
-    // So does the algorithm-decision audit, whenever an auto-selecting
-    // collective ran under the registry; the table is also written next to
-    // the figures for CI artifact upload.
     if let Some(table) = metrics.and_then(decision_report) {
         print!("{table}");
-        let dir = std::path::Path::new("target").join("analysis");
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let _ = std::fs::write(dir.join(format!("{name}.decisions.txt")), &table);
-        }
+        write_out("analysis", format!("{name}.decisions.txt"), &table);
     }
 
-    // And the who-talks-to-whom map, when one was collected
-    // ([`time_phase_observed`] / [`report_with_observability`]); the raw
-    // matrix goes to `target/analysis/<name>.comm.json` for artifacts.
-    if let Some(map) = comm_map {
+    // Comm map: who talks to whom; the raw matrix goes to `<name>.comm.json`.
+    if let Some(map) = &capture.comm_map {
         if let Some(table) = comm_report(map) {
             print!("{table}");
         }
-        let dir = std::path::Path::new("target").join("analysis");
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let _ = ncd_simnet::write_comm_matrix_json(dir.join(format!("{name}.comm.json")), map);
-        }
+        let json = ncd_simnet::comm_matrix_json(map);
+        write_out("analysis", format!("{name}.comm.json"), &json);
     }
 
-    // The epoch time series, when one was collected
-    // ([`time_phase_history`] / [`report_with_history`]): the sparkline
-    // dashboard, any regime shifts an offline replay detects, and the
-    // pattern-recurrence table. The byte-stable series goes to
-    // `target/analysis/<name>.history.json` for artifacts.
-    if let Some(h) = history {
+    // History: the sparkline dashboard, any regime shifts an offline
+    // replay detects, and the pattern-recurrence table; the byte-stable
+    // series goes to `<name>.history.json`.
+    if let Some(h) = &capture.history {
         print!("\n{}", ncd_simnet::history_report(h));
         let drift = ncd_core::detect_drift(h, &DriftConfig::default());
         if !drift.is_empty() {
@@ -1129,29 +955,21 @@ fn report_impl(
         if !recurrence.is_empty() {
             print!("\n{}", ncd_core::render_recurrence(&recurrence));
         }
-        let dir = std::path::Path::new("target").join("analysis");
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let _ = ncd_simnet::write_history_json(dir.join(format!("{name}.history.json")), h);
-        }
+        let json = ncd_simnet::history_json(h);
+        write_out("analysis", format!("{name}.history.json"), &json);
     }
 
-    // The root-cause diagnosis, when the bench classified its traces
-    // ([`report_with_diagnosis`]): the ranked wait-pattern findings and
-    // blame matrix, with the byte-stable classification JSON written to
-    // `target/analysis/<name>.diagnosis.json` for CI artifact upload.
-    if let Some(d) = diagnosis {
+    // Traces: the ranked wait-pattern findings and blame matrix; the
+    // byte-stable classification goes to `<name>.diagnosis.json`.
+    if let Some(d) = capture.diagnosis() {
         print!("\n{}", d.render(10));
-        let dir = std::path::Path::new("target").join("analysis");
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let _ = ncd_simnet::write_diagnosis_json(dir.join(format!("{name}.diagnosis.json")), d);
-        }
+        let json = ncd_simnet::diagnosis_json(&d);
+        write_out("analysis", format!("{name}.diagnosis.json"), &json);
     }
 
-    // The scheduler's introspection survey of the most recent
-    // event-driven run — how hard the event loop itself worked to
-    // produce the numbers above. Purely informational: it reflects the
-    // last run before this report, and nothing under the threads
-    // backend.
+    // The scheduler's introspection survey of the most recent run — how
+    // hard the event loop itself worked to produce the numbers above.
+    // Purely informational: it reflects the last run before this report.
     if let Some(table) = ncd_simnet::last_sched_stats()
         .as_ref()
         .and_then(sched_report)
@@ -1159,165 +977,40 @@ fn report_impl(
         print!("{table}");
     }
 
-    // CSV alongside (best effort; benches may run in read-only setups).
-    let dir = std::path::Path::new("target").join("figures");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let mut csv = String::new();
-        csv.push_str(x_label);
-        for s in series {
+    let mut csv = x_label.to_string();
+    for s in series {
+        csv.push(',');
+        csv.push_str(&s.label);
+    }
+    csv.push('\n');
+    for (x, ys) in &rows {
+        csv.push_str(x);
+        for y in ys {
             csv.push(',');
-            csv.push_str(&s.label);
+            if let Some(y) = y {
+                csv.push_str(&y.to_string());
+            }
         }
         csv.push('\n');
-        for i in 0..npoints {
-            let x = series
-                .iter()
-                .find_map(|s| s.points.get(i).map(|(x, _)| x.clone()))
-                .unwrap_or_default();
-            csv.push_str(&x);
-            for s in series {
-                csv.push(',');
-                if let Some((_, y)) = s.points.get(i) {
-                    csv.push_str(&format!("{y}"));
-                }
-            }
-            csv.push('\n');
-        }
-        let _ = std::fs::write(dir.join(format!("{name}.csv")), csv);
     }
+    write_out("figures", format!("{name}.csv"), &csv);
 
-    if json_report_requested() {
-        write_json_report(name, x_label, y_label, series, metrics);
-    }
-}
-
-/// Whether a machine-readable JSON report was requested, via
-/// `--report json` / `--report=json` on the command line or
-/// `NCD_REPORT=json` in the environment.
-pub fn json_report_requested() -> bool {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--report=json" {
-            return true;
+    if cli.report_json {
+        let esc = ncd_simnet::export::json_escape;
+        let mut out = format!(
+            "{{\"name\":\"{}\",\"x_label\":\"{}\",\"y_label\":\"{}\",\"series\":[",
+            esc(name),
+            esc(x_label),
+            esc(y_label)
+        );
+        push_series_json(&mut out, series, true);
+        out.push(']');
+        if let Some(m) = metrics {
+            out.push_str(",\"metrics\":");
+            out.push_str(&ncd_simnet::metrics_json(m));
         }
-        if a == "--report" && args.next().as_deref() == Some("json") {
-            return true;
-        }
-    }
-    std::env::var("NCD_REPORT").as_deref() == Ok("json")
-}
-
-/// [`report`], plus — when `--report json` (or `NCD_REPORT=json`) is in
-/// effect — a machine-readable run report written to
-/// `target/figures/<name>.json`: the same series as the CSV, and a
-/// snapshot of the cluster-merged metrics registry when one was collected.
-pub fn report_with_metrics(
-    name: &str,
-    x_label: &str,
-    y_label: &str,
-    series: &[Series],
-    metrics: Option<&MetricsRegistry>,
-) {
-    report_impl(name, x_label, y_label, series, metrics, None, None, None)
-}
-
-/// [`report_with_metrics`], plus the merged communication map: appends the
-/// [`comm_report`] heatmap/analytics next to the datatype and decision
-/// tables, and writes the byte-stable matrix JSON to
-/// `target/analysis/<name>.comm.json` for CI artifact upload.
-pub fn report_with_observability(
-    name: &str,
-    x_label: &str,
-    y_label: &str,
-    series: &[Series],
-    metrics: Option<&MetricsRegistry>,
-    comm_map: Option<&ClusterCommMap>,
-) {
-    report_impl(
-        name, x_label, y_label, series, metrics, comm_map, None, None,
-    )
-}
-
-/// [`report_with_observability`], plus the merged epoch [`History`]:
-/// appends the time-series sparkline dashboard, offline drift events and
-/// the pattern-recurrence table, and writes the byte-stable series JSON
-/// to `target/analysis/<name>.history.json` for CI artifact upload.
-pub fn report_with_history(
-    name: &str,
-    x_label: &str,
-    y_label: &str,
-    series: &[Series],
-    metrics: Option<&MetricsRegistry>,
-    comm_map: Option<&ClusterCommMap>,
-    history: Option<&History>,
-) {
-    report_impl(
-        name, x_label, y_label, series, metrics, comm_map, history, None,
-    )
-}
-
-/// [`report_with_history`], plus a wait-state [`Diagnosis`] classified
-/// from the bench's traces: appends the ranked finding table and blame
-/// matrix to the report and writes the byte-stable classification JSON
-/// to `target/analysis/<name>.diagnosis.json` for CI artifact upload.
-#[allow(clippy::too_many_arguments)]
-pub fn report_with_diagnosis(
-    name: &str,
-    x_label: &str,
-    y_label: &str,
-    series: &[Series],
-    metrics: Option<&MetricsRegistry>,
-    comm_map: Option<&ClusterCommMap>,
-    history: Option<&History>,
-    diagnosis: Option<&Diagnosis>,
-) {
-    report_impl(
-        name, x_label, y_label, series, metrics, comm_map, history, diagnosis,
-    )
-}
-
-fn write_json_report(
-    name: &str,
-    x_label: &str,
-    y_label: &str,
-    series: &[Series],
-    metrics: Option<&MetricsRegistry>,
-) {
-    let esc = ncd_simnet::export::json_escape;
-    let mut out = format!(
-        "{{\"name\":\"{}\",\"x_label\":\"{}\",\"y_label\":\"{}\",\"series\":[",
-        esc(name),
-        esc(x_label),
-        esc(y_label)
-    );
-    for (i, s) in series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"label\":\"{}\",\"points\":[", esc(&s.label)));
-        for (j, (x, y)) in s.points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let y_json = if y.is_finite() {
-                y.to_string()
-            } else {
-                "null".to_string()
-            };
-            out.push_str(&format!("[\"{}\",{y_json}]", esc(x)));
-        }
-        out.push_str("]}");
-    }
-    out.push(']');
-    if let Some(m) = metrics {
-        out.push_str(",\"metrics\":");
-        out.push_str(&ncd_simnet::metrics_json(m));
-    }
-    out.push('}');
-    let dir = std::path::Path::new("target").join("figures");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}.json"));
-        if std::fs::write(&path, out).is_ok() {
+        out.push('}');
+        if let Some(path) = write_out("figures", format!("{name}.json"), &out) {
             println!("json report: {}", path.display());
         }
     }
@@ -1337,10 +1030,12 @@ mod tests {
                 let _ = comm.rank_mut().recv_bytes(Some(0), Tag(0));
             }
         };
-        let (t1, _) = time_phase(ClusterConfig::uniform(2), MpiConfig::optimized(), 1, ping);
-        let (t4, _) = time_phase(ClusterConfig::uniform(2), MpiConfig::optimized(), 4, ping);
+        let run = |reps| {
+            let cluster = ClusterConfig::uniform(2);
+            time_phase(cluster, MpiConfig::optimized(), reps, Observe::NONE, ping).time
+        };
         // Per-iteration time should be roughly rep-count independent.
-        let ratio = t1.as_ns() as f64 / t4.as_ns() as f64;
+        let ratio = run(1).as_ns() as f64 / run(4).as_ns() as f64;
         assert!((0.3..3.0).contains(&ratio), "ratio {ratio}");
     }
 
@@ -1357,46 +1052,151 @@ mod tests {
         let mut s = Series::new("test");
         s.push("1", 2.0);
         s.push("2", 4.0);
-        report("unit_test_fig", "x", "y", &[s]);
+        let cli = BenchCli::from_args(&[]);
+        report(
+            &cli,
+            "unit_test_fig",
+            "x",
+            "y",
+            &[s],
+            &RunCapture::default(),
+        );
+    }
+
+    /// The 4-rank uniform allgatherv the observer tests below share.
+    fn allgatherv4(comm: &mut Comm, _it: usize) {
+        let counts = vec![64usize; 4];
+        let send = vec![1u8; 64];
+        let mut recv = vec![0u8; 256];
+        comm.allgatherv(&send, &counts, &mut recv);
     }
 
     #[test]
-    fn time_phase_metrics_collects_cluster_registry() {
-        let (_, stats, metrics) = time_phase_metrics(
-            ClusterConfig::uniform(2),
-            MpiConfig::optimized(),
-            2,
-            |comm, _| {
-                let counts = vec![16usize; 2];
-                let send = vec![1u8; 16];
-                let mut recv = vec![0u8; 32];
-                comm.allgatherv(&send, &counts, &mut recv);
-            },
-        );
-        assert_eq!(stats.len(), 2);
-        // 2 ranks x 2 measured reps (warmup metrics dropped).
+    fn observers_never_move_the_clock_and_captures_hold_what_was_asked() {
+        const REPS: usize = 3;
+        let run = |observe| {
+            let cluster = ClusterConfig::uniform(4);
+            time_phase(cluster, MpiConfig::optimized(), REPS, observe, allgatherv4)
+        };
+        let plain = run(Observe::NONE);
+        assert_eq!(plain.stats.len(), 4);
+        // Every set a caller uses: the figure sweeps (NONE, METRICS), the
+        // observatory passes and ext_drift (ALL), ext_amr_skew's sweeps
+        // and its diagnosis phase.
+        let amr_sweep = Observe {
+            metrics: true,
+            comm_map: true,
+            ..Observe::NONE
+        };
+        let amr_diag = Observe {
+            comm_map: true,
+            tracing: true,
+            ..Observe::NONE
+        };
+        for observe in [
+            Observe::NONE,
+            Observe::METRICS,
+            amr_sweep,
+            amr_diag,
+            Observe::ALL,
+        ] {
+            let c = run(observe);
+            assert_eq!(c.time, plain.time, "{observe:?}");
+            assert_eq!(
+                format!("{:?}", c.stats),
+                format!("{:?}", plain.stats),
+                "{observe:?}"
+            );
+            assert_eq!(
+                (
+                    c.metrics.is_some(),
+                    c.comm_map.is_some(),
+                    c.history.is_some(),
+                    c.traces.is_some(),
+                    c.whatif.is_some()
+                ),
+                (
+                    observe.metrics,
+                    observe.comm_map,
+                    observe.history,
+                    observe.tracing,
+                    false
+                ),
+                "{observe:?}"
+            );
+            assert_eq!(c.diagnosis().is_some(), observe.tracing);
+        }
+
+        let all = run(Observe::ALL);
+        // Metrics: 4 ranks x 3 measured reps, warm-up dropped.
+        let metrics = all.metrics.as_ref().expect("metrics");
         let h = metrics
             .histogram("allgatherv", "bytes", "adaptive")
             .expect("adaptive histogram");
-        assert_eq!(h.count(), 4);
+        assert_eq!(h.count(), 4 * REPS as u64);
+        assert_eq!(
+            metrics.counter("decision", "allgatherv", "recursive_doubling"),
+            4 * REPS as u64
+        );
         // The flat-time counters mirror Stats exactly, cluster-wide.
-        let total: u64 = aggregate(&stats).total().as_ns();
+        let total: u64 = aggregate(&all.stats).total().as_ns();
         let counted: u64 = ncd_simnet::CostKind::ALL
             .iter()
             .map(|k| metrics.counter("time", k.label(), ""))
             .sum();
         assert_eq!(counted, total);
+
+        // Comm map: exactly the measured epochs, and its columns match
+        // what each rank's mailbox delivered.
+        let map = all.comm_map.as_ref().expect("comm map");
+        assert_eq!(map.n, 4);
+        assert!(map.total.total_bytes() > 0);
+        let epochs = map
+            .epochs
+            .iter()
+            .filter(|e| e.label == "allgatherv/recursive_doubling");
+        assert_eq!(epochs.count(), REPS);
+        for (r, s) in all.stats.iter().enumerate() {
+            assert_eq!(map.total.col_bytes(r), s.bytes_recvd, "rank {r}");
+        }
+        let table = comm_report(map).expect("traffic present");
+        assert!(table.contains("communication map (4 ranks"));
+        assert!(table.contains("allgatherv/recursive_doubling#0"));
+        assert!(table.contains("hot pairs:"));
+        assert!(comm_report(&merge_comm_maps(&[RankCommMap::new(0, 1)])).is_none());
+
+        // History: one point per measured call, totals agreeing with the
+        // comm map's; a uniform steady series recurs perfectly.
+        let history = all.history.as_ref().expect("history");
+        assert_eq!(history.n, 4);
+        let pts = history.series("allgatherv/recursive_doubling");
+        assert_eq!(pts.len(), REPS, "labels: {:?}", history.series_labels());
+        assert_eq!(
+            pts.iter().map(|p| p.bytes).sum::<u64>(),
+            map.total.total_bytes()
+        );
+        let rec = ncd_core::pattern_recurrence(history);
+        assert_eq!(rec[0].distinct, 1);
+        assert_eq!(rec[0].stability, 1.0);
+
+        // Traces: one per rank, in rank order.
+        let traces = all.traces.as_ref().expect("traces");
+        assert_eq!(traces.len(), 4);
+        assert!(traces.iter().all(|t| !t.is_empty()));
     }
 
     #[test]
     fn json_report_writes_valid_file_when_requested() {
         let mut s = Series::new("baseline");
         s.push("64", 1.5);
-        std::env::set_var("NCD_REPORT", "json");
+        let cli = BenchCli::from_args(&["bench".to_string(), "--report=json".to_string()]);
         let mut reg = MetricsRegistry::enabled();
         reg.counter_add("a", "b", "c", 7);
-        report_with_metrics("unit_test_json_fig", "n", "us", &[s], Some(&reg));
-        std::env::remove_var("NCD_REPORT");
+        let capture = RunCapture {
+            metrics: Some(reg),
+            ..RunCapture::default()
+        };
+        report(&cli, "unit_test_json_fig", "n", "us", &[s], &capture);
         let path = std::path::Path::new("target/figures/unit_test_json_fig.json");
         let json = std::fs::read_to_string(path).expect("json report written");
         assert!(json.starts_with("{\"name\":\"unit_test_json_fig\""));
@@ -1444,57 +1244,25 @@ mod tests {
     }
 
     #[test]
-    fn observed_phase_collects_map_and_decision_metrics() {
-        let counts = vec![64usize; 4];
-        let (_, stats, metrics, map) = time_phase_observed(
-            ClusterConfig::uniform(4),
-            MpiConfig::optimized(),
-            2,
-            move |comm, _| {
-                let send = vec![1u8; 64];
-                let mut recv = vec![0u8; 256];
-                comm.allgatherv(&send, &counts, &mut recv);
-            },
-        );
-        assert_eq!(stats.len(), 4);
-        // 4 ranks x 2 measured reps, warmup dropped.
-        assert_eq!(
-            metrics.counter("decision", "allgatherv", "recursive_doubling"),
-            8
-        );
-        assert_eq!(map.n, 4);
-        assert!(map.total.total_bytes() > 0);
-        // Warmup traffic was dropped: exactly the 2 measured epochs.
-        let epochs: Vec<_> = map
-            .epochs
-            .iter()
-            .filter(|e| e.label == "allgatherv/recursive_doubling")
-            .collect();
-        assert_eq!(epochs.len(), 2);
-        // The map columns match what each rank's mailbox delivered.
-        for (r, s) in stats.iter().enumerate() {
-            assert_eq!(map.total.col_bytes(r), s.bytes_recvd, "rank {r}");
-        }
-        let table = comm_report(&map).expect("traffic present");
-        assert!(table.contains("communication map (4 ranks"));
-        assert!(table.contains("allgatherv/recursive_doubling#0"));
-        assert!(table.contains("hot pairs:"));
-        assert!(comm_report(&merge_comm_maps(&[ncd_simnet::RankCommMap::new(0, 1)])).is_none());
-    }
-
-    #[test]
-    fn observability_report_writes_artifacts() {
+    fn report_writes_one_artifact_per_captured_part() {
+        let cli = BenchCli::from_args(&[]);
         let mut s = Series::new("latency");
         s.push("4", 1.0);
+
+        // Metrics and comm map: the decision table and the matrix.
         let mut reg = MetricsRegistry::enabled();
         reg.counter_add("decision", "alltoallw", "binned", 3);
-        let mut m0 = ncd_simnet::RankCommMap::new(0, 2);
-        let mut m1 = ncd_simnet::RankCommMap::new(1, 2);
+        let mut m0 = RankCommMap::new(0, 2);
+        let mut m1 = RankCommMap::new(1, 2);
         m0.enable();
         m1.enable();
         m1.record_delivery(0, 4096);
-        let map = merge_comm_maps(&[m0, m1]);
-        report_with_observability("unit_test_obs_fig", "n", "us", &[s], Some(&reg), Some(&map));
+        let capture = RunCapture {
+            metrics: Some(reg),
+            comm_map: Some(merge_comm_maps(&[m0, m1])),
+            ..RunCapture::default()
+        };
+        report(&cli, "unit_test_obs_fig", "n", "us", &[s], &capture);
         let json = std::fs::read_to_string("target/analysis/unit_test_obs_fig.comm.json")
             .expect("comm matrix artifact");
         assert!(json.starts_with("{\"schema\":1,\"ranks\":2,"));
@@ -1502,6 +1270,43 @@ mod tests {
         let decisions = std::fs::read_to_string("target/analysis/unit_test_obs_fig.decisions.txt")
             .expect("decision table artifact");
         assert!(decisions.contains("binned"));
+
+        // History: the epoch series.
+        let observe = Observe {
+            comm_map: true,
+            history: true,
+            ..Observe::NONE
+        };
+        let cluster = ClusterConfig::uniform(4);
+        let capture = time_phase(cluster, MpiConfig::optimized(), 3, observe, allgatherv4);
+        report(&cli, "unit_test_history_fig", "n", "us", &[], &capture);
+        let json = std::fs::read_to_string("target/analysis/unit_test_history_fig.history.json")
+            .expect("history artifact written");
+        assert!(json.starts_with("{\"schema\":1,\"ranks\":4,"));
+        assert!(json.contains("allgatherv/recursive_doubling"));
+
+        // Traces: the wait-state diagnosis.
+        let traces = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
+            rank.enable_tracing();
+            if rank.rank() == 0 {
+                rank.compute_flops(1_000_000);
+                rank.send_bytes(1, Tag(0), vec![0u8; 64]);
+            } else {
+                let _ = rank.recv_bytes(Some(0), Tag(0));
+            }
+            rank.take_trace()
+        });
+        let capture = RunCapture {
+            traces: Some(traces),
+            ..RunCapture::default()
+        };
+        let d = capture.diagnosis().expect("traced");
+        assert!(d.classified > SimTime::ZERO, "rank 1 must have waited");
+        report(&cli, "unit_test_diag_fig", "n", "us", &[], &capture);
+        let json = std::fs::read_to_string("target/analysis/unit_test_diag_fig.diagnosis.json")
+            .expect("diagnosis artifact written");
+        assert!(json.starts_with("{\"schema\":1,"), "{json}");
+        assert!(json.contains("\"pattern\":\"late-sender\""), "{json}");
     }
 
     #[test]
@@ -1625,7 +1430,6 @@ mod tests {
                 ledger: true,
                 compare: Some("latest".to_string()),
                 whatif: true,
-                whatif_artifact: None,
             }
         );
         let eqs = BenchCli::from_args(&to_args(&[
@@ -1645,7 +1449,6 @@ mod tests {
                 ledger: false,
                 compare: Some("0123456789abcdef".to_string()),
                 whatif: false,
-                whatif_artifact: None,
             }
         );
         assert!(
@@ -1663,46 +1466,83 @@ mod tests {
                 ledger: false,
                 compare: None,
                 whatif: false,
-                whatif_artifact: None,
             }
         );
         assert!(!none.wants_observatory());
     }
 
     #[test]
-    fn report_to_ledger_persists_and_reloads_every_artifact() {
+    fn environment_fills_what_the_command_line_leaves_unset() {
+        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        let env = |key: &str| {
+            let value = match key {
+                "NCD_SMOKE" | "NCD_LEDGER" | "NCD_WHATIF" => "1",
+                "NCD_REPORT" => "json",
+                "NCD_BASELINE" => "check",
+                "NCD_BASELINE_TOL" => "2.5",
+                "NCD_COMPARE" => "latest",
+                _ => return None,
+            };
+            Some(value.to_string())
+        };
+        let from_env = BenchCli::parse_from(&to_args(&["bench"]), env);
+        assert_eq!(
+            from_env,
+            BenchCli {
+                smoke: true,
+                report_json: true,
+                baseline: BaselineMode::Check,
+                tolerance_pct: 2.5,
+                ledger: true,
+                compare: Some("latest".to_string()),
+                whatif: true,
+            }
+        );
+        // The command line wins over the environment.
+        let both = BenchCli::parse_from(
+            &to_args(&[
+                "bench",
+                "--baseline=write",
+                "--tolerance",
+                "7",
+                "--compare",
+                "0123456789abcdef",
+            ]),
+            env,
+        );
+        assert_eq!(both.baseline, BaselineMode::Write);
+        assert_eq!(both.tolerance_pct, 7.0);
+        assert_eq!(both.compare.as_deref(), Some("0123456789abcdef"));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be 'write' or 'check'")]
+    fn bad_baseline_mode_panics() {
+        BenchCli::from_args(&["bench".to_string(), "--baseline=frobnicate".to_string()]);
+    }
+
+    #[test]
+    fn ledger_run_persists_and_reloads_every_artifact() {
         let root = std::env::temp_dir().join(format!("ncd_obs_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::env::set_var("NCD_OBSERVATORY", &root);
         let run_once = || {
-            let (t, _, metrics, map, history, traces) = time_phase_traced(
-                ClusterConfig::uniform(4),
+            let cluster = ClusterConfig::uniform(4);
+            let mut capture = time_phase(
+                cluster,
                 MpiConfig::optimized(),
                 2,
-                |comm, _| {
-                    let counts = vec![64usize; 4];
-                    let send = vec![1u8; 64];
-                    let mut recv = vec![0u8; 256];
-                    comm.allgatherv(&send, &counts, &mut recv);
-                },
+                Observe::ALL,
+                allgatherv4,
             );
+            capture.whatif = Some(ncd_core::whatif_json(&ncd_core::CausalProfile {
+                baseline_ns: 1000,
+                outcomes: Vec::new(),
+            }));
             let mut s = Series::new("latency");
-            s.push("4", t.as_ns() as f64 / 1000.0);
-            report_to_ledger(
-                "unit_test_ledger",
-                true,
-                &[("procs".to_string(), "4".to_string())],
-                &[s],
-                Some(&metrics),
-                Some(&map),
-                Some(&history),
-                Some(&traces),
-                Some(&ncd_core::whatif_json(&ncd_core::CausalProfile {
-                    baseline_ns: 1000,
-                    outcomes: Vec::new(),
-                })),
-            )
-            .expect("ledger write")
+            s.push("4", capture.time.as_ns() as f64 / 1000.0);
+            let knobs = [("procs".to_string(), "4".to_string())];
+            ledger_run("unit_test_ledger", true, &knobs, &[s], &capture).expect("ledger write")
         };
         let m1 = run_once();
         let m2 = run_once();
@@ -1740,88 +1580,16 @@ mod tests {
     }
 
     #[test]
-    fn history_phase_collects_epoch_series_and_artifacts() {
-        let (_, stats, _metrics, map, history) = time_phase_history(
-            ClusterConfig::uniform(4),
-            MpiConfig::optimized(),
-            3,
-            |comm, _| {
-                let counts = vec![64usize; 4];
-                let send = vec![1u8; 64];
-                let mut recv = vec![0u8; 256];
-                comm.allgatherv(&send, &counts, &mut recv);
-            },
-        );
-        assert_eq!(stats.len(), 4);
-        assert_eq!(history.n, 4);
-        // Warmup epochs were dropped: exactly the 3 measured calls.
-        let pts = history.series("allgatherv/recursive_doubling");
-        assert_eq!(pts.len(), 3, "labels: {:?}", history.series_labels());
-        // The history totals agree with the comm map's.
-        assert_eq!(
-            pts.iter().map(|p| p.bytes).sum::<u64>(),
-            map.total.total_bytes()
-        );
-        // A uniform steady series recurs perfectly.
-        let rec = ncd_core::pattern_recurrence(&history);
-        assert_eq!(rec[0].distinct, 1);
-        assert_eq!(rec[0].stability, 1.0);
-
-        report_with_history(
-            "unit_test_history_fig",
-            "n",
-            "us",
-            &[],
-            None,
-            Some(&map),
-            Some(&history),
-        );
-        let json = std::fs::read_to_string("target/analysis/unit_test_history_fig.history.json")
-            .expect("history artifact written");
-        assert!(json.starts_with("{\"schema\":1,\"ranks\":4,"));
-        assert!(json.contains("allgatherv/recursive_doubling"));
-    }
-
-    #[test]
-    fn diagnosis_report_writes_artifacts() {
-        use ncd_simnet::{diagnose, Tag};
-        let traces = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
-            rank.enable_tracing();
-            if rank.rank() == 0 {
-                rank.compute_flops(1_000_000);
-                rank.send_bytes(1, Tag(0), vec![0u8; 64]);
-            } else {
-                let _ = rank.recv_bytes(Some(0), Tag(0));
-            }
-            rank.take_trace()
-        });
-        let d = diagnose(&traces);
-        assert!(d.classified > SimTime::ZERO, "rank 1 must have waited");
-        report_with_diagnosis(
-            "unit_test_diag_fig",
-            "n",
-            "us",
-            &[],
-            None,
-            None,
-            None,
-            Some(&d),
-        );
-        let json = std::fs::read_to_string("target/analysis/unit_test_diag_fig.diagnosis.json")
-            .expect("diagnosis artifact written");
-        assert!(json.starts_with("{\"schema\":1,"), "{json}");
-        assert!(json.contains("\"pattern\":\"late-sender\""), "{json}");
-    }
-
-    #[test]
     fn aggregate_merges_all_ranks() {
-        let (_, stats) = time_phase(
-            ClusterConfig::uniform(3),
+        let cluster = ClusterConfig::uniform(3);
+        let run = time_phase(
+            cluster,
             MpiConfig::optimized(),
             1,
+            Observe::NONE,
             |comm, _| comm.barrier(),
         );
-        let total = aggregate(&stats);
+        let total = aggregate(&run.stats);
         assert!(total.msgs_sent >= 3);
     }
 }

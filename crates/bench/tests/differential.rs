@@ -10,13 +10,12 @@
 //! wait-state diagnosis JSON agree byte for byte. Off x86-64 unix there
 //! is no fiber backend; the workloads then run under the baton alone.
 
-use ncd_bench::time_phase_traced;
+use ncd_bench::{time_phase, Observe};
 use ncd_core::{Comm, MpiConfig, WPeer};
 use ncd_datatype::Datatype;
 use ncd_petsc::{DistributedArray, ScatterBackend, StencilKind};
 use ncd_simnet::{
-    chrome_trace_json, comm_matrix_json, diagnose, diagnosis_json, ClusterCommMap, ClusterConfig,
-    SimTime, TaskBackend, TraceEvent,
+    chrome_trace_json, comm_matrix_json, diagnosis_json, ClusterConfig, SimTime, TaskBackend,
 };
 
 /// Run `body` under one backend and collapse the observable artifacts to
@@ -29,17 +28,17 @@ fn artifacts<F>(
 where
     F: Fn(&mut Comm, usize) + Send + Sync,
 {
-    let (t, _, _, map, _, traces): (_, _, _, ClusterCommMap, _, Vec<Vec<TraceEvent>>) =
-        time_phase_traced(
-            cfg.with_task_backend(backend),
-            MpiConfig::optimized(),
-            2,
-            body,
-        );
-    let trace = chrome_trace_json(&traces);
-    let matrix = comm_matrix_json(&map);
-    let diag = diagnosis_json(&diagnose(&traces));
-    (t, trace, matrix, diag)
+    let run = time_phase(
+        cfg.with_task_backend(backend),
+        MpiConfig::optimized(),
+        2,
+        Observe::ALL,
+        body,
+    );
+    let trace = chrome_trace_json(run.traces.as_ref().expect("traced"));
+    let matrix = comm_matrix_json(run.comm_map.as_ref().expect("comm map observed"));
+    let diag = diagnosis_json(&run.diagnosis().expect("traced"));
+    (run.time, trace, matrix, diag)
 }
 
 fn assert_backends_agree<F>(name: &str, cfg: ClusterConfig, body: F)

@@ -1,6 +1,6 @@
 //! Property tests of the observatory pipeline: for arbitrary nonuniform
 //! alltoallw / scatterv workloads, a run ledgered through
-//! [`ncd_bench::report_to_ledger`] and re-loaded compares **observationally
+//! [`ncd_bench::ledger_run`] and re-loaded compares **observationally
 //! identical to itself** — `compare(run, run)` must be empty — and
 //! re-ledgering the unchanged run is idempotent (same content-hash id).
 //!
@@ -8,7 +8,7 @@
 //! nonempty diff must be a genuine behaviour change, never parse noise,
 //! float formatting, or unstable ordering.
 
-use ncd_bench::{report_to_ledger, time_phase_traced};
+use ncd_bench::{ledger_run, time_phase, Observe, RunCapture};
 use ncd_core::{compare, Comm, MpiConfig, RunRecord, WPeer};
 use ncd_datatype::Datatype;
 use ncd_simnet::{ledger_root, read_run, ClusterConfig};
@@ -27,34 +27,14 @@ fn init_obs_root() {
 
 /// Ledger one traced run under `bench` with the given knobs and re-load
 /// it the way the differential engine does.
-#[allow(clippy::type_complexity)]
 fn ledger_and_reload(
     bench: &str,
     knobs: &[(String, String)],
-    traced: (
-        ncd_simnet::SimTime,
-        Vec<ncd_simnet::Stats>,
-        ncd_simnet::MetricsRegistry,
-        ncd_simnet::ClusterCommMap,
-        ncd_simnet::History,
-        Vec<Vec<ncd_simnet::TraceEvent>>,
-    ),
+    traced: RunCapture,
 ) -> (String, RunRecord) {
-    let (_, _, metrics, map, history, traces) = traced;
     let mut series = ncd_bench::Series::new("latency-usec");
     series.push("run", 1.0);
-    let manifest = report_to_ledger(
-        bench,
-        true,
-        knobs,
-        &[series],
-        Some(&metrics),
-        Some(&map),
-        Some(&history),
-        Some(&traces),
-        None,
-    )
-    .expect("ledger the run");
+    let manifest = ledger_run(bench, true, knobs, &[series], &traced).expect("ledger the run");
     let dir = ledger_root().join(bench).join(&manifest.run_id);
     let run = read_run(&dir).expect("re-read the ledgered run");
     let rec = RunRecord::from_ledger(&run).expect("parse the artifacts");
@@ -104,7 +84,13 @@ proptest! {
             ledger_and_reload(
                 "prop_alltoallw",
                 &knobs,
-                time_phase_traced(ClusterConfig::uniform(n), MpiConfig::optimized(), 2, &body),
+                time_phase(
+                    ClusterConfig::uniform(n),
+                    MpiConfig::optimized(),
+                    2,
+                    Observe::ALL,
+                    &body,
+                ),
             )
         };
         let (id1, rec1) = run();
@@ -151,7 +137,13 @@ proptest! {
             ledger_and_reload(
                 "prop_scatterv",
                 &knobs,
-                time_phase_traced(ClusterConfig::uniform(n), MpiConfig::optimized(), 2, &body),
+                time_phase(
+                    ClusterConfig::uniform(n),
+                    MpiConfig::optimized(),
+                    2,
+                    Observe::ALL,
+                    &body,
+                ),
             )
         };
         let (id1, rec1) = run();

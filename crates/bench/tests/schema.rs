@@ -8,7 +8,7 @@
 //! on every artifact it persists, plus the writers the ledger does not
 //! own (baseline snapshots, the differential export, the manifest).
 
-use ncd_bench::{baseline, report_to_ledger, series_json, time_phase_traced, Series};
+use ncd_bench::{baseline, ledger_run, series_json, time_phase, Observe, Series};
 use ncd_core::{compare, diff_json, Comm, MpiConfig, RunRecord};
 use ncd_simnet::{ledger_root, manifest_json, read_run, ClusterConfig, SCHEMA_VERSION};
 
@@ -24,10 +24,11 @@ fn every_byte_stable_export_leads_with_the_shared_schema_version() {
     // One real run exercising a collective, so every artifact (series,
     // metrics, comm matrix, history, analysis, decisions, diagnosis) is
     // non-trivial.
-    let (_, _, metrics, map, history, traces) = time_phase_traced(
+    let mut capture = time_phase(
         ClusterConfig::uniform(4),
         MpiConfig::optimized(),
         2,
+        Observe::ALL,
         |comm: &mut Comm, _| {
             let counts = vec![64usize; comm.size()];
             let me = comm.rank();
@@ -39,21 +40,17 @@ fn every_byte_stable_export_leads_with_the_shared_schema_version() {
     let mut s = Series::new("latency-usec");
     s.push("4", 1.0);
     let series = [s];
-    let manifest = report_to_ledger(
-        "schema_probe",
-        true,
-        &[("ranks".to_string(), "4".to_string())],
-        &series,
-        Some(&metrics),
-        Some(&map),
-        Some(&history),
-        Some(&traces),
-        Some(&ncd_core::whatif_json(&ncd_core::CausalProfile {
-            baseline_ns: 1,
-            outcomes: Vec::new(),
-        })),
-    )
-    .expect("ledger the probe run");
+    capture.whatif = Some(ncd_core::whatif_json(&ncd_core::CausalProfile {
+        baseline_ns: 1,
+        outcomes: Vec::new(),
+    }));
+    let knobs = [("ranks".to_string(), "4".to_string())];
+    let manifest =
+        ledger_run("schema_probe", true, &knobs, &series, &capture).expect("ledger the probe run");
+    // The id is a content hash over the manifest and every artifact's
+    // bytes. This literal was produced by the five-rung harness this one
+    // replaced (commit fb51a8f): the artifact set and bytes are unchanged.
+    assert_eq!(manifest.run_id, "481a6a6a460907d6");
 
     // Every persisted artifact, the manifest included, leads with the
     // shared version.

@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --release --example compare_runs`
 
-use ncd_bench::{report_to_ledger, time_phase_traced, Series};
+use ncd_bench::{ledger_run, time_phase, Observe, Series};
 use ncd_core::{compare, render_compare, Comm, MpiConfig, RegressionClass, RunRecord};
 use ncd_simnet::{ledger_root, read_run, ClusterConfig};
 
@@ -35,29 +35,22 @@ fn skewed_allgatherv(comm: &mut Comm) {
 /// ledger as one run of the `compare_runs` bench; returns the loaded
 /// [`RunRecord`] the differential engine consumes.
 fn ledger_once(flavor: &str, cfg: MpiConfig) -> RunRecord {
-    let (t, _, metrics, map, history, traces) =
-        time_phase_traced(ClusterConfig::uniform(PROCS), cfg, 5, |comm, _| {
-            skewed_allgatherv(comm)
-        });
+    let cluster = ClusterConfig::uniform(PROCS);
+    let run = time_phase(cluster, cfg, 5, Observe::ALL, |comm, _| {
+        skewed_allgatherv(comm)
+    });
     let mut latency = Series::new("latency-usec");
-    latency.push(format!("{PROCS}procs/{OUTLIER_DOUBLES}doubles"), t.as_us());
+    latency.push(
+        format!("{PROCS}procs/{OUTLIER_DOUBLES}doubles"),
+        run.time.as_us(),
+    );
     let knobs = vec![
         ("procs".to_string(), PROCS.to_string()),
         ("outlier_doubles".to_string(), OUTLIER_DOUBLES.to_string()),
         ("flavor".to_string(), flavor.to_string()),
     ];
-    let manifest = report_to_ledger(
-        "compare_runs",
-        true,
-        &knobs,
-        &[latency],
-        Some(&metrics),
-        Some(&map),
-        Some(&history),
-        Some(&traces),
-        None,
-    )
-    .expect("write the run ledger");
+    let manifest =
+        ledger_run("compare_runs", true, &knobs, &[latency], &run).expect("write the run ledger");
     let dir = ledger_root().join("compare_runs").join(&manifest.run_id);
     let run = read_run(&dir).expect("re-read the ledgered run");
     RunRecord::from_ledger(&run).expect("parse the ledgered artifacts")

@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example observatory_ls`
 
-use ncd_bench::{report_to_ledger, time_phase_traced, Series};
+use ncd_bench::{ledger_run, time_phase, Observe, Series};
 use ncd_core::{MpiConfig, RunRecord};
 use ncd_simnet::{latest_run_id, ledger_root, read_run, ClusterConfig};
 
@@ -31,29 +31,19 @@ struct Row {
 
 /// Ledger one run of the Figure 14 workload under `cfg`.
 fn seed_run(flavor: &str, cfg: MpiConfig) {
-    let (t, _, metrics, map, history, traces) =
-        time_phase_traced(ClusterConfig::uniform(PROCS), cfg, 3, |comm, _| {
-            let mut counts = vec![8usize; comm.size()];
-            counts[0] = 4096 * 8;
-            let me = comm.rank();
-            let send = vec![me as u8; counts[me]];
-            let mut recv = vec![0u8; counts.iter().sum()];
-            comm.allgatherv(&send, &counts, &mut recv);
-        });
+    let cluster = ClusterConfig::uniform(PROCS);
+    let run = time_phase(cluster, cfg, 3, Observe::ALL, |comm, _| {
+        let mut counts = vec![8usize; comm.size()];
+        counts[0] = 4096 * 8;
+        let me = comm.rank();
+        let send = vec![me as u8; counts[me]];
+        let mut recv = vec![0u8; counts.iter().sum()];
+        comm.allgatherv(&send, &counts, &mut recv);
+    });
     let mut latency = Series::new("latency-usec");
-    latency.push(format!("{PROCS}procs"), t.as_us());
-    report_to_ledger(
-        "observatory_ls",
-        true,
-        &[("flavor".to_string(), flavor.to_string())],
-        &[latency],
-        Some(&metrics),
-        Some(&map),
-        Some(&history),
-        Some(&traces),
-        None,
-    )
-    .expect("write the run ledger");
+    latency.push(format!("{PROCS}procs"), run.time.as_us());
+    let knobs = [("flavor".to_string(), flavor.to_string())];
+    ledger_run("observatory_ls", true, &knobs, &[latency], &run).expect("write the run ledger");
 }
 
 /// Walk `<root>/<bench>/<run-id>/` and parse every run found.
