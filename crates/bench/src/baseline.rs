@@ -95,51 +95,27 @@ pub fn missing_snapshot_message(
     )
 }
 
-/// Serialize series to the byte-stable snapshot format (same hand-rolled
-/// JSON style as the simnet exports; deterministic input ⇒ identical
-/// bytes on every write). Leads with the shared
-/// [`ncd_simnet::SCHEMA_VERSION`] like every export in the workspace.
+/// The committed snapshot of a gated series: [`crate::series_json`] plus
+/// a trailing newline (deterministic input ⇒ identical bytes on every
+/// write).
 pub fn snapshot_json(name: &str, smoke: bool, series: &[Series]) -> String {
-    let mut out = format!(
-        "{{\"schema\":{},\"name\":\"{}\",\"mode\":\"{}\",\"series\":[",
-        ncd_simnet::SCHEMA_VERSION,
-        ncd_simnet::export::json_escape(name),
-        if smoke { "smoke" } else { "full" }
-    );
-    crate::push_series_json(&mut out, series, false);
-    out.push_str("]}\n");
-    out
+    crate::series_json(name, smoke, series) + "\n"
 }
 
 /// Parse a snapshot produced by [`snapshot_json`] back into series. A
-/// corrupted baseline file is an error for the gate to report with the
-/// file's path, never a silent pass.
+/// corrupted baseline file — or one holding an unmeasured (`null`) point
+/// — is an error for the gate to report with the file's path, never a
+/// silent pass.
 pub fn parse_snapshot(text: &str) -> Result<Vec<Series>, String> {
-    let doc = ncd_simnet::parse_json(text)?;
-    let mut out = Vec::new();
-    for s in doc
-        .get("series")
-        .and_then(Json::as_array)
-        .ok_or("missing \"series\" array")?
-    {
-        let label = s
-            .get("label")
-            .and_then(Json::as_str)
-            .ok_or("series without a \"label\"")?;
-        let mut series = Series::new(label);
-        for p in s
-            .get("points")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("series {label:?} has no \"points\" array"))?
-        {
-            match p.as_array().unwrap_or_default() {
-                [Json::Str(x), Json::Num(y)] => series.push(x.as_str(), *y),
-                _ => return Err(format!("series {label:?}: a point is not [\"x\", y]")),
-            }
-        }
-        out.push(series);
-    }
-    Ok(out)
+    ncd_simnet::parse_json(text)?.list("series", |s| {
+        let label = s.str("label")?.to_string();
+        let points = s.list("points", |p| match p.as_array().unwrap_or_default() {
+            [Json::Str(x), Json::Num(y)] => Ok((x.clone(), *y)),
+            _ => Err("a point is not [\"x\", y]".to_string()),
+        });
+        let points = points.map_err(|e| format!("series {label:?}: {e}"))?;
+        Ok(Series { label, points })
+    })
 }
 
 /// One point that moved beyond tolerance (or disappeared/appeared).
@@ -297,6 +273,11 @@ mod tests {
         let err = parse_snapshot(&not_a_pair).err().expect("a point of one");
         assert!(err.contains("series \"ring\""), "{err}");
         assert!(parse_snapshot("{\"schema\":1}").is_err());
+        // An unmeasured point must fail the gate, not pass it.
+        let unmeasured = snapshot_json("fig14", true, &[series("ring", &[("2", f64::NAN)])]);
+        assert!(unmeasured.contains("[\"2\",null]"), "{unmeasured}");
+        let err = parse_snapshot(&unmeasured).err().expect("a null point");
+        assert!(err.contains("series \"ring\""), "{err}");
     }
 
     #[test]

@@ -12,8 +12,8 @@ use std::path::{Path, PathBuf};
 use ncd_core::{Comm, DriftConfig, MpiConfig};
 use ncd_simnet::{
     merge_comm_maps, merge_histories, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, History,
-    MetricsRegistry, Rank, RankCommMap, RankHistory, RunManifest, SimTime, Stats, TraceEvent,
-    SCHEMA_VERSION,
+    JsonWriter, MetricsRegistry, Rank, RankCommMap, RankHistory, RunManifest, SimTime, Stats,
+    TraceEvent,
 };
 
 pub mod baseline;
@@ -170,8 +170,9 @@ impl BenchCli {
         let table = ncd_core::render_compare(&diff, 10);
         print!("\n{table}");
         let bench_dir = root.join(name);
-        if ncd_core::write_diff_json(bench_dir.join("diff.json"), &diff).is_ok()
-            && std::fs::write(bench_dir.join("diff.txt"), &table).is_ok()
+        let json = ncd_core::diff_json(&diff);
+        if ncd_simnet::write_artifact(bench_dir.join("diff.json"), &json).is_ok()
+            && ncd_simnet::write_artifact(bench_dir.join("diff.txt"), &table).is_ok()
         {
             println!(
                 "differential written: {} (and diff.txt)",
@@ -196,11 +197,8 @@ impl BenchCli {
         match self.baseline {
             BaselineMode::Off => {}
             BaselineMode::Write => {
-                if let Some(parent) = path.parent() {
-                    std::fs::create_dir_all(parent).expect("create baseline dir");
-                }
-                std::fs::write(&path, baseline::snapshot_json(name, self.smoke, series))
-                    .expect("write baseline snapshot");
+                let json = baseline::snapshot_json(name, self.smoke, series);
+                ncd_simnet::write_artifact(&path, &json).expect("write baseline snapshot");
                 println!("baseline written: {}", path.display());
             }
             BaselineMode::Check => {
@@ -248,10 +246,8 @@ fn die(msg: String) -> ! {
 /// Best-effort write of `target/<sub>/<file>` (benches may run in
 /// read-only setups): the path when it worked.
 fn write_out(sub: &str, file: String, text: &str) -> Option<PathBuf> {
-    let dir = Path::new("target").join(sub);
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(file);
-    std::fs::write(&path, text).ok().map(|()| path)
+    let path = Path::new("target").join(sub).join(file);
+    ncd_simnet::write_artifact(&path, text).ok().map(|()| path)
 }
 
 /// Compose the full failure output for a baseline-gate regression: the
@@ -665,45 +661,23 @@ pub fn time_phase(
     capture
 }
 
-/// The `{"label":…,"points":[["x",y],…]}` objects of `series`, comma
-/// separated — the one series layout every JSON writer of this crate
-/// shares. `null_non_finite` writes a non-finite `y` as `null` (the two
-/// report writers) instead of Rust's `NaN`/`inf` (the baseline snapshot,
-/// whose gated latencies are finite and which must fail to parse rather
-/// than pass the gate if one ever is not).
-fn push_series_json(out: &mut String, series: &[Series], null_non_finite: bool) {
-    let esc = ncd_simnet::export::json_escape;
-    for (i, s) in series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"label\":\"{}\",\"points\":[", esc(&s.label)));
-        for (j, (x, y)) in s.points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            if null_non_finite && !y.is_finite() {
-                out.push_str(&format!("[\"{}\",null]", esc(x)));
-            } else {
-                out.push_str(&format!("[\"{}\",{y}]", esc(x)));
-            }
-        }
-        out.push_str("]}");
-    }
+/// `"series":[{"label":…,"points":[["x",y],…]},…]` — the one series
+/// layout every JSON writer of this crate shares.
+fn series_field(w: &mut JsonWriter, series: &[Series]) {
+    w.objects("series", series, |w, s| {
+        w.field("label", &s.label).field("points", &s.points);
+    });
 }
 
-/// Byte-stable JSON of a bench's series for the observatory ledger: the
-/// same `[x, y]` point layout as the figure report, led by the shared
-/// schema version so the differential engine can re-load it.
+/// JSON of a bench's series for the observatory ledger: the same
+/// `[x, y]` point layout as the figure report, led by the shared schema
+/// version so the differential engine can re-load it.
 pub fn series_json(name: &str, smoke: bool, series: &[Series]) -> String {
-    let mut out = format!(
-        "{{\"schema\":{SCHEMA_VERSION},\"name\":\"{}\",\"mode\":\"{}\",\"series\":[",
-        ncd_simnet::export::json_escape(name),
-        if smoke { "smoke" } else { "full" }
-    );
-    push_series_json(&mut out, series, true);
-    out.push_str("]}");
-    out
+    JsonWriter::schema_led(|w| {
+        w.field("name", name);
+        w.field("mode", if smoke { "smoke" } else { "full" });
+        series_field(w, series);
+    })
 }
 
 /// Persist one run into the observatory ledger
@@ -730,7 +704,9 @@ pub fn ledger_run(
         let metrics = ncd_simnet::metrics_json(m);
         add(
             "metrics.json",
-            format!("{{\"schema\":{SCHEMA_VERSION},\"metrics\":{metrics}}}"),
+            JsonWriter::schema_led(|w| {
+                w.key("metrics").raw(&metrics);
+            }),
         );
     }
     if let Some(map) = &capture.comm_map {
@@ -996,21 +972,16 @@ pub fn report(
     write_out("figures", format!("{name}.csv"), &csv);
 
     if cli.report_json {
-        let esc = ncd_simnet::export::json_escape;
-        let mut out = format!(
-            "{{\"name\":\"{}\",\"x_label\":\"{}\",\"y_label\":\"{}\",\"series\":[",
-            esc(name),
-            esc(x_label),
-            esc(y_label)
-        );
-        push_series_json(&mut out, series, true);
-        out.push(']');
-        if let Some(m) = metrics {
-            out.push_str(",\"metrics\":");
-            out.push_str(&ncd_simnet::metrics_json(m));
-        }
-        out.push('}');
-        if let Some(path) = write_out("figures", format!("{name}.json"), &out) {
+        let mut w = JsonWriter::new();
+        w.object(|w| {
+            w.field("name", name).field("x_label", x_label);
+            w.field("y_label", y_label);
+            series_field(w, series);
+            if let Some(m) = metrics {
+                w.key("metrics").raw(&ncd_simnet::metrics_json(m));
+            }
+        });
+        if let Some(path) = write_out("figures", format!("{name}.json"), &w.finish()) {
             println!("json report: {}", path.display());
         }
     }

@@ -1,12 +1,11 @@
-//! Every byte-stable export in the workspace must lead with the shared
-//! `SCHEMA_VERSION` from `ncd_simnet::export` — the observatory's
-//! compatibility handshake. A consumer (the differential engine, CI
-//! artifact tooling, a committed reference run) reads the version off the
-//! first bytes before trusting the rest; a writer that forgets the
-//! prefix, or bumps its own private version, breaks silently. This test
-//! drives one real traced run through the ledger and asserts the prefix
-//! on every artifact it persists, plus the writers the ledger does not
-//! own (baseline snapshots, the differential export, the manifest).
+//! The observatory's compatibility handshake, observed from outside: a
+//! consumer (the differential engine, CI artifact tooling, a committed
+//! reference run) reads `"schema":SCHEMA_VERSION` off the first bytes
+//! before trusting the rest. `ncd_simnet::json` writes that prefix in one
+//! place and tests it there; this test drives one real traced run
+//! through the ledger and checks what reaches disk — the prefix on every
+//! artifact, the artifact set, and the content-hash run id — plus a few
+//! writers the ledger does not own.
 
 use ncd_bench::{baseline, ledger_run, series_json, time_phase, Observe, Series};
 use ncd_core::{compare, diff_json, Comm, MpiConfig, RunRecord};

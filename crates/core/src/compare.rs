@@ -34,8 +34,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use ncd_simnet::ledger::{Json, LedgerRun};
-use ncd_simnet::{millis_to_ratio, ratio_to_millis, SimTime, SCHEMA_VERSION};
+use ncd_simnet::{
+    millis_to_ratio, parse_json, ratio_to_millis, Json, JsonValue, JsonWriter, LedgerRun, SimTime,
+};
 
 use crate::commstats::AlgorithmDecision;
 
@@ -154,30 +155,137 @@ pub struct RunRecord {
     pub diagnosis: Option<DiagnosisRecord>,
 }
 
-fn parse_artifact(run: &LedgerRun, name: &str) -> Result<Option<Json>, String> {
-    match run.artifact(name) {
-        None => Ok(None),
-        Some(text) => ncd_simnet::parse_json(text)
-            .map(Some)
-            .map_err(|e| format!("{name}: {e}")),
+/// `run`'s artifact `name`, parsed and handed to `load`; `None` when the
+/// run did not record it. Errors name the file.
+fn artifact<T>(
+    run: &LedgerRun,
+    name: &str,
+    load: impl FnOnce(&Json) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    run.artifact(name)
+        .map(|text| parse_json(text).and_then(|v| load(&v)))
+        .transpose()
+        .map_err(|e| format!("{name}: {e}"))
+}
+
+/// A `[a, b, …]` element of exactly `N` counts.
+fn counts<const N: usize>(v: &Json, what: &str) -> Result<[u64; N], String> {
+    let bad = || format!("{what} is not {N} numbers");
+    let items = v.as_array().filter(|a| a.len() == N).ok_or_else(bad)?;
+    let mut out = [0; N];
+    for (o, i) in out.iter_mut().zip(items) {
+        *o = i.as_u64().ok_or_else(bad)?;
     }
+    Ok(out)
 }
 
-fn req_u64(v: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing {key}"))
+fn load_series(v: &Json) -> Result<Vec<SeriesRecord>, String> {
+    v.list("series", |s| {
+        let points = s.list("points", |p| match p.as_array() {
+            Some([x, y]) => Ok((
+                x.as_str().ok_or("x not a string")?.to_string(),
+                y.as_f64().unwrap_or(f64::NAN),
+            )),
+            _ => Err("point is not a pair".to_string()),
+        })?;
+        Ok(SeriesRecord {
+            label: s.str("label")?.to_string(),
+            points,
+        })
+    })
 }
 
-fn req_str(v: &Json, key: &str, ctx: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{ctx}: missing {key}"))
+type Metrics = (Vec<(String, u64)>, Vec<HistogramRecord>);
+
+fn load_metrics(v: &Json) -> Result<Metrics, String> {
+    let m = v.field("metrics")?;
+    let counters = m.list("counters", |c| {
+        Ok((c.str("key")?.to_string(), c.u64("value")?))
+    })?;
+    let histograms = m.list("histograms", |h| {
+        Ok(HistogramRecord {
+            key: h.str("key")?.to_string(),
+            count: h.u64("count")?,
+            sum: h.u64("sum")?,
+            min: h.u64("min")?,
+            max: h.u64("max")?,
+            p50: h.u64("p50")?,
+            p90: h.u64("p90")?,
+            p99: h.u64("p99")?,
+            buckets: h.list("buckets", |b| counts(b, "bucket").map(<[u64; 2]>::into))?,
+        })
+    })?;
+    Ok((counters, histograms))
 }
 
-fn opt_str(v: &Json, key: &str) -> Option<String> {
-    v.get(key).and_then(Json::as_str).map(str::to_string)
+fn load_comm(v: &Json) -> Result<CommRecord, String> {
+    let total = v.field("total")?;
+    Ok(CommRecord {
+        ranks: v.u64("ranks")? as usize,
+        bytes: total.u64("bytes")?,
+        msgs: total.u64("msgs")?,
+        pairs: total.list("pairs", |p| {
+            counts(p, "pair").map(|[s, d, b, m]| (s as usize, d as usize, b, m))
+        })?,
+    })
+}
+
+fn load_path(v: &Json) -> Result<PathRecord, String> {
+    Ok(PathRecord {
+        makespan_ns: v.u64("makespan_ns")?,
+        message_hops: v.u64("message_hops")?,
+        steps: v.list("steps", |s| {
+            Ok(StepRecord {
+                rank: s.u64("rank")? as usize,
+                label: s.str("event")?.to_string(),
+                op: s.opt_str("op").map(str::to_string),
+                wait_ns: s.u64("wait_ns")?,
+                slack_ns: s.u64("slack_ns")?,
+            })
+        })?,
+        attribution: v.list("attribution", |a| {
+            let ranks = a.list("ranks", |r| Ok((r.u64("wait_ns")?, r.u64("transfer_ns")?)))?;
+            Ok((a.str("op")?.to_string(), ranks))
+        })?,
+    })
+}
+
+fn load_decisions(v: &Json) -> Result<Vec<DecisionRecord>, String> {
+    v.list("decisions", |d| {
+        Ok(DecisionRecord {
+            collective: d.str("collective")?.to_string(),
+            occurrence: d.u64("occurrence")? as u32,
+            n: d.u64("n")? as usize,
+            total_bytes: d.u64("total_bytes")?,
+            ratio_millis: d.u64("ratio_millis")?,
+            pow2: d.bool("pow2")?,
+            chosen: d.str("chosen")?.to_string(),
+            reason: d.str("reason")?.to_string(),
+        })
+    })
+}
+
+fn load_diagnosis(v: &Json) -> Result<DiagnosisRecord, String> {
+    Ok(DiagnosisRecord {
+        total_wait_ns: v.u64("total_wait_ns")?,
+        classified_ns: v.u64("classified_ns")?,
+        patterns: v.list("patterns", |p| {
+            Ok((
+                p.str("pattern")?.to_string(),
+                p.u64("severity_ns")?,
+                p.u64("instances")?,
+            ))
+        })?,
+        findings: v.list("findings", |f| {
+            Ok(FindingRecord {
+                pattern: f.str("pattern")?.to_string(),
+                op: f.opt_str("op").map(str::to_string),
+                blamed: f.u64("blamed")? as usize,
+                instances: f.u64("instances")?,
+                severity_ns: f.u64("severity_ns")?,
+            })
+        })?,
+    })
 }
 
 impl RunRecord {
@@ -185,248 +293,41 @@ impl RunRecord {
     /// malformed artifacts (a corrupted ledger must not silently compare
     /// as "unchanged").
     pub fn from_ledger(run: &LedgerRun) -> Result<RunRecord, String> {
-        let mut out = RunRecord {
+        let (counters, histograms) =
+            artifact(run, "metrics.json", load_metrics)?.unwrap_or_default();
+        Ok(RunRecord {
             bench: run.manifest.bench.clone(),
             mode: run.manifest.mode.clone(),
             run_id: run.manifest.run_id.clone(),
             knobs: run.manifest.knobs.clone(),
-            series: Vec::new(),
-            counters: Vec::new(),
-            histograms: Vec::new(),
-            comm: None,
-            path: None,
-            decisions: Vec::new(),
-            diagnosis: None,
-        };
-
-        if let Some(v) = parse_artifact(run, "series.json")? {
-            for s in v
-                .get("series")
-                .and_then(Json::as_array)
-                .ok_or("series.json: missing series")?
-            {
-                let label = req_str(s, "label", "series.json")?;
-                let mut points = Vec::new();
-                for p in s
-                    .get("points")
-                    .and_then(Json::as_array)
-                    .ok_or("series.json: missing points")?
-                {
-                    match p.as_array() {
-                        Some([x, y]) => points.push((
-                            x.as_str().ok_or("series.json: x not a string")?.to_string(),
-                            y.as_f64().unwrap_or(f64::NAN),
-                        )),
-                        _ => return Err("series.json: point is not a pair".to_string()),
-                    }
-                }
-                out.series.push(SeriesRecord { label, points });
-            }
-        }
-
-        if let Some(v) = parse_artifact(run, "metrics.json")? {
-            let m = v.get("metrics").ok_or("metrics.json: missing metrics")?;
-            for c in m
-                .get("counters")
-                .and_then(Json::as_array)
-                .ok_or("metrics.json: missing counters")?
-            {
-                out.counters.push((
-                    req_str(c, "key", "metrics.json")?,
-                    req_u64(c, "value", "metrics.json")?,
-                ));
-            }
-            for h in m
-                .get("histograms")
-                .and_then(Json::as_array)
-                .ok_or("metrics.json: missing histograms")?
-            {
-                let mut buckets = Vec::new();
-                for b in h
-                    .get("buckets")
-                    .and_then(Json::as_array)
-                    .ok_or("metrics.json: missing buckets")?
-                {
-                    match b.as_array() {
-                        Some([bound, count]) => buckets.push((
-                            bound.as_u64().ok_or("metrics.json: bad bucket bound")?,
-                            count.as_u64().ok_or("metrics.json: bad bucket count")?,
-                        )),
-                        _ => return Err("metrics.json: bucket is not a pair".to_string()),
-                    }
-                }
-                out.histograms.push(HistogramRecord {
-                    key: req_str(h, "key", "metrics.json")?,
-                    count: req_u64(h, "count", "metrics.json")?,
-                    sum: req_u64(h, "sum", "metrics.json")?,
-                    min: req_u64(h, "min", "metrics.json")?,
-                    max: req_u64(h, "max", "metrics.json")?,
-                    p50: req_u64(h, "p50", "metrics.json")?,
-                    p90: req_u64(h, "p90", "metrics.json")?,
-                    p99: req_u64(h, "p99", "metrics.json")?,
-                    buckets,
-                });
-            }
-        }
-
-        if let Some(v) = parse_artifact(run, "comm.json")? {
-            let total = v.get("total").ok_or("comm.json: missing total")?;
-            let mut pairs = Vec::new();
-            for p in total
-                .get("pairs")
-                .and_then(Json::as_array)
-                .ok_or("comm.json: missing pairs")?
-            {
-                match p.as_array() {
-                    Some([s, d, b, m]) => pairs.push((
-                        s.as_u64().ok_or("comm.json: bad src")? as usize,
-                        d.as_u64().ok_or("comm.json: bad dst")? as usize,
-                        b.as_u64().ok_or("comm.json: bad bytes")?,
-                        m.as_u64().ok_or("comm.json: bad msgs")?,
-                    )),
-                    _ => return Err("comm.json: pair is not a quad".to_string()),
-                }
-            }
-            out.comm = Some(CommRecord {
-                ranks: req_u64(&v, "ranks", "comm.json")? as usize,
-                bytes: req_u64(total, "bytes", "comm.json")?,
-                msgs: req_u64(total, "msgs", "comm.json")?,
-                pairs,
-            });
-        }
-
-        if let Some(v) = parse_artifact(run, "analysis.json")? {
-            let mut steps = Vec::new();
-            for s in v
-                .get("steps")
-                .and_then(Json::as_array)
-                .ok_or("analysis.json: missing steps")?
-            {
-                steps.push(StepRecord {
-                    rank: req_u64(s, "rank", "analysis.json")? as usize,
-                    label: req_str(s, "event", "analysis.json")?,
-                    op: opt_str(s, "op"),
-                    wait_ns: req_u64(s, "wait_ns", "analysis.json")?,
-                    slack_ns: req_u64(s, "slack_ns", "analysis.json")?,
-                });
-            }
-            let mut attribution = Vec::new();
-            for a in v
-                .get("attribution")
-                .and_then(Json::as_array)
-                .ok_or("analysis.json: missing attribution")?
-            {
-                let op = req_str(a, "op", "analysis.json")?;
-                let mut ranks = Vec::new();
-                for r in a
-                    .get("ranks")
-                    .and_then(Json::as_array)
-                    .ok_or("analysis.json: missing ranks")?
-                {
-                    ranks.push((
-                        req_u64(r, "wait_ns", "analysis.json")?,
-                        req_u64(r, "transfer_ns", "analysis.json")?,
-                    ));
-                }
-                attribution.push((op, ranks));
-            }
-            out.path = Some(PathRecord {
-                makespan_ns: req_u64(&v, "makespan_ns", "analysis.json")?,
-                message_hops: req_u64(&v, "message_hops", "analysis.json")?,
-                steps,
-                attribution,
-            });
-        }
-
-        if let Some(v) = parse_artifact(run, "decisions.json")? {
-            for d in v
-                .get("decisions")
-                .and_then(Json::as_array)
-                .ok_or("decisions.json: missing decisions")?
-            {
-                out.decisions.push(DecisionRecord {
-                    collective: req_str(d, "collective", "decisions.json")?,
-                    occurrence: req_u64(d, "occurrence", "decisions.json")? as u32,
-                    n: req_u64(d, "n", "decisions.json")? as usize,
-                    total_bytes: req_u64(d, "total_bytes", "decisions.json")?,
-                    ratio_millis: req_u64(d, "ratio_millis", "decisions.json")?,
-                    pow2: d
-                        .get("pow2")
-                        .and_then(Json::as_bool)
-                        .ok_or("decisions.json: missing pow2")?,
-                    chosen: req_str(d, "chosen", "decisions.json")?,
-                    reason: req_str(d, "reason", "decisions.json")?,
-                });
-            }
-        }
-
-        if let Some(v) = parse_artifact(run, "diagnosis.json")? {
-            let mut patterns = Vec::new();
-            for p in v
-                .get("patterns")
-                .and_then(Json::as_array)
-                .ok_or("diagnosis.json: missing patterns")?
-            {
-                patterns.push((
-                    req_str(p, "pattern", "diagnosis.json")?,
-                    req_u64(p, "severity_ns", "diagnosis.json")?,
-                    req_u64(p, "instances", "diagnosis.json")?,
-                ));
-            }
-            let mut findings = Vec::new();
-            for f in v
-                .get("findings")
-                .and_then(Json::as_array)
-                .ok_or("diagnosis.json: missing findings")?
-            {
-                findings.push(FindingRecord {
-                    pattern: req_str(f, "pattern", "diagnosis.json")?,
-                    op: opt_str(f, "op"),
-                    blamed: req_u64(f, "blamed", "diagnosis.json")? as usize,
-                    instances: req_u64(f, "instances", "diagnosis.json")?,
-                    severity_ns: req_u64(f, "severity_ns", "diagnosis.json")?,
-                });
-            }
-            out.diagnosis = Some(DiagnosisRecord {
-                total_wait_ns: req_u64(&v, "total_wait_ns", "diagnosis.json")?,
-                classified_ns: req_u64(&v, "classified_ns", "diagnosis.json")?,
-                patterns,
-                findings,
-            });
-        }
-
-        Ok(out)
+            series: artifact(run, "series.json", load_series)?.unwrap_or_default(),
+            counters,
+            histograms,
+            comm: artifact(run, "comm.json", load_comm)?,
+            path: artifact(run, "analysis.json", load_path)?,
+            decisions: artifact(run, "decisions.json", load_decisions)?.unwrap_or_default(),
+            diagnosis: artifact(run, "diagnosis.json", load_diagnosis)?,
+        })
     }
 }
 
-/// Byte-stable JSON export of a decision list (the `decisions.json`
-/// ledger artifact): occurrence indices assigned per collective in call
-/// order, ratios in integer thousandths so no float formatting drifts.
+/// JSON export of a decision list (the `decisions.json` ledger artifact):
+/// occurrence indices assigned per collective in call order, ratios in
+/// integer thousandths so no float formatting drifts.
 pub fn decisions_json(decisions: &[AlgorithmDecision]) -> String {
-    let esc = ncd_simnet::export::json_escape;
-    let mut out = format!("{{\"schema\":{SCHEMA_VERSION},\"decisions\":[");
     let mut occurrence: BTreeMap<&str, u32> = BTreeMap::new();
-    for (i, d) in decisions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let occ = occurrence.entry(d.collective.as_str()).or_insert(0);
-        let _ = write!(
-            out,
-            "{{\"collective\":\"{}\",\"occurrence\":{},\"n\":{},\"total_bytes\":{},\"ratio_millis\":{},\"pow2\":{},\"chosen\":\"{}\",\"reason\":\"{}\"}}",
-            esc(&d.collective),
-            occ,
-            d.n,
-            d.total_bytes,
-            ratio_to_millis(d.outlier_ratio),
-            d.pow2,
-            esc(&d.chosen),
-            esc(&d.reason),
-        );
-        *occ += 1;
-    }
-    out.push_str("]}");
-    out
+    JsonWriter::schema_led(|w| {
+        w.objects("decisions", decisions, |w, d| {
+            let occ = occurrence.entry(d.collective.as_str()).or_insert(0);
+            w.field("collective", &d.collective);
+            w.field("occurrence", *occ).field("n", d.n);
+            w.field("total_bytes", d.total_bytes);
+            w.field("ratio_millis", ratio_to_millis(d.outlier_ratio));
+            w.field("pow2", d.pow2).field("chosen", &d.chosen);
+            w.field("reason", &d.reason);
+            *occ += 1;
+        });
+    })
 }
 
 /// One series point that moved: positive delta = current is larger
@@ -1430,221 +1331,98 @@ pub fn render_compare(diff: &RunDiff, top_k: usize) -> String {
     out
 }
 
-/// Byte-stable JSON export of a differential (hand-rolled like every
-/// export in this workspace; golden-tested). Every numeric field is an
-/// integer — ratios and percentages in thousandths
-/// ([`ncd_simnet::millis_to_ratio`] converts back) — except the raw
-/// series values, whose shortest-round-trip formatting is stable for the
-/// parsed f64.
-pub fn diff_json(diff: &RunDiff) -> String {
-    let esc = ncd_simnet::export::json_escape;
-    let opt = |s: &Option<String>| match s {
-        Some(v) => format!("\"{}\"", esc(v)),
-        None => "null".to_string(),
-    };
-    let mut out = format!(
-        "{{\"schema\":{SCHEMA_VERSION},\"bench\":\"{}\",\"base\":\"{}\",\"current\":\"{}\",\"empty\":{},\"knobs\":[",
-        esc(&diff.bench),
-        esc(&diff.base_id),
-        esc(&diff.cur_id),
-        diff.is_empty(),
-    );
-    for (i, (k, b, c)) in diff.knob_deltas.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[\"{}\",\"{}\",\"{}\"]", esc(k), esc(b), esc(c));
+impl JsonValue for PathDiff {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("base_makespan_ns", self.base_makespan_ns);
+            w.field("cur_makespan_ns", self.cur_makespan_ns);
+            w.field("base_hops", self.base_hops);
+            w.field("cur_hops", self.cur_hops);
+            w.field("unaligned_base", self.unaligned_base);
+            w.field("unaligned_cur", self.unaligned_cur);
+            w.objects("steps", &self.step_deltas, |w, s| {
+                w.field("rank", s.rank).field("event", &s.label);
+                w.field("op", &s.op);
+                w.field("base_wait_ns", s.base_wait_ns);
+                w.field("cur_wait_ns", s.cur_wait_ns);
+                w.field("base_slack_ns", s.base_slack_ns);
+                w.field("cur_slack_ns", s.cur_slack_ns);
+            });
+            w.objects("attribution", &self.attribution_deltas, |w, a| {
+                w.field("op", &a.op).field("rank", a.rank);
+                w.field("base_wait_ns", a.base_wait_ns);
+                w.field("cur_wait_ns", a.cur_wait_ns);
+                w.field("base_transfer_ns", a.base_transfer_ns);
+                w.field("cur_transfer_ns", a.cur_transfer_ns);
+            });
+        });
     }
-    out.push_str("],\"causes\":[");
-    for (i, c) in diff.causes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"class\":\"{}\",\"magnitude\":{},\"evidence\":\"{}\"}}",
-            c.class.label(),
-            c.magnitude,
-            esc(&c.evidence)
-        );
-    }
-    out.push_str("],\"series\":[");
-    for (i, d) in diff.series_deltas.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"series\":\"{}\",\"x\":\"{}\",\"base\":{},\"current\":{},\"delta_pct_millis\":{}}}",
-            esc(&d.series),
-            esc(&d.x),
-            d.base,
-            d.current,
-            d.delta_pct_millis
-        );
-    }
-    out.push_str("],\"flips\":[");
-    for (i, f) in diff.flips.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"collective\":\"{}\",\"occurrence\":{},\"base\":\"{}\",\"current\":\"{}\",\"base_reason\":\"{}\",\"cur_reason\":\"{}\"}}",
-            esc(&f.collective),
-            f.occurrence,
-            esc(&f.base_chosen),
-            esc(&f.cur_chosen),
-            esc(&f.base_reason),
-            esc(&f.cur_reason)
-        );
-    }
-    out.push_str("],\"path\":");
-    match &diff.path {
-        None => out.push_str("null"),
-        Some(p) => {
-            let _ = write!(
-                out,
-                "{{\"base_makespan_ns\":{},\"cur_makespan_ns\":{},\"base_hops\":{},\"cur_hops\":{},\"unaligned_base\":{},\"unaligned_cur\":{},\"steps\":[",
-                p.base_makespan_ns,
-                p.cur_makespan_ns,
-                p.base_hops,
-                p.cur_hops,
-                p.unaligned_base,
-                p.unaligned_cur
-            );
-            for (i, s) in p.step_deltas.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"rank\":{},\"event\":\"{}\",\"op\":{},\"base_wait_ns\":{},\"cur_wait_ns\":{},\"base_slack_ns\":{},\"cur_slack_ns\":{}}}",
-                    s.rank,
-                    esc(&s.label),
-                    opt(&s.op),
-                    s.base_wait_ns,
-                    s.cur_wait_ns,
-                    s.base_slack_ns,
-                    s.cur_slack_ns
-                );
-            }
-            out.push_str("],\"attribution\":[");
-            for (i, a) in p.attribution_deltas.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"op\":\"{}\",\"rank\":{},\"base_wait_ns\":{},\"cur_wait_ns\":{},\"base_transfer_ns\":{},\"cur_transfer_ns\":{}}}",
-                    esc(&a.op),
-                    a.rank,
-                    a.base_wait_ns,
-                    a.cur_wait_ns,
-                    a.base_transfer_ns,
-                    a.cur_transfer_ns
-                );
-            }
-            out.push_str("]}");
-        }
-    }
-    out.push_str(",\"findings\":[");
-    for (i, f) in diff.finding_deltas.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"status\":\"{}\",\"pattern\":\"{}\",\"op\":{},\"blamed\":{},\"base_ns\":{},\"cur_ns\":{}}}",
-            f.status.label(),
-            esc(&f.pattern),
-            opt(&f.op),
-            f.blamed,
-            f.base_ns,
-            f.cur_ns
-        );
-    }
-    out.push_str("],\"comm\":");
-    match &diff.comm {
-        None => out.push_str("null"),
-        Some(c) => {
-            let _ = write!(
-                out,
-                "{{\"base_bytes\":{},\"cur_bytes\":{},\"new_pairs\":[",
-                c.base_bytes, c.cur_bytes
-            );
-            let pairs = |out: &mut String, pairs: &[(usize, usize, u64)]| {
-                for (i, (s, d, b)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "[{s},{d},{b}]");
-                }
-            };
-            pairs(&mut out, &c.new_pairs);
-            out.push_str("],\"vanished_pairs\":[");
-            pairs(&mut out, &c.vanished_pairs);
-            out.push_str("],\"new_hot\":[");
-            pairs(&mut out, &c.new_hot);
-            out.push_str("],\"vanished_hot\":[");
-            pairs(&mut out, &c.vanished_hot);
-            out.push_str("],\"cell_deltas\":[");
-            for (i, (s, d, delta)) in c.cell_deltas.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{s},{d},{delta}]");
-            }
-            out.push_str("]}");
-        }
-    }
-    out.push_str(",\"metrics\":[");
-    for (i, d) in diff.metric_deltas.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"key\":\"{}\",\"base\":{},\"current\":{}}}",
-            esc(&d.key),
-            d.base,
-            d.current
-        );
-    }
-    out.push_str("],\"histograms\":[");
-    for (i, h) in diff.histogram_shifts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"key\":\"{}\",\"base_mean_millis\":{},\"cur_mean_millis\":{},\"base_p90\":{},\"cur_p90\":{},\"moved_millis\":{}}}",
-            esc(&h.key),
-            h.base_mean_millis,
-            h.cur_mean_millis,
-            h.base_p90,
-            h.cur_p90,
-            h.moved_millis
-        );
-    }
-    out.push_str("],\"notes\":[");
-    for (i, n) in diff.notes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", esc(n));
-    }
-    out.push_str("]}");
-    out
 }
 
-/// Write [`diff_json`] to `path`, creating parent directories.
-pub fn write_diff_json(path: impl AsRef<std::path::Path>, diff: &RunDiff) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
+impl JsonValue for CommDiff {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("base_bytes", self.base_bytes);
+            w.field("cur_bytes", self.cur_bytes);
+            w.field("new_pairs", &self.new_pairs);
+            w.field("vanished_pairs", &self.vanished_pairs);
+            w.field("new_hot", &self.new_hot);
+            w.field("vanished_hot", &self.vanished_hot);
+            w.field("cell_deltas", &self.cell_deltas);
+        });
     }
-    std::fs::write(path, diff_json(diff))
+}
+
+/// JSON export of a differential (golden-tested). Every numeric field is
+/// an integer — ratios and percentages in thousandths
+/// ([`ncd_simnet::millis_to_ratio`] converts back) — except the raw
+/// series values, whose shortest-round-trip formatting is stable for the
+/// parsed f64 (`null` where the run recorded none).
+pub fn diff_json(diff: &RunDiff) -> String {
+    JsonWriter::schema_led(|w| {
+        w.field("bench", &diff.bench).field("base", &diff.base_id);
+        w.field("current", &diff.cur_id)
+            .field("empty", diff.is_empty());
+        w.field("knobs", &diff.knob_deltas);
+        w.objects("causes", &diff.causes, |w, c| {
+            w.field("class", c.class.label());
+            w.field("magnitude", c.magnitude);
+            w.field("evidence", &c.evidence);
+        });
+        w.objects("series", &diff.series_deltas, |w, d| {
+            w.field("series", &d.series).field("x", &d.x);
+            w.field("base", d.base).field("current", d.current);
+            w.field("delta_pct_millis", d.delta_pct_millis);
+        });
+        w.objects("flips", &diff.flips, |w, f| {
+            w.field("collective", &f.collective);
+            w.field("occurrence", f.occurrence);
+            w.field("base", &f.base_chosen);
+            w.field("current", &f.cur_chosen);
+            w.field("base_reason", &f.base_reason);
+            w.field("cur_reason", &f.cur_reason);
+        });
+        w.field("path", &diff.path);
+        w.objects("findings", &diff.finding_deltas, |w, f| {
+            w.field("status", f.status.label());
+            w.field("pattern", &f.pattern).field("op", &f.op);
+            w.field("blamed", f.blamed).field("base_ns", f.base_ns);
+            w.field("cur_ns", f.cur_ns);
+        });
+        w.field("comm", &diff.comm);
+        w.objects("metrics", &diff.metric_deltas, |w, d| {
+            w.field("key", &d.key).field("base", d.base);
+            w.field("current", d.current);
+        });
+        w.objects("histograms", &diff.histogram_shifts, |w, h| {
+            w.field("key", &h.key);
+            w.field("base_mean_millis", h.base_mean_millis);
+            w.field("cur_mean_millis", h.cur_mean_millis);
+            w.field("base_p90", h.base_p90).field("cur_p90", h.cur_p90);
+            w.field("moved_millis", h.moved_millis);
+        });
+        w.field("notes", &diff.notes);
+    })
 }
 
 /// Convenience used by tests and tooling: the outlier ratio a decision
@@ -1656,7 +1434,7 @@ pub fn decision_ratio(d: &DecisionRecord) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncd_simnet::ledger::RunManifest;
+    use ncd_simnet::{RunManifest, SCHEMA_VERSION};
 
     fn run_with(artifacts: &[(&str, String)]) -> RunRecord {
         let run = LedgerRun {
@@ -1676,17 +1454,14 @@ mod tests {
     }
 
     fn series_artifact(points: &[(&str, f64)]) -> String {
-        let mut out = String::from(
-            "{\"schema\":1,\"name\":\"t\",\"mode\":\"smoke\",\"series\":[{\"label\":\"lat\",\"points\":[",
-        );
-        for (i, (x, y)) in points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[\"{x}\",{y}]");
-        }
-        out.push_str("]}]}");
-        out
+        JsonWriter::schema_led(|w| {
+            w.field("name", "t").field("mode", "smoke");
+            w.key("series").array(|w| {
+                w.object(|w| {
+                    w.field("label", "lat").field("points", points);
+                });
+            });
+        })
     }
 
     #[test]
@@ -1710,6 +1485,23 @@ mod tests {
         assert!(!diff.is_empty());
         let table = render_compare(&diff, 10);
         assert!(table.contains("+50.0%"), "{table}");
+    }
+
+    /// A point one run did not measure is `null` in `series.json` and
+    /// NaN in the record: the delta must export as `null`, not `NaN`.
+    #[test]
+    fn unmeasured_points_export_as_null() {
+        let measured = run_with(&[("series.json", series_artifact(&[("1", 2.5)]))]);
+        let unmeasured = run_with(&[("series.json", series_artifact(&[("1", f64::NAN)]))]);
+        for (base, cur, expect) in [
+            (&unmeasured, &measured, "\"base\":null,\"current\":2.5"),
+            (&measured, &unmeasured, "\"base\":2.5,\"current\":null"),
+        ] {
+            let json = diff_json(&compare(base, cur));
+            assert!(json.contains(expect), "{json}");
+            let back = parse_json(&json).expect("diff.json parses back");
+            assert_eq!(back.array("series").map(<[Json]>::len), Ok(1));
+        }
     }
 
     #[test]

@@ -47,9 +47,9 @@ pub use commstats::{
     EpochAnalysis, Misselection, MisselectionAudit,
 };
 pub use compare::{
-    compare, decisions_json, diff_json, render_compare, write_diff_json, AttributionDelta, Cause,
-    CommDiff, DecisionFlip, DecisionRecord, FindingDelta, FindingStatus, HistogramShift,
-    MetricDelta, PathDiff, RegressionClass, RunDiff, RunRecord, SeriesDelta, StepDelta,
+    compare, decisions_json, diff_json, render_compare, AttributionDelta, Cause, CommDiff,
+    DecisionFlip, DecisionRecord, FindingDelta, FindingStatus, HistogramShift, MetricDelta,
+    PathDiff, RegressionClass, RunDiff, RunRecord, SeriesDelta, StepDelta,
 };
 pub use config::{MpiConfig, MpiFlavor};
 pub use diagnose::{remediation_hints, render_hints};
@@ -63,8 +63,8 @@ pub use select::{
     detect_outliers, detect_outliers_with_ratio, k_select, outlier_ratio_of, VolumeShape,
 };
 pub use whatif::{
-    causal_profile, plan_experiments, whatif_json, whatif_report, write_whatif_json, Action,
-    CausalProfile, Experiment, Outcome,
+    causal_profile, plan_experiments, whatif_json, whatif_report, Action, CausalProfile,
+    Experiment, Outcome,
 };
 
 // Re-export the layers below for convenience of downstream crates.

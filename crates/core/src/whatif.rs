@@ -29,9 +29,8 @@
 
 use std::fmt::Write as _;
 
-use ncd_simnet::export::json_escape;
 use ncd_simnet::{
-    Cluster, ClusterConfig, CostKnobs, Diagnosis, KnobDim, WaitPattern, SCHEMA_VERSION,
+    Cluster, ClusterConfig, CostKnobs, Diagnosis, JsonValue, JsonWriter, KnobDim, WaitPattern,
 };
 
 use crate::coll::{AllgathervAlgorithm, AlltoallwSchedule};
@@ -66,28 +65,22 @@ impl Action {
             Action::PinAlltoallw(s) => format!("pin alltoallw={}", s.label()),
         }
     }
+}
 
-    fn json(&self) -> String {
-        match self {
+impl JsonValue for Action {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let pin = |w: &mut JsonWriter, collective: &str, algorithm: &str| {
+            w.field("kind", "pin").field("collective", collective);
+            w.field("algorithm", algorithm);
+        };
+        w.object(|w| match self {
             Action::Cost { rank, dim, factor } => {
-                let rank = match rank {
-                    Some(r) => r.to_string(),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{{\"kind\":\"cost\",\"rank\":{rank},\"dim\":\"{}\",\"factor\":{factor}}}",
-                    dim.label()
-                )
+                w.field("kind", "cost").field("rank", rank);
+                w.field("dim", dim.label()).field("factor", factor);
             }
-            Action::PinAllgatherv(a) => format!(
-                "{{\"kind\":\"pin\",\"collective\":\"allgatherv\",\"algorithm\":\"{}\"}}",
-                a.label()
-            ),
-            Action::PinAlltoallw(s) => format!(
-                "{{\"kind\":\"pin\",\"collective\":\"alltoallw\",\"algorithm\":\"{}\"}}",
-                s.label()
-            ),
-        }
+            Action::PinAllgatherv(a) => pin(w, "allgatherv", a.label()),
+            Action::PinAlltoallw(s) => pin(w, "alltoallw", s.label()),
+        });
     }
 }
 
@@ -453,53 +446,24 @@ pub fn whatif_report(p: &CausalProfile) -> String {
     out
 }
 
-/// Byte-stable JSON of the causal profile, led by the shared schema
-/// version like every observatory artifact.
+/// JSON of the causal profile, led by the shared schema version like
+/// every observatory artifact.
 pub fn whatif_json(p: &CausalProfile) -> String {
-    let mut out = format!(
-        "{{\"schema\":{SCHEMA_VERSION},\"baseline_ns\":{},\"experiments\":[",
-        p.baseline_ns
-    );
-    for (i, o) in p.outcomes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let target = match o.experiment.target_finding {
-            Some(t) => t.to_string(),
-            None => "null".to_string(),
-        };
-        let _ = write!(
-            out,
-            "{{\"id\":\"{}\",\"rationale\":\"{}\",\"target_finding\":{target},\"actions\":[",
-            json_escape(&o.experiment.id),
-            json_escape(&o.experiment.rationale),
-        );
-        for (j, a) in o.experiment.actions.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&a.json());
-        }
-        let _ = write!(
-            out,
-            "],\"makespan_ns\":{},\"gain_ns\":{},\"gain_pct\":{:.4},\"spread_ns\":{},\"confidence\":{:.4}}}",
-            o.makespan_ns, o.gain_ns, o.gain_pct, o.spread_ns, o.confidence,
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Write [`whatif_json`] to a file, creating parent directories.
-pub fn write_whatif_json(
-    path: impl AsRef<std::path::Path>,
-    p: &CausalProfile,
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, whatif_json(p))
+    JsonWriter::schema_led(|w| {
+        w.field("baseline_ns", p.baseline_ns);
+        w.objects("experiments", &p.outcomes, |w, o| {
+            w.field("id", &o.experiment.id);
+            w.field("rationale", &o.experiment.rationale);
+            w.field("target_finding", o.experiment.target_finding);
+            w.field("actions", &o.experiment.actions);
+            w.field("makespan_ns", o.makespan_ns);
+            w.field("gain_ns", o.gain_ns);
+            w.key("gain_pct").number(format_args!("{:.4}", o.gain_pct));
+            w.field("spread_ns", o.spread_ns);
+            w.key("confidence")
+                .number(format_args!("{:.4}", o.confidence));
+        });
+    })
 }
 
 #[cfg(test)]

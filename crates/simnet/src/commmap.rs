@@ -28,11 +28,8 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
-use crate::export::json_escape;
+use crate::json::JsonWriter;
 
 /// Per-rank accumulator: bytes/messages delivered *to this rank*, keyed
 /// by source, with closed epoch snapshots. Owned by [`crate::Rank`];
@@ -356,60 +353,26 @@ pub fn render_heatmap(m: &CommMatrix) -> String {
     out
 }
 
-fn json_pairs(out: &mut String, m: &CommMatrix) {
-    let _ = write!(
-        out,
-        "\"bytes\":{},\"msgs\":{},\"pairs\":[",
-        m.total_bytes(),
-        m.total_msgs()
-    );
-    for (i, (src, dst, bytes, msgs)) in m.nonzero_pairs().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{src},{dst},{bytes},{msgs}]");
-    }
-    out.push(']');
+/// The `bytes, msgs, pairs` members of one matrix object.
+fn json_pairs(w: &mut JsonWriter, m: &CommMatrix) {
+    w.field("bytes", m.total_bytes())
+        .field("msgs", m.total_msgs());
+    w.field("pairs", m.nonzero_pairs());
 }
 
-/// Serialize the merged map as JSON. Hand-rolled for byte stability
-/// (golden-tested): fixed field order, nonzero pairs only as
-/// `[src, dst, bytes, msgs]` in `(src, dst)` order, epochs in merge
+/// Serialize the merged map as JSON (golden-tested): nonzero pairs only
+/// as `[src, dst, bytes, msgs]` in `(src, dst)` order, epochs in merge
 /// order.
 pub fn comm_matrix_json(map: &ClusterCommMap) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":{},\"ranks\":{},\"total\":{{",
-        crate::export::SCHEMA_VERSION,
-        map.n
-    );
-    json_pairs(&mut out, &map.total);
-    out.push_str("},\"epochs\":[");
-    for (i, epoch) in map.epochs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"label\":\"{}\",\"occurrence\":{},",
-            json_escape(&epoch.label),
-            epoch.occurrence
-        );
-        json_pairs(&mut out, &epoch.matrix);
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Write [`comm_matrix_json`] to `path`, creating parent directories.
-pub fn write_comm_matrix_json(path: impl AsRef<Path>, map: &ClusterCommMap) -> io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, comm_matrix_json(map))
+    JsonWriter::schema_led(|w| {
+        w.field("ranks", map.n);
+        w.key("total").object(|w| json_pairs(w, &map.total));
+        w.objects("epochs", &map.epochs, |w, epoch| {
+            w.field("label", &epoch.label);
+            w.field("occurrence", epoch.occurrence);
+            json_pairs(w, &epoch.matrix);
+        });
+    })
 }
 
 #[cfg(test)]

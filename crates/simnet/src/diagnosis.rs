@@ -53,7 +53,7 @@ use std::fmt::Write as _;
 
 use crate::analysis::{attribute_rounds, HbGraph, NodeId};
 use crate::commmap::{render_heatmap, CommMatrix};
-use crate::export::{json_escape, SCHEMA_VERSION};
+use crate::json::JsonWriter;
 use crate::recorder::{last_run_recorders, RecCode};
 use crate::time::SimTime;
 use crate::trace::{EventKind, TraceEvent};
@@ -534,77 +534,31 @@ pub fn diagnosis_report(traces: &[Vec<TraceEvent>]) -> String {
     diagnose(traces).render(10)
 }
 
-/// Byte-stable JSON export of a diagnosis (hand-rolled like every export
-/// in this workspace; golden-tested).
+/// JSON export of a diagnosis (golden-tested).
 pub fn diagnosis_json(d: &Diagnosis) -> String {
-    let mut out = format!(
-        "{{\"schema\":{SCHEMA_VERSION},\"ranks\":{},\"makespan_ns\":{},\"total_wait_ns\":{},\"classified_ns\":{},\"patterns\":[",
-        d.n,
-        d.makespan.as_ns(),
-        d.total_wait.as_ns(),
-        d.classified.as_ns(),
-    );
-    for (i, (p, sev, count)) in d.per_pattern.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"pattern\":\"{}\",\"instances\":{},\"severity_ns\":{}}}",
-            p.label(),
-            count,
-            sev.as_ns(),
-        );
-    }
-    out.push_str("],\"findings\":[");
-    for (i, f) in d.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let op = match &f.op {
-            Some(op) => format!("\"{}\"", json_escape(op)),
-            None => "null".to_string(),
-        };
-        let _ = write!(
-            out,
-            "{{\"pattern\":\"{}\",\"op\":{op},\"blamed\":{},\"waiters\":{},\"instances\":{},\"severity_ns\":{},\"max_ns\":{}",
-            f.pattern.label(),
-            f.blamed,
-            f.waiters,
-            f.instances,
-            f.severity.as_ns(),
-            f.max_severity.as_ns(),
-        );
-        if let Some(gain) = f.verified_gain {
-            let _ = write!(out, ",\"verified_gain_ns\":{gain}");
-        }
-        out.push('}');
-    }
-    out.push_str("],\"blame\":[");
-    for (i, (src, dst, ns, count)) in d.blame.nonzero_pairs().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{src},{dst},{ns},{count}]");
-    }
-    let _ = write!(
-        out,
-        "],\"unmatched_recvs\":{},\"unmatched_sends\":{}}}",
-        d.unmatched_recvs, d.unmatched_sends,
-    );
-    out
-}
-
-/// Write [`diagnosis_json`] to a file, creating parent directories.
-pub fn write_diagnosis_json(
-    path: impl AsRef<std::path::Path>,
-    d: &Diagnosis,
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, diagnosis_json(d))
+    JsonWriter::schema_led(|w| {
+        w.field("ranks", d.n);
+        w.field("makespan_ns", d.makespan.as_ns());
+        w.field("total_wait_ns", d.total_wait.as_ns());
+        w.field("classified_ns", d.classified.as_ns());
+        w.objects("patterns", &d.per_pattern, |w, (p, sev, count)| {
+            w.field("pattern", p.label()).field("instances", count);
+            w.field("severity_ns", sev.as_ns());
+        });
+        w.objects("findings", &d.findings, |w, f| {
+            w.field("pattern", f.pattern.label()).field("op", &f.op);
+            w.field("blamed", f.blamed).field("waiters", f.waiters);
+            w.field("instances", f.instances);
+            w.field("severity_ns", f.severity.as_ns());
+            w.field("max_ns", f.max_severity.as_ns());
+            if let Some(gain) = f.verified_gain {
+                w.field("verified_gain_ns", gain);
+            }
+        });
+        w.field("blame", d.blame.nonzero_pairs());
+        w.field("unmatched_recvs", d.unmatched_recvs);
+        w.field("unmatched_sends", d.unmatched_sends);
+    })
 }
 
 /// Mirror the `top_k` highest-severity findings into the last run's
@@ -807,7 +761,7 @@ pub fn check_severity_bound(traces: &[Vec<TraceEvent>], d: &Diagnosis) -> Option
 mod tests {
     use super::*;
     use crate::runtime::{Cluster, ClusterConfig};
-    use crate::Tag;
+    use crate::{Tag, SCHEMA_VERSION};
 
     /// Rank 0 computes before sending: rank 1's blocked recv is a plain
     /// late-sender blamed on 0.

@@ -8,418 +8,297 @@
 //! instant (`"i"`) events for marks and collective rounds. Timestamps are
 //! microseconds of simulated time with nanosecond precision.
 //!
-//! Everything here is hand-rolled string building — no serde — with a
-//! fixed field order (`name, cat, ph, ts, dur, pid, tid, s, args`) so the
-//! output is byte-stable and golden-testable.
+//! Rendering goes through [`crate::json::JsonWriter`]; the event field
+//! order is `name, cat, ph, ts, dur, pid, tid, s, args`.
+
+use std::fmt;
 
 use crate::analysis::{CriticalPath, RoundAttribution};
+use crate::json::{JsonValue, JsonWriter};
 use crate::metrics::MetricsRegistry;
 use crate::profile::Profiler;
 use crate::time::SimTime;
 use crate::trace::{EventKind, TraceEvent};
 
-/// Format version stamped as the leading `"schema"` field of every
-/// byte-stable analysis-side JSON export (`analysis_json`,
-/// `comm_matrix_json`, `history_json`, `diagnosis_json`), so downstream
-/// tooling can detect format drift. Bump on any breaking shape change
-/// and regenerate the goldens. (The Chrome trace export follows the
-/// external trace-event format and is not versioned here.)
-pub const SCHEMA_VERSION: u32 = 1;
-
-/// Escape a string for inclusion in a JSON string literal (quotes not
-/// included).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Simulated time as a Chrome-trace timestamp: microseconds with
 /// nanosecond (3-decimal) precision.
-fn ts(t: SimTime) -> String {
-    format!("{}.{:03}", t.as_ns() / 1_000, t.as_ns() % 1_000)
-}
+struct Ts(SimTime);
 
-fn complete_event(
-    out: &mut String,
-    name: &str,
-    cat: &str,
-    start: SimTime,
-    end: SimTime,
-    rank: usize,
-    args: &str,
-) {
-    out.push_str(&format!(
-        "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{rank}",
-        json_escape(name),
-        ts(start),
-        ts(end.saturating_sub(start)),
-    ));
-    if !args.is_empty() {
-        out.push_str(&format!(",\"args\":{{{args}}}"));
+impl fmt::Display for Ts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}.{:03}",
+            self.0.as_ns() / 1_000,
+            self.0.as_ns() % 1_000
+        )
     }
-    out.push('}');
 }
 
-fn instant_event(out: &mut String, name: &str, cat: &str, at: SimTime, rank: usize) {
-    // "s":"t" scopes the instant to its thread (rank) lane.
-    out.push_str(&format!(
-        "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{rank},\"s\":\"t\"}}",
-        json_escape(name),
-        ts(at),
-    ));
-}
-
-fn counter_event(out: &mut String, name: &str, cat: &str, at: SimTime, args: &str) {
-    // Counter ("C") events form a dedicated sampled track per name; the
-    // viewer plots args values over time. Counters are per-process, so the
-    // rank goes into the name to keep one track per rank.
-    out.push_str(&format!(
-        "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"args\":{{{args}}}}}",
-        json_escape(name),
-        ts(at),
-    ));
-}
+/// One `"key":value` of an event's `args`.
+type Arg<'a> = (&'a str, &'a dyn JsonValue);
 
 /// Serialize per-rank traces (indexed by rank, as returned by
 /// [`crate::Cluster::run`] collecting [`crate::Rank::take_trace`]) into
 /// Chrome trace-event JSON.
 pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
     // Metadata: name the process and one thread per rank, so the viewer
     // shows "rank N" lanes in order.
-    out.push_str(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"simnet\"}}",
-    );
-    for rank in 0..traces.len() {
-        out.push_str(&format!(
-            ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{rank},\"args\":{{\"name\":\"rank {rank}\"}}}}"
-        ));
-    }
-    for (rank, events) in traces.iter().enumerate() {
-        for e in events {
-            out.push(',');
-            match &e.kind {
-                EventKind::Send { dst, bytes, seq } => complete_event(
-                    &mut out,
-                    &format!("send to {dst}"),
-                    "comm",
-                    e.start,
-                    e.end,
-                    rank,
-                    &format!("\"dst\":{dst},\"bytes\":{bytes},\"seq\":{seq}"),
-                ),
-                EventKind::Recv {
-                    src,
-                    bytes,
-                    seq,
-                    wait,
-                } => complete_event(
-                    &mut out,
-                    &format!("recv from {src}"),
-                    "comm",
-                    e.start,
-                    e.end,
-                    rank,
-                    &format!(
-                        "\"src\":{src},\"bytes\":{bytes},\"seq\":{seq},\"wait_ns\":{}",
-                        wait.as_ns()
-                    ),
-                ),
-                EventKind::Span { name } => {
-                    complete_event(&mut out, name, "stage", e.start, e.end, rank, "")
-                }
-                EventKind::Mark { label } => instant_event(&mut out, label, "mark", e.start, rank),
-                EventKind::Round { op, round } => instant_event(
-                    &mut out,
-                    &format!("{op} round {round}"),
-                    "round",
-                    e.start,
-                    rank,
-                ),
-                EventKind::PackBlock {
-                    engine,
-                    index,
-                    sparse,
-                    seek,
-                    lookahead,
-                    bytes,
-                } => {
-                    // The block itself as a span on the rank's lane...
-                    complete_event(
-                        &mut out,
-                        &format!("pack {engine} block {index}"),
-                        "datatype",
-                        e.start,
-                        e.end,
-                        rank,
-                        &format!(
-                            "\"engine\":\"{}\",\"sparse\":{sparse},\"seek\":{seek},\"lookahead\":{lookahead},\"bytes\":{bytes}",
-                            json_escape(engine)
-                        ),
-                    );
-                    // ...plus a per-rank counter track sampling the seek
-                    // cost, so single-cursor runs show a growing staircase
-                    // while dual-context stays flat at zero.
-                    out.push(',');
-                    counter_event(
-                        &mut out,
-                        &format!("pack seek (rank {rank})"),
-                        "datatype",
-                        e.start,
-                        &format!("\"seek\":{seek},\"lookahead\":{lookahead}"),
-                    );
-                }
-                EventKind::IrecvPost { src, tag: _ } => instant_event(
-                    &mut out,
-                    &match src {
-                        Some(s) => format!("irecv posted (src {s})"),
-                        None => "irecv posted (any src)".to_string(),
-                    },
-                    "request",
-                    e.start,
-                    rank,
-                ),
-                EventKind::SendWait { residual } => complete_event(
-                    &mut out,
-                    "send drain",
-                    "request",
-                    e.start,
-                    e.end,
-                    rank,
-                    &format!("\"residual_ns\":{}", residual.as_ns()),
-                ),
-                EventKind::AlgoDecision {
-                    collective,
-                    n,
-                    total_bytes,
-                    ratio_millis,
-                    pow2,
-                    chosen,
-                    reason,
-                } => complete_event(
-                    // Zero-duration complete event rather than an instant:
-                    // only "X" events carry args in this exporter, and the
-                    // reason string is the point.
-                    &mut out,
-                    &format!("{collective} -> {chosen}"),
-                    "decision",
-                    e.start,
-                    e.end,
-                    rank,
-                    &format!(
-                        "\"n\":{n},\"total_bytes\":{total_bytes},\"ratio_millis\":{ratio_millis},\"pow2\":{pow2},\"reason\":\"{}\"",
-                        json_escape(reason)
-                    ),
-                ),
-                EventKind::Drift {
-                    label,
-                    metric,
-                    occurrence,
-                    up,
-                    baseline_millis,
-                    observed_millis,
-                } => complete_event(
-                    // Zero-duration complete event, like decisions: only
-                    // "X" events carry args, and the shift evidence is the
-                    // point.
-                    &mut out,
-                    &format!("drift {label} {metric}"),
-                    "drift",
-                    e.start,
-                    e.end,
-                    rank,
-                    &format!(
-                        "\"label\":\"{}\",\"metric\":\"{}\",\"occurrence\":{occurrence},\"up\":{up},\"baseline_millis\":{baseline_millis},\"observed_millis\":{observed_millis}",
-                        json_escape(label),
-                        json_escape(metric)
-                    ),
-                ),
+    let meta = |w: &mut JsonWriter, what: &str, tid: Option<usize>, name: fmt::Arguments<'_>| {
+        w.object(|w| {
+            w.field("name", what).field("ph", "M").field("pid", 0);
+            if let Some(tid) = tid {
+                w.field("tid", tid);
             }
-        }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
+            w.key("args").object(|w| {
+                w.field("name", name);
+            });
+        });
+    };
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("traceEvents").array(|w| {
+            meta(w, "process_name", None, format_args!("simnet"));
+            for rank in 0..traces.len() {
+                meta(w, "thread_name", Some(rank), format_args!("rank {rank}"));
+            }
+            for (rank, events) in traces.iter().enumerate() {
+                for e in events {
+                    trace_event(w, rank, e);
+                }
+            }
+        });
+        w.field("displayTimeUnit", "ns");
+    });
+    w.finish()
 }
 
-/// Write [`chrome_trace_json`] output to `path` (creating parent
-/// directories).
-pub fn write_chrome_trace(
-    path: impl AsRef<std::path::Path>,
-    traces: &[Vec<TraceEvent>],
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
+/// One trace event as its Chrome event(s): every kind is a name, a
+/// category, a phase and its `args`.
+fn trace_event(w: &mut JsonWriter, rank: usize, e: &TraceEvent) {
+    // Phases: complete ("X") events span `start..end` on the rank's lane
+    // and are the only lane events carrying args; instants ("i") mark a
+    // point on the lane ("s":"t" scopes them to the thread); counter ("C")
+    // events form one sampled per-process track per name.
+    let mut emit = |name: fmt::Arguments<'_>, cat: &str, ph: &str, args: &[Arg<'_>]| {
+        w.object(|w| {
+            w.field("name", name).field("cat", cat).field("ph", ph);
+            w.key("ts").number(Ts(e.start));
+            if ph == "X" {
+                w.key("dur").number(Ts(e.end.saturating_sub(e.start)));
+            }
+            w.field("pid", 0);
+            if ph != "C" {
+                w.field("tid", rank);
+            }
+            if ph == "i" {
+                w.field("s", "t");
+            }
+            if !args.is_empty() {
+                w.key("args").object(|w| {
+                    for (key, value) in args {
+                        w.field(key, value);
+                    }
+                });
+            }
+        });
+    };
+    match &e.kind {
+        EventKind::Send { dst, bytes, seq } => emit(
+            format_args!("send to {dst}"),
+            "comm",
+            "X",
+            &[("dst", dst), ("bytes", bytes), ("seq", seq)],
+        ),
+        EventKind::Recv {
+            src,
+            bytes,
+            seq,
+            wait,
+        } => emit(
+            format_args!("recv from {src}"),
+            "comm",
+            "X",
+            &[
+                ("src", src),
+                ("bytes", bytes),
+                ("seq", seq),
+                ("wait_ns", &wait.as_ns()),
+            ],
+        ),
+        EventKind::Span { name } => emit(format_args!("{name}"), "stage", "X", &[]),
+        EventKind::Mark { label } => emit(format_args!("{label}"), "mark", "i", &[]),
+        EventKind::Round { op, round } => {
+            emit(format_args!("{op} round {round}"), "round", "i", &[])
+        }
+        EventKind::PackBlock {
+            engine,
+            index,
+            sparse,
+            seek,
+            lookahead,
+            bytes,
+        } => {
+            // The block itself as a span on the rank's lane...
+            emit(
+                format_args!("pack {engine} block {index}"),
+                "datatype",
+                "X",
+                &[
+                    ("engine", engine),
+                    ("sparse", sparse),
+                    ("seek", seek),
+                    ("lookahead", lookahead),
+                    ("bytes", bytes),
+                ],
+            );
+            // ...plus a counter track sampling the seek cost, so
+            // single-cursor runs show a growing staircase while
+            // dual-context stays flat at zero. The rank goes into the
+            // name to keep one track per rank.
+            emit(
+                format_args!("pack seek (rank {rank})"),
+                "datatype",
+                "C",
+                &[("seek", seek), ("lookahead", lookahead)],
+            );
+        }
+        EventKind::IrecvPost { src: Some(s), .. } => {
+            emit(format_args!("irecv posted (src {s})"), "request", "i", &[])
+        }
+        EventKind::IrecvPost { src: None, .. } => {
+            emit(format_args!("irecv posted (any src)"), "request", "i", &[])
+        }
+        EventKind::SendWait { residual } => emit(
+            format_args!("send drain"),
+            "request",
+            "X",
+            &[("residual_ns", &residual.as_ns())],
+        ),
+        // Decisions and drift flags are zero-duration complete events
+        // rather than instants: the reason string and the shift evidence
+        // are the point, and only "X" events carry args here.
+        EventKind::AlgoDecision {
+            collective,
+            n,
+            total_bytes,
+            ratio_millis,
+            pow2,
+            chosen,
+            reason,
+        } => emit(
+            format_args!("{collective} -> {chosen}"),
+            "decision",
+            "X",
+            &[
+                ("n", n),
+                ("total_bytes", total_bytes),
+                ("ratio_millis", ratio_millis),
+                ("pow2", pow2),
+                ("reason", reason),
+            ],
+        ),
+        EventKind::Drift {
+            label,
+            metric,
+            occurrence,
+            up,
+            baseline_millis,
+            observed_millis,
+        } => emit(
+            format_args!("drift {label} {metric}"),
+            "drift",
+            "X",
+            &[
+                ("label", label),
+                ("metric", metric),
+                ("occurrence", occurrence),
+                ("up", up),
+                ("baseline_millis", baseline_millis),
+                ("observed_millis", observed_millis),
+            ],
+        ),
     }
-    std::fs::write(path, chrome_trace_json(traces))
 }
 
 /// JSON snapshot of a metrics registry: counters, gauges, and histograms
 /// with count/sum/min/max, p50/p90/p99, and the non-empty log₂ buckets as
 /// `[upper_bound, count]` pairs.
 pub fn metrics_json(reg: &MetricsRegistry) -> String {
-    let mut out = String::from("{\"counters\":[");
-    for (i, (k, v)) in reg.counters().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"key\":\"{}\",\"value\":{v}}}",
-            json_escape(&k.path())
-        ));
-    }
-    out.push_str("],\"gauges\":[");
-    for (i, (k, v)) in reg.gauges().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"key\":\"{}\",\"value\":{v}}}",
-            json_escape(&k.path())
-        ));
-    }
-    out.push_str("],\"histograms\":[");
-    for (i, (k, h)) in reg.histograms().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"key\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-            json_escape(&k.path()),
-            h.count(),
-            h.sum(),
-            h.min(),
-            h.max(),
-            h.p50(),
-            h.p90(),
-            h.p99(),
-        ));
-        for (j, (bound, count)) in h.nonzero_buckets().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{bound},{count}]"));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.objects("counters", reg.counters(), |w, (k, v)| {
+            w.field("key", k.path()).field("value", v);
+        });
+        w.objects("gauges", reg.gauges(), |w, (k, v)| {
+            w.field("key", k.path()).field("value", v);
+        });
+        w.objects("histograms", reg.histograms(), |w, (k, h)| {
+            w.field("key", k.path()).field("count", h.count());
+            w.field("sum", h.sum()).field("min", h.min());
+            w.field("max", h.max()).field("p50", h.p50());
+            w.field("p90", h.p90()).field("p99", h.p99());
+            w.key("buckets").array(|w| {
+                for bucket in h.nonzero_buckets() {
+                    w.value(bucket);
+                }
+            });
+        });
+    });
+    w.finish()
 }
 
 /// JSON snapshot of a profiler's accumulated stages.
 pub fn profile_json(p: &Profiler) -> String {
-    let mut out = String::from("[");
-    for (i, (path, s)) in p.stages().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let mut w = JsonWriter::new();
+    w.array(|w| {
+        for (path, s) in p.stages() {
+            w.object(|w| {
+                w.field("stage", path).field("count", s.count);
+                w.field("inclusive_ns", s.inclusive.as_ns());
+                w.field("exclusive_ns", s.exclusive.as_ns());
+            });
         }
-        out.push_str(&format!(
-            "{{\"stage\":\"{}\",\"count\":{},\"inclusive_ns\":{},\"exclusive_ns\":{}}}",
-            json_escape(path),
-            s.count,
-            s.inclusive.as_ns(),
-            s.exclusive.as_ns(),
-        ));
-    }
-    out.push(']');
-    out
+    });
+    w.finish()
 }
 
-/// JSON snapshot of a critical-path analysis plus round attribution —
-/// same byte-stable hand-rolled style as the other exports, suitable for
-/// committing as a CI artifact or diffing across commits.
+/// JSON snapshot of a critical-path analysis plus round attribution,
+/// suitable for committing as a CI artifact or diffing across commits.
 pub fn analysis_json(path: &CriticalPath, attr: &RoundAttribution) -> String {
-    let mut out = format!(
-        "{{\"schema\":{SCHEMA_VERSION},\"makespan_ns\":{},\"message_hops\":{},\"steps\":[",
-        path.makespan.as_ns(),
-        path.message_hops
-    );
-    for (i, s) in path.steps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let op = match &s.op {
-            Some(op) => format!("\"{}\"", json_escape(op)),
-            None => "null".to_string(),
-        };
-        out.push_str(&format!(
-            "{{\"rank\":{},\"event\":\"{}\",\"op\":{op},\"start_ns\":{},\"end_ns\":{},\"wait_ns\":{},\"via_message\":{},\"slack_ns\":{}}}",
-            s.rank,
-            json_escape(&s.label),
-            s.start.as_ns(),
-            s.end.as_ns(),
-            s.wait.as_ns(),
-            s.via_message,
-            s.slack.as_ns(),
-        ));
-    }
-    out.push_str("],\"attribution\":[");
-    for (i, (op, ranks)) in attr.per_op.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"op\":\"{}\",\"ranks\":[", json_escape(op)));
-        for (j, s) in ranks.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rounds\":{},\"wait_ns\":{},\"transfer_ns\":{},\"msgs\":{},\"bytes\":{}}}",
-                s.rounds,
-                s.wait.as_ns(),
-                s.transfer.as_ns(),
-                s.msgs,
-                s.bytes,
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Write [`analysis_json`] output to `path` (creating parent directories).
-pub fn write_analysis_json(
-    out_path: impl AsRef<std::path::Path>,
-    path: &CriticalPath,
-    attr: &RoundAttribution,
-) -> std::io::Result<()> {
-    let out_path = out_path.as_ref();
-    if let Some(parent) = out_path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(out_path, analysis_json(path, attr))
+    JsonWriter::schema_led(|w| {
+        w.field("makespan_ns", path.makespan.as_ns());
+        w.field("message_hops", path.message_hops);
+        w.objects("steps", &path.steps, |w, s| {
+            w.field("rank", s.rank).field("event", &s.label);
+            w.field("op", &s.op).field("start_ns", s.start.as_ns());
+            w.field("end_ns", s.end.as_ns());
+            w.field("wait_ns", s.wait.as_ns());
+            w.field("via_message", s.via_message);
+            w.field("slack_ns", s.slack.as_ns());
+        });
+        w.objects("attribution", &attr.per_op, |w, (op, ranks)| {
+            w.field("op", op).objects("ranks", ranks, |w, s| {
+                w.field("rounds", s.rounds);
+                w.field("wait_ns", s.wait.as_ns());
+                w.field("transfer_ns", s.transfer.as_ns());
+                w.field("msgs", s.msgs).field("bytes", s.bytes);
+            });
+        });
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\n\t"), "x\\n\\t");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
+    use crate::SCHEMA_VERSION;
 
     #[test]
     fn ts_is_us_with_ns_precision() {
-        assert_eq!(ts(SimTime(0)), "0.000");
-        assert_eq!(ts(SimTime(1)), "0.001");
-        assert_eq!(ts(SimTime(1_234)), "1.234");
-        assert_eq!(ts(SimTime(5_000_042)), "5000.042");
+        assert_eq!(Ts(SimTime(0)).to_string(), "0.000");
+        assert_eq!(Ts(SimTime(1)).to_string(), "0.001");
+        assert_eq!(Ts(SimTime(1_234)).to_string(), "1.234");
+        assert_eq!(Ts(SimTime(5_000_042)).to_string(), "5000.042");
     }
 
     #[test]

@@ -27,12 +27,9 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 use crate::commmap::{ratio_to_millis, RankEpoch};
-use crate::export::json_escape;
+use crate::json::JsonWriter;
 use crate::time::SimTime;
 
 /// The bulk quantile used for the per-epoch outlier ratio, matching the
@@ -373,63 +370,33 @@ pub fn history_report(history: &History) -> String {
     out
 }
 
-/// Serialize the merged history as JSON. Hand-rolled for byte stability
-/// (golden-tested): fixed field order, one series object per label in
-/// first-seen order, each point as
+/// Serialize the merged history as JSON (golden-tested): one series
+/// object per label in first-seen order, each point as
 /// `[occurrence, time_ns, bytes, msgs, ratio_millis, gini_millis,
 /// spread_millis, "pattern hex"]`. Ratios are stored in integer
 /// thousandths ([`ratio_to_millis`]; `u64::MAX` = infinite) so the output
 /// has no float formatting to drift.
 pub fn history_json(history: &History) -> String {
-    let mut out = format!(
-        "{{\"schema\":{},\"ranks\":{},\"epochs\":{},\"series\":[",
-        crate::export::SCHEMA_VERSION,
-        history.n,
-        history.points.len()
-    );
-    for (i, label) in history.series_labels().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let points = history.series(label);
-        let _ = write!(out, "{{\"label\":\"{}\",\"algo\":", json_escape(label));
-        match &points[0].algo {
-            Some(a) => {
-                let _ = write!(out, "\"{}\"", json_escape(a));
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"points\":[");
-        for (j, p) in points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "[{},{},{},{},{},{},{},\"{:016x}\"]",
-                p.occurrence,
-                p.time.as_ns(),
-                p.bytes,
-                p.msgs,
-                ratio_to_millis(p.outlier_ratio),
-                ratio_to_millis(p.gini),
-                ratio_to_millis(p.spread),
-                p.pattern
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Write [`history_json`] to `path`, creating parent directories.
-pub fn write_history_json(path: impl AsRef<Path>, history: &History) -> io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, history_json(history))
+    JsonWriter::schema_led(|w| {
+        w.field("ranks", history.n);
+        w.field("epochs", history.points.len());
+        w.objects("series", history.series_labels(), |w, label| {
+            let points = history.series(label);
+            w.field("label", label).field("algo", &points[0].algo);
+            w.key("points").array(|w| {
+                for p in points {
+                    w.array(|w| {
+                        w.value(p.occurrence).value(p.time.as_ns());
+                        w.value(p.bytes).value(p.msgs);
+                        w.value(ratio_to_millis(p.outlier_ratio));
+                        w.value(ratio_to_millis(p.gini));
+                        w.value(ratio_to_millis(p.spread));
+                        w.value(format_args!("{:016x}", p.pattern));
+                    });
+                }
+            });
+        });
+    })
 }
 
 #[cfg(test)]

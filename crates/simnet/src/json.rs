@@ -1,0 +1,641 @@
+//! The workspace's JSON format, both directions: one streaming
+//! [`JsonWriter`] every export renders through and the [`Json`] value
+//! reader ([`parse_json`]) the ledger, the differential engine and the
+//! baseline gate re-load artifacts with. No other module decides how a
+//! byte of JSON looks.
+//!
+//! **What the writer emits.** Output is byte-stable — deterministic input
+//! gives identical bytes, which is what the goldens and the content-hash
+//! run ids rest on:
+//!
+//! * field and element order is call order; no whitespace anywhere;
+//! * strings are escaped as they are written: `\"`, `\\`, `\n`, `\r`,
+//!   `\t`, `\u00XX` for the other control characters, everything else
+//!   (non-ASCII included) verbatim;
+//! * numbers print through `Display` (integers in decimal, `f64` in
+//!   Rust's shortest round-trip form);
+//! * an absent value (`None`) and a non-finite `f64` are `null`;
+//! * a versioned artifact leads with `"schema":`[`SCHEMA_VERSION`] —
+//!   [`JsonWriter::schema_led`] is the one place that prefix is written.
+//!
+//! There is no pretty/compact, key-order or float-format switch.
+//!
+//! **What the reader accepts.** Standard JSON as above plus whitespace
+//! between tokens, the `\/` escape and `\uXXXX` for any non-surrogate
+//! scalar; nesting deeper than 64 levels is an error, not a stack
+//! overflow. The `Result` accessors ([`Json::u64`], [`Json::str`], …)
+//! name the key that is missing or has the wrong type.
+
+use std::fmt::{self, Display, Write as _};
+
+/// Format version stamped as the leading `"schema"` field of every
+/// versioned export, so downstream tooling can detect format drift. Bump
+/// on any breaking shape change and regenerate the goldens. (The Chrome
+/// trace export follows the external trace-event format and is not
+/// versioned here.)
+pub const SCHEMA_VERSION: u32 = 1;
+
+/// Deepest `[`/`{` nesting [`parse_json`] follows (the writers' deepest
+/// artifact nests 5).
+const MAX_DEPTH: usize = 64;
+
+/// Streaming JSON writer: appends straight into one output `String`.
+/// Containers take a closure that writes their contents, so brackets
+/// balance and commas fall between siblings by construction.
+#[derive(Default)]
+pub struct JsonWriter {
+    out: String,
+    /// The next key or value at this level needs a `,` before it.
+    comma: bool,
+}
+
+/// `fmt::Write` adapter that escapes what passes through it into a JSON
+/// string body.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut plain = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
+            }
+            self.0.push_str(&s[plain..i]);
+            match b {
+                b'"' => self.0.push_str("\\\""),
+                b'\\' => self.0.push_str("\\\\"),
+                b'\n' => self.0.push_str("\\n"),
+                b'\r' => self.0.push_str("\\r"),
+                b'\t' => self.0.push_str("\\t"),
+                _ => write!(self.0, "\\u{b:04x}")?,
+            }
+            plain = i + 1;
+        }
+        self.0.push_str(&s[plain..]);
+        Ok(())
+    }
+}
+
+impl JsonWriter {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A versioned artifact: the object `{"schema":SCHEMA_VERSION,…}`
+    /// with `fields` writing everything after the version.
+    pub fn schema_led(fields: impl FnOnce(&mut JsonWriter)) -> String {
+        Self::versioned(SCHEMA_VERSION, fields)
+    }
+
+    /// [`JsonWriter::schema_led`] with the version a manifest was read
+    /// with (re-serializing an old run must not claim the current one).
+    pub fn versioned(schema: u32, fields: impl FnOnce(&mut JsonWriter)) -> String {
+        let mut w = JsonWriter::new();
+        w.object(|w| {
+            w.field("schema", schema);
+            fields(w);
+        });
+        w.finish()
+    }
+
+    /// The document written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    fn quoted(&mut self, s: impl Display) {
+        self.out.push('"');
+        let _ = write!(Escaped(&mut self.out), "{s}");
+        self.out.push('"');
+    }
+
+    fn nested(&mut self, open: char, close: char, contents: impl FnOnce(&mut Self)) -> &mut Self {
+        self.separate();
+        self.out.push(open);
+        self.comma = false;
+        contents(self);
+        self.out.push(close);
+        self.comma = true;
+        self
+    }
+
+    /// `{…}` as the next value; `fields` writes its members.
+    pub fn object(&mut self, fields: impl FnOnce(&mut Self)) -> &mut Self {
+        self.nested('{', '}', fields)
+    }
+
+    /// `[…]` as the next value; `items` writes its elements.
+    pub fn array(&mut self, items: impl FnOnce(&mut Self)) -> &mut Self {
+        self.nested('[', ']', items)
+    }
+
+    /// `"key":` — the next value written is this member's.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate();
+        self.quoted(key);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// `"key":value`.
+    pub fn field(&mut self, key: &str, value: impl JsonValue) -> &mut Self {
+        self.key(key).value(value)
+    }
+
+    /// `"key":[{…},…]` — one object per item, `fields` writing its
+    /// members.
+    pub fn objects<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut fields: impl FnMut(&mut Self, T),
+    ) -> &mut Self {
+        self.key(key).array(|w| {
+            for item in items {
+                w.object(|w| fields(w, item));
+            }
+        })
+    }
+
+    pub fn value(&mut self, value: impl JsonValue) -> &mut Self {
+        value.write_json(self);
+        self
+    }
+
+    /// A string value: `s`'s `Display` output, escaped and quoted.
+    fn string(&mut self, s: impl Display) -> &mut Self {
+        self.separate();
+        self.quoted(s);
+        self
+    }
+
+    /// A number value: `n`'s `Display` output verbatim (the caller's
+    /// `Display` must print a JSON number).
+    pub fn number(&mut self, n: impl Display) -> &mut Self {
+        self.separate();
+        let _ = write!(self.out, "{n}");
+        self
+    }
+
+    /// An already-rendered JSON document as the next value.
+    pub fn raw(&mut self, json: &str) -> &mut Self {
+        self.number(json)
+    }
+}
+
+/// A Rust value with one JSON rendering.
+pub trait JsonValue {
+    fn write_json(&self, w: &mut JsonWriter);
+}
+
+/// Types whose `Display` output is the value: verbatim through
+/// `number`, escaped and quoted through `string` (`format_args!(…)`
+/// included, so a formatted name needs no temporary `String`).
+macro_rules! display_is_json {
+    ($method:ident: $($t:ty)*) => {$(
+        impl JsonValue for $t {
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.$method(self);
+            }
+        }
+    )*};
+}
+display_is_json!(number: u32 u64 usize i32 i64 bool);
+display_is_json!(string: str String fmt::Arguments<'_>);
+
+/// `null`.
+impl JsonValue for () {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.raw("null");
+    }
+}
+
+impl JsonValue for f64 {
+    fn write_json(&self, w: &mut JsonWriter) {
+        if self.is_finite() {
+            w.number(self);
+        } else {
+            w.value(());
+        }
+    }
+}
+
+impl<T: JsonValue> JsonValue for Option<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Some(v) => v.write_json(w),
+            None => ().write_json(w),
+        }
+    }
+}
+
+impl<T: JsonValue + ?Sized> JsonValue for &T {
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
+    }
+}
+
+/// A slice is the array of its elements.
+impl<T: JsonValue> JsonValue for [T] {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.array(|w| {
+            for v in self {
+                w.value(v);
+            }
+        });
+    }
+}
+
+impl<T: JsonValue> JsonValue for Vec<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        self[..].write_json(w);
+    }
+}
+
+/// A tuple is the array of its members (`["x",y]`, `[src,dst,bytes,msgs]`).
+macro_rules! tuple_is_array {
+    ($($T:ident)*) => {
+        impl<$($T: JsonValue),*> JsonValue for ($($T,)*) {
+            fn write_json(&self, w: &mut JsonWriter) {
+                #[allow(non_snake_case)]
+                let ($($T,)*) = self;
+                w.array(|w| {
+                    $(w.value($T);)*
+                });
+            }
+        }
+    };
+}
+tuple_is_array!(A B);
+tuple_is_array!(A B C);
+tuple_is_array!(A B C D);
+
+/// A parsed JSON value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Object field lookup (None for non-objects and absent keys).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// Numbers round-trip as f64; counts and sizes in this workspace stay
+    /// far below 2^53, so the conversion is exact.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
+            _ => None,
+        }
+    }
+
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    fn typed<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        as_type: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key)
+            .and_then(as_type)
+            .ok_or_else(|| format!("missing {what} \"{key}\""))
+    }
+
+    /// The member `key`, whatever its type.
+    pub fn field(&self, key: &str) -> Result<&Json, String> {
+        self.typed(key, "field", Some)
+    }
+
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.typed(key, "number", Json::as_u64)
+    }
+
+    pub fn str(&self, key: &str) -> Result<&str, String> {
+        self.typed(key, "string", Json::as_str)
+    }
+
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.typed(key, "boolean", Json::as_bool)
+    }
+
+    pub fn array(&self, key: &str) -> Result<&[Json], String> {
+        self.typed(key, "array", Json::as_array)
+    }
+
+    /// The array at `key`, each element through `load`.
+    pub fn list<T>(
+        &self,
+        key: &str,
+        load: impl FnMut(&Json) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.array(key)?.iter().map(load).collect()
+    }
+
+    /// The string at `key`; `None` when absent, `null` or not a string.
+    pub fn opt_str(&self, key: &str) -> Option<&str> {
+        self.get(key).and_then(Json::as_str)
+    }
+}
+
+/// Parse a complete JSON document (trailing whitespace allowed, trailing
+/// garbage is an error).
+pub fn parse_json(text: &str) -> Result<Json, String> {
+    let mut p = JsonParser {
+        s: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.s.len() {
+        return Err(format!("trailing garbage at byte {}", p.pos));
+    }
+    Ok(v)
+}
+
+struct JsonParser<'a> {
+    s: &'a [u8],
+    pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
+}
+
+impl JsonParser<'_> {
+    fn skip_ws(&mut self) {
+        while self.pos < self.s.len() && self.s[self.pos].is_ascii_whitespace() {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&mut self) -> Result<u8, String> {
+        self.skip_ws();
+        self.s
+            .get(self.pos)
+            .copied()
+            .ok_or_else(|| "unexpected end of input".to_string())
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        let got = self.peek()?;
+        if got != c {
+            return Err(format!(
+                "expected '{}' got '{}' at byte {}",
+                c as char, got as char, self.pos
+            ));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if self.s[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek()? {
+            b'{' => self.container(Self::object),
+            b'[' => self.container(Self::array),
+            b'"' => Ok(Json::Str(self.string()?)),
+            b't' => self.literal("true", Json::Bool(true)),
+            b'f' => self.literal("false", Json::Bool(false)),
+            b'n' => self.literal("null", Json::Null),
+            _ => self.number(),
+        }
+    }
+
+    /// The recursion step: input from outside must not pick the stack
+    /// depth.
+    fn container(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        if self.peek()? == b'}' {
+            self.pos += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            fields.push((key, self.value()?));
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b'}' => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                c => return Err(format!("expected ',' or '}}' got '{}' ", c as char)),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        if self.peek()? == b']' {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b']' => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                c => return Err(format!("expected ',' or ']' got '{}'", c as char)),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let c = *self.s.get(self.pos).ok_or("unterminated string")?;
+            self.pos += 1;
+            match c {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let e = *self.s.get(self.pos).ok_or("unterminated escape")?;
+                    self.pos += 1;
+                    match e {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = self
+                                .s
+                                .get(self.pos..self.pos + 4)
+                                .ok_or("truncated \\u escape")?;
+                            self.pos += 4;
+                            let code = u32::from_str_radix(
+                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
+                                16,
+                            )
+                            .map_err(|e| e.to_string())?;
+                            out.push(char::from_u32(code).ok_or("surrogate in \\u escape")?);
+                        }
+                        _ => return Err(format!("bad escape '\\{}'", e as char)),
+                    }
+                }
+                _ => {
+                    // Multi-byte UTF-8: copy the whole scalar.
+                    if c < 0x80 {
+                        out.push(c as char);
+                    } else {
+                        let start = self.pos - 1;
+                        let len = match c {
+                            0xC0..=0xDF => 2,
+                            0xE0..=0xEF => 3,
+                            _ => 4,
+                        };
+                        let bytes = self
+                            .s
+                            .get(start..start + len)
+                            .ok_or("truncated UTF-8 sequence")?;
+                        out.push_str(std::str::from_utf8(bytes).map_err(|e| e.to_string())?);
+                        self.pos = start + len;
+                    }
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        let start = self.pos;
+        while self.pos < self.s.len()
+            && (self.s[self.pos].is_ascii_digit() || b"-+.eE".contains(&self.s[self.pos]))
+        {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.s[start..self.pos]).map_err(|e| e.to_string())?;
+        text.parse()
+            .map(Json::Num)
+            .map_err(|_| format!("bad number '{text}' at byte {start}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn schema_led_documents_start_with_the_prefix_once() {
+        let doc = JsonWriter::schema_led(|w| {
+            w.field("ranks", 2usize);
+        });
+        let prefix = format!("{{\"schema\":{SCHEMA_VERSION},");
+        assert_eq!(doc, format!("{prefix}\"ranks\":2}}"));
+        assert_eq!(doc.matches("\"schema\"").count(), 1);
+        assert_eq!(JsonWriter::schema_led(|_| {}), "{\"schema\":1}");
+    }
+
+    #[test]
+    fn json_parser_reads_the_writers_subset() {
+        let v = parse_json(
+            "{\"schema\":1,\"name\":\"a\\\"b\",\"ok\":true,\"none\":null,\
+             \"pts\":[[1,2.5],[3,-4e2]],\"nested\":{\"x\":[]}}",
+        )
+        .unwrap();
+        assert_eq!(v.u64("schema"), Ok(1));
+        assert_eq!(v.str("name"), Ok("a\"b"));
+        assert_eq!(v.bool("ok"), Ok(true));
+        assert_eq!(v.get("none"), Some(&Json::Null));
+        assert_eq!(v.opt_str("none"), None);
+        let pts = v.array("pts").unwrap();
+        assert_eq!(pts[1].as_array().unwrap()[1].as_f64(), Some(-400.0));
+        assert_eq!(v.field("nested").unwrap().array("x"), Ok(&[][..]));
+        // A missing or mistyped member is named.
+        assert_eq!(v.u64("name"), Err("missing number \"name\"".to_string()));
+        assert_eq!(
+            v.array("absent"),
+            Err("missing array \"absent\"".to_string())
+        );
+    }
+
+    #[test]
+    fn json_parser_rejects_garbage() {
+        assert!(parse_json("").is_err());
+        assert!(parse_json("{\"a\":1} trailing").is_err());
+        assert!(parse_json("{\"a\":}").is_err());
+        assert!(parse_json("[1,2").is_err());
+        assert!(parse_json("\"unterminated").is_err());
+        // Outside input must not choose the recursion depth.
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let err = parse_json(&"[{\"k\":".repeat(100_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+    }
+}

@@ -27,20 +27,12 @@
 //! itself a signal that behaviour moved. The differential engine
 //! (`ncd_core::compare`) reads two ledger entries back and explains what
 //! changed and why.
-//!
-//! The module also carries the small recursive-descent [`Json`] value
-//! parser the comparison layer uses to re-load artifacts. The writers in
-//! this workspace are hand-rolled; the reader accepts the JSON subset
-//! they emit (objects, arrays, strings with the escapes
-//! [`crate::export::json_escape`] produces, finite numbers, booleans,
-//! null).
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::export::{json_escape, SCHEMA_VERSION};
+use crate::json::{parse_json, JsonWriter, SCHEMA_VERSION};
 
 /// Identity of one persisted run: everything that names *what* ran, and
 /// the content hash of what it produced. Deliberately contains no
@@ -103,59 +95,32 @@ pub fn run_id(
     format!("{h:016x}")
 }
 
-/// Serialize a manifest (byte-stable, schema-led like every export).
+/// Serialize a manifest (schema-led like every export).
 pub fn manifest_json(m: &RunManifest) -> String {
-    let mut out = format!(
-        "{{\"schema\":{},\"bench\":\"{}\",\"mode\":\"{}\",\"run_id\":\"{}\",\"knobs\":[",
-        m.schema,
-        json_escape(&m.bench),
-        json_escape(&m.mode),
-        json_escape(&m.run_id),
-    );
-    for (i, (k, v)) in m.knobs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[\"{}\",\"{}\"]", json_escape(k), json_escape(v));
-    }
-    out.push_str("]}");
-    out
+    JsonWriter::versioned(m.schema, |w| {
+        w.field("bench", &m.bench)
+            .field("mode", &m.mode)
+            .field("run_id", &m.run_id);
+        w.field("knobs", &m.knobs);
+    })
 }
 
 /// Parse a manifest written by [`manifest_json`].
 pub fn parse_manifest(text: &str) -> Result<RunManifest, String> {
     let v = parse_json(text)?;
-    let knobs = v
-        .get("knobs")
-        .and_then(Json::as_array)
-        .ok_or("manifest missing knobs")?
-        .iter()
-        .map(|pair| {
-            let arr = pair.as_array().ok_or("knob is not a pair")?;
-            match arr {
-                [k, v] => Ok((
-                    k.as_str().ok_or("knob key not a string")?.to_string(),
-                    v.as_str().ok_or("knob value not a string")?.to_string(),
-                )),
-                _ => Err("knob is not a pair".to_string()),
-            }
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let field = |key: &str| -> Result<String, String> {
-        v.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("manifest missing {key}"))
-    };
+    let knobs = v.list("knobs", |pair| match pair.as_array() {
+        Some([k, v]) => Ok((
+            k.as_str().ok_or("knob key not a string")?.to_string(),
+            v.as_str().ok_or("knob value not a string")?.to_string(),
+        )),
+        _ => Err("knob is not a pair".to_string()),
+    })?;
     Ok(RunManifest {
-        bench: field("bench")?,
-        mode: field("mode")?,
-        schema: v
-            .get("schema")
-            .and_then(Json::as_u64)
-            .ok_or("manifest missing schema")? as u32,
+        bench: v.str("bench")?.to_string(),
+        mode: v.str("mode")?.to_string(),
+        schema: v.u64("schema")? as u32,
         knobs,
-        run_id: field("run_id")?,
+        run_id: v.str("run_id")?.to_string(),
     })
 }
 
@@ -206,13 +171,22 @@ pub fn write_run(
         run_id: run_id(bench, mode, knobs, artifacts),
     };
     let dir = root.join(bench).join(&manifest.run_id);
-    fs::create_dir_all(&dir)?;
-    fs::write(dir.join("manifest.json"), manifest_json(&manifest))?;
+    write_artifact(dir.join("manifest.json"), &manifest_json(&manifest))?;
     for (name, contents) in artifacts {
-        fs::write(dir.join(name), contents)?;
+        write_artifact(dir.join(name), contents)?;
     }
-    fs::write(root.join(bench).join("latest"), &manifest.run_id)?;
+    write_artifact(root.join(bench).join("latest"), &manifest.run_id)?;
     Ok(manifest)
+}
+
+/// Write `contents` to `path`, creating the parent directories first —
+/// how every artifact, report and snapshot in the workspace reaches disk.
+pub fn write_artifact(path: impl AsRef<Path>, contents: &str) -> io::Result<()> {
+    let path = path.as_ref();
+    if let Some(parent) = path.parent() {
+        fs::create_dir_all(parent)?;
+    }
+    fs::write(path, contents)
 }
 
 /// The run id `<root>/<bench>/latest` points at, if any run was ledgered.
@@ -264,246 +238,6 @@ pub fn read_run(dir: &Path) -> Result<LedgerRun, String> {
         manifest,
         artifacts,
     })
-}
-
-/// A parsed JSON value (the subset this workspace's writers emit).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup (None for non-objects and absent keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Numbers round-trip as f64; counts and sizes in this workspace stay
-    /// far below 2^53, so the conversion is exact.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage is an error).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = JsonParser {
-        s: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.s.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct JsonParser<'a> {
-    s: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.s.len() && self.s[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.s
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        let got = self.peek()?;
-        if got != c {
-            return Err(format!(
-                "expected '{}' got '{}' at byte {}",
-                c as char, got as char, self.pos
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.s[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                c => return Err(format!("expected ',' or '}}' got '{}' ", c as char)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                c => return Err(format!("expected ',' or ']' got '{}'", c as char)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.s.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self.s.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("surrogate in \\u escape")?);
-                        }
-                        _ => return Err(format!("bad escape '\\{}'", e as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let len = match c {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            _ => 4,
-                        };
-                        let bytes = self
-                            .s
-                            .get(start..start + len)
-                            .ok_or("truncated UTF-8 sequence")?;
-                        out.push_str(std::str::from_utf8(bytes).map_err(|e| e.to_string())?);
-                        self.pos = start + len;
-                    }
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.s.len()
-            && (self.s[self.pos].is_ascii_digit() || b"-+.eE".contains(&self.s[self.pos]))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.s[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
-    }
 }
 
 #[cfg(test)]
@@ -601,38 +335,5 @@ mod tests {
         let root = std::env::temp_dir().join("ncd_ledger_test_never_written");
         let err = resolve_run_dir(&root, "nope", "latest").unwrap_err();
         assert!(err.contains("no runs ledgered"), "{err}");
-    }
-
-    #[test]
-    fn json_parser_reads_the_writers_subset() {
-        let v = parse_json(
-            "{\"schema\":1,\"name\":\"a\\\"b\",\"ok\":true,\"none\":null,\
-             \"pts\":[[1,2.5],[3,-4e2]],\"nested\":{\"x\":[]}}",
-        )
-        .unwrap();
-        assert_eq!(v.get("schema").and_then(Json::as_u64), Some(1));
-        assert_eq!(v.get("name").and_then(Json::as_str), Some("a\"b"));
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(v.get("none"), Some(&Json::Null));
-        let pts = v.get("pts").and_then(Json::as_array).unwrap();
-        assert_eq!(pts[1].as_array().unwrap()[1].as_f64(), Some(-400.0));
-        assert_eq!(
-            v.get("nested").unwrap().get("x").and_then(Json::as_array),
-            Some(&[][..])
-        );
-        // The escapes json_escape produces round-trip.
-        let tricky = "quote\" slash\\ nl\n tab\t ctl\u{1} unicode\u{00e9}";
-        let doc = format!("{{\"s\":\"{}\"}}", json_escape(tricky));
-        let back = parse_json(&doc).unwrap();
-        assert_eq!(back.get("s").and_then(Json::as_str), Some(tricky));
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(parse_json("").is_err());
-        assert!(parse_json("{\"a\":1} trailing").is_err());
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("[1,2").is_err());
-        assert!(parse_json("\"unterminated").is_err());
     }
 }

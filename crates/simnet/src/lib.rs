@@ -48,6 +48,7 @@ pub mod commmap;
 pub mod diagnosis;
 pub mod export;
 pub mod history;
+pub mod json;
 pub mod knobs;
 pub mod ledger;
 pub mod mailbox;
@@ -66,25 +67,23 @@ pub use analysis::{
 };
 pub use commmap::{
     comm_matrix_json, merge_comm_maps, millis_to_ratio, ratio_to_millis, render_heatmap,
-    write_comm_matrix_json, ClusterCommMap, CommMatrix, EpochMatrix, RankCommMap, RankEpoch,
+    ClusterCommMap, CommMatrix, EpochMatrix, RankCommMap, RankEpoch,
 };
 pub use diagnosis::{
     check_severity_bound, diagnose, diagnosis_json, diagnosis_report, mirror_to_flight_recorder,
-    render_stage_overlap, stage_overlap, write_diagnosis_json, Diagnosis, Finding, StageOverlap,
-    WaitInstance, WaitPattern, ALL_PATTERNS,
+    render_stage_overlap, stage_overlap, Diagnosis, Finding, StageOverlap, WaitInstance,
+    WaitPattern, ALL_PATTERNS,
 };
-pub use export::{
-    analysis_json, chrome_trace_json, metrics_json, profile_json, write_chrome_trace,
-    SCHEMA_VERSION,
-};
+pub use export::{analysis_json, chrome_trace_json, metrics_json, profile_json};
 pub use history::{
-    history_json, history_report, merge_histories, pattern_hash_rank, sparkline,
-    write_history_json, EpochPoint, History, RankEpochRecord, RankHistory,
+    history_json, history_report, merge_histories, pattern_hash_rank, sparkline, EpochPoint,
+    History, RankEpochRecord, RankHistory,
 };
+pub use json::{parse_json, Json, JsonValue, JsonWriter, SCHEMA_VERSION};
 pub use knobs::{CostKnobs, KnobDim, ResolvedKnobs};
 pub use ledger::{
-    latest_run_id, ledger_root, manifest_json, parse_json, parse_manifest, read_run,
-    resolve_run_dir, write_run, Json, LedgerRun, RunManifest,
+    latest_run_id, ledger_root, manifest_json, parse_manifest, read_run, resolve_run_dir,
+    write_artifact, write_run, LedgerRun, RunManifest,
 };
 pub use mailbox::{NetMsg, Tag, ANY_TAG};
 pub use metrics::{Histogram, MetricKey, MetricsRegistry};

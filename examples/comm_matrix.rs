@@ -26,8 +26,8 @@ use nucomm::core::{
 };
 use nucomm::datatype::Datatype;
 use nucomm::simnet::{
-    comm_matrix_json, merge_comm_maps, render_heatmap, Cluster, ClusterConfig, CostModel,
-    RankCommMap, TraceEvent,
+    comm_matrix_json, merge_comm_maps, render_heatmap, write_artifact, Cluster, ClusterConfig,
+    CostModel, RankCommMap, TraceEvent,
 };
 
 const RANKS: usize = 16;
@@ -169,7 +169,6 @@ fn main() {
     // The raw matrix exports byte-stable JSON (golden-tested).
     let json = comm_matrix_json(&merged);
     let path = "target/figures/comm_matrix.json";
-    std::fs::create_dir_all("target/figures").expect("mkdir");
-    std::fs::write(path, &json).expect("write comm matrix");
+    write_artifact(path, &json).expect("write comm matrix");
     println!("\nwrote {path} ({} bytes)", json.len());
 }

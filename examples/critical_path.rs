@@ -19,8 +19,8 @@
 
 use nucomm::core::{AllgathervAlgorithm, Comm, MpiConfig};
 use nucomm::simnet::{
-    attribute_rounds, imbalance_report, write_chrome_trace, Cluster, ClusterConfig, HbGraph,
-    Profiler, TraceEvent,
+    analysis_json, attribute_rounds, chrome_trace_json, imbalance_report, write_artifact, Cluster,
+    ClusterConfig, HbGraph, Profiler, TraceEvent,
 };
 
 const RANKS: usize = 8;
@@ -68,10 +68,9 @@ fn main() {
         println!("{}", imbalance_report(&profiles));
 
         let json = format!("target/analysis/critical_path_{slug}.json");
-        nucomm::simnet::export::write_analysis_json(&json, &path, &attr)
-            .expect("write analysis json");
+        write_artifact(&json, &analysis_json(&path, &attr)).expect("write analysis json");
         let trace = format!("target/figures/critical_path_{slug}_trace.json");
-        write_chrome_trace(&trace, &traces).expect("write chrome trace");
+        write_artifact(&trace, &chrome_trace_json(&traces)).expect("write chrome trace");
         println!("artifacts: {json}, {trace}\n");
     }
     println!(

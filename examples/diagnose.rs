@@ -30,7 +30,7 @@ use nucomm::core::{
 };
 use nucomm::simnet::{
     diagnose, diagnosis_json, last_run_dump, merge_comm_maps, mirror_to_flight_recorder,
-    write_diagnosis_json, Cluster, ClusterConfig, WaitPattern,
+    write_artifact, Cluster, ClusterConfig, WaitPattern,
 };
 
 const RANKS: usize = 16;
@@ -88,15 +88,10 @@ fn main() {
     }
 
     // The byte-stable artifact, as the benches write it.
-    let dir = std::path::Path::new("target").join("analysis");
-    std::fs::create_dir_all(&dir).expect("create analysis dir");
-    let path = dir.join("diagnose.diagnosis.json");
-    write_diagnosis_json(&path, &diag).expect("write diagnosis artifact");
-    println!(
-        "\ndiagnosis json: {} ({} bytes)",
-        path.display(),
-        diagnosis_json(&diag).len()
-    );
+    let path = "target/analysis/diagnose.diagnosis.json";
+    let json = diagnosis_json(&diag);
+    write_artifact(path, &json).expect("write diagnosis artifact");
+    println!("\ndiagnosis json: {path} ({} bytes)", json.len());
 
     // The shape this example promises: the outlier rank owns the
     // majority of the allgatherv wait through sender-caused patterns,

@@ -25,7 +25,8 @@ use nucomm::core::{
     AllgathervAlgorithm, Comm, DriftConfig, MpiConfig,
 };
 use nucomm::simnet::{
-    history_json, history_report, last_run_dump, merge_histories, Cluster, ClusterConfig,
+    history_json, history_report, last_run_dump, merge_histories, write_artifact, Cluster,
+    ClusterConfig,
 };
 
 const RANKS: usize = 16;
@@ -113,7 +114,6 @@ fn main() {
     // The byte-stable export (golden-tested in the simnet crate).
     let json = history_json(&merged);
     let path = "target/analysis/drift_watch.history.json";
-    std::fs::create_dir_all("target/analysis").expect("mkdir");
-    std::fs::write(path, &json).expect("write history");
+    write_artifact(path, &json).expect("write history");
     println!("\nwrote {path} ({} bytes)", json.len());
 }

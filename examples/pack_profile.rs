@@ -20,7 +20,9 @@ use nucomm::core::{Comm, MpiConfig};
 use nucomm::datatype::{
     pack_all_profiled, BlockLog, Datatype, EngineKind, EngineParams, StructField,
 };
-use nucomm::simnet::{render_timeline_fit, write_chrome_trace, Cluster, ClusterConfig, Tag};
+use nucomm::simnet::{
+    chrome_trace_json, render_timeline_fit, write_artifact, Cluster, ClusterConfig, Tag,
+};
 
 /// One particle: 24 bytes of position, an 8-byte hole, then a tag double.
 fn particle() -> Datatype {
@@ -145,7 +147,7 @@ fn main() {
                 "dual"
             }
         });
-        if write_chrome_trace(std::path::Path::new(&json), &traces).is_ok() {
+        if write_artifact(&json, &chrome_trace_json(&traces)).is_ok() {
             println!("chrome trace: {json} (see the 'pack seek (rank 0)' counter track)");
         }
     }

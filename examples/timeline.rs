@@ -13,7 +13,9 @@
 
 use nucomm::core::{Comm, MpiConfig, WPeer};
 use nucomm::datatype::Datatype;
-use nucomm::simnet::{render_timeline_fit, write_chrome_trace, Cluster, ClusterConfig, TraceEvent};
+use nucomm::simnet::{
+    chrome_trace_json, render_timeline_fit, write_artifact, Cluster, ClusterConfig, TraceEvent,
+};
 
 const RANKS: usize = 8;
 
@@ -62,7 +64,7 @@ fn main() {
     // event by event in the viewer.
     let traces = run(MpiConfig::baseline(), 4);
     let path = "target/figures/alltoallw_trace.json";
-    match write_chrome_trace(path, &traces) {
+    match write_artifact(path, &chrome_trace_json(&traces)) {
         Ok(()) => println!("\nChrome trace (4-rank alltoallw): {path}"),
         Err(e) => eprintln!("\ncould not write {path}: {e}"),
     }
