@@ -17,7 +17,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ncd_simnet::Json;
+use ncd_core::outer_join;
 
 use crate::Series;
 
@@ -103,19 +103,17 @@ pub fn snapshot_json(name: &str, smoke: bool, series: &[Series]) -> String {
 }
 
 /// Parse a snapshot produced by [`snapshot_json`] back into series. A
-/// corrupted baseline file — or one holding an unmeasured (`null`) point
-/// — is an error for the gate to report with the file's path, never a
-/// silent pass.
+/// corrupted baseline file, one written under another schema — or one
+/// holding an unmeasured (`null`) point — is an error for the gate to
+/// report with the file's path, never a silent pass.
 pub fn parse_snapshot(text: &str) -> Result<Vec<Series>, String> {
-    ncd_simnet::parse_json(text)?.list("series", |s| {
-        let label = s.str("label")?.to_string();
-        let points = s.list("points", |p| match p.as_array().unwrap_or_default() {
-            [Json::Str(x), Json::Num(y)] => Ok((x.clone(), *y)),
-            _ => Err("a point is not [\"x\", y]".to_string()),
-        });
-        let points = points.map_err(|e| format!("series {label:?}: {e}"))?;
-        Ok(Series { label, points })
-    })
+    let series = ncd_simnet::parse_series(text)?;
+    for s in &series {
+        if let Some((x, _)) = s.points.iter().find(|(_, y)| y.is_nan()) {
+            return Err(format!("series {:?}: point {x:?} is unmeasured", s.label));
+        }
+    }
+    Ok(series)
 }
 
 /// One point that moved beyond tolerance (or disappeared/appeared).
@@ -131,65 +129,49 @@ pub struct Regression {
 }
 
 /// Compare current series against a baseline (both lower-is-better).
-/// Returns every regression: points slower than `baseline * (1 + tol%)`,
-/// plus any shape mismatch (series or points missing on either side) —
-/// a renamed or dropped series must not silently pass the gate.
-/// Faster-than-baseline points are *not* regressions.
+/// Returns every regression: points slower than `baseline * (1 + tol%)`
+/// or unmeasured (NaN) in the current run, plus any shape mismatch (series
+/// or points missing on either side) — a renamed or dropped series must
+/// not silently pass the gate. Faster-than-baseline points are *not*
+/// regressions.
 pub fn check_series(baseline: &[Series], current: &[Series], tol_pct: f64) -> Vec<Regression> {
     let mut out = Vec::new();
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| c.label == b.label) else {
-            out.push(Regression {
-                series: b.label.clone(),
-                x: "<series missing from current run>".to_string(),
-                baseline: f64::NAN,
-                current: f64::NAN,
-                delta_pct: f64::NAN,
-            });
+    let mut flag = |series: &str, x: String, baseline: f64, current: f64| {
+        out.push(Regression {
+            series: series.to_string(),
+            x,
+            baseline,
+            current,
+            delta_pct: 100.0 * (current - baseline) / baseline,
+        })
+    };
+    let nan = f64::NAN;
+    for (label, b, c) in outer_join(baseline, current, |s| &s.label) {
+        let (Some(b), Some(c)) = (b, c) else {
+            let x = match b {
+                Some(_) => "<series missing from current run>",
+                None => "<series not in baseline; re-run --baseline write>",
+            };
+            flag(label, x.to_string(), nan, nan);
             continue;
         };
-        for (x, by) in &b.points {
-            let Some((_, cy)) = c.points.iter().find(|(cx, _)| cx == x) else {
-                out.push(Regression {
-                    series: b.label.clone(),
-                    x: format!("{x} <point missing from current run>"),
-                    baseline: *by,
-                    current: f64::NAN,
-                    delta_pct: f64::NAN,
-                });
-                continue;
+        for (x, b, c) in outer_join(&b.points, &c.points, |(x, _)| x) {
+            let (note, by, cy) = match (b, c) {
+                (Some(&(_, by)), None) => (" <point missing from current run>", by, nan),
+                (None, _) => (
+                    " <point not in baseline; re-run --baseline write>",
+                    nan,
+                    nan,
+                ),
+                (Some(&(_, by)), Some(&(_, cy))) if cy.is_nan() => {
+                    (" <point unmeasured in current run>", by, cy)
+                }
+                (Some(&(_, by)), Some(&(_, cy))) if cy > by * (1.0 + tol_pct / 100.0) => {
+                    ("", by, cy)
+                }
+                _ => continue,
             };
-            if *cy > by * (1.0 + tol_pct / 100.0) {
-                out.push(Regression {
-                    series: b.label.clone(),
-                    x: x.clone(),
-                    baseline: *by,
-                    current: *cy,
-                    delta_pct: 100.0 * (cy - by) / by,
-                });
-            }
-        }
-        for (x, _) in &c.points {
-            if !b.points.iter().any(|(bx, _)| bx == x) {
-                out.push(Regression {
-                    series: b.label.clone(),
-                    x: format!("{x} <point not in baseline; re-run --baseline write>"),
-                    baseline: f64::NAN,
-                    current: f64::NAN,
-                    delta_pct: f64::NAN,
-                });
-            }
-        }
-    }
-    for c in current {
-        if !baseline.iter().any(|b| b.label == c.label) {
-            out.push(Regression {
-                series: c.label.clone(),
-                x: "<series not in baseline; re-run --baseline write>".to_string(),
-                baseline: f64::NAN,
-                current: f64::NAN,
-                delta_pct: f64::NAN,
-            });
+            flag(label, format!("{x}{note}"), by, cy);
         }
     }
     out
@@ -270,13 +252,16 @@ mod tests {
             assert!(parse_snapshot(&json[..cut]).is_err(), "truncated at {cut}");
         }
         let not_a_pair = json.replace("[\"2\",10.5]", "[\"2\"]");
-        let err = parse_snapshot(&not_a_pair).err().expect("a point of one");
+        let err = parse_snapshot(&not_a_pair).expect_err("a point of one");
         assert!(err.contains("series \"ring\""), "{err}");
         assert!(parse_snapshot("{\"schema\":1}").is_err());
+        let newer = json.replacen("\"schema\":1", "\"schema\":2", 1);
+        let err = parse_snapshot(&newer).expect_err("another schema");
+        assert!(err.contains("schema 2"), "{err}");
         // An unmeasured point must fail the gate, not pass it.
         let unmeasured = snapshot_json("fig14", true, &[series("ring", &[("2", f64::NAN)])]);
         assert!(unmeasured.contains("[\"2\",null]"), "{unmeasured}");
-        let err = parse_snapshot(&unmeasured).err().expect("a null point");
+        let err = parse_snapshot(&unmeasured).expect_err("a null point");
         assert!(err.contains("series \"ring\""), "{err}");
     }
 
@@ -302,6 +287,20 @@ mod tests {
         let table = render_regressions("fig", &regs, 10.0);
         assert!(table.contains("FAILED"), "{table}");
         assert!(table.contains("+50.0%"), "{table}");
+    }
+
+    /// A point the current run did not measure compares false against any
+    /// bound; the gate must not read that as "not slower".
+    #[test]
+    fn an_unmeasured_current_point_fails_the_gate() {
+        let base = vec![series("a", &[("1", 100.0), ("2", 200.0)])];
+        let cur = vec![series("a", &[("1", 100.0), ("2", f64::NAN)])];
+        let regs = check_series(&base, &cur, 10.0);
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert_eq!(regs[0].x, "2 <point unmeasured in current run>");
+        assert_eq!(regs[0].baseline, 200.0);
+        assert!(regs[0].current.is_nan() && regs[0].delta_pct.is_nan());
+        let _ = render_regressions("fig", &regs, 10.0);
     }
 
     #[test]

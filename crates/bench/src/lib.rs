@@ -20,6 +20,7 @@ pub mod baseline;
 pub mod workloads;
 
 pub use baseline::{check_series, BaselineMode, EXIT_MISSING_BASELINE};
+pub use ncd_simnet::{series_json, Series};
 pub use workloads::{
     amr_diag_counts, amr_diag_loop, amr_diag_workload, AMR_DIAG_OUTLIER, AMR_DIAG_STEPS,
 };
@@ -661,25 +662,6 @@ pub fn time_phase(
     capture
 }
 
-/// `"series":[{"label":…,"points":[["x",y],…]},…]` — the one series
-/// layout every JSON writer of this crate shares.
-fn series_field(w: &mut JsonWriter, series: &[Series]) {
-    w.objects("series", series, |w, s| {
-        w.field("label", &s.label).field("points", &s.points);
-    });
-}
-
-/// JSON of a bench's series for the observatory ledger: the same
-/// `[x, y]` point layout as the figure report, led by the shared schema
-/// version so the differential engine can re-load it.
-pub fn series_json(name: &str, smoke: bool, series: &[Series]) -> String {
-    JsonWriter::schema_led(|w| {
-        w.field("name", name);
-        w.field("mode", if smoke { "smoke" } else { "full" });
-        series_field(w, series);
-    })
-}
-
 /// Persist one run into the observatory ledger
 /// (`target/observatory/<name>/<run-id>/`, override with
 /// `NCD_OBSERVATORY`): the gated series plus every byte-stable export the
@@ -699,15 +681,8 @@ pub fn ledger_run(
     let mut add = |file: &str, json: String| artifacts.push((file.to_string(), json));
     add("series.json", series_json(name, smoke, series));
     if let Some(m) = &capture.metrics {
-        // metrics_json carries no schema field of its own; wrap it so the
-        // artifact leads with the shared version like every other export.
-        let metrics = ncd_simnet::metrics_json(m);
-        add(
-            "metrics.json",
-            JsonWriter::schema_led(|w| {
-                w.key("metrics").raw(&metrics);
-            }),
-        );
+        let json = ncd_simnet::metrics_artifact_json(&m.snapshot());
+        add("metrics.json", json);
     }
     if let Some(map) = &capture.comm_map {
         add("comm.json", ncd_simnet::comm_matrix_json(map));
@@ -821,25 +796,6 @@ pub fn improvement_pct(old: SimTime, new: SimTime) -> f64 {
         return 0.0;
     }
     100.0 * (old.as_ns() as f64 - new.as_ns() as f64) / old.as_ns() as f64
-}
-
-/// A labelled series of (x, y) points for table/CSV output.
-pub struct Series {
-    pub label: String,
-    pub points: Vec<(String, f64)>,
-}
-
-impl Series {
-    pub fn new(label: impl Into<String>) -> Series {
-        Series {
-            label: label.into(),
-            points: Vec::new(),
-        }
-    }
-
-    pub fn push(&mut self, x: impl Into<String>, y: f64) {
-        self.points.push((x.into(), y));
-    }
 }
 
 /// Prefix every series label with `prefix/` so two sweeps of the same
@@ -976,9 +932,9 @@ pub fn report(
         w.object(|w| {
             w.field("name", name).field("x_label", x_label);
             w.field("y_label", y_label);
-            series_field(w, series);
+            w.field("series", series);
             if let Some(m) = metrics {
-                w.key("metrics").raw(&ncd_simnet::metrics_json(m));
+                w.field("metrics", m.snapshot());
             }
         });
         if let Some(path) = write_out("figures", format!("{name}.json"), &w.finish()) {

@@ -27,10 +27,11 @@
 //! `max(declared, measured)` ratio — the declared ratio is the evidence
 //! the selector itself computed from the count array at call time.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use ncd_simnet::{
-    millis_to_ratio, ClusterCommMap, CommMatrix, CostModel, EpochMatrix, EventKind, TraceEvent,
+    millis_to_ratio, parse_schema_led, ratio_to_millis, ClusterCommMap, CommMatrix, CostModel,
+    EpochMatrix, EventKind, JsonWriter, TraceEvent,
 };
 
 use crate::config::MpiConfig;
@@ -88,6 +89,42 @@ pub fn decisions_from_trace(events: &[TraceEvent]) -> Vec<AlgorithmDecision> {
 /// [`decisions_from_trace`] over every rank's trace.
 pub fn decisions_from_traces(traces: &[Vec<TraceEvent>]) -> Vec<Vec<AlgorithmDecision>> {
     traces.iter().map(|t| decisions_from_trace(t)).collect()
+}
+
+/// JSON export of a decision list (the `decisions.json` ledger artifact):
+/// occurrence indices assigned per collective in call order, ratios in
+/// integer thousandths so no float formatting drifts.
+pub fn decisions_json(decisions: &[AlgorithmDecision]) -> String {
+    let mut occurrence: BTreeMap<&str, u32> = BTreeMap::new();
+    JsonWriter::schema_led(|w| {
+        w.objects("decisions", decisions, |w, d| {
+            let occ = occurrence.entry(d.collective.as_str()).or_insert(0);
+            w.field("collective", &d.collective);
+            w.field("occurrence", *occ).field("n", d.n);
+            w.field("total_bytes", d.total_bytes);
+            w.field("ratio_millis", ratio_to_millis(d.outlier_ratio));
+            w.field("pow2", d.pow2).field("chosen", &d.chosen);
+            w.field("reason", &d.reason);
+            *occ += 1;
+        });
+    })
+}
+
+/// Read a [`decisions_json`] document back: each decision with its
+/// occurrence index within the collective (the cross-run join key).
+pub fn parse_decisions(text: &str) -> Result<Vec<(u32, AlgorithmDecision)>, String> {
+    parse_schema_led(text)?.list("decisions", |d| {
+        let decision = AlgorithmDecision {
+            collective: d.str("collective")?.to_string(),
+            n: d.u64("n")? as usize,
+            total_bytes: d.u64("total_bytes")?,
+            outlier_ratio: millis_to_ratio(d.u64("ratio_millis")?),
+            pow2: d.bool("pow2")?,
+            chosen: d.str("chosen")?.to_string(),
+            reason: d.str("reason")?.to_string(),
+        };
+        Ok((d.u64("occurrence")? as u32, decision))
+    })
 }
 
 /// Gini coefficient of a volume set: 0 for perfectly even traffic, → 1
@@ -464,6 +501,61 @@ mod tests {
             chosen: "ring".to_string(),
             reason: "total >= long threshold".to_string(),
         }
+    }
+
+    /// The audit of a real run — 8 traced ranks, an outlier allgatherv
+    /// and a uniform one, twice — survives `decisions.json` both ways.
+    #[test]
+    fn decisions_json_round_trips() {
+        let mut counts = vec![[8usize; 8], [16; 8]];
+        counts[0][0] = 64 * 1024;
+        let traces = ncd_simnet::Cluster::new(ncd_simnet::ClusterConfig::uniform(8)).run(|rank| {
+            rank.enable_tracing();
+            let mut comm = crate::Comm::new(rank, MpiConfig::optimized());
+            for counts in counts.iter().chain(&counts) {
+                let mut recv = vec![0u8; counts.iter().sum()];
+                comm.allgatherv(&vec![1u8; counts[comm.rank()]], counts, &mut recv);
+            }
+            comm.rank_mut().take_trace()
+        });
+        let decisions = decisions_from_trace(&traces[0]);
+        assert_eq!(decisions.len(), 4);
+        let json = decisions_json(&decisions);
+        assert!(json.starts_with("{\"schema\":1,\"decisions\":[{\"collective\":\"allgatherv\","));
+        assert!(json.contains("\"occurrence\":3,\"n\":8,"), "{json}");
+        let back = parse_decisions(&json).expect("own output parses");
+        let occurrences: Vec<u32> = back.iter().map(|(occ, _)| *occ).collect();
+        assert_eq!(occurrences, [0, 1, 2, 3]);
+        let back: Vec<AlgorithmDecision> = back.into_iter().map(|(_, d)| d).collect();
+        assert_eq!(back, decisions);
+        assert_eq!(decisions_json(&back), json);
+        for prefix in (1..json.len())
+            .step_by(13)
+            .filter_map(|cut| json.get(..cut))
+        {
+            assert!(parse_decisions(prefix).is_err(), "truncated: {prefix}");
+        }
+        let err = parse_decisions(&json.replacen("\"pow2\":true", "\"pow2\":1", 1));
+        assert!(err.unwrap_err().contains("\"pow2\""));
+    }
+
+    #[test]
+    fn decisions_json_assigns_occurrences_per_collective() {
+        let d = |collective: &str| AlgorithmDecision {
+            collective: collective.to_string(),
+            ..ring_decision(2.0)
+        };
+        let json = decisions_json(&[d("allgatherv"), d("alltoallw"), d("allgatherv")]);
+        assert!(json.contains("\"collective\":\"allgatherv\",\"occurrence\":0"));
+        assert!(json.contains("\"collective\":\"alltoallw\",\"occurrence\":0"));
+        assert!(json.contains("\"collective\":\"allgatherv\",\"occurrence\":1"));
+        assert!(json.contains("\"ratio_millis\":2000"));
+        // An infinite ratio (zero bulk quantile) survives as its sentinel.
+        let json = decisions_json(&[ring_decision(f64::INFINITY)]);
+        assert_eq!(
+            parse_decisions(&json).unwrap()[0].1.outlier_ratio,
+            f64::INFINITY
+        );
     }
 
     #[test]

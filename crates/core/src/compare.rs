@@ -7,8 +7,10 @@
 //! outlier-aware allgatherv, single- vs dual-context packing — and so is
 //! every regression investigation. This module takes two
 //! [`ncd_simnet::LedgerRun`] entries (see `ncd_simnet::ledger`), re-loads
-//! their byte-stable artifacts into a [`RunRecord`], and produces a
-//! [`RunDiff`]:
+//! their byte-stable artifacts into a [`RunRecord`] — each through the
+//! reader that lives beside its writer, so no artifact's key names are
+//! spelled here — and produces a [`RunDiff`], every section of it one
+//! [`outer_join`]:
 //!
 //! * per-point **series deltas** over the gated latency series;
 //! * per-metric **counter deltas** and log₂-histogram **distribution
@@ -31,303 +33,93 @@
 //! ASCII blame table, [`diff_json`] for the byte-stable machine-readable
 //! artifact (golden-tested).
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt::{self, Write as _};
 
 use ncd_simnet::{
-    millis_to_ratio, parse_json, ratio_to_millis, Json, JsonValue, JsonWriter, LedgerRun, SimTime,
+    parse_analysis, parse_comm_matrix, parse_diagnosis, parse_metrics, parse_series,
+    AnalysisSummary, CommMatrix, DiagnosisSummary, FindingSummary, Histogram, JsonValue,
+    JsonWriter, LedgerRun, MetricsSnapshot, Series, SimTime,
 };
 
-use crate::commstats::AlgorithmDecision;
-
-/// One gated series re-loaded from a ledger entry.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SeriesRecord {
-    pub label: String,
-    pub points: Vec<(String, f64)>,
-}
-
-/// Histogram summary re-loaded from the metrics snapshot.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistogramRecord {
-    pub key: String,
-    pub count: u64,
-    pub sum: u64,
-    pub min: u64,
-    pub max: u64,
-    pub p50: u64,
-    pub p90: u64,
-    pub p99: u64,
-    /// Non-empty log₂ buckets as `(upper_bound, count)`.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistogramRecord {
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
-/// Comm matrix re-loaded from `comm.json` (totals only; the epoch
-/// breakdown stays in the artifact for human inspection).
-#[derive(Clone, Debug, PartialEq)]
-pub struct CommRecord {
-    pub ranks: usize,
-    pub bytes: u64,
-    pub msgs: u64,
-    /// Nonzero cells as `(src, dst, bytes, msgs)` in `(src, dst)` order.
-    pub pairs: Vec<(usize, usize, u64, u64)>,
-}
-
-/// One critical-path step re-loaded from `analysis.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StepRecord {
-    pub rank: usize,
-    pub label: String,
-    pub op: Option<String>,
-    pub wait_ns: u64,
-    pub slack_ns: u64,
-}
-
-/// Critical path + per-(op, rank) attribution re-loaded from
-/// `analysis.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PathRecord {
-    pub makespan_ns: u64,
-    pub message_hops: u64,
-    pub steps: Vec<StepRecord>,
-    /// op → per-rank `(wait_ns, transfer_ns)` (indexed by rank).
-    pub attribution: Vec<(String, Vec<(u64, u64)>)>,
-}
-
-/// One algorithm decision re-loaded from `decisions.json`, with its
-/// occurrence index within the collective (the flip-join key).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DecisionRecord {
-    pub collective: String,
-    pub occurrence: u32,
-    pub n: usize,
-    pub total_bytes: u64,
-    pub ratio_millis: u64,
-    pub pow2: bool,
-    pub chosen: String,
-    pub reason: String,
-}
-
-/// One diagnosis finding re-loaded from `diagnosis.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FindingRecord {
-    pub pattern: String,
-    pub op: Option<String>,
-    pub blamed: usize,
-    pub instances: u64,
-    pub severity_ns: u64,
-}
-
-/// Diagnosis summary re-loaded from `diagnosis.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DiagnosisRecord {
-    pub total_wait_ns: u64,
-    pub classified_ns: u64,
-    /// Per-pattern `(label, severity_ns, instances)` in export order.
-    pub patterns: Vec<(String, u64, u64)>,
-    pub findings: Vec<FindingRecord>,
-}
+use crate::commstats::{parse_decisions, AlgorithmDecision};
 
 /// One run re-loaded from the ledger: everything the differential engine
-/// consumes. Artifacts a bench did not record parse to `None`/empty.
-#[derive(Clone, Debug)]
+/// consumes, each artifact through the reader beside its writer. Artifacts
+/// a bench did not record are `None`/empty.
+#[derive(Clone, Debug, Default)]
 pub struct RunRecord {
     pub bench: String,
     pub mode: String,
     pub run_id: String,
     pub knobs: Vec<(String, String)>,
-    pub series: Vec<SeriesRecord>,
-    pub counters: Vec<(String, u64)>,
-    pub histograms: Vec<HistogramRecord>,
-    pub comm: Option<CommRecord>,
-    pub path: Option<PathRecord>,
-    pub decisions: Vec<DecisionRecord>,
-    pub diagnosis: Option<DiagnosisRecord>,
-}
-
-/// `run`'s artifact `name`, parsed and handed to `load`; `None` when the
-/// run did not record it. Errors name the file.
-fn artifact<T>(
-    run: &LedgerRun,
-    name: &str,
-    load: impl FnOnce(&Json) -> Result<T, String>,
-) -> Result<Option<T>, String> {
-    run.artifact(name)
-        .map(|text| parse_json(text).and_then(|v| load(&v)))
-        .transpose()
-        .map_err(|e| format!("{name}: {e}"))
-}
-
-/// A `[a, b, …]` element of exactly `N` counts.
-fn counts<const N: usize>(v: &Json, what: &str) -> Result<[u64; N], String> {
-    let bad = || format!("{what} is not {N} numbers");
-    let items = v.as_array().filter(|a| a.len() == N).ok_or_else(bad)?;
-    let mut out = [0; N];
-    for (o, i) in out.iter_mut().zip(items) {
-        *o = i.as_u64().ok_or_else(bad)?;
-    }
-    Ok(out)
-}
-
-fn load_series(v: &Json) -> Result<Vec<SeriesRecord>, String> {
-    v.list("series", |s| {
-        let points = s.list("points", |p| match p.as_array() {
-            Some([x, y]) => Ok((
-                x.as_str().ok_or("x not a string")?.to_string(),
-                y.as_f64().unwrap_or(f64::NAN),
-            )),
-            _ => Err("point is not a pair".to_string()),
-        })?;
-        Ok(SeriesRecord {
-            label: s.str("label")?.to_string(),
-            points,
-        })
-    })
-}
-
-type Metrics = (Vec<(String, u64)>, Vec<HistogramRecord>);
-
-fn load_metrics(v: &Json) -> Result<Metrics, String> {
-    let m = v.field("metrics")?;
-    let counters = m.list("counters", |c| {
-        Ok((c.str("key")?.to_string(), c.u64("value")?))
-    })?;
-    let histograms = m.list("histograms", |h| {
-        Ok(HistogramRecord {
-            key: h.str("key")?.to_string(),
-            count: h.u64("count")?,
-            sum: h.u64("sum")?,
-            min: h.u64("min")?,
-            max: h.u64("max")?,
-            p50: h.u64("p50")?,
-            p90: h.u64("p90")?,
-            p99: h.u64("p99")?,
-            buckets: h.list("buckets", |b| counts(b, "bucket").map(<[u64; 2]>::into))?,
-        })
-    })?;
-    Ok((counters, histograms))
-}
-
-fn load_comm(v: &Json) -> Result<CommRecord, String> {
-    let total = v.field("total")?;
-    Ok(CommRecord {
-        ranks: v.u64("ranks")? as usize,
-        bytes: total.u64("bytes")?,
-        msgs: total.u64("msgs")?,
-        pairs: total.list("pairs", |p| {
-            counts(p, "pair").map(|[s, d, b, m]| (s as usize, d as usize, b, m))
-        })?,
-    })
-}
-
-fn load_path(v: &Json) -> Result<PathRecord, String> {
-    Ok(PathRecord {
-        makespan_ns: v.u64("makespan_ns")?,
-        message_hops: v.u64("message_hops")?,
-        steps: v.list("steps", |s| {
-            Ok(StepRecord {
-                rank: s.u64("rank")? as usize,
-                label: s.str("event")?.to_string(),
-                op: s.opt_str("op").map(str::to_string),
-                wait_ns: s.u64("wait_ns")?,
-                slack_ns: s.u64("slack_ns")?,
-            })
-        })?,
-        attribution: v.list("attribution", |a| {
-            let ranks = a.list("ranks", |r| Ok((r.u64("wait_ns")?, r.u64("transfer_ns")?)))?;
-            Ok((a.str("op")?.to_string(), ranks))
-        })?,
-    })
-}
-
-fn load_decisions(v: &Json) -> Result<Vec<DecisionRecord>, String> {
-    v.list("decisions", |d| {
-        Ok(DecisionRecord {
-            collective: d.str("collective")?.to_string(),
-            occurrence: d.u64("occurrence")? as u32,
-            n: d.u64("n")? as usize,
-            total_bytes: d.u64("total_bytes")?,
-            ratio_millis: d.u64("ratio_millis")?,
-            pow2: d.bool("pow2")?,
-            chosen: d.str("chosen")?.to_string(),
-            reason: d.str("reason")?.to_string(),
-        })
-    })
-}
-
-fn load_diagnosis(v: &Json) -> Result<DiagnosisRecord, String> {
-    Ok(DiagnosisRecord {
-        total_wait_ns: v.u64("total_wait_ns")?,
-        classified_ns: v.u64("classified_ns")?,
-        patterns: v.list("patterns", |p| {
-            Ok((
-                p.str("pattern")?.to_string(),
-                p.u64("severity_ns")?,
-                p.u64("instances")?,
-            ))
-        })?,
-        findings: v.list("findings", |f| {
-            Ok(FindingRecord {
-                pattern: f.str("pattern")?.to_string(),
-                op: f.opt_str("op").map(str::to_string),
-                blamed: f.u64("blamed")? as usize,
-                instances: f.u64("instances")?,
-                severity_ns: f.u64("severity_ns")?,
-            })
-        })?,
-    })
+    pub series: Vec<Series>,
+    pub metrics: MetricsSnapshot,
+    /// The run's total traffic matrix (`comm.json` without its epochs).
+    pub comm: Option<CommMatrix>,
+    pub path: Option<AnalysisSummary>,
+    /// Each decision with its occurrence index within the collective.
+    pub decisions: Vec<(u32, AlgorithmDecision)>,
+    pub diagnosis: Option<DiagnosisSummary>,
 }
 
 impl RunRecord {
     /// Re-load a ledgered run into the comparison model. Fails loudly on
     /// malformed artifacts (a corrupted ledger must not silently compare
-    /// as "unchanged").
+    /// as "unchanged"); errors name the file.
     pub fn from_ledger(run: &LedgerRun) -> Result<RunRecord, String> {
-        let (counters, histograms) =
-            artifact(run, "metrics.json", load_metrics)?.unwrap_or_default();
+        fn read<T>(
+            run: &LedgerRun,
+            name: &str,
+            parse: impl FnOnce(&str) -> Result<T, String>,
+        ) -> Result<Option<T>, String> {
+            let parsed = run.artifact(name).map(parse).transpose();
+            parsed.map_err(|e| format!("{name}: {e}"))
+        }
         Ok(RunRecord {
             bench: run.manifest.bench.clone(),
             mode: run.manifest.mode.clone(),
             run_id: run.manifest.run_id.clone(),
             knobs: run.manifest.knobs.clone(),
-            series: artifact(run, "series.json", load_series)?.unwrap_or_default(),
-            counters,
-            histograms,
-            comm: artifact(run, "comm.json", load_comm)?,
-            path: artifact(run, "analysis.json", load_path)?,
-            decisions: artifact(run, "decisions.json", load_decisions)?.unwrap_or_default(),
-            diagnosis: artifact(run, "diagnosis.json", load_diagnosis)?,
+            series: read(run, "series.json", parse_series)?.unwrap_or_default(),
+            metrics: read(run, "metrics.json", parse_metrics)?.unwrap_or_default(),
+            comm: read(run, "comm.json", parse_comm_matrix)?.map(|map| map.total),
+            path: read(run, "analysis.json", parse_analysis)?,
+            decisions: read(run, "decisions.json", parse_decisions)?.unwrap_or_default(),
+            diagnosis: read(run, "diagnosis.json", parse_diagnosis)?,
         })
     }
 }
 
-/// JSON export of a decision list (the `decisions.json` ledger artifact):
-/// occurrence indices assigned per collective in call order, ratios in
-/// integer thousandths so no float formatting drifts.
-pub fn decisions_json(decisions: &[AlgorithmDecision]) -> String {
-    let mut occurrence: BTreeMap<&str, u32> = BTreeMap::new();
-    JsonWriter::schema_led(|w| {
-        w.objects("decisions", decisions, |w, d| {
-            let occ = occurrence.entry(d.collective.as_str()).or_insert(0);
-            w.field("collective", &d.collective);
-            w.field("occurrence", *occ).field("n", d.n);
-            w.field("total_bytes", d.total_bytes);
-            w.field("ratio_millis", ratio_to_millis(d.outlier_ratio));
-            w.field("pow2", d.pow2).field("chosen", &d.chosen);
-            w.field("reason", &d.reason);
-            *occ += 1;
-        });
-    })
+/// The keyed full outer join every section of the differential is: each
+/// row of `base` and of `cur` exactly once, as `(key, base side, current
+/// side)` with at least one side present. Matched and base-only rows come
+/// first, in base order, then the current-only rows in current order; a
+/// section reported in key order sorts the result (stably). Rows sharing
+/// a key pair up by occurrence — the k-th of `base` with the k-th of `cur`
+/// — and the surplus is one-sided. O((n + m) log(n + m)).
+pub fn outer_join<'a, T, K: Ord>(
+    base: &'a [T],
+    cur: &'a [T],
+    key: impl Fn(&'a T) -> K,
+) -> Vec<(K, Option<&'a T>, Option<&'a T>)> {
+    let mut unmatched: BTreeMap<K, VecDeque<usize>> = BTreeMap::new();
+    for (i, c) in cur.iter().enumerate() {
+        unmatched.entry(key(c)).or_default().push_back(i);
+    }
+    let mut rows = Vec::with_capacity(base.len().max(cur.len()));
+    let mut matched = vec![false; cur.len()];
+    for b in base {
+        let k = key(b);
+        let hit = unmatched.get_mut(&k).and_then(VecDeque::pop_front);
+        rows.push((k, Some(b), hit.map(|i| &cur[i])));
+        if let Some(i) = hit {
+            matched[i] = true;
+        }
+    }
+    let surplus = cur.iter().zip(matched).filter(|(_, matched)| !matched);
+    rows.extend(surplus.map(|(c, _)| (key(c), None, Some(c))));
+    rows
 }
 
 /// One series point that moved: positive delta = current is larger
@@ -534,7 +326,7 @@ pub struct Cause {
 }
 
 /// The full differential between two ledgered runs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RunDiff {
     pub bench: String,
     pub base_id: String,
@@ -573,6 +365,23 @@ impl RunDiff {
     }
 }
 
+/// Both sides of `what` — a joined row, or an artifact only some benches
+/// record — or a note naming the run that lacks it.
+fn present<'a, T>(
+    what: fmt::Arguments<'_>,
+    base: Option<&'a T>,
+    cur: Option<&'a T>,
+    notes: &mut Vec<String>,
+) -> Option<(&'a T, &'a T)> {
+    match (base, cur) {
+        (Some(b), Some(c)) => return Some((b, c)),
+        (Some(_), None) => notes.push(format!("{what} missing from current run")),
+        (None, Some(_)) => notes.push(format!("{what} new in current run")),
+        (None, None) => {}
+    }
+    None
+}
+
 fn pct_millis(base: f64, cur: f64) -> i64 {
     if base == 0.0 {
         return 0;
@@ -580,156 +389,122 @@ fn pct_millis(base: f64, cur: f64) -> i64 {
     (100_000.0 * (cur - base) / base).round() as i64
 }
 
-fn mean_millis(h: &HistogramRecord) -> u64 {
+fn mean_millis(h: &Histogram) -> u64 {
     (h.mean() * 1000.0).round() as u64
 }
 
 /// Total-variation distance between two bucketed distributions, in
 /// integer thousandths: 0 = identical shape, 1000 = disjoint support.
-fn moved_millis(a: &HistogramRecord, b: &HistogramRecord) -> u64 {
-    if a.count == 0 || b.count == 0 {
-        return if a.count == b.count { 0 } else { 1000 };
+fn moved_millis(a: &Histogram, b: &Histogram) -> u64 {
+    if a.count() == 0 || b.count() == 0 {
+        return if a.count() == b.count() { 0 } else { 1000 };
     }
-    let mut bounds: Vec<u64> = a
-        .buckets
-        .iter()
-        .chain(&b.buckets)
-        .map(|&(bound, _)| bound)
-        .collect();
-    bounds.sort_unstable();
-    bounds.dedup();
-    let mass = |h: &HistogramRecord, bound: u64| -> f64 {
-        h.buckets
-            .iter()
-            .find(|&&(b, _)| b == bound)
-            .map_or(0.0, |&(_, c)| c as f64 / h.count as f64)
+    let (a_buckets, b_buckets): (Vec<_>, Vec<_>) =
+        (a.nonzero_buckets().collect(), b.nonzero_buckets().collect());
+    let mut rows = outer_join(&a_buckets, &b_buckets, |&(bound, _)| bound);
+    rows.sort_by_key(|&(bound, ..)| bound);
+    let mass = |bucket: Option<&(u64, u64)>, h: &Histogram| {
+        bucket.map_or(0.0, |&(_, count)| count as f64 / h.count() as f64)
     };
-    let tv: f64 = bounds
+    let tv: f64 = rows
         .iter()
-        .map(|&bound| (mass(a, bound) - mass(b, bound)).abs())
+        .map(|&(_, in_a, in_b)| (mass(in_a, a) - mass(in_b, b)).abs())
         .sum::<f64>()
         / 2.0;
     (tv * 1000.0).round() as u64
 }
 
-fn diff_comm(base: &CommRecord, cur: &CommRecord, notes: &mut Vec<String>) -> CommDiff {
-    if base.ranks != cur.ranks {
+fn diff_comm(base: &CommMatrix, cur: &CommMatrix, notes: &mut Vec<String>) -> CommDiff {
+    if base.n() != cur.n() {
         notes.push(format!(
             "comm: rank count changed {} -> {}",
-            base.ranks, cur.ranks
+            base.n(),
+            cur.n()
         ));
     }
-    let to_map = |r: &CommRecord| -> BTreeMap<(usize, usize), u64> {
-        r.pairs.iter().map(|&(s, d, b, _)| ((s, d), b)).collect()
-    };
-    let bm = to_map(base);
-    let cm = to_map(cur);
     let mut out = CommDiff {
-        base_bytes: base.bytes,
-        cur_bytes: cur.bytes,
+        base_bytes: base.total_bytes(),
+        cur_bytes: cur.total_bytes(),
         ..CommDiff::default()
     };
-    for (&(s, d), &b) in &cm {
-        match bm.get(&(s, d)) {
-            None => out.new_pairs.push((s, d, b)),
-            Some(&prev) if prev != b => out.cell_deltas.push((s, d, b as i64 - prev as i64)),
-            Some(_) => {}
-        }
-    }
-    for (&(s, d), &b) in &bm {
-        if !cm.contains_key(&(s, d)) {
-            out.vanished_pairs.push((s, d, b));
+    let (base_pairs, cur_pairs) = (base.nonzero_pairs(), cur.nonzero_pairs());
+    for ((s, d), b, c) in outer_join(&base_pairs, &cur_pairs, |&(s, d, _, _)| (s, d)) {
+        match (b, c) {
+            (None, Some(&(_, _, bytes, _))) => out.new_pairs.push((s, d, bytes)),
+            (Some(&(_, _, bytes, _)), None) => out.vanished_pairs.push((s, d, bytes)),
+            (Some(&(_, _, prev, _)), Some(&(_, _, bytes, _))) if prev != bytes => {
+                out.cell_deltas.push((s, d, bytes as i64 - prev as i64))
+            }
+            _ => {}
         }
     }
     out.cell_deltas
         .sort_by_key(|&(s, d, delta)| (std::cmp::Reverse(delta.unsigned_abs()), s, d));
-    let hot = |r: &CommRecord| -> Vec<(usize, usize, u64)> {
-        let mut pairs: Vec<(usize, usize, u64)> =
-            r.pairs.iter().map(|&(s, d, b, _)| (s, d, b)).collect();
-        pairs.sort_by_key(|&(s, d, b)| (std::cmp::Reverse(b), s, d));
-        pairs.truncate(5);
-        pairs
-    };
-    let base_hot = hot(base);
-    let cur_hot = hot(cur);
-    out.new_hot = cur_hot
-        .iter()
-        .filter(|(s, d, _)| !base_hot.iter().any(|(bs, bd, _)| (bs, bd) == (s, d)))
-        .copied()
-        .collect();
-    out.vanished_hot = base_hot
-        .iter()
-        .filter(|(s, d, _)| !cur_hot.iter().any(|(cs, cd, _)| (cs, cd) == (s, d)))
-        .copied()
-        .collect();
+    let (base_hot, cur_hot) = (base.top_pairs(5), cur.top_pairs(5));
+    for (_, b, c) in outer_join(&base_hot, &cur_hot, |&(s, d, _)| (s, d)) {
+        match (b, c) {
+            (None, Some(&pair)) => out.new_hot.push(pair),
+            (Some(&pair), None) => out.vanished_hot.push(pair),
+            _ => {}
+        }
+    }
     out
 }
 
-fn diff_path(base: &PathRecord, cur: &PathRecord) -> PathDiff {
+fn diff_path(base: &AnalysisSummary, cur: &AnalysisSummary) -> PathDiff {
     let mut out = PathDiff {
-        base_makespan_ns: base.makespan_ns,
-        cur_makespan_ns: cur.makespan_ns,
-        base_hops: base.message_hops,
-        cur_hops: cur.message_hops,
+        base_makespan_ns: base.makespan.as_ns(),
+        cur_makespan_ns: cur.makespan.as_ns(),
+        base_hops: base.message_hops as u64,
+        cur_hops: cur.message_hops as u64,
         ..PathDiff::default()
     };
     // Align steps by (rank, label, op, occurrence): the k-th step with
     // the same identity on each side matches. Steps the other run never
     // produced are counted, not force-matched.
-    type StepKey = (usize, String, Option<String>);
-    let index = |steps: &[StepRecord]| -> BTreeMap<(StepKey, usize), (u64, u64)> {
-        let mut occ: BTreeMap<StepKey, usize> = BTreeMap::new();
-        let mut out = BTreeMap::new();
-        for s in steps {
-            let key = (s.rank, s.label.clone(), s.op.clone());
-            let k = occ.entry(key.clone()).or_insert(0);
-            out.insert((key, *k), (s.wait_ns, s.slack_ns));
-            *k += 1;
-        }
-        out
-    };
-    let bi = index(&base.steps);
-    let ci = index(&cur.steps);
-    for (key, &(bw, bs)) in &bi {
-        match ci.get(key) {
-            None => out.unaligned_base += 1,
-            Some(&(cw, cs)) if (cw, cs) != (bw, bs) => out.step_deltas.push(StepDelta {
-                rank: key.0 .0,
-                label: key.0 .1.clone(),
-                op: key.0 .2.clone(),
-                base_wait_ns: bw,
-                cur_wait_ns: cw,
-                base_slack_ns: bs,
-                cur_slack_ns: cs,
-            }),
-            Some(_) => {}
+    let mut steps = outer_join(&base.steps, &cur.steps, |s| {
+        (s.rank, s.label.as_str(), s.op.as_deref())
+    });
+    steps.sort_by(|a, b| a.0.cmp(&b.0));
+    for ((rank, label, op), b, c) in steps {
+        match (b, c) {
+            (Some(_), None) => out.unaligned_base += 1,
+            (None, Some(_)) => out.unaligned_cur += 1,
+            (Some(b), Some(c)) if (b.wait, b.slack) != (c.wait, c.slack) => {
+                out.step_deltas.push(StepDelta {
+                    rank,
+                    label: label.to_string(),
+                    op: op.map(str::to_string),
+                    base_wait_ns: b.wait.as_ns(),
+                    cur_wait_ns: c.wait.as_ns(),
+                    base_slack_ns: b.slack.as_ns(),
+                    cur_slack_ns: c.slack.as_ns(),
+                })
+            }
+            _ => {}
         }
     }
-    out.unaligned_cur = ci.keys().filter(|k| !bi.contains_key(*k)).count() as u64;
 
     // Attribution join by (op, rank); an op or rank absent on one side
     // contributes zeros there.
-    let attr = |p: &PathRecord| -> BTreeMap<(String, usize), (u64, u64)> {
-        let mut out = BTreeMap::new();
-        for (op, ranks) in &p.attribution {
-            for (rank, &(wait, transfer)) in ranks.iter().enumerate() {
-                out.insert((op.clone(), rank), (wait, transfer));
+    type Cell<'a> = ((&'a str, usize), (u64, u64));
+    fn cells(a: &AnalysisSummary) -> Vec<Cell<'_>> {
+        let mut out = Vec::new();
+        for (op, ranks) in &a.attribution.per_op {
+            for (rank, s) in ranks.iter().enumerate() {
+                out.push(((op.as_str(), rank), (s.wait.as_ns(), s.transfer.as_ns())));
             }
         }
         out
-    };
-    let ba = attr(base);
-    let ca = attr(cur);
-    let mut keys: Vec<&(String, usize)> = ba.keys().chain(ca.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    for key in keys {
-        let (bw, bt) = ba.get(key).copied().unwrap_or((0, 0));
-        let (cw, ct) = ca.get(key).copied().unwrap_or((0, 0));
+    }
+    let (base_cells, cur_cells) = (cells(base), cells(cur));
+    for ((op, rank), b, c) in outer_join(&base_cells, &cur_cells, |cell| cell.0) {
+        let (bw, bt) = b.map_or((0, 0), |cell| cell.1);
+        let (cw, ct) = c.map_or((0, 0), |cell| cell.1);
         if (bw, bt) != (cw, ct) {
             out.attribution_deltas.push(AttributionDelta {
-                op: key.0.clone(),
-                rank: key.1,
+                op: op.to_string(),
+                rank,
                 base_wait_ns: bw,
                 cur_wait_ns: cw,
                 base_transfer_ns: bt,
@@ -750,39 +525,19 @@ pub fn compare(base: &RunRecord, cur: &RunRecord) -> RunDiff {
         bench: cur.bench.clone(),
         base_id: base.run_id.clone(),
         cur_id: cur.run_id.clone(),
-        knob_deltas: Vec::new(),
-        series_deltas: Vec::new(),
-        metric_deltas: Vec::new(),
-        histogram_shifts: Vec::new(),
-        comm: None,
-        path: None,
-        flips: Vec::new(),
-        finding_deltas: Vec::new(),
-        causes: Vec::new(),
-        notes: Vec::new(),
+        ..RunDiff::default()
     };
 
-    // Knobs: differing values name the configuration change up front.
-    let mut knob_keys: Vec<&String> = base
-        .knobs
-        .iter()
-        .chain(&cur.knobs)
-        .map(|(k, _)| k)
-        .collect();
-    knob_keys.sort();
-    knob_keys.dedup();
-    let knob_of = |knobs: &[(String, String)], key: &str| -> String {
-        knobs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or_else(|| "-".to_string(), |(_, v)| v.clone())
-    };
-    for key in knob_keys {
-        let (b, c) = (knob_of(&base.knobs, key), knob_of(&cur.knobs, key));
+    // Knobs, in key order: differing values name the configuration change
+    // up front.
+    for (key, b, c) in outer_join(&base.knobs, &cur.knobs, |(k, _)| k) {
+        let value = |knob: Option<&(String, String)>| knob.map_or("-", |(_, v)| v).to_string();
+        let (b, c) = (value(b), value(c));
         if b != c {
             diff.knob_deltas.push((key.clone(), b, c));
         }
     }
+    diff.knob_deltas.sort_by(|a, b| a.0.cmp(&b.0));
     if base.bench != cur.bench {
         diff.notes
             .push(format!("bench changed: {} -> {}", base.bench, cur.bench));
@@ -794,68 +549,35 @@ pub fn compare(base: &RunRecord, cur: &RunRecord) -> RunDiff {
 
     // Series: join by (label, x); moved points become deltas, shape
     // mismatches become notes.
-    for bs in &base.series {
-        let Some(cs) = cur.series.iter().find(|c| c.label == bs.label) else {
-            diff.notes
-                .push(format!("series '{}' missing from current run", bs.label));
+    for (label, b, c) in outer_join(&base.series, &cur.series, |s| &s.label) {
+        let what = format_args!("series '{label}'");
+        let Some((bs, cs)) = present(what, b, c, &mut diff.notes) else {
             continue;
         };
-        for (x, by) in &bs.points {
-            let Some((_, cy)) = cs.points.iter().find(|(cx, _)| cx == x) else {
-                diff.notes.push(format!(
-                    "series '{}' point {x} missing from current run",
-                    bs.label
-                ));
+        for (x, b, c) in outer_join(&bs.points, &cs.points, |(x, _)| x) {
+            let what = format_args!("series '{label}' point {x}");
+            let Some((&(_, by), &(_, cy))) = present(what, b, c, &mut diff.notes) else {
                 continue;
             };
             // NaN points (exported as null) compare equal to each other:
             // "both unmeasured" is not a regression.
             if by != cy && !(by.is_nan() && cy.is_nan()) {
                 diff.series_deltas.push(SeriesDelta {
-                    series: bs.label.clone(),
+                    series: label.clone(),
                     x: x.clone(),
-                    base: *by,
-                    current: *cy,
-                    delta_pct_millis: pct_millis(*by, *cy),
+                    base: by,
+                    current: cy,
+                    delta_pct_millis: pct_millis(by, cy),
                 });
             }
         }
-        for (x, _) in &cs.points {
-            if !bs.points.iter().any(|(bx, _)| bx == x) {
-                diff.notes.push(format!(
-                    "series '{}' point {x} new in current run",
-                    bs.label
-                ));
-            }
-        }
-    }
-    for cs in &cur.series {
-        if !base.series.iter().any(|b| b.label == cs.label) {
-            diff.notes
-                .push(format!("series '{}' new in current run", cs.label));
-        }
     }
 
-    // Counters: any key whose value moved (absent = 0).
-    let mut counter_keys: Vec<&String> = base
-        .counters
-        .iter()
-        .chain(&cur.counters)
-        .map(|(k, _)| k)
-        .collect();
-    counter_keys.sort();
-    counter_keys.dedup();
-    let counter_of = |counters: &[(String, u64)], key: &str| -> u64 {
-        counters
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(0, |&(_, v)| v)
-    };
-    for key in counter_keys {
-        let (b, c) = (
-            counter_of(&base.counters, key),
-            counter_of(&cur.counters, key),
-        );
+    // Counters, in key order: any key whose value moved (absent = 0).
+    let (base_counters, cur_counters) = (&base.metrics.counters, &cur.metrics.counters);
+    for (key, b, c) in outer_join(base_counters, cur_counters, |(k, _)| k) {
+        let value = |counter: Option<&(String, u64)>| counter.map_or(0, |&(_, v)| v);
+        let (b, c) = (value(b), value(c));
         if b != c {
             diff.metric_deltas.push(MetricDelta {
                 key: key.clone(),
@@ -864,161 +586,85 @@ pub fn compare(base: &RunRecord, cur: &RunRecord) -> RunDiff {
             });
         }
     }
+    diff.metric_deltas.sort_by(|a, b| a.key.cmp(&b.key));
 
     // Histograms: distribution shift for keys present in both whose
     // summary moved; keys on one side only are counter-level news and
     // land in notes.
-    for bh in &base.histograms {
-        match cur.histograms.iter().find(|c| c.key == bh.key) {
-            None => diff
-                .notes
-                .push(format!("histogram '{}' missing from current run", bh.key)),
-            Some(ch) if bh != ch => diff.histogram_shifts.push(HistogramShift {
-                key: bh.key.clone(),
-                base_mean_millis: mean_millis(bh),
-                cur_mean_millis: mean_millis(ch),
-                base_p90: bh.p90,
-                cur_p90: ch.p90,
-                moved_millis: moved_millis(bh, ch),
-            }),
-            Some(_) => {}
-        }
-    }
-    for ch in &cur.histograms {
-        if !base.histograms.iter().any(|b| b.key == ch.key) {
-            diff.notes
-                .push(format!("histogram '{}' new in current run", ch.key));
-        }
+    let (base_hists, cur_hists) = (&base.metrics.histograms, &cur.metrics.histograms);
+    for (key, b, c) in outer_join(base_hists, cur_hists, |(k, _)| k) {
+        let what = format_args!("histogram '{key}'");
+        let sides = present(what, b, c, &mut diff.notes);
+        let Some(((_, bh), (_, ch))) = sides.filter(|(b, c)| b.1 != c.1) else {
+            continue;
+        };
+        diff.histogram_shifts.push(HistogramShift {
+            key: key.clone(),
+            base_mean_millis: mean_millis(bh),
+            cur_mean_millis: mean_millis(ch),
+            base_p90: bh.p90(),
+            cur_p90: ch.p90(),
+            moved_millis: moved_millis(bh, ch),
+        });
     }
 
     // Structured artifacts: diff where both sides recorded them, note
     // one-sided presence.
-    let sided = |name: &str, b: bool, c: bool, notes: &mut Vec<String>| -> bool {
-        match (b, c) {
-            (true, true) => true,
-            (true, false) => {
-                notes.push(format!("{name} missing from current run"));
-                false
-            }
-            (false, true) => {
-                notes.push(format!("{name} new in current run"));
-                false
-            }
-            (false, false) => false,
-        }
-    };
-    if sided(
-        "comm matrix",
-        base.comm.is_some(),
-        cur.comm.is_some(),
-        &mut diff.notes,
-    ) {
-        let d = diff_comm(
-            base.comm.as_ref().unwrap(),
-            cur.comm.as_ref().unwrap(),
-            &mut diff.notes,
-        );
-        if !d.is_empty() {
-            diff.comm = Some(d);
-        }
+    let (b, c) = (base.comm.as_ref(), cur.comm.as_ref());
+    if let Some((b, c)) = present(format_args!("comm matrix"), b, c, &mut diff.notes) {
+        let d = diff_comm(b, c, &mut diff.notes);
+        diff.comm = (!d.is_empty()).then_some(d);
     }
-    if sided(
-        "critical path",
-        base.path.is_some(),
-        cur.path.is_some(),
-        &mut diff.notes,
-    ) {
-        let d = diff_path(base.path.as_ref().unwrap(), cur.path.as_ref().unwrap());
-        if !d.is_empty() {
-            diff.path = Some(d);
-        }
+    let (b, c) = (base.path.as_ref(), cur.path.as_ref());
+    if let Some((b, c)) = present(format_args!("critical path"), b, c, &mut diff.notes) {
+        let d = diff_path(b, c);
+        diff.path = (!d.is_empty()).then_some(d);
     }
 
     // Decision flips: join by (collective, occurrence).
-    for bd in &base.decisions {
-        let Some(cd) = cur
-            .decisions
-            .iter()
-            .find(|c| c.collective == bd.collective && c.occurrence == bd.occurrence)
-        else {
-            diff.notes.push(format!(
-                "decision {}#{} missing from current run",
-                bd.collective, bd.occurrence
-            ));
+    let calls = outer_join(&base.decisions, &cur.decisions, |(occ, d)| {
+        (d.collective.as_str(), *occ)
+    });
+    for ((collective, occurrence), b, c) in calls {
+        let what = format_args!("decision {collective}#{occurrence}");
+        let sides = present(what, b, c, &mut diff.notes);
+        let Some(((_, bd), (_, cd))) = sides.filter(|(b, c)| b.1.chosen != c.1.chosen) else {
             continue;
         };
-        if bd.chosen != cd.chosen {
-            diff.flips.push(DecisionFlip {
-                collective: bd.collective.clone(),
-                occurrence: bd.occurrence,
-                base_chosen: bd.chosen.clone(),
-                cur_chosen: cd.chosen.clone(),
-                base_reason: bd.reason.clone(),
-                cur_reason: cd.reason.clone(),
-            });
-        }
-    }
-    for cd in &cur.decisions {
-        if !base
-            .decisions
-            .iter()
-            .any(|b| b.collective == cd.collective && b.occurrence == cd.occurrence)
-        {
-            diff.notes.push(format!(
-                "decision {}#{} new in current run",
-                cd.collective, cd.occurrence
-            ));
-        }
+        diff.flips.push(DecisionFlip {
+            collective: collective.to_string(),
+            occurrence,
+            base_chosen: bd.chosen.clone(),
+            cur_chosen: cd.chosen.clone(),
+            base_reason: bd.reason.clone(),
+            cur_reason: cd.reason.clone(),
+        });
     }
 
     // Findings: match by (pattern, op, blamed).
-    if sided(
-        "diagnosis",
-        base.diagnosis.is_some(),
-        cur.diagnosis.is_some(),
-        &mut diff.notes,
-    ) {
-        let bd = base.diagnosis.as_ref().unwrap();
-        let cd = cur.diagnosis.as_ref().unwrap();
-        let fkey = |f: &FindingRecord| (f.pattern.clone(), f.op.clone(), f.blamed);
-        for bf in &bd.findings {
-            match cd.findings.iter().find(|cf| fkey(cf) == fkey(bf)) {
-                None => diff.finding_deltas.push(FindingDelta {
-                    status: FindingStatus::Resolved,
-                    pattern: bf.pattern.clone(),
-                    op: bf.op.clone(),
-                    blamed: bf.blamed,
-                    base_ns: bf.severity_ns,
-                    cur_ns: 0,
-                }),
-                Some(cf) if cf.severity_ns != bf.severity_ns => {
-                    diff.finding_deltas.push(FindingDelta {
-                        status: if cf.severity_ns > bf.severity_ns {
-                            FindingStatus::Worsened
-                        } else {
-                            FindingStatus::Improved
-                        },
-                        pattern: bf.pattern.clone(),
-                        op: bf.op.clone(),
-                        blamed: bf.blamed,
-                        base_ns: bf.severity_ns,
-                        cur_ns: cf.severity_ns,
-                    })
-                }
-                Some(_) => {}
-            }
-        }
-        for cf in &cd.findings {
-            if !bd.findings.iter().any(|bf| fkey(bf) == fkey(cf)) {
-                diff.finding_deltas.push(FindingDelta {
-                    status: FindingStatus::New,
-                    pattern: cf.pattern.clone(),
-                    op: cf.op.clone(),
-                    blamed: cf.blamed,
-                    base_ns: 0,
-                    cur_ns: cf.severity_ns,
-                });
-            }
+    let (b, c) = (base.diagnosis.as_ref(), cur.diagnosis.as_ref());
+    if let Some((bd, cd)) = present(format_args!("diagnosis"), b, c, &mut diff.notes) {
+        let findings = outer_join(&bd.findings, &cd.findings, |f| {
+            (f.pattern, f.op.as_deref(), f.blamed)
+        });
+        for ((pattern, op, blamed), b, c) in findings {
+            let severity = |f: Option<&FindingSummary>| f.map_or(0, |f| f.severity.as_ns());
+            let (base_ns, cur_ns) = (severity(b), severity(c));
+            let status = match (b, c) {
+                (Some(_), None) => FindingStatus::Resolved,
+                (None, Some(_)) => FindingStatus::New,
+                _ if cur_ns > base_ns => FindingStatus::Worsened,
+                _ if cur_ns < base_ns => FindingStatus::Improved,
+                _ => continue,
+            };
+            diff.finding_deltas.push(FindingDelta {
+                status,
+                pattern: pattern.label().to_string(),
+                op: op.map(str::to_string),
+                blamed,
+                base_ns,
+                cur_ns,
+            });
         }
         diff.finding_deltas
             .sort_by_key(|f| std::cmp::Reverse(f.cur_ns.abs_diff(f.base_ns)));
@@ -1052,7 +698,7 @@ fn classify(base: &RunRecord, cur: &RunRecord, diff: &RunDiff) -> Vec<Cause> {
         });
     }
     if let (Some(bd), Some(cd)) = (&base.diagnosis, &cur.diagnosis) {
-        let delta = cd.classified_ns as i64 - bd.classified_ns as i64;
+        let delta = cd.classified.as_ns() as i64 - bd.classified.as_ns() as i64;
         if delta != 0 {
             let top = diff
                 .finding_deltas
@@ -1073,14 +719,14 @@ fn classify(base: &RunRecord, cur: &RunRecord, diff: &RunDiff) -> Vec<Cause> {
                 magnitude: delta,
                 evidence: format!(
                     "classified wait {} -> {}; {top}",
-                    SimTime::from_ns(bd.classified_ns),
-                    SimTime::from_ns(cd.classified_ns),
+                    bd.classified, cd.classified,
                 ),
             });
         }
     }
     let seek = |r: &RunRecord| -> u64 {
-        r.counters
+        r.metrics
+            .counters
             .iter()
             .filter(|(k, _)| k.starts_with("datatype/seek_total/"))
             .map(|&(_, v)| v)
@@ -1095,11 +741,12 @@ fn classify(base: &RunRecord, cur: &RunRecord, diff: &RunDiff) -> Vec<Cause> {
         });
     }
     if let (Some(bc), Some(cc)) = (&base.comm, &cur.comm) {
-        if bc.bytes != cc.bytes {
+        let (bytes, cur_bytes) = (bc.total_bytes(), cc.total_bytes());
+        if bytes != cur_bytes {
             out.push(Cause {
                 class: RegressionClass::Wire,
-                magnitude: cc.bytes as i64 - bc.bytes as i64,
-                evidence: format!("wire traffic {} B -> {} B", bc.bytes, cc.bytes),
+                magnitude: cur_bytes as i64 - bytes as i64,
+                evidence: format!("wire traffic {bytes} B -> {cur_bytes} B"),
             });
         }
     }
@@ -1108,6 +755,23 @@ fn classify(base: &RunRecord, cur: &RunRecord, diff: &RunDiff) -> Vec<Cause> {
 
 fn fmt_ns(ns: u64) -> String {
     SimTime::from_ns(ns).to_string()
+}
+
+/// The first `top_k` of `rows` through `line`, then how many `what` were
+/// left out.
+fn capped<T>(
+    out: &mut String,
+    rows: &[T],
+    top_k: usize,
+    what: &str,
+    mut line: impl FnMut(&mut String, &T),
+) {
+    for row in rows.iter().take(top_k) {
+        line(out, row);
+    }
+    if rows.len() > top_k {
+        let _ = writeln!(out, "  ... {} more {what}", rows.len() - top_k);
+    }
 }
 
 /// Render the differential as the "what regressed and who is to blame"
@@ -1152,7 +816,7 @@ pub fn render_compare(diff: &RunDiff, top_k: usize) -> String {
         );
         let mut rows: Vec<&SeriesDelta> = diff.series_deltas.iter().collect();
         rows.sort_by_key(|d| std::cmp::Reverse(d.delta_pct_millis.unsigned_abs()));
-        for d in rows.iter().take(top_k) {
+        capped(&mut out, &rows, top_k, "point(s)", |out, d| {
             let _ = writeln!(
                 out,
                 "  {:<26} {:>10} {:>14.3} {:>14.3} {:>+8.1}%",
@@ -1162,10 +826,7 @@ pub fn render_compare(diff: &RunDiff, top_k: usize) -> String {
                 d.current,
                 d.delta_pct_millis as f64 / 1000.0
             );
-        }
-        if rows.len() > top_k {
-            let _ = writeln!(out, "  ... {} more point(s)", rows.len() - top_k);
-        }
+        });
     }
     if !diff.flips.is_empty() {
         out.push_str("algorithm-decision flips:\n");
@@ -1206,7 +867,8 @@ pub fn render_compare(diff: &RunDiff, top_k: usize) -> String {
                 "  {:<28} {:>5} {:>14} {:>14} {:>14}",
                 "op", "rank", "base wait", "current wait", "delta"
             );
-            for a in p.attribution_deltas.iter().take(top_k) {
+            let cells = &p.attribution_deltas;
+            capped(&mut out, cells, top_k, "(op, rank) cell(s)", |out, a| {
                 let _ = writeln!(
                     out,
                     "  {:<28} {:>5} {:>14} {:>14} {:>+14}",
@@ -1216,37 +878,29 @@ pub fn render_compare(diff: &RunDiff, top_k: usize) -> String {
                     fmt_ns(a.cur_wait_ns),
                     a.wait_delta_ns()
                 );
-            }
-            if p.attribution_deltas.len() > top_k {
-                let _ = writeln!(
-                    out,
-                    "  ... {} more (op, rank) cell(s)",
-                    p.attribution_deltas.len() - top_k
-                );
-            }
+            });
         }
     }
     if !diff.finding_deltas.is_empty() {
         out.push_str("diagnosis finding diff:\n");
-        for f in diff.finding_deltas.iter().take(top_k) {
-            let _ = writeln!(
-                out,
-                "  {:<9} {:<22} op {:<26} blamed {:>3}  {} -> {}",
-                f.status.label(),
-                f.pattern,
-                f.op.as_deref().unwrap_or("-"),
-                f.blamed,
-                fmt_ns(f.base_ns),
-                fmt_ns(f.cur_ns)
-            );
-        }
-        if diff.finding_deltas.len() > top_k {
-            let _ = writeln!(
-                out,
-                "  ... {} more finding(s)",
-                diff.finding_deltas.len() - top_k
-            );
-        }
+        capped(
+            &mut out,
+            &diff.finding_deltas,
+            top_k,
+            "finding(s)",
+            |out, f| {
+                let _ = writeln!(
+                    out,
+                    "  {:<9} {:<22} op {:<26} blamed {:>3}  {} -> {}",
+                    f.status.label(),
+                    f.pattern,
+                    f.op.as_deref().unwrap_or("-"),
+                    f.blamed,
+                    fmt_ns(f.base_ns),
+                    fmt_ns(f.cur_ns)
+                );
+            },
+        );
     }
     if let Some(c) = &diff.comm {
         let _ = writeln!(
@@ -1286,7 +940,7 @@ pub fn render_compare(diff: &RunDiff, top_k: usize) -> String {
         );
         let mut rows: Vec<&MetricDelta> = diff.metric_deltas.iter().collect();
         rows.sort_by_key(|d| std::cmp::Reverse(d.current.abs_diff(d.base)));
-        for d in rows.iter().take(top_k) {
+        capped(&mut out, &rows, top_k, "counter(s)", |out, d| {
             let _ = writeln!(
                 out,
                 "  {:<44} {:>12} -> {:>12} ({:+})",
@@ -1295,14 +949,12 @@ pub fn render_compare(diff: &RunDiff, top_k: usize) -> String {
                 d.current,
                 d.current as i64 - d.base as i64
             );
-        }
-        if rows.len() > top_k {
-            let _ = writeln!(out, "  ... {} more counter(s)", rows.len() - top_k);
-        }
+        });
     }
     if !diff.histogram_shifts.is_empty() {
         out.push_str("distribution shifts:\n");
-        for h in diff.histogram_shifts.iter().take(top_k) {
+        let shifts = &diff.histogram_shifts;
+        capped(&mut out, shifts, top_k, "histogram(s)", |out, h| {
             let _ = writeln!(
                 out,
                 "  {:<44} mean {:.1} -> {:.1}  p90 {} -> {}  moved {:.1}%",
@@ -1313,14 +965,7 @@ pub fn render_compare(diff: &RunDiff, top_k: usize) -> String {
                 h.cur_p90,
                 h.moved_millis as f64 / 10.0
             );
-        }
-        if diff.histogram_shifts.len() > top_k {
-            let _ = writeln!(
-                out,
-                "  ... {} more histogram(s)",
-                diff.histogram_shifts.len() - top_k
-            );
-        }
+        });
     }
     if !diff.notes.is_empty() {
         out.push_str("shape changes:\n");
@@ -1425,51 +1070,29 @@ pub fn diff_json(diff: &RunDiff) -> String {
     })
 }
 
-/// Convenience used by tests and tooling: the outlier ratio a decision
-/// record carries, back in float form.
-pub fn decision_ratio(d: &DecisionRecord) -> f64 {
-    millis_to_ratio(d.ratio_millis)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncd_simnet::{RunManifest, SCHEMA_VERSION};
+    use ncd_simnet::{
+        series_json, OpRankStats, RoundAttribution, RunManifest, StepSummary, WaitPattern,
+        SCHEMA_VERSION,
+    };
 
-    fn run_with(artifacts: &[(&str, String)]) -> RunRecord {
-        let run = LedgerRun {
-            manifest: RunManifest {
-                bench: "t".to_string(),
-                mode: "smoke".to_string(),
-                schema: SCHEMA_VERSION,
-                knobs: vec![],
-                run_id: "0000000000000000".to_string(),
-            },
-            artifacts: artifacts
-                .iter()
-                .map(|(n, c)| (n.to_string(), c.clone()))
-                .collect(),
-        };
-        RunRecord::from_ledger(&run).expect("parse")
-    }
-
-    fn series_artifact(points: &[(&str, f64)]) -> String {
-        JsonWriter::schema_led(|w| {
-            w.field("name", "t").field("mode", "smoke");
-            w.key("series").array(|w| {
-                w.object(|w| {
-                    w.field("label", "lat").field("points", points);
-                });
-            });
-        })
+    fn with_series(points: &[(&str, f64)]) -> RunRecord {
+        let mut lat = Series::new("lat");
+        for &(x, y) in points {
+            lat.push(x, y);
+        }
+        RunRecord {
+            series: vec![lat],
+            ..RunRecord::default()
+        }
     }
 
     #[test]
     fn identical_runs_compare_empty() {
-        let art = [("series.json", series_artifact(&[("1", 10.0), ("2", 20.0)]))];
-        let a = run_with(&art);
-        let b = run_with(&art);
-        let diff = compare(&a, &b);
+        let a = with_series(&[("1", 10.0), ("2", 20.0)]);
+        let diff = compare(&a, &a);
         assert!(diff.is_empty(), "diff: {diff:?}");
         assert!(render_compare(&diff, 10).contains("observationally identical"));
         assert!(diff_json(&diff).contains("\"empty\":true"));
@@ -1477,9 +1100,7 @@ mod tests {
 
     #[test]
     fn series_regression_is_reported() {
-        let a = run_with(&[("series.json", series_artifact(&[("1", 10.0)]))]);
-        let b = run_with(&[("series.json", series_artifact(&[("1", 15.0)]))]);
-        let diff = compare(&a, &b);
+        let diff = compare(&with_series(&[("1", 10.0)]), &with_series(&[("1", 15.0)]));
         assert_eq!(diff.series_deltas.len(), 1);
         assert_eq!(diff.series_deltas[0].delta_pct_millis, 50_000);
         assert!(!diff.is_empty());
@@ -1487,39 +1108,82 @@ mod tests {
         assert!(table.contains("+50.0%"), "{table}");
     }
 
-    /// A point one run did not measure is `null` in `series.json` and
-    /// NaN in the record: the delta must export as `null`, not `NaN`.
+    /// A point one run did not measure is NaN in the record: the delta
+    /// must export as `null`, not `NaN`.
     #[test]
     fn unmeasured_points_export_as_null() {
-        let measured = run_with(&[("series.json", series_artifact(&[("1", 2.5)]))]);
-        let unmeasured = run_with(&[("series.json", series_artifact(&[("1", f64::NAN)]))]);
+        let measured = with_series(&[("1", 2.5)]);
+        let unmeasured = with_series(&[("1", f64::NAN)]);
+        assert!(compare(&unmeasured, &unmeasured).is_empty());
         for (base, cur, expect) in [
             (&unmeasured, &measured, "\"base\":null,\"current\":2.5"),
             (&measured, &unmeasured, "\"base\":2.5,\"current\":null"),
         ] {
             let json = diff_json(&compare(base, cur));
             assert!(json.contains(expect), "{json}");
-            let back = parse_json(&json).expect("diff.json parses back");
-            assert_eq!(back.array("series").map(<[Json]>::len), Ok(1));
+            let back = ncd_simnet::parse_json(&json).expect("diff.json parses back");
+            assert_eq!(back.array("series").map(<[_]>::len), Ok(1));
         }
     }
 
     #[test]
     fn shape_mismatches_become_notes() {
-        let a = run_with(&[("series.json", series_artifact(&[("1", 10.0), ("2", 1.0)]))]);
-        let b = run_with(&[("series.json", series_artifact(&[("1", 10.0)]))]);
+        let a = with_series(&[("1", 10.0), ("2", 1.0)]);
+        let b = with_series(&[("1", 10.0)]);
         let diff = compare(&a, &b);
         assert!(diff.series_deltas.is_empty());
         assert_eq!(diff.notes.len(), 1);
         assert!(diff.notes[0].contains("point 2 missing"));
+        let diff = compare(&b, &RunRecord::default());
+        assert_eq!(diff.notes, ["series 'lat' missing from current run"]);
+    }
+
+    /// Every artifact goes through the reader beside its writer, so one
+    /// written under another schema is refused, by file name.
+    #[test]
+    fn from_ledger_refuses_another_schema_and_names_the_file() {
+        let series = series_json("t", true, &with_series(&[("1", 10.0)]).series);
+        let run = |artifact: &str, contents: String| LedgerRun {
+            manifest: RunManifest {
+                bench: "t".to_string(),
+                mode: "smoke".to_string(),
+                schema: SCHEMA_VERSION,
+                knobs: vec![],
+                run_id: "0000000000000000".to_string(),
+            },
+            artifacts: vec![(artifact.to_string(), contents)],
+        };
+        let rec = RunRecord::from_ledger(&run("series.json", series.clone())).expect("parse");
+        assert_eq!(rec.series, with_series(&[("1", 10.0)]).series);
+        assert!(rec.comm.is_none() && rec.decisions.is_empty());
+        let newer = series.replacen("\"schema\":1", "\"schema\":2", 1);
+        assert_eq!(
+            RunRecord::from_ledger(&run("series.json", newer)).err(),
+            Some("series.json: written under schema 2, this build reads schema 1".to_string())
+        );
+        let err = RunRecord::from_ledger(&run("comm.json", series)).unwrap_err();
+        assert_eq!(err, "comm.json: missing number \"ranks\"");
     }
 
     #[test]
     fn decision_flip_is_detected_and_classified() {
-        let base = "{\"schema\":1,\"decisions\":[{\"collective\":\"allgatherv\",\"occurrence\":0,\"n\":16,\"total_bytes\":33280,\"ratio_millis\":4096000,\"pow2\":true,\"chosen\":\"ring\",\"reason\":\"total >= long threshold\"}]}";
-        let cur = "{\"schema\":1,\"decisions\":[{\"collective\":\"allgatherv\",\"occurrence\":0,\"n\":16,\"total_bytes\":33280,\"ratio_millis\":4096000,\"pow2\":true,\"chosen\":\"recursive_doubling\",\"reason\":\"outliers: adaptive path\"}]}";
-        let a = run_with(&[("decisions.json", base.to_string())]);
-        let b = run_with(&[("decisions.json", cur.to_string())]);
+        let decided = |chosen: &str, reason: &str| RunRecord {
+            decisions: vec![(
+                0,
+                AlgorithmDecision {
+                    collective: "allgatherv".to_string(),
+                    n: 16,
+                    total_bytes: 33_280,
+                    outlier_ratio: 4096.0,
+                    pow2: true,
+                    chosen: chosen.to_string(),
+                    reason: reason.to_string(),
+                },
+            )],
+            ..RunRecord::default()
+        };
+        let a = decided("ring", "total >= long threshold");
+        let b = decided("recursive_doubling", "outliers: adaptive path");
         let diff = compare(&a, &b);
         assert_eq!(diff.flips.len(), 1);
         assert_eq!(diff.flips[0].base_chosen, "ring");
@@ -1528,42 +1192,36 @@ mod tests {
         assert_eq!(diff.causes[0].class, RegressionClass::Decision);
         // And the identity still holds per artifact kind.
         assert!(compare(&a, &a).is_empty());
-    }
-
-    #[test]
-    fn decisions_json_assigns_occurrences_per_collective() {
-        let d = |collective: &str, chosen: &str| AlgorithmDecision {
-            collective: collective.to_string(),
-            n: 4,
-            total_bytes: 100,
-            outlier_ratio: 2.0,
-            pow2: true,
-            chosen: chosen.to_string(),
-            reason: "r".to_string(),
-        };
-        let json = decisions_json(&[
-            d("allgatherv", "ring"),
-            d("alltoallw", "binned"),
-            d("allgatherv", "ring"),
-        ]);
-        assert!(json.starts_with(&format!("{{\"schema\":{SCHEMA_VERSION},\"decisions\":[")));
-        assert!(json.contains("\"collective\":\"allgatherv\",\"occurrence\":0"));
-        assert!(json.contains("\"collective\":\"alltoallw\",\"occurrence\":0"));
-        assert!(json.contains("\"collective\":\"allgatherv\",\"occurrence\":1"));
-        assert!(json.contains("\"ratio_millis\":2000"));
+        let diff = compare(&a, &RunRecord::default());
+        assert_eq!(
+            diff.notes,
+            ["decision allgatherv#0 missing from current run"]
+        );
     }
 
     #[test]
     fn comm_structural_diff_finds_new_and_vanished_pairs() {
-        let base = "{\"schema\":1,\"ranks\":4,\"total\":{\"bytes\":100,\"msgs\":2,\"pairs\":[[0,1,60,1],[1,2,40,1]]},\"epochs\":[]}";
-        let cur = "{\"schema\":1,\"ranks\":4,\"total\":{\"bytes\":130,\"msgs\":3,\"pairs\":[[0,1,80,1],[2,3,50,2]]},\"epochs\":[]}";
-        let a = run_with(&[("comm.json", base.to_string())]);
-        let b = run_with(&[("comm.json", cur.to_string())]);
+        let traffic = |pairs: &[(usize, usize, u64, u64)]| {
+            let mut m = CommMatrix::new(4);
+            for &(s, d, bytes, msgs) in pairs {
+                m.add(s, d, bytes, msgs);
+            }
+            RunRecord {
+                comm: Some(m),
+                ..RunRecord::default()
+            }
+        };
+        let a = traffic(&[(0, 1, 60, 1), (1, 2, 40, 1)]);
+        let b = traffic(&[(0, 1, 80, 1), (2, 3, 50, 2)]);
         let diff = compare(&a, &b);
         let c = diff.comm.as_ref().expect("comm diff");
         assert_eq!(c.new_pairs, vec![(2, 3, 50)]);
         assert_eq!(c.vanished_pairs, vec![(1, 2, 40)]);
         assert_eq!(c.cell_deltas, vec![(0, 1, 20)]);
+        assert_eq!(
+            (&c.new_hot, &c.vanished_hot),
+            (&c.new_pairs, &c.vanished_pairs)
+        );
         assert_eq!(diff.causes.len(), 1);
         assert_eq!(diff.causes[0].class, RegressionClass::Wire);
         assert_eq!(diff.causes[0].magnitude, 30);
@@ -1572,33 +1230,45 @@ mod tests {
 
     #[test]
     fn finding_diff_tracks_all_four_statuses() {
-        let diag = |findings: &str, classified: u64| {
-            format!(
-                "{{\"schema\":1,\"ranks\":2,\"makespan_ns\":100,\"total_wait_ns\":50,\"classified_ns\":{classified},\"patterns\":[],\"findings\":[{findings}],\"blame\":[],\"unmatched_recvs\":0,\"unmatched_sends\":0}}"
-            )
+        let diagnosed = |classified: u64, findings: &[(WaitPattern, usize, u64)]| {
+            let finding = |&(pattern, blamed, ns): &(WaitPattern, usize, u64)| FindingSummary {
+                pattern,
+                op: Some("allgatherv/ring".to_string()),
+                blamed,
+                waiters: 1,
+                instances: 1,
+                severity: SimTime::from_ns(ns),
+                max_severity: SimTime::from_ns(ns),
+                verified_gain: None,
+            };
+            RunRecord {
+                diagnosis: Some(DiagnosisSummary {
+                    n: 4,
+                    makespan: SimTime::from_ns(100),
+                    total_wait: SimTime::from_ns(50),
+                    classified: SimTime::from_ns(classified),
+                    per_pattern: vec![],
+                    findings: findings.iter().map(finding).collect(),
+                    blame: CommMatrix::new(4),
+                    unmatched_recvs: 0,
+                    unmatched_sends: 0,
+                }),
+                ..RunRecord::default()
+            }
         };
-        let f = |pattern: &str, blamed: usize, sev: u64| {
-            format!(
-                "{{\"pattern\":\"{pattern}\",\"op\":\"allgatherv/ring\",\"blamed\":{blamed},\"waiters\":1,\"instances\":1,\"severity_ns\":{sev},\"max_ns\":{sev}}}"
-            )
-        };
-        let base_f = format!("{},{}", f("late-sender", 0, 40), f("late-receiver", 1, 10));
-        let cur_f = format!(
-            "{},{}",
-            f("late-sender", 0, 25),
-            f("serialization-chain", 2, 5)
+        let (sender, receiver) = (WaitPattern::LateSender, WaitPattern::LateReceiver);
+        let a = diagnosed(50, &[(sender, 0, 40), (receiver, 1, 10)]);
+        let b = diagnosed(
+            30,
+            &[(sender, 0, 25), (WaitPattern::SerializationChain, 2, 5)],
         );
-        let a = run_with(&[("diagnosis.json", diag(&base_f, 50))]);
-        let b = run_with(&[("diagnosis.json", diag(&cur_f, 30))]);
         let diff = compare(&a, &b);
         let statuses: Vec<(&str, usize)> = diff
             .finding_deltas
             .iter()
             .map(|f| (f.status.label(), f.blamed))
             .collect();
-        assert!(statuses.contains(&("improved", 0)), "{statuses:?}");
-        assert!(statuses.contains(&("resolved", 1)), "{statuses:?}");
-        assert!(statuses.contains(&("new", 2)), "{statuses:?}");
+        assert_eq!(statuses, [("improved", 0), ("resolved", 1), ("new", 2)]);
         assert_eq!(diff.causes[0].class, RegressionClass::Wait);
         assert_eq!(diff.causes[0].magnitude, -20);
         assert!(compare(&a, &a).is_empty());
@@ -1606,13 +1276,15 @@ mod tests {
 
     #[test]
     fn histogram_shift_reports_moved_mass() {
-        let metrics = |buckets: &str, sum: u64, p90: u64| {
-            format!(
-                "{{\"schema\":1,\"metrics\":{{\"counters\":[],\"gauges\":[],\"histograms\":[{{\"key\":\"a/b/c\",\"count\":4,\"sum\":{sum},\"min\":1,\"max\":64,\"p50\":2,\"p90\":{p90},\"p99\":{p90},\"buckets\":[{buckets}]}}]}}}}"
-            )
+        let observed = |samples: &[u64]| {
+            let mut h = Histogram::new();
+            samples.iter().for_each(|&v| h.record(v));
+            let mut rec = RunRecord::default();
+            rec.metrics.histograms.push(("a/b/c".to_string(), h));
+            rec
         };
-        let a = run_with(&[("metrics.json", metrics("[3,4]", 8, 3))]);
-        let b = run_with(&[("metrics.json", metrics("[3,2],[63,2]", 70, 63))]);
+        let a = observed(&[2, 2, 3, 3]);
+        let b = observed(&[2, 3, 40, 60]);
         let diff = compare(&a, &b);
         assert_eq!(diff.histogram_shifts.len(), 1);
         let h = &diff.histogram_shifts[0];
@@ -1625,13 +1297,37 @@ mod tests {
 
     #[test]
     fn path_diff_aligns_steps_and_attribution() {
-        let analysis = |wait: u64, makespan: u64| {
-            format!(
-                "{{\"schema\":1,\"makespan_ns\":{makespan},\"message_hops\":2,\"steps\":[{{\"rank\":1,\"event\":\"recv from 0\",\"op\":\"allgatherv/ring\",\"start_ns\":0,\"end_ns\":10,\"wait_ns\":{wait},\"via_message\":true,\"slack_ns\":0}}],\"attribution\":[{{\"op\":\"allgatherv/ring\",\"ranks\":[{{\"rounds\":1,\"wait_ns\":0,\"transfer_ns\":5,\"msgs\":1,\"bytes\":8}},{{\"rounds\":1,\"wait_ns\":{wait},\"transfer_ns\":5,\"msgs\":1,\"bytes\":8}}]}}]}}"
-            )
+        let analysed = |wait: u64, makespan: u64| {
+            let stats = |wait: u64| OpRankStats {
+                rounds: 1,
+                wait: SimTime::from_ns(wait),
+                transfer: SimTime::from_ns(5),
+                msgs: 1,
+                bytes: 8,
+            };
+            let op = "allgatherv/ring".to_string();
+            RunRecord {
+                path: Some(AnalysisSummary {
+                    makespan: SimTime::from_ns(makespan),
+                    message_hops: 2,
+                    steps: vec![StepSummary {
+                        rank: 1,
+                        label: "recv from 0".to_string(),
+                        op: Some(op.clone()),
+                        start: SimTime::ZERO,
+                        end: SimTime::from_ns(10),
+                        wait: SimTime::from_ns(wait),
+                        via_message: true,
+                        slack: SimTime::ZERO,
+                    }],
+                    attribution: RoundAttribution {
+                        per_op: [(op, vec![stats(0), stats(wait)])].into(),
+                    },
+                }),
+                ..RunRecord::default()
+            }
         };
-        let a = run_with(&[("analysis.json", analysis(40, 100))]);
-        let b = run_with(&[("analysis.json", analysis(10, 70))]);
+        let (a, b) = (analysed(40, 100), analysed(10, 70));
         let diff = compare(&a, &b);
         let p = diff.path.as_ref().expect("path diff");
         assert_eq!(p.base_makespan_ns, 100);
@@ -1643,16 +1339,5 @@ mod tests {
         assert_eq!(p.attribution_deltas[0].rank, 1);
         assert_eq!(p.attribution_deltas[0].wait_delta_ns(), -30);
         assert!(compare(&b, &b).is_empty());
-    }
-
-    #[test]
-    fn diff_json_is_byte_stable_and_schema_led() {
-        let a = run_with(&[("series.json", series_artifact(&[("1", 10.0)]))]);
-        let b = run_with(&[("series.json", series_artifact(&[("1", 15.5)]))]);
-        let d1 = diff_json(&compare(&a, &b));
-        let d2 = diff_json(&compare(&a, &b));
-        assert_eq!(d1, d2);
-        assert!(d1.starts_with(&format!("{{\"schema\":{SCHEMA_VERSION},\"bench\":")));
-        assert!(d1.contains("\"base\":15.5") || d1.contains("\"current\":15.5"));
     }
 }

@@ -42,14 +42,14 @@ pub mod whatif;
 pub use coll::{AllgathervAlgorithm, AlltoallwSchedule, NeighborExchange, WPeer};
 pub use comm::{bytes_to_f64s, f64s_to_bytes, Comm, CommGroup};
 pub use commstats::{
-    analyze_comm_map, analyze_matrix, decisions_from_trace, decisions_from_traces,
-    detect_misselections, gini, render_decision_log, AlgorithmDecision, CommAnalysis,
-    EpochAnalysis, Misselection, MisselectionAudit,
+    analyze_comm_map, analyze_matrix, decisions_from_trace, decisions_from_traces, decisions_json,
+    detect_misselections, gini, parse_decisions, render_decision_log, AlgorithmDecision,
+    CommAnalysis, EpochAnalysis, Misselection, MisselectionAudit,
 };
 pub use compare::{
-    compare, decisions_json, diff_json, render_compare, AttributionDelta, Cause, CommDiff,
-    DecisionFlip, DecisionRecord, FindingDelta, FindingStatus, HistogramShift, MetricDelta,
-    PathDiff, RegressionClass, RunDiff, RunRecord, SeriesDelta, StepDelta,
+    compare, diff_json, outer_join, render_compare, AttributionDelta, Cause, CommDiff,
+    DecisionFlip, FindingDelta, FindingStatus, HistogramShift, MetricDelta, PathDiff,
+    RegressionClass, RunDiff, RunRecord, SeriesDelta, StepDelta,
 };
 pub use config::{MpiConfig, MpiFlavor};
 pub use diagnose::{remediation_hints, render_hints};

@@ -8,8 +8,13 @@
 //! it would break a downstream consumer of the observatory.
 
 use ncd_core::{compare, decisions_json, diff_json, AlgorithmDecision, RegressionClass, RunRecord};
-use ncd_simnet::{LedgerRun, RunManifest, SCHEMA_VERSION};
+use ncd_simnet::{
+    comm_matrix_json, diagnosis_json, metrics_artifact_json, series_json, ClusterCommMap,
+    CommMatrix, Diagnosis, Finding, LedgerRun, MetricsRegistry, RunManifest, Series, SimTime,
+    WaitPattern, SCHEMA_VERSION,
+};
 
+/// One canned ledger entry, every artifact rendered by its real writer.
 #[allow(clippy::too_many_arguments)]
 fn canned_run(
     knobs: &[(&str, &str)],
@@ -22,15 +27,21 @@ fn canned_run(
     reason: &str,
     finding_ns: u64,
 ) -> RunRecord {
-    let series = format!(
-        "{{\"schema\":{SCHEMA_VERSION},\"name\":\"golden\",\"mode\":\"smoke\",\"series\":[{{\"label\":\"latency-usec\",\"points\":[[\"64\",100],[\"128\",{latency_128}]]}}]}}"
-    );
-    let metrics = format!(
-        "{{\"schema\":{SCHEMA_VERSION},\"metrics\":{{\"counters\":[{{\"key\":\"datatype/seek_total/baseline\",\"value\":{seek_total}}},{{\"key\":\"time/wait\",\"value\":{wait_ns}}}],\"gauges\":[],\"histograms\":[]}}}}"
-    );
-    let comm = format!(
-        "{{\"schema\":{SCHEMA_VERSION},\"ranks\":4,\"total\":{{\"bytes\":{pair_bytes},\"msgs\":1,\"pairs\":[[0,1,{pair_bytes},1]]}},\"epochs\":[]}}"
-    );
+    let mut latency = Series::new("latency-usec");
+    latency.push("64", 100.0);
+    latency.push("128", latency_128 as f64);
+    let series = series_json("golden", true, &[latency]);
+    let mut metrics = MetricsRegistry::enabled();
+    metrics.counter_add("datatype", "seek_total", "baseline", seek_total);
+    metrics.counter_add("time", "wait", "", wait_ns);
+    let metrics = metrics_artifact_json(&metrics.snapshot());
+    let mut total = CommMatrix::new(4);
+    total.add(0, 1, pair_bytes, 1);
+    let comm = comm_matrix_json(&ClusterCommMap {
+        n: 4,
+        total,
+        epochs: vec![],
+    });
     let decisions = decisions_json(&[AlgorithmDecision {
         collective: "allgatherv".to_string(),
         n: 4,
@@ -40,9 +51,29 @@ fn canned_run(
         chosen: chosen.to_string(),
         reason: reason.to_string(),
     }]);
-    let diagnosis = format!(
-        "{{\"schema\":{SCHEMA_VERSION},\"ranks\":4,\"makespan_ns\":5000,\"total_wait_ns\":{wait_ns},\"classified_ns\":{wait_ns},\"patterns\":[{{\"pattern\":\"serialization-chain\",\"instances\":1,\"severity_ns\":{finding_ns}}}],\"findings\":[{{\"pattern\":\"serialization-chain\",\"op\":\"allgatherv\",\"blamed\":0,\"waiters\":3,\"instances\":1,\"severity_ns\":{finding_ns},\"max_ns\":{finding_ns}}}]}}"
-    );
+    let (wait, severity) = (SimTime::from_ns(wait_ns), SimTime::from_ns(finding_ns));
+    let diagnosis = diagnosis_json(&Diagnosis {
+        n: 4,
+        makespan: SimTime::from_ns(5000),
+        total_wait: wait,
+        classified: wait,
+        instances: vec![],
+        findings: vec![Finding {
+            pattern: WaitPattern::SerializationChain,
+            op: Some("allgatherv".to_string()),
+            blamed: 0,
+            instances: 1,
+            waiters: 3,
+            severity,
+            max_severity: severity,
+            last_end: SimTime::ZERO,
+            verified_gain: None,
+        }],
+        blame: CommMatrix::new(4),
+        per_pattern: vec![(WaitPattern::SerializationChain, severity, 1)],
+        unmatched_recvs: 0,
+        unmatched_sends: 0,
+    });
     let run = LedgerRun {
         manifest: RunManifest {
             bench: "golden".to_string(),

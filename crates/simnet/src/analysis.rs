@@ -23,12 +23,13 @@
 //!   the spread PETSc-style (max/min/avg/ratio).
 //!
 //! All figures are simulated time, so every number here is deterministic
-//! and byte-stable across runs (see [`crate::export::analysis_json`]).
+//! and byte-stable across runs (see [`analysis_json`]).
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use crate::json::{parse_schema_led, Json, JsonWriter};
 use crate::time::SimTime;
 use crate::trace::{EventKind, TraceEvent};
 
@@ -402,7 +403,7 @@ pub struct OpRankStats {
 
 /// Wait/skew attribution per collective op per rank; see
 /// [`attribute_rounds`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoundAttribution {
     /// op → per-rank stats (indexed by rank).
     pub per_op: BTreeMap<String, Vec<OpRankStats>>,
@@ -547,6 +548,112 @@ impl RoundAttribution {
     }
 }
 
+/// One critical-path step as `analysis.json` holds it: a [`PathStep`]
+/// without its trace index.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StepSummary {
+    pub rank: usize,
+    pub label: String,
+    pub op: Option<String>,
+    pub start: SimTime,
+    pub end: SimTime,
+    pub wait: SimTime,
+    pub via_message: bool,
+    pub slack: SimTime,
+}
+
+/// A critical path and its round attribution as `analysis.json` holds
+/// them. The steps' trace indices and the unmatched-message counts stay
+/// with the run that was analysed; the attribution is exported whole.
+#[derive(Clone, Debug, PartialEq)]
+pub struct AnalysisSummary {
+    pub makespan: SimTime,
+    pub message_hops: usize,
+    pub steps: Vec<StepSummary>,
+    pub attribution: RoundAttribution,
+}
+
+/// JSON snapshot of a critical-path analysis plus round attribution,
+/// suitable for committing as a CI artifact or diffing across commits.
+pub fn analysis_json(path: &CriticalPath, attr: &RoundAttribution) -> String {
+    let step = |s: &PathStep| StepSummary {
+        rank: s.rank,
+        label: s.label.clone(),
+        op: s.op.clone(),
+        start: s.start,
+        end: s.end,
+        wait: s.wait,
+        via_message: s.via_message,
+        slack: s.slack,
+    };
+    summary_json(&AnalysisSummary {
+        makespan: path.makespan,
+        message_hops: path.message_hops,
+        steps: path.steps.iter().map(step).collect(),
+        attribution: attr.clone(),
+    })
+}
+
+fn summary_json(a: &AnalysisSummary) -> String {
+    JsonWriter::schema_led(|w| {
+        w.field("makespan_ns", a.makespan.as_ns());
+        w.field("message_hops", a.message_hops);
+        w.objects("steps", &a.steps, |w, s| {
+            w.field("rank", s.rank).field("event", &s.label);
+            w.field("op", &s.op).field("start_ns", s.start.as_ns());
+            w.field("end_ns", s.end.as_ns());
+            w.field("wait_ns", s.wait.as_ns());
+            w.field("via_message", s.via_message);
+            w.field("slack_ns", s.slack.as_ns());
+        });
+        w.objects("attribution", &a.attribution.per_op, |w, (op, ranks)| {
+            w.field("op", op).objects("ranks", ranks, |w, s| {
+                w.field("rounds", s.rounds);
+                w.field("wait_ns", s.wait.as_ns());
+                w.field("transfer_ns", s.transfer.as_ns());
+                w.field("msgs", s.msgs).field("bytes", s.bytes);
+            });
+        });
+    })
+}
+
+/// Read an [`analysis_json`] document back.
+pub fn parse_analysis(text: &str) -> Result<AnalysisSummary, String> {
+    let v = parse_schema_led(text)?;
+    let ns = |item: &Json, key: &str| item.u64(key).map(SimTime::from_ns);
+    let attribution = v.list("attribution", |a| {
+        let ranks = a.list("ranks", |r| {
+            Ok(OpRankStats {
+                rounds: r.u64("rounds")? as u32,
+                wait: ns(r, "wait_ns")?,
+                transfer: ns(r, "transfer_ns")?,
+                msgs: r.u64("msgs")?,
+                bytes: r.u64("bytes")?,
+            })
+        })?;
+        Ok((a.str("op")?.to_string(), ranks))
+    })?;
+    Ok(AnalysisSummary {
+        makespan: ns(&v, "makespan_ns")?,
+        message_hops: v.u64("message_hops")? as usize,
+        steps: v.list("steps", |s| {
+            Ok(StepSummary {
+                rank: s.u64("rank")? as usize,
+                label: s.str("event")?.to_string(),
+                op: s.opt_str("op").map(str::to_string),
+                start: ns(s, "start_ns")?,
+                end: ns(s, "end_ns")?,
+                wait: ns(s, "wait_ns")?,
+                via_message: s.bool("via_message")?,
+                slack: ns(s, "slack_ns")?,
+            })
+        })?,
+        attribution: RoundAttribution {
+            per_op: attribution.into_iter().collect(),
+        },
+    })
+}
+
 /// Max/min/avg/ratio spread of a per-rank quantity — the columns of a
 /// PETSc `-log_view` imbalance report.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -615,6 +722,31 @@ mod tests {
             let _ = rank.recv_bytes(Some(left), Tag(0));
             rank.take_trace()
         })
+    }
+
+    #[test]
+    fn analysis_json_round_trips() {
+        let traces = crate::ledger::tests::observed_ring().traces;
+        let path = HbGraph::build(&traces).critical_path();
+        let attr = attribute_rounds(&traces);
+        assert!(path.message_hops > 0 && attr.per_op["allgatherv/ring"].len() == 8);
+        let json = analysis_json(&path, &attr);
+        let makespan = path.makespan.as_ns();
+        assert!(
+            json.starts_with(&format!("{{\"schema\":1,\"makespan_ns\":{makespan},")),
+            "{json}"
+        );
+        crate::ledger::tests::assert_round_trip(
+            &json,
+            parse_analysis,
+            summary_json,
+            (
+                "\"via_message\":true",
+                "\"via_message\":1",
+                "\"via_message\"",
+            ),
+        );
+        assert_eq!(parse_analysis(&json).unwrap().attribution, attr);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::json::JsonWriter;
+use crate::json::{parse_schema_led, Json, JsonWriter};
 
 /// Per-rank accumulator: bytes/messages delivered *to this rank*, keyed
 /// by source, with closed epoch snapshots. Owned by [`crate::Rank`];
@@ -375,6 +375,48 @@ pub fn comm_matrix_json(map: &ClusterCommMap) -> String {
     })
 }
 
+/// Most ranks a reader allocates dense matrices for (the count comes
+/// from the file).
+const MAX_PARSED_RANKS: usize = 4096;
+
+/// The `[src, dst, bytes, msgs]` list at `key` as an `n`×`n` matrix (a
+/// matrix object's `bytes`/`msgs` totals follow from it and are not read).
+pub(crate) fn matrix_from(v: &Json, key: &str, n: usize) -> Result<CommMatrix, String> {
+    let mut m = CommMatrix::new(n);
+    for [src, dst, bytes, msgs] in v.list(key, Json::counts)? {
+        if src.max(dst) >= n as u64 {
+            return Err(format!("\"{key}\": {src}->{dst} is outside {n} ranks"));
+        }
+        m.add(src as usize, dst as usize, bytes, msgs);
+    }
+    Ok(m)
+}
+
+/// The `ranks` member, bounded before anything is allocated for it.
+pub(crate) fn ranks_from(v: &Json) -> Result<usize, String> {
+    match v.u64("ranks")? as usize {
+        n if n <= MAX_PARSED_RANKS => Ok(n),
+        n => Err(format!("\"ranks\": {n} is more than {MAX_PARSED_RANKS}")),
+    }
+}
+
+/// Read a [`comm_matrix_json`] document back.
+pub fn parse_comm_matrix(text: &str) -> Result<ClusterCommMap, String> {
+    let v = parse_schema_led(text)?;
+    let n = ranks_from(&v)?;
+    Ok(ClusterCommMap {
+        n,
+        total: matrix_from(v.field("total")?, "pairs", n)?,
+        epochs: v.list("epochs", |e| {
+            Ok(EpochMatrix {
+                label: e.str("label")?.to_string(),
+                occurrence: e.u64("occurrence")? as u32,
+                matrix: matrix_from(e, "pairs", n)?,
+            })
+        })?,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,6 +486,20 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert!(rows[0].ends_with(".@"), "row 0 renders {:?}", rows[0]);
         assert!(rows[1].ends_with(":."), "row 1 renders {:?}", rows[1]);
+    }
+
+    #[test]
+    fn comm_matrix_round_trips() {
+        let map = crate::ledger::tests::observed_ring().comm;
+        assert_eq!((map.n, map.epochs.len()), (8, 2));
+        crate::ledger::tests::assert_round_trip(
+            &comm_matrix_json(&map),
+            parse_comm_matrix,
+            comm_matrix_json,
+            ("[0,1,6144,2]", "[0,8,6144,2]", "\"pairs\""),
+        );
+        let huge = comm_matrix_json(&map).replacen("\"ranks\":8", "\"ranks\":1e9", 1);
+        assert!(parse_comm_matrix(&huge).unwrap_err().contains("\"ranks\""));
     }
 
     #[test]

@@ -52,8 +52,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::analysis::{attribute_rounds, HbGraph, NodeId};
-use crate::commmap::{render_heatmap, CommMatrix};
-use crate::json::JsonWriter;
+use crate::commmap::{matrix_from, ranks_from, render_heatmap, CommMatrix};
+use crate::json::{parse_schema_led, Json, JsonWriter};
 use crate::recorder::{last_run_recorders, RecCode};
 use crate::time::SimTime;
 use crate::trace::{EventKind, TraceEvent};
@@ -534,8 +534,62 @@ pub fn diagnosis_report(traces: &[Vec<TraceEvent>]) -> String {
     diagnose(traces).render(10)
 }
 
+/// One finding as `diagnosis.json` holds it: a [`Finding`] without the
+/// timestamp its flight-recorder mirror carries.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FindingSummary {
+    pub pattern: WaitPattern,
+    pub op: Option<String>,
+    pub blamed: usize,
+    pub waiters: u64,
+    pub instances: u64,
+    pub severity: SimTime,
+    pub max_severity: SimTime,
+    pub verified_gain: Option<i64>,
+}
+
+/// A diagnosis as `diagnosis.json` holds it: the totals, per-pattern rows,
+/// ranked findings and blame matrix of a [`Diagnosis`]; the classified
+/// instances stay with the run.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DiagnosisSummary {
+    pub n: usize,
+    pub makespan: SimTime,
+    pub total_wait: SimTime,
+    pub classified: SimTime,
+    pub per_pattern: Vec<(WaitPattern, SimTime, u64)>,
+    pub findings: Vec<FindingSummary>,
+    pub blame: CommMatrix,
+    pub unmatched_recvs: usize,
+    pub unmatched_sends: usize,
+}
+
 /// JSON export of a diagnosis (golden-tested).
 pub fn diagnosis_json(d: &Diagnosis) -> String {
+    let finding = |f: &Finding| FindingSummary {
+        pattern: f.pattern,
+        op: f.op.clone(),
+        blamed: f.blamed,
+        waiters: f.waiters,
+        instances: f.instances,
+        severity: f.severity,
+        max_severity: f.max_severity,
+        verified_gain: f.verified_gain,
+    };
+    summary_json(&DiagnosisSummary {
+        n: d.n,
+        makespan: d.makespan,
+        total_wait: d.total_wait,
+        classified: d.classified,
+        per_pattern: d.per_pattern.clone(),
+        findings: d.findings.iter().map(finding).collect(),
+        blame: d.blame.clone(),
+        unmatched_recvs: d.unmatched_recvs,
+        unmatched_sends: d.unmatched_sends,
+    })
+}
+
+fn summary_json(d: &DiagnosisSummary) -> String {
     JsonWriter::schema_led(|w| {
         w.field("ranks", d.n);
         w.field("makespan_ns", d.makespan.as_ns());
@@ -558,6 +612,45 @@ pub fn diagnosis_json(d: &Diagnosis) -> String {
         w.field("blame", d.blame.nonzero_pairs());
         w.field("unmatched_recvs", d.unmatched_recvs);
         w.field("unmatched_sends", d.unmatched_sends);
+    })
+}
+
+/// Read a [`diagnosis_json`] document back.
+pub fn parse_diagnosis(text: &str) -> Result<DiagnosisSummary, String> {
+    let v = parse_schema_led(text)?;
+    let ns = |item: &Json, key: &str| item.u64(key).map(SimTime::from_ns);
+    let pattern = |item: &Json| {
+        let label = item.str("pattern")?;
+        let known = ALL_PATTERNS.into_iter().find(|p| p.label() == label);
+        known.ok_or_else(|| format!("\"pattern\": unknown wait pattern {label:?}"))
+    };
+    let n = ranks_from(&v)?;
+    Ok(DiagnosisSummary {
+        n,
+        makespan: ns(&v, "makespan_ns")?,
+        total_wait: ns(&v, "total_wait_ns")?,
+        classified: ns(&v, "classified_ns")?,
+        per_pattern: v.list("patterns", |p| {
+            Ok((pattern(p)?, ns(p, "severity_ns")?, p.u64("instances")?))
+        })?,
+        findings: v.list("findings", |f| {
+            Ok(FindingSummary {
+                pattern: pattern(f)?,
+                op: f.opt_str("op").map(str::to_string),
+                blamed: f.u64("blamed")? as usize,
+                waiters: f.u64("waiters")?,
+                instances: f.u64("instances")?,
+                severity: ns(f, "severity_ns")?,
+                max_severity: ns(f, "max_ns")?,
+                verified_gain: f
+                    .get("verified_gain_ns")
+                    .and_then(Json::as_f64)
+                    .map(|gain| gain as i64),
+            })
+        })?,
+        blame: matrix_from(&v, "blame", n)?,
+        unmatched_recvs: v.u64("unmatched_recvs")? as usize,
+        unmatched_sends: v.u64("unmatched_sends")? as usize,
     })
 }
 
@@ -899,30 +992,34 @@ mod tests {
     }
 
     #[test]
-    fn json_shape_is_stable() {
-        let traces = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
-            rank.enable_tracing();
-            if rank.rank() == 0 {
-                rank.compute_flops(500_000);
-                rank.send_bytes(1, Tag(0), vec![0u8; 64]);
-            } else {
-                let _ = rank.recv_bytes(Some(0), Tag(0));
-            }
-            rank.take_trace()
-        });
-        let d = diagnose(&traces);
+    fn diagnosis_json_round_trips() {
+        let mut d = diagnose(&crate::ledger::tests::observed_ring().traces);
+        assert!(d.findings.len() > 1 && !d.instances.is_empty());
+        // As the what-if profiler leaves it: one finding verified.
+        d.findings[0].verified_gain = Some(-12);
         let json = diagnosis_json(&d);
         assert!(
-            json.starts_with(&format!("{{\"schema\":{SCHEMA_VERSION},\"ranks\":2,")),
+            json.starts_with(&format!("{{\"schema\":{SCHEMA_VERSION},\"ranks\":8,")),
             "{json}"
         );
-        assert!(json.contains("\"patterns\":["), "{json}");
-        assert!(json.contains("\"pattern\":\"late-sender\""), "{json}");
+        assert!(json.contains("\"verified_gain_ns\":-12},{"), "{json}");
         assert!(json.ends_with("\"unmatched_recvs\":0,\"unmatched_sends\":0}"));
         // All five patterns are present even when empty.
         for p in ALL_PATTERNS {
             assert!(json.contains(p.label()), "{json} missing {}", p.label());
         }
+        crate::ledger::tests::assert_round_trip(
+            &json,
+            parse_diagnosis,
+            summary_json,
+            (
+                "\"pattern\":\"late-sender\"",
+                "\"pattern\":\"late\"",
+                "\"pattern\"",
+            ),
+        );
+        let back = parse_diagnosis(&json).unwrap();
+        assert_eq!((back.classified, &back.blame), (d.classified, &d.blame));
     }
 
     #[test]

@@ -1,5 +1,8 @@
-//! Machine-readable exports: Chrome trace-event JSON for per-rank
-//! timelines, plus JSON snapshots of the metrics registry and profiler.
+//! Machine-readable exports that are written and never read back: Chrome
+//! trace-event JSON for per-rank timelines and the profiler snapshot. (A
+//! ledger artifact's writer lives with its reader, beside the type:
+//! [`crate::metrics`], [`crate::commmap`], [`crate::analysis`],
+//! [`crate::diagnosis`].)
 //!
 //! The trace output follows the Chrome trace-event format (the JSON array
 //! flavour inside a `traceEvents` object) and loads directly into
@@ -13,9 +16,7 @@
 
 use std::fmt;
 
-use crate::analysis::{CriticalPath, RoundAttribution};
 use crate::json::{JsonValue, JsonWriter};
-use crate::metrics::MetricsRegistry;
 use crate::profile::Profiler;
 use crate::time::SimTime;
 use crate::trace::{EventKind, TraceEvent};
@@ -221,33 +222,6 @@ fn trace_event(w: &mut JsonWriter, rank: usize, e: &TraceEvent) {
     }
 }
 
-/// JSON snapshot of a metrics registry: counters, gauges, and histograms
-/// with count/sum/min/max, p50/p90/p99, and the non-empty log₂ buckets as
-/// `[upper_bound, count]` pairs.
-pub fn metrics_json(reg: &MetricsRegistry) -> String {
-    let mut w = JsonWriter::new();
-    w.object(|w| {
-        w.objects("counters", reg.counters(), |w, (k, v)| {
-            w.field("key", k.path()).field("value", v);
-        });
-        w.objects("gauges", reg.gauges(), |w, (k, v)| {
-            w.field("key", k.path()).field("value", v);
-        });
-        w.objects("histograms", reg.histograms(), |w, (k, h)| {
-            w.field("key", k.path()).field("count", h.count());
-            w.field("sum", h.sum()).field("min", h.min());
-            w.field("max", h.max()).field("p50", h.p50());
-            w.field("p90", h.p90()).field("p99", h.p99());
-            w.key("buckets").array(|w| {
-                for bucket in h.nonzero_buckets() {
-                    w.value(bucket);
-                }
-            });
-        });
-    });
-    w.finish()
-}
-
 /// JSON snapshot of a profiler's accumulated stages.
 pub fn profile_json(p: &Profiler) -> String {
     let mut w = JsonWriter::new();
@@ -263,35 +237,9 @@ pub fn profile_json(p: &Profiler) -> String {
     w.finish()
 }
 
-/// JSON snapshot of a critical-path analysis plus round attribution,
-/// suitable for committing as a CI artifact or diffing across commits.
-pub fn analysis_json(path: &CriticalPath, attr: &RoundAttribution) -> String {
-    JsonWriter::schema_led(|w| {
-        w.field("makespan_ns", path.makespan.as_ns());
-        w.field("message_hops", path.message_hops);
-        w.objects("steps", &path.steps, |w, s| {
-            w.field("rank", s.rank).field("event", &s.label);
-            w.field("op", &s.op).field("start_ns", s.start.as_ns());
-            w.field("end_ns", s.end.as_ns());
-            w.field("wait_ns", s.wait.as_ns());
-            w.field("via_message", s.via_message);
-            w.field("slack_ns", s.slack.as_ns());
-        });
-        w.objects("attribution", &attr.per_op, |w, (op, ranks)| {
-            w.field("op", op).objects("ranks", ranks, |w, s| {
-                w.field("rounds", s.rounds);
-                w.field("wait_ns", s.wait.as_ns());
-                w.field("transfer_ns", s.transfer.as_ns());
-                w.field("msgs", s.msgs).field("bytes", s.bytes);
-            });
-        });
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SCHEMA_VERSION;
 
     #[test]
     fn ts_is_us_with_ns_precision() {
@@ -445,65 +393,6 @@ mod tests {
         assert!(json.contains(
             "\"label\":\"allgatherv/ring\",\"metric\":\"bytes\",\"occurrence\":6,\"up\":true,\"baseline_millis\":4096000,\"observed_millis\":65536000"
         ));
-    }
-
-    #[test]
-    fn metrics_json_lists_all_families() {
-        let mut r = MetricsRegistry::enabled();
-        r.counter_add("a", "b", "c", 3);
-        r.gauge_set("g", "h", "", 1.5);
-        r.observe("x", "y", "z", 100);
-        let json = metrics_json(&r);
-        assert!(json.contains("\"key\":\"a/b/c\",\"value\":3"));
-        assert!(json.contains("\"key\":\"g/h\",\"value\":1.5"));
-        assert!(json.contains("\"key\":\"x/y/z\",\"count\":1"));
-        assert!(json.contains("\"buckets\":[[127,1]]"));
-    }
-
-    #[test]
-    fn analysis_json_is_well_formed() {
-        use crate::analysis::{HbGraph, OpRankStats, RoundAttribution};
-        let traces = vec![
-            vec![TraceEvent {
-                kind: EventKind::Send {
-                    dst: 1,
-                    bytes: 8,
-                    seq: 0,
-                },
-                start: SimTime(0),
-                end: SimTime(100),
-            }],
-            vec![TraceEvent {
-                kind: EventKind::Recv {
-                    src: 0,
-                    bytes: 8,
-                    seq: 0,
-                    wait: SimTime(40),
-                },
-                start: SimTime(60),
-                end: SimTime(200),
-            }],
-        ];
-        let path = HbGraph::build(&traces).critical_path();
-        let mut attr = RoundAttribution::default();
-        attr.per_op.insert(
-            "x/y".to_string(),
-            vec![OpRankStats {
-                rounds: 1,
-                wait: SimTime(40),
-                transfer: SimTime(100),
-                msgs: 2,
-                bytes: 16,
-            }],
-        );
-        let json = analysis_json(&path, &attr);
-        assert!(json.starts_with(&format!(
-            "{{\"schema\":{SCHEMA_VERSION},\"makespan_ns\":200,\"message_hops\":1,"
-        )));
-        assert!(json.contains("\"via_message\":true"));
-        assert!(json.contains("\"op\":\"x/y\""));
-        assert!(json.contains("\"wait_ns\":40"));
-        assert!(json.ends_with("]}"));
     }
 
     #[test]

@@ -25,6 +25,14 @@
 //! scalar; nesting deeper than 64 levels is an error, not a stack
 //! overflow. The `Result` accessors ([`Json::u64`], [`Json::str`], …)
 //! name the key that is missing or has the wrong type.
+//!
+//! **Where an artifact's reader lives.** Beside its writer: the module
+//! that writes `comm.json` is the one that reads it back, into the type it
+//! was written from (or, where the export drops fields, a summary type
+//! declared there), so each key name is spelled in one module. Every such
+//! reader starts with [`parse_schema_led`] — the check that the
+//! `"schema"` [`JsonWriter::schema_led`] wrote is the one this build
+//! reads — and is pinned by a writer → reader → writer round trip.
 
 use std::fmt::{self, Display, Write as _};
 
@@ -367,13 +375,27 @@ impl Json {
         self.typed(key, "array", Json::as_array)
     }
 
-    /// The array at `key`, each element through `load`.
+    /// The array at `key`, each element through `load`; an element's
+    /// error is prefixed with `key`.
     pub fn list<T>(
         &self,
         key: &str,
         load: impl FnMut(&Json) -> Result<T, String>,
     ) -> Result<Vec<T>, String> {
-        self.array(key)?.iter().map(load).collect()
+        let items: Result<Vec<T>, String> = self.array(key)?.iter().map(load).collect();
+        items.map_err(|e| format!("\"{key}\": {e}"))
+    }
+
+    /// This value as an array of exactly `N` counts (`[upper_bound,count]`,
+    /// `[src,dst,bytes,msgs]`).
+    pub fn counts<const N: usize>(&self) -> Result<[u64; N], String> {
+        let bad = || format!("not an array of {N} numbers");
+        let items = self.as_array().filter(|a| a.len() == N).ok_or_else(bad)?;
+        let mut out = [0; N];
+        for (o, i) in out.iter_mut().zip(items) {
+            *o = i.as_u64().ok_or_else(bad)?;
+        }
+        Ok(out)
     }
 
     /// The string at `key`; `None` when absent, `null` or not a string.
@@ -396,6 +418,19 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
         return Err(format!("trailing garbage at byte {}", p.pos));
     }
     Ok(v)
+}
+
+/// Read-side counterpart of [`JsonWriter::schema_led`]: parse a versioned
+/// artifact and refuse one written under another schema — its keys would
+/// be read with this schema's names. Callers prefix the artifact's name.
+pub fn parse_schema_led(text: &str) -> Result<Json, String> {
+    let v = parse_json(text)?;
+    match v.u64("schema")? {
+        found if found == u64::from(SCHEMA_VERSION) => Ok(v),
+        found => Err(format!(
+            "written under schema {found}, this build reads schema {SCHEMA_VERSION}"
+        )),
+    }
 }
 
 struct JsonParser<'a> {
@@ -618,6 +653,25 @@ mod tests {
             v.array("absent"),
             Err("missing array \"absent\"".to_string())
         );
+    }
+
+    #[test]
+    fn schema_led_reader_refuses_other_schemas() {
+        let doc = JsonWriter::schema_led(|w| {
+            w.field("pair", (3u64, 4u64));
+        });
+        let v = parse_schema_led(&doc).expect("own schema");
+        assert_eq!(v.field("pair").unwrap().counts::<2>(), Ok([3, 4]));
+        assert_eq!(
+            v.field("pair").unwrap().counts::<3>(),
+            Err("not an array of 3 numbers".to_string())
+        );
+        let other = JsonWriter::versioned(SCHEMA_VERSION + 1, |_| {});
+        assert_eq!(
+            parse_schema_led(&other),
+            Err("written under schema 2, this build reads schema 1".to_string())
+        );
+        assert!(parse_schema_led("{\"ranks\":2}").is_err(), "unversioned");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::json::{parse_json, JsonWriter, SCHEMA_VERSION};
+use crate::json::{parse_json, parse_schema_led, Json, JsonValue, JsonWriter, SCHEMA_VERSION};
 
 /// Identity of one persisted run: everything that names *what* ran, and
 /// the content hash of what it produced. Deliberately contains no
@@ -121,6 +121,61 @@ pub fn parse_manifest(text: &str) -> Result<RunManifest, String> {
         schema: v.u64("schema")? as u32,
         knobs,
         run_id: v.str("run_id")?.to_string(),
+    })
+}
+
+/// A labelled series of `(x, y)` points: what a bench tabulates, gates
+/// against its baseline snapshot and ledgers as `series.json`. A point the
+/// run did not measure is NaN here and `null` in JSON.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Series {
+    pub label: String,
+    pub points: Vec<(String, f64)>,
+}
+
+impl Series {
+    pub fn new(label: impl Into<String>) -> Series {
+        Series {
+            label: label.into(),
+            points: Vec::new(),
+        }
+    }
+
+    pub fn push(&mut self, x: impl Into<String>, y: f64) {
+        self.points.push((x.into(), y));
+    }
+}
+
+/// `{"label":…,"points":[["x",y],…]}`.
+impl JsonValue for Series {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("label", &self.label).field("points", &self.points);
+        });
+    }
+}
+
+/// JSON of a bench's series — the `series.json` ledger artifact and (plus
+/// a newline) the baseline snapshot.
+pub fn series_json(name: &str, smoke: bool, series: &[Series]) -> String {
+    JsonWriter::schema_led(|w| {
+        w.field("name", name);
+        w.field("mode", if smoke { "smoke" } else { "full" });
+        w.field("series", series);
+    })
+}
+
+/// Read the series of a [`series_json`] document back.
+pub fn parse_series(text: &str) -> Result<Vec<Series>, String> {
+    parse_schema_led(text)?.list("series", |s| {
+        let label = s.str("label")?.to_string();
+        let points = s.list("points", |p| match p.as_array().unwrap_or_default() {
+            [Json::Str(x), Json::Num(y)] => Ok((x.clone(), *y)),
+            [Json::Str(x), Json::Null] => Ok((x.clone(), f64::NAN)),
+            _ => Err("a point is not [\"x\", y]".to_string()),
+        });
+        let points = points.map_err(|e| format!("series {label:?}: {e}"))?;
+        Ok(Series { label, points })
     })
 }
 
@@ -241,8 +296,100 @@ pub fn read_run(dir: &Path) -> Result<LedgerRun, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::{Cluster, ClusterCommMap, ClusterConfig, MetricsRegistry, Tag, TraceEvent};
+
+    /// What one observed run left behind, for the artifact round-trip
+    /// tests beside each writer.
+    pub(crate) struct Observed {
+        pub traces: Vec<Vec<TraceEvent>>,
+        pub comm: ClusterCommMap,
+        pub metrics: MetricsRegistry,
+    }
+
+    /// An 8-rank ring with every observer on: two labelled rounds of
+    /// growing blocks, rank 0 late into each.
+    pub(crate) fn observed_ring() -> Observed {
+        let n = 8;
+        let parts = Cluster::new(ClusterConfig::paper_testbed(n)).run(move |rank| {
+            rank.enable_tracing();
+            rank.enable_metrics();
+            rank.enable_comm_map();
+            let me = rank.rank();
+            for round in 0..2 {
+                rank.trace_round("allgatherv/ring", round);
+                if me == 0 {
+                    rank.compute_flops(5_000_000);
+                }
+                rank.send_bytes((me + 1) % n, Tag(round), vec![0u8; 2048 << round]);
+                let (block, _) = rank.recv_bytes(Some((me + n - 1) % n), Tag(round));
+                rank.metric_observe("ring", "block_bytes", "", block.len() as u64);
+                rank.metric_gauge_set("ring", "round", "", f64::from(round) + 0.5);
+                rank.comm_epoch("allgatherv/ring");
+            }
+            (rank.take_trace(), rank.take_comm_map(), rank.take_metrics())
+        });
+        let mut metrics = MetricsRegistry::enabled();
+        let (mut traces, mut maps) = (Vec::new(), Vec::new());
+        for (trace, map, reg) in parts {
+            traces.push(trace);
+            maps.push(map);
+            metrics.merge(&reg);
+        }
+        Observed {
+            traces,
+            comm: crate::merge_comm_maps(&maps),
+            metrics,
+        }
+    }
+
+    /// The reader rule: `write(read(json)) == json`, a truncated `json` is
+    /// an error, and so is `json` with its first `from` replaced by `to`
+    /// — one that names `key`.
+    pub(crate) fn assert_round_trip<T>(
+        json: &str,
+        read: impl Fn(&str) -> Result<T, String>,
+        write: impl Fn(&T) -> String,
+        (from, to, key): (&str, &str, &str),
+    ) {
+        let back = read(json).expect("own output parses");
+        assert_eq!(write(&back), json);
+        for prefix in (1..json.len())
+            .step_by(13)
+            .filter_map(|cut| json.get(..cut))
+        {
+            assert!(read(prefix).is_err(), "truncated: {prefix}");
+        }
+        assert!(json.contains(from), "{from} not in {json}");
+        let err = read(&json.replacen(from, to, 1)).err().expect(from);
+        assert!(err.contains(key), "{err} does not name {key}");
+    }
+
+    #[test]
+    fn series_round_trip() {
+        let mut lat = Series::new("latency-µs \"ring\"");
+        lat.push("64 KiB", 10.5);
+        lat.push("1 MiB", f64::NAN);
+        let json = series_json("fig14", true, &[lat, Series::new("empty")]);
+        assert!(json.starts_with("{\"schema\":1,\"name\":\"fig14\",\"mode\":\"smoke\","));
+        assert!(json.contains("[\"1 MiB\",null]"), "{json}");
+        assert_round_trip(
+            &json,
+            parse_series,
+            |s| series_json("fig14", true, s),
+            (
+                "[\"64 KiB\",10.5]",
+                "[\"64 KiB\"]",
+                "series \"latency-µs \\\"ring\\\"\"",
+            ),
+        );
+        let back = parse_series(&json).unwrap();
+        assert!(
+            back[0].points[1].1.is_nan(),
+            "null reads back as unmeasured"
+        );
+    }
 
     fn knobs(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
         pairs

@@ -62,31 +62,34 @@ pub mod time;
 pub mod trace;
 
 pub use analysis::{
-    attribute_rounds, imbalance, CriticalPath, HbGraph, Imbalance, OpRankStats, PathStep,
-    RoundAttribution,
+    analysis_json, attribute_rounds, imbalance, parse_analysis, AnalysisSummary, CriticalPath,
+    HbGraph, Imbalance, OpRankStats, PathStep, RoundAttribution, StepSummary,
 };
 pub use commmap::{
-    comm_matrix_json, merge_comm_maps, millis_to_ratio, ratio_to_millis, render_heatmap,
-    ClusterCommMap, CommMatrix, EpochMatrix, RankCommMap, RankEpoch,
+    comm_matrix_json, merge_comm_maps, millis_to_ratio, parse_comm_matrix, ratio_to_millis,
+    render_heatmap, ClusterCommMap, CommMatrix, EpochMatrix, RankCommMap, RankEpoch,
 };
 pub use diagnosis::{
     check_severity_bound, diagnose, diagnosis_json, diagnosis_report, mirror_to_flight_recorder,
-    render_stage_overlap, stage_overlap, Diagnosis, Finding, StageOverlap, WaitInstance,
-    WaitPattern, ALL_PATTERNS,
+    parse_diagnosis, render_stage_overlap, stage_overlap, Diagnosis, DiagnosisSummary, Finding,
+    FindingSummary, StageOverlap, WaitInstance, WaitPattern, ALL_PATTERNS,
 };
-pub use export::{analysis_json, chrome_trace_json, metrics_json, profile_json};
+pub use export::{chrome_trace_json, profile_json};
 pub use history::{
     history_json, history_report, merge_histories, pattern_hash_rank, sparkline, EpochPoint,
     History, RankEpochRecord, RankHistory,
 };
-pub use json::{parse_json, Json, JsonValue, JsonWriter, SCHEMA_VERSION};
+pub use json::{parse_json, parse_schema_led, Json, JsonValue, JsonWriter, SCHEMA_VERSION};
 pub use knobs::{CostKnobs, KnobDim, ResolvedKnobs};
 pub use ledger::{
-    latest_run_id, ledger_root, manifest_json, parse_manifest, read_run, resolve_run_dir,
-    write_artifact, write_run, LedgerRun, RunManifest,
+    latest_run_id, ledger_root, manifest_json, parse_manifest, parse_series, read_run,
+    resolve_run_dir, series_json, write_artifact, write_run, LedgerRun, RunManifest, Series,
 };
 pub use mailbox::{NetMsg, Tag, ANY_TAG};
-pub use metrics::{Histogram, MetricKey, MetricsRegistry};
+pub use metrics::{
+    metrics_artifact_json, metrics_json, parse_metrics, Histogram, MetricKey, MetricsRegistry,
+    MetricsSnapshot,
+};
 pub use profile::{imbalance_report, Profiler, StageStats};
 pub use recorder::{
     clear_dump_hook, dump_on, last_run_dump, last_run_recorders, render_dump, store_last_run,

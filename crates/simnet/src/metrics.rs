@@ -16,6 +16,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{parse_schema_led, Json, JsonValue, JsonWriter};
+
 /// Identifies one metric stream. `algorithm` distinguishes competing
 /// implementations of the same operation (`ring` vs `recursive_doubling`,
 /// `single-context` vs `dual-context`); leave it empty when there is only
@@ -188,6 +190,93 @@ impl Histogram {
     }
 }
 
+/// A registry as its JSON export holds it: every key flattened to its
+/// [`MetricKey::path`] (ops and algorithms contain `/`, so a path does not
+/// split back into a key), each family in key order.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct MetricsSnapshot {
+    pub counters: Vec<(String, u64)>,
+    pub gauges: Vec<(String, f64)>,
+    pub histograms: Vec<(String, Histogram)>,
+}
+
+/// `{"counters":[…],"gauges":[…],"histograms":[…]}`: histograms with
+/// count/sum/min/max, p50/p90/p99, and the non-empty log₂ buckets as
+/// `[upper_bound, count]` pairs.
+impl JsonValue for MetricsSnapshot {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.objects("counters", &self.counters, |w, (k, v)| {
+                w.field("key", k).field("value", v);
+            });
+            w.objects("gauges", &self.gauges, |w, (k, v)| {
+                w.field("key", k).field("value", v);
+            });
+            w.objects("histograms", &self.histograms, |w, (k, h)| {
+                w.field("key", k).field("count", h.count());
+                w.field("sum", h.sum()).field("min", h.min());
+                w.field("max", h.max()).field("p50", h.p50());
+                w.field("p90", h.p90()).field("p99", h.p99());
+                w.key("buckets").array(|w| {
+                    for bucket in h.nonzero_buckets() {
+                        w.value(bucket);
+                    }
+                });
+            });
+        });
+    }
+}
+
+/// JSON snapshot of a metrics registry (unversioned: embedded in reports).
+pub fn metrics_json(reg: &MetricsRegistry) -> String {
+    let mut w = JsonWriter::new();
+    w.value(reg.snapshot());
+    w.finish()
+}
+
+/// The `metrics.json` ledger artifact: the snapshot under the shared
+/// schema version, `{"schema":…,"metrics":{…}}`.
+pub fn metrics_artifact_json(snapshot: &MetricsSnapshot) -> String {
+    JsonWriter::schema_led(|w| {
+        w.field("metrics", snapshot);
+    })
+}
+
+/// Read a [`metrics_artifact_json`] document back. The quantiles are not
+/// read: they follow from the buckets.
+pub fn parse_metrics(text: &str) -> Result<MetricsSnapshot, String> {
+    let v = parse_schema_led(text)?;
+    let m = v.field("metrics")?;
+    let keyed = |item: &Json| Ok::<_, String>(item.str("key")?.to_string());
+    Ok(MetricsSnapshot {
+        counters: m.list("counters", |c| Ok((keyed(c)?, c.u64("value")?)))?,
+        gauges: m.list("gauges", |g| {
+            let value = g.field("value")?.as_f64().unwrap_or(f64::NAN);
+            Ok((keyed(g)?, value))
+        })?,
+        histograms: m.list("histograms", |h| {
+            let mut out = Histogram {
+                count: h.u64("count")?,
+                sum: h.u64("sum")?,
+                min: h.u64("min")?,
+                max: h.u64("max")?,
+                ..Histogram::default()
+            };
+            if out.count == 0 {
+                out.min = u64::MAX;
+            }
+            for [bound, count] in h.list("buckets", Json::counts)? {
+                let i = bucket_index(bound);
+                if bucket_bound(i) != bound {
+                    return Err(format!("\"buckets\": {bound} is not a log2 bucket bound"));
+                }
+                out.buckets[i] = count;
+            }
+            Ok((keyed(h)?, out))
+        })?,
+    })
+}
+
 /// Per-rank registry of named metrics; see the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
@@ -285,6 +374,18 @@ impl MetricsRegistry {
 
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+    }
+
+    /// The registry as it exports: keys as paths, families in key order.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: self.counters().map(|(k, v)| (k.path(), v)).collect(),
+            gauges: self.gauges().map(|(k, v)| (k.path(), v)).collect(),
+            histograms: self
+                .histograms()
+                .map(|(k, h)| (k.path(), h.clone()))
+                .collect(),
+        }
     }
 
     /// Merge another rank's registry into this one: counters and histogram
@@ -457,6 +558,28 @@ mod tests {
         assert_eq!(a.gauge("s", "g", ""), Some(9.0));
         assert_eq!(a.gauge("s", "g2", ""), Some(-3.0));
         assert_eq!(a.histogram("s", "h", "").unwrap().count(), 2);
+    }
+
+    #[test]
+    fn metrics_artifact_round_trips() {
+        let reg = crate::ledger::tests::observed_ring().metrics;
+        let bare = metrics_json(&reg);
+        assert!(bare.starts_with("{\"counters\":[{\"key\":"), "{bare}");
+        assert!(
+            bare.contains("{\"key\":\"ring/round\",\"value\":1.5}"),
+            "{bare}"
+        );
+        assert!(bare.contains("\"key\":\"ring/block_bytes\",\"count\":16,"));
+        assert!(bare.contains("\"buckets\":[[4095,8],[8191,8]]"), "{bare}");
+        let json = metrics_artifact_json(&reg.snapshot());
+        assert_eq!(json, format!("{{\"schema\":1,\"metrics\":{bare}}}"));
+        crate::ledger::tests::assert_round_trip(
+            &json,
+            parse_metrics,
+            metrics_artifact_json,
+            ("[4095,8]", "[4096,8]", "\"buckets\""),
+        );
+        assert_eq!(parse_metrics(&json), Ok(reg.snapshot()));
     }
 
     #[test]

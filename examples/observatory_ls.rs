@@ -92,7 +92,7 @@ fn collect_rows() -> Vec<Row> {
                     .collect::<Vec<_>>()
                     .join(","),
                 artifacts,
-                makespan_ms: rec.path.map(|p| p.makespan_ns as f64 / 1e6),
+                makespan_ms: rec.path.map(|p| p.makespan.as_ns() as f64 / 1e6),
                 run_id: rec.run_id,
             });
         }
