@@ -15,8 +15,8 @@
 //! CI artifact upload.
 //!
 //! `--smoke` shrinks the machine and the sweeps for CI; the lower-is-better
-//! latency series are gated against committed baselines with
-//! `--baseline check`.
+//! latency series are gated against the committed reference run with
+//! `--compare benches/baselines/observatory`.
 
 use ncd_bench::{
     amr_diag_loop, amr_diag_workload, improvement_pct, relabel, report, whatif_phase, BenchCli,
@@ -138,7 +138,6 @@ fn main() {
         &series_depth,
         &sweep,
     );
-    cli.gate("ext_amr_depth", &series_depth[..2]);
 
     // (b) Scaling sweep at depth 2.
     let mut base = Series::new("round-robin");
@@ -160,7 +159,6 @@ fn main() {
         &series_scaling,
         &RunCapture::default(),
     );
-    cli.gate("ext_amr_scaling", &series_scaling[..2]);
 
     // (c) Root-cause diagnosis phase. Runs last so the flight recorders
     // parked by this run are the ones a later anomaly dump would show,
@@ -186,7 +184,9 @@ fn main() {
     // round-robin/three-bin pairs stay distinct in the differential's
     // join) plus the diagnosis run's traffic matrix and traces — the
     // skewed-allgatherv workload whose wait blame and finding set the
-    // finding-diff tracks across commits.
+    // finding-diff tracks across commits. Gated: both sweeps' latencies
+    // and the outlier's blame share, so the classifier cannot silently
+    // drift; the improvement-% series stay out.
     if cli.wants_observatory() {
         let mut ledgered = relabel("depth", &series_depth);
         ledgered.extend(relabel("scaling", &series_scaling));
@@ -196,7 +196,14 @@ fn main() {
             ("steps".to_string(), STEPS.to_string()),
             ("diag_flavor".to_string(), "baseline-ring".to_string()),
         ];
-        cli.observatory("ext_amr_skew", &knobs, &ledgered, &diag_run);
+        let gated = [
+            "depth/round-robin",
+            "depth/three-bin",
+            "scaling/round-robin",
+            "scaling/three-bin",
+            "outlier-blame-share-%",
+        ];
+        cli.observatory("ext_amr_skew", &knobs, &ledgered, &gated, &diag_run);
     }
 }
 
@@ -206,8 +213,7 @@ fn main() {
 /// wait-state classifier must blame the majority of the allgatherv wait
 /// on the outlier rank via sender-caused patterns, and the remediation
 /// join must cross-reference the misselection the decision audit flags.
-/// The outlier's blame share is gated so the classifier cannot silently
-/// drift. Returns the gated blame-share series plus the run's capture
+/// Returns the outlier's blame-share series plus the run's capture
 /// (traffic matrix and per-rank traces) so the observatory pass can
 /// ledger it.
 fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
@@ -274,6 +280,5 @@ fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
 
     let mut s = Series::new("outlier-blame-share-%");
     s.push("allgatherv", share);
-    cli.gate("ext_amr_diagnosis", std::slice::from_ref(&s));
     (s, run)
 }

@@ -17,8 +17,8 @@
 //! * the pattern-recurrence join sees each regime's hash recur while the
 //!   regimes stay put, so recurrence stability drops as remeshes pile up.
 //!
-//! The per-regime step latencies are gated against committed baselines
-//! with `--baseline check` (smoke and full stored separately).
+//! The per-regime step latencies are gated against the committed
+//! reference run with `--compare benches/baselines/observatory`.
 
 use ncd_bench::{report, BenchCli, Observe, RunCapture, Series};
 use ncd_core::{
@@ -183,8 +183,6 @@ fn main() {
     );
     assert_eq!(ring.dominant_count, epochs);
 
-    cli.gate("ext_drift", &series);
-
     // Observatory pass: the drift run is already fully traced (the
     // detector feeds off the trace), so ledgering it costs nothing extra.
     // The epoch history rides along, letting the differential flag a
@@ -197,6 +195,6 @@ fn main() {
             ("algorithm".to_string(), "ring-pinned".to_string()),
         ];
         capture.traces = traces;
-        cli.observatory("ext_drift", &knobs, &series, &capture);
+        cli.observatory("ext_drift", &knobs, &series, &["step-latency"], &capture);
     }
 }

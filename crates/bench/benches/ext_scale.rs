@@ -16,7 +16,7 @@
 //! overhead term. The multigrid point pins the §5.5 claim at the paper's
 //! full 128-process machine size.
 
-use ncd_bench::{report, time_phase, BenchCli, Observe, RunCapture, Series};
+use ncd_bench::{relabel, report, time_phase, BenchCli, Observe, RunCapture, Series};
 use ncd_core::{AllgathervAlgorithm, Comm, MpiConfig};
 use ncd_petsc::{richardson, KspSettings, LaplacianOp, Multigrid, PVec, ScatterBackend};
 use ncd_simnet::{Cluster, ClusterConfig, SimTime};
@@ -126,7 +126,6 @@ fn main() {
     }
     mark("allgatherv small-block sweep");
     let series_a = [ring_s, rd_s, ratio];
-    cli.gate("ext_scale_allgatherv_small", &series_a[..2]);
     let plain = RunCapture::default();
     report(
         &cli,
@@ -140,6 +139,7 @@ fn main() {
     // (b) Large block: bandwidth-bound, gap closes. Skipped in smoke —
     // it moves 16 MB per rank pair at N=1024 and adds nothing to the
     // gate the small-block sweep doesn't already pin.
+    let mut series_b: Vec<Series> = Vec::new();
     if !cli.smoke {
         let mut ring_l = Series::new("ring");
         let mut rd_l = Series::new("recursive-doubling");
@@ -150,8 +150,7 @@ fn main() {
             rd_l.push(n.to_string(), td.as_us());
         }
         mark("allgatherv large-block sweep");
-        let series_b = [ring_l, rd_l];
-        cli.gate("ext_scale_allgatherv_large", &series_b);
+        series_b = vec![ring_l, rd_l];
         report(
             &cli,
             "ext_scale_allgatherv_large",
@@ -171,7 +170,6 @@ fn main() {
     }
     mark("multigrid sweep");
     let series_c = [mg];
-    cli.gate("ext_scale_multigrid", &series_c);
     report(
         &cli,
         "ext_scale_multigrid",
@@ -183,7 +181,8 @@ fn main() {
 
     // Observatory pass: one fully traced run of the smallest sweep point
     // (tracing all 1024 ranks would dominate the bench); the ledgered run
-    // still carries the gated big-N series.
+    // still carries the gated big-N series — every latency; the ring/rd
+    // ratio is derived from them.
     if cli.wants_observatory() {
         let traced = time_phase(
             ClusterConfig::uniform(procs[0]),
@@ -200,6 +199,12 @@ fn main() {
         let mut ledgered: Vec<Series> = Vec::new();
         ledgered.extend(series_a);
         ledgered.extend(series_c);
-        cli.observatory("ext_scale", &knobs, &ledgered, &traced);
+        let mut gated = vec!["ring", "recursive-doubling", "MVAPICH2-New"];
+        if !cli.smoke {
+            // The large-block sweep reuses the small-block pair's labels.
+            ledgered.extend(relabel("large", &series_b));
+            gated.extend(["large/ring", "large/recursive-doubling"]);
+        }
+        cli.observatory("ext_scale", &knobs, &ledgered, &gated, &traced);
     }
 }

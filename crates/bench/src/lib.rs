@@ -9,112 +9,112 @@
 
 use std::path::{Path, PathBuf};
 
-use ncd_core::{Comm, DriftConfig, MpiConfig};
+use ncd_core::{Comm, DriftConfig, MpiConfig, RunDiff, SeriesDelta};
 use ncd_simnet::{
     merge_comm_maps, merge_histories, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, History,
     JsonWriter, MetricsRegistry, Rank, RankCommMap, RankHistory, RunManifest, SimTime, Stats,
     TraceEvent,
 };
 
-pub mod baseline;
 pub mod workloads;
 
-pub use baseline::{check_series, BaselineMode, EXIT_MISSING_BASELINE};
 pub use ncd_simnet::{series_json, Series};
 pub use workloads::{
     amr_diag_counts, amr_diag_loop, amr_diag_workload, AMR_DIAG_OUTLIER, AMR_DIAG_STEPS,
 };
 
 /// The harness options every bench target accepts, parsed once at the top
-/// of `main`, so `--smoke`, `--report json`, `--baseline write|check` and
-/// `--tolerance <pct>` behave identically across every
-/// `fig*`/`ext_*`/`crit_*` bench.
-#[derive(Clone, Debug, PartialEq)]
+/// of `main`, so `--smoke`, `--report json`, `--ledger`, `--compare <spec>`
+/// and `--whatif` behave identically across every `fig*`/`ext_*`/`crit_*`
+/// bench.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BenchCli {
-    /// Reduced problem sizes (`--smoke` / `NCD_SMOKE=1`), so CI does not
-    /// run the full figure sweep on every push. Baselines written in
-    /// smoke mode are stored separately (see [`baseline::baseline_path`]).
+    /// Reduced problem sizes (`--smoke`), so CI does not run the full
+    /// figure sweep on every push. The mode is part of a ledgered run's
+    /// manifest: a smoke run never gates against a full reference.
     pub smoke: bool,
-    /// Machine-readable report requested (`--report json` / `NCD_REPORT`).
+    /// Machine-readable report requested (`--report json`).
     pub report_json: bool,
-    /// Baseline handling (`--baseline write|check` / `NCD_BASELINE`).
-    pub baseline: BaselineMode,
-    /// Regression tolerance in percent (`--tolerance` / `NCD_BASELINE_TOL`).
-    pub tolerance_pct: f64,
     /// Persist this run's byte-stable exports to the observatory ledger
-    /// (`--ledger` / `NCD_LEDGER=1`).
+    /// (`--ledger`).
     pub ledger: bool,
-    /// Compare against a prior ledgered run (`--compare <run-id|latest|path>`
-    /// / `NCD_COMPARE`). Implies `--ledger` for the current run.
+    /// Compare against, and gate on, a prior ledgered run
+    /// (`--compare <run-id|latest|path>`). Implies `--ledger` for the
+    /// current run.
     pub compare: Option<String>,
     /// Run the counterfactual what-if profiler after the diagnosis phase
-    /// (`--whatif` / `NCD_WHATIF=1`): plan interventions from the
-    /// findings, replay each deterministically, report verified gains.
+    /// (`--whatif`): plan interventions from the findings, replay each
+    /// deterministically, report verified gains.
     pub whatif: bool,
 }
 
+/// How much slower than the reference a gated point may be, in percent.
+/// The simulation is deterministic, so an unchanged tree reproduces the
+/// reference digit for digit; the slack absorbs *intentional* cost-model
+/// retuning, and anything beyond it must be argued for by refreshing the
+/// committed reference run.
+pub const TOLERANCE_PCT: f64 = 10.0;
+
+/// The reference tree CI gates against, relative to the bench cwd
+/// (`crates/bench`).
+pub const REFERENCE_ROOT: &str = "benches/baselines/observatory";
+
+/// Exit code when `--compare` resolves to no ledgered run, kept distinct
+/// from `1` (an actual regression) so CI logs are unambiguous about *why*
+/// the gate failed.
+pub const EXIT_NO_REFERENCE: i32 = 3;
+
 impl BenchCli {
-    /// Parse from the process arguments, falling back to the `NCD_*`
-    /// environment for whatever the command line leaves unset.
+    /// Parse the process arguments; exits 2 on a command line
+    /// [`BenchCli::from_args`] refuses.
     pub fn parse() -> BenchCli {
-        let args: Vec<String> = std::env::args().collect();
-        BenchCli::parse_from(&args, |key| std::env::var(key).ok())
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        BenchCli::from_args(&args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
-    /// Pure parse over an explicit argument list (no environment), for
-    /// tests. Flags mirror [`parse`](Self::parse): `--smoke`,
-    /// `--report json` / `--report=json`, `--baseline write|check` /
-    /// `--baseline=<mode>`, `--tolerance <pct>` / `--tolerance=<pct>`,
+    /// One pass over `args`: `--smoke`, `--report json` / `--report=json`,
     /// `--ledger`, `--compare <spec>` / `--compare=<spec>`, `--whatif`.
-    pub fn from_args(args: &[String]) -> BenchCli {
-        BenchCli::parse_from(args, |_| None)
-    }
-
-    /// One pass over `args`; `env` answers for whatever they leave unset.
-    fn parse_from(args: &[String], env: impl Fn(&str) -> Option<String>) -> BenchCli {
-        let (mut smoke, mut ledger, mut whatif) = (false, false, false);
-        let (mut report, mut baseline, mut tolerance, mut compare) = (None, None, None, None);
+    /// Anything else that looks like a flag is an error — a misspelt flag
+    /// must not silently switch the gate off — except `--bench`, which
+    /// cargo appends to every `harness = false` target; bare words are
+    /// cargo's name filter and are ignored.
+    pub fn from_args(args: &[String]) -> Result<BenchCli, String> {
+        const ACCEPTED: &str =
+            "--smoke, --report json, --ledger, --compare <run-id|latest|path>, --whatif";
+        let mut cli = BenchCli::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             let (flag, inline) = match arg.split_once('=') {
-                Some((flag, value)) => (flag, Some(value.to_string())),
+                Some((flag, value)) => (flag, Some(value)),
                 None => (arg.as_str(), None),
             };
-            let valued = inline.is_some();
-            let mut value = || inline.clone().or_else(|| it.next().cloned());
+            let mut value = |what: &str| {
+                let next = inline.map(str::to_string).or_else(|| it.next().cloned());
+                next.ok_or_else(|| format!("{flag} needs {what}"))
+            };
             match flag {
-                "--smoke" if !valued => smoke = true,
-                "--ledger" if !valued => ledger = true,
-                "--whatif" if !valued => whatif = true,
-                "--report" => report = value(),
-                "--baseline" => baseline = value(),
-                "--tolerance" => tolerance = value(),
-                "--compare" => {
-                    compare = Some(value().expect("--compare needs a run id, 'latest', or a path"))
+                "--smoke" | "--ledger" | "--whatif" | "--bench" if inline.is_some() => {
+                    return Err(format!("{flag} takes no value, got {arg:?}"))
+                }
+                "--smoke" => cli.smoke = true,
+                "--ledger" => cli.ledger = true,
+                "--whatif" => cli.whatif = true,
+                "--bench" => {}
+                "--report" => match value("a format: json")?.as_str() {
+                    "json" => cli.report_json = true,
+                    other => return Err(format!("--report writes json, not {other:?}")),
+                },
+                "--compare" => cli.compare = Some(value("a run id, 'latest', or a path")?),
+                _ if flag.starts_with('-') => {
+                    return Err(format!("unknown flag {flag}; accepted: {ACCEPTED}"))
                 }
                 _ => {}
             }
         }
-        let on = |key: &str| env(key).as_deref() == Some("1");
-        BenchCli {
-            smoke: smoke || on("NCD_SMOKE"),
-            report_json: report.or_else(|| env("NCD_REPORT")).as_deref() == Some("json"),
-            baseline: match baseline.or_else(|| env("NCD_BASELINE")).as_deref() {
-                None => BaselineMode::Off,
-                Some("write") => BaselineMode::Write,
-                Some("check") => BaselineMode::Check,
-                Some(other) => panic!("--baseline must be 'write' or 'check', got {other:?}"),
-            },
-            tolerance_pct: match tolerance.or_else(|| env("NCD_BASELINE_TOL")) {
-                None => 10.0,
-                Some(v) => v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--tolerance must be a number, got {v:?}")),
-            },
-            ledger: ledger || on("NCD_LEDGER"),
-            compare: compare.or_else(|| env("NCD_COMPARE").filter(|s| !s.is_empty())),
-            whatif: whatif || on("NCD_WHATIF"),
-        }
+        Ok(cli)
     }
 
     /// Whether the bench should run its (more expensive, fully traced)
@@ -125,22 +125,38 @@ impl BenchCli {
     }
 
     /// Ledger the captured run ([`ledger_run`]) and, when `--compare` was
-    /// given, print and persist the differential against the base run.
+    /// given, print and persist the differential against the base run,
+    /// then gate on it: exit 1 with [`gate_failure_report`] when
+    /// [`regressions`] finds any, exit [`EXIT_NO_REFERENCE`] with the
+    /// refresh command when the spec resolves to no run.
+    ///
+    /// `gated` names the lower-is-better series (latencies); derived
+    /// higher-is-better ones like improvement % stay out and only show in
+    /// the diff. Every bench that gates any has a reference run committed
+    /// under [`REFERENCE_ROOT`]; `fig13_breakdown` (percent shares:
+    /// nothing is lower-is-better) and `fig17_multigrid` (a smoke run of
+    /// minutes ledgering megabytes) gate nothing and commit none.
     ///
     /// The comparison base is resolved *before* the current run is
     /// written, so `--compare latest` means "the previous ledgered run",
-    /// not the one this call creates. Exits nonzero when the compare spec
-    /// cannot be resolved — a CI observatory step must not silently skip
-    /// its reference run.
+    /// not the one this call creates.
     pub fn observatory(
         &self,
         name: &str,
         knobs: &[(String, String)],
         series: &[Series],
+        gated: &[&str],
         capture: &RunCapture,
     ) {
         if !self.wants_observatory() {
             return;
+        }
+        // A label that names no series would gate nothing, silently.
+        for label in gated {
+            assert!(
+                series.iter().any(|s| s.label == *label),
+                "{name} gates {label:?}, which is not among its ledgered series"
+            );
         }
         let root = ncd_simnet::ledger_root();
         let base_dir = self
@@ -151,11 +167,8 @@ impl BenchCli {
             .unwrap_or_else(|e| die(format!("cannot write the run ledger for {name}: {e}")));
         let Some(base_dir) = base_dir else { return };
         let base_dir = base_dir.unwrap_or_else(|e| {
-            die(format!(
-                "--compare for {name}: {e}\n\
-                 ledger a reference run first: cargo bench ... -- {}--ledger",
-                if self.smoke { "--smoke " } else { "" }
-            ))
+            eprint!("{}", missing_reference_message(name, self.smoke, &e));
+            std::process::exit(EXIT_NO_REFERENCE)
         });
         let load = |dir: &Path| -> ncd_core::RunRecord {
             let run = ncd_simnet::read_run(dir).unwrap_or_else(|e| {
@@ -180,61 +193,15 @@ impl BenchCli {
                 bench_dir.join("diff.json").display()
             );
         }
-    }
-
-    /// Apply the requested baseline handling to a bench's gated series.
-    ///
-    /// * `--baseline write`: snapshot `series` under `benches/baselines/`.
-    /// * `--baseline check`: compare against the committed snapshot and
-    ///   **exit nonzero** with a diff table when a point regressed beyond
-    ///   the tolerance (or the snapshot is missing, unreadable or
-    ///   shape-mismatched).
-    /// * otherwise: no-op.
-    ///
-    /// Gate only lower-is-better series (latencies); derived higher-is-better
-    /// series like improvement % must stay out.
-    pub fn gate(&self, name: &str, series: &[Series]) {
-        let path = baseline::baseline_path(name, self.smoke);
-        match self.baseline {
-            BaselineMode::Off => {}
-            BaselineMode::Write => {
-                let json = baseline::snapshot_json(name, self.smoke, series);
-                ncd_simnet::write_artifact(&path, &json).expect("write baseline snapshot");
-                println!("baseline written: {}", path.display());
-            }
-            BaselineMode::Check => {
-                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    eprint!(
-                        "{}",
-                        baseline::missing_snapshot_message(
-                            name,
-                            &path,
-                            baseline::bench_target().as_deref(),
-                            self.smoke,
-                            &e.to_string(),
-                        )
-                    );
-                    std::process::exit(EXIT_MISSING_BASELINE);
-                });
-                let base = baseline::parse_snapshot(&text).unwrap_or_else(|e| {
-                    die(format!(
-                        "baseline check FAILED for {name}: malformed snapshot {}: {e}",
-                        path.display()
-                    ))
-                });
-                let tol = self.tolerance_pct;
-                let regs = check_series(&base, series, tol);
-                if regs.is_empty() {
-                    println!(
-                        "baseline check passed: {name} ({} series, tolerance {tol}%)",
-                        series.len()
-                    );
-                } else {
-                    eprint!("{}", gate_failure_report(name, &regs, tol));
-                    std::process::exit(1);
-                }
-            }
+        let failing = regressions(&diff, gated);
+        if !failing.is_empty() {
+            eprint!("{}", gate_failure_report(name, &failing));
+            std::process::exit(1);
         }
+        println!(
+            "reference gate passed: {name} ({} gated series, tolerance {TOLERANCE_PCT}%)",
+            gated.len()
+        );
     }
 }
 
@@ -251,18 +218,66 @@ fn write_out(sub: &str, file: String, text: &str) -> Option<PathBuf> {
     ncd_simnet::write_artifact(&path, text).ok().map(|()| path)
 }
 
-/// Compose the full failure output for a baseline-gate regression: the
-/// regression diff table followed by the flight recorder's last-window
-/// events for every rank of the most recent cluster run — the moments
-/// right before the regression was measured. The dump is also written to
-/// `target/flight/<name>.flight.txt` (for CI artifact upload) and handed
-/// to the process anomaly hook ([`ncd_simnet::dump_on`]) as a
+/// What `--compare` prints when its spec resolves to no ledgered run:
+/// why, and the command that ledgers the committed reference, so the fix
+/// is copy-paste instead of archaeology.
+pub fn missing_reference_message(name: &str, smoke: bool, err: &str) -> String {
+    let smoke_flag = if smoke { "--smoke " } else { "" };
+    format!(
+        "reference gate FAILED for {name}: no reference run ({err})\n\
+         ledger one with: NCD_OBSERVATORY={REFERENCE_ROOT} \
+         cargo bench -p ncd-bench --bench {name} -- {smoke_flag}--ledger\n\
+         then commit crates/bench/{REFERENCE_ROOT}/{name}/ \
+         (exit code {EXIT_NO_REFERENCE} = no reference; 1 = regression)\n"
+    )
+}
+
+/// The part of `diff` that fails a run against its reference, empty when
+/// it passes: the deltas of `gated` (lower-is-better) series that are
+/// slower than the reference by more than [`TOLERANCE_PCT`] or unmeasured
+/// on either side, the shape notes a gate must not pass over
+/// ([`RunDiff::series_shape_notes`] — a renamed or dropped series is not a
+/// pass) and, with either, the diff's ranked causes. Faster points and the
+/// other series are the diff's business, not the gate's.
+pub fn regressions(diff: &RunDiff, gated: &[&str]) -> RunDiff {
+    let fails = |d: &&SeriesDelta| {
+        let limit = d.base * (1.0 + TOLERANCE_PCT / 100.0);
+        let unmeasured = d.base.is_nan() || d.current.is_nan();
+        gated.contains(&d.series.as_str()) && (unmeasured || d.current > limit)
+    };
+    let mut failing = RunDiff {
+        bench: diff.bench.clone(),
+        base_id: diff.base_id.clone(),
+        cur_id: diff.cur_id.clone(),
+        series_deltas: diff.series_deltas.iter().filter(fails).cloned().collect(),
+        notes: diff.series_shape_notes(gated).map(String::from).collect(),
+        ..RunDiff::default()
+    };
+    if !failing.is_empty() {
+        failing.causes = diff.causes.clone();
+    }
+    failing
+}
+
+/// Compose the full failure output of the gate: what [`regressions`]
+/// found, through the differential's own renderer (ranked causes, the
+/// failing points, the shape changes), followed by the flight recorder's
+/// last-window events for every rank of the most recent cluster run — the
+/// moments right before the regression was measured. The dump is also
+/// written to `target/flight/<name>.flight.txt` (for CI artifact upload)
+/// and handed to the process anomaly hook ([`ncd_simnet::dump_on`]) as a
 /// [`ncd_simnet::Anomaly::BaselineRegression`].
 ///
-/// Split out of [`BenchCli::gate`] so tests can exercise the whole failure
-/// path without exiting the process.
-pub fn gate_failure_report(name: &str, regs: &[baseline::Regression], tol: f64) -> String {
-    let mut out = baseline::render_regressions(name, regs, tol);
+/// Split out of [`BenchCli::observatory`] so tests can exercise the whole
+/// failure path without exiting the process.
+pub fn gate_failure_report(name: &str, failing: &RunDiff) -> String {
+    let mut out = format!(
+        "reference gate FAILED for {name}: {} gated point(s) unmeasured or more than \
+         {TOLERANCE_PCT}% slower than the reference, {} shape change(s)\n{}",
+        failing.series_deltas.len(),
+        failing.notes.len(),
+        ncd_core::render_compare(failing, usize::MAX)
+    );
     if let Some(dump) = ncd_simnet::last_run_dump() {
         out.push_str(&dump);
         if let Some(path) = write_out("flight", format!("{name}.flight.txt"), &dump) {
@@ -979,7 +994,7 @@ mod tests {
         let mut s = Series::new("test");
         s.push("1", 2.0);
         s.push("2", 4.0);
-        let cli = BenchCli::from_args(&[]);
+        let cli = BenchCli::default();
         report(
             &cli,
             "unit_test_fig",
@@ -1116,7 +1131,10 @@ mod tests {
     fn json_report_writes_valid_file_when_requested() {
         let mut s = Series::new("baseline");
         s.push("64", 1.5);
-        let cli = BenchCli::from_args(&["bench".to_string(), "--report=json".to_string()]);
+        let cli = BenchCli {
+            report_json: true,
+            ..BenchCli::default()
+        };
         let mut reg = MetricsRegistry::enabled();
         reg.counter_add("a", "b", "c", 7);
         let capture = RunCapture {
@@ -1172,7 +1190,7 @@ mod tests {
 
     #[test]
     fn report_writes_one_artifact_per_captured_part() {
-        let cli = BenchCli::from_args(&[]);
+        let cli = BenchCli::default();
         let mut s = Series::new("latency");
         s.push("4", 1.0);
 
@@ -1269,22 +1287,26 @@ mod tests {
                 }
             });
         };
-        let regs = vec![baseline::Regression {
-            series: "latency".into(),
-            x: "1024".into(),
-            baseline: 10.0,
-            current: 20.0,
-            delta_pct: 100.0,
-        }];
+        let mut base = gated_run("smoke", "latency", &[("1024", 10.0)]);
+        let mut cur = gated_run("smoke", "latency", &[("1024", 20.0)]);
+        let seeks = |n| ("datatype/seek_total/single-context".to_string(), n);
+        base.metrics.counters.push(seeks(40));
+        cur.metrics.counters.push(seeks(120));
+        let failing = regressions(&ncd_core::compare(&base, &cur), &["latency"]);
         let mut report = String::new();
         for _ in 0..10 {
             run_cluster();
-            report = gate_failure_report("unit_test_gate_fig", &regs, 10.0);
+            report = gate_failure_report("unit_test_gate_fig", &failing);
             if report.contains("pack-block engine=single-context") {
                 break;
             }
         }
-        assert!(report.contains("baseline check FAILED"));
+        assert!(report.contains("reference gate FAILED for unit_test_gate_fig: 1 gated point(s)"));
+        assert!(report.contains("+100.0%"), "regression row:\n{report}");
+        assert!(
+            report.contains("[pack] +80  context-search segments 40 -> 120"),
+            "ranked causes:\n{report}"
+        );
         assert!(
             report.contains("flight recorder: last events per rank"),
             "report missing dump:\n{report}"
@@ -1330,122 +1352,156 @@ mod tests {
         );
     }
 
+    /// Every accepted form parses; everything else that looks like a flag
+    /// stops the bench — ignored, a misspelt `--compare` runs everything
+    /// and gates nothing.
     #[test]
-    fn bench_cli_parses_every_flag_form() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        let cli = BenchCli::from_args(&to_args(&[
-            "bench",
-            "--smoke",
-            "--report",
-            "json",
-            "--baseline",
-            "check",
-            "--tolerance",
-            "5",
-            "--ledger",
-            "--compare",
-            "latest",
-            "--whatif",
-        ]));
-        assert_eq!(
-            cli,
-            BenchCli {
-                smoke: true,
-                report_json: true,
-                baseline: BaselineMode::Check,
-                tolerance_pct: 5.0,
-                ledger: true,
-                compare: Some("latest".to_string()),
-                whatif: true,
-            }
-        );
-        let eqs = BenchCli::from_args(&to_args(&[
-            "bench",
-            "--report=json",
-            "--baseline=write",
-            "--tolerance=2.5",
-            "--compare=0123456789abcdef",
-        ]));
-        assert_eq!(
-            eqs,
-            BenchCli {
-                smoke: false,
-                report_json: true,
-                baseline: BaselineMode::Write,
-                tolerance_pct: 2.5,
-                ledger: false,
-                compare: Some("0123456789abcdef".to_string()),
-                whatif: false,
-            }
-        );
-        assert!(
-            eqs.wants_observatory(),
-            "--compare implies an observatory pass"
-        );
-        let none = BenchCli::from_args(&to_args(&["bench"]));
-        assert_eq!(
-            none,
-            BenchCli {
-                smoke: false,
-                report_json: false,
-                baseline: BaselineMode::Off,
-                tolerance_pct: 10.0,
-                ledger: false,
-                compare: None,
-                whatif: false,
-            }
-        );
-        assert!(!none.wants_observatory());
-    }
-
-    #[test]
-    fn environment_fills_what_the_command_line_leaves_unset() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        let env = |key: &str| {
-            let value = match key {
-                "NCD_SMOKE" | "NCD_LEDGER" | "NCD_WHATIF" => "1",
-                "NCD_REPORT" => "json",
-                "NCD_BASELINE" => "check",
-                "NCD_BASELINE_TOL" => "2.5",
-                "NCD_COMPARE" => "latest",
-                _ => return None,
-            };
-            Some(value.to_string())
+    fn bench_cli_parses_every_flag_form_and_refuses_the_rest() {
+        let cli = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            BenchCli::from_args(&args)
         };
-        let from_env = BenchCli::parse_from(&to_args(&["bench"]), env);
-        assert_eq!(
-            from_env,
-            BenchCli {
-                smoke: true,
-                report_json: true,
-                baseline: BaselineMode::Check,
-                tolerance_pct: 2.5,
-                ledger: true,
-                compare: Some("latest".to_string()),
-                whatif: true,
-            }
+        let all = BenchCli {
+            smoke: true,
+            report_json: true,
+            ledger: true,
+            compare: Some("latest".to_string()),
+            whatif: true,
+        };
+        let spaced = cli("--smoke --report json --ledger --compare latest --whatif");
+        let inline = cli("--smoke --report=json --ledger --compare=latest --whatif");
+        assert_eq!((spaced, inline), (Ok(all.clone()), Ok(all)));
+        assert_eq!(cli(""), Ok(BenchCli::default()));
+        assert!(!BenchCli::default().wants_observatory());
+        let compared = cli("--compare=0123456789abcdef").expect("run id");
+        assert!(compared.wants_observatory() && !compared.ledger);
+        // What cargo itself passes: `--bench` to every `harness = false`
+        // target, and the user's name filter as a bare word.
+        let smoke = BenchCli {
+            smoke: true,
+            ..BenchCli::default()
+        };
+        assert_eq!(cli("fig14 --smoke --bench"), Ok(smoke));
+
+        for (line, names) in [
+            ("--smoke --basline check", "unknown flag --basline"),
+            ("--comprae=latest", "unknown flag --comprae"),
+            ("-smoke", "unknown flag -smoke"),
+            ("--smoke=1", "--smoke takes no value, got \"--smoke=1\""),
+            ("--ledger=yes", "--ledger takes no value"),
+            ("--whatif=1", "--whatif takes no value"),
+            ("--bench=x", "--bench takes no value"),
+            ("--report xml", "--report writes json, not \"xml\""),
+            ("--report", "--report needs a format"),
+            ("--compare", "--compare needs a run id"),
+        ] {
+            let err = cli(line).expect_err(names);
+            assert!(err.contains(names), "{line}: {err}");
+        }
+        let err = cli("--basline").unwrap_err();
+        let accepted = "--smoke, --report json, --ledger, --compare <run-id|latest|path>, --whatif";
+        assert!(
+            err.ends_with(accepted),
+            "must list the accepted flags: {err}"
         );
-        // The command line wins over the environment.
-        let both = BenchCli::parse_from(
-            &to_args(&[
-                "bench",
-                "--baseline=write",
-                "--tolerance",
-                "7",
-                "--compare",
-                "0123456789abcdef",
-            ]),
-            env,
-        );
-        assert_eq!(both.baseline, BaselineMode::Write);
-        assert_eq!(both.tolerance_pct, 7.0);
-        assert_eq!(both.compare.as_deref(), Some("0123456789abcdef"));
+    }
+
+    /// A run holding only what the gate reads: the mode and one series.
+    fn gated_run(mode: &str, label: &str, points: &[(&str, f64)]) -> ncd_core::RunRecord {
+        let mut series = Series::new(label);
+        points.iter().for_each(|&(x, y)| series.push(x, y));
+        ncd_core::RunRecord {
+            mode: mode.to_string(),
+            series: vec![series],
+            ..ncd_core::RunRecord::default()
+        }
     }
 
     #[test]
-    #[should_panic(expected = "must be 'write' or 'check'")]
-    fn bad_baseline_mode_panics() {
-        BenchCli::from_args(&["bench".to_string(), "--baseline=frobnicate".to_string()]);
+    fn the_gate_fails_what_is_slower_unmeasured_or_reshaped_and_nothing_else() {
+        const NAN: f64 = f64::NAN;
+        let lat = |points| gated_run("smoke", "lat", points);
+        let base = || lat(&[("1", 100.0), ("2", 200.0)]);
+        // (reference, current, x of each failing point, failing shape notes)
+        let table: [(_, _, &[&str], &[&str]); 12] = [
+            (base(), base(), &[], &[]),
+            // Within tolerance up to the boundary, beyond it, and faster.
+            (base(), lat(&[("1", 109.0), ("2", 220.0)]), &[], &[]),
+            (base(), lat(&[("1", 150.0), ("2", 221.0)]), &["1", "2"], &[]),
+            (base(), lat(&[("1", 10.0), ("2", 200.0)]), &[], &[]),
+            // A point either run did not measure compares false with any
+            // bound; that must not read as "not slower".
+            (base(), lat(&[("1", 100.0), ("2", NAN)]), &["2"], &[]),
+            (lat(&[("1", NAN), ("2", 200.0)]), base(), &["1"], &[]),
+            // Series and points on one side only, renames included.
+            (
+                base(),
+                gated_run("smoke", "latency", &[("1", 100.0), ("2", 200.0)]),
+                &[],
+                &["series 'lat' missing from current run"],
+            ),
+            (
+                gated_run("smoke", "latency", &[("1", 100.0), ("2", 200.0)]),
+                base(),
+                &[],
+                &["series 'lat' new in current run"],
+            ),
+            (
+                base(),
+                lat(&[("1", 100.0)]),
+                &[],
+                &["series 'lat' point 2 missing from current run"],
+            ),
+            (
+                lat(&[("1", 100.0)]),
+                base(),
+                &[],
+                &["series 'lat' point 2 new in current run"],
+            ),
+            // A smoke run against a full reference sweeps other sizes.
+            (
+                gated_run("full", "lat", &[("1", 100.0), ("2", 200.0)]),
+                base(),
+                &[],
+                &["mode changed: full -> smoke"],
+            ),
+            // Series outside the gated set only show in the diff.
+            (
+                gated_run("smoke", "improvement-%", &[("1", 10.0)]),
+                gated_run("smoke", "improvement-%", &[("1", 90.0)]),
+                &[],
+                &[],
+            ),
+        ];
+        for (case, (reference, current, points, notes)) in table.into_iter().enumerate() {
+            let diff = ncd_core::compare(&reference, &current);
+            let failing = regressions(&diff, &["lat"]);
+            let xs: Vec<&str> = failing.series_deltas.iter().map(|d| d.x.as_str()).collect();
+            assert_eq!(xs, points, "row {case}");
+            assert_eq!(failing.notes, notes, "row {case}");
+            assert_eq!(failing.is_empty(), points.is_empty() && notes.is_empty());
+            // Whatever the gate says, the diff itself saw the change.
+            assert_eq!(diff.is_empty(), case == 0, "row {case}");
+        }
+    }
+
+    #[test]
+    fn missing_reference_message_names_reason_command_and_exit_code() {
+        let why = "no ledgered run at benches/baselines/observatory";
+        let msg = missing_reference_message("fig14_allgatherv", true, why);
+        assert!(msg.contains("(no ledgered run at benches/baselines/observatory)"));
+        assert!(
+            msg.contains(
+                "NCD_OBSERVATORY=benches/baselines/observatory \
+                 cargo bench -p ncd-bench --bench fig14_allgatherv -- --smoke --ledger"
+            ),
+            "{msg}"
+        );
+        assert!(msg.contains("crates/bench/benches/baselines/observatory/fig14_allgatherv/"));
+        assert!(msg.contains("exit code 3"));
+        // Full mode drops the --smoke flag.
+        let full = missing_reference_message("f", false, "e");
+        assert!(full.contains("--bench f -- --ledger"), "{full}");
     }
 
     #[test]

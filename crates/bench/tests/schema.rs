@@ -7,7 +7,7 @@
 //! artifact, the artifact set, and the content-hash run id — plus a few
 //! writers the ledger does not own.
 
-use ncd_bench::{baseline, ledger_run, series_json, time_phase, Observe, Series};
+use ncd_bench::{ledger_run, series_json, time_phase, Observe, Series};
 use ncd_core::{compare, diff_json, Comm, MpiConfig, RunRecord};
 use ncd_simnet::{ledger_root, manifest_json, read_run, ClusterConfig, SCHEMA_VERSION};
 
@@ -79,10 +79,6 @@ fn every_byte_stable_export_leads_with_the_shared_schema_version() {
     // Writers the ledger does not own.
     let direct = [
         ("series_json", series_json("schema_probe", true, &series)),
-        (
-            "snapshot_json",
-            baseline::snapshot_json("schema_probe", true, &series),
-        ),
         ("manifest_json", manifest_json(&manifest)),
         ("diff_json", {
             let run = read_run(&dir).expect("re-read run");
