@@ -1197,10 +1197,8 @@ mod tests {
         // Metrics and comm map: the decision table and the matrix.
         let mut reg = MetricsRegistry::enabled();
         reg.counter_add("decision", "alltoallw", "binned", 3);
-        let mut m0 = RankCommMap::new(0, 2);
+        let m0 = RankCommMap::new(0, 2);
         let mut m1 = RankCommMap::new(1, 2);
-        m0.enable();
-        m1.enable();
         m1.record_delivery(0, 4096);
         let capture = RunCapture {
             metrics: Some(reg),

@@ -13,7 +13,7 @@
 //! the outlier reaches everyone in O(log N) rounds moved by many senders
 //! simultaneously.
 
-use ncd_simnet::{ratio_to_millis, CostKind};
+use ncd_simnet::CostKind;
 
 use crate::coll::{coll_tag, CollOp};
 use crate::comm::Comm;
@@ -55,10 +55,6 @@ impl AllgathervAlgorithm {
     }
 }
 
-fn is_pow2(n: usize) -> bool {
-    n != 0 && n & (n - 1) == 0
-}
-
 impl Comm<'_> {
     /// Gather each rank's `send` bytes (of length `counts[rank]`) into
     /// `recvbuf`, which must hold `counts.iter().sum()` bytes, blocks laid
@@ -80,75 +76,68 @@ impl Comm<'_> {
         };
         let ns = passes as f64 * counts.len() as f64 * 2.0;
         self.rank_mut().charge_cpu(CostKind::Comm, ns);
+        // The outlier test runs once per call; the choice, the audit and
+        // the verdict metrics below all read this one result. (Its cost
+        // is the `passes` charge above, not this call.)
+        let cfg = self.config();
+        let flavor = cfg.flavor;
+        let total: usize = counts.iter().sum();
+        let (shape, ratio) =
+            detect_outliers_with_ratio(counts, cfg.outlier_fraction, cfg.outlier_ratio);
         // A pinned algorithm (what-if decision-flip intervention) bypasses
         // the policy; the audit still records the evidence, with the
         // reason telling the analysis layer the choice was forced.
-        let pin = self.config().allgatherv_pin;
-        let algo = pin.unwrap_or_else(|| self.allgatherv_choose(counts));
+        let pin = cfg.allgatherv_pin;
+        let algo = pin.unwrap_or_else(|| self.choose(total, shape));
         // Audit the selection: one AlgorithmDecision per auto-selected
         // call, carrying the evidence (total, outlier ratio, pow2) and
-        // the policy branch taken. Recording charges no simulated time.
-        {
-            let cfg = self.config();
-            let total: usize = counts.iter().sum();
-            let (shape, ratio) =
-                detect_outliers_with_ratio(counts, cfg.outlier_fraction, cfg.outlier_ratio);
-            let pow2 = is_pow2(self.size());
-            let reason = if pin.is_some() {
-                "pinned"
-            } else {
-                match (cfg.flavor, algo) {
-                    (MpiFlavor::Baseline, AllgathervAlgorithm::Ring) => "total >= long threshold",
-                    (MpiFlavor::Baseline, AllgathervAlgorithm::RecursiveDoubling) => {
-                        "small total, pow2 ranks"
-                    }
-                    (MpiFlavor::Baseline, AllgathervAlgorithm::Dissemination) => {
-                        "small total, non-pow2 ranks"
-                    }
-                    (MpiFlavor::Optimized, AllgathervAlgorithm::Ring) => {
-                        "uniform large total: ring bandwidth path"
-                    }
-                    (MpiFlavor::Optimized, _) => {
-                        if shape == VolumeShape::Outliers {
-                            "outliers: binomial movement"
-                        } else {
-                            "uniform small total: binomial latency path"
-                        }
+        // the policy branch taken.
+        let reason = if pin.is_some() {
+            "pinned"
+        } else {
+            match (flavor, algo) {
+                (MpiFlavor::Baseline, AllgathervAlgorithm::Ring) => "total >= long threshold",
+                (MpiFlavor::Baseline, AllgathervAlgorithm::RecursiveDoubling) => {
+                    "small total, pow2 ranks"
+                }
+                (MpiFlavor::Baseline, AllgathervAlgorithm::Dissemination) => {
+                    "small total, non-pow2 ranks"
+                }
+                (MpiFlavor::Optimized, AllgathervAlgorithm::Ring) => {
+                    "uniform large total: ring bandwidth path"
+                }
+                (MpiFlavor::Optimized, _) => {
+                    if shape == VolumeShape::Outliers {
+                        "outliers: binomial movement"
+                    } else {
+                        "uniform small total: binomial latency path"
                     }
                 }
-            };
-            self.rank_mut().observe_algo_decision(
-                "allgatherv",
-                counts.len(),
-                total as u64,
-                ratio_to_millis(ratio),
-                pow2,
-                algo.label(),
-                reason,
-            );
-        }
-        if self.rank_ref().metrics().is_enabled() {
+            }
+        };
+        let label = algo.label();
+        self.audit_decision(
+            "allgatherv",
+            counts.len(),
+            total as u64,
+            ratio,
+            label,
+            reason,
+        );
+        if let Some(m) = self.rank_mut().metrics_mut() {
             // The auto-selected path is additionally tracked under the
             // "adaptive" label, so selection-policy behaviour is queryable
             // separately from explicitly-pinned algorithm runs.
-            let total: usize = counts.iter().sum();
-            self.rank_mut()
-                .metric_observe("allgatherv", "bytes", "adaptive", total as u64);
-            self.rank_mut()
-                .metric_counter_add("allgatherv", "selected", algo.label(), 1);
-            if self.config().flavor == MpiFlavor::Optimized {
-                let cfg = self.config();
-                let (shape, ratio) =
-                    detect_outliers_with_ratio(counts, cfg.outlier_fraction, cfg.outlier_ratio);
+            m.observe("allgatherv", "bytes", "adaptive", total as u64);
+            m.counter_add("allgatherv", "selected", label, 1);
+            if flavor == MpiFlavor::Optimized {
                 let verdict = match shape {
                     VolumeShape::Outliers => "outliers",
                     VolumeShape::Uniform => "uniform",
                 };
-                self.rank_mut()
-                    .metric_counter_add("allgatherv", "verdict", verdict, 1);
+                m.counter_add("allgatherv", "verdict", verdict, 1);
                 if ratio.is_finite() {
-                    self.rank_mut()
-                        .metric_gauge_set("allgatherv", "outlier_ratio", verdict, ratio);
+                    m.gauge_set("allgatherv", "outlier_ratio", verdict, ratio);
                 }
             }
         }
@@ -157,8 +146,15 @@ impl Comm<'_> {
 
     /// The algorithm-selection policy under the current flavor.
     pub fn allgatherv_choose(&self, counts: &[usize]) -> AllgathervAlgorithm {
-        let total: usize = counts.iter().sum();
-        let pow2 = is_pow2(self.size());
+        let cfg = self.config();
+        let shape = detect_outliers(counts, cfg.outlier_fraction, cfg.outlier_ratio);
+        self.choose(counts.iter().sum(), shape)
+    }
+
+    /// The policy itself, given the evidence: the total volume and the
+    /// outlier verdict (which only the optimized flavor consults).
+    fn choose(&self, total: usize, shape: VolumeShape) -> AllgathervAlgorithm {
+        let pow2 = self.size().is_power_of_two();
         let cfg = self.config();
         match cfg.flavor {
             MpiFlavor::Baseline => {
@@ -170,21 +166,16 @@ impl Comm<'_> {
                     AllgathervAlgorithm::Dissemination
                 }
             }
-            MpiFlavor::Optimized => {
-                let shape = detect_outliers(counts, cfg.outlier_fraction, cfg.outlier_ratio);
-                // Charge the two linear-time k_select passes: comparable to
-                // the total-volume scan the baseline already performs.
-                match (shape, total >= cfg.allgatherv_long_threshold) {
-                    (VolumeShape::Outliers, _) | (VolumeShape::Uniform, false) => {
-                        if pow2 {
-                            AllgathervAlgorithm::RecursiveDoubling
-                        } else {
-                            AllgathervAlgorithm::Dissemination
-                        }
+            MpiFlavor::Optimized => match (shape, total >= cfg.allgatherv_long_threshold) {
+                (VolumeShape::Outliers, _) | (VolumeShape::Uniform, false) => {
+                    if pow2 {
+                        AllgathervAlgorithm::RecursiveDoubling
+                    } else {
+                        AllgathervAlgorithm::Dissemination
                     }
-                    (VolumeShape::Uniform, true) => AllgathervAlgorithm::Ring,
                 }
-            }
+                (VolumeShape::Uniform, true) => AllgathervAlgorithm::Ring,
+            },
         }
     }
 
@@ -213,11 +204,9 @@ impl Comm<'_> {
             })
             .collect();
 
-        if self.rank_ref().metrics().is_enabled() {
-            self.rank_mut()
-                .metric_counter_add("allgatherv", "invocations", algo.label(), 1);
-            self.rank_mut()
-                .metric_observe("allgatherv", "bytes", algo.label(), total as u64);
+        if let Some(m) = self.rank_mut().metrics_mut() {
+            m.counter_add("allgatherv", "invocations", algo.label(), 1);
+            m.observe("allgatherv", "bytes", algo.label(), total as u64);
         }
 
         // Place own contribution.
@@ -227,7 +216,10 @@ impl Comm<'_> {
             match algo {
                 AllgathervAlgorithm::Ring => self.agv_ring(counts, &displs, recvbuf),
                 AllgathervAlgorithm::RecursiveDoubling => {
-                    assert!(is_pow2(size), "recursive doubling needs power-of-two N");
+                    assert!(
+                        size.is_power_of_two(),
+                        "recursive doubling needs power-of-two N"
+                    );
                     self.agv_recursive_doubling(counts, &displs, recvbuf)
                 }
                 AllgathervAlgorithm::Dissemination => {
@@ -235,14 +227,8 @@ impl Comm<'_> {
                 }
             }
         }
-        // One comm-map epoch per call, keyed by the algorithm that
-        // produced the traffic (pinned and auto-selected runs alike).
-        if self.rank_ref().comm_map_enabled() {
-            let label = format!("allgatherv/{}", algo.label());
-            self.rank_mut().comm_epoch(&label);
-            let volumes: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
-            self.drift_epoch(&label, &volumes);
-        }
+        let volumes = counts.iter().map(|&c| c as u64);
+        self.close_epoch("allgatherv", algo.label(), volumes);
     }
 
     /// Ring: at step s, forward block (rank - s) to the right neighbour.
@@ -252,9 +238,7 @@ impl Comm<'_> {
         let right = (rank + 1) % size;
         let left = (rank + size - 1) % size;
         for step in 0..size - 1 {
-            self.rank_mut().trace_round("allgatherv/ring", step as u32);
-            self.rank_mut()
-                .metric_counter_add("allgatherv", "rounds", "ring", 1);
+            self.round("allgatherv/ring", step as u32);
             let send_idx = (rank + size - step) % size;
             let recv_idx = (rank + size - step - 1) % size;
             let tag = coll_tag(CollOp::Allgatherv, step as u32);
@@ -280,10 +264,7 @@ impl Comm<'_> {
         let mut mask = 1usize;
         let mut phase = 0u32;
         while mask < size {
-            self.rank_mut()
-                .trace_round("allgatherv/recursive_doubling", phase);
-            self.rank_mut()
-                .metric_counter_add("allgatherv", "rounds", "recursive_doubling", 1);
+            self.round("allgatherv/recursive_doubling", phase);
             let partner = rank ^ mask;
             let my_group_start = (rank / mask) * mask;
             let their_group_start = (partner / mask) * mask;
@@ -323,10 +304,7 @@ impl Comm<'_> {
         let mut owned = 1usize; // blocks (rank - j) % size for j < owned
         let mut phase = 0u32;
         while owned < size {
-            self.rank_mut()
-                .trace_round("allgatherv/dissemination", phase);
-            self.rank_mut()
-                .metric_counter_add("allgatherv", "rounds", "dissemination", 1);
+            self.round("allgatherv/dissemination", phase);
             let delta = owned; // 2^phase, capped by ownership growth
             let send_cnt = owned.min(size - owned);
             let dst = (rank + delta) % size;

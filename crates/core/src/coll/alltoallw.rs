@@ -17,7 +17,6 @@
 //! cheap receivers never wait behind expensive preprocessing.
 
 use ncd_datatype::Datatype;
-use ncd_simnet::ratio_to_millis;
 
 use crate::coll::{coll_tag, CollOp};
 use crate::comm::Comm;
@@ -103,32 +102,26 @@ impl Comm<'_> {
         // Audit the selection: the schedule is fixed by the flavor, but
         // the decision record still carries the measured evidence (the
         // outgoing per-peer volume set's outlier ratio) so the analysis
-        // layer can judge the choice. Recording charges no simulated
-        // time.
-        {
-            let vols: Vec<u64> = sends.iter().map(|s| s.bytes() as u64).collect();
-            let total: u64 = vols.iter().sum();
-            let ratio = outlier_ratio_of(&vols, self.config().outlier_fraction);
-            let n = sends.len();
-            let pow2 = n != 0 && n & (n - 1) == 0;
-            let reason = if pin.is_some() {
-                "pinned"
-            } else {
-                match self.config().flavor {
-                    MpiFlavor::Baseline => "baseline flavor: lock-step round robin",
-                    MpiFlavor::Optimized => "optimized flavor: zero-exempt three-bin schedule",
-                }
-            };
-            self.rank_mut().observe_algo_decision(
-                "alltoallw",
-                n,
-                total,
-                ratio_to_millis(ratio),
-                pow2,
-                schedule.label(),
-                reason,
-            );
-        }
+        // layer can judge the choice.
+        let vols: Vec<u64> = sends.iter().map(|s| s.bytes() as u64).collect();
+        let ratio = outlier_ratio_of(&vols, self.config().outlier_fraction);
+        let reason = if pin.is_some() {
+            "pinned"
+        } else {
+            match self.config().flavor {
+                MpiFlavor::Baseline => "baseline flavor: lock-step round robin",
+                MpiFlavor::Optimized => "optimized flavor: zero-exempt three-bin schedule",
+            }
+        };
+        let total = vols.iter().sum();
+        self.audit_decision(
+            "alltoallw",
+            sends.len(),
+            total,
+            ratio,
+            schedule.label(),
+            reason,
+        );
         self.alltoallw_with(schedule, sendbuf, sends, recvbuf, recvs);
     }
 
@@ -144,17 +137,15 @@ impl Comm<'_> {
         let size = self.size();
         assert_eq!(sends.len(), size, "one send slot per rank");
         assert_eq!(recvs.len(), size, "one recv slot per rank");
-        if self.rank_ref().metrics().is_enabled() {
+        let threshold = self.config().small_msg_threshold;
+        if let Some(m) = self.rank_mut().metrics_mut() {
             let label = schedule.label();
             let total: usize = sends.iter().map(WPeer::bytes).sum();
-            self.rank_mut()
-                .metric_counter_add("alltoallw", "invocations", label, 1);
-            self.rank_mut()
-                .metric_observe("alltoallw", "bytes", label, total as u64);
+            m.counter_add("alltoallw", "invocations", label, 1);
+            m.observe("alltoallw", "bytes", label, total as u64);
             // Bin membership of the outgoing exchanges (self included),
             // recorded for both schedules so the zero-bin exemption the
             // binned schedule exploits is visible in baseline runs too.
-            let threshold = self.config().small_msg_threshold;
             let (mut zero, mut small, mut large) = (0u64, 0u64, 0u64);
             for s in sends {
                 match s.bytes() {
@@ -163,25 +154,16 @@ impl Comm<'_> {
                     _ => large += 1,
                 }
             }
-            self.rank_mut()
-                .metric_counter_add("alltoallw", "bin_zero", label, zero);
-            self.rank_mut()
-                .metric_counter_add("alltoallw", "bin_small", label, small);
-            self.rank_mut()
-                .metric_counter_add("alltoallw", "bin_large", label, large);
+            m.counter_add("alltoallw", "bin_zero", label, zero);
+            m.counter_add("alltoallw", "bin_small", label, small);
+            m.counter_add("alltoallw", "bin_large", label, large);
         }
         match schedule {
             AlltoallwSchedule::RoundRobin => self.a2aw_round_robin(sendbuf, sends, recvbuf, recvs),
             AlltoallwSchedule::Binned => self.a2aw_binned(sendbuf, sends, recvbuf, recvs),
         }
-        // One comm-map epoch per call, keyed by the schedule that
-        // produced the traffic (pinned and auto-selected runs alike).
-        if self.rank_ref().comm_map_enabled() {
-            let label = format!("alltoallw/{}", schedule.label());
-            self.rank_mut().comm_epoch(&label);
-            let volumes: Vec<u64> = recvs.iter().map(|r| r.bytes() as u64).collect();
-            self.drift_epoch(&label, &volumes);
-        }
+        let volumes = recvs.iter().map(|r| r.bytes() as u64);
+        self.close_epoch("alltoallw", schedule.label(), volumes);
     }
 
     /// Local exchange with self: pack and unpack without the wire.
@@ -215,10 +197,7 @@ impl Comm<'_> {
             reqs.push(self.irecv(Some(src), coll_tag(CollOp::Alltoallw, i as u32)));
         }
         for (i, req) in (1..size).zip(reqs) {
-            self.rank_mut()
-                .trace_round("alltoallw/round_robin", i as u32);
-            self.rank_mut()
-                .metric_counter_add("alltoallw", "rounds", "round_robin", 1);
+            self.round("alltoallw/round_robin", i as u32);
             let dst = (rank + i) % size;
             let src = (rank + size - i) % size;
             let tag = coll_tag(CollOp::Alltoallw, i as u32);
@@ -284,10 +263,7 @@ impl Comm<'_> {
         // of the next.
         let mut send_reqs = Vec::with_capacity(small.len() + large.len());
         for (round, &dst) in small.iter().chain(large.iter()).enumerate() {
-            self.rank_mut()
-                .trace_round("alltoallw/binned", round as u32);
-            self.rank_mut()
-                .metric_counter_add("alltoallw", "rounds", "binned", 1);
+            self.round("alltoallw/binned", round as u32);
             let s = &sends[dst];
             let tag = coll_tag(CollOp::Alltoallw, 0);
             let payload = self.prepare_send(&sendbuf[s.offset..], &s.dtype, s.count);

@@ -19,7 +19,9 @@ pub use allgatherv::AllgathervAlgorithm;
 pub use alltoallw::{AlltoallwSchedule, WPeer};
 pub use neighbor::NeighborExchange;
 
-use ncd_simnet::Tag;
+use ncd_simnet::{millis_to_ratio, ratio_to_millis, EventKind, Tag};
+
+use crate::comm::Comm;
 
 /// Identifiers keeping different collectives' wire traffic apart.
 #[derive(Clone, Copy, Debug)]
@@ -40,6 +42,65 @@ pub(crate) enum CollOp {
 pub(crate) fn coll_tag(op: CollOp, phase: u32) -> Tag {
     debug_assert!(phase < 1 << 24);
     Tag(0x8000_0000 | ((op as u32) << 24) | phase)
+}
+
+impl Comm<'_> {
+    /// Mark the start of round `round` of the multi-round collective `op`
+    /// (`<collective>/<algorithm>`): an [`EventKind::Round`] instant and
+    /// the `<collective>/rounds/<algorithm>` counter.
+    pub(crate) fn round(&mut self, op: &'static str, round: u32) {
+        let now = self.rank_ref().now();
+        let event = EventKind::Round {
+            op: op.into(),
+            round,
+        };
+        self.rank_mut().record(now, event);
+        if let Some(m) = self.rank_mut().metrics_mut() {
+            let (collective, algorithm) = op.split_once('/').expect("<collective>/<algorithm>");
+            m.counter_add(collective, "rounds", algorithm, 1);
+        }
+    }
+
+    /// Audit one algorithm selection of an adaptive collective: an
+    /// [`EventKind::AlgoDecision`] instant (which the flight recorder also
+    /// parks in its decision ring) carrying the evidence — `n` volumes
+    /// totalling `total_bytes` with outlier ratio `ratio` (infinite for a
+    /// zero bulk quantile under a nonzero max) — what was `chosen` and the
+    /// policy branch (`reason`) that chose it, plus the `decision*/*`
+    /// metrics. Charges no simulated time.
+    pub(crate) fn audit_decision(
+        &mut self,
+        collective: &'static str,
+        n: usize,
+        total_bytes: u64,
+        ratio: f64,
+        chosen: &'static str,
+        reason: &'static str,
+    ) {
+        let ratio_millis = ratio_to_millis(ratio);
+        if let Some(m) = self.rank_mut().metrics_mut() {
+            m.counter_add("decision", collective, chosen, 1);
+            m.counter_add("decision_reason", collective, reason, 1);
+            // Read back through the event's thousandths, so the gauge is
+            // the value the trace and the recorder carry.
+            let ratio = millis_to_ratio(ratio_millis);
+            if ratio.is_finite() {
+                m.gauge_set("decision_ratio", collective, chosen, ratio);
+            }
+            m.observe("decision_bytes", collective, chosen, total_bytes);
+        }
+        let decision = EventKind::AlgoDecision {
+            collective: collective.into(),
+            n,
+            total_bytes,
+            ratio_millis,
+            pow2: n.is_power_of_two(),
+            chosen: chosen.into(),
+            reason: reason.into(),
+        };
+        let now = self.rank_ref().now();
+        self.rank_mut().record(now, decision);
+    }
 }
 
 #[cfg(test)]

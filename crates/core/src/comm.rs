@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use ncd_datatype::{BlockMode, Datatype, OpCounts, PackEngine, Unpacker};
-use ncd_simnet::{ratio_to_millis, CostKind, Rank, Tag};
+use ncd_simnet::{millis_to_ratio, ratio_to_millis, CostKind, EventKind, Rank, Tag};
 
 use crate::commstats::gini;
 use crate::config::MpiConfig;
@@ -225,13 +225,25 @@ impl<'a> Comm<'a> {
         self.rank
     }
 
-    /// Feed the drift monitor one closed collective epoch: `volumes` are
-    /// the per-peer byte counts this rank knows locally (receive counts
-    /// for allgatherv, per-source receive volumes for alltoallw). Fired
-    /// regime shifts are mirrored into the trace, the metrics registry and
-    /// the flight recorder's drift ring. No-op unless history recording is
-    /// enabled on the rank.
-    pub(crate) fn drift_epoch(&mut self, label: &str, volumes: &[u64]) {
+    /// Close one collective call's comm-map epoch, labeled `<op>/<algo>`
+    /// (pinned and auto-selected runs alike), and feed it to the drift
+    /// monitor. `volumes` are the per-peer byte counts this rank knows
+    /// locally (receive counts for allgatherv, per-source receive volumes
+    /// for alltoallw). No-op unless the comm map is on.
+    pub(crate) fn close_epoch(&mut self, op: &str, algo: &str, volumes: impl Iterator<Item = u64>) {
+        if !self.rank.comm_map_enabled() {
+            return;
+        }
+        let label = format!("{op}/{algo}");
+        self.rank.comm_epoch(&label);
+        self.drift_epoch(&label, &volumes.collect::<Vec<u64>>());
+    }
+
+    /// Feed the drift monitor one closed collective epoch. Each fired
+    /// regime shift is recorded as an [`EventKind::Drift`] (flight
+    /// recorder's drift ring, trace) with its `drift*/*` metrics. No-op
+    /// unless history recording is enabled on the rank.
+    fn drift_epoch(&mut self, label: &str, volumes: &[u64]) {
         if !self.rank.history_enabled() {
             return;
         }
@@ -241,14 +253,25 @@ impl<'a> Comm<'a> {
         let total: u64 = volumes.iter().sum();
         let skew = gini(volumes);
         for e in monitor.observe(label, total as f64, skew) {
-            self.rank.observe_drift_event(
-                &e.label,
-                &e.metric,
-                e.occurrence,
-                e.direction == DriftDirection::Up,
-                ratio_to_millis(e.baseline),
-                ratio_to_millis(e.observed),
-            );
+            let observed_millis = ratio_to_millis(e.observed);
+            if let Some(m) = self.rank.metrics_mut() {
+                m.counter_add("drift", &e.label, &e.metric, 1);
+                // Read back through the event's thousandths, so the gauge
+                // is the value the trace and the recorder carry.
+                let observed = millis_to_ratio(observed_millis);
+                if observed.is_finite() {
+                    m.gauge_set("drift_observed", &e.label, &e.metric, observed);
+                }
+            }
+            let drift = EventKind::Drift {
+                label: e.label.into(),
+                metric: e.metric.into(),
+                occurrence: e.occurrence,
+                up: e.direction == DriftDirection::Up,
+                baseline_millis: ratio_to_millis(e.baseline),
+                observed_millis,
+            };
+            self.rank.record(self.rank.now(), drift);
         }
     }
 
@@ -275,34 +298,24 @@ impl<'a> Comm<'a> {
 
     /// Record executed datatype-engine op counts in the metrics registry,
     /// keyed by the engine (or unpack path) that executed them. No-op when
-    /// metrics are disabled; never touches the simulated clock.
+    /// metrics are off; never touches the simulated clock.
     pub(crate) fn record_engine_metrics(&mut self, algo: &str, c: &OpCounts) {
-        if !self.rank.metrics().is_enabled() {
+        let Some(m) = self.rank.metrics_mut() else {
             return;
-        }
-        self.rank
-            .metric_counter_add("engine", "invocations", algo, 1);
-        self.rank
-            .metric_observe("engine", "bytes", algo, c.total_bytes());
+        };
+        m.counter_add("engine", "invocations", algo, 1);
+        m.observe("engine", "bytes", algo, c.total_bytes());
         if c.searched_segments > 0 {
-            self.rank
-                .metric_counter_add("engine", "searched_segments", algo, c.searched_segments);
+            m.counter_add("engine", "searched_segments", algo, c.searched_segments);
         }
         if c.lookahead_segments > 0 {
-            self.rank.metric_counter_add(
-                "engine",
-                "lookahead_segments",
-                algo,
-                c.lookahead_segments,
-            );
+            m.counter_add("engine", "lookahead_segments", algo, c.lookahead_segments);
         }
         if c.packed_blocks > 0 {
-            self.rank
-                .metric_counter_add("engine", "packed_blocks", algo, c.packed_blocks);
+            m.counter_add("engine", "packed_blocks", algo, c.packed_blocks);
         }
         if c.direct_blocks > 0 {
-            self.rank
-                .metric_counter_add("engine", "direct_blocks", algo, c.direct_blocks);
+            m.counter_add("engine", "direct_blocks", algo, c.direct_blocks);
         }
     }
 
@@ -340,13 +353,14 @@ impl<'a> Comm<'a> {
     ///
     /// The engine is driven block by block, appending straight into the
     /// payload: each pipeline block's op counts are charged to the simulated
-    /// clock as it is produced, the block is reported through
-    /// [`Rank::observe_pack_block`] — into the always-on flight recorder,
-    /// the trace's `dt` lane / Chrome datatype track, and the `datatype/*`
-    /// metrics histograms — and then `block_done(self, block bytes)` runs
-    /// (the nonblocking send puts the block on the NIC there). Aggregate
-    /// totals are identical to one-shot charging up to per-charge
-    /// nanosecond rounding.
+    /// clock as it is produced, the block is recorded as an
+    /// [`EventKind::PackBlock`] (flight recorder; the trace's `dt` lane /
+    /// Chrome datatype track) with its `datatype/*` metrics — log₂
+    /// histograms of seek distance, look-ahead window and block bytes, plus
+    /// block counters — and then `block_done(self, block bytes)` runs (the
+    /// nonblocking send puts the block on the NIC there). Aggregate totals
+    /// are identical to one-shot charging up to per-charge nanosecond
+    /// rounding.
     pub(crate) fn pack_pipeline(
         &mut self,
         buf: &[u8],
@@ -368,15 +382,31 @@ impl<'a> Comm<'a> {
             };
             self.charge_op_counts(&block);
             counts.merge(&block);
-            self.rank.observe_pack_block(
-                name,
-                block_start,
-                obs.index,
-                obs.mode == BlockMode::Packed,
-                obs.seek_segments,
-                obs.lookahead_segments,
-                obs.bytes,
-            );
+            let sparse = obs.mode == BlockMode::Packed;
+            if let Some(m) = self.rank.metrics_mut() {
+                m.observe("datatype", "seek_segments", name, obs.seek_segments);
+                m.observe("datatype", "lookahead_window", name, obs.lookahead_segments);
+                m.observe("datatype", "block_bytes", name, obs.bytes);
+                m.counter_add("datatype", "blocks", name, 1);
+                m.counter_add("datatype", "seek_total", name, obs.seek_segments);
+                let density = if sparse {
+                    "sparse_blocks"
+                } else {
+                    "dense_blocks"
+                };
+                m.counter_add("datatype", density, name, 1);
+            }
+            // `seek` is the segments re-walked from the type root — the
+            // paper's quadratic signal, always zero for dual-context.
+            let block = EventKind::PackBlock {
+                engine: name.into(),
+                index: obs.index,
+                sparse,
+                seek: obs.seek_segments,
+                lookahead: obs.lookahead_segments,
+                bytes: obs.bytes,
+            };
+            self.rank.record(block_start, block);
             block_done(self, obs.bytes as usize);
         }
         self.record_engine_metrics(name, &counts);
@@ -637,14 +667,16 @@ mod tests {
             if comm.rank() == 0 {
                 let src = vec![3u8; n];
                 comm.send(&src, &col, 64, 1, Tag(0));
-                let blocks =
-                    comm.rank_ref()
-                        .metrics()
-                        .counter("datatype", "blocks", "single-context");
-                let seek =
-                    comm.rank_ref()
-                        .metrics()
-                        .counter("datatype", "seek_total", "single-context");
+                let metrics = comm.rank_mut().take_metrics();
+                let blocks = metrics.counter("datatype", "blocks", "single-context");
+                let seek = metrics.counter("datatype", "seek_total", "single-context");
+                let density = metrics.counter("datatype", "sparse_blocks", "single-context")
+                    + metrics.counter("datatype", "dense_blocks", "single-context");
+                assert_eq!(density, blocks, "every block is sparse or dense");
+                let seeks = metrics
+                    .histogram("datatype", "seek_segments", "single-context")
+                    .expect("seek histogram exists");
+                assert_eq!((seeks.count(), seeks.sum()), (blocks, seek));
                 let pack_events = comm
                     .rank_mut()
                     .take_trace()
@@ -690,7 +722,7 @@ mod tests {
             if comm.rank() == 0 {
                 let src = vec![5u8; n];
                 comm.send(&src, &col, 64, 1, Tag(0));
-                let m = comm.rank_ref().metrics();
+                let m = comm.rank_mut().take_metrics();
                 let per_block_bytes = m
                     .histogram("datatype", "block_bytes", "dual-context")
                     .map(|h| h.sum())

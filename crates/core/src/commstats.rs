@@ -73,13 +73,13 @@ pub fn decisions_from_trace(events: &[TraceEvent]) -> Vec<AlgorithmDecision> {
                 chosen,
                 reason,
             } => Some(AlgorithmDecision {
-                collective: collective.clone(),
+                collective: collective.to_string(),
                 n: *n,
                 total_bytes: *total_bytes,
                 outlier_ratio: millis_to_ratio(*ratio_millis),
                 pow2: *pow2,
-                chosen: chosen.clone(),
-                reason: reason.clone(),
+                chosen: chosen.to_string(),
+                reason: reason.to_string(),
             }),
             _ => None,
         })
@@ -478,13 +478,13 @@ mod tests {
     fn decision_event(d: &AlgorithmDecision) -> TraceEvent {
         TraceEvent {
             kind: EventKind::AlgoDecision {
-                collective: d.collective.clone(),
+                collective: d.collective.clone().into(),
                 n: d.n,
                 total_bytes: d.total_bytes,
                 ratio_millis: ncd_simnet::ratio_to_millis(d.outlier_ratio),
                 pow2: d.pow2,
-                chosen: d.chosen.clone(),
-                reason: d.reason.clone(),
+                chosen: d.chosen.clone().into(),
+                reason: d.reason.clone().into(),
             },
             start: SimTime(5),
             end: SimTime(5),

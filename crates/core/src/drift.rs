@@ -273,8 +273,8 @@ pub fn drift_events_from_trace(events: &[TraceEvent]) -> Vec<DriftEvent> {
                 baseline_millis,
                 observed_millis,
             } => Some(DriftEvent {
-                label: label.clone(),
-                metric: metric.clone(),
+                label: label.to_string(),
+                metric: metric.to_string(),
                 occurrence: *occurrence,
                 direction: if *up {
                     DriftDirection::Up
@@ -561,8 +561,8 @@ mod tests {
         use ncd_simnet::TraceEvent;
         let events = vec![TraceEvent {
             kind: EventKind::Drift {
-                label: "alltoallw/binned".to_string(),
-                metric: "skew".to_string(),
+                label: "alltoallw/binned".into(),
+                metric: "skew".into(),
                 occurrence: 3,
                 up: false,
                 baseline_millis: 900,
@@ -575,8 +575,8 @@ mod tests {
         assert_eq!(
             recovered,
             vec![DriftEvent {
-                label: "alltoallw/binned".to_string(),
-                metric: "skew".to_string(),
+                label: "alltoallw/binned".into(),
+                metric: "skew".into(),
                 occurrence: 3,
                 direction: DriftDirection::Down,
                 baseline: 0.9,

@@ -35,7 +35,7 @@
 //! workspace, where all sends of a phase are posted before anyone waits.
 
 use ncd_datatype::Datatype;
-use ncd_simnet::{NetMsg, SimTime, Tag};
+use ncd_simnet::{EventKind, NetMsg, SimTime, Tag};
 
 use crate::comm::Comm;
 
@@ -141,12 +141,18 @@ impl Comm<'_> {
     }
 
     /// Post a nonblocking receive from communicator rank `src` (`None` =
-    /// any member) with `tag`. Free on the simulated clock; the payload
-    /// comes back from [`Comm::wait`] (or [`Comm::wait_recv_into`] for
-    /// typed delivery).
+    /// any member) with `tag`. Free on the simulated clock — a receive
+    /// only costs when it is completed — so the posting is recorded as an
+    /// [`EventKind::IrecvPost`] instant. The payload comes back from
+    /// [`Comm::wait`] (or [`Comm::wait_recv_into`] for typed delivery).
     pub fn irecv(&mut self, src: Option<usize>, tag: Tag) -> Request {
         let (global, ctx) = self.resolve_src(src);
-        self.rank_mut().trace_irecv_post(global, tag);
+        let now = self.rank_ref().now();
+        let posted = EventKind::IrecvPost {
+            src: global,
+            tag: tag.0,
+        };
+        self.rank_mut().record(now, posted);
         Request {
             state: State::RecvPosted {
                 src: global,
@@ -273,9 +279,8 @@ impl Comm<'_> {
     /// overlap; its mass is exactly the time the analysis engine's wait
     /// attribution sees.
     fn observe_wait_residual(&mut self, kind: &'static str, residual: SimTime) {
-        if self.rank_ref().metrics().is_enabled() {
-            self.rank_mut()
-                .metric_observe("request", "wait_residual_ns", kind, residual.as_ns());
+        if let Some(m) = self.rank_mut().metrics_mut() {
+            m.observe("request", "wait_residual_ns", kind, residual.as_ns());
         }
     }
 }

@@ -394,8 +394,9 @@ impl Multigrid {
     pub fn vcycle(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
         let stage = format!("mg_vcycle_l{lev}");
         comm.rank_mut().stage_begin(&stage);
-        comm.rank_mut()
-            .metric_counter_add("mg", "vcycle", &stage[10..], 1);
+        if let Some(m) = comm.rank_mut().metrics_mut() {
+            m.counter_add("mg", "vcycle", &stage[10..], 1);
+        }
         self.vcycle_inner(comm, lev, b, x);
         comm.rank_mut().stage_end(&stage);
     }

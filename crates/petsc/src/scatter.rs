@@ -381,18 +381,12 @@ impl VecScatter {
     }
 
     fn record_apply_metrics(&self, comm: &mut Comm, backend: ScatterBackend, op: &'static str) {
-        if comm.rank_ref().metrics().is_enabled() {
+        if let Some(m) = comm.rank_mut().metrics_mut() {
             let label = backend.label();
             let bytes = 8 * (self.remote_send_elems() + self.local_elems());
-            comm.rank_mut().metric_counter_add("scatter", op, label, 1);
-            comm.rank_mut()
-                .metric_observe("scatter", "bytes", label, bytes as u64);
-            comm.rank_mut().metric_counter_add(
-                "scatter",
-                "neighbors",
-                label,
-                self.num_neighbors() as u64,
-            );
+            m.counter_add("scatter", op, label, 1);
+            m.observe("scatter", "bytes", label, bytes as u64);
+            m.counter_add("scatter", "neighbors", label, self.num_neighbors() as u64);
         }
     }
 

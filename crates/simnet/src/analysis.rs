@@ -429,7 +429,7 @@ pub fn attribute_rounds(traces: &[Vec<TraceEvent>]) -> RoundAttribution {
                 EventKind::Round { op, .. } => {
                     current = Some(op);
                     let stats = per_op
-                        .entry(op.clone())
+                        .entry(op.to_string())
                         .or_insert_with(|| vec![OpRankStats::default(); nranks]);
                     stats[rank].rounds += 1;
                 }
@@ -717,7 +717,8 @@ mod tests {
             let me = rank.rank();
             let right = (me + 1) % n;
             let left = (me + n - 1) % n;
-            rank.trace_round("ring/step", 0);
+            let op = "ring/step".into();
+            rank.record(rank.now(), EventKind::Round { op, round: 0 });
             rank.send_bytes(right, Tag(0), vec![0u8; bytes]);
             let _ = rank.recv_bytes(Some(left), Tag(0));
             rank.take_trace()

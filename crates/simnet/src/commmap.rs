@@ -23,8 +23,8 @@
 //! every rank describes the same collective call in an SPMD program.
 //!
 //! Like the flight recorder, the comm map never touches the simulated
-//! clock: enabling it changes no timing, and it is off by default (one
-//! branch per delivery when off).
+//! clock: enabling it changes no timing. A rank holds no map until
+//! [`crate::Rank::enable_comm_map`] (one branch per delivery until then).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -38,7 +38,6 @@ use crate::json::{parse_schema_led, Json, JsonWriter};
 pub struct RankCommMap {
     rank: usize,
     size: usize,
-    enabled: bool,
     /// Running totals since construction, indexed by source rank.
     total_bytes: Vec<u64>,
     total_msgs: Vec<u64>,
@@ -62,12 +61,11 @@ pub struct RankEpoch {
 }
 
 impl RankCommMap {
-    /// A disabled map for `rank` in a cluster of `size` ranks.
+    /// An empty map for `rank` in a cluster of `size` ranks.
     pub fn new(rank: usize, size: usize) -> Self {
         RankCommMap {
             rank,
             size,
-            enabled: false,
             total_bytes: vec![0; size],
             total_msgs: vec![0; size],
             cur_bytes: vec![0; size],
@@ -85,21 +83,10 @@ impl RankCommMap {
         self.size
     }
 
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Account one delivered message of `bytes` from `src`. No-op when
-    /// disabled. Normally fed by the runtime's receive path; public so
-    /// fixtures and property tests can build maps by hand.
+    /// Account one delivered message of `bytes` from `src`. Normally fed
+    /// by the runtime's receive path; public so fixtures and property
+    /// tests can build maps by hand.
     pub fn record_delivery(&mut self, src: usize, bytes: u64) {
-        if !self.enabled {
-            return;
-        }
         self.total_bytes[src] += bytes;
         self.total_msgs[src] += 1;
         self.cur_bytes[src] += bytes;
@@ -108,11 +95,8 @@ impl RankCommMap {
 
     /// Close the current epoch under `label`, starting a fresh one. The
     /// snapshot is taken even if no traffic arrived (an epoch with zero
-    /// deliveries is still a call that happened). No-op when disabled.
+    /// deliveries is still a call that happened).
     pub fn close_epoch(&mut self, label: &str) {
-        if !self.enabled {
-            return;
-        }
         let occurrence = self.occurrences.entry(label.to_string()).or_insert(0);
         let epoch = RankEpoch {
             label: label.to_string(),
@@ -424,8 +408,6 @@ mod tests {
     fn two_rank_fixture() -> Vec<RankCommMap> {
         let mut a = RankCommMap::new(0, 2);
         let mut b = RankCommMap::new(1, 2);
-        a.enable();
-        b.enable();
         a.record_delivery(1, 64);
         b.record_delivery(0, 32);
         b.record_delivery(0, 32);
@@ -435,15 +417,6 @@ mod tests {
         a.close_epoch("alltoallw/binned");
         b.close_epoch("alltoallw/binned");
         vec![a, b]
-    }
-
-    #[test]
-    fn disabled_map_records_nothing() {
-        let mut m = RankCommMap::new(0, 2);
-        m.record_delivery(1, 100);
-        m.close_epoch("x");
-        assert_eq!(m.total_bytes_from(1), 0);
-        assert!(m.epochs().is_empty());
     }
 
     #[test]

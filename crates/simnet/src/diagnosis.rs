@@ -935,7 +935,8 @@ mod tests {
                     rank.send_bytes(1, Tag(0), vec![0u8; 1 << 20]);
                 } else {
                     if round {
-                        rank.trace_round("allgatherv/ring", 0);
+                        let op = "allgatherv/ring".into();
+                        rank.record(rank.now(), EventKind::Round { op, round: 0 });
                     }
                     let _ = rank.recv_bytes(Some(0), Tag(0));
                 }
@@ -981,7 +982,8 @@ mod tests {
         let traces = Cluster::new(ClusterConfig::paper_testbed(n)).run(move |rank| {
             rank.enable_tracing();
             let me = rank.rank();
-            rank.trace_round("ring/step", 0);
+            let op = "ring/step".into();
+            rank.record(rank.now(), EventKind::Round { op, round: 0 });
             rank.compute_flops(50_000 * (me as u64 + 1));
             rank.send_bytes((me + 1) % n, Tag(0), vec![0u8; 4096]);
             let _ = rank.recv_bytes(Some((me + n - 1) % n), Tag(0));

@@ -282,21 +282,21 @@ mod tests {
             },
             TraceEvent {
                 kind: EventKind::Mark {
-                    label: "phase".to_string(),
+                    label: "phase".into(),
                 },
                 start: SimTime(2_000),
                 end: SimTime(2_000),
             },
             TraceEvent {
                 kind: EventKind::Span {
-                    name: "solve/smooth".to_string(),
+                    name: "solve/smooth".into(),
                 },
                 start: SimTime(0),
                 end: SimTime(2_000),
             },
             TraceEvent {
                 kind: EventKind::Round {
-                    op: "allgatherv/ring".to_string(),
+                    op: "allgatherv/ring".into(),
                     round: 3,
                 },
                 start: SimTime(500),
@@ -304,7 +304,7 @@ mod tests {
             },
             TraceEvent {
                 kind: EventKind::PackBlock {
-                    engine: "single-context".to_string(),
+                    engine: "single-context".into(),
                     index: 2,
                     sparse: true,
                     seek: 16,
@@ -336,21 +336,21 @@ mod tests {
             },
             TraceEvent {
                 kind: EventKind::AlgoDecision {
-                    collective: "allgatherv".to_string(),
+                    collective: "allgatherv".into(),
                     n: 16,
                     total_bytes: 65_664,
                     ratio_millis: 8_192_000,
                     pow2: true,
-                    chosen: "recursive_doubling".to_string(),
-                    reason: "outliers: adaptive short-message path".to_string(),
+                    chosen: "recursive_doubling".into(),
+                    reason: "outliers: adaptive short-message path".into(),
                 },
                 start: SimTime(450),
                 end: SimTime(450),
             },
             TraceEvent {
                 kind: EventKind::Drift {
-                    label: "allgatherv/ring".to_string(),
-                    metric: "bytes".to_string(),
+                    label: "allgatherv/ring".into(),
+                    metric: "bytes".into(),
                     occurrence: 6,
                     up: true,
                     baseline_millis: 4_096_000,

@@ -1,8 +1,8 @@
 //! Epoch time-series history: the temporal layer over the comm map.
 //!
 //! The comm map ([`crate::commmap`]) answers *who talked to whom* inside
-//! one epoch; this module answers *how that changes over time*. When
-//! enabled, every closed epoch — one per auto- or pinned collective call
+//! one epoch; this module answers *how that changes over time*. Once
+//! [`crate::Rank::enable_history`] is called, every closed epoch — one per auto- or pinned collective call
 //! (`<collective>/<algorithm>`) and one per profiling stage
 //! (`stage:<path>`) — appends a compact per-rank record: the simulated
 //! close time, the bytes/messages delivered to this rank during the
@@ -22,8 +22,7 @@
 //! merged in but sensitive (w.h.p.) to any single length change.
 //!
 //! Like the comm map and the flight recorder, the history store never
-//! touches the simulated clock: enabling it changes no timing, and it is
-//! off by default.
+//! touches the simulated clock: enabling it changes no timing.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -74,23 +73,20 @@ pub struct RankEpochRecord {
 }
 
 /// Per-rank epoch time-series store. Owned by [`crate::Rank`]; construct
-/// directly only in tests and fixtures. Off by default — when off, an
-/// append costs one branch.
+/// directly only in tests and fixtures.
 #[derive(Debug, Clone)]
 pub struct RankHistory {
     rank: usize,
     size: usize,
-    enabled: bool,
     records: Vec<RankEpochRecord>,
 }
 
 impl RankHistory {
-    /// A disabled history for `rank` in a cluster of `size` ranks.
+    /// An empty history for `rank` in a cluster of `size` ranks.
     pub fn new(rank: usize, size: usize) -> Self {
         RankHistory {
             rank,
             size,
-            enabled: false,
             records: Vec::new(),
         }
     }
@@ -103,26 +99,15 @@ impl RankHistory {
         self.size
     }
 
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub fn records(&self) -> &[RankEpochRecord] {
         &self.records
     }
 
     /// Append the record derived from a just-closed comm-map epoch at
-    /// simulated time `time`. No-op when disabled. Normally fed by
-    /// [`crate::Rank::comm_epoch`] / [`crate::Rank::stage_end`]; public so
-    /// fixtures can build histories by hand.
+    /// simulated time `time`. Normally fed by [`crate::Rank::comm_epoch`] /
+    /// [`crate::Rank::stage_end`]; public so fixtures can build histories
+    /// by hand.
     pub fn append(&mut self, epoch: &RankEpoch, time: SimTime) {
-        if !self.enabled {
-            return;
-        }
         self.records.push(RankEpochRecord {
             label: epoch.label.clone(),
             occurrence: epoch.occurrence,
@@ -416,8 +401,6 @@ mod tests {
     fn two_rank_fixture() -> Vec<RankHistory> {
         let mut a = RankHistory::new(0, 2);
         let mut b = RankHistory::new(1, 2);
-        a.enable();
-        b.enable();
         a.append(&epoch("allgatherv/ring", 0, vec![0, 64]), SimTime(100));
         b.append(&epoch("allgatherv/ring", 0, vec![32, 0]), SimTime(120));
         a.append(&epoch("allgatherv/ring", 1, vec![0, 8]), SimTime(200));
@@ -428,17 +411,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_history_records_nothing() {
-        let mut h = RankHistory::new(0, 2);
-        h.append(&epoch("x", 0, vec![1, 2]), SimTime(5));
-        assert!(h.records().is_empty());
-        assert!(!h.is_enabled());
-    }
-
-    #[test]
     fn append_derives_totals_and_pattern() {
         let mut h = RankHistory::new(3, 4);
-        h.enable();
         h.append(&epoch("alltoallw/binned", 0, vec![1, 0, 2, 0]), SimTime(7));
         let r = &h.records()[0];
         assert_eq!(r.bytes, 3);

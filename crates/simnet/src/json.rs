@@ -1,8 +1,8 @@
 //! The workspace's JSON format, both directions: one streaming
 //! [`JsonWriter`] every export renders through and the [`Json`] value
 //! reader ([`parse_json`]) the ledger, the differential engine and the
-//! baseline gate re-load artifacts with. No other module decides how a
-//! byte of JSON looks.
+//! reference gate (`--compare`) re-load artifacts with. No other module
+//! decides how a byte of JSON looks.
 //!
 //! **What the writer emits.** Output is byte-stable — deterministic input
 //! gives identical bytes, which is what the goldens and the content-hash
@@ -217,7 +217,7 @@ macro_rules! display_is_json {
     )*};
 }
 display_is_json!(number: u32 u64 usize i32 i64 bool);
-display_is_json!(string: str String fmt::Arguments<'_>);
+display_is_json!(string: str String std::borrow::Cow<'_, str> fmt::Arguments<'_>);
 
 /// `null`.
 impl JsonValue for () {

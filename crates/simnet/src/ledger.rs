@@ -42,8 +42,8 @@ use crate::json::{parse_json, parse_schema_led, Json, JsonValue, JsonWriter, SCH
 pub struct RunManifest {
     /// Report name the run belongs to (e.g. `fig14a_allgatherv_size`).
     pub bench: String,
-    /// Problem-size mode, `smoke` or `full` (same split as the baseline
-    /// store).
+    /// Problem-size mode, `smoke` or `full`; the reference gate
+    /// (`--compare`) never compares across the two.
     pub mode: String,
     /// Export schema version the artifacts were written with.
     pub schema: u32,
@@ -124,8 +124,9 @@ pub fn parse_manifest(text: &str) -> Result<RunManifest, String> {
     })
 }
 
-/// A labelled series of `(x, y)` points: what a bench tabulates, gates
-/// against its baseline snapshot and ledgers as `series.json`. A point the
+/// A labelled series of `(x, y)` points: what a bench tabulates, ledgers
+/// as `series.json` and gates against its committed reference run
+/// (`--compare`). A point the
 /// run did not measure is NaN here and `null` in JSON.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Series {
@@ -155,8 +156,8 @@ impl JsonValue for Series {
     }
 }
 
-/// JSON of a bench's series — the `series.json` ledger artifact and (plus
-/// a newline) the baseline snapshot.
+/// JSON of a bench's series — the `series.json` ledger artifact the
+/// reference gate (`--compare`) reads back.
 pub fn series_json(name: &str, smoke: bool, series: &[Series]) -> String {
     JsonWriter::schema_led(|w| {
         w.field("name", name);
@@ -298,7 +299,9 @@ pub fn read_run(dir: &Path) -> Result<LedgerRun, String> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::{Cluster, ClusterCommMap, ClusterConfig, MetricsRegistry, Tag, TraceEvent};
+    use crate::{
+        Cluster, ClusterCommMap, ClusterConfig, EventKind, MetricsRegistry, Tag, TraceEvent,
+    };
 
     /// What one observed run left behind, for the artifact round-trip
     /// tests beside each writer.
@@ -318,14 +321,16 @@ pub(crate) mod tests {
             rank.enable_comm_map();
             let me = rank.rank();
             for round in 0..2 {
-                rank.trace_round("allgatherv/ring", round);
+                let op = "allgatherv/ring".into();
+                rank.record(rank.now(), EventKind::Round { op, round });
                 if me == 0 {
                     rank.compute_flops(5_000_000);
                 }
                 rank.send_bytes((me + 1) % n, Tag(round), vec![0u8; 2048 << round]);
                 let (block, _) = rank.recv_bytes(Some((me + n - 1) % n), Tag(round));
-                rank.metric_observe("ring", "block_bytes", "", block.len() as u64);
-                rank.metric_gauge_set("ring", "round", "", f64::from(round) + 0.5);
+                let metrics = rank.metrics_mut().expect("enabled above");
+                metrics.observe("ring", "block_bytes", "", block.len() as u64);
+                metrics.gauge_set("ring", "round", "", f64::from(round) + 0.5);
                 rank.comm_epoch("allgatherv/ring");
             }
             (rank.take_trace(), rank.take_comm_map(), rank.take_metrics())

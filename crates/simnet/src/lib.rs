@@ -93,8 +93,7 @@ pub use metrics::{
 pub use profile::{imbalance_report, Profiler, StageStats};
 pub use recorder::{
     clear_dump_hook, dump_on, last_run_dump, last_run_recorders, render_dump, store_last_run,
-    trigger, Anomaly, RankRecorder, RecCode, Recorded, DECISION_SLOTS, DIAGNOSIS_SLOTS,
-    DRIFT_SLOTS,
+    trigger, Anomaly, RankRecorder, RecCode, Recorded, SIDE_RING_SLOTS,
 };
 pub use runtime::{Cluster, ClusterConfig, Rank, SpeedProfile};
 pub use sched::{last_sched_stats, SchedStats, TaskBackend, DEPTH_BUCKETS, MIN_STACK_BYTES};

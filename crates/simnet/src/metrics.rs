@@ -10,9 +10,9 @@
 //! a thread that owns its own) and [`MetricsRegistry::merge`]able into a
 //! cluster-wide view after the run.
 //!
-//! Recording is gated on an `enabled` flag that defaults to off; a disabled
-//! registry performs no allocation and no map lookups, so instrumented hot
-//! paths cost one branch — the same contract as [`crate::trace`].
+//! A rank holds no registry until [`crate::Rank::enable_metrics`]; until
+//! then instrumented hot paths cost the one `if let Some` on
+//! [`crate::Rank::metrics_mut`] — the same contract as [`crate::trace`].
 
 use std::collections::BTreeMap;
 
@@ -280,39 +280,20 @@ pub fn parse_metrics(text: &str) -> Result<MetricsSnapshot, String> {
 /// Per-rank registry of named metrics; see the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    enabled: bool,
     counters: BTreeMap<MetricKey, u64>,
     gauges: BTreeMap<MetricKey, f64>,
     histograms: BTreeMap<MetricKey, Histogram>,
 }
 
 impl MetricsRegistry {
-    /// A disabled registry: every record call is a no-op.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An enabled registry (used by tests and merge targets).
+    /// An empty registry (a registry that exists records; the name is the
+    /// one the benchmark froze).
     pub fn enabled() -> Self {
-        MetricsRegistry {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        Self::default()
     }
 
     /// Add `delta` to a counter (creating it at zero).
     pub fn counter_add(&mut self, subsystem: &str, op: &str, algorithm: &str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
         *self
             .counters
             .entry(MetricKey::new(subsystem, op, algorithm))
@@ -321,18 +302,12 @@ impl MetricsRegistry {
 
     /// Set a gauge to its latest observed value.
     pub fn gauge_set(&mut self, subsystem: &str, op: &str, algorithm: &str, value: f64) {
-        if !self.enabled {
-            return;
-        }
         self.gauges
             .insert(MetricKey::new(subsystem, op, algorithm), value);
     }
 
     /// Record one sample into a histogram (creating it empty).
     pub fn observe(&mut self, subsystem: &str, op: &str, algorithm: &str, value: u64) {
-        if !self.enabled {
-            return;
-        }
         self.histograms
             .entry(MetricKey::new(subsystem, op, algorithm))
             .or_default()
@@ -516,16 +491,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, whole);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let mut r = MetricsRegistry::new();
-        r.counter_add("a", "b", "c", 5);
-        r.observe("a", "b", "c", 5);
-        r.gauge_set("a", "b", "c", 5.0);
-        assert!(r.is_empty());
-        assert_eq!(r.counter("a", "b", "c"), 0);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! points and grid transfer 15".
 //!
 //! Stages are driven by [`crate::Rank::stage_begin`] / `stage_end` (or the
-//! closure form [`crate::Rank::stage`]); profiling is off by default and a
-//! disabled profiler does no work. Per-rank profiles [`Profiler::merge`]
+//! closure form [`crate::Rank::stage`]), which do nothing on a rank that
+//! never called `enable_profiling`. Per-rank profiles [`Profiler::merge`]
 //! into a cluster-wide view; [`Profiler::report`] renders the familiar
 //! indented table.
 
@@ -49,38 +49,19 @@ pub struct ClosedStage {
 /// Per-rank hierarchical stage profiler; see the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct Profiler {
-    enabled: bool,
     stack: Vec<OpenStage>,
     stages: BTreeMap<String, StageStats>,
 }
 
 impl Profiler {
-    /// A disabled profiler: `begin`/`end` are no-ops.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+    /// An empty profiler (named like [`crate::MetricsRegistry::enabled`]).
     pub fn enabled() -> Self {
-        Profiler {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        Self::default()
     }
 
     /// Open a stage named `name` at simulated time `now`. Nested stages
     /// accumulate under the parent's path (`parent/name`).
     pub fn begin(&mut self, name: &str, now: SimTime) {
-        if !self.enabled {
-            return;
-        }
         assert!(
             !name.is_empty() && !name.contains('/'),
             "stage names must be non-empty and slash-free (got {name:?})"
@@ -97,12 +78,8 @@ impl Profiler {
     }
 
     /// Close the innermost stage, which must be named `name`, at `now`.
-    /// Returns the closed span (None when disabled) so the rank can emit a
-    /// matching trace event.
-    pub fn end(&mut self, name: &str, now: SimTime) -> Option<ClosedStage> {
-        if !self.enabled {
-            return None;
-        }
+    /// Returns the closed span so the rank can emit a matching trace event.
+    pub fn end(&mut self, name: &str, now: SimTime) -> ClosedStage {
         let open = self
             .stack
             .pop()
@@ -121,11 +98,11 @@ impl Profiler {
         if let Some(parent) = self.stack.last_mut() {
             parent.child_time += inclusive;
         }
-        Some(ClosedStage {
+        ClosedStage {
             path: open.path,
             start: open.start,
             end: now,
-        })
+        }
     }
 
     /// Number of currently-open stages.
@@ -251,14 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_profiler_is_inert() {
-        let mut p = Profiler::new();
-        p.begin("a", t(0));
-        assert_eq!(p.end("a", t(10)), None);
-        assert!(p.is_empty());
-    }
-
-    #[test]
     fn nested_stages_split_inclusive_and_exclusive() {
         let mut p = Profiler::enabled();
         p.begin("solve", t(0));
@@ -366,7 +335,7 @@ mod tests {
     fn closed_stage_reports_span() {
         let mut p = Profiler::enabled();
         p.begin("s", t(5));
-        let c = p.end("s", t(9)).unwrap();
+        let c = p.end("s", t(9));
         assert_eq!(
             c,
             ClosedStage {

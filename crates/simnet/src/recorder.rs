@@ -4,26 +4,28 @@
 //! Tracing ([`crate::trace`]) is opt-in and unbounded; the flight recorder
 //! is the opposite trade: **always on**, bounded, and cheap enough to leave
 //! enabled everywhere — the black box that survives a crash. Each rank owns
-//! a [`RankRecorder`] whose hot path (`record`) is lock-free: a relaxed
-//! fetch-add claims a slot and plain atomic stores fill it, with a
-//! release-ordered sequence stamp last so readers can tell complete records
-//! from in-flight ones. Recording never touches the simulated clock, so the
-//! existing no-overhead-when-disabled guarantees of the observability layer
-//! are untouched.
+//! a [`RankRecorder`] fed by [`crate::Rank::record`] through
+//! [`RankRecorder::record_event`], the one place an event is packed into
+//! slot words (`render_record` is its inverse). The hot path is lock-free:
+//! a relaxed fetch-add claims a slot and plain atomic stores fill it, with
+//! a release-ordered sequence stamp last so readers can tell complete
+//! records from in-flight ones. Recording never touches the simulated
+//! clock.
 //!
 //! When something goes wrong — a panic inside [`crate::Cluster::run`], a
-//! baseline-gate regression in `ncd-bench`, or a receive that waited past a
-//! configured threshold — the recent window is rendered with
-//! [`render_dump`] and handed to the process-wide hook installed with
+//! reference-gate (`--compare`) regression in `ncd-bench`, or a receive
+//! that waited past a configured threshold — the recent window is rendered
+//! with [`render_dump`] and handed to the process-wide hook installed with
 //! [`dump_on`] (default: stderr). The last run's recorders are also parked
-//! in a process global so out-of-runtime code (the bench baseline gate) can
-//! grab evidence after the fact via [`last_run_dump`].
+//! in a process global so out-of-runtime code (the bench reference gate)
+//! can grab evidence after the fact via [`last_run_dump`].
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::time::SimTime;
+use crate::trace::{EventKind, TraceEvent};
 
 /// What kind of event a flight-recorder slot holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,25 +115,21 @@ pub fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// How many [`RecCode::AlgoDecision`] records each rank keeps in the
-/// dedicated decision ring. The main ring can evict a decision under
-/// heavy traffic long before an anomaly fires; the decision ring cannot,
-/// so a baseline-gate dump always shows which algorithms were active.
-pub const DECISION_SLOTS: usize = 8;
+/// How many records each side ring keeps. Decisions, drift events and
+/// mirrored diagnosis findings are rare, but the traffic that caused them
+/// evicts them from the main ring long before an anomaly fires; a
+/// dedicated ring per such code cannot be evicted by traffic, so a
+/// reference-gate dump always shows which algorithms were active, when
+/// the traffic shifted, and what the post-mortem diagnosis
+/// (`crate::diagnosis::mirror_to_flight_recorder`) blamed.
+pub const SIDE_RING_SLOTS: usize = 8;
 
-/// How many [`RecCode::Drift`] records each rank keeps in the dedicated
-/// drift ring. Changepoints are rarer than decisions but just as easily
-/// evicted from the main ring by the traffic that caused them; the
-/// dedicated ring guarantees an anomaly dump shows the recent regime
-/// shifts.
-pub const DRIFT_SLOTS: usize = 8;
-
-/// How many [`RecCode::Diagnosis`] records each rank keeps in the
-/// dedicated diagnosis ring. Top findings are mirrored in post-mortem by
-/// `crate::diagnosis::mirror_to_flight_recorder`, so an anomaly dump
-/// fired later (e.g. by the bench baseline gate) carries the diagnosis
-/// alongside the raw event window.
-pub const DIAGNOSIS_SLOTS: usize = 8;
+/// The codes that get a side ring, with the dump heading of each.
+const SIDE_RINGS: [(RecCode, &str); 3] = [
+    (RecCode::AlgoDecision, "algorithm decisions"),
+    (RecCode::Drift, "drift events"),
+    (RecCode::Diagnosis, "diagnosis findings"),
+];
 
 /// A per-rank flight recorder: fixed capacity, overwrites oldest.
 pub struct RankRecorder {
@@ -142,16 +140,10 @@ pub struct RankRecorder {
     /// Touched only on label-carrying records and renders, never on the
     /// hot send/recv path.
     labels: Mutex<Vec<(u64, String)>>,
-    /// Last [`DECISION_SLOTS`] algorithm decisions, immune to main-ring
-    /// eviction. Decisions are rare (one per adaptive collective call),
-    /// so a mutex off the hot path is fine.
-    decisions: Mutex<Vec<Recorded>>,
-    /// Last [`DRIFT_SLOTS`] drift events, immune to main-ring eviction
-    /// for the same reason.
-    drifts: Mutex<Vec<Recorded>>,
-    /// Last [`DIAGNOSIS_SLOTS`] mirrored diagnosis findings, immune to
-    /// main-ring eviction for the same reason.
-    diagnoses: Mutex<Vec<Recorded>>,
+    /// The last [`SIDE_RING_SLOTS`] records of each [`SIDE_RINGS`] code,
+    /// in table order. Those codes are rare (one per adaptive collective
+    /// call at most), so a mutex off the hot path is fine.
+    side: [Mutex<Vec<Recorded>>; SIDE_RINGS.len()],
 }
 
 impl RankRecorder {
@@ -163,9 +155,7 @@ impl RankRecorder {
             head: AtomicU64::new(0),
             slots: (0..cap).map(|_| Slot::default()).collect(),
             labels: Mutex::new(Vec::new()),
-            decisions: Mutex::new(Vec::new()),
-            drifts: Mutex::new(Vec::new()),
-            diagnoses: Mutex::new(Vec::new()),
+            side: Default::default(),
         }
     }
 
@@ -182,10 +172,19 @@ impl RankRecorder {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Record one event. Lock-free; safe to call from the owning rank's
-    /// thread while other threads snapshot.
+    /// Write one packed record. Lock-free; safe to call from the owning
+    /// rank's thread while other threads snapshot.
     #[allow(clippy::too_many_arguments)]
-    pub fn record(&self, code: RecCode, time: SimTime, a: u64, b: u64, c: u64, d: u64, e: u64) {
+    pub(crate) fn record(
+        &self,
+        code: RecCode,
+        time: SimTime,
+        a: u64,
+        b: u64,
+        c: u64,
+        d: u64,
+        e: u64,
+    ) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed) + 1;
         let slot = &self.slots[(seq - 1) as usize & (self.slots.len() - 1)];
         slot.time.store(time.as_ns(), Ordering::Relaxed);
@@ -196,15 +195,9 @@ impl RankRecorder {
         slot.d.store(d, Ordering::Relaxed);
         slot.e.store(e, Ordering::Relaxed);
         slot.seq.store(seq, Ordering::Release);
-        let side_ring = match code {
-            RecCode::AlgoDecision => Some((&self.decisions, DECISION_SLOTS)),
-            RecCode::Drift => Some((&self.drifts, DRIFT_SLOTS)),
-            RecCode::Diagnosis => Some((&self.diagnoses, DIAGNOSIS_SLOTS)),
-            _ => None,
-        };
-        if let Some((ring, slots)) = side_ring {
+        if let Some(ring) = self.side_ring(code) {
             let mut ring = ring.lock().expect("side ring poisoned");
-            if ring.len() == slots {
+            if ring.len() == SIDE_RING_SLOTS {
                 ring.remove(0);
             }
             ring.push(Recorded {
@@ -220,39 +213,22 @@ impl RankRecorder {
         }
     }
 
-    /// The last [`DECISION_SLOTS`] algorithm decisions, oldest → newest.
-    pub fn recent_decisions(&self) -> Vec<Recorded> {
-        self.decisions
-            .lock()
-            .expect("decision ring poisoned")
-            .clone()
+    fn side_ring(&self, code: RecCode) -> Option<&Mutex<Vec<Recorded>>> {
+        let at = SIDE_RINGS.iter().position(|(c, _)| *c == code)?;
+        Some(&self.side[at])
     }
 
-    /// The last [`DRIFT_SLOTS`] drift events, oldest → newest.
-    pub fn recent_drifts(&self) -> Vec<Recorded> {
-        self.drifts.lock().expect("drift ring poisoned").clone()
+    /// The last [`SIDE_RING_SLOTS`] records of `code`, oldest → newest
+    /// (empty for a code without a side ring).
+    pub fn recent(&self, code: RecCode) -> Vec<Recorded> {
+        self.side_ring(code).map_or_else(Vec::new, |ring| {
+            ring.lock().expect("side ring poisoned").clone()
+        })
     }
 
-    /// The last [`DIAGNOSIS_SLOTS`] mirrored diagnosis findings, oldest →
-    /// newest.
-    pub fn recent_diagnoses(&self) -> Vec<Recorded> {
-        self.diagnoses
-            .lock()
-            .expect("diagnosis ring poisoned")
-            .clone()
-    }
-
-    /// Record a label-carrying event, interning the label so dumps can
-    /// print it back. Returns the label's hash.
-    pub fn record_label(&self, code: RecCode, time: SimTime, label: &str, b: u64, c: u64) -> u64 {
-        let h = self.intern(label);
-        self.record(code, time, h, b, c, 0, 0);
-        h
-    }
-
-    /// Intern `label` into the hash table without recording (used by
-    /// callers that pass the hash through [`RankRecorder::record`]).
-    pub fn intern(&self, label: &str) -> u64 {
+    /// Intern `label` so dumps can print it back; returns its hash, the
+    /// word [`RankRecorder::record`] stores for it.
+    pub(crate) fn intern(&self, label: &str) -> u64 {
         let h = fnv1a(label);
         let mut labels = self.labels.lock().expect("label table poisoned");
         if !labels.iter().any(|(hash, _)| *hash == h) {
@@ -301,6 +277,93 @@ impl RankRecorder {
             });
         }
         out
+    }
+
+    /// Pack one observed event into a slot, stamped with the time it
+    /// ended. The only `EventKind → (RecCode, a…e)` table;
+    /// `render_record` below is its inverse and [`Recorded`] documents the
+    /// word layout. Force-inlined for the reason given at
+    /// [`crate::Rank::record`], its one caller.
+    #[inline(always)]
+    pub fn record_event(&self, event: &TraceEvent) {
+        let (code, [a, b, c, d, e]) = match &event.kind {
+            EventKind::Send { dst, bytes, seq } => {
+                (RecCode::Send, [*dst as u64, *bytes as u64, *seq, 0, 0])
+            }
+            EventKind::Recv {
+                src, bytes, wait, ..
+            } => (
+                RecCode::Recv,
+                [*src as u64, *bytes as u64, wait.as_ns(), 0, 0],
+            ),
+            EventKind::Mark { label } => (RecCode::Mark, [self.intern(label), 0, 0, 0, 0]),
+            EventKind::Span { name } => (
+                RecCode::Stage,
+                [self.intern(name), event.duration().as_ns(), 0, 0, 0],
+            ),
+            EventKind::Round { op, round } => (
+                RecCode::Round,
+                [self.intern(op), u64::from(*round), 0, 0, 0],
+            ),
+            EventKind::PackBlock {
+                engine,
+                index,
+                sparse,
+                seek,
+                lookahead,
+                bytes,
+            } => (
+                RecCode::PackBlock,
+                [
+                    self.intern(engine),
+                    *index,
+                    *seek,
+                    (lookahead << 1) | u64::from(*sparse),
+                    *bytes,
+                ],
+            ),
+            EventKind::IrecvPost { src, tag } => (
+                RecCode::IrecvPost,
+                [src.map_or(u64::MAX, |s| s as u64), u64::from(*tag), 0, 0, 0],
+            ),
+            EventKind::SendWait { residual } => (RecCode::SendWait, [residual.as_ns(), 0, 0, 0, 0]),
+            EventKind::AlgoDecision {
+                collective,
+                n,
+                total_bytes,
+                ratio_millis,
+                pow2,
+                chosen,
+                reason: _,
+            } => (
+                RecCode::AlgoDecision,
+                [
+                    self.intern(collective),
+                    self.intern(chosen),
+                    ((*n as u64) << 1) | u64::from(*pow2),
+                    *total_bytes,
+                    *ratio_millis,
+                ],
+            ),
+            EventKind::Drift {
+                label,
+                metric,
+                occurrence,
+                up,
+                baseline_millis,
+                observed_millis,
+            } => (
+                RecCode::Drift,
+                [
+                    self.intern(label),
+                    self.intern(metric),
+                    (u64::from(*occurrence) << 1) | u64::from(*up),
+                    *baseline_millis,
+                    *observed_millis,
+                ],
+            ),
+        };
+        self.record(code, event.end, a, b, c, d, e);
     }
 
     fn render_record(&self, r: &Recorded) -> String {
@@ -392,40 +455,18 @@ pub fn render_dump(recorders: &[Arc<RankRecorder>]) -> String {
             out.push_str(&rec.render_record(r));
             out.push('\n');
         }
-        let decisions = rec.recent_decisions();
-        if !decisions.is_empty() {
-            out.push_str(&format!(
-                "rank {:>3}: last {} algorithm decisions\n",
-                rec.rank(),
-                decisions.len()
-            ));
-            for r in &decisions {
-                out.push_str(&rec.render_record(r));
-                out.push('\n');
-            }
-        }
-        let drifts = rec.recent_drifts();
-        if !drifts.is_empty() {
-            out.push_str(&format!(
-                "rank {:>3}: last {} drift events\n",
-                rec.rank(),
-                drifts.len()
-            ));
-            for r in &drifts {
-                out.push_str(&rec.render_record(r));
-                out.push('\n');
-            }
-        }
-        let diagnoses = rec.recent_diagnoses();
-        if !diagnoses.is_empty() {
-            out.push_str(&format!(
-                "rank {:>3}: last {} diagnosis findings\n",
-                rec.rank(),
-                diagnoses.len()
-            ));
-            for r in &diagnoses {
-                out.push_str(&rec.render_record(r));
-                out.push('\n');
+        for (code, heading) in SIDE_RINGS {
+            let recent = rec.recent(code);
+            if !recent.is_empty() {
+                out.push_str(&format!(
+                    "rank {:>3}: last {} {heading}\n",
+                    rec.rank(),
+                    recent.len()
+                ));
+                for r in &recent {
+                    out.push_str(&rec.render_record(r));
+                    out.push('\n');
+                }
             }
         }
     }
@@ -444,8 +485,8 @@ pub enum Anomaly {
         wait_ns: u64,
         threshold_ns: u64,
     },
-    /// A benchmark baseline gate detected a regression (`name` is the
-    /// benchmark's baseline name).
+    /// A benchmark's reference gate (`--compare`) detected a regression
+    /// (`name` is the benchmark's observatory name).
     BaselineRegression { name: String },
 }
 
@@ -494,7 +535,7 @@ pub fn trigger(anomaly: &Anomaly, dump: &str) {
     }
 }
 
-/// Park a run's recorders so post-run code (the bench baseline gate) can
+/// Park a run's recorders so post-run code (the bench reference gate) can
 /// dump them after the cluster has finished. Called by
 /// [`crate::Cluster::run`]; the newest run wins.
 pub fn store_last_run(recorders: Vec<Arc<RankRecorder>>) {
@@ -558,8 +599,9 @@ mod tests {
     #[test]
     fn labels_render_back_in_dumps() {
         let rec = RankRecorder::new(2, 16);
-        rec.record_label(RecCode::Mark, SimTime(5), "phase-1", 0, 0);
-        rec.record_label(RecCode::Round, SimTime(9), "allgatherv/ring", 3, 0);
+        let (mark, round) = (rec.intern("phase-1"), rec.intern("allgatherv/ring"));
+        rec.record(RecCode::Mark, SimTime(5), mark, 0, 0, 0, 0);
+        rec.record(RecCode::Round, SimTime(9), round, 3, 0, 0, 0);
         let dump = render_dump(&[Arc::new(rec)]);
         assert!(dump.contains("mark       phase-1"), "{dump}");
         assert!(dump.contains("round      allgatherv/ring #3"), "{dump}");
@@ -623,7 +665,7 @@ mod tests {
         let rec = RankRecorder::new(0, 256);
         let coll = rec.intern("alltoallw");
         let chosen = rec.intern("binned");
-        for i in 0..(DECISION_SLOTS as u64 + 3) {
+        for i in 0..(SIDE_RING_SLOTS as u64 + 3) {
             rec.record(
                 RecCode::AlgoDecision,
                 SimTime(i),
@@ -634,10 +676,10 @@ mod tests {
                 0,
             );
         }
-        let decisions = rec.recent_decisions();
-        assert_eq!(decisions.len(), DECISION_SLOTS);
+        let decisions = rec.recent(RecCode::AlgoDecision);
+        assert_eq!(decisions.len(), SIDE_RING_SLOTS);
         assert_eq!(decisions[0].d, 3, "oldest surviving decision");
-        assert_eq!(decisions.last().unwrap().d, DECISION_SLOTS as u64 + 2);
+        assert_eq!(decisions.last().unwrap().d, SIDE_RING_SLOTS as u64 + 2);
     }
 
     #[test]
@@ -672,13 +714,13 @@ mod tests {
         let rec = RankRecorder::new(0, 256);
         let label = rec.intern("alltoallw/binned");
         let metric = rec.intern("skew");
-        for i in 0..(DRIFT_SLOTS as u64 + 2) {
+        for i in 0..(SIDE_RING_SLOTS as u64 + 2) {
             rec.record(RecCode::Drift, SimTime(i), label, metric, i << 1, i, 0);
         }
-        let drifts = rec.recent_drifts();
-        assert_eq!(drifts.len(), DRIFT_SLOTS);
+        let drifts = rec.recent(RecCode::Drift);
+        assert_eq!(drifts.len(), SIDE_RING_SLOTS);
         assert_eq!(drifts[0].d, 2, "oldest surviving drift event");
-        assert_eq!(drifts.last().unwrap().d, DRIFT_SLOTS as u64 + 1);
+        assert_eq!(drifts.last().unwrap().d, SIDE_RING_SLOTS as u64 + 1);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! switches instead of kernel ones, park/unpark on the simulated clock.
 //! This is what lets N=1024 sweeps run in CI smoke time.
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
@@ -20,7 +21,7 @@ use crate::knobs::{CostKnobs, ResolvedKnobs};
 use crate::mailbox::{Mailbox, NetMsg, Tag};
 use crate::metrics::MetricsRegistry;
 use crate::profile::Profiler;
-use crate::recorder::{self, Anomaly, RankRecorder, RecCode};
+use crate::recorder::{self, Anomaly, RankRecorder};
 use crate::sched::{self, EventCtl, EventHandle, Stacks, Task, TaskBackend, TaskShared};
 use crate::stats::{CostKind, Stats};
 use crate::time::{CostModel, SimTime};
@@ -219,12 +220,12 @@ impl Cluster {
             stats: Stats::new(),
             send_seq: 0,
             trace: None,
-            metrics: MetricsRegistry::new(),
-            profiler: Profiler::new(),
+            metrics: None,
+            profiler: None,
             recorder,
             wait_spike_threshold: None,
-            commmap: RankCommMap::new(rank_id, n),
-            history: RankHistory::new(rank_id, n),
+            commmap: None,
+            history: None,
             sched,
             knobs: cfg.knobs.as_ref().map(|k| k.resolve(rank_id)),
         }
@@ -298,7 +299,14 @@ impl Cluster {
     }
 }
 
-/// Handle given to each rank's task: identity, clock, network, stats.
+/// Handle given to each rank's task: identity, clock, network, stats —
+/// and its observers. The flight recorder is always on. The other five
+/// (trace, metrics, profiler, comm map, history) do not exist until their
+/// `enable_*` is called: `None` costs one branch where the observer would
+/// have recorded and no memory. `take_*` hands back what was gathered and
+/// leaves a fresh observer in place; on an observer that is off it returns
+/// an empty value and leaves it off. No observer touches the simulated
+/// clock. Every observed event leaves the rank through [`Rank::record`].
 pub struct Rank {
     rank: usize,
     size: usize,
@@ -317,21 +325,20 @@ pub struct Rank {
     /// message as its correlation id (see [`crate::analysis`]).
     send_seq: u64,
     trace: Option<Vec<TraceEvent>>,
-    metrics: MetricsRegistry,
-    profiler: Profiler,
+    metrics: Option<MetricsRegistry>,
+    profiler: Option<Profiler>,
     /// Always-on flight recorder (shared with [`Cluster::run`] and the
     /// process-wide last-run store; see [`crate::recorder`]).
     recorder: Arc<RankRecorder>,
     /// When set, a receive that waits longer than this triggers a
     /// flight-recorder dump (the latency-spike anomaly predicate).
     wait_spike_threshold: Option<SimTime>,
-    /// Communication-topology map (see [`crate::commmap`]). Off by
-    /// default; when off, every delivery costs one branch.
-    commmap: RankCommMap,
+    /// Communication-topology map (see [`crate::commmap`]).
+    commmap: Option<RankCommMap>,
     /// Epoch time-series history (see [`crate::history`]): one compact
-    /// record per closed comm-map epoch. Off by default; enabling it also
-    /// enables the comm map it derives from.
-    history: RankHistory,
+    /// record per closed comm-map epoch, so enabling it also enables the
+    /// comm map it derives from.
+    history: Option<RankHistory>,
     /// This rank's side of the scheduler: its mailbox, its peers'
     /// mailboxes, and the park/unpark protocol.
     sched: EventHandle,
@@ -367,157 +374,97 @@ impl Rank {
         std::mem::take(&mut self.stats)
     }
 
-    /// Start recording a timeline of message events (see [`crate::trace`]).
+    /// Start recording a timeline of events (see [`crate::trace`]).
     pub fn enable_tracing(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        }
+        self.trace.get_or_insert_with(Vec::new);
     }
 
     /// Drain the recorded timeline (empty if tracing was never enabled).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace
-            .take()
-            .inspect(|_t| {
-                self.trace = Some(Vec::new());
-            })
-            .unwrap_or_default()
+        take_observer(&mut self.trace, Vec::new())
+    }
+
+    /// The one way an observed event leaves this rank: `kind` happened
+    /// over `[start, now]`. It always goes into the flight recorder, and
+    /// onto the trace when tracing is on; metrics derived from an event are
+    /// written by its producer (see [`Rank::metrics_mut`]). Allocates
+    /// nothing with tracing off.
+    ///
+    /// Force-inlined with [`RankRecorder::record_event`]: every caller
+    /// passes a literal variant, so the table folds to that variant's row
+    /// and, with tracing off, the words go straight into the recorder slot.
+    /// Otherwise each event is first built on the rank's stack, which at
+    /// N = 1024 ranks cost a ring allgatherv ~10 % host time per message.
+    #[inline(always)]
+    pub fn record(&mut self, start: SimTime, kind: EventKind) {
+        let event = TraceEvent {
+            kind,
+            start,
+            end: self.now,
+        };
+        self.recorder.record_event(&event);
+        if let Some(trace) = &mut self.trace {
+            trace.push(event);
+        }
     }
 
     /// Record a zero-length marker event at the current simulated time.
-    /// Accepts owned or borrowed labels, so dynamically-named phase markers
-    /// (`format!("vcycle-{i}")`) work; the allocation only happens when
-    /// tracing is enabled for `&str` callers via `Into`.
-    pub fn trace_mark(&mut self, label: impl Into<String>) {
-        let now = self.now;
+    /// Takes a literal or an owned, dynamically built label
+    /// (`format!("vcycle-{i}")`).
+    pub fn trace_mark(&mut self, label: impl Into<Cow<'static, str>>) {
         let label = label.into();
-        self.recorder.record_label(RecCode::Mark, now, &label, 0, 0);
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent {
-                kind: EventKind::Mark { label },
-                start: now,
-                end: now,
-            });
-        }
+        self.record(self.now, EventKind::Mark { label });
     }
 
-    /// Record a zero-length collective-round event (`op` names the
-    /// collective and algorithm, e.g. `"allgatherv/ring"`). No-op when
-    /// tracing is off.
-    pub fn trace_round(&mut self, op: &str, round: u32) {
-        let now = self.now;
-        self.recorder
-            .record_label(RecCode::Round, now, op, round as u64, 0);
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent {
-                kind: EventKind::Round {
-                    op: op.to_string(),
-                    round,
-                },
-                start: now,
-                end: now,
-            });
-        }
-    }
-
-    /// Whether tracing is currently enabled.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Start recording named metrics (see [`crate::metrics`]). Off by
-    /// default; when off, every metric call is a no-op.
+    /// Start recording named metrics (see [`crate::metrics`]).
     pub fn enable_metrics(&mut self) {
-        self.metrics.enable();
+        self.metrics.get_or_insert_with(MetricsRegistry::enabled);
     }
 
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+    /// The metrics registry when metrics are on: every producer writes its
+    /// keys under one `if let Some(m) = rank.metrics_mut()`.
+    pub fn metrics_mut(&mut self) -> Option<&mut MetricsRegistry> {
+        self.metrics.as_mut()
     }
 
-    /// Take the accumulated metrics, leaving a fresh registry with the
-    /// same enabled state.
+    /// Take the accumulated metrics.
     pub fn take_metrics(&mut self) -> MetricsRegistry {
-        let enabled = self.metrics.is_enabled();
-        let mut fresh = MetricsRegistry::new();
-        if enabled {
-            fresh.enable();
-        }
-        std::mem::replace(&mut self.metrics, fresh)
+        take_observer(&mut self.metrics, MetricsRegistry::enabled())
     }
 
-    /// Add `delta` to the counter keyed `(subsystem, op, algorithm)`.
-    pub fn metric_counter_add(&mut self, subsystem: &str, op: &str, algorithm: &str, delta: u64) {
-        self.metrics.counter_add(subsystem, op, algorithm, delta);
-    }
-
-    /// Set the gauge keyed `(subsystem, op, algorithm)`.
-    pub fn metric_gauge_set(&mut self, subsystem: &str, op: &str, algorithm: &str, value: f64) {
-        self.metrics.gauge_set(subsystem, op, algorithm, value);
-    }
-
-    /// Record one histogram sample under `(subsystem, op, algorithm)`.
-    pub fn metric_observe(&mut self, subsystem: &str, op: &str, algorithm: &str, value: u64) {
-        self.metrics.observe(subsystem, op, algorithm, value);
-    }
-
-    /// Start hierarchical stage profiling (see [`crate::profile`]). Off by
-    /// default; when off, stage calls are no-ops.
+    /// Start hierarchical stage profiling (see [`crate::profile`]); until
+    /// then stage calls are no-ops.
     pub fn enable_profiling(&mut self) {
-        self.profiler.enable();
+        self.profiler.get_or_insert_with(Profiler::enabled);
     }
 
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
-    /// Take the accumulated profile, leaving a fresh profiler with the
-    /// same enabled state. Panics if stages are still open.
+    /// Take the accumulated profile. Panics if stages are still open.
     pub fn take_profile(&mut self) -> Profiler {
-        assert_eq!(
-            self.profiler.depth(),
-            0,
-            "take_profile with stages still open"
-        );
-        let enabled = self.profiler.is_enabled();
-        let mut fresh = Profiler::new();
-        if enabled {
-            fresh.enable();
-        }
-        std::mem::replace(&mut self.profiler, fresh)
+        let open = self.profiler.as_ref().map_or(0, Profiler::depth);
+        assert_eq!(open, 0, "take_profile with stages still open");
+        take_observer(&mut self.profiler, Profiler::enabled())
     }
 
     /// Open a profiling stage at the current simulated time.
     pub fn stage_begin(&mut self, name: &str) {
-        let now = self.now;
-        self.profiler.begin(name, now);
+        if let Some(profiler) = &mut self.profiler {
+            profiler.begin(name, self.now);
+        }
     }
 
-    /// Close the innermost profiling stage (must be named `name`). If
-    /// tracing is also enabled, the closed stage is mirrored into the
-    /// trace as a [`EventKind::Span`].
+    /// Close the innermost profiling stage (must be named `name`): the
+    /// closed stage is recorded as an [`EventKind::Span`] and closes a
+    /// `stage:<path>` comm-map epoch.
     pub fn stage_end(&mut self, name: &str) {
-        let now = self.now;
-        if let Some(closed) = self.profiler.end(name, now) {
-            self.recorder.record_label(
-                RecCode::Stage,
-                closed.end,
-                &closed.path,
-                closed.end.saturating_sub(closed.start).as_ns(),
-                0,
-            );
-            if self.commmap.is_enabled() {
-                self.commmap.close_epoch(&format!("stage:{}", closed.path));
-                self.history_append_last();
-            }
-            if let Some(t) = &mut self.trace {
-                t.push(TraceEvent {
-                    kind: EventKind::Span { name: closed.path },
-                    start: closed.start,
-                    end: closed.end,
-                });
-            }
+        let Some(profiler) = &mut self.profiler else {
+            return;
+        };
+        let closed = profiler.end(name, self.now);
+        if self.commmap.is_some() {
+            self.comm_epoch(&format!("stage:{}", closed.path));
         }
+        let name = closed.path.into();
+        self.record(closed.start, EventKind::Span { name });
     }
 
     /// Run `f` inside a profiling stage named `name` (closure form of
@@ -541,255 +488,55 @@ impl Rank {
         self.wait_spike_threshold = Some(threshold);
     }
 
-    /// Disarm the latency-spike anomaly predicate.
-    pub fn clear_wait_spike(&mut self) {
-        self.wait_spike_threshold = None;
-    }
-
-    /// Record one datatype pack-pipeline block that executed over
-    /// `[start, now]`: always into the flight recorder; into the trace as
-    /// an [`EventKind::PackBlock`] when tracing is on; and into `datatype/*`
-    /// metrics (log₂ histograms of seek distance, look-ahead window and
-    /// block bytes, plus block counters) when metrics are on. `seek` is the
-    /// segments re-walked from the type root — the paper's quadratic
-    /// signal, always zero for the dual-context engine.
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_pack_block(
-        &mut self,
-        engine: &str,
-        start: SimTime,
-        index: u64,
-        sparse: bool,
-        seek: u64,
-        lookahead: u64,
-        bytes: u64,
-    ) {
-        let engine_hash = self.recorder.intern(engine);
-        self.recorder.record(
-            RecCode::PackBlock,
-            self.now,
-            engine_hash,
-            index,
-            seek,
-            (lookahead << 1) | sparse as u64,
-            bytes,
-        );
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent {
-                kind: EventKind::PackBlock {
-                    engine: engine.to_string(),
-                    index,
-                    sparse,
-                    seek,
-                    lookahead,
-                    bytes,
-                },
-                start,
-                end: self.now,
-            });
-        }
-        if self.metrics.is_enabled() {
-            self.metrics
-                .observe("datatype", "seek_segments", engine, seek);
-            self.metrics
-                .observe("datatype", "lookahead_window", engine, lookahead);
-            self.metrics
-                .observe("datatype", "block_bytes", engine, bytes);
-            self.metrics.counter_add("datatype", "blocks", engine, 1);
-            self.metrics
-                .counter_add("datatype", "seek_total", engine, seek);
-            if sparse {
-                self.metrics
-                    .counter_add("datatype", "sparse_blocks", engine, 1);
-            } else {
-                self.metrics
-                    .counter_add("datatype", "dense_blocks", engine, 1);
-            }
-        }
-    }
-
     /// Start accumulating the communication-topology map (see
-    /// [`crate::commmap`]). Off by default; never touches the simulated
-    /// clock.
+    /// [`crate::commmap`]).
     pub fn enable_comm_map(&mut self) {
-        self.commmap.enable();
-    }
-
-    pub fn comm_map(&self) -> &RankCommMap {
-        &self.commmap
+        let (rank, size) = (self.rank, self.size);
+        self.commmap
+            .get_or_insert_with(|| RankCommMap::new(rank, size));
     }
 
     pub fn comm_map_enabled(&self) -> bool {
-        self.commmap.is_enabled()
+        self.commmap.is_some()
     }
 
-    /// Take the accumulated comm map, leaving a fresh one with the same
-    /// enabled state.
+    /// Take the accumulated comm map.
     pub fn take_comm_map(&mut self) -> RankCommMap {
-        let mut fresh = RankCommMap::new(self.rank, self.size);
-        if self.commmap.is_enabled() {
-            fresh.enable();
-        }
-        std::mem::replace(&mut self.commmap, fresh)
+        take_observer(&mut self.commmap, RankCommMap::new(self.rank, self.size))
     }
 
-    /// Close the current comm-map epoch under `label` (no-op when the map
-    /// is disabled). The collectives call this once per call with
+    /// Close the current comm-map epoch under `label` and mirror it into
+    /// the history when that is on (no-op when the map is off). The
+    /// collectives call this once per call with
     /// `<collective>/<algorithm>`; [`Rank::stage_end`] closes
     /// `stage:<path>` epochs automatically.
     pub fn comm_epoch(&mut self, label: &str) {
-        self.commmap.close_epoch(label);
-        self.history_append_last();
-    }
-
-    /// Mirror the just-closed comm-map epoch into the history store (a
-    /// branch when the history is disabled; see [`crate::history`]).
-    fn history_append_last(&mut self) {
-        if !self.history.is_enabled() {
+        let Some(map) = &mut self.commmap else {
             return;
-        }
-        if let Some(epoch) = self.commmap.epochs().last() {
-            self.history.append(epoch, self.now);
+        };
+        map.close_epoch(label);
+        if let (Some(history), Some(epoch)) = (&mut self.history, map.epochs().last()) {
+            history.append(epoch, self.now);
         }
     }
 
     /// Start appending the epoch time-series history (see
     /// [`crate::history`]). The history derives its records from closed
-    /// comm-map epochs, so enabling it also enables the comm map. Never
-    /// touches the simulated clock.
+    /// comm-map epochs, so enabling it also enables the comm map.
     pub fn enable_history(&mut self) {
-        self.commmap.enable();
-        self.history.enable();
-    }
-
-    pub fn history(&self) -> &RankHistory {
-        &self.history
+        self.enable_comm_map();
+        let (rank, size) = (self.rank, self.size);
+        self.history
+            .get_or_insert_with(|| RankHistory::new(rank, size));
     }
 
     pub fn history_enabled(&self) -> bool {
-        self.history.is_enabled()
+        self.history.is_some()
     }
 
-    /// Take the accumulated history, leaving a fresh one with the same
-    /// enabled state.
+    /// Take the accumulated history.
     pub fn take_history(&mut self) -> RankHistory {
-        let mut fresh = RankHistory::new(self.rank, self.size);
-        if self.history.is_enabled() {
-            fresh.enable();
-        }
-        std::mem::replace(&mut self.history, fresh)
-    }
-
-    /// Record one algorithm-selection decision: always into the flight
-    /// recorder (which also parks it in the dedicated decision ring shown
-    /// by anomaly dumps); into the trace as an
-    /// [`EventKind::AlgoDecision`] when tracing is on; and into
-    /// `decision/*` metrics when metrics are on. `ratio_millis` is the
-    /// outlier ratio in thousandths (`u64::MAX` = infinite, i.e. a zero
-    /// bulk quantile under a nonzero max). Never touches the simulated
-    /// clock.
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_algo_decision(
-        &mut self,
-        collective: &str,
-        n: usize,
-        total_bytes: u64,
-        ratio_millis: u64,
-        pow2: bool,
-        chosen: &str,
-        reason: &str,
-    ) {
-        let coll_hash = self.recorder.intern(collective);
-        let chosen_hash = self.recorder.intern(chosen);
-        self.recorder.record(
-            RecCode::AlgoDecision,
-            self.now,
-            coll_hash,
-            chosen_hash,
-            ((n as u64) << 1) | pow2 as u64,
-            total_bytes,
-            ratio_millis,
-        );
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent {
-                kind: EventKind::AlgoDecision {
-                    collective: collective.to_string(),
-                    n,
-                    total_bytes,
-                    ratio_millis,
-                    pow2,
-                    chosen: chosen.to_string(),
-                    reason: reason.to_string(),
-                },
-                start: self.now,
-                end: self.now,
-            });
-        }
-        if self.metrics.is_enabled() {
-            self.metrics.counter_add("decision", collective, chosen, 1);
-            self.metrics
-                .counter_add("decision_reason", collective, reason, 1);
-            let ratio = crate::commmap::millis_to_ratio(ratio_millis);
-            if ratio.is_finite() {
-                self.metrics
-                    .gauge_set("decision_ratio", collective, chosen, ratio);
-            }
-            self.metrics
-                .observe("decision_bytes", collective, chosen, total_bytes);
-        }
-    }
-
-    /// Record one detected communication-drift event: always into the
-    /// flight recorder (which also parks it in the dedicated drift ring
-    /// shown by anomaly dumps); into the trace as an [`EventKind::Drift`]
-    /// when tracing is on; and into `drift/*` metrics when metrics are
-    /// on. `label` is the epoch series that shifted (e.g.
-    /// `allgatherv/ring`), `metric` the monitored quantity (`bytes`,
-    /// `skew`), and the baseline/observed values are in integer
-    /// thousandths ([`crate::ratio_to_millis`]; `u64::MAX` = infinite).
-    /// Never touches the simulated clock.
-    pub fn observe_drift_event(
-        &mut self,
-        label: &str,
-        metric: &str,
-        occurrence: u32,
-        up: bool,
-        baseline_millis: u64,
-        observed_millis: u64,
-    ) {
-        let label_hash = self.recorder.intern(label);
-        let metric_hash = self.recorder.intern(metric);
-        self.recorder.record(
-            RecCode::Drift,
-            self.now,
-            label_hash,
-            metric_hash,
-            ((occurrence as u64) << 1) | up as u64,
-            baseline_millis,
-            observed_millis,
-        );
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent {
-                kind: EventKind::Drift {
-                    label: label.to_string(),
-                    metric: metric.to_string(),
-                    occurrence,
-                    up,
-                    baseline_millis,
-                    observed_millis,
-                },
-                start: self.now,
-                end: self.now,
-            });
-        }
-        if self.metrics.is_enabled() {
-            self.metrics.counter_add("drift", label, metric, 1);
-            let observed = crate::commmap::millis_to_ratio(observed_millis);
-            if observed.is_finite() {
-                self.metrics
-                    .gauge_set("drift_observed", label, metric, observed);
-            }
-        }
+        take_observer(&mut self.history, RankHistory::new(self.rank, self.size))
     }
 
     /// Deterministic per-operation jitter in `[0, noise_ns)`.
@@ -806,9 +553,8 @@ impl Rank {
     /// the two accounting layers in exact agreement.
     fn charge_span(&mut self, kind: CostKind, span: SimTime) {
         self.stats.charge(kind, span);
-        if self.metrics.is_enabled() {
-            self.metrics
-                .counter_add("time", kind.label(), "", span.as_ns());
+        if let Some(metrics) = &mut self.metrics {
+            metrics.counter_add("time", kind.label(), "", span.as_ns());
         }
     }
 
@@ -912,7 +658,7 @@ impl Rank {
     }
 
     /// The one way a message leaves this rank: stats, correlation id,
-    /// flight recorder, trace, and delivery into the destination's
+    /// the [`EventKind::Send`] record, and delivery into the destination's
     /// mailbox. Its last byte is on the wire at `departure`, and it
     /// arrives one latency later (self-sends skip the wire).
     fn post(
@@ -935,15 +681,7 @@ impl Rank {
         self.stats.bytes_sent += bytes as u64;
         let seq = self.send_seq;
         self.send_seq += 1;
-        self.recorder
-            .record(RecCode::Send, self.now, dst as u64, bytes as u64, seq, 0, 0);
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent {
-                kind: EventKind::Send { dst, bytes, seq },
-                start: trace_start,
-                end: self.now,
-            });
-        }
+        self.record(trace_start, EventKind::Send { dst, bytes, seq });
         let msg = NetMsg {
             src: self.rank,
             tag,
@@ -1029,9 +767,9 @@ impl Rank {
 
     /// The accounting half of a receive: charge the residual wait (zero
     /// when the message arrived while this rank was computing — the
-    /// overlap win), then the receive overhead; update stats, flight
-    /// recorder, trace, and the latency-spike predicate. Returns the
-    /// payload, the source rank, and the wait residual.
+    /// overlap win), then the receive overhead; update stats and comm map,
+    /// record the [`EventKind::Recv`], check the latency-spike predicate.
+    /// Returns the payload, the source rank, and the wait residual.
     pub fn complete_recv_msg(&mut self, msg: NetMsg) -> (Vec<u8>, usize, SimTime) {
         let trace_start = self.now;
         let mut waited = SimTime::ZERO;
@@ -1042,30 +780,22 @@ impl Rank {
         }
         let overhead = self.cost.recv_overhead_ns + self.jitter_ns();
         self.charge_cpu(CostKind::Comm, overhead);
+        let bytes = msg.data.len();
         self.stats.msgs_recvd += 1;
-        self.stats.bytes_recvd += msg.data.len() as u64;
-        self.commmap.record_delivery(msg.src, msg.data.len() as u64);
-        self.recorder.record(
-            RecCode::Recv,
-            self.now,
-            msg.src as u64,
-            msg.data.len() as u64,
-            waited.as_ns(),
-            0,
-            0,
-        );
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent {
-                kind: EventKind::Recv {
-                    src: msg.src,
-                    bytes: msg.data.len(),
-                    seq: msg.seq,
-                    wait: waited,
-                },
-                start: trace_start,
-                end: self.now,
-            });
+        self.stats.bytes_recvd += bytes as u64;
+        if let Some(map) = &mut self.commmap {
+            map.record_delivery(msg.src, bytes as u64);
         }
+        let (src, seq) = (msg.src, msg.seq);
+        self.record(
+            trace_start,
+            EventKind::Recv {
+                src,
+                bytes,
+                seq,
+                wait: waited,
+            },
+        );
         if let Some(threshold) = self.wait_spike_threshold {
             if waited > threshold {
                 let dump = crate::recorder::render_dump(std::slice::from_ref(&self.recorder));
@@ -1146,8 +876,8 @@ impl Rank {
     }
 
     /// Post a nonblocking message whose wire serialization completes at
-    /// `done` (from [`Rank::nic_reserve`]): stats, flight recorder, trace,
-    /// and delivery. The message arrives at `done` plus latency
+    /// `done` (from [`Rank::nic_reserve`]): stats, the send record, and
+    /// delivery. The message arrives at `done` plus latency
     /// (self-sends skip the latency, as in the blocking path).
     pub fn isend_finish(
         &mut self,
@@ -1190,39 +920,8 @@ impl Rank {
         let residual = done - self.now;
         self.now = done;
         self.charge_span(CostKind::Comm, residual);
-        self.recorder
-            .record(RecCode::SendWait, done, residual.as_ns(), 0, 0, 0, 0);
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent {
-                kind: EventKind::SendWait { residual },
-                start,
-                end: done,
-            });
-        }
+        self.record(start, EventKind::SendWait { residual });
         residual
-    }
-
-    /// Record the posting of a nonblocking receive: an instant in the trace
-    /// and flight recorder. Posting is free in simulated time — a receive
-    /// only costs when it is completed.
-    pub fn trace_irecv_post(&mut self, src: Option<usize>, tag: Tag) {
-        let now = self.now;
-        self.recorder.record(
-            RecCode::IrecvPost,
-            now,
-            src.map_or(u64::MAX, |s| s as u64),
-            tag.0 as u64,
-            0,
-            0,
-            0,
-        );
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent {
-                kind: EventKind::IrecvPost { src, tag: tag.0 },
-                start: now,
-                end: now,
-            });
-        }
     }
 
     /// Reset the simulated clock to zero (start of a timed benchmark
@@ -1242,6 +941,16 @@ impl Rank {
             self.charge_span(CostKind::Wait, wait);
             self.now = t;
         }
+    }
+}
+
+/// What every `take_*` does: hand back what an observer gathered, leaving
+/// `fresh` in its place; an observer that is off stays off, and `fresh` is
+/// the empty answer.
+fn take_observer<T>(slot: &mut Option<T>, fresh: T) -> T {
+    match slot {
+        Some(on) => std::mem::replace(on, fresh),
+        None => fresh,
     }
 }
 
@@ -1513,74 +1222,79 @@ mod tests {
         assert_eq!(*fired.lock().unwrap(), 0);
     }
 
-    #[test]
-    fn observe_pack_block_feeds_recorder_trace_and_metrics() {
-        let out = Cluster::new(ClusterConfig::uniform(1)).run(|r| {
-            r.enable_tracing();
-            r.enable_metrics();
-            let t0 = r.now();
-            r.charge_search(10);
-            r.observe_pack_block("single-context", t0, 0, true, 10, 4, 48);
-            let t1 = r.now();
-            r.charge_copy(CostKind::Pack, 96, 1);
-            r.observe_pack_block("single-context", t1, 1, false, 0, 2, 96);
-            (
-                r.take_trace(),
-                r.take_metrics(),
-                r.flight_recorder().recorded(),
-            )
-        });
-        let (trace, metrics, recorded) = &out[0];
-        assert_eq!(*recorded, 2);
-        let packs: Vec<_> = trace
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::PackBlock {
-                    engine,
-                    index,
-                    sparse,
-                    seek,
-                    ..
-                } => Some((engine.clone(), *index, *sparse, *seek)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            packs,
-            vec![
-                ("single-context".to_string(), 0, true, 10),
-                ("single-context".to_string(), 1, false, 0)
-            ]
-        );
-        assert!(trace[0].end > trace[0].start, "span covers the charge");
-        assert_eq!(metrics.counter("datatype", "blocks", "single-context"), 2);
-        assert_eq!(
-            metrics.counter("datatype", "sparse_blocks", "single-context"),
-            1
-        );
-        assert_eq!(
-            metrics.counter("datatype", "dense_blocks", "single-context"),
-            1
-        );
-        assert_eq!(
-            metrics.counter("datatype", "seek_total", "single-context"),
-            10
-        );
-        let h = metrics
-            .histogram("datatype", "seek_segments", "single-context")
-            .expect("seek histogram exists");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), 10);
+    fn pack_block(index: u64, sparse: bool, seek: u64) -> EventKind {
+        EventKind::PackBlock {
+            engine: "single-context".into(),
+            index,
+            sparse,
+            seek,
+            lookahead: 4,
+            bytes: 48,
+        }
     }
 
     #[test]
-    fn observe_pack_block_without_observability_only_hits_recorder() {
-        Cluster::new(ClusterConfig::uniform(1)).run(|r| {
+    fn record_feeds_the_recorder_and_the_trace_with_the_span_since_start() {
+        let out = Cluster::new(ClusterConfig::uniform(1)).run(|r| {
+            r.enable_tracing();
             let t0 = r.now();
-            r.observe_pack_block("dual-context", t0, 0, true, 0, 4, 48);
-            assert_eq!(r.flight_recorder().recorded(), 1);
+            r.charge_search(10);
+            r.record(t0, pack_block(0, true, 10));
+            r.record(r.now(), pack_block(1, false, 0));
+            (r.take_trace(), r.now(), r.flight_recorder().clone())
+        });
+        let (trace, now, recorder) = &out[0];
+        let kinds: Vec<_> = trace.iter().map(|e| e.kind.clone()).collect();
+        assert_eq!(kinds, [pack_block(0, true, 10), pack_block(1, false, 0)]);
+        assert_eq!((trace[0].start, trace[0].end), (SimTime::ZERO, *now));
+        assert!(trace[0].end > trace[0].start, "span covers the charge");
+        assert_eq!(trace[1].duration(), SimTime::ZERO);
+        let dump = crate::recorder::render_dump(std::slice::from_ref(recorder));
+        assert!(
+            dump.contains(
+                "pack-block engine=single-context index=0 sparse seek=10 lookahead=4 bytes=48"
+            ),
+            "{dump}"
+        );
+        assert!(dump.contains("index=1 dense seek=0"), "{dump}");
+    }
+
+    #[test]
+    fn an_observer_that_is_off_does_not_exist() {
+        Cluster::new(ClusterConfig::uniform(2)).run(|r| {
+            // Traffic, an event, a stage and an epoch with nothing enabled:
+            // only the flight recorder sees them.
+            let peer = 1 - r.rank();
+            r.send_bytes(peer, Tag(0), vec![0u8; 64]);
+            let _ = r.recv_bytes(Some(peer), Tag(0));
+            r.record(r.now(), pack_block(0, true, 0));
+            r.stage("solve", |r| r.compute_flops(100));
+            r.comm_epoch("allgatherv/ring");
+            assert_eq!(r.flight_recorder().recorded(), 3);
+            // Taking from an absent observer answers empty...
             assert!(r.take_trace().is_empty());
-            assert_eq!(r.metrics().counter("datatype", "blocks", "dual-context"), 0);
+            assert!(r.take_metrics().is_empty());
+            assert!(r.take_profile().is_empty());
+            let map = r.take_comm_map();
+            assert_eq!((map.rank(), map.size()), (r.rank(), 2));
+            assert!(map.epochs().is_empty() && map.total_msgs_from(peer) == 0);
+            let history = r.take_history();
+            assert_eq!((history.rank(), history.size()), (r.rank(), 2));
+            assert!(history.records().is_empty());
+            // ...and does not switch it on.
+            assert!(r.trace.is_none() && r.metrics.is_none() && r.profiler.is_none());
+            assert!(r.commmap.is_none() && r.history.is_none());
+            assert!(r.metrics_mut().is_none());
+
+            // The history derives from the comm map, so it brings it along
+            // — and nothing else.
+            r.enable_history();
+            assert!(r.commmap.is_some() && r.history.is_some());
+            assert!(r.trace.is_none() && r.metrics.is_none() && r.profiler.is_none());
+            // Taking from an observer that is on leaves it on.
+            r.comm_epoch("allgatherv/ring");
+            assert_eq!(r.take_history().records().len(), 1);
+            assert!(r.history.is_some() && r.take_history().records().is_empty());
         });
     }
 
@@ -1677,7 +1391,11 @@ mod tests {
                 let done = r.isend_bytes_ctx(1, Tag(0), 0, vec![0u8; 4096]);
                 r.send_drain(done);
             } else {
-                r.trace_irecv_post(Some(0), Tag(0));
+                let posted = EventKind::IrecvPost {
+                    src: Some(0),
+                    tag: 0,
+                };
+                r.record(r.now(), posted);
                 let msg = r.fetch_msg_ctx(Some(0), Tag(0), 0);
                 let _ = r.complete_recv_msg(msg);
             }

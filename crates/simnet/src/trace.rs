@@ -2,14 +2,24 @@
 //! simulated time, for understanding *why* a schedule is slow — the
 //! counterpart of PETSc's `-log_view`/`Draw` instrumentation.
 //!
-//! Tracing is off by default (zero overhead beyond a branch); a rank
-//! enables it with [`crate::Rank::enable_tracing`], and the collected
-//! [`TraceEvent`]s can be drained with [`crate::Rank::take_trace`]. The
-//! `examples/timeline.rs` demo renders the events of every rank as an
+//! Every observed event leaves a rank through [`crate::Rank::record`],
+//! which hands it to the always-on flight recorder and, once
+//! [`crate::Rank::enable_tracing`] has been called, appends it to the
+//! timeline [`crate::Rank::take_trace`] drains. Until then the rank holds
+//! no timeline, and because labels are [`Cow`]s — every label the runtime
+//! and the collectives emit is a `&'static str`; only marks, stage paths
+//! and drift labels are built at run time — recording allocates nothing.
+//! The `examples/timeline.rs` demo renders the events of every rank as an
 //! ASCII Gantt chart that makes the round-robin alltoallw's serialization
 //! directly visible.
 
+use std::borrow::Cow;
+
 use crate::time::SimTime;
+
+/// An event label: borrowed when it is a literal, owned when built at run
+/// time.
+pub type Label = Cow<'static, str>;
 
 /// What happened during a traced span.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -27,15 +37,15 @@ pub enum EventKind {
         seq: u64,
         wait: SimTime,
     },
-    /// A user-defined marker (phase boundaries and the like). Owned so
-    /// markers can be dynamically named (`format!("vcycle-{i}")`).
-    Mark { label: String },
+    /// A user-defined marker (phase boundaries and the like); may be
+    /// dynamically named (`format!("vcycle-{i}")`).
+    Mark { label: Label },
     /// A closed profiling stage (see [`crate::profile`]), mirrored into
     /// the trace so exports show the stage hierarchy over the messages.
-    Span { name: String },
+    Span { name: Label },
     /// One round of a multi-round collective (`op` names the collective
     /// and algorithm, e.g. `allgatherv/ring`); a zero-length instant.
-    Round { op: String, round: u32 },
+    Round { op: Label, round: u32 },
     /// One pipeline block produced by a datatype pack engine (`engine` is
     /// the engine name, e.g. `single-context`). `seek` is the number of
     /// segments re-walked from the type root to recover a lost context —
@@ -44,7 +54,7 @@ pub enum EventKind {
     /// (true = packed through an intermediate buffer). Rendered on a
     /// separate per-rank `dt` lane, not the message row.
     PackBlock {
-        engine: String,
+        engine: Label,
         index: u64,
         sparse: bool,
         seek: u64,
@@ -67,13 +77,13 @@ pub enum EventKind {
     /// [`crate::commmap::millis_to_ratio`]) — stored as an integer so the
     /// event stays `Eq` and exports stay byte-stable.
     AlgoDecision {
-        collective: String,
+        collective: Label,
         n: usize,
         total_bytes: u64,
         ratio_millis: u64,
         pow2: bool,
-        chosen: String,
-        reason: String,
+        chosen: Label,
+        reason: Label,
     },
     /// A changepoint detected by the drift monitor (see `ncd-core`'s
     /// drift module): the epoch series `label` shifted in `metric`
@@ -82,8 +92,8 @@ pub enum EventKind {
     /// ([`crate::commmap::ratio_to_millis`], `u64::MAX` = infinite) so the
     /// event stays `Eq` and exports stay byte-stable.
     Drift {
-        label: String,
-        metric: String,
+        label: Label,
+        metric: Label,
         occurrence: u32,
         up: bool,
         baseline_millis: u64,
@@ -304,7 +314,7 @@ mod tests {
         assert_eq!(
             out[0][0].kind,
             EventKind::Mark {
-                label: "phase-1".to_string()
+                label: "phase-1".into()
             }
         );
         assert!(out[0][0].start > SimTime::ZERO);
@@ -340,9 +350,7 @@ mod tests {
             end: SimTime(100),
         };
         let events = vec![
-            span(EventKind::Mark {
-                label: "m".to_string(),
-            }),
+            span(EventKind::Mark { label: "m".into() }),
             span(EventKind::Recv {
                 src: 0,
                 bytes: 1,
@@ -355,7 +363,7 @@ mod tests {
                 seq: 0,
             }),
             span(EventKind::Span {
-                name: "stage".to_string(),
+                name: "stage".into(),
             }),
         ];
         let art = render_timeline(&[events], 10);
@@ -374,7 +382,7 @@ mod tests {
                 seq: 0,
             }),
             span(EventKind::Span {
-                name: "stage".to_string(),
+                name: "stage".into(),
             }),
             span(EventKind::Recv {
                 src: 0,
@@ -393,7 +401,7 @@ mod tests {
         let events = vec![
             TraceEvent {
                 kind: EventKind::Span {
-                    name: "stage".to_string(),
+                    name: "stage".into(),
                 },
                 start: SimTime(0),
                 end: SimTime(100),
@@ -421,9 +429,7 @@ mod tests {
         // be visible (the old renderer let later events overwrite it).
         let events = vec![
             TraceEvent {
-                kind: EventKind::Mark {
-                    label: "m".to_string(),
-                },
+                kind: EventKind::Mark { label: "m".into() },
                 start: SimTime(50),
                 end: SimTime(50),
             },
@@ -486,10 +492,16 @@ mod tests {
         }
     }
 
-    fn pack_block(engine: &str, index: u64, sparse: bool, start: u64, end: u64) -> TraceEvent {
+    fn pack_block(
+        engine: &'static str,
+        index: u64,
+        sparse: bool,
+        start: u64,
+        end: u64,
+    ) -> TraceEvent {
         TraceEvent {
             kind: EventKind::PackBlock {
-                engine: engine.to_string(),
+                engine: engine.into(),
                 index,
                 sparse,
                 seek: if sparse { index * 8 } else { 0 },

@@ -238,7 +238,7 @@ fn fixture() -> Vec<Vec<TraceEvent>> {
         vec![
             ev(
                 EventKind::Span {
-                    name: "solve".to_string(),
+                    name: "solve".into(),
                 },
                 0,
                 5_000,
@@ -254,14 +254,14 @@ fn fixture() -> Vec<Vec<TraceEvent>> {
             ),
             ev(
                 EventKind::Mark {
-                    label: "phase \"two\"".to_string(),
+                    label: "phase \"two\"".into(),
                 },
                 1_300,
                 1_300,
             ),
             ev(
                 EventKind::Round {
-                    op: "allgatherv/ring".to_string(),
+                    op: "allgatherv/ring".into(),
                     round: 0,
                 },
                 2_000,
@@ -269,7 +269,7 @@ fn fixture() -> Vec<Vec<TraceEvent>> {
             ),
             ev(
                 EventKind::PackBlock {
-                    engine: "single-context".to_string(),
+                    engine: "single-context".into(),
                     index: 2,
                     sparse: true,
                     seek: 16,

@@ -9,9 +9,6 @@ use ncd_simnet::{comm_matrix_json, merge_comm_maps, ClusterCommMap, RankCommMap}
 /// epochs, and a stage label that needs JSON escaping.
 fn fixture() -> ClusterCommMap {
     let mut maps: Vec<RankCommMap> = (0..3).map(|r| RankCommMap::new(r, 3)).collect();
-    for m in &mut maps {
-        m.enable();
-    }
     // Epoch 0: an outlier pair (0 -> 1) next to small neighbour traffic.
     maps[1].record_delivery(0, 64 * 1024);
     maps[1].record_delivery(2, 16);

@@ -4,7 +4,7 @@
 //! `(src, dst)` order), so a deterministic fixture must serialize to
 //! exactly the committed golden file.
 
-use ncd_simnet::{diagnose, diagnosis_json, Cluster, ClusterConfig, Tag, TraceEvent};
+use ncd_simnet::{diagnose, diagnosis_json, Cluster, ClusterConfig, EventKind, Tag, TraceEvent};
 
 /// A deterministic 4-rank fixture exercising three patterns at once:
 /// rank 0 computes late then feeds a ring (late-sender on 1, chain on
@@ -14,13 +14,15 @@ fn fixture() -> Vec<Vec<TraceEvent>> {
     Cluster::new(ClusterConfig::paper_testbed(n)).run(move |rank| {
         rank.enable_tracing();
         let me = rank.rank();
-        rank.trace_round("allgatherv/ring", 0);
+        let op = "allgatherv/ring".into();
+        rank.record(rank.now(), EventKind::Round { op, round: 0 });
         if me == 0 {
             rank.compute_flops(5_000_000);
         }
         rank.send_bytes((me + 1) % n, Tag(0), vec![0u8; 2048]);
         let (data, _) = rank.recv_bytes(Some((me + n - 1) % n), Tag(0));
-        rank.trace_round("allgatherv/ring", 1);
+        let op = "allgatherv/ring".into();
+        rank.record(rank.now(), EventKind::Round { op, round: 1 });
         rank.send_bytes((me + 1) % n, Tag(1), data);
         let _ = rank.recv_bytes(Some((me + n - 1) % n), Tag(1));
         rank.take_trace()

@@ -16,7 +16,6 @@ const MAX_RANKS: usize = 6;
 /// per-source byte vector.
 fn rank_history(rank: usize, size: usize, bytes: Vec<u64>) -> RankHistory {
     let mut h = RankHistory::new(rank, size);
-    h.enable();
     let msgs = bytes.iter().map(|&b| u64::from(b > 0)).collect();
     h.append(
         &RankEpoch {

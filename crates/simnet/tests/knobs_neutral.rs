@@ -15,7 +15,8 @@
 //! *non*-neutral knob must actually move the same workload.
 
 use ncd_simnet::{
-    diagnose, diagnosis_json, Cluster, ClusterConfig, CostKnobs, KnobDim, SimTime, Tag, TraceEvent,
+    diagnose, diagnosis_json, Cluster, ClusterConfig, CostKnobs, EventKind, KnobDim, SimTime, Tag,
+    TraceEvent,
 };
 
 /// The diagnosis-golden fixture (see `tests/diagnosis_golden.rs`), with
@@ -30,13 +31,15 @@ fn fixture(knobs: Option<CostKnobs>) -> Vec<(SimTime, Vec<TraceEvent>)> {
     Cluster::new(cfg).run(move |rank| {
         rank.enable_tracing();
         let me = rank.rank();
-        rank.trace_round("allgatherv/ring", 0);
+        let op = "allgatherv/ring".into();
+        rank.record(rank.now(), EventKind::Round { op, round: 0 });
         if me == 0 {
             rank.compute_flops(5_000_000);
         }
         rank.send_bytes((me + 1) % n, Tag(0), vec![0u8; 2048]);
         let (data, _) = rank.recv_bytes(Some((me + n - 1) % n), Tag(0));
-        rank.trace_round("allgatherv/ring", 1);
+        let op = "allgatherv/ring".into();
+        rank.record(rank.now(), EventKind::Round { op, round: 1 });
         rank.send_bytes((me + 1) % n, Tag(1), data);
         let _ = rank.recv_bytes(Some((me + n - 1) % n), Tag(1));
         (rank.now(), rank.take_trace())
