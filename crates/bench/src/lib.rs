@@ -25,7 +25,7 @@ pub use workloads::{
 
 /// The harness options every bench target accepts, parsed once at the top
 /// of `main`, so `--smoke`, `--report json`, `--ledger`, `--compare <spec>`
-/// and `--whatif` behave identically across every `fig*`/`ext_*`/`crit_*`
+/// and `--whatif` behave identically across every `fig*`/`ext_*`/`ablation`
 /// bench.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BenchCli {

@@ -26,7 +26,7 @@ use ncd_core::Comm;
 
 use crate::is::IndexSet;
 use crate::layout::Layout;
-use crate::scatter::{ScatterBackend, ScatterHandle, VecScatter};
+use crate::scatter::{InsertMode, ScatterBackend, ScatterHandle, ScatterMode, VecScatter};
 use crate::vec::PVec;
 
 /// Discretization stencil shape (paper Figure 3).
@@ -38,8 +38,16 @@ pub enum StencilKind {
     Box,
 }
 
-/// A structured-grid distributed array.
+/// A structured-grid distributed array: the partition geometry plus the
+/// ghost-exchange plan compiled from it.
 pub struct DistributedArray {
+    geom: Geometry,
+    ghost_scatter: VecScatter,
+}
+
+/// Everything about a [`DistributedArray`] that each rank computes
+/// symbolically, without communication.
+struct Geometry {
     ndim: usize,
     dims: [usize; 3],
     dof: usize,
@@ -56,7 +64,6 @@ pub struct DistributedArray {
     gh_len: [usize; 3],
     global_layout: Arc<Layout>,
     local_layout: Arc<Layout>,
-    ghost_scatter: VecScatter,
     rank: usize,
 }
 
@@ -120,99 +127,70 @@ fn balanced_splits(n: usize, p: usize) -> Vec<usize> {
     starts
 }
 
-impl DistributedArray {
-    /// Collectively create a distributed array over `comm`.
-    ///
-    /// `dims` has 1 to 3 entries (points per dimension); `dof` interlaced
-    /// fields per point; `width` the stencil width in points.
-    pub fn new(
-        comm: &mut Comm,
+/// Grid coordinates of rank `r` in the process grid (x fastest).
+fn coords_of(pgrid: &[usize; 3], r: usize) -> [usize; 3] {
+    [
+        r % pgrid[0],
+        (r / pgrid[0]) % pgrid[1],
+        r / (pgrid[0] * pgrid[1]),
+    ]
+}
+
+impl Geometry {
+    fn new(
+        rank: usize,
+        size: usize,
         dims: &[usize],
         dof: usize,
         stencil: StencilKind,
         width: usize,
-    ) -> DistributedArray {
+    ) -> Geometry {
         assert!((1..=3).contains(&dims.len()), "1-3 dimensions supported");
         assert!(dof >= 1, "dof must be at least 1");
         let ndim = dims.len();
         let mut d3 = [1usize; 3];
         d3[..ndim].copy_from_slice(dims);
-        let size = comm.size();
-        let rank = comm.rank();
         let pgrid = factor_process_grid(size, &d3, ndim);
-        let coords = [
-            rank % pgrid[0],
-            (rank / pgrid[0]) % pgrid[1],
-            rank / (pgrid[0] * pgrid[1]),
-        ];
         let splits = [
             balanced_splits(d3[0], pgrid[0]),
             balanced_splits(d3[1], pgrid[1]),
             balanced_splits(d3[2], pgrid[2]),
         ];
-        let mut own_start = [0usize; 3];
-        let mut own_len = [0usize; 3];
-        let mut gh_start = [0usize; 3];
-        let mut gh_len = [0usize; 3];
-        for d in 0..3 {
-            own_start[d] = splits[d][coords[d]];
-            own_len[d] = splits[d][coords[d] + 1] - own_start[d];
-            let lo = own_start[d].saturating_sub(width.min(own_start[d]));
-            let hi = (own_start[d] + own_len[d] + width).min(d3[d]);
+        let own_range = |d: usize, c: usize| (splits[d][c], splits[d][c + 1] - splits[d][c]);
+        // (start, len) of process-coordinate `c`'s owned range in dimension
+        // `d` widened by the ghost frame, clipped at the physical boundary.
+        let ghost_range = |d: usize, c: usize| {
             // Dimensions beyond ndim have size 1 and no ghosts.
-            if d < ndim {
-                gh_start[d] = lo;
-                gh_len[d] = hi - lo;
-            } else {
-                gh_start[d] = 0;
-                gh_len[d] = 1;
+            if d >= ndim {
+                return (0, 1);
             }
+            let (s, l) = own_range(d, c);
+            let lo = s - width.min(s);
+            (lo, (s + l + width).min(d3[d]) - lo)
+        };
+        let coords = coords_of(&pgrid, rank);
+        let (mut own_start, mut own_len) = ([0usize; 3], [0usize; 3]);
+        let (mut gh_start, mut gh_len) = ([0usize; 3], [0usize; 3]);
+        for d in 0..3 {
+            (own_start[d], own_len[d]) = own_range(d, coords[d]);
+            (gh_start[d], gh_len[d]) = ghost_range(d, coords[d]);
         }
 
-        // Global layout: every rank's owned volume, in rank order.
-        let own_sizes: Vec<usize> = (0..size)
-            .map(|r| {
-                let c = [
-                    r % pgrid[0],
-                    (r / pgrid[0]) % pgrid[1],
-                    r / (pgrid[0] * pgrid[1]),
-                ];
-                (0..3)
-                    .map(|d| splits[d][c[d] + 1] - splits[d][c[d]])
-                    .product::<usize>()
-                    * dof
-            })
-            .collect();
-        let global_layout = Layout::from_local_sizes(&own_sizes);
+        // Every rank computes every rank's sizes symbolically. Global
+        // layout: the owned volumes in rank order; local (ghosted) layout:
+        // rank-dependent because of the clipping.
+        let volumes = |range: &dyn Fn(usize, usize) -> (usize, usize)| -> Vec<usize> {
+            (0..size)
+                .map(|r| {
+                    let c = coords_of(&pgrid, r);
+                    (0..3).map(|d| range(d, c[d]).1).product::<usize>() * dof
+                })
+                .collect()
+        };
+        let global_layout = Layout::from_local_sizes(&volumes(&own_range));
+        let local_layout = Layout::from_local_sizes(&volumes(&ghost_range));
 
-        // Local (ghosted) layout: exchanged because clipping makes sizes
-        // rank-dependent; every rank can compute all of them symbolically.
-        let local_sizes: Vec<usize> = (0..size)
-            .map(|r| {
-                let c = [
-                    r % pgrid[0],
-                    (r / pgrid[0]) % pgrid[1],
-                    r / (pgrid[0] * pgrid[1]),
-                ];
-                (0..3)
-                    .map(|d| {
-                        let s = splits[d][c[d]];
-                        let l = splits[d][c[d] + 1] - s;
-                        if d < ndim {
-                            let lo = s.saturating_sub(width.min(s));
-                            let hi = (s + l + width).min(d3[d]);
-                            hi - lo
-                        } else {
-                            1
-                        }
-                    })
-                    .product::<usize>()
-                    * dof
-            })
-            .collect();
-        let local_layout = Layout::from_local_sizes(&local_sizes);
-
-        let mut da = DistributedArray {
+        Geometry {
             ndim,
             dims: d3,
             dof,
@@ -227,12 +205,8 @@ impl DistributedArray {
             gh_len,
             global_layout,
             local_layout,
-            // Placeholder until the scatter is compiled below.
-            ghost_scatter: VecScatter::trivial(),
             rank,
-        };
-        da.ghost_scatter = da.build_ghost_scatter(comm);
-        da
+        }
     }
 
     /// Build the global→local scatter covering owned points and the ghost
@@ -264,9 +238,7 @@ impl DistributedArray {
         )
     }
 
-    /// Whether grid point `p` participates in this rank's local form:
-    /// owned points always; ghost points per the stencil kind.
-    pub fn point_in_local_form(&self, p: [usize; 3]) -> bool {
+    fn point_in_local_form(&self, p: [usize; 3]) -> bool {
         let mut outside = 0;
         for (d, &pd) in p.iter().enumerate() {
             if pd < self.gh_start[d] || pd >= self.gh_start[d] + self.gh_len[d] {
@@ -282,66 +254,7 @@ impl DistributedArray {
         }
     }
 
-    // ---- geometry accessors -------------------------------------------
-
-    pub fn ndim(&self) -> usize {
-        self.ndim
-    }
-
-    pub fn dims(&self) -> [usize; 3] {
-        self.dims
-    }
-
-    pub fn dof(&self) -> usize {
-        self.dof
-    }
-
-    pub fn stencil(&self) -> StencilKind {
-        self.stencil
-    }
-
-    pub fn stencil_width(&self) -> usize {
-        self.width
-    }
-
-    pub fn process_grid(&self) -> [usize; 3] {
-        self.pgrid
-    }
-
-    /// This rank's coordinates in the process grid.
-    pub fn process_coords(&self) -> [usize; 3] {
-        self.coords
-    }
-
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Owned box: (start, len) per dimension.
-    pub fn owned(&self) -> ([usize; 3], [usize; 3]) {
-        (self.own_start, self.own_len)
-    }
-
-    /// Ghosted box: (start, len) per dimension.
-    pub fn ghosted(&self) -> ([usize; 3], [usize; 3]) {
-        (self.gh_start, self.gh_len)
-    }
-
-    pub fn global_layout(&self) -> &Arc<Layout> {
-        &self.global_layout
-    }
-
-    pub fn local_layout(&self) -> &Arc<Layout> {
-        &self.local_layout
-    }
-
-    /// The compiled ghost-exchange plan (exposed for instrumentation).
-    pub fn ghost_scatter(&self) -> &VecScatter {
-        &self.ghost_scatter
-    }
-
-    /// Which rank owns grid point `p`.
-    pub fn owner_of(&self, p: [usize; 3]) -> usize {
+    fn owner_of(&self, p: [usize; 3]) -> usize {
         let mut c = [0usize; 3];
         for (d, cd) in c.iter_mut().enumerate() {
             debug_assert!(p[d] < self.dims[d], "point {p:?} outside grid");
@@ -350,14 +263,9 @@ impl DistributedArray {
         (c[2] * self.pgrid[1] + c[1]) * self.pgrid[0] + c[0]
     }
 
-    /// Index of `(p, c)` in the global vector (PETSc ordering).
-    pub fn global_vec_index(&self, p: [usize; 3], c: usize) -> usize {
+    fn global_vec_index(&self, p: [usize; 3], c: usize) -> usize {
         let r = self.owner_of(p);
-        let pc = [
-            r % self.pgrid[0],
-            (r / self.pgrid[0]) % self.pgrid[1],
-            r / (self.pgrid[0] * self.pgrid[1]),
-        ];
+        let pc = coords_of(&self.pgrid, r);
         let s = [
             self.splits[0][pc[0]],
             self.splits[1][pc[1]],
@@ -372,8 +280,7 @@ impl DistributedArray {
         self.global_layout.range(r).0 + off * self.dof + c
     }
 
-    /// Offset of `(p, c)` within this rank's local (ghosted) array.
-    pub fn local_vec_offset(&self, p: [usize; 3], c: usize) -> usize {
+    fn local_vec_offset(&self, p: [usize; 3], c: usize) -> usize {
         let g = self.gh_start;
         let l = self.gh_len;
         debug_assert!(
@@ -382,17 +289,117 @@ impl DistributedArray {
         );
         (((p[2] - g[2]) * l[1] + (p[1] - g[1])) * l[0] + (p[0] - g[0])) * self.dof + c
     }
+}
+
+impl DistributedArray {
+    /// Collectively create a distributed array over `comm`.
+    ///
+    /// `dims` has 1 to 3 entries (points per dimension); `dof` interlaced
+    /// fields per point; `width` the stencil width in points.
+    pub fn new(
+        comm: &mut Comm,
+        dims: &[usize],
+        dof: usize,
+        stencil: StencilKind,
+        width: usize,
+    ) -> DistributedArray {
+        let geom = Geometry::new(comm.rank(), comm.size(), dims, dof, stencil, width);
+        let ghost_scatter = geom.build_ghost_scatter(comm);
+        DistributedArray {
+            geom,
+            ghost_scatter,
+        }
+    }
+
+    /// Whether grid point `p` participates in this rank's local form:
+    /// owned points always; ghost points per the stencil kind.
+    pub fn point_in_local_form(&self, p: [usize; 3]) -> bool {
+        self.geom.point_in_local_form(p)
+    }
+
+    // ---- geometry accessors -------------------------------------------
+
+    pub fn ndim(&self) -> usize {
+        self.geom.ndim
+    }
+
+    pub fn dims(&self) -> [usize; 3] {
+        self.geom.dims
+    }
+
+    pub fn dof(&self) -> usize {
+        self.geom.dof
+    }
+
+    pub fn stencil(&self) -> StencilKind {
+        self.geom.stencil
+    }
+
+    pub fn stencil_width(&self) -> usize {
+        self.geom.width
+    }
+
+    pub fn process_grid(&self) -> [usize; 3] {
+        self.geom.pgrid
+    }
+
+    /// This rank's coordinates in the process grid.
+    pub fn process_coords(&self) -> [usize; 3] {
+        self.geom.coords
+    }
+
+    pub fn rank(&self) -> usize {
+        self.geom.rank
+    }
+
+    /// Owned box: (start, len) per dimension.
+    pub fn owned(&self) -> ([usize; 3], [usize; 3]) {
+        (self.geom.own_start, self.geom.own_len)
+    }
+
+    /// Ghosted box: (start, len) per dimension.
+    pub fn ghosted(&self) -> ([usize; 3], [usize; 3]) {
+        (self.geom.gh_start, self.geom.gh_len)
+    }
+
+    pub fn global_layout(&self) -> &Arc<Layout> {
+        &self.geom.global_layout
+    }
+
+    pub fn local_layout(&self) -> &Arc<Layout> {
+        &self.geom.local_layout
+    }
+
+    /// The compiled ghost-exchange plan (exposed for instrumentation).
+    pub fn ghost_scatter(&self) -> &VecScatter {
+        &self.ghost_scatter
+    }
+
+    /// Which rank owns grid point `p`.
+    pub fn owner_of(&self, p: [usize; 3]) -> usize {
+        self.geom.owner_of(p)
+    }
+
+    /// Index of `(p, c)` in the global vector (PETSc ordering).
+    pub fn global_vec_index(&self, p: [usize; 3], c: usize) -> usize {
+        self.geom.global_vec_index(p, c)
+    }
+
+    /// Offset of `(p, c)` within this rank's local (ghosted) array.
+    pub fn local_vec_offset(&self, p: [usize; 3], c: usize) -> usize {
+        self.geom.local_vec_offset(p, c)
+    }
 
     // ---- vectors -------------------------------------------------------
 
     /// A zeroed global vector over this array.
     pub fn create_global_vec(&self) -> PVec {
-        PVec::zeros(self.global_layout.clone(), self.rank)
+        PVec::zeros(self.geom.global_layout.clone(), self.geom.rank)
     }
 
     /// A zeroed local (ghosted) vector.
     pub fn create_local_vec(&self) -> PVec {
-        PVec::zeros(self.local_layout.clone(), self.rank)
+        PVec::zeros(self.geom.local_layout.clone(), self.geom.rank)
     }
 
     /// Update the local form: owned values plus stencil-required ghost
@@ -419,7 +426,9 @@ impl DistributedArray {
         local: &mut PVec,
         backend: ScatterBackend,
     ) -> ScatterHandle {
-        self.ghost_scatter.begin(comm, global, local, backend)
+        let (insert, mode) = (InsertMode::Insert, ScatterMode::Forward);
+        self.ghost_scatter
+            .begin(comm, global, local, backend, insert, mode)
     }
 
     /// Finish a ghost update started with
@@ -444,23 +453,21 @@ impl DistributedArray {
         global: &mut PVec,
         backend: ScatterBackend,
     ) {
-        self.ghost_scatter.apply_reverse(
-            comm,
-            local,
-            global,
-            backend,
-            crate::scatter::InsertMode::Add,
-        );
+        let (insert, mode) = (InsertMode::Add, ScatterMode::Reverse);
+        let handle = self
+            .ghost_scatter
+            .begin(comm, local, global, backend, insert, mode);
+        self.ghost_scatter.end(comm, handle, global);
     }
 
     /// Extract the owned values from a local form back into the global
     /// vector (pure local copy — ghost values are discarded).
     pub fn local_to_global(&self, local: &PVec, global: &mut PVec) {
         let mut g_off = 0usize;
-        for k in self.own_start[2]..self.own_start[2] + self.own_len[2] {
-            for j in self.own_start[1]..self.own_start[1] + self.own_len[1] {
-                for i in self.own_start[0]..self.own_start[0] + self.own_len[0] {
-                    for c in 0..self.dof {
+        for k in self.geom.own_start[2]..self.geom.own_start[2] + self.geom.own_len[2] {
+            for j in self.geom.own_start[1]..self.geom.own_start[1] + self.geom.own_len[1] {
+                for i in self.geom.own_start[0]..self.geom.own_start[0] + self.geom.own_len[0] {
+                    for c in 0..self.geom.dof {
                         let l_off = self.local_vec_offset([i, j, k], c);
                         global.local_mut()[g_off] = local.local()[l_off];
                         g_off += 1;
@@ -472,7 +479,7 @@ impl DistributedArray {
 
     /// Iterate over this rank's owned points in global-vector order.
     pub fn owned_points(&self) -> impl Iterator<Item = [usize; 3]> + '_ {
-        let (s, l) = (self.own_start, self.own_len);
+        let (s, l) = (self.geom.own_start, self.geom.own_len);
         (s[2]..s[2] + l[2]).flat_map(move |k| {
             (s[1]..s[1] + l[1]).flat_map(move |j| (s[0]..s[0] + l[0]).map(move |i| [i, j, k]))
         })

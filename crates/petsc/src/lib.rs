@@ -54,7 +54,7 @@ pub use layout::Layout;
 pub use mat::AijMat;
 pub use mg::{LaplacianOp, Multigrid, SmootherKind};
 pub use scatter::{
-    InsertMode, ScatterBackend, ScatterHandle, VecScatter, STAGE_SCATTER_APPLY,
+    InsertMode, ScatterBackend, ScatterHandle, ScatterMode, VecScatter, STAGE_SCATTER_APPLY,
     STAGE_SCATTER_BEGIN, STAGE_SCATTER_END,
 };
 pub use snes::{newton_krylov, Bratu2d, NonlinearFunction, SnesResult, SnesSettings};

@@ -17,7 +17,7 @@ use ncd_core::Comm;
 use ncd_simnet::Tag;
 
 use crate::layout::Layout;
-use crate::scatter::{ScatterBackend, VecScatter};
+use crate::scatter::{route, InsertMode, ScatterBackend, ScatterMode, VecScatter};
 use crate::vec::PVec;
 
 const MAT_STASH_TAG: Tag = Tag(0x4000_0020);
@@ -89,56 +89,24 @@ impl AijMat {
     /// deduplicate (summing), build CSR and the ghost-column gather plan.
     pub fn assemble(&mut self, comm: &mut Comm) {
         assert!(!self.assembled, "matrix already assembled");
-        let size = comm.size();
         let rank = comm.rank();
         let (row_start, row_end) = self.row_layout.range(rank);
 
         // Route off-process triplets to the row owner.
-        let mut outgoing: Vec<Vec<u8>> = vec![Vec::new(); size];
+        let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); comm.size()];
         let mut mine: Vec<(usize, usize, f64)> = Vec::new();
         for &(r, c, v) in &self.pending {
             let owner = self.row_layout.owner(r);
             if owner == rank {
                 mine.push((r, c, v));
             } else {
-                let buf = &mut outgoing[owner];
-                buf.extend_from_slice(&(r as u64).to_le_bytes());
-                buf.extend_from_slice(&(c as u64).to_le_bytes());
-                buf.extend_from_slice(&v.to_le_bytes());
+                outgoing[owner].extend([r as u64, c as u64, v.to_bits()]);
             }
         }
         self.pending.clear();
-        let counts: Vec<u64> = outgoing.iter().map(|b| (b.len() / 24) as u64).collect();
-        let mut count_bytes = Vec::new();
-        for c in &counts {
-            count_bytes.extend_from_slice(&c.to_le_bytes());
-        }
-        let recv_counts = comm.alltoall(&count_bytes, 8);
-        for (peer, buf) in outgoing.into_iter().enumerate() {
-            if peer != rank && !buf.is_empty() {
-                comm.send_grp(peer, MAT_STASH_TAG, buf);
-            }
-        }
-        for peer in 0..size {
-            if peer == rank {
-                continue;
-            }
-            let n = u64::from_le_bytes(
-                recv_counts[peer * 8..peer * 8 + 8]
-                    .try_into()
-                    .expect("8 bytes"),
-            );
-            if n == 0 {
-                continue;
-            }
-            let (bytes, _) = comm.recv_grp(Some(peer), MAT_STASH_TAG);
-            assert_eq!(bytes.len() as u64, n * 24);
-            for t in bytes.chunks_exact(24) {
-                let r = u64::from_le_bytes(t[..8].try_into().expect("8")) as usize;
-                let c = u64::from_le_bytes(t[8..16].try_into().expect("8")) as usize;
-                let v = f64::from_le_bytes(t[16..].try_into().expect("8"));
-                mine.push((r, c, v));
-            }
+        for (_, words) in route(comm, MAT_STASH_TAG, &outgoing) {
+            let triplets = words.chunks_exact(3);
+            mine.extend(triplets.map(|t| (t[0] as usize, t[1] as usize, f64::from_bits(t[2]))));
         }
 
         // Deduplicate (sum) and build CSR over local rows.
@@ -219,7 +187,8 @@ impl AijMat {
         // Start the halo gather, then compute every purely local row while
         // the ghost values are in flight; rows touching ghost columns run
         // after the gather completes.
-        let handle = plan.begin(comm, x, &mut ghosts, backend);
+        let (insert, mode) = (InsertMode::Insert, ScatterMode::Forward);
+        let handle = plan.begin(comm, x, &mut ghosts, backend, insert, mode);
         let row = |ghosts: &PVec, i: usize| {
             let mut acc = 0.0;
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {

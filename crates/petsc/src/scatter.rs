@@ -61,23 +61,58 @@ impl ScatterBackend {
 const SETUP_PAIRS_TAG: Tag = Tag(0x4000_0001);
 const SETUP_DSTS_TAG: Tag = Tag(0x4000_0002);
 const DATA_TAG: Tag = Tag(0x4000_0010);
-const REVERSE_DATA_TAG: Tag = Tag(0x4000_0011);
 
+/// How scattered values combine with the destination (PETSc's InsertMode).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InsertMode {
+    /// Overwrite the destination slot.
+    Insert,
+    /// Accumulate into the destination slot.
+    Add,
+}
+
+impl InsertMode {
+    /// `to[offsets[k]] op= vals[k]`: the mode is matched once, outside the
+    /// per-element loop.
+    fn store(self, to: &mut [f64], offsets: &[usize], vals: impl Iterator<Item = f64>) {
+        let pairs = offsets.iter().zip(vals);
+        match self {
+            InsertMode::Insert => pairs.for_each(|(&o, v)| to[o] = v),
+            InsertMode::Add => pairs.for_each(|(&o, v)| to[o] += v),
+        }
+    }
+}
+
+/// Direction of a scatter over a compiled plan (PETSc's ScatterMode).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ScatterMode {
+    /// `y[dst[k]] op= x[src[k]]`.
+    Forward,
+    /// `x[src[k]] op= y[dst[k]]` — e.g. to accumulate ghost-region
+    /// contributions back into their owners. With [`InsertMode::Add`], a
+    /// source index named by several pairs accumulates all of them; with
+    /// [`InsertMode::Insert`] it keeps one of them.
+    Reverse,
+}
+
+/// What one side of a plan exchanges with one peer.
 #[derive(Clone, Debug)]
-struct SendSpec {
+struct PeerSpec {
     peer: usize,
-    /// Local offsets into the source vector, in transfer order.
-    src_offsets: Vec<usize>,
-    /// Number of coalesced contiguous runs in `src_offsets`.
+    /// Local offsets into this side's vector, in transfer order.
+    offsets: Vec<usize>,
+    /// Number of coalesced contiguous runs in `offsets`.
     runs: u64,
 }
 
-#[derive(Clone, Debug)]
-struct RecvSpec {
-    peer: usize,
-    /// Local offsets into the destination vector, in transfer order.
-    dst_offsets: Vec<usize>,
-    runs: u64,
+impl PeerSpec {
+    fn new(peer: usize, offsets: Vec<usize>) -> PeerSpec {
+        PeerSpec {
+            peer,
+            runs: count_runs(&offsets),
+            offsets,
+        }
+    }
 }
 
 fn count_runs(offsets: &[usize]) -> u64 {
@@ -92,13 +127,61 @@ fn count_runs(offsets: &[usize]) -> u64 {
     runs
 }
 
+/// One side (source or destination vector) of a compiled plan. Whichever
+/// side a direction reads from packs; the other unpacks.
+struct Side {
+    layout: Arc<Layout>,
+    /// The pairs that stay on this rank, in pair order (parallel to the
+    /// other side's `local`).
+    local: PeerSpec,
+    /// One spec per remote peer, in ascending peer order.
+    remote: Vec<PeerSpec>,
+    /// Prebuilt per-rank alltoallw slots (offset 0 into the local array's
+    /// byte image; the self slot carries `local`).
+    types: Vec<WPeer>,
+}
+
+impl Side {
+    fn new(comm: &Comm, layout: Arc<Layout>, local: Vec<usize>, remote: Vec<PeerSpec>) -> Side {
+        let local = PeerSpec::new(comm.rank(), local);
+        let empty = Datatype::contiguous(0, &Datatype::double()).expect("empty type");
+        let mut types: Vec<WPeer> = (0..comm.size())
+            .map(|_| WPeer::new(0, 0, empty.clone()))
+            .collect();
+        for p in remote.iter().chain([&local]) {
+            if !p.offsets.is_empty() {
+                let dt = hindexed_from_f64_indices(&p.offsets).expect("scatter datatype");
+                types[p.peer] = WPeer::new(0, 1, dt);
+            }
+        }
+        Side {
+            layout,
+            local,
+            remote,
+            types,
+        }
+    }
+
+    fn remote_elems(&self) -> usize {
+        self.remote.iter().map(|p| p.offsets.len()).sum()
+    }
+
+    /// `v` must be laid out like this side (`role`: "source" / "destination").
+    fn check(&self, v: &PVec, role: &str) {
+        assert_eq!(v.layout(), &self.layout, "scatter {role} layout mismatch");
+    }
+}
+
 /// An in-flight scatter: returned by [`VecScatter::begin`], consumed by
-/// [`VecScatter::end`]. Holds the outstanding send/receive requests; the
-/// receive requests are parallel to the plan's receive specs so `end` can
-/// route each arriving payload to its unpack offsets.
+/// [`VecScatter::end`]. Holds the outstanding send/receive requests — the
+/// receive requests are parallel to the unpacking side's peer specs, so
+/// `end` can route each arriving payload to its offsets — and the direction
+/// and insert mode it was begun with.
 pub struct ScatterHandle {
     send_reqs: Vec<Request>,
     recv_reqs: Vec<Request>,
+    insert: InsertMode,
+    mode: ScatterMode,
 }
 
 impl ScatterHandle {
@@ -109,39 +192,15 @@ impl ScatterHandle {
     }
 }
 
-/// A compiled scatter plan between two layouts.
+/// A compiled scatter plan between two layouts: one list of per-peer specs
+/// per side, executed by one `begin`/`end` pair in either direction and
+/// either insert mode.
 pub struct VecScatter {
-    src_layout: Arc<Layout>,
-    dst_layout: Arc<Layout>,
-    /// (src local offset, dst local offset) pairs staying on this rank.
-    local_pairs: Vec<(usize, usize)>,
-    local_runs: u64,
-    sends: Vec<SendSpec>,
-    recvs: Vec<RecvSpec>,
-    /// Prebuilt per-rank alltoallw slots (offset 0 into the local array's
-    /// byte image; the self slot carries the local pairs).
-    send_types: Vec<WPeer>,
-    recv_types: Vec<WPeer>,
+    src: Side,
+    dst: Side,
 }
 
 impl VecScatter {
-    /// An empty scatter between zero-length layouts (placeholder during
-    /// two-phase construction of objects that own a scatter).
-    pub(crate) fn trivial() -> VecScatter {
-        let l = Layout::balanced(0, 1);
-        let empty = Datatype::contiguous(0, &Datatype::double()).expect("empty type");
-        VecScatter {
-            src_layout: l.clone(),
-            dst_layout: l,
-            local_pairs: Vec::new(),
-            local_runs: 0,
-            sends: Vec::new(),
-            recvs: Vec::new(),
-            send_types: vec![WPeer::new(0, 0, empty.clone())],
-            recv_types: vec![WPeer::new(0, 0, empty)],
-        }
-    }
-
     /// Compile a *gather plan*: collect the values at `needed` global
     /// indices of a vector over `src_layout` into a per-rank contiguous
     /// buffer, in the order given. Returns the scatter plus the layout of
@@ -157,7 +216,7 @@ impl VecScatter {
     ) -> (VecScatter, Arc<Layout>) {
         // Build the destination layout from everyone's request count.
         let mut counts = vec![0u8; 8 * comm.size()];
-        comm.allgather(&(needed.len() as u64).to_le_bytes(), &mut counts);
+        comm.allgather(&u64s_to_bytes(&[needed.len() as u64]), &mut counts);
         let sizes: Vec<usize> = bytes_to_u64s(&counts)
             .into_iter()
             .map(|c| c as usize)
@@ -195,25 +254,19 @@ impl VecScatter {
         let rank = comm.rank();
 
         // Phase 1: route every pair to the owner of its source index.
-        let mut outgoing: Vec<Vec<(u64, u64)>> = vec![Vec::new(); size];
+        let mut my_pairs: Vec<(u64, u64)> = Vec::new();
+        let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); size];
         for k in 0..src_is.len() {
-            let sg = src_is.get(k);
-            let dg = dst_is.get(k);
-            outgoing[src_layout.owner(sg)].push((sg as u64, dg as u64));
-        }
-        let mut my_pairs: Vec<(u64, u64)> = std::mem::take(&mut outgoing[rank]);
-        let counts: Vec<u64> = outgoing.iter().map(|v| v.len() as u64).collect();
-        let all_counts = exchange_counts(comm, &counts);
-        for (peer, pairs) in outgoing.iter().enumerate() {
-            if peer != rank && !pairs.is_empty() {
-                comm.send_grp(peer, SETUP_PAIRS_TAG, pairs_to_bytes(pairs));
+            let (sg, dg) = (src_is.get(k), dst_is.get(k));
+            let owner = src_layout.owner(sg);
+            if owner == rank {
+                my_pairs.push((sg as u64, dg as u64));
+            } else {
+                outgoing[owner].extend([sg as u64, dg as u64]);
             }
         }
-        for (peer, &cnt) in all_counts.iter().enumerate() {
-            if peer != rank && cnt > 0 {
-                let (bytes, _) = comm.recv_grp(Some(peer), SETUP_PAIRS_TAG);
-                my_pairs.extend(bytes_to_pairs(&bytes));
-            }
+        for (_, words) in route(comm, SETUP_PAIRS_TAG, &outgoing) {
+            my_pairs.extend(words.chunks_exact(2).map(|w| (w[0], w[1])));
         }
 
         // Phase 2: with all sources local, split by destination owner.
@@ -221,411 +274,266 @@ impl VecScatter {
         my_pairs.sort_unstable_by_key(|&(_, dg)| dg);
         let (my_src_start, _) = src_layout.range(rank);
         let (my_dst_start, _) = dst_layout.range(rank);
-        let mut local_pairs = Vec::new();
-        let mut per_dest: Vec<Vec<(u64, u64)>> = vec![Vec::new(); size];
+        let (mut local_src, mut local_dst) = (Vec::new(), Vec::new());
+        let mut send_offsets: Vec<Vec<usize>> = vec![Vec::new(); size];
+        let mut send_dsts: Vec<Vec<u64>> = vec![Vec::new(); size];
         for &(sg, dg) in &my_pairs {
             let owner = dst_layout.owner(dg as usize);
             if owner == rank {
-                local_pairs.push((sg as usize - my_src_start, dg as usize - my_dst_start));
+                local_src.push(sg as usize - my_src_start);
+                local_dst.push(dg as usize - my_dst_start);
             } else {
-                per_dest[owner].push((sg, dg));
+                send_offsets[owner].push(sg as usize - my_src_start);
+                send_dsts[owner].push(dg);
             }
         }
 
         // Phase 3: tell each destination which of its entries we will fill,
-        // in the transfer order; build our send specs in the same order.
-        let dest_counts: Vec<u64> = per_dest.iter().map(|v| v.len() as u64).collect();
-        let all_dest_counts = exchange_counts(comm, &dest_counts);
-        let mut sends = Vec::new();
-        for (peer, pairs) in per_dest.iter().enumerate() {
-            if pairs.is_empty() {
-                continue;
-            }
-            let dsts: Vec<u64> = pairs.iter().map(|&(_, dg)| dg).collect();
-            comm.send_grp(peer, SETUP_DSTS_TAG, u64s_to_bytes(&dsts));
-            let src_offsets: Vec<usize> = pairs
-                .iter()
-                .map(|&(sg, _)| sg as usize - my_src_start)
-                .collect();
-            let runs = count_runs(&src_offsets);
-            sends.push(SendSpec {
-                peer,
-                src_offsets,
-                runs,
-            });
-        }
-        let mut recvs = Vec::new();
-        for (peer, &cnt) in all_dest_counts.iter().enumerate() {
-            if peer != rank && cnt > 0 {
-                let (bytes, _) = comm.recv_grp(Some(peer), SETUP_DSTS_TAG);
-                let dst_offsets: Vec<usize> = bytes_to_u64s(&bytes)
-                    .into_iter()
-                    .map(|dg| dg as usize - my_dst_start)
-                    .collect();
-                let runs = count_runs(&dst_offsets);
-                recvs.push(RecvSpec {
-                    peer,
-                    dst_offsets,
-                    runs,
-                });
-            }
-        }
-
-        // Phase 4: prebuild the alltoallw slots (the Datatype backend's
-        // plan). The self slot carries the purely local pairs.
-        let empty = Datatype::contiguous(0, &Datatype::double()).expect("empty type");
-        let mut send_types: Vec<WPeer> =
-            (0..size).map(|_| WPeer::new(0, 0, empty.clone())).collect();
-        let mut recv_types = send_types.clone();
-        for s in &sends {
-            let dt = hindexed_from_f64_indices(&s.src_offsets).expect("send datatype");
-            send_types[s.peer] = WPeer::new(0, 1, dt);
-        }
-        for r in &recvs {
-            let dt = hindexed_from_f64_indices(&r.dst_offsets).expect("recv datatype");
-            recv_types[r.peer] = WPeer::new(0, 1, dt);
-        }
-        if !local_pairs.is_empty() {
-            let src_off: Vec<usize> = local_pairs.iter().map(|&(s, _)| s).collect();
-            let dst_off: Vec<usize> = local_pairs.iter().map(|&(_, d)| d).collect();
-            send_types[rank] = WPeer::new(
-                0,
-                1,
-                hindexed_from_f64_indices(&src_off).expect("self send type"),
-            );
-            recv_types[rank] = WPeer::new(
-                0,
-                1,
-                hindexed_from_f64_indices(&dst_off).expect("self recv type"),
-            );
-        }
-        let local_runs = count_runs(&local_pairs.iter().map(|&(s, _)| s).collect::<Vec<_>>());
+        // in the transfer order our send specs keep.
+        let recvs = route(comm, SETUP_DSTS_TAG, &send_dsts)
+            .into_iter()
+            .map(|(peer, dsts)| {
+                let offsets = dsts.iter().map(|&dg| dg as usize - my_dst_start);
+                PeerSpec::new(peer, offsets.collect())
+            })
+            .collect();
+        let sends = send_offsets
+            .into_iter()
+            .enumerate()
+            .filter(|(_, offsets)| !offsets.is_empty())
+            .map(|(peer, offsets)| PeerSpec::new(peer, offsets))
+            .collect();
 
         VecScatter {
-            src_layout,
-            dst_layout,
-            local_pairs,
-            local_runs,
-            sends,
-            recvs,
-            send_types,
-            recv_types,
+            src: Side::new(comm, src_layout, local_src, sends),
+            dst: Side::new(comm, dst_layout, local_dst, recvs),
         }
     }
 
     /// Total elements this rank sends to remote ranks.
     pub fn remote_send_elems(&self) -> usize {
-        self.sends.iter().map(|s| s.src_offsets.len()).sum()
+        self.src.remote_elems()
     }
 
     /// Total elements this rank receives from remote ranks.
     pub fn remote_recv_elems(&self) -> usize {
-        self.recvs.iter().map(|r| r.dst_offsets.len()).sum()
+        self.dst.remote_elems()
     }
 
     /// Elements handled by pure local copy.
     pub fn local_elems(&self) -> usize {
-        self.local_pairs.len()
+        self.src.local.offsets.len()
     }
 
     /// Number of remote peers this rank communicates with.
     pub fn num_neighbors(&self) -> usize {
-        self.sends.len().max(self.recvs.len())
+        self.src.remote.len().max(self.dst.remote.len())
     }
 
     /// Execute the scatter: `y[dst[k]] = x[src[k]]` for every pair.
     ///
-    /// Equivalent to [`VecScatter::begin`] immediately followed by
-    /// [`VecScatter::end`] — use the split form to overlap computation
-    /// with the ghost traffic.
+    /// Equivalent to a forward, inserting [`VecScatter::begin`] immediately
+    /// followed by [`VecScatter::end`] — use the split form to overlap
+    /// computation with the ghost traffic.
     pub fn apply(&self, comm: &mut Comm, x: &PVec, y: &mut PVec, backend: ScatterBackend) {
-        self.record_apply_metrics(comm, backend, "apply");
+        let (insert, mode) = (InsertMode::Insert, ScatterMode::Forward);
+        self.record_apply_metrics(comm, backend, "apply", mode);
         comm.rank_mut().stage_begin(STAGE_SCATTER_APPLY);
-        let handle = self.begin_inner(comm, x, y, backend);
-        self.end_inner(comm, handle, y);
+        let handle = self.start(comm, x, y, backend, insert, mode);
+        self.finish(comm, handle, y);
         comm.rank_mut().stage_end(STAGE_SCATTER_APPLY);
     }
 
-    /// Initiate the scatter (PETSc's `VecScatterBegin`): local copies are
-    /// done, sends are initiated, receives are posted — but nothing waits.
-    /// Values headed to remote ranks are captured from `x` here, so `x`
-    /// may be reused immediately; `y`'s remote-filled entries are undefined
-    /// until [`VecScatter::end`].
+    /// Initiate a scatter from `from` into `to` (PETSc's `VecScatterBegin`):
+    /// local copies are done, sends are initiated, receives are posted —
+    /// but nothing waits. `mode` picks the direction (`from` is the source
+    /// vector for [`ScatterMode::Forward`], the destination vector for
+    /// [`ScatterMode::Reverse`]), `insert` how arriving values combine with
+    /// `to`. Values headed to remote ranks are captured from `from` here, so
+    /// it may be reused immediately; `to`'s remote-filled entries are
+    /// undefined until [`VecScatter::end`].
     ///
     /// With [`ScatterBackend::HandTuned`] the communication is genuinely in
     /// flight while the caller computes. The [`ScatterBackend::Datatype`]
     /// backend is a single collective `alltoallw` with no split form — it
     /// completes inside `begin` and `end` is a no-op, mirroring how the
     /// datatype path trades library control for MPI-internal scheduling.
+    /// [`InsertMode::Add`] must land in an intermediate buffer before the
+    /// accumulation, which is exactly what explicit packing does: it runs
+    /// (and is metered as) hand-tuned whichever backend is asked for.
     pub fn begin(
         &self,
         comm: &mut Comm,
-        x: &PVec,
-        y: &mut PVec,
+        from: &PVec,
+        to: &mut PVec,
         backend: ScatterBackend,
+        insert: InsertMode,
+        mode: ScatterMode,
     ) -> ScatterHandle {
-        self.record_apply_metrics(comm, backend, "begin");
+        let backend = match insert {
+            InsertMode::Insert => backend,
+            InsertMode::Add => ScatterBackend::HandTuned,
+        };
+        self.record_apply_metrics(comm, backend, "begin", mode);
         comm.rank_mut().stage_begin(STAGE_SCATTER_BEGIN);
-        let handle = self.begin_inner(comm, x, y, backend);
+        let handle = self.start(comm, from, to, backend, insert, mode);
         comm.rank_mut().stage_end(STAGE_SCATTER_BEGIN);
         handle
     }
 
-    /// Complete a scatter started with [`VecScatter::begin`]: unpack
-    /// inbound messages (in arrival order) into `y` and drain the sends,
-    /// charging only wait time the caller's compute did not hide.
-    pub fn end(&self, comm: &mut Comm, handle: ScatterHandle, y: &mut PVec) {
+    /// Complete a scatter started with [`VecScatter::begin`] on this plan:
+    /// unpack inbound messages (in arrival order) into `to` and drain the
+    /// sends, charging only wait time the caller's compute did not hide.
+    pub fn end(&self, comm: &mut Comm, handle: ScatterHandle, to: &mut PVec) {
         comm.rank_mut().stage_begin(STAGE_SCATTER_END);
-        self.end_inner(comm, handle, y);
+        self.finish(comm, handle, to);
         comm.rank_mut().stage_end(STAGE_SCATTER_END);
     }
 
-    fn record_apply_metrics(&self, comm: &mut Comm, backend: ScatterBackend, op: &'static str) {
+    /// The (packing, unpacking) sides of a direction.
+    fn sides(&self, mode: ScatterMode) -> (&Side, &Side) {
+        match mode {
+            ScatterMode::Forward => (&self.src, &self.dst),
+            ScatterMode::Reverse => (&self.dst, &self.src),
+        }
+    }
+
+    fn record_apply_metrics(
+        &self,
+        comm: &mut Comm,
+        backend: ScatterBackend,
+        op: &'static str,
+        mode: ScatterMode,
+    ) {
         if let Some(m) = comm.rank_mut().metrics_mut() {
             let label = backend.label();
-            let bytes = 8 * (self.remote_send_elems() + self.local_elems());
+            let bytes = 8 * (self.sides(mode).0.remote_elems() + self.local_elems());
             m.counter_add("scatter", op, label, 1);
             m.observe("scatter", "bytes", label, bytes as u64);
             m.counter_add("scatter", "neighbors", label, self.num_neighbors() as u64);
         }
     }
 
-    fn begin_inner(
+    /// The one executor's first half. `backend` is already resolved against
+    /// `insert` (see [`VecScatter::begin`]).
+    fn start(
         &self,
         comm: &mut Comm,
-        x: &PVec,
-        y: &mut PVec,
+        from: &PVec,
+        to: &mut PVec,
         backend: ScatterBackend,
+        insert: InsertMode,
+        mode: ScatterMode,
     ) -> ScatterHandle {
-        assert_eq!(x.layout(), &self.src_layout, "x layout mismatch");
-        assert_eq!(y.layout(), &self.dst_layout, "y layout mismatch");
+        let (pack, unpack) = self.sides(mode);
+        pack.check(from, "source");
+        unpack.check(to, "destination");
+        let mut handle = ScatterHandle {
+            send_reqs: Vec::new(),
+            recv_reqs: Vec::new(),
+            insert,
+            mode,
+        };
         match backend {
-            ScatterBackend::HandTuned => self.begin_hand_tuned(comm, x, y),
             ScatterBackend::Datatype => {
-                self.apply_datatype(comm, x, y);
-                ScatterHandle {
-                    send_reqs: Vec::new(),
-                    recv_reqs: Vec::new(),
+                // Byte images of the local arrays (representation shims for
+                // the byte-oriented MPI layer; not charged — real MPI reads
+                // user memory in place).
+                let sendbuf = f64s_to_bytes(from.local());
+                let mut recvbuf = f64s_to_bytes(to.local());
+                comm.alltoallw(&sendbuf, &pack.types, &mut recvbuf, &unpack.types);
+                to.local_mut().copy_from_slice(&bytes_to_f64s(&recvbuf));
+            }
+            ScatterBackend::HandTuned => {
+                // Post every receive before any packing starts.
+                handle.recv_reqs = unpack
+                    .remote
+                    .iter()
+                    .map(|r| comm.irecv(Some(r.peer), DATA_TAG))
+                    .collect();
+                let (here, there) = (&pack.local, &unpack.local);
+                if !here.offsets.is_empty() {
+                    let vals = here.offsets.iter().map(|&o| from.local()[o]);
+                    insert.store(to.local_mut(), &there.offsets, vals);
+                    charge_indexed(comm, here.offsets.len(), here.runs);
+                }
+                // Pack and initiate all sends; each message's wire time runs
+                // on the NIC while the next one is packed.
+                let dt = Datatype::double();
+                for s in &pack.remote {
+                    let buf: Vec<f64> = s.offsets.iter().map(|&o| from.local()[o]).collect();
+                    charge_indexed(comm, buf.len(), s.runs);
+                    let bytes = f64s_to_bytes(&buf);
+                    let req = comm.isend(&bytes, &dt, buf.len(), s.peer, DATA_TAG);
+                    handle.send_reqs.push(req);
                 }
             }
         }
+        handle
     }
 
-    fn end_inner(&self, comm: &mut Comm, handle: ScatterHandle, y: &mut PVec) {
-        let ScatterHandle {
-            send_reqs,
-            mut recv_reqs,
-        } = handle;
-        let charge_indexed = |comm: &mut Comm, bytes: usize, runs: u64| {
-            let ns = comm.rank_ref().cost_model().indexed_copy_ns(bytes, runs);
-            comm.rank_mut().charge_cpu(CostKind::Pack, ns);
-        };
+    /// The one executor's second half.
+    fn finish(&self, comm: &mut Comm, handle: ScatterHandle, to: &mut PVec) {
+        let (_, unpack) = self.sides(handle.mode);
+        unpack.check(to, "destination");
+        // Receive request `i` unpacks through `unpack.remote[i]`; the
+        // datatype path completed in `start` and left none.
+        let (insert, mut recv_reqs) = (handle.insert, handle.recv_reqs);
+        assert!(
+            recv_reqs.is_empty() || recv_reqs.len() == unpack.remote.len(),
+            "scatter handle holds {} receive requests but this plan unpacks from {} peers",
+            recv_reqs.len(),
+            unpack.remote.len()
+        );
         // Unpack inbound messages as they arrive, not in plan order: a
         // late neighbour never blocks delivery of messages already here.
         while recv_reqs.iter().any(|r| !r.is_done()) {
             let (idx, completion) = comm.waitany(&mut recv_reqs);
             let (bytes, _) = completion.into_recv();
-            let r = &self.recvs[idx];
+            let r = &unpack.remote[idx];
             let vals = bytes_to_f64s(&bytes);
-            assert_eq!(vals.len(), r.dst_offsets.len(), "scatter payload mismatch");
-            for (&off, &v) in r.dst_offsets.iter().zip(&vals) {
-                y.local_mut()[off] = v;
-            }
-            charge_indexed(comm, 8 * vals.len(), r.runs);
+            assert_eq!(vals.len(), r.offsets.len(), "scatter payload mismatch");
+            insert.store(to.local_mut(), &r.offsets, vals.iter().copied());
+            charge_indexed(comm, vals.len(), r.runs);
         }
         // Drain the sends: charge whatever wire time was not hidden.
-        comm.waitall(send_reqs);
-    }
-
-    fn begin_hand_tuned(&self, comm: &mut Comm, x: &PVec, y: &mut PVec) -> ScatterHandle {
-        // Hand-tuned packing copies coalesced runs with a loop specialized
-        // at compile time — cheaper per run than the datatype engine's
-        // interpreted segment processing. Charge it accordingly.
-        let charge_indexed = |comm: &mut Comm, bytes: usize, runs: u64| {
-            let ns = comm.rank_ref().cost_model().indexed_copy_ns(bytes, runs);
-            comm.rank_mut().charge_cpu(CostKind::Pack, ns);
-        };
-        // Post every receive before any packing starts.
-        let recv_reqs: Vec<Request> = self
-            .recvs
-            .iter()
-            .map(|r| comm.irecv(Some(r.peer), DATA_TAG))
-            .collect();
-        // Local copies.
-        if !self.local_pairs.is_empty() {
-            for &(s, d) in &self.local_pairs {
-                y.local_mut()[d] = x.local()[s];
-            }
-            charge_indexed(comm, 8 * self.local_pairs.len(), self.local_runs);
-        }
-        // Pack and initiate all sends; each message's wire time runs on
-        // the NIC while the next one is packed.
-        let dt = Datatype::double();
-        let mut send_reqs = Vec::with_capacity(self.sends.len());
-        for s in &self.sends {
-            let mut buf = Vec::with_capacity(s.src_offsets.len());
-            for &off in &s.src_offsets {
-                buf.push(x.local()[off]);
-            }
-            charge_indexed(comm, 8 * buf.len(), s.runs);
-            let bytes = f64s_to_bytes(&buf);
-            send_reqs.push(comm.isend(&bytes, &dt, buf.len(), s.peer, DATA_TAG));
-        }
-        ScatterHandle {
-            send_reqs,
-            recv_reqs,
-        }
-    }
-
-    fn apply_datatype(&self, comm: &mut Comm, x: &PVec, y: &mut PVec) {
-        // Byte images of the local arrays (representation shims for the
-        // byte-oriented MPI layer; not charged — real MPI reads user memory
-        // in place).
-        let sendbuf = f64s_to_bytes(x.local());
-        let mut recvbuf = f64s_to_bytes(y.local());
-        comm.alltoallw(&sendbuf, &self.send_types, &mut recvbuf, &self.recv_types);
-        let vals = bytes_to_f64s(&recvbuf);
-        y.local_mut().copy_from_slice(&vals);
-    }
-
-    /// Execute the scatter **in reverse**: `x[src[k]] op= y[dst[k]]` — the
-    /// `SCATTER_REVERSE` of PETSc, used e.g. to accumulate ghost-region
-    /// contributions back into owners. `mode` selects insertion or
-    /// accumulation; with [`InsertMode::Add`], source indices that appear
-    /// in several pairs accumulate all their destinations' values.
-    ///
-    /// The reverse direction reuses the forward plan with the roles of the
-    /// send/receive specs swapped, so it costs the same communication.
-    pub fn apply_reverse(
-        &self,
-        comm: &mut Comm,
-        y: &PVec,
-        x: &mut PVec,
-        backend: ScatterBackend,
-        mode: InsertMode,
-    ) {
-        assert_eq!(y.layout(), &self.dst_layout, "y layout mismatch");
-        assert_eq!(x.layout(), &self.src_layout, "x layout mismatch");
-        let charge_indexed = |comm: &mut Comm, bytes: usize, runs: u64| {
-            let ns = comm.rank_ref().cost_model().indexed_copy_ns(bytes, runs);
-            comm.rank_mut().charge_cpu(CostKind::Pack, ns);
-        };
-        let store = |slot: &mut f64, v: f64| match mode {
-            InsertMode::Insert => *slot = v,
-            InsertMode::Add => *slot += v,
-        };
-        // Local pairs, reversed.
-        if !self.local_pairs.is_empty() {
-            for &(s, d) in &self.local_pairs {
-                store(&mut x.local_mut()[s], y.local()[d]);
-            }
-            charge_indexed(comm, 8 * self.local_pairs.len(), self.local_runs);
-        }
-        // Forward recv specs become reverse sends: gather from y's dst
-        // offsets and ship back to the peer that originally sent them.
-        for r in &self.recvs {
-            let mut buf = Vec::with_capacity(r.dst_offsets.len());
-            for &off in &r.dst_offsets {
-                buf.push(y.local()[off]);
-            }
-            charge_indexed(comm, 8 * buf.len(), r.runs);
-            comm.send_grp(r.peer, REVERSE_DATA_TAG, f64s_to_bytes(&buf));
-        }
-        // Forward send specs become reverse receives into x's src offsets.
-        for s in &self.sends {
-            let (bytes, _) = comm.recv_grp(Some(s.peer), REVERSE_DATA_TAG);
-            let vals = bytes_to_f64s(&bytes);
-            assert_eq!(vals.len(), s.src_offsets.len(), "reverse payload mismatch");
-            for (&off, &v) in s.src_offsets.iter().zip(&vals) {
-                store(&mut x.local_mut()[off], v);
-            }
-            charge_indexed(comm, 8 * vals.len(), s.runs);
-        }
-        // The reverse path always runs the hand-tuned machinery: with Add
-        // semantics the receive must land in an intermediate buffer before
-        // the accumulation, which is exactly what explicit packing does.
-        // (The backend parameter is accepted for API symmetry; the
-        // communication volume is identical either way.)
-        let _ = backend;
-    }
-
-    /// Forward scatter with an explicit insert mode: like [`VecScatter::apply`]
-    /// but `y[dst[k]] op= x[src[k]]`.
-    pub fn apply_mode(
-        &self,
-        comm: &mut Comm,
-        x: &PVec,
-        y: &mut PVec,
-        backend: ScatterBackend,
-        mode: InsertMode,
-    ) {
-        match mode {
-            InsertMode::Insert => self.apply(comm, x, y, backend),
-            InsertMode::Add => {
-                assert_eq!(x.layout(), &self.src_layout, "x layout mismatch");
-                assert_eq!(y.layout(), &self.dst_layout, "y layout mismatch");
-                let charge_indexed = |comm: &mut Comm, bytes: usize, runs: u64| {
-                    let ns = comm.rank_ref().cost_model().indexed_copy_ns(bytes, runs);
-                    comm.rank_mut().charge_cpu(CostKind::Pack, ns);
-                };
-                if !self.local_pairs.is_empty() {
-                    for &(s, d) in &self.local_pairs {
-                        y.local_mut()[d] += x.local()[s];
-                    }
-                    charge_indexed(comm, 8 * self.local_pairs.len(), self.local_runs);
-                }
-                for s in &self.sends {
-                    let mut buf = Vec::with_capacity(s.src_offsets.len());
-                    for &off in &s.src_offsets {
-                        buf.push(x.local()[off]);
-                    }
-                    charge_indexed(comm, 8 * buf.len(), s.runs);
-                    comm.send_grp(s.peer, DATA_TAG, f64s_to_bytes(&buf));
-                }
-                for r in &self.recvs {
-                    let (bytes, _) = comm.recv_grp(Some(r.peer), DATA_TAG);
-                    let vals = bytes_to_f64s(&bytes);
-                    assert_eq!(vals.len(), r.dst_offsets.len(), "scatter payload mismatch");
-                    for (&off, &v) in r.dst_offsets.iter().zip(&vals) {
-                        y.local_mut()[off] += v;
-                    }
-                    charge_indexed(comm, 8 * vals.len(), r.runs);
-                }
-                let _ = backend;
-            }
-        }
+        comm.waitall(handle.send_reqs);
     }
 }
 
-/// How scattered values combine with the destination (PETSc's InsertMode).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InsertMode {
-    /// Overwrite the destination slot.
-    Insert,
-    /// Accumulate into the destination slot.
-    Add,
+/// Charge an indexed copy of `elems` doubles in `runs` coalesced runs.
+/// Hand-tuned packing copies runs with a loop specialized at compile time —
+/// cheaper per run than the datatype engine's interpreted segment
+/// processing — and is charged accordingly.
+fn charge_indexed(comm: &mut Comm, elems: usize, runs: u64) {
+    let cost = comm.rank_ref().cost_model();
+    let ns = cost.indexed_copy_ns(8 * elems, runs);
+    comm.rank_mut().charge_cpu(CostKind::Pack, ns);
 }
 
-fn pairs_to_bytes(pairs: &[(u64, u64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(pairs.len() * 16);
-    for &(a, b) in pairs {
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
+/// Owner routing: `outgoing[p]` holds the words bound for rank `p` (the
+/// self bucket never travels — keep local entries out of it). Exchanges
+/// the bucket sizes, sends the non-empty buckets in peer order, then
+/// receives the announced ones in peer order.
+pub(crate) fn route(comm: &mut Comm, tag: Tag, outgoing: &[Vec<u64>]) -> Vec<(usize, Vec<u64>)> {
+    let rank = comm.rank();
+    let counts: Vec<u64> = outgoing.iter().map(|b| b.len() as u64).collect();
+    let announced = bytes_to_u64s(&comm.alltoall(&u64s_to_bytes(&counts), 8));
+    for (peer, bucket) in outgoing.iter().enumerate() {
+        if peer != rank && !bucket.is_empty() {
+            comm.send_grp(peer, tag, u64s_to_bytes(bucket));
+        }
     }
-    out
-}
-
-fn bytes_to_pairs(bytes: &[u8]) -> Vec<(u64, u64)> {
-    assert_eq!(bytes.len() % 16, 0);
-    bytes
-        .chunks_exact(16)
-        .map(|c| {
-            (
-                u64::from_le_bytes(c[..8].try_into().expect("8 bytes")),
-                u64::from_le_bytes(c[8..].try_into().expect("8 bytes")),
-            )
-        })
-        .collect()
+    let mut incoming = Vec::new();
+    for (peer, &n) in announced.iter().enumerate() {
+        if peer != rank && n > 0 {
+            let (bytes, _) = comm.recv_grp(Some(peer), tag);
+            let words = bytes_to_u64s(&bytes);
+            assert_eq!(words.len() as u64, n, "rank {peer} announced another size");
+            incoming.push((peer, words));
+        }
+    }
+    incoming
 }
 
 fn u64s_to_bytes(v: &[u64]) -> Vec<u8> {
@@ -642,13 +550,6 @@ fn bytes_to_u64s(bytes: &[u8]) -> Vec<u64> {
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
         .collect()
-}
-
-/// Exchange per-peer counts: returns how many each peer has for me.
-fn exchange_counts(comm: &mut Comm, counts: &[u64]) -> Vec<u64> {
-    let send = u64s_to_bytes(counts);
-    let recv = comm.alltoall(&send, 8);
-    bytes_to_u64s(&recv)
 }
 
 #[cfg(test)]
@@ -810,22 +711,9 @@ mod tests {
             }
         }
     }
-}
 
-#[cfg(test)]
-mod reverse_tests {
-    use super::*;
-    use ncd_core::MpiConfig;
-    use ncd_simnet::{Cluster, ClusterConfig};
-
-    fn with_n<R: Send>(n: usize, f: impl Fn(&mut Comm) -> R + Send + Sync) -> Vec<R> {
-        Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {
-            let mut comm = Comm::new(rank, MpiConfig::optimized());
-            f(&mut comm)
-        })
-    }
-
-    /// Build the (g -> (g*7+3) mod n) permutation plan used by several tests.
+    /// The (g -> (g*7+3) mod n) permutation plan: on 4 ranks every rank has
+    /// remote peers on both sides.
     fn perm_plan(comm: &mut Comm, n: usize) -> (VecScatter, Arc<Layout>) {
         let layout = Layout::balanced(n, comm.size());
         let (s, e) = layout.range(comm.rank());
@@ -836,113 +724,84 @@ mod reverse_tests {
     }
 
     #[test]
-    fn forward_then_reverse_round_trips() {
-        let out = with_n(4, |comm| {
-            let n = 24;
-            let (plan, layout) = perm_plan(comm, n);
+    fn reverse_scatter_is_metered_and_staged_and_swaps_the_type_arrays() {
+        Cluster::new(ClusterConfig::uniform(4)).run(|rank| {
+            rank.enable_metrics();
+            rank.enable_profiling();
+            let mut comm = Comm::new(rank, MpiConfig::optimized());
+            let (plan, layout) = perm_plan(&mut comm, 24);
+            let y = iota_vec(&comm, layout.clone());
+            let mut x = PVec::zeros(layout.clone(), comm.rank());
+            let asked = ScatterBackend::Datatype;
+            let (insert, mode) = (InsertMode::Insert, ScatterMode::Reverse);
+            let h = plan.begin(&mut comm, &y, &mut x, asked, insert, mode);
+            assert_eq!(h.pending_ops(), 0, "one alltoallw, completed in begin");
+            plan.end(&mut comm, h, &mut x);
+            // x[g] = y[perm(g)] = perm(g).
             let (s, e) = layout.range(comm.rank());
-            let x = PVec::from_local(
-                layout.clone(),
-                comm.rank(),
-                (s..e).map(|g| (g * 3 + 1) as f64).collect(),
-            );
-            let mut y = PVec::zeros(layout.clone(), comm.rank());
-            plan.apply(comm, &x, &mut y, ScatterBackend::HandTuned);
-            let mut x2 = PVec::zeros(layout, comm.rank());
-            plan.apply_reverse(
-                comm,
-                &y,
-                &mut x2,
-                ScatterBackend::HandTuned,
-                InsertMode::Insert,
-            );
-            // The permutation is total, so the reverse restores x exactly.
-            assert_eq!(x.local(), x2.local());
-            true
+            let expect: Vec<f64> = (s..e).map(|g| ((g * 7 + 3) % 24) as f64).collect();
+            assert_eq!(x.local(), expect);
+
+            let metrics = comm.rank_mut().take_metrics();
+            assert_eq!(metrics.counter("scatter", "begin", "datatype"), 1);
+            // Bytes are counted on the side the direction packs from.
+            let packed = 8 * (plan.remote_recv_elems() + plan.local_elems()) as u64;
+            let bytes = metrics.histogram("scatter", "bytes", "datatype");
+            assert_eq!(bytes.map(|h| h.sum()), Some(packed));
+            let profile = comm.rank_mut().take_profile();
+            assert!(profile.stage(STAGE_SCATTER_BEGIN).is_some());
+            assert!(profile.stage(STAGE_SCATTER_END).is_some());
         });
-        assert!(out.iter().all(|&b| b));
     }
 
     #[test]
-    fn reverse_add_accumulates() {
-        // Many sources fan into overlapping destinations via duplicate src
-        // indices: reverse-Add must sum the pulled-back values.
-        let out = with_n(3, |comm| {
-            let n = 9;
-            let layout = Layout::balanced(n, comm.size());
-            // Every rank maps global 0 -> its own first destination slot.
-            let (s, _) = layout.range(comm.rank());
-            let plan = VecScatter::create(
-                comm,
-                layout.clone(),
-                &IndexSet::general(vec![0]),
-                layout.clone(),
-                &IndexSet::general(vec![s]),
-            );
-            let mut y = PVec::zeros(layout.clone(), comm.rank());
-            y.local_mut()[0] = (comm.rank() + 1) as f64; // slot s holds rank+1
-            let mut x = PVec::zeros(layout, comm.rank());
-            plan.apply_reverse(comm, &y, &mut x, ScatterBackend::HandTuned, InsertMode::Add);
-            x.local().to_vec()
-        });
-        // x[0] accumulates 1 + 2 + 3 = 6; everything else untouched.
-        assert_eq!(out[0][0], 6.0);
-        assert!(out[0][1..].iter().all(|&v| v == 0.0));
-        assert!(out[1].iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn forward_add_accumulates_on_top() {
-        let out = with_n(2, |comm| {
-            let n = 8;
-            let (plan, layout) = perm_plan(comm, n);
-            let (s, e) = layout.range(comm.rank());
-            let x = PVec::from_local(
-                layout.clone(),
-                comm.rank(),
-                (s..e).map(|g| g as f64).collect(),
-            );
+    fn add_runs_hand_tuned_whichever_backend_is_asked_for() {
+        Cluster::new(ClusterConfig::uniform(4)).run(|rank| {
+            rank.enable_metrics();
+            let mut comm = Comm::new(rank, MpiConfig::optimized());
+            let (plan, layout) = perm_plan(&mut comm, 24);
+            let x = iota_vec(&comm, layout.clone());
             let mut y = PVec::zeros(layout, comm.rank());
-            y.set_all(100.0);
-            plan.apply_mode(comm, &x, &mut y, ScatterBackend::HandTuned, InsertMode::Add);
-            y.local().to_vec()
+            let asked = ScatterBackend::Datatype;
+            let (insert, mode) = (InsertMode::Add, ScatterMode::Forward);
+            let h = plan.begin(&mut comm, &x, &mut y, asked, insert, mode);
+            assert!(h.pending_ops() > 0, "point-to-point requests in flight");
+            plan.end(&mut comm, h, &mut y);
+            let metrics = comm.rank_mut().take_metrics();
+            assert_eq!(metrics.counter("scatter", "begin", "hand_tuned"), 1);
+            assert_eq!(metrics.counter("scatter", "begin", "datatype"), 0);
         });
-        let y_global: Vec<f64> = out.into_iter().flatten().collect();
-        for g in 0..8 {
-            assert_eq!(y_global[(g * 7 + 3) % 8], 100.0 + g as f64);
-        }
     }
 
     #[test]
-    fn reverse_matches_forward_inverse_plan() {
-        // reverse(plan) must equal forward of the inverted pair list.
-        let out = with_n(4, |comm| {
-            let n = 20;
-            let (plan, layout) = perm_plan(comm, n);
-            let (s, e) = layout.range(comm.rank());
-            let y = PVec::from_local(
-                layout.clone(),
-                comm.rank(),
-                (s..e).map(|g| (g * g) as f64).collect(),
-            );
-            let mut x_rev = PVec::zeros(layout.clone(), comm.rank());
-            plan.apply_reverse(
-                comm,
-                &y,
-                &mut x_rev,
-                ScatterBackend::HandTuned,
-                InsertMode::Insert,
-            );
-
-            // Inverse plan: src = perm(g), dst = g.
-            let inv_src = IndexSet::general((s..e).map(|g| (g * 7 + 3) % n).collect::<Vec<_>>());
-            let inv_dst = IndexSet::stride(s, 1, e - s);
-            let inv = VecScatter::create(comm, layout.clone(), &inv_src, layout.clone(), &inv_dst);
-            let mut x_fwd = PVec::zeros(layout, comm.rank());
-            inv.apply(comm, &y, &mut x_fwd, ScatterBackend::HandTuned);
-            assert_eq!(x_rev.local(), x_fwd.local());
-            true
+    #[should_panic(expected = "scatter destination layout mismatch")]
+    fn ending_into_a_vector_of_the_wrong_layout_panics_by_name() {
+        with_n(4, |comm| {
+            let (plan, layout) = perm_plan(comm, 24);
+            let x = iota_vec(comm, layout.clone());
+            let mut y = PVec::zeros(layout, comm.rank());
+            let (insert, mode) = (InsertMode::Insert, ScatterMode::Forward);
+            let h = plan.begin(comm, &x, &mut y, ScatterBackend::HandTuned, insert, mode);
+            let mut other = PVec::zeros(Layout::balanced(25, comm.size()), comm.rank());
+            comm.barrier(); // every rank reaches its own panic
+            plan.end(comm, h, &mut other);
         });
-        assert!(out.iter().all(|&b| b));
+    }
+
+    #[test]
+    #[should_panic(expected = "receive requests but this plan unpacks from 0 peers")]
+    fn ending_on_a_different_plan_panics_by_name() {
+        with_n(4, |comm| {
+            let (plan, layout) = perm_plan(comm, 24);
+            let (s, e) = layout.range(comm.rank());
+            let own = IndexSet::stride(s, 1, e - s);
+            let identity = VecScatter::create(comm, layout.clone(), &own, layout.clone(), &own);
+            let x = iota_vec(comm, layout.clone());
+            let mut y = PVec::zeros(layout, comm.rank());
+            let (insert, mode) = (InsertMode::Insert, ScatterMode::Forward);
+            let h = plan.begin(comm, &x, &mut y, ScatterBackend::HandTuned, insert, mode);
+            comm.barrier(); // every rank reaches its own panic
+            identity.end(comm, h, &mut y);
+        });
     }
 }

@@ -98,3 +98,34 @@ fn datatype_backend_begin_completes_eagerly() {
     });
     assert!(out.iter().all(|&b| b));
 }
+
+#[test]
+fn apply_and_begin_then_end_leave_identical_clocks_and_stats() {
+    // `apply` is the forward-insert `begin` + `end` under another stage
+    // name: on a noise-free cluster the two spellings must be
+    // indistinguishable on every rank — clock, every `Stats` counter, data.
+    for backend in [ScatterBackend::HandTuned, ScatterBackend::Datatype] {
+        let run = |split: bool| {
+            Cluster::new(ClusterConfig::uniform(4)).run(move |rank| {
+                let mut comm = Comm::new(rank, MpiConfig::optimized());
+                let da = DistributedArray::new(&mut comm, &[17, 13], 1, StencilKind::Box, 2);
+                let mut g = da.create_global_vec();
+                for (off, p) in da.owned_points().enumerate() {
+                    g.local_mut()[off] = (p[0] * 31 + p[1] * 7) as f64;
+                }
+                let mut l = da.create_local_vec();
+                for _ in 0..3 {
+                    if split {
+                        let h = da.global_to_local_begin(&mut comm, &g, &mut l, backend);
+                        da.global_to_local_end(&mut comm, h, &mut l);
+                    } else {
+                        da.global_to_local(&mut comm, &g, &mut l, backend);
+                    }
+                }
+                let stats = format!("{:?}", comm.rank_ref().stats());
+                (comm.rank_ref().now(), stats, l.local().to_vec())
+            })
+        };
+        assert_eq!(run(false), run(true), "{backend:?}");
+    }
+}

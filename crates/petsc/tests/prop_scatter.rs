@@ -3,17 +3,19 @@
 //! reductions must match their sequential counterparts.
 
 use ncd_core::{Comm, MpiConfig};
-use ncd_petsc::{IndexSet, Layout, PVec, ScatterBackend, VecScatter};
+use ncd_petsc::{IndexSet, InsertMode, Layout, PVec, ScatterBackend, ScatterMode, VecScatter};
 use ncd_simnet::{Cluster, ClusterConfig};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A random subset of source indices scattered to a random permutation
-    /// of destination slots, split arbitrarily across ranks: every value
-    /// must land exactly where the pair list says, under both backends and
-    /// both MPI flavors.
+    /// A random subset of source indices (optionally with repeats)
+    /// scattered to a random permutation of destination slots, split
+    /// arbitrarily across ranks: in either direction and either insert
+    /// mode, under both backends and both MPI flavors, every slot must hold
+    /// what one sequential model says — `y[d] = x[s]`, `y[d] += x[s]`,
+    /// `x[s] = y[d]` (a repeated `s` keeps one of its pairs), `x[s] += y[d]`.
     #[test]
     fn arbitrary_scatters_move_values_exactly(
         nranks in 1usize..6,
@@ -34,44 +36,80 @@ proptest! {
         shuffle(&mut src_idx);
         shuffle(&mut dst_idx);
         let take = n / 2 + 1;
-        let src_idx = &src_idx[..take];
         let dst_idx = &dst_idx[..take];
+        // The destination vector is longer than the source vector, so the
+        // two sides of the plan have different layouts. Integer values keep
+        // every sum exact whatever order it is taken in.
+        let m = n + 5;
+        let x0: Vec<f64> = (0..n).map(|g| (g + 1) as f64).collect();
+        let y0: Vec<f64> = (0..m).map(|g| -((g + 1000) as f64)).collect();
 
-        for backend in [ScatterBackend::HandTuned, ScatterBackend::Datatype] {
-            let cfg = if baseline { MpiConfig::baseline() } else { MpiConfig::optimized() };
-            let src_v = src_idx.to_vec();
+        let cases = [false, true].into_iter().flat_map(|repeat| {
+            [ScatterMode::Forward, ScatterMode::Reverse].into_iter().flat_map(move |mode| {
+                [InsertMode::Insert, InsertMode::Add].into_iter().flat_map(move |insert| {
+                    [ScatterBackend::HandTuned, ScatterBackend::Datatype]
+                        .map(|backend| (repeat, mode, insert, backend))
+                })
+            })
+        });
+        for (repeat, mode, insert, backend) in cases {
+            let fold = if repeat { take / 2 + 1 } else { n };
+            let src_v: Vec<usize> = src_idx[..take].iter().map(|&s| s % fold).collect();
             let dst_v = dst_idx.to_vec();
+
+            // The sequential model: the values that land in each slot.
+            let init = match mode { ScatterMode::Forward => &y0, ScatterMode::Reverse => &x0 };
+            let mut landing: Vec<Vec<f64>> = vec![Vec::new(); init.len()];
+            for (&sg, &dg) in src_v.iter().zip(&dst_v) {
+                match mode {
+                    ScatterMode::Forward => landing[dg].push(x0[sg]),
+                    ScatterMode::Reverse => landing[sg].push(y0[dg]),
+                }
+            }
+
+            let cfg = if baseline { MpiConfig::baseline() } else { MpiConfig::optimized() };
+            let (x0_c, y0_c) = (x0.clone(), y0.clone());
             let out = Cluster::new(ClusterConfig::uniform(nranks)).run(move |rank| {
                 let mut comm = Comm::new(rank, cfg.clone());
-                let layout = Layout::balanced(n, comm.size());
-                let (s, e) = layout.range(comm.rank());
-                let x = PVec::from_local(
-                    layout.clone(),
-                    comm.rank(),
-                    (s..e).map(|g| (g + 1) as f64).collect(),
-                );
-                let mut y = PVec::zeros(layout.clone(), comm.rank());
-                y.set_all(-1.0);
+                let vec_of = |len: usize, vals: &[f64]| {
+                    let layout = Layout::balanced(len, comm.size());
+                    let (s, e) = layout.range(comm.rank());
+                    PVec::from_local(layout, comm.rank(), vals[s..e].to_vec())
+                };
+                let (mut x, mut y) = (vec_of(n, &x0_c), vec_of(m, &y0_c));
                 // Each rank contributes a slice of the pair list.
                 let per = src_v.len().div_ceil(comm.size());
                 let lo = (comm.rank() * per).min(src_v.len());
                 let hi = ((comm.rank() + 1) * per).min(src_v.len());
                 let plan = VecScatter::create(
                     &mut comm,
-                    layout.clone(),
+                    x.layout().clone(),
                     &IndexSet::general(src_v[lo..hi].to_vec()),
-                    layout,
+                    y.layout().clone(),
                     &IndexSet::general(dst_v[lo..hi].to_vec()),
                 );
-                plan.apply(&mut comm, &x, &mut y, backend);
-                y.local().to_vec()
+                let (from, to) = match mode {
+                    ScatterMode::Forward => (&x, &mut y),
+                    ScatterMode::Reverse => (&y, &mut x),
+                };
+                let handle = plan.begin(&mut comm, from, to, backend, insert, mode);
+                plan.end(&mut comm, handle, to);
+                to.local().to_vec()
             });
-            let y_global: Vec<f64> = out.into_iter().flatten().collect();
-            let mut expected = vec![-1.0f64; n];
-            for (&sg, &dg) in src_idx.iter().zip(dst_idx) {
-                expected[dg] = (sg + 1) as f64;
+            let got: Vec<f64> = out.into_iter().flatten().collect();
+            prop_assert_eq!(got.len(), init.len());
+            for (g, &v) in got.iter().enumerate() {
+                let ok = match (landing[g].as_slice(), insert) {
+                    ([], _) => v == init[g],
+                    (vals, InsertMode::Insert) => vals.contains(&v),
+                    (vals, InsertMode::Add) => v == init[g] + vals.iter().sum::<f64>(),
+                };
+                prop_assert!(
+                    ok,
+                    "{:?} {:?} {:?} repeat={}: slot {} holds {}, started at {}, lands {:?}",
+                    mode, insert, backend, repeat, g, v, init[g], landing[g]
+                );
             }
-            prop_assert_eq!(&y_global, &expected, "backend {:?}", backend);
         }
     }
 
