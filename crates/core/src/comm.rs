@@ -23,6 +23,7 @@ use ncd_simnet::{millis_to_ratio, ratio_to_millis, CostKind, EventKind, Rank, Ta
 use crate::commstats::gini;
 use crate::config::MpiConfig;
 use crate::drift::{DriftConfig, DriftDirection, DriftMonitor};
+use crate::view;
 
 /// A subset of the world's ranks forming a communicator group (the result
 /// of [`Comm::split`], MPI's `MPI_Comm_split`). The group records each
@@ -489,8 +490,7 @@ impl<'a> Comm<'a> {
 
     /// Convenience: send a contiguous `f64` slice.
     pub fn send_f64s(&mut self, data: &[f64], dst: usize, tag: Tag) {
-        let bytes = f64s_to_bytes(data);
-        self.send_grp(dst, tag, bytes);
+        self.send_grp(dst, tag, f64s_to_bytes(data));
     }
 
     /// Convenience: receive a contiguous `f64` vector.
@@ -500,26 +500,14 @@ impl<'a> Comm<'a> {
     }
 }
 
-/// Reinterpret f64s as little-endian bytes (portable, explicit).
+/// Copy f64s into a byte vector (native-endian; see [`crate::view`]).
 pub fn f64s_to_bytes(data: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 8);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+    view::f64s_as_bytes(data).to_vec()
 }
 
-/// Reinterpret little-endian bytes as f64s. Panics on ragged lengths.
+/// Decode a byte stream as f64s. Panics on ragged lengths.
 pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
-    assert_eq!(
-        bytes.len() % 8,
-        0,
-        "byte stream is not a whole number of f64s"
-    );
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect()
+    view::f64s_in(bytes).collect()
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@ pub mod diagnose;
 pub mod drift;
 pub mod request;
 pub mod select;
+pub mod view;
 pub mod whatif;
 
 pub use coll::{AllgathervAlgorithm, AlltoallwSchedule, NeighborExchange, WPeer};

@@ -132,7 +132,7 @@ impl Comm<'_> {
     /// Nonblocking raw-bytes send to communicator rank `dst` (the request
     /// analogue of [`Comm::send_grp`]): one NIC reservation for the whole
     /// payload.
-    pub(crate) fn isend_grp(&mut self, dst: usize, tag: Tag, data: Vec<u8>) -> Request {
+    pub fn isend_grp(&mut self, dst: usize, tag: Tag, data: Vec<u8>) -> Request {
         let (global, ctx) = self.resolve_dst(dst);
         let done = self.rank_mut().isend_bytes_ctx(global, tag, ctx, data);
         Request {

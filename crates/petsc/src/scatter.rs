@@ -5,23 +5,23 @@
 //! communication plan. Execution offers the two strategies the paper's
 //! §5.4 compares:
 //!
-//! * [`ScatterBackend::HandTuned`] — PETSc's historical default: explicit
-//!   packing of each peer's values into a contiguous buffer, individual
-//!   sends/receives, explicit unpacking. Fast, but the packing and
-//!   communication pattern live inside the library.
+//! * [`ScatterBackend::HandTuned`] — PETSc's historical default: each
+//!   peer's values are gathered once, straight into the message payload,
+//!   sent and received individually and stored from the arriving bytes.
+//!   Fast, but the packing and communication pattern live inside the library.
 //! * [`ScatterBackend::Datatype`] — build an MPI derived datatype
 //!   (hindexed over the vector's storage, runs of consecutive indices
 //!   coalesced) per peer at plan-creation time and execute the whole
-//!   scatter as **one `MPI_Alltoallw`**. Simpler library code; performance
-//!   now depends entirely on how well the MPI layer handles noncontiguous
-//!   data and nonuniform volumes — which is exactly what the paper's
-//!   optimizations fix. Run it over a `Baseline` communicator to reproduce
-//!   the "MVAPICH2-0.9.5" series and over an `Optimized` one for
-//!   "MVAPICH2-New".
+//!   scatter as **one `MPI_Alltoallw`** over the vectors' own memory
+//!   ([`ncd_core::view`]). Simpler library code; performance now depends
+//!   entirely on how well the MPI layer handles noncontiguous data and
+//!   nonuniform volumes — which is exactly what the paper's optimizations
+//!   fix. Run it over a `Baseline` communicator to reproduce the
+//!   "MVAPICH2-0.9.5" series and over an `Optimized` one for "MVAPICH2-New".
 
 use std::sync::Arc;
 
-use ncd_core::{bytes_to_f64s, f64s_to_bytes, Comm, Request, WPeer};
+use ncd_core::{view, Comm, Request, WPeer};
 use ncd_datatype::{hindexed_from_f64_indices, Datatype};
 use ncd_simnet::{CostKind, Tag};
 
@@ -137,7 +137,7 @@ struct Side {
     /// One spec per remote peer, in ascending peer order.
     remote: Vec<PeerSpec>,
     /// Prebuilt per-rank alltoallw slots (offset 0 into the local array's
-    /// byte image; the self slot carries `local`).
+    /// bytes; the self slot carries `local`).
     types: Vec<WPeer>,
 }
 
@@ -216,11 +216,8 @@ impl VecScatter {
     ) -> (VecScatter, Arc<Layout>) {
         // Build the destination layout from everyone's request count.
         let mut counts = vec![0u8; 8 * comm.size()];
-        comm.allgather(&u64s_to_bytes(&[needed.len() as u64]), &mut counts);
-        let sizes: Vec<usize> = bytes_to_u64s(&counts)
-            .into_iter()
-            .map(|c| c as usize)
-            .collect();
+        comm.allgather(view::u64s_as_bytes(&[needed.len() as u64]), &mut counts);
+        let sizes: Vec<usize> = view::u64s_in(&counts).map(|c| c as usize).collect();
         let dst_layout = Layout::from_local_sizes(&sizes);
         let (base, _) = dst_layout.range(comm.rank());
         let dst: Vec<usize> = (0..needed.len()).map(|i| base + i).collect();
@@ -436,13 +433,10 @@ impl VecScatter {
         };
         match backend {
             ScatterBackend::Datatype => {
-                // Byte images of the local arrays (representation shims for
-                // the byte-oriented MPI layer; not charged — real MPI reads
-                // user memory in place).
-                let sendbuf = f64s_to_bytes(from.local());
-                let mut recvbuf = f64s_to_bytes(to.local());
-                comm.alltoallw(&sendbuf, &pack.types, &mut recvbuf, &unpack.types);
-                to.local_mut().copy_from_slice(&bytes_to_f64s(&recvbuf));
+                // `alltoallw` reads and writes the vectors in place, as a real MPI would.
+                let sendbuf = view::f64s_as_bytes(from.local());
+                let recvbuf = view::f64s_as_bytes_mut(to.local_mut());
+                comm.alltoallw(sendbuf, &pack.types, recvbuf, &unpack.types);
             }
             ScatterBackend::HandTuned => {
                 // Post every receive before any packing starts.
@@ -457,14 +451,14 @@ impl VecScatter {
                     insert.store(to.local_mut(), &there.offsets, vals);
                     charge_indexed(comm, here.offsets.len(), here.runs);
                 }
-                // Pack and initiate all sends; each message's wire time runs
-                // on the NIC while the next one is packed.
-                let dt = Datatype::double();
+                // Gather each peer's values straight into its payload (the
+                // message's only copy on this side) and initiate the send; its
+                // wire time runs on the NIC while the next one is packed.
                 for s in &pack.remote {
-                    let buf: Vec<f64> = s.offsets.iter().map(|&o| from.local()[o]).collect();
-                    charge_indexed(comm, buf.len(), s.runs);
-                    let bytes = f64s_to_bytes(&buf);
-                    let req = comm.isend(&bytes, &dt, buf.len(), s.peer, DATA_TAG);
+                    let vals = s.offsets.iter().map(|&o| from.local()[o]);
+                    let payload = view::f64s_to_payload(vals);
+                    charge_indexed(comm, s.offsets.len(), s.runs);
+                    let req = comm.isend_grp(s.peer, DATA_TAG, payload);
                     handle.send_reqs.push(req);
                 }
             }
@@ -491,10 +485,16 @@ impl VecScatter {
             let (idx, completion) = comm.waitany(&mut recv_reqs);
             let (bytes, _) = completion.into_recv();
             let r = &unpack.remote[idx];
-            let vals = bytes_to_f64s(&bytes);
-            assert_eq!(vals.len(), r.offsets.len(), "scatter payload mismatch");
-            insert.store(to.local_mut(), &r.offsets, vals.iter().copied());
-            charge_indexed(comm, vals.len(), r.runs);
+            let (want, got) = (8 * r.offsets.len(), bytes.len());
+            assert_eq!(
+                got,
+                want,
+                "scatter payload mismatch: rank {} expected {want} bytes from rank {}, got {got}",
+                comm.rank(),
+                r.peer
+            );
+            insert.store(to.local_mut(), &r.offsets, view::f64s_in(&bytes));
+            charge_indexed(comm, r.offsets.len(), r.runs);
         }
         // Drain the sends: charge whatever wire time was not hidden.
         comm.waitall(handle.send_reqs);
@@ -518,38 +518,22 @@ fn charge_indexed(comm: &mut Comm, elems: usize, runs: u64) {
 pub(crate) fn route(comm: &mut Comm, tag: Tag, outgoing: &[Vec<u64>]) -> Vec<(usize, Vec<u64>)> {
     let rank = comm.rank();
     let counts: Vec<u64> = outgoing.iter().map(|b| b.len() as u64).collect();
-    let announced = bytes_to_u64s(&comm.alltoall(&u64s_to_bytes(&counts), 8));
+    let announced = comm.alltoall(view::u64s_as_bytes(&counts), 8);
     for (peer, bucket) in outgoing.iter().enumerate() {
         if peer != rank && !bucket.is_empty() {
-            comm.send_grp(peer, tag, u64s_to_bytes(bucket));
+            comm.send_grp(peer, tag, view::u64s_as_bytes(bucket).to_vec());
         }
     }
     let mut incoming = Vec::new();
-    for (peer, &n) in announced.iter().enumerate() {
+    for (peer, n) in view::u64s_in(&announced).enumerate() {
         if peer != rank && n > 0 {
             let (bytes, _) = comm.recv_grp(Some(peer), tag);
-            let words = bytes_to_u64s(&bytes);
+            let words: Vec<u64> = view::u64s_in(&bytes).collect();
             assert_eq!(words.len() as u64, n, "rank {peer} announced another size");
             incoming.push((peer, words));
         }
     }
     incoming
-}
-
-fn u64s_to_bytes(v: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-fn bytes_to_u64s(bytes: &[u8]) -> Vec<u64> {
-    assert_eq!(bytes.len() % 8, 0);
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect()
 }
 
 #[cfg(test)]
@@ -771,6 +755,46 @@ mod tests {
             assert_eq!(metrics.counter("scatter", "begin", "hand_tuned"), 1);
             assert_eq!(metrics.counter("scatter", "begin", "datatype"), 0);
         });
+    }
+
+    /// Rank 0 owes rank 1 four values and sends `bad` in their place:
+    /// rank 1's panic message from `end`, and its vector afterwards.
+    fn end_on_payload(bad: &'static [u8]) -> (String, Vec<f64>) {
+        let mut out = with_n(2, move |comm| {
+            let layout = Layout::balanced(8, comm.size());
+            let pairs = if comm.rank() == 0 { 4 } else { 0 };
+            let (src, dst) = (IndexSet::stride(0, 1, pairs), IndexSet::stride(4, 1, pairs));
+            let plan = VecScatter::create(comm, layout.clone(), &src, layout.clone(), &dst);
+            if comm.rank() == 0 {
+                comm.send_grp(1, DATA_TAG, bad.to_vec());
+                return None;
+            }
+            let x = iota_vec(comm, layout.clone());
+            let mut y = PVec::from_local(layout, comm.rank(), vec![-1.0; 4]);
+            let (insert, mode) = (InsertMode::Insert, ScatterMode::Forward);
+            let h = plan.begin(comm, &x, &mut y, ScatterBackend::HandTuned, insert, mode);
+            let end = std::panic::AssertUnwindSafe(|| plan.end(comm, h, &mut y));
+            let panic = std::panic::catch_unwind(end).expect_err("a bad payload is refused");
+            let msg = panic.downcast::<String>().expect("a formatted message");
+            Some((*msg, y.local().to_vec()))
+        });
+        out.remove(1).expect("rank 1 reports")
+    }
+
+    #[test]
+    fn ragged_payload_is_named_and_nothing_is_stored() {
+        let (msg, y) = end_on_payload(&[0u8; 31]);
+        let named = "scatter payload mismatch: rank 1 expected 32 bytes from rank 0, got 31";
+        assert!(msg.contains(named), "{msg}");
+        assert_eq!(y, [-1.0; 4]);
+    }
+
+    #[test]
+    fn short_payload_is_named_and_nothing_is_stored() {
+        let (msg, y) = end_on_payload(&[0u8; 24]);
+        let named = "scatter payload mismatch: rank 1 expected 32 bytes from rank 0, got 24";
+        assert!(msg.contains(named), "{msg}");
+        assert_eq!(y, [-1.0; 4]);
     }
 
     #[test]

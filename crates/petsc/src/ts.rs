@@ -121,7 +121,7 @@ impl RhsFunction for HeatEquation<'_> {
 mod tests {
     use super::*;
     use crate::da::{DistributedArray, StencilKind};
-    use ncd_core::MpiConfig;
+    use ncd_core::{view, MpiConfig};
     use ncd_simnet::{Cluster, ClusterConfig};
     use std::f64::consts::PI;
 
@@ -277,16 +277,8 @@ mod tests {
                 },
             );
             // Collect the full field to check the x<->y symmetry.
-            let bytes: Vec<u8> = u.local().iter().flat_map(|v| v.to_le_bytes()).collect();
-            let gathered = comm.gatherv(&bytes, 0);
-            gathered.map(|parts| {
-                let all: Vec<f64> = parts
-                    .concat()
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().expect("8")))
-                    .collect();
-                all
-            })
+            let gathered = comm.gatherv(view::f64s_as_bytes(u.local()), 0);
+            gathered.map(|parts| view::f64s_in(&parts.concat()).collect::<Vec<f64>>())
         });
         if let Some(all) = &out[0] {
             assert_eq!(all.len(), 16 * 16);

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use ncd_core::Comm;
+use ncd_core::{view, Comm};
 
 use crate::layout::Layout;
 
@@ -163,10 +163,8 @@ impl PVec {
         comm.rank_mut().compute_flops(self.local.len() as u64);
         // Gather all local maxima (small: one double per rank).
         let mut all = vec![0u8; 8 * comm.size()];
-        comm.allgather(&local_max.to_le_bytes(), &mut all);
-        all.chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .fold(0.0, f64::max)
+        comm.allgather(view::f64s_as_bytes(&[local_max]), &mut all);
+        view::f64s_in(&all).fold(0.0, f64::max)
     }
 
     /// Global sum of all entries (collective).
@@ -217,15 +215,13 @@ impl PVec {
         }
         comm.rank_mut().compute_flops(self.local.len() as u64);
         // Gather all (value, index) candidates — one pair per rank.
-        let mut payload = Vec::with_capacity(16);
-        payload.extend_from_slice(&best.0.to_le_bytes());
-        payload.extend_from_slice(&(best.1 as u64).to_le_bytes());
+        let mine = [best.0.to_bits(), best.1 as u64];
         let mut all = vec![0u8; 16 * comm.size()];
-        comm.allgather(&payload, &mut all);
+        comm.allgather(view::u64s_as_bytes(&mine), &mut all);
         let mut global = (f64::NEG_INFINITY, usize::MAX);
-        for chunk in all.chunks_exact(16) {
-            let v = f64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"));
-            let ix = u64::from_le_bytes(chunk[8..].try_into().expect("8 bytes")) as usize;
+        let mut words = view::u64s_in(&all);
+        while let (Some(bits), Some(ix)) = (words.next(), words.next()) {
+            let (v, ix) = (f64::from_bits(bits), ix as usize);
             if v > global.0 || (v == global.0 && ix < global.1) {
                 global = (v, ix);
             }

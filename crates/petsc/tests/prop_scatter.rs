@@ -38,11 +38,24 @@ proptest! {
         let take = n / 2 + 1;
         let dst_idx = &dst_idx[..take];
         // The destination vector is longer than the source vector, so the
-        // two sides of the plan have different layouts. Integer values keep
-        // every sum exact whatever order it is taken in.
+        // two sides of the plan have different layouts. `Add` gets integer
+        // values, which keep every sum exact whatever order it is taken in;
+        // `Insert` must move bit patterns, so it gets the awkward ones — NaNs
+        // with distinct payloads, -0.0, subnormals, ±∞ — and is compared by
+        // `to_bits`.
         let m = n + 5;
-        let x0: Vec<f64> = (0..n).map(|g| (g + 1) as f64).collect();
-        let y0: Vec<f64> = (0..m).map(|g| -((g + 1000) as f64)).collect();
+        let int_x: Vec<f64> = (0..n).map(|g| (g + 1) as f64).collect();
+        let int_y: Vec<f64> = (0..m).map(|g| -((g + 1000) as f64)).collect();
+        let awkward = |g: usize, side: u64| match g % 6 {
+            0 => f64::from_bits(0x7ff8_0000_0000_0000 | side << 32 | (g as u64 + 1)),
+            1 => f64::from_bits(0xfff8_0000_0000_0000 | side << 32 | (g as u64 + 1)),
+            2 => if side == 0 { -0.0 } else { 0.0 },
+            3 => f64::from_bits(side << 32 | (g as u64 + 1)),
+            4 => if side == 0 { f64::INFINITY } else { f64::NEG_INFINITY },
+            _ => (g + 1) as f64,
+        };
+        let bit_x: Vec<f64> = (0..n).map(|g| awkward(g, 0)).collect();
+        let bit_y: Vec<f64> = (0..m).map(|g| awkward(g, 1)).collect();
 
         let cases = [false, true].into_iter().flat_map(|repeat| {
             [ScatterMode::Forward, ScatterMode::Reverse].into_iter().flat_map(move |mode| {
@@ -56,9 +69,13 @@ proptest! {
             let fold = if repeat { take / 2 + 1 } else { n };
             let src_v: Vec<usize> = src_idx[..take].iter().map(|&s| s % fold).collect();
             let dst_v = dst_idx.to_vec();
+            let (x0, y0) = match insert {
+                InsertMode::Insert => (&bit_x, &bit_y),
+                InsertMode::Add => (&int_x, &int_y),
+            };
 
             // The sequential model: the values that land in each slot.
-            let init = match mode { ScatterMode::Forward => &y0, ScatterMode::Reverse => &x0 };
+            let init = match mode { ScatterMode::Forward => y0, ScatterMode::Reverse => x0 };
             let mut landing: Vec<Vec<f64>> = vec![Vec::new(); init.len()];
             for (&sg, &dg) in src_v.iter().zip(&dst_v) {
                 match mode {
@@ -99,15 +116,17 @@ proptest! {
             let got: Vec<f64> = out.into_iter().flatten().collect();
             prop_assert_eq!(got.len(), init.len());
             for (g, &v) in got.iter().enumerate() {
+                let same = |w: f64| w.to_bits() == v.to_bits();
                 let ok = match (landing[g].as_slice(), insert) {
-                    ([], _) => v == init[g],
-                    (vals, InsertMode::Insert) => vals.contains(&v),
-                    (vals, InsertMode::Add) => v == init[g] + vals.iter().sum::<f64>(),
+                    ([], _) => same(init[g]),
+                    (vals, InsertMode::Insert) => vals.iter().any(|&w| same(w)),
+                    (vals, InsertMode::Add) => same(init[g] + vals.iter().sum::<f64>()),
                 };
                 prop_assert!(
                     ok,
-                    "{:?} {:?} {:?} repeat={}: slot {} holds {}, started at {}, lands {:?}",
-                    mode, insert, backend, repeat, g, v, init[g], landing[g]
+                    "{:?} {:?} {:?} repeat={}: slot {} holds {} ({:#x}), started at {}, lands {:?} ({:x?})",
+                    mode, insert, backend, repeat, g, v, v.to_bits(), init[g], landing[g],
+                    landing[g].iter().map(|w| w.to_bits()).collect::<Vec<_>>()
                 );
             }
         }

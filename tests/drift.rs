@@ -10,7 +10,7 @@ use nucomm::core::{
     DriftConfig, DriftDirection, MpiConfig,
 };
 use nucomm::simnet::{
-    history_json, last_run_dump, merge_histories, Cluster, ClusterConfig, EventKind, History,
+    history_json, merge_histories, render_dump, Cluster, ClusterConfig, EventKind, History,
     TraceEvent,
 };
 
@@ -35,8 +35,10 @@ fn counts(spot: Option<usize>, depth: u32) -> Vec<usize> {
 
 /// Three stationary regimes: uniform, hotspot at rank 2, hotspot moved to
 /// rank 6 and deepened. The transitions into regimes 1 and 2 are the
-/// injected remeshes.
-fn remeshing_run() -> (Vec<TraceEvent>, History) {
+/// injected remeshes. Returns rank 0's trace, the merged history and this
+/// run's own flight-recorder dump (the process-wide last-run store belongs
+/// to whichever test in this binary ran a cluster last).
+fn remeshing_run() -> (Vec<TraceEvent>, History, String) {
     let out = Cluster::new(ClusterConfig::paper_testbed(RANKS)).run(|rank| {
         rank.enable_metrics();
         rank.enable_tracing();
@@ -57,11 +59,13 @@ fn remeshing_run() -> (Vec<TraceEvent>, History) {
         let metrics = comm.rank_mut().take_metrics();
         let trace = comm.rank_mut().take_trace();
         let history = comm.rank_mut().take_history();
-        (trace, history, metrics)
+        let recorder = comm.rank_ref().flight_recorder().clone();
+        (trace, history, metrics, recorder)
     });
-    let histories: Vec<_> = out.iter().map(|(_, h, _)| h.clone()).collect();
+    let histories: Vec<_> = out.iter().map(|(_, h, _, _)| h.clone()).collect();
+    let recorders: Vec<_> = out.iter().map(|(_, _, _, r)| r.clone()).collect();
     // The drift counter must have fired on every rank's registry.
-    for (_, _, m) in &out {
+    for (_, _, m, _) in &out {
         assert!(
             m.counter("drift", "allgatherv/ring", "bytes") > 0,
             "drift events must be mirrored into drift/* metrics"
@@ -70,12 +74,13 @@ fn remeshing_run() -> (Vec<TraceEvent>, History) {
     (
         out.into_iter().next().unwrap().0,
         merge_histories(&histories),
+        render_dump(&recorders),
     )
 }
 
 #[test]
 fn every_injected_remesh_is_flagged_within_bounded_lag() {
-    let (trace, history) = remeshing_run();
+    let (trace, history, _) = remeshing_run();
     let online = drift_events_from_trace(&trace);
     // The detector's re-warm bound: a step change must fire within
     // warmup + 1 epochs of the boundary.
@@ -112,13 +117,12 @@ fn every_injected_remesh_is_flagged_within_bounded_lag() {
 
 #[test]
 fn drift_events_reach_trace_ring_and_recurrence_join() {
-    let (trace, history) = remeshing_run();
+    let (trace, history, dump) = remeshing_run();
     // Trace: structured Drift events present.
     assert!(trace
         .iter()
         .any(|e| matches!(&e.kind, EventKind::Drift { label, .. } if label == "allgatherv/ring")));
     // Flight recorder: the dedicated drift ring survives into the dump.
-    let dump = last_run_dump().expect("a run just happened");
     assert!(
         dump.lines().any(|l| l.contains("drift      ")),
         "flight recorder dump must show the drift ring"

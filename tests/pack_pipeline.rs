@@ -9,7 +9,7 @@ use nucomm::datatype::{
     matrix_column_type, pack_all_profiled, BlockLog, Datatype, EngineKind, EngineParams,
     StructField,
 };
-use nucomm::simnet::{last_run_dump, Cluster, ClusterConfig, Tag};
+use nucomm::simnet::{render_dump, Cluster, ClusterConfig, Tag};
 
 fn particle() -> Datatype {
     Datatype::structure(&[
@@ -91,11 +91,12 @@ fn both_engines_report_every_byte() {
 
 #[test]
 fn typed_send_lands_in_flight_recorder() {
-    // After a cluster run with noncontiguous traffic, the process-wide
-    // last-run dump must show the pack-pipeline events on rank 0.
+    // After a cluster run with noncontiguous traffic, the run's own
+    // recorders must show the pack-pipeline events on rank 0 (the
+    // process-wide last-run dump belongs to whichever test ran last).
     let mut cfg = MpiConfig::baseline();
     cfg.engine.block_size = 4096;
-    Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
+    let recorders = Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
         let mut comm = Comm::new(rank, cfg.clone());
         let dt = particle();
         let n = 1024;
@@ -108,8 +109,9 @@ fn typed_send_lands_in_flight_recorder() {
             let row = Datatype::contiguous(total, &Datatype::byte()).expect("row");
             comm.recv(&mut dst, &row, 1, Some(0), Tag(3));
         }
+        comm.rank_ref().flight_recorder().clone()
     });
-    let dump = last_run_dump().expect("a cluster ran, so a last-run dump exists");
+    let dump = render_dump(&recorders);
     assert!(dump.contains("flight recorder: last events per rank"));
     assert!(
         dump.contains("pack-block engine=single-context"),
