@@ -5,14 +5,23 @@
 //! The hierarchy coarsens cell-centred by a factor of two per dimension
 //! (`100³ → 50³ → 25³` for the paper's three-level configuration).
 //! Restriction averages each coarse cell's fine children; prolongation is
-//! piecewise-constant injection (its scaled adjoint, keeping V-cycles
-//! symmetric so they can precondition CG). Both transfers fetch the
-//! points covering the local subdomain through [`VecScatter::gather_plan`],
-//! so they work for *any* alignment between the fine and coarse partitions
-//! — and, like the ghost exchanges of the smoother, they run over either
-//! scatter backend.
+//! cell-centred linear interpolation (3/4 of the parent coarse cell, 1/4
+//! of the neighbour on the fine cell's side, per dimension). Both
+//! transfers fetch the points covering the local subdomain through
+//! [`VecScatter::gather_plan`], so they work for *any* alignment between
+//! the fine and coarse partitions — and, like the ghost exchanges of the
+//! smoother, they run over either scatter backend.
+//!
+//! The arithmetic streams memory once and allocates nothing per call: the
+//! operator walks the ghosted local form row by row, the smoothers and the
+//! residual consume each row of `A x` while it is in cache, and every
+//! vector a V-cycle needs lives in its level. Simulated flops are charged
+//! in closed form, by the same calls in the same order as the unfused
+//! loops would make.
 
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use ncd_core::Comm;
@@ -32,6 +41,32 @@ use crate::vec::PVec;
 pub struct LaplacianOp<'a> {
     da: &'a DistributedArray,
     h2inv: f64,
+    scratch: ScratchSlot<'a>,
+}
+
+/// What an application of the operator needs besides its arguments: the
+/// ghosted local form of `x`, and one owned row of `A x` for the callers
+/// that consume the product row by row.
+struct Scratch {
+    local: PVec,
+    row: Vec<f64>,
+}
+
+impl Scratch {
+    fn new(da: &DistributedArray) -> RefCell<Scratch> {
+        RefCell::new(Scratch {
+            local: da.create_local_vec(),
+            row: vec![0.0; da.owned().1[0]],
+        })
+    }
+}
+
+/// Whose [`Scratch`] an operator works in.
+enum ScratchSlot<'a> {
+    /// Its own, created by the first application.
+    Own(OnceCell<RefCell<Scratch>>),
+    /// The multigrid level's.
+    Level(&'a RefCell<Scratch>),
 }
 
 impl<'a> LaplacianOp<'a> {
@@ -45,6 +80,7 @@ impl<'a> LaplacianOp<'a> {
         LaplacianOp {
             da,
             h2inv: 1.0 / (h * h),
+            scratch: ScratchSlot::Own(OnceCell::new()),
         }
     }
 
@@ -71,6 +107,96 @@ impl<'a> LaplacianOp<'a> {
     pub fn da(&self) -> &DistributedArray {
         self.da
     }
+
+    fn scratch(&self) -> &RefCell<Scratch> {
+        match &self.scratch {
+            ScratchSlot::Own(cell) => cell.get_or_init(|| Scratch::new(self.da)),
+            ScratchSlot::Level(cell) => cell,
+        }
+    }
+
+    /// Flops of one application: a multiply and a subtract per neighbour
+    /// slot, the diagonal multiply and the `1/h²` scaling, per owned point.
+    fn flops(&self) -> u64 {
+        let len = self.da.owned().1;
+        (2 * self.da.ndim() as u64 + 2) * (len[0] * len[1] * len[2]) as u64
+    }
+
+    /// `(A x)` at `p`, whose value sits at `l[c]` in the local form with
+    /// neighbours `stride[d]` away: the form for points that miss a
+    /// neighbour.
+    fn point(&self, l: &[f64], p: [usize; 3], c: usize, stride: [usize; 3]) -> f64 {
+        let dims = self.da.dims();
+        let mut acc = self.diag_coeff(p) * l[c];
+        for d in 0..self.da.ndim() {
+            if p[d] > 0 {
+                acc -= l[c - stride[d]];
+            }
+            if p[d] + 1 < dims[d] {
+                acc -= l[c + stride[d]];
+            }
+        }
+        acc * self.h2inv
+    }
+
+    /// `(A x)` along owned row `(j, k)`, read from the local form `l`. In
+    /// 3-D, the stretch of the row whose six neighbours all exist is one
+    /// branch-free pass over seven slices; row ends on the grid boundary,
+    /// boundary rows and lower dimensions go point by point. Both compute
+    /// `diag·c − x₋ − x₊ − y₋ − y₊ − z₋ − z₊`, then `· 1/h²`, in that order.
+    fn row(&self, l: &[f64], j: usize, k: usize, out: &mut [f64]) {
+        let da = self.da;
+        let dims = da.dims();
+        let (own, len) = da.owned();
+        let (gs, gl) = da.ghosted();
+        let stride = [1, gl[0], gl[0] * gl[1]];
+        let base = (k - gs[2]) * stride[2] + (j - gs[1]) * stride[1] + (own[0] - gs[0]);
+        let inner = da.ndim() == 3 && j > 0 && j + 1 < dims[1] && k > 0 && k + 1 < dims[2];
+        let (lo, hi) = if inner {
+            let lo = usize::from(own[0] == 0);
+            let hi = len[0] - usize::from(own[0] + len[0] == dims[0]);
+            (lo, hi.max(lo))
+        } else {
+            (0, 0)
+        };
+        for i in (0..lo).chain(hi..len[0]) {
+            out[i] = self.point(l, [own[0] + i, j, k], base + i, stride);
+        }
+        let (n, c) = (hi - lo, base + lo);
+        if n == 0 {
+            return;
+        }
+        let out = &mut out[lo..hi];
+        let (xc, xm, xp) = (&l[c..c + n], &l[c - 1..][..n], &l[c + 1..][..n]);
+        let (ym, yp) = (&l[c - stride[1]..][..n], &l[c + stride[1]..][..n]);
+        let (zm, zp) = (&l[c - stride[2]..][..n], &l[c + stride[2]..][..n]);
+        for i in 0..n {
+            let acc = 6.0 * xc[i] - xm[i] - xp[i] - ym[i] - yp[i] - zm[i] - zp[i];
+            out[i] = acc * self.h2inv;
+        }
+    }
+
+    /// Bring `x` and its ghosts into the scratch local form.
+    fn ghost_update(&self, comm: &mut Comm, x: &PVec, backend: ScatterBackend) {
+        let local = &mut self.scratch().borrow_mut().local;
+        self.da.global_to_local(comm, x, local, backend);
+    }
+
+    /// After [`LaplacianOp::ghost_update`]: hand each owned row of `A x`
+    /// to `sink(the row's range among the owned points, row)` while it is
+    /// in cache, then charge the application's flops.
+    fn for_each_row(&self, comm: &mut Comm, mut sink: impl FnMut(Range<usize>, &[f64])) {
+        let Scratch { local, row } = &mut *self.scratch().borrow_mut();
+        let (own, len) = self.da.owned();
+        for k in 0..len[2] {
+            for j in 0..len[1] {
+                self.row(local.local(), own[1] + j, own[2] + k, row);
+                let off = (k * len[1] + j) * len[0];
+                sink(off..off + len[0], row);
+            }
+        }
+        comm.rank_mut().compute_flops(self.flops());
+    }
 }
 
 impl LinearOp for LaplacianOp<'_> {
@@ -79,38 +205,16 @@ impl LinearOp for LaplacianOp<'_> {
     }
 
     fn apply(&self, comm: &mut Comm, x: &PVec, y: &mut PVec, backend: ScatterBackend) {
-        let da = self.da;
-        let mut local = da.create_local_vec();
-        da.global_to_local(comm, x, &mut local, backend);
-        let dims = da.dims();
-        let ndim = da.ndim();
-        let l = local.local();
-        let mut flops = 0u64;
-        for (off, p) in da.owned_points().enumerate() {
-            let mut acc = self.diag_coeff(p) * l[da.local_vec_offset(p, 0)];
-            for d in 0..ndim {
-                if p[d] > 0 {
-                    let mut q = p;
-                    q[d] -= 1;
-                    acc -= l[da.local_vec_offset(q, 0)];
-                }
-                if p[d] + 1 < dims[d] {
-                    let mut q = p;
-                    q[d] += 1;
-                    acc -= l[da.local_vec_offset(q, 0)];
-                }
-            }
-            y.local_mut()[off] = acc * self.h2inv;
-            flops += 2 * ndim as u64 + 2;
-        }
-        comm.rank_mut().compute_flops(flops);
+        self.ghost_update(comm, x, backend);
+        self.for_each_row(comm, |row, ax| y.local_mut()[row].copy_from_slice(ax));
     }
 }
 
 /// Restriction plan: gather each owned coarse point's fine children.
 struct RestrictPlan {
     plan: VecScatter,
-    buf_layout: Arc<Layout>,
+    /// Where the gather lands.
+    buf: RefCell<PVec>,
     /// Children per owned coarse point (buffer entries are grouped).
     counts: Vec<u32>,
 }
@@ -119,11 +223,36 @@ struct RestrictPlan {
 /// point, with cell-centred linear weights.
 struct InterpPlan {
     plan: VecScatter,
-    buf_layout: Arc<Layout>,
-    /// CSR-style: entries for fine point `i` are
-    /// `entries[starts[i]..starts[i+1]]` as (buffer slot, weight).
+    /// Where the gather lands.
+    buf: RefCell<PVec>,
+    /// CSR-style: the entries of fine point `i` are `starts[i]..starts[i+1]`
+    /// of `slots` (gather buffer slot) and `weights` (index into `palette`).
     starts: Vec<u32>,
-    entries: Vec<(u32, f64)>,
+    slots: Vec<u32>,
+    weights: Vec<u8>,
+    /// The distinct weight products, at most 3³ of them.
+    palette: Vec<f64>,
+}
+
+/// What a level with a coarser one below it carries for its part of the
+/// V-cycle (the coarsest level is solved by CG and has none of it).
+struct Coarser {
+    /// Fine residual → coarse rhs.
+    restrict: RestrictPlan,
+    /// Coarse correction → fine correction.
+    interp: InterpPlan,
+    work: RefCell<Work>,
+}
+
+/// The vectors a visit to a level would otherwise allocate.
+struct Work {
+    /// Residual `b − A x`; the Chebyshev smoother's preconditioned residual.
+    r: PVec,
+    /// The Chebyshev smoother's direction.
+    d: PVec,
+    /// Right-hand side and correction of the coarse problem.
+    coarse_b: PVec,
+    coarse_x: PVec,
 }
 
 struct Level {
@@ -133,10 +262,24 @@ struct Level {
     inv_diag: Vec<f64>,
     /// Estimated largest eigenvalue of `D⁻¹A` (for Chebyshev smoothing).
     eig_max: f64,
-    /// Fine residual → coarse rhs (present on all but the coarsest level).
-    restrict: Option<RestrictPlan>,
-    /// Coarse correction → fine correction.
-    interp: Option<InterpPlan>,
+    /// `mg_vcycle_l<lev>`, the level's profiling stage.
+    stage: String,
+    scratch: RefCell<Scratch>,
+    coarser: Option<Coarser>,
+}
+
+impl Level {
+    /// The level's operator, working in the level's scratch.
+    fn op(&self) -> LaplacianOp<'_> {
+        LaplacianOp {
+            scratch: ScratchSlot::Level(&self.scratch),
+            ..LaplacianOp::new(&self.da, self.h)
+        }
+    }
+
+    fn coarser(&self) -> &Coarser {
+        self.coarser.as_ref().expect("not the coarsest level")
+    }
 }
 
 /// Which smoother the V-cycle uses on every level.
@@ -163,7 +306,6 @@ pub struct Multigrid {
     pub coarse_max_it: usize,
     smoother: SmootherKind,
     backend: ScatterBackend,
-    rank: usize,
 }
 
 impl Multigrid {
@@ -190,12 +332,13 @@ impl Multigrid {
                 .map(|d| 1.0 / d)
                 .collect();
             levels.push(Level {
+                scratch: Scratch::new(&da),
                 da,
                 h: cur_h,
                 inv_diag,
                 eig_max: 0.0, // estimated below, once the level exists
-                restrict: None,
-                interp: None,
+                stage: format!("mg_vcycle_l{lev}"),
+                coarser: None,
             });
             if lev + 1 < nlevels {
                 cur_dims = cur_dims.iter().map(|&n| n.div_ceil(2)).collect();
@@ -208,22 +351,23 @@ impl Multigrid {
         }
         // Build transfers between adjacent levels.
         for lev in 0..nlevels - 1 {
-            let (restrict, interp) = {
-                let (fine_slice, coarse_slice) = levels.split_at(lev + 1);
-                let fine = &fine_slice[lev].da;
-                let coarse = &coarse_slice[0].da;
-                (
-                    build_restrict(comm, fine, coarse),
-                    build_interp(comm, fine, coarse),
-                )
+            let (fine, coarse) = (&levels[lev].da, &levels[lev + 1].da);
+            let coarser = Coarser {
+                restrict: build_restrict(comm, fine, coarse),
+                interp: build_interp(comm, fine, coarse),
+                work: RefCell::new(Work {
+                    r: fine.create_global_vec(),
+                    d: fine.create_global_vec(),
+                    coarse_b: coarse.create_global_vec(),
+                    coarse_x: coarse.create_global_vec(),
+                }),
             };
-            levels[lev].restrict = Some(restrict);
-            levels[lev].interp = Some(interp);
+            levels[lev].coarser = Some(coarser);
         }
         // Estimate eig_max(D^-1 A) per level by power iteration (used by
         // the Chebyshev smoother; cheap relative to the solve).
         for level in &mut levels {
-            let op = LaplacianOp::new(&level.da, level.h);
+            let op = level.op();
             let mut v = PVec::zeros(level.da.global_layout().clone(), rank);
             for (i, vi) in v.local_mut().iter_mut().enumerate() {
                 *vi = 1.0 + ((i * 2654435761) % 97) as f64 / 97.0;
@@ -254,7 +398,6 @@ impl Multigrid {
             coarse_max_it: 200,
             smoother: SmootherKind::Jacobi,
             backend,
-            rank,
         }
     }
 
@@ -284,30 +427,30 @@ impl Multigrid {
         self.backend
     }
 
-    /// One smoothing call on level `lev`: a damped-Jacobi sweep or a
-    /// Chebyshev polynomial, per the configured [`SmootherKind`].
-    fn smooth(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
+    /// One smoothing call on level `lev` (not the coarsest): a
+    /// damped-Jacobi sweep or a Chebyshev polynomial, per the configured
+    /// [`SmootherKind`].
+    pub fn smooth(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
         match self.smoother {
             SmootherKind::Jacobi => self.smooth_jacobi(comm, lev, b, x),
             SmootherKind::Chebyshev { degree } => self.smooth_chebyshev(comm, lev, degree, b, x),
         }
     }
 
-    /// `x ← x + ω D⁻¹ (b − A x)`.
+    /// `x ← x + ω D⁻¹ (b − A x)`, each row updated as soon as its `A x`
+    /// is computed (from the local form, so the sweep stays Jacobi).
     fn smooth_jacobi(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
         let level = &self.levels[lev];
-        let op = LaplacianOp::new(&level.da, level.h);
-        let mut r = PVec::zeros(level.da.global_layout().clone(), self.rank);
-        op.apply(comm, x, &mut r, self.backend);
-        // x += omega * D^{-1} (b - Ax)
-        for ((xi, ri), (bi, di)) in x
-            .local_mut()
-            .iter_mut()
-            .zip(r.local())
-            .zip(b.local().iter().zip(&level.inv_diag))
-        {
-            *xi += self.omega * di * (bi - ri);
-        }
+        let op = level.op();
+        op.ghost_update(comm, x, self.backend);
+        op.for_each_row(comm, |row, ax| {
+            let bd = b.local()[row.clone()]
+                .iter()
+                .zip(&level.inv_diag[row.clone()]);
+            for ((xi, ri), (bi, di)) in x.local_mut()[row].iter_mut().zip(ax).zip(bd) {
+                *xi += self.omega * di * (bi - ri);
+            }
+        });
         comm.rank_mut().compute_flops(4 * b.local_size() as u64);
     }
 
@@ -316,7 +459,7 @@ impl Multigrid {
     /// spectrum instead of a single frequency band.
     fn smooth_chebyshev(&self, comm: &mut Comm, lev: usize, degree: usize, b: &PVec, x: &mut PVec) {
         let level = &self.levels[lev];
-        let op = LaplacianOp::new(&level.da, level.h);
+        let op = level.op();
         let a_lo = level.eig_max * 0.1;
         let a_hi = level.eig_max * 1.1;
         let theta = 0.5 * (a_hi + a_lo);
@@ -324,37 +467,56 @@ impl Multigrid {
         let sigma = theta / delta;
         let mut rho = 1.0 / sigma;
 
-        let layout = level.da.global_layout().clone();
-        let mut r = PVec::zeros(layout.clone(), self.rank);
-        let mut d = PVec::zeros(layout, self.rank);
+        let Work { r, d, .. } = &mut *level.coarser().work.borrow_mut();
         // r = D^{-1}(b - A x); d = r / theta; x += d
         let precond_residual = |comm: &mut Comm, x: &PVec, r: &mut PVec| {
-            op.apply(comm, x, r, self.backend);
-            for ((ri, bi), di) in r.local_mut().iter_mut().zip(b.local()).zip(&level.inv_diag) {
-                *ri = (bi - *ri) * di;
-            }
+            op.ghost_update(comm, x, self.backend);
+            op.for_each_row(comm, |row, ax| {
+                let bd = b.local()[row.clone()]
+                    .iter()
+                    .zip(&level.inv_diag[row.clone()]);
+                for ((ri, ai), (bi, di)) in r.local_mut()[row].iter_mut().zip(ax).zip(bd) {
+                    *ri = (bi - ai) * di;
+                }
+            });
             comm.rank_mut().compute_flops(2 * b.local_size() as u64);
         };
-        precond_residual(comm, x, &mut r);
-        d.copy_from(&r);
+        precond_residual(comm, x, r);
+        d.copy_from(r);
         d.scale(comm, 1.0 / theta);
-        x.axpy(comm, 1.0, &d);
+        x.axpy(comm, 1.0, d);
         for _ in 1..degree {
             let rho_prev = rho;
             rho = 1.0 / (2.0 * sigma - rho_prev);
-            precond_residual(comm, x, &mut r);
+            precond_residual(comm, x, r);
             // d = rho*rho_prev * d + (2*rho/delta) * r
             d.scale(comm, rho * rho_prev);
-            d.axpy(comm, 2.0 * rho / delta, &r);
-            x.axpy(comm, 1.0, &d);
+            d.axpy(comm, 2.0 * rho / delta, r);
+            x.axpy(comm, 1.0, d);
         }
+    }
+
+    /// `r ← b − A x` on level `lev`, computed and charged as the
+    /// application followed by `r.scale(-1)` and `r.axpy(1, b)`.
+    pub fn residual(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &PVec, r: &mut PVec) {
+        let op = self.levels[lev].op();
+        op.ghost_update(comm, x, self.backend);
+        op.for_each_row(comm, |row, ax| {
+            let rb = r.local_mut()[row.clone()].iter_mut().zip(&b.local()[row]);
+            for ((ri, bi), ai) in rb.zip(ax) {
+                *ri = ai * -1.0 + 1.0 * bi;
+            }
+        });
+        let n = r.local_size() as u64;
+        comm.rank_mut().compute_flops(n);
+        comm.rank_mut().compute_flops(2 * n);
     }
 
     /// Restrict a fine-level vector to coarse-level rhs (averaging).
     fn restrict(&self, comm: &mut Comm, lev: usize, fine_r: &PVec, coarse_b: &mut PVec) {
-        let t = self.levels[lev].restrict.as_ref().expect("not coarsest");
-        let mut buf = PVec::zeros(t.buf_layout.clone(), self.rank);
-        t.plan.apply(comm, fine_r, &mut buf, self.backend);
+        let t = &self.levels[lev].coarser().restrict;
+        let buf = &mut *t.buf.borrow_mut();
+        t.plan.apply(comm, fine_r, buf, self.backend);
         let vals = buf.local();
         let mut pos = 0usize;
         for (i, &cnt) in t.counts.iter().enumerate() {
@@ -368,21 +530,22 @@ impl Multigrid {
         comm.rank_mut().compute_flops(vals.len() as u64);
     }
 
-    /// Interpolate a coarse-level correction (cell-centred linear) and add
-    /// it into the fine x.
-    fn interp_add(&self, comm: &mut Comm, lev: usize, coarse_x: &PVec, fine_x: &mut PVec) {
-        let t = self.levels[lev].interp.as_ref().expect("not coarsest");
-        let mut buf = PVec::zeros(t.buf_layout.clone(), self.rank);
-        t.plan.apply(comm, coarse_x, &mut buf, self.backend);
+    /// Interpolate a coarse-level correction (cell-centred linear) from
+    /// level `lev + 1` and add it into the fine x on level `lev`.
+    pub fn interp_add(&self, comm: &mut Comm, lev: usize, coarse_x: &PVec, fine_x: &mut PVec) {
+        let t = &self.levels[lev].coarser().interp;
+        let buf = &mut *t.buf.borrow_mut();
+        t.plan.apply(comm, coarse_x, buf, self.backend);
         let vals = buf.local();
-        for (i, xi) in fine_x.local_mut().iter_mut().enumerate() {
+        for (xi, se) in fine_x.local_mut().iter_mut().zip(t.starts.windows(2)) {
+            let entries = se[0] as usize..se[1] as usize;
             let mut acc = 0.0;
-            for &(slot, w) in &t.entries[t.starts[i] as usize..t.starts[i + 1] as usize] {
-                acc += w * vals[slot as usize];
+            for (&slot, &w) in t.slots[entries.clone()].iter().zip(&t.weights[entries]) {
+                acc += t.palette[w as usize] * vals[slot as usize];
             }
             *xi += acc;
         }
-        comm.rank_mut().compute_flops(2 * t.entries.len() as u64);
+        comm.rank_mut().compute_flops(2 * t.slots.len() as u64);
     }
 
     /// Recursive V-cycle on level `lev`: improve `x` for `A_lev x = b`.
@@ -392,13 +555,13 @@ impl Multigrid {
     /// stages, so a `-log_view`-style report shows where V-cycle time goes
     /// per level.
     pub fn vcycle(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
-        let stage = format!("mg_vcycle_l{lev}");
-        comm.rank_mut().stage_begin(&stage);
+        let stage = &self.levels[lev].stage;
+        comm.rank_mut().stage_begin(stage);
         if let Some(m) = comm.rank_mut().metrics_mut() {
             m.counter_add("mg", "vcycle", &stage[10..], 1);
         }
         self.vcycle_inner(comm, lev, b, x);
-        comm.rank_mut().stage_end(&stage);
+        comm.rank_mut().stage_end(stage);
     }
 
     fn vcycle_inner(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
@@ -406,14 +569,13 @@ impl Multigrid {
         if lev == self.levels.len() - 1 {
             // Coarse solve: CG to a loose tolerance.
             comm.rank_mut().stage_begin("coarse_solve");
-            let op = LaplacianOp::new(&level.da, level.h);
             let settings = KspSettings {
                 rtol: self.coarse_rtol,
                 max_it: self.coarse_max_it,
                 backend: self.backend,
                 ..Default::default()
             };
-            cg(comm, &op, &IdentityPc, b, x, &settings);
+            cg(comm, &level.op(), &IdentityPc, b, x, &settings);
             comm.rank_mut().stage_end("coarse_solve");
             return;
         }
@@ -422,30 +584,30 @@ impl Multigrid {
             self.smooth(comm, lev, b, x);
             comm.rank_mut().stage_end("smooth");
         }
-        // r = b - A x
-        comm.rank_mut().stage_begin("residual");
-        let op = LaplacianOp::new(&level.da, level.h);
-        let mut r = PVec::zeros(level.da.global_layout().clone(), self.rank);
-        op.apply(comm, x, &mut r, self.backend);
-        r.scale(comm, -1.0);
-        r.axpy(comm, 1.0, b);
-        comm.rank_mut().stage_end("residual");
-        // Coarse correction.
-        let coarse_da = &self.levels[lev + 1].da;
-        let mut cb = PVec::zeros(coarse_da.global_layout().clone(), self.rank);
-        comm.rank_mut().stage_begin("restrict");
-        self.restrict(comm, lev, &r, &mut cb);
-        comm.rank_mut().stage_end("restrict");
-        let mut cx = PVec::zeros(coarse_da.global_layout().clone(), self.rank);
-        self.vcycle(comm, lev + 1, &cb, &mut cx);
-        comm.rank_mut().stage_begin("interp");
-        self.interp_add(comm, lev, &cx, x);
-        comm.rank_mut().stage_end("interp");
+        self.coarse_correction(comm, lev, b, x);
         for _ in 0..self.nu_post {
             comm.rank_mut().stage_begin("smooth");
             self.smooth(comm, lev, b, x);
             comm.rank_mut().stage_end("smooth");
         }
+    }
+
+    /// `x += P A_c⁻¹ R (b − A x)`, the coarse problem improved by one
+    /// V-cycle from zero. Borrows the level's vectors, which the smoothers
+    /// on either side of it use too.
+    fn coarse_correction(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
+        let work = &mut *self.levels[lev].coarser().work.borrow_mut();
+        comm.rank_mut().stage_begin("residual");
+        self.residual(comm, lev, b, x, &mut work.r);
+        comm.rank_mut().stage_end("residual");
+        comm.rank_mut().stage_begin("restrict");
+        self.restrict(comm, lev, &work.r, &mut work.coarse_b);
+        comm.rank_mut().stage_end("restrict");
+        work.coarse_x.set_all(0.0);
+        self.vcycle(comm, lev + 1, &work.coarse_b, &mut work.coarse_x);
+        comm.rank_mut().stage_begin("interp");
+        self.interp_add(comm, lev, &work.coarse_x, x);
+        comm.rank_mut().stage_end("interp");
     }
 }
 
@@ -458,10 +620,13 @@ impl Preconditioner for Multigrid {
 }
 
 /// Fine children of coarse point `cp` (cell-centred coarsening by 2,
-/// clipped at the grid boundary).
-fn children_of(cp: [usize; 3], fine_dims: [usize; 3], ndim: usize) -> Vec<[usize; 3]> {
-    let mut out = Vec::with_capacity(1 << ndim);
-    let span = |d: usize| -> std::ops::Range<usize> {
+/// clipped at the grid boundary), x fastest.
+fn children_of(
+    cp: [usize; 3],
+    fine_dims: [usize; 3],
+    ndim: usize,
+) -> impl Iterator<Item = [usize; 3]> {
+    let span = move |d: usize| -> Range<usize> {
         if d < ndim {
             let lo = 2 * cp[d];
             lo..(lo + 2).min(fine_dims[d])
@@ -469,14 +634,7 @@ fn children_of(cp: [usize; 3], fine_dims: [usize; 3], ndim: usize) -> Vec<[usize
             0..1
         }
     };
-    for k in span(2) {
-        for j in span(1) {
-            for i in span(0) {
-                out.push([i, j, k]);
-            }
-        }
-    }
-    out
+    span(2).flat_map(move |k| span(1).flat_map(move |j| span(0).map(move |i| [i, j, k])))
 }
 
 fn build_restrict(
@@ -487,16 +645,15 @@ fn build_restrict(
     let mut needed = Vec::new();
     let mut counts = Vec::new();
     for cp in coarse.owned_points() {
+        let before = needed.len();
         let children = children_of(cp, fine.dims(), fine.ndim());
-        counts.push(children.len() as u32);
-        for ch in children {
-            needed.push(fine.global_vec_index(ch, 0));
-        }
+        needed.extend(children.map(|ch| fine.global_vec_index(ch, 0)));
+        counts.push((needed.len() - before) as u32);
     }
     let (plan, buf_layout) = VecScatter::gather_plan(comm, fine.global_layout().clone(), &needed);
     RestrictPlan {
         plan,
-        buf_layout,
+        buf: RefCell::new(PVec::zeros(buf_layout, comm.rank())),
         counts,
     }
 }
@@ -512,16 +669,14 @@ fn build_interp(comm: &mut Comm, fine: &DistributedArray, coarse: &DistributedAr
     let mut unique: Vec<usize> = Vec::new();
     let mut slot_of: HashMap<usize, u32> = HashMap::new();
     let mut starts: Vec<u32> = vec![0];
-    let mut entries: Vec<(u32, f64)> = Vec::new();
+    let mut slots: Vec<u32> = Vec::new();
+    let mut weights: Vec<u8> = Vec::new();
+    let mut palette: Vec<f64> = Vec::new();
 
     for fp in fine.owned_points() {
         // Per-dimension coarse stencil: (parent, 0.75), (neighbour, 0.25).
         let mut dim_pts: [[(usize, f64); 2]; 3] = [[(0, 1.0), (0, 0.0)]; 3];
-        for d in 0..3 {
-            if d >= ndim {
-                dim_pts[d] = [(0, 1.0), (0, 0.0)];
-                continue;
-            }
+        for d in 0..ndim {
             let parent = fp[d] / 2;
             let neighbour = if fp[d] % 2 == 0 {
                 parent.checked_sub(1)
@@ -535,42 +690,44 @@ fn build_interp(comm: &mut Comm, fine: &DistributedArray, coarse: &DistributedAr
                 None => [(parent, 1.0), (parent, 0.0)],
             };
         }
-        // Tensor product over dimensions; skip zero weights.
-        let mut accum: HashMap<usize, f64> = HashMap::new();
-        for &(cz, wz) in &dim_pts[2][..] {
-            if wz == 0.0 {
-                continue;
-            }
-            for &(cy, wy) in &dim_pts[1][..] {
-                if wy == 0.0 {
-                    continue;
-                }
-                for &(cx, wx) in &dim_pts[0][..] {
-                    if wx == 0.0 {
-                        continue;
+        // Tensor product over dimensions, skipping zero weights; the
+        // coarse points of one fine point are distinct.
+        let mut pts = [(0usize, 0.0f64); 8];
+        let mut n = 0;
+        for &(cz, wz) in &dim_pts[2] {
+            for &(cy, wy) in &dim_pts[1] {
+                for &(cx, wx) in &dim_pts[0] {
+                    if wx != 0.0 && wy != 0.0 && wz != 0.0 {
+                        pts[n] = (coarse.global_vec_index([cx, cy, cz], 0), wx * wy * wz);
+                        n += 1;
                     }
-                    let g = coarse.global_vec_index([cx, cy, cz], 0);
-                    *accum.entry(g).or_insert(0.0) += wx * wy * wz;
                 }
             }
         }
-        let mut pts: Vec<(usize, f64)> = accum.into_iter().collect();
-        pts.sort_unstable_by_key(|&(g, _)| g);
-        for (g, w) in pts {
+        pts[..n].sort_unstable_by_key(|&(g, _)| g);
+        for &(g, w) in &pts[..n] {
             let slot = *slot_of.entry(g).or_insert_with(|| {
                 unique.push(g);
                 (unique.len() - 1) as u32
             });
-            entries.push((slot, w));
+            slots.push(slot);
+            let known = palette.iter().position(|p| p.to_bits() == w.to_bits());
+            let index = known.unwrap_or_else(|| {
+                palette.push(w);
+                palette.len() - 1
+            });
+            weights.push(u8::try_from(index).expect("at most 27 distinct weight products"));
         }
-        starts.push(entries.len() as u32);
+        starts.push(slots.len() as u32);
     }
     let (plan, buf_layout) = VecScatter::gather_plan(comm, coarse.global_layout().clone(), &unique);
     InterpPlan {
         plan,
-        buf_layout,
+        buf: RefCell::new(PVec::zeros(buf_layout, comm.rank())),
         starts,
-        entries,
+        slots,
+        weights,
+        palette,
     }
 }
 
