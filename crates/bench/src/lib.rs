@@ -266,7 +266,7 @@ pub fn regressions(diff: &RunDiff, gated: &[&str]) -> RunDiff {
 /// moments right before the regression was measured. The dump is also
 /// written to `target/flight/<name>.flight.txt` (for CI artifact upload)
 /// and handed to the process anomaly hook ([`ncd_simnet::dump_on`]) as a
-/// [`ncd_simnet::Anomaly::BaselineRegression`].
+/// [`ncd_simnet::Anomaly::ReferenceRegression`].
 ///
 /// Split out of [`BenchCli::observatory`] so tests can exercise the whole
 /// failure path without exiting the process.
@@ -287,7 +287,7 @@ pub fn gate_failure_report(name: &str, failing: &RunDiff) -> String {
             ));
         }
         ncd_simnet::trigger(
-            &ncd_simnet::Anomaly::BaselineRegression {
+            &ncd_simnet::Anomaly::ReferenceRegression {
                 name: name.to_string(),
             },
             &dump,

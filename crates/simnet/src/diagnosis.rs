@@ -50,11 +50,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::analysis::{attribute_rounds, HbGraph, NodeId};
 use crate::commmap::{matrix_from, ranks_from, render_heatmap, CommMatrix};
 use crate::json::{parse_schema_led, Json, JsonWriter};
-use crate::recorder::{last_run_recorders, RecCode};
+use crate::recorder::{last_run_recorders, RankRecorder, RecCode};
 use crate::time::SimTime;
 use crate::trace::{EventKind, TraceEvent};
 
@@ -656,16 +657,24 @@ pub fn parse_diagnosis(text: &str) -> Result<DiagnosisSummary, String> {
 
 /// Mirror the `top_k` highest-severity findings into the last run's
 /// flight recorders (each finding lands in its blamed rank's dedicated
-/// diagnosis ring), so anomaly dumps carry the diagnosis. Returns the
+/// diagnosis ring), so anomaly dumps carry the diagnosis. A recorder
+/// whose rank is still running is skipped and not counted. Returns the
 /// number of findings mirrored (0 when no run has happened, or the
 /// diagnosis is clean).
 pub fn mirror_to_flight_recorder(d: &Diagnosis, top_k: usize) -> usize {
-    let Some(recorders) = last_run_recorders() else {
-        return 0;
-    };
+    last_run_recorders().map_or(0, |recorders| mirror_to_recorders(d, top_k, &recorders))
+}
+
+/// [`mirror_to_flight_recorder`] into `recorders` (indexed by rank). A
+/// live rank is its recorder's only writer (see [`crate::recorder`]).
+pub(crate) fn mirror_to_recorders(
+    d: &Diagnosis,
+    top_k: usize,
+    recorders: &[Arc<RankRecorder>],
+) -> usize {
     let mut mirrored = 0;
     for f in d.findings.iter().take(top_k) {
-        let Some(rec) = recorders.get(f.blamed) else {
+        let Some(rec) = recorders.get(f.blamed).filter(|rec| !rec.writer_live()) else {
             continue;
         };
         let pattern = rec.intern(f.pattern.label());
@@ -878,6 +887,55 @@ mod tests {
         assert_eq!(d.classified, d.total_wait);
         assert_eq!(d.blame.bytes(0, 1), inst.severity.as_ns());
         assert_eq!(d.blame.msgs(0, 1), 1);
+    }
+
+    /// Mirroring writes only into a recorder whose rank has finished:
+    /// inside a run the rank's own live recorder is skipped and counts 0;
+    /// once that rank is dropped the same recorder takes the finding.
+    /// Recorders are passed in, never read from the last-run store.
+    #[test]
+    fn mirroring_skips_a_live_ranks_recorder() {
+        let out = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
+            rank.enable_tracing();
+            if rank.rank() == 0 {
+                rank.compute_flops(500_000);
+                rank.send_bytes(1, Tag(0), vec![0u8; 64]);
+            } else {
+                let _ = rank.recv_bytes(Some(0), Tag(0));
+            }
+            (rank.take_trace(), rank.flight_recorder().clone())
+        });
+        let (traces, recorders): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+        let d = diagnose(&traces);
+        assert_eq!(d.findings.len(), 1);
+        assert_eq!(d.findings[0].blamed, 0);
+
+        let live = Cluster::new(ClusterConfig::uniform(1)).run(|rank| {
+            let own = std::slice::from_ref(rank.flight_recorder());
+            assert!(own[0].writer_live());
+            let mirrored = mirror_to_recorders(&d, 4, own);
+            (
+                mirrored,
+                own[0].recent(RecCode::Diagnosis).len(),
+                own[0].clone(),
+            )
+        });
+        let (mirrored, ring, own) = live.into_iter().next().expect("one rank");
+        assert_eq!(
+            (mirrored, ring),
+            (0, 0),
+            "a live rank's recorder is skipped"
+        );
+        assert!(
+            !own.writer_live(),
+            "dropping the rank releases its recorder"
+        );
+        assert_eq!(mirror_to_recorders(&d, 4, std::slice::from_ref(&own)), 1);
+        assert_eq!(own.recent(RecCode::Diagnosis).len(), 1);
+
+        assert_eq!(mirror_to_recorders(&d, 4, &recorders), 1);
+        let ring = recorders[0].recent(RecCode::Diagnosis);
+        assert_eq!((ring.len(), ring[0].c), (1, 0), "blamed rank 0");
     }
 
     /// 0 computes, sends to 1; 1 forwards to 2 immediately: 2's wait is a

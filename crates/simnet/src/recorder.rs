@@ -6,11 +6,21 @@
 //! enabled everywhere — the black box that survives a crash. Each rank owns
 //! a [`RankRecorder`] fed by [`crate::Rank::record`] through
 //! [`RankRecorder::record_event`], the one place an event is packed into
-//! slot words (`render_record` is its inverse). The hot path is lock-free:
-//! a relaxed fetch-add claims a slot and plain atomic stores fill it, with
-//! a release-ordered sequence stamp last so readers can tell complete
-//! records from in-flight ones. Recording never touches the simulated
-//! clock.
+//! slot words (`render_record` is its inverse). Recording an event costs
+//! the stores of its slot and nothing else: the owning rank is the ring's
+//! only writer while it runs, so a slot is claimed with a plain load and
+//! store of the ring head, filled with relaxed stores, and stamped last
+//! with a release-ordered sequence number so readers on other threads can
+//! tell complete records from in-flight ones. A literal label the rank
+//! has recorded before costs no hash, lock or scan. Recording never
+//! touches the simulated clock.
+//!
+//! The single-writer contract holds by construction: a recorder made by
+//! [`crate::Cluster::run`] belongs to its rank until the
+//! [`crate::Rank`] is dropped (on return or unwind), and post-run writers
+//! ([`crate::diagnosis::mirror_to_flight_recorder`]) skip a recorder whose
+//! rank is still live. Every field is an atomic or behind a lock, so a broken
+//! contract loses records but never memory safety.
 //!
 //! When something goes wrong — a panic inside [`crate::Cluster::run`], a
 //! reference-gate (`--compare`) regression in `ncd-bench`, or a receive
@@ -21,11 +31,11 @@
 //! can grab evidence after the fact via [`last_run_dump`].
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::time::SimTime;
-use crate::trace::{EventKind, TraceEvent};
+use crate::trace::{EventKind, Label, TraceEvent};
 
 /// What kind of event a flight-recorder slot holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,18 +101,76 @@ pub struct Recorded {
     pub e: u64,
 }
 
-/// One ring slot: eight word-sized atomics = one cache line. `seq` is
-/// written last (release) and doubles as the "record complete" flag.
+/// One ring slot: eight word-sized atomics, 64 bytes. `stamp` is written
+/// last (release) and doubles as the "record complete" flag; `words` are
+/// `[time, code, a, b, c, d, e]` in the main ring and
+/// `[time, main-ring seq, a, b, c, d, e]` in a side ring, whose code is
+/// fixed. (Not cache-line aligned: at N = 1024 an aligned ring costs
+/// ~3 MiB of allocator padding.)
 #[derive(Default)]
 struct Slot {
-    seq: AtomicU64,
-    time: AtomicU64,
-    code: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-    c: AtomicU64,
-    d: AtomicU64,
-    e: AtomicU64,
+    stamp: AtomicU64,
+    words: [AtomicU64; 7],
+}
+
+/// A power-of-two ring of [`Slot`]s with one writer at a time (the
+/// contract in the module docs), so claiming a slot needs no
+/// read-modify-write: the writer is the only one that moves `head`.
+struct Ring {
+    head: AtomicU64,
+    slots: Box<[Slot]>,
+}
+
+impl Ring {
+    fn new(capacity: usize) -> Self {
+        debug_assert!(capacity.is_power_of_two());
+        Ring {
+            head: AtomicU64::new(0),
+            slots: (0..capacity).map(|_| Slot::default()).collect(),
+        }
+    }
+
+    /// Records ever pushed (not bounded by capacity).
+    fn pushed(&self) -> u64 {
+        self.head.load(Ordering::Relaxed)
+    }
+
+    fn slot(&self, stamp: u64) -> &Slot {
+        &self.slots[(stamp - 1) as usize & (self.slots.len() - 1)]
+    }
+
+    /// Claim the next slot and fill it; returns its 1-based stamp. `head`
+    /// moves first, so a reader that sees it finds the slot's old stamp
+    /// until the release store below, which pairs with the acquire load
+    /// in [`Ring::read`].
+    #[inline(always)]
+    fn push(&self, words: [u64; 7]) -> u64 {
+        let stamp = self.head.load(Ordering::Relaxed) + 1;
+        self.head.store(stamp, Ordering::Relaxed);
+        let slot = self.slot(stamp);
+        for (word, value) in slot.words.iter().zip(words) {
+            word.store(value, Ordering::Relaxed);
+        }
+        slot.stamp.store(stamp, Ordering::Release);
+        stamp
+    }
+
+    /// The surviving window, oldest → newest, as `(stamp, words)`. Slots
+    /// overwritten or still being written are skipped; with a quiescent
+    /// writer the window is exact.
+    fn read(&self) -> impl Iterator<Item = (u64, [u64; 7])> + '_ {
+        let head = self.pushed();
+        let first = head.saturating_sub(self.slots.len() as u64) + 1;
+        (first..=head).filter_map(move |want| {
+            let slot = self.slot(want);
+            (slot.stamp.load(Ordering::Acquire) == want).then(|| {
+                (
+                    want,
+                    std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed)),
+                )
+            })
+        })
+    }
 }
 
 /// FNV-1a 64-bit — the label hash used for string payloads.
@@ -131,32 +199,74 @@ const SIDE_RINGS: [(RecCode, &str); 3] = [
     (RecCode::Diagnosis, "diagnosis findings"),
 ];
 
+/// Entries in the writer-side label cache (a power of two).
+const LABEL_CACHE_SLOTS: usize = 16;
+
+/// One label-cache entry: a `'static` label's address and length, and the
+/// word recorded for it.
+#[derive(Default)]
+struct CachedLabel {
+    addr: AtomicUsize,
+    len: AtomicUsize,
+    word: AtomicU64,
+}
+
 /// A per-rank flight recorder: fixed capacity, overwrites oldest.
 pub struct RankRecorder {
     rank: usize,
-    head: AtomicU64,
-    slots: Box<[Slot]>,
+    main: Ring,
+    /// Whether a running rank still owns this recorder as its writer
+    /// (see the module docs).
+    writer_live: AtomicBool,
     /// Hash → string for label payloads (marks, stages, engine names).
-    /// Touched only on label-carrying records and renders, never on the
-    /// hot send/recv path.
+    /// Touched only the first time a literal label is recorded, on every
+    /// owned label, and by renders.
     labels: Mutex<Vec<(u64, String)>>,
+    /// Literal labels already interned, keyed by address and length; read
+    /// and written only by the writer.
+    label_cache: [CachedLabel; LABEL_CACHE_SLOTS],
     /// The last [`SIDE_RING_SLOTS`] records of each [`SIDE_RINGS`] code,
-    /// in table order. Those codes are rare (one per adaptive collective
-    /// call at most), so a mutex off the hot path is fine.
-    side: [Mutex<Vec<Recorded>>; SIDE_RINGS.len()],
+    /// in table order, allocated on the code's first record.
+    side: [OnceLock<Ring>; SIDE_RINGS.len()],
 }
 
 impl RankRecorder {
-    /// `capacity` is rounded up to a power of two (minimum 8).
+    /// `capacity` is rounded up to a power of two (minimum 8). Panics,
+    /// naming the value, when no power of two that large fits a `usize`.
     pub fn new(rank: usize, capacity: usize) -> Self {
-        let cap = capacity.max(8).next_power_of_two();
+        let cap = capacity
+            .max(8)
+            .checked_next_power_of_two()
+            .unwrap_or_else(|| panic!("flight-recorder capacity {capacity} has no power of two"));
         RankRecorder {
             rank,
-            head: AtomicU64::new(0),
-            slots: (0..cap).map(|_| Slot::default()).collect(),
+            main: Ring::new(cap),
+            writer_live: AtomicBool::new(false),
             labels: Mutex::new(Vec::new()),
+            label_cache: Default::default(),
             side: Default::default(),
         }
+    }
+
+    /// A recorder owned by a running rank from birth: [`Self::writer_live`]
+    /// until [`Self::release_writer`].
+    pub(crate) fn owned_by_rank(rank: usize, capacity: usize) -> Self {
+        RankRecorder {
+            writer_live: AtomicBool::new(true),
+            ..Self::new(rank, capacity)
+        }
+    }
+
+    /// The owning rank is gone; its last records happen-before any
+    /// write by a thread that then sees [`Self::writer_live`] false.
+    pub(crate) fn release_writer(&self) {
+        self.writer_live.store(false, Ordering::Release);
+    }
+
+    /// Whether a running rank still owns this recorder: only that rank
+    /// may record into it until this turns false.
+    pub(crate) fn writer_live(&self) -> bool {
+        self.writer_live.load(Ordering::Acquire)
     }
 
     pub fn rank(&self) -> usize {
@@ -164,16 +274,17 @@ impl RankRecorder {
     }
 
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.main.slots.len()
     }
 
     /// Total records ever written (not bounded by capacity).
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.main.pushed()
     }
 
-    /// Write one packed record. Lock-free; safe to call from the owning
-    /// rank's thread while other threads snapshot.
+    /// Write one packed record: the stores of one slot (two when the
+    /// code has a side ring). Safe to call from the writer while other
+    /// threads snapshot.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record(
         &self,
@@ -185,45 +296,33 @@ impl RankRecorder {
         d: u64,
         e: u64,
     ) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed) + 1;
-        let slot = &self.slots[(seq - 1) as usize & (self.slots.len() - 1)];
-        slot.time.store(time.as_ns(), Ordering::Relaxed);
-        slot.code.store(code as u64, Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.c.store(c, Ordering::Relaxed);
-        slot.d.store(d, Ordering::Relaxed);
-        slot.e.store(e, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
-        if let Some(ring) = self.side_ring(code) {
-            let mut ring = ring.lock().expect("side ring poisoned");
-            if ring.len() == SIDE_RING_SLOTS {
-                ring.remove(0);
-            }
-            ring.push(Recorded {
+        let time = time.as_ns();
+        let seq = self.main.push([time, code as u64, a, b, c, d, e]);
+        if let Some(at) = side_ring_index(code) {
+            self.side[at]
+                .get_or_init(|| Ring::new(SIDE_RING_SLOTS))
+                .push([time, seq, a, b, c, d, e]);
+        }
+    }
+
+    /// The last [`SIDE_RING_SLOTS`] records of `code`, oldest → newest
+    /// (empty for a code without a side ring).
+    pub fn recent(&self, code: RecCode) -> Vec<Recorded> {
+        let Some(ring) = side_ring_index(code).and_then(|at| self.side[at].get()) else {
+            return Vec::new();
+        };
+        ring.read()
+            .map(|(_, [time, seq, a, b, c, d, e])| Recorded {
                 seq,
-                time,
+                time: SimTime(time),
                 code,
                 a,
                 b,
                 c,
                 d,
                 e,
-            });
-        }
-    }
-
-    fn side_ring(&self, code: RecCode) -> Option<&Mutex<Vec<Recorded>>> {
-        let at = SIDE_RINGS.iter().position(|(c, _)| *c == code)?;
-        Some(&self.side[at])
-    }
-
-    /// The last [`SIDE_RING_SLOTS`] records of `code`, oldest → newest
-    /// (empty for a code without a side ring).
-    pub fn recent(&self, code: RecCode) -> Vec<Recorded> {
-        self.side_ring(code).map_or_else(Vec::new, |ring| {
-            ring.lock().expect("side ring poisoned").clone()
-        })
+            })
+            .collect()
     }
 
     /// Intern `label` so dumps can print it back; returns its hash, the
@@ -235,6 +334,28 @@ impl RankRecorder {
             labels.push((h, label.to_string()));
         }
         h
+    }
+
+    /// The word recorded for `label` — always `fnv1a(label)`, interned.
+    /// A literal already seen resolves by address from the writer-side
+    /// cache, with no hash, lock or scan; an owned label, or a literal
+    /// seen for the first time (or evicted by one sharing its cache
+    /// entry), goes through [`Self::intern`].
+    #[inline(always)]
+    fn label_word(&self, label: &Label) -> u64 {
+        let Label::Borrowed(text) = label else {
+            return self.intern(label);
+        };
+        let (addr, len) = (text.as_ptr() as usize, text.len());
+        let entry = &self.label_cache[label_cache_index(addr, len)];
+        if entry.addr.load(Ordering::Relaxed) == addr && entry.len.load(Ordering::Relaxed) == len {
+            return entry.word.load(Ordering::Relaxed);
+        }
+        let word = self.intern(text);
+        entry.addr.store(addr, Ordering::Relaxed);
+        entry.len.store(len, Ordering::Relaxed);
+        entry.word.store(word, Ordering::Relaxed);
+        word
     }
 
     fn label_of(&self, hash: u64) -> String {
@@ -249,184 +370,183 @@ impl RankRecorder {
     /// The surviving window, oldest → newest. Incomplete (torn) slots are
     /// skipped; with a quiescent writer the snapshot is exact.
     pub fn snapshot(&self) -> Vec<Recorded> {
-        let head = self.head.load(Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        let first = head.saturating_sub(cap) + 1;
-        let mut out = Vec::new();
-        for want in first..=head {
-            if head == 0 {
-                break;
-            }
-            let slot = &self.slots[(want - 1) as usize & (self.slots.len() - 1)];
-            if slot.seq.load(Ordering::Acquire) != want {
-                continue; // overwritten or still being written
-            }
-            let code = match RecCode::from_u64(slot.code.load(Ordering::Relaxed)) {
-                Some(c) => c,
-                None => continue,
-            };
-            out.push(Recorded {
-                seq: want,
-                time: SimTime(slot.time.load(Ordering::Relaxed)),
-                code,
-                a: slot.a.load(Ordering::Relaxed),
-                b: slot.b.load(Ordering::Relaxed),
-                c: slot.c.load(Ordering::Relaxed),
-                d: slot.d.load(Ordering::Relaxed),
-                e: slot.e.load(Ordering::Relaxed),
-            });
-        }
-        out
+        self.main
+            .read()
+            .filter_map(|(seq, [time, code, a, b, c, d, e])| {
+                Some(Recorded {
+                    seq,
+                    time: SimTime(time),
+                    code: RecCode::from_u64(code)?,
+                    a,
+                    b,
+                    c,
+                    d,
+                    e,
+                })
+            })
+            .collect()
     }
 
     /// Pack one observed event into a slot, stamped with the time it
-    /// ended. The only `EventKind → (RecCode, a…e)` table;
-    /// `render_record` below is its inverse and [`Recorded`] documents the
-    /// word layout. Force-inlined for the reason given at
+    /// ended. Force-inlined for the reason given at
     /// [`crate::Rank::record`], its one caller.
     #[inline(always)]
     pub fn record_event(&self, event: &TraceEvent) {
-        let (code, [a, b, c, d, e]) = match &event.kind {
-            EventKind::Send { dst, bytes, seq } => {
-                (RecCode::Send, [*dst as u64, *bytes as u64, *seq, 0, 0])
-            }
-            EventKind::Recv {
-                src, bytes, wait, ..
-            } => (
-                RecCode::Recv,
-                [*src as u64, *bytes as u64, wait.as_ns(), 0, 0],
-            ),
-            EventKind::Mark { label } => (RecCode::Mark, [self.intern(label), 0, 0, 0, 0]),
-            EventKind::Span { name } => (
-                RecCode::Stage,
-                [self.intern(name), event.duration().as_ns(), 0, 0, 0],
-            ),
-            EventKind::Round { op, round } => (
-                RecCode::Round,
-                [self.intern(op), u64::from(*round), 0, 0, 0],
-            ),
-            EventKind::PackBlock {
-                engine,
-                index,
-                sparse,
-                seek,
-                lookahead,
-                bytes,
-            } => (
-                RecCode::PackBlock,
-                [
-                    self.intern(engine),
-                    *index,
-                    *seek,
-                    (lookahead << 1) | u64::from(*sparse),
-                    *bytes,
-                ],
-            ),
-            EventKind::IrecvPost { src, tag } => (
-                RecCode::IrecvPost,
-                [src.map_or(u64::MAX, |s| s as u64), u64::from(*tag), 0, 0, 0],
-            ),
-            EventKind::SendWait { residual } => (RecCode::SendWait, [residual.as_ns(), 0, 0, 0, 0]),
-            EventKind::AlgoDecision {
-                collective,
-                n,
-                total_bytes,
-                ratio_millis,
-                pow2,
-                chosen,
-                reason: _,
-            } => (
-                RecCode::AlgoDecision,
-                [
-                    self.intern(collective),
-                    self.intern(chosen),
-                    ((*n as u64) << 1) | u64::from(*pow2),
-                    *total_bytes,
-                    *ratio_millis,
-                ],
-            ),
-            EventKind::Drift {
-                label,
-                metric,
-                occurrence,
-                up,
-                baseline_millis,
-                observed_millis,
-            } => (
-                RecCode::Drift,
-                [
-                    self.intern(label),
-                    self.intern(metric),
-                    (u64::from(*occurrence) << 1) | u64::from(*up),
-                    *baseline_millis,
-                    *observed_millis,
-                ],
-            ),
-        };
+        let (code, [a, b, c, d, e]) = pack_event(event, |label| self.label_word(label));
         self.record(code, event.end, a, b, c, d, e);
     }
+}
 
-    fn render_record(&self, r: &Recorded) -> String {
-        let head = format!(
-            "[rank {:>3}] #{:<6} t={:<12}",
-            self.rank,
-            r.seq,
-            r.time.as_ns()
-        );
-        let body = match r.code {
-            RecCode::Send => format!("send       dst={} bytes={} seq={}", r.a, r.b, r.c),
-            RecCode::Recv => format!("recv       src={} bytes={} wait_ns={}", r.a, r.b, r.c),
-            RecCode::Mark => format!("mark       {}", self.label_of(r.a)),
-            RecCode::Stage => format!("stage      {} dur_ns={}", self.label_of(r.a), r.b),
-            RecCode::Round => format!("round      {} #{}", self.label_of(r.a), r.b),
-            RecCode::PackBlock => format!(
-                "pack-block engine={} index={} {} seek={} lookahead={} bytes={}",
-                self.label_of(r.a),
-                r.b,
-                if r.d & 1 == 1 { "sparse" } else { "dense" },
-                r.c,
-                r.d >> 1,
-                r.e,
-            ),
-            RecCode::IrecvPost => format!(
-                "irecv      src={} tag={}",
-                if r.a == u64::MAX {
-                    "any".to_string()
-                } else {
-                    r.a.to_string()
-                },
-                r.b
-            ),
-            RecCode::SendWait => format!("send-wait  residual_ns={}", r.a),
-            RecCode::AlgoDecision => format!(
-                "algo       {} -> {} n={} pow2={} bytes={} ratio={}",
-                self.label_of(r.a),
-                self.label_of(r.b),
-                r.c >> 1,
-                r.c & 1 == 1,
-                r.d,
-                render_millis(r.e),
-            ),
-            RecCode::Drift => format!(
-                "drift      {} {} occ={} {} baseline={} observed={}",
-                self.label_of(r.a),
-                self.label_of(r.b),
-                r.c >> 1,
-                if r.c & 1 == 1 { "up" } else { "down" },
-                render_millis(r.d),
-                render_millis(r.e),
-            ),
-            RecCode::Diagnosis => format!(
-                "diag       {} op={} blamed={} instances={} severity_ns={}",
-                self.label_of(r.a),
-                self.label_of(r.b),
-                r.c,
-                r.d,
-                r.e,
-            ),
-        };
-        format!("{head} {body}")
+/// Which [`SIDE_RINGS`] entry holds `code`, if any.
+#[inline(always)]
+fn side_ring_index(code: RecCode) -> Option<usize> {
+    SIDE_RINGS.iter().position(|(c, _)| *c == code)
+}
+
+/// The label-cache entry for a literal at `addr` of `len` bytes
+/// (Fibonacci hashing of both; the top bits pick the entry).
+#[inline(always)]
+fn label_cache_index(addr: usize, len: usize) -> usize {
+    let mixed = (addr as u64 ^ (len as u64).rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mixed >> (64 - LABEL_CACHE_SLOTS.trailing_zeros())) as usize
+}
+
+/// The only `EventKind → (RecCode, a…e)` table: `render_record` below is
+/// its inverse and [`Recorded`] documents the word layout. `label` gives
+/// the word for a label payload.
+#[inline(always)]
+fn pack_event(event: &TraceEvent, mut label: impl FnMut(&Label) -> u64) -> (RecCode, [u64; 5]) {
+    match &event.kind {
+        EventKind::Send { dst, bytes, seq } => {
+            (RecCode::Send, [*dst as u64, *bytes as u64, *seq, 0, 0])
+        }
+        EventKind::Recv {
+            src, bytes, wait, ..
+        } => (
+            RecCode::Recv,
+            [*src as u64, *bytes as u64, wait.as_ns(), 0, 0],
+        ),
+        EventKind::Mark { label: text } => (RecCode::Mark, [label(text), 0, 0, 0, 0]),
+        EventKind::Span { name } => (
+            RecCode::Stage,
+            [label(name), event.duration().as_ns(), 0, 0, 0],
+        ),
+        EventKind::Round { op, round } => (RecCode::Round, [label(op), u64::from(*round), 0, 0, 0]),
+        EventKind::PackBlock {
+            engine,
+            index,
+            sparse,
+            seek,
+            lookahead,
+            bytes,
+        } => (
+            RecCode::PackBlock,
+            [
+                label(engine),
+                *index,
+                *seek,
+                (lookahead << 1) | u64::from(*sparse),
+                *bytes,
+            ],
+        ),
+        EventKind::IrecvPost { src, tag } => (
+            RecCode::IrecvPost,
+            [src.map_or(u64::MAX, |s| s as u64), u64::from(*tag), 0, 0, 0],
+        ),
+        EventKind::SendWait { residual } => (RecCode::SendWait, [residual.as_ns(), 0, 0, 0, 0]),
+        EventKind::AlgoDecision {
+            collective,
+            n,
+            total_bytes,
+            ratio_millis,
+            pow2,
+            chosen,
+            reason: _,
+        } => (
+            RecCode::AlgoDecision,
+            [
+                label(collective),
+                label(chosen),
+                ((*n as u64) << 1) | u64::from(*pow2),
+                *total_bytes,
+                *ratio_millis,
+            ],
+        ),
+        EventKind::Drift {
+            label: series,
+            metric,
+            occurrence,
+            up,
+            baseline_millis,
+            observed_millis,
+        } => (
+            RecCode::Drift,
+            [
+                label(series),
+                label(metric),
+                (u64::from(*occurrence) << 1) | u64::from(*up),
+                *baseline_millis,
+                *observed_millis,
+            ],
+        ),
     }
+}
+
+fn render_record(rank: usize, r: &Recorded, label: &impl Fn(u64) -> String) -> String {
+    let head = format!("[rank {:>3}] #{:<6} t={:<12}", rank, r.seq, r.time.as_ns());
+    let body = match r.code {
+        RecCode::Send => format!("send       dst={} bytes={} seq={}", r.a, r.b, r.c),
+        RecCode::Recv => format!("recv       src={} bytes={} wait_ns={}", r.a, r.b, r.c),
+        RecCode::Mark => format!("mark       {}", label(r.a)),
+        RecCode::Stage => format!("stage      {} dur_ns={}", label(r.a), r.b),
+        RecCode::Round => format!("round      {} #{}", label(r.a), r.b),
+        RecCode::PackBlock => format!(
+            "pack-block engine={} index={} {} seek={} lookahead={} bytes={}",
+            label(r.a),
+            r.b,
+            if r.d & 1 == 1 { "sparse" } else { "dense" },
+            r.c,
+            r.d >> 1,
+            r.e,
+        ),
+        RecCode::IrecvPost => format!(
+            "irecv      src={} tag={}",
+            if r.a == u64::MAX {
+                "any".to_string()
+            } else {
+                r.a.to_string()
+            },
+            r.b
+        ),
+        RecCode::SendWait => format!("send-wait  residual_ns={}", r.a),
+        RecCode::AlgoDecision => format!(
+            "algo       {} -> {} n={} pow2={} bytes={} ratio={}",
+            label(r.a),
+            label(r.b),
+            r.c >> 1,
+            r.c & 1 == 1,
+            r.d,
+            render_millis(r.e),
+        ),
+        RecCode::Drift => format!(
+            "drift      {} {} occ={} {} baseline={} observed={}",
+            label(r.a),
+            label(r.b),
+            r.c >> 1,
+            if r.c & 1 == 1 { "up" } else { "down" },
+            render_millis(r.d),
+            render_millis(r.e),
+        ),
+        RecCode::Diagnosis => format!(
+            "diag       {} op={} blamed={} instances={} severity_ns={}",
+            label(r.a),
+            label(r.b),
+            r.c,
+            r.d,
+            r.e,
+        ),
+    };
+    format!("{head} {body}")
 }
 
 /// Format an integer-thousandths payload word (`u64::MAX` = infinite).
@@ -438,39 +558,56 @@ fn render_millis(millis: u64) -> String {
     }
 }
 
+const DUMP_TITLE: &str = "=== flight recorder: last events per rank ===\n";
+
 /// Render the recent window of every recorder as a human-readable table,
 /// one section per rank, oldest → newest.
 pub fn render_dump(recorders: &[Arc<RankRecorder>]) -> String {
-    let mut out = String::from("=== flight recorder: last events per rank ===\n");
+    let mut out = String::from(DUMP_TITLE);
     for rec in recorders {
-        let snap = rec.snapshot();
-        let total = rec.recorded();
-        out.push_str(&format!(
-            "rank {:>3}: {} recorded, showing last {}\n",
+        render_rank(
+            &mut out,
             rec.rank(),
-            total,
-            snap.len()
-        ));
-        for r in &snap {
-            out.push_str(&rec.render_record(r));
-            out.push('\n');
-        }
-        for (code, heading) in SIDE_RINGS {
-            let recent = rec.recent(code);
-            if !recent.is_empty() {
-                out.push_str(&format!(
-                    "rank {:>3}: last {} {heading}\n",
-                    rec.rank(),
-                    recent.len()
-                ));
-                for r in &recent {
-                    out.push_str(&rec.render_record(r));
-                    out.push('\n');
-                }
+            rec.recorded(),
+            &rec.snapshot(),
+            |code| rec.recent(code),
+            |hash| rec.label_of(hash),
+        );
+    }
+    out
+}
+
+/// Append one rank's section of [`render_dump`]: its main-ring window,
+/// then every non-empty side ring. `label` resolves a label word.
+fn render_rank(
+    out: &mut String,
+    rank: usize,
+    recorded: u64,
+    snapshot: &[Recorded],
+    recent: impl Fn(RecCode) -> Vec<Recorded>,
+    label: impl Fn(u64) -> String,
+) {
+    out.push_str(&format!(
+        "rank {rank:>3}: {recorded} recorded, showing last {}\n",
+        snapshot.len()
+    ));
+    for r in snapshot {
+        out.push_str(&render_record(rank, r, &label));
+        out.push('\n');
+    }
+    for (code, heading) in SIDE_RINGS {
+        let recent = recent(code);
+        if !recent.is_empty() {
+            out.push_str(&format!(
+                "rank {rank:>3}: last {} {heading}\n",
+                recent.len()
+            ));
+            for r in &recent {
+                out.push_str(&render_record(rank, r, &label));
+                out.push('\n');
             }
         }
     }
-    out
 }
 
 /// Why a flight-recorder dump was triggered.
@@ -487,7 +624,7 @@ pub enum Anomaly {
     },
     /// A benchmark's reference gate (`--compare`) detected a regression
     /// (`name` is the benchmark's observatory name).
-    BaselineRegression { name: String },
+    ReferenceRegression { name: String },
 }
 
 impl fmt::Display for Anomaly {
@@ -502,8 +639,8 @@ impl fmt::Display for Anomaly {
                 f,
                 "latency spike on rank {rank}: waited {wait_ns} ns (threshold {threshold_ns} ns)"
             ),
-            Anomaly::BaselineRegression { name } => {
-                write!(f, "baseline regression in {name}")
+            Anomaly::ReferenceRegression { name } => {
+                write!(f, "reference-gate regression in {name}")
             }
         }
     }
@@ -784,5 +921,316 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(rec.snapshot().len(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "flight-recorder capacity 18446744073709551615 has no power of two")]
+    fn capacity_without_a_power_of_two_is_named() {
+        RankRecorder::new(0, usize::MAX);
+    }
+
+    use proptest::prelude::*;
+    use std::sync::atomic::AtomicU64;
+
+    /// The recorder as it was before the single-writer claim and the
+    /// label cache, kept as the oracle: a `fetch_add` claims each slot,
+    /// every label is hashed and interned under the table lock, and each
+    /// side ring is a `Mutex<Vec>`.
+    struct Reference {
+        rank: usize,
+        head: AtomicU64,
+        /// `[seq, time, code, a, b, c, d, e]`; `seq` stored last.
+        slots: Box<[[AtomicU64; 8]]>,
+        labels: Mutex<Vec<(u64, String)>>,
+        side: [Mutex<Vec<Recorded>>; SIDE_RINGS.len()],
+    }
+
+    impl Reference {
+        fn new(rank: usize, capacity: usize) -> Self {
+            let cap = capacity.max(8).next_power_of_two();
+            Reference {
+                rank,
+                head: AtomicU64::new(0),
+                slots: (0..cap).map(|_| Default::default()).collect(),
+                labels: Mutex::new(Vec::new()),
+                side: Default::default(),
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn record(&self, code: RecCode, time: SimTime, a: u64, b: u64, c: u64, d: u64, e: u64) {
+            let seq = self.head.fetch_add(1, Ordering::Relaxed) + 1;
+            let slot = &self.slots[(seq - 1) as usize & (self.slots.len() - 1)];
+            let words = [time.as_ns(), code as u64, a, b, c, d, e];
+            for (word, value) in slot[1..].iter().zip(words) {
+                word.store(value, Ordering::Relaxed);
+            }
+            slot[0].store(seq, Ordering::Release);
+            if let Some(at) = side_ring_index(code) {
+                let mut ring = self.side[at].lock().unwrap();
+                if ring.len() == SIDE_RING_SLOTS {
+                    ring.remove(0);
+                }
+                ring.push(Recorded {
+                    seq,
+                    time,
+                    code,
+                    a,
+                    b,
+                    c,
+                    d,
+                    e,
+                });
+            }
+        }
+
+        fn intern(&self, label: &str) -> u64 {
+            let h = fnv1a(label);
+            let mut labels = self.labels.lock().unwrap();
+            if !labels.iter().any(|(hash, _)| *hash == h) {
+                labels.push((h, label.to_string()));
+            }
+            h
+        }
+
+        fn record_event(&self, event: &TraceEvent) {
+            let (code, [a, b, c, d, e]) = pack_event(event, |label| self.intern(label));
+            self.record(code, event.end, a, b, c, d, e);
+        }
+
+        fn recorded(&self) -> u64 {
+            self.head.load(Ordering::Relaxed)
+        }
+
+        fn snapshot(&self) -> Vec<Recorded> {
+            let head = self.recorded();
+            let first = head.saturating_sub(self.slots.len() as u64) + 1;
+            let mut out = Vec::new();
+            for want in first..=head {
+                let slot = &self.slots[(want - 1) as usize & (self.slots.len() - 1)];
+                if slot[0].load(Ordering::Acquire) != want {
+                    continue;
+                }
+                let [time, code, a, b, c, d, e] =
+                    std::array::from_fn(|i| slot[i + 1].load(Ordering::Relaxed));
+                out.push(Recorded {
+                    seq: want,
+                    time: SimTime(time),
+                    code: RecCode::from_u64(code).unwrap(),
+                    a,
+                    b,
+                    c,
+                    d,
+                    e,
+                });
+            }
+            out
+        }
+
+        fn recent(&self, code: RecCode) -> Vec<Recorded> {
+            side_ring_index(code).map_or_else(Vec::new, |at| self.side[at].lock().unwrap().clone())
+        }
+
+        fn dump(&self) -> String {
+            let mut out = String::from(DUMP_TITLE);
+            let label_of = |hash: u64| {
+                let labels = self.labels.lock().unwrap();
+                labels
+                    .iter()
+                    .find(|(h, _)| *h == hash)
+                    .map_or_else(|| format!("#{hash:016x}"), |(_, s)| s.clone())
+            };
+            let snapshot = self.snapshot();
+            let recent = |code| self.recent(code);
+            render_rank(
+                &mut out,
+                self.rank,
+                self.recorded(),
+                &snapshot,
+                recent,
+                label_of,
+            );
+            out
+        }
+    }
+
+    /// More literals than the label cache has entries, so they collide.
+    const LITERALS: [&str; 20] = [
+        "allgatherv/ring",
+        "allgatherv/recursive_doubling",
+        "alltoallw/round_robin",
+        "alltoallw/binned",
+        "single-context",
+        "dual-context",
+        "tree",
+        "allgatherv",
+        "alltoallw",
+        "ring",
+        "recursive_doubling",
+        "binned",
+        "round_robin",
+        "bytes",
+        "skew",
+        "late-sender",
+        "wait-at-collective",
+        "phase-1",
+        "solve/smooth",
+        "-",
+    ];
+
+    /// Its prefixes are literals at one address that differ in length
+    /// (and two of them repeat a [`LITERALS`] text at another address).
+    const PREFIXED: &str = "allgatherv/ring/prefix";
+
+    /// Any `u64` (the stand-in `proptest` draws from ranges).
+    const ANY: std::ops::Range<u64> = 0..u64::MAX;
+
+    fn label() -> impl Strategy<Value = Label> {
+        prop_oneof![
+            (0..LITERALS.len()).prop_map(|i| Label::Borrowed(LITERALS[i])),
+            (0..LITERALS.len()).prop_map(|i| Label::Borrowed(LITERALS[i])),
+            (0..LITERALS.len()).prop_map(|i| Label::Owned(LITERALS[i].to_string())),
+            (0..PREFIXED.len() + 1).prop_map(|len| Label::Borrowed(&PREFIXED[..len])),
+            (0..64u32).prop_map(|n| Label::Owned(format!("fresh-{n}"))),
+        ]
+    }
+
+    fn event_kind() -> impl Strategy<Value = EventKind> {
+        prop_oneof![
+            (0..64usize, 0..4096usize, ANY).prop_map(|(dst, bytes, seq)| EventKind::Send {
+                dst,
+                bytes,
+                seq
+            }),
+            (0..64usize, 0..4096usize, ANY, ANY).prop_map(|(src, bytes, seq, wait)| {
+                EventKind::Recv {
+                    src,
+                    bytes,
+                    seq,
+                    wait: SimTime(wait),
+                }
+            }),
+            label().prop_map(|label| EventKind::Mark { label }),
+            label().prop_map(|name| EventKind::Span { name }),
+            (label(), 0..u32::MAX).prop_map(|(op, round)| EventKind::Round { op, round }),
+            (label(), ANY, any::<bool>(), ANY, 0..u64::MAX >> 1, ANY).prop_map(
+                |(engine, index, sparse, seek, lookahead, bytes)| EventKind::PackBlock {
+                    engine,
+                    index,
+                    sparse,
+                    seek,
+                    lookahead,
+                    bytes,
+                }
+            ),
+            (any::<bool>(), 0..64usize, 0..u32::MAX).prop_map(|(wildcard, src, tag)| {
+                EventKind::IrecvPost {
+                    src: (!wildcard).then_some(src),
+                    tag,
+                }
+            }),
+            ANY.prop_map(|ns| EventKind::SendWait {
+                residual: SimTime(ns),
+            }),
+            (
+                label(),
+                label(),
+                0..usize::MAX >> 1,
+                ANY,
+                ANY,
+                any::<bool>()
+            )
+                .prop_map(
+                    |(collective, chosen, n, total_bytes, ratio_millis, pow2)| {
+                        EventKind::AlgoDecision {
+                            collective,
+                            n,
+                            total_bytes,
+                            ratio_millis,
+                            pow2,
+                            chosen,
+                            reason: "why".into(),
+                        }
+                    }
+                ),
+            (label(), label(), 0..u32::MAX, any::<bool>(), ANY, ANY).prop_map(
+                |(label, metric, occurrence, up, baseline_millis, observed_millis)| {
+                    EventKind::Drift {
+                        label,
+                        metric,
+                        occurrence,
+                        up,
+                        baseline_millis,
+                        observed_millis,
+                    }
+                }
+            ),
+        ]
+    }
+
+    /// What a test step writes: an observed event, or a diagnosis finding
+    /// as `crate::diagnosis::mirror_to_recorders` writes it.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Event(TraceEvent),
+        Finding([Label; 2], [u64; 4]),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let event = (event_kind(), 0..1u64 << 40, 0..1u64 << 20)
+            .prop_map(|(kind, start, len)| {
+                let (start, end) = (SimTime(start), SimTime(start + len));
+                Step::Event(TraceEvent { kind, start, end })
+            })
+            .boxed();
+        let finding = (label(), label(), (ANY, ANY, ANY, ANY))
+            .prop_map(|(pattern, op, (t, c, d, e))| Step::Finding([pattern, op], [t, c, d, e]));
+        prop_oneof![event.clone(), event.clone(), event, finding]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every record, side ring, count and dump equals the reference's,
+        /// through evictions of the main ring, the side rings and the
+        /// label cache; every label word is the label's FNV-1a hash.
+        #[test]
+        fn single_writer_recorder_matches_the_reference(
+            capacity in (3..6u32).prop_map(|log2| 1usize << log2),
+            steps in proptest::collection::vec(step(), 1..160),
+        ) {
+            let rec = RankRecorder::new(3, capacity);
+            let reference = Reference::new(3, capacity);
+            for (i, step) in steps.iter().enumerate() {
+                let (code, words) = match step {
+                    Step::Event(event) => {
+                        rec.record_event(event);
+                        reference.record_event(event);
+                        pack_event(event, |label| fnv1a(label))
+                    }
+                    Step::Finding([pattern, op], [time, blamed, instances, severity]) => {
+                        let args = |intern: &dyn Fn(&str) -> u64| {
+                            (intern(pattern), intern(op), *blamed, *instances, *severity)
+                        };
+                        let (a, b, c, d, e) = args(&|l| rec.intern(l));
+                        rec.record(RecCode::Diagnosis, SimTime(*time), a, b, c, d, e);
+                        let (a, b, c, d, e) = args(&|l| reference.intern(l));
+                        reference.record(RecCode::Diagnosis, SimTime(*time), a, b, c, d, e);
+                        (RecCode::Diagnosis, [fnv1a(pattern), fnv1a(op), *blamed, *instances, *severity])
+                    }
+                };
+                let last = rec.snapshot().pop().expect("a record was just written");
+                prop_assert_eq!(
+                    (last.seq, last.code, [last.a, last.b, last.c, last.d, last.e]),
+                    (i as u64 + 1, code, words)
+                );
+            }
+            prop_assert_eq!(rec.recorded(), reference.recorded());
+            prop_assert_eq!(rec.snapshot(), reference.snapshot());
+            for (code, _) in SIDE_RINGS {
+                prop_assert_eq!(rec.recent(code), reference.recent(code));
+            }
+            prop_assert_eq!(render_dump(&[Arc::new(rec)]), reference.dump());
+        }
     }
 }

@@ -70,7 +70,8 @@ pub struct ClusterConfig {
     /// Seed for the deterministic per-rank jitter streams.
     pub seed: u64,
     /// Capacity of each rank's always-on flight recorder (rounded up to a
-    /// power of two; see [`crate::recorder`]).
+    /// power of two, at most [`MAX_RECORDER_CAPACITY`]; see
+    /// [`crate::recorder`]).
     pub recorder_capacity: usize,
     /// Stack bytes per rank task (lazily committed; raise for deeply
     /// recursive rank programs).
@@ -94,6 +95,10 @@ pub struct ClusterConfig {
 
 /// Default flight-recorder window per rank.
 pub const DEFAULT_RECORDER_CAPACITY: usize = 256;
+
+/// Largest flight-recorder window [`Cluster::new`] accepts per rank: 2^16
+/// slots of 64 bytes, 4 MiB a rank.
+pub const MAX_RECORDER_CAPACITY: usize = 1 << 16;
 
 /// Default per-rank task stack (1 MiB, lazily committed by the OS so
 /// idle ranks cost address space, not memory).
@@ -197,6 +202,11 @@ impl Cluster {
                 "PerRank speeds must be finite and positive: {v:?}"
             );
         }
+        assert!(
+            cfg.recorder_capacity <= MAX_RECORDER_CAPACITY,
+            "flight-recorder capacity {} exceeds the cap of {MAX_RECORDER_CAPACITY} slots",
+            cfg.recorder_capacity
+        );
         Cluster { cfg }
     }
 
@@ -248,9 +258,9 @@ impl Cluster {
         let n = self.cfg.n_ranks;
         // Recorders are parked in the process global immediately, so
         // evidence survives even if a rank panics before the run
-        // completes.
+        // completes; each is owned by its rank until that `Rank` drops.
         let recorders: Vec<Arc<RankRecorder>> = (0..n)
-            .map(|r| Arc::new(RankRecorder::new(r, self.cfg.recorder_capacity)))
+            .map(|r| Arc::new(RankRecorder::owned_by_rank(r, self.cfg.recorder_capacity)))
             .collect();
         recorder::store_last_run(recorders.clone());
         let ctl = Arc::new(EventCtl::new(n));
@@ -328,7 +338,8 @@ pub struct Rank {
     metrics: Option<MetricsRegistry>,
     profiler: Option<Profiler>,
     /// Always-on flight recorder (shared with [`Cluster::run`] and the
-    /// process-wide last-run store; see [`crate::recorder`]).
+    /// process-wide last-run store; see [`crate::recorder`]). This rank
+    /// is its only writer until dropped.
     recorder: Arc<RankRecorder>,
     /// When set, a receive that waits longer than this triggers a
     /// flight-recorder dump (the latency-spike anomaly predicate).
@@ -944,6 +955,14 @@ impl Rank {
     }
 }
 
+impl Drop for Rank {
+    /// On return or unwind: the rank writes no more records, so post-run
+    /// code may now write to its recorder.
+    fn drop(&mut self) {
+        self.recorder.release_writer();
+    }
+}
+
 /// What every `take_*` does: hand back what an observer gathered, leaving
 /// `fresh` in its place; an observer that is off stays off, and `fresh` is
 /// the empty answer.
@@ -1150,6 +1169,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "flight-recorder capacity 65537 exceeds the cap of 65536 slots")]
+    fn recorder_capacity_over_the_cap_is_rejected_at_construction() {
+        Cluster::new(ClusterConfig::uniform(1).with_recorder_capacity(MAX_RECORDER_CAPACITY + 1));
+    }
+
+    #[test]
     fn panic_in_rank_triggers_dump_hook() {
         let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let seen: Arc<std::sync::Mutex<Vec<(String, String)>>> = Arc::default();
@@ -1178,6 +1203,24 @@ mod tests {
             "{}",
             seen[0].1
         );
+    }
+
+    #[test]
+    fn an_unwinding_rank_releases_its_recorder() {
+        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        crate::recorder::dump_on(|_, _| {});
+        let held: std::sync::Mutex<Option<Arc<RankRecorder>>> = Default::default();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Cluster::new(ClusterConfig::uniform(1)).run(|r| {
+                *held.lock().unwrap() = Some(r.flight_recorder().clone());
+                assert!(r.flight_recorder().writer_live());
+                panic!("rank 0 exploded");
+            });
+        }));
+        crate::recorder::clear_dump_hook();
+        assert!(result.is_err(), "panic must propagate");
+        let held = held.into_inner().unwrap().expect("the rank ran");
+        assert!(!held.writer_live());
     }
 
     #[test]
