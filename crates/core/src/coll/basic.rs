@@ -1,5 +1,5 @@
-//! Supporting collectives: barrier, broadcast, gather(v), scatterv,
-//! reduce, allreduce, allgather and alltoall.
+//! Supporting collectives: barrier, broadcast, scatterv, reduce,
+//! allreduce, allgather and alltoall.
 //!
 //! These follow the classic MPICH algorithm choices (dissemination barrier,
 //! binomial broadcast/reduce); they are uniform-volume operations the paper
@@ -57,28 +57,6 @@ impl Comm<'_> {
             }
             mask >>= 1;
         }
-    }
-
-    /// Gather variable-size byte buffers to `root`; returns the per-rank
-    /// buffers at the root, `None` elsewhere. (Flat gather: every non-root
-    /// sends directly to the root.)
-    pub fn gatherv(&mut self, send: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
-        let size = self.size();
-        let rank = self.rank();
-        let tag = coll_tag(CollOp::Gather, 0);
-        if rank != root {
-            self.send_grp(root, tag, send.to_vec());
-            return None;
-        }
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); size];
-        out[root] = send.to_vec();
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src != root {
-                let (data, _) = self.recv_grp(Some(src), tag);
-                *slot = data;
-            }
-        }
-        Some(out)
     }
 
     /// Scatter per-rank byte buffers from `root`; `parts` is only read at
@@ -235,20 +213,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn gatherv_collects_ragged_buffers() {
-        let out = with_n(5, |c| {
-            let me = c.rank();
-            let send = vec![me as u8; me + 1];
-            c.gatherv(&send, 2)
-        });
-        let at_root = out[2].as_ref().unwrap();
-        for (i, b) in at_root.iter().enumerate() {
-            assert_eq!(b, &vec![i as u8; i + 1]);
-        }
-        assert!(out[0].is_none());
     }
 
     #[test]

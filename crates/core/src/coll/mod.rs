@@ -1,8 +1,8 @@
 //! Collective communication operations.
 //!
-//! * [`basic`] — the supporting cast (barrier, bcast, gather(v), scatterv,
-//!   reduce, allreduce, allgather, alltoall) used by the PETSc layer's
-//!   setup phases;
+//! * [`basic`] — the supporting cast (barrier, bcast, scatterv, reduce,
+//!   allreduce, allgather, alltoall) used by the PETSc layer's setup
+//!   phases;
 //! * [`allgatherv`] — `MPI_Allgatherv` with the baseline ring algorithm and
 //!   the paper's outlier-aware recursive-doubling / dissemination designs
 //!   (§4.2.1);
@@ -12,12 +12,9 @@
 pub mod allgatherv;
 pub mod alltoallw;
 pub mod basic;
-pub mod neighbor;
-pub mod scan;
 
 pub use allgatherv::AllgathervAlgorithm;
 pub use alltoallw::{AlltoallwSchedule, WPeer};
-pub use neighbor::NeighborExchange;
 
 use ncd_simnet::{millis_to_ratio, ratio_to_millis, EventKind, Tag};
 
@@ -28,7 +25,6 @@ use crate::comm::Comm;
 pub(crate) enum CollOp {
     Barrier = 1,
     Bcast = 2,
-    Gather = 3,
     Scatter = 4,
     Reduce = 5,
     Allgatherv = 6,
@@ -116,5 +112,14 @@ mod tests {
         assert_ne!(a, c);
         assert_ne!(b, c);
         assert!(a.0 & 0x8000_0000 != 0);
+        // Wire tags are pinned as literals: the explicit discriminants keep
+        // each op's tags fixed when another op is removed.
+        assert_eq!(a, Tag(0x8100_0000));
+        assert_eq!(c, Tag(0x8200_0000));
+        assert_eq!(coll_tag(CollOp::Scatter, 0), Tag(0x8400_0000));
+        assert_eq!(coll_tag(CollOp::Reduce, 0), Tag(0x8500_0000));
+        assert_eq!(coll_tag(CollOp::Allgatherv, 0), Tag(0x8600_0000));
+        assert_eq!(coll_tag(CollOp::Alltoallw, 0), Tag(0x8700_0000));
+        assert_eq!(coll_tag(CollOp::Alltoall, 0), Tag(0x8800_0000));
     }
 }

@@ -10,7 +10,7 @@
 //!   algorithm selection backed by Floyd–Rivest [`select::k_select`]
 //!   (paper §4.2.1), and [`Comm::alltoallw`] with the three-bin schedule
 //!   (paper §4.2.2);
-//! * the supporting collectives (barrier, bcast, gather/scatter, reduce,
+//! * the supporting collectives (barrier, bcast, scatterv, reduce,
 //!   allreduce, allgather, alltoall) higher layers need.
 //!
 //! The [`MpiFlavor`] switch reproduces the paper's two measured
@@ -40,7 +40,7 @@ pub mod select;
 pub mod view;
 pub mod whatif;
 
-pub use coll::{AllgathervAlgorithm, AlltoallwSchedule, NeighborExchange, WPeer};
+pub use coll::{AllgathervAlgorithm, AlltoallwSchedule, WPeer};
 pub use comm::{bytes_to_f64s, f64s_to_bytes, Comm, CommGroup};
 pub use commstats::{
     analyze_comm_map, analyze_matrix, decisions_from_trace, decisions_from_traces, decisions_json,

@@ -54,7 +54,6 @@ struct Geometry {
     stencil: StencilKind,
     width: usize,
     pgrid: [usize; 3],
-    coords: [usize; 3],
     /// Per-dimension split boundaries: `splits[d][c]..splits[d][c+1]` is
     /// the range owned by process-coordinate `c` in dimension `d`.
     splits: [Vec<usize>; 3],
@@ -197,7 +196,6 @@ impl Geometry {
             stencil,
             width,
             pgrid,
-            coords,
             splits,
             own_start,
             own_len,
@@ -341,11 +339,6 @@ impl DistributedArray {
 
     pub fn process_grid(&self) -> [usize; 3] {
         self.geom.pgrid
-    }
-
-    /// This rank's coordinates in the process grid.
-    pub fn process_coords(&self) -> [usize; 3] {
-        self.geom.coords
     }
 
     pub fn rank(&self) -> usize {

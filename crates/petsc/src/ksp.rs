@@ -58,15 +58,6 @@ impl JacobiPc {
                 .collect(),
         }
     }
-
-    pub fn from_diagonal(diag: &[f64]) -> JacobiPc {
-        JacobiPc {
-            inv_diag: diag
-                .iter()
-                .map(|&d| if d == 0.0 { 1.0 } else { 1.0 / d })
-                .collect(),
-        }
-    }
 }
 
 impl Preconditioner for JacobiPc {
@@ -218,94 +209,6 @@ pub fn richardson(
         }
         pc.apply(comm, &r, &mut z, backend);
         x.axpy(comm, scale, &z);
-    }
-    KspResult {
-        converged: false,
-        iterations: settings.max_it,
-        residual_norm: rnorm,
-    }
-}
-
-/// Preconditioned BiCGStab for general (nonsymmetric) systems — the
-/// workhorse for convection-diffusion style operators that CG cannot
-/// handle.
-pub fn bicgstab(
-    comm: &mut Comm,
-    op: &dyn LinearOp,
-    pc: &dyn Preconditioner,
-    b: &PVec,
-    x: &mut PVec,
-    settings: &KspSettings,
-) -> KspResult {
-    let backend = settings.backend;
-    let layout = op.layout().clone();
-    let rank = comm.rank();
-    let zeros = || PVec::zeros(layout.clone(), rank);
-    let (mut r, mut p, mut v, mut s, mut t) = (zeros(), zeros(), zeros(), zeros(), zeros());
-    let (mut phat, mut shat) = (zeros(), zeros());
-
-    op.apply(comm, x, &mut r, backend);
-    r.scale(comm, -1.0);
-    r.axpy(comm, 1.0, b);
-    let r0 = r.clone(); // shadow residual
-    let bnorm = b.norm2(comm).max(f64::MIN_POSITIVE);
-    let mut rnorm = r.norm2(comm);
-    if rnorm <= settings.rtol * bnorm || rnorm <= settings.atol {
-        return KspResult {
-            converged: true,
-            iterations: 0,
-            residual_norm: rnorm,
-        };
-    }
-    let mut rho_prev = 1.0f64;
-    let mut alpha = 1.0f64;
-    let mut omega = 1.0f64;
-
-    for it in 1..=settings.max_it {
-        let rho = r0.dot(comm, &r);
-        assert!(rho.abs() > f64::MIN_POSITIVE, "BiCGStab breakdown: rho = 0");
-        if it == 1 {
-            p.copy_from(&r);
-        } else {
-            let beta = (rho / rho_prev) * (alpha / omega);
-            // p = r + beta (p - omega v)
-            p.axpy(comm, -omega, &v);
-            p.aypx(comm, beta, &r);
-        }
-        pc.apply(comm, &p, &mut phat, backend);
-        op.apply(comm, &phat, &mut v, backend);
-        alpha = rho / r0.dot(comm, &v);
-        // s = r - alpha v
-        s.copy_from(&r);
-        s.axpy(comm, -alpha, &v);
-        let snorm = s.norm2(comm);
-        if snorm <= settings.rtol * bnorm || snorm <= settings.atol {
-            x.axpy(comm, alpha, &phat);
-            return KspResult {
-                converged: true,
-                iterations: it,
-                residual_norm: snorm,
-            };
-        }
-        pc.apply(comm, &s, &mut shat, backend);
-        op.apply(comm, &shat, &mut t, backend);
-        let tt = t.dot(comm, &t);
-        assert!(tt > 0.0, "BiCGStab breakdown: t = 0");
-        omega = t.dot(comm, &s) / tt;
-        x.axpy(comm, alpha, &phat);
-        x.axpy(comm, omega, &shat);
-        // r = s - omega t
-        r.copy_from(&s);
-        r.axpy(comm, -omega, &t);
-        rnorm = r.norm2(comm);
-        if rnorm <= settings.rtol * bnorm || rnorm <= settings.atol {
-            return KspResult {
-                converged: true,
-                iterations: it,
-                residual_norm: rnorm,
-            };
-        }
-        rho_prev = rho;
     }
     KspResult {
         converged: false,
@@ -484,94 +387,5 @@ mod tests {
             res.converged
         });
         assert!(out.iter().all(|&c| c));
-    }
-}
-
-#[cfg(test)]
-mod bicgstab_tests {
-    use super::*;
-    use ncd_core::MpiConfig;
-    use ncd_simnet::{Cluster, ClusterConfig};
-
-    fn with_n<R: Send>(n: usize, f: impl Fn(&mut Comm) -> R + Send + Sync) -> Vec<R> {
-        Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {
-            let mut comm = Comm::new(rank, MpiConfig::optimized());
-            f(&mut comm)
-        })
-    }
-
-    /// 1-D convection-diffusion: -u'' + c u' discretized upwind — a
-    /// nonsymmetric tridiagonal system CG cannot solve.
-    fn convection_diffusion(comm: &mut Comm, n: usize, c: f64) -> AijMat {
-        let layout = Layout::balanced(n, comm.size());
-        let mut a = AijMat::new(layout.clone(), layout, comm.rank());
-        let (s, e) = a.row_layout().range(comm.rank());
-        for r in s..e {
-            a.add_value(r, r, 2.0 + c);
-            if r > 0 {
-                a.add_value(r, r - 1, -1.0 - c);
-            }
-            if r + 1 < n {
-                a.add_value(r, r + 1, -1.0);
-            }
-        }
-        a.assemble(comm);
-        a
-    }
-
-    #[test]
-    fn bicgstab_solves_nonsymmetric_system() {
-        for nranks in [1usize, 3, 4] {
-            let out = with_n(nranks, |comm| {
-                let n = 32;
-                let a = convection_diffusion(comm, n, 0.8);
-                let layout = a.row_layout().clone();
-                let mut b = PVec::zeros(layout.clone(), comm.rank());
-                b.set_all(1.0);
-                let mut x = PVec::zeros(layout.clone(), comm.rank());
-                let res = bicgstab(comm, &a, &IdentityPc, &b, &mut x, &KspSettings::default());
-                // Verify the true residual.
-                let mut ax = PVec::zeros(layout, comm.rank());
-                a.mat_mult(comm, &x, &mut ax, ScatterBackend::HandTuned);
-                ax.axpy(comm, -1.0, &b);
-                (res.converged, ax.norm2(comm))
-            });
-            for (conv, err) in &out {
-                assert!(conv, "nranks={nranks}");
-                assert!(*err < 1e-6, "nranks={nranks}: residual {err}");
-            }
-        }
-    }
-
-    #[test]
-    fn bicgstab_with_jacobi_preconditioner() {
-        let out = with_n(2, |comm| {
-            let a = convection_diffusion(comm, 24, 1.5);
-            let pc = JacobiPc::from_mat(&a);
-            let layout = a.row_layout().clone();
-            let mut b = PVec::zeros(layout.clone(), comm.rank());
-            b.set_all(2.0);
-            let mut x = PVec::zeros(layout, comm.rank());
-            let plain = bicgstab(comm, &a, &IdentityPc, &b, &mut x, &KspSettings::default());
-            let mut x2 = PVec::zeros(a.row_layout().clone(), comm.rank());
-            let pcd = bicgstab(comm, &a, &pc, &b, &mut x2, &KspSettings::default());
-            (plain, pcd, (x.norm2(comm), x2.norm2(comm)))
-        });
-        let (plain, pcd, (n1, n2)) = out[0];
-        assert!(plain.converged && pcd.converged);
-        assert!((n1 - n2).abs() < 1e-6 * n1.abs().max(1.0), "{n1} vs {n2}");
-    }
-
-    #[test]
-    fn bicgstab_zero_rhs_immediate() {
-        let out = with_n(2, |comm| {
-            let a = convection_diffusion(comm, 8, 0.5);
-            let layout = a.row_layout().clone();
-            let b = PVec::zeros(layout.clone(), comm.rank());
-            let mut x = PVec::zeros(layout, comm.rank());
-            bicgstab(comm, &a, &IdentityPc, &b, &mut x, &KspSettings::default())
-        });
-        assert!(out[0].converged);
-        assert_eq!(out[0].iterations, 0);
     }
 }

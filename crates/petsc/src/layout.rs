@@ -42,10 +42,6 @@ impl Layout {
         Arc::new(Layout { starts })
     }
 
-    pub fn num_ranks(&self) -> usize {
-        self.starts.len() - 1
-    }
-
     /// Total global size.
     pub fn global_size(&self) -> usize {
         *self.starts.last().expect("starts nonempty")

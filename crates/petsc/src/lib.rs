@@ -10,9 +10,11 @@
 //!   datatypes + one `MPI_Alltoallw` ([`ScatterBackend`]);
 //! * [`DistributedArray`] — structured-grid DAs (1/2/3-D, interlaced dof,
 //!   star/box stencils) with ghost exchange compiled to a `VecScatter`;
-//! * [`AijMat`] — CSR matrices with off-process assembly;
-//! * [`ksp`] — CG and Richardson solvers; [`mg`] — geometric multigrid
-//!   with the matrix-free Laplacian of the paper's application.
+//! * [`AijMat`] — CSR matrices with off-process assembly; [`StencilOp`] —
+//!   matrix-free constant-coefficient stencils;
+//! * [`ksp`] — CG and Richardson solvers with identity / Jacobi
+//!   preconditioning; [`mg`] — geometric multigrid with the matrix-free
+//!   Laplacian of the paper's application.
 //!
 //! ```
 //! use ncd_core::{Comm, MpiConfig};
@@ -31,24 +33,19 @@
 //! ```
 
 pub mod da;
-pub mod gmres;
 pub mod is;
 pub mod ksp;
 pub mod layout;
 pub mod mat;
 pub mod mg;
 pub mod scatter;
-pub mod snes;
 pub mod stencil;
-pub mod ts;
 pub mod vec;
 
 pub use da::{DistributedArray, StencilKind};
-pub use gmres::{gmres, DEFAULT_RESTART};
 pub use is::IndexSet;
 pub use ksp::{
-    bicgstab, cg, richardson, IdentityPc, JacobiPc, KspResult, KspSettings, LinearOp,
-    Preconditioner,
+    cg, richardson, IdentityPc, JacobiPc, KspResult, KspSettings, LinearOp, Preconditioner,
 };
 pub use layout::Layout;
 pub use mat::AijMat;
@@ -57,7 +54,5 @@ pub use scatter::{
     InsertMode, ScatterBackend, ScatterHandle, ScatterMode, VecScatter, STAGE_SCATTER_APPLY,
     STAGE_SCATTER_BEGIN, STAGE_SCATTER_END,
 };
-pub use snes::{newton_krylov, Bratu2d, NonlinearFunction, SnesResult, SnesSettings};
 pub use stencil::{StencilEntry, StencilOp};
-pub use ts::{integrate, HeatEquation, RhsFunction, TsScheme, TsSettings};
 pub use vec::PVec;

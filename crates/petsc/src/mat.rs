@@ -166,11 +166,6 @@ impl AijMat {
         self.assembled = true;
     }
 
-    /// Local nonzero count.
-    pub fn local_nnz(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Number of off-process columns referenced by local rows.
     pub fn num_ghost_cols(&self) -> usize {
         self.ghost_cols.len()
