@@ -13,6 +13,8 @@
 //! the outlier reaches everyone in O(log N) rounds moved by many senders
 //! simultaneously.
 
+use std::ops::Range;
+
 use ncd_simnet::CostKind;
 
 use crate::coll::{coll_tag, CollOp};
@@ -232,32 +234,36 @@ impl Comm<'_> {
     }
 
     /// Ring: at step s, forward block (rank - s) to the right neighbour.
+    /// That is the block received at step s - 1, so its payload goes on
+    /// as received instead of being copied back out of `recvbuf`.
     fn agv_ring(&mut self, counts: &[usize], displs: &[usize], recvbuf: &mut [u8]) {
         let size = self.size();
         let rank = self.rank();
         let right = (rank + 1) % size;
         let left = (rank + size - 1) % size;
+        let mut chunk = gather_runs(recvbuf, &block_runs(counts, displs, rank, 1));
         for step in 0..size - 1 {
             self.round("allgatherv/ring", step as u32);
-            let send_idx = (rank + size - step) % size;
             let recv_idx = (rank + size - step - 1) % size;
             let tag = coll_tag(CollOp::Allgatherv, step as u32);
-            // Post the receive before packing the outgoing block, so the
+            // Post the receive before sending the outgoing block, so the
             // inbound message can match the moment it arrives.
             let req = self.irecv(Some(left), tag);
-            let chunk = recvbuf[displs[send_idx]..displs[send_idx] + counts[send_idx]].to_vec();
             self.rank_mut().charge_copy(CostKind::Pack, chunk.len(), 1);
             self.send_grp(right, tag, chunk);
             let (data, _) = self.wait(req).into_recv();
-            assert_eq!(data.len(), counts[recv_idx]);
+            let runs = block_runs(counts, displs, recv_idx, 1);
+            self.check_payload(AllgathervAlgorithm::Ring, step as u32, left, &runs, &data);
             self.rank_mut().charge_copy(CostKind::Pack, data.len(), 1);
-            recvbuf[displs[recv_idx]..displs[recv_idx] + counts[recv_idx]].copy_from_slice(&data);
+            store_runs(recvbuf, runs, &data);
+            chunk = data;
         }
     }
 
     /// Recursive doubling: phase p exchanges the aligned group of 2^p
     /// blocks with partner rank ^ 2^p; the outlier block is re-sent by a
-    /// doubling set of ranks in parallel (binomial movement).
+    /// doubling set of ranks in parallel (binomial movement). A group's
+    /// blocks are consecutive in `recvbuf`, so each side moves one run.
     fn agv_recursive_doubling(&mut self, counts: &[usize], displs: &[usize], recvbuf: &mut [u8]) {
         let size = self.size();
         let rank = self.rank();
@@ -266,38 +272,33 @@ impl Comm<'_> {
         while mask < size {
             self.round("allgatherv/recursive_doubling", phase);
             let partner = rank ^ mask;
-            let my_group_start = (rank / mask) * mask;
-            let their_group_start = (partner / mask) * mask;
             let tag = coll_tag(CollOp::Allgatherv, 1000 + phase);
+            // The aligned group of `mask` blocks that `peer` belongs to.
+            let group_of = |peer: usize| block_runs(counts, displs, peer / mask * mask, mask);
 
             // Receive posted up front; the payload gather runs with the
             // match already standing.
             let req = self.irecv(Some(partner), tag);
-            let mut payload = Vec::new();
-            for idx in my_group_start..my_group_start + mask {
-                payload.extend_from_slice(&recvbuf[displs[idx]..displs[idx] + counts[idx]]);
-            }
+            let payload = gather_runs(recvbuf, &group_of(rank));
             self.rank_mut()
                 .charge_copy(CostKind::Pack, payload.len(), mask as u64);
             self.send_grp(partner, tag, payload);
             let (data, _) = self.wait(req).into_recv();
 
+            let runs = group_of(partner);
+            let algo = AllgathervAlgorithm::RecursiveDoubling;
+            self.check_payload(algo, phase, partner, &runs, &data);
             self.rank_mut()
                 .charge_copy(CostKind::Pack, data.len(), mask as u64);
-            let mut off = 0usize;
-            for idx in their_group_start..their_group_start + mask {
-                recvbuf[displs[idx]..displs[idx] + counts[idx]]
-                    .copy_from_slice(&data[off..off + counts[idx]]);
-                off += counts[idx];
-            }
-            assert_eq!(off, data.len());
+            store_runs(recvbuf, runs, &data);
             mask <<= 1;
             phase += 1;
         }
     }
 
     /// Dissemination: phase p sends the min(2^p, N - 2^p) most recently
-    /// completed blocks (ending at own rank, wrapping) to rank + 2^p.
+    /// completed blocks (ending at own rank, wrapping) to rank + 2^p, in
+    /// ascending rank order: at most two runs of `recvbuf`.
     fn agv_dissemination(&mut self, counts: &[usize], displs: &[usize], recvbuf: &mut [u8]) {
         let size = self.size();
         let rank = self.rank();
@@ -310,34 +311,85 @@ impl Comm<'_> {
             let dst = (rank + delta) % size;
             let src = (rank + size - delta) % size;
             let tag = coll_tag(CollOp::Allgatherv, 2000 + phase);
+            // The send_cnt blocks ending at `peer`, wrapping.
+            let ending_at = |peer: usize| {
+                let first = (peer + 1 + size - send_cnt) % size;
+                block_runs(counts, displs, first, send_cnt)
+            };
 
             // Receive posted up front; the payload gather runs with the
             // match already standing.
             let req = self.irecv(Some(src), tag);
-            let mut payload = Vec::new();
-            for j in 0..send_cnt {
-                let idx = (rank + size - j) % size;
-                payload.extend_from_slice(&recvbuf[displs[idx]..displs[idx] + counts[idx]]);
-            }
+            let payload = gather_runs(recvbuf, &ending_at(rank));
             self.rank_mut()
                 .charge_copy(CostKind::Pack, payload.len(), send_cnt as u64);
             self.send_grp(dst, tag, payload);
             let (data, _) = self.wait(req).into_recv();
 
+            let runs = ending_at(src);
+            let algo = AllgathervAlgorithm::Dissemination;
+            self.check_payload(algo, phase, src, &runs, &data);
             self.rank_mut()
                 .charge_copy(CostKind::Pack, data.len(), send_cnt as u64);
-            let mut off = 0usize;
-            for j in 0..send_cnt {
-                let idx = (src + size - j) % size;
-                recvbuf[displs[idx]..displs[idx] + counts[idx]]
-                    .copy_from_slice(&data[off..off + counts[idx]]);
-                off += counts[idx];
-            }
-            assert_eq!(off, data.len());
+            store_runs(recvbuf, runs, &data);
             owned += send_cnt;
             phase += 1;
         }
     }
+
+    /// Panic, naming both ranks, unless `data` from `peer` in `algo`'s
+    /// step `step` exactly fills `runs` — the sign that some rank passed
+    /// different `counts`. Every caller checks before it stores anything.
+    fn check_payload(
+        &self,
+        algo: AllgathervAlgorithm,
+        step: u32,
+        peer: usize,
+        runs: &Runs,
+        data: &[u8],
+    ) {
+        let expected = runs[0].len() + runs[1].len();
+        assert!(
+            data.len() == expected,
+            "allgatherv payload mismatch: rank {} expected {expected} bytes from rank {peer} \
+             in {} step {step}, got {}",
+            self.rank(),
+            algo.label(),
+            data.len()
+        );
+    }
+}
+
+/// Byte ranges of `recvbuf`, in ascending order; the second is empty
+/// unless the blocks they hold wrap past the last rank.
+type Runs = [Range<usize>; 2];
+
+/// The `len` blocks from block `first` on, wrapping past the last rank
+/// to block 0, as runs of `recvbuf` in ascending rank order.
+fn block_runs(counts: &[usize], displs: &[usize], first: usize, len: usize) -> Runs {
+    let size = counts.len();
+    let end = |idx: usize| displs[idx] + counts[idx];
+    if first + len <= size {
+        [displs[first]..end(first + len - 1), 0..0]
+    } else {
+        [0..end(first + len - 1 - size), displs[first]..end(size - 1)]
+    }
+}
+
+/// One payload holding `runs` of `recvbuf` back to back.
+fn gather_runs(recvbuf: &[u8], runs: &Runs) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(runs[0].len() + runs[1].len());
+    for run in runs {
+        payload.extend_from_slice(&recvbuf[run.clone()]);
+    }
+    payload
+}
+
+/// Inverse of [`gather_runs`]: `payload` (checked to fit) back into `runs`.
+fn store_runs(recvbuf: &mut [u8], [head, tail]: Runs, payload: &[u8]) {
+    let (a, b) = payload.split_at(head.len());
+    recvbuf[head].copy_from_slice(a);
+    recvbuf[tail].copy_from_slice(b);
 }
 
 #[cfg(test)]
@@ -410,6 +462,48 @@ mod tests {
         for r in run_algo(AllgathervAlgorithm::Dissemination, counts) {
             assert_eq!(r, expected);
         }
+    }
+
+    /// `n` ranks gather blocks of 3, 5, 2, 4, 3, ... bytes, except that
+    /// rank `liar` says its own block is 4 bytes longer. Rank 0 is the
+    /// first to receive the liar's block, so its panic is the one the run
+    /// reports.
+    fn run_disagreeing(algo: AllgathervAlgorithm, n: usize, liar: usize) {
+        let agreed: Vec<usize> = [3, 5, 2, 4].into_iter().cycle().take(n).collect();
+        Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {
+            let mut comm = Comm::new(rank, MpiConfig::optimized());
+            let me = comm.rank();
+            let mut counts = agreed.clone();
+            if me == liar {
+                counts[liar] += 4;
+            }
+            let mut recv = vec![0u8; counts.iter().sum()];
+            comm.allgatherv_with(algo, &pattern(me, counts[me]), &counts, &mut recv);
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "allgatherv payload mismatch: rank 0 expected 4 bytes from rank 3 in ring step 0, got 8"
+    )]
+    fn ring_names_a_rank_with_different_counts() {
+        run_disagreeing(AllgathervAlgorithm::Ring, 4, 3);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "allgatherv payload mismatch: rank 0 expected 5 bytes from rank 1 in recursive_doubling step 0, got 9"
+    )]
+    fn recursive_doubling_names_a_rank_with_different_counts() {
+        run_disagreeing(AllgathervAlgorithm::RecursiveDoubling, 4, 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "allgatherv payload mismatch: rank 0 expected 2 bytes from rank 2 in dissemination step 0, got 6"
+    )]
+    fn dissemination_names_a_rank_with_different_counts() {
+        run_disagreeing(AllgathervAlgorithm::Dissemination, 3, 2);
     }
 
     #[test]

@@ -23,13 +23,15 @@
 //! ## Delivery
 //!
 //! The scheduler's control block owns every rank's [`Mailbox`]. Senders
-//! never block: `EventHandle::post` takes the control lock once, appends
-//! the envelope to the destination's mailbox and, if the destination is
-//! parked on a pattern the envelope covers, moves it onto the ready
-//! queue right there. Ranks parked `Polling` are additionally promoted
-//! wholesale whenever the ready queue runs dry, so
-//! `while !comm.test(..) { compute }` loops make progress without a
-//! matching envelope.
+//! never block: `EventHandle::post` enters the control block once,
+//! appends the envelope to the destination's mailbox and, if the
+//! destination is parked on a pattern the envelope covers, moves it onto
+//! the ready queue right there. The block has no lock: only one party —
+//! the scheduler or the one running rank — is ever awake, so every
+//! access is already serialized (see `EventCtl::with`). Ranks parked
+//! `Polling` are additionally promoted wholesale whenever the ready
+//! queue runs dry, so `while !comm.test(..) { compute }` loops make
+//! progress without a matching envelope.
 //!
 //! ## Determinism
 //!
@@ -54,6 +56,7 @@
 //! run.
 
 use std::any::Any;
+use std::cell::UnsafeCell;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -135,13 +138,32 @@ struct CtlInner {
 /// Shared scheduler state: one per [`drive`] invocation, visible to
 /// every rank of that cluster through its [`EventHandle`].
 pub(crate) struct EventCtl {
-    inner: Mutex<CtlInner>,
+    inner: UnsafeCell<CtlInner>,
+    /// Set while a [`EventCtl::with`] closure runs, so a closure that
+    /// calls back into the scheduler panics instead of aliasing `inner`.
+    entered: AtomicBool,
 }
+
+// SAFETY: `inner` is only reached through `with`, and no two `with`s
+// ever overlap. Exactly one party is awake at any instant: the
+// scheduler, or the one task it resumed, and a rank's `EventHandle` is
+// only used from inside that rank's own task. Under
+// `TaskBackend::Fiber` all of them run on the one OS thread that called
+// `drive`, switching only at `suspend`/`resume`, never inside a `with`.
+// Under `TaskBackend::Handoff` each task is its own OS thread, but the
+// turn passes only through the baton's `Mutex<Turn>` + `Condvar`: the
+// side giving it up releases the mutex after its last `with`, and the
+// side taking it acquires the mutex before its first, so every access
+// happens-after the previous one. `CtlInner` is plain owned data
+// (`Send`), so handing it between those threads is sound. `entered` is an
+// atomic, `Sync` on its own; it catches re-entry on the one awake
+// thread, publishes nothing, and is not, and need not be, a lock.
+unsafe impl Sync for EventCtl {}
 
 impl EventCtl {
     pub(crate) fn new(n_ranks: usize) -> Self {
         EventCtl {
-            inner: Mutex::new(CtlInner {
+            inner: UnsafeCell::new(CtlInner {
                 slots: vec![Slot::Runnable; n_ranks],
                 mailboxes: (0..n_ranks).map(|_| Mailbox::default()).collect(),
                 ready: (0..n_ranks).map(|r| (SimTime::ZERO, r)).collect(),
@@ -151,11 +173,33 @@ impl EventCtl {
                 parks_polling: 0,
                 deposit_wakes: 0,
             }),
+            entered: AtomicBool::new(false),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CtlInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    /// Run `f` on the control block — the only way in. `f` must not
+    /// call back into the scheduler (post, look at a mailbox, park):
+    /// that panics rather than hand out a second `&mut`.
+    #[inline]
+    fn with<R>(&self, f: impl FnOnce(&mut CtlInner) -> R) -> R {
+        /// Clears the flag on the way out, unwinding included, so a
+        /// panic inside `f` is not misreported as re-entry later.
+        struct Exit<'a>(&'a AtomicBool);
+        impl Drop for Exit<'_> {
+            fn drop(&mut self) {
+                self.0.store(false, Ordering::Relaxed);
+            }
+        }
+        assert!(
+            !self.entered.load(Ordering::Relaxed),
+            "scheduler control block re-entered: a closure run on it called back into the scheduler"
+        );
+        self.entered.store(true, Ordering::Relaxed);
+        let _exit = Exit(&self.entered);
+        // SAFETY: no other `with` is running (see `unsafe impl Sync`
+        // above; the assert rules out this thread's own), so this is
+        // the only reference to `inner` until `f` returns.
+        f(unsafe { &mut *self.inner.get() })
     }
 }
 
@@ -196,59 +240,61 @@ impl EventHandle {
     }
 
     fn park(&self, slot: Slot) {
-        {
-            let mut inner = self.ctl.lock();
-            if let Some(msg) = inner.poison {
-                drop(inner);
-                panic!("{msg}");
+        let poison = self.ctl.with(|inner| {
+            if inner.poison.is_none() {
+                match slot {
+                    Slot::Blocked { .. } => inner.parks_blocked += 1,
+                    Slot::Polling { .. } => inner.parks_polling += 1,
+                    Slot::Runnable | Slot::Finished => {}
+                }
+                inner.slots[self.rank] = slot;
             }
-            match slot {
-                Slot::Blocked { .. } => inner.parks_blocked += 1,
-                Slot::Polling { .. } => inner.parks_polling += 1,
-                Slot::Runnable | Slot::Finished => {}
-            }
-            inner.slots[self.rank] = slot;
+            inner.poison
+        });
+        if let Some(msg) = poison {
+            panic!("{msg}");
         }
-        // The lock is released before the context switch: the scheduler
-        // reacquires it on its side, and a fiber must never hold a
-        // mutex across a suspension.
+        // The switch happens outside `with`: the scheduler enters the
+        // control block on its side while this task is suspended.
         self.shared.suspend();
-        let inner = self.ctl.lock();
-        if let Some(msg) = inner.poison {
-            drop(inner);
+        if let Some(msg) = self.ctl.with(|inner| inner.poison) {
             panic!("{msg}");
         }
     }
 
     /// Deliver `msg` to rank `dst`: append it to the destination's
     /// mailbox and, if the destination is parked on a pattern the
-    /// envelope covers, make it runnable — all under one lock. Only one
-    /// rank runs at a time, so nothing can change the destination's
-    /// slot between this post and the scheduler's next decision. A
-    /// self-send only queues: a running rank is not parked.
+    /// envelope covers, make it runnable — in one visit to the control
+    /// block. Only one rank runs at a time, so nothing can change the
+    /// destination's slot between this post and the scheduler's next
+    /// decision. A self-send only queues: a running rank is not parked.
     pub(crate) fn post(&self, dst: usize, msg: NetMsg) {
-        let mut inner = self.ctl.lock();
-        if matches!(inner.slots[dst], Slot::Finished) {
-            drop(inner);
-            panic!("destination rank hung up");
-        }
-        if dst != self.rank {
-            inner.deposits_seen += 1;
-            if let Slot::Blocked { pat, at } | Slot::Polling { pat, at } = inner.slots[dst] {
-                if msg.matches(pat.src, pat.tag, pat.context) {
-                    inner.slots[dst] = Slot::Runnable;
-                    inner.ready.insert((at, dst));
-                    inner.deposit_wakes += 1;
+        let delivered = self.ctl.with(|inner| {
+            if matches!(inner.slots[dst], Slot::Finished) {
+                return false;
+            }
+            if dst != self.rank {
+                inner.deposits_seen += 1;
+                if let Slot::Blocked { pat, at } | Slot::Polling { pat, at } = inner.slots[dst] {
+                    if msg.matches(pat.src, pat.tag, pat.context) {
+                        inner.slots[dst] = Slot::Runnable;
+                        inner.ready.insert((at, dst));
+                        inner.deposit_wakes += 1;
+                    }
                 }
             }
+            inner.mailboxes[dst].push(msg);
+            true
+        });
+        if !delivered {
+            panic!("destination rank hung up");
         }
-        inner.mailboxes[dst].push(msg);
     }
 
-    /// Run `f` on this rank's mailbox, under the control lock (so `f`
-    /// must not park).
+    /// Run `f` on this rank's mailbox, inside the control block (so `f`
+    /// must not post, park or look at a mailbox itself).
     pub(crate) fn mailbox<R>(&self, f: impl FnOnce(&mut Mailbox) -> R) -> R {
-        f(&mut self.ctl.lock().mailboxes[self.rank])
+        self.ctl.with(|inner| f(&mut inner.mailboxes[self.rank]))
     }
 }
 
@@ -422,11 +468,11 @@ pub(crate) fn drive_with_stats(
         ..SchedStats::default()
     };
     let result = drive_loop(ctl, tasks, tie_seed, &mut stats);
-    let inner = ctl.lock();
-    stats.parks_blocked = inner.parks_blocked;
-    stats.parks_polling = inner.parks_polling;
-    stats.deposit_wakes = inner.deposit_wakes;
-    drop(inner);
+    ctl.with(|inner| {
+        stats.parks_blocked = inner.parks_blocked;
+        stats.parks_polling = inner.parks_polling;
+        stats.deposit_wakes = inner.deposit_wakes;
+    });
     (result, stats)
 }
 
@@ -446,11 +492,14 @@ fn drive_loop(
     let mut poll_repeats = 0u32;
 
     loop {
-        let mut inner = ctl.lock();
-        let depth = inner.ready.len();
-        let Some(r) = pop_min(&mut inner.ready, &mut tie_rng) else {
-            // Ready queue dry: promote the polling set so spin loops
-            // keep running, or conclude the run.
+        // One visit to the control block per decision: pop the next
+        // rank, or — the ready queue dry — promote the polling set so
+        // spin loops keep running, or conclude the run.
+        let next = ctl.with(|inner| {
+            let depth = inner.ready.len();
+            if let Some(r) = pop_min(&mut inner.ready, &mut tie_rng) {
+                return Next::Resume(r, depth);
+            }
             let pollers: Vec<(usize, SimTime)> = inner
                 .slots
                 .iter()
@@ -461,19 +510,19 @@ fn drive_loop(
                 })
                 .collect();
             if pollers.is_empty() {
-                drop(inner);
-                if n_finished == n {
-                    break;
-                }
-                // Only Blocked ranks remain and nothing can wake them.
-                return stall(ctl, tasks, panics);
+                // Every rank finished, or only Blocked ranks remain and
+                // nothing can wake them.
+                return if n_finished == n {
+                    Next::Done
+                } else {
+                    Next::Stall
+                };
             }
             let sig = (inner.deposits_seen, pollers.clone());
             if poll_sig.as_ref() == Some(&sig) {
                 poll_repeats += 1;
                 if poll_repeats >= STALL_ROUNDS {
-                    drop(inner);
-                    return stall(ctl, tasks, panics);
+                    return Next::Stall;
                 }
             } else {
                 poll_sig = Some(sig);
@@ -485,18 +534,23 @@ fn drive_loop(
                 inner.slots[i] = Slot::Runnable;
                 inner.ready.insert((at, i));
             }
-            continue;
+            Next::Promoted
+        });
+        let (r, depth) = match next {
+            Next::Resume(r, depth) => (r, depth),
+            Next::Promoted => continue,
+            Next::Done => break,
+            Next::Stall => return stall(ctl, tasks, panics),
         };
-        // The lock is released before the switch: the resumed rank
-        // takes it on every mailbox operation.
-        drop(inner);
 
+        // The switch happens outside `with`: the resumed rank enters the
+        // control block on every mailbox operation.
         stats.resumes += 1;
         stats.observe_depth(depth);
         tasks[r].resume();
         stats.max_stack_bytes = stats.max_stack_bytes.max(tasks[r].stack_in_use());
         if tasks[r].is_done() {
-            ctl.lock().slots[r] = Slot::Finished;
+            ctl.with(|inner| inner.slots[r] = Slot::Finished);
             n_finished += 1;
             if let Some(p) = tasks[r].take_panic() {
                 panics.push((r, p));
@@ -520,16 +574,17 @@ fn stall(
     mut panics: Vec<(usize, Box<dyn Any + Send>)>,
 ) -> Result<(), RankPanic> {
     let had_panic = !panics.is_empty();
-    let mut inner = ctl.lock();
-    let msg = if inner.slots.iter().any(|s| matches!(s, Slot::Finished)) {
-        // A peer already exited (returned or panicked); the parked
-        // ranks wait on it in vain.
-        "peer rank disconnected while a receive was pending"
-    } else {
-        "simulated deadlock: every rank is parked and no message can arrive"
-    };
-    inner.poison = Some(msg);
-    drop(inner);
+    let msg = ctl.with(|inner| {
+        let msg = if inner.slots.iter().any(|s| matches!(s, Slot::Finished)) {
+            // A peer already exited (returned or panicked); the parked
+            // ranks wait on it in vain.
+            "peer rank disconnected while a receive was pending"
+        } else {
+            "simulated deadlock: every rank is parked and no message can arrive"
+        };
+        inner.poison = Some(msg);
+        msg
+    });
     let mut induced: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
     for (r, task) in tasks.iter_mut().enumerate() {
         let mut tries = 0;
@@ -550,6 +605,18 @@ fn stall(
         rank: 0,
         payload: Box::new(msg.to_string()),
     }))
+}
+
+/// What the scheduler does after one visit to the control block.
+enum Next {
+    /// Switch to this rank, popped at this ready-queue depth.
+    Resume(usize, usize),
+    /// The queue ran dry and the polling set went back on it.
+    Promoted,
+    /// Every rank finished.
+    Done,
+    /// No rank can make progress.
+    Stall,
 }
 
 fn min_rank_panic(panics: Vec<(usize, Box<dyn Any + Send>)>) -> Option<RankPanic> {
@@ -1369,6 +1436,40 @@ mod tests {
         assert_eq!(stats.deposit_wakes, 1);
         assert_eq!(stats.parks_blocked, 1);
         assert_eq!(stats.parks_polling, 0);
+    }
+
+    fn envelope(src: usize) -> NetMsg {
+        NetMsg {
+            src,
+            tag: Tag(3),
+            context: 0,
+            data: vec![1, 2, 3],
+            arrival: SimTime(1),
+            seq: 0,
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "scheduler control block re-entered: a closure run on it called back into the scheduler"
+    )]
+    fn a_mailbox_closure_that_posts_panics_by_name() {
+        let handle = EventHandle::new(Arc::new(EventCtl::new(2)), new_shared(), 0);
+        handle.mailbox(|_| handle.post(1, envelope(0)));
+    }
+
+    #[test]
+    fn a_panic_inside_the_control_block_leaves_it_enterable() {
+        let ctl = Arc::new(EventCtl::new(2));
+        let sender = EventHandle::new(ctl.clone(), new_shared(), 0);
+        let receiver = EventHandle::new(ctl, new_shared(), 1);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            sender.mailbox(|_| panic!("a mailbox closure failed"))
+        }));
+        assert!(caught.is_err());
+        sender.post(1, envelope(0));
+        let got = receiver.mailbox(|mb| mb.try_match(Some(0), Tag(3), 0));
+        assert_eq!(got.expect("delivered after the panic").data, vec![1, 2, 3]);
     }
 
     #[test]

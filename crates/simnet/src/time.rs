@@ -20,9 +20,24 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Construct from (possibly fractional) nanoseconds, rounding to nearest.
+    /// Construct from (possibly fractional) nanoseconds, rounding to
+    /// nearest with ties away from zero; negative values and NaN give
+    /// zero, values past `u64::MAX` saturate.
+    ///
+    /// Every cost charged to a clock passes through here. `f64::round`
+    /// is a library call on baseline x86-64, so the rounding is done in
+    /// integers: below 2^52 the truncation and the fraction left over
+    /// are both exact, and from 2^52 on every `f64` is already whole.
+    #[inline]
     pub fn from_ns_f64(ns: f64) -> Self {
-        SimTime(ns.max(0.0).round() as u64)
+        const WHOLE_FROM: f64 = (1u64 << 52) as f64;
+        let x = ns.max(0.0);
+        if x < WHOLE_FROM {
+            let t = x as i64;
+            SimTime((t + (x - t as f64 >= 0.5) as i64) as u64)
+        } else {
+            SimTime(x as u64)
+        }
     }
 
     /// Construct from microseconds.
@@ -201,6 +216,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn simtime_conversions_round_trip() {
@@ -210,6 +226,78 @@ mod tests {
         assert_eq!(SimTime::from_ns(3_000_000).as_ms(), 3.0);
         assert_eq!(SimTime::from_ns_f64(-5.0), SimTime::ZERO);
         assert_eq!(SimTime::from_ns_f64(2.6), SimTime(3));
+    }
+
+    /// The rounding `from_ns_f64` must reproduce bit for bit.
+    fn oracle(ns: f64) -> SimTime {
+        SimTime(ns.max(0.0).round() as u64)
+    }
+
+    #[test]
+    fn from_ns_f64_matches_round_at_the_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let two53 = (1u64 << 53) as f64;
+        let two64 = 18_446_744_073_709_551_616.0;
+        let cases = [
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            -0.5,
+            -1.5,
+            -5.0,
+            1234.5,
+            1234.499999,
+            two52 - 1.5,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            two64,
+            two64 * 2.0,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for ns in cases {
+            assert_eq!(SimTime::from_ns_f64(ns), oracle(ns), "{ns:?}");
+        }
+        assert_eq!(SimTime::from_ns_f64(0.5), SimTime(1));
+        assert_eq!(SimTime::from_ns_f64(two52 - 0.5), SimTime(1 << 52));
+        assert_eq!(SimTime::from_ns_f64(f64::INFINITY), SimTime(u64::MAX));
+        assert_eq!(SimTime::from_ns_f64(f64::NAN), SimTime::ZERO);
+    }
+
+    proptest! {
+        /// Any bit pattern: every sign, exponent and NaN payload.
+        #[test]
+        fn from_ns_f64_matches_round_on_any_bits(bits in 0u64..u64::MAX) {
+            let ns = f64::from_bits(bits);
+            prop_assert_eq!(SimTime::from_ns_f64(ns), oracle(ns));
+        }
+
+        /// Quarter-nanosecond steps up to 2^54: ties, near-ties and the
+        /// 2^52 boundary, densely.
+        #[test]
+        fn from_ns_f64_matches_round_on_quarters(k in 0u64..1 << 56, below in any::<bool>()) {
+            let ns = k as f64 * 0.25;
+            let ns = if below { f64::from_bits(ns.to_bits().saturating_sub(1)) } else { ns };
+            prop_assert_eq!(SimTime::from_ns_f64(ns), oracle(ns));
+        }
+
+        /// The magnitudes costs actually have.
+        #[test]
+        fn from_ns_f64_matches_round_on_costs(ns in -1.0e3f64..1.0e12) {
+            prop_assert_eq!(SimTime::from_ns_f64(ns), oracle(ns));
+        }
     }
 
     #[test]
