@@ -344,37 +344,26 @@ pub fn datatype_report(reg: &MetricsRegistry) -> Option<String> {
 }
 
 /// `-log_view`-style summary of the event scheduler's own work during a
-/// run (see [`ncd_simnet::SchedStats`]): context switches, park mix,
-/// wake sources, ready-queue pressure, and the fiber-stack high-water
-/// mark. One header row plus one value row, followed by the occupied
-/// buckets of the ready-depth log₂ histogram. Returns `None` for an
-/// empty survey (no tasks driven).
+/// run (see [`ncd_simnet::SchedStats`]): context switches, parks, wakes,
+/// ready-queue pressure, and the fiber-stack high-water mark. One header
+/// row plus one value row, followed by the occupied buckets of the
+/// ready-depth log₂ histogram. Returns `None` for an empty survey (no
+/// tasks driven).
 pub fn sched_report(stats: &ncd_simnet::SchedStats) -> Option<String> {
     if stats.tasks == 0 {
         return None;
     }
     let mut out = format!("\n=== event scheduler ({}) ===\n", stats.backend);
     out.push_str(&format!(
-        "{:>8}{:>10}{:>11}{:>11}{:>10}{:>9}{:>10}{:>12}{:>12}\n",
-        "tasks",
-        "resumes",
-        "parks-blk",
-        "parks-poll",
-        "wakes",
-        "promos",
-        "promoted",
-        "mean-depth",
-        "max-stack-B"
+        "{:>8}{:>10}{:>11}{:>10}{:>12}{:>12}\n",
+        "tasks", "resumes", "parks-blk", "wakes", "mean-depth", "max-stack-B"
     ));
     out.push_str(&format!(
-        "{:>8}{:>10}{:>11}{:>11}{:>10}{:>9}{:>10}{:>12.2}{:>12}\n",
+        "{:>8}{:>10}{:>11}{:>10}{:>12.2}{:>12}\n",
         stats.tasks,
         stats.resumes,
         stats.parks_blocked,
-        stats.parks_polling,
         stats.deposit_wakes,
-        stats.poll_promotions,
-        stats.promoted_tasks,
         stats.mean_depth(),
         stats.max_stack_bytes
     ));
@@ -1324,11 +1313,8 @@ mod tests {
             tasks: 4,
             backend: "fiber",
             resumes: 12,
-            parks_blocked: 1,
-            parks_polling: 8,
-            deposit_wakes: 1,
-            poll_promotions: 2,
-            promoted_tasks: 8,
+            parks_blocked: 8,
+            deposit_wakes: 8,
             depth_sum: 30,
             max_stack_bytes: 18_432,
             ..Default::default()

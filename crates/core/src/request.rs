@@ -1,6 +1,6 @@
 //! Request-based nonblocking point-to-point communication — the analogue
-//! of `MPI_Isend`/`MPI_Irecv`/`MPI_Wait*`/`MPI_Test` over the simulated
-//! NIC progress model.
+//! of `MPI_Isend`/`MPI_Irecv`/`MPI_Wait*` over the simulated NIC progress
+//! model. There is no `MPI_Test`: every request completes by waiting.
 //!
 //! A [`Request`] is a handle to an in-flight operation:
 //!
@@ -41,7 +41,7 @@ use crate::comm::Comm;
 
 /// A pending nonblocking operation. Obtain from [`Comm::isend`] /
 /// [`Comm::irecv`]; complete with [`Comm::wait`], [`Comm::waitall`], or
-/// [`Comm::waitany`]; poll with [`Comm::test`].
+/// [`Comm::waitany`].
 pub struct Request {
     state: State,
 }
@@ -57,8 +57,9 @@ enum State {
         tag: Tag,
         context: u32,
     },
-    /// Matched envelope parked until completion ([`Comm::test`] consumed
-    /// it from the mailbox, but the wait residual is not yet charged).
+    /// Matched envelope parked until completion ([`Comm::waitany`]
+    /// consumed it from the mailbox, but the wait residual is not yet
+    /// charged).
     RecvArrived { msg: NetMsg },
     /// Completed (by [`Comm::waitany`] marking it in place).
     Done,
@@ -174,31 +175,6 @@ impl Comm<'_> {
             }
             State::RecvArrived { msg } => self.complete_recv(msg),
             State::Done => panic!("wait on an already-completed request"),
-        }
-    }
-
-    /// Nonblocking completion poll: true when [`Comm::wait`] would charge
-    /// zero residual — the send's NIC reservation has drained, or the
-    /// expected message has arrived in *simulated* time. Never advances
-    /// the clock. A matched envelope is parked in the request, so testing
-    /// does not perturb per-(source, tag) FIFO matching for this request.
-    pub fn test(&mut self, req: &mut Request) -> bool {
-        let now = self.rank_ref().now();
-        match &mut req.state {
-            State::Done => true,
-            State::Send { done } => *done <= now,
-            State::RecvArrived { msg } => msg.arrival <= now,
-            State::RecvPosted { src, tag, context } => {
-                let (src, tag, context) = (*src, *tag, *context);
-                match self.rank_mut().try_fetch_msg_ctx(src, tag, context) {
-                    Some(msg) => {
-                        let ready = msg.arrival <= now;
-                        req.state = State::RecvArrived { msg };
-                        ready
-                    }
-                    None => false,
-                }
-            }
         }
     }
 
@@ -371,31 +347,6 @@ mod tests {
             busy < idle + compute_only,
             "compute must hide the wire: busy={busy} idle={idle} compute={compute_only}"
         );
-    }
-
-    #[test]
-    fn test_reports_completion_without_advancing_the_clock() {
-        run_n(2, |comm| {
-            if comm.rank() == 0 {
-                let mut req = comm.isend_grp(1, Tag(0), vec![0u8; 64 * 1024]);
-                assert!(!comm.test(&mut req), "wire still draining");
-                let before = comm.rank_ref().now();
-                assert!(!comm.test(&mut req));
-                assert_eq!(comm.rank_ref().now(), before, "test never charges");
-                comm.rank_mut().compute_flops(100_000_000);
-                assert!(comm.test(&mut req), "drained under compute");
-                comm.wait(req);
-            } else {
-                let mut req = comm.irecv(Some(0), Tag(0));
-                // Eventually the message arrives physically and, after
-                // enough local compute, in simulated time too.
-                while !comm.test(&mut req) {
-                    comm.rank_mut().compute_flops(1_000_000);
-                }
-                let (data, src) = comm.wait(req).into_recv();
-                assert_eq!((data.len(), src), (64 * 1024, 0));
-            }
-        });
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!   datatypes + one `MPI_Alltoallw` ([`ScatterBackend`]);
 //! * [`DistributedArray`] — structured-grid DAs (1/2/3-D, interlaced dof,
 //!   star/box stencils) with ghost exchange compiled to a `VecScatter`;
-//! * [`AijMat`] — CSR matrices with off-process assembly; [`StencilOp`] —
-//!   matrix-free constant-coefficient stencils;
+//! * [`AijMat`] — CSR matrices with off-process assembly;
 //! * [`ksp`] — CG and Richardson solvers with identity / Jacobi
 //!   preconditioning; [`mg`] — geometric multigrid with the matrix-free
 //!   Laplacian of the paper's application.
@@ -39,7 +38,6 @@ pub mod layout;
 pub mod mat;
 pub mod mg;
 pub mod scatter;
-pub mod stencil;
 pub mod vec;
 
 pub use da::{DistributedArray, StencilKind};
@@ -54,5 +52,4 @@ pub use scatter::{
     InsertMode, ScatterBackend, ScatterHandle, ScatterMode, VecScatter, STAGE_SCATTER_APPLY,
     STAGE_SCATTER_BEGIN, STAGE_SCATTER_END,
 };
-pub use stencil::{StencilEntry, StencilOp};
 pub use vec::PVec;

@@ -1,6 +1,5 @@
 //! Machine-readable exports that are written and never read back: Chrome
-//! trace-event JSON for per-rank timelines and the profiler snapshot. (A
-//! ledger artifact's writer lives with its reader, beside the type:
+//! trace-event JSON for per-rank timelines. (A ledger artifact's writer lives with its reader, beside the type:
 //! [`crate::metrics`], [`crate::commmap`], [`crate::analysis`],
 //! [`crate::diagnosis`].)
 //!
@@ -17,7 +16,6 @@
 use std::fmt;
 
 use crate::json::{JsonValue, JsonWriter};
-use crate::profile::Profiler;
 use crate::time::SimTime;
 use crate::trace::{EventKind, TraceEvent};
 
@@ -222,21 +220,6 @@ fn trace_event(w: &mut JsonWriter, rank: usize, e: &TraceEvent) {
     }
 }
 
-/// JSON snapshot of a profiler's accumulated stages.
-pub fn profile_json(p: &Profiler) -> String {
-    let mut w = JsonWriter::new();
-    w.array(|w| {
-        for (path, s) in p.stages() {
-            w.object(|w| {
-                w.field("stage", path).field("count", s.count);
-                w.field("inclusive_ns", s.inclusive.as_ns());
-                w.field("exclusive_ns", s.exclusive.as_ns());
-            });
-        }
-    });
-    w.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,17 +376,5 @@ mod tests {
         assert!(json.contains(
             "\"label\":\"allgatherv/ring\",\"metric\":\"bytes\",\"occurrence\":6,\"up\":true,\"baseline_millis\":4096000,\"observed_millis\":65536000"
         ));
-    }
-
-    #[test]
-    fn profile_json_lists_stages() {
-        let mut p = Profiler::enabled();
-        p.begin("solve", SimTime(0));
-        p.end("solve", SimTime(100));
-        let json = profile_json(&p);
-        assert_eq!(
-            json,
-            "[{\"stage\":\"solve\",\"count\":1,\"inclusive_ns\":100,\"exclusive_ns\":100}]"
-        );
     }
 }

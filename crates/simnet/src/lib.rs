@@ -74,7 +74,7 @@ pub use diagnosis::{
     parse_diagnosis, render_stage_overlap, stage_overlap, Diagnosis, DiagnosisSummary, Finding,
     FindingSummary, StageOverlap, WaitInstance, WaitPattern, ALL_PATTERNS,
 };
-pub use export::{chrome_trace_json, profile_json};
+pub use export::chrome_trace_json;
 pub use history::{
     history_json, history_report, merge_histories, pattern_hash_rank, sparkline, EpochPoint,
     History, RankEpochRecord, RankHistory,

@@ -80,13 +80,6 @@ impl Mailbox {
         self.queue.remove(pos)
     }
 
-    /// Borrow the envelope [`Mailbox::try_match`] would take, so the
-    /// caller can inspect its metadata (e.g. its simulated arrival time)
-    /// without consuming it.
-    pub fn peek(&self, src: Option<usize>, tag: Tag, context: u32) -> Option<&NetMsg> {
-        self.queue.iter().find(|m| m.matches(src, tag, context))
-    }
-
     /// Number of envelopes currently queued.
     pub fn len(&self) -> usize {
         self.queue.len()
@@ -160,18 +153,5 @@ mod tests {
         assert!(mb.try_match(Some(1), Tag(5), 0).is_none());
         assert_eq!(mb.len(), 1, "rank 2's message stays queued");
         assert_eq!(mb.try_match(None, ANY_TAG, 0).unwrap().data, vec![b'c']);
-    }
-
-    #[test]
-    fn peek_exposes_arrival_without_consuming() {
-        let mut mb = Mailbox::default();
-        assert!(mb.peek(Some(0), Tag(3), 0).is_none());
-        let mut m = msg(0, 3, b'z');
-        m.arrival = SimTime(777);
-        mb.push(m);
-        assert_eq!(mb.peek(Some(0), Tag(3), 0).unwrap().arrival, SimTime(777));
-        assert!(mb.peek(Some(0), Tag(3), 0).is_some(), "still there");
-        assert_eq!(mb.try_match(Some(0), Tag(3), 0).unwrap().data, vec![b'z']);
-        assert!(mb.peek(Some(0), Tag(3), 0).is_none());
     }
 }

@@ -110,12 +110,6 @@ impl Profiler {
         self.stack.len()
     }
 
-    /// Accumulated per-path figures, in path order (children follow their
-    /// parent lexicographically).
-    pub fn stages(&self) -> impl Iterator<Item = (&str, &StageStats)> {
-        self.stages.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     pub fn stage(&self, path: &str) -> Option<&StageStats> {
         self.stages.get(path)
     }

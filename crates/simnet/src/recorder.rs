@@ -615,13 +615,6 @@ fn render_rank(
 pub enum Anomaly {
     /// A rank's thread panicked inside [`crate::Cluster::run`].
     Panic { rank: usize },
-    /// A receive waited longer than the configured threshold
-    /// (see [`crate::Rank::dump_on_wait_over`]).
-    LatencySpike {
-        rank: usize,
-        wait_ns: u64,
-        threshold_ns: u64,
-    },
     /// A benchmark's reference gate (`--compare`) detected a regression
     /// (`name` is the benchmark's observatory name).
     ReferenceRegression { name: String },
@@ -631,14 +624,6 @@ impl fmt::Display for Anomaly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Anomaly::Panic { rank } => write!(f, "panic on rank {rank}"),
-            Anomaly::LatencySpike {
-                rank,
-                wait_ns,
-                threshold_ns,
-            } => write!(
-                f,
-                "latency spike on rank {rank}: waited {wait_ns} ns (threshold {threshold_ns} ns)"
-            ),
             Anomaly::ReferenceRegression { name } => {
                 write!(f, "reference-gate regression in {name}")
             }

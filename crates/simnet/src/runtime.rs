@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use crate::commmap::RankCommMap;
 use crate::history::RankHistory;
 use crate::knobs::{CostKnobs, ResolvedKnobs};
-use crate::mailbox::{Mailbox, NetMsg, Tag};
+use crate::mailbox::{NetMsg, Tag};
 use crate::metrics::MetricsRegistry;
 use crate::profile::Profiler;
 use crate::recorder::{self, Anomaly, RankRecorder};
@@ -40,9 +40,6 @@ pub enum SpeedProfile {
     /// Ranks `0..n/2` run at `fast`, ranks `n/2..n` at `slow`
     /// (relative CPU speed multipliers; CPU costs are divided by speed).
     MixedHalves { fast: f64, slow: f64 },
-    /// Explicit per-rank speeds; must have exactly `n_ranks` entries,
-    /// each finite and positive ([`Cluster::new`] checks).
-    PerRank(Vec<f64>),
 }
 
 impl SpeedProfile {
@@ -56,7 +53,6 @@ impl SpeedProfile {
                     *slow
                 }
             }
-            SpeedProfile::PerRank(v) => v[rank],
         }
     }
 }
@@ -73,9 +69,6 @@ pub struct ClusterConfig {
     /// power of two, at most [`MAX_RECORDER_CAPACITY`]; see
     /// [`crate::recorder`]).
     pub recorder_capacity: usize,
-    /// Stack bytes per rank task (lazily committed; raise for deeply
-    /// recursive rank programs).
-    pub stack_bytes: usize,
     /// When set, the event scheduler breaks equal-simulated-time ties in
     /// its ready queue pseudorandomly from this seed instead of by rank
     /// id. Simulated results must not depend on it — the knob exists so
@@ -100,8 +93,8 @@ pub const DEFAULT_RECORDER_CAPACITY: usize = 256;
 /// slots of 64 bytes, 4 MiB a rank.
 pub const MAX_RECORDER_CAPACITY: usize = 1 << 16;
 
-/// Default per-rank task stack (1 MiB, lazily committed by the OS so
-/// idle ranks cost address space, not memory).
+/// Per-rank task stack (1 MiB, lazily committed by the OS so idle ranks
+/// cost address space, not memory).
 pub const DEFAULT_STACK_BYTES: usize = 1 << 20;
 
 impl ClusterConfig {
@@ -114,7 +107,6 @@ impl ClusterConfig {
             speeds: SpeedProfile::Uniform,
             seed: 0x5eed,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-            stack_bytes: DEFAULT_STACK_BYTES,
             sched_tie_seed: None,
             knobs: None,
             task_backend: TaskBackend::from_env(),
@@ -136,7 +128,6 @@ impl ClusterConfig {
             },
             seed: 0x2007,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-            stack_bytes: DEFAULT_STACK_BYTES,
             sched_tie_seed: None,
             knobs: None,
             task_backend: TaskBackend::from_env(),
@@ -155,12 +146,6 @@ impl ClusterConfig {
 
     pub fn with_recorder_capacity(mut self, capacity: usize) -> Self {
         self.recorder_capacity = capacity;
-        self
-    }
-
-    /// Per-rank task stack size.
-    pub fn with_stack_bytes(mut self, bytes: usize) -> Self {
-        self.stack_bytes = bytes;
         self
     }
 
@@ -194,14 +179,6 @@ pub struct Cluster {
 impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Self {
         assert!(cfg.n_ranks > 0, "cluster needs at least one rank");
-        if let SpeedProfile::PerRank(v) = &cfg.speeds {
-            assert_eq!(v.len(), cfg.n_ranks, "PerRank speed table length mismatch");
-            // CPU costs are divided by the speed.
-            assert!(
-                v.iter().all(|s| s.is_finite() && *s > 0.0),
-                "PerRank speeds must be finite and positive: {v:?}"
-            );
-        }
         assert!(
             cfg.recorder_capacity <= MAX_RECORDER_CAPACITY,
             "flight-recorder capacity {} exceeds the cap of {MAX_RECORDER_CAPACITY} slots",
@@ -233,7 +210,6 @@ impl Cluster {
             metrics: None,
             profiler: None,
             recorder,
-            wait_spike_threshold: None,
             commmap: None,
             history: None,
             sched,
@@ -269,7 +245,7 @@ impl Cluster {
             .task_backend
             .unwrap_or_else(TaskBackend::default_for_target);
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let mut stacks = Stacks::new(task_backend, n, self.cfg.stack_bytes);
+        let mut stacks = Stacks::new(task_backend, n, DEFAULT_STACK_BYTES);
         let mut tasks: Vec<Task> = Vec::with_capacity(n);
         for (rank_id, recorder) in recorders.iter().enumerate() {
             let shared = Arc::new(TaskShared::new(task_backend));
@@ -341,9 +317,6 @@ pub struct Rank {
     /// process-wide last-run store; see [`crate::recorder`]). This rank
     /// is its only writer until dropped.
     recorder: Arc<RankRecorder>,
-    /// When set, a receive that waits longer than this triggers a
-    /// flight-recorder dump (the latency-spike anomaly predicate).
-    wait_spike_threshold: Option<SimTime>,
     /// Communication-topology map (see [`crate::commmap`]).
     commmap: Option<RankCommMap>,
     /// Epoch time-series history (see [`crate::history`]): one compact
@@ -490,13 +463,6 @@ impl Rank {
     /// This rank's always-on flight recorder.
     pub fn flight_recorder(&self) -> &Arc<RankRecorder> {
         &self.recorder
-    }
-
-    /// Arm the latency-spike anomaly: any receive that blocks longer than
-    /// `threshold` of simulated time triggers a flight-recorder dump
-    /// through the process-wide [`crate::recorder::dump_on`] hook.
-    pub fn dump_on_wait_over(&mut self, threshold: SimTime) {
-        self.wait_spike_threshold = Some(threshold);
     }
 
     /// Start accumulating the communication-topology map (see
@@ -743,44 +709,11 @@ impl Rank {
         }
     }
 
-    /// Non-blocking variant of [`Rank::fetch_msg_ctx`]: the earliest
-    /// matching envelope if one has physically arrived (its simulated
-    /// arrival time may still lie in the future), else `None`.
-    ///
-    /// A miss yields to the scheduler once (a polling park: woken by a
-    /// matching post or when no other rank is ready) and re-checks, so
-    /// `while !test { compute }` progress loops interleave with the peers
-    /// they are waiting on.
-    pub fn try_fetch_msg_ctx(
-        &mut self,
-        src: Option<usize>,
-        tag: Tag,
-        context: u32,
-    ) -> Option<NetMsg> {
-        self.poll_mailbox(src, tag, context, |mb| mb.try_match(src, tag, context))
-    }
-
-    /// Look for an envelope matching `(src, tag, context)` with `look`; on
-    /// a miss, yield to the scheduler once and look again.
-    fn poll_mailbox<R>(
-        &mut self,
-        src: Option<usize>,
-        tag: Tag,
-        context: u32,
-        look: impl Fn(&mut Mailbox) -> Option<R>,
-    ) -> Option<R> {
-        if let Some(found) = self.sched.mailbox(&look) {
-            return Some(found);
-        }
-        self.sched.park_polling(src, tag, context, self.now);
-        self.sched.mailbox(&look)
-    }
-
     /// The accounting half of a receive: charge the residual wait (zero
     /// when the message arrived while this rank was computing — the
-    /// overlap win), then the receive overhead; update stats and comm map,
-    /// record the [`EventKind::Recv`], check the latency-spike predicate.
-    /// Returns the payload, the source rank, and the wait residual.
+    /// overlap win), then the receive overhead; update stats and comm map
+    /// and record the [`EventKind::Recv`]. Returns the payload, the source
+    /// rank, and the wait residual.
     pub fn complete_recv_msg(&mut self, msg: NetMsg) -> (Vec<u8>, usize, SimTime) {
         let trace_start = self.now;
         let mut waited = SimTime::ZERO;
@@ -807,58 +740,7 @@ impl Rank {
                 wait: waited,
             },
         );
-        if let Some(threshold) = self.wait_spike_threshold {
-            if waited > threshold {
-                let dump = crate::recorder::render_dump(std::slice::from_ref(&self.recorder));
-                crate::recorder::trigger(
-                    &Anomaly::LatencySpike {
-                        rank: self.rank,
-                        wait_ns: waited.as_ns(),
-                        threshold_ns: threshold.as_ns(),
-                    },
-                    &dump,
-                );
-            }
-        }
         (msg.data, msg.src, waited)
-    }
-
-    /// Non-blocking probe for a matching message (real arrival, i.e. the
-    /// message exists; simulated arrival time may still be in the future).
-    /// A miss yields once (like [`Rank::try_fetch_msg_ctx`]) so probe spin
-    /// loops stay live.
-    pub fn probe(&mut self, src: Option<usize>, tag: Tag) -> bool {
-        self.probe_ctx(src, tag, 0)
-    }
-
-    /// Probe within a communicator context.
-    pub fn probe_ctx(&mut self, src: Option<usize>, tag: Tag, context: u32) -> bool {
-        self.peek_arrival(src, tag, context).is_some()
-    }
-
-    /// `MPI_Iprobe` in simulated time: true iff a matching message has both
-    /// physically arrived *and* its simulated arrival time has passed.
-    /// ([`Rank::probe`] answers the weaker "does the envelope exist"
-    /// question; this one answers "could a receive complete right now
-    /// without waiting".)
-    pub fn iprobe(&mut self, src: Option<usize>, tag: Tag) -> bool {
-        self.iprobe_ctx(src, tag, 0)
-    }
-
-    /// [`Rank::iprobe`] within a communicator context.
-    pub fn iprobe_ctx(&mut self, src: Option<usize>, tag: Tag, context: u32) -> bool {
-        let now = self.now;
-        self.peek_arrival(src, tag, context)
-            .is_some_and(|arrival| arrival <= now)
-    }
-
-    /// Simulated arrival time of the earliest matching envelope, yielding
-    /// to the scheduler once if there is none. When the envelope exists,
-    /// whether its arrival has passed is a pure clock question — no reason
-    /// to yield.
-    fn peek_arrival(&mut self, src: Option<usize>, tag: Tag, context: u32) -> Option<SimTime> {
-        let arrival = |mb: &mut Mailbox| mb.peek(src, tag, context).map(|m| m.arrival);
-        self.poll_mailbox(src, tag, context, arrival)
     }
 
     /// Charge the CPU-side posting cost of a nonblocking send (`o_send`
@@ -1052,7 +934,6 @@ mod tests {
             },
             seed: 1,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-            stack_bytes: DEFAULT_STACK_BYTES,
             sched_tie_seed: None,
             knobs: None,
             task_backend: None,
@@ -1065,22 +946,6 @@ mod tests {
         assert_eq!(out[2], out[3]);
         assert!(out[2] > out[0]);
         assert_eq!(out[2].as_ns(), 2 * out[0].as_ns());
-    }
-
-    #[test]
-    #[should_panic(expected = "PerRank speed table length mismatch")]
-    fn per_rank_speed_table_of_wrong_length_is_rejected_at_construction() {
-        let mut cfg = ClusterConfig::uniform(3);
-        cfg.speeds = SpeedProfile::PerRank(vec![1.0, 1.0]);
-        Cluster::new(cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn per_rank_speed_of_zero_is_rejected_at_construction() {
-        let mut cfg = ClusterConfig::uniform(2);
-        cfg.speeds = SpeedProfile::PerRank(vec![1.0, 0.0]);
-        Cluster::new(cfg);
     }
 
     #[test]
@@ -1223,48 +1088,6 @@ mod tests {
         assert!(!held.writer_live());
     }
 
-    #[test]
-    fn slow_sender_trips_latency_spike_predicate() {
-        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        let seen: Arc<std::sync::Mutex<Vec<String>>> = Arc::default();
-        let sink = seen.clone();
-        crate::recorder::dump_on(move |anomaly, _dump| {
-            sink.lock().unwrap().push(anomaly.to_string());
-        });
-        Cluster::new(ClusterConfig::uniform(2)).run(|r| {
-            if r.rank() == 0 {
-                r.compute_flops(10_000_000); // make the peer wait
-                r.send_bytes(1, Tag(0), vec![0u8; 8]);
-            } else {
-                r.dump_on_wait_over(SimTime::from_ns(1_000));
-                let _ = r.recv_bytes(Some(0), Tag(0));
-            }
-        });
-        crate::recorder::clear_dump_hook();
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 1, "{seen:?}");
-        assert!(seen[0].starts_with("latency spike on rank 1"), "{seen:?}");
-    }
-
-    #[test]
-    fn fast_receives_do_not_trip_the_spike_predicate() {
-        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        let fired: Arc<std::sync::Mutex<u32>> = Arc::default();
-        let sink = fired.clone();
-        crate::recorder::dump_on(move |_, _| *sink.lock().unwrap() += 1);
-        Cluster::new(ClusterConfig::uniform(2)).run(|r| {
-            if r.rank() == 0 {
-                r.send_bytes(1, Tag(0), vec![0u8; 8]);
-            } else {
-                r.compute_flops(10_000_000); // message long since arrived
-                r.dump_on_wait_over(SimTime::from_ns(1_000));
-                let _ = r.recv_bytes(Some(0), Tag(0));
-            }
-        });
-        crate::recorder::clear_dump_hook();
-        assert_eq!(*fired.lock().unwrap(), 0);
-    }
-
     fn pack_block(index: u64, sparse: bool, seek: u64) -> EventKind {
         EventKind::PackBlock {
             engine: "single-context".into(),
@@ -1404,29 +1227,6 @@ mod tests {
     }
 
     #[test]
-    fn iprobe_respects_simulated_arrival() {
-        Cluster::new(ClusterConfig::uniform(2)).run(|r| {
-            if r.rank() == 0 {
-                r.compute_flops(1_000_000); // delay the send in sim time
-                r.send_bytes(1, Tag(0), vec![1]);
-            } else {
-                // Wait until the envelope physically exists, then compare
-                // the weak probe with the simulated-arrival-aware one.
-                while !r.probe(Some(0), Tag(0)) {
-                    std::thread::yield_now();
-                }
-                assert!(
-                    !r.iprobe(Some(0), Tag(0)),
-                    "simulated arrival still in the future"
-                );
-                r.compute_flops(10_000_000);
-                assert!(r.iprobe(Some(0), Tag(0)));
-                let _ = r.recv_bytes(Some(0), Tag(0));
-            }
-        });
-    }
-
-    #[test]
     fn send_drain_and_irecv_post_hit_recorder_and_trace() {
         let out = Cluster::new(ClusterConfig::uniform(2)).run(|r| {
             r.enable_tracing();
@@ -1504,7 +1304,8 @@ mod tests {
 
     /// Two ranks blocked on receives nobody will send: the event
     /// scheduler proves the negative (no runnable rank, no message in
-    /// flight) and panics instead of hanging.
+    /// flight) and panics instead of hanging, naming what each rank
+    /// waits on.
     #[test]
     fn event_backend_detects_deadlock() {
         let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
@@ -1516,7 +1317,11 @@ mod tests {
         });
         let payload = res.expect_err("deadlocked cluster must not return");
         let msg = panic_message(payload);
-        assert!(msg.contains("deadlock"), "unexpected message: {msg}");
+        assert_eq!(
+            msg,
+            "simulated deadlock: every rank is parked and no message can arrive; \
+             rank 0 waits on src 1 tag 0 ctx 0, rank 1 waits on src 0 tag 0 ctx 0"
+        );
     }
 
     /// A send to a rank whose program has already returned is an error
@@ -1527,10 +1332,11 @@ mod tests {
         let res = std::panic::catch_unwind(|| {
             Cluster::new(ClusterConfig::uniform(2)).run(|r| {
                 if r.rank() == 0 {
-                    // The failed probe yields, so rank 1 runs and returns.
-                    assert!(!r.probe(Some(1), Tag(0)));
-                    r.compute_flops(1_000_000);
+                    // Rank 1 has returned by the time its message is here.
+                    let _ = r.recv_bytes(Some(1), Tag(0));
                     r.send_bytes(1, Tag(0), vec![1]);
+                } else {
+                    r.send_bytes(0, Tag(0), vec![1]);
                 }
             })
         });
@@ -1553,6 +1359,9 @@ mod tests {
         });
         let payload = res.expect_err("orphaned receive must not return");
         let msg = panic_message(payload);
-        assert!(msg.contains("disconnected"), "unexpected message: {msg}");
+        assert_eq!(
+            msg,
+            "peer rank disconnected while a receive was pending; rank 0 waits on src 1 tag 0 ctx 0"
+        );
     }
 }

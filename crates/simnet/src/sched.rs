@@ -13,12 +13,10 @@
 //! The scheduler keeps a ready queue ordered by `(simulated time at
 //! park, rank id)` and always resumes the minimum entry — the rank
 //! furthest behind in simulated time. A resumed rank runs *until it
-//! parks itself*: every blocking mailbox operation funnels through
-//! `EventHandle::park_blocked` (blocking receive: sleep until a
-//! matching envelope can exist) or `EventHandle::park_polling`
-//! (failed non-blocking probe/test: yield once so spin loops stay
-//! live), both of which record what the rank is waiting for and switch
-//! back to the scheduler.
+//! parks itself*: a receive that finds no matching envelope calls
+//! `EventHandle::park_blocked`, which records the `(src, tag, context)`
+//! pattern the rank waits for and switches back to the scheduler. That
+//! is the only way a rank parks.
 //!
 //! ## Delivery
 //!
@@ -26,12 +24,10 @@
 //! never block: `EventHandle::post` enters the control block once,
 //! appends the envelope to the destination's mailbox and, if the
 //! destination is parked on a pattern the envelope covers, moves it onto
-//! the ready queue right there. The block has no lock: only one party —
-//! the scheduler or the one running rank — is ever awake, so every
-//! access is already serialized (see `EventCtl::with`). Ranks parked
-//! `Polling` are additionally promoted wholesale whenever the ready
-//! queue runs dry, so `while !comm.test(..) { compute }` loops make
-//! progress without a matching envelope.
+//! the ready queue right there. A post is the only thing that wakes a
+//! parked rank. The block has no lock: only one party — the scheduler
+//! or the one running rank — is ever awake, so every access is already
+//! serialized (see `EventCtl::with`).
 //!
 //! ## Determinism
 //!
@@ -46,18 +42,19 @@
 //!
 //! ## Stalls
 //!
-//! Because the scheduler sees every mailbox and every parked rank, it
-//! can prove a communication deadlock instead of hanging on it: no rank
-//! is ready, and promotion of the polling set twice produced the exact
-//! same picture with nothing posted in between. It then *poisons* the
-//! run — every parked rank's next park panics (unwinding its fiber so
-//! stacks and results drop cleanly) — and reports the first panic in
-//! rank order, so the failure is attributed to the same rank on every
-//! run.
+//! Because only a post wakes a parked rank, and only a running rank
+//! posts, an empty ready queue with a rank still live *is* a deadlock:
+//! nothing can ever run again. The scheduler names it instead of
+//! hanging — each parked rank with the pattern it waits on, its edge in
+//! the wait-for graph — then *poisons* the run: every parked rank's
+//! next park panics (unwinding its fiber so stacks and results drop
+//! cleanly), and the first panic in rank order is reported, so the
+//! failure is attributed to the same rank on every run.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::collections::BTreeSet;
+use std::fmt::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -65,19 +62,16 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::mailbox::{Mailbox, NetMsg, Tag};
+use crate::mailbox::{Mailbox, NetMsg, Tag, ANY_TAG};
 use crate::time::SimTime;
 
 /// Smallest fiber stack the scheduler will allocate; requests below it
-/// are rounded up. Deep user recursion needs
-/// [`crate::runtime::ClusterConfig::with_stack_bytes`].
+/// are rounded up.
 pub const MIN_STACK_BYTES: usize = 64 * 1024;
 
-/// How often an identical polling picture must recur (with the ready
-/// queue empty and nothing posted in between) before the run is declared
-/// stalled. Two would suffice; three adds margin for degenerate
-/// zero-cost models where progress does not advance the clock.
-const STALL_ROUNDS: u32 = 3;
+/// Most parked ranks a stall report names one by one; the rest are
+/// counted.
+const STALL_NAMED_RANKS: usize = 8;
 
 /// Cap on poison resumes per task while draining a failed run, so a
 /// rank that swallows the poison panic cannot wedge the scheduler; a
@@ -97,6 +91,21 @@ struct MatchPat {
     context: u32,
 }
 
+impl fmt::Display for MatchPat {
+    /// `src 1 tag 0 ctx 0`; wildcards print as `any`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.src {
+            Some(src) => write!(f, "src {src}")?,
+            None => f.write_str("src any")?,
+        }
+        if self.tag == ANY_TAG {
+            write!(f, " tag any ctx {}", self.context)
+        } else {
+            write!(f, " tag {} ctx {}", self.tag.0, self.context)
+        }
+    }
+}
+
 /// Scheduler-visible state of one rank.
 #[derive(Clone, Copy, Debug)]
 enum Slot {
@@ -105,9 +114,6 @@ enum Slot {
     /// Parked in a blocking receive: wake only on a matching post (or
     /// poison).
     Blocked { pat: MatchPat, at: SimTime },
-    /// Parked after a failed non-blocking probe/test: wake on a
-    /// matching post, or wholesale when the ready queue runs dry.
-    Polling { pat: MatchPat, at: SimTime },
     /// The rank's program returned or panicked; a send to it is an
     /// error in the program being simulated.
     Finished,
@@ -119,18 +125,12 @@ struct CtlInner {
     mailboxes: Vec<Mailbox>,
     /// Runnable ranks waiting for their turn, by `(park time, rank)`.
     ready: BTreeSet<(SimTime, usize)>,
-    /// Monotone count of envelopes posted to a rank other than the
-    /// sender (part of the stall signature: identical polling pictures
-    /// only count as no progress if nothing was posted in between).
-    deposits_seen: u64,
     /// When set, every park attempt panics with this message instead of
     /// suspending — how the scheduler unwinds ranks after a peer died
     /// or the run deadlocked.
-    poison: Option<&'static str>,
+    poison: Option<String>,
     /// Introspection: blocking parks taken ([`EventHandle::park_blocked`]).
     parks_blocked: u64,
-    /// Introspection: polling parks taken ([`EventHandle::park_polling`]).
-    parks_polling: u64,
     /// Introspection: parked ranks woken by [`EventHandle::post`].
     deposit_wakes: u64,
 }
@@ -167,10 +167,8 @@ impl EventCtl {
                 slots: vec![Slot::Runnable; n_ranks],
                 mailboxes: (0..n_ranks).map(|_| Mailbox::default()).collect(),
                 ready: (0..n_ranks).map(|r| (SimTime::ZERO, r)).collect(),
-                deposits_seen: 0,
                 poison: None,
                 parks_blocked: 0,
-                parks_polling: 0,
                 deposit_wakes: 0,
             }),
             entered: AtomicBool::new(false),
@@ -222,34 +220,13 @@ impl EventHandle {
     /// `(src, tag, context)` is posted (the caller re-checks its mailbox
     /// on return and parks again on a false wake).
     pub(crate) fn park_blocked(&self, src: Option<usize>, tag: Tag, context: u32, at: SimTime) {
-        self.park(Slot::Blocked {
-            pat: MatchPat { src, tag, context },
-            at,
-        });
-    }
-
-    /// Yield after a failed non-blocking match, waking on a matching
-    /// post or when no other rank is ready — exactly once, so
-    /// `while !probe { .. }` spin loops interleave with peers instead
-    /// of monopolizing the scheduler.
-    pub(crate) fn park_polling(&self, src: Option<usize>, tag: Tag, context: u32, at: SimTime) {
-        self.park(Slot::Polling {
-            pat: MatchPat { src, tag, context },
-            at,
-        });
-    }
-
-    fn park(&self, slot: Slot) {
+        let pat = MatchPat { src, tag, context };
         let poison = self.ctl.with(|inner| {
             if inner.poison.is_none() {
-                match slot {
-                    Slot::Blocked { .. } => inner.parks_blocked += 1,
-                    Slot::Polling { .. } => inner.parks_polling += 1,
-                    Slot::Runnable | Slot::Finished => {}
-                }
-                inner.slots[self.rank] = slot;
+                inner.parks_blocked += 1;
+                inner.slots[self.rank] = Slot::Blocked { pat, at };
             }
-            inner.poison
+            inner.poison.clone()
         });
         if let Some(msg) = poison {
             panic!("{msg}");
@@ -257,7 +234,7 @@ impl EventHandle {
         // The switch happens outside `with`: the scheduler enters the
         // control block on its side while this task is suspended.
         self.shared.suspend();
-        if let Some(msg) = self.ctl.with(|inner| inner.poison) {
+        if let Some(msg) = self.ctl.with(|inner| inner.poison.clone()) {
             panic!("{msg}");
         }
     }
@@ -273,14 +250,11 @@ impl EventHandle {
             if matches!(inner.slots[dst], Slot::Finished) {
                 return false;
             }
-            if dst != self.rank {
-                inner.deposits_seen += 1;
-                if let Slot::Blocked { pat, at } | Slot::Polling { pat, at } = inner.slots[dst] {
-                    if msg.matches(pat.src, pat.tag, pat.context) {
-                        inner.slots[dst] = Slot::Runnable;
-                        inner.ready.insert((at, dst));
-                        inner.deposit_wakes += 1;
-                    }
+            if let Slot::Blocked { pat, at } = inner.slots[dst] {
+                if msg.matches(pat.src, pat.tag, pat.context) {
+                    inner.slots[dst] = Slot::Runnable;
+                    inner.ready.insert((at, dst));
+                    inner.deposit_wakes += 1;
                 }
             }
             inner.mailboxes[dst].push(msg);
@@ -372,14 +346,8 @@ pub struct SchedStats {
     pub resumes: u64,
     /// Blocking parks taken (a blocking receive found no envelope).
     pub parks_blocked: u64,
-    /// Polling parks taken (a non-blocking probe/test found no envelope).
-    pub parks_polling: u64,
     /// Parked ranks woken by a matching post.
     pub deposit_wakes: u64,
-    /// Dry-queue promotions of the whole polling set.
-    pub poll_promotions: u64,
-    /// Tasks moved back to ready across all those promotions.
-    pub promoted_tasks: u64,
     /// log₂ histogram of ready-queue depth, sampled at every resume
     /// *before* the pop: bucket `i` counts decisions taken with
     /// `2^i <= depth < 2^(i+1)`, so the buckets sum to `resumes`.
@@ -470,7 +438,6 @@ pub(crate) fn drive_with_stats(
     let result = drive_loop(ctl, tasks, tie_seed, &mut stats);
     ctl.with(|inner| {
         stats.parks_blocked = inner.parks_blocked;
-        stats.parks_polling = inner.parks_polling;
         stats.deposit_wakes = inner.deposit_wakes;
     });
     (result, stats)
@@ -486,61 +453,21 @@ fn drive_loop(
     let mut n_finished = 0usize;
     let mut panics: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
     let mut tie_rng = tie_seed.map(StdRng::seed_from_u64);
-    // (deposits_seen, [(rank, park time)]) at the last dry-queue
-    // promotion, plus how often that exact picture has recurred.
-    let mut poll_sig: Option<(u64, Vec<(usize, SimTime)>)> = None;
-    let mut poll_repeats = 0u32;
 
     loop {
         // One visit to the control block per decision: pop the next
-        // rank, or — the ready queue dry — promote the polling set so
-        // spin loops keep running, or conclude the run.
+        // rank and the queue depth it was popped at.
         let next = ctl.with(|inner| {
             let depth = inner.ready.len();
-            if let Some(r) = pop_min(&mut inner.ready, &mut tie_rng) {
-                return Next::Resume(r, depth);
-            }
-            let pollers: Vec<(usize, SimTime)> = inner
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| match s {
-                    Slot::Polling { at, .. } => Some((i, *at)),
-                    _ => None,
-                })
-                .collect();
-            if pollers.is_empty() {
-                // Every rank finished, or only Blocked ranks remain and
-                // nothing can wake them.
-                return if n_finished == n {
-                    Next::Done
-                } else {
-                    Next::Stall
-                };
-            }
-            let sig = (inner.deposits_seen, pollers.clone());
-            if poll_sig.as_ref() == Some(&sig) {
-                poll_repeats += 1;
-                if poll_repeats >= STALL_ROUNDS {
-                    return Next::Stall;
-                }
-            } else {
-                poll_sig = Some(sig);
-                poll_repeats = 0;
-            }
-            stats.poll_promotions += 1;
-            stats.promoted_tasks += pollers.len() as u64;
-            for &(i, at) in &pollers {
-                inner.slots[i] = Slot::Runnable;
-                inner.ready.insert((at, i));
-            }
-            Next::Promoted
+            pop_min(&mut inner.ready, &mut tie_rng).map(|r| (r, depth))
         });
-        let (r, depth) = match next {
-            Next::Resume(r, depth) => (r, depth),
-            Next::Promoted => continue,
-            Next::Done => break,
-            Next::Stall => return stall(ctl, tasks, panics),
+        let Some((r, depth)) = next else {
+            // The queue is dry. Only a running rank posts, so no parked
+            // rank can ever wake: the run is over, or stuck.
+            if n_finished == n {
+                break;
+            }
+            return stall(ctl, tasks, panics);
         };
 
         // The switch happens outside `with`: the resumed rank enters the
@@ -575,14 +502,8 @@ fn stall(
 ) -> Result<(), RankPanic> {
     let had_panic = !panics.is_empty();
     let msg = ctl.with(|inner| {
-        let msg = if inner.slots.iter().any(|s| matches!(s, Slot::Finished)) {
-            // A peer already exited (returned or panicked); the parked
-            // ranks wait on it in vain.
-            "peer rank disconnected while a receive was pending"
-        } else {
-            "simulated deadlock: every rank is parked and no message can arrive"
-        };
-        inner.poison = Some(msg);
+        let msg = stall_report(&inner.slots);
+        inner.poison = Some(msg.clone());
         msg
     });
     let mut induced: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
@@ -603,20 +524,36 @@ fn stall(
     }
     Err(min_rank_panic(panics).unwrap_or_else(|| RankPanic {
         rank: 0,
-        payload: Box::new(msg.to_string()),
+        payload: Box::new(msg),
     }))
 }
 
-/// What the scheduler does after one visit to the control block.
-enum Next {
-    /// Switch to this rank, popped at this ready-queue depth.
-    Resume(usize, usize),
-    /// The queue ran dry and the polling set went back on it.
-    Promoted,
-    /// Every rank finished.
-    Done,
-    /// No rank can make progress.
-    Stall,
+/// Why the run is stuck, with each parked rank's wait-for edge: the
+/// pattern it waits on. A finished peer makes it a disconnect (the
+/// parked ranks may wait on it in vain), otherwise every live rank is
+/// parked and it is a deadlock.
+fn stall_report(slots: &[Slot]) -> String {
+    let mut msg = if slots.iter().any(|s| matches!(s, Slot::Finished)) {
+        String::from("peer rank disconnected while a receive was pending")
+    } else {
+        String::from("simulated deadlock: every rank is parked and no message can arrive")
+    };
+    let waits: Vec<(usize, MatchPat)> = slots
+        .iter()
+        .enumerate()
+        .filter_map(|(rank, s)| match s {
+            Slot::Blocked { pat, .. } => Some((rank, *pat)),
+            Slot::Runnable | Slot::Finished => None,
+        })
+        .collect();
+    for (i, (rank, pat)) in waits.iter().take(STALL_NAMED_RANKS).enumerate() {
+        let sep = if i == 0 { "; " } else { ", " };
+        let _ = write!(msg, "{sep}rank {rank} waits on {pat}");
+    }
+    if waits.len() > STALL_NAMED_RANKS {
+        let _ = write!(msg, ", and {} more", waits.len() - STALL_NAMED_RANKS);
+    }
+    msg
 }
 
 fn min_rank_panic(panics: Vec<(usize, Box<dyn Any + Send>)>) -> Option<RankPanic> {
@@ -691,8 +628,7 @@ impl TaskShared {
     }
 
     /// Switch from the task back to the scheduler (called from
-    /// *inside* the task via [`EventHandle::park_blocked`] /
-    /// [`EventHandle::park_polling`]).
+    /// *inside* the task via [`EventHandle::park_blocked`]).
     pub(crate) fn suspend(&self) {
         match &self.imp {
             #[cfg(all(target_arch = "x86_64", unix))]
@@ -1055,8 +991,9 @@ mod fiber {
         fn drop(&mut self) {
             if self.shared.is_done() && !self.stack.canary_intact() && !std::thread::panicking() {
                 panic!(
-                    "fiber stack overflow detected (canary trampled); \
-                     raise ClusterConfig::with_stack_bytes"
+                    "fiber stack overflow detected (canary trampled): the rank program \
+                     needs more than {} stack bytes",
+                    self.stack.len
                 );
             }
             // An unfinished task's stack still holds live frames whose
@@ -1202,7 +1139,6 @@ mod handoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mailbox::ANY_TAG;
 
     fn new_shared() -> Arc<TaskShared> {
         Arc::new(TaskShared::new(TaskBackend::default_for_target()))
@@ -1214,21 +1150,43 @@ mod tests {
         Stacks::new(TaskBackend::default_for_target(), n, MIN_STACK_BYTES)
     }
 
+    /// The runtime's blocking receive in miniature: take the envelope
+    /// from `src` (`None` = any) on tag 3, parking at `at` until one is
+    /// posted.
+    fn take(handle: &EventHandle, src: Option<usize>, at: SimTime) -> NetMsg {
+        loop {
+            if let Some(msg) = handle.mailbox(|mb| mb.try_match(src, Tag(3), 0)) {
+                return msg;
+            }
+            handle.park_blocked(src, Tag(3), 0, at);
+        }
+    }
+
+    /// Task `id` of an `n`-task token ring: `rounds` times, take the
+    /// token from the left neighbour (rank 0 starts holding it), log its
+    /// id and pass the token right. Everyone starts ready at time zero,
+    /// so the first round runs straight through; in every later round
+    /// each task parks once and is woken by its neighbour's post.
     fn spawn_counted(
         shared: &Arc<TaskShared>,
         log: Arc<Mutex<Vec<usize>>>,
         id: usize,
-        yields: usize,
+        n: usize,
+        rounds: usize,
         ctl: Arc<EventCtl>,
         stacks: &mut Stacks,
     ) -> Task {
         let handle = EventHandle::new(ctl, shared.clone(), id);
         let body = Box::new(move || {
-            for _ in 0..yields {
+            for round in 0..rounds {
+                if id > 0 || round > 0 {
+                    take(&handle, Some((id + n - 1) % n), SimTime::ZERO);
+                }
                 log.lock().unwrap().push(id);
-                handle.park_polling(None, ANY_TAG, 0, SimTime::ZERO);
+                if id < n - 1 || round < rounds - 1 {
+                    handle.post((id + 1) % n, envelope(id));
+                }
             }
-            log.lock().unwrap().push(id);
         });
         unsafe { Task::spawn(shared.clone(), body, stacks, id) }
     }
@@ -1251,7 +1209,19 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let shared = new_shared();
         let mut stacks = new_stacks(8);
-        let mut task = spawn_counted(&shared, log.clone(), 7, 3, ctl, &mut stacks);
+        let handle = EventHandle::new(ctl, shared.clone(), 7);
+        let body = {
+            let log = log.clone();
+            Box::new(move || {
+                for _ in 0..3 {
+                    log.lock().unwrap().push(7);
+                    handle.park_blocked(None, Tag(3), 0, SimTime::ZERO);
+                }
+                log.lock().unwrap().push(7);
+            })
+        };
+        // Resumed by hand, not driven: a park suspends whatever it waits on.
+        let mut task = unsafe { Task::spawn(shared, body, &mut stacks, 7) };
         let mut resumes = 0;
         while !task.is_done() {
             task.resume();
@@ -1262,7 +1232,7 @@ mod tests {
         assert!(task.take_panic().is_none());
     }
 
-    /// Four ranks, two polling parks each, driven to completion;
+    /// A four-task token ring of three rounds, driven to completion;
     /// returns the execution log and the run's introspection survey.
     fn interleave_run(backend: TaskBackend) -> (Vec<usize>, SchedStats) {
         let n = 4;
@@ -1276,7 +1246,8 @@ mod tests {
                 &shared,
                 log.clone(),
                 id,
-                2,
+                n,
+                3,
                 ctl.clone(),
                 &mut stacks,
             ));
@@ -1290,9 +1261,8 @@ mod tests {
     }
 
     #[test]
-    fn drive_interleaves_pollers_deterministically() {
-        // All parks happen at SimTime::ZERO, so order is by rank id,
-        // round-robin across the promote-the-pollers cycles.
+    fn drive_interleaves_blocked_tasks_deterministically() {
+        // The token visits the ranks in id order, round after round.
         let (log, _) = interleave_run(TaskBackend::default_for_target());
         assert_eq!(log, vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);
     }
@@ -1321,21 +1291,18 @@ mod tests {
         let (_, stats) = interleave_run(TaskBackend::default_for_target());
         assert_eq!(stats.tasks, 4);
         assert_eq!(stats.backend, TaskBackend::default_for_target().label());
-        // Three resumes per task: two parks plus the final return.
+        // Three resumes per task: the start plus two wakes by the token.
         assert_eq!(stats.resumes, 12);
-        assert_eq!(stats.parks_polling, 8);
-        assert_eq!(stats.parks_blocked, 0);
-        assert_eq!(stats.deposit_wakes, 0);
-        // The queue runs dry after each round of parks.
-        assert_eq!(stats.poll_promotions, 2);
-        assert_eq!(stats.promoted_tasks, 8);
-        // Each round drains depths 4, 3, 2, 1.
-        assert_eq!(stats.depth_sum, 30);
-        assert!((stats.mean_depth() - 2.5).abs() < 1e-12);
+        assert_eq!(stats.parks_blocked, 8);
+        assert_eq!(stats.deposit_wakes, 8);
+        // The first round drains depths 4, 3, 2, 1; after that only the
+        // token's holder is ever ready.
+        assert_eq!(stats.depth_sum, 18);
+        assert!((stats.mean_depth() - 1.5).abs() < 1e-12);
         let mut hist = [0u64; DEPTH_BUCKETS];
-        hist[0] = 3; // depth 1
-        hist[1] = 6; // depths 2 and 3
-        hist[2] = 3; // depth 4
+        hist[0] = 9; // depth 1
+        hist[1] = 2; // depths 2 and 3
+        hist[2] = 1; // depth 4
         assert_eq!(stats.ready_depth_log2, hist);
         assert_eq!(
             stats.ready_depth_log2.iter().sum::<u64>(),
@@ -1375,19 +1342,34 @@ mod tests {
 
     #[test]
     fn blocked_forever_is_reported_as_deadlock() {
-        let ctl = Arc::new(EventCtl::new(1));
-        let mut stacks = new_stacks(1);
-        let shared = new_shared();
-        let handle = EventHandle::new(ctl.clone(), shared.clone(), 0);
-        let body = Box::new(move || {
-            handle.park_blocked(Some(0), Tag(1), 0, SimTime::ZERO);
-        });
-        let mut tasks = vec![unsafe { Task::spawn(shared, body, &mut stacks, 0) }];
+        // Rank 0 waits on itself; ranks 1..10 on anything in context 2.
+        let n = 10;
+        let ctl = Arc::new(EventCtl::new(n));
+        let mut stacks = new_stacks(n);
+        let mut tasks = Vec::new();
+        for id in 0..n {
+            let shared = new_shared();
+            let handle = EventHandle::new(ctl.clone(), shared.clone(), id);
+            let body = Box::new(move || match id {
+                0 => handle.park_blocked(Some(0), Tag(1), 0, SimTime::ZERO),
+                _ => handle.park_blocked(None, ANY_TAG, 2, SimTime::ZERO),
+            });
+            tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, id) });
+        }
         let err = drive(&ctl, &mut tasks, None).expect_err("deadlock");
         assert_eq!(err.rank, 0);
         let msg = err.payload.downcast_ref::<String>().cloned().unwrap();
-        assert!(msg.contains("deadlock"), "{msg}");
-        assert!(tasks[0].is_done(), "poisoned rank unwound");
+        let wildcards: String = (1..STALL_NAMED_RANKS)
+            .map(|r| format!(", rank {r} waits on src any tag any ctx 2"))
+            .collect();
+        assert_eq!(
+            msg,
+            format!(
+                "simulated deadlock: every rank is parked and no message can arrive; \
+                 rank 0 waits on src 0 tag 1 ctx 0{wildcards}, and 2 more"
+            )
+        );
+        assert!(tasks.iter().all(Task::is_done), "poisoned ranks unwound");
     }
 
     #[test]
@@ -1435,7 +1417,6 @@ mod tests {
         assert_eq!(*log.lock().unwrap(), vec!["sent", "woken"]);
         assert_eq!(stats.deposit_wakes, 1);
         assert_eq!(stats.parks_blocked, 1);
-        assert_eq!(stats.parks_polling, 0);
     }
 
     fn envelope(src: usize) -> NetMsg {
@@ -1483,8 +1464,14 @@ mod tests {
             let shared = new_shared();
             let handle = EventHandle::new(ctl.clone(), shared.clone(), id);
             let total = total.clone();
+            // Every task but the last parks until the last, which runs
+            // after all of them, wakes them all at once.
             let body = Box::new(move || {
-                handle.park_polling(None, ANY_TAG, 0, SimTime(id as u64));
+                if id < n - 1 {
+                    take(&handle, Some(n - 1), SimTime(id as u64));
+                } else {
+                    (0..n - 1).for_each(|dst| handle.post(dst, envelope(id)));
+                }
                 *total.lock().unwrap() += id as u64;
             });
             tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, id) });
@@ -1500,8 +1487,8 @@ mod tests {
         // With distinct park times the seed must not matter.
         let run = |seed: Option<u64>| {
             let n = 5;
-            let ctl = Arc::new(EventCtl::new(n));
-            let mut stacks = new_stacks(n);
+            let ctl = Arc::new(EventCtl::new(n + 1));
+            let mut stacks = new_stacks(n + 1);
             let log = Arc::new(Mutex::new(Vec::new()));
             let mut tasks = Vec::new();
             for id in 0..n {
@@ -1509,13 +1496,27 @@ mod tests {
                 let handle = EventHandle::new(ctl.clone(), shared.clone(), id);
                 let log = log.clone();
                 let body = Box::new(move || {
-                    // Park once at a distinct time; resume order must
-                    // be by park time regardless of the seed.
-                    handle.park_polling(None, ANY_TAG, 0, SimTime((n - id) as u64));
+                    // Check in with the releaser, then park once at a
+                    // distinct time; resume order must be by park time
+                    // regardless of the seed.
+                    handle.post(n, envelope(id));
+                    take(&handle, Some(n), SimTime((n - id) as u64));
                     log.lock().unwrap().push(id);
                 });
                 tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, id) });
             }
+            // The releaser wakes all five at once. Only one task runs at
+            // a time, so it sees the fifth check-in only after that
+            // task has parked.
+            let shared = new_shared();
+            let handle = EventHandle::new(ctl.clone(), shared.clone(), n);
+            let body = Box::new(move || {
+                for _ in 0..n {
+                    take(&handle, None, SimTime::ZERO);
+                }
+                (0..n).for_each(|dst| handle.post(dst, envelope(n)));
+            });
+            tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, n) });
             drive(&ctl, &mut tasks, seed).unwrap_or_else(|p| {
                 std::panic::resume_unwind(p.payload);
             });
