@@ -166,9 +166,20 @@ impl Comm<'_> {
         self.close_epoch("alltoallw", schedule.label(), volumes);
     }
 
+    /// Panic unless the exchange with `src` delivered the `want` bytes
+    /// this rank's receive slot expects, naming both ranks and both counts.
+    fn check_exchange_bytes(&self, what: &str, src: usize, want: usize, got: usize) {
+        assert_eq!(
+            got,
+            want,
+            "{what} mismatch: rank {} expected {want} bytes from rank {src}, got {got}",
+            self.rank()
+        );
+    }
+
     /// Local exchange with self: pack and unpack without the wire.
     fn a2aw_self_copy(&mut self, sendbuf: &[u8], s: &WPeer, recvbuf: &mut [u8], r: &WPeer) {
-        assert_eq!(s.bytes(), r.bytes(), "self exchange size mismatch");
+        self.check_exchange_bytes("self exchange size", self.rank(), r.bytes(), s.bytes());
         if s.bytes() == 0 {
             return;
         }
@@ -207,7 +218,7 @@ impl Comm<'_> {
             self.send_grp(dst, tag, payload);
             let (data, _) = self.wait(req).into_recv();
             let r = &recvs[src];
-            assert_eq!(data.len(), r.bytes(), "pairwise byte count mismatch");
+            self.check_exchange_bytes("pairwise byte count", src, r.bytes(), data.len());
             if !data.is_empty() {
                 self.deliver_recv(&mut recvbuf[r.offset..], &r.dtype, r.count, &data);
             }
@@ -273,13 +284,12 @@ impl Comm<'_> {
         // Unpack inbound messages as they arrive (not in posting order):
         // a slow peer's large message never blocks delivery of the ones
         // already here.
-        while recv_reqs.iter().any(|r| !r.is_done()) {
-            let (_, completion) = self.waitany(&mut recv_reqs);
+        self.wait_each(recv_reqs, |comm, _, completion| {
             let (data, src) = completion.into_recv();
             let r = &recvs[src];
-            assert_eq!(data.len(), r.bytes(), "pairwise byte count mismatch");
-            self.deliver_recv(&mut recvbuf[r.offset..], &r.dtype, r.count, &data);
-        }
+            comm.check_exchange_bytes("pairwise byte count", src, r.bytes(), data.len());
+            comm.deliver_recv(&mut recvbuf[r.offset..], &r.dtype, r.count, &data);
+        });
 
         // Drain the sends: charge whatever wire time the work above did
         // not hide.
@@ -494,13 +504,12 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "byte count mismatch")]
-    fn mismatched_pair_sizes_panic() {
+    /// Rank 0 sends rank 1 two doubles where rank 1 expects one.
+    fn mismatched_pair_sizes(cfg: MpiConfig) {
         let dt = Datatype::double();
         let empty = Datatype::contiguous(0, &Datatype::double()).unwrap();
         Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
-            let mut comm = Comm::new(rank, MpiConfig::baseline());
+            let mut comm = Comm::new(rank, cfg.clone());
             let me = comm.rank();
             let peer = 1 - me;
             let mut sends = vec![WPeer::new(0, 0, empty.clone()); 2];
@@ -512,5 +521,21 @@ mod tests {
             let mut recvbuf = vec![0u8; 8];
             comm.alltoallw(&sendbuf, &sends, &mut recvbuf, &recvs);
         });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "pairwise byte count mismatch: rank 1 expected 8 bytes from rank 0, got 16"
+    )]
+    fn mismatched_pair_sizes_panic() {
+        mismatched_pair_sizes(MpiConfig::baseline());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "pairwise byte count mismatch: rank 1 expected 8 bytes from rank 0, got 16"
+    )]
+    fn mismatched_pair_sizes_panic_under_the_binned_schedule() {
+        mismatched_pair_sizes(MpiConfig::optimized());
     }
 }

@@ -21,18 +21,22 @@
 //! overlapping pack with transmission instead of merely bounding memory.
 //!
 //! Matching semantics: posted receives match envelopes in MPI's
-//! per-(source, tag) FIFO order. [`Comm::waitall`] and [`Comm::waitany`]
+//! per-(source, tag) FIFO order. [`Comm::waitall`] and [`Comm::wait_each`]
 //! match every pending receive in request (post) order *before* deciding
 //! which operation completes first, so completion order — which follows
-//! simulated arrival order in `waitany` — never changes which message a
+//! simulated arrival order in `wait_each` — never changes which message a
 //! receive gets.
 //!
-//! Simulation caveat: `wait`/`waitall`/`waitany` resolve pending receives
-//! by blocking on the *physical* channel (the simulated clock is charged
-//! only the residual). The matching sends must therefore already have been
-//! initiated by the peer's program text before it blocks on this rank —
-//! true for every collective, scatter, and begin/end pattern in this
-//! workspace, where all sends of a phase are posted before anyone waits.
+//! Simulation caveat: `wait`/`waitall`/`wait_each` resolve pending
+//! receives by blocking on the *physical* channel (the simulated clock is
+//! charged only the residual). The matching sends must therefore already
+//! have been initiated by the peer's program text before it blocks on this
+//! rank — true for every collective, scatter, and begin/end pattern in
+//! this workspace, where all sends of a phase are posted before anyone
+//! waits.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use ncd_datatype::Datatype;
 use ncd_simnet::{EventKind, NetMsg, SimTime, Tag};
@@ -41,7 +45,7 @@ use crate::comm::Comm;
 
 /// A pending nonblocking operation. Obtain from [`Comm::isend`] /
 /// [`Comm::irecv`]; complete with [`Comm::wait`], [`Comm::waitall`], or
-/// [`Comm::waitany`].
+/// [`Comm::wait_each`].
 pub struct Request {
     state: State,
 }
@@ -57,25 +61,24 @@ enum State {
         tag: Tag,
         context: u32,
     },
-    /// Matched envelope parked until completion ([`Comm::waitany`]
-    /// consumed it from the mailbox, but the wait residual is not yet
-    /// charged).
+    /// Matched envelope parked until completion ([`Comm::wait_each`] took
+    /// it from the mailbox, but the wait residual is not yet charged).
     RecvArrived { msg: NetMsg },
-    /// Completed (by [`Comm::waitany`] marking it in place).
-    Done,
 }
 
 impl Request {
-    /// True once the request has been completed through [`Comm::waitany`].
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, State::Done)
+    fn is_recv(&self) -> bool {
+        !matches!(self.state, State::Send { .. })
     }
 
-    fn is_recv(&self) -> bool {
-        matches!(
-            self.state,
-            State::RecvPosted { .. } | State::RecvArrived { .. }
-        )
+    /// When a matched request can complete without waiting: the send's
+    /// drain or the message's arrival.
+    fn ready_at(&self) -> SimTime {
+        match &self.state {
+            State::Send { done } => *done,
+            State::RecvArrived { msg } => msg.arrival,
+            State::RecvPosted { .. } => unreachable!("receives are matched first"),
+        }
     }
 }
 
@@ -164,8 +167,7 @@ impl Comm<'_> {
     }
 
     /// Block until `req` completes, charging only the residual wait (see
-    /// the module docs). Panics on a request already completed by
-    /// [`Comm::waitany`].
+    /// the module docs).
     pub fn wait(&mut self, req: Request) -> Completion {
         match req.state {
             State::Send { done } => self.complete_send(done),
@@ -174,7 +176,6 @@ impl Comm<'_> {
                 self.complete_recv(msg)
             }
             State::RecvArrived { msg } => self.complete_recv(msg),
-            State::Done => panic!("wait on an already-completed request"),
         }
     }
 
@@ -186,39 +187,55 @@ impl Comm<'_> {
         reqs.into_iter().map(|r| self.wait(r)).collect()
     }
 
-    /// Complete exactly one pending request — the one whose completion
-    /// time (send drain or message arrival) is earliest in simulated
-    /// time, ties broken by lowest index — and mark it [`Request::is_done`]
-    /// in place. Pending receives are matched to envelopes in request
-    /// (post) order *first*, so completion order never changes which
-    /// message a receive gets. Panics if every request is already done.
-    pub fn waitany(&mut self, reqs: &mut [Request]) -> (usize, Completion) {
-        for r in reqs.iter_mut() {
-            if let State::RecvPosted { src, tag, context } = r.state {
-                let msg = self.rank_mut().fetch_msg_ctx(src, tag, context);
-                r.state = State::RecvArrived { msg };
-            }
-        }
-        let now = self.rank_ref().now();
-        let idx = reqs
+    /// Complete every request in simulated completion order, handing each
+    /// to `on` with its index before the next is chosen. The next request
+    /// is the one that can complete earliest — its send drain or message
+    /// arrival, or now if that has passed — ties broken by lowest index;
+    /// the choice is re-made after each `on`, whose work moves the clock.
+    /// Pending receives are matched to envelopes in request (post) order
+    /// *first*, so completion order never changes which message a receive
+    /// gets.
+    ///
+    /// Each step costs O(log n): requests not yet ready wait in `(ready
+    /// time, index)` order, which never changes, and join a heap of ready
+    /// indices once the clock reaches their key (the clock never runs
+    /// backward, so a ready request stays ready).
+    pub fn wait_each(
+        &mut self,
+        reqs: Vec<Request>,
+        mut on: impl FnMut(&mut Comm, usize, Completion),
+    ) {
+        // Matched in place: an `Option<Request>` is no larger than a
+        // `Request`, so this reuses the caller's allocation.
+        let mut reqs: Vec<Option<Request>> = reqs
+            .into_iter()
+            .map(|req| Some(self.match_recv(req)))
+            .collect();
+        let mut waiting: Vec<(SimTime, usize)> = reqs
             .iter()
-            .enumerate()
-            .filter_map(|(i, r)| match &r.state {
-                State::Send { done } => Some((i, (*done).max(now))),
-                State::RecvArrived { msg } => Some((i, msg.arrival.max(now))),
-                State::RecvPosted { .. } => unreachable!("matched above"),
-                State::Done => None,
-            })
-            .min_by_key(|&(i, k)| (k, i))
-            .map(|(i, _)| i)
-            .expect("waitany requires at least one pending request");
-        let state = std::mem::replace(&mut reqs[idx].state, State::Done);
-        let completion = match state {
-            State::Send { done } => self.complete_send(done),
-            State::RecvArrived { msg } => self.complete_recv(msg),
-            _ => unreachable!("selected request is pending"),
-        };
-        (idx, completion)
+            .flatten()
+            .map(Request::ready_at)
+            .zip(0..)
+            .collect();
+        waiting.sort_unstable();
+        let mut waiting = waiting.into_iter().peekable();
+        let mut ready = BinaryHeap::new();
+        loop {
+            let now = self.rank_ref().now();
+            while let Some((_, idx)) = waiting.next_if(|&(at, _)| at <= now) {
+                ready.push(Reverse(idx));
+            }
+            let idx = match ready.pop() {
+                Some(Reverse(idx)) => idx,
+                None => match waiting.next() {
+                    Some((_, idx)) => idx,
+                    None => return,
+                },
+            };
+            let req = reqs[idx].take().expect("each request completes once");
+            let completion = self.wait(req);
+            on(self, idx, completion);
+        }
     }
 
     /// Complete a receive request and scatter its payload into `buf` as
@@ -235,6 +252,16 @@ impl Comm<'_> {
         let (data, src) = self.wait(req).into_recv();
         self.deliver_recv(buf, dt, count, &data);
         src
+    }
+
+    /// Take a posted receive's envelope from the mailbox, blocking until
+    /// one matches; a send has nothing to match.
+    fn match_recv(&mut self, mut req: Request) -> Request {
+        if let State::RecvPosted { src, tag, context } = req.state {
+            let msg = self.rank_mut().fetch_msg_ctx(src, tag, context);
+            req.state = State::RecvArrived { msg };
+        }
+        req
     }
 
     fn complete_send(&mut self, done: SimTime) -> Completion {
@@ -268,6 +295,7 @@ mod tests {
     use crate::config::MpiConfig;
     use ncd_datatype::matrix_column_type;
     use ncd_simnet::{Cluster, ClusterConfig};
+    use proptest::prelude::*;
 
     fn run_n<R: Send>(n: usize, f: impl Fn(&mut Comm) -> R + Send + Sync) -> Vec<R> {
         Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {
@@ -350,25 +378,23 @@ mod tests {
     }
 
     #[test]
-    fn waitany_completes_in_arrival_order_with_fifo_matching() {
+    fn wait_each_completes_in_arrival_order_with_fifo_matching() {
         let out = run_n(3, |comm| {
             if comm.rank() == 2 {
                 // Both senders send two messages on the same tag; rank 1's
                 // are delayed by compute. FIFO per source must hold, and
                 // rank 0's (earlier) messages must complete first.
-                let reqs_srcs = [0usize, 0, 1, 1];
-                let mut reqs: Vec<Request> = reqs_srcs
+                let reqs_srcs = [0usize, 1, 0, 1];
+                let reqs: Vec<Request> = reqs_srcs
                     .iter()
                     .map(|&s| comm.irecv(Some(s), Tag(7)))
                     .collect();
                 let mut order = Vec::new();
-                for _ in 0..4 {
-                    let (idx, c) = comm.waitany(&mut reqs);
+                comm.wait_each(reqs, |_, idx, c| {
                     let (data, src) = c.into_recv();
                     assert_eq!(src, reqs_srcs[idx], "matched the posted source");
                     order.push((idx, data[0]));
-                }
-                assert!(reqs.iter().all(Request::is_done));
+                });
                 Some(order)
             } else {
                 if comm.rank() == 1 {
@@ -380,17 +406,12 @@ mod tests {
                 None
             }
         });
-        let order = out[2].as_ref().unwrap();
-        // Per-source FIFO: request 0 gets rank 0's first message, etc.
-        assert_eq!(order.iter().find(|(i, _)| *i == 0).unwrap().1, 0);
-        assert_eq!(order.iter().find(|(i, _)| *i == 1).unwrap().1, 1);
-        assert_eq!(order.iter().find(|(i, _)| *i == 2).unwrap().1, 10);
-        assert_eq!(order.iter().find(|(i, _)| *i == 3).unwrap().1, 11);
-        // Arrival order: rank 0's messages (no delay) complete before
-        // rank 1's delayed ones.
+        // Per-source FIFO (request 0 gets rank 0's first message, ...) and
+        // arrival order: rank 0's messages (no delay) complete before rank
+        // 1's delayed ones, although the posts interleave the sources.
         assert_eq!(
-            order.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
+            out[2].as_ref().unwrap(),
+            &vec![(0, 0), (2, 1), (1, 10), (3, 11)]
         );
     }
 
@@ -461,18 +482,116 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "already-completed")]
-    fn waiting_a_done_request_panics() {
-        run_n(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send_grp(1, Tag(0), vec![1]);
+    /// The selection `wait_each` replaced, kept as its oracle: after every
+    /// receive is matched in post order, each step rescans all pending
+    /// requests for the least `(max(ready time, now), index)`.
+    fn drain_by_rescan(
+        comm: &mut Comm,
+        reqs: Vec<Request>,
+        mut on: impl FnMut(&mut Comm, usize, Completion),
+    ) {
+        let mut reqs: Vec<Option<Request>> =
+            reqs.into_iter().map(|r| Some(comm.match_recv(r))).collect();
+        for _ in 0..reqs.len() {
+            let now = comm.rank_ref().now();
+            let idx = reqs
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| Some((r.as_ref()?.ready_at().max(now), i)))
+                .min()
+                .map(|(_, i)| i)
+                .expect("a pending request");
+            let completion = comm.wait(reqs[idx].take().expect("pending"));
+            on(comm, idx, completion);
+        }
+    }
+
+    /// One completion as the draining rank saw it: the request's index, a
+    /// receive's first payload byte, and the clock after the callback.
+    type Step = (usize, Option<u8>, u64);
+
+    /// Rank 0 posts `ops` — `(is_send, peer, bytes)`, peers numbered from
+    /// 1 — and drains them with `wait_each` or the oracle, charging
+    /// `charges[step]` flops in each callback. Every peer first computes
+    /// its delay, then sends what rank 0 receives from it and receives
+    /// what rank 0 sends it. Returns rank 0's steps and every rank's final
+    /// clock.
+    fn drain(
+        oracle: bool,
+        seed: u64,
+        peers: usize,
+        ops: &[(bool, usize, usize)],
+        delays: &[u64],
+        charges: &[u64],
+    ) -> (Vec<Step>, Vec<u64>) {
+        let cluster = ClusterConfig::paper_testbed(peers + 1).with_seed(seed);
+        let out = Cluster::new(cluster).run(|rank| {
+            let mut comm = Comm::new(rank, MpiConfig::optimized());
+            let me = comm.rank();
+            let mut steps = Vec::new();
+            if me == 0 {
+                let reqs: Vec<Request> = ops
+                    .iter()
+                    .map(|&(send, peer, bytes)| {
+                        if send {
+                            comm.isend_grp(peer, Tag(9), vec![0; bytes])
+                        } else {
+                            comm.irecv(Some(peer), Tag(9))
+                        }
+                    })
+                    .collect();
+                let on = |comm: &mut Comm, idx: usize, c: Completion| {
+                    let first = match c {
+                        Completion::Send => None,
+                        Completion::Recv { data, .. } => Some(data[0]),
+                    };
+                    comm.rank_mut()
+                        .compute_flops(charges[steps.len() % charges.len()]);
+                    steps.push((idx, first, comm.rank_ref().now().as_ns()));
+                };
+                if oracle {
+                    drain_by_rescan(&mut comm, reqs, on);
+                } else {
+                    comm.wait_each(reqs, on);
+                }
             } else {
-                let mut reqs = vec![comm.irecv(Some(0), Tag(0))];
-                let _ = comm.waitany(&mut reqs);
-                let req = reqs.pop().unwrap();
-                comm.wait(req); // completed already: must panic
+                comm.rank_mut().compute_flops(delays[me % delays.len()]);
+                for (k, &(send, peer, bytes)) in ops.iter().enumerate() {
+                    if !send && peer == me {
+                        comm.send_grp(0, Tag(9), vec![k as u8; bytes.max(1)]);
+                    }
+                }
+                for &(send, peer, _) in ops {
+                    if send && peer == me {
+                        comm.recv_grp(Some(0), Tag(9));
+                    }
+                }
             }
+            (steps, comm.rank_ref().now().as_ns())
         });
+        let clocks = out.iter().map(|(_, clock)| *clock).collect();
+        (out.into_iter().next().expect("rank 0").0, clocks)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn wait_each_completes_in_the_rescan_oracles_order(
+            peers in 1usize..5,
+            ops in proptest::collection::vec((any::<bool>(), 1usize..5, 0usize..4096), 1..24),
+            delays in proptest::collection::vec(0u64..400_000, 5),
+            charges in proptest::collection::vec(0u64..100_000, 1..24),
+            seed in 0u64..1_000,
+        ) {
+            let ops: Vec<_> = ops
+                .into_iter()
+                .map(|(send, peer, bytes)| (send, 1 + peer % peers, bytes))
+                .collect();
+            let each = drain(false, seed, peers, &ops, &delays, &charges);
+            let scan = drain(true, seed, peers, &ops, &delays, &charges);
+            prop_assert_eq!(each.0.len(), ops.len());
+            prop_assert_eq!(each, scan);
+        }
     }
 }

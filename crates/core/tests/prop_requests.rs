@@ -1,7 +1,7 @@
 //! Property-based tests of the request layer.
 //!
 //! 1. **FIFO matching**: however completions are driven (`waitall` in post
-//!    order or `waitany` in arrival order), the *i*-th receive posted for a
+//!    order or `wait_each` in arrival order), the *i*-th receive posted for a
 //!    given (source, tag) must deliver the *i*-th message that source sent
 //!    with that tag — MPI's non-overtaking rule.
 //! 2. **Wire fidelity**: the blocking typed send — now a thin wrapper over
@@ -23,12 +23,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn fifo_matching_survives_waitall_and_waitany(
+    fn fifo_matching_survives_waitall_and_wait_each(
         n_senders in 1usize..4,
         msgs_per_tag in 1usize..4,
         delays in proptest::collection::vec(0u64..2_000_000, 12),
         post_keys in proptest::collection::vec(0u32..1_000_000, 24),
-        use_waitany in any::<bool>(),
+        use_wait_each in any::<bool>(),
         use_handoff in any::<bool>(),
     ) {
         let tags = [Tag(5), Tag(6)];
@@ -88,12 +88,11 @@ proptest! {
                     reqs.push(comm.irecv(Some(src), tags[t]));
                 }
                 let mut got: Vec<Option<(u8, u8, u8)>> = vec![None; reqs.len()];
-                if use_waitany {
-                    while reqs.iter().any(|r| !r.is_done()) {
-                        let (idx, c) = comm.waitany(&mut reqs);
+                if use_wait_each {
+                    comm.wait_each(reqs, |_, idx, c| {
                         let (data, _) = c.into_recv();
                         got[idx] = Some((data[0], data[1], data[2]));
-                    }
+                    });
                 } else {
                     for (idx, c) in comm.waitall(reqs).into_iter().enumerate() {
                         let (data, _) = c.into_recv();

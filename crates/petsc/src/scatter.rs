@@ -472,7 +472,7 @@ impl VecScatter {
         unpack.check(to, "destination");
         // Receive request `i` unpacks through `unpack.remote[i]`; the
         // datatype path completed in `start` and left none.
-        let (insert, mut recv_reqs) = (handle.insert, handle.recv_reqs);
+        let (insert, recv_reqs) = (handle.insert, handle.recv_reqs);
         assert!(
             recv_reqs.is_empty() || recv_reqs.len() == unpack.remote.len(),
             "scatter handle holds {} receive requests but this plan unpacks from {} peers",
@@ -481,8 +481,7 @@ impl VecScatter {
         );
         // Unpack inbound messages as they arrive, not in plan order: a
         // late neighbour never blocks delivery of messages already here.
-        while recv_reqs.iter().any(|r| !r.is_done()) {
-            let (idx, completion) = comm.waitany(&mut recv_reqs);
+        comm.wait_each(recv_reqs, |comm, idx, completion| {
             let (bytes, _) = completion.into_recv();
             let r = &unpack.remote[idx];
             let (want, got) = (8 * r.offsets.len(), bytes.len());
@@ -495,7 +494,7 @@ impl VecScatter {
             );
             insert.store(to.local_mut(), &r.offsets, view::f64s_in(&bytes));
             charge_indexed(comm, r.offsets.len(), r.runs);
-        }
+        });
         // Drain the sends: charge whatever wire time was not hidden.
         comm.waitall(handle.send_reqs);
     }
