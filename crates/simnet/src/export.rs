@@ -16,23 +16,11 @@
 use std::fmt;
 
 use crate::json::{JsonValue, JsonWriter};
-use crate::time::SimTime;
 use crate::trace::{EventKind, TraceEvent};
 
-/// Simulated time as a Chrome-trace timestamp: microseconds with
-/// nanosecond (3-decimal) precision.
-struct Ts(SimTime);
-
-impl fmt::Display for Ts {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}.{:03}",
-            self.0.as_ns() / 1_000,
-            self.0.as_ns() % 1_000
-        )
-    }
-}
+/// Bytes reserved per trace event: a complete event with four args runs
+/// ~130 bytes, an instant ~90.
+const EVENT_BYTES: usize = 128;
 
 /// One `"key":value` of an event's `args`.
 type Arg<'a> = (&'a str, &'a dyn JsonValue);
@@ -54,7 +42,8 @@ pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
             });
         });
     };
-    let mut w = JsonWriter::new();
+    let events: usize = traces.iter().map(Vec::len).sum();
+    let mut w = JsonWriter::with_capacity((1 + traces.len() + events) * EVENT_BYTES);
     w.object(|w| {
         w.key("traceEvents").array(|w| {
             meta(w, "process_name", None, format_args!("simnet"));
@@ -82,9 +71,11 @@ fn trace_event(w: &mut JsonWriter, rank: usize, e: &TraceEvent) {
     let mut emit = |name: fmt::Arguments<'_>, cat: &str, ph: &str, args: &[Arg<'_>]| {
         w.object(|w| {
             w.field("name", name).field("cat", cat).field("ph", ph);
-            w.key("ts").number(Ts(e.start));
+            // Simulated time as microseconds with nanosecond precision.
+            w.key("ts").thousandths(e.start.as_ns());
             if ph == "X" {
-                w.key("dur").number(Ts(e.end.saturating_sub(e.start)));
+                w.key("dur")
+                    .thousandths(e.end.saturating_sub(e.start).as_ns());
             }
             w.field("pid", 0);
             if ph != "C" {
@@ -224,12 +215,46 @@ fn trace_event(w: &mut JsonWriter, rank: usize, e: &TraceEvent) {
 mod tests {
     use super::*;
 
+    use crate::json::tests::{any_u64, fmt_oracle};
+    use crate::time::SimTime;
+    use proptest::prelude::*;
+
+    /// The timestamp as it was formatted before it became two integer
+    /// writes: the oracle of [`JsonWriter::thousandths`].
+    struct Ts(SimTime);
+
+    impl fmt::Display for Ts {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(
+                f,
+                "{}.{:03}",
+                self.0.as_ns() / 1_000,
+                self.0.as_ns() % 1_000
+            )
+        }
+    }
+
+    fn ts(t: SimTime) -> String {
+        let mut w = JsonWriter::new();
+        w.thousandths(t.as_ns());
+        w.finish()
+    }
+
     #[test]
     fn ts_is_us_with_ns_precision() {
-        assert_eq!(Ts(SimTime(0)).to_string(), "0.000");
-        assert_eq!(Ts(SimTime(1)).to_string(), "0.001");
-        assert_eq!(Ts(SimTime(1_234)).to_string(), "1.234");
-        assert_eq!(Ts(SimTime(5_000_042)).to_string(), "5000.042");
+        assert_eq!(ts(SimTime(0)), "0.000");
+        assert_eq!(ts(SimTime(1)), "0.001");
+        assert_eq!(ts(SimTime(1_234)), "1.234");
+        assert_eq!(ts(SimTime(5_000_042)), "5000.042");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn timestamps_match_the_fmt_writer(ns in any_u64()) {
+            prop_assert_eq!(ts(SimTime(ns)), fmt_oracle::number(Ts(SimTime(ns))));
+        }
     }
 
     #[test]

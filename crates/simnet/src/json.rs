@@ -9,11 +9,12 @@
 //! run ids rest on:
 //!
 //! * field and element order is call order; no whitespace anywhere;
-//! * strings are escaped as they are written: `\"`, `\\`, `\n`, `\r`,
-//!   `\t`, `\u00XX` for the other control characters, everything else
-//!   (non-ASCII included) verbatim;
-//! * numbers print through `Display` (integers in decimal, `f64` in
-//!   Rust's shortest round-trip form);
+//! * strings are escaped as they are written, in one scan over their
+//!   bytes: `\"`, `\\`, `\n`, `\r`, `\t`, `\u00XX` for the other control
+//!   characters, everything else (non-ASCII included) verbatim;
+//! * integers are written as their decimal digits and `bool` as its
+//!   literal, neither through `core::fmt`; `f64` prints through `Display`
+//!   (Rust's shortest round-trip form);
 //! * an absent value (`None`) and a non-finite `f64` are `null`;
 //! * a versioned artifact leads with `"schema":`[`SCHEMA_VERSION`] —
 //!   [`JsonWriter::schema_led`] is the one place that prefix is written.
@@ -57,36 +58,70 @@ pub struct JsonWriter {
     comma: bool,
 }
 
+/// Append `s` to `out` as a JSON string body: one scan over the bytes,
+/// copying the plain runs between the bytes that need an escape.
+fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+}
+
 /// `fmt::Write` adapter that escapes what passes through it into a JSON
-/// string body.
+/// string body (for names formatted from arguments).
 struct Escaped<'a>(&'a mut String);
 
 impl fmt::Write for Escaped<'_> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        let mut plain = 0;
-        for (i, b) in s.bytes().enumerate() {
-            if b >= 0x20 && b != b'"' && b != b'\\' {
-                continue;
-            }
-            self.0.push_str(&s[plain..i]);
-            match b {
-                b'"' => self.0.push_str("\\\""),
-                b'\\' => self.0.push_str("\\\\"),
-                b'\n' => self.0.push_str("\\n"),
-                b'\r' => self.0.push_str("\\r"),
-                b'\t' => self.0.push_str("\\t"),
-                _ => write!(self.0, "\\u{b:04x}")?,
-            }
-            plain = i + 1;
-        }
-        self.0.push_str(&s[plain..]);
+        escape_into(self.0, s);
         Ok(())
     }
+}
+
+/// Append `n`'s decimal digits to `out`.
+fn digits_into(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 impl JsonWriter {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A writer whose output has room for `bytes` before it grows.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            comma: false,
+        }
     }
 
     /// A versioned artifact: the object `{"schema":SCHEMA_VERSION,…}`
@@ -118,9 +153,9 @@ impl JsonWriter {
         self.comma = true;
     }
 
-    fn quoted(&mut self, s: impl Display) {
+    fn quoted(&mut self, s: &str) {
         self.out.push('"');
-        let _ = write!(Escaped(&mut self.out), "{s}");
+        escape_into(&mut self.out, s);
         self.out.push('"');
     }
 
@@ -178,10 +213,20 @@ impl JsonWriter {
         self
     }
 
-    /// A string value: `s`'s `Display` output, escaped and quoted.
-    fn string(&mut self, s: impl Display) -> &mut Self {
+    /// A string value, escaped and quoted.
+    fn string(&mut self, s: &str) -> &mut Self {
         self.separate();
         self.quoted(s);
+        self
+    }
+
+    /// A string value: `args` formatted straight into the output,
+    /// escaped and quoted (a formatted name needs no temporary `String`).
+    fn formatted(&mut self, args: &fmt::Arguments<'_>) -> &mut Self {
+        self.separate();
+        self.out.push('"');
+        let _ = Escaped(&mut self.out).write_fmt(*args);
+        self.out.push('"');
         self
     }
 
@@ -193,9 +238,40 @@ impl JsonWriter {
         self
     }
 
+    /// An unsigned integer value, as its decimal digits.
+    fn unsigned(&mut self, n: u64) -> &mut Self {
+        self.separate();
+        digits_into(&mut self.out, n);
+        self
+    }
+
+    /// A signed integer value, as its decimal digits.
+    fn signed(&mut self, n: i64) -> &mut Self {
+        self.separate();
+        if n < 0 {
+            self.out.push('-');
+        }
+        digits_into(&mut self.out, n.unsigned_abs());
+        self
+    }
+
+    /// The fixed-point number `thousandths / 1000` with exactly three
+    /// decimals (`1234` → `1.234`, `5` → `0.005`).
+    pub(crate) fn thousandths(&mut self, thousandths: u64) -> &mut Self {
+        self.unsigned(thousandths / 1000);
+        let frac = thousandths % 1000;
+        self.out.push('.');
+        for digit in [frac / 100, frac / 10 % 10, frac % 10] {
+            self.out.push(char::from(b'0' + digit as u8));
+        }
+        self
+    }
+
     /// An already-rendered JSON document as the next value.
     pub fn raw(&mut self, json: &str) -> &mut Self {
-        self.number(json)
+        self.separate();
+        self.out.push_str(json);
+        self
     }
 }
 
@@ -204,20 +280,47 @@ pub trait JsonValue {
     fn write_json(&self, w: &mut JsonWriter);
 }
 
-/// Types whose `Display` output is the value: verbatim through
-/// `number`, escaped and quoted through `string` (`format_args!(…)`
-/// included, so a formatted name needs no temporary `String`).
-macro_rules! display_is_json {
-    ($method:ident: $($t:ty)*) => {$(
+/// Integers are their decimal digits, written through `unsigned` or
+/// `signed` after widening to 64 bits.
+macro_rules! integer_is_json {
+    ($method:ident as $wide:ty: $($t:ty)*) => {$(
         impl JsonValue for $t {
             fn write_json(&self, w: &mut JsonWriter) {
-                w.$method(self);
+                w.$method(*self as $wide);
             }
         }
     )*};
 }
-display_is_json!(number: u32 u64 usize i32 i64 bool);
-display_is_json!(string: str String std::borrow::Cow<'_, str> fmt::Arguments<'_>);
+integer_is_json!(unsigned as u64: u32 u64 usize);
+integer_is_json!(signed as i64: i32 i64);
+
+/// Text is escaped and quoted.
+macro_rules! text_is_json {
+    ($($t:ty)*) => {$(
+        impl JsonValue for $t {
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.string(self);
+            }
+        }
+    )*};
+}
+text_is_json!(str String std::borrow::Cow<'_, str>);
+
+/// A formatted string; one without arguments is written as plain text.
+impl JsonValue for fmt::Arguments<'_> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self.as_str() {
+            Some(s) => w.string(s),
+            None => w.formatted(self),
+        };
+    }
+}
+
+impl JsonValue for bool {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.raw(if *self { "true" } else { "false" });
+    }
+}
 
 /// `null`.
 impl JsonValue for () {
@@ -618,8 +721,144 @@ impl JsonParser<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The writer as it was before integers, `bool` and text bypassed
+    /// `core::fmt`: every value through its `Display`, text escaped by a
+    /// `fmt::Write` adapter. The byte-for-byte oracle of the direct paths.
+    pub(crate) mod fmt_oracle {
+        use std::fmt::{self, Display, Write as _};
+
+        struct Escaped<'a>(&'a mut String);
+
+        impl fmt::Write for Escaped<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                let mut plain = 0;
+                for (i, b) in s.bytes().enumerate() {
+                    if b >= 0x20 && b != b'"' && b != b'\\' {
+                        continue;
+                    }
+                    self.0.push_str(&s[plain..i]);
+                    match b {
+                        b'"' => self.0.push_str("\\\""),
+                        b'\\' => self.0.push_str("\\\\"),
+                        b'\n' => self.0.push_str("\\n"),
+                        b'\r' => self.0.push_str("\\r"),
+                        b'\t' => self.0.push_str("\\t"),
+                        _ => write!(self.0, "\\u{b:04x}")?,
+                    }
+                    plain = i + 1;
+                }
+                self.0.push_str(&s[plain..]);
+                Ok(())
+            }
+        }
+
+        /// A string value: `s`'s `Display` output, escaped and quoted.
+        pub(crate) fn string(s: impl Display) -> String {
+            let mut out = String::from("\"");
+            let _ = write!(Escaped(&mut out), "{s}");
+            out.push('"');
+            out
+        }
+
+        /// A number value: `n`'s `Display` output verbatim.
+        pub(crate) fn number(n: impl Display) -> String {
+            n.to_string()
+        }
+    }
+
+    /// One value as the writer renders it.
+    fn written(v: impl JsonValue) -> String {
+        let mut w = JsonWriter::new();
+        w.value(v);
+        w.finish()
+    }
+
+    /// Every magnitude, the extremes included.
+    pub(crate) fn any_u64() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just(u64::MAX),
+            (0u32..64, 0u64..u64::MAX).prop_map(|(shift, v)| v >> shift),
+        ]
+    }
+
+    fn any_i64() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            Just(0i64),
+            Just(i64::MIN),
+            Just(i64::MAX),
+            (0u32..64, i64::MIN..i64::MAX).prop_map(|(shift, v)| v >> shift),
+        ]
+    }
+
+    /// Text drawn from the characters the escaper treats differently:
+    /// quotes, backslashes, the named and unnamed control bytes, DEL,
+    /// and one- to four-byte UTF-8.
+    fn any_text() -> impl Strategy<Value = String> {
+        const POOL: [char; 16] = [
+            'a', 'Z', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{1f}', '\u{7f}',
+            'é', '€', '𝄞',
+        ];
+        let ch = prop_oneof![
+            (0usize..POOL.len()).prop_map(|i| POOL[i]),
+            (0u32..0x20).prop_map(|c| char::from_u32(c).expect("control byte")),
+        ];
+        proptest::collection::vec(ch, 0..24).prop_map(String::from_iter)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn integers_and_bools_match_the_fmt_writer(
+            u in any_u64(),
+            i in any_i64(),
+            b in any::<bool>(),
+        ) {
+            prop_assert_eq!(written(u), fmt_oracle::number(u));
+            prop_assert_eq!(written(u as usize), fmt_oracle::number(u as usize));
+            prop_assert_eq!(written(u as u32), fmt_oracle::number(u as u32));
+            prop_assert_eq!(written(i), fmt_oracle::number(i));
+            prop_assert_eq!(written(i as i32), fmt_oracle::number(i as i32));
+            prop_assert_eq!(written(b), fmt_oracle::number(b));
+        }
+
+        #[test]
+        fn text_and_keys_match_the_fmt_writer(s in any_text(), n in any_u64()) {
+            let want = fmt_oracle::string(&s);
+            prop_assert_eq!(written(s.as_str()), want.clone());
+            prop_assert_eq!(written(&s), want.clone());
+            prop_assert_eq!(written(std::borrow::Cow::Borrowed(s.as_str())), want.clone());
+            prop_assert_eq!(written(format_args!("{s}")), want.clone());
+            prop_assert_eq!(
+                written(format_args!("{s} #{n}")),
+                fmt_oracle::string(format_args!("{s} #{n}"))
+            );
+            let mut w = JsonWriter::new();
+            w.object(|w| {
+                w.field(&s, n);
+            });
+            prop_assert_eq!(w.finish(), format!("{{{want}:{}}}", fmt_oracle::number(n)));
+        }
+    }
+
+    #[test]
+    fn thousandths_pad_the_fraction_to_three_digits() {
+        let fixed = |n: u64| {
+            let mut w = JsonWriter::new();
+            w.thousandths(n);
+            w.finish()
+        };
+        assert_eq!(fixed(0), "0.000");
+        assert_eq!(fixed(7), "0.007");
+        assert_eq!(fixed(1_230), "1.230");
+        assert_eq!(fixed(5_000_042), "5000.042");
+        assert_eq!(fixed(u64::MAX), "18446744073709551.615");
+    }
 
     #[test]
     fn schema_led_documents_start_with_the_prefix_once() {

@@ -10,13 +10,24 @@
 //! a thread that owns its own) and [`MetricsRegistry::merge`]able into a
 //! cluster-wide view after the run.
 //!
+//! The per-kind `time/<kind>` counters (the Figure 13 breakdown, charged
+//! on every clock advance) live in one fixed slot per [`CostKind`] rather
+//! than in the key map: a charge is one array add. A slot is absent until
+//! its first charge, as a map key would be, and every read — `counter`,
+//! `counters`, `snapshot`, `render`, `merge`, `is_empty` — presents the
+//! slots as `time/<label>` keys in key order, so nothing outside this
+//! module can tell the two stores apart. `counter_add("time", <label>,
+//! "", n)` lands in the same slot.
+//!
 //! A rank holds no registry until [`crate::Rank::enable_metrics`]; until
 //! then instrumented hot paths cost the one `if let Some` on
 //! [`crate::Rank::metrics_mut`] — the same contract as [`crate::trace`].
 
 use std::collections::BTreeMap;
+use std::sync::LazyLock;
 
 use crate::json::{parse_schema_led, Json, JsonValue, JsonWriter};
+use crate::stats::CostKind;
 
 /// Identifies one metric stream. `algorithm` distinguishes competing
 /// implementations of the same operation (`ring` vs `recursive_doubling`,
@@ -277,9 +288,36 @@ pub fn parse_metrics(text: &str) -> Result<MetricsSnapshot, String> {
     })
 }
 
+/// The `time/<kind>` slots in key order (`time/comm` < `time/compute` <
+/// …), the order every read merges them into the other counters.
+const TIME_KEY_ORDER: [CostKind; 5] = [
+    CostKind::Comm,
+    CostKind::Compute,
+    CostKind::Pack,
+    CostKind::Search,
+    CostKind::Wait,
+];
+
+/// The key of each slot of [`TIME_KEY_ORDER`], for the reads that hand
+/// out `&MetricKey`.
+static TIME_KEYS: LazyLock<[MetricKey; 5]> =
+    LazyLock::new(|| TIME_KEY_ORDER.map(|k| MetricKey::new("time", k.label(), "")));
+
+/// The cost kind whose slot holds `subsystem/op/algorithm`, if any.
+fn time_slot(subsystem: &str, op: &str, algorithm: &str) -> Option<CostKind> {
+    if subsystem != "time" || !algorithm.is_empty() {
+        return None;
+    }
+    CostKind::ALL.into_iter().find(|k| k.label() == op)
+}
+
 /// Per-rank registry of named metrics; see the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
+    /// The `time/<kind>` counters, indexed by `CostKind as usize`: `None`
+    /// until the first charge (of any size) creates the key. No key in
+    /// `counters` is ever one of these.
+    time: [Option<u64>; 5],
     counters: BTreeMap<MetricKey, u64>,
     gauges: BTreeMap<MetricKey, f64>,
     histograms: BTreeMap<MetricKey, Histogram>,
@@ -292,8 +330,18 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// Add `ns` to the `time/<kind>` counter (creating it at zero): the
+    /// per-charge write of [`crate::Rank`]'s clock.
+    pub(crate) fn charge_time(&mut self, kind: CostKind, ns: u64) {
+        *self.time[kind as usize].get_or_insert(0) += ns;
+    }
+
     /// Add `delta` to a counter (creating it at zero).
     pub fn counter_add(&mut self, subsystem: &str, op: &str, algorithm: &str, delta: u64) {
+        if let Some(kind) = time_slot(subsystem, op, algorithm) {
+            self.charge_time(kind, delta);
+            return;
+        }
         *self
             .counters
             .entry(MetricKey::new(subsystem, op, algorithm))
@@ -316,10 +364,14 @@ impl MetricsRegistry {
 
     /// Current value of a counter (0 if never touched).
     pub fn counter(&self, subsystem: &str, op: &str, algorithm: &str) -> u64 {
-        self.counters
-            .get(&MetricKey::new(subsystem, op, algorithm))
-            .copied()
-            .unwrap_or(0)
+        let value = match time_slot(subsystem, op, algorithm) {
+            Some(kind) => self.time[kind as usize],
+            None => self
+                .counters
+                .get(&MetricKey::new(subsystem, op, algorithm))
+                .copied(),
+        };
+        value.unwrap_or(0)
     }
 
     /// Latest value of a gauge, if ever set.
@@ -335,8 +387,19 @@ impl MetricsRegistry {
             .get(&MetricKey::new(subsystem, op, algorithm))
     }
 
+    /// Every counter in key order, the `time/<kind>` slots merged in.
     pub fn counters(&self) -> impl Iterator<Item = (&MetricKey, u64)> {
-        self.counters.iter().map(|(k, &v)| (k, v))
+        let mut named = self.counters.iter().map(|(k, &v)| (k, v)).peekable();
+        let mut time = TIME_KEY_ORDER
+            .iter()
+            .zip(TIME_KEYS.iter())
+            .filter_map(|(&kind, key)| Some((key, self.time[kind as usize]?)))
+            .peekable();
+        std::iter::from_fn(move || match (named.peek(), time.peek()) {
+            (Some((n, _)), Some((t, _))) if t < n => time.next(),
+            (Some(_), _) => named.next(),
+            (None, _) => time.next(),
+        })
     }
 
     pub fn gauges(&self) -> impl Iterator<Item = (&MetricKey, f64)> {
@@ -348,7 +411,7 @@ impl MetricsRegistry {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters().next().is_none() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// The registry as it exports: keys as paths, families in key order.
@@ -367,6 +430,11 @@ impl MetricsRegistry {
     /// buckets add; gauges keep the maximum (the only order-independent
     /// choice for a last-value metric aggregated across ranks).
     pub fn merge(&mut self, other: &MetricsRegistry) {
+        for kind in CostKind::ALL {
+            if let Some(ns) = other.time[kind as usize] {
+                self.charge_time(kind, ns);
+            }
+        }
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
         }
@@ -385,9 +453,10 @@ impl MetricsRegistry {
     /// count/mean/p50/p90/p99/max.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if !self.counters.is_empty() {
+        let mut counters = self.counters().peekable();
+        if counters.peek().is_some() {
             out.push_str("counters:\n");
-            for (k, v) in &self.counters {
+            for (k, v) in counters {
                 out.push_str(&format!("  {:<46} {v}\n", k.path()));
             }
         }
@@ -422,6 +491,8 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     #[test]
     fn bucket_indexing_is_log2() {
@@ -562,5 +633,233 @@ mod tests {
         assert!(s.contains("engine/search/single-context"));
         assert!(s.contains("42"));
         assert!(s.contains("engine/bytes/dual-context"));
+    }
+
+    #[test]
+    fn time_slots_are_in_key_order() {
+        let mut sorted = TIME_KEYS.to_vec();
+        sorted.sort();
+        assert_eq!(sorted, *TIME_KEYS);
+        for (kind, key) in TIME_KEY_ORDER.iter().zip(TIME_KEYS.iter()) {
+            assert_eq!(key.path(), format!("time/{}", kind.label()));
+        }
+        let mut kinds = TIME_KEY_ORDER.map(|k| k as usize);
+        kinds.sort();
+        assert_eq!(kinds, [0, 1, 2, 3, 4], "one slot per kind");
+    }
+
+    #[test]
+    fn a_zero_charge_creates_its_key() {
+        let mut r = MetricsRegistry::enabled();
+        assert!(r.is_empty());
+        r.charge_time(CostKind::Wait, 0);
+        assert!(!r.is_empty());
+        assert_eq!(r.snapshot().counters, vec![("time/wait".to_string(), 0)]);
+    }
+
+    /// The registry as it was before the `time/<kind>` slots: every
+    /// family one `BTreeMap`. The oracle of every read.
+    #[derive(Default)]
+    struct Reference {
+        counters: BTreeMap<MetricKey, u64>,
+        gauges: BTreeMap<MetricKey, f64>,
+        histograms: BTreeMap<MetricKey, Histogram>,
+    }
+
+    impl Reference {
+        fn counter_add(&mut self, subsystem: &str, op: &str, algorithm: &str, delta: u64) {
+            *self
+                .counters
+                .entry(MetricKey::new(subsystem, op, algorithm))
+                .or_insert(0) += delta;
+        }
+
+        fn gauge_set(&mut self, subsystem: &str, op: &str, algorithm: &str, value: f64) {
+            self.gauges
+                .insert(MetricKey::new(subsystem, op, algorithm), value);
+        }
+
+        fn observe(&mut self, subsystem: &str, op: &str, algorithm: &str, value: u64) {
+            self.histograms
+                .entry(MetricKey::new(subsystem, op, algorithm))
+                .or_default()
+                .record(value);
+        }
+
+        fn counter(&self, subsystem: &str, op: &str, algorithm: &str) -> u64 {
+            self.counters
+                .get(&MetricKey::new(subsystem, op, algorithm))
+                .copied()
+                .unwrap_or(0)
+        }
+
+        fn is_empty(&self) -> bool {
+            self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        }
+
+        fn snapshot(&self) -> MetricsSnapshot {
+            MetricsSnapshot {
+                counters: self.counters.iter().map(|(k, &v)| (k.path(), v)).collect(),
+                gauges: self.gauges.iter().map(|(k, &v)| (k.path(), v)).collect(),
+                histograms: self
+                    .histograms
+                    .iter()
+                    .map(|(k, h)| (k.path(), h.clone()))
+                    .collect(),
+            }
+        }
+
+        fn merge(&mut self, other: &Reference) {
+            for (k, v) in &other.counters {
+                *self.counters.entry(k.clone()).or_insert(0) += v;
+            }
+            for (k, &v) in &other.gauges {
+                self.gauges
+                    .entry(k.clone())
+                    .and_modify(|g| *g = g.max(v))
+                    .or_insert(v);
+            }
+            for (k, h) in &other.histograms {
+                self.histograms.entry(k.clone()).or_default().merge(h);
+            }
+        }
+
+        fn render(&self) -> String {
+            let mut out = String::new();
+            if !self.counters.is_empty() {
+                out.push_str("counters:\n");
+                for (k, v) in &self.counters {
+                    out.push_str(&format!("  {:<46} {v}\n", k.path()));
+                }
+            }
+            if !self.gauges.is_empty() {
+                out.push_str("gauges:\n");
+                for (k, v) in &self.gauges {
+                    out.push_str(&format!("  {:<46} {v:.3}\n", k.path()));
+                }
+            }
+            if !self.histograms.is_empty() {
+                out.push_str(&format!(
+                    "histograms: {:<34} {:>9} {:>12} {:>10} {:>10} {:>10} {:>12}\n",
+                    "", "count", "mean", "p50", "p90", "p99", "max"
+                ));
+                for (k, h) in &self.histograms {
+                    out.push_str(&format!(
+                        "  {:<44} {:>9} {:>12.1} {:>10} {:>10} {:>10} {:>12}\n",
+                        k.path(),
+                        h.count(),
+                        h.mean(),
+                        h.p50(),
+                        h.p90(),
+                        h.p99(),
+                        h.max()
+                    ));
+                }
+            }
+            out
+        }
+    }
+
+    /// Key parts that land in a slot, beside it (`time/comm/ring`,
+    /// `time/comn`) and far from it.
+    const SUBSYSTEMS: [&str; 4] = ["time", "tima", "coll", "datatype"];
+    const OPS: [&str; 8] = [
+        "comm", "compute", "pack", "search", "wait", "comn", "rounds", "x",
+    ];
+    const ALGORITHMS: [&str; 3] = ["", "ring", "a"];
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Counter(usize, usize, usize, u64),
+        Observe(usize, usize, usize, u64),
+        Gauge(usize, usize, usize, f64),
+        Charge(CostKind, u64),
+    }
+
+    fn any_op() -> impl Strategy<Value = Op> {
+        let key = (0..SUBSYSTEMS.len(), 0..OPS.len(), 0..ALGORITHMS.len());
+        let amount = prop_oneof![Just(0u64), 0u64..1 << 20];
+        prop_oneof![
+            (key.clone(), amount.clone()).prop_map(|((s, o, a), d)| Op::Counter(s, o, a, d)),
+            (key.clone(), amount.clone()).prop_map(|((s, o, a), v)| Op::Observe(s, o, a, v)),
+            (key, -1000i64..1000).prop_map(|((s, o, a), v)| Op::Gauge(s, o, a, v as f64 / 8.0)),
+            (0..CostKind::ALL.len(), amount).prop_map(|(k, ns)| Op::Charge(CostKind::ALL[k], ns)),
+        ]
+    }
+
+    fn apply(ops: &[Op], reg: &mut MetricsRegistry, reference: &mut Reference) {
+        for op in ops {
+            match *op {
+                Op::Counter(s, o, a, d) => {
+                    reg.counter_add(SUBSYSTEMS[s], OPS[o], ALGORITHMS[a], d);
+                    reference.counter_add(SUBSYSTEMS[s], OPS[o], ALGORITHMS[a], d);
+                }
+                Op::Observe(s, o, a, v) => {
+                    reg.observe(SUBSYSTEMS[s], OPS[o], ALGORITHMS[a], v);
+                    reference.observe(SUBSYSTEMS[s], OPS[o], ALGORITHMS[a], v);
+                }
+                Op::Gauge(s, o, a, v) => {
+                    reg.gauge_set(SUBSYSTEMS[s], OPS[o], ALGORITHMS[a], v);
+                    reference.gauge_set(SUBSYSTEMS[s], OPS[o], ALGORITHMS[a], v);
+                }
+                // What `Rank::charge_span` does, against what it did.
+                Op::Charge(kind, ns) => {
+                    reg.charge_time(kind, ns);
+                    reference.counter_add("time", kind.label(), "", ns);
+                }
+            }
+        }
+    }
+
+    /// Every read of `reg` equals the same read of `reference`.
+    fn same_reads(reg: &MetricsRegistry, reference: &Reference) -> Result<(), TestCaseError> {
+        let counters: Vec<(&MetricKey, u64)> = reg.counters().collect();
+        let want: Vec<(&MetricKey, u64)> =
+            reference.counters.iter().map(|(k, &v)| (k, v)).collect();
+        prop_assert_eq!(&counters, &want, "counters {:?}", counters);
+        for s in SUBSYSTEMS {
+            for o in OPS {
+                for a in ALGORITHMS {
+                    prop_assert_eq!(
+                        reg.counter(s, o, a),
+                        reference.counter(s, o, a),
+                        "{}/{}/{}",
+                        s,
+                        o,
+                        a
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(reg.is_empty(), reference.is_empty());
+        let snapshot = reference.snapshot();
+        prop_assert_eq!(&reg.snapshot(), &snapshot);
+        let mut w = JsonWriter::new();
+        w.value(&snapshot);
+        prop_assert_eq!(metrics_json(reg), w.finish());
+        prop_assert_eq!(reg.render(), reference.render());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn slotted_registry_reads_like_the_all_map_reference(
+            before in proptest::collection::vec(any_op(), 0..24),
+            other in proptest::collection::vec(any_op(), 0..24),
+            after in proptest::collection::vec(any_op(), 0..8),
+        ) {
+            let (mut reg, mut reference) = (MetricsRegistry::enabled(), Reference::default());
+            apply(&before, &mut reg, &mut reference);
+            same_reads(&reg, &reference)?;
+            let (mut reg_b, mut reference_b) = (MetricsRegistry::enabled(), Reference::default());
+            apply(&other, &mut reg_b, &mut reference_b);
+            reg.merge(&reg_b);
+            reference.merge(&reference_b);
+            same_reads(&reg, &reference)?;
+            apply(&after, &mut reg, &mut reference);
+            same_reads(&reg, &reference)?;
+        }
     }
 }

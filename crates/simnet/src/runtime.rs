@@ -526,12 +526,12 @@ impl Rank {
     }
 
     /// Charge a span to both the flat [`Stats`] and (when enabled) the
-    /// per-kind `time/<label>` counter of the metrics registry, keeping
-    /// the two accounting layers in exact agreement.
+    /// per-kind `time/<label>` slot of the metrics registry, keeping the
+    /// two accounting layers in exact agreement.
     fn charge_span(&mut self, kind: CostKind, span: SimTime) {
         self.stats.charge(kind, span);
         if let Some(metrics) = &mut self.metrics {
-            metrics.counter_add("time", kind.label(), "", span.as_ns());
+            metrics.charge_time(kind, span.as_ns());
         }
     }
 
