@@ -17,11 +17,11 @@
 //! cheap receivers never wait behind expensive preprocessing.
 
 use ncd_datatype::Datatype;
+use ncd_simnet::volume;
 
 use crate::coll::{coll_tag, CollOp};
 use crate::comm::Comm;
 use crate::config::MpiFlavor;
-use crate::select::outlier_ratio_of;
 
 /// One peer's slot in an alltoallw: `count` instances of `dtype` located at
 /// `offset` bytes into the send (or receive) buffer — the analogue of MPI's
@@ -104,7 +104,7 @@ impl Comm<'_> {
         // outgoing per-peer volume set's outlier ratio) so the analysis
         // layer can judge the choice.
         let vols: Vec<u64> = sends.iter().map(|s| s.bytes() as u64).collect();
-        let ratio = outlier_ratio_of(&vols, self.config().outlier_fraction);
+        let ratio = volume::outlier_ratio_of(&vols, self.config().outlier_fraction);
         let reason = if pin.is_some() {
             "pinned"
         } else {

@@ -18,9 +18,8 @@
 use std::sync::Arc;
 
 use ncd_datatype::{BlockMode, Datatype, OpCounts, PackEngine, Unpacker};
-use ncd_simnet::{millis_to_ratio, ratio_to_millis, CostKind, EventKind, Rank, Tag};
+use ncd_simnet::{millis_to_ratio, ratio_to_millis, volume, CostKind, EventKind, Rank, Tag};
 
-use crate::commstats::gini;
 use crate::config::MpiConfig;
 use crate::drift::{DriftConfig, DriftDirection, DriftMonitor};
 use crate::view;
@@ -252,7 +251,7 @@ impl<'a> Comm<'a> {
             .drift
             .get_or_insert_with(|| DriftMonitor::new(DriftConfig::default()));
         let total: u64 = volumes.iter().sum();
-        let skew = gini(volumes);
+        let skew = volume::gini(volumes);
         for e in monitor.observe(label, total as f64, skew) {
             let observed_millis = ratio_to_millis(e.observed);
             if let Some(m) = self.rank.metrics_mut() {

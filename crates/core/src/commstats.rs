@@ -6,10 +6,11 @@
 //! module owns the judgement calls on top of that raw matrix:
 //!
 //! * [`analyze_matrix`] — nonuniformity analytics for one matrix: the
-//!   paper's outlier ratio (two Floyd–Rivest selections,
-//!   [`crate::select::outlier_ratio_of`]) over the measured per-pair
-//!   volumes, max/min/mean spread, a Gini coefficient over all cells, and
-//!   the top-k hottest pairs;
+//!   paper's outlier ratio (two Floyd–Rivest selections) over the measured
+//!   per-pair volumes, max/min/mean spread, a Gini coefficient over all
+//!   cells, and the top-k hottest pairs — the ratio and the Gini are
+//!   [`ncd_simnet::volume`]'s, the same definitions the selector and the
+//!   epoch history use;
 //! * [`AlgorithmDecision`] / [`decisions_from_trace`] — the audit record
 //!   every auto-selected [`crate::Comm::allgatherv`] /
 //!   [`crate::Comm::alltoallw`] call emits (what was chosen, from what
@@ -30,12 +31,11 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use ncd_simnet::{
-    millis_to_ratio, parse_schema_led, ratio_to_millis, ClusterCommMap, CommMatrix, CostModel,
-    EpochMatrix, EventKind, JsonWriter, TraceEvent,
+    millis_to_ratio, parse_schema_led, ratio_to_millis, volume, ClusterCommMap, CommMatrix,
+    CostModel, EpochMatrix, EventKind, JsonWriter, TraceEvent,
 };
 
 use crate::config::MpiConfig;
-use crate::select::outlier_ratio_of;
 
 /// One audited algorithm selection: what an auto-selecting collective
 /// chose, the evidence it chose from, and the stated reason. Emitted by
@@ -123,29 +123,8 @@ pub fn parse_decisions(text: &str) -> Result<Vec<(u32, AlgorithmDecision)>, Stri
             chosen: d.str("chosen")?.to_string(),
             reason: d.str("reason")?.to_string(),
         };
-        Ok((d.u64("occurrence")? as u32, decision))
+        Ok((d.u32("occurrence")?, decision))
     })
-}
-
-/// Gini coefficient of a volume set: 0 for perfectly even traffic, → 1
-/// as a single pair dominates. Zeros count — a matrix where one pair
-/// carries everything and the rest are silent is maximally unequal, so
-/// callers pass *all* cells, not just the nonzero ones. All-zero or
-/// empty sets report 0.
-pub fn gini(volumes: &[u64]) -> f64 {
-    let n = volumes.len();
-    let total: u128 = volumes.iter().map(|&v| v as u128).sum();
-    if n == 0 || total == 0 {
-        return 0.0;
-    }
-    let mut sorted = volumes.to_vec();
-    sorted.sort_unstable();
-    let weighted: u128 = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (i as u128 + 1) * v as u128)
-        .sum();
-    (2.0 * weighted as f64) / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64
 }
 
 /// Nonuniformity analytics for one communication matrix.
@@ -196,8 +175,8 @@ pub fn analyze_matrix(m: &CommMatrix, fraction: f64, top_k: usize) -> Option<Com
         } else {
             max_bytes as f64 / min_bytes as f64
         },
-        outlier_ratio: outlier_ratio_of(&vols, fraction),
-        gini: gini(&all_cells),
+        outlier_ratio: volume::outlier_ratio_of(&vols, fraction),
+        gini: volume::gini(&all_cells),
         top: m.top_pairs(top_k),
     })
 }
@@ -443,7 +422,9 @@ pub fn detect_misselections(
     }
 }
 
-fn render_ratio(r: f64) -> String {
+/// Format a ratio for the fixed-width tables: `inf` for a zero bulk
+/// quantile, else three decimals.
+pub(crate) fn render_ratio(r: f64) -> String {
     if r.is_infinite() {
         "inf".to_string()
     } else {
@@ -559,17 +540,11 @@ mod tests {
     }
 
     #[test]
-    fn gini_of_even_and_skewed_sets() {
-        assert_eq!(gini(&[]), 0.0);
-        assert_eq!(gini(&[0, 0, 0]), 0.0);
-        assert!(gini(&[5, 5, 5, 5]).abs() < 1e-12);
-        // One pair carries everything out of 10 cells: G = (n-1)/n.
-        let mut v = vec![0u64; 10];
-        v[3] = 1000;
-        assert!((gini(&v) - 0.9).abs() < 1e-12);
-        // Mild skew sits strictly between.
-        let g = gini(&[1, 2, 3, 4]);
-        assert!(g > 0.0 && g < 0.5, "gini {g}");
+    fn a_decision_occurrence_past_u32_is_refused_not_wrapped() {
+        let json = decisions_json(&[ring_decision(2.0), ring_decision(2.0)]);
+        let wrapped = json.replacen("\"occurrence\":1,", "\"occurrence\":4294967296,", 1);
+        let err = parse_decisions(&wrapped).unwrap_err();
+        assert!(err.contains("\"occurrence\": 4294967296"), "{err}");
     }
 
     #[test]

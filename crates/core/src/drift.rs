@@ -38,6 +38,8 @@ use std::fmt::Write as _;
 
 use ncd_simnet::{millis_to_ratio, EventKind, History, TraceEvent};
 
+use crate::commstats::render_ratio;
+
 /// Tuning for the EWMA/CUSUM changepoint detector.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DriftConfig {
@@ -338,14 +340,6 @@ pub fn pattern_recurrence(history: &History) -> Vec<PatternRecurrence> {
         .collect()
 }
 
-fn render_value(v: f64) -> String {
-    if v.is_infinite() {
-        "inf".to_string()
-    } else {
-        format!("{v:.3}")
-    }
-}
-
 /// Human-readable drift log, one line per event.
 pub fn render_drift_events(events: &[DriftEvent]) -> String {
     let mut out = String::new();
@@ -361,8 +355,8 @@ pub fn render_drift_events(events: &[DriftEvent]) -> String {
                 DriftDirection::Up => "up",
                 DriftDirection::Down => "down",
             },
-            render_value(e.baseline),
-            render_value(e.observed),
+            render_ratio(e.baseline),
+            render_ratio(e.observed),
         );
     }
     out

@@ -7,7 +7,7 @@
 //!   datatype pack engine (single-context baseline vs the paper's
 //!   dual-context look-ahead design);
 //! * nonuniform-volume collectives: [`Comm::allgatherv`] with outlier-aware
-//!   algorithm selection backed by Floyd–Rivest [`select::k_select`]
+//!   algorithm selection backed by Floyd–Rivest [`k_select`]
 //!   (paper §4.2.1), and [`Comm::alltoallw`] with the three-bin schedule
 //!   (paper §4.2.2);
 //! * the supporting collectives (barrier, bcast, scatterv, reduce,
@@ -44,8 +44,8 @@ pub use coll::{AllgathervAlgorithm, AlltoallwSchedule, WPeer};
 pub use comm::{bytes_to_f64s, f64s_to_bytes, Comm, CommGroup};
 pub use commstats::{
     analyze_comm_map, analyze_matrix, decisions_from_trace, decisions_from_traces, decisions_json,
-    detect_misselections, gini, parse_decisions, render_decision_log, AlgorithmDecision,
-    CommAnalysis, EpochAnalysis, Misselection, MisselectionAudit,
+    detect_misselections, parse_decisions, render_decision_log, AlgorithmDecision, CommAnalysis,
+    EpochAnalysis, Misselection, MisselectionAudit,
 };
 pub use compare::{
     compare, diff_json, outer_join, render_compare, AttributionDelta, Cause, CommDiff,
@@ -59,10 +59,9 @@ pub use drift::{
     render_recurrence, CusumDetector, DriftConfig, DriftDirection, DriftEvent, DriftMonitor,
     PatternRecurrence,
 };
+pub use ncd_simnet::volume::{k_select, outlier_ratio_of};
 pub use request::{Completion, Request};
-pub use select::{
-    detect_outliers, detect_outliers_with_ratio, k_select, outlier_ratio_of, VolumeShape,
-};
+pub use select::{detect_outliers, detect_outliers_with_ratio, VolumeShape};
 pub use whatif::{
     causal_profile, plan_experiments, whatif_json, whatif_report, Action, CausalProfile,
     Experiment, Outcome,

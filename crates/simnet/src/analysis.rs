@@ -624,7 +624,7 @@ pub fn parse_analysis(text: &str) -> Result<AnalysisSummary, String> {
     let attribution = v.list("attribution", |a| {
         let ranks = a.list("ranks", |r| {
             Ok(OpRankStats {
-                rounds: r.u64("rounds")? as u32,
+                rounds: r.u32("rounds")?,
                 wait: ns(r, "wait_ns")?,
                 transfer: ns(r, "transfer_ns")?,
                 msgs: r.u64("msgs")?,
@@ -748,6 +748,18 @@ mod tests {
             ),
         );
         assert_eq!(parse_analysis(&json).unwrap().attribution, attr);
+    }
+
+    #[test]
+    fn rounds_past_u32_are_refused_not_wrapped() {
+        let traces = ring_traces(2, 64);
+        let json = analysis_json(
+            &HbGraph::build(&traces).critical_path(),
+            &attribute_rounds(&traces),
+        );
+        let wrapped = json.replacen("\"rounds\":1,", "\"rounds\":4294967297,", 1);
+        let err = parse_analysis(&wrapped).unwrap_err();
+        assert!(err.contains("\"rounds\": 4294967297"), "{err}");
     }
 
     #[test]

@@ -11,16 +11,21 @@
 //! per-pair byte totals equal the bytes the mailbox actually delivered,
 //! message by message.
 //!
-//! On top of the running totals, the map takes **epoch snapshots**:
+//! Deliveries accumulate into the rank's open **epoch**, which is closed
+//! and snapshotted at each boundary:
 //! - the collectives close one epoch per call, labeled
 //!   `<collective>/<algorithm>` (e.g. `alltoallw/binned`), and
 //! - [`crate::Rank::stage_end`] closes one per profiling stage, labeled
 //!   `stage:<path>`,
 //!
 //! so nonuniformity can be attributed to the call or phase that caused
-//! it, not just observed in aggregate. Epochs from different ranks are
-//! matched by `(label, occurrence)` — the k-th `allgatherv/ring` epoch on
-//! every rank describes the same collective call in an SPMD program.
+//! it, not just observed in aggregate. A delivery belongs to exactly one
+//! closed or open epoch, so the running totals are a view: the sum over
+//! the epochs. Epochs from different ranks are matched by `(label,
+//! occurrence)` — the k-th `allgatherv/ring` epoch on every rank
+//! describes the same collective call in an SPMD program — by the one
+//! cross-rank join this module owns, which the history merge
+//! ([`crate::merge_histories`]) reads too.
 //!
 //! Like the flight recorder, the comm map never touches the simulated
 //! clock: enabling it changes no timing. A rank holds no map until
@@ -38,10 +43,8 @@ use crate::json::{parse_schema_led, Json, JsonWriter};
 pub struct RankCommMap {
     rank: usize,
     size: usize,
-    /// Running totals since construction, indexed by source rank.
-    total_bytes: Vec<u64>,
-    total_msgs: Vec<u64>,
-    /// Deliveries since the last epoch boundary, indexed by source rank.
+    /// Deliveries since the last epoch boundary (the open epoch), indexed
+    /// by source rank.
     cur_bytes: Vec<u64>,
     cur_msgs: Vec<u64>,
     /// Per-label occurrence counters (the epoch-matching key).
@@ -66,8 +69,6 @@ impl RankCommMap {
         RankCommMap {
             rank,
             size,
-            total_bytes: vec![0; size],
-            total_msgs: vec![0; size],
             cur_bytes: vec![0; size],
             cur_msgs: vec![0; size],
             occurrences: HashMap::new(),
@@ -87,8 +88,6 @@ impl RankCommMap {
     /// by the runtime's receive path; public so fixtures and property
     /// tests can build maps by hand.
     pub fn record_delivery(&mut self, src: usize, bytes: u64) {
-        self.total_bytes[src] += bytes;
-        self.total_msgs[src] += 1;
         self.cur_bytes[src] += bytes;
         self.cur_msgs[src] += 1;
     }
@@ -112,15 +111,16 @@ impl RankCommMap {
         &self.epochs
     }
 
-    /// Total bytes delivered to this rank from `src` since construction
-    /// (includes traffic after the last epoch boundary).
+    /// Total bytes delivered to this rank from `src` since construction:
+    /// every delivery belongs to exactly one epoch, so this is the sum
+    /// over the closed epochs plus the open one.
     pub fn total_bytes_from(&self, src: usize) -> u64 {
-        self.total_bytes[src]
+        self.cur_bytes[src] + self.epochs.iter().map(|e| e.bytes[src]).sum::<u64>()
     }
 
     /// Total messages delivered to this rank from `src`.
     pub fn total_msgs_from(&self, src: usize) -> u64 {
-        self.total_msgs[src]
+        self.cur_msgs[src] + self.epochs.iter().map(|e| e.msgs[src]).sum::<u64>()
     }
 }
 
@@ -235,39 +235,67 @@ pub struct ClusterCommMap {
     pub epochs: Vec<EpochMatrix>,
 }
 
+/// The one cross-rank epoch join: every rank's epochs grouped by
+/// `(label, occurrence)`, one group per cluster-wide epoch in the order
+/// first seen scanning `ranks` in order, each group holding `(rank,
+/// epoch)` for the ranks that closed it, in that same order. `epoch_of`
+/// finds the [`RankEpoch`] inside a stored item. Both
+/// [`merge_comm_maps`] and [`crate::merge_histories`] read it.
+pub(crate) fn join_epochs<'a, T>(
+    ranks: impl IntoIterator<Item = (usize, &'a [T])>,
+    epoch_of: impl Fn(&'a T) -> &'a RankEpoch,
+) -> Vec<Vec<(usize, &'a T)>> {
+    let mut groups: Vec<Vec<(usize, &T)>> = Vec::new();
+    let mut index: HashMap<(&str, u32), usize> = HashMap::new();
+    for (rank, items) in ranks {
+        for item in items {
+            let epoch = epoch_of(item);
+            let slot = *index
+                .entry((&epoch.label, epoch.occurrence))
+                .or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+            groups[slot].push((rank, item));
+        }
+    }
+    groups
+}
+
 /// Merge per-rank maps into the cluster-wide view. Rank `r`'s record of
 /// deliveries-from-`src` becomes column `dst = r` of the matrix; epochs
-/// are matched across ranks by `(label, occurrence)` and appear in the
-/// order first seen scanning ranks 0..n. Panics if `maps` is empty or the
-/// maps disagree on cluster size.
+/// are matched across ranks by `(label, occurrence)` (`join_epochs`)
+/// and appear in the order first seen scanning ranks 0..n. The total is
+/// the sum of the epoch matrices plus each rank's open epoch. Panics if
+/// `maps` is empty or the maps disagree on cluster size.
 pub fn merge_comm_maps(maps: &[RankCommMap]) -> ClusterCommMap {
     let n = maps.first().expect("merge_comm_maps on no ranks").size;
     let mut total = CommMatrix::new(n);
-    let mut epochs: Vec<EpochMatrix> = Vec::new();
-    let mut index: HashMap<(String, u32), usize> = HashMap::new();
     for map in maps {
         assert_eq!(map.size, n, "rank comm maps from different cluster sizes");
-        let dst = map.rank;
         for src in 0..n {
-            total.add(src, dst, map.total_bytes[src], map.total_msgs[src]);
-        }
-        for epoch in &map.epochs {
-            let key = (epoch.label.clone(), epoch.occurrence);
-            let slot = *index.entry(key).or_insert_with(|| {
-                epochs.push(EpochMatrix {
-                    label: epoch.label.clone(),
-                    occurrence: epoch.occurrence,
-                    matrix: CommMatrix::new(n),
-                });
-                epochs.len() - 1
-            });
-            for src in 0..n {
-                epochs[slot]
-                    .matrix
-                    .add(src, dst, epoch.bytes[src], epoch.msgs[src]);
-            }
+            total.add(src, map.rank, map.cur_bytes[src], map.cur_msgs[src]);
         }
     }
+    let ranks = maps.iter().map(|m| (m.rank, m.epochs.as_slice()));
+    let epochs = join_epochs(ranks, |e| e)
+        .into_iter()
+        .map(|group| {
+            let mut matrix = CommMatrix::new(n);
+            for &(dst, epoch) in &group {
+                for src in 0..n {
+                    matrix.add(src, dst, epoch.bytes[src], epoch.msgs[src]);
+                }
+            }
+            total.merge(&matrix);
+            let first = group[0].1;
+            EpochMatrix {
+                label: first.label.clone(),
+                occurrence: first.occurrence,
+                matrix,
+            }
+        })
+        .collect();
     ClusterCommMap { n, total, epochs }
 }
 
@@ -292,9 +320,9 @@ pub fn millis_to_ratio(millis: u64) -> f64 {
     }
 }
 
-/// Shade ramp for the heatmap, lightest to darkest. Index 0 is reserved
-/// for exact zero.
-const SHADES: &[u8] = b".:-=+*#%@";
+/// Shade ramp for the heatmap and the history sparklines, lightest to
+/// darkest. Index 0 is reserved for exact zero.
+pub(crate) const SHADES: &[u8] = b".:-=+*#%@";
 
 /// Render `m` as an ASCII heatmap: rows are sources, columns are
 /// destinations, and each cell's shade is proportional to the cell's
@@ -394,7 +422,7 @@ pub fn parse_comm_matrix(text: &str) -> Result<ClusterCommMap, String> {
         epochs: v.list("epochs", |e| {
             Ok(EpochMatrix {
                 label: e.str("label")?.to_string(),
-                occurrence: e.u64("occurrence")? as u32,
+                occurrence: e.u32("occurrence")?,
                 matrix: matrix_from(e, "pairs", n)?,
             })
         })?,
@@ -473,6 +501,14 @@ mod tests {
         );
         let huge = comm_matrix_json(&map).replacen("\"ranks\":8", "\"ranks\":1e9", 1);
         assert!(parse_comm_matrix(&huge).unwrap_err().contains("\"ranks\""));
+    }
+
+    #[test]
+    fn an_occurrence_past_u32_is_refused_not_wrapped() {
+        let json = comm_matrix_json(&merge_comm_maps(&two_rank_fixture()));
+        let wrapped = json.replacen("\"occurrence\":1,", "\"occurrence\":4294967296,", 1);
+        let err = parse_comm_matrix(&wrapped).unwrap_err();
+        assert!(err.contains("\"occurrence\": 4294967296"), "{err}");
     }
 
     #[test]

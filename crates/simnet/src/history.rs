@@ -4,81 +4,48 @@
 //! one epoch; this module answers *how that changes over time*. Once
 //! [`crate::Rank::enable_history`] is called, every closed epoch — one per auto- or pinned collective call
 //! (`<collective>/<algorithm>`) and one per profiling stage
-//! (`stage:<path>`) — appends a compact per-rank record: the simulated
-//! close time, the bytes/messages delivered to this rank during the
-//! epoch, and an order-invariant 64-bit **pattern hash** of the per-source
-//! recv-length vector. The cross-rank merge ([`merge_histories`]) joins
-//! records by `(label, occurrence)` exactly like the comm-map merge and
-//! derives, per cluster-wide epoch, the nonuniformity analytics the
-//! paper's selection heuristics consume: outlier ratio, Gini, and spread
-//! over the per-rank delivered totals.
+//! (`stage:<path>`) — is kept per rank as the comm map's own
+//! [`RankEpoch`] with its simulated close time. The cross-rank merge
+//! ([`merge_histories`]) joins them by `(label, occurrence)` with the
+//! comm map's join and derives, per cluster-wide epoch, the delivered
+//! totals, an order-invariant 64-bit **pattern hash** of the per-source
+//! recv-length vectors, and the nonuniformity analytics the paper's
+//! selection heuristics consume: outlier ratio and Gini
+//! ([`crate::volume`], the selector's own definitions) and spread over
+//! the per-rank delivered totals.
 //!
 //! The pattern hash is the recurrence signal the adaptive-selection
 //! roadmap needs: two epochs whose recv-length vectors are identical hash
 //! identically, so a hash join across occurrences reports how often a
 //! communication pattern repeats — and therefore whether caching a
 //! persistent plan for it would pay. The cluster hash is a wrapping sum
-//! of per-rank FNV-1a partials, so it is invariant to the order ranks are
-//! merged in but sensitive (w.h.p.) to any single length change.
+//! of per-rank FNV-1a partials ([`crate::volume::pattern_hash_rank`]), so
+//! it is invariant to the order ranks are merged in but sensitive
+//! (w.h.p.) to any single length change.
 //!
 //! Like the comm map and the flight recorder, the history store never
 //! touches the simulated clock: enabling it changes no timing.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::commmap::{ratio_to_millis, RankEpoch};
+use crate::analysis::render_ratio;
+use crate::commmap::{join_epochs, ratio_to_millis, RankEpoch, SHADES};
 use crate::json::JsonWriter;
 use crate::time::SimTime;
+use crate::volume;
 
 /// The bulk quantile used for the per-epoch outlier ratio, matching the
 /// default the analytics layer applies to comm matrices.
 const OUTLIER_FRACTION: f64 = 0.9;
 
-/// Fold one little-endian `u64` into an FNV-1a state.
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// This rank's additive share of the cluster pattern hash for one epoch:
-/// FNV-1a over the rank id followed by the per-source recv-length vector
-/// (8 LE bytes each). Cluster hashes combine per-rank shares with
-/// `wrapping_add`, so the combined hash is independent of merge order yet
-/// changes (w.h.p.) when any single length does.
-pub fn pattern_hash_rank(rank: usize, lengths: &[u64]) -> u64 {
-    let mut h = fnv_u64(0xcbf2_9ce4_8422_2325, rank as u64);
-    for &len in lengths {
-        h = fnv_u64(h, len);
-    }
-    h
-}
-
-/// One appended record on one rank: a closed epoch's delivered totals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankEpochRecord {
-    pub label: String,
-    /// 0-based occurrence of `label` on this rank (the epoch-matching key).
-    pub occurrence: u32,
-    /// Simulated time at which the epoch closed on this rank.
-    pub time: SimTime,
-    /// Total bytes delivered to this rank during the epoch.
-    pub bytes: u64,
-    pub msgs: u64,
-    /// This rank's additive pattern-hash share ([`pattern_hash_rank`]).
-    pub pattern: u64,
-}
-
-/// Per-rank epoch time-series store. Owned by [`crate::Rank`]; construct
-/// directly only in tests and fixtures.
+/// Per-rank epoch time-series store: the closed comm-map epochs, each
+/// with its close time. Owned by [`crate::Rank`]; construct directly
+/// only in tests and fixtures.
 #[derive(Debug, Clone)]
 pub struct RankHistory {
     rank: usize,
     size: usize,
-    records: Vec<RankEpochRecord>,
+    epochs: Vec<(RankEpoch, SimTime)>,
 }
 
 impl RankHistory {
@@ -87,7 +54,7 @@ impl RankHistory {
         RankHistory {
             rank,
             size,
-            records: Vec::new(),
+            epochs: Vec::new(),
         }
     }
 
@@ -99,23 +66,12 @@ impl RankHistory {
         self.size
     }
 
-    pub fn records(&self) -> &[RankEpochRecord] {
-        &self.records
-    }
-
-    /// Append the record derived from a just-closed comm-map epoch at
-    /// simulated time `time`. Normally fed by [`crate::Rank::comm_epoch`] /
+    /// Keep a just-closed comm-map epoch, closed at simulated time
+    /// `time`. Normally fed by [`crate::Rank::comm_epoch`] /
     /// [`crate::Rank::stage_end`]; public so fixtures can build histories
     /// by hand.
     pub fn append(&mut self, epoch: &RankEpoch, time: SimTime) {
-        self.records.push(RankEpochRecord {
-            label: epoch.label.clone(),
-            occurrence: epoch.occurrence,
-            time,
-            bytes: epoch.bytes.iter().sum(),
-            msgs: epoch.msgs.iter().sum(),
-            pattern: pattern_hash_rank(self.rank, &epoch.bytes),
-        });
+        self.epochs.push((epoch.clone(), time));
     }
 }
 
@@ -173,148 +129,81 @@ impl History {
     }
 }
 
-/// Sorted-quantile outlier ratio over a volume set, mirroring the
-/// analytics layer's convention: max over the `fraction` bulk quantile, 0
-/// for sets smaller than two or all-zero, infinite when the bulk quantile
-/// is zero under a nonzero max.
-fn outlier_ratio(volumes: &[u64], fraction: f64) -> f64 {
-    if volumes.len() < 2 {
-        return 0.0;
-    }
-    let mut sorted = volumes.to_vec();
-    sorted.sort_unstable();
-    let n = sorted.len();
-    let max = sorted[n - 1];
-    if max == 0 {
-        return 0.0;
-    }
-    let k_bulk = (((n as f64) * fraction).ceil() as usize).clamp(1, n) - 1;
-    let bulk = sorted[k_bulk];
-    if bulk == 0 {
-        return f64::INFINITY;
-    }
-    max as f64 / bulk as f64
-}
-
-/// Gini coefficient of a volume set (zeros count; empty or all-zero = 0).
-/// Local duplicate of the analytics layer's definition — simnet sits
-/// below ncd-core and cannot depend on it.
-fn gini(volumes: &[u64]) -> f64 {
-    let n = volumes.len();
-    let total: u128 = volumes.iter().map(|&v| v as u128).sum();
-    if n == 0 || total == 0 {
-        return 0.0;
-    }
-    let mut sorted = volumes.to_vec();
-    sorted.sort_unstable();
-    let weighted: u128 = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (i as u128 + 1) * v as u128)
-        .sum();
-    (2.0 * weighted as f64) / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64
-}
-
 fn algo_of(label: &str) -> Option<String> {
     label
         .split_once('/')
         .map(|(_, algorithm)| algorithm.to_string())
 }
 
-/// Merge per-rank histories into the cluster-wide time-series. Records
+/// Max over min of the *nonzero* per-rank totals (0 when no rank
+/// received traffic).
+fn spread(per_rank: &[u64]) -> f64 {
+    let nonzero = per_rank.iter().copied().filter(|&b| b > 0);
+    match (nonzero.clone().max(), nonzero.min()) {
+        (Some(max), Some(min)) => max as f64 / min as f64,
+        _ => 0.0,
+    }
+}
+
+/// Merge per-rank histories into the cluster-wide time-series. Epochs
 /// are matched across ranks by `(label, occurrence)` and appear in the
-/// order first seen scanning ranks 0..n (like [`crate::merge_comm_maps`]);
-/// a rank that never closed a given epoch contributes zero bytes to its
-/// analytics. Panics if `histories` is empty or the ranks disagree on
-/// cluster size.
+/// order first seen scanning ranks 0..n (the comm map's join, like
+/// [`crate::merge_comm_maps`]); a rank that never closed a given epoch
+/// contributes zero bytes to its analytics and nothing to its pattern
+/// hash. Panics if `histories` is empty or the ranks disagree on cluster
+/// size.
 pub fn merge_histories(histories: &[RankHistory]) -> History {
     let n = histories.first().expect("merge_histories on no ranks").size;
-    struct Partial {
-        label: String,
-        occurrence: u32,
-        time: SimTime,
-        msgs: u64,
-        pattern: u64,
-        per_rank: Vec<u64>,
-    }
-    let mut partials: Vec<Partial> = Vec::new();
-    let mut index: HashMap<(String, u32), usize> = HashMap::new();
     for h in histories {
         assert_eq!(h.size, n, "rank histories from different cluster sizes");
-        for r in &h.records {
-            let key = (r.label.clone(), r.occurrence);
-            let slot = *index.entry(key).or_insert_with(|| {
-                partials.push(Partial {
-                    label: r.label.clone(),
-                    occurrence: r.occurrence,
-                    time: SimTime::ZERO,
-                    msgs: 0,
-                    pattern: 0,
-                    per_rank: vec![0; n],
-                });
-                partials.len() - 1
-            });
-            let p = &mut partials[slot];
-            p.time = p.time.max(r.time);
-            p.msgs += r.msgs;
-            p.pattern = p.pattern.wrapping_add(r.pattern);
-            p.per_rank[h.rank] += r.bytes;
-        }
     }
-    let points = partials
+    let ranks = histories.iter().map(|h| (h.rank, h.epochs.as_slice()));
+    let points = join_epochs(ranks, |(epoch, _)| epoch)
         .into_iter()
-        .map(|p| {
-            let nonzero: Vec<u64> = p.per_rank.iter().copied().filter(|&b| b > 0).collect();
-            let spread = match (nonzero.iter().max(), nonzero.iter().min()) {
-                (Some(&max), Some(&min)) if min > 0 => max as f64 / min as f64,
-                _ => 0.0,
-            };
+        .map(|group| {
+            let (first, _) = group[0].1;
+            let mut per_rank = vec![0u64; n];
+            let (mut time, mut msgs, mut pattern) = (SimTime::ZERO, 0, 0u64);
+            for &(rank, (epoch, close)) in &group {
+                time = time.max(*close);
+                msgs += epoch.msgs.iter().sum::<u64>();
+                pattern = pattern.wrapping_add(volume::pattern_hash_rank(rank, &epoch.bytes));
+                per_rank[rank] += epoch.bytes.iter().sum::<u64>();
+            }
             EpochPoint {
-                algo: algo_of(&p.label),
-                label: p.label,
-                occurrence: p.occurrence,
-                time: p.time,
-                bytes: p.per_rank.iter().sum(),
-                msgs: p.msgs,
-                outlier_ratio: outlier_ratio(&p.per_rank, OUTLIER_FRACTION),
-                gini: gini(&p.per_rank),
-                spread,
-                pattern: p.pattern,
+                algo: algo_of(&first.label),
+                label: first.label.clone(),
+                occurrence: first.occurrence,
+                time,
+                bytes: per_rank.iter().sum(),
+                msgs,
+                outlier_ratio: volume::outlier_ratio_of(&per_rank, OUTLIER_FRACTION),
+                gini: volume::gini(&per_rank),
+                spread: spread(&per_rank),
+                pattern,
             }
         })
         .collect();
     History { n, points }
 }
 
-/// Shade ramp for the sparklines, lightest to darkest; index 0 is exact
-/// zero (matches the comm-map heatmap ramp).
-const RAMP: &[u8] = b".:-=+*#%@";
-
-/// Render `values` as a one-character-per-point sparkline, linearly
-/// scaled so the series maximum maps to the darkest shade and exact zero
-/// to `.`.
+/// Render `values` as a one-character-per-point sparkline in the
+/// comm-map heatmap's shades, linearly scaled so the series maximum maps
+/// to the darkest shade and exact zero to `.`.
 pub fn sparkline(values: &[u64]) -> String {
     let max = values.iter().copied().max().unwrap_or(0);
     values
         .iter()
         .map(|&v| {
             let c = if v == 0 || max == 0 {
-                RAMP[0]
+                SHADES[0]
             } else {
-                let hi = (RAMP.len() - 1) as u64;
-                RAMP[(1 + (v.saturating_mul(hi - 1)) / max).min(hi) as usize]
+                let hi = (SHADES.len() - 1) as u64;
+                SHADES[(1 + (v.saturating_mul(hi - 1)) / max).min(hi) as usize]
             };
             c as char
         })
         .collect()
-}
-
-fn fmt_ratio(r: f64) -> String {
-    if r.is_infinite() {
-        "inf".to_string()
-    } else {
-        format!("{r:.1}")
-    }
 }
 
 /// ASCII dashboard of the merged history: one row per labelled series
@@ -348,7 +237,7 @@ pub fn history_report(history: &History) -> String {
             sparkline(&bytes),
             sparkline(&ginis),
             last.bytes,
-            fmt_ratio(last.outlier_ratio),
+            render_ratio(last.outlier_ratio),
             patterns.len()
         );
     }
@@ -386,7 +275,197 @@ pub fn history_json(history: &History) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::commmap::RankCommMap;
+    use crate::volume::pattern_hash_rank;
+
+    /// The sort-based outlier ratio the history computed before it read
+    /// [`volume::outlier_ratio_of`]: the oracle the Floyd–Rivest version
+    /// must match bit for bit.
+    fn outlier_ratio(volumes: &[u64], fraction: f64) -> f64 {
+        if volumes.len() < 2 {
+            return 0.0;
+        }
+        let mut sorted = volumes.to_vec();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        let max = sorted[n - 1];
+        if max == 0 {
+            return 0.0;
+        }
+        let k_bulk = (((n as f64) * fraction).ceil() as usize).clamp(1, n) - 1;
+        let bulk = sorted[k_bulk];
+        if bulk == 0 {
+            return f64::INFINITY;
+        }
+        max as f64 / bulk as f64
+    }
+
+    /// The compact per-rank record the history derived at append time
+    /// before it kept the comm map's epochs.
+    struct ReferenceRecord {
+        label: String,
+        occurrence: u32,
+        time: SimTime,
+        bytes: u64,
+        msgs: u64,
+        pattern: u64,
+    }
+
+    impl ReferenceRecord {
+        fn derive(rank: usize, epoch: &RankEpoch, time: SimTime) -> Self {
+            ReferenceRecord {
+                label: epoch.label.clone(),
+                occurrence: epoch.occurrence,
+                time,
+                bytes: epoch.bytes.iter().sum(),
+                msgs: epoch.msgs.iter().sum(),
+                pattern: pattern_hash_rank(rank, &epoch.bytes),
+            }
+        }
+    }
+
+    /// The history's own `(label, occurrence)` join over those records,
+    /// as it was before it read the comm map's: the reference
+    /// [`merge_histories`] must reproduce field for field.
+    fn reference_merge(n: usize, ranks: &[(usize, Vec<ReferenceRecord>)]) -> History {
+        struct Partial {
+            label: String,
+            occurrence: u32,
+            time: SimTime,
+            msgs: u64,
+            pattern: u64,
+            per_rank: Vec<u64>,
+        }
+        let mut partials: Vec<Partial> = Vec::new();
+        let mut index: HashMap<(String, u32), usize> = HashMap::new();
+        for (rank, records) in ranks {
+            for r in records {
+                let key = (r.label.clone(), r.occurrence);
+                let slot = *index.entry(key).or_insert_with(|| {
+                    partials.push(Partial {
+                        label: r.label.clone(),
+                        occurrence: r.occurrence,
+                        time: SimTime::ZERO,
+                        msgs: 0,
+                        pattern: 0,
+                        per_rank: vec![0; n],
+                    });
+                    partials.len() - 1
+                });
+                let p = &mut partials[slot];
+                p.time = p.time.max(r.time);
+                p.msgs += r.msgs;
+                p.pattern = p.pattern.wrapping_add(r.pattern);
+                p.per_rank[*rank] += r.bytes;
+            }
+        }
+        let points = partials
+            .into_iter()
+            .map(|p| {
+                let nonzero: Vec<u64> = p.per_rank.iter().copied().filter(|&b| b > 0).collect();
+                let spread = match (nonzero.iter().max(), nonzero.iter().min()) {
+                    (Some(&max), Some(&min)) if min > 0 => max as f64 / min as f64,
+                    _ => 0.0,
+                };
+                EpochPoint {
+                    algo: algo_of(&p.label),
+                    label: p.label,
+                    occurrence: p.occurrence,
+                    time: p.time,
+                    bytes: p.per_rank.iter().sum(),
+                    msgs: p.msgs,
+                    outlier_ratio: outlier_ratio(&p.per_rank, OUTLIER_FRACTION),
+                    gini: volume::gini(&p.per_rank),
+                    spread,
+                    pattern: p.pattern,
+                }
+            })
+            .collect();
+        History { n, points }
+    }
+
+    const LABELS: [&str; 3] = ["allgatherv/ring", "alltoallw/binned", "stage:solve"];
+    const MAX_RANKS: usize = 6;
+    const MAX_CALLS: usize = 10;
+
+    /// Volumes that are mostly zero, often repeated, sometimes large.
+    fn volume() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(0u64), Just(64u64), 0u64..4, 0u64..1 << 20]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn floyd_rivest_ratio_is_bit_equal_to_the_sorted_oracle(
+            volumes in proptest::collection::vec(volume(), 0..41),
+            fraction in prop_oneof![Just(0.0f64), Just(0.9f64), Just(1.0f64), 0.0f64..1.0],
+        ) {
+            let oracle = outlier_ratio(&volumes, fraction);
+            let fr = volume::outlier_ratio_of(&volumes, fraction);
+            prop_assert_eq!(fr.to_bits(), oracle.to_bits(), "{:?} at {}", volumes, fraction);
+        }
+
+        /// Random multi-label, multi-epoch ranks, each skipping calls at
+        /// random (and the last rank always skipping the first call),
+        /// merged in a rotated rank order.
+        #[test]
+        fn merge_matches_the_record_and_partial_join_reference(
+            n in 1usize..MAX_RANKS + 1,
+            calls in proptest::collection::vec(0usize..LABELS.len(), 0..MAX_CALLS + 1),
+            volumes in proptest::collection::vec(volume(), MAX_RANKS * MAX_RANKS * MAX_CALLS),
+            skips in proptest::collection::vec(0u8..6, MAX_RANKS * MAX_CALLS),
+            times in proptest::collection::vec(0u64..1000, MAX_RANKS * MAX_CALLS),
+            rotate in 0usize..MAX_RANKS,
+        ) {
+            let mut histories = Vec::new();
+            let mut reference = Vec::new();
+            for rank in (0..n).map(|r| (r + rotate) % n) {
+                let mut map = RankCommMap::new(rank, n);
+                let mut history = RankHistory::new(rank, n);
+                let mut records = Vec::new();
+                for (c, &label) in calls.iter().enumerate() {
+                    let skipped = skips[rank * MAX_CALLS + c] == 0 || (n > 1 && rank == n - 1 && c == 0);
+                    if skipped {
+                        continue;
+                    }
+                    for src in 0..n {
+                        // v % 4 messages of v / 4 bytes: zero-byte messages too.
+                        let v = volumes[(rank * MAX_RANKS + src) * MAX_CALLS + c];
+                        for _ in 0..v % 4 {
+                            map.record_delivery(src, v / 4);
+                        }
+                    }
+                    map.close_epoch(LABELS[label]);
+                    let time = SimTime(times[rank * MAX_CALLS + c]);
+                    let epoch = map.epochs().last().expect("just closed");
+                    history.append(epoch, time);
+                    records.push(ReferenceRecord::derive(rank, epoch, time));
+                }
+                histories.push(history);
+                reference.push((rank, records));
+            }
+            let got = merge_histories(&histories);
+            let want = reference_merge(n, &reference);
+            prop_assert_eq!(got.n, want.n);
+            prop_assert_eq!(got.points.len(), want.points.len());
+            for (g, w) in got.points.iter().zip(&want.points) {
+                prop_assert_eq!(&g.label, &w.label);
+                prop_assert_eq!(g.occurrence, w.occurrence);
+                prop_assert_eq!(g.time, w.time);
+                prop_assert_eq!((g.bytes, g.msgs, g.pattern), (w.bytes, w.msgs, w.pattern));
+                prop_assert_eq!(g.outlier_ratio.to_bits(), w.outlier_ratio.to_bits());
+                prop_assert_eq!(g.gini.to_bits(), w.gini.to_bits());
+                prop_assert_eq!(g.spread.to_bits(), w.spread.to_bits());
+                prop_assert_eq!(&g.algo, &w.algo);
+            }
+        }
+    }
 
     fn epoch(label: &str, occurrence: u32, bytes: Vec<u64>) -> RankEpoch {
         let msgs = bytes.iter().map(|&b| u64::from(b > 0)).collect();
@@ -408,17 +487,6 @@ mod tests {
         a.append(&epoch("stage:solve", 0, vec![0, 0]), SimTime(300));
         b.append(&epoch("stage:solve", 0, vec![0, 0]), SimTime(300));
         vec![a, b]
-    }
-
-    #[test]
-    fn append_derives_totals_and_pattern() {
-        let mut h = RankHistory::new(3, 4);
-        h.append(&epoch("alltoallw/binned", 0, vec![1, 0, 2, 0]), SimTime(7));
-        let r = &h.records()[0];
-        assert_eq!(r.bytes, 3);
-        assert_eq!(r.msgs, 2);
-        assert_eq!(r.time, SimTime(7));
-        assert_eq!(r.pattern, pattern_hash_rank(3, &[1, 0, 2, 0]));
     }
 
     #[test]
@@ -459,14 +527,6 @@ mod tests {
                 .collect::<std::collections::HashSet<_>>()
         };
         assert_eq!(key(&forward), key(&backward));
-    }
-
-    #[test]
-    fn pattern_hash_is_length_sensitive() {
-        let base = pattern_hash_rank(0, &[8, 8, 64]);
-        assert_ne!(base, pattern_hash_rank(0, &[8, 8, 65]));
-        assert_ne!(base, pattern_hash_rank(0, &[8, 64, 8]));
-        assert_ne!(base, pattern_hash_rank(1, &[8, 8, 64]));
     }
 
     #[test]

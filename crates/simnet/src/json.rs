@@ -466,6 +466,13 @@ impl Json {
         self.typed(key, "number", Json::as_u64)
     }
 
+    /// [`Json::u64`] narrowed to `u32`: a value past `u32::MAX` is an
+    /// error naming `key`, not a wrap onto a small one.
+    pub fn u32(&self, key: &str) -> Result<u32, String> {
+        let n = self.u64(key)?;
+        u32::try_from(n).map_err(|_| format!("\"{key}\": {n} does not fit in 32 bits"))
+    }
+
     pub fn str(&self, key: &str) -> Result<&str, String> {
         self.typed(key, "string", Json::as_str)
     }

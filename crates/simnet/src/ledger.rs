@@ -118,7 +118,7 @@ pub fn parse_manifest(text: &str) -> Result<RunManifest, String> {
     Ok(RunManifest {
         bench: v.str("bench")?.to_string(),
         mode: v.str("mode")?.to_string(),
-        schema: v.u64("schema")? as u32,
+        schema: v.u32("schema")?,
         knobs,
         run_id: v.str("run_id")?.to_string(),
     })
@@ -443,6 +443,24 @@ pub(crate) mod tests {
             "{{\"schema\":{SCHEMA_VERSION},\"bench\":\"fig14a\""
         )));
         assert_eq!(parse_manifest(&json).unwrap(), m);
+    }
+
+    #[test]
+    fn a_manifest_schema_past_u32_is_refused_not_wrapped() {
+        let m = RunManifest {
+            bench: "fig14a".to_string(),
+            mode: "smoke".to_string(),
+            schema: SCHEMA_VERSION,
+            knobs: Vec::new(),
+            run_id: "00112233445566aa".to_string(),
+        };
+        let wrapped = manifest_json(&m).replacen(
+            &format!("\"schema\":{SCHEMA_VERSION}"),
+            &format!("\"schema\":{}", (1u64 << 32) + u64::from(SCHEMA_VERSION)),
+            1,
+        );
+        let err = parse_manifest(&wrapped).unwrap_err();
+        assert!(err.contains("\"schema\""), "{err}");
     }
 
     #[test]

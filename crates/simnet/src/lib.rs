@@ -60,6 +60,7 @@ pub mod sched;
 pub mod stats;
 pub mod time;
 pub mod trace;
+pub mod volume;
 
 pub use analysis::{
     analysis_json, attribute_rounds, imbalance, parse_analysis, AnalysisSummary, CriticalPath,
@@ -76,8 +77,7 @@ pub use diagnosis::{
 };
 pub use export::chrome_trace_json;
 pub use history::{
-    history_json, history_report, merge_histories, pattern_hash_rank, sparkline, EpochPoint,
-    History, RankEpochRecord, RankHistory,
+    history_json, history_report, merge_histories, sparkline, EpochPoint, History, RankHistory,
 };
 pub use json::{parse_json, parse_schema_led, Json, JsonValue, JsonWriter, SCHEMA_VERSION};
 pub use knobs::{CostKnobs, KnobDim, ResolvedKnobs};
@@ -100,3 +100,4 @@ pub use sched::{last_sched_stats, SchedStats, TaskBackend, DEPTH_BUCKETS, MIN_ST
 pub use stats::{CostKind, Stats};
 pub use time::{CostModel, SimTime};
 pub use trace::{render_timeline, render_timeline_fit, EventKind, TraceEvent, TIMELINE_GUTTER};
+pub use volume::pattern_hash_rank;

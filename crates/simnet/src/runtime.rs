@@ -319,9 +319,9 @@ pub struct Rank {
     recorder: Arc<RankRecorder>,
     /// Communication-topology map (see [`crate::commmap`]).
     commmap: Option<RankCommMap>,
-    /// Epoch time-series history (see [`crate::history`]): one compact
-    /// record per closed comm-map epoch, so enabling it also enables the
-    /// comm map it derives from.
+    /// Epoch time-series history (see [`crate::history`]): each closed
+    /// comm-map epoch with its close time, so enabling it also enables the
+    /// comm map it is fed from.
     history: Option<RankHistory>,
     /// This rank's side of the scheduler: its mailbox, its peers'
     /// mailboxes, and the park/unpark protocol.
@@ -498,8 +498,8 @@ impl Rank {
     }
 
     /// Start appending the epoch time-series history (see
-    /// [`crate::history`]). The history derives its records from closed
-    /// comm-map epochs, so enabling it also enables the comm map.
+    /// [`crate::history`]). The history keeps the closed comm-map epochs,
+    /// so enabling it also enables the comm map.
     pub fn enable_history(&mut self) {
         self.enable_comm_map();
         let (rank, size) = (self.rank, self.size);
@@ -1146,7 +1146,7 @@ mod tests {
             assert!(map.epochs().is_empty() && map.total_msgs_from(peer) == 0);
             let history = r.take_history();
             assert_eq!((history.rank(), history.size()), (r.rank(), 2));
-            assert!(history.records().is_empty());
+            assert!(crate::merge_histories(&[history]).points.is_empty());
             // ...and does not switch it on.
             assert!(r.trace.is_none() && r.metrics.is_none() && r.profiler.is_none());
             assert!(r.commmap.is_none() && r.history.is_none());
@@ -1159,8 +1159,9 @@ mod tests {
             assert!(r.trace.is_none() && r.metrics.is_none() && r.profiler.is_none());
             // Taking from an observer that is on leaves it on.
             r.comm_epoch("allgatherv/ring");
-            assert_eq!(r.take_history().records().len(), 1);
-            assert!(r.history.is_some() && r.take_history().records().is_empty());
+            let epochs = |h: RankHistory| crate::merge_histories(&[h]).points.len();
+            assert_eq!(epochs(r.take_history()), 1);
+            assert!(r.history.is_some() && epochs(r.take_history()) == 0);
         });
     }
 
