@@ -27,9 +27,7 @@ use ncd_core::{
     WPeer,
 };
 use ncd_datatype::Datatype;
-use ncd_simnet::{
-    mirror_to_flight_recorder, Cluster, ClusterCommMap, ClusterConfig, MetricsRegistry,
-};
+use ncd_simnet::{mirror_to_recorders, Cluster, ClusterCommMap, ClusterConfig, MetricsRegistry};
 
 const STEPS: usize = 10;
 const BASE_CELLS: u64 = 2_000;
@@ -160,9 +158,9 @@ fn main() {
         &RunCapture::default(),
     );
 
-    // (c) Root-cause diagnosis phase. Runs last so the flight recorders
-    // parked by this run are the ones a later anomaly dump would show,
-    // with the mirrored findings in them.
+    // (c) Root-cause diagnosis phase. Its capture carries the run's flight
+    // recorders, with the mirrored findings in them, so a reference-gate
+    // failure dumps this run.
     let (diag_series, mut diag_run) = diagnosis_phase(&cli, depth_ranks);
 
     // (d) Counterfactual verification (`--whatif`): plan interventions
@@ -230,7 +228,7 @@ fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
     let cost = cluster.cost.clone();
     let cfg = MpiConfig::baseline();
     let mpi = cfg.clone();
-    let out = Cluster::new(cluster).run(move |rank| {
+    let out = Cluster::new(cluster).try_run(move |rank| {
         OBSERVE.enable(rank);
         let mut comm = Comm::new(rank, mpi.clone());
         comm.barrier();
@@ -244,7 +242,12 @@ fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
         amr_diag_loop(&mut comm);
         OBSERVE.take(comm.rank_mut())
     });
-    let run = RunCapture::merge(out);
+    let parts = out.results.unwrap_or_else(|err| err.raise(&out.recorders));
+    let run = RunCapture {
+        sched: Some(out.sched),
+        recorders: out.recorders,
+        ..RunCapture::merge(parts)
+    };
     let traces = run.traces.as_ref().expect("traced");
     let diag = run.diagnosis().expect("traced");
     let decisions = decisions_from_trace(&traces[OUTLIER]);
@@ -259,7 +262,7 @@ fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
         &run,
     );
     print!("{}", render_hints(&hints));
-    let mirrored = mirror_to_flight_recorder(&diag, 5);
+    let mirrored = mirror_to_recorders(&diag, 5, &run.recorders);
     println!("{mirrored} finding(s) mirrored into the flight recorder");
 
     let op_total = diag.op_severity("allgatherv");

@@ -84,7 +84,7 @@ fn counts_for(n: usize, r: &Regime) -> Vec<usize> {
 /// regime is part of the story). Returns the per-regime step latencies,
 /// the drift events the online monitor fired, and the capture.
 fn run(nranks: usize, epochs: usize) -> (Vec<SimTime>, Vec<DriftEvent>, RunCapture) {
-    let out = Cluster::new(ClusterConfig::paper_testbed(nranks)).run(|rank| {
+    let run = Cluster::new(ClusterConfig::paper_testbed(nranks)).try_run(|rank| {
         Observe::ALL.enable(rank);
         let mut comm = Comm::new(rank, MpiConfig::optimized());
         let me = comm.rank();
@@ -111,11 +111,16 @@ fn run(nranks: usize, epochs: usize) -> (Vec<SimTime>, Vec<DriftEvent>, RunCaptu
         }
         (marks, Observe::ALL.take(comm.rank_mut()))
     });
+    let out = run.results.unwrap_or_else(|err| err.raise(&run.recorders));
     let nregimes = out[0].0.len();
     let marks = (0..nregimes)
         .map(|i| out.iter().map(|(m, _)| m[i]).max().expect("nonempty"))
         .collect();
-    let capture = RunCapture::merge(out.into_iter().map(|(_, part)| part).collect());
+    let capture = RunCapture {
+        sched: Some(run.sched),
+        recorders: run.recorders,
+        ..RunCapture::merge(out.into_iter().map(|(_, part)| part).collect())
+    };
     // SPMD: every rank's monitor fires identically; the first rank that
     // saw any event stands for the run.
     let drift = capture

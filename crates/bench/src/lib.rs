@@ -8,12 +8,13 @@
 //! by reps** — the way MPI benchmarks report collective latency.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use ncd_core::{Comm, DriftConfig, MpiConfig, RunDiff, SeriesDelta};
 use ncd_simnet::{
     merge_comm_maps, merge_histories, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, History,
-    JsonWriter, MetricsRegistry, Rank, RankCommMap, RankHistory, RunManifest, SimTime, Stats,
-    TraceEvent,
+    JsonWriter, MetricsRegistry, Rank, RankCommMap, RankHistory, RankRecorder, RunManifest,
+    SchedStats, SimTime, Stats, TraceEvent,
 };
 
 pub mod workloads;
@@ -195,7 +196,8 @@ impl BenchCli {
         }
         let failing = regressions(&diff, gated);
         if !failing.is_empty() {
-            eprint!("{}", gate_failure_report(name, &failing));
+            let report = gate_failure_report(name, &failing, &capture.recorders);
+            eprint!("{report}");
             std::process::exit(1);
         }
         println!(
@@ -262,15 +264,18 @@ pub fn regressions(diff: &RunDiff, gated: &[&str]) -> RunDiff {
 /// Compose the full failure output of the gate: what [`regressions`]
 /// found, through the differential's own renderer (ranked causes, the
 /// failing points, the shape changes), followed by the flight recorder's
-/// last-window events for every rank of the most recent cluster run — the
-/// moments right before the regression was measured. The dump is also
-/// written to `target/flight/<name>.flight.txt` (for CI artifact upload)
-/// and handed to the process anomaly hook ([`ncd_simnet::dump_on`]) as a
-/// [`ncd_simnet::Anomaly::ReferenceRegression`].
+/// last-window events for every rank of the measured run (`recorders`,
+/// [`RunCapture::recorders`]) — the moments right before the regression
+/// was measured. The dump is also written to
+/// `target/flight/<name>.flight.txt` (for CI artifact upload).
 ///
 /// Split out of [`BenchCli::observatory`] so tests can exercise the whole
 /// failure path without exiting the process.
-pub fn gate_failure_report(name: &str, failing: &RunDiff) -> String {
+pub fn gate_failure_report(
+    name: &str,
+    failing: &RunDiff,
+    recorders: &[Arc<RankRecorder>],
+) -> String {
     let mut out = format!(
         "reference gate FAILED for {name}: {} gated point(s) unmeasured or more than \
          {TOLERANCE_PCT}% slower than the reference, {} shape change(s)\n{}",
@@ -278,7 +283,8 @@ pub fn gate_failure_report(name: &str, failing: &RunDiff) -> String {
         failing.notes.len(),
         ncd_core::render_compare(failing, usize::MAX)
     );
-    if let Some(dump) = ncd_simnet::last_run_dump() {
+    if !recorders.is_empty() {
+        let dump = ncd_simnet::render_dump(recorders);
         out.push_str(&dump);
         if let Some(path) = write_out("flight", format!("{name}.flight.txt"), &dump) {
             out.push_str(&format!(
@@ -286,12 +292,6 @@ pub fn gate_failure_report(name: &str, failing: &RunDiff) -> String {
                 path.display()
             ));
         }
-        ncd_simnet::trigger(
-            &ncd_simnet::Anomaly::ReferenceRegression {
-                name: name.to_string(),
-            },
-            &dump,
-        );
     }
     out
 }
@@ -349,7 +349,7 @@ pub fn datatype_report(reg: &MetricsRegistry) -> Option<String> {
 /// row plus one value row, followed by the occupied buckets of the
 /// ready-depth log₂ histogram. Returns `None` for an empty survey (no
 /// tasks driven).
-pub fn sched_report(stats: &ncd_simnet::SchedStats) -> Option<String> {
+pub fn sched_report(stats: &SchedStats) -> Option<String> {
     if stats.tasks == 0 {
         return None;
     }
@@ -579,7 +579,7 @@ pub struct RankCapture {
 /// Everything one observed run produced. [`report`], [`ledger_run`] and
 /// [`BenchCli::observatory`] print and persist a section or artifact for
 /// exactly the parts that are `Some`; the default value holds nothing.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct RunCapture {
     /// Completion time, max over ranks ([`time_phase`]: per iteration).
     pub time: SimTime,
@@ -595,6 +595,10 @@ pub struct RunCapture {
     /// [`whatif_phase`]; `None` keeps the ledgered artifact set — and
     /// therefore the run id — identical to a run without it.
     pub whatif: Option<String>,
+    /// The captured run's scheduler survey ([`time_phase`] fills it).
+    pub sched: Option<SchedStats>,
+    /// The captured run's flight recorders, dumped by a failing gate.
+    pub recorders: Vec<Arc<RankRecorder>>,
 }
 
 impl RunCapture {
@@ -622,7 +626,7 @@ impl RunCapture {
             comm_map: (!maps.is_empty()).then(|| merge_comm_maps(&maps)),
             history: (!histories.is_empty()).then(|| merge_histories(&histories)),
             traces: (!traces.is_empty()).then_some(traces),
-            whatif: None,
+            ..RunCapture::default()
         }
     }
 
@@ -649,7 +653,7 @@ pub fn time_phase(
     body: impl Fn(&mut Comm, usize) + Send + Sync,
 ) -> RunCapture {
     assert!(reps > 0);
-    let parts = Cluster::new(cluster_cfg).run(|rank| {
+    let run = Cluster::new(cluster_cfg).try_run(|rank| {
         observe.enable(rank);
         let mut comm = Comm::new(rank, mpi_cfg.clone());
         body(&mut comm, usize::MAX); // warmup
@@ -661,8 +665,11 @@ pub fn time_phase(
         }
         observe.take(comm.rank_mut())
     });
+    let parts = run.results.unwrap_or_else(|err| err.raise(&run.recorders));
     let mut capture = RunCapture::merge(parts);
     capture.time = SimTime::from_ns(capture.time.as_ns() / reps as u64);
+    capture.sched = Some(run.sched);
+    capture.recorders = run.recorders;
     capture
 }
 
@@ -903,13 +910,9 @@ pub fn report(
         write_out("analysis", format!("{name}.diagnosis.json"), &json);
     }
 
-    // The scheduler's introspection survey of the most recent run — how
-    // hard the event loop itself worked to produce the numbers above.
-    // Purely informational: it reflects the last run before this report.
-    if let Some(table) = ncd_simnet::last_sched_stats()
-        .as_ref()
-        .and_then(sched_report)
-    {
+    // The scheduler's survey of the captured run — how hard the event
+    // loop itself worked to produce the numbers above.
+    if let Some(table) = capture.sched.as_ref().and_then(sched_report) {
         print!("{table}");
     }
 
@@ -1250,44 +1253,34 @@ mod tests {
 
     #[test]
     fn gate_failure_report_attaches_flight_dump() {
-        // Run a cluster with noncontiguous traffic so the flight recorder
-        // captures pack-pipeline events, then force a regression. The
-        // last-run recorder set is process-global and sibling tests also
-        // run clusters, so retry until our run is the one on record.
-        use ncd_datatype::matrix_column_type;
-        use ncd_simnet::Tag;
-        let run_cluster = || {
-            let mut cfg = MpiConfig::baseline();
-            cfg.engine.block_size = 4096;
-            Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
-                let mut comm = Comm::new(rank, cfg.clone());
+        // Capture a run with noncontiguous traffic so its flight recorders
+        // hold pack-pipeline events, then force a regression.
+        use ncd_datatype::{matrix_column_type, Datatype};
+        let mut cfg = MpiConfig::baseline();
+        cfg.engine.block_size = 4096;
+        let capture = time_phase(
+            ClusterConfig::uniform(2),
+            cfg,
+            1,
+            Observe::NONE,
+            |comm, _| {
                 let col = matrix_column_type(32, 32, 3).unwrap();
                 let n = 32 * 32 * 24;
                 if comm.rank() == 0 {
                     comm.send(&vec![1u8; n], &col, 32, 1, Tag(0));
                 } else {
-                    let mut dst = vec![0u8; n];
-                    let row =
-                        ncd_datatype::Datatype::contiguous(n, &ncd_datatype::Datatype::byte())
-                            .unwrap();
-                    comm.recv(&mut dst, &row, 1, Some(0), Tag(0));
+                    let row = Datatype::contiguous(n, &Datatype::byte()).unwrap();
+                    comm.recv(&mut vec![0u8; n], &row, 1, Some(0), Tag(0));
                 }
-            });
-        };
+            },
+        );
         let mut base = gated_run("smoke", "latency", &[("1024", 10.0)]);
         let mut cur = gated_run("smoke", "latency", &[("1024", 20.0)]);
         let seeks = |n| ("datatype/seek_total/single-context".to_string(), n);
         base.metrics.counters.push(seeks(40));
         cur.metrics.counters.push(seeks(120));
         let failing = regressions(&ncd_core::compare(&base, &cur), &["latency"]);
-        let mut report = String::new();
-        for _ in 0..10 {
-            run_cluster();
-            report = gate_failure_report("unit_test_gate_fig", &failing);
-            if report.contains("pack-block engine=single-context") {
-                break;
-            }
-        }
+        let report = gate_failure_report("unit_test_gate_fig", &failing, &capture.recorders);
         assert!(report.contains("reference gate FAILED for unit_test_gate_fig: 1 gated point(s)"));
         assert!(report.contains("+100.0%"), "regression row:\n{report}");
         assert!(
@@ -1309,7 +1302,7 @@ mod tests {
 
     #[test]
     fn sched_report_formats_the_survey() {
-        let mut stats = ncd_simnet::SchedStats {
+        let mut stats = SchedStats {
             tasks: 4,
             backend: "fiber",
             resumes: 12,
@@ -1331,7 +1324,7 @@ mod tests {
         assert!(table.contains("2.50"), "mean depth 30/12:\n{table}");
         assert!(table.contains("18432"), "{table}");
         assert!(
-            sched_report(&ncd_simnet::SchedStats::default()).is_none(),
+            sched_report(&SchedStats::default()).is_none(),
             "an empty survey renders nothing"
         );
     }

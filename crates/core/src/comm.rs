@@ -645,7 +645,7 @@ mod tests {
         // always-on flight recorder.
         let mut cfg = MpiConfig::baseline();
         cfg.engine.block_size = 4096;
-        let out = Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
+        let run = Cluster::new(ClusterConfig::uniform(2)).try_run(move |rank| {
             rank.enable_tracing();
             rank.enable_metrics();
             let mut comm = Comm::new(rank, cfg.clone());
@@ -670,14 +670,7 @@ mod tests {
                     .iter()
                     .filter(|e| matches!(e.kind, ncd_simnet::EventKind::PackBlock { .. }))
                     .count() as u64;
-                let flight = comm
-                    .rank_ref()
-                    .flight_recorder()
-                    .snapshot()
-                    .iter()
-                    .filter(|r| r.code == ncd_simnet::RecCode::PackBlock)
-                    .count() as u64;
-                Some((blocks, seek, pack_events, flight))
+                Some((blocks, seek, pack_events))
             } else {
                 let mut dst = vec![0u8; n];
                 let row = Datatype::contiguous(n, &Datatype::byte()).unwrap();
@@ -685,7 +678,12 @@ mod tests {
                 None
             }
         });
-        let (blocks, seek, pack_events, flight) = out[0].unwrap();
+        let (blocks, seek, pack_events) = run.results.unwrap()[0].unwrap();
+        let flight = run.recorders[0]
+            .snapshot()
+            .iter()
+            .filter(|r| r.code == ncd_simnet::RecCode::PackBlock)
+            .count() as u64;
         assert!(
             blocks > 1,
             "expected multiple pipeline blocks, got {blocks}"

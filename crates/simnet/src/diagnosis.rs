@@ -55,7 +55,7 @@ use std::sync::Arc;
 use crate::analysis::{attribute_rounds, HbGraph, NodeId};
 use crate::commmap::{matrix_from, ranks_from, render_heatmap, CommMatrix};
 use crate::json::{parse_schema_led, Json, JsonWriter};
-use crate::recorder::{last_run_recorders, RankRecorder, RecCode};
+use crate::recorder::{RankRecorder, RecCode};
 use crate::time::SimTime;
 use crate::trace::{EventKind, TraceEvent};
 
@@ -655,23 +655,14 @@ pub fn parse_diagnosis(text: &str) -> Result<DiagnosisSummary, String> {
     })
 }
 
-/// Mirror the `top_k` highest-severity findings into the last run's
-/// flight recorders (each finding lands in its blamed rank's dedicated
-/// diagnosis ring), so anomaly dumps carry the diagnosis. A recorder
-/// whose rank is still running is skipped and not counted. Returns the
-/// number of findings mirrored (0 when no run has happened, or the
-/// diagnosis is clean).
-pub fn mirror_to_flight_recorder(d: &Diagnosis, top_k: usize) -> usize {
-    last_run_recorders().map_or(0, |recorders| mirror_to_recorders(d, top_k, &recorders))
-}
-
-/// [`mirror_to_flight_recorder`] into `recorders` (indexed by rank). A
-/// live rank is its recorder's only writer (see [`crate::recorder`]).
-pub(crate) fn mirror_to_recorders(
-    d: &Diagnosis,
-    top_k: usize,
-    recorders: &[Arc<RankRecorder>],
-) -> usize {
+/// Mirror the `top_k` highest-severity findings into a run's flight
+/// `recorders` (indexed by rank, as [`crate::RunOutput::recorders`]): each
+/// finding lands in its blamed rank's dedicated diagnosis ring, so the
+/// run's dump carries the diagnosis. A live rank is its recorder's only
+/// writer (see [`crate::recorder`]), so a recorder whose rank is still
+/// running is skipped and not counted. Returns the number of findings
+/// mirrored.
+pub fn mirror_to_recorders(d: &Diagnosis, top_k: usize, recorders: &[Arc<RankRecorder>]) -> usize {
     let mut mirrored = 0;
     for f in d.findings.iter().take(top_k) {
         let Some(rec) = recorders.get(f.blamed).filter(|rec| !rec.writer_live()) else {
@@ -892,10 +883,9 @@ mod tests {
     /// Mirroring writes only into a recorder whose rank has finished:
     /// inside a run the rank's own live recorder is skipped and counts 0;
     /// once that rank is dropped the same recorder takes the finding.
-    /// Recorders are passed in, never read from the last-run store.
     #[test]
     fn mirroring_skips_a_live_ranks_recorder() {
-        let out = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
+        let out = Cluster::new(ClusterConfig::uniform(2)).try_run(|rank| {
             rank.enable_tracing();
             if rank.rank() == 0 {
                 rank.compute_flops(500_000);
@@ -903,15 +893,15 @@ mod tests {
             } else {
                 let _ = rank.recv_bytes(Some(0), Tag(0));
             }
-            (rank.take_trace(), rank.flight_recorder().clone())
+            rank.take_trace()
         });
-        let (traces, recorders): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+        let (traces, recorders) = (out.results.unwrap(), out.recorders);
         let d = diagnose(&traces);
         assert_eq!(d.findings.len(), 1);
         assert_eq!(d.findings[0].blamed, 0);
 
         let live = Cluster::new(ClusterConfig::uniform(1)).run(|rank| {
-            let own = std::slice::from_ref(rank.flight_recorder());
+            let own = std::slice::from_ref(&rank.recorder);
             assert!(own[0].writer_live());
             let mirrored = mirror_to_recorders(&d, 4, own);
             (

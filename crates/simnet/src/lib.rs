@@ -71,7 +71,7 @@ pub use commmap::{
     render_heatmap, ClusterCommMap, CommMatrix, EpochMatrix, RankCommMap, RankEpoch,
 };
 pub use diagnosis::{
-    check_severity_bound, diagnose, diagnosis_json, diagnosis_report, mirror_to_flight_recorder,
+    check_severity_bound, diagnose, diagnosis_json, diagnosis_report, mirror_to_recorders,
     parse_diagnosis, render_stage_overlap, stage_overlap, Diagnosis, DiagnosisSummary, Finding,
     FindingSummary, StageOverlap, WaitInstance, WaitPattern, ALL_PATTERNS,
 };
@@ -91,12 +91,9 @@ pub use metrics::{
     MetricsSnapshot,
 };
 pub use profile::{imbalance_report, Profiler, StageStats};
-pub use recorder::{
-    clear_dump_hook, dump_on, last_run_dump, last_run_recorders, render_dump, store_last_run,
-    trigger, Anomaly, RankRecorder, RecCode, Recorded, SIDE_RING_SLOTS,
-};
-pub use runtime::{Cluster, ClusterConfig, Rank, SpeedProfile};
-pub use sched::{last_sched_stats, SchedStats, TaskBackend, DEPTH_BUCKETS, MIN_STACK_BYTES};
+pub use recorder::{render_dump, RankRecorder, RecCode, Recorded, SIDE_RING_SLOTS};
+pub use runtime::{last_sched_stats, Cluster, ClusterConfig, Rank, RunOutput, SpeedProfile};
+pub use sched::{ParkedWait, RunError, SchedStats, TaskBackend, DEPTH_BUCKETS, MIN_STACK_BYTES};
 pub use stats::{CostKind, Stats};
 pub use time::{CostModel, SimTime};
 pub use trace::{render_timeline, render_timeline_fit, EventKind, TraceEvent, TIMELINE_GUTTER};

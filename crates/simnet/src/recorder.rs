@@ -1,5 +1,5 @@
 //! Always-on flight recorder: a fixed-capacity ring buffer of recent
-//! events per rank, plus anomaly-triggered dump hooks.
+//! events per rank, rendered as a dump when something goes wrong.
 //!
 //! Tracing ([`crate::trace`]) is opt-in and unbounded; the flight recorder
 //! is the opposite trade: **always on**, bounded, and cheap enough to leave
@@ -16,21 +16,18 @@
 //! touches the simulated clock.
 //!
 //! The single-writer contract holds by construction: a recorder made by
-//! [`crate::Cluster::run`] belongs to its rank until the
+//! [`crate::Cluster::try_run`] belongs to its rank until the
 //! [`crate::Rank`] is dropped (on return or unwind), and post-run writers
-//! ([`crate::diagnosis::mirror_to_flight_recorder`]) skip a recorder whose
+//! ([`crate::diagnosis::mirror_to_recorders`]) skip a recorder whose
 //! rank is still live. Every field is an atomic or behind a lock, so a broken
 //! contract loses records but never memory safety.
 //!
-//! When something goes wrong — a panic inside [`crate::Cluster::run`], a
-//! reference-gate (`--compare`) regression in `ncd-bench`, or a receive
-//! that waited past a configured threshold — the recent window is rendered
-//! with [`render_dump`] and handed to the process-wide hook installed with
-//! [`dump_on`] (default: stderr). The last run's recorders are also parked
-//! in a process global so out-of-runtime code (the bench reference gate)
-//! can grab evidence after the fact via [`last_run_dump`].
+//! A run hands its recorders back in its [`crate::RunOutput`], failed or
+//! not. Whoever holds them renders the recent window with [`render_dump`]:
+//! [`crate::Cluster::run`] writes it to stderr when a rank panics or the
+//! run stalls, and the bench reference gate (`--compare`) appends its own
+//! run's dump to a regression report.
 
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -185,11 +182,11 @@ pub fn fnv1a(s: &str) -> u64 {
 
 /// How many records each side ring keeps. Decisions, drift events and
 /// mirrored diagnosis findings are rare, but the traffic that caused them
-/// evicts them from the main ring long before an anomaly fires; a
+/// evicts them from the main ring long before anything dumps it; a
 /// dedicated ring per such code cannot be evicted by traffic, so a
 /// reference-gate dump always shows which algorithms were active, when
 /// the traffic shifted, and what the post-mortem diagnosis
-/// (`crate::diagnosis::mirror_to_flight_recorder`) blamed.
+/// ([`crate::diagnosis::mirror_to_recorders`]) blamed.
 pub const SIDE_RING_SLOTS: usize = 8;
 
 /// The codes that get a side ring, with the dump heading of each.
@@ -608,75 +605,6 @@ fn render_rank(
             }
         }
     }
-}
-
-/// Why a flight-recorder dump was triggered.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Anomaly {
-    /// A rank's thread panicked inside [`crate::Cluster::run`].
-    Panic { rank: usize },
-    /// A benchmark's reference gate (`--compare`) detected a regression
-    /// (`name` is the benchmark's observatory name).
-    ReferenceRegression { name: String },
-}
-
-impl fmt::Display for Anomaly {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Anomaly::Panic { rank } => write!(f, "panic on rank {rank}"),
-            Anomaly::ReferenceRegression { name } => {
-                write!(f, "reference-gate regression in {name}")
-            }
-        }
-    }
-}
-
-type DumpHook = Box<dyn Fn(&Anomaly, &str) + Send + Sync>;
-
-static DUMP_HOOK: Mutex<Option<DumpHook>> = Mutex::new(None);
-static LAST_RUN: Mutex<Option<Vec<Arc<RankRecorder>>>> = Mutex::new(None);
-
-/// Install a process-wide anomaly hook: `f(anomaly, dump)` is called with
-/// the rendered flight-recorder dump whenever an anomaly fires. Replaces
-/// any previous hook. Without a hook, dumps go to stderr.
-pub fn dump_on(f: impl Fn(&Anomaly, &str) + Send + Sync + 'static) {
-    *DUMP_HOOK.lock().expect("dump hook poisoned") = Some(Box::new(f));
-}
-
-/// Remove the installed anomaly hook (dumps revert to stderr).
-pub fn clear_dump_hook() {
-    *DUMP_HOOK.lock().expect("dump hook poisoned") = None;
-}
-
-/// Fire an anomaly: route the dump to the installed hook, or stderr.
-pub fn trigger(anomaly: &Anomaly, dump: &str) {
-    let hook = DUMP_HOOK.lock().expect("dump hook poisoned");
-    match &*hook {
-        Some(f) => f(anomaly, dump),
-        None => eprintln!("flight recorder: {anomaly}\n{dump}"),
-    }
-}
-
-/// Park a run's recorders so post-run code (the bench reference gate) can
-/// dump them after the cluster has finished. Called by
-/// [`crate::Cluster::run`]; the newest run wins.
-pub fn store_last_run(recorders: Vec<Arc<RankRecorder>>) {
-    *LAST_RUN.lock().expect("last-run store poisoned") = Some(recorders);
-}
-
-/// The most recent run's flight recorders, if any run has happened in
-/// this process. Post-mortem analyses (e.g.
-/// [`crate::diagnosis::mirror_to_flight_recorder`]) use this to attach
-/// findings to the ranks they implicate.
-pub fn last_run_recorders() -> Option<Vec<Arc<RankRecorder>>> {
-    LAST_RUN.lock().expect("last-run store poisoned").clone()
-}
-
-/// Render the most recent run's flight recorders, if any run has happened
-/// in this process.
-pub fn last_run_dump() -> Option<String> {
-    let last = LAST_RUN.lock().expect("last-run store poisoned");
-    last.as_ref().map(|recs| render_dump(recs))
 }
 
 #[cfg(test)]

@@ -1,15 +1,17 @@
 //! The cluster runtime: ranks as scheduled tasks over simulated time.
 //!
-//! [`Cluster::run`] hands every rank a [`Rank`] handle — its identity, its
-//! simulated clock, its side of the scheduler and the cost model — and runs
-//! all of them to completion. All communication is real (bytes move from
-//! the sender into the receiver's mailbox); all timing is simulated (see
-//! the crate docs for the rationale). Every rank is a resumable task driven
-//! by the deterministic event scheduler in [`crate::sched`]: fiber context
+//! [`Cluster::try_run`] hands every rank a [`Rank`] handle — its identity,
+//! its simulated clock, its side of the scheduler and the cost model — runs
+//! all of them to completion and returns everything the run produced as a
+//! [`RunOutput`]. All communication is real (bytes move from the sender
+//! into the receiver's mailbox); all timing is simulated (see the crate
+//! docs for the rationale). Every rank is a resumable task driven by the
+//! deterministic event scheduler in [`crate::sched`]: fiber context
 //! switches instead of kernel ones, park/unpark on the simulated clock.
 //! This is what lets N=1024 sweeps run in CI smoke time.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
@@ -21,8 +23,10 @@ use crate::knobs::{CostKnobs, ResolvedKnobs};
 use crate::mailbox::{NetMsg, Tag};
 use crate::metrics::MetricsRegistry;
 use crate::profile::Profiler;
-use crate::recorder::{self, Anomaly, RankRecorder};
-use crate::sched::{self, EventCtl, EventHandle, Stacks, Task, TaskBackend, TaskShared};
+use crate::recorder::{render_dump, RankRecorder};
+use crate::sched::{
+    self, EventCtl, EventHandle, RunError, SchedStats, Stacks, Task, TaskBackend, TaskShared,
+};
 use crate::stats::{CostKind, Stats};
 use crate::time::{CostModel, SimTime};
 use crate::trace::{EventKind, TraceEvent};
@@ -217,28 +221,25 @@ impl Cluster {
         }
     }
 
-    /// Run `f` on every rank concurrently (SPMD style) and collect the
-    /// per-rank return values, indexed by rank.
+    /// Run `f` on every rank concurrently (SPMD style): the per-rank
+    /// return values, indexed by rank, or why the run stopped.
     ///
     /// Every rank is a resumable task; one scheduler drives them in
     /// simulated-time order (see [`crate::sched`] for the event loop and
-    /// the park/unpark protocol). Panics in any rank propagate after
-    /// every other rank has been run as far as it can go, with a
-    /// flight-recorder dump triggered for the lowest-numbered panicking
-    /// rank.
-    pub fn run<R, F>(&self, f: F) -> Vec<R>
+    /// the park/unpark protocol). A failed run still runs every other
+    /// rank as far as it can go, and still returns its survey and its
+    /// recorders.
+    pub fn try_run<R, F>(&self, f: F) -> RunOutput<R>
     where
         R: Send,
         F: Fn(&mut Rank) -> R + Send + Sync,
     {
         let n = self.cfg.n_ranks;
-        // Recorders are parked in the process global immediately, so
-        // evidence survives even if a rank panics before the run
-        // completes; each is owned by its rank until that `Rank` drops.
+        // Each recorder is owned by its rank until that `Rank` drops, and
+        // returned on every path: a failed run's recorders are its evidence.
         let recorders: Vec<Arc<RankRecorder>> = (0..n)
             .map(|r| Arc::new(RankRecorder::owned_by_rank(r, self.cfg.recorder_capacity)))
             .collect();
-        recorder::store_last_run(recorders.clone());
         let ctl = Arc::new(EventCtl::new(n));
         let task_backend = self
             .cfg
@@ -265,24 +266,77 @@ impl Cluster {
             // those borrows expire, and before `stacks`, below.
             tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, rank_id) });
         }
-        let outcome = sched::drive(&ctl, &mut tasks, self.cfg.sched_tie_seed);
+        let (outcome, sched) = sched::drive(&ctl, &mut tasks, self.cfg.sched_tie_seed);
         drop(tasks);
-        match outcome {
-            Ok(()) => results
+        let results = outcome.map(|()| {
+            results
                 .into_iter()
                 .map(|slot| {
                     slot.into_inner()
                         .unwrap_or_else(|e| e.into_inner())
                         .expect("finished rank left no result")
                 })
-                .collect(),
-            Err(p) => {
-                let dump = recorder::render_dump(&recorders);
-                recorder::trigger(&Anomaly::Panic { rank: p.rank }, &dump);
-                std::panic::resume_unwind(p.payload)
-            }
+                .collect()
+        });
+        RunOutput {
+            results,
+            sched,
+            recorders,
         }
     }
+
+    /// [`Cluster::try_run`], failing loudly: a failed run is
+    /// [`RunError::raise`]d. The run's survey is kept for
+    /// [`last_sched_stats`] on this thread.
+    pub fn run<R, F>(&self, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&mut Rank) -> R + Send + Sync,
+    {
+        let out = self.try_run(f);
+        LAST_SCHED_STATS.set(Some(out.sched));
+        out.results.unwrap_or_else(|err| err.raise(&out.recorders))
+    }
+}
+
+/// Everything one cluster run produced, whether it completed or not.
+pub struct RunOutput<R> {
+    /// Each rank's return value, indexed by rank, or why the run stopped.
+    pub results: Result<Vec<R>, RunError>,
+    /// The scheduler's survey of the run.
+    pub sched: SchedStats,
+    /// Every rank's flight recorder, indexed by rank; each rank has
+    /// released its recorder once its program returned or unwound.
+    pub recorders: Vec<Arc<RankRecorder>>,
+}
+
+impl RunError {
+    /// Fail loudly, as [`Cluster::run`] does: write the flight-recorder
+    /// dump of the failed run's `recorders` to stderr, then re-raise a
+    /// rank's own panic with its payload, or panic with this error's text.
+    pub fn raise(self, recorders: &[Arc<RankRecorder>]) -> ! {
+        eprintln!(
+            "flight recorder: panic on rank {}\n{}",
+            self.rank(),
+            render_dump(recorders)
+        );
+        match self {
+            RunError::RankPanicked { payload, .. } => std::panic::resume_unwind(payload),
+            err => panic!("{err}"),
+        }
+    }
+}
+
+thread_local! {
+    /// The survey of the last [`Cluster::run`] on this thread.
+    static LAST_SCHED_STATS: RefCell<Option<SchedStats>> = const { RefCell::new(None) };
+}
+
+/// The scheduler survey of the most recent [`Cluster::run`] on the
+/// calling thread; `None` before the first. For callers that hold only
+/// `run`'s results — [`Cluster::try_run`] returns the survey with them.
+pub fn last_sched_stats() -> Option<SchedStats> {
+    LAST_SCHED_STATS.with_borrow(Option::clone)
 }
 
 /// Handle given to each rank's task: identity, clock, network, stats —
@@ -313,10 +367,9 @@ pub struct Rank {
     trace: Option<Vec<TraceEvent>>,
     metrics: Option<MetricsRegistry>,
     profiler: Option<Profiler>,
-    /// Always-on flight recorder (shared with [`Cluster::run`] and the
-    /// process-wide last-run store; see [`crate::recorder`]). This rank
-    /// is its only writer until dropped.
-    recorder: Arc<RankRecorder>,
+    /// Always-on flight recorder (shared with the run's [`RunOutput`]; see
+    /// [`crate::recorder`]). This rank is its only writer until dropped.
+    pub(crate) recorder: Arc<RankRecorder>,
     /// Communication-topology map (see [`crate::commmap`]).
     commmap: Option<RankCommMap>,
     /// Epoch time-series history (see [`crate::history`]): each closed
@@ -458,11 +511,6 @@ impl Rank {
         let r = f(self);
         self.stage_end(name);
         r
-    }
-
-    /// This rank's always-on flight recorder.
-    pub fn flight_recorder(&self) -> &Arc<RankRecorder> {
-        &self.recorder
     }
 
     /// Start accumulating the communication-topology map (see
@@ -667,7 +715,15 @@ impl Rank {
             arrival,
             seq,
         };
-        self.sched.post(dst, msg);
+        // A send to a rank whose program has returned is an error in the
+        // program being simulated, reported on the sender.
+        let delivered = self.sched.post(dst, msg);
+        assert!(
+            delivered,
+            "destination rank {dst} hung up: rank {} sent it tag {} ctx {context} \
+             after its program returned",
+            self.rank, tag.0
+        );
     }
 
     /// Blockingly receive a message matching `(src, tag)`; returns the
@@ -1000,13 +1056,9 @@ mod tests {
         });
     }
 
-    /// The dump hook is process-global; tests that install one, or that
-    /// trigger an anomaly a hook would see, must not overlap.
-    static HOOK_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn flight_recorder_is_always_on() {
-        let out = Cluster::new(ClusterConfig::uniform(2)).run(|r| {
+        let out = Cluster::new(ClusterConfig::uniform(2)).try_run(|r| {
             // No tracing, no metrics: the recorder still sees traffic.
             if r.rank() == 0 {
                 r.send_bytes(1, Tag(0), vec![0u8; 64]);
@@ -1014,13 +1066,10 @@ mod tests {
                 let _ = r.recv_bytes(Some(0), Tag(0));
             }
             r.trace_mark("done");
-            (r.flight_recorder().recorded(), r.flight_recorder().clone())
+            r.recorder.recorded()
         });
-        // Rendered from the run's own recorders: the process-wide
-        // last-run store belongs to whichever parallel test ran last.
-        let (counts, recorders): (Vec<_>, Vec<_>) = out.into_iter().unzip();
-        assert_eq!(counts, vec![2, 2]); // send+mark / recv+mark
-        let dump = crate::recorder::render_dump(&recorders);
+        assert_eq!(out.results.unwrap(), vec![2, 2]); // send+mark / recv+mark
+        let dump = render_dump(&out.recorders);
         assert!(dump.contains("send       dst=1 bytes=64"), "{dump}");
         assert!(dump.contains("recv       src=0 bytes=64"), "{dump}");
         assert!(dump.contains("mark       done"), "{dump}");
@@ -1029,7 +1078,7 @@ mod tests {
     #[test]
     fn recorder_capacity_is_configurable() {
         let caps = Cluster::new(ClusterConfig::uniform(1).with_recorder_capacity(32))
-            .run(|r| r.flight_recorder().capacity());
+            .run(|r| r.recorder.capacity());
         assert_eq!(caps, vec![32]);
     }
 
@@ -1039,53 +1088,52 @@ mod tests {
         Cluster::new(ClusterConfig::uniform(1).with_recorder_capacity(MAX_RECORDER_CAPACITY + 1));
     }
 
+    /// A failed run's recorders are returned with its error: the victim's
+    /// last send is in them, and every rank, panicked or poisoned, has
+    /// released its recorder.
     #[test]
-    fn panic_in_rank_triggers_dump_hook() {
-        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        let seen: Arc<std::sync::Mutex<Vec<(String, String)>>> = Arc::default();
-        let sink = seen.clone();
-        crate::recorder::dump_on(move |anomaly, dump| {
-            sink.lock()
-                .unwrap()
-                .push((anomaly.to_string(), dump.to_string()));
+    fn a_panicking_runs_recorders_hold_the_victims_last_send() {
+        let out = Cluster::new(ClusterConfig::uniform(2)).try_run(|r| {
+            assert!(r.recorder.writer_live());
+            if r.rank() == 1 {
+                r.send_bytes(0, Tag(0), vec![1, 2, 3]);
+                panic!("rank 1 exploded");
+            }
+            let _ = r.recv_bytes(Some(1), Tag(0));
+            let _ = r.recv_bytes(Some(1), Tag(1));
         });
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Cluster::new(ClusterConfig::uniform(2)).run(|r| {
-                if r.rank() == 1 {
-                    r.send_bytes(0, Tag(0), vec![1, 2, 3]);
-                    panic!("rank 1 exploded");
-                }
-                let _ = r.recv_bytes(Some(1), Tag(0));
-            });
-        }));
-        crate::recorder::clear_dump_hook();
-        assert!(result.is_err(), "panic must propagate");
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0].0, "panic on rank 1");
-        assert!(
-            seen[0].1.contains("send       dst=0 bytes=3"),
-            "{}",
-            seen[0].1
-        );
+        let err = out.results.expect_err("rank 1 panicked");
+        assert_eq!((err.rank(), err.to_string()), (1, "rank 1 exploded".into()));
+        let dump = render_dump(&out.recorders);
+        assert!(dump.contains("send       dst=0 bytes=3"), "{dump}");
+        assert!(out.recorders.iter().all(|rec| !rec.writer_live()));
+        assert_eq!(out.sched.tasks, 2);
     }
 
     #[test]
     fn an_unwinding_rank_releases_its_recorder() {
-        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        crate::recorder::dump_on(|_, _| {});
-        let held: std::sync::Mutex<Option<Arc<RankRecorder>>> = Default::default();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Cluster::new(ClusterConfig::uniform(1)).run(|r| {
-                *held.lock().unwrap() = Some(r.flight_recorder().clone());
-                assert!(r.flight_recorder().writer_live());
-                panic!("rank 0 exploded");
-            });
-        }));
-        crate::recorder::clear_dump_hook();
-        assert!(result.is_err(), "panic must propagate");
-        let held = held.into_inner().unwrap().expect("the rank ran");
-        assert!(!held.writer_live());
+        let out = Cluster::new(ClusterConfig::uniform(1)).try_run(|r| {
+            assert!(r.recorder.writer_live());
+            panic!("rank 0 exploded");
+        });
+        assert!(out.results.is_err(), "the panic is the run's outcome");
+        assert!(!out.recorders[0].writer_live());
+    }
+
+    /// A rank's own panic keeps its rank and its payload, whatever type
+    /// the payload has.
+    #[test]
+    fn a_rank_panic_keeps_its_rank_and_payload() {
+        let out = Cluster::new(ClusterConfig::uniform(3)).try_run(|r| {
+            if r.rank() >= 1 {
+                std::panic::panic_any(r.rank() as u64 * 10);
+            }
+        });
+        let Err(RunError::RankPanicked { rank, payload }) = out.results else {
+            panic!("not a rank panic");
+        };
+        assert_eq!(rank, 1, "the lowest panicking rank");
+        assert_eq!(payload.downcast_ref::<u64>(), Some(&10));
     }
 
     fn pack_block(index: u64, sparse: bool, seek: u64) -> EventKind {
@@ -1101,21 +1149,21 @@ mod tests {
 
     #[test]
     fn record_feeds_the_recorder_and_the_trace_with_the_span_since_start() {
-        let out = Cluster::new(ClusterConfig::uniform(1)).run(|r| {
+        let out = Cluster::new(ClusterConfig::uniform(1)).try_run(|r| {
             r.enable_tracing();
             let t0 = r.now();
             r.charge_search(10);
             r.record(t0, pack_block(0, true, 10));
             r.record(r.now(), pack_block(1, false, 0));
-            (r.take_trace(), r.now(), r.flight_recorder().clone())
+            (r.take_trace(), r.now())
         });
-        let (trace, now, recorder) = &out[0];
+        let (trace, now) = &out.results.unwrap()[0];
         let kinds: Vec<_> = trace.iter().map(|e| e.kind.clone()).collect();
         assert_eq!(kinds, [pack_block(0, true, 10), pack_block(1, false, 0)]);
         assert_eq!((trace[0].start, trace[0].end), (SimTime::ZERO, *now));
         assert!(trace[0].end > trace[0].start, "span covers the charge");
         assert_eq!(trace[1].duration(), SimTime::ZERO);
-        let dump = crate::recorder::render_dump(std::slice::from_ref(recorder));
+        let dump = render_dump(&out.recorders);
         assert!(
             dump.contains(
                 "pack-block engine=single-context index=0 sparse seek=10 lookahead=4 bytes=48"
@@ -1136,7 +1184,7 @@ mod tests {
             r.record(r.now(), pack_block(0, true, 0));
             r.stage("solve", |r| r.compute_flops(100));
             r.comm_epoch("allgatherv/ring");
-            assert_eq!(r.flight_recorder().recorded(), 3);
+            assert_eq!(r.recorder.recorded(), 3);
             // Taking from an absent observer answers empty...
             assert!(r.take_trace().is_empty());
             assert!(r.take_metrics().is_empty());
@@ -1229,7 +1277,7 @@ mod tests {
 
     #[test]
     fn send_drain_and_irecv_post_hit_recorder_and_trace() {
-        let out = Cluster::new(ClusterConfig::uniform(2)).run(|r| {
+        let run = Cluster::new(ClusterConfig::uniform(2)).try_run(|r| {
             r.enable_tracing();
             if r.rank() == 0 {
                 let done = r.isend_bytes_ctx(1, Tag(0), 0, vec![0u8; 4096]);
@@ -1243,9 +1291,9 @@ mod tests {
                 let msg = r.fetch_msg_ctx(Some(0), Tag(0), 0);
                 let _ = r.complete_recv_msg(msg);
             }
-            (r.take_trace(), r.flight_recorder().clone())
+            r.take_trace()
         });
-        let (out, recorders): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+        let out = run.results.unwrap();
         assert!(out[0].iter().any(
             |e| matches!(e.kind, EventKind::SendWait { residual } if residual > SimTime::ZERO)
         ));
@@ -1256,7 +1304,7 @@ mod tests {
                 tag: 0
             }
         )));
-        let dump = crate::recorder::render_dump(&recorders);
+        let dump = render_dump(&run.recorders);
         assert!(dump.contains("send-wait  residual_ns="), "{dump}");
         assert!(dump.contains("irecv      src=0 tag=0"), "{dump}");
     }
@@ -1309,7 +1357,6 @@ mod tests {
     /// waits on.
     #[test]
     fn event_backend_detects_deadlock() {
-        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let res = std::panic::catch_unwind(|| {
             Cluster::new(ClusterConfig::uniform(2)).run(|r| {
                 let peer = 1 - r.rank();
@@ -1329,7 +1376,6 @@ mod tests {
     /// in the simulated program, reported on the sender.
     #[test]
     fn send_to_finished_rank_panics() {
-        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let res = std::panic::catch_unwind(|| {
             Cluster::new(ClusterConfig::uniform(2)).run(|r| {
                 if r.rank() == 0 {
@@ -1346,11 +1392,33 @@ mod tests {
         assert!(msg.contains("hung up"), "unexpected message: {msg}");
     }
 
+    /// The same send, as data: the sender's panic names both parties and
+    /// the tag.
+    #[test]
+    fn a_send_to_a_finished_rank_names_the_sender_destination_and_tag() {
+        let out = Cluster::new(ClusterConfig::uniform(2)).try_run(|r| {
+            if r.rank() == 0 {
+                let _ = r.recv_bytes(Some(1), Tag(0));
+                r.send_bytes(1, Tag(5), vec![1]);
+            } else {
+                r.send_bytes(0, Tag(0), vec![1]);
+            }
+        });
+        let err = out.results.expect_err("rank 1 has returned");
+        assert!(
+            matches!(err, RunError::RankPanicked { rank: 0, .. }),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "destination rank 1 hung up: rank 0 sent it tag 5 ctx 0 after its program returned"
+        );
+    }
+
     /// A rank that exits while a peer still waits on it is reported as a
     /// disconnect, not as a deadlock.
     #[test]
     fn event_backend_reports_peer_disconnect() {
-        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let res = std::panic::catch_unwind(|| {
             Cluster::new(ClusterConfig::uniform(2)).run(|r| {
                 if r.rank() == 0 {
@@ -1364,5 +1432,99 @@ mod tests {
             msg,
             "peer rank disconnected while a receive was pending; rank 0 waits on src 1 tag 0 ctx 0"
         );
+    }
+
+    /// Each rank of a three-rank ring first receives from its right
+    /// neighbour: the wait-for cycle is the whole ring.
+    #[test]
+    fn a_ring_deadlock_yields_its_wait_for_cycle() {
+        let out = Cluster::new(ClusterConfig::uniform(3)).try_run(|r| {
+            let right = (r.rank() + 1) % r.size();
+            let _ = r.recv_bytes(Some(right), Tag(4));
+        });
+        let Err(RunError::Deadlock { waits, cycle }) = out.results else {
+            panic!("not a deadlock");
+        };
+        assert_eq!(cycle, [0, 1, 2]);
+        let edges: Vec<_> = waits.iter().map(|w| (w.rank, w.src, w.tag)).collect();
+        assert_eq!(
+            edges,
+            [
+                (0, Some(1), Tag(4)),
+                (1, Some(2), Tag(4)),
+                (2, Some(0), Tag(4))
+            ]
+        );
+    }
+
+    #[test]
+    fn a_disconnect_yields_the_orphaned_wait() {
+        let out = Cluster::new(ClusterConfig::uniform(2)).try_run(|r| {
+            if r.rank() == 0 {
+                let _ = r.recv_bytes(Some(1), Tag(0));
+            }
+        });
+        let Err(RunError::Disconnected { waits }) = out.results else {
+            panic!("not a disconnect");
+        };
+        let wait = crate::sched::ParkedWait {
+            rank: 0,
+            src: Some(1),
+            tag: Tag(0),
+            context: 0,
+        };
+        assert_eq!(waits, [wait]);
+    }
+
+    /// One token passed once around the ring of all ranks.
+    fn pass_token(r: &mut Rank) -> usize {
+        let (me, n) = (r.rank(), r.size());
+        if me > 0 {
+            let _ = r.recv_bytes(Some(me - 1), Tag(0));
+        }
+        r.send_bytes((me + 1) % n, Tag(0), vec![me as u8]);
+        if me == 0 {
+            let _ = r.recv_bytes(Some(n - 1), Tag(0));
+        }
+        me
+    }
+
+    fn token_ring(n: usize) -> RunOutput<usize> {
+        Cluster::new(ClusterConfig::uniform(n)).try_run(pass_token)
+    }
+
+    /// Runs on two OS threads at once each see their own survey, in the
+    /// output and in the thread's `last_sched_stats`.
+    #[test]
+    fn concurrent_runs_on_two_threads_keep_their_own_stats() {
+        let threads: Vec<_> = [3usize, 5]
+            .into_iter()
+            .map(|n| {
+                std::thread::spawn(move || {
+                    for _ in 0..20 {
+                        assert_eq!(token_ring(n).sched.tasks, n);
+                        Cluster::new(ClusterConfig::uniform(n)).run(pass_token);
+                        assert_eq!(last_sched_stats().map(|s| s.tasks), Some(n));
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("a thread's runs saw another's stats");
+        }
+    }
+
+    /// `run` keeps its survey for the thread it ran on, and only there.
+    #[test]
+    fn last_sched_stats_on_a_fresh_thread_is_that_threads_run() {
+        let expected = token_ring(4).sched;
+        let seen = std::thread::spawn(|| {
+            assert_eq!(last_sched_stats(), None, "no run on this thread yet");
+            Cluster::new(ClusterConfig::uniform(4)).run(pass_token);
+            last_sched_stats()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(seen, Some(expected));
     }
 }

@@ -45,16 +45,17 @@
 //! Because only a post wakes a parked rank, and only a running rank
 //! posts, an empty ready queue with a rank still live *is* a deadlock:
 //! nothing can ever run again. The scheduler names it instead of
-//! hanging — each parked rank with the pattern it waits on, its edge in
-//! the wait-for graph — then *poisons* the run: every parked rank's
-//! next park panics (unwinding its fiber so stacks and results drop
-//! cleanly), and the first panic in rank order is reported, so the
+//! hanging — a [`RunError`] holding each parked rank's [`ParkedWait`],
+//! its edge in the wait-for graph — then *poisons* the run: every parked
+//! rank's next park panics, unwinding its fiber so stacks and results
+//! drop cleanly. A rank's own panic outranks the stall it caused, and
+//! the lowest-numbered panicking rank is the one reported, so the
 //! failure is attributed to the same rank on every run.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::collections::BTreeSet;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -82,18 +83,21 @@ const MAX_DRAIN_RESUMES: u32 = 16;
 // Park/unpark protocol shared between ranks and the scheduler
 // ---------------------------------------------------------------------------
 
-/// What a parked rank is waiting for — the `(src, tag, context)` of its
-/// receive, matched against envelopes by [`NetMsg::matches`].
+/// A parked rank's edge in the wait-for graph: `rank` waits in a
+/// receive for an envelope matching `(src, tag, context)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct MatchPat {
-    src: Option<usize>,
-    tag: Tag,
-    context: u32,
+pub struct ParkedWait {
+    pub rank: usize,
+    /// `None` = any source.
+    pub src: Option<usize>,
+    pub tag: Tag,
+    pub context: u32,
 }
 
-impl fmt::Display for MatchPat {
-    /// `src 1 tag 0 ctx 0`; wildcards print as `any`.
+impl fmt::Display for ParkedWait {
+    /// `rank 0 waits on src 1 tag 0 ctx 0`; wildcards print as `any`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "rank {} waits on ", self.rank)?;
         match self.src {
             Some(src) => write!(f, "src {src}")?,
             None => f.write_str("src any")?,
@@ -106,6 +110,89 @@ impl fmt::Display for MatchPat {
     }
 }
 
+/// Why a cluster run did not complete — what [`crate::Cluster::try_run`]
+/// returns in place of the results. `Display` is the text
+/// [`crate::Cluster::run`] panics with.
+pub enum RunError {
+    /// The lowest-numbered rank whose program panicked, with its panic
+    /// payload. It outranks any stall the panic left behind.
+    RankPanicked {
+        rank: usize,
+        payload: Box<dyn Any + Send>,
+    },
+    /// Every live rank is parked and no message can arrive. `waits` holds
+    /// each parked rank's edge in rank order; `cycle` is the wait-for
+    /// cycle reached from the lowest parked rank along specific-source
+    /// edges, empty when a wildcard receive breaks the chain.
+    Deadlock {
+        waits: Vec<ParkedWait>,
+        cycle: Vec<usize>,
+    },
+    /// A rank finished while others were still parked, perhaps on it.
+    Disconnected { waits: Vec<ParkedWait> },
+}
+
+impl RunError {
+    /// The rank the failure is attributed to: the panicking rank, else
+    /// the lowest parked one.
+    pub fn rank(&self) -> usize {
+        match self {
+            RunError::RankPanicked { rank, .. } => *rank,
+            RunError::Deadlock { waits, .. } | RunError::Disconnected { waits } => {
+                waits.first().map_or(0, |w| w.rank)
+            }
+        }
+    }
+}
+
+impl fmt::Display for RunError {
+    /// A panic's own message; a stall's kind, then each parked rank's
+    /// wait, the first eight by name and the rest counted.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let waits = match self {
+            RunError::RankPanicked { rank, payload } => {
+                return match (
+                    payload.downcast_ref::<String>(),
+                    payload.downcast_ref::<&str>(),
+                ) {
+                    (Some(text), _) => f.write_str(text),
+                    (None, Some(text)) => f.write_str(text),
+                    (None, None) => write!(f, "rank {rank} panicked"),
+                };
+            }
+            RunError::Deadlock { waits, .. } => {
+                f.write_str("simulated deadlock: every rank is parked and no message can arrive")?;
+                waits
+            }
+            RunError::Disconnected { waits } => {
+                f.write_str("peer rank disconnected while a receive was pending")?;
+                waits
+            }
+        };
+        for (i, wait) in waits.iter().take(STALL_NAMED_RANKS).enumerate() {
+            let sep = if i == 0 { "; " } else { ", " };
+            write!(f, "{sep}{wait}")?;
+        }
+        if waits.len() > STALL_NAMED_RANKS {
+            write!(f, ", and {} more", waits.len() - STALL_NAMED_RANKS)?;
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Debug for RunError {
+    /// The text, naming the failing rank; a deadlock adds its cycle.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "run failed on rank {}: {self}", self.rank())?;
+        match self {
+            RunError::Deadlock { cycle, .. } => write!(f, " (cycle {cycle:?})"),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
 /// Scheduler-visible state of one rank.
 #[derive(Clone, Copy, Debug)]
 enum Slot {
@@ -113,7 +200,7 @@ enum Slot {
     Runnable,
     /// Parked in a blocking receive: wake only on a matching post (or
     /// poison).
-    Blocked { pat: MatchPat, at: SimTime },
+    Blocked { wait: ParkedWait, at: SimTime },
     /// The rank's program returned or panicked; a send to it is an
     /// error in the program being simulated.
     Finished,
@@ -219,12 +306,18 @@ impl EventHandle {
     /// Park in a blocking receive until an envelope matching
     /// `(src, tag, context)` is posted (the caller re-checks its mailbox
     /// on return and parks again on a false wake).
+    #[inline]
     pub(crate) fn park_blocked(&self, src: Option<usize>, tag: Tag, context: u32, at: SimTime) {
-        let pat = MatchPat { src, tag, context };
+        let wait = ParkedWait {
+            rank: self.rank,
+            src,
+            tag,
+            context,
+        };
         let poison = self.ctl.with(|inner| {
             if inner.poison.is_none() {
                 inner.parks_blocked += 1;
-                inner.slots[self.rank] = Slot::Blocked { pat, at };
+                inner.slots[self.rank] = Slot::Blocked { wait, at };
             }
             inner.poison.clone()
         });
@@ -245,13 +338,15 @@ impl EventHandle {
     /// block. Only one rank runs at a time, so nothing can change the
     /// destination's slot between this post and the scheduler's next
     /// decision. A self-send only queues: a running rank is not parked.
-    pub(crate) fn post(&self, dst: usize, msg: NetMsg) {
-        let delivered = self.ctl.with(|inner| {
+    /// Returns `false`, delivering nothing, when `dst` has finished.
+    #[inline]
+    pub(crate) fn post(&self, dst: usize, msg: NetMsg) -> bool {
+        self.ctl.with(|inner| {
             if matches!(inner.slots[dst], Slot::Finished) {
                 return false;
             }
-            if let Slot::Blocked { pat, at } = inner.slots[dst] {
-                if msg.matches(pat.src, pat.tag, pat.context) {
+            if let Slot::Blocked { wait, at } = inner.slots[dst] {
+                if msg.matches(wait.src, wait.tag, wait.context) {
                     inner.slots[dst] = Slot::Runnable;
                     inner.ready.insert((at, dst));
                     inner.deposit_wakes += 1;
@@ -259,10 +354,7 @@ impl EventHandle {
             }
             inner.mailboxes[dst].push(msg);
             true
-        });
-        if !delivered {
-            panic!("destination rank hung up");
-        }
+        })
     }
 
     /// Run `f` on this rank's mailbox, inside the control block (so `f`
@@ -378,35 +470,13 @@ impl SchedStats {
     }
 }
 
-/// Stats of the most recent [`drive`] in this process, published for
-/// [`last_sched_stats`] whether the run succeeded or stalled.
-static LAST_SCHED_STATS: Mutex<Option<SchedStats>> = Mutex::new(None);
-
-/// Introspection snapshot of the most recent cluster run
-/// (process-global; `None` before the first such run). Benches read
-/// this right after a cluster run to report scheduler behaviour —
-/// concurrent runs race on it, so it is a reporting aid, not an API
-/// for correctness logic.
-pub fn last_sched_stats() -> Option<SchedStats> {
-    LAST_SCHED_STATS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-}
-
 // ---------------------------------------------------------------------------
 // The scheduler loop
 // ---------------------------------------------------------------------------
 
-/// Why a driven run did not complete cleanly.
-pub(crate) struct RankPanic {
-    /// Lowest-numbered rank whose task panicked, so the failure is
-    /// attributed to the same rank on every run.
-    pub rank: usize,
-    pub payload: Box<dyn Any + Send>,
-}
-
-/// Run every task to completion under the deterministic event loop.
+/// Run every task to completion under the deterministic event loop, and
+/// survey the run whether it completed or not. The lowest-numbered
+/// rank's own panic is the run's error; failing that, a stall.
 ///
 /// `tie_seed` perturbs which of several ready ranks with *equal*
 /// simulated park time runs first — `None` breaks ties by rank id.
@@ -416,60 +486,22 @@ pub(crate) fn drive(
     ctl: &EventCtl,
     tasks: &mut [Task],
     tie_seed: Option<u64>,
-) -> Result<(), RankPanic> {
-    let (result, stats) = drive_with_stats(ctl, tasks, tie_seed);
-    *LAST_SCHED_STATS.lock().unwrap_or_else(|e| e.into_inner()) = Some(stats);
-    result
-}
-
-/// [`drive`], also returning the introspection survey of the run
-/// directly (the global [`last_sched_stats`] snapshot can be raced by
-/// concurrent runs; this cannot).
-pub(crate) fn drive_with_stats(
-    ctl: &EventCtl,
-    tasks: &mut [Task],
-    tie_seed: Option<u64>,
-) -> (Result<(), RankPanic>, SchedStats) {
+) -> (Result<(), RunError>, SchedStats) {
     let mut stats = SchedStats {
         tasks: tasks.len(),
         backend: tasks.first().map_or("", |t| t.backend().label()),
         ..SchedStats::default()
     };
-    let result = drive_loop(ctl, tasks, tie_seed, &mut stats);
-    ctl.with(|inner| {
-        stats.parks_blocked = inner.parks_blocked;
-        stats.deposit_wakes = inner.deposit_wakes;
-    });
-    (result, stats)
-}
-
-fn drive_loop(
-    ctl: &EventCtl,
-    tasks: &mut [Task],
-    tie_seed: Option<u64>,
-    stats: &mut SchedStats,
-) -> Result<(), RankPanic> {
-    let n = tasks.len();
     let mut n_finished = 0usize;
     let mut panics: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
     let mut tie_rng = tie_seed.map(StdRng::seed_from_u64);
 
-    loop {
-        // One visit to the control block per decision: pop the next
-        // rank and the queue depth it was popped at.
-        let next = ctl.with(|inner| {
-            let depth = inner.ready.len();
-            pop_min(&mut inner.ready, &mut tie_rng).map(|r| (r, depth))
-        });
-        let Some((r, depth)) = next else {
-            // The queue is dry. Only a running rank posts, so no parked
-            // rank can ever wake: the run is over, or stuck.
-            if n_finished == n {
-                break;
-            }
-            return stall(ctl, tasks, panics);
-        };
-
+    // One visit to the control block per decision: pop the next rank and
+    // the queue depth it was popped at.
+    while let Some((r, depth)) = ctl.with(|inner| {
+        let depth = inner.ready.len();
+        pop_min(&mut inner.ready, &mut tie_rng).map(|r| (r, depth))
+    }) {
         // The switch happens outside `with`: the resumed rank enters the
         // control block on every mailbox operation.
         stats.resumes += 1;
@@ -479,88 +511,75 @@ fn drive_loop(
         if tasks[r].is_done() {
             ctl.with(|inner| inner.slots[r] = Slot::Finished);
             n_finished += 1;
-            if let Some(p) = tasks[r].take_panic() {
-                panics.push((r, p));
-            }
+            panics.extend(tasks[r].take_panic().map(|p| (r, p)));
         }
     }
-
-    match min_rank_panic(panics) {
-        Some(p) => Err(p),
-        None => Ok(()),
-    }
+    // The queue is dry. Only a running rank posts, so no parked rank can
+    // ever wake: the run is over, or stuck.
+    let stalled = (n_finished < tasks.len()).then(|| stall(ctl, tasks));
+    ctl.with(|inner| {
+        stats.parks_blocked = inner.parks_blocked;
+        stats.deposit_wakes = inner.deposit_wakes;
+    });
+    let panicked = panics.into_iter().min_by_key(|(r, _)| *r);
+    let err = panicked.map(|(rank, payload)| RunError::RankPanicked { rank, payload });
+    (err.or(stalled).map_or(Ok(()), Err), stats)
 }
 
-/// The run can make no further progress. Poison and unwind every live
-/// rank, then propagate the most meaningful panic: a rank's own panic
-/// if one happened (the stall is its consequence), else the induced
-/// deadlock report of the lowest parked rank.
-fn stall(
-    ctl: &EventCtl,
-    tasks: &mut [Task],
-    mut panics: Vec<(usize, Box<dyn Any + Send>)>,
-) -> Result<(), RankPanic> {
-    let had_panic = !panics.is_empty();
-    let msg = ctl.with(|inner| {
-        let msg = stall_report(&inner.slots);
-        inner.poison = Some(msg.clone());
-        msg
+/// The run can make no further progress: name the stall, then poison
+/// and unwind every live rank.
+fn stall(ctl: &EventCtl, tasks: &mut [Task]) -> RunError {
+    let err = ctl.with(|inner| {
+        let err = stall_error(&inner.slots);
+        inner.poison = Some(err.to_string());
+        err
     });
-    let mut induced: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
-    for (r, task) in tasks.iter_mut().enumerate() {
+    for task in tasks.iter_mut() {
         let mut tries = 0;
         while !task.is_done() && tries < MAX_DRAIN_RESUMES {
             task.resume();
             tries += 1;
         }
-        if task.is_done() {
-            if let Some(p) = task.take_panic() {
-                induced.push((r, p));
-            }
-        }
     }
-    if !had_panic {
-        panics = induced;
-    }
-    Err(min_rank_panic(panics).unwrap_or_else(|| RankPanic {
-        rank: 0,
-        payload: Box::new(msg),
-    }))
+    err
 }
 
-/// Why the run is stuck, with each parked rank's wait-for edge: the
-/// pattern it waits on. A finished peer makes it a disconnect (the
-/// parked ranks may wait on it in vain), otherwise every live rank is
-/// parked and it is a deadlock.
-fn stall_report(slots: &[Slot]) -> String {
-    let mut msg = if slots.iter().any(|s| matches!(s, Slot::Finished)) {
-        String::from("peer rank disconnected while a receive was pending")
-    } else {
-        String::from("simulated deadlock: every rank is parked and no message can arrive")
-    };
-    let waits: Vec<(usize, MatchPat)> = slots
+/// Why the run is stuck, with each parked rank's wait-for edge. A
+/// finished peer makes it a disconnect (the parked ranks may wait on it
+/// in vain), otherwise every live rank is parked and it is a deadlock.
+fn stall_error(slots: &[Slot]) -> RunError {
+    let waits = slots
         .iter()
-        .enumerate()
-        .filter_map(|(rank, s)| match s {
-            Slot::Blocked { pat, .. } => Some((rank, *pat)),
+        .filter_map(|s| match s {
+            Slot::Blocked { wait, .. } => Some(*wait),
             Slot::Runnable | Slot::Finished => None,
         })
         .collect();
-    for (i, (rank, pat)) in waits.iter().take(STALL_NAMED_RANKS).enumerate() {
-        let sep = if i == 0 { "; " } else { ", " };
-        let _ = write!(msg, "{sep}rank {rank} waits on {pat}");
+    if slots.iter().any(|s| matches!(s, Slot::Finished)) {
+        RunError::Disconnected { waits }
+    } else {
+        let cycle = wait_cycle(slots);
+        RunError::Deadlock { waits, cycle }
     }
-    if waits.len() > STALL_NAMED_RANKS {
-        let _ = write!(msg, ", and {} more", waits.len() - STALL_NAMED_RANKS);
-    }
-    msg
 }
 
-fn min_rank_panic(panics: Vec<(usize, Box<dyn Any + Send>)>) -> Option<RankPanic> {
-    panics
-        .into_iter()
-        .min_by_key(|(r, _)| *r)
-        .map(|(rank, payload)| RankPanic { rank, payload })
+/// Follow specific-source edges from the lowest parked rank until a rank
+/// repeats; the ranks from its first visit on are the cycle. Empty when
+/// the chain reaches a wildcard receive or a rank that is not parked.
+fn wait_cycle(slots: &[Slot]) -> Vec<usize> {
+    let src_of = |r: usize| match slots.get(r) {
+        Some(Slot::Blocked { wait, .. }) => wait.src,
+        _ => None,
+    };
+    let first = slots.iter().position(|s| matches!(s, Slot::Blocked { .. }));
+    let mut path: Vec<usize> = first.into_iter().collect();
+    while let Some(src) = path.last().and_then(|&r| src_of(r)) {
+        if let Some(at) = path.iter().position(|&r| r == src) {
+            return path.split_off(at);
+        }
+        path.push(src);
+    }
+    Vec::new()
 }
 
 /// Pop the minimum `(park time, rank)` entry; with a tie RNG, pick
@@ -1252,10 +1271,8 @@ mod tests {
                 &mut stacks,
             ));
         }
-        let (result, stats) = drive_with_stats(&ctl, &mut tasks, None);
-        result.unwrap_or_else(|p| {
-            std::panic::resume_unwind(p.payload);
-        });
+        let (result, stats) = drive(&ctl, &mut tasks, None);
+        result.expect("the token ring completes");
         let v = log.lock().unwrap().clone();
         (v, stats)
     }
@@ -1334,15 +1351,18 @@ mod tests {
             };
             tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, id) });
         }
-        let err = drive(&ctl, &mut tasks, None).expect_err("panic surfaces");
-        assert_eq!(err.rank, 1);
-        let msg = err.payload.downcast_ref::<&str>().copied().unwrap();
-        assert_eq!(msg, "task 1 exploded");
+        let err = drive(&ctl, &mut tasks, None).0.expect_err("panic surfaces");
+        let RunError::RankPanicked { rank, payload } = err else {
+            panic!("not a rank panic: {err:?}");
+        };
+        assert_eq!(rank, 1);
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 1 exploded"));
     }
 
     #[test]
     fn blocked_forever_is_reported_as_deadlock() {
-        // Rank 0 waits on itself; ranks 1..10 on anything in context 2.
+        // Rank 0 waits on itself (the one-rank cycle); ranks 1..10 on
+        // anything in context 2.
         let n = 10;
         let ctl = Arc::new(EventCtl::new(n));
         let mut stacks = new_stacks(n);
@@ -1356,18 +1376,31 @@ mod tests {
             });
             tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, id) });
         }
-        let err = drive(&ctl, &mut tasks, None).expect_err("deadlock");
-        assert_eq!(err.rank, 0);
-        let msg = err.payload.downcast_ref::<String>().cloned().unwrap();
+        let err = drive(&ctl, &mut tasks, None).0.expect_err("deadlock");
+        assert_eq!(err.rank(), 0);
         let wildcards: String = (1..STALL_NAMED_RANKS)
             .map(|r| format!(", rank {r} waits on src any tag any ctx 2"))
             .collect();
         assert_eq!(
-            msg,
+            err.to_string(),
             format!(
                 "simulated deadlock: every rank is parked and no message can arrive; \
                  rank 0 waits on src 0 tag 1 ctx 0{wildcards}, and 2 more"
             )
+        );
+        let RunError::Deadlock { waits, cycle } = err else {
+            panic!("not a deadlock: {err:?}");
+        };
+        assert_eq!(cycle, [0]);
+        assert_eq!(waits.len(), n);
+        assert_eq!(
+            waits[1],
+            ParkedWait {
+                rank: 1,
+                src: None,
+                tag: ANY_TAG,
+                context: 2
+            }
         );
         assert!(tasks.iter().all(Task::is_done), "poisoned ranks unwound");
     }
@@ -1410,10 +1443,8 @@ mod tests {
             });
             tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, 1) });
         }
-        let (result, stats) = drive_with_stats(&ctl, &mut tasks, None);
-        result.unwrap_or_else(|p| {
-            std::panic::resume_unwind(p.payload);
-        });
+        let (result, stats) = drive(&ctl, &mut tasks, None);
+        result.expect("the post wakes the receiver");
         assert_eq!(*log.lock().unwrap(), vec!["sent", "woken"]);
         assert_eq!(stats.deposit_wakes, 1);
         assert_eq!(stats.parks_blocked, 1);
@@ -1470,15 +1501,15 @@ mod tests {
                 if id < n - 1 {
                     take(&handle, Some(n - 1), SimTime(id as u64));
                 } else {
-                    (0..n - 1).for_each(|dst| handle.post(dst, envelope(id)));
+                    (0..n - 1).for_each(|dst| assert!(handle.post(dst, envelope(id))));
                 }
                 *total.lock().unwrap() += id as u64;
             });
             tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, id) });
         }
-        drive(&ctl, &mut tasks, None).unwrap_or_else(|p| {
-            std::panic::resume_unwind(p.payload);
-        });
+        drive(&ctl, &mut tasks, None)
+            .0
+            .expect("the last task wakes every other");
         assert_eq!(*total.lock().unwrap(), (n as u64 - 1) * n as u64 / 2);
     }
 
@@ -1514,12 +1545,12 @@ mod tests {
                 for _ in 0..n {
                     take(&handle, None, SimTime::ZERO);
                 }
-                (0..n).for_each(|dst| handle.post(dst, envelope(n)));
+                (0..n).for_each(|dst| assert!(handle.post(dst, envelope(n))));
             });
             tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, n) });
-            drive(&ctl, &mut tasks, seed).unwrap_or_else(|p| {
-                std::panic::resume_unwind(p.payload);
-            });
+            drive(&ctl, &mut tasks, seed)
+                .0
+                .expect("the releaser wakes all five");
             let v = log.lock().unwrap().clone();
             v
         };

@@ -4,11 +4,9 @@
 //! are unchanged; they cannot see whether the event loop got there by
 //! the same sequence of parks and wakes. This test runs one fixed
 //! program and compares the scheduler's own survey, and every rank's
-//! final clock, against literals under both task backends. The file
-//! holds a single test so it is a process of its own and nothing else
-//! can overwrite `last_sched_stats()` between the run and the read.
+//! final clock, against literals under both task backends.
 
-use ncd_simnet::{last_sched_stats, Cluster, ClusterConfig, Rank, Tag, TaskBackend, DEPTH_BUCKETS};
+use ncd_simnet::{Cluster, ClusterConfig, Rank, Tag, TaskBackend, DEPTH_BUCKETS};
 
 /// A 16-rank ring exchange in both directions with rank-dependent
 /// compute (blocking parks and deposit wakes), then an any-source gather
@@ -55,8 +53,8 @@ fn scheduling_decisions_match_the_recorded_survey() {
     ];
     for backend in [TaskBackend::default_for_target(), TaskBackend::Handoff] {
         let cfg = ClusterConfig::paper_testbed(16).with_task_backend(backend);
-        let out = Cluster::new(cfg).run(program);
-        let s = last_sched_stats().expect("a cluster just ran");
+        let run = Cluster::new(cfg).try_run(program);
+        let (out, s) = (run.results.expect("the program completes"), run.sched);
         assert_eq!(s.backend, backend.label());
         assert_eq!(
             (s.resumes, s.parks_blocked, s.deposit_wakes),

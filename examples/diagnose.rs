@@ -29,8 +29,8 @@ use nucomm::core::{
     decisions_from_trace, detect_misselections, remediation_hints, render_hints, Comm, MpiConfig,
 };
 use nucomm::simnet::{
-    diagnose, diagnosis_json, last_run_dump, merge_comm_maps, mirror_to_flight_recorder,
-    write_artifact, Cluster, ClusterConfig, WaitPattern,
+    diagnose, diagnosis_json, merge_comm_maps, mirror_to_recorders, render_dump, write_artifact,
+    Cluster, ClusterConfig, WaitPattern,
 };
 
 const RANKS: usize = 16;
@@ -42,7 +42,7 @@ fn main() {
     let cost = cluster.cost.clone();
     let cfg = MpiConfig::baseline();
     let mpi = cfg.clone();
-    let out = Cluster::new(cluster).run(move |rank| {
+    let run = Cluster::new(cluster).try_run(move |rank| {
         rank.enable_tracing();
         rank.enable_comm_map();
         let mut comm = Comm::new(rank, mpi.clone());
@@ -64,6 +64,7 @@ fn main() {
         let trace = comm.rank_mut().take_trace();
         (trace, map)
     });
+    let out = run.results.unwrap_or_else(|err| err.raise(&run.recorders));
     let (traces, maps): (Vec<_>, Vec<_>) = out.into_iter().unzip();
 
     // Classify every blocked receive and rank the findings.
@@ -78,13 +79,12 @@ fn main() {
     print!("{}", render_hints(&hints));
 
     // Mirror the top findings into the blamed ranks' flight recorders,
-    // then show the dump an anomaly would produce.
-    let mirrored = mirror_to_flight_recorder(&diag, 3);
+    // then show the dump a failure would produce.
+    let mirrored = mirror_to_recorders(&diag, 3, &run.recorders);
     println!("\n{mirrored} finding(s) mirrored into the flight recorder;");
-    if let Some(dump) = last_run_dump() {
-        for line in dump.lines().filter(|l| l.contains("diag ")) {
-            println!("{line}");
-        }
+    let dump = render_dump(&run.recorders);
+    for line in dump.lines().filter(|l| l.contains("diag ")) {
+        println!("{line}");
     }
 
     // The byte-stable artifact, as the benches write it.

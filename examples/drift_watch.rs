@@ -25,7 +25,7 @@ use nucomm::core::{
     AllgathervAlgorithm, Comm, DriftConfig, MpiConfig,
 };
 use nucomm::simnet::{
-    history_json, history_report, last_run_dump, merge_histories, write_artifact, Cluster,
+    history_json, history_report, merge_histories, render_dump, write_artifact, Cluster,
     ClusterConfig,
 };
 
@@ -53,7 +53,7 @@ fn counts(spot: Option<usize>, depth: u32) -> Vec<usize> {
 fn main() {
     // (spot, depth) per regime: uniform, refine at 5, remesh to 10 deeper.
     let regimes = [(None, 0u32), (Some(5), 2), (Some(10), 3)];
-    let out = Cluster::new(ClusterConfig::paper_testbed(RANKS)).run(move |rank| {
+    let run = Cluster::new(ClusterConfig::paper_testbed(RANKS)).try_run(move |rank| {
         rank.enable_tracing();
         rank.enable_history(); // also enables the comm map it derives from
         let mut comm = Comm::new(rank, MpiConfig::optimized());
@@ -73,6 +73,7 @@ fn main() {
         let history = comm.rank_mut().take_history();
         (trace, history)
     });
+    let out = run.results.unwrap_or_else(|err| err.raise(&run.recorders));
 
     // --- The epoch time series -------------------------------------------
     let histories: Vec<_> = out.iter().map(|(_, h)| h.clone()).collect();
@@ -94,7 +95,7 @@ fn main() {
 
     // The same events survive in the flight recorder's drift ring, immune
     // to main-ring eviction — this is what a post-mortem dump shows.
-    let dump = last_run_dump().expect("a run just happened");
+    let dump = render_dump(&run.recorders);
     let drift_lines: Vec<&str> = dump
         .lines()
         .filter(|l| l.contains("drift      "))

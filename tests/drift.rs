@@ -35,11 +35,10 @@ fn counts(spot: Option<usize>, depth: u32) -> Vec<usize> {
 
 /// Three stationary regimes: uniform, hotspot at rank 2, hotspot moved to
 /// rank 6 and deepened. The transitions into regimes 1 and 2 are the
-/// injected remeshes. Returns rank 0's trace, the merged history and this
-/// run's own flight-recorder dump (the process-wide last-run store belongs
-/// to whichever test in this binary ran a cluster last).
+/// injected remeshes. Returns rank 0's trace, the merged history and the
+/// run's flight-recorder dump.
 fn remeshing_run() -> (Vec<TraceEvent>, History, String) {
-    let out = Cluster::new(ClusterConfig::paper_testbed(RANKS)).run(|rank| {
+    let run = Cluster::new(ClusterConfig::paper_testbed(RANKS)).try_run(|rank| {
         rank.enable_metrics();
         rank.enable_tracing();
         rank.enable_history();
@@ -59,13 +58,12 @@ fn remeshing_run() -> (Vec<TraceEvent>, History, String) {
         let metrics = comm.rank_mut().take_metrics();
         let trace = comm.rank_mut().take_trace();
         let history = comm.rank_mut().take_history();
-        let recorder = comm.rank_ref().flight_recorder().clone();
-        (trace, history, metrics, recorder)
+        (trace, history, metrics)
     });
-    let histories: Vec<_> = out.iter().map(|(_, h, _, _)| h.clone()).collect();
-    let recorders: Vec<_> = out.iter().map(|(_, _, _, r)| r.clone()).collect();
+    let out = run.results.expect("the remeshing run completes");
+    let histories: Vec<_> = out.iter().map(|(_, h, _)| h.clone()).collect();
     // The drift counter must have fired on every rank's registry.
-    for (_, _, m, _) in &out {
+    for (_, _, m) in &out {
         assert!(
             m.counter("drift", "allgatherv/ring", "bytes") > 0,
             "drift events must be mirrored into drift/* metrics"
@@ -74,7 +72,7 @@ fn remeshing_run() -> (Vec<TraceEvent>, History, String) {
     (
         out.into_iter().next().unwrap().0,
         merge_histories(&histories),
-        render_dump(&recorders),
+        render_dump(&run.recorders),
     )
 }
 

@@ -1,18 +1,14 @@
 //! Golden for the flight-recorder dump — the one event encoding the
 //! other goldens (Chrome trace, diagnosis, comm matrix, history) do not
 //! cover. One small run drives every producer of a flight-recorder record
-//! and the rendered last-run dump must match `tests/golden/flight_dump.txt`
-//! byte for byte: all eleven [`RecCode`](nucomm::simnet::RecCode)s and all
-//! three side rings, with the main ring small enough to have evicted.
-//!
-//! Alone in its binary on purpose: `last_run_dump` reads a process-global
-//! store that any other `Cluster::run` in the same process would replace.
+//! and the dump of that run's recorders must match
+//! `tests/golden/flight_dump.txt` byte for byte: all eleven
+//! [`RecCode`](nucomm::simnet::RecCode)s and all three side rings, with the
+//! main ring small enough to have evicted.
 
 use nucomm::core::{AllgathervAlgorithm, Comm, MpiConfig, WPeer};
 use nucomm::datatype::Datatype;
-use nucomm::simnet::{
-    diagnose, last_run_dump, mirror_to_flight_recorder, Cluster, ClusterConfig, Tag,
-};
+use nucomm::simnet::{diagnose, mirror_to_recorders, render_dump, Cluster, ClusterConfig, Tag};
 
 const RANKS: usize = 4;
 /// Epochs per stationary regime of the remeshing sequence.
@@ -88,20 +84,20 @@ fn program(comm: &mut Comm) {
 const GOLDEN: &str = include_str!("golden/flight_dump.txt");
 
 fn observed_run_dump() -> String {
-    let traces =
-        Cluster::new(ClusterConfig::uniform(RANKS).with_recorder_capacity(16)).run(|rank| {
+    let run =
+        Cluster::new(ClusterConfig::uniform(RANKS).with_recorder_capacity(16)).try_run(|rank| {
             rank.enable_tracing();
             rank.enable_profiling();
             rank.enable_history();
             program(&mut Comm::new(rank, MpiConfig::optimized()));
             rank.take_trace()
         });
-    let diagnosis = diagnose(&traces);
+    let diagnosis = diagnose(&run.results.expect("the program completes"));
     assert!(
-        mirror_to_flight_recorder(&diagnosis, 4) > 0,
+        mirror_to_recorders(&diagnosis, 4, &run.recorders) > 0,
         "the late rank must leave a finding to mirror"
     );
-    last_run_dump().expect("a run just happened")
+    render_dump(&run.recorders)
 }
 
 /// Regenerate the golden file after an intentional format change:
@@ -123,8 +119,7 @@ fn last_run_dump_matches_the_golden_byte_for_byte() {
     );
 }
 
-/// Reads only the committed file (no cluster run, so it cannot race the
-/// test above for the last-run store).
+/// Reads only the committed file.
 #[test]
 fn golden_shows_every_record_code_and_side_ring() {
     for body in [

@@ -91,12 +91,11 @@ fn both_engines_report_every_byte() {
 
 #[test]
 fn typed_send_lands_in_flight_recorder() {
-    // After a cluster run with noncontiguous traffic, the run's own
-    // recorders must show the pack-pipeline events on rank 0 (the
-    // process-wide last-run dump belongs to whichever test ran last).
+    // After a cluster run with noncontiguous traffic, the run's
+    // recorders must show the pack-pipeline events on rank 0.
     let mut cfg = MpiConfig::baseline();
     cfg.engine.block_size = 4096;
-    let recorders = Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
+    let run = Cluster::new(ClusterConfig::uniform(2)).try_run(move |rank| {
         let mut comm = Comm::new(rank, cfg.clone());
         let dt = particle();
         let n = 1024;
@@ -109,9 +108,9 @@ fn typed_send_lands_in_flight_recorder() {
             let row = Datatype::contiguous(total, &Datatype::byte()).expect("row");
             comm.recv(&mut dst, &row, 1, Some(0), Tag(3));
         }
-        comm.rank_ref().flight_recorder().clone()
     });
-    let dump = render_dump(&recorders);
+    run.results.expect("the typed send completes");
+    let dump = render_dump(&run.recorders);
     assert!(dump.contains("flight recorder: last events per rank"));
     assert!(
         dump.contains("pack-block engine=single-context"),

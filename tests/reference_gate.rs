@@ -59,7 +59,7 @@ fn a_failing_gate_arrives_with_the_differentials_causes() {
     let ring = load("baseline", MpiConfig::baseline());
     let failing = regressions(&compare(&reference, &ring), &[LATENCY]);
     assert_eq!(failing.series_deltas.len(), 1);
-    let report = gate_failure_report("roundtrip", &failing);
+    let report = gate_failure_report("roundtrip", &failing, &[]);
     for expected in [
         "reference gate FAILED for roundtrip: 1 gated point(s)",
         "[decision] +1",
