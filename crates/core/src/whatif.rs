@@ -41,9 +41,9 @@ use crate::config::MpiConfig;
 /// One intervention primitive of an [`Experiment`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Action {
-    /// Scale one cost dimension by `factor`, on one rank or globally.
+    /// Scale one cost dimension of one rank by `factor`.
     Cost {
-        rank: Option<usize>,
+        rank: usize,
         dim: KnobDim,
         factor: f64,
     },
@@ -57,10 +57,9 @@ impl Action {
     /// Human-readable one-liner, e.g. `pack x0.5 on rank 3`.
     pub fn describe(&self) -> String {
         match self {
-            Action::Cost { rank, dim, factor } => match rank {
-                Some(r) => format!("{} x{factor} on rank {r}", dim.label()),
-                None => format!("{} x{factor} on all ranks", dim.label()),
-            },
+            Action::Cost { rank, dim, factor } => {
+                format!("{} x{factor} on rank {rank}", dim.label())
+            }
             Action::PinAllgatherv(a) => format!("pin allgatherv={}", a.label()),
             Action::PinAlltoallw(s) => format!("pin alltoallw={}", s.label()),
         }
@@ -106,10 +105,7 @@ impl Experiment {
             match a {
                 Action::Cost { rank, dim, factor } => {
                     let knobs = cluster.knobs.take().unwrap_or_else(CostKnobs::neutral);
-                    cluster.knobs = Some(match rank {
-                        Some(r) => knobs.scale_rank(*r, *dim, *factor),
-                        None => knobs.scale(*dim, *factor),
-                    });
+                    cluster.knobs = Some(knobs.scale_rank(*rank, *dim, *factor));
                 }
                 Action::PinAllgatherv(algo) => mpi.allgatherv_pin = Some(*algo),
                 Action::PinAlltoallw(s) => mpi.alltoallw_pin = Some(*s),
@@ -169,7 +165,7 @@ pub fn plan_experiments(
                         ),
                         target_finding: Some(idx),
                         actions: vec![Action::Cost {
-                            rank: Some(r),
+                            rank: r,
                             dim: KnobDim::Pack,
                             factor: 0.5,
                         }],
@@ -190,7 +186,7 @@ pub fn plan_experiments(
                         ),
                         target_finding: Some(idx),
                         actions: vec![Action::Cost {
-                            rank: Some(r),
+                            rank: r,
                             dim: KnobDim::Compute,
                             factor: 0.5,
                         }],
@@ -208,7 +204,7 @@ pub fn plan_experiments(
                         ),
                         target_finding: Some(idx),
                         actions: vec![Action::Cost {
-                            rank: Some(r),
+                            rank: r,
                             dim: KnobDim::Wire,
                             factor: 0.0,
                         }],
@@ -271,7 +267,7 @@ pub fn plan_experiments(
                 ),
                 target_finding: None,
                 actions: vec![Action::Cost {
-                    rank: Some(r),
+                    rank: r,
                     dim: KnobDim::Pack,
                     factor: 0.5,
                 }],
@@ -596,7 +592,7 @@ mod tests {
                     target_finding: Some(0),
                     actions: vec![
                         Action::Cost {
-                            rank: Some(0),
+                            rank: 0,
                             dim: KnobDim::Wire,
                             factor: 0.0,
                         },

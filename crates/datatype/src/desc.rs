@@ -1,17 +1,20 @@
-//! MPI-style derived datatype descriptions.
+//! MPI-style derived datatypes, committed to their type maps.
 //!
-//! A [`Datatype`] is a recursive description of a (possibly noncontiguous)
-//! memory layout, mirroring the MPI derived-datatype constructors:
-//! contiguous, vector/hvector, indexed/hindexed/indexed-block, struct,
-//! subarray and resized, over a handful of primitive types.
+//! A [`Datatype`] *is* its type map: the ordered list of coalesced
+//! contiguous [`Segment`]s one instance touches, with its size, lower
+//! bound and extent. Each MPI derived-datatype constructor (contiguous,
+//! vector/hvector, indexed/hindexed/indexed-block, struct, subarray and
+//! resized, over five named leaves) lowers to *runs* — `n` consecutive
+//! copies of an already committed child at a byte displacement — and one
+//! `commit` flattens the runs into the map. No constructor tree is kept.
 //!
-//! Types are *committed at construction*: the tree is flattened into an
-//! ordered list of coalesced contiguous [`Segment`]s (the *type map*), which
-//! is what the pack engines and cursors consume. Flattening once and walking
-//! a flat array is how production MPI implementations process datatypes
-//! (MPICH's "dataloops" serve the same purpose), and it is the structure the
-//! paper's context/search discussion is about: a *context* is a position in
-//! this walk, and *searching* is re-walking the segment list from the start.
+//! The map is what the pack engines and cursors consume. Flattening once
+//! and walking a flat array is how production MPI implementations process
+//! datatypes (MPICH's "dataloops" serve the same purpose; TEMPI lowers
+//! every constructor to one canonical form at commit), and it is the
+//! structure the paper's context/search discussion is about: a *context*
+//! is a position in this walk, and *searching* is re-walking the segment
+//! list from the start.
 
 use std::sync::Arc;
 
@@ -22,28 +25,6 @@ use crate::error::{Result, TypeError};
 /// in the paper (the largest, the 1024x1024 transpose column type, needs
 /// 1024 segments per instance).
 pub const MAX_SEGMENTS: usize = 1 << 24;
-
-/// Primitive (leaf) datatypes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Primitive {
-    Double,
-    Float,
-    Int32,
-    Int64,
-    UInt8,
-    Char,
-}
-
-impl Primitive {
-    /// Size in bytes.
-    pub fn size(self) -> usize {
-        match self {
-            Primitive::Double | Primitive::Int64 => 8,
-            Primitive::Float | Primitive::Int32 => 4,
-            Primitive::UInt8 | Primitive::Char => 1,
-        }
-    }
-}
 
 /// One maximal contiguous piece of a flattened datatype, in pack order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,62 +50,13 @@ pub struct StructField {
     pub dtype: Datatype,
 }
 
-#[derive(Clone, Debug)]
-enum Kind {
-    Primitive(Primitive),
-    Contiguous {
-        count: usize,
-        child: Datatype,
-    },
-    Vector {
-        count: usize,
-        blocklen: usize,
-        /// Stride between block starts, in units of the child extent.
-        stride: i64,
-        child: Datatype,
-    },
-    Hvector {
-        count: usize,
-        blocklen: usize,
-        /// Stride between block starts, in bytes.
-        stride_bytes: i64,
-        child: Datatype,
-    },
-    /// Blocks of `(displacement in child extents, block length in children)`.
-    Indexed {
-        blocks: Vec<(i64, usize)>,
-        child: Datatype,
-    },
-    /// Blocks of `(displacement in bytes, block length in children)`.
-    Hindexed {
-        blocks: Vec<(i64, usize)>,
-        child: Datatype,
-    },
-    IndexedBlock {
-        blocklen: usize,
-        /// Displacements in child extents.
-        disps: Vec<i64>,
-        child: Datatype,
-    },
-    Struct {
-        fields: Vec<StructField>,
-    },
-    Subarray {
-        sizes: Vec<usize>,
-        subsizes: Vec<usize>,
-        starts: Vec<usize>,
-        child: Datatype,
-    },
-    Resized {
-        lb: i64,
-        extent: i64,
-        child: Datatype,
-    },
-}
+/// What every constructor lowers to: `(byte displacement, n, child)`, `n`
+/// consecutive copies of `child` (one child extent apart), the first at the
+/// displacement.
+pub(crate) type Run<'a> = (i64, usize, &'a Datatype);
 
 #[derive(Debug)]
 struct Inner {
-    kind: Kind,
     /// Packed size in bytes of one instance (sum of segment lengths).
     size: usize,
     /// Lower bound of the type map, in bytes.
@@ -150,53 +82,43 @@ struct Inner {
 pub struct Datatype(Arc<Inner>);
 
 impl Datatype {
-    // ----- primitive constructors -------------------------------------
+    // ----- leaves -------------------------------------------------------
 
     pub fn double() -> Datatype {
-        Self::primitive(Primitive::Double)
+        Self::leaf(8)
     }
 
     pub fn float() -> Datatype {
-        Self::primitive(Primitive::Float)
+        Self::leaf(4)
     }
 
     pub fn int32() -> Datatype {
-        Self::primitive(Primitive::Int32)
+        Self::leaf(4)
     }
 
     pub fn int64() -> Datatype {
-        Self::primitive(Primitive::Int64)
+        Self::leaf(8)
     }
 
     pub fn byte() -> Datatype {
-        Self::primitive(Primitive::UInt8)
+        Self::leaf(1)
     }
 
-    pub fn primitive(p: Primitive) -> Datatype {
-        let size = p.size();
-        Datatype(Arc::new(Inner {
-            kind: Kind::Primitive(p),
-            size,
-            lb: 0,
-            extent: size as i64,
-            segments: vec![Segment {
+    fn leaf(size: usize) -> Datatype {
+        Self::from_map(
+            vec![Segment {
                 offset: 0,
                 len: size,
             }],
-            starts: vec![0],
-            true_lb: 0,
-            true_ub: size as i64,
-        }))
+            None,
+        )
     }
 
     // ----- derived constructors ---------------------------------------
 
     /// `count` consecutive copies of `child` (MPI_Type_contiguous).
     pub fn contiguous(count: usize, child: &Datatype) -> Result<Datatype> {
-        Self::commit(Kind::Contiguous {
-            count,
-            child: child.clone(),
-        })
+        Self::commit([(0, count, child)], None)
     }
 
     /// `count` blocks of `blocklen` children, block starts `stride` child
@@ -207,12 +129,7 @@ impl Datatype {
         stride: i64,
         child: &Datatype,
     ) -> Result<Datatype> {
-        Self::commit(Kind::Vector {
-            count,
-            blocklen,
-            stride,
-            child: child.clone(),
-        })
+        Self::hvector(count, blocklen, stride * child.extent(), child)
     }
 
     /// Like [`Datatype::vector`] but with the stride in bytes
@@ -223,71 +140,90 @@ impl Datatype {
         stride_bytes: i64,
         child: &Datatype,
     ) -> Result<Datatype> {
-        Self::commit(Kind::Hvector {
-            count,
-            blocklen,
-            stride_bytes,
-            child: child.clone(),
-        })
+        let blocks = (0..count).map(|i| (i as i64 * stride_bytes, blocklen, child));
+        Self::commit(blocks, None)
     }
 
     /// Blocks of `(displacement in child extents, blocklen)` (MPI_Type_indexed).
     pub fn indexed(blocks: &[(i64, usize)], child: &Datatype) -> Result<Datatype> {
-        Self::commit(Kind::Indexed {
-            blocks: blocks.to_vec(),
-            child: child.clone(),
-        })
+        let ext = child.extent();
+        Self::commit(blocks.iter().map(|&(d, n)| (d * ext, n, child)), None)
     }
 
     /// Blocks of `(displacement in bytes, blocklen)` (MPI_Type_create_hindexed).
     pub fn hindexed(blocks: &[(i64, usize)], child: &Datatype) -> Result<Datatype> {
-        Self::commit(Kind::Hindexed {
-            blocks: blocks.to_vec(),
-            child: child.clone(),
-        })
+        Self::commit(blocks.iter().map(|&(d, n)| (d, n, child)), None)
     }
 
     /// Fixed-length blocks at the given displacements, in child extents
     /// (MPI_Type_create_indexed_block).
     pub fn indexed_block(blocklen: usize, disps: &[i64], child: &Datatype) -> Result<Datatype> {
-        Self::commit(Kind::IndexedBlock {
-            blocklen,
-            disps: disps.to_vec(),
-            child: child.clone(),
-        })
+        let ext = child.extent();
+        Self::commit(disps.iter().map(|&d| (d * ext, blocklen, child)), None)
     }
 
     /// Heterogeneous fields at explicit byte displacements
     /// (MPI_Type_create_struct).
     pub fn structure(fields: &[StructField]) -> Result<Datatype> {
-        Self::commit(Kind::Struct {
-            fields: fields.to_vec(),
-        })
+        Self::commit(fields.iter().map(|f| (f.disp, f.count, &f.dtype)), None)
     }
 
     /// An n-dimensional subarray of an n-dimensional array in row-major (C)
-    /// order (MPI_Type_create_subarray).
+    /// order (MPI_Type_create_subarray): one run per innermost row.
     pub fn subarray(
         sizes: &[usize],
         subsizes: &[usize],
         starts: &[usize],
         child: &Datatype,
     ) -> Result<Datatype> {
-        Self::commit(Kind::Subarray {
-            sizes: sizes.to_vec(),
-            subsizes: subsizes.to_vec(),
-            starts: starts.to_vec(),
-            child: child.clone(),
-        })
+        let fail = |msg: String| Err(TypeError::Invalid(msg));
+        if sizes.is_empty() {
+            return fail("subarray needs at least one dimension".into());
+        }
+        if sizes.len() != subsizes.len() || sizes.len() != starts.len() {
+            return fail(format!(
+                "subarray dimension mismatch: sizes={}, subsizes={}, starts={}",
+                sizes.len(),
+                subsizes.len(),
+                starts.len()
+            ));
+        }
+        for d in 0..sizes.len() {
+            if starts[d] + subsizes[d] > sizes[d] {
+                return fail(format!(
+                    "subarray dim {d}: start {} + subsize {} exceeds size {}",
+                    starts[d], subsizes[d], sizes[d]
+                ));
+            }
+        }
+        // Row-major strides in bytes.
+        let last = sizes.len() - 1;
+        let mut strides = vec![child.extent(); sizes.len()];
+        for d in (0..last).rev() {
+            strides[d] = strides[d + 1] * sizes[d + 1] as i64;
+        }
+        // Row `r` in row-major order is an odometer reading over the outer
+        // dimensions, the one just outside the row turning fastest.
+        let rows: usize = subsizes[..last].iter().product();
+        let runs = (0..rows).map(|mut r| {
+            let mut disp = starts[last] as i64 * strides[last];
+            for d in (0..last).rev() {
+                disp += (starts[d] + r % subsizes[d]) as i64 * strides[d];
+                r /= subsizes[d];
+            }
+            (disp, subsizes[last], child)
+        });
+        Self::commit(runs, None)
     }
 
     /// Override lower bound and extent (MPI_Type_create_resized).
     pub fn resized(lb: i64, extent: i64, child: &Datatype) -> Result<Datatype> {
-        Self::commit(Kind::Resized {
-            lb,
-            extent,
-            child: child.clone(),
-        })
+        if extent < 0 {
+            return Err(TypeError::Invalid(
+                "negative extents are not supported".into(),
+            ));
+        }
+        Self::commit([(0, 1, child)], Some((lb, extent)))
     }
 
     // ----- accessors ----------------------------------------------------
@@ -305,22 +241,6 @@ impl Datatype {
     /// Lower bound in bytes.
     pub fn lb(&self) -> i64 {
         self.0.lb
-    }
-
-    /// Name of the outermost constructor (for diagnostics and reports).
-    pub fn constructor_name(&self) -> &'static str {
-        match &self.0.kind {
-            Kind::Primitive(_) => "primitive",
-            Kind::Contiguous { .. } => "contiguous",
-            Kind::Vector { .. } => "vector",
-            Kind::Hvector { .. } => "hvector",
-            Kind::Indexed { .. } => "indexed",
-            Kind::Hindexed { .. } => "hindexed",
-            Kind::IndexedBlock { .. } => "indexed_block",
-            Kind::Struct { .. } => "struct",
-            Kind::Subarray { .. } => "subarray",
-            Kind::Resized { .. } => "resized",
-        }
     }
 
     /// Number of maximal contiguous segments per instance — the length of
@@ -376,13 +296,30 @@ impl Datatype {
                 .is_none_or(|s| s.offset == 0 && s.len == self.0.size)
     }
 
-    // ----- commit (flatten) ----------------------------------------------
+    // ----- commit -------------------------------------------------------
 
-    fn commit(kind: Kind) -> Result<Datatype> {
-        validate(&kind)?;
-        let mut sink = Sink::new(MAX_SEGMENTS);
-        flatten(&kind, 0, &mut sink)?;
-        let segments = sink.finish();
+    /// Flatten `runs`, in order, into one coalesced type map. The type
+    /// spans the bytes it touches unless `resize` declares `(lb, extent)`:
+    /// a run's copies keep their child's own (possibly resized) spacing,
+    /// but the new type's extent is the MPI "true extent", which is what
+    /// all workloads in this workspace rely on.
+    pub(crate) fn commit<'a>(
+        runs: impl IntoIterator<Item = Run<'a>>,
+        resize: Option<(i64, i64)>,
+    ) -> Result<Datatype> {
+        let mut sink = Sink::new(segment_limit());
+        for (disp, n, child) in runs {
+            for i in 0..n {
+                let base = disp + i as i64 * child.extent();
+                for s in child.segments() {
+                    sink.push(base + s.offset, s.len)?;
+                }
+            }
+        }
+        Ok(Self::from_map(sink.finish(), resize))
+    }
+
+    fn from_map(segments: Vec<Segment>, resize: Option<(i64, i64)>) -> Datatype {
         let mut starts = Vec::with_capacity(segments.len());
         let mut size = 0usize;
         for s in &segments {
@@ -395,16 +332,8 @@ impl Datatype {
         // "True" bounds: the lowest and highest byte touched.
         let true_lb = segments.iter().map(|s| s.offset).min().unwrap_or(0);
         let true_ub = segments.iter().map(Segment::end).max().unwrap_or(0);
-        let (lb, extent) = match &kind {
-            Kind::Resized { lb, extent, .. } => (*lb, *extent),
-            // Constructors that replicate a child must preserve the
-            // child's own (possibly resized) spacing at the tail; using
-            // the touched-byte bound is the MPI "true extent", which is
-            // what all workloads in this workspace rely on.
-            _ => (true_lb, true_ub - true_lb),
-        };
-        Ok(Datatype(Arc::new(Inner {
-            kind,
+        let (lb, extent) = resize.unwrap_or((true_lb, true_ub - true_lb));
+        Datatype(Arc::new(Inner {
             size,
             lb,
             extent,
@@ -412,53 +341,7 @@ impl Datatype {
             starts,
             true_lb,
             true_ub,
-        })))
-    }
-}
-
-fn validate(kind: &Kind) -> Result<()> {
-    let fail = |msg: String| Err(TypeError::Invalid(msg));
-    match kind {
-        Kind::Primitive(_) | Kind::Contiguous { .. } => Ok(()),
-        // Overlapping vector blocks (|stride| < blocklen) are legal for
-        // sends in MPI; we follow and accept them unconditionally.
-        Kind::Vector { .. } => Ok(()),
-        Kind::Hvector { .. } | Kind::Indexed { .. } | Kind::Hindexed { .. } => Ok(()),
-        Kind::IndexedBlock { .. } | Kind::Struct { .. } => Ok(()),
-        Kind::Subarray {
-            sizes,
-            subsizes,
-            starts,
-            ..
-        } => {
-            if sizes.is_empty() {
-                return fail("subarray needs at least one dimension".into());
-            }
-            if sizes.len() != subsizes.len() || sizes.len() != starts.len() {
-                return fail(format!(
-                    "subarray dimension mismatch: sizes={}, subsizes={}, starts={}",
-                    sizes.len(),
-                    subsizes.len(),
-                    starts.len()
-                ));
-            }
-            for d in 0..sizes.len() {
-                if starts[d] + subsizes[d] > sizes[d] {
-                    return fail(format!(
-                        "subarray dim {d}: start {} + subsize {} exceeds size {}",
-                        starts[d], subsizes[d], sizes[d]
-                    ));
-                }
-            }
-            Ok(())
-        }
-        Kind::Resized { extent, .. } => {
-            if *extent < 0 {
-                fail("negative extents are not supported".into())
-            } else {
-                Ok(())
-            }
-        }
+        }))
     }
 }
 
@@ -502,124 +385,70 @@ impl Sink {
     }
 }
 
-fn flatten_child_run(child: &Datatype, base: i64, n: usize, sink: &mut Sink) -> Result<()> {
-    for i in 0..n {
-        flatten_committed(child, base + i as i64 * child.extent(), sink)?;
-    }
-    Ok(())
+/// The segment cap `commit` enforces.
+#[cfg(not(test))]
+fn segment_limit() -> usize {
+    MAX_SEGMENTS
 }
 
-/// Re-emit an already committed child's segments at a displacement.
-fn flatten_committed(child: &Datatype, base: i64, sink: &mut Sink) -> Result<()> {
-    for s in child.segments() {
-        sink.push(base + s.offset, s.len)?;
-    }
-    Ok(())
-}
-
-fn flatten(kind: &Kind, base: i64, sink: &mut Sink) -> Result<()> {
-    match kind {
-        Kind::Primitive(p) => sink.push(base, p.size()),
-        Kind::Contiguous { count, child } => flatten_child_run(child, base, *count, sink),
-        Kind::Vector {
-            count,
-            blocklen,
-            stride,
-            child,
-        } => {
-            for i in 0..*count {
-                let block_base = base + *stride * i as i64 * child.extent();
-                flatten_child_run(child, block_base, *blocklen, sink)?;
-            }
-            Ok(())
-        }
-        Kind::Hvector {
-            count,
-            blocklen,
-            stride_bytes,
-            child,
-        } => {
-            for i in 0..*count {
-                let block_base = base + *stride_bytes * i as i64;
-                flatten_child_run(child, block_base, *blocklen, sink)?;
-            }
-            Ok(())
-        }
-        Kind::Indexed { blocks, child } => {
-            for &(disp, blocklen) in blocks {
-                flatten_child_run(child, base + disp * child.extent(), blocklen, sink)?;
-            }
-            Ok(())
-        }
-        Kind::Hindexed { blocks, child } => {
-            for &(disp, blocklen) in blocks {
-                flatten_child_run(child, base + disp, blocklen, sink)?;
-            }
-            Ok(())
-        }
-        Kind::IndexedBlock {
-            blocklen,
-            disps,
-            child,
-        } => {
-            for &disp in disps {
-                flatten_child_run(child, base + disp * child.extent(), *blocklen, sink)?;
-            }
-            Ok(())
-        }
-        Kind::Struct { fields } => {
-            for f in fields {
-                flatten_child_run(&f.dtype, base + f.disp, f.count, sink)?;
-            }
-            Ok(())
-        }
-        Kind::Subarray {
-            sizes,
-            subsizes,
-            starts,
-            child,
-        } => {
-            // Row-major strides in child extents.
-            let ndims = sizes.len();
-            let mut strides = vec![1i64; ndims];
-            for d in (0..ndims.saturating_sub(1)).rev() {
-                strides[d] = strides[d + 1] * sizes[d + 1] as i64;
-            }
-            subarray_walk(sizes, subsizes, starts, &strides, child, 0, base, sink)
-        }
-        Kind::Resized { child, .. } => flatten_committed(child, base, sink),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn subarray_walk(
-    sizes: &[usize],
-    subsizes: &[usize],
-    starts: &[usize],
-    strides: &[i64],
-    child: &Datatype,
-    dim: i64,
-    base: i64,
-    sink: &mut Sink,
-) -> Result<()> {
-    let d = dim as usize;
-    let ext = child.extent();
-    if d == sizes.len() - 1 {
-        // Innermost dimension: a contiguous run of children.
-        let run_base = base + starts[d] as i64 * ext;
-        flatten_child_run(child, run_base, subsizes[d], sink)
-    } else {
-        for i in 0..subsizes[d] {
-            let next = base + (starts[d] + i) as i64 * strides[d] * ext;
-            subarray_walk(sizes, subsizes, starts, strides, child, dim + 1, next, sink)?;
-        }
-        Ok(())
-    }
+/// Unit tests lower the cap to reach `TooManySegments` in a few segments.
+#[cfg(test)]
+fn segment_limit() -> usize {
+    tests::LIMIT.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::test_common::{arb_spec, build, oracle, Kind};
+
+    thread_local! {
+        pub(super) static LIMIT: Cell<usize> = const { Cell::new(MAX_SEGMENTS) };
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The lowering against the recursive flattener it replaced, on
+        /// random trees of all nine constructors: zero counts and
+        /// zero-length blocks, negative displacements and strides,
+        /// overlapping blocks, resizes with a negative lb, the constructor
+        /// errors, and `TooManySegments` under a small cap.
+        #[test]
+        fn commit_agrees_with_the_recursive_flattener(
+            spec in arb_spec(),
+            limit in prop_oneof![1usize..6, Just(MAX_SEGMENTS)],
+        ) {
+            let want = oracle(&spec, limit);
+            LIMIT.set(limit);
+            let got = build(&spec);
+            LIMIT.set(MAX_SEGMENTS);
+            match (got, want) {
+                (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                (Ok(t), Ok(f)) => {
+                    prop_assert_eq!(t.segments(), &f.segments[..]);
+                    prop_assert_eq!((t.size(), t.lb(), t.extent()), (f.size, f.lb, f.extent));
+                    for count in 1..=3 {
+                        prop_assert_eq!(t.true_bounds(count), f.true_bounds(count));
+                    }
+                    prop_assert_eq!(t.is_contiguous(), f.is_contiguous());
+                    let seg_sum: usize = t.segments().iter().map(|s| s.len).sum();
+                    prop_assert_eq!(t.size(), seg_sum);
+                    // Only a resize declares an extent other than the span.
+                    if t.num_segments() > 0 && !matches!(*spec.0, Kind::Resized { .. }) {
+                        let lo = t.segments().iter().map(|s| s.offset).min().unwrap();
+                        let hi = t.segments().iter().map(Segment::end).max().unwrap();
+                        prop_assert_eq!(t.extent(), hi - lo);
+                    }
+                }
+                (got, want) => prop_assert!(false, "lowered {got:?}, oracle {want:?}"),
+            }
+        }
+    }
 
     #[test]
     fn primitive_sizes() {

@@ -4,9 +4,11 @@
 //! *"Nonuniformly Communicating Noncontiguous Data: A Case Study with PETSc
 //! and MPI"* (IPPS 2007):
 //!
-//! * [`Datatype`] — recursive MPI-style derived datatypes (contiguous,
-//!   vector, hvector, indexed, hindexed, indexed-block, struct, subarray,
-//!   resized) committed into a flat, coalesced segment map;
+//! * [`Datatype`] — an MPI-style derived datatype *is* its committed type
+//!   map: each of the nine constructors (contiguous, vector, hvector,
+//!   indexed, hindexed, indexed-block, struct, subarray, resized) lowers to
+//!   runs of a committed child, flattened by one commit into a coalesced
+//!   segment list;
 //! * [`TypeCursor`] — a *context*: a resumable position in the packed
 //!   stream, with cheap snapshots and a *search* whose segment count is
 //!   exact but computed in closed form;
@@ -44,8 +46,16 @@ pub mod error;
 pub mod observe;
 pub mod pack;
 
+// The integration tests' oracles, compiled into the unit tests too: the
+// commit proptest needs them and a segment cap only unit tests can lower.
+#[cfg(test)]
+extern crate self as ncd_datatype;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_common;
+
 pub use cursor::{MemRange, TypeCursor};
-pub use desc::{Datatype, Primitive, Segment, StructField, MAX_SEGMENTS};
+pub use desc::{Datatype, Segment, StructField, MAX_SEGMENTS};
 pub use engine::{BlockMode, EngineKind, EngineParams, OpCounts, PackEngine, Unpacker};
 pub use error::{Result, TypeError};
 pub use observe::{BlockLog, BlockObservation, NullObserver, PackObserver};

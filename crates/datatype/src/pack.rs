@@ -57,22 +57,13 @@ pub fn matrix_column_type(rows: usize, cols: usize, doubles_per_elem: usize) -> 
     Datatype::resized(0, elem.extent(), &col)
 }
 
-/// Build an hindexed datatype over `f64` slots from element indices,
-/// coalescing runs of consecutive indices into blocks — how the PETSc layer
-/// converts an index list into a datatype.
+/// Build an hindexed datatype over `f64` slots from element indices — how
+/// the PETSc layer converts an index list into a datatype. Each index is a
+/// one-double run handed straight to the commit, whose sink coalesces runs
+/// of consecutive indices into one segment.
 pub fn hindexed_from_f64_indices(indices: &[usize]) -> Result<Datatype> {
-    let mut blocks: Vec<(i64, usize)> = Vec::new();
-    for &ix in indices {
-        match blocks.last_mut() {
-            Some((disp, len)) if *disp + *len as i64 == ix as i64 => *len += 1,
-            _ => blocks.push((ix as i64, 1)),
-        }
-    }
-    let byte_blocks: Vec<(i64, usize)> = blocks
-        .into_iter()
-        .map(|(disp, len)| (disp * 8, len))
-        .collect();
-    Datatype::hindexed(&byte_blocks, &Datatype::double())
+    let double = Datatype::double();
+    Datatype::commit(indices.iter().map(|&ix| (ix as i64 * 8, 1, &double)), None)
 }
 
 #[cfg(test)]

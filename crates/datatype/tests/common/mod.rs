@@ -1,15 +1,601 @@
-//! Test-only oracles for the closed-form cursor and the in-place engine:
-//! the executed segment-by-segment walk the closed form replaces, and a
-//! reference engine built on it that materializes its look-ahead window and
-//! returns every pipeline block as a `Vec` of its own. Both use nothing of
-//! the cursor but `next_range` and `clone`.
+//! Test-only oracles for the commit, the closed-form cursor and the
+//! in-place engine:
+//!
+//! * a constructor tree ([`Spec`]) flattened by the recursive flattener
+//!   the one-pass commit replaced ([`oracle`]), and lowered through the
+//!   public constructors ([`build`]);
+//! * the executed segment-by-segment walk the closed form replaces, and a
+//!   reference engine built on it that materializes its look-ahead window
+//!   and returns every pipeline block as a `Vec` of its own. Both use
+//!   nothing of the cursor but `next_range` and `clone`.
+//!
+//! The crate's own unit tests compile this file too (the commit proptest
+//! lives there, where the segment cap can be lowered).
 
 #![allow(dead_code)] // each test binary uses its own subset
 
 use ncd_datatype::{
     BlockLog, BlockMode, BlockObservation, Datatype, EngineKind, EngineParams, MemRange, OpCounts,
-    PackObserver, TypeCursor,
+    PackObserver, Result, Segment, StructField, TypeCursor, TypeError,
 };
+use proptest::prelude::*;
+
+/// The five named leaves and their sizes; [`Kind::Leaf`] indexes it.
+pub const LEAVES: [(fn() -> Datatype, usize); 5] = [
+    (Datatype::double, 8),
+    (Datatype::float, 4),
+    (Datatype::int32, 4),
+    (Datatype::int64, 8),
+    (Datatype::byte, 1),
+];
+
+/// One constructor over children of type `C`: [`Spec`]s in a tree, the
+/// oracle's committed [`Flat`]s or built [`Datatype`]s once lowered.
+#[derive(Clone, Debug)]
+pub enum Kind<C> {
+    Leaf(usize),
+    Contiguous {
+        count: usize,
+        child: C,
+    },
+    Vector {
+        count: usize,
+        blocklen: usize,
+        /// Stride between block starts, in units of the child extent.
+        stride: i64,
+        child: C,
+    },
+    Hvector {
+        count: usize,
+        blocklen: usize,
+        /// Stride between block starts, in bytes.
+        stride_bytes: i64,
+        child: C,
+    },
+    /// Blocks of `(displacement in child extents, block length in children)`.
+    Indexed {
+        blocks: Vec<(i64, usize)>,
+        child: C,
+    },
+    /// Blocks of `(displacement in bytes, block length in children)`.
+    Hindexed {
+        blocks: Vec<(i64, usize)>,
+        child: C,
+    },
+    IndexedBlock {
+        blocklen: usize,
+        /// Displacements in child extents.
+        disps: Vec<i64>,
+        child: C,
+    },
+    Struct {
+        fields: Vec<Field<C>>,
+    },
+    Subarray {
+        sizes: Vec<usize>,
+        subsizes: Vec<usize>,
+        starts: Vec<usize>,
+        child: C,
+    },
+    Resized {
+        lb: i64,
+        extent: i64,
+        child: C,
+    },
+}
+
+/// A struct field over a child of type `C`.
+#[derive(Clone, Debug)]
+pub struct Field<C> {
+    pub disp: i64,
+    pub count: usize,
+    pub dtype: C,
+}
+
+/// A constructor tree: the description `Datatype` no longer keeps.
+#[derive(Clone, Debug)]
+pub struct Spec(pub Box<Kind<Spec>>);
+
+impl<C> Kind<C> {
+    /// The same constructor over `f` of each child, children in order.
+    fn try_map<D>(&self, f: &mut impl FnMut(&C) -> Result<D>) -> Result<Kind<D>> {
+        Ok(match self {
+            Kind::Leaf(i) => Kind::Leaf(*i),
+            Kind::Contiguous { count, child } => Kind::Contiguous {
+                count: *count,
+                child: f(child)?,
+            },
+            Kind::Vector {
+                count,
+                blocklen,
+                stride,
+                child,
+            } => Kind::Vector {
+                count: *count,
+                blocklen: *blocklen,
+                stride: *stride,
+                child: f(child)?,
+            },
+            Kind::Hvector {
+                count,
+                blocklen,
+                stride_bytes,
+                child,
+            } => Kind::Hvector {
+                count: *count,
+                blocklen: *blocklen,
+                stride_bytes: *stride_bytes,
+                child: f(child)?,
+            },
+            Kind::Indexed { blocks, child } => Kind::Indexed {
+                blocks: blocks.clone(),
+                child: f(child)?,
+            },
+            Kind::Hindexed { blocks, child } => Kind::Hindexed {
+                blocks: blocks.clone(),
+                child: f(child)?,
+            },
+            Kind::IndexedBlock {
+                blocklen,
+                disps,
+                child,
+            } => Kind::IndexedBlock {
+                blocklen: *blocklen,
+                disps: disps.clone(),
+                child: f(child)?,
+            },
+            Kind::Struct { fields } => Kind::Struct {
+                fields: fields
+                    .iter()
+                    .map(|x| {
+                        Ok(Field {
+                            disp: x.disp,
+                            count: x.count,
+                            dtype: f(&x.dtype)?,
+                        })
+                    })
+                    .collect::<Result<_>>()?,
+            },
+            Kind::Subarray {
+                sizes,
+                subsizes,
+                starts,
+                child,
+            } => Kind::Subarray {
+                sizes: sizes.clone(),
+                subsizes: subsizes.clone(),
+                starts: starts.clone(),
+                child: f(child)?,
+            },
+            Kind::Resized { lb, extent, child } => Kind::Resized {
+                lb: *lb,
+                extent: *extent,
+                child: f(child)?,
+            },
+        })
+    }
+}
+
+/// Lower `spec` through the public constructors, children first.
+pub fn build(spec: &Spec) -> Result<Datatype> {
+    match spec.0.try_map(&mut build)? {
+        Kind::Leaf(i) => Ok(LEAVES[i].0()),
+        Kind::Contiguous { count, child } => Datatype::contiguous(count, &child),
+        Kind::Vector {
+            count,
+            blocklen,
+            stride,
+            child,
+        } => Datatype::vector(count, blocklen, stride, &child),
+        Kind::Hvector {
+            count,
+            blocklen,
+            stride_bytes,
+            child,
+        } => Datatype::hvector(count, blocklen, stride_bytes, &child),
+        Kind::Indexed { blocks, child } => Datatype::indexed(&blocks, &child),
+        Kind::Hindexed { blocks, child } => Datatype::hindexed(&blocks, &child),
+        Kind::IndexedBlock {
+            blocklen,
+            disps,
+            child,
+        } => Datatype::indexed_block(blocklen, &disps, &child),
+        Kind::Struct { fields } => Datatype::structure(
+            &fields
+                .into_iter()
+                .map(|f| StructField {
+                    disp: f.disp,
+                    count: f.count,
+                    dtype: f.dtype,
+                })
+                .collect::<Vec<_>>(),
+        ),
+        Kind::Subarray {
+            sizes,
+            subsizes,
+            starts,
+            child,
+        } => Datatype::subarray(&sizes, &subsizes, &starts, &child),
+        Kind::Resized { lb, extent, child } => Datatype::resized(lb, extent, &child),
+    }
+}
+
+/// Random constructor trees over all nine constructors, up to depth 3:
+/// zero counts and zero-length blocks, negative displacements and strides,
+/// overlapping blocks, resizes with a negative lb, and now and then an
+/// invalid subarray or a negative resize extent.
+pub fn arb_spec() -> impl Strategy<Value = Spec> {
+    let leaf = (0..LEAVES.len()).prop_map(|i| Spec(Box::new(Kind::Leaf(i))));
+    leaf.prop_recursive(3, 64, 4, |inner| {
+        let blocks = |lo: i64, hi: i64| proptest::collection::vec((lo..hi, 0usize..4), 0..4);
+        let node = prop_oneof![
+            (0usize..5, inner.clone()).prop_map(|(count, child)| Kind::Contiguous { count, child }),
+            (0usize..5, 0usize..4, -4i64..6, inner.clone()).prop_map(
+                |(count, blocklen, stride, child)| Kind::Vector {
+                    count,
+                    blocklen,
+                    stride,
+                    child,
+                }
+            ),
+            (0usize..5, 0usize..4, -40i64..60, inner.clone()).prop_map(
+                |(count, blocklen, stride_bytes, child)| Kind::Hvector {
+                    count,
+                    blocklen,
+                    stride_bytes,
+                    child,
+                }
+            ),
+            (blocks(-6, 12), inner.clone())
+                .prop_map(|(blocks, child)| Kind::Indexed { blocks, child }),
+            (blocks(-40, 100), inner.clone())
+                .prop_map(|(blocks, child)| Kind::Hindexed { blocks, child }),
+            (
+                0usize..4,
+                proptest::collection::vec(-6i64..12, 0..4),
+                inner.clone()
+            )
+                .prop_map(|(blocklen, disps, child)| Kind::IndexedBlock {
+                    blocklen,
+                    disps,
+                    child,
+                }),
+            proptest::collection::vec((-40i64..100, 0usize..4, inner.clone()), 0..4).prop_map(
+                |fields| Kind::Struct {
+                    fields: fields
+                        .into_iter()
+                        .map(|(disp, count, dtype)| Field { disp, count, dtype })
+                        .collect(),
+                }
+            ),
+            (
+                proptest::collection::vec((1usize..5, 0usize..5, 0usize..5), 1..4),
+                0u8..12,
+                inner.clone()
+            )
+                .prop_map(|(dims, mangle, child)| {
+                    let (mut sizes, mut subsizes, mut starts) = (vec![], vec![], vec![]);
+                    for (size, a, b) in dims {
+                        let sub = a.min(size);
+                        sizes.push(size);
+                        subsizes.push(sub);
+                        starts.push(b % (size - sub + 1));
+                    }
+                    // One in twelve of each invalid shape.
+                    match mangle {
+                        0 => {
+                            sizes.clear();
+                            subsizes.clear();
+                            starts.clear();
+                        }
+                        1 => {
+                            starts.pop();
+                        }
+                        2 => starts[0] = sizes[0] + 1 - subsizes[0],
+                        _ => {}
+                    }
+                    Kind::Subarray {
+                        sizes,
+                        subsizes,
+                        starts,
+                        child,
+                    }
+                }),
+            (-16i64..16, -4i64..40, inner).prop_map(|(lb, extent, child)| Kind::Resized {
+                lb,
+                extent,
+                child
+            }),
+        ];
+        node.prop_map(|k| Spec(Box::new(k)))
+    })
+}
+
+// ----- the recursive flattener the one-pass commit replaced --------------
+
+/// The oracle's committed type: what a committed `Datatype` exposes.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Flat {
+    pub segments: Vec<Segment>,
+    pub size: usize,
+    pub lb: i64,
+    pub extent: i64,
+}
+
+impl Flat {
+    fn extent(&self) -> i64 {
+        self.extent
+    }
+
+    fn segments(&self) -> &[Segment] {
+        &self.segments
+    }
+
+    /// `count` replicas materialized, one extent apart: their lowest and
+    /// one-past-highest byte.
+    pub fn true_bounds(&self, count: usize) -> (i64, i64) {
+        let replicas = (0..count as i64).flat_map(|r| {
+            let base = r * self.extent;
+            self.segments
+                .iter()
+                .map(move |s| (base + s.offset, base + s.end()))
+        });
+        replicas
+            .reduce(|(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
+            .unwrap_or((0, 0))
+    }
+
+    pub fn is_contiguous(&self) -> bool {
+        self.segments.len() <= 1
+            && self.lb == 0
+            && self.extent == self.size as i64
+            && self
+                .segments
+                .first()
+                .is_none_or(|s| s.offset == 0 && s.len == self.size)
+    }
+}
+
+/// Commit `spec` the old way, children first, each commit capped at
+/// `limit` segments.
+pub fn oracle(spec: &Spec, limit: usize) -> Result<Flat> {
+    let kind = spec.0.try_map(&mut |child| oracle(child, limit))?;
+    if let Kind::Leaf(i) = &kind {
+        // Leaves were built whole, never through the sink.
+        let size = LEAVES[*i].1;
+        let segments = vec![Segment {
+            offset: 0,
+            len: size,
+        }];
+        let extent = size as i64;
+        return Ok(Flat {
+            segments,
+            size,
+            lb: 0,
+            extent,
+        });
+    }
+    validate(&kind)?;
+    let mut sink = Sink::new(limit);
+    flatten(&kind, 0, &mut sink)?;
+    let segments = sink.finish();
+    let size = segments.iter().map(|s| s.len).sum();
+    let true_lb = segments.iter().map(|s| s.offset).min().unwrap_or(0);
+    let true_ub = segments.iter().map(Segment::end).max().unwrap_or(0);
+    let (lb, extent) = match &kind {
+        Kind::Resized { lb, extent, .. } => (*lb, *extent),
+        _ => (true_lb, true_ub - true_lb),
+    };
+    Ok(Flat {
+        segments,
+        size,
+        lb,
+        extent,
+    })
+}
+
+fn validate(kind: &Kind<Flat>) -> Result<()> {
+    let fail = |msg: String| Err(TypeError::Invalid(msg));
+    match kind {
+        Kind::Leaf(_) | Kind::Contiguous { .. } => Ok(()),
+        // Overlapping vector blocks (|stride| < blocklen) are legal for
+        // sends in MPI; we follow and accept them unconditionally.
+        Kind::Vector { .. } => Ok(()),
+        Kind::Hvector { .. } | Kind::Indexed { .. } | Kind::Hindexed { .. } => Ok(()),
+        Kind::IndexedBlock { .. } | Kind::Struct { .. } => Ok(()),
+        Kind::Subarray {
+            sizes,
+            subsizes,
+            starts,
+            ..
+        } => {
+            if sizes.is_empty() {
+                return fail("subarray needs at least one dimension".into());
+            }
+            if sizes.len() != subsizes.len() || sizes.len() != starts.len() {
+                return fail(format!(
+                    "subarray dimension mismatch: sizes={}, subsizes={}, starts={}",
+                    sizes.len(),
+                    subsizes.len(),
+                    starts.len()
+                ));
+            }
+            for d in 0..sizes.len() {
+                if starts[d] + subsizes[d] > sizes[d] {
+                    return fail(format!(
+                        "subarray dim {d}: start {} + subsize {} exceeds size {}",
+                        starts[d], subsizes[d], sizes[d]
+                    ));
+                }
+            }
+            Ok(())
+        }
+        Kind::Resized { extent, .. } => {
+            if *extent < 0 {
+                fail("negative extents are not supported".into())
+            } else {
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Coalescing segment sink: adjacent-in-memory, consecutive-in-pack-order
+/// pieces are merged, exactly like an MPI implementation's flattened iovec.
+struct Sink {
+    segs: Vec<Segment>,
+    limit: usize,
+}
+
+impl Sink {
+    fn new(limit: usize) -> Self {
+        Sink {
+            segs: Vec::new(),
+            limit,
+        }
+    }
+
+    fn push(&mut self, offset: i64, len: usize) -> Result<()> {
+        if len == 0 {
+            return Ok(());
+        }
+        if let Some(last) = self.segs.last_mut() {
+            if last.end() == offset {
+                last.len += len;
+                return Ok(());
+            }
+        }
+        if self.segs.len() >= self.limit {
+            return Err(TypeError::TooManySegments {
+                segments: self.segs.len() + 1,
+                limit: self.limit,
+            });
+        }
+        self.segs.push(Segment { offset, len });
+        Ok(())
+    }
+
+    fn finish(self) -> Vec<Segment> {
+        self.segs
+    }
+}
+
+fn flatten_child_run(child: &Flat, base: i64, n: usize, sink: &mut Sink) -> Result<()> {
+    for i in 0..n {
+        flatten_committed(child, base + i as i64 * child.extent(), sink)?;
+    }
+    Ok(())
+}
+
+/// Re-emit an already committed child's segments at a displacement.
+fn flatten_committed(child: &Flat, base: i64, sink: &mut Sink) -> Result<()> {
+    for s in child.segments() {
+        sink.push(base + s.offset, s.len)?;
+    }
+    Ok(())
+}
+
+fn flatten(kind: &Kind<Flat>, base: i64, sink: &mut Sink) -> Result<()> {
+    match kind {
+        Kind::Leaf(i) => sink.push(base, LEAVES[*i].1),
+        Kind::Contiguous { count, child } => flatten_child_run(child, base, *count, sink),
+        Kind::Vector {
+            count,
+            blocklen,
+            stride,
+            child,
+        } => {
+            for i in 0..*count {
+                let block_base = base + *stride * i as i64 * child.extent();
+                flatten_child_run(child, block_base, *blocklen, sink)?;
+            }
+            Ok(())
+        }
+        Kind::Hvector {
+            count,
+            blocklen,
+            stride_bytes,
+            child,
+        } => {
+            for i in 0..*count {
+                let block_base = base + *stride_bytes * i as i64;
+                flatten_child_run(child, block_base, *blocklen, sink)?;
+            }
+            Ok(())
+        }
+        Kind::Indexed { blocks, child } => {
+            for &(disp, blocklen) in blocks {
+                flatten_child_run(child, base + disp * child.extent(), blocklen, sink)?;
+            }
+            Ok(())
+        }
+        Kind::Hindexed { blocks, child } => {
+            for &(disp, blocklen) in blocks {
+                flatten_child_run(child, base + disp, blocklen, sink)?;
+            }
+            Ok(())
+        }
+        Kind::IndexedBlock {
+            blocklen,
+            disps,
+            child,
+        } => {
+            for &disp in disps {
+                flatten_child_run(child, base + disp * child.extent(), *blocklen, sink)?;
+            }
+            Ok(())
+        }
+        Kind::Struct { fields } => {
+            for f in fields {
+                flatten_child_run(&f.dtype, base + f.disp, f.count, sink)?;
+            }
+            Ok(())
+        }
+        Kind::Subarray {
+            sizes,
+            subsizes,
+            starts,
+            child,
+        } => {
+            // Row-major strides in child extents.
+            let ndims = sizes.len();
+            let mut strides = vec![1i64; ndims];
+            for d in (0..ndims.saturating_sub(1)).rev() {
+                strides[d] = strides[d + 1] * sizes[d + 1] as i64;
+            }
+            subarray_walk(sizes, subsizes, starts, &strides, child, 0, base, sink)
+        }
+        Kind::Resized { child, .. } => flatten_committed(child, base, sink),
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn subarray_walk(
+    sizes: &[usize],
+    subsizes: &[usize],
+    starts: &[usize],
+    strides: &[i64],
+    child: &Flat,
+    dim: i64,
+    base: i64,
+    sink: &mut Sink,
+) -> Result<()> {
+    let d = dim as usize;
+    let ext = child.extent();
+    if d == sizes.len() - 1 {
+        // Innermost dimension: a contiguous run of children.
+        let run_base = base + starts[d] as i64 * ext;
+        flatten_child_run(child, run_base, subsizes[d], sink)
+    } else {
+        for i in 0..subsizes[d] {
+            let next = base + (starts[d] + i) as i64 * strides[d] * ext;
+            subarray_walk(sizes, subsizes, starts, strides, child, dim + 1, next, sink)?;
+        }
+        Ok(())
+    }
+}
+
+// ----- the executed walk and the reference engine ------------------------
 
 /// Walk `cursor` forward one segment piece at a time until `target` packed
 /// bytes are consumed; returns the pieces visited.

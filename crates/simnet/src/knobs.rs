@@ -1,11 +1,12 @@
-//! Counterfactual cost injection: scale factors over the cost model.
+//! Counterfactual cost injection: per-rank scale factors over the cost model.
 //!
 //! The what-if profiler (see `core::whatif`) answers "what would the run
 //! have cost if rank 3 packed twice as fast?" by *replaying* the workload
 //! under a modified cost model rather than extrapolating from a trace.
-//! [`CostKnobs`] is that modification: per-dimension scale factors
-//! ([`KnobDim`]: pack, wire, latency, compute), globally and/or per rank,
-//! attached to a [`crate::ClusterConfig`] as an optional overlay.
+//! [`CostKnobs`] is that modification: per-rank scale factors on the
+//! dimensions its planner intervenes on ([`KnobDim`]: pack, wire,
+//! compute), attached to a [`crate::ClusterConfig`] as an optional
+//! overlay.
 //!
 //! Two invariants make the overlay safe to thread through every charging
 //! path of [`crate::Rank`]:
@@ -21,11 +22,12 @@
 
 /// One scalable cost dimension of the simulation.
 ///
-/// These are the subsystems the diagnosis layer blames: datatype packing
-/// (and context re-search), wire serialization bandwidth, per-message
-/// network latency, and application compute. A factor below 1.0 makes the
-/// dimension faster ("pack 2× faster" = 0.5), above 1.0 slower, and 0.0
-/// removes it entirely ("zero the outlier's wire time").
+/// These are the subsystems the what-if planner intervenes on when the
+/// diagnosis layer blames a rank: datatype packing (and context
+/// re-search), wire serialization bandwidth, and application compute. A
+/// factor below 1.0 makes the dimension faster ("pack 2× faster" = 0.5),
+/// above 1.0 slower, and 0.0 removes it entirely ("zero the outlier's
+/// wire time").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum KnobDim {
     /// Datatype-engine pack/copy time and context re-search
@@ -34,9 +36,6 @@ pub enum KnobDim {
     /// Wire serialization time (`wire_ns`), on both the blocking send
     /// path and the NIC reservation timeline.
     Wire,
-    /// Per-message network latency (`latency_ns`); self-sends never pay
-    /// it and so are never scaled.
-    Latency,
     /// Application compute ([`crate::CostKind::Compute`]).
     Compute,
 }
@@ -48,73 +47,51 @@ impl KnobDim {
         match self {
             KnobDim::Pack => "pack",
             KnobDim::Wire => "wire",
-            KnobDim::Latency => "latency",
             KnobDim::Compute => "compute",
         }
     }
 
     /// All dimensions, in index order (matching the factor arrays below).
-    pub const ALL: [KnobDim; 4] = [
-        KnobDim::Pack,
-        KnobDim::Wire,
-        KnobDim::Latency,
-        KnobDim::Compute,
-    ];
+    pub const ALL: [KnobDim; 3] = [KnobDim::Pack, KnobDim::Wire, KnobDim::Compute];
 
     fn index(self) -> usize {
-        match self {
-            KnobDim::Pack => 0,
-            KnobDim::Wire => 1,
-            KnobDim::Latency => 2,
-            KnobDim::Compute => 3,
-        }
+        self as usize
     }
 }
 
-const NEUTRAL_FACTORS: [f64; 4] = [1.0; 4];
+const NEUTRAL_FACTORS: [f64; 3] = [1.0; 3];
 
-/// A set of counterfactual scale factors: one per [`KnobDim`] globally,
-/// plus optional per-rank overrides (a rank's factor is its override when
-/// one exists, else the global). Built with the [`CostKnobs::scale`] /
+/// A set of counterfactual scale factors: per-rank overrides of the
+/// neutral 1.0 on each [`KnobDim`]. Built with the
 /// [`CostKnobs::scale_rank`] chain and resolved once per rank at cluster
 /// construction ([`CostKnobs::resolve`]), so the hot charging paths never
 /// search the override table.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CostKnobs {
-    global: [f64; 4],
     /// `(rank, factors)` overrides, kept sorted by rank.
-    per_rank: Vec<(usize, [f64; 4])>,
+    per_rank: Vec<(usize, [f64; 3])>,
 }
 
 impl CostKnobs {
     /// All factors 1.0 — replays the run unchanged.
     pub fn neutral() -> CostKnobs {
         CostKnobs {
-            global: NEUTRAL_FACTORS,
             per_rank: Vec::new(),
         }
     }
 
-    /// Whether every factor (global and per-rank) is exactly 1.0.
+    /// Whether every factor is exactly 1.0.
     pub fn is_neutral(&self) -> bool {
-        self.global == NEUTRAL_FACTORS && self.per_rank.iter().all(|(_, f)| *f == NEUTRAL_FACTORS)
+        self.per_rank.iter().all(|(_, f)| *f == NEUTRAL_FACTORS)
     }
 
-    /// Scale `dim` by `factor` on every rank.
-    pub fn scale(mut self, dim: KnobDim, factor: f64) -> CostKnobs {
-        assert!(factor >= 0.0, "cost factors must be nonnegative");
-        self.global[dim.index()] = factor;
-        self
-    }
-
-    /// Scale `dim` by `factor` on `rank` only (overrides the global
-    /// factor for that dimension on that rank).
+    /// Scale `dim` by `factor` on `rank` only.
     pub fn scale_rank(mut self, rank: usize, dim: KnobDim, factor: f64) -> CostKnobs {
         assert!(factor >= 0.0, "cost factors must be nonnegative");
         match self.per_rank.binary_search_by_key(&rank, |(r, _)| *r) {
             Ok(i) => self.per_rank[i].1[dim.index()] = factor,
             Err(i) => {
-                let mut f = self.global;
+                let mut f = NEUTRAL_FACTORS;
                 f[dim.index()] = factor;
                 self.per_rank.insert(i, (rank, f));
             }
@@ -128,29 +105,22 @@ impl CostKnobs {
             .per_rank
             .binary_search_by_key(&rank, |(r, _)| *r)
             .map(|i| self.per_rank[i].1)
-            .unwrap_or(self.global);
+            .unwrap_or(NEUTRAL_FACTORS);
         ResolvedKnobs {
             pack: f[0],
             wire: f[1],
-            latency: f[2],
-            compute: f[3],
+            compute: f[2],
         }
     }
 
     /// Human-readable summary of the non-neutral factors, e.g.
-    /// `"pack x0.5 @rank3, wire x0 (global)"`. Empty string when neutral.
+    /// `"pack x0.5 @rank3, wire x0 @rank5"`. Empty string when neutral.
     pub fn describe(&self) -> String {
         let mut parts = Vec::new();
-        for dim in KnobDim::ALL {
-            let f = self.global[dim.index()];
-            if f != 1.0 {
-                parts.push(format!("{} x{} (global)", dim.label(), f));
-            }
-        }
         for (rank, factors) in &self.per_rank {
             for dim in KnobDim::ALL {
                 let f = factors[dim.index()];
-                if f != self.global[dim.index()] {
+                if f != 1.0 {
                     parts.push(format!("{} x{} @rank{rank}", dim.label(), f));
                 }
             }
@@ -164,7 +134,6 @@ impl CostKnobs {
 pub struct ResolvedKnobs {
     pub pack: f64,
     pub wire: f64,
-    pub latency: f64,
     pub compute: f64,
 }
 
@@ -173,7 +142,6 @@ impl ResolvedKnobs {
     pub const NEUTRAL: ResolvedKnobs = ResolvedKnobs {
         pack: 1.0,
         wire: 1.0,
-        latency: 1.0,
         compute: 1.0,
     };
 }
@@ -192,31 +160,30 @@ mod tests {
     }
 
     #[test]
-    fn global_and_per_rank_factors_compose() {
+    fn per_rank_factors_stay_on_their_rank() {
         let k = CostKnobs::neutral()
-            .scale(KnobDim::Wire, 2.0)
+            .scale_rank(5, KnobDim::Wire, 2.0)
             .scale_rank(3, KnobDim::Pack, 0.5);
         assert!(!k.is_neutral());
-        // Non-overridden rank sees the global wire factor only.
-        assert_eq!(
-            k.resolve(0),
-            ResolvedKnobs {
-                wire: 2.0,
-                ..ResolvedKnobs::NEUTRAL
-            }
-        );
-        // The overridden rank inherits the global factors it didn't set.
+        // A rank without an override sees neutral factors only.
+        assert_eq!(k.resolve(0), ResolvedKnobs::NEUTRAL);
+        // Each overridden rank sees its own factors only.
         assert_eq!(
             k.resolve(3),
             ResolvedKnobs {
                 pack: 0.5,
+                ..ResolvedKnobs::NEUTRAL
+            }
+        );
+        assert_eq!(
+            k.resolve(5),
+            ResolvedKnobs {
                 wire: 2.0,
                 ..ResolvedKnobs::NEUTRAL
             }
         );
         let d = k.describe();
-        assert!(d.contains("wire x2 (global)"), "{d}");
-        assert!(d.contains("pack x0.5 @rank3"), "{d}");
+        assert_eq!(d, "pack x0.5 @rank3, wire x2 @rank5");
     }
 
     #[test]

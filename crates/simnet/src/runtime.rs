@@ -611,15 +611,6 @@ impl Rank {
         }
     }
 
-    /// Per-message latency under the counterfactual latency factor.
-    #[inline]
-    fn latency_ns_scaled(&self) -> f64 {
-        match &self.knobs {
-            None => self.cost.latency_ns,
-            Some(k) => self.cost.latency_ns * k.latency,
-        }
-    }
-
     /// Charge `ns` of *CPU* time (scaled by this rank's speed) to `kind`.
     pub fn charge_cpu(&mut self, kind: CostKind, ns: f64) {
         let ns = ns * self.knob_cpu_factor(kind);
@@ -700,7 +691,7 @@ impl Rank {
         let arrival = if dst == self.rank {
             departure
         } else {
-            departure + SimTime::from_ns_f64(self.latency_ns_scaled())
+            departure + SimTime::from_ns_f64(self.cost.latency_ns)
         };
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += bytes as u64;

@@ -109,7 +109,9 @@ fn non_neutral_knobs_move_the_run() {
         t(&slowed),
         t(&bare)
     );
-    let zeroed = fixture(Some(CostKnobs::neutral().scale(KnobDim::Wire, 0.0)));
+    let zeroed = fixture(Some((0..4).fold(CostKnobs::neutral(), |k, r| {
+        k.scale_rank(r, KnobDim::Wire, 0.0)
+    })));
     assert!(
         t(&zeroed) < t(&bare),
         "zeroing wire time must shorten the run ({} !< {})",
