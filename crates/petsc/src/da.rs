@@ -26,7 +26,7 @@ use ncd_core::Comm;
 
 use crate::is::IndexSet;
 use crate::layout::Layout;
-use crate::scatter::{InsertMode, ScatterBackend, ScatterHandle, ScatterMode, VecScatter};
+use crate::scatter::{ScatterBackend, ScatterHandle, VecScatter};
 use crate::vec::PVec;
 
 /// Discretization stencil shape (paper Figure 3).
@@ -359,18 +359,9 @@ impl DistributedArray {
         &self.geom.global_layout
     }
 
-    pub fn local_layout(&self) -> &Arc<Layout> {
-        &self.geom.local_layout
-    }
-
     /// The compiled ghost-exchange plan (exposed for instrumentation).
     pub fn ghost_scatter(&self) -> &VecScatter {
         &self.ghost_scatter
-    }
-
-    /// Which rank owns grid point `p`.
-    pub fn owner_of(&self, p: [usize; 3]) -> usize {
-        self.geom.owner_of(p)
     }
 
     /// Index of `(p, c)` in the global vector (PETSc ordering).
@@ -419,55 +410,13 @@ impl DistributedArray {
         local: &mut PVec,
         backend: ScatterBackend,
     ) -> ScatterHandle {
-        let (insert, mode) = (InsertMode::Insert, ScatterMode::Forward);
-        self.ghost_scatter
-            .begin(comm, global, local, backend, insert, mode)
+        self.ghost_scatter.begin(comm, global, local, backend)
     }
 
     /// Finish a ghost update started with
     /// [`DistributedArray::global_to_local_begin`].
     pub fn global_to_local_end(&self, comm: &mut Comm, handle: ScatterHandle, local: &mut PVec) {
         self.ghost_scatter.end(comm, handle, local);
-    }
-
-    /// Accumulate a local form back into the global vector with ADD
-    /// semantics: every rank's contribution — its owned values *and* the
-    /// values it computed into its ghost region — is summed into the
-    /// owner, via the reverse of the ghost scatter. This is the
-    /// `DMLocalToGlobal(..., ADD_VALUES, ...)` used by finite-element
-    /// style assembly where each rank integrates over its elements and
-    /// boundary contributions belong to neighbouring owners.
-    ///
-    /// `global` should normally be zeroed first.
-    pub fn local_to_global_add(
-        &self,
-        comm: &mut Comm,
-        local: &PVec,
-        global: &mut PVec,
-        backend: ScatterBackend,
-    ) {
-        let (insert, mode) = (InsertMode::Add, ScatterMode::Reverse);
-        let handle = self
-            .ghost_scatter
-            .begin(comm, local, global, backend, insert, mode);
-        self.ghost_scatter.end(comm, handle, global);
-    }
-
-    /// Extract the owned values from a local form back into the global
-    /// vector (pure local copy — ghost values are discarded).
-    pub fn local_to_global(&self, local: &PVec, global: &mut PVec) {
-        let mut g_off = 0usize;
-        for k in self.geom.own_start[2]..self.geom.own_start[2] + self.geom.own_len[2] {
-            for j in self.geom.own_start[1]..self.geom.own_start[1] + self.geom.own_len[1] {
-                for i in self.geom.own_start[0]..self.geom.own_start[0] + self.geom.own_len[0] {
-                    for c in 0..self.geom.dof {
-                        let l_off = self.local_vec_offset([i, j, k], c);
-                        global.local_mut()[g_off] = local.local()[l_off];
-                        g_off += 1;
-                    }
-                }
-            }
-        }
     }
 
     /// Iterate over this rank's owned points in global-vector order.
@@ -622,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn local_to_global_round_trips() {
+    fn global_to_local_keeps_owned_values() {
         with_n(4, |comm| {
             let da = DistributedArray::new(comm, &[10, 10], 1, StencilKind::Star, 2);
             let mut g = da.create_global_vec();
@@ -631,9 +580,13 @@ mod tests {
             }
             let mut l = da.create_local_vec();
             da.global_to_local(comm, &g, &mut l, ScatterBackend::Datatype);
-            let mut g2 = da.create_global_vec();
-            da.local_to_global(&l, &mut g2);
-            assert_eq!(g.local(), g2.local());
+            for (off, p) in da.owned_points().enumerate() {
+                assert_eq!(
+                    l.local()[da.local_vec_offset(p, 0)],
+                    g.local()[off],
+                    "point {p:?}"
+                );
+            }
         });
     }
 
@@ -663,63 +616,5 @@ mod tests {
             // 7 ranks cannot split a 3-point 1-D grid.
             DistributedArray::new(comm, &[3], 1, StencilKind::Star, 1);
         });
-    }
-}
-
-#[cfg(test)]
-mod add_tests {
-    use super::*;
-    use ncd_core::MpiConfig;
-    use ncd_simnet::{Cluster, ClusterConfig};
-
-    #[test]
-    fn local_to_global_add_sums_ghost_contributions() {
-        let out = Cluster::new(ClusterConfig::uniform(4)).run(|rank| {
-            let mut comm = Comm::new(rank, MpiConfig::optimized());
-            let da = DistributedArray::new(&mut comm, &[8, 8], 1, StencilKind::Star, 1);
-            // Each rank writes 1.0 to every point of its local form
-            // (owned + ghosts); after the additive gather, a global point
-            // holds 1 + (number of neighbouring ranks whose ghost region
-            // covers it).
-            let mut l = da.create_local_vec();
-            l.set_all(1.0);
-            let mut g = da.create_global_vec();
-            da.local_to_global_add(&mut comm, &l, &mut g, ScatterBackend::HandTuned);
-            let total = g.sum(&mut comm);
-            (total, g.local().to_vec())
-        });
-        // Total = sum over ranks of local-form sizes (every written point
-        // lands somewhere exactly once).
-        // 2x2 process grid on 8x8, star width 1: each rank's local form =
-        // 4x4 owned + 2 faces of 4 = 24 points.
-        assert_eq!(out[0].0, 4.0 * 24.0);
-        // A point in the middle of a rank's subdomain is covered only by
-        // its owner: value 1. A point on a subdomain face is covered by
-        // the owner and one neighbour: value 2.
-        let rank0 = &out[0].1; // owns [0..4)x[0..4), x-fastest
-        assert_eq!(rank0[0], 1.0); // (0,0): corner of the grid, owner only
-        assert_eq!(rank0[3], 2.0); // (3,0): face point, neighbour ghost covers it
-        assert_eq!(rank0[15], 3.0); // (3,3): covered by right and top neighbours
-    }
-
-    #[test]
-    fn add_then_extract_is_consistent_across_backends() {
-        let run = |backend: ScatterBackend| {
-            Cluster::new(ClusterConfig::uniform(6)).run(move |rank| {
-                let mut comm = Comm::new(rank, MpiConfig::baseline());
-                let da = DistributedArray::new(&mut comm, &[12, 6], 1, StencilKind::Box, 1);
-                let mut l = da.create_local_vec();
-                for (i, v) in l.local_mut().iter_mut().enumerate() {
-                    *v = (i % 7) as f64 + comm.rank() as f64;
-                }
-                let mut g = da.create_global_vec();
-                da.local_to_global_add(&mut comm, &l, &mut g, backend);
-                g.local().to_vec()
-            })
-        };
-        assert_eq!(
-            run(ScatterBackend::HandTuned),
-            run(ScatterBackend::Datatype)
-        );
     }
 }

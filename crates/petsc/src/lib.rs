@@ -47,9 +47,9 @@ pub use ksp::{
 };
 pub use layout::Layout;
 pub use mat::AijMat;
-pub use mg::{LaplacianOp, Multigrid, SmootherKind};
+pub use mg::{LaplacianOp, Multigrid};
 pub use scatter::{
-    InsertMode, ScatterBackend, ScatterHandle, ScatterMode, VecScatter, STAGE_SCATTER_APPLY,
-    STAGE_SCATTER_BEGIN, STAGE_SCATTER_END,
+    ScatterBackend, ScatterHandle, VecScatter, STAGE_SCATTER_APPLY, STAGE_SCATTER_BEGIN,
+    STAGE_SCATTER_END,
 };
 pub use vec::PVec;

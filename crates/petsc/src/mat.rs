@@ -17,7 +17,7 @@ use ncd_core::Comm;
 use ncd_simnet::Tag;
 
 use crate::layout::Layout;
-use crate::scatter::{route, InsertMode, ScatterBackend, ScatterMode, VecScatter};
+use crate::scatter::{route, ScatterBackend, VecScatter};
 use crate::vec::PVec;
 
 const MAT_STASH_TAG: Tag = Tag(0x4000_0020);
@@ -65,10 +65,6 @@ impl AijMat {
 
     pub fn row_layout(&self) -> &Arc<Layout> {
         &self.row_layout
-    }
-
-    pub fn col_layout(&self) -> &Arc<Layout> {
-        &self.col_layout
     }
 
     /// Add `v` to entry (grow, gcol). Any rank may contribute to any row.
@@ -182,8 +178,7 @@ impl AijMat {
         // Start the halo gather, then compute every purely local row while
         // the ghost values are in flight; rows touching ghost columns run
         // after the gather completes.
-        let (insert, mode) = (InsertMode::Insert, ScatterMode::Forward);
-        let handle = plan.begin(comm, x, &mut ghosts, backend, insert, mode);
+        let handle = plan.begin(comm, x, &mut ghosts, backend);
         let row = |ghosts: &PVec, i: usize| {
             let mut acc = 0.0;
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {
@@ -281,7 +276,7 @@ mod tests {
             let out = with_n(4, move |comm| {
                 let n = 16;
                 let a = laplacian_1d(comm, n);
-                let layout = a.col_layout().clone();
+                let layout = a.row_layout().clone();
                 let (s, e) = layout.range(comm.rank());
                 // x[g] = g  =>  (A x)[g] = 2g - (g-1) - (g+1) = 0 interior.
                 let x = PVec::from_local(

@@ -10,10 +10,13 @@
 //! transfers fetch the points covering the local subdomain through
 //! [`VecScatter::gather_plan`], so they work for *any* alignment between
 //! the fine and coarse partitions — and, like the ghost exchanges of the
-//! smoother, they run over either scatter backend.
+//! smoother, they run over either scatter backend. The smoother is damped
+//! Jacobi with fixed parameters (two sweeps before and after the coarse
+//! correction, damping [`Multigrid::OMEGA`]); the coarsest level is solved
+//! by CG.
 //!
 //! The arithmetic streams memory once and allocates nothing per call: the
-//! operator walks the ghosted local form row by row, the smoothers and the
+//! operator walks the ghosted local form row by row, the smoother and the
 //! residual consume each row of `A x` while it is in cache, and every
 //! vector a V-cycle needs lives in its level. Simulated flops are charged
 //! in closed form, by the same calls in the same order as the unfused
@@ -246,10 +249,8 @@ struct Coarser {
 
 /// The vectors a visit to a level would otherwise allocate.
 struct Work {
-    /// Residual `b − A x`; the Chebyshev smoother's preconditioned residual.
+    /// Residual `b − A x`.
     r: PVec,
-    /// The Chebyshev smoother's direction.
-    d: PVec,
     /// Right-hand side and correction of the coarse problem.
     coarse_b: PVec,
     coarse_x: PVec,
@@ -260,8 +261,6 @@ struct Level {
     h: f64,
     /// Reciprocal of the operator diagonal (for the Jacobi smoother).
     inv_diag: Vec<f64>,
-    /// Estimated largest eigenvalue of `D⁻¹A` (for Chebyshev smoothing).
-    eig_max: f64,
     /// `mg_vcycle_l<lev>`, the level's profiling stage.
     stage: String,
     scratch: RefCell<Scratch>,
@@ -282,33 +281,22 @@ impl Level {
     }
 }
 
-/// Which smoother the V-cycle uses on every level.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SmootherKind {
-    /// Damped point-Jacobi (the default; damping from [`Multigrid::omega`]).
-    Jacobi,
-    /// Chebyshev polynomial acceleration of Jacobi over the interval
-    /// `[eig_max/10, 1.1*eig_max]` (PETSc's default MG smoother), with the
-    /// given polynomial degree per smoothing call. The largest eigenvalue
-    /// of `D⁻¹A` is estimated by power iteration at setup.
-    Chebyshev { degree: usize },
-}
-
 /// A geometric multigrid hierarchy and V-cycle.
 pub struct Multigrid {
     levels: Vec<Level>,
-    pub nu_pre: usize,
-    pub nu_post: usize,
-    /// Damping of the Jacobi smoother.
-    pub omega: f64,
-    /// Coarse-solve CG tolerance and iteration cap.
-    pub coarse_rtol: f64,
-    pub coarse_max_it: usize,
-    smoother: SmootherKind,
     backend: ScatterBackend,
 }
 
 impl Multigrid {
+    /// Damping of the Jacobi smoother.
+    pub const OMEGA: f64 = 0.8;
+    /// Smoothing sweeps before and after the coarse correction.
+    const NU_PRE: usize = 2;
+    const NU_POST: usize = 2;
+    /// Coarse-solve CG tolerance and iteration cap.
+    const COARSE_RTOL: f64 = 1e-3;
+    const COARSE_MAX_IT: usize = 200;
+
     /// Collectively build `nlevels` grids by halving `dims` (the finest
     /// grid) per level; `h` is the fine-grid spacing. Every level must
     /// still be partitionable over the communicator.
@@ -320,7 +308,6 @@ impl Multigrid {
         backend: ScatterBackend,
     ) -> Multigrid {
         assert!(nlevels >= 1, "need at least one level");
-        let rank = comm.rank();
         let mut levels: Vec<Level> = Vec::with_capacity(nlevels);
         let mut cur_dims: Vec<usize> = dims.to_vec();
         let mut cur_h = h;
@@ -336,7 +323,6 @@ impl Multigrid {
                 da,
                 h: cur_h,
                 inv_diag,
-                eig_max: 0.0, // estimated below, once the level exists
                 stage: format!("mg_vcycle_l{lev}"),
                 coarser: None,
             });
@@ -357,58 +343,13 @@ impl Multigrid {
                 interp: build_interp(comm, fine, coarse),
                 work: RefCell::new(Work {
                     r: fine.create_global_vec(),
-                    d: fine.create_global_vec(),
                     coarse_b: coarse.create_global_vec(),
                     coarse_x: coarse.create_global_vec(),
                 }),
             };
             levels[lev].coarser = Some(coarser);
         }
-        // Estimate eig_max(D^-1 A) per level by power iteration (used by
-        // the Chebyshev smoother; cheap relative to the solve).
-        for level in &mut levels {
-            let op = level.op();
-            let mut v = PVec::zeros(level.da.global_layout().clone(), rank);
-            for (i, vi) in v.local_mut().iter_mut().enumerate() {
-                *vi = 1.0 + ((i * 2654435761) % 97) as f64 / 97.0;
-            }
-            let mut av = PVec::zeros(level.da.global_layout().clone(), rank);
-            let mut lambda: f64 = 1.0;
-            for _ in 0..8 {
-                op.apply(comm, &v, &mut av, backend);
-                for (a, d) in av.local_mut().iter_mut().zip(&level.inv_diag) {
-                    *a *= d;
-                }
-                lambda = av.norm2(comm);
-                if lambda <= 0.0 {
-                    lambda = 1.0;
-                    break;
-                }
-                av.scale(comm, 1.0 / lambda);
-                std::mem::swap(&mut v, &mut av);
-            }
-            level.eig_max = lambda;
-        }
-        Multigrid {
-            levels,
-            nu_pre: 2,
-            nu_post: 2,
-            omega: 0.8,
-            coarse_rtol: 1e-3,
-            coarse_max_it: 200,
-            smoother: SmootherKind::Jacobi,
-            backend,
-        }
-    }
-
-    /// Select the smoother (builder style).
-    pub fn with_smoother(mut self, smoother: SmootherKind) -> Self {
-        self.smoother = smoother;
-        self
-    }
-
-    pub fn smoother(&self) -> SmootherKind {
-        self.smoother
+        Multigrid { levels, backend }
     }
 
     pub fn num_levels(&self) -> usize {
@@ -427,19 +368,10 @@ impl Multigrid {
         self.backend
     }
 
-    /// One smoothing call on level `lev` (not the coarsest): a
-    /// damped-Jacobi sweep or a Chebyshev polynomial, per the configured
-    /// [`SmootherKind`].
-    pub fn smooth(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
-        match self.smoother {
-            SmootherKind::Jacobi => self.smooth_jacobi(comm, lev, b, x),
-            SmootherKind::Chebyshev { degree } => self.smooth_chebyshev(comm, lev, degree, b, x),
-        }
-    }
-
+    /// One damped-Jacobi sweep on level `lev` (not the coarsest):
     /// `x ← x + ω D⁻¹ (b − A x)`, each row updated as soon as its `A x`
     /// is computed (from the local form, so the sweep stays Jacobi).
-    fn smooth_jacobi(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
+    pub fn smooth(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
         let level = &self.levels[lev];
         let op = level.op();
         op.ghost_update(comm, x, self.backend);
@@ -448,52 +380,10 @@ impl Multigrid {
                 .iter()
                 .zip(&level.inv_diag[row.clone()]);
             for ((xi, ri), (bi, di)) in x.local_mut()[row].iter_mut().zip(ax).zip(bd) {
-                *xi += self.omega * di * (bi - ri);
+                *xi += Self::OMEGA * di * (bi - ri);
             }
         });
         comm.rank_mut().compute_flops(4 * b.local_size() as u64);
-    }
-
-    /// Chebyshev acceleration of the Jacobi-preconditioned operator over
-    /// `[eig_max/10, 1.1·eig_max]` — damps the whole upper part of the
-    /// spectrum instead of a single frequency band.
-    fn smooth_chebyshev(&self, comm: &mut Comm, lev: usize, degree: usize, b: &PVec, x: &mut PVec) {
-        let level = &self.levels[lev];
-        let op = level.op();
-        let a_lo = level.eig_max * 0.1;
-        let a_hi = level.eig_max * 1.1;
-        let theta = 0.5 * (a_hi + a_lo);
-        let delta = 0.5 * (a_hi - a_lo);
-        let sigma = theta / delta;
-        let mut rho = 1.0 / sigma;
-
-        let Work { r, d, .. } = &mut *level.coarser().work.borrow_mut();
-        // r = D^{-1}(b - A x); d = r / theta; x += d
-        let precond_residual = |comm: &mut Comm, x: &PVec, r: &mut PVec| {
-            op.ghost_update(comm, x, self.backend);
-            op.for_each_row(comm, |row, ax| {
-                let bd = b.local()[row.clone()]
-                    .iter()
-                    .zip(&level.inv_diag[row.clone()]);
-                for ((ri, ai), (bi, di)) in r.local_mut()[row].iter_mut().zip(ax).zip(bd) {
-                    *ri = (bi - ai) * di;
-                }
-            });
-            comm.rank_mut().compute_flops(2 * b.local_size() as u64);
-        };
-        precond_residual(comm, x, r);
-        d.copy_from(r);
-        d.scale(comm, 1.0 / theta);
-        x.axpy(comm, 1.0, d);
-        for _ in 1..degree {
-            let rho_prev = rho;
-            rho = 1.0 / (2.0 * sigma - rho_prev);
-            precond_residual(comm, x, r);
-            // d = rho*rho_prev * d + (2*rho/delta) * r
-            d.scale(comm, rho * rho_prev);
-            d.axpy(comm, 2.0 * rho / delta, r);
-            x.axpy(comm, 1.0, d);
-        }
     }
 
     /// `r ← b − A x` on level `lev`, computed and charged as the
@@ -570,8 +460,8 @@ impl Multigrid {
             // Coarse solve: CG to a loose tolerance.
             comm.rank_mut().stage_begin("coarse_solve");
             let settings = KspSettings {
-                rtol: self.coarse_rtol,
-                max_it: self.coarse_max_it,
+                rtol: Self::COARSE_RTOL,
+                max_it: Self::COARSE_MAX_IT,
                 backend: self.backend,
                 ..Default::default()
             };
@@ -579,13 +469,13 @@ impl Multigrid {
             comm.rank_mut().stage_end("coarse_solve");
             return;
         }
-        for _ in 0..self.nu_pre {
+        for _ in 0..Self::NU_PRE {
             comm.rank_mut().stage_begin("smooth");
             self.smooth(comm, lev, b, x);
             comm.rank_mut().stage_end("smooth");
         }
         self.coarse_correction(comm, lev, b, x);
-        for _ in 0..self.nu_post {
+        for _ in 0..Self::NU_POST {
             comm.rank_mut().stage_begin("smooth");
             self.smooth(comm, lev, b, x);
             comm.rank_mut().stage_end("smooth");
@@ -593,8 +483,7 @@ impl Multigrid {
     }
 
     /// `x += P A_c⁻¹ R (b − A x)`, the coarse problem improved by one
-    /// V-cycle from zero. Borrows the level's vectors, which the smoothers
-    /// on either side of it use too.
+    /// V-cycle from zero, in the level's vectors.
     fn coarse_correction(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
         let work = &mut *self.levels[lev].coarser().work.borrow_mut();
         comm.rank_mut().stage_begin("residual");
@@ -882,88 +771,6 @@ mod tests {
             assert_eq!(mg.level_da(0).dims()[0], 20);
             assert_eq!(mg.level_da(1).dims()[0], 10);
             assert_eq!(mg.level_da(2).dims()[0], 5);
-        });
-    }
-}
-
-#[cfg(test)]
-mod chebyshev_tests {
-    use super::*;
-    use crate::ksp::richardson;
-    use ncd_core::MpiConfig;
-    use ncd_simnet::{Cluster, ClusterConfig};
-
-    #[test]
-    fn chebyshev_smoothed_mg_converges_and_beats_jacobi_per_cycle() {
-        let out = Cluster::new(ClusterConfig::uniform(4)).run(|rank| {
-            let mut comm = Comm::new(rank, MpiConfig::optimized());
-            let n = 32;
-            let h = 1.0 / n as f64;
-            let run = |comm: &mut Comm, smoother: SmootherKind| {
-                let mg = Multigrid::new(comm, &[n, n], h, 3, ScatterBackend::HandTuned)
-                    .with_smoother(smoother);
-                let da = mg.fine_da();
-                let op = LaplacianOp::new(da, h);
-                let mut b = PVec::zeros(da.global_layout().clone(), comm.rank());
-                b.set_all(1.0);
-                let mut x = PVec::zeros(da.global_layout().clone(), comm.rank());
-                for _ in 0..3 {
-                    mg.vcycle(comm, 0, &b, &mut x);
-                }
-                let mut r = PVec::zeros(da.global_layout().clone(), comm.rank());
-                op.apply(comm, &x, &mut r, ScatterBackend::HandTuned);
-                r.scale(comm, -1.0);
-                r.axpy(comm, 1.0, &b);
-                r.norm2(comm)
-            };
-            let jac = run(&mut comm, SmootherKind::Jacobi);
-            let cheb = run(&mut comm, SmootherKind::Chebyshev { degree: 3 });
-            (jac, cheb)
-        });
-        let (jac, cheb) = out[0];
-        assert!(cheb.is_finite() && cheb > 0.0);
-        // A degree-3 Chebyshev smoother should beat single Jacobi sweeps
-        // after the same number of cycles.
-        assert!(
-            cheb < jac,
-            "Chebyshev ({cheb:.3e}) should out-smooth Jacobi ({jac:.3e})"
-        );
-    }
-
-    #[test]
-    fn chebyshev_mg_as_preconditioner_solves() {
-        let out = Cluster::new(ClusterConfig::uniform(8)).run(|rank| {
-            let mut comm = Comm::new(rank, MpiConfig::optimized());
-            let n = 16;
-            let h = 1.0 / n as f64;
-            let mg = Multigrid::new(&mut comm, &[n, n, n], h, 3, ScatterBackend::Datatype)
-                .with_smoother(SmootherKind::Chebyshev { degree: 2 });
-            let da = mg.fine_da();
-            let op = LaplacianOp::new(da, h);
-            let mut b = PVec::zeros(da.global_layout().clone(), comm.rank());
-            b.set_all(1.0);
-            let mut x = PVec::zeros(da.global_layout().clone(), comm.rank());
-            let settings = KspSettings {
-                rtol: 1e-8,
-                max_it: 40,
-                backend: ScatterBackend::Datatype,
-                ..Default::default()
-            };
-            richardson(&mut comm, &op, &mg, 1.0, &b, &mut x, &settings).converged
-        });
-        assert!(out.iter().all(|&c| c));
-    }
-
-    #[test]
-    fn eig_estimates_are_positive_and_bounded() {
-        Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
-            let mut comm = Comm::new(rank, MpiConfig::optimized());
-            let mg = Multigrid::new(&mut comm, &[32], 1.0 / 32.0, 2, ScatterBackend::HandTuned);
-            for lev in 0..mg.num_levels() {
-                let e = mg.levels[lev].eig_max;
-                // For D^-1 * (1D Laplacian), the spectrum is in (0, 2).
-                assert!(e > 0.5 && e <= 2.1, "level {lev}: eig_max = {e}");
-            }
         });
     }
 }

@@ -62,37 +62,9 @@ const SETUP_PAIRS_TAG: Tag = Tag(0x4000_0001);
 const SETUP_DSTS_TAG: Tag = Tag(0x4000_0002);
 const DATA_TAG: Tag = Tag(0x4000_0010);
 
-/// How scattered values combine with the destination (PETSc's InsertMode).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InsertMode {
-    /// Overwrite the destination slot.
-    Insert,
-    /// Accumulate into the destination slot.
-    Add,
-}
-
-impl InsertMode {
-    /// `to[offsets[k]] op= vals[k]`: the mode is matched once, outside the
-    /// per-element loop.
-    fn store(self, to: &mut [f64], offsets: &[usize], vals: impl Iterator<Item = f64>) {
-        let pairs = offsets.iter().zip(vals);
-        match self {
-            InsertMode::Insert => pairs.for_each(|(&o, v)| to[o] = v),
-            InsertMode::Add => pairs.for_each(|(&o, v)| to[o] += v),
-        }
-    }
-}
-
-/// Direction of a scatter over a compiled plan (PETSc's ScatterMode).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScatterMode {
-    /// `y[dst[k]] op= x[src[k]]`.
-    Forward,
-    /// `x[src[k]] op= y[dst[k]]` — e.g. to accumulate ghost-region
-    /// contributions back into their owners. With [`InsertMode::Add`], a
-    /// source index named by several pairs accumulates all of them; with
-    /// [`InsertMode::Insert`] it keeps one of them.
-    Reverse,
+/// `to[offsets[k]] = vals[k]`.
+fn store(to: &mut [f64], offsets: &[usize], vals: impl Iterator<Item = f64>) {
+    offsets.iter().zip(vals).for_each(|(&o, v)| to[o] = v);
 }
 
 /// What one side of a plan exchanges with one peer.
@@ -127,8 +99,8 @@ fn count_runs(offsets: &[usize]) -> u64 {
     runs
 }
 
-/// One side (source or destination vector) of a compiled plan. Whichever
-/// side a direction reads from packs; the other unpacks.
+/// One side of a compiled plan: the source vector's side packs, the
+/// destination vector's side unpacks.
 struct Side {
     layout: Arc<Layout>,
     /// The pairs that stay on this rank, in pair order (parallel to the
@@ -174,14 +146,11 @@ impl Side {
 
 /// An in-flight scatter: returned by [`VecScatter::begin`], consumed by
 /// [`VecScatter::end`]. Holds the outstanding send/receive requests — the
-/// receive requests are parallel to the unpacking side's peer specs, so
-/// `end` can route each arriving payload to its offsets — and the direction
-/// and insert mode it was begun with.
+/// receive requests are parallel to the destination side's peer specs, so
+/// `end` can route each arriving payload to its offsets.
 pub struct ScatterHandle {
     send_reqs: Vec<Request>,
     recv_reqs: Vec<Request>,
-    insert: InsertMode,
-    mode: ScatterMode,
 }
 
 impl ScatterHandle {
@@ -193,8 +162,8 @@ impl ScatterHandle {
 }
 
 /// A compiled scatter plan between two layouts: one list of per-peer specs
-/// per side, executed by one `begin`/`end` pair in either direction and
-/// either insert mode.
+/// per side, executed forward (`y[dst[k]] = x[src[k]]`) by one
+/// `begin`/`end` pair.
 pub struct VecScatter {
     src: Side,
     dst: Side,
@@ -233,8 +202,10 @@ impl VecScatter {
 
     /// Collectively compile a scatter. Each rank contributes `src_is[k] ->
     /// dst_is[k]` pairs; the pairs may name any global indices (they are
-    /// routed to the owner of the source index internally). Destination
-    /// indices must be globally unique for well-defined results.
+    /// routed to the owner of the source index internally). A source index
+    /// may appear in several pairs; a destination index must appear in at
+    /// most one pair over all ranks, or its owner panics naming it and the
+    /// ranks that sent it.
     pub fn create(
         comm: &mut Comm,
         src_layout: Arc<Layout>,
@@ -287,13 +258,14 @@ impl VecScatter {
 
         // Phase 3: tell each destination which of its entries we will fill,
         // in the transfer order our send specs keep.
-        let recvs = route(comm, SETUP_DSTS_TAG, &send_dsts)
+        let recvs: Vec<PeerSpec> = route(comm, SETUP_DSTS_TAG, &send_dsts)
             .into_iter()
             .map(|(peer, dsts)| {
                 let offsets = dsts.iter().map(|&dg| dg as usize - my_dst_start);
                 PeerSpec::new(peer, offsets.collect())
             })
             .collect();
+        refuse_repeated_dsts(rank, &dst_layout, &local_dst, &recvs);
         let sends = send_offsets
             .into_iter()
             .enumerate()
@@ -329,51 +301,39 @@ impl VecScatter {
 
     /// Execute the scatter: `y[dst[k]] = x[src[k]]` for every pair.
     ///
-    /// Equivalent to a forward, inserting [`VecScatter::begin`] immediately
-    /// followed by [`VecScatter::end`] — use the split form to overlap
-    /// computation with the ghost traffic.
+    /// Equivalent to [`VecScatter::begin`] immediately followed by
+    /// [`VecScatter::end`] — use the split form to overlap computation with
+    /// the ghost traffic.
     pub fn apply(&self, comm: &mut Comm, x: &PVec, y: &mut PVec, backend: ScatterBackend) {
-        let (insert, mode) = (InsertMode::Insert, ScatterMode::Forward);
-        self.record_apply_metrics(comm, backend, "apply", mode);
+        self.record_apply_metrics(comm, backend, "apply");
         comm.rank_mut().stage_begin(STAGE_SCATTER_APPLY);
-        let handle = self.start(comm, x, y, backend, insert, mode);
+        let handle = self.start(comm, x, y, backend);
         self.finish(comm, handle, y);
         comm.rank_mut().stage_end(STAGE_SCATTER_APPLY);
     }
 
-    /// Initiate a scatter from `from` into `to` (PETSc's `VecScatterBegin`):
-    /// local copies are done, sends are initiated, receives are posted —
-    /// but nothing waits. `mode` picks the direction (`from` is the source
-    /// vector for [`ScatterMode::Forward`], the destination vector for
-    /// [`ScatterMode::Reverse`]), `insert` how arriving values combine with
-    /// `to`. Values headed to remote ranks are captured from `from` here, so
-    /// it may be reused immediately; `to`'s remote-filled entries are
-    /// undefined until [`VecScatter::end`].
+    /// Initiate a scatter from `from` into `to` (PETSc's `VecScatterBegin`
+    /// with `INSERT_VALUES, SCATTER_FORWARD`): local copies are done, sends
+    /// are initiated, receives are posted — but nothing waits. Values
+    /// headed to remote ranks are captured from `from` here, so it may be
+    /// reused immediately; `to`'s remote-filled entries are undefined until
+    /// [`VecScatter::end`].
     ///
     /// With [`ScatterBackend::HandTuned`] the communication is genuinely in
     /// flight while the caller computes. The [`ScatterBackend::Datatype`]
     /// backend is a single collective `alltoallw` with no split form — it
     /// completes inside `begin` and `end` is a no-op, mirroring how the
     /// datatype path trades library control for MPI-internal scheduling.
-    /// [`InsertMode::Add`] must land in an intermediate buffer before the
-    /// accumulation, which is exactly what explicit packing does: it runs
-    /// (and is metered as) hand-tuned whichever backend is asked for.
     pub fn begin(
         &self,
         comm: &mut Comm,
         from: &PVec,
         to: &mut PVec,
         backend: ScatterBackend,
-        insert: InsertMode,
-        mode: ScatterMode,
     ) -> ScatterHandle {
-        let backend = match insert {
-            InsertMode::Insert => backend,
-            InsertMode::Add => ScatterBackend::HandTuned,
-        };
-        self.record_apply_metrics(comm, backend, "begin", mode);
+        self.record_apply_metrics(comm, backend, "begin");
         comm.rank_mut().stage_begin(STAGE_SCATTER_BEGIN);
-        let handle = self.start(comm, from, to, backend, insert, mode);
+        let handle = self.start(comm, from, to, backend);
         comm.rank_mut().stage_end(STAGE_SCATTER_BEGIN);
         handle
     }
@@ -387,74 +347,55 @@ impl VecScatter {
         comm.rank_mut().stage_end(STAGE_SCATTER_END);
     }
 
-    /// The (packing, unpacking) sides of a direction.
-    fn sides(&self, mode: ScatterMode) -> (&Side, &Side) {
-        match mode {
-            ScatterMode::Forward => (&self.src, &self.dst),
-            ScatterMode::Reverse => (&self.dst, &self.src),
-        }
-    }
-
-    fn record_apply_metrics(
-        &self,
-        comm: &mut Comm,
-        backend: ScatterBackend,
-        op: &'static str,
-        mode: ScatterMode,
-    ) {
+    fn record_apply_metrics(&self, comm: &mut Comm, backend: ScatterBackend, op: &'static str) {
         if let Some(m) = comm.rank_mut().metrics_mut() {
             let label = backend.label();
-            let bytes = 8 * (self.sides(mode).0.remote_elems() + self.local_elems());
+            let bytes = 8 * (self.remote_send_elems() + self.local_elems());
             m.counter_add("scatter", op, label, 1);
             m.observe("scatter", "bytes", label, bytes as u64);
             m.counter_add("scatter", "neighbors", label, self.num_neighbors() as u64);
         }
     }
 
-    /// The one executor's first half. `backend` is already resolved against
-    /// `insert` (see [`VecScatter::begin`]).
+    /// The one executor's first half.
     fn start(
         &self,
         comm: &mut Comm,
         from: &PVec,
         to: &mut PVec,
         backend: ScatterBackend,
-        insert: InsertMode,
-        mode: ScatterMode,
     ) -> ScatterHandle {
-        let (pack, unpack) = self.sides(mode);
-        pack.check(from, "source");
-        unpack.check(to, "destination");
+        self.src.check(from, "source");
+        self.dst.check(to, "destination");
         let mut handle = ScatterHandle {
             send_reqs: Vec::new(),
             recv_reqs: Vec::new(),
-            insert,
-            mode,
         };
         match backend {
             ScatterBackend::Datatype => {
                 // `alltoallw` reads and writes the vectors in place, as a real MPI would.
                 let sendbuf = view::f64s_as_bytes(from.local());
                 let recvbuf = view::f64s_as_bytes_mut(to.local_mut());
-                comm.alltoallw(sendbuf, &pack.types, recvbuf, &unpack.types);
+                comm.alltoallw(sendbuf, &self.src.types, recvbuf, &self.dst.types);
             }
             ScatterBackend::HandTuned => {
                 // Post every receive before any packing starts.
-                handle.recv_reqs = unpack
+                handle.recv_reqs = self
+                    .dst
                     .remote
                     .iter()
                     .map(|r| comm.irecv(Some(r.peer), DATA_TAG))
                     .collect();
-                let (here, there) = (&pack.local, &unpack.local);
+                let (here, there) = (&self.src.local, &self.dst.local);
                 if !here.offsets.is_empty() {
                     let vals = here.offsets.iter().map(|&o| from.local()[o]);
-                    insert.store(to.local_mut(), &there.offsets, vals);
+                    store(to.local_mut(), &there.offsets, vals);
                     charge_indexed(comm, here.offsets.len(), here.runs);
                 }
                 // Gather each peer's values straight into its payload (the
                 // message's only copy on this side) and initiate the send; its
                 // wire time runs on the NIC while the next one is packed.
-                for s in &pack.remote {
+                for s in &self.src.remote {
                     let vals = s.offsets.iter().map(|&o| from.local()[o]);
                     let payload = view::f64s_to_payload(vals);
                     charge_indexed(comm, s.offsets.len(), s.runs);
@@ -468,22 +409,21 @@ impl VecScatter {
 
     /// The one executor's second half.
     fn finish(&self, comm: &mut Comm, handle: ScatterHandle, to: &mut PVec) {
-        let (_, unpack) = self.sides(handle.mode);
-        unpack.check(to, "destination");
-        // Receive request `i` unpacks through `unpack.remote[i]`; the
+        self.dst.check(to, "destination");
+        // Receive request `i` unpacks through `self.dst.remote[i]`; the
         // datatype path completed in `start` and left none.
-        let (insert, recv_reqs) = (handle.insert, handle.recv_reqs);
+        let recv_reqs = handle.recv_reqs;
         assert!(
-            recv_reqs.is_empty() || recv_reqs.len() == unpack.remote.len(),
+            recv_reqs.is_empty() || recv_reqs.len() == self.dst.remote.len(),
             "scatter handle holds {} receive requests but this plan unpacks from {} peers",
             recv_reqs.len(),
-            unpack.remote.len()
+            self.dst.remote.len()
         );
         // Unpack inbound messages as they arrive, not in plan order: a
         // late neighbour never blocks delivery of messages already here.
         comm.wait_each(recv_reqs, |comm, idx, completion| {
             let (bytes, _) = completion.into_recv();
-            let r = &unpack.remote[idx];
+            let r = &self.dst.remote[idx];
             let (want, got) = (8 * r.offsets.len(), bytes.len());
             assert_eq!(
                 got,
@@ -492,11 +432,37 @@ impl VecScatter {
                 comm.rank(),
                 r.peer
             );
-            insert.store(to.local_mut(), &r.offsets, view::f64s_in(&bytes));
+            store(to.local_mut(), &r.offsets, view::f64s_in(&bytes));
             charge_indexed(comm, r.offsets.len(), r.runs);
         });
         // Drain the sends: charge whatever wire time was not hidden.
         comm.waitall(handle.send_reqs);
+    }
+}
+
+/// Refuse a plan that fills one destination slot twice: the hand-tuned
+/// path would keep the last arrival and `alltoallw` its own order. `local`
+/// and each `recvs[i].offsets` are offsets into `rank`'s destination block;
+/// the local pairs count as sent by `rank` itself.
+fn refuse_repeated_dsts(rank: usize, layout: &Layout, local: &[usize], recvs: &[PeerSpec]) {
+    let senders = || {
+        let remote = recvs.iter().map(|r| (r.peer, r.offsets.as_slice()));
+        std::iter::once((rank, local)).chain(remote)
+    };
+    let mut filled = vec![false; layout.local_size(rank)];
+    for (_, offsets) in senders() {
+        for &o in offsets {
+            if std::mem::replace(&mut filled[o], true) {
+                let by: Vec<usize> = senders()
+                    .flat_map(|(peer, offs)| offs.iter().filter(|&&p| p == o).map(move |_| peer))
+                    .collect();
+                panic!(
+                    "scatter destination {} is named by more than one pair: rank {rank} \
+                     would receive it from ranks {by:?}",
+                    layout.range(rank).0 + o
+                );
+            }
+        }
     }
 }
 
@@ -707,28 +673,26 @@ mod tests {
     }
 
     #[test]
-    fn reverse_scatter_is_metered_and_staged_and_swaps_the_type_arrays() {
+    fn split_scatter_is_metered_and_staged() {
         Cluster::new(ClusterConfig::uniform(4)).run(|rank| {
             rank.enable_metrics();
             rank.enable_profiling();
             let mut comm = Comm::new(rank, MpiConfig::optimized());
             let (plan, layout) = perm_plan(&mut comm, 24);
-            let y = iota_vec(&comm, layout.clone());
-            let mut x = PVec::zeros(layout.clone(), comm.rank());
-            let asked = ScatterBackend::Datatype;
-            let (insert, mode) = (InsertMode::Insert, ScatterMode::Reverse);
-            let h = plan.begin(&mut comm, &y, &mut x, asked, insert, mode);
+            let x = iota_vec(&comm, layout.clone());
+            let mut y = PVec::zeros(layout.clone(), comm.rank());
+            let h = plan.begin(&mut comm, &x, &mut y, ScatterBackend::Datatype);
             assert_eq!(h.pending_ops(), 0, "one alltoallw, completed in begin");
-            plan.end(&mut comm, h, &mut x);
-            // x[g] = y[perm(g)] = perm(g).
+            plan.end(&mut comm, h, &mut y);
+            // y[perm(g)] = g: slot h holds perm⁻¹(h) = 7⁻¹·(h − 3) mod 24.
             let (s, e) = layout.range(comm.rank());
-            let expect: Vec<f64> = (s..e).map(|g| ((g * 7 + 3) % 24) as f64).collect();
-            assert_eq!(x.local(), expect);
+            let expect: Vec<f64> = (s..e).map(|h| ((h + 21) * 7 % 24) as f64).collect();
+            assert_eq!(y.local(), expect);
 
             let metrics = comm.rank_mut().take_metrics();
             assert_eq!(metrics.counter("scatter", "begin", "datatype"), 1);
-            // Bytes are counted on the side the direction packs from.
-            let packed = 8 * (plan.remote_recv_elems() + plan.local_elems()) as u64;
+            // Bytes are counted on the source side.
+            let packed = 8 * (plan.remote_send_elems() + plan.local_elems()) as u64;
             let bytes = metrics.histogram("scatter", "bytes", "datatype");
             assert_eq!(bytes.map(|h| h.sum()), Some(packed));
             let profile = comm.rank_mut().take_profile();
@@ -738,22 +702,21 @@ mod tests {
     }
 
     #[test]
-    fn add_runs_hand_tuned_whichever_backend_is_asked_for() {
-        Cluster::new(ClusterConfig::uniform(4)).run(|rank| {
-            rank.enable_metrics();
+    fn a_destination_named_twice_is_refused_by_name() {
+        let out = Cluster::new(ClusterConfig::uniform(2)).try_run(|rank| {
             let mut comm = Comm::new(rank, MpiConfig::optimized());
-            let (plan, layout) = perm_plan(&mut comm, 24);
-            let x = iota_vec(&comm, layout.clone());
-            let mut y = PVec::zeros(layout, comm.rank());
-            let asked = ScatterBackend::Datatype;
-            let (insert, mode) = (InsertMode::Add, ScatterMode::Forward);
-            let h = plan.begin(&mut comm, &x, &mut y, asked, insert, mode);
-            assert!(h.pending_ops() > 0, "point-to-point requests in flight");
-            plan.end(&mut comm, h, &mut y);
-            let metrics = comm.rank_mut().take_metrics();
-            assert_eq!(metrics.counter("scatter", "begin", "hand_tuned"), 1);
-            assert_eq!(metrics.counter("scatter", "begin", "datatype"), 0);
+            let layout = Layout::balanced(4, comm.size());
+            // Each rank sends its first owned value to global slot 3, which
+            // rank 1 owns: one pair arrives from rank 0, one stays local.
+            let src = IndexSet::general(vec![2 * comm.rank()]);
+            let dst = IndexSet::general(vec![3]);
+            VecScatter::create(&mut comm, layout.clone(), &src, layout, &dst);
         });
+        let err = out.results.expect_err("a repeated destination is refused");
+        let msg = err.to_string();
+        let named = "scatter destination 3 is named by more than one pair: \
+                     rank 1 would receive it from ranks [1, 0]";
+        assert!(msg.contains(named), "{msg}");
     }
 
     /// Rank 0 owes rank 1 four values and sends `bad` in their place:
@@ -770,8 +733,7 @@ mod tests {
             }
             let x = iota_vec(comm, layout.clone());
             let mut y = PVec::from_local(layout, comm.rank(), vec![-1.0; 4]);
-            let (insert, mode) = (InsertMode::Insert, ScatterMode::Forward);
-            let h = plan.begin(comm, &x, &mut y, ScatterBackend::HandTuned, insert, mode);
+            let h = plan.begin(comm, &x, &mut y, ScatterBackend::HandTuned);
             let end = std::panic::AssertUnwindSafe(|| plan.end(comm, h, &mut y));
             let panic = std::panic::catch_unwind(end).expect_err("a bad payload is refused");
             let msg = panic.downcast::<String>().expect("a formatted message");
@@ -803,8 +765,7 @@ mod tests {
             let (plan, layout) = perm_plan(comm, 24);
             let x = iota_vec(comm, layout.clone());
             let mut y = PVec::zeros(layout, comm.rank());
-            let (insert, mode) = (InsertMode::Insert, ScatterMode::Forward);
-            let h = plan.begin(comm, &x, &mut y, ScatterBackend::HandTuned, insert, mode);
+            let h = plan.begin(comm, &x, &mut y, ScatterBackend::HandTuned);
             let mut other = PVec::zeros(Layout::balanced(25, comm.size()), comm.rank());
             comm.barrier(); // every rank reaches its own panic
             plan.end(comm, h, &mut other);
@@ -821,8 +782,7 @@ mod tests {
             let identity = VecScatter::create(comm, layout.clone(), &own, layout.clone(), &own);
             let x = iota_vec(comm, layout.clone());
             let mut y = PVec::zeros(layout, comm.rank());
-            let (insert, mode) = (InsertMode::Insert, ScatterMode::Forward);
-            let h = plan.begin(comm, &x, &mut y, ScatterBackend::HandTuned, insert, mode);
+            let h = plan.begin(comm, &x, &mut y, ScatterBackend::HandTuned);
             comm.barrier(); // every rank reaches its own panic
             identity.end(comm, h, &mut y);
         });

@@ -142,7 +142,7 @@ fn mg_pieces(
                 let diag = LaplacianOp::new(fine, h).diagonal_vec();
                 apply_per_point(comm, fine, h, &x, &mut r, backend);
                 for (i, xi) in x.local_mut().iter_mut().enumerate() {
-                    *xi += mg.omega * (1.0 / diag[i]) * (b.local()[i] - r.local()[i]);
+                    *xi += Multigrid::OMEGA * (1.0 / diag[i]) * (b.local()[i] - r.local()[i]);
                 }
                 comm.rank_mut().compute_flops(4 * b.local_size() as u64);
                 apply_per_point(comm, fine, h, &x, &mut r, backend);

@@ -3,7 +3,7 @@
 //! reductions must match their sequential counterparts.
 
 use ncd_core::{Comm, MpiConfig};
-use ncd_petsc::{IndexSet, InsertMode, Layout, PVec, ScatterBackend, ScatterMode, VecScatter};
+use ncd_petsc::{IndexSet, Layout, PVec, ScatterBackend, VecScatter};
 use ncd_simnet::{Cluster, ClusterConfig};
 use proptest::prelude::*;
 
@@ -12,10 +12,9 @@ proptest! {
 
     /// A random subset of source indices (optionally with repeats)
     /// scattered to a random permutation of destination slots, split
-    /// arbitrarily across ranks: in either direction and either insert
-    /// mode, under both backends and both MPI flavors, every slot must hold
-    /// what one sequential model says — `y[d] = x[s]`, `y[d] += x[s]`,
-    /// `x[s] = y[d]` (a repeated `s` keeps one of its pairs), `x[s] += y[d]`.
+    /// arbitrarily across ranks: under both backends and both MPI flavors,
+    /// every slot must hold what the sequential model `y[d] = x[s]` says,
+    /// bit for bit, and every slot no pair names must keep its value.
     #[test]
     fn arbitrary_scatters_move_values_exactly(
         nranks in 1usize..6,
@@ -38,14 +37,10 @@ proptest! {
         let take = n / 2 + 1;
         let dst_idx = &dst_idx[..take];
         // The destination vector is longer than the source vector, so the
-        // two sides of the plan have different layouts. `Add` gets integer
-        // values, which keep every sum exact whatever order it is taken in;
-        // `Insert` must move bit patterns, so it gets the awkward ones — NaNs
-        // with distinct payloads, -0.0, subnormals, ±∞ — and is compared by
-        // `to_bits`.
+        // two sides of the plan have different layouts. A scatter must move
+        // bit patterns, so the values are the awkward ones — NaNs with
+        // distinct payloads, -0.0, subnormals, ±∞ — compared by `to_bits`.
         let m = n + 5;
-        let int_x: Vec<f64> = (0..n).map(|g| (g + 1) as f64).collect();
-        let int_y: Vec<f64> = (0..m).map(|g| -((g + 1000) as f64)).collect();
         let awkward = |g: usize, side: u64| match g % 6 {
             0 => f64::from_bits(0x7ff8_0000_0000_0000 | side << 32 | (g as u64 + 1)),
             1 => f64::from_bits(0xfff8_0000_0000_0000 | side << 32 | (g as u64 + 1)),
@@ -54,34 +49,23 @@ proptest! {
             4 => if side == 0 { f64::INFINITY } else { f64::NEG_INFINITY },
             _ => (g + 1) as f64,
         };
-        let bit_x: Vec<f64> = (0..n).map(|g| awkward(g, 0)).collect();
-        let bit_y: Vec<f64> = (0..m).map(|g| awkward(g, 1)).collect();
+        let x0: Vec<f64> = (0..n).map(|g| awkward(g, 0)).collect();
+        let y0: Vec<f64> = (0..m).map(|g| awkward(g, 1)).collect();
 
         let cases = [false, true].into_iter().flat_map(|repeat| {
-            [ScatterMode::Forward, ScatterMode::Reverse].into_iter().flat_map(move |mode| {
-                [InsertMode::Insert, InsertMode::Add].into_iter().flat_map(move |insert| {
-                    [ScatterBackend::HandTuned, ScatterBackend::Datatype]
-                        .map(|backend| (repeat, mode, insert, backend))
-                })
-            })
+            [ScatterBackend::HandTuned, ScatterBackend::Datatype].map(|backend| (repeat, backend))
         });
-        for (repeat, mode, insert, backend) in cases {
+        for (repeat, backend) in cases {
+            // Repeats fold the sources onto fewer indices; the destinations
+            // stay distinct, as `create` requires.
             let fold = if repeat { take / 2 + 1 } else { n };
             let src_v: Vec<usize> = src_idx[..take].iter().map(|&s| s % fold).collect();
             let dst_v = dst_idx.to_vec();
-            let (x0, y0) = match insert {
-                InsertMode::Insert => (&bit_x, &bit_y),
-                InsertMode::Add => (&int_x, &int_y),
-            };
 
-            // The sequential model: the values that land in each slot.
-            let init = match mode { ScatterMode::Forward => y0, ScatterMode::Reverse => x0 };
-            let mut landing: Vec<Vec<f64>> = vec![Vec::new(); init.len()];
+            // The sequential model: what each destination slot must hold.
+            let mut want = y0.clone();
             for (&sg, &dg) in src_v.iter().zip(&dst_v) {
-                match mode {
-                    ScatterMode::Forward => landing[dg].push(x0[sg]),
-                    ScatterMode::Reverse => landing[sg].push(y0[dg]),
-                }
+                want[dg] = x0[sg];
             }
 
             let cfg = if baseline { MpiConfig::baseline() } else { MpiConfig::optimized() };
@@ -93,7 +77,7 @@ proptest! {
                     let (s, e) = layout.range(comm.rank());
                     PVec::from_local(layout, comm.rank(), vals[s..e].to_vec())
                 };
-                let (mut x, mut y) = (vec_of(n, &x0_c), vec_of(m, &y0_c));
+                let (x, mut y) = (vec_of(n, &x0_c), vec_of(m, &y0_c));
                 // Each rank contributes a slice of the pair list.
                 let per = src_v.len().div_ceil(comm.size());
                 let lo = (comm.rank() * per).min(src_v.len());
@@ -105,28 +89,17 @@ proptest! {
                     y.layout().clone(),
                     &IndexSet::general(dst_v[lo..hi].to_vec()),
                 );
-                let (from, to) = match mode {
-                    ScatterMode::Forward => (&x, &mut y),
-                    ScatterMode::Reverse => (&y, &mut x),
-                };
-                let handle = plan.begin(&mut comm, from, to, backend, insert, mode);
-                plan.end(&mut comm, handle, to);
-                to.local().to_vec()
+                let handle = plan.begin(&mut comm, &x, &mut y, backend);
+                plan.end(&mut comm, handle, &mut y);
+                y.local().to_vec()
             });
             let got: Vec<f64> = out.into_iter().flatten().collect();
-            prop_assert_eq!(got.len(), init.len());
-            for (g, &v) in got.iter().enumerate() {
-                let same = |w: f64| w.to_bits() == v.to_bits();
-                let ok = match (landing[g].as_slice(), insert) {
-                    ([], _) => same(init[g]),
-                    (vals, InsertMode::Insert) => vals.iter().any(|&w| same(w)),
-                    (vals, InsertMode::Add) => same(init[g] + vals.iter().sum::<f64>()),
-                };
+            prop_assert_eq!(got.len(), want.len());
+            for (g, (&v, &w)) in got.iter().zip(&want).enumerate() {
                 prop_assert!(
-                    ok,
-                    "{:?} {:?} {:?} repeat={}: slot {} holds {} ({:#x}), started at {}, lands {:?} ({:x?})",
-                    mode, insert, backend, repeat, g, v, v.to_bits(), init[g], landing[g],
-                    landing[g].iter().map(|w| w.to_bits()).collect::<Vec<_>>()
+                    v.to_bits() == w.to_bits(),
+                    "{:?} repeat={}: slot {} holds {} ({:#x}), want {} ({:#x}), started at {}",
+                    backend, repeat, g, v, v.to_bits(), w, w.to_bits(), y0[g]
                 );
             }
         }
