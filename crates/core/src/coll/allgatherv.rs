@@ -250,7 +250,7 @@ impl Comm<'_> {
             // inbound message can match the moment it arrives.
             let req = self.irecv(Some(left), tag);
             self.rank_mut().charge_copy(CostKind::Pack, chunk.len(), 1);
-            self.send_grp(right, tag, chunk);
+            self.rank_mut().send_bytes(right, tag, chunk);
             let (data, _) = self.wait(req).into_recv();
             let runs = block_runs(counts, displs, recv_idx, 1);
             self.check_payload(AllgathervAlgorithm::Ring, step as u32, left, &runs, &data);
@@ -282,7 +282,7 @@ impl Comm<'_> {
             let payload = gather_runs(recvbuf, &group_of(rank));
             self.rank_mut()
                 .charge_copy(CostKind::Pack, payload.len(), mask as u64);
-            self.send_grp(partner, tag, payload);
+            self.rank_mut().send_bytes(partner, tag, payload);
             let (data, _) = self.wait(req).into_recv();
 
             let runs = group_of(partner);
@@ -323,7 +323,7 @@ impl Comm<'_> {
             let payload = gather_runs(recvbuf, &ending_at(rank));
             self.rank_mut()
                 .charge_copy(CostKind::Pack, payload.len(), send_cnt as u64);
-            self.send_grp(dst, tag, payload);
+            self.rank_mut().send_bytes(dst, tag, payload);
             let (data, _) = self.wait(req).into_recv();
 
             let runs = ending_at(src);

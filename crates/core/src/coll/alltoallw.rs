@@ -215,7 +215,7 @@ impl Comm<'_> {
             let s = &sends[dst];
             let payload =
                 self.prepare_send(&sendbuf[s.offset.min(sendbuf.len())..], &s.dtype, s.count);
-            self.send_grp(dst, tag, payload);
+            self.rank_mut().send_bytes(dst, tag, payload);
             let (data, _) = self.wait(req).into_recv();
             let r = &recvs[src];
             self.check_exchange_bytes("pairwise byte count", src, r.bytes(), data.len());
@@ -278,7 +278,7 @@ impl Comm<'_> {
             let s = &sends[dst];
             let tag = coll_tag(CollOp::Alltoallw, 0);
             let payload = self.prepare_send(&sendbuf[s.offset..], &s.dtype, s.count);
-            send_reqs.push(self.isend_grp(dst, tag, payload));
+            send_reqs.push(self.isend_bytes(dst, tag, payload));
         }
 
         // Unpack inbound messages as they arrive (not in posting order):

@@ -22,8 +22,8 @@ impl Comm<'_> {
             let dst = (rank + delta) % size;
             let src = (rank + size - delta) % size;
             let tag = coll_tag(CollOp::Barrier, phase);
-            self.send_grp(dst, tag, Vec::new());
-            let _ = self.recv_grp(Some(src), tag);
+            self.rank_mut().send_bytes(dst, tag, Vec::new());
+            let _ = self.rank_mut().recv_bytes(Some(src), tag);
             delta <<= 1;
             phase += 1;
         }
@@ -43,7 +43,7 @@ impl Comm<'_> {
         while mask < size {
             if relrank & mask != 0 {
                 let src = (rank + size - mask) % size;
-                let (data, _) = self.recv_grp(Some(src), tag);
+                let (data, _) = self.rank_mut().recv_bytes(Some(src), tag);
                 *buf = data;
                 break;
             }
@@ -53,7 +53,7 @@ impl Comm<'_> {
         while mask > 0 {
             if relrank + mask < size {
                 let dst = (rank + mask) % size;
-                self.send_grp(dst, tag, buf.clone());
+                self.rank_mut().send_bytes(dst, tag, buf.clone());
             }
             mask >>= 1;
         }
@@ -70,12 +70,12 @@ impl Comm<'_> {
             assert_eq!(parts.len(), size, "scatterv needs one part per rank");
             for (dst, part) in parts.iter().enumerate() {
                 if dst != root {
-                    self.send_grp(dst, tag, part.clone());
+                    self.rank_mut().send_bytes(dst, tag, part.clone());
                 }
             }
             parts[root].clone()
         } else {
-            let (data, _) = self.recv_grp(Some(root), tag);
+            let (data, _) = self.rank_mut().recv_bytes(Some(root), tag);
             data
         }
     }
@@ -145,8 +145,9 @@ impl Comm<'_> {
             let dst = (rank + i) % size;
             let src = (rank + size - i) % size;
             let tag = coll_tag(CollOp::Alltoall, i as u32);
-            self.send_grp(dst, tag, send[dst * block..(dst + 1) * block].to_vec());
-            let (data, _) = self.recv_grp(Some(src), tag);
+            self.rank_mut()
+                .send_bytes(dst, tag, send[dst * block..(dst + 1) * block].to_vec());
+            let (data, _) = self.rank_mut().recv_bytes(Some(src), tag);
             recv[src * block..(src + 1) * block].copy_from_slice(&data);
         }
         recv

@@ -35,6 +35,13 @@ pub(crate) enum CollOp {
 /// Tags in the collective range: bit 31 set, op in bits 24..31, phase in
 /// the low bits. Per-(source, tag) FIFO matching plus distinct phases make
 /// consecutive collectives safe without a sequence number.
+///
+/// With one communicator and exact-tag receives, the tag is the only
+/// thing that separates a collective's messages from everything else on
+/// the same (source, destination) pair: mini-PETSc's scatter and matrix
+/// set-up use `0x4000_00xx`, and user code tags below both ranges. A
+/// receive never names a wildcard tag, so no user receive can take a
+/// collective's envelope.
 pub(crate) fn coll_tag(op: CollOp, phase: u32) -> Tag {
     debug_assert!(phase < 1 << 24);
     Tag(0x8000_0000 | ((op as u32) << 24) | phase)

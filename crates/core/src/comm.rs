@@ -15,8 +15,6 @@
 //! * direct (writev-style) segments → `CostKind::Pack` per-segment only —
 //!   no copy, the bytes go straight from user memory to the wire.
 
-use std::sync::Arc;
-
 use ncd_datatype::{BlockMode, Datatype, OpCounts, PackEngine, Unpacker};
 use ncd_simnet::{millis_to_ratio, ratio_to_millis, volume, CostKind, EventKind, Rank, Tag};
 
@@ -24,46 +22,12 @@ use crate::config::MpiConfig;
 use crate::drift::{DriftConfig, DriftDirection, DriftMonitor};
 use crate::view;
 
-/// A subset of the world's ranks forming a communicator group (the result
-/// of [`Comm::split`], MPI's `MPI_Comm_split`). The group records each
-/// member's *global* rank in group-rank order plus the context id that
-/// keeps its traffic apart from every other communicator's.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommGroup {
-    members: Arc<Vec<usize>>,
-    context: u32,
-}
-
-impl CommGroup {
-    /// Number of ranks in the group.
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Global rank of group member `i`.
-    pub fn global_rank(&self, i: usize) -> usize {
-        self.members[i]
-    }
-
-    /// Group rank of a global rank, if it is a member.
-    pub fn group_rank(&self, global: usize) -> Option<usize> {
-        self.members.iter().position(|&g| g == global)
-    }
-
-    pub fn contains(&self, global: usize) -> bool {
-        self.group_rank(global).is_some()
-    }
-}
-
-/// A communicator: a rank handle plus an implementation personality, and
-/// optionally a sub-group of the world (see [`Comm::split`]).
+/// The communicator: a rank handle plus an implementation personality.
+/// There is one communicator, the world; traffic of different layers
+/// stays apart by tag range (see [`crate::coll`]'s `coll_tag`).
 pub struct Comm<'a> {
     rank: &'a mut Rank,
     cfg: MpiConfig,
-    group: Option<CommGroup>,
-    /// Per-communicator split counter, so consecutive splits derive
-    /// distinct contexts deterministically.
-    split_seq: u32,
     /// Online regime-shift watcher over the per-collective epoch series.
     /// Lazily created on the first epoch closed with history recording
     /// enabled, so an unobserved run never allocates it.
@@ -75,140 +39,18 @@ impl<'a> Comm<'a> {
         Comm {
             rank,
             cfg,
-            group: None,
-            split_seq: 0,
             drift: None,
         }
     }
 
-    /// Rank within this communicator (group rank for sub-communicators).
+    /// This rank's number.
     pub fn rank(&self) -> usize {
-        match &self.group {
-            None => self.rank.rank(),
-            Some(g) => g
-                .group_rank(self.rank.rank())
-                .expect("rank not in its own communicator group"),
-        }
-    }
-
-    /// Size of this communicator.
-    pub fn size(&self) -> usize {
-        match &self.group {
-            None => self.rank.size(),
-            Some(g) => g.size(),
-        }
-    }
-
-    /// This rank's global (world) rank, regardless of the group.
-    pub fn global_rank(&self) -> usize {
         self.rank.rank()
     }
 
-    /// The communicator context id (0 = world).
-    pub fn context(&self) -> u32 {
-        self.group.as_ref().map_or(0, |g| g.context)
-    }
-
-    /// Map a communicator destination rank to (global rank, context).
-    pub(crate) fn resolve_dst(&self, dst: usize) -> (usize, u32) {
-        match &self.group {
-            None => (dst, 0),
-            Some(g) => (g.global_rank(dst), g.context),
-        }
-    }
-
-    /// Map a communicator source (`None` = any member) to (global source,
-    /// context).
-    pub(crate) fn resolve_src(&self, src: Option<usize>) -> (Option<usize>, u32) {
-        match &self.group {
-            None => (src, 0),
-            Some(g) => (src.map(|s| g.global_rank(s)), g.context),
-        }
-    }
-
-    /// Map a received message's global source back to its communicator
-    /// rank. Panics if the sender is outside this communicator's group —
-    /// context isolation should make that impossible.
-    pub(crate) fn group_src_of(&self, global: usize) -> usize {
-        match &self.group {
-            None => global,
-            Some(g) => g
-                .group_rank(global)
-                .expect("message from outside the group matched its context"),
-        }
-    }
-
-    /// Send raw bytes to communicator rank `dst` (group-relative) within
-    /// this communicator's context. All higher layers route through this.
-    pub fn send_grp(&mut self, dst: usize, tag: Tag, data: Vec<u8>) {
-        let (global, ctx) = self.resolve_dst(dst);
-        self.rank.send_bytes_ctx(global, tag, ctx, data);
-    }
-
-    /// Receive raw bytes from communicator rank `src` (None = any member)
-    /// within this communicator's context. Returns the payload and the
-    /// source's communicator rank.
-    pub fn recv_grp(&mut self, src: Option<usize>, tag: Tag) -> (Vec<u8>, usize) {
-        let (global_src, ctx) = self.resolve_src(src);
-        let (data, actual_global) = self.rank.recv_bytes_ctx(global_src, tag, ctx);
-        (data, self.group_src_of(actual_global))
-    }
-
-    /// Collectively split this communicator (MPI_Comm_split): ranks with
-    /// the same `color` form a new group, ordered by (`key`, current
-    /// rank). Returns the group this rank belongs to; run code inside it
-    /// with [`Comm::with_sub`].
-    pub fn split(&mut self, color: usize, key: usize) -> CommGroup {
-        // Gather (color, key, global_rank) from every member.
-        let mut triple = Vec::with_capacity(24);
-        triple.extend_from_slice(&(color as u64).to_le_bytes());
-        triple.extend_from_slice(&(key as u64).to_le_bytes());
-        triple.extend_from_slice(&(self.global_rank() as u64).to_le_bytes());
-        let mut all = vec![0u8; 24 * self.size()];
-        self.allgather(&triple, &mut all);
-        let mut mine: Vec<(u64, u64)> = Vec::new(); // (key, global) of my color
-        for t in all.chunks_exact(24) {
-            let c = u64::from_le_bytes(t[..8].try_into().expect("8"));
-            let k = u64::from_le_bytes(t[8..16].try_into().expect("8"));
-            let g = u64::from_le_bytes(t[16..].try_into().expect("8"));
-            if c == color as u64 {
-                mine.push((k, g));
-            }
-        }
-        mine.sort_unstable();
-        let members: Vec<usize> = mine.into_iter().map(|(_, g)| g as usize).collect();
-        // Derive a context deterministically from (parent context, split
-        // sequence number, color): FNV-1a over the three words.
-        self.split_seq += 1;
-        let mut h: u32 = 0x811c_9dc5;
-        for w in [self.context(), self.split_seq, color as u32] {
-            for b in w.to_le_bytes() {
-                h ^= b as u32;
-                h = h.wrapping_mul(0x0100_0193);
-            }
-        }
-        // Never collide with the world context.
-        let context = h | 1;
-        CommGroup {
-            members: Arc::new(members),
-            context,
-        }
-    }
-
-    /// Run `f` with a communicator scoped to `group`. Returns `None`
-    /// without running `f` if this rank is not a member.
-    pub fn with_sub<R>(&mut self, group: &CommGroup, f: impl FnOnce(&mut Comm) -> R) -> Option<R> {
-        if !group.contains(self.rank.rank()) {
-            return None;
-        }
-        let mut sub = Comm {
-            rank: self.rank,
-            cfg: self.cfg.clone(),
-            group: Some(group.clone()),
-            split_seq: 0,
-            drift: None,
-        };
-        Some(f(&mut sub))
+    /// Number of ranks.
+    pub fn size(&self) -> usize {
+        self.rank.size()
     }
 
     pub fn config(&self) -> &MpiConfig {
@@ -331,7 +173,7 @@ impl<'a> Comm<'a> {
     /// charges exactly overhead + wire time), so every baseline is stable.
     pub fn send(&mut self, buf: &[u8], dt: &Datatype, count: usize, dst: usize, tag: Tag) {
         let payload = self.prepare_send(buf, dt, count);
-        let req = self.isend_grp(dst, tag, payload);
+        let req = self.isend_bytes(dst, tag, payload);
         self.wait(req);
     }
 
@@ -482,19 +324,19 @@ impl<'a> Comm<'a> {
     ) {
         let rreq = self.irecv(Some(src), tag);
         let payload = self.prepare_send(sendbuf, sdt, scount);
-        let sreq = self.isend_grp(dst, tag, payload);
+        let sreq = self.isend_bytes(dst, tag, payload);
         self.wait_recv_into(rreq, recvbuf, rdt, rcount);
         self.wait(sreq);
     }
 
     /// Convenience: send a contiguous `f64` slice.
     pub fn send_f64s(&mut self, data: &[f64], dst: usize, tag: Tag) {
-        self.send_grp(dst, tag, f64s_to_bytes(data));
+        self.rank.send_bytes(dst, tag, f64s_to_bytes(data));
     }
 
     /// Convenience: receive a contiguous `f64` vector.
     pub fn recv_f64s(&mut self, src: Option<usize>, tag: Tag) -> (Vec<f64>, usize) {
-        let (bytes, actual) = self.recv_grp(src, tag);
+        let (bytes, actual) = self.rank.recv_bytes(src, tag);
         (bytes_to_f64s(&bytes), actual)
     }
 }

@@ -41,7 +41,7 @@ pub mod view;
 pub mod whatif;
 
 pub use coll::{AllgathervAlgorithm, AlltoallwSchedule, WPeer};
-pub use comm::{bytes_to_f64s, f64s_to_bytes, Comm, CommGroup};
+pub use comm::{bytes_to_f64s, f64s_to_bytes, Comm};
 pub use commstats::{
     analyze_comm_map, analyze_matrix, decisions_from_trace, decisions_from_traces, decisions_json,
     detect_misselections, parse_decisions, render_decision_log, AlgorithmDecision, CommAnalysis,

@@ -9,7 +9,7 @@
 //!   ([`ncd_simnet::Rank::nic_reserve`]). The sender's clock keeps running;
 //!   [`Comm::wait`] charges only the *residual* wire time that useful work
 //!   did not hide (zero when compute fully covered the drain).
-//! * an **irecv** posts a `(source, tag, context)` match with zero cost;
+//! * an **irecv** posts a `(source, tag)` match with zero cost;
 //!   completion charges wait time only for the portion of the message's
 //!   simulated arrival still in the future — a wait on an already-arrived
 //!   message costs ~0 beyond the receive overhead.
@@ -56,10 +56,9 @@ enum State {
     Send { done: SimTime },
     /// Posted receive, not yet matched to an envelope.
     RecvPosted {
-        /// Global (world) rank of the expected source; `None` = any member.
+        /// The expected source; `None` = any source.
         src: Option<usize>,
         tag: Tag,
-        context: u32,
     },
     /// Matched envelope parked until completion ([`Comm::wait_each`] took
     /// it from the mailbox, but the wait residual is not yet charged).
@@ -86,8 +85,7 @@ impl Request {
 pub enum Completion {
     /// A send finished serializing (any residual wire time was charged).
     Send,
-    /// A receive delivered its payload; `src` is the source's rank *within
-    /// the communicator* the receive was posted on.
+    /// A receive delivered its payload; `src` is the rank that sent it.
     Recv { data: Vec<u8>, src: usize },
 }
 
@@ -103,9 +101,9 @@ impl Completion {
 
 impl Comm<'_> {
     /// Nonblocking typed send of `count` instances of `dt` from `buf` to
-    /// communicator rank `dst`. Contiguous data is handed to the NIC in
-    /// one reservation; noncontiguous data streams the pack pipeline, one
-    /// wire reservation per produced block.
+    /// rank `dst`. Contiguous data is handed to the NIC in one
+    /// reservation; noncontiguous data streams the pack pipeline, one wire
+    /// reservation per produced block.
     pub fn isend(
         &mut self,
         buf: &[u8],
@@ -116,9 +114,8 @@ impl Comm<'_> {
     ) -> Request {
         let total = dt.size() * count;
         if total == 0 || dt.is_contiguous() {
-            return self.isend_grp(dst, tag, buf[..total].to_vec());
+            return self.isend_bytes(dst, tag, buf[..total].to_vec());
         }
-        let (global, ctx) = self.resolve_dst(dst);
         let trace_start = self.rank_mut().isend_begin();
         let mut done = self.rank_ref().now();
         // Each block goes onto the NIC as soon as it exists: its wire time
@@ -127,42 +124,33 @@ impl Comm<'_> {
             done = comm.rank_mut().nic_reserve(block_bytes);
         });
         self.rank_mut()
-            .isend_finish(global, tag, ctx, payload, trace_start, done);
+            .isend_finish(dst, tag, payload, trace_start, done);
         Request {
             state: State::Send { done },
         }
     }
 
-    /// Nonblocking raw-bytes send to communicator rank `dst` (the request
-    /// analogue of [`Comm::send_grp`]): one NIC reservation for the whole
-    /// payload.
-    pub fn isend_grp(&mut self, dst: usize, tag: Tag, data: Vec<u8>) -> Request {
-        let (global, ctx) = self.resolve_dst(dst);
-        let done = self.rank_mut().isend_bytes_ctx(global, tag, ctx, data);
+    /// Nonblocking raw-bytes send to rank `dst` (the request analogue of
+    /// [`ncd_simnet::Rank::send_bytes`]): one NIC reservation for the
+    /// whole payload.
+    pub fn isend_bytes(&mut self, dst: usize, tag: Tag, data: Vec<u8>) -> Request {
+        let done = self.rank_mut().isend_bytes(dst, tag, data);
         Request {
             state: State::Send { done },
         }
     }
 
-    /// Post a nonblocking receive from communicator rank `src` (`None` =
-    /// any member) with `tag`. Free on the simulated clock — a receive
-    /// only costs when it is completed — so the posting is recorded as an
+    /// Post a nonblocking receive from rank `src` (`None` = any source)
+    /// with `tag`. Free on the simulated clock — a receive only costs when
+    /// it is completed — so the posting is recorded as an
     /// [`EventKind::IrecvPost`] instant. The payload comes back from
     /// [`Comm::wait`] (or [`Comm::wait_recv_into`] for typed delivery).
     pub fn irecv(&mut self, src: Option<usize>, tag: Tag) -> Request {
-        let (global, ctx) = self.resolve_src(src);
         let now = self.rank_ref().now();
-        let posted = EventKind::IrecvPost {
-            src: global,
-            tag: tag.0,
-        };
+        let posted = EventKind::IrecvPost { src, tag: tag.0 };
         self.rank_mut().record(now, posted);
         Request {
-            state: State::RecvPosted {
-                src: global,
-                tag,
-                context: ctx,
-            },
+            state: State::RecvPosted { src, tag },
         }
     }
 
@@ -171,8 +159,8 @@ impl Comm<'_> {
     pub fn wait(&mut self, req: Request) -> Completion {
         match req.state {
             State::Send { done } => self.complete_send(done),
-            State::RecvPosted { src, tag, context } => {
-                let msg = self.rank_mut().fetch_msg_ctx(src, tag, context);
+            State::RecvPosted { src, tag } => {
+                let msg = self.rank_mut().fetch_msg(src, tag);
                 self.complete_recv(msg)
             }
             State::RecvArrived { msg } => self.complete_recv(msg),
@@ -240,7 +228,7 @@ impl Comm<'_> {
 
     /// Complete a receive request and scatter its payload into `buf` as
     /// `count` instances of `dt` (charging unpack costs). Returns the
-    /// source's communicator rank.
+    /// source rank.
     pub fn wait_recv_into(
         &mut self,
         req: Request,
@@ -257,8 +245,8 @@ impl Comm<'_> {
     /// Take a posted receive's envelope from the mailbox, blocking until
     /// one matches; a send has nothing to match.
     fn match_recv(&mut self, mut req: Request) -> Request {
-        if let State::RecvPosted { src, tag, context } = req.state {
-            let msg = self.rank_mut().fetch_msg_ctx(src, tag, context);
+        if let State::RecvPosted { src, tag } = req.state {
+            let msg = self.rank_mut().fetch_msg(src, tag);
             req.state = State::RecvArrived { msg };
         }
         req
@@ -271,9 +259,8 @@ impl Comm<'_> {
     }
 
     fn complete_recv(&mut self, msg: NetMsg) -> Completion {
-        let (data, global_src, waited) = self.rank_mut().complete_recv_msg(msg);
+        let (data, src, waited) = self.rank_mut().complete_recv_msg(msg);
         self.observe_wait_residual("recv", waited);
-        let src = self.group_src_of(global_src);
         Completion::Recv { data, src }
     }
 
@@ -353,7 +340,7 @@ mod tests {
         let elapsed = |flops: u64| {
             run_n(2, move |comm| {
                 if comm.rank() == 0 {
-                    let req = comm.isend_grp(1, Tag(0), vec![0u8; 1 << 20]);
+                    let req = comm.isend_bytes(1, Tag(0), vec![0u8; 1 << 20]);
                     comm.rank_mut().compute_flops(flops);
                     comm.wait(req);
                     comm.rank_ref().now()
@@ -401,8 +388,8 @@ mod tests {
                     comm.rank_mut().compute_flops(50_000_000);
                 }
                 let base = comm.rank() as u8 * 10;
-                comm.send_grp(2, Tag(7), vec![base]);
-                comm.send_grp(2, Tag(7), vec![base + 1]);
+                comm.rank_mut().send_bytes(2, Tag(7), vec![base]);
+                comm.rank_mut().send_bytes(2, Tag(7), vec![base + 1]);
                 None
             }
         });
@@ -420,7 +407,7 @@ mod tests {
         let out = run_n(2, |comm| {
             if comm.rank() == 0 {
                 for v in 0..4u8 {
-                    comm.send_grp(1, Tag(3), vec![v]);
+                    comm.rank_mut().send_bytes(1, Tag(3), vec![v]);
                 }
                 None
             } else {
@@ -434,30 +421,6 @@ mod tests {
             }
         });
         assert_eq!(out[1].as_ref().unwrap(), &vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn requests_work_inside_subcommunicators() {
-        // Odd-ranks subgroup: group rank 0 (global 1) isends to group
-        // rank 1 (global 3); source must come back as a *group* rank.
-        let out = run_n(4, |comm| {
-            let group = comm.split(comm.rank() % 2, comm.rank());
-            comm.with_sub(&group, |sub| {
-                if sub.size() != 2 {
-                    return None;
-                }
-                if sub.rank() == 0 {
-                    let req = sub.isend_grp(1, Tag(0), vec![9]);
-                    sub.wait(req);
-                    None
-                } else {
-                    let req = sub.irecv(None, Tag(0));
-                    let (data, src) = sub.wait(req).into_recv();
-                    Some((data[0], src))
-                }
-            })
-        });
-        assert_eq!(out[3], Some(Some((9, 0))));
     }
 
     #[test]
@@ -534,7 +497,7 @@ mod tests {
                     .iter()
                     .map(|&(send, peer, bytes)| {
                         if send {
-                            comm.isend_grp(peer, Tag(9), vec![0; bytes])
+                            comm.isend_bytes(peer, Tag(9), vec![0; bytes])
                         } else {
                             comm.irecv(Some(peer), Tag(9))
                         }
@@ -558,12 +521,13 @@ mod tests {
                 comm.rank_mut().compute_flops(delays[me % delays.len()]);
                 for (k, &(send, peer, bytes)) in ops.iter().enumerate() {
                     if !send && peer == me {
-                        comm.send_grp(0, Tag(9), vec![k as u8; bytes.max(1)]);
+                        comm.rank_mut()
+                            .send_bytes(0, Tag(9), vec![k as u8; bytes.max(1)]);
                     }
                 }
                 for &(send, peer, _) in ops {
                     if send && peer == me {
-                        comm.recv_grp(Some(0), Tag(9));
+                        comm.rank_mut().recv_bytes(Some(0), Tag(9));
                     }
                 }
             }

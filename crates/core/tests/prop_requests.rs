@@ -48,7 +48,7 @@ proptest! {
                     for (t, &tag) in tags.iter().enumerate() {
                         let d = delays[(me * 5 + seq * 2 + t) % delays.len()];
                         comm.rank_mut().compute_flops(d);
-                        comm.send_grp(0, tag, vec![me as u8, t as u8, seq as u8]);
+                        comm.rank_mut().send_bytes(0, tag, vec![me as u8, t as u8, seq as u8]);
                     }
                 }
                 None
@@ -145,7 +145,7 @@ proptest! {
                 comm.send(&srcc, &dtc, count, 1, Tag(1));
                 None
             } else {
-                let (wire, _) = comm.recv_grp(Some(0), Tag(0));
+                let (wire, _) = comm.rank_mut().recv_bytes(Some(0), Tag(0));
                 let mut unpacked = vec![0u8; dtc.extent() as usize * count];
                 let from = comm.recv(&mut unpacked, &dtc, count, Some(0), Tag(1));
                 assert_eq!(from, 0);

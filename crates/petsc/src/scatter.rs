@@ -399,7 +399,7 @@ impl VecScatter {
                     let vals = s.offsets.iter().map(|&o| from.local()[o]);
                     let payload = view::f64s_to_payload(vals);
                     charge_indexed(comm, s.offsets.len(), s.runs);
-                    let req = comm.isend_grp(s.peer, DATA_TAG, payload);
+                    let req = comm.isend_bytes(s.peer, DATA_TAG, payload);
                     handle.send_reqs.push(req);
                 }
             }
@@ -486,13 +486,14 @@ pub(crate) fn route(comm: &mut Comm, tag: Tag, outgoing: &[Vec<u64>]) -> Vec<(us
     let announced = comm.alltoall(view::u64s_as_bytes(&counts), 8);
     for (peer, bucket) in outgoing.iter().enumerate() {
         if peer != rank && !bucket.is_empty() {
-            comm.send_grp(peer, tag, view::u64s_as_bytes(bucket).to_vec());
+            comm.rank_mut()
+                .send_bytes(peer, tag, view::u64s_as_bytes(bucket).to_vec());
         }
     }
     let mut incoming = Vec::new();
     for (peer, n) in view::u64s_in(&announced).enumerate() {
         if peer != rank && n > 0 {
-            let (bytes, _) = comm.recv_grp(Some(peer), tag);
+            let (bytes, _) = comm.rank_mut().recv_bytes(Some(peer), tag);
             let words: Vec<u64> = view::u64s_in(&bytes).collect();
             assert_eq!(words.len() as u64, n, "rank {peer} announced another size");
             incoming.push((peer, words));
@@ -728,7 +729,7 @@ mod tests {
             let (src, dst) = (IndexSet::stride(0, 1, pairs), IndexSet::stride(4, 1, pairs));
             let plan = VecScatter::create(comm, layout.clone(), &src, layout.clone(), &dst);
             if comm.rank() == 0 {
-                comm.send_grp(1, DATA_TAG, bad.to_vec());
+                comm.rank_mut().send_bytes(1, DATA_TAG, bad.to_vec());
                 return None;
             }
             let x = iota_vec(comm, layout.clone());

@@ -85,7 +85,7 @@ pub use ledger::{
     latest_run_id, ledger_root, manifest_json, parse_manifest, parse_series, read_run,
     resolve_run_dir, series_json, write_artifact, write_run, LedgerRun, RunManifest, Series,
 };
-pub use mailbox::{NetMsg, Tag, ANY_TAG};
+pub use mailbox::{NetMsg, Tag};
 pub use metrics::{
     metrics_artifact_json, metrics_json, parse_metrics, Histogram, MetricKey, MetricsRegistry,
     MetricsSnapshot,

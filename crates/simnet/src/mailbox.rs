@@ -2,11 +2,12 @@
 //!
 //! Each rank has one [`Mailbox`]: the FIFO queue of [`NetMsg`] envelopes
 //! that senders have posted to it and no receive has consumed yet — what
-//! an MPI implementation calls its unexpected-message queue. Matching
-//! follows MPI semantics: a receive names a source (or any) and a tag (or
-//! [`ANY_TAG`]) and takes the *earliest* queued envelope that fits, so
-//! order is FIFO per (source, tag) and an any-source receive sees physical
-//! posting order.
+//! an MPI implementation calls its unexpected-message queue. There is one
+//! communicator, the world, so the match key is `(source, tag)`: a receive
+//! names a source (or any) and an exact tag and takes the *earliest*
+//! queued envelope that fits, so order is FIFO per (source, tag) and an
+//! any-source receive sees physical posting order. Traffic of different
+//! layers stays apart by tag range alone (see `ncd_core`'s `coll_tag`).
 //!
 //! Nothing here blocks. The mailboxes live in the scheduler's control
 //! block (see [`crate::sched`]): a sender pushes straight into the
@@ -21,19 +22,12 @@ use crate::time::SimTime;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tag(pub u32);
 
-/// Wildcard tag matching any message tag (like `MPI_ANY_TAG`).
-pub const ANY_TAG: Tag = Tag(u32::MAX);
-
 /// A message in flight: payload plus the simulated arrival timestamp
 /// computed by the sender (departure clock + latency + serialization).
 #[derive(Clone, Debug)]
 pub struct NetMsg {
     pub src: usize,
     pub tag: Tag,
-    /// Communicator context: messages only match receives posted with the
-    /// same context (how MPI keeps traffic of different communicators
-    /// apart). The world communicator uses context 0.
-    pub context: u32,
     pub data: Vec<u8>,
     /// Simulated time at which the last byte is available at the receiver.
     pub arrival: SimTime,
@@ -44,12 +38,10 @@ pub struct NetMsg {
 }
 
 impl NetMsg {
-    /// Whether a receive naming `(src, tag, context)` — `None` / [`ANY_TAG`]
-    /// being wildcards — takes this envelope.
-    pub(crate) fn matches(&self, src: Option<usize>, tag: Tag, context: u32) -> bool {
-        self.context == context
-            && src.is_none_or(|s| s == self.src)
-            && (tag == ANY_TAG || tag == self.tag)
+    /// Whether a receive naming `(src, tag)` — `None` being any source —
+    /// takes this envelope.
+    pub(crate) fn matches(&self, src: Option<usize>, tag: Tag) -> bool {
+        tag == self.tag && src.is_none_or(|s| s == self.src)
     }
 }
 
@@ -67,16 +59,13 @@ impl Mailbox {
         self.queue.push_back(msg);
     }
 
-    /// Take the earliest queued envelope matching `(src, tag, context)`,
-    /// or `None` when no such envelope has been posted yet. This is the
-    /// matching half of a *posted* receive — the request layer holds the
-    /// posted receive and asks the mailbox for its envelope when it needs
-    /// to make progress.
-    pub fn try_match(&mut self, src: Option<usize>, tag: Tag, context: u32) -> Option<NetMsg> {
-        let pos = self
-            .queue
-            .iter()
-            .position(|m| m.matches(src, tag, context))?;
+    /// Take the earliest queued envelope matching `(src, tag)`, or `None`
+    /// when no such envelope has been posted yet. This is the matching
+    /// half of a *posted* receive — the request layer holds the posted
+    /// receive and asks the mailbox for its envelope when it needs to make
+    /// progress.
+    pub fn try_match(&mut self, src: Option<usize>, tag: Tag) -> Option<NetMsg> {
+        let pos = self.queue.iter().position(|m| m.matches(src, tag))?;
         self.queue.remove(pos)
     }
 
@@ -98,7 +87,6 @@ mod tests {
         NetMsg {
             src,
             tag: Tag(tag),
-            context: 0,
             data: vec![byte],
             arrival: SimTime::ZERO,
             seq: 0,
@@ -108,13 +96,11 @@ mod tests {
     #[test]
     fn matches_exact_and_wildcards() {
         let m = msg(3, 9, 0);
-        assert!(m.matches(Some(3), Tag(9), 0));
-        assert!(m.matches(None, Tag(9), 0));
-        assert!(m.matches(Some(3), ANY_TAG, 0));
-        assert!(m.matches(None, ANY_TAG, 0));
-        assert!(!m.matches(Some(2), Tag(9), 0));
-        assert!(!m.matches(Some(3), Tag(8), 0));
-        assert!(!m.matches(Some(3), Tag(9), 1), "context must match");
+        assert!(m.matches(Some(3), Tag(9)));
+        assert!(m.matches(None, Tag(9)));
+        assert!(!m.matches(Some(2), Tag(9)));
+        assert!(!m.matches(Some(3), Tag(8)));
+        assert!(!m.matches(None, Tag(8)));
     }
 
     #[test]
@@ -125,12 +111,12 @@ mod tests {
         mb.push(msg(1, 5, b'c'));
 
         // Ask for tag 7 first: the two tag-5 messages stay queued.
-        assert_eq!(mb.try_match(Some(2), Tag(7), 0).unwrap().data, vec![b'b']);
+        assert_eq!(mb.try_match(Some(2), Tag(7)).unwrap().data, vec![b'b']);
         assert_eq!(mb.len(), 2);
 
         // Tag-5 messages from rank 1 must come back in FIFO order.
-        assert_eq!(mb.try_match(Some(1), Tag(5), 0).unwrap().data, vec![b'a']);
-        assert_eq!(mb.try_match(Some(1), Tag(5), 0).unwrap().data, vec![b'c']);
+        assert_eq!(mb.try_match(Some(1), Tag(5)).unwrap().data, vec![b'a']);
+        assert_eq!(mb.try_match(Some(1), Tag(5)).unwrap().data, vec![b'c']);
         assert!(mb.is_empty());
     }
 
@@ -139,19 +125,19 @@ mod tests {
         let mut mb = Mailbox::default();
         mb.push(msg(4, 1, b'x'));
         mb.push(msg(5, 1, b'y'));
-        let m = mb.try_match(None, Tag(1), 0).unwrap();
+        let m = mb.try_match(None, Tag(1)).unwrap();
         assert_eq!((m.src, m.data[0]), (4, b'x'));
     }
 
     #[test]
     fn try_match_returns_none_without_blocking() {
         let mut mb = Mailbox::default();
-        assert!(mb.try_match(Some(1), Tag(5), 0).is_none());
+        assert!(mb.try_match(Some(1), Tag(5)).is_none());
         mb.push(msg(1, 5, b'a'));
         mb.push(msg(2, 5, b'c'));
-        assert_eq!(mb.try_match(Some(1), Tag(5), 0).unwrap().data, vec![b'a']);
-        assert!(mb.try_match(Some(1), Tag(5), 0).is_none());
+        assert_eq!(mb.try_match(Some(1), Tag(5)).unwrap().data, vec![b'a']);
+        assert!(mb.try_match(Some(1), Tag(5)).is_none());
         assert_eq!(mb.len(), 1, "rank 2's message stays queued");
-        assert_eq!(mb.try_match(None, ANY_TAG, 0).unwrap().data, vec![b'c']);
+        assert_eq!(mb.try_match(None, Tag(5)).unwrap().data, vec![b'c']);
     }
 }

@@ -657,12 +657,6 @@ impl Rank {
     /// block (mailboxes are unbounded), which matches the "post sends in
     /// any order, receive later" usage the collective algorithms rely on.
     pub fn send_bytes(&mut self, dst: usize, tag: Tag, data: Vec<u8>) {
-        self.send_bytes_ctx(dst, tag, 0, data);
-    }
-
-    /// Like [`Rank::send_bytes`] but within a communicator context (MPI
-    /// communicators keep their traffic apart via contexts; 0 = world).
-    pub fn send_bytes_ctx(&mut self, dst: usize, tag: Tag, context: u32, data: Vec<u8>) {
         let trace_start = self.now;
         let overhead = self.cost.send_overhead_ns + self.jitter_ns();
         self.charge_cpu(CostKind::Comm, overhead);
@@ -670,7 +664,7 @@ impl Rank {
         // A blocking send serializes on the CPU timeline; keep the NIC
         // timeline consistent for any nonblocking sends that follow.
         self.nic_free = self.nic_free.max(self.now);
-        self.post(dst, tag, context, data, trace_start, self.now);
+        self.post(dst, tag, data, trace_start, self.now);
     }
 
     /// The one way a message leaves this rank: stats, correlation id,
@@ -681,7 +675,6 @@ impl Rank {
         &mut self,
         dst: usize,
         tag: Tag,
-        context: u32,
         data: Vec<u8>,
         trace_start: SimTime,
         departure: SimTime,
@@ -701,7 +694,6 @@ impl Rank {
         let msg = NetMsg {
             src: self.rank,
             tag,
-            context,
             data,
             arrival,
             seq,
@@ -711,8 +703,7 @@ impl Rank {
         let delivered = self.sched.post(dst, msg);
         assert!(
             delivered,
-            "destination rank {dst} hung up: rank {} sent it tag {} ctx {context} \
-             after its program returned",
+            "destination rank {dst} hung up: rank {} sent it tag {} after its program returned",
             self.rank, tag.0
         );
     }
@@ -724,35 +715,25 @@ impl Rank {
     /// charged as [`CostKind::Wait`]; the receive overhead is then charged
     /// as [`CostKind::Comm`].
     pub fn recv_bytes(&mut self, src: Option<usize>, tag: Tag) -> (Vec<u8>, usize) {
-        self.recv_bytes_ctx(src, tag, 0)
-    }
-
-    /// Like [`Rank::recv_bytes`] but within a communicator context.
-    pub fn recv_bytes_ctx(
-        &mut self,
-        src: Option<usize>,
-        tag: Tag,
-        context: u32,
-    ) -> (Vec<u8>, usize) {
-        let msg = self.fetch_msg_ctx(src, tag, context);
+        let msg = self.fetch_msg(src, tag);
         let (data, src, _waited) = self.complete_recv_msg(msg);
         (data, src)
     }
 
-    /// Blockingly take the envelope matching `(src, tag, context)` out of
-    /// this rank's mailbox *without any simulated-time accounting* — the
+    /// Blockingly take the envelope matching `(src, tag)` out of this
+    /// rank's mailbox *without any simulated-time accounting* — the
     /// physical half of a receive. Pair with [`Rank::complete_recv_msg`],
-    /// which does the accounting; [`Rank::recv_bytes_ctx`] is exactly that
+    /// which does the accounting; [`Rank::recv_bytes`] is exactly that
     /// composition.
     ///
     /// "Blocking" means parking this rank's task with the scheduler until
     /// a matching envelope has been posted.
-    pub fn fetch_msg_ctx(&mut self, src: Option<usize>, tag: Tag, context: u32) -> NetMsg {
+    pub fn fetch_msg(&mut self, src: Option<usize>, tag: Tag) -> NetMsg {
         loop {
-            if let Some(msg) = self.sched.mailbox(|mb| mb.try_match(src, tag, context)) {
+            if let Some(msg) = self.sched.mailbox(|mb| mb.try_match(src, tag)) {
                 return msg;
             }
-            self.sched.park_blocked(src, tag, context, self.now);
+            self.sched.park_blocked(src, tag, self.now);
         }
     }
 
@@ -795,7 +776,7 @@ impl Rank {
     /// simulated time the posting started, for the eventual trace span.
     /// Callers then reserve wire time with [`Rank::nic_reserve`] (possibly
     /// once per pipeline block) and post with [`Rank::isend_finish`];
-    /// [`Rank::isend_bytes_ctx`] is the one-shot composition.
+    /// [`Rank::isend_bytes`] is the one-shot composition.
     pub fn isend_begin(&mut self) -> SimTime {
         let trace_start = self.now;
         let overhead = self.cost.send_overhead_ns + self.jitter_ns();
@@ -823,28 +804,21 @@ impl Rank {
         &mut self,
         dst: usize,
         tag: Tag,
-        context: u32,
         data: Vec<u8>,
         trace_start: SimTime,
         done: SimTime,
     ) {
-        self.post(dst, tag, context, data, trace_start, done);
+        self.post(dst, tag, data, trace_start, done);
     }
 
     /// Nonblocking eager send of a pre-packed payload: posting overhead on
     /// the CPU, wire serialization reserved on the NIC timeline. Returns
     /// the NIC completion time to pass to [`Rank::send_drain`] when the
     /// send must locally complete.
-    pub fn isend_bytes_ctx(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        context: u32,
-        data: Vec<u8>,
-    ) -> SimTime {
+    pub fn isend_bytes(&mut self, dst: usize, tag: Tag, data: Vec<u8>) -> SimTime {
         let trace_start = self.isend_begin();
         let done = self.nic_reserve(data.len());
-        self.isend_finish(dst, tag, context, data, trace_start, done);
+        self.isend_finish(dst, tag, data, trace_start, done);
         done
     }
 
@@ -1213,7 +1187,7 @@ mod tests {
             Cluster::new(ClusterConfig::uniform(2)).run(move |r| {
                 if r.rank() == 0 {
                     if nonblocking {
-                        let done = r.isend_bytes_ctx(1, Tag(0), 0, vec![7u8; 4096]);
+                        let done = r.isend_bytes(1, Tag(0), vec![7u8; 4096]);
                         r.send_drain(done);
                     } else {
                         r.send_bytes(1, Tag(0), vec![7u8; 4096]);
@@ -1233,14 +1207,14 @@ mod tests {
         // Receiver: compute past the arrival, then receive (wait ~0).
         let out = Cluster::new(ClusterConfig::uniform(2)).run(|r| {
             if r.rank() == 0 {
-                let done = r.isend_bytes_ctx(1, Tag(0), 0, vec![0u8; 1 << 20]);
+                let done = r.isend_bytes(1, Tag(0), vec![0u8; 1 << 20]);
                 r.compute_flops(100_000_000); // far longer than the wire
                 let residual = r.send_drain(done);
                 assert_eq!(residual, SimTime::ZERO, "wire hid under compute");
                 r.now()
             } else {
                 r.compute_flops(100_000_000);
-                let msg = r.fetch_msg_ctx(Some(0), Tag(0), 0);
+                let msg = r.fetch_msg(Some(0), Tag(0));
                 let (_, _, waited) = r.complete_recv_msg(msg);
                 assert_eq!(waited, SimTime::ZERO, "message arrived under compute");
                 r.now()
@@ -1253,8 +1227,8 @@ mod tests {
     fn nic_serializes_reservations_in_order() {
         Cluster::new(ClusterConfig::uniform(2)).run(|r| {
             if r.rank() == 0 {
-                let d1 = r.isend_bytes_ctx(1, Tag(1), 0, vec![0u8; 64 * 1024]);
-                let d2 = r.isend_bytes_ctx(1, Tag(2), 0, vec![0u8; 64 * 1024]);
+                let d1 = r.isend_bytes(1, Tag(1), vec![0u8; 64 * 1024]);
+                let d2 = r.isend_bytes(1, Tag(2), vec![0u8; 64 * 1024]);
                 assert!(d2 > d1, "second message queues behind the first");
                 r.send_drain(d2);
                 assert!(r.now() >= d2);
@@ -1271,7 +1245,7 @@ mod tests {
         let run = Cluster::new(ClusterConfig::uniform(2)).try_run(|r| {
             r.enable_tracing();
             if r.rank() == 0 {
-                let done = r.isend_bytes_ctx(1, Tag(0), 0, vec![0u8; 4096]);
+                let done = r.isend_bytes(1, Tag(0), vec![0u8; 4096]);
                 r.send_drain(done);
             } else {
                 let posted = EventKind::IrecvPost {
@@ -1279,7 +1253,7 @@ mod tests {
                     tag: 0,
                 };
                 r.record(r.now(), posted);
-                let msg = r.fetch_msg_ctx(Some(0), Tag(0), 0);
+                let msg = r.fetch_msg(Some(0), Tag(0));
                 let _ = r.complete_recv_msg(msg);
             }
             r.take_trace()
@@ -1359,7 +1333,7 @@ mod tests {
         assert_eq!(
             msg,
             "simulated deadlock: every rank is parked and no message can arrive; \
-             rank 0 waits on src 1 tag 0 ctx 0, rank 1 waits on src 0 tag 0 ctx 0"
+             rank 0 waits on src 1 tag 0, rank 1 waits on src 0 tag 0"
         );
     }
 
@@ -1402,7 +1376,7 @@ mod tests {
         );
         assert_eq!(
             err.to_string(),
-            "destination rank 1 hung up: rank 0 sent it tag 5 ctx 0 after its program returned"
+            "destination rank 1 hung up: rank 0 sent it tag 5 after its program returned"
         );
     }
 
@@ -1421,7 +1395,7 @@ mod tests {
         let msg = panic_message(payload);
         assert_eq!(
             msg,
-            "peer rank disconnected while a receive was pending; rank 0 waits on src 1 tag 0 ctx 0"
+            "peer rank disconnected while a receive was pending; rank 0 waits on src 1 tag 0"
         );
     }
 
@@ -1462,7 +1436,6 @@ mod tests {
             rank: 0,
             src: Some(1),
             tag: Tag(0),
-            context: 0,
         };
         assert_eq!(waits, [wait]);
     }

@@ -14,7 +14,7 @@
 //! park, rank id)` and always resumes the minimum entry — the rank
 //! furthest behind in simulated time. A resumed rank runs *until it
 //! parks itself*: a receive that finds no matching envelope calls
-//! `EventHandle::park_blocked`, which records the `(src, tag, context)`
+//! `EventHandle::park_blocked`, which records the `(src, tag)`
 //! pattern the rank waits for and switches back to the scheduler. That
 //! is the only way a rank parks.
 //!
@@ -63,7 +63,7 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::mailbox::{Mailbox, NetMsg, Tag, ANY_TAG};
+use crate::mailbox::{Mailbox, NetMsg, Tag};
 use crate::time::SimTime;
 
 /// Smallest fiber stack the scheduler will allocate; requests below it
@@ -84,29 +84,24 @@ const MAX_DRAIN_RESUMES: u32 = 16;
 // ---------------------------------------------------------------------------
 
 /// A parked rank's edge in the wait-for graph: `rank` waits in a
-/// receive for an envelope matching `(src, tag, context)`.
+/// receive for an envelope matching `(src, tag)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParkedWait {
     pub rank: usize,
     /// `None` = any source.
     pub src: Option<usize>,
     pub tag: Tag,
-    pub context: u32,
 }
 
 impl fmt::Display for ParkedWait {
-    /// `rank 0 waits on src 1 tag 0 ctx 0`; wildcards print as `any`.
+    /// `rank 0 waits on src 1 tag 0`; an any-source wait prints `src any`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "rank {} waits on ", self.rank)?;
         match self.src {
             Some(src) => write!(f, "src {src}")?,
             None => f.write_str("src any")?,
         }
-        if self.tag == ANY_TAG {
-            write!(f, " tag any ctx {}", self.context)
-        } else {
-            write!(f, " tag {} ctx {}", self.tag.0, self.context)
-        }
+        write!(f, " tag {}", self.tag.0)
     }
 }
 
@@ -304,15 +299,14 @@ impl EventHandle {
     }
 
     /// Park in a blocking receive until an envelope matching
-    /// `(src, tag, context)` is posted (the caller re-checks its mailbox
-    /// on return and parks again on a false wake).
+    /// `(src, tag)` is posted (the caller re-checks its mailbox on return
+    /// and parks again on a false wake).
     #[inline]
-    pub(crate) fn park_blocked(&self, src: Option<usize>, tag: Tag, context: u32, at: SimTime) {
+    pub(crate) fn park_blocked(&self, src: Option<usize>, tag: Tag, at: SimTime) {
         let wait = ParkedWait {
             rank: self.rank,
             src,
             tag,
-            context,
         };
         let poison = self.ctl.with(|inner| {
             if inner.poison.is_none() {
@@ -346,7 +340,7 @@ impl EventHandle {
                 return false;
             }
             if let Slot::Blocked { wait, at } = inner.slots[dst] {
-                if msg.matches(wait.src, wait.tag, wait.context) {
+                if msg.matches(wait.src, wait.tag) {
                     inner.slots[dst] = Slot::Runnable;
                     inner.ready.insert((at, dst));
                     inner.deposit_wakes += 1;
@@ -1174,10 +1168,10 @@ mod tests {
     /// posted.
     fn take(handle: &EventHandle, src: Option<usize>, at: SimTime) -> NetMsg {
         loop {
-            if let Some(msg) = handle.mailbox(|mb| mb.try_match(src, Tag(3), 0)) {
+            if let Some(msg) = handle.mailbox(|mb| mb.try_match(src, Tag(3))) {
                 return msg;
             }
-            handle.park_blocked(src, Tag(3), 0, at);
+            handle.park_blocked(src, Tag(3), at);
         }
     }
 
@@ -1234,7 +1228,7 @@ mod tests {
             Box::new(move || {
                 for _ in 0..3 {
                     log.lock().unwrap().push(7);
-                    handle.park_blocked(None, Tag(3), 0, SimTime::ZERO);
+                    handle.park_blocked(None, Tag(3), SimTime::ZERO);
                 }
                 log.lock().unwrap().push(7);
             })
@@ -1361,8 +1355,8 @@ mod tests {
 
     #[test]
     fn blocked_forever_is_reported_as_deadlock() {
-        // Rank 0 waits on itself (the one-rank cycle); ranks 1..10 on
-        // anything in context 2.
+        // Rank 0 waits on itself (the one-rank cycle); ranks 1..10 on tag
+        // 2 from any source.
         let n = 10;
         let ctl = Arc::new(EventCtl::new(n));
         let mut stacks = new_stacks(n);
@@ -1371,21 +1365,21 @@ mod tests {
             let shared = new_shared();
             let handle = EventHandle::new(ctl.clone(), shared.clone(), id);
             let body = Box::new(move || match id {
-                0 => handle.park_blocked(Some(0), Tag(1), 0, SimTime::ZERO),
-                _ => handle.park_blocked(None, ANY_TAG, 2, SimTime::ZERO),
+                0 => handle.park_blocked(Some(0), Tag(1), SimTime::ZERO),
+                _ => handle.park_blocked(None, Tag(2), SimTime::ZERO),
             });
             tasks.push(unsafe { Task::spawn(shared, body, &mut stacks, id) });
         }
         let err = drive(&ctl, &mut tasks, None).0.expect_err("deadlock");
         assert_eq!(err.rank(), 0);
         let wildcards: String = (1..STALL_NAMED_RANKS)
-            .map(|r| format!(", rank {r} waits on src any tag any ctx 2"))
+            .map(|r| format!(", rank {r} waits on src any tag 2"))
             .collect();
         assert_eq!(
             err.to_string(),
             format!(
                 "simulated deadlock: every rank is parked and no message can arrive; \
-                 rank 0 waits on src 0 tag 1 ctx 0{wildcards}, and 2 more"
+                 rank 0 waits on src 0 tag 1{wildcards}, and 2 more"
             )
         );
         let RunError::Deadlock { waits, cycle } = err else {
@@ -1398,8 +1392,7 @@ mod tests {
             ParkedWait {
                 rank: 1,
                 src: None,
-                tag: ANY_TAG,
-                context: 2
+                tag: Tag(2)
             }
         );
         assert!(tasks.iter().all(Task::is_done), "poisoned ranks unwound");
@@ -1416,8 +1409,8 @@ mod tests {
             let handle = EventHandle::new(ctl.clone(), shared.clone(), 0);
             let log = log.clone();
             let body = Box::new(move || {
-                handle.park_blocked(Some(1), Tag(9), 0, SimTime(5));
-                let msg = handle.mailbox(|mb| mb.try_match(Some(1), Tag(9), 0));
+                handle.park_blocked(Some(1), Tag(9), SimTime(5));
+                let msg = handle.mailbox(|mb| mb.try_match(Some(1), Tag(9)));
                 assert_eq!(msg.expect("woken by its envelope").arrival, SimTime(7));
                 log.lock().unwrap().push("woken");
             });
@@ -1434,7 +1427,6 @@ mod tests {
                     NetMsg {
                         src: 1,
                         tag: Tag(9),
-                        context: 0,
                         data: Vec::new(),
                         arrival: SimTime(7),
                         seq: 0,
@@ -1454,7 +1446,6 @@ mod tests {
         NetMsg {
             src,
             tag: Tag(3),
-            context: 0,
             data: vec![1, 2, 3],
             arrival: SimTime(1),
             seq: 0,
@@ -1480,7 +1471,7 @@ mod tests {
         }));
         assert!(caught.is_err());
         sender.post(1, envelope(0));
-        let got = receiver.mailbox(|mb| mb.try_match(Some(0), Tag(3), 0));
+        let got = receiver.mailbox(|mb| mb.try_match(Some(0), Tag(3)));
         assert_eq!(got.expect("delivered after the panic").data, vec![1, 2, 3]);
     }
 

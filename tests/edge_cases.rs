@@ -1,7 +1,7 @@
 //! Edge cases across the stack: degenerate sizes, empty messages,
 //! self-communication, and exotic datatype layouts.
 
-use nucomm::core::{Comm, MpiConfig, WPeer};
+use nucomm::core::{AllgathervAlgorithm, AlltoallwSchedule, Comm, MpiConfig, WPeer};
 use nucomm::datatype::{pack_all, unpack_all, Datatype, StructField};
 use nucomm::simnet::{Cluster, ClusterConfig, Tag};
 
@@ -113,29 +113,106 @@ fn resized_type_with_padding_replicates_correctly() {
     assert_eq!(&packed[32..48], &src[48..64]);
 }
 
+/// There is one communicator, so tag ranges alone keep traffic apart:
+/// collectives tag `0x8000_0000 | op << 24 | phase`, mini-PETSc
+/// `0x4000_00xx`, user code anything below both. Rank 0's typed user
+/// messages to rank 1 — the same source as the collectives' own rank 0 →
+/// rank 1 traffic — sit in rank 1's mailbox across a barrier, both
+/// allgatherv algorithms and both alltoallw schedules, then arrive intact
+/// and in order; every collective's result equals a run without them.
 #[test]
-fn typed_messages_inside_subcommunicators() {
-    let out = with_n(4, |comm| {
-        let group = comm.split(comm.rank() % 2, comm.rank());
-        comm.with_sub(&group, |sub| {
-            // Noncontiguous send between the two members of each group.
+fn user_messages_in_flight_across_collectives_keep_their_tag_range() {
+    const USER: Tag = Tag(7);
+    const MSGS: u8 = 5;
+    let n = 4;
+    let run = |user_traffic: bool| {
+        with_n(n, move |comm| {
+            let me = comm.rank();
+            // Every other double of a 64-byte buffer.
             let col = Datatype::vector(4, 1, 2, &Datatype::double()).unwrap();
-            if sub.rank() == 0 {
-                let src: Vec<u8> = (0..64).map(|i| i as u8).collect();
-                sub.send(&src, &col, 1, 1, Tag(3));
-                0.0
-            } else {
-                let mut dst = vec![0u8; 64];
-                sub.recv(&mut dst, &col, 1, Some(0), Tag(3));
-                f64::from_le_bytes(dst[16..24].try_into().unwrap())
+            let user_send = |comm: &mut Comm, k: u8| {
+                if user_traffic && me == 0 {
+                    let src: Vec<u8> = (0..64).map(|i| i ^ k).collect();
+                    comm.send(&src, &col, 1, 1, USER);
+                }
+            };
+            let mut results = Vec::new();
+            user_send(comm, 0);
+            comm.barrier();
+
+            let counts: Vec<usize> = (0..n).map(|r| 8 * (3 * r + 1)).collect();
+            let mine = vec![me as u8 + 1; counts[me]];
+            let algos = [
+                AllgathervAlgorithm::Ring,
+                AllgathervAlgorithm::RecursiveDoubling,
+            ];
+            for (k, algo) in (1..).zip(algos) {
+                user_send(comm, k);
+                let mut recv = vec![0u8; counts.iter().sum()];
+                comm.allgatherv_with(algo, &mine, &counts, &mut recv);
+                results.push(recv);
             }
+
+            // Zero, small and large pairwise volumes, so the binned
+            // schedule fills all three bins.
+            let doubles = |from: usize, to: usize| [0, 2, 300][(from + 2 * to) % 3];
+            let dt = Datatype::double();
+            let slots = |count: &dyn Fn(usize) -> usize| {
+                let mut offset = 0;
+                let peers: Vec<WPeer> = (0..n)
+                    .map(|peer| {
+                        let slot = WPeer::new(offset, count(peer), dt.clone());
+                        offset += slot.bytes();
+                        slot
+                    })
+                    .collect();
+                (peers, offset)
+            };
+            let (sends, send_len) = slots(&|to| doubles(me, to));
+            let (recvs, recv_len) = slots(&|from| doubles(from, me));
+            let sendbuf: Vec<u8> = (0..send_len).map(|i| (i * 7 + me) as u8).collect();
+            let schedules = [AlltoallwSchedule::RoundRobin, AlltoallwSchedule::Binned];
+            for (k, schedule) in (1 + algos.len() as u8..).zip(schedules) {
+                user_send(comm, k);
+                let mut recvbuf = vec![0u8; recv_len];
+                comm.alltoallw_with(schedule, &sendbuf, &sends, &mut recvbuf, &recvs);
+                results.push(recvbuf);
+            }
+
+            let mut user = Vec::new();
+            if user_traffic && me == 1 {
+                for _ in 0..MSGS {
+                    let mut dst = vec![0u8; 64];
+                    comm.recv(&mut dst, &col, 1, Some(0), USER);
+                    user.push(dst);
+                }
+            }
+            (results, user)
         })
-        .unwrap()
-    });
-    // Receivers (global ranks 2 and 3) got the sender's strided doubles.
-    let expected = f64::from_le_bytes([16, 17, 18, 19, 20, 21, 22, 23]);
-    assert_eq!(out[2], expected);
-    assert_eq!(out[3], expected);
+    };
+    let quiet = run(false);
+    let busy = run(true);
+    for (rank, ((results, _), (alone, _))) in busy.iter().zip(&quiet).enumerate() {
+        assert_eq!(results, alone, "rank {rank}'s collective results moved");
+        assert_eq!(results.len(), 4);
+        // Both allgatherv algorithms gathered every block.
+        let gathered: Vec<u8> = (0..n)
+            .flat_map(|r| vec![r as u8 + 1; 8 * (3 * r + 1)])
+            .collect();
+        assert_eq!(results[0], gathered);
+        assert_eq!(results[1], gathered);
+        assert_eq!(results[2], results[3], "the two schedules disagree");
+    }
+    // Rank 1 got rank 0's user messages, in send order, with exactly the
+    // vector type's doubles filled in.
+    let user = &busy[1].1;
+    assert_eq!(user.len(), usize::from(MSGS));
+    for (k, dst) in (0..MSGS).zip(user) {
+        let expected: Vec<u8> = (0..64u8)
+            .map(|i| if (i / 8) % 2 == 0 { i ^ k } else { 0 })
+            .collect();
+        assert_eq!(dst, &expected, "user message {k}");
+    }
 }
 
 #[test]
@@ -147,13 +224,16 @@ fn message_to_every_peer_and_back() {
         let me = comm.rank();
         for dst in 0..n {
             if dst != me {
-                comm.send_grp(dst, Tag(1000 + me as u32), vec![me as u8; dst + 1]);
+                comm.rank_mut()
+                    .send_bytes(dst, Tag(1000 + me as u32), vec![me as u8; dst + 1]);
             }
         }
         let mut got = Vec::new();
         for src in (0..n).rev() {
             if src != me {
-                let (data, _) = comm.recv_grp(Some(src), Tag(1000 + src as u32));
+                let (data, _) = comm
+                    .rank_mut()
+                    .recv_bytes(Some(src), Tag(1000 + src as u32));
                 got.push((src, data.len(), data[0]));
             }
         }
