@@ -24,8 +24,17 @@
 //! **What the reader accepts.** Standard JSON as above plus whitespace
 //! between tokens, the `\/` escape and `\uXXXX` for any non-surrogate
 //! scalar; nesting deeper than 64 levels is an error, not a stack
-//! overflow. The `Result` accessors ([`Json::u64`], [`Json::str`], …)
-//! name the key that is missing or has the wrong type.
+//! overflow. A raw control byte (below `0x20`) inside a string is refused
+//! with its byte offset, as RFC 8259 §7 asks; the writer never emits one.
+//! The `Result` accessors ([`Json::u64`], [`Json::str`], …) name the key
+//! that is missing or has the wrong type.
+//!
+//! The tree is compact, because a trace export parses to millions of
+//! nodes: a [`Json`] is 24 bytes, each array or object is one
+//! allocation of exactly its children (collected on two stacks reused
+//! for the whole parse), every object key is one `Arc<str>` shared
+//! by all its occurrences in the document, and a string without escapes
+//! is one copy of its bytes at exact capacity.
 //!
 //! **Where an artifact's reader lives.** Beside its writer: the module
 //! that writes `comm.json` is the one that reads it back, into the type it
@@ -35,7 +44,9 @@
 //! `"schema"` [`JsonWriter::schema_led`] wrote is the one this build
 //! reads — and is pinned by a writer → reader → writer round trip.
 
+use std::collections::HashSet;
 use std::fmt::{self, Display, Write as _};
+use std::sync::Arc;
 
 /// Format version stamped as the leading `"schema"` field of every
 /// versioned export, so downstream tooling can detect format drift. Bump
@@ -389,22 +400,24 @@ tuple_is_array!(A B);
 tuple_is_array!(A B C);
 tuple_is_array!(A B C D);
 
-/// A parsed JSON value.
+/// A parsed JSON value. A container holds exactly its children (no
+/// growth slack) and an object's keys are shared: one `Arc<str>` per
+/// distinct key in a parse. That keeps `Json` at 24 bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     Null,
     Bool(bool),
     Num(f64),
     Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+    Arr(Box<[Json]>),
+    Obj(Box<[(Arc<str>, Json)]>),
 }
 
 impl Json {
     /// Object field lookup (None for non-objects and absent keys).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Obj(fields) => fields.iter().find(|(k, _)| **k == *key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -518,9 +531,14 @@ impl Json {
 /// garbage is an error).
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = JsonParser {
+        text,
         s: text.as_bytes(),
         pos: 0,
         depth: 0,
+        items: Vec::new(),
+        fields: Vec::new(),
+        unescaped: String::new(),
+        keys: Keys::default(),
     };
     let v = p.value()?;
     p.skip_ws();
@@ -543,14 +561,62 @@ pub fn parse_schema_led(text: &str) -> Result<Json, String> {
     }
 }
 
+/// How many recently used keys [`Keys::intern`] compares before it
+/// hashes: more than the distinct keys of a Chrome trace export (21).
+const RECENT_KEYS: usize = 32;
+
+/// The object keys of one parse, each allocated once. A document repeats
+/// a few keys over and over, so a short table of the recently used ones
+/// is scanned before the set of all of them is hashed.
+#[derive(Default)]
+struct Keys {
+    recent: Vec<Arc<str>>,
+    /// The slot of `recent` the next key missing from it replaces.
+    next: usize,
+    all: HashSet<Arc<str>>,
+}
+
+impl Keys {
+    fn intern(&mut self, key: &str) -> Arc<str> {
+        if let Some(k) = self.recent.iter().find(|k| ***k == *key) {
+            return Arc::clone(k);
+        }
+        let k = match self.all.get(key) {
+            Some(k) => Arc::clone(k),
+            None => {
+                let k = Arc::<str>::from(key);
+                self.all.insert(Arc::clone(&k));
+                k
+            }
+        };
+        if self.recent.len() < RECENT_KEYS {
+            self.recent.push(Arc::clone(&k));
+        } else {
+            self.recent[self.next] = Arc::clone(&k);
+            self.next = (self.next + 1) % RECENT_KEYS;
+        }
+        k
+    }
+}
+
 struct JsonParser<'a> {
+    text: &'a str,
     s: &'a [u8],
     pos: usize,
     /// Containers open around `pos`.
     depth: usize,
+    /// The elements read so far of every array open around `pos`,
+    /// innermost last: a closing `]` moves its own off the top at their
+    /// exact count.
+    items: Vec<Json>,
+    /// The same for the members of open objects.
+    fields: Vec<(Arc<str>, Json)>,
+    /// The string being read, once it has an escape.
+    unescaped: String,
+    keys: Keys,
 }
 
-impl JsonParser<'_> {
+impl<'a> JsonParser<'a> {
     fn skip_ws(&mut self) {
         while self.pos < self.s.len() && self.s[self.pos].is_ascii_whitespace() {
             self.pos += 1;
@@ -577,6 +643,31 @@ impl JsonParser<'_> {
         Ok(())
     }
 
+    /// Past `close` if it comes next: the container is empty.
+    fn empty(&mut self, close: u8) -> Result<bool, String> {
+        let closed = self.peek()? == close;
+        self.pos += usize::from(closed);
+        Ok(closed)
+    }
+
+    /// After a container's member: `true` past a `,`, `false` past `close`.
+    fn more(&mut self, close: u8) -> Result<bool, String> {
+        match self.peek()? {
+            b',' => {
+                self.pos += 1;
+                Ok(true)
+            }
+            c if c == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            c => Err(format!(
+                "expected ',' or '{}' got '{}' at byte {}",
+                close as char, c as char, self.pos
+            )),
+        }
+    }
+
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
         if self.s[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
@@ -590,7 +681,10 @@ impl JsonParser<'_> {
         match self.peek()? {
             b'{' => self.container(Self::object),
             b'[' => self.container(Self::array),
-            b'"' => Ok(Json::Str(self.string()?)),
+            b'"' => {
+                let body = self.string()?;
+                Ok(Json::Str(body.unwrap_or(&self.unescaped).to_owned()))
+            }
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'n' => self.literal("null", Json::Null),
@@ -615,101 +709,104 @@ impl JsonParser<'_> {
 
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
+        let base = self.fields.len();
+        if !self.empty(b'}')? {
+            loop {
+                let body = self.string()?;
+                let key = self.keys.intern(body.unwrap_or(&self.unescaped));
+                self.expect(b':')?;
+                let v = self.value()?;
+                self.fields.push((key, v));
+                if !self.more(b'}')? {
+                    break;
                 }
-                c => return Err(format!("expected ',' or '}}' got '{}' ", c as char)),
             }
         }
+        Ok(Json::Obj(self.fields.drain(base..).collect()))
     }
 
     fn array(&mut self) -> Result<Json, String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
+        let base = self.items.len();
+        if !self.empty(b']')? {
+            loop {
+                let v = self.value()?;
+                self.items.push(v);
+                if !self.more(b']')? {
+                    break;
                 }
-                c => return Err(format!("expected ',' or ']' got '{}'", c as char)),
             }
+        }
+        Ok(Json::Arr(self.items.drain(base..).collect()))
+    }
+
+    /// The next string's contents: the slice of the input between its
+    /// quotes when it has no escape, else `None` with the decoded contents
+    /// in `self.unescaped`.
+    fn string(&mut self) -> Result<Option<&'a str>, String> {
+        self.expect(b'"')?;
+        let mut escaped = false;
+        loop {
+            let start = self.pos;
+            while self
+                .s
+                .get(self.pos)
+                .is_some_and(|&b| b >= 0x20 && b != b'"' && b != b'\\')
+            {
+                self.pos += 1;
+            }
+            // `start` and `pos` sit next to ASCII bytes (or at the end),
+            // so this slice is whole UTF-8 scalars.
+            let run = &self.text[start..self.pos];
+            let c = *self.s.get(self.pos).ok_or("unterminated string")?;
+            if c < 0x20 {
+                return Err(format!(
+                    "unescaped control byte 0x{c:02x} in string at byte {}",
+                    self.pos
+                ));
+            }
+            self.pos += 1;
+            if !escaped {
+                if c == b'"' {
+                    return Ok(Some(run));
+                }
+                self.unescaped.clear();
+                escaped = true;
+            }
+            self.unescaped.push_str(run);
+            if c == b'"' {
+                return Ok(None);
+            }
+            self.escape()?;
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.s.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self.s.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("surrogate in \\u escape")?);
-                        }
-                        _ => return Err(format!("bad escape '\\{}'", e as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let len = match c {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            _ => 4,
-                        };
-                        let bytes = self
-                            .s
-                            .get(start..start + len)
-                            .ok_or("truncated UTF-8 sequence")?;
-                        out.push_str(std::str::from_utf8(bytes).map_err(|e| e.to_string())?);
-                        self.pos = start + len;
-                    }
-                }
+    /// The escape after a `\`, decoded onto `self.unescaped`.
+    fn escape(&mut self) -> Result<(), String> {
+        let e = *self.s.get(self.pos).ok_or("unterminated escape")?;
+        self.pos += 1;
+        let out = &mut self.unescaped;
+        match e {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hex = self
+                    .s
+                    .get(self.pos..self.pos + 4)
+                    .ok_or("truncated \\u escape")?;
+                self.pos += 4;
+                let code =
+                    u32::from_str_radix(std::str::from_utf8(hex).map_err(|e| e.to_string())?, 16)
+                        .map_err(|e| e.to_string())?;
+                out.push(char::from_u32(code).ok_or("surrogate in \\u escape")?);
             }
+            _ => return Err(format!("bad escape '\\{}'", e as char)),
         }
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -720,12 +817,17 @@ impl JsonParser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.s[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.text[start..self.pos];
         text.parse()
             .map(Json::Num)
             .map_err(|_| format!("bad number '{text}' at byte {start}"))
     }
 }
+
+/// The JSON tests' document generator, shared with the integration tests.
+#[cfg(test)]
+#[path = "../tests/common/json_tree.rs"]
+mod json_tree;
 
 #[cfg(test)]
 pub(crate) mod tests {
@@ -777,6 +879,279 @@ pub(crate) mod tests {
         }
     }
 
+    /// The reader as it was before the compact tree: a `Vec` per
+    /// container, grown as it is read, and a `String` per key. The
+    /// accept/refuse and tree oracle of [`parse_json`].
+    mod reader_oracle {
+        use super::super::{Json, MAX_DEPTH};
+
+        #[derive(Debug)]
+        pub(super) enum Value {
+            Null,
+            Bool(bool),
+            Num(f64),
+            Str(String),
+            Arr(Vec<Value>),
+            Obj(Vec<(String, Value)>),
+        }
+
+        impl Value {
+            pub(super) fn into_json(self) -> Json {
+                match self {
+                    Value::Null => Json::Null,
+                    Value::Bool(b) => Json::Bool(b),
+                    Value::Num(n) => Json::Num(n),
+                    Value::Str(s) => Json::Str(s),
+                    Value::Arr(items) => {
+                        Json::Arr(items.into_iter().map(Value::into_json).collect())
+                    }
+                    Value::Obj(fields) => Json::Obj(
+                        fields
+                            .into_iter()
+                            .map(|(k, v)| (k.into(), v.into_json()))
+                            .collect(),
+                    ),
+                }
+            }
+        }
+
+        pub(super) fn parse(text: &str) -> Result<Value, String> {
+            let mut p = Parser {
+                s: text.as_bytes(),
+                pos: 0,
+                depth: 0,
+            };
+            let v = p.value()?;
+            p.skip_ws();
+            if p.pos != p.s.len() {
+                return Err(format!("trailing garbage at byte {}", p.pos));
+            }
+            Ok(v)
+        }
+
+        struct Parser<'a> {
+            s: &'a [u8],
+            pos: usize,
+            depth: usize,
+        }
+
+        impl Parser<'_> {
+            fn skip_ws(&mut self) {
+                while self.pos < self.s.len() && self.s[self.pos].is_ascii_whitespace() {
+                    self.pos += 1;
+                }
+            }
+
+            fn peek(&mut self) -> Result<u8, String> {
+                self.skip_ws();
+                self.s
+                    .get(self.pos)
+                    .copied()
+                    .ok_or_else(|| "unexpected end of input".to_string())
+            }
+
+            fn expect(&mut self, c: u8) -> Result<(), String> {
+                let got = self.peek()?;
+                if got != c {
+                    return Err(format!(
+                        "expected '{}' got '{}' at byte {}",
+                        c as char, got as char, self.pos
+                    ));
+                }
+                self.pos += 1;
+                Ok(())
+            }
+
+            fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
+                if self.s[self.pos..].starts_with(word.as_bytes()) {
+                    self.pos += word.len();
+                    Ok(value)
+                } else {
+                    Err(format!("bad literal at byte {}", self.pos))
+                }
+            }
+
+            fn value(&mut self) -> Result<Value, String> {
+                match self.peek()? {
+                    b'{' => self.container(Self::object),
+                    b'[' => self.container(Self::array),
+                    b'"' => Ok(Value::Str(self.string()?)),
+                    b't' => self.literal("true", Value::Bool(true)),
+                    b'f' => self.literal("false", Value::Bool(false)),
+                    b'n' => self.literal("null", Value::Null),
+                    _ => self.number(),
+                }
+            }
+
+            fn container(
+                &mut self,
+                parse: fn(&mut Self) -> Result<Value, String>,
+            ) -> Result<Value, String> {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = parse(self);
+                self.depth -= 1;
+                v
+            }
+
+            fn object(&mut self) -> Result<Value, String> {
+                self.expect(b'{')?;
+                let mut fields = Vec::new();
+                if self.peek()? == b'}' {
+                    self.pos += 1;
+                    return Ok(Value::Obj(fields));
+                }
+                loop {
+                    let key = self.string()?;
+                    self.expect(b':')?;
+                    fields.push((key, self.value()?));
+                    match self.peek()? {
+                        b',' => self.pos += 1,
+                        b'}' => {
+                            self.pos += 1;
+                            return Ok(Value::Obj(fields));
+                        }
+                        c => {
+                            return Err(format!(
+                                "expected ',' or '}}' got '{}' at byte {}",
+                                c as char, self.pos
+                            ))
+                        }
+                    }
+                }
+            }
+
+            fn array(&mut self) -> Result<Value, String> {
+                self.expect(b'[')?;
+                let mut items = Vec::new();
+                if self.peek()? == b']' {
+                    self.pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                loop {
+                    items.push(self.value()?);
+                    match self.peek()? {
+                        b',' => self.pos += 1,
+                        b']' => {
+                            self.pos += 1;
+                            return Ok(Value::Arr(items));
+                        }
+                        c => {
+                            return Err(format!(
+                                "expected ',' or ']' got '{}' at byte {}",
+                                c as char, self.pos
+                            ))
+                        }
+                    }
+                }
+            }
+
+            fn string(&mut self) -> Result<String, String> {
+                self.expect(b'"')?;
+                let mut out = String::new();
+                loop {
+                    let c = *self.s.get(self.pos).ok_or("unterminated string")?;
+                    self.pos += 1;
+                    match c {
+                        b'"' => return Ok(out),
+                        b'\\' => {
+                            let e = *self.s.get(self.pos).ok_or("unterminated escape")?;
+                            self.pos += 1;
+                            match e {
+                                b'"' => out.push('"'),
+                                b'\\' => out.push('\\'),
+                                b'/' => out.push('/'),
+                                b'n' => out.push('\n'),
+                                b'r' => out.push('\r'),
+                                b't' => out.push('\t'),
+                                b'u' => {
+                                    let hex = self
+                                        .s
+                                        .get(self.pos..self.pos + 4)
+                                        .ok_or("truncated \\u escape")?;
+                                    self.pos += 4;
+                                    let code = u32::from_str_radix(
+                                        std::str::from_utf8(hex).map_err(|e| e.to_string())?,
+                                        16,
+                                    )
+                                    .map_err(|e| e.to_string())?;
+                                    out.push(
+                                        char::from_u32(code).ok_or("surrogate in \\u escape")?,
+                                    );
+                                }
+                                _ => return Err(format!("bad escape '\\{}'", e as char)),
+                            }
+                        }
+                        c if c < 0x20 => {
+                            return Err(format!(
+                                "unescaped control byte 0x{c:02x} in string at byte {}",
+                                self.pos - 1
+                            ))
+                        }
+                        _ => {
+                            // Multi-byte UTF-8: copy the whole scalar.
+                            if c < 0x80 {
+                                out.push(c as char);
+                            } else {
+                                let start = self.pos - 1;
+                                let len = match c {
+                                    0xC0..=0xDF => 2,
+                                    0xE0..=0xEF => 3,
+                                    _ => 4,
+                                };
+                                let bytes = self
+                                    .s
+                                    .get(start..start + len)
+                                    .ok_or("truncated UTF-8 sequence")?;
+                                out.push_str(
+                                    std::str::from_utf8(bytes).map_err(|e| e.to_string())?,
+                                );
+                                self.pos = start + len;
+                            }
+                        }
+                    }
+                }
+            }
+
+            fn number(&mut self) -> Result<Value, String> {
+                self.skip_ws();
+                let start = self.pos;
+                while self.pos < self.s.len()
+                    && (self.s[self.pos].is_ascii_digit() || b"-+.eE".contains(&self.s[self.pos]))
+                {
+                    self.pos += 1;
+                }
+                let text =
+                    std::str::from_utf8(&self.s[start..self.pos]).map_err(|e| e.to_string())?;
+                text.parse()
+                    .map(Value::Num)
+                    .map_err(|_| format!("bad number '{text}' at byte {start}"))
+            }
+        }
+    }
+
+    /// `parse_json` against the oracle: same tree or the same refusal.
+    fn reads_as_the_oracle(text: &str) -> Result<(), proptest::test_runner::TestCaseError> {
+        let want = reader_oracle::parse(text).map(reader_oracle::Value::into_json);
+        prop_assert_eq!(parse_json(text), want, "{:?}", text);
+        Ok(())
+    }
+
+    /// What a flip writes over one byte: structure, escapes whole and
+    /// broken, control bytes, number and literal pieces, and UTF-8 (a lone
+    /// lead byte reads as U+FFFD).
+    #[rustfmt::skip]
+    const FLIPS: &[&[u8]] = &[
+        b"{", b"}", b"[", b"]", b"\"", b",", b":", b"\\", b" ", b"\t", b"\n", b"\x00", b"\x1f",
+        b"\x7f", b"u", b"/", b"0", b"-", b"+", b".", b"e", b"E", b"tru", b"nul", b"x", b"\\/",
+        b"\\u00e9", b"\\ud800", b"\\u+04", b"\\u12", b"\xc3\xa9", b"\xc3",
+    ];
+
     /// One value as the writer renders it.
     fn written(v: impl JsonValue) -> String {
         let mut w = JsonWriter::new();
@@ -819,6 +1194,28 @@ pub(crate) mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn reader_matches_its_oracle_on_written_flipped_cut_and_nested_documents(
+            v in json_tree::tree(),
+            at in 0usize..1 << 20,
+            flip in 0..FLIPS.len(),
+            cut in 0usize..1 << 20,
+            nest in MAX_DEPTH - 6..MAX_DEPTH + 1,
+        ) {
+            let text = json_tree::written(&v);
+            reads_as_the_oracle(&text)?;
+            let mut bytes = text.clone().into_bytes();
+            let at = at % bytes.len();
+            bytes.splice(at..=at, FLIPS[flip].iter().copied());
+            reads_as_the_oracle(&String::from_utf8_lossy(&bytes))?;
+            let mut end = cut % text.len();
+            while !text.is_char_boundary(end) {
+                end -= 1;
+            }
+            reads_as_the_oracle(&text[..end])?;
+            reads_as_the_oracle(&format!("{}{text}{}", "[".repeat(nest), "]".repeat(nest)))?;
+        }
 
         #[test]
         fn integers_and_bools_match_the_fmt_writer(
@@ -937,5 +1334,67 @@ pub(crate) mod tests {
         );
         let err = parse_json(&"[{\"k\":".repeat(100_000)).unwrap_err();
         assert!(err.starts_with("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn raw_control_bytes_in_strings_are_refused_with_their_offset() {
+        for (text, at) in [
+            ("\"a\nb\"", 2),
+            ("{\"k\\u0041\x01\":1}", 9),
+            ("[\"\x1f\"]", 2),
+        ] {
+            let want = format!(
+                "unescaped control byte 0x{:02x} in string at byte {at}",
+                text.as_bytes()[at]
+            );
+            assert_eq!(parse_json(text), Err(want.clone()), "{text:?}");
+            assert_eq!(reader_oracle::parse(text).map(|_| ()), Err(want));
+        }
+        // Escaped, the same bytes read back; DEL needs no escape.
+        let v = parse_json("\"a\\nb\\u0001\x7f\"").unwrap();
+        assert_eq!(v, Json::Str("a\nb\u{1}\u{7f}".to_string()));
+    }
+
+    #[test]
+    fn container_errors_name_the_byte() {
+        assert_eq!(
+            parse_json("{\"a\":1 x}"),
+            Err("expected ',' or '}' got 'x' at byte 7".to_string())
+        );
+        assert_eq!(
+            parse_json("[1,2;]"),
+            Err("expected ',' or ']' got ';' at byte 4".to_string())
+        );
+    }
+
+    #[test]
+    fn keys_are_allocated_once_per_parse() {
+        // More distinct keys than the recent table holds, each twice, one
+        // of them escaped.
+        let keys: Vec<String> = (0..3 * RECENT_KEYS).map(|i| format!("k{i}")).collect();
+        let mut w = JsonWriter::new();
+        w.array(|w| {
+            for _ in 0..2 {
+                w.object(|w| {
+                    for (i, k) in keys.iter().enumerate() {
+                        w.field(k, i);
+                    }
+                    w.field("tab\t", true);
+                });
+            }
+        });
+        let v = parse_json(&w.finish()).unwrap();
+        let [Json::Obj(a), Json::Obj(b)] = v.as_array().unwrap() else {
+            panic!("two objects");
+        };
+        assert_eq!(a.len(), keys.len() + 1);
+        for (((ka, va), (kb, vb)), want) in a.iter().zip(b.iter()).zip(&keys) {
+            assert_eq!(&**ka, want.as_str());
+            assert!(Arc::ptr_eq(ka, kb), "{want} allocated twice");
+            assert_eq!(va, vb);
+        }
+        assert_eq!(&*a[keys.len()].0, "tab\t");
+        assert!(Arc::ptr_eq(&a[keys.len()].0, &b[keys.len()].0));
+        assert_eq!(v.as_array().unwrap()[1].u64("k40"), Ok(40));
     }
 }
