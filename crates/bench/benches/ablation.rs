@@ -9,7 +9,7 @@
 //!   paper's choice)};
 //! * the outlier-ratio threshold of the allgatherv detector.
 
-use ncd_bench::{report, time_phase, BenchCli, Observe, RunCapture, Series};
+use ncd_bench::{report, time_phase, BenchCli, RunCapture, Series};
 use ncd_core::{AlltoallwSchedule, Comm, MpiConfig, WPeer};
 use ncd_datatype::{matrix_column_type, Datatype, EngineParams};
 use ncd_simnet::{Cluster, ClusterConfig, SimTime, Tag};
@@ -53,7 +53,7 @@ fn ablate_lookahead(cli: &BenchCli) {
         };
         let bytes = n * n * 24;
         let cluster = ClusterConfig::uniform(2);
-        let run = time_phase(cluster, cfg, 2, Observe::NONE, move |comm, _| {
+        let run = time_phase(cluster, cfg, 2, move |comm, _| {
             let col = matrix_column_type(n, n, 3).expect("column type");
             if comm.rank() == 0 {
                 comm.send(&vec![1u8; bytes], &col, n, 1, Tag(0));
@@ -160,7 +160,7 @@ fn ablate_outlier_threshold(cli: &BenchCli) {
             let mut cfg = MpiConfig::optimized();
             cfg.outlier_ratio = threshold;
             let cluster = ClusterConfig::uniform(n);
-            time_phase(cluster, cfg, 5, Observe::NONE, move |comm, _| {
+            time_phase(cluster, cfg, 5, move |comm, _| {
                 // Heavy-tailed spread (ratio exactly 4 between the max and
                 // the 0.9-quantile) vs one true outlier (ratio ~4096).
                 let mut counts: Vec<usize> = (0..n)

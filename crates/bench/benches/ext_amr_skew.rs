@@ -20,14 +20,17 @@
 
 use ncd_bench::{
     amr_diag_loop, amr_diag_workload, improvement_pct, relabel, report, whatif_phase, BenchCli,
-    Observe, RunCapture, Series, AMR_DIAG_OUTLIER,
+    RunCapture, Series, AMR_DIAG_OUTLIER,
 };
 use ncd_core::{
     decisions_from_trace, detect_misselections, remediation_hints, render_hints, Comm, MpiConfig,
     WPeer,
 };
 use ncd_datatype::Datatype;
-use ncd_simnet::{mirror_to_recorders, Cluster, ClusterCommMap, ClusterConfig, MetricsRegistry};
+use ncd_simnet::{
+    mirror_to_recorders, Capture, Cluster, ClusterCommMap, ClusterConfig, MetricsRegistry,
+    Observers,
+};
 
 const STEPS: usize = 10;
 const BASE_CELLS: u64 = 2_000;
@@ -40,20 +43,22 @@ fn level(rank: usize, spot: usize, n: usize, depth: u32) -> u32 {
 /// One run of [`STEPS`] refinement steps; `time` is the whole run's
 /// makespan.
 fn run(nranks: usize, depth: u32, cfg: MpiConfig) -> RunCapture {
-    const OBSERVE: Observe = Observe {
+    const OBSERVE: Observers = Observers {
         metrics: true,
         comm_map: true,
-        ..Observe::NONE
+        ..Observers::NONE
     };
-    let out = Cluster::new(ClusterConfig::paper_testbed(nranks)).run(|rank| {
-        OBSERVE.enable(rank);
+    let cluster = ClusterConfig::paper_testbed(nranks).observe(OBSERVE);
+    let out = Cluster::new(cluster).try_run(|rank| {
         let mut comm = Comm::new(rank, cfg.clone());
         let me = comm.rank();
         let n = comm.size();
         comm.barrier();
-        comm.rank_mut().reset_clock();
-        // Drop the warmup barrier's traffic from the observability view.
-        let _ = OBSERVE.take(comm.rank_mut());
+        let rank = comm.rank_mut();
+        rank.reset_clock();
+        // Drop the warmup barrier's stats and traffic.
+        let _ = rank.take_stats();
+        let _ = rank.harvest();
         for step in 0..STEPS {
             let spot = (step * 5) % n;
             let my_level = level(me, spot, n, depth);
@@ -84,9 +89,9 @@ fn run(nranks: usize, depth: u32, cfg: MpiConfig) -> RunCapture {
             let mut recvbuf = vec![0u8; (sc + pc) * 8];
             comm.alltoallw(&sendbuf, &sends, &mut recvbuf, &recvs);
         }
-        OBSERVE.take(comm.rank_mut())
+        (comm.rank_ref().now(), comm.rank_mut().take_stats())
     });
-    RunCapture::merge(out)
+    RunCapture::of(out)
 }
 
 fn main() {
@@ -115,17 +120,20 @@ fn main() {
     for depth in depths {
         let rb = run(depth_ranks, depth, MpiConfig::baseline());
         let rn = run(depth_ranks, depth, MpiConfig::optimized());
-        decisions.merge(rb.metrics.as_ref().expect("metrics observed"));
-        decisions.merge(rn.metrics.as_ref().expect("metrics observed"));
-        skew_map = rb.comm_map;
+        decisions.merge(rb.capture.metrics.as_ref().expect("metrics observed"));
+        decisions.merge(rn.capture.metrics.as_ref().expect("metrics observed"));
+        skew_map = rb.capture.comm_map;
         base.push(depth.to_string(), rb.time.as_ms());
         binned.push(depth.to_string(), rn.time.as_ms());
         imp.push(depth.to_string(), improvement_pct(rb.time, rn.time));
     }
     let series_depth = vec![base, binned, imp];
     let sweep = RunCapture {
-        metrics: Some(decisions),
-        comm_map: skew_map,
+        capture: Capture {
+            metrics: Some(decisions),
+            comm_map: skew_map,
+            ..Capture::default()
+        },
         ..RunCapture::default()
     };
     report(
@@ -216,42 +224,35 @@ fn main() {
 /// ledger it.
 fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
     const OUTLIER: usize = AMR_DIAG_OUTLIER;
-    const COMM_MAP: Observe = Observe {
+    const OBSERVE: Observers = Observers {
+        trace: true,
         comm_map: true,
-        ..Observe::NONE
+        ..Observers::NONE
     };
-    const OBSERVE: Observe = Observe {
-        tracing: true,
-        ..COMM_MAP
-    };
-    let cluster = ClusterConfig::paper_testbed(nranks);
+    let cluster = ClusterConfig::paper_testbed(nranks).observe(OBSERVE);
     let cost = cluster.cost.clone();
     let cfg = MpiConfig::baseline();
     let mpi = cfg.clone();
     let out = Cluster::new(cluster).try_run(move |rank| {
-        OBSERVE.enable(rank);
         let mut comm = Comm::new(rank, mpi.clone());
         comm.barrier();
-        comm.rank_mut().reset_clock();
-        // Drop the warmup barrier's traffic; its trace events stay, as in
-        // the committed reference run.
-        let _ = COMM_MAP.take(comm.rank_mut());
+        let rank = comm.rank_mut();
+        rank.reset_clock();
+        // Drop the warmup barrier's stats and traffic; its trace events
+        // stay, as in the committed reference run.
+        let _ = rank.take_stats();
+        let _ = rank.take_comm_map();
         // The measured loop is shared with the what-if replay
         // (`amr_diag_workload`), so the counterfactual verifies exactly
         // the workload this phase diagnosed.
         amr_diag_loop(&mut comm);
-        OBSERVE.take(comm.rank_mut())
+        (comm.rank_ref().now(), comm.rank_mut().take_stats())
     });
-    let parts = out.results.unwrap_or_else(|err| err.raise(&out.recorders));
-    let run = RunCapture {
-        sched: Some(out.sched),
-        recorders: out.recorders,
-        ..RunCapture::merge(parts)
-    };
-    let traces = run.traces.as_ref().expect("traced");
+    let run = RunCapture::of(out);
+    let traces = run.capture.traces.as_ref().expect("traced");
     let diag = run.diagnosis().expect("traced");
     let decisions = decisions_from_trace(&traces[OUTLIER]);
-    let audit = detect_misselections(&decisions, run.comm_map.as_ref(), &cost, &cfg);
+    let audit = detect_misselections(&decisions, run.capture.comm_map.as_ref(), &cost, &cfg);
     let hints = remediation_hints(&diag, &decisions, &audit, &[]);
     report(
         cli,

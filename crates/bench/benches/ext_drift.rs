@@ -20,7 +20,7 @@
 //! The per-regime step latencies are gated against the committed
 //! reference run with `--compare benches/baselines/observatory`.
 
-use ncd_bench::{report, BenchCli, Observe, RunCapture, Series};
+use ncd_bench::{report, BenchCli, RunCapture, Series, OBSERVATORY};
 use ncd_core::{
     drift_events_from_trace, pattern_recurrence, AllgathervAlgorithm, Comm, DriftConfig,
     DriftEvent, MpiConfig,
@@ -84,8 +84,8 @@ fn counts_for(n: usize, r: &Regime) -> Vec<usize> {
 /// regime is part of the story). Returns the per-regime step latencies,
 /// the drift events the online monitor fired, and the capture.
 fn run(nranks: usize, epochs: usize) -> (Vec<SimTime>, Vec<DriftEvent>, RunCapture) {
-    let run = Cluster::new(ClusterConfig::paper_testbed(nranks)).try_run(|rank| {
-        Observe::ALL.enable(rank);
+    let cluster = ClusterConfig::paper_testbed(nranks).observe(OBSERVATORY);
+    let run = Cluster::new(cluster).try_run(|rank| {
         let mut comm = Comm::new(rank, MpiConfig::optimized());
         let me = comm.rank();
         let n = comm.size();
@@ -109,21 +109,23 @@ fn run(nranks: usize, epochs: usize) -> (Vec<SimTime>, Vec<DriftEvent>, RunCaptu
             ));
             last = now;
         }
-        (marks, Observe::ALL.take(comm.rank_mut()))
+        marks
     });
-    let out = run.results.unwrap_or_else(|err| err.raise(&run.recorders));
-    let nregimes = out[0].0.len();
-    let marks = (0..nregimes)
-        .map(|i| out.iter().map(|(m, _)| m[i]).max().expect("nonempty"))
+    let (sched, recorders) = (run.sched.clone(), run.recorders.clone());
+    let (out, capture) = run.unwrap();
+    let marks = (0..out[0].len())
+        .map(|i| out.iter().map(|m| m[i]).max().expect("nonempty"))
         .collect();
     let capture = RunCapture {
-        sched: Some(run.sched),
-        recorders: run.recorders,
-        ..RunCapture::merge(out.into_iter().map(|(_, part)| part).collect())
+        capture,
+        sched: Some(sched),
+        recorders,
+        ..RunCapture::default()
     };
     // SPMD: every rank's monitor fires identically; the first rank that
     // saw any event stands for the run.
     let drift = capture
+        .capture
         .traces
         .iter()
         .flatten()
@@ -145,7 +147,7 @@ fn main() {
     let series = vec![lat];
     // The report is about the history; the traces (and the diagnosis
     // section they would add) are for the ledger only.
-    let traces = capture.traces.take();
+    let traces = capture.capture.traces.take();
     report(
         &cli,
         "ext_drift",
@@ -176,7 +178,7 @@ fn main() {
     // Recurrence: three stationary regimes → exactly three distinct
     // pattern hashes on the ring series, dominant recurring every epoch
     // of its regime.
-    let rec = pattern_recurrence(capture.history.as_ref().expect("history observed"));
+    let rec = pattern_recurrence(capture.capture.history.as_ref().expect("history observed"));
     let ring = rec
         .iter()
         .find(|r| r.label == "allgatherv/ring")
@@ -199,7 +201,7 @@ fn main() {
             ("regimes".to_string(), "3".to_string()),
             ("algorithm".to_string(), "ring-pinned".to_string()),
         ];
-        capture.traces = traces;
+        capture.capture.traces = traces;
         cli.observatory("ext_drift", &knobs, &series, &["step-latency"], &capture);
     }
 }

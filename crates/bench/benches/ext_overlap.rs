@@ -11,7 +11,7 @@
 //! lower-is-better latency series are gated against the committed
 //! reference run with `--compare benches/baselines/observatory`.
 
-use ncd_bench::{improvement_pct, report, time_phase, BenchCli, Observe, RunCapture, Series};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY};
 use ncd_core::{Comm, MpiConfig};
 use ncd_petsc::{DistributedArray, ScatterBackend, StencilKind};
 use ncd_simnet::{Cluster, ClusterConfig, SimTime};
@@ -85,10 +85,9 @@ fn main() {
     if cli.wants_observatory() {
         let flops = *sweep.last().expect("nonempty sweep");
         let traced = time_phase(
-            ClusterConfig::paper_testbed(nranks),
+            ClusterConfig::paper_testbed(nranks).observe(OBSERVATORY),
             MpiConfig::optimized(),
             3,
-            Observe::ALL,
             move |comm, _| {
                 let da = DistributedArray::new(comm, &[grid, grid], 1, StencilKind::Star, 1);
                 let mut g = da.create_global_vec();

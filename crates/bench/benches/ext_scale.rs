@@ -16,7 +16,7 @@
 //! overhead term. The multigrid point pins the §5.5 claim at the paper's
 //! full 128-process machine size.
 
-use ncd_bench::{relabel, report, time_phase, BenchCli, Observe, RunCapture, Series};
+use ncd_bench::{relabel, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY};
 use ncd_core::{AllgathervAlgorithm, Comm, MpiConfig};
 use ncd_petsc::{richardson, KspSettings, LaplacianOp, Multigrid, PVec, ScatterBackend};
 use ncd_simnet::{Cluster, ClusterConfig, SimTime};
@@ -35,7 +35,6 @@ fn allgatherv_latency(nprocs: usize, algo: AllgathervAlgorithm, block: usize) ->
         ClusterConfig::uniform(nprocs),
         MpiConfig::optimized(),
         1,
-        Observe::NONE,
         move |comm, _| uniform_allgatherv(comm, algo, block),
     )
     .time
@@ -185,10 +184,9 @@ fn main() {
     // ratio is derived from them.
     if cli.wants_observatory() {
         let traced = time_phase(
-            ClusterConfig::uniform(procs[0]),
+            ClusterConfig::uniform(procs[0]).observe(OBSERVATORY),
             MpiConfig::optimized(),
             1,
-            Observe::ALL,
             |comm, _| uniform_allgatherv(comm, AllgathervAlgorithm::RecursiveDoubling, SMALL_BLOCK),
         );
         let knobs = vec![

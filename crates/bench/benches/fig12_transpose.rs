@@ -14,10 +14,16 @@
 //! with a `-log_view`-style per-engine table (blocks, sparse/dense mix,
 //! seek segments) that makes the quadratic re-search directly visible.
 
-use ncd_bench::{improvement_pct, report, time_phase, BenchCli, Observe, RunCapture, Series};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY};
 use ncd_core::{Comm, MpiConfig};
 use ncd_datatype::{matrix_column_type, Datatype};
-use ncd_simnet::{ClusterConfig, MetricsRegistry, SimTime, Tag};
+use ncd_simnet::{Capture, ClusterConfig, MetricsRegistry, Observers, SimTime, Tag};
+
+/// The sweep's observer: the metrics registry alone.
+const METRICS: Observers = Observers {
+    metrics: true,
+    ..Observers::NONE
+};
 
 /// One column-major send / contiguous receive of an NxN matrix of
 /// three-double elements between ranks 0 and 1.
@@ -37,10 +43,10 @@ fn transpose_once(comm: &mut Comm, n: usize) {
 fn transpose_latency(n: usize, cfg: MpiConfig, merged: &mut MetricsRegistry) -> SimTime {
     let reps = if n <= 256 { 3 } else { 1 };
     let cluster = ClusterConfig::uniform(2);
-    let run = time_phase(cluster, cfg, reps, Observe::METRICS, move |comm, _| {
+    let run = time_phase(cluster.observe(METRICS), cfg, reps, move |comm, _| {
         transpose_once(comm, n)
     });
-    merged.merge(run.metrics.as_ref().expect("metrics observed"));
+    merged.merge(run.capture.metrics.as_ref().expect("metrics observed"));
     run.time
 }
 
@@ -65,7 +71,10 @@ fn main() {
     }
     let series = [base, new, imp];
     let sweep = RunCapture {
-        metrics: Some(metrics),
+        capture: Capture {
+            metrics: Some(metrics),
+            ..Capture::default()
+        },
         ..RunCapture::default()
     };
     report(
@@ -85,10 +94,9 @@ fn main() {
     if cli.wants_observatory() {
         let n = *sizes.last().expect("nonempty sweep");
         let traced = time_phase(
-            ClusterConfig::uniform(2),
+            ClusterConfig::uniform(2).observe(OBSERVATORY),
             MpiConfig::optimized(),
             1,
-            Observe::ALL,
             move |comm, _| transpose_once(comm, n),
         );
         let knobs = vec![

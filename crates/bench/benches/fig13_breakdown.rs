@@ -10,10 +10,18 @@
 //! plotted series plus the cluster-wide metrics snapshot — to
 //! `target/figures/<name>.json`.
 
-use ncd_bench::{aggregate, relabel, report, time_phase, BenchCli, Observe, RunCapture, Series};
+use ncd_bench::{
+    aggregate, relabel, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY,
+};
 use ncd_core::{Comm, MpiConfig};
 use ncd_datatype::{matrix_column_type, Datatype};
-use ncd_simnet::{ClusterConfig, CostKind, MetricsRegistry, Tag};
+use ncd_simnet::{Capture, ClusterConfig, CostKind, MetricsRegistry, Observers, Tag};
+
+/// The sweep's observer: the metrics registry alone.
+const METRICS: Observers = Observers {
+    metrics: true,
+    ..Observers::NONE
+};
 
 /// The transpose exchange the breakdown instruments (same communication
 /// as Figure 12's benchmark).
@@ -32,7 +40,7 @@ fn transpose_once(comm: &mut Comm, n: usize) {
 
 fn breakdown(n: usize, cfg: MpiConfig) -> (f64, f64, f64, MetricsRegistry) {
     let cluster = ClusterConfig::uniform(2);
-    let run = time_phase(cluster, cfg, 1, Observe::METRICS, move |comm, _| {
+    let run = time_phase(cluster.observe(METRICS), cfg, 1, move |comm, _| {
         transpose_once(comm, n)
     });
     let total = aggregate(&run.stats);
@@ -45,7 +53,7 @@ fn breakdown(n: usize, cfg: MpiConfig) -> (f64, f64, f64, MetricsRegistry) {
         comm_frac * scale,
         pack_frac * scale,
         search_frac * scale,
-        run.metrics.expect("metrics observed"),
+        run.capture.metrics.expect("metrics observed"),
     )
 }
 
@@ -75,7 +83,10 @@ fn main() {
         }
         let series = [comm_s, pack_s, search_s];
         let sweep = RunCapture {
-            metrics: Some(merged),
+            capture: Capture {
+                metrics: Some(merged),
+                ..Capture::default()
+            },
             ..RunCapture::default()
         };
         report(&cli, name, "matrix", "% of time", &series, &sweep);
@@ -92,10 +103,9 @@ fn main() {
     if cli.wants_observatory() {
         let n = *sizes.last().expect("nonempty sweep");
         let traced = time_phase(
-            ClusterConfig::uniform(2),
+            ClusterConfig::uniform(2).observe(OBSERVATORY),
             MpiConfig::optimized(),
             1,
-            Observe::ALL,
             move |comm, _| transpose_once(comm, n),
         );
         let knobs = vec![

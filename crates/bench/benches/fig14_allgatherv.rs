@@ -14,7 +14,7 @@
 //! at 64 processes / 32 KB.
 
 use ncd_bench::{
-    improvement_pct, relabel, report, time_phase, BenchCli, Observe, RunCapture, Series,
+    improvement_pct, relabel, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY,
 };
 use ncd_core::{Comm, MpiConfig};
 use ncd_simnet::{ClusterConfig, SimTime};
@@ -32,7 +32,7 @@ fn skewed_allgatherv(comm: &mut Comm, outlier_doubles: usize) {
 
 fn allgatherv_latency(nprocs: usize, outlier_doubles: usize, cfg: MpiConfig) -> SimTime {
     let cluster = ClusterConfig::uniform(nprocs);
-    time_phase(cluster, cfg, 5, Observe::NONE, move |comm, _| {
+    time_phase(cluster, cfg, 5, move |comm, _| {
         skewed_allgatherv(comm, outlier_doubles)
     })
     .time
@@ -105,10 +105,9 @@ fn main() {
     // derived from them anyway.
     if cli.wants_observatory() {
         let traced = time_phase(
-            ClusterConfig::uniform(procs_a),
+            ClusterConfig::uniform(procs_a).observe(OBSERVATORY),
             MpiConfig::optimized(),
             5,
-            Observe::ALL,
             |comm, _| skewed_allgatherv(comm, 4096),
         );
         let knobs = vec![

@@ -14,7 +14,7 @@
 //!
 //! Paper result: ~50% improvement at 32 processes, >88% at 128.
 
-use ncd_bench::{improvement_pct, report, time_phase, BenchCli, Observe, RunCapture, Series};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY};
 use ncd_core::{Comm, MpiConfig, WPeer};
 use ncd_datatype::Datatype;
 use ncd_simnet::{ClusterConfig, SimTime};
@@ -43,10 +43,7 @@ fn ring_exchange(comm: &mut Comm) {
 
 fn ring_exchange_latency(nprocs: usize, cfg: MpiConfig) -> SimTime {
     let cluster = ClusterConfig::paper_testbed(nprocs);
-    time_phase(cluster, cfg, 10, Observe::NONE, |comm, _| {
-        ring_exchange(comm)
-    })
-    .time
+    time_phase(cluster, cfg, 10, |comm, _| ring_exchange(comm)).time
 }
 
 fn main() {
@@ -85,10 +82,9 @@ fn main() {
     if cli.wants_observatory() {
         let n = if cli.smoke { 16 } else { 32 };
         let traced = time_phase(
-            ClusterConfig::paper_testbed(n),
+            ClusterConfig::paper_testbed(n).observe(OBSERVATORY),
             MpiConfig::optimized(),
             10,
-            Observe::ALL,
             |comm, _| ring_exchange(comm),
         );
         let knobs = vec![

@@ -16,7 +16,7 @@
 //! Paper result: the optimized MPI recovers to within ~4% of hand-tuned
 //! (>95% better than the baseline at 128 procs).
 
-use ncd_bench::{improvement_pct, report, time_phase, BenchCli, Observe, RunCapture, Series};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY};
 use ncd_core::{Comm, MpiConfig};
 use ncd_petsc::{IndexSet, Layout, PVec, ScatterBackend, VecScatter};
 use ncd_simnet::{Cluster, ClusterConfig, SimTime};
@@ -118,10 +118,9 @@ fn main() {
     if cli.wants_observatory() {
         let n = if cli.smoke { 16 } else { 32 };
         let traced = time_phase(
-            ClusterConfig::paper_testbed(n),
+            ClusterConfig::paper_testbed(n).observe(OBSERVATORY),
             MpiConfig::optimized(),
             3,
-            Observe::ALL,
             |comm, _| {
                 let n_global = LOCAL_ELEMS * comm.size();
                 let layout = Layout::balanced(n_global, comm.size());

@@ -16,7 +16,7 @@
 //! (≈90% improvement there) and sits within ~3% of hand-tuned (which leads
 //! by ~10% at 4 processes).
 
-use ncd_bench::{improvement_pct, report, time_phase, BenchCli, Observe, RunCapture, Series};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY};
 use ncd_core::{Comm, MpiConfig};
 use ncd_petsc::{richardson, KspSettings, LaplacianOp, Multigrid, PVec, ScatterBackend};
 use ncd_simnet::{Cluster, ClusterConfig, SimTime};
@@ -141,10 +141,9 @@ fn main() {
     if cli.wants_observatory() {
         let n = procs[0];
         let traced = time_phase(
-            ClusterConfig::paper_testbed(n),
+            ClusterConfig::paper_testbed(n).observe(OBSERVATORY),
             MpiConfig::optimized(),
             1,
-            Observe::ALL,
             |comm, _| mg_solve(comm, ScatterBackend::Datatype),
         );
         let knobs = vec![

@@ -12,9 +12,8 @@ use std::sync::Arc;
 
 use ncd_core::{Comm, DriftConfig, MpiConfig, RunDiff, SeriesDelta};
 use ncd_simnet::{
-    merge_comm_maps, merge_histories, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, History,
-    JsonWriter, MetricsRegistry, Rank, RankCommMap, RankHistory, RankRecorder, RunManifest,
-    SchedStats, SimTime, Stats, TraceEvent,
+    Capture, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, JsonWriter, MetricsRegistry,
+    Observers, RankRecorder, RunManifest, RunOutput, SchedStats, SimTime, Stats,
 };
 
 pub mod workloads;
@@ -446,7 +445,7 @@ fn fmt_ratio(r: f64) -> String {
 /// spread, Gini), the hottest pairs, and the per-epoch breakdown. Returns
 /// `None` when the map saw no traffic.
 pub fn comm_report(map: &ClusterCommMap) -> Option<String> {
-    let (total, epochs) = ncd_core::analyze_comm_map(map, 0.9, 5);
+    let (total, epochs) = ncd_core::analyze_comm_map(map, 5);
     let total = total?;
     let mut out = format!(
         "\n=== communication map ({} ranks, {} B, {} msgs) ===\n",
@@ -488,109 +487,25 @@ pub fn comm_report(map: &ClusterCommMap) -> Option<String> {
     Some(out)
 }
 
-/// Which of a rank's observers a run switches on — one field per
-/// `Rank::enable_*` switch. None of them ever touches the simulated
-/// clock, so times and [`Stats`] are identical under every set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Observe {
-    /// The named-metrics registry (`Rank::enable_metrics`).
-    pub metrics: bool,
-    /// The who-talks-to-whom map (`Rank::enable_comm_map`).
-    pub comm_map: bool,
-    /// The epoch time series with the online drift monitor armed
-    /// (`Rank::enable_history`). It is derived from closed comm-map
-    /// epochs, so the rank keeps a comm map for it either way; the
-    /// capture holds that map only when `comm_map` is set too.
-    pub history: bool,
-    /// Per-rank event tracing (`Rank::enable_tracing`) — what the
-    /// critical path, the decision audit and the wait-state diagnosis are
-    /// derived from, and the most expensive observer.
-    pub tracing: bool,
-}
+/// Every observer the observatory ledger persists (the profiler's stage
+/// spans and `stage:` epochs would be new artifacts), configured on one
+/// representative run when [`BenchCli::wants_observatory`].
+pub const OBSERVATORY: Observers = Observers {
+    profile: false,
+    ..Observers::ALL
+};
 
-impl Observe {
-    /// Nothing observed: times and [`Stats`] only.
-    pub const NONE: Observe = Observe {
-        metrics: false,
-        comm_map: false,
-        history: false,
-        tracing: false,
-    };
-    /// The metrics registry alone.
-    pub const METRICS: Observe = Observe {
-        metrics: true,
-        ..Observe::NONE
-    };
-    /// Every observer — everything the observatory ledger persists.
-    /// Benches run it once, on a representative configuration, only when
-    /// [`BenchCli::wants_observatory`].
-    pub const ALL: Observe = Observe {
-        metrics: true,
-        comm_map: true,
-        history: true,
-        tracing: true,
-    };
-
-    /// Switch the requested observers on; call before the rank does any
-    /// work that should be observed.
-    pub fn enable(self, rank: &mut Rank) {
-        if self.metrics {
-            rank.enable_metrics();
-        }
-        if self.comm_map {
-            rank.enable_comm_map();
-        }
-        if self.history {
-            rank.enable_history();
-        }
-        if self.tracing {
-            rank.enable_tracing();
-        }
-    }
-
-    /// Take the rank's clock reading, its [`Stats`] and what the requested
-    /// observers hold, leaving each one empty and still switched on.
-    /// Called after a warm-up with the result discarded, it drops the
-    /// warm-up's observations.
-    pub fn take(self, rank: &mut Rank) -> RankCapture {
-        RankCapture {
-            time: rank.now(),
-            stats: rank.take_stats(),
-            metrics: self.metrics.then(|| rank.take_metrics()),
-            comm_map: self.comm_map.then(|| rank.take_comm_map()),
-            history: self.history.then(|| rank.take_history()),
-            trace: self.tracing.then(|| rank.take_trace()),
-        }
-    }
-}
-
-/// One rank's share of a [`RunCapture`]: what [`Observe::take`] returns
-/// from inside a rank closure and [`RunCapture::merge`] joins.
-#[derive(Debug)]
-pub struct RankCapture {
-    time: SimTime,
-    stats: Stats,
-    metrics: Option<MetricsRegistry>,
-    comm_map: Option<RankCommMap>,
-    history: Option<RankHistory>,
-    trace: Option<Vec<TraceEvent>>,
-}
-
-/// Everything one observed run produced. [`report`], [`ledger_run`] and
+/// Everything one captured run produced. [`report`], [`ledger_run`] and
 /// [`BenchCli::observatory`] print and persist a section or artifact for
 /// exactly the parts that are `Some`; the default value holds nothing.
 #[derive(Default)]
 pub struct RunCapture {
     /// Completion time, max over ranks ([`time_phase`]: per iteration).
     pub time: SimTime,
-    /// Each rank's cost breakdown since its last [`Observe::take`].
+    /// Each rank's cost breakdown over the measured part of the run.
     pub stats: Vec<Stats>,
-    /// The per-rank registries merged cluster-wide.
-    pub metrics: Option<MetricsRegistry>,
-    pub comm_map: Option<ClusterCommMap>,
-    pub history: Option<History>,
-    /// Every rank's trace, indexed by rank.
-    pub traces: Option<Vec<Vec<TraceEvent>>>,
+    /// What the run's configured observers saw.
+    pub capture: Capture,
     /// The causal profile's byte-stable JSON when the bench ran
     /// [`whatif_phase`]; `None` keeps the ledgered artifact set — and
     /// therefore the run id — identical to a run without it.
@@ -602,74 +517,59 @@ pub struct RunCapture {
 }
 
 impl RunCapture {
-    /// Join the ranks' shares (in rank order) into the cluster-wide view.
-    pub fn merge(parts: Vec<RankCapture>) -> RunCapture {
-        let time = parts.iter().map(|p| p.time).max().unwrap_or_default();
-        let mut metrics: Option<MetricsRegistry> = None;
-        let (mut maps, mut histories, mut traces) = (Vec::new(), Vec::new(), Vec::new());
-        let mut stats = Vec::with_capacity(parts.len());
-        for part in parts {
-            stats.push(part.stats);
-            if let Some(m) = part.metrics {
-                metrics
-                    .get_or_insert_with(MetricsRegistry::enabled)
-                    .merge(&m);
-            }
-            maps.extend(part.comm_map);
-            histories.extend(part.history);
-            traces.extend(part.trace);
-        }
+    /// A completed run whose ranks each returned their clock reading and
+    /// [`Stats`], with its capture, survey and recorders; a failed run is
+    /// raised ([`RunOutput::unwrap`]).
+    pub fn of(out: RunOutput<(SimTime, Stats)>) -> RunCapture {
+        let (sched, recorders) = (out.sched.clone(), out.recorders.clone());
+        let (parts, capture) = out.unwrap();
+        let time = parts.iter().map(|(t, _)| *t).max().unwrap_or_default();
         RunCapture {
             time,
-            stats,
-            metrics,
-            comm_map: (!maps.is_empty()).then(|| merge_comm_maps(&maps)),
-            history: (!histories.is_empty()).then(|| merge_histories(&histories)),
-            traces: (!traces.is_empty()).then_some(traces),
-            ..RunCapture::default()
+            stats: parts.into_iter().map(|(_, s)| s).collect(),
+            capture,
+            whatif: None,
+            sched: Some(sched),
+            recorders,
         }
     }
 
     /// The wait-state classification of the traces, when the run was
     /// traced.
     pub fn diagnosis(&self) -> Option<Diagnosis> {
-        self.traces.as_deref().map(ncd_simnet::diagnose)
+        self.capture.traces.as_deref().map(ncd_simnet::diagnose)
     }
 }
 
-/// Run `body` on a cluster under the `observe` set and capture the
-/// per-iteration completion time (max over ranks), each rank's stats for
-/// breakdown reporting, and what the observers saw over the measured
-/// iterations.
+/// Run `body` on a cluster, observed as `cluster_cfg` configures
+/// ([`ClusterConfig::observe`]), and capture the per-iteration completion
+/// time (max over ranks), each rank's stats for breakdown reporting, and
+/// what the observers saw over the measured iterations.
 ///
 /// `body` receives the communicator and the iteration index; one warmup
 /// iteration (index `usize::MAX`) runs before the clocks reset, and its
-/// observations are dropped.
+/// stats and observations are dropped ([`ncd_simnet::Rank::harvest`]).
 pub fn time_phase(
     cluster_cfg: ClusterConfig,
     mpi_cfg: MpiConfig,
     reps: usize,
-    observe: Observe,
     body: impl Fn(&mut Comm, usize) + Send + Sync,
 ) -> RunCapture {
     assert!(reps > 0);
     let run = Cluster::new(cluster_cfg).try_run(|rank| {
-        observe.enable(rank);
         let mut comm = Comm::new(rank, mpi_cfg.clone());
         body(&mut comm, usize::MAX); // warmup
         comm.barrier();
-        comm.rank_mut().reset_clock();
-        let _ = observe.take(comm.rank_mut());
+        let rank = comm.rank_mut();
+        rank.reset_clock();
+        let _ = (rank.take_stats(), rank.harvest());
         for it in 0..reps {
             body(&mut comm, it);
         }
-        observe.take(comm.rank_mut())
+        (comm.rank_ref().now(), comm.rank_mut().take_stats())
     });
-    let parts = run.results.unwrap_or_else(|err| err.raise(&run.recorders));
-    let mut capture = RunCapture::merge(parts);
+    let mut capture = RunCapture::of(run);
     capture.time = SimTime::from_ns(capture.time.as_ns() / reps as u64);
-    capture.sched = Some(run.sched);
-    capture.recorders = run.recorders;
     capture
 }
 
@@ -691,17 +591,17 @@ pub fn ledger_run(
     let mut artifacts: Vec<(String, String)> = Vec::new();
     let mut add = |file: &str, json: String| artifacts.push((file.to_string(), json));
     add("series.json", series_json(name, smoke, series));
-    if let Some(m) = &capture.metrics {
+    if let Some(m) = &capture.capture.metrics {
         let json = ncd_simnet::metrics_artifact_json(&m.snapshot());
         add("metrics.json", json);
     }
-    if let Some(map) = &capture.comm_map {
+    if let Some(map) = &capture.capture.comm_map {
         add("comm.json", ncd_simnet::comm_matrix_json(map));
     }
-    if let Some(h) = &capture.history {
+    if let Some(h) = &capture.capture.history {
         add("history.json", ncd_simnet::history_json(h));
     }
-    if let Some(traces) = &capture.traces {
+    if let Some(traces) = &capture.capture.traces {
         let path = ncd_simnet::HbGraph::build(traces).critical_path();
         let attr = ncd_simnet::attribute_rounds(traces);
         add("analysis.json", ncd_simnet::analysis_json(&path, &attr));
@@ -771,11 +671,16 @@ pub fn whatif_phase(
     run: &RunCapture,
     workload: impl Fn(&mut Comm) + Send + Sync,
 ) -> Option<String> {
-    let traces = run.traces.as_deref().expect("what-if needs a traced run");
+    let traces = run.capture.traces.as_deref();
+    let traces = traces.expect("what-if needs a traced run");
     let mut diag = ncd_simnet::diagnose(traces);
     let decisions = ncd_core::decisions_from_trace(&traces[0]);
-    let audit =
-        ncd_core::detect_misselections(&decisions, run.comm_map.as_ref(), &cluster.cost, mpi);
+    let audit = ncd_core::detect_misselections(
+        &decisions,
+        run.capture.comm_map.as_ref(),
+        &cluster.cost,
+        mpi,
+    );
     let plan = ncd_core::plan_experiments(&diag, &decisions, &audit, 3);
     if plan.is_empty() {
         println!("\nwhat-if: no findings or flags to test for {name}");
@@ -867,7 +772,7 @@ pub fn report(
     // datatype-engine activity (noncontiguous sends), and the
     // algorithm-decision audit whenever an auto-selecting collective ran
     // under it (`<name>.decisions.txt`).
-    let metrics = capture.metrics.as_ref();
+    let metrics = capture.capture.metrics.as_ref();
     if let Some(table) = metrics.and_then(datatype_report) {
         print!("{table}");
     }
@@ -877,7 +782,7 @@ pub fn report(
     }
 
     // Comm map: who talks to whom; the raw matrix goes to `<name>.comm.json`.
-    if let Some(map) = &capture.comm_map {
+    if let Some(map) = &capture.capture.comm_map {
         if let Some(table) = comm_report(map) {
             print!("{table}");
         }
@@ -888,7 +793,7 @@ pub fn report(
     // History: the sparkline dashboard, any regime shifts an offline
     // replay detects, and the pattern-recurrence table; the byte-stable
     // series goes to `<name>.history.json`.
-    if let Some(h) = &capture.history {
+    if let Some(h) = &capture.capture.history {
         print!("\n{}", ncd_simnet::history_report(h));
         let drift = ncd_core::detect_drift(h, &DriftConfig::default());
         if !drift.is_empty() {
@@ -966,7 +871,7 @@ mod tests {
         };
         let run = |reps| {
             let cluster = ClusterConfig::uniform(2);
-            time_phase(cluster, MpiConfig::optimized(), reps, Observe::NONE, ping).time
+            time_phase(cluster, MpiConfig::optimized(), reps, ping).time
         };
         // Per-iteration time should be roughly rep-count independent.
         let ratio = run(1).as_ns() as f64 / run(4).as_ns() as f64;
@@ -1009,30 +914,39 @@ mod tests {
     fn observers_never_move_the_clock_and_captures_hold_what_was_asked() {
         const REPS: usize = 3;
         let run = |observe| {
-            let cluster = ClusterConfig::uniform(4);
-            time_phase(cluster, MpiConfig::optimized(), REPS, observe, allgatherv4)
+            let cluster = ClusterConfig::uniform(4).observe(observe);
+            time_phase(cluster, MpiConfig::optimized(), REPS, allgatherv4)
         };
-        let plain = run(Observe::NONE);
+        let plain = run(Observers::NONE);
         assert_eq!(plain.stats.len(), 4);
-        // Every set a caller uses: the figure sweeps (NONE, METRICS), the
-        // observatory passes and ext_drift (ALL), ext_amr_skew's sweeps
-        // and its diagnosis phase.
-        let amr_sweep = Observe {
+        // Every set a caller uses: the figure sweeps (none, metrics), the
+        // observatory passes and ext_drift, ext_amr_skew's sweeps and its
+        // diagnosis phase, a history alone, and everything.
+        let metrics = Observers {
             metrics: true,
-            comm_map: true,
-            ..Observe::NONE
+            ..Observers::NONE
         };
-        let amr_diag = Observe {
+        let amr_sweep = Observers {
             comm_map: true,
-            tracing: true,
-            ..Observe::NONE
+            ..metrics
+        };
+        let amr_diag = Observers {
+            comm_map: true,
+            trace: true,
+            ..Observers::NONE
+        };
+        let history = Observers {
+            history: true,
+            ..Observers::NONE
         };
         for observe in [
-            Observe::NONE,
-            Observe::METRICS,
+            Observers::NONE,
+            metrics,
             amr_sweep,
             amr_diag,
-            Observe::ALL,
+            history,
+            OBSERVATORY,
+            Observers::ALL,
         ] {
             let c = run(observe);
             assert_eq!(c.time, plain.time, "{observe:?}");
@@ -1041,27 +955,31 @@ mod tests {
                 format!("{:?}", plain.stats),
                 "{observe:?}"
             );
+            let parts = &c.capture;
             assert_eq!(
                 (
-                    c.metrics.is_some(),
-                    c.comm_map.is_some(),
-                    c.history.is_some(),
-                    c.traces.is_some(),
+                    parts.metrics.is_some(),
+                    parts.comm_map.is_some(),
+                    parts.history.is_some(),
+                    parts.traces.is_some(),
+                    parts.profiles.is_some(),
                     c.whatif.is_some()
                 ),
                 (
                     observe.metrics,
-                    observe.comm_map,
+                    observe.comm_map || observe.history, // a history brings its map
                     observe.history,
-                    observe.tracing,
+                    observe.trace,
+                    observe.profile,
                     false
                 ),
                 "{observe:?}"
             );
-            assert_eq!(c.diagnosis().is_some(), observe.tracing);
+            assert_eq!(c.diagnosis().is_some(), observe.trace);
         }
 
-        let all = run(Observe::ALL);
+        let all = run(OBSERVATORY).capture;
+        let stats = run(Observers::NONE).stats;
         // Metrics: 4 ranks x 3 measured reps, warm-up dropped.
         let metrics = all.metrics.as_ref().expect("metrics");
         let h = metrics
@@ -1073,7 +991,7 @@ mod tests {
             4 * REPS as u64
         );
         // The flat-time counters mirror Stats exactly, cluster-wide.
-        let total: u64 = aggregate(&all.stats).total().as_ns();
+        let total: u64 = aggregate(&stats).total().as_ns();
         let counted: u64 = ncd_simnet::CostKind::ALL
             .iter()
             .map(|k| metrics.counter("time", k.label(), ""))
@@ -1090,14 +1008,15 @@ mod tests {
             .iter()
             .filter(|e| e.label == "allgatherv/recursive_doubling");
         assert_eq!(epochs.count(), REPS);
-        for (r, s) in all.stats.iter().enumerate() {
+        for (r, s) in stats.iter().enumerate() {
             assert_eq!(map.total.col_bytes(r), s.bytes_recvd, "rank {r}");
         }
         let table = comm_report(map).expect("traffic present");
         assert!(table.contains("communication map (4 ranks"));
         assert!(table.contains("allgatherv/recursive_doubling#0"));
         assert!(table.contains("hot pairs:"));
-        assert!(comm_report(&merge_comm_maps(&[RankCommMap::new(0, 1)])).is_none());
+        let silent = ncd_simnet::merge_comm_maps(&[ncd_simnet::RankCommMap::new(0, 1)]);
+        assert!(comm_report(&silent).is_none());
 
         // History: one point per measured call, totals agreeing with the
         // comm map's; a uniform steady series recurs perfectly.
@@ -1130,7 +1049,10 @@ mod tests {
         let mut reg = MetricsRegistry::enabled();
         reg.counter_add("a", "b", "c", 7);
         let capture = RunCapture {
-            metrics: Some(reg),
+            capture: Capture {
+                metrics: Some(reg),
+                ..Capture::default()
+            },
             ..RunCapture::default()
         };
         report(&cli, "unit_test_json_fig", "n", "us", &[s], &capture);
@@ -1189,12 +1111,15 @@ mod tests {
         // Metrics and comm map: the decision table and the matrix.
         let mut reg = MetricsRegistry::enabled();
         reg.counter_add("decision", "alltoallw", "binned", 3);
-        let m0 = RankCommMap::new(0, 2);
-        let mut m1 = RankCommMap::new(1, 2);
+        let m0 = ncd_simnet::RankCommMap::new(0, 2);
+        let mut m1 = ncd_simnet::RankCommMap::new(1, 2);
         m1.record_delivery(0, 4096);
         let capture = RunCapture {
-            metrics: Some(reg),
-            comm_map: Some(merge_comm_maps(&[m0, m1])),
+            capture: Capture {
+                metrics: Some(reg),
+                comm_map: Some(ncd_simnet::merge_comm_maps(&[m0, m1])),
+                ..Capture::default()
+            },
             ..RunCapture::default()
         };
         report(&cli, "unit_test_obs_fig", "n", "us", &[s], &capture);
@@ -1207,13 +1132,13 @@ mod tests {
         assert!(decisions.contains("binned"));
 
         // History: the epoch series.
-        let observe = Observe {
+        let observe = Observers {
             comm_map: true,
             history: true,
-            ..Observe::NONE
+            ..Observers::NONE
         };
-        let cluster = ClusterConfig::uniform(4);
-        let capture = time_phase(cluster, MpiConfig::optimized(), 3, observe, allgatherv4);
+        let cluster = ClusterConfig::uniform(4).observe(observe);
+        let capture = time_phase(cluster, MpiConfig::optimized(), 3, allgatherv4);
         report(&cli, "unit_test_history_fig", "n", "us", &[], &capture);
         let json = std::fs::read_to_string("target/analysis/unit_test_history_fig.history.json")
             .expect("history artifact written");
@@ -1221,20 +1146,20 @@ mod tests {
         assert!(json.contains("allgatherv/recursive_doubling"));
 
         // Traces: the wait-state diagnosis.
-        let traces = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
-            rank.enable_tracing();
+        let trace = Observers {
+            trace: true,
+            ..Observers::NONE
+        };
+        let run = Cluster::new(ClusterConfig::uniform(2).observe(trace)).try_run(|rank| {
             if rank.rank() == 0 {
                 rank.compute_flops(1_000_000);
                 rank.send_bytes(1, Tag(0), vec![0u8; 64]);
             } else {
                 let _ = rank.recv_bytes(Some(0), Tag(0));
             }
-            rank.take_trace()
+            (rank.now(), rank.take_stats())
         });
-        let capture = RunCapture {
-            traces: Some(traces),
-            ..RunCapture::default()
-        };
+        let capture = RunCapture::of(run);
         let d = capture.diagnosis().expect("traced");
         assert!(d.classified > SimTime::ZERO, "rank 1 must have waited");
         report(&cli, "unit_test_diag_fig", "n", "us", &[], &capture);
@@ -1258,22 +1183,16 @@ mod tests {
         use ncd_datatype::{matrix_column_type, Datatype};
         let mut cfg = MpiConfig::baseline();
         cfg.engine.block_size = 4096;
-        let capture = time_phase(
-            ClusterConfig::uniform(2),
-            cfg,
-            1,
-            Observe::NONE,
-            |comm, _| {
-                let col = matrix_column_type(32, 32, 3).unwrap();
-                let n = 32 * 32 * 24;
-                if comm.rank() == 0 {
-                    comm.send(&vec![1u8; n], &col, 32, 1, Tag(0));
-                } else {
-                    let row = Datatype::contiguous(n, &Datatype::byte()).unwrap();
-                    comm.recv(&mut vec![0u8; n], &row, 1, Some(0), Tag(0));
-                }
-            },
-        );
+        let capture = time_phase(ClusterConfig::uniform(2), cfg, 1, |comm, _| {
+            let col = matrix_column_type(32, 32, 3).unwrap();
+            let n = 32 * 32 * 24;
+            if comm.rank() == 0 {
+                comm.send(&vec![1u8; n], &col, 32, 1, Tag(0));
+            } else {
+                let row = Datatype::contiguous(n, &Datatype::byte()).unwrap();
+                comm.recv(&mut vec![0u8; n], &row, 1, Some(0), Tag(0));
+            }
+        });
         let mut base = gated_run("smoke", "latency", &[("1024", 10.0)]);
         let mut cur = gated_run("smoke", "latency", &[("1024", 20.0)]);
         let seeks = |n| ("datatype/seek_total/single-context".to_string(), n);
@@ -1487,14 +1406,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         std::env::set_var("NCD_OBSERVATORY", &root);
         let run_once = || {
-            let cluster = ClusterConfig::uniform(4);
-            let mut capture = time_phase(
-                cluster,
-                MpiConfig::optimized(),
-                2,
-                Observe::ALL,
-                allgatherv4,
-            );
+            let cluster = ClusterConfig::uniform(4).observe(OBSERVATORY);
+            let mut capture = time_phase(cluster, MpiConfig::optimized(), 2, allgatherv4);
             capture.whatif = Some(ncd_core::whatif_json(&ncd_core::CausalProfile {
                 baseline_ns: 1000,
                 outcomes: Vec::new(),
@@ -1542,13 +1455,7 @@ mod tests {
     #[test]
     fn aggregate_merges_all_ranks() {
         let cluster = ClusterConfig::uniform(3);
-        let run = time_phase(
-            cluster,
-            MpiConfig::optimized(),
-            1,
-            Observe::NONE,
-            |comm, _| comm.barrier(),
-        );
+        let run = time_phase(cluster, MpiConfig::optimized(), 1, |comm, _| comm.barrier());
         let total = aggregate(&run.stats);
         assert!(total.msgs_sent >= 3);
     }

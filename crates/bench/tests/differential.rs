@@ -10,7 +10,7 @@
 //! wait-state diagnosis JSON agree byte for byte. Off x86-64 unix there
 //! is no fiber backend; the workloads then run under the baton alone.
 
-use ncd_bench::{time_phase, Observe};
+use ncd_bench::{time_phase, OBSERVATORY};
 use ncd_core::{Comm, MpiConfig, WPeer};
 use ncd_datatype::Datatype;
 use ncd_petsc::{DistributedArray, ScatterBackend, StencilKind};
@@ -29,14 +29,13 @@ where
     F: Fn(&mut Comm, usize) + Send + Sync,
 {
     let run = time_phase(
-        cfg.with_task_backend(backend),
+        cfg.with_task_backend(backend).observe(OBSERVATORY),
         MpiConfig::optimized(),
         2,
-        Observe::ALL,
         body,
     );
-    let trace = chrome_trace_json(run.traces.as_ref().expect("traced"));
-    let matrix = comm_matrix_json(run.comm_map.as_ref().expect("comm map observed"));
+    let trace = chrome_trace_json(run.capture.traces.as_ref().expect("traced"));
+    let matrix = comm_matrix_json(run.capture.comm_map.as_ref().expect("comm map observed"));
     let diag = diagnosis_json(&run.diagnosis().expect("traced"));
     (run.time, trace, matrix, diag)
 }

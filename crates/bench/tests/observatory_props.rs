@@ -8,7 +8,7 @@
 //! nonempty diff must be a genuine behaviour change, never parse noise,
 //! float formatting, or unstable ordering.
 
-use ncd_bench::{ledger_run, time_phase, Observe, RunCapture};
+use ncd_bench::{ledger_run, time_phase, RunCapture, OBSERVATORY};
 use ncd_core::{compare, Comm, MpiConfig, RunRecord, WPeer};
 use ncd_datatype::Datatype;
 use ncd_simnet::{ledger_root, read_run, ClusterConfig};
@@ -84,13 +84,7 @@ proptest! {
             ledger_and_reload(
                 "prop_alltoallw",
                 &knobs,
-                time_phase(
-                    ClusterConfig::uniform(n),
-                    MpiConfig::optimized(),
-                    2,
-                    Observe::ALL,
-                    &body,
-                ),
+                time_phase(ClusterConfig::uniform(n).observe(OBSERVATORY), MpiConfig::optimized(), 2, &body),
             )
         };
         let (id1, rec1) = run();
@@ -137,13 +131,7 @@ proptest! {
             ledger_and_reload(
                 "prop_scatterv",
                 &knobs,
-                time_phase(
-                    ClusterConfig::uniform(n),
-                    MpiConfig::optimized(),
-                    2,
-                    Observe::ALL,
-                    &body,
-                ),
+                time_phase(ClusterConfig::uniform(n).observe(OBSERVATORY), MpiConfig::optimized(), 2, &body),
             )
         };
         let (id1, rec1) = run();

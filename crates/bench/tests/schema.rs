@@ -7,7 +7,7 @@
 //! artifact, the artifact set, and the content-hash run id — plus a few
 //! writers the ledger does not own.
 
-use ncd_bench::{ledger_run, series_json, time_phase, Observe, Series};
+use ncd_bench::{ledger_run, series_json, time_phase, Series, OBSERVATORY};
 use ncd_core::{compare, diff_json, Comm, MpiConfig, RunRecord};
 use ncd_simnet::{ledger_root, manifest_json, read_run, ClusterConfig, SCHEMA_VERSION};
 
@@ -24,10 +24,9 @@ fn every_byte_stable_export_leads_with_the_shared_schema_version() {
     // metrics, comm matrix, history, analysis, decisions, diagnosis) is
     // non-trivial.
     let mut capture = time_phase(
-        ClusterConfig::uniform(4),
+        ClusterConfig::uniform(4).observe(OBSERVATORY),
         MpiConfig::optimized(),
         2,
-        Observe::ALL,
         |comm: &mut Comm, _| {
             let counts = vec![64usize; comm.size()];
             let me = comm.rank();

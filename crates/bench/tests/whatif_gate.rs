@@ -17,7 +17,7 @@ use ncd_core::{
     causal_profile, decisions_from_trace, detect_misselections, plan_experiments, whatif_json,
     CausalProfile, Comm, MpiConfig,
 };
-use ncd_simnet::{diagnose, merge_comm_maps, Cluster, ClusterConfig, Diagnosis};
+use ncd_simnet::{diagnose, Cluster, ClusterConfig, Diagnosis, Observers};
 
 /// The `--smoke` machine size of `ext_amr_skew` — what CI diagnoses and
 /// what the committed golden pins.
@@ -30,20 +30,24 @@ fn profile_amr_run() -> (Diagnosis, CausalProfile) {
     let cluster = ClusterConfig::paper_testbed(NRANKS);
     let mpi = MpiConfig::baseline();
     let cfg = mpi.clone();
-    let out = Cluster::new(cluster.clone()).run(move |rank| {
-        rank.enable_tracing();
-        rank.enable_comm_map();
-        let mut comm = Comm::new(rank, cfg.clone());
-        comm.barrier();
-        comm.rank_mut().reset_clock();
-        let _ = comm.rank_mut().take_comm_map(); // drop warmup traffic
-        amr_diag_loop(&mut comm);
-        let map = comm.rank_mut().take_comm_map();
-        let trace = comm.rank_mut().take_trace();
-        (trace, map)
-    });
-    let (traces, maps): (Vec<_>, Vec<_>) = out.into_iter().unzip();
-    let map = merge_comm_maps(&maps);
+    let observers = Observers {
+        trace: true,
+        comm_map: true,
+        ..Observers::NONE
+    };
+    let (_, capture) = Cluster::new(cluster.clone().observe(observers))
+        .try_run(move |rank| {
+            let mut comm = Comm::new(rank, cfg.clone());
+            comm.barrier();
+            comm.rank_mut().reset_clock();
+            let _ = comm.rank_mut().take_comm_map(); // drop warmup traffic
+            amr_diag_loop(&mut comm);
+        })
+        .unwrap();
+    let (traces, map) = (
+        capture.traces.expect("traced"),
+        capture.comm_map.expect("mapped"),
+    );
     let diag = diagnose(&traces);
     let decisions = decisions_from_trace(&traces[0]);
     let audit = detect_misselections(&decisions, Some(&map), &cluster.cost, &mpi);

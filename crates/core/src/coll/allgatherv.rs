@@ -15,12 +15,16 @@
 
 use std::ops::Range;
 
+use ncd_simnet::volume::OUTLIER_FRACTION;
 use ncd_simnet::CostKind;
 
 use crate::coll::{coll_tag, CollOp};
 use crate::comm::Comm;
 use crate::config::MpiFlavor;
 use crate::select::{detect_outliers, detect_outliers_with_ratio, VolumeShape};
+
+/// Total volume (bytes) from which allgatherv is large (MPICH2's switchover).
+const LONG_THRESHOLD: usize = 32 * 1024;
 
 /// Which data-movement pattern an allgatherv uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,7 +89,7 @@ impl Comm<'_> {
         let flavor = cfg.flavor;
         let total: usize = counts.iter().sum();
         let (shape, ratio) =
-            detect_outliers_with_ratio(counts, cfg.outlier_fraction, cfg.outlier_ratio);
+            detect_outliers_with_ratio(counts, OUTLIER_FRACTION, cfg.outlier_ratio);
         // A pinned algorithm (what-if decision-flip intervention) bypasses
         // the policy; the audit still records the evidence, with the
         // reason telling the analysis layer the choice was forced.
@@ -149,7 +153,7 @@ impl Comm<'_> {
     /// The algorithm-selection policy under the current flavor.
     pub fn allgatherv_choose(&self, counts: &[usize]) -> AllgathervAlgorithm {
         let cfg = self.config();
-        let shape = detect_outliers(counts, cfg.outlier_fraction, cfg.outlier_ratio);
+        let shape = detect_outliers(counts, OUTLIER_FRACTION, cfg.outlier_ratio);
         self.choose(counts.iter().sum(), shape)
     }
 
@@ -160,7 +164,7 @@ impl Comm<'_> {
         let cfg = self.config();
         match cfg.flavor {
             MpiFlavor::Baseline => {
-                if total >= cfg.allgatherv_long_threshold {
+                if total >= LONG_THRESHOLD {
                     AllgathervAlgorithm::Ring
                 } else if pow2 {
                     AllgathervAlgorithm::RecursiveDoubling
@@ -168,7 +172,7 @@ impl Comm<'_> {
                     AllgathervAlgorithm::Dissemination
                 }
             }
-            MpiFlavor::Optimized => match (shape, total >= cfg.allgatherv_long_threshold) {
+            MpiFlavor::Optimized => match (shape, total >= LONG_THRESHOLD) {
                 (VolumeShape::Outliers, _) | (VolumeShape::Uniform, false) => {
                     if pow2 {
                         AllgathervAlgorithm::RecursiveDoubling
@@ -396,7 +400,7 @@ fn store_runs(recvbuf: &mut [u8], [head, tail]: Runs, payload: &[u8]) {
 mod tests {
     use super::*;
     use crate::config::MpiConfig;
-    use ncd_simnet::{Cluster, ClusterConfig, SimTime};
+    use ncd_simnet::{Cluster, ClusterConfig, Observers, SimTime};
 
     fn pattern(rank: usize, len: usize) -> Vec<u8> {
         (0..len).map(|i| ((rank * 31 + i) % 251) as u8).collect()
@@ -555,21 +559,23 @@ mod tests {
         // outlier detector must leave its verdict and computed ratio.
         let mut counts = vec![8usize; 16];
         counts[2] = 64 * 1024; // outlier => Optimized picks recursive doubling
-        let regs = Cluster::new(ClusterConfig::uniform(16)).run(move |rank| {
-            rank.enable_metrics();
-            let mut comm = Comm::new(rank, MpiConfig::optimized());
-            let me = comm.rank();
-            let send = pattern(me, counts[me]);
-            let total: usize = counts.iter().sum();
-            let mut recv = vec![0u8; total];
-            comm.allgatherv_with(AllgathervAlgorithm::Ring, &send, &counts, &mut recv);
-            comm.allgatherv(&send, &counts, &mut recv);
-            comm.rank_mut().take_metrics()
-        });
-        let mut merged = ncd_simnet::MetricsRegistry::enabled();
-        for r in &regs {
-            merged.merge(r);
-        }
+        let metrics = Observers {
+            metrics: true,
+            ..Observers::NONE
+        };
+        let cluster = Cluster::new(ClusterConfig::uniform(16).observe(metrics));
+        let (_, capture) = cluster
+            .try_run(move |rank| {
+                let mut comm = Comm::new(rank, MpiConfig::optimized());
+                let me = comm.rank();
+                let send = pattern(me, counts[me]);
+                let total: usize = counts.iter().sum();
+                let mut recv = vec![0u8; total];
+                comm.allgatherv_with(AllgathervAlgorithm::Ring, &send, &counts, &mut recv);
+                comm.allgatherv(&send, &counts, &mut recv);
+            })
+            .unwrap();
+        let merged = capture.metrics.expect("metered");
         let ring = merged
             .histogram("allgatherv", "bytes", "ring")
             .expect("ring histogram");

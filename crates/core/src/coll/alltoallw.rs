@@ -104,7 +104,7 @@ impl Comm<'_> {
         // outgoing per-peer volume set's outlier ratio) so the analysis
         // layer can judge the choice.
         let vols: Vec<u64> = sends.iter().map(|s| s.bytes() as u64).collect();
-        let ratio = volume::outlier_ratio_of(&vols, self.config().outlier_fraction);
+        let ratio = volume::outlier_ratio_of(&vols, volume::OUTLIER_FRACTION);
         let reason = if pin.is_some() {
             "pinned"
         } else {
@@ -302,7 +302,7 @@ mod tests {
     use super::*;
     use crate::comm::{bytes_to_f64s, f64s_to_bytes, Comm};
     use crate::config::MpiConfig;
-    use ncd_simnet::{Cluster, ClusterConfig};
+    use ncd_simnet::{Cluster, ClusterConfig, Observers};
 
     /// Nearest-neighbour ring exchange of one double with succ and pred —
     /// the Figure 15 communication pattern in miniature.
@@ -381,20 +381,22 @@ mod tests {
     #[test]
     fn bin_membership_counters_are_recorded() {
         let n = 8usize;
-        let regs = Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {
-            rank.enable_metrics();
-            let mut comm = Comm::new(rank, MpiConfig::optimized());
-            let me = comm.rank();
-            let (vals, sends, recvs) = ring_specs(me, n);
-            let sendbuf = f64s_to_bytes(&vals);
-            let mut recvbuf = vec![0u8; 16];
-            comm.alltoallw(&sendbuf, &sends, &mut recvbuf, &recvs);
-            comm.rank_mut().take_metrics()
-        });
-        let mut merged = ncd_simnet::MetricsRegistry::enabled();
-        for r in &regs {
-            merged.merge(r);
-        }
+        let metrics = Observers {
+            metrics: true,
+            ..Observers::NONE
+        };
+        let cluster = Cluster::new(ClusterConfig::uniform(n).observe(metrics));
+        let (_, capture) = cluster
+            .try_run(move |rank| {
+                let mut comm = Comm::new(rank, MpiConfig::optimized());
+                let me = comm.rank();
+                let (vals, sends, recvs) = ring_specs(me, n);
+                let sendbuf = f64s_to_bytes(&vals);
+                let mut recvbuf = vec![0u8; 16];
+                comm.alltoallw(&sendbuf, &sends, &mut recvbuf, &recvs);
+            })
+            .unwrap();
+        let merged = capture.metrics.expect("metered");
         // Each rank's slot vector: 2 real 8-byte (small) sends, n-2 zeros.
         assert_eq!(
             merged.counter("alltoallw", "bin_small", "binned"),

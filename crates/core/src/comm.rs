@@ -355,7 +355,7 @@ pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
 mod tests {
     use super::*;
     use ncd_datatype::matrix_column_type;
-    use ncd_simnet::{Cluster, ClusterConfig};
+    use ncd_simnet::{Cluster, ClusterConfig, Observers};
 
     fn two_ranks<R: Send>(f: impl Fn(&mut Comm) -> R + Send + Sync) -> Vec<R> {
         Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
@@ -487,16 +487,20 @@ mod tests {
         // always-on flight recorder.
         let mut cfg = MpiConfig::baseline();
         cfg.engine.block_size = 4096;
-        let run = Cluster::new(ClusterConfig::uniform(2)).try_run(move |rank| {
-            rank.enable_tracing();
-            rank.enable_metrics();
+        let observers = Observers {
+            trace: true,
+            metrics: true,
+            ..Observers::NONE
+        };
+        let cluster = Cluster::new(ClusterConfig::uniform(2).observe(observers));
+        let run = cluster.try_run(move |rank| {
             let mut comm = Comm::new(rank, cfg.clone());
             let col = matrix_column_type(64, 64, 3).unwrap();
             let n = 64 * 64 * 24;
             if comm.rank() == 0 {
                 let src = vec![3u8; n];
                 comm.send(&src, &col, 64, 1, Tag(0));
-                let metrics = comm.rank_mut().take_metrics();
+                let metrics = comm.rank_mut().metrics_mut().expect("metered");
                 let blocks = metrics.counter("datatype", "blocks", "single-context");
                 let seek = metrics.counter("datatype", "seek_total", "single-context");
                 let density = metrics.counter("datatype", "sparse_blocks", "single-context")
@@ -506,13 +510,7 @@ mod tests {
                     .histogram("datatype", "seek_segments", "single-context")
                     .expect("seek histogram exists");
                 assert_eq!((seeks.count(), seeks.sum()), (blocks, seek));
-                let pack_events = comm
-                    .rank_mut()
-                    .take_trace()
-                    .iter()
-                    .filter(|e| matches!(e.kind, ncd_simnet::EventKind::PackBlock { .. }))
-                    .count() as u64;
-                Some((blocks, seek, pack_events))
+                Some((blocks, seek))
             } else {
                 let mut dst = vec![0u8; n];
                 let row = Datatype::contiguous(n, &Datatype::byte()).unwrap();
@@ -520,7 +518,12 @@ mod tests {
                 None
             }
         });
-        let (blocks, seek, pack_events) = run.results.unwrap()[0].unwrap();
+        let (blocks, seek) = run.results.unwrap()[0].unwrap();
+        let traces = run.capture.traces.expect("traced");
+        let pack_events = traces[0]
+            .iter()
+            .filter(|e| matches!(e.kind, ncd_simnet::EventKind::PackBlock { .. }))
+            .count() as u64;
         let flight = run.recorders[0]
             .snapshot()
             .iter()
@@ -541,37 +544,45 @@ mod tests {
         // (and therefore report the same metrics) as a one-shot pack.
         let mut cfg = MpiConfig::optimized();
         cfg.engine.block_size = 4096;
-        let out = Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
-            rank.enable_metrics();
-            let mut comm = Comm::new(rank, cfg.clone());
-            let col = matrix_column_type(64, 64, 3).unwrap();
-            let n = 64 * 64 * 24;
-            if comm.rank() == 0 {
-                let src = vec![5u8; n];
-                comm.send(&src, &col, 64, 1, Tag(0));
-                let m = comm.rank_mut().take_metrics();
-                let per_block_bytes = m
-                    .histogram("datatype", "block_bytes", "dual-context")
-                    .map(|h| h.sum())
-                    .unwrap_or(0);
-                let engine_bytes = m
-                    .histogram("engine", "bytes", "dual-context")
-                    .map(|h| h.sum())
-                    .unwrap_or(0);
-                Some((
-                    engine_bytes,
-                    per_block_bytes,
-                    m.counter("datatype", "blocks", "dual-context"),
-                    m.counter("datatype", "seek_total", "dual-context"),
-                ))
-            } else {
-                let mut dst = vec![0u8; n];
-                let row = Datatype::contiguous(n, &Datatype::byte()).unwrap();
-                comm.recv(&mut dst, &row, 1, Some(0), Tag(0));
-                None
-            }
-        });
+        let metrics = Observers {
+            metrics: true,
+            ..Observers::NONE
+        };
+        let cluster = Cluster::new(ClusterConfig::uniform(2).observe(metrics));
+        let (out, capture) = cluster
+            .try_run(move |rank| {
+                let mut comm = Comm::new(rank, cfg.clone());
+                let col = matrix_column_type(64, 64, 3).unwrap();
+                let n = 64 * 64 * 24;
+                if comm.rank() == 0 {
+                    let src = vec![5u8; n];
+                    comm.send(&src, &col, 64, 1, Tag(0));
+                    let m = comm.rank_mut().metrics_mut().expect("metered");
+                    let per_block_bytes = m
+                        .histogram("datatype", "block_bytes", "dual-context")
+                        .map(|h| h.sum())
+                        .unwrap_or(0);
+                    let engine_bytes = m
+                        .histogram("engine", "bytes", "dual-context")
+                        .map(|h| h.sum())
+                        .unwrap_or(0);
+                    Some((
+                        engine_bytes,
+                        per_block_bytes,
+                        m.counter("datatype", "blocks", "dual-context"),
+                        m.counter("datatype", "seek_total", "dual-context"),
+                    ))
+                } else {
+                    let mut dst = vec![0u8; n];
+                    let row = Datatype::contiguous(n, &Datatype::byte()).unwrap();
+                    comm.recv(&mut dst, &row, 1, Some(0), Tag(0));
+                    None
+                }
+            })
+            .unwrap();
         let (engine_bytes, per_block_bytes, blocks, seek) = out[0].unwrap();
+        let merged = capture.metrics.expect("metered");
+        assert_eq!(merged.counter("datatype", "blocks", "dual-context"), blocks);
         assert_eq!(
             engine_bytes,
             64 * 64 * 24,

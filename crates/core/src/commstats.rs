@@ -148,10 +148,10 @@ pub struct CommAnalysis {
     pub top: Vec<(usize, usize, u64)>,
 }
 
-/// Analyze one matrix; `fraction` is the outlier test's bulk quantile
-/// (e.g. 0.9) and `top_k` bounds the hot-pair list. `None` if the matrix
-/// carried no traffic at all.
-pub fn analyze_matrix(m: &CommMatrix, fraction: f64, top_k: usize) -> Option<CommAnalysis> {
+/// Analyze one matrix, the outlier test's bulk quantile being
+/// [`volume::OUTLIER_FRACTION`]; `top_k` bounds the hot-pair list. `None`
+/// if the matrix carried no traffic at all.
+pub fn analyze_matrix(m: &CommMatrix, top_k: usize) -> Option<CommAnalysis> {
     let pairs = m.nonzero_pairs();
     if pairs.is_empty() {
         return None;
@@ -175,7 +175,7 @@ pub fn analyze_matrix(m: &CommMatrix, fraction: f64, top_k: usize) -> Option<Com
         } else {
             max_bytes as f64 / min_bytes as f64
         },
-        outlier_ratio: volume::outlier_ratio_of(&vols, fraction),
+        outlier_ratio: volume::outlier_ratio_of(&vols, volume::OUTLIER_FRACTION),
         gini: volume::gini(&all_cells),
         top: m.top_pairs(top_k),
     })
@@ -193,15 +193,14 @@ pub struct EpochAnalysis {
 /// carried traffic.
 pub fn analyze_comm_map(
     map: &ClusterCommMap,
-    fraction: f64,
     top_k: usize,
 ) -> (Option<CommAnalysis>, Vec<EpochAnalysis>) {
-    let total = analyze_matrix(&map.total, fraction, top_k);
+    let total = analyze_matrix(&map.total, top_k);
     let epochs = map
         .epochs
         .iter()
         .filter_map(|e| {
-            analyze_matrix(&e.matrix, fraction, top_k).map(|analysis| EpochAnalysis {
+            analyze_matrix(&e.matrix, top_k).map(|analysis| EpochAnalysis {
                 label: e.label.clone(),
                 occurrence: e.occurrence,
                 analysis,
@@ -318,7 +317,7 @@ pub fn detect_misselections(
         match (d.collective.as_str(), d.chosen.as_str()) {
             ("allgatherv", "ring") => {
                 let measured = epoch
-                    .and_then(|e| analyze_matrix(&e.matrix, cfg.outlier_fraction, 1))
+                    .and_then(|e| analyze_matrix(&e.matrix, 1))
                     .map(|a| a.outlier_ratio)
                     .unwrap_or(0.0);
                 let evidence = d.outlier_ratio.max(measured);
@@ -379,7 +378,7 @@ pub fn detect_misselections(
                 if zero_fraction <= 0.5 {
                     continue;
                 }
-                let measured = analyze_matrix(&e.matrix, cfg.outlier_fraction, 1)
+                let measured = analyze_matrix(&e.matrix, 1)
                     .map(|a| a.outlier_ratio)
                     .unwrap_or(0.0);
                 let step = cost.send_overhead_ns + cost.recv_overhead_ns + cost.latency_ns;
@@ -490,15 +489,21 @@ mod tests {
     fn decisions_json_round_trips() {
         let mut counts = vec![[8usize; 8], [16; 8]];
         counts[0][0] = 64 * 1024;
-        let traces = ncd_simnet::Cluster::new(ncd_simnet::ClusterConfig::uniform(8)).run(|rank| {
-            rank.enable_tracing();
-            let mut comm = crate::Comm::new(rank, MpiConfig::optimized());
-            for counts in counts.iter().chain(&counts) {
-                let mut recv = vec![0u8; counts.iter().sum()];
-                comm.allgatherv(&vec![1u8; counts[comm.rank()]], counts, &mut recv);
-            }
-            comm.rank_mut().take_trace()
-        });
+        let trace = ncd_simnet::Observers {
+            trace: true,
+            ..ncd_simnet::Observers::NONE
+        };
+        let cluster = ncd_simnet::ClusterConfig::uniform(8).observe(trace);
+        let (_, capture) = ncd_simnet::Cluster::new(cluster)
+            .try_run(|rank| {
+                let mut comm = crate::Comm::new(rank, MpiConfig::optimized());
+                for counts in counts.iter().chain(&counts) {
+                    let mut recv = vec![0u8; counts.iter().sum()];
+                    comm.allgatherv(&vec![1u8; counts[comm.rank()]], counts, &mut recv);
+                }
+            })
+            .unwrap();
+        let traces = capture.traces.expect("traced");
         let decisions = decisions_from_trace(&traces[0]);
         assert_eq!(decisions.len(), 4);
         let json = decisions_json(&decisions);
@@ -568,18 +573,18 @@ mod tests {
         m.add(0, 1, 1000, 1);
         m.add(1, 2, 10, 1);
         m.add(2, 3, 10, 1);
-        // fraction 0.5: with only 3 active pairs the 0.9 quantile would
-        // be the max itself and the ratio would degenerate to 1.
-        let a = analyze_matrix(&m, 0.5, 2).expect("traffic present");
+        let a = analyze_matrix(&m, 2).expect("traffic present");
         assert_eq!(a.pairs, 3);
         assert_eq!(a.max_bytes, 1000);
         assert_eq!(a.min_bytes, 10);
         assert!((a.spread - 100.0).abs() < 1e-12);
         assert!((a.mean_bytes - 340.0).abs() < 1e-12);
-        assert!((a.outlier_ratio - 100.0).abs() < 1e-12);
+        // With only 3 active pairs the bulk quantile is the max itself, so
+        // the ratio degenerates to 1.
+        assert_eq!(a.outlier_ratio, 1.0);
         assert!(a.gini > 0.8, "mostly-silent matrix is unequal: {}", a.gini);
         assert_eq!(a.top, vec![(0, 1, 1000), (1, 2, 10)]);
-        assert!(analyze_matrix(&CommMatrix::new(3), 0.9, 2).is_none());
+        assert!(analyze_matrix(&CommMatrix::new(3), 2).is_none());
     }
 
     #[test]
@@ -604,7 +609,7 @@ mod tests {
                 },
             ],
         };
-        let (tot, epochs) = analyze_comm_map(&map, 0.9, 3);
+        let (tot, epochs) = analyze_comm_map(&map, 3);
         assert_eq!(tot.unwrap().max_bytes, 64);
         assert_eq!(epochs.len(), 1, "silent epochs are dropped");
         assert_eq!(epochs[0].label, "allgatherv/ring");

@@ -28,19 +28,15 @@ impl MpiFlavor {
 }
 
 /// Tunables of the communication stack. Defaults follow the constants the
-/// paper reports (15-element look-ahead window, three alltoallw bins) and
-/// MPICH2-era collective switchover points.
+/// paper reports (15-element look-ahead window, three alltoallw bins).
+/// The bulk quantile ([`ncd_simnet::volume::OUTLIER_FRACTION`]) and the
+/// allgatherv long-message switchover are constants, not fields.
 #[derive(Clone, Debug)]
 pub struct MpiConfig {
     pub flavor: MpiFlavor,
     /// Pipelined pack engine parameters (block size, look-ahead window,
     /// density threshold).
     pub engine: EngineParams,
-    /// Total-volume threshold (bytes) above which allgatherv considers the
-    /// message "large" and the baseline switches to the ring algorithm.
-    pub allgatherv_long_threshold: usize,
-    /// OUTLIER_FRACT of the paper's equation 1.
-    pub outlier_fraction: f64,
     /// Ratio above which the volume set is declared to contain outliers.
     pub outlier_ratio: f64,
     /// Alltoallw bin boundary: messages up to this many bytes are "small"
@@ -64,8 +60,6 @@ impl MpiConfig {
         MpiConfig {
             flavor: MpiFlavor::Baseline,
             engine: EngineParams::default(),
-            allgatherv_long_threshold: 32 * 1024,
-            outlier_fraction: 0.9,
             outlier_ratio: 8.0,
             small_msg_threshold: 1024,
             allgatherv_pin: None,

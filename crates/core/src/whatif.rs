@@ -345,7 +345,8 @@ impl CausalProfile {
 /// the observed spread is the confidence term of each outcome.
 ///
 /// The workload runs once per configuration from a cold start; its
-/// makespan is the latest rank completion time.
+/// makespan (all it measures: it observes nothing) is the latest rank
+/// completion time.
 pub fn causal_profile<F>(
     cluster: &ClusterConfig,
     mpi: &MpiConfig,
@@ -357,7 +358,7 @@ where
     F: Fn(&mut Comm) + Send + Sync,
 {
     let run = |cl: ClusterConfig, mp: &MpiConfig| -> u64 {
-        let times = Cluster::new(cl).run(|rank| {
+        let times = Cluster::new(cl.observe(ncd_simnet::Observers::NONE)).run(|rank| {
             let mut comm = Comm::new(rank, mp.clone());
             workload(&mut comm);
             comm.rank_ref().now()
@@ -466,21 +467,27 @@ pub fn whatif_json(p: &CausalProfile) -> String {
 mod tests {
     use super::*;
     use crate::commstats::Misselection;
-    use ncd_simnet::{diagnose, Tag};
+    use ncd_simnet::{diagnose, Observers, Tag, TraceEvent};
 
     /// Two ranks; rank 0 computes, then sends. Rank 1 waits — a
     /// late-sender finding blaming rank 0.
-    fn late_sender_traces() -> Vec<Vec<ncd_simnet::TraceEvent>> {
-        Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
-            rank.enable_tracing();
-            if rank.rank() == 0 {
-                rank.compute_flops(5_000_000);
-                rank.send_bytes(1, Tag(0), vec![0u8; 64]);
-            } else {
-                let _ = rank.recv_bytes(Some(0), Tag(0));
-            }
-            rank.take_trace()
-        })
+    fn late_sender_traces() -> Vec<Vec<TraceEvent>> {
+        let trace = Observers {
+            trace: true,
+            ..Observers::NONE
+        };
+        let cluster = Cluster::new(ClusterConfig::uniform(2).observe(trace));
+        let (_, capture) = cluster
+            .try_run(|rank| {
+                if rank.rank() == 0 {
+                    rank.compute_flops(5_000_000);
+                    rank.send_bytes(1, Tag(0), vec![0u8; 64]);
+                } else {
+                    let _ = rank.recv_bytes(Some(0), Tag(0));
+                }
+            })
+            .unwrap();
+        capture.traces.expect("traced")
     }
 
     #[test]

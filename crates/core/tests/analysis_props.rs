@@ -13,7 +13,7 @@
 
 use ncd_core::{AlltoallwSchedule, Comm, MpiConfig, WPeer};
 use ncd_datatype::Datatype;
-use ncd_simnet::{Cluster, ClusterConfig, EventKind, HbGraph, SimTime, TraceEvent};
+use ncd_simnet::{Cluster, ClusterConfig, EventKind, HbGraph, Observers, SimTime, TraceEvent};
 use proptest::prelude::*;
 
 /// Run a traced alltoallw with per-(src,dst) volumes from a flat matrix.
@@ -22,24 +22,30 @@ fn traced_alltoallw(
     vols: std::sync::Arc<Vec<usize>>,
     schedule: AlltoallwSchedule,
 ) -> Vec<Vec<TraceEvent>> {
-    Cluster::new(ClusterConfig::paper_testbed(n)).run(move |rank| {
-        let mut comm = Comm::new(rank, MpiConfig::optimized());
-        comm.rank_mut().enable_tracing();
-        let me = comm.rank();
-        let vol = |src: usize, dst: usize| vols[src * 6 + dst];
-        let dt = Datatype::double();
-        let mut sends = Vec::new();
-        let mut recvs = Vec::new();
-        for j in 0..n {
-            let contig = Datatype::contiguous(1, &dt).expect("contig");
-            sends.push(WPeer::new(j * 48, vol(me, j), contig.clone()));
-            recvs.push(WPeer::new(j * 48, vol(j, me), contig));
-        }
-        let sendbuf = vec![me as u8; n * 48];
-        let mut recvbuf = vec![0u8; n * 48];
-        comm.alltoallw_with(schedule, &sendbuf, &sends, &mut recvbuf, &recvs);
-        comm.rank_mut().take_trace()
-    })
+    let trace = Observers {
+        trace: true,
+        ..Observers::NONE
+    };
+    let cluster = Cluster::new(ClusterConfig::paper_testbed(n).observe(trace));
+    let (_, capture) = cluster
+        .try_run(move |rank| {
+            let mut comm = Comm::new(rank, MpiConfig::optimized());
+            let me = comm.rank();
+            let vol = |src: usize, dst: usize| vols[src * 6 + dst];
+            let dt = Datatype::double();
+            let mut sends = Vec::new();
+            let mut recvs = Vec::new();
+            for j in 0..n {
+                let contig = Datatype::contiguous(1, &dt).expect("contig");
+                sends.push(WPeer::new(j * 48, vol(me, j), contig.clone()));
+                recvs.push(WPeer::new(j * 48, vol(j, me), contig));
+            }
+            let sendbuf = vec![me as u8; n * 48];
+            let mut recvbuf = vec![0u8; n * 48];
+            comm.alltoallw_with(schedule, &sendbuf, &sends, &mut recvbuf, &recvs);
+        })
+        .unwrap();
+    capture.traces.expect("traced")
 }
 
 proptest! {

@@ -9,7 +9,16 @@ use ncd_core::{
     decisions_from_trace, detect_misselections, AlgorithmDecision, AllgathervAlgorithm, Comm,
     MpiConfig, WPeer,
 };
-use ncd_simnet::{merge_comm_maps, Cluster, ClusterConfig, CostModel, RankCommMap, TraceEvent};
+use ncd_simnet::{Cluster, ClusterConfig, CostModel, Observers};
+
+const TRACE: Observers = Observers {
+    trace: true,
+    ..Observers::NONE
+};
+const TRACE_AND_MAP: Observers = Observers {
+    comm_map: true,
+    ..TRACE
+};
 
 /// Nearest-neighbour alltoallw specs: 8 bytes to the successor, 8 bytes
 /// from the predecessor, zero-volume slots everywhere else.
@@ -41,28 +50,29 @@ fn every_auto_call_emits_exactly_one_decision() {
     let mut outlier_counts = vec![8usize; n];
     outlier_counts[0] = 64 * 1024;
     let small_counts = vec![16usize; n];
-    let traces: Vec<Vec<TraceEvent>> = Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {
-        rank.enable_tracing();
-        let mut comm = Comm::new(rank, MpiConfig::optimized());
-        let me = comm.rank();
+    let cluster = Cluster::new(ClusterConfig::uniform(n).observe(TRACE));
+    let (_, capture) = cluster
+        .try_run(move |rank| {
+            let mut comm = Comm::new(rank, MpiConfig::optimized());
+            let me = comm.rank();
 
-        let send = vec![1u8; outlier_counts[me]];
-        let mut recv = vec![0u8; outlier_counts.iter().sum()];
-        comm.allgatherv(&send, &outlier_counts, &mut recv);
+            let send = vec![1u8; outlier_counts[me]];
+            let mut recv = vec![0u8; outlier_counts.iter().sum()];
+            comm.allgatherv(&send, &outlier_counts, &mut recv);
 
-        let send = vec![2u8; small_counts[me]];
-        let mut recv = vec![0u8; small_counts.iter().sum()];
-        comm.allgatherv(&send, &small_counts, &mut recv);
-        // Pinned algorithm: the caller decided, so no audit record.
-        comm.allgatherv_with(AllgathervAlgorithm::Ring, &send, &small_counts, &mut recv);
+            let send = vec![2u8; small_counts[me]];
+            let mut recv = vec![0u8; small_counts.iter().sum()];
+            comm.allgatherv(&send, &small_counts, &mut recv);
+            // Pinned algorithm: the caller decided, so no audit record.
+            comm.allgatherv_with(AllgathervAlgorithm::Ring, &send, &small_counts, &mut recv);
 
-        let (sends, recvs) = neighbor_specs(me, n);
-        let sendbuf = vec![me as u8; 8];
-        let mut recvbuf = vec![0u8; 8];
-        comm.alltoallw(&sendbuf, &sends, &mut recvbuf, &recvs);
-
-        comm.rank_mut().take_trace()
-    });
+            let (sends, recvs) = neighbor_specs(me, n);
+            let sendbuf = vec![me as u8; 8];
+            let mut recvbuf = vec![0u8; 8];
+            comm.alltoallw(&sendbuf, &sends, &mut recvbuf, &recvs);
+        })
+        .unwrap();
+    let traces = capture.traces.expect("traced");
     for (r, trace) in traces.iter().enumerate() {
         let ds: Vec<AlgorithmDecision> = decisions_from_trace(trace);
         assert_eq!(ds.len(), 3, "rank {r}: 3 auto calls, 3 decisions");
@@ -89,29 +99,24 @@ fn forced_ring_over_outliers_is_flagged_as_misselection() {
     let n = 16usize;
     let mut counts = vec![8usize; n];
     counts[0] = 64 * 1024; // total >= long threshold => Baseline rings it
-    let out: Vec<(Vec<TraceEvent>, RankCommMap)> =
-        Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {
-            rank.enable_tracing();
-            rank.enable_comm_map();
+    let cluster = Cluster::new(ClusterConfig::uniform(n).observe(TRACE_AND_MAP));
+    let (_, capture) = cluster
+        .try_run(move |rank| {
             let mut comm = Comm::new(rank, MpiConfig::baseline());
             let me = comm.rank();
             let send = vec![3u8; counts[me]];
             let mut recv = vec![0u8; counts.iter().sum()];
             comm.allgatherv(&send, &counts, &mut recv);
-            (
-                comm.rank_mut().take_trace(),
-                comm.rank_mut().take_comm_map(),
-            )
-        });
+        })
+        .unwrap();
 
-    let decisions = decisions_from_trace(&out[0].0);
+    let decisions = decisions_from_trace(&capture.traces.expect("traced")[0]);
     assert_eq!(decisions.len(), 1);
     assert_eq!(decisions[0].chosen, "ring");
     assert_eq!(decisions[0].reason, "total >= long threshold");
     assert!((decisions[0].outlier_ratio - 8192.0).abs() < 1e-9);
 
-    let maps: Vec<RankCommMap> = out.iter().map(|(_, m)| m.clone()).collect();
-    let merged = merge_comm_maps(&maps);
+    let merged = capture.comm_map.expect("mapped");
     assert!(
         merged
             .epochs
@@ -160,27 +165,22 @@ fn forced_ring_over_outliers_is_flagged_as_misselection() {
 #[test]
 fn sparse_round_robin_is_flagged_from_the_measured_epoch() {
     let n = 8usize;
-    let out: Vec<(Vec<TraceEvent>, RankCommMap)> =
-        Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {
-            rank.enable_tracing();
-            rank.enable_comm_map();
+    let cluster = Cluster::new(ClusterConfig::uniform(n).observe(TRACE_AND_MAP));
+    let (_, capture) = cluster
+        .try_run(move |rank| {
             let mut comm = Comm::new(rank, MpiConfig::baseline());
             let me = comm.rank();
             let (sends, recvs) = neighbor_specs(me, n);
             let sendbuf = vec![me as u8; 8];
             let mut recvbuf = vec![0u8; 8];
             comm.alltoallw(&sendbuf, &sends, &mut recvbuf, &recvs);
-            (
-                comm.rank_mut().take_trace(),
-                comm.rank_mut().take_comm_map(),
-            )
-        });
-    let decisions = decisions_from_trace(&out[0].0);
+        })
+        .unwrap();
+    let decisions = decisions_from_trace(&capture.traces.expect("traced")[0]);
     assert_eq!(decisions.len(), 1);
     assert_eq!(decisions[0].chosen, "round_robin");
 
-    let maps: Vec<RankCommMap> = out.iter().map(|(_, m)| m.clone()).collect();
-    let merged = merge_comm_maps(&maps);
+    let merged = capture.comm_map.expect("mapped");
     let audit = detect_misselections(
         &decisions,
         Some(&merged),

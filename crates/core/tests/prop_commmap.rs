@@ -7,7 +7,7 @@
 
 use ncd_core::{AlltoallwSchedule, Comm, MpiConfig, WPeer};
 use ncd_datatype::Datatype;
-use ncd_simnet::{merge_comm_maps, Cluster, ClusterConfig, RankCommMap};
+use ncd_simnet::{Cluster, ClusterConfig, Observers};
 use proptest::prelude::*;
 
 proptest! {
@@ -31,12 +31,15 @@ proptest! {
         };
         let vols = std::sync::Arc::new(vols);
         let parts = std::sync::Arc::new(parts);
-        let out: Vec<(RankCommMap, u64, u64)> =
-            Cluster::new(ClusterConfig::uniform(n)).run({
+        let comm_map = Observers {
+            comm_map: true,
+            ..Observers::NONE
+        };
+        let (out, capture) = Cluster::new(ClusterConfig::uniform(n).observe(comm_map))
+            .try_run({
                 let vols = vols.clone();
                 let parts = parts.clone();
                 move |rank| {
-                    rank.enable_comm_map();
                     let mut comm = Comm::new(rank, MpiConfig::optimized());
                     let me = comm.rank();
                     let vol = |src: usize, dst: usize| vols[src * 6 + dst];
@@ -61,22 +64,20 @@ proptest! {
                     assert_eq!(got.len(), parts[me]);
 
                     let stats = comm.rank_ref().stats();
-                    let (bytes, msgs) = (stats.bytes_recvd, stats.msgs_recvd);
-                    (comm.rank_mut().take_comm_map(), bytes, msgs)
+                    (stats.bytes_recvd, stats.msgs_recvd)
                 }
-            });
-
-        let maps: Vec<RankCommMap> = out.iter().map(|(m, _, _)| m.clone()).collect();
-        let merged = merge_comm_maps(&maps);
+            })
+            .unwrap();
+        let merged = capture.comm_map.expect("mapped");
 
         // Column r of the merged matrix is exactly what rank r's mailbox
         // delivered — bytes and message counts alike.
-        for (r, &(_, bytes, msgs)) in out.iter().enumerate() {
+        for (r, &(bytes, msgs)) in out.iter().enumerate() {
             prop_assert_eq!(merged.total.col_bytes(r), bytes, "rank {} bytes", r);
             let col_msgs: u64 = (0..n).map(|s| merged.total.msgs(s, r)).sum();
             prop_assert_eq!(col_msgs, msgs, "rank {} msgs", r);
         }
-        let delivered: u64 = out.iter().map(|&(_, b, _)| b).sum();
+        let delivered: u64 = out.iter().map(|&(b, _)| b).sum();
         prop_assert_eq!(merged.total.total_bytes(), delivered);
 
         // The alltoallw epoch reproduces the generated volume matrix on

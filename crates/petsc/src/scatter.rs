@@ -506,7 +506,7 @@ pub(crate) fn route(comm: &mut Comm, tag: Tag, outgoing: &[Vec<u64>]) -> Vec<(us
 mod tests {
     use super::*;
     use ncd_core::MpiConfig;
-    use ncd_simnet::{Cluster, ClusterConfig};
+    use ncd_simnet::{Cluster, ClusterConfig, Observers};
 
     fn with_n<R: Send>(n: usize, f: impl Fn(&mut Comm) -> R + Send + Sync) -> Vec<R> {
         Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {
@@ -675,31 +675,43 @@ mod tests {
 
     #[test]
     fn split_scatter_is_metered_and_staged() {
-        Cluster::new(ClusterConfig::uniform(4)).run(|rank| {
-            rank.enable_metrics();
-            rank.enable_profiling();
-            let mut comm = Comm::new(rank, MpiConfig::optimized());
-            let (plan, layout) = perm_plan(&mut comm, 24);
-            let x = iota_vec(&comm, layout.clone());
-            let mut y = PVec::zeros(layout.clone(), comm.rank());
-            let h = plan.begin(&mut comm, &x, &mut y, ScatterBackend::Datatype);
-            assert_eq!(h.pending_ops(), 0, "one alltoallw, completed in begin");
-            plan.end(&mut comm, h, &mut y);
-            // y[perm(g)] = g: slot h holds perm⁻¹(h) = 7⁻¹·(h − 3) mod 24.
-            let (s, e) = layout.range(comm.rank());
-            let expect: Vec<f64> = (s..e).map(|h| ((h + 21) * 7 % 24) as f64).collect();
-            assert_eq!(y.local(), expect);
+        let observers = Observers {
+            metrics: true,
+            profile: true,
+            ..Observers::NONE
+        };
+        let cluster = Cluster::new(ClusterConfig::uniform(4).observe(observers));
+        let (packed, capture) = cluster
+            .try_run(|rank| {
+                let mut comm = Comm::new(rank, MpiConfig::optimized());
+                let (plan, layout) = perm_plan(&mut comm, 24);
+                let x = iota_vec(&comm, layout.clone());
+                let mut y = PVec::zeros(layout.clone(), comm.rank());
+                let h = plan.begin(&mut comm, &x, &mut y, ScatterBackend::Datatype);
+                assert_eq!(h.pending_ops(), 0, "one alltoallw, completed in begin");
+                plan.end(&mut comm, h, &mut y);
+                // y[perm(g)] = g: slot h holds perm⁻¹(h) = 7⁻¹·(h − 3) mod 24.
+                let (s, e) = layout.range(comm.rank());
+                let expect: Vec<f64> = (s..e).map(|h| ((h + 21) * 7 % 24) as f64).collect();
+                assert_eq!(y.local(), expect);
 
-            let metrics = comm.rank_mut().take_metrics();
-            assert_eq!(metrics.counter("scatter", "begin", "datatype"), 1);
-            // Bytes are counted on the source side.
-            let packed = 8 * (plan.remote_send_elems() + plan.local_elems()) as u64;
-            let bytes = metrics.histogram("scatter", "bytes", "datatype");
-            assert_eq!(bytes.map(|h| h.sum()), Some(packed));
-            let profile = comm.rank_mut().take_profile();
+                let metrics = comm.rank_mut().metrics_mut().expect("metered");
+                assert_eq!(metrics.counter("scatter", "begin", "datatype"), 1);
+                // Bytes are counted on the source side.
+                let packed = 8 * (plan.remote_send_elems() + plan.local_elems()) as u64;
+                let bytes = metrics.histogram("scatter", "bytes", "datatype");
+                assert_eq!(bytes.map(|h| h.sum()), Some(packed));
+                packed
+            })
+            .unwrap();
+        let metrics = capture.metrics.expect("metered");
+        assert_eq!(metrics.counter("scatter", "begin", "datatype"), 4);
+        let bytes = metrics.histogram("scatter", "bytes", "datatype");
+        assert_eq!(bytes.map(|h| h.sum()), Some(packed.iter().sum()));
+        for profile in capture.profiles.expect("profiled") {
             assert!(profile.stage(STAGE_SCATTER_BEGIN).is_some());
             assert!(profile.stage(STAGE_SCATTER_END).is_some());
-        });
+        }
     }
 
     #[test]

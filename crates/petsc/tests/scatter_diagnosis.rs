@@ -8,7 +8,8 @@ use ncd_petsc::{
     DistributedArray, ScatterBackend, StencilKind, STAGE_SCATTER_BEGIN, STAGE_SCATTER_END,
 };
 use ncd_simnet::{
-    render_stage_overlap, stage_overlap, Cluster, ClusterConfig, StageOverlap, TraceEvent,
+    render_stage_overlap, stage_overlap, Cluster, ClusterConfig, Observers, Rank, StageOverlap,
+    TraceEvent,
 };
 
 const GRID: usize = 64;
@@ -17,9 +18,11 @@ const GRID: usize = 64;
 /// returning every rank's trace (profiling + tracing on, so the scatter
 /// stages mirror as spans).
 fn traced_ghost_exchange(flops: u64, reps: usize) -> Vec<Vec<TraceEvent>> {
-    Cluster::new(ClusterConfig::uniform(4)).run(move |rank| {
-        rank.enable_profiling();
-        rank.enable_tracing();
+    let profiled = Observers {
+        profile: true,
+        ..TRACE
+    };
+    traced(ClusterConfig::uniform(4).observe(profiled), move |rank| {
         let mut comm = Comm::new(rank, MpiConfig::optimized());
         let da = DistributedArray::new(&mut comm, &[GRID, GRID], 1, StencilKind::Star, 1);
         let mut g = da.create_global_vec();
@@ -35,8 +38,18 @@ fn traced_ghost_exchange(flops: u64, reps: usize) -> Vec<Vec<TraceEvent>> {
             }
             da.global_to_local_end(&mut comm, h, &mut l);
         }
-        comm.rank_mut().take_trace()
     })
+}
+
+const TRACE: Observers = Observers {
+    trace: true,
+    ..Observers::NONE
+};
+
+/// Every rank's trace of `f` on `cfg`, which configures the observers.
+fn traced(cfg: ClusterConfig, f: impl Fn(&mut Rank) + Send + Sync) -> Vec<Vec<TraceEvent>> {
+    let (_, capture) = Cluster::new(cfg).try_run(f).unwrap();
+    capture.traces.expect("traced")
 }
 
 fn overall_efficiency(findings: &[StageOverlap]) -> f64 {
@@ -93,11 +106,8 @@ fn empty_compute_window_exposes_the_scatter_wire() {
 fn missing_stages_report_cleanly() {
     // Tracing without profiling: stages do not mirror, so the diagnosis
     // must say so instead of fabricating windows.
-    let traces = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
-        rank.enable_tracing();
-        let mut comm = Comm::new(rank, MpiConfig::optimized());
-        comm.barrier();
-        comm.rank_mut().take_trace()
+    let traces = traced(ClusterConfig::uniform(2).observe(TRACE), |rank| {
+        Comm::new(rank, MpiConfig::optimized()).barrier();
     });
     let findings = stage_overlap(&traces, STAGE_SCATTER_BEGIN, STAGE_SCATTER_END);
     assert!(findings.is_empty());

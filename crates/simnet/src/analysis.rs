@@ -38,8 +38,7 @@ use crate::trace::{EventKind, TraceEvent};
 pub type NodeId = (usize, usize);
 
 /// Happens-before graph over a set of per-rank traces (indexed by rank, as
-/// returned by [`crate::Cluster::run`] collecting
-/// [`crate::Rank::take_trace`]).
+/// a traced run's [`crate::Capture::traces`] holds them).
 ///
 /// Edges are implicit: each event depends on its program-order predecessor
 /// on the same rank, and each receive additionally depends on the matching
@@ -708,12 +707,12 @@ pub(crate) fn render_ratio(r: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{Cluster, ClusterConfig};
+    use crate::capture::tests::traced;
+    use crate::runtime::ClusterConfig;
     use crate::Tag;
 
     fn ring_traces(n: usize, bytes: usize) -> Vec<Vec<TraceEvent>> {
-        Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {
-            rank.enable_tracing();
+        traced(ClusterConfig::uniform(n), move |rank| {
             let me = rank.rank();
             let right = (me + 1) % n;
             let left = (me + n - 1) % n;
@@ -721,7 +720,6 @@ mod tests {
             rank.record(rank.now(), EventKind::Round { op, round: 0 });
             rank.send_bytes(right, Tag(0), vec![0u8; bytes]);
             let _ = rank.recv_bytes(Some(left), Tag(0));
-            rank.take_trace()
         })
     }
 
@@ -802,19 +800,15 @@ mod tests {
     #[test]
     fn sequential_chain_is_the_critical_path() {
         // 0 sends to 1, 1 forwards to 2: the path must cross both messages.
-        let traces = Cluster::new(ClusterConfig::uniform(3)).run(|rank| {
-            rank.enable_tracing();
-            match rank.rank() {
-                0 => rank.send_bytes(1, Tag(0), vec![0u8; 4096]),
-                1 => {
-                    let (data, _) = rank.recv_bytes(Some(0), Tag(0));
-                    rank.send_bytes(2, Tag(0), data);
-                }
-                _ => {
-                    let _ = rank.recv_bytes(Some(1), Tag(0));
-                }
+        let traces = traced(ClusterConfig::uniform(3), |rank| match rank.rank() {
+            0 => rank.send_bytes(1, Tag(0), vec![0u8; 4096]),
+            1 => {
+                let (data, _) = rank.recv_bytes(Some(0), Tag(0));
+                rank.send_bytes(2, Tag(0), data);
             }
-            rank.take_trace()
+            _ => {
+                let _ = rank.recv_bytes(Some(1), Tag(0));
+            }
         });
         let g = HbGraph::build(&traces);
         let path = g.critical_path();
@@ -835,15 +829,13 @@ mod tests {
 
     #[test]
     fn blocked_recv_reports_local_slack() {
-        let traces = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
-            rank.enable_tracing();
+        let traces = traced(ClusterConfig::uniform(2), |rank| {
             if rank.rank() == 0 {
                 rank.compute_flops(500_000); // sender is late
                 rank.send_bytes(1, Tag(0), vec![0u8; 64]);
             } else {
                 let _ = rank.recv_bytes(Some(0), Tag(0));
             }
-            rank.take_trace()
         });
         let g = HbGraph::build(&traces);
         let path = g.critical_path();
@@ -886,14 +878,12 @@ mod tests {
 
     #[test]
     fn events_before_any_round_are_unattributed() {
-        let traces = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
-            rank.enable_tracing();
+        let traces = traced(ClusterConfig::uniform(2), |rank| {
             if rank.rank() == 0 {
                 rank.send_bytes(1, Tag(0), vec![1]);
             } else {
                 let _ = rank.recv_bytes(Some(0), Tag(0));
             }
-            rank.take_trace()
         });
         let attr = attribute_rounds(&traces);
         assert!(attr.per_op.is_empty());

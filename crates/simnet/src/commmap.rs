@@ -28,8 +28,10 @@
 //! ([`crate::merge_histories`]) reads too.
 //!
 //! Like the flight recorder, the comm map never touches the simulated
-//! clock: enabling it changes no timing. A rank holds no map until
-//! [`crate::Rank::enable_comm_map`] (one branch per delivery until then).
+//! clock: enabling it changes no timing. A rank holds no map unless the
+//! run observes it ([`crate::Observers`], the one way in; `enable_comm_map`
+//! is the frozen benchmark's primitive): one branch per delivery until
+//! then. The run's [`crate::Capture`] holds the merged map.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

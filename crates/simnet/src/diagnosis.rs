@@ -853,22 +853,21 @@ pub fn check_severity_bound(traces: &[Vec<TraceEvent>], d: &Diagnosis) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::tests::traced;
     use crate::runtime::{Cluster, ClusterConfig};
-    use crate::{Tag, SCHEMA_VERSION};
+    use crate::{Observers, Tag, SCHEMA_VERSION};
 
     /// Rank 0 computes before sending: rank 1's blocked recv is a plain
     /// late-sender blamed on 0.
     #[test]
     fn late_posting_sender_classifies_as_late_sender() {
-        let traces = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
-            rank.enable_tracing();
+        let traces = traced(ClusterConfig::uniform(2), |rank| {
             if rank.rank() == 0 {
                 rank.compute_flops(500_000);
                 rank.send_bytes(1, Tag(0), vec![0u8; 64]);
             } else {
                 let _ = rank.recv_bytes(Some(0), Tag(0));
             }
-            rank.take_trace()
         });
         let d = diagnose(&traces);
         assert_eq!(d.instances.len(), 1);
@@ -885,17 +884,20 @@ mod tests {
     /// once that rank is dropped the same recorder takes the finding.
     #[test]
     fn mirroring_skips_a_live_ranks_recorder() {
-        let out = Cluster::new(ClusterConfig::uniform(2)).try_run(|rank| {
-            rank.enable_tracing();
+        let trace = Observers {
+            trace: true,
+            ..Observers::NONE
+        };
+        let cluster = Cluster::new(ClusterConfig::uniform(2).observe(trace));
+        let out = cluster.try_run(|rank| {
             if rank.rank() == 0 {
                 rank.compute_flops(500_000);
                 rank.send_bytes(1, Tag(0), vec![0u8; 64]);
             } else {
                 let _ = rank.recv_bytes(Some(0), Tag(0));
             }
-            rank.take_trace()
         });
-        let (traces, recorders) = (out.results.unwrap(), out.recorders);
+        let (traces, recorders) = (out.capture.traces.expect("traced"), out.recorders);
         let d = diagnose(&traces);
         assert_eq!(d.findings.len(), 1);
         assert_eq!(d.findings[0].blamed, 0);
@@ -932,22 +934,18 @@ mod tests {
     /// serialization chain whose root is 0.
     #[test]
     fn forwarded_delay_walks_to_the_chain_root() {
-        let traces = Cluster::new(ClusterConfig::uniform(3)).run(|rank| {
-            rank.enable_tracing();
-            match rank.rank() {
-                0 => {
-                    rank.compute_flops(2_000_000);
-                    rank.send_bytes(1, Tag(0), vec![0u8; 64]);
-                }
-                1 => {
-                    let (data, _) = rank.recv_bytes(Some(0), Tag(0));
-                    rank.send_bytes(2, Tag(0), data);
-                }
-                _ => {
-                    let _ = rank.recv_bytes(Some(1), Tag(0));
-                }
+        let traces = traced(ClusterConfig::uniform(3), |rank| match rank.rank() {
+            0 => {
+                rank.compute_flops(2_000_000);
+                rank.send_bytes(1, Tag(0), vec![0u8; 64]);
             }
-            rank.take_trace()
+            1 => {
+                let (data, _) = rank.recv_bytes(Some(0), Tag(0));
+                rank.send_bytes(2, Tag(0), data);
+            }
+            _ => {
+                let _ = rank.recv_bytes(Some(1), Tag(0));
+            }
         });
         let d = diagnose(&traces);
         let chain = d
@@ -977,8 +975,7 @@ mod tests {
     #[test]
     fn early_send_splits_on_collective_context() {
         for round in [false, true] {
-            let traces = Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
-                rank.enable_tracing();
+            let traces = traced(ClusterConfig::uniform(2), move |rank| {
                 if rank.rank() == 0 {
                     rank.send_bytes(1, Tag(0), vec![0u8; 1 << 20]);
                 } else {
@@ -988,7 +985,6 @@ mod tests {
                     }
                     let _ = rank.recv_bytes(Some(0), Tag(0));
                 }
-                rank.take_trace()
             });
             let d = diagnose(&traces);
             assert_eq!(d.instances.len(), 1, "big message must block the recv");
@@ -1003,15 +999,13 @@ mod tests {
 
     #[test]
     fn unmatched_messages_surface_as_warnings() {
-        let mut traces = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
-            rank.enable_tracing();
+        let mut traces = traced(ClusterConfig::uniform(2), |rank| {
             if rank.rank() == 0 {
                 rank.compute_flops(100_000);
                 rank.send_bytes(1, Tag(0), vec![0u8; 64]);
             } else {
                 let _ = rank.recv_bytes(Some(0), Tag(0));
             }
-            rank.take_trace()
         });
         // Truncate rank 0's trace: its send disappears, so rank 1's
         // blocked recv is unmatched — and stays unclassified.
@@ -1027,15 +1021,13 @@ mod tests {
     #[test]
     fn severity_never_exceeds_attributed_wait() {
         let n = 4;
-        let traces = Cluster::new(ClusterConfig::paper_testbed(n)).run(move |rank| {
-            rank.enable_tracing();
+        let traces = traced(ClusterConfig::paper_testbed(n), move |rank| {
             let me = rank.rank();
             let op = "ring/step".into();
             rank.record(rank.now(), EventKind::Round { op, round: 0 });
             rank.compute_flops(50_000 * (me as u64 + 1));
             rank.send_bytes((me + 1) % n, Tag(0), vec![0u8; 4096]);
             let _ = rank.recv_bytes(Some((me + n - 1) % n), Tag(0));
-            rank.take_trace()
         });
         let d = diagnose(&traces);
         assert_eq!(check_severity_bound(&traces, &d), None);

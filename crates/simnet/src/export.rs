@@ -25,9 +25,8 @@ const EVENT_BYTES: usize = 128;
 /// One `"key":value` of an event's `args`.
 type Arg<'a> = (&'a str, &'a dyn JsonValue);
 
-/// Serialize per-rank traces (indexed by rank, as returned by
-/// [`crate::Cluster::run`] collecting [`crate::Rank::take_trace`]) into
-/// Chrome trace-event JSON.
+/// Serialize per-rank traces (indexed by rank, as a traced run's
+/// [`crate::Capture::traces`] holds them) into Chrome trace-event JSON.
 pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
     // Metadata: name the process and one thread per rank, so the viewer
     // shows "rank N" lanes in order.

@@ -1,9 +1,10 @@
 //! Epoch time-series history: the temporal layer over the comm map.
 //!
 //! The comm map ([`crate::commmap`]) answers *who talked to whom* inside
-//! one epoch; this module answers *how that changes over time*. Once
-//! [`crate::Rank::enable_history`] is called, every closed epoch — one per auto- or pinned collective call
-//! (`<collective>/<algorithm>`) and one per profiling stage
+//! one epoch; this module answers *how that changes over time*. When a
+//! run observes it ([`crate::Observers`], the one way in; `enable_history`
+//! is the frozen benchmark's primitive), every closed epoch — one per
+//! auto- or pinned collective call (`<collective>/<algorithm>`) and one per profiling stage
 //! (`stage:<path>`) — is kept per rank as the comm map's own
 //! [`RankEpoch`] with its simulated close time. The cross-rank merge
 //! ([`merge_histories`]) joins them by `(label, occurrence)` with the
@@ -33,10 +34,6 @@ use crate::commmap::{join_epochs, ratio_to_millis, RankEpoch, SHADES};
 use crate::json::JsonWriter;
 use crate::time::SimTime;
 use crate::volume;
-
-/// The bulk quantile used for the per-epoch outlier ratio, matching the
-/// default the analytics layer applies to comm matrices.
-const OUTLIER_FRACTION: f64 = 0.9;
 
 /// Per-rank epoch time-series store: the closed comm-map epochs, each
 /// with its close time. Owned by [`crate::Rank`]; construct directly
@@ -177,7 +174,7 @@ pub fn merge_histories(histories: &[RankHistory]) -> History {
                 time,
                 bytes: per_rank.iter().sum(),
                 msgs,
-                outlier_ratio: volume::outlier_ratio_of(&per_rank, OUTLIER_FRACTION),
+                outlier_ratio: volume::outlier_ratio_of(&per_rank, volume::OUTLIER_FRACTION),
                 gini: volume::gini(&per_rank),
                 spread: spread(&per_rank),
                 pattern,
@@ -379,7 +376,7 @@ mod tests {
                     time: p.time,
                     bytes: p.per_rank.iter().sum(),
                     msgs: p.msgs,
-                    outlier_ratio: outlier_ratio(&p.per_rank, OUTLIER_FRACTION),
+                    outlier_ratio: outlier_ratio(&p.per_rank, volume::OUTLIER_FRACTION),
                     gini: volume::gini(&p.per_rank),
                     spread,
                     pattern: p.pattern,

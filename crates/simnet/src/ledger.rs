@@ -300,7 +300,8 @@ pub fn read_run(dir: &Path) -> Result<LedgerRun, String> {
 pub(crate) mod tests {
     use super::*;
     use crate::{
-        Cluster, ClusterCommMap, ClusterConfig, EventKind, MetricsRegistry, Tag, TraceEvent,
+        Cluster, ClusterCommMap, ClusterConfig, EventKind, MetricsRegistry, Observers, Tag,
+        TraceEvent,
     };
 
     /// What one observed run left behind, for the artifact round-trip
@@ -315,37 +316,35 @@ pub(crate) mod tests {
     /// growing blocks, rank 0 late into each.
     pub(crate) fn observed_ring() -> Observed {
         let n = 8;
-        let parts = Cluster::new(ClusterConfig::paper_testbed(n)).run(move |rank| {
-            rank.enable_tracing();
-            rank.enable_metrics();
-            rank.enable_comm_map();
-            let me = rank.rank();
-            for round in 0..2 {
-                let op = "allgatherv/ring".into();
-                rank.record(rank.now(), EventKind::Round { op, round });
-                if me == 0 {
-                    rank.compute_flops(5_000_000);
+        let observers = Observers {
+            trace: true,
+            metrics: true,
+            comm_map: true,
+            ..Observers::NONE
+        };
+        let cluster = ClusterConfig::paper_testbed(n).observe(observers);
+        let (_, capture) = Cluster::new(cluster)
+            .try_run(move |rank| {
+                let me = rank.rank();
+                for round in 0..2 {
+                    let op = "allgatherv/ring".into();
+                    rank.record(rank.now(), EventKind::Round { op, round });
+                    if me == 0 {
+                        rank.compute_flops(5_000_000);
+                    }
+                    rank.send_bytes((me + 1) % n, Tag(round), vec![0u8; 2048 << round]);
+                    let (block, _) = rank.recv_bytes(Some((me + n - 1) % n), Tag(round));
+                    let metrics = rank.metrics_mut().expect("enabled above");
+                    metrics.observe("ring", "block_bytes", "", block.len() as u64);
+                    metrics.gauge_set("ring", "round", "", f64::from(round) + 0.5);
+                    rank.comm_epoch("allgatherv/ring");
                 }
-                rank.send_bytes((me + 1) % n, Tag(round), vec![0u8; 2048 << round]);
-                let (block, _) = rank.recv_bytes(Some((me + n - 1) % n), Tag(round));
-                let metrics = rank.metrics_mut().expect("enabled above");
-                metrics.observe("ring", "block_bytes", "", block.len() as u64);
-                metrics.gauge_set("ring", "round", "", f64::from(round) + 0.5);
-                rank.comm_epoch("allgatherv/ring");
-            }
-            (rank.take_trace(), rank.take_comm_map(), rank.take_metrics())
-        });
-        let mut metrics = MetricsRegistry::enabled();
-        let (mut traces, mut maps) = (Vec::new(), Vec::new());
-        for (trace, map, reg) in parts {
-            traces.push(trace);
-            maps.push(map);
-            metrics.merge(&reg);
-        }
+            })
+            .unwrap();
         Observed {
-            traces,
-            comm: crate::merge_comm_maps(&maps),
-            metrics,
+            traces: capture.traces.expect("traced"),
+            comm: capture.comm_map.expect("mapped"),
+            metrics: capture.metrics.expect("metered"),
         }
     }
 

@@ -44,6 +44,7 @@
 //! ```
 
 pub mod analysis;
+pub mod capture;
 pub mod commmap;
 pub mod diagnosis;
 pub mod export;
@@ -66,6 +67,7 @@ pub use analysis::{
     analysis_json, attribute_rounds, imbalance, parse_analysis, AnalysisSummary, CriticalPath,
     HbGraph, Imbalance, OpRankStats, PathStep, RoundAttribution, StepSummary,
 };
+pub use capture::{Capture, Observers, RankCapture};
 pub use commmap::{
     comm_matrix_json, merge_comm_maps, millis_to_ratio, parse_comm_matrix, ratio_to_millis,
     render_heatmap, ClusterCommMap, CommMatrix, EpochMatrix, RankCommMap, RankEpoch,

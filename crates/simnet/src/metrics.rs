@@ -19,9 +19,10 @@
 //! module can tell the two stores apart. `counter_add("time", <label>,
 //! "", n)` lands in the same slot.
 //!
-//! A rank holds no registry until [`crate::Rank::enable_metrics`]; until
-//! then instrumented hot paths cost the one `if let Some` on
-//! [`crate::Rank::metrics_mut`] — the same contract as [`crate::trace`].
+//! A rank holds no registry unless the run observes metrics
+//! ([`crate::Observers`]); until then instrumented hot paths cost the one
+//! `if let Some` on [`crate::Rank::metrics_mut`] — the same contract as
+//! [`crate::trace`]. The run's [`crate::Capture`] merges the registries.
 
 use std::collections::BTreeMap;
 use std::sync::LazyLock;

@@ -9,10 +9,11 @@
 //! points and grid transfer 15".
 //!
 //! Stages are driven by [`crate::Rank::stage_begin`] / `stage_end` (or the
-//! closure form [`crate::Rank::stage`]), which do nothing on a rank that
-//! never called `enable_profiling`. Per-rank profiles [`Profiler::merge`]
-//! into a cluster-wide view; [`Profiler::report`] renders the familiar
-//! indented table.
+//! closure form [`crate::Rank::stage`]), which do nothing unless the run
+//! profiles ([`crate::Observers`], the one way in: a run option, as
+//! `-log_view` is). The run's [`crate::Capture`] holds one profile per
+//! rank: they [`Profiler::merge`] into a cluster-wide view,
+//! [`Profiler::report`] renders the familiar indented table.
 
 use std::collections::BTreeMap;
 
@@ -105,9 +106,9 @@ impl Profiler {
         }
     }
 
-    /// Number of currently-open stages.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
+    /// The path of the innermost open stage, if any.
+    pub fn open_stage(&self) -> Option<&str> {
+        self.stack.last().map(|open| open.path.as_str())
     }
 
     pub fn stage(&self, path: &str) -> Option<&StageStats> {

@@ -3,8 +3,9 @@
 //! [`Cluster::try_run`] hands every rank a [`Rank`] handle — its identity,
 //! its simulated clock, its side of the scheduler and the cost model — runs
 //! all of them to completion and returns everything the run produced as a
-//! [`RunOutput`]. All communication is real (bytes move from the sender
-//! into the receiver's mailbox); all timing is simulated (see the crate
+//! [`RunOutput`], observers' [`crate::capture`] included. All
+//! communication is real (bytes move from the sender into the receiver's
+//! mailbox); all timing is simulated (see the crate
 //! docs for the rationale). Every rank is a resumable task driven by the
 //! deterministic event scheduler in [`crate::sched`]: fiber context
 //! switches instead of kernel ones, park/unpark on the simulated clock.
@@ -17,6 +18,7 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::capture::{Capture, Observers, RankCapture};
 use crate::commmap::RankCommMap;
 use crate::history::RankHistory;
 use crate::knobs::{CostKnobs, ResolvedKnobs};
@@ -88,6 +90,8 @@ pub struct ClusterConfig {
     /// seed it from `NCD_SCHED_TASKS` so a whole suite can be flipped
     /// onto the portable backend without code changes.
     pub task_backend: Option<TaskBackend>,
+    /// The observers every rank starts with (see [`crate::capture`]).
+    pub observers: Observers,
 }
 
 /// Default flight-recorder window per rank.
@@ -114,6 +118,7 @@ impl ClusterConfig {
             sched_tie_seed: None,
             knobs: None,
             task_backend: TaskBackend::from_env(),
+            observers: Observers::NONE,
         }
     }
 
@@ -131,10 +136,7 @@ impl ClusterConfig {
                 slow: 0.85,
             },
             seed: 0x2007,
-            recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-            sched_tie_seed: None,
-            knobs: None,
-            task_backend: TaskBackend::from_env(),
+            ..ClusterConfig::uniform(n_ranks)
         }
     }
 
@@ -171,6 +173,12 @@ impl ClusterConfig {
     /// baton this way).
     pub fn with_task_backend(mut self, backend: TaskBackend) -> Self {
         self.task_backend = Some(backend);
+        self
+    }
+
+    /// Observe every rank with `observers` (see [`crate::capture`]).
+    pub fn observe(mut self, observers: Observers) -> Self {
+        self.observers = observers;
         self
     }
 }
@@ -210,25 +218,23 @@ impl Cluster {
             ),
             stats: Stats::new(),
             send_seq: 0,
-            trace: None,
-            metrics: None,
-            profiler: None,
             recorder,
-            commmap: None,
-            history: None,
+            observed: RankCapture::new(cfg.observers, rank_id, n),
+            observers: cfg.observers,
             sched,
             knobs: cfg.knobs.as_ref().map(|k| k.resolve(rank_id)),
         }
     }
 
     /// Run `f` on every rank concurrently (SPMD style): the per-rank
-    /// return values, indexed by rank, or why the run stopped.
+    /// return values, indexed by rank, or why the run stopped, and what
+    /// the configured observers saw ([`Rank::harvest`] after `f`).
     ///
     /// Every rank is a resumable task; one scheduler drives them in
     /// simulated-time order (see [`crate::sched`] for the event loop and
     /// the park/unpark protocol). A failed run still runs every other
     /// rank as far as it can go, and still returns its survey and its
-    /// recorders.
+    /// recorders; its capture is empty.
     pub fn try_run<R, F>(&self, f: F) -> RunOutput<R>
     where
         R: Send,
@@ -246,6 +252,12 @@ impl Cluster {
             .task_backend
             .unwrap_or_else(TaskBackend::default_for_target);
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // An unobserved run (every benchmark workload) has no part slots
+        // and harvests nothing.
+        let observing = self.cfg.observers != Observers::NONE;
+        let parts: Vec<Mutex<Option<RankCapture>>> = (0..if observing { n } else { 0 })
+            .map(|_| Mutex::new(None))
+            .collect();
         let mut stacks = Stacks::new(task_backend, n, DEFAULT_STACK_BYTES);
         let mut tasks: Vec<Task> = Vec::with_capacity(n);
         for (rank_id, recorder) in recorders.iter().enumerate() {
@@ -253,14 +265,17 @@ impl Cluster {
             let handle = EventHandle::new(ctl.clone(), shared.clone(), rank_id);
             let cfg = &self.cfg;
             let f = &f;
-            let results = &results;
+            let (results, parts) = (&results, &parts);
             let recorder = recorder.clone();
             let body = Box::new(move || {
                 let mut rank = Self::make_rank(cfg, rank_id, recorder, handle);
                 let r = f(&mut rank);
+                if let Some(slot) = parts.get(rank_id) {
+                    *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(rank.harvest());
+                }
                 *results[rank_id].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
             });
-            // SAFETY: the body borrows `f`, `results` and `self.cfg`;
+            // SAFETY: the body borrows `f`, `results`, `parts` and `self.cfg`;
             // `sched::drive` runs or unwinds every task before
             // returning, and the task vector is dropped before any of
             // those borrows expire, and before `stacks`, below.
@@ -268,34 +283,33 @@ impl Cluster {
         }
         let (outcome, sched) = sched::drive(&ctl, &mut tasks, self.cfg.sched_tie_seed);
         drop(tasks);
-        let results = outcome.map(|()| {
-            results
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .expect("finished rank left no result")
-                })
-                .collect()
-        });
+        let results = outcome.map(|()| results.into_iter().map(finished).collect());
+        let capture = match results {
+            Ok(_) => Capture::merge(parts.into_iter().map(finished)),
+            Err(_) => Capture::default(),
+        };
         RunOutput {
             results,
             sched,
             recorders,
+            capture,
         }
     }
 
-    /// [`Cluster::try_run`], failing loudly: a failed run is
-    /// [`RunError::raise`]d. The run's survey is kept for
-    /// [`last_sched_stats`] on this thread.
+    /// An unobserved [`Cluster::try_run`], failing loudly
+    /// ([`RunOutput::unwrap`]). The run's survey is kept for
+    /// [`last_sched_stats`] on this thread. Panics if the config observes
+    /// anything: an observed run's capture is in `try_run`'s output.
     pub fn run<R, F>(&self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut Rank) -> R + Send + Sync,
     {
+        let observers = self.cfg.observers;
+        assert_eq!(observers, Observers::NONE, "Cluster::run drops a capture");
         let out = self.try_run(f);
-        LAST_SCHED_STATS.set(Some(out.sched));
-        out.results.unwrap_or_else(|err| err.raise(&out.recorders))
+        LAST_SCHED_STATS.set(Some(out.sched.clone()));
+        out.unwrap().0
     }
 }
 
@@ -308,6 +322,19 @@ pub struct RunOutput<R> {
     /// Every rank's flight recorder, indexed by rank; each rank has
     /// released its recorder once its program returned or unwound.
     pub recorders: Vec<Arc<RankRecorder>>,
+    /// What the configured observers saw ([`ClusterConfig::observe`]);
+    /// empty when the run failed.
+    pub capture: Capture,
+}
+
+impl<R> RunOutput<R> {
+    /// A completed run's results and capture; a failed one is raised.
+    pub fn unwrap(self) -> (Vec<R>, Capture) {
+        match self.results {
+            Ok(results) => (results, self.capture),
+            Err(err) => err.raise(&self.recorders),
+        }
+    }
 }
 
 impl RunError {
@@ -341,9 +368,11 @@ pub fn last_sched_stats() -> Option<SchedStats> {
 
 /// Handle given to each rank's task: identity, clock, network, stats —
 /// and its observers. The flight recorder is always on. The other five
-/// (trace, metrics, profiler, comm map, history) do not exist until their
-/// `enable_*` is called: `None` costs one branch where the observer would
-/// have recorded and no memory. `take_*` hands back what was gathered and
+/// (trace, metrics, profiler, comm map, history) exist only when the run
+/// is configured with them ([`ClusterConfig::observe`], the one way in)
+/// and cost one branch and no memory otherwise; [`Rank::harvest`] takes
+/// them. `enable_*` / `take_*` are the frozen benchmark's primitive and a
+/// program's mid-run phase split: `take_*` hands back what was gathered and
 /// leaves a fresh observer in place; on an observer that is off it returns
 /// an empty value and leaves it off. No observer touches the simulated
 /// clock. Every observed event leaves the rank through [`Rank::record`].
@@ -364,18 +393,12 @@ pub struct Rank {
     /// Monotone per-rank message counter; stamped onto every outgoing
     /// message as its correlation id (see [`crate::analysis`]).
     send_seq: u64,
-    trace: Option<Vec<TraceEvent>>,
-    metrics: Option<MetricsRegistry>,
-    profiler: Option<Profiler>,
     /// Always-on flight recorder (shared with the run's [`RunOutput`]; see
     /// [`crate::recorder`]). This rank is its only writer until dropped.
     pub(crate) recorder: Arc<RankRecorder>,
-    /// Communication-topology map (see [`crate::commmap`]).
-    commmap: Option<RankCommMap>,
-    /// Epoch time-series history (see [`crate::history`]): each closed
-    /// comm-map epoch with its close time, so enabling it also enables the
-    /// comm map it is fed from.
-    history: Option<RankHistory>,
+    /// The five optional observers, and the set the run configured.
+    observed: RankCapture,
+    observers: Observers,
     /// This rank's side of the scheduler: its mailbox, its peers'
     /// mailboxes, and the park/unpark protocol.
     sched: EventHandle,
@@ -411,14 +434,32 @@ impl Rank {
         std::mem::take(&mut self.stats)
     }
 
+    /// Take what the observers gathered, leaving fresh ones of the
+    /// configured set: [`Cluster::try_run`] calls it after the program, and
+    /// a program that discards one mid-run drops a warm-up's observations.
+    /// Panics, naming the stage, if a profiling stage is still open.
+    pub fn harvest(&mut self) -> RankCapture {
+        if let Some(path) = self
+            .observed
+            .profile
+            .as_ref()
+            .and_then(Profiler::open_stage)
+        {
+            let rank = self.rank;
+            panic!("rank {rank} harvested with profiling stage {path:?} still open");
+        }
+        let fresh = RankCapture::new(self.observers, self.rank, self.size);
+        std::mem::replace(&mut self.observed, fresh)
+    }
+
     /// Start recording a timeline of events (see [`crate::trace`]).
     pub fn enable_tracing(&mut self) {
-        self.trace.get_or_insert_with(Vec::new);
+        self.observed.trace.get_or_insert_with(Vec::new);
     }
 
     /// Drain the recorded timeline (empty if tracing was never enabled).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        take_observer(&mut self.trace, Vec::new())
+        take_observer(&mut self.observed.trace, Vec::new())
     }
 
     /// The one way an observed event leaves this rank: `kind` happened
@@ -440,7 +481,7 @@ impl Rank {
             end: self.now,
         };
         self.recorder.record_event(&event);
-        if let Some(trace) = &mut self.trace {
+        if let Some(trace) = &mut self.observed.trace {
             trace.push(event);
         }
     }
@@ -455,36 +496,25 @@ impl Rank {
 
     /// Start recording named metrics (see [`crate::metrics`]).
     pub fn enable_metrics(&mut self) {
-        self.metrics.get_or_insert_with(MetricsRegistry::enabled);
+        self.observed
+            .metrics
+            .get_or_insert_with(MetricsRegistry::enabled);
     }
 
     /// The metrics registry when metrics are on: every producer writes its
     /// keys under one `if let Some(m) = rank.metrics_mut()`.
     pub fn metrics_mut(&mut self) -> Option<&mut MetricsRegistry> {
-        self.metrics.as_mut()
+        self.observed.metrics.as_mut()
     }
 
     /// Take the accumulated metrics.
     pub fn take_metrics(&mut self) -> MetricsRegistry {
-        take_observer(&mut self.metrics, MetricsRegistry::enabled())
-    }
-
-    /// Start hierarchical stage profiling (see [`crate::profile`]); until
-    /// then stage calls are no-ops.
-    pub fn enable_profiling(&mut self) {
-        self.profiler.get_or_insert_with(Profiler::enabled);
-    }
-
-    /// Take the accumulated profile. Panics if stages are still open.
-    pub fn take_profile(&mut self) -> Profiler {
-        let open = self.profiler.as_ref().map_or(0, Profiler::depth);
-        assert_eq!(open, 0, "take_profile with stages still open");
-        take_observer(&mut self.profiler, Profiler::enabled())
+        take_observer(&mut self.observed.metrics, MetricsRegistry::enabled())
     }
 
     /// Open a profiling stage at the current simulated time.
     pub fn stage_begin(&mut self, name: &str) {
-        if let Some(profiler) = &mut self.profiler {
+        if let Some(profiler) = &mut self.observed.profile {
             profiler.begin(name, self.now);
         }
     }
@@ -493,11 +523,11 @@ impl Rank {
     /// closed stage is recorded as an [`EventKind::Span`] and closes a
     /// `stage:<path>` comm-map epoch.
     pub fn stage_end(&mut self, name: &str) {
-        let Some(profiler) = &mut self.profiler else {
+        let Some(profiler) = &mut self.observed.profile else {
             return;
         };
         let closed = profiler.end(name, self.now);
-        if self.commmap.is_some() {
+        if self.observed.comm_map.is_some() {
             self.comm_epoch(&format!("stage:{}", closed.path));
         }
         let name = closed.path.into();
@@ -517,17 +547,21 @@ impl Rank {
     /// [`crate::commmap`]).
     pub fn enable_comm_map(&mut self) {
         let (rank, size) = (self.rank, self.size);
-        self.commmap
+        self.observed
+            .comm_map
             .get_or_insert_with(|| RankCommMap::new(rank, size));
     }
 
     pub fn comm_map_enabled(&self) -> bool {
-        self.commmap.is_some()
+        self.observed.comm_map.is_some()
     }
 
     /// Take the accumulated comm map.
     pub fn take_comm_map(&mut self) -> RankCommMap {
-        take_observer(&mut self.commmap, RankCommMap::new(self.rank, self.size))
+        take_observer(
+            &mut self.observed.comm_map,
+            RankCommMap::new(self.rank, self.size),
+        )
     }
 
     /// Close the current comm-map epoch under `label` and mirror it into
@@ -536,11 +570,11 @@ impl Rank {
     /// `<collective>/<algorithm>`; [`Rank::stage_end`] closes
     /// `stage:<path>` epochs automatically.
     pub fn comm_epoch(&mut self, label: &str) {
-        let Some(map) = &mut self.commmap else {
+        let Some(map) = &mut self.observed.comm_map else {
             return;
         };
         map.close_epoch(label);
-        if let (Some(history), Some(epoch)) = (&mut self.history, map.epochs().last()) {
+        if let (Some(history), Some(epoch)) = (&mut self.observed.history, map.epochs().last()) {
             history.append(epoch, self.now);
         }
     }
@@ -551,17 +585,21 @@ impl Rank {
     pub fn enable_history(&mut self) {
         self.enable_comm_map();
         let (rank, size) = (self.rank, self.size);
-        self.history
+        self.observed
+            .history
             .get_or_insert_with(|| RankHistory::new(rank, size));
     }
 
     pub fn history_enabled(&self) -> bool {
-        self.history.is_some()
+        self.observed.history.is_some()
     }
 
     /// Take the accumulated history.
     pub fn take_history(&mut self) -> RankHistory {
-        take_observer(&mut self.history, RankHistory::new(self.rank, self.size))
+        take_observer(
+            &mut self.observed.history,
+            RankHistory::new(self.rank, self.size),
+        )
     }
 
     /// Deterministic per-operation jitter in `[0, noise_ns)`.
@@ -578,7 +616,7 @@ impl Rank {
     /// two accounting layers in exact agreement.
     fn charge_span(&mut self, kind: CostKind, span: SimTime) {
         self.stats.charge(kind, span);
-        if let Some(metrics) = &mut self.metrics {
+        if let Some(metrics) = &mut self.observed.metrics {
             metrics.charge_time(kind, span.as_ns());
         }
     }
@@ -755,7 +793,7 @@ impl Rank {
         let bytes = msg.data.len();
         self.stats.msgs_recvd += 1;
         self.stats.bytes_recvd += bytes as u64;
-        if let Some(map) = &mut self.commmap {
+        if let Some(map) = &mut self.observed.comm_map {
             map.record_delivery(msg.src, bytes as u64);
         }
         let (src, seq) = (msg.src, msg.seq);
@@ -866,6 +904,12 @@ impl Drop for Rank {
     }
 }
 
+/// A finished rank's slot.
+fn finished<T>(slot: Mutex<Option<T>>) -> T {
+    let slot = slot.into_inner().unwrap_or_else(|e| e.into_inner());
+    slot.expect("finished rank left no result")
+}
+
 /// What every `take_*` does: hand back what an observer gathered, leaving
 /// `fresh` in its place; an observer that is off stays off, and `fresh` is
 /// the empty answer.
@@ -958,6 +1002,7 @@ mod tests {
             sched_tie_seed: None,
             knobs: None,
             task_backend: None,
+            observers: Observers::NONE,
         };
         let out = Cluster::new(cfg).run(|r| {
             r.compute_flops(1000);
@@ -1101,6 +1146,112 @@ mod tests {
         assert_eq!(payload.downcast_ref::<u64>(), Some(&10));
     }
 
+    const TRACE: Observers = Observers {
+        trace: true,
+        ..Observers::NONE
+    };
+
+    /// A configured observer is on from the rank's first instruction and
+    /// is harvested after the program; a history brings its comm map.
+    #[test]
+    fn the_configured_observers_are_harvested_after_the_program() {
+        let history = Observers {
+            history: true,
+            profile: true,
+            ..Observers::NONE
+        };
+        let out = Cluster::new(ClusterConfig::uniform(2).observe(history)).try_run(|r| {
+            let on = &r.observed;
+            assert!(on.comm_map.is_some() && on.history.is_some() && on.profile.is_some());
+            assert!(on.trace.is_none() && on.metrics.is_none());
+            r.stage_begin("solve");
+            r.compute_flops(100);
+            r.stage_end("solve");
+        });
+        let capture = out.capture;
+        assert!(capture.traces.is_none() && capture.metrics.is_none());
+        let epochs = &capture.comm_map.expect("the history's map").epochs;
+        let points = &capture.history.expect("history").points;
+        assert_eq!(
+            (epochs.len(), points.len()),
+            (1, 1),
+            "the stage closed one epoch"
+        );
+        let profiles = capture.profiles.expect("profiled");
+        assert_eq!(profiles.len(), 2);
+        assert!(profiles.iter().all(|p| p.stage("solve").is_some()));
+    }
+
+    /// `run` hands back no capture, so it refuses to gather one.
+    #[test]
+    #[should_panic(expected = "Cluster::run drops a capture")]
+    fn run_refuses_an_observed_config() {
+        Cluster::new(ClusterConfig::uniform(1).observe(TRACE)).run(|_| ());
+    }
+
+    /// A harvest mid-run (a warm-up to drop) empties the observers and
+    /// leaves them on; the final harvest holds only what came after.
+    #[test]
+    fn a_mid_run_harvest_drops_what_came_before() {
+        let cluster = Cluster::new(ClusterConfig::uniform(1).observe(Observers::ALL));
+        let (_, capture) = cluster
+            .try_run(|r| {
+                r.trace_mark("warm-up");
+                let warm = r.harvest();
+                assert_eq!(warm.trace.as_ref().map(Vec::len), Some(1));
+                r.trace_mark("measured");
+            })
+            .unwrap();
+        let traces = capture.traces.expect("traced");
+        let marks: Vec<_> = traces[0].iter().map(|e| e.kind.clone()).collect();
+        let label = "measured".into();
+        assert_eq!(marks, [EventKind::Mark { label }]);
+    }
+
+    /// A rank that panics in an observed run fails the run, and the run's
+    /// capture is empty: the surviving ranks' parts are not merged.
+    #[test]
+    fn an_observed_runs_panic_leaves_an_empty_capture() {
+        let out = Cluster::new(ClusterConfig::uniform(3).observe(Observers::ALL)).try_run(|r| {
+            r.comm_epoch("allgatherv/ring");
+            if r.rank() == 2 {
+                panic!("rank 2 exploded");
+            }
+        });
+        let err = out.results.expect_err("rank 2 panicked");
+        assert!(matches!(err, RunError::RankPanicked { rank: 2, .. }));
+        let c = out.capture;
+        assert!(c.traces.is_none() && c.profiles.is_none() && c.metrics.is_none());
+        assert!(c.comm_map.is_none() && c.history.is_none());
+    }
+
+    /// Returning with a profiling stage open fails the harvest, naming
+    /// the rank and the stage's path.
+    #[test]
+    fn a_stage_left_open_is_named_by_its_path() {
+        let profile = Observers {
+            profile: true,
+            ..Observers::NONE
+        };
+        let out = Cluster::new(ClusterConfig::uniform(2).observe(profile)).try_run(|r| {
+            r.stage_begin("solve");
+            if r.rank() == 1 {
+                r.stage_begin("smooth");
+            } else {
+                r.stage_end("solve");
+            }
+        });
+        let err = out.results.expect_err("rank 1 left a stage open");
+        assert_eq!(
+            (err.rank(), err.to_string()),
+            (
+                1,
+                "rank 1 harvested with profiling stage \"solve/smooth\" still open".into()
+            )
+        );
+        assert!(out.capture.profiles.is_none());
+    }
+
     fn pack_block(index: u64, sparse: bool, seek: u64) -> EventKind {
         EventKind::PackBlock {
             engine: "single-context".into(),
@@ -1114,15 +1265,16 @@ mod tests {
 
     #[test]
     fn record_feeds_the_recorder_and_the_trace_with_the_span_since_start() {
-        let out = Cluster::new(ClusterConfig::uniform(1)).try_run(|r| {
-            r.enable_tracing();
+        let cfg = ClusterConfig::uniform(1).observe(TRACE);
+        let out = Cluster::new(cfg).try_run(|r| {
             let t0 = r.now();
             r.charge_search(10);
             r.record(t0, pack_block(0, true, 10));
             r.record(r.now(), pack_block(1, false, 0));
-            (r.take_trace(), r.now())
+            r.now()
         });
-        let (trace, now) = &out.results.unwrap()[0];
+        let now = &out.results.unwrap()[0];
+        let trace = &out.capture.traces.expect("traced")[0];
         let kinds: Vec<_> = trace.iter().map(|e| e.kind.clone()).collect();
         assert_eq!(kinds, [pack_block(0, true, 10), pack_block(1, false, 0)]);
         assert_eq!((trace[0].start, trace[0].end), (SimTime::ZERO, *now));
@@ -1153,7 +1305,6 @@ mod tests {
             // Taking from an absent observer answers empty...
             assert!(r.take_trace().is_empty());
             assert!(r.take_metrics().is_empty());
-            assert!(r.take_profile().is_empty());
             let map = r.take_comm_map();
             assert_eq!((map.rank(), map.size()), (r.rank(), 2));
             assert!(map.epochs().is_empty() && map.total_msgs_from(peer) == 0);
@@ -1161,20 +1312,28 @@ mod tests {
             assert_eq!((history.rank(), history.size()), (r.rank(), 2));
             assert!(crate::merge_histories(&[history]).points.is_empty());
             // ...and does not switch it on.
-            assert!(r.trace.is_none() && r.metrics.is_none() && r.profiler.is_none());
-            assert!(r.commmap.is_none() && r.history.is_none());
+            assert!(
+                r.observed.trace.is_none()
+                    && r.observed.metrics.is_none()
+                    && r.observed.profile.is_none()
+            );
+            assert!(r.observed.comm_map.is_none() && r.observed.history.is_none());
             assert!(r.metrics_mut().is_none());
 
             // The history derives from the comm map, so it brings it along
             // — and nothing else.
             r.enable_history();
-            assert!(r.commmap.is_some() && r.history.is_some());
-            assert!(r.trace.is_none() && r.metrics.is_none() && r.profiler.is_none());
+            assert!(r.observed.comm_map.is_some() && r.observed.history.is_some());
+            assert!(
+                r.observed.trace.is_none()
+                    && r.observed.metrics.is_none()
+                    && r.observed.profile.is_none()
+            );
             // Taking from an observer that is on leaves it on.
             r.comm_epoch("allgatherv/ring");
             let epochs = |h: RankHistory| crate::merge_histories(&[h]).points.len();
             assert_eq!(epochs(r.take_history()), 1);
-            assert!(r.history.is_some() && epochs(r.take_history()) == 0);
+            assert!(r.observed.history.is_some() && epochs(r.take_history()) == 0);
         });
     }
 
@@ -1242,8 +1401,7 @@ mod tests {
 
     #[test]
     fn send_drain_and_irecv_post_hit_recorder_and_trace() {
-        let run = Cluster::new(ClusterConfig::uniform(2)).try_run(|r| {
-            r.enable_tracing();
+        let run = Cluster::new(ClusterConfig::uniform(2).observe(TRACE)).try_run(|r| {
             if r.rank() == 0 {
                 let done = r.isend_bytes(1, Tag(0), vec![0u8; 4096]);
                 r.send_drain(done);
@@ -1256,9 +1414,8 @@ mod tests {
                 let msg = r.fetch_msg(Some(0), Tag(0));
                 let _ = r.complete_recv_msg(msg);
             }
-            r.take_trace()
         });
-        let out = run.results.unwrap();
+        let out = run.capture.traces.expect("traced");
         assert!(out[0].iter().any(
             |e| matches!(e.kind, EventKind::SendWait { residual } if residual > SimTime::ZERO)
         ));

@@ -3,10 +3,11 @@
 //! counterpart of PETSc's `-log_view`/`Draw` instrumentation.
 //!
 //! Every observed event leaves a rank through [`crate::Rank::record`],
-//! which hands it to the always-on flight recorder and, once
-//! [`crate::Rank::enable_tracing`] has been called, appends it to the
-//! timeline [`crate::Rank::take_trace`] drains. Until then the rank holds
-//! no timeline, and because labels are [`Cow`]s — every label the runtime
+//! which hands it to the always-on flight recorder and, when the run
+//! observes traces ([`crate::Observers`], the one way in; `enable_tracing`
+//! is the frozen benchmark's primitive), appends it to the timeline the
+//! run's [`crate::Capture`] returns. Until then the rank holds no
+//! timeline, and because labels are [`Cow`]s — every label the runtime
 //! and the collectives emit is a `&'static str`; only marks, stage paths
 //! and drift labels are built at run time — recording allocates nothing.
 //! The `examples/timeline.rs` demo renders the events of every rank as an
@@ -252,18 +253,17 @@ pub fn render_timeline(traces: &[Vec<TraceEvent>], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::tests::traced;
     use crate::{Cluster, ClusterConfig, Tag};
 
     #[test]
     fn tracing_records_sends_and_recvs_with_causal_spans() {
-        let out = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
-            rank.enable_tracing();
+        let out = traced(ClusterConfig::uniform(2), |rank| {
             if rank.rank() == 0 {
                 rank.send_bytes(1, Tag(0), vec![0u8; 1200]);
             } else {
                 let _ = rank.recv_bytes(Some(0), Tag(0));
             }
-            rank.take_trace()
         });
         assert_eq!(out[0].len(), 1);
         assert_eq!(out[1].len(), 1);
@@ -289,26 +289,22 @@ mod tests {
 
     #[test]
     fn tracing_off_records_nothing() {
-        let out = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
+        let out = Cluster::new(ClusterConfig::uniform(2)).try_run(|rank| {
             if rank.rank() == 0 {
                 rank.send_bytes(1, Tag(0), vec![1]);
             } else {
                 let _ = rank.recv_bytes(Some(0), Tag(0));
             }
-            rank.take_trace()
         });
-        assert!(out[0].is_empty());
-        assert!(out[1].is_empty());
+        assert!(out.capture.traces.is_none());
     }
 
     #[test]
     fn marks_are_recorded() {
-        let out = Cluster::new(ClusterConfig::uniform(1)).run(|rank| {
-            rank.enable_tracing();
+        let out = traced(ClusterConfig::uniform(1), |rank| {
             rank.compute_flops(1000);
             rank.trace_mark("phase-1");
             rank.compute_flops(1000);
-            rank.take_trace()
         });
         assert_eq!(out[0].len(), 1);
         assert_eq!(
@@ -322,13 +318,11 @@ mod tests {
 
     #[test]
     fn dynamically_named_marks_are_recorded() {
-        let out = Cluster::new(ClusterConfig::uniform(1)).run(|rank| {
-            rank.enable_tracing();
+        let out = traced(ClusterConfig::uniform(1), |rank| {
             for i in 0..3 {
                 rank.compute_flops(100);
                 rank.trace_mark(format!("vcycle-{i}"));
             }
-            rank.take_trace()
         });
         let labels: Vec<_> = out[0]
             .iter()
@@ -452,13 +446,11 @@ mod tests {
 
     #[test]
     fn timeline_renders_rows_for_every_rank() {
-        let traces = Cluster::new(ClusterConfig::uniform(3)).run(|rank| {
-            rank.enable_tracing();
+        let traces = traced(ClusterConfig::uniform(3), |rank| {
             let right = (rank.rank() + 1) % 3;
             let left = (rank.rank() + 2) % 3;
             rank.send_bytes(right, Tag(0), vec![0u8; 4000]);
             let _ = rank.recv_bytes(Some(left), Tag(0));
-            rank.take_trace()
         });
         let art = render_timeline(&traces, 40);
         assert_eq!(art.lines().count(), 4); // 3 ranks + horizon line

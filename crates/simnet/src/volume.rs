@@ -20,6 +20,10 @@
 //! same functions, so the evidence a collective chose from and the
 //! evidence an analysis reports cannot drift apart.
 
+/// `OUTLIER_FRACT` of the paper's equation 1, the quantile bounding "the
+/// bulk": the one value the selector and every analysis use.
+pub const OUTLIER_FRACTION: f64 = 0.9;
+
 /// Return the `k`-th smallest element (0-indexed) of `data`, partially
 /// reordering it in place. Expected linear time (Floyd–Rivest SELECT).
 ///
@@ -235,6 +239,7 @@ mod tests {
         // On sets smaller than 1/(1-fraction) the bulk quantile IS the
         // maximum, so the ratio degenerates to 1 — never a false outlier.
         assert_eq!(outlier_ratio_of(&[1, 1, 1000], 0.9), 1.0);
+        assert!((outlier_ratio_of(&[1000, 10, 10], 0.5) - 100.0).abs() < 1e-12);
         let r = outlier_ratio_of(&[10, 10, 10, 10, 10, 10, 10, 10, 10, 1000], 0.9);
         assert!((r - 100.0).abs() < 1e-12, "ratio {r}");
     }

@@ -413,18 +413,23 @@ fn exporter_output_is_well_formed_json() {
 #[test]
 fn cluster_run_trace_parses() {
     // End-to-end: a real 4-rank cluster exchange exports to valid JSON.
-    use ncd_simnet::{Cluster, ClusterConfig, Tag};
-    let traces = Cluster::new(ClusterConfig::uniform(4)).run(|rank| {
-        rank.enable_tracing();
-        let me = rank.rank();
-        let right = (me + 1) % 4;
-        let left = (me + 3) % 4;
-        rank.send_bytes(right, Tag(0), vec![0u8; 512]);
-        let _ = rank.recv_bytes(Some(left), Tag(0));
-        rank.trace_mark(format!("done-{me}"));
-        rank.take_trace()
-    });
-    let json = chrome_trace_json(&traces);
+    use ncd_simnet::{Cluster, ClusterConfig, Observers, Tag};
+    let trace = Observers {
+        trace: true,
+        ..Observers::NONE
+    };
+    let cluster = Cluster::new(ClusterConfig::uniform(4).observe(trace));
+    let (_, capture) = cluster
+        .try_run(|rank| {
+            let me = rank.rank();
+            let right = (me + 1) % 4;
+            let left = (me + 3) % 4;
+            rank.send_bytes(right, Tag(0), vec![0u8; 512]);
+            let _ = rank.recv_bytes(Some(left), Tag(0));
+            rank.trace_mark(format!("done-{me}"));
+        })
+        .unwrap();
+    let json = chrome_trace_json(&capture.traces.expect("traced"));
     let doc = json::Parser::new(&json).parse_document();
     let events = doc.get("traceEvents").expect("traceEvents").as_array();
     // 1 process + 4 threads metadata + 4*(send+recv+mark).

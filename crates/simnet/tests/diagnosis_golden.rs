@@ -4,29 +4,37 @@
 //! `(src, dst)` order), so a deterministic fixture must serialize to
 //! exactly the committed golden file.
 
-use ncd_simnet::{diagnose, diagnosis_json, Cluster, ClusterConfig, EventKind, Tag, TraceEvent};
+use ncd_simnet::{
+    diagnose, diagnosis_json, Cluster, ClusterConfig, EventKind, Observers, Tag, TraceEvent,
+};
 
 /// A deterministic 4-rank fixture exercising three patterns at once:
 /// rank 0 computes late then feeds a ring (late-sender on 1, chain on
 /// 2/3), all inside a labelled collective round.
 fn fixture() -> Vec<Vec<TraceEvent>> {
     let n = 4;
-    Cluster::new(ClusterConfig::paper_testbed(n)).run(move |rank| {
-        rank.enable_tracing();
-        let me = rank.rank();
-        let op = "allgatherv/ring".into();
-        rank.record(rank.now(), EventKind::Round { op, round: 0 });
-        if me == 0 {
-            rank.compute_flops(5_000_000);
-        }
-        rank.send_bytes((me + 1) % n, Tag(0), vec![0u8; 2048]);
-        let (data, _) = rank.recv_bytes(Some((me + n - 1) % n), Tag(0));
-        let op = "allgatherv/ring".into();
-        rank.record(rank.now(), EventKind::Round { op, round: 1 });
-        rank.send_bytes((me + 1) % n, Tag(1), data);
-        let _ = rank.recv_bytes(Some((me + n - 1) % n), Tag(1));
-        rank.take_trace()
-    })
+    let trace = Observers {
+        trace: true,
+        ..Observers::NONE
+    };
+    let cluster = Cluster::new(ClusterConfig::paper_testbed(n).observe(trace));
+    let (_, capture) = cluster
+        .try_run(move |rank| {
+            let me = rank.rank();
+            let op = "allgatherv/ring".into();
+            rank.record(rank.now(), EventKind::Round { op, round: 0 });
+            if me == 0 {
+                rank.compute_flops(5_000_000);
+            }
+            rank.send_bytes((me + 1) % n, Tag(0), vec![0u8; 2048]);
+            let (data, _) = rank.recv_bytes(Some((me + n - 1) % n), Tag(0));
+            let op = "allgatherv/ring".into();
+            rank.record(rank.now(), EventKind::Round { op, round: 1 });
+            rank.send_bytes((me + 1) % n, Tag(1), data);
+            let _ = rank.recv_bytes(Some((me + n - 1) % n), Tag(1));
+        })
+        .unwrap();
+    capture.traces.expect("traced")
 }
 
 const GOLDEN: &str = include_str!("golden/diagnosis.json");

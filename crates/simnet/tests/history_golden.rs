@@ -4,7 +4,7 @@
 //! traffic), so any change to epoch accounting, analytics, or the JSON
 //! field order shows up as a byte diff.
 
-use ncd_simnet::{history_json, merge_histories, Cluster, ClusterConfig, History, Tag};
+use ncd_simnet::{history_json, Cluster, ClusterConfig, History, Observers, Tag};
 
 const GOLDEN: &str = include_str!("golden/history.json");
 
@@ -12,28 +12,33 @@ const GOLDEN: &str = include_str!("golden/history.json");
 /// 0's column, epoch 1 is a uniform ring shift, plus a `stage:`-style
 /// quiet epoch closed with no traffic.
 fn fixture() -> History {
-    let histories = Cluster::new(ClusterConfig::uniform(4)).run(|rank| {
-        rank.enable_history();
-        let me = rank.rank();
-        let n = rank.size();
-        // Epoch 0: everyone sends 64*(src+1) bytes to rank 0.
-        if me == 0 {
-            for _ in 1..n {
-                let _ = rank.recv_bytes(None, Tag(1));
+    let history = Observers {
+        history: true,
+        ..Observers::NONE
+    };
+    let cluster = Cluster::new(ClusterConfig::uniform(4).observe(history));
+    let (_, capture) = cluster
+        .try_run(|rank| {
+            let me = rank.rank();
+            let n = rank.size();
+            // Epoch 0: everyone sends 64*(src+1) bytes to rank 0.
+            if me == 0 {
+                for _ in 1..n {
+                    let _ = rank.recv_bytes(None, Tag(1));
+                }
+            } else {
+                rank.send_bytes(0, Tag(1), vec![7u8; 64 * (me + 1)]);
             }
-        } else {
-            rank.send_bytes(0, Tag(1), vec![7u8; 64 * (me + 1)]);
-        }
-        rank.comm_epoch("gather/skewed");
-        // Epoch 1: ring shift of 32 bytes.
-        rank.send_bytes((me + 1) % n, Tag(2), vec![1u8; 32]);
-        let _ = rank.recv_bytes(Some((me + n - 1) % n), Tag(2));
-        rank.comm_epoch("shift/ring");
-        // Epoch 2: closed with no traffic at all.
-        rank.comm_epoch("stage:quiet");
-        rank.take_history()
-    });
-    merge_histories(&histories)
+            rank.comm_epoch("gather/skewed");
+            // Epoch 1: ring shift of 32 bytes.
+            rank.send_bytes((me + 1) % n, Tag(2), vec![1u8; 32]);
+            let _ = rank.recv_bytes(Some((me + n - 1) % n), Tag(2));
+            rank.comm_epoch("shift/ring");
+            // Epoch 2: closed with no traffic at all.
+            rank.comm_epoch("stage:quiet");
+        })
+        .unwrap();
+    capture.history.expect("history")
 }
 
 #[test]

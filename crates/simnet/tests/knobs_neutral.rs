@@ -15,8 +15,8 @@
 //! *non*-neutral knob must actually move the same workload.
 
 use ncd_simnet::{
-    diagnose, diagnosis_json, Cluster, ClusterConfig, CostKnobs, EventKind, KnobDim, SimTime, Tag,
-    TraceEvent,
+    diagnose, diagnosis_json, Cluster, ClusterConfig, CostKnobs, EventKind, KnobDim, Observers,
+    SimTime, Tag, TraceEvent,
 };
 
 /// The diagnosis-golden fixture (see `tests/diagnosis_golden.rs`), with
@@ -24,26 +24,35 @@ use ncd_simnet::{
 /// a two-round traced ring.
 fn fixture(knobs: Option<CostKnobs>) -> Vec<(SimTime, Vec<TraceEvent>)> {
     let n = 4;
-    let mut cfg = ClusterConfig::paper_testbed(n);
+    let trace = Observers {
+        trace: true,
+        ..Observers::NONE
+    };
+    let mut cfg = ClusterConfig::paper_testbed(n).observe(trace);
     if let Some(k) = knobs {
         cfg = cfg.with_cost_knobs(k);
     }
-    Cluster::new(cfg).run(move |rank| {
-        rank.enable_tracing();
-        let me = rank.rank();
-        let op = "allgatherv/ring".into();
-        rank.record(rank.now(), EventKind::Round { op, round: 0 });
-        if me == 0 {
-            rank.compute_flops(5_000_000);
-        }
-        rank.send_bytes((me + 1) % n, Tag(0), vec![0u8; 2048]);
-        let (data, _) = rank.recv_bytes(Some((me + n - 1) % n), Tag(0));
-        let op = "allgatherv/ring".into();
-        rank.record(rank.now(), EventKind::Round { op, round: 1 });
-        rank.send_bytes((me + 1) % n, Tag(1), data);
-        let _ = rank.recv_bytes(Some((me + n - 1) % n), Tag(1));
-        (rank.now(), rank.take_trace())
-    })
+    let (clocks, capture) = Cluster::new(cfg)
+        .try_run(move |rank| {
+            let me = rank.rank();
+            let op = "allgatherv/ring".into();
+            rank.record(rank.now(), EventKind::Round { op, round: 0 });
+            if me == 0 {
+                rank.compute_flops(5_000_000);
+            }
+            rank.send_bytes((me + 1) % n, Tag(0), vec![0u8; 2048]);
+            let (data, _) = rank.recv_bytes(Some((me + n - 1) % n), Tag(0));
+            let op = "allgatherv/ring".into();
+            rank.record(rank.now(), EventKind::Round { op, round: 1 });
+            rank.send_bytes((me + 1) % n, Tag(1), data);
+            let _ = rank.recv_bytes(Some((me + n - 1) % n), Tag(1));
+            rank.now()
+        })
+        .unwrap();
+    clocks
+        .into_iter()
+        .zip(capture.traces.expect("traced"))
+        .collect()
 }
 
 /// All-1.0 knobs in their most adversarial spelling: neutral globals

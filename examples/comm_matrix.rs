@@ -26,8 +26,7 @@ use nucomm::core::{
 };
 use nucomm::datatype::Datatype;
 use nucomm::simnet::{
-    comm_matrix_json, merge_comm_maps, render_heatmap, write_artifact, Cluster, ClusterConfig,
-    CostModel, RankCommMap, TraceEvent,
+    comm_matrix_json, render_heatmap, write_artifact, Cluster, ClusterConfig, CostModel, Observers,
 };
 
 const RANKS: usize = 16;
@@ -46,10 +45,14 @@ fn level(rank: usize, spot: usize) -> u32 {
 
 fn main() {
     let cfg = MpiConfig::baseline();
-    let out: Vec<(Vec<TraceEvent>, RankCommMap)> =
-        Cluster::new(ClusterConfig::paper_testbed(RANKS)).run(|rank| {
-            rank.enable_tracing();
-            rank.enable_comm_map();
+    let observers = Observers {
+        trace: true,
+        comm_map: true,
+        ..Observers::NONE
+    };
+    let cluster = ClusterConfig::paper_testbed(RANKS).observe(observers);
+    let (_, capture) = Cluster::new(cluster)
+        .try_run(|rank| {
             let mut comm = Comm::new(rank, cfg.clone());
             let me = comm.rank();
             let n = comm.size();
@@ -92,12 +95,8 @@ fn main() {
             let send = vec![me as u8; counts[me]];
             let mut recv = vec![0u8; counts.iter().sum()];
             comm.allgatherv(&send, &counts, &mut recv);
-
-            (
-                comm.rank_mut().take_trace(),
-                comm.rank_mut().take_comm_map(),
-            )
-        });
+        })
+        .unwrap();
 
     println!(
         "AMR-skew workload under MpiFlavor::Baseline: {RANKS} ranks, {STEPS} boundary \
@@ -105,10 +104,9 @@ fn main() {
     );
 
     // --- Who talks to whom -------------------------------------------------
-    let maps: Vec<RankCommMap> = out.iter().map(|(_, m)| m.clone()).collect();
-    let merged = merge_comm_maps(&maps);
+    let merged = capture.comm_map.expect("mapped");
     println!("{}", render_heatmap(&merged.total));
-    let (total, epochs) = analyze_comm_map(&merged, 0.9, 4);
+    let (total, epochs) = analyze_comm_map(&merged, 4);
     let total = total.expect("traffic present");
     println!(
         "pairs={} max={} B min={} B outlier-ratio={:.1} gini={:.3}",
@@ -133,7 +131,7 @@ fn main() {
     println!("  ... ({} epochs total)\n", epochs.len());
 
     // --- The decision audit ------------------------------------------------
-    let decisions = decisions_from_trace(&out[0].0);
+    let decisions = decisions_from_trace(&capture.traces.expect("traced")[0]);
     println!("algorithm decisions (rank 0):");
     print!("{}", render_decision_log(&decisions));
 

@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --release --example compare_runs`
 
-use ncd_bench::{ledger_run, time_phase, Observe, Series};
+use ncd_bench::{ledger_run, time_phase, Series, OBSERVATORY};
 use ncd_core::{compare, render_compare, Comm, MpiConfig, RegressionClass, RunRecord};
 use ncd_simnet::{ledger_root, read_run, ClusterConfig};
 
@@ -36,7 +36,7 @@ fn skewed_allgatherv(comm: &mut Comm) {
 /// [`RunRecord`] the differential engine consumes.
 fn ledger_once(flavor: &str, cfg: MpiConfig) -> RunRecord {
     let cluster = ClusterConfig::uniform(PROCS);
-    let run = time_phase(cluster, cfg, 5, Observe::ALL, |comm, _| {
+    let run = time_phase(cluster.observe(OBSERVATORY), cfg, 5, |comm, _| {
         skewed_allgatherv(comm)
     });
     let mut latency = Series::new("latency-usec");

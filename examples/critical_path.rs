@@ -19,20 +19,25 @@
 
 use nucomm::core::{AllgathervAlgorithm, Comm, MpiConfig};
 use nucomm::simnet::{
-    analysis_json, attribute_rounds, chrome_trace_json, imbalance_report, write_artifact, Cluster,
-    ClusterConfig, HbGraph, Profiler, TraceEvent,
+    analysis_json, attribute_rounds, chrome_trace_json, imbalance_report, write_artifact, Capture,
+    Cluster, ClusterConfig, HbGraph, Observers,
 };
 
 const RANKS: usize = 8;
 const OUTLIER_DOUBLES: usize = 4096; // 32 KB from rank 0
 
-fn run(algo: AllgathervAlgorithm) -> (Vec<Vec<TraceEvent>>, Vec<Profiler>) {
-    let out = Cluster::new(ClusterConfig::paper_testbed(RANKS)).run(move |rank| {
+fn run(algo: AllgathervAlgorithm) -> Capture {
+    let observers = Observers {
+        trace: true,
+        profile: true,
+        ..Observers::NONE
+    };
+    let cluster = ClusterConfig::paper_testbed(RANKS).observe(observers);
+    let run = Cluster::new(cluster).try_run(move |rank| {
         let mut comm = Comm::new(rank, MpiConfig::baseline());
         comm.barrier();
         comm.rank_mut().reset_clock();
-        comm.rank_mut().enable_tracing();
-        comm.rank_mut().enable_profiling();
+        let _ = comm.rank_mut().harvest(); // observe from here on
 
         let me = comm.rank();
         let mut counts = vec![8usize; RANKS];
@@ -42,9 +47,8 @@ fn run(algo: AllgathervAlgorithm) -> (Vec<Vec<TraceEvent>>, Vec<Profiler>) {
         comm.rank_mut().stage_begin("allgatherv");
         comm.allgatherv_with(algo, &send, &counts, &mut recv);
         comm.rank_mut().stage_end("allgatherv");
-        (comm.rank_mut().take_trace(), comm.rank_mut().take_profile())
     });
-    out.into_iter().unzip()
+    run.unwrap().1
 }
 
 fn main() {
@@ -55,7 +59,8 @@ fn main() {
         (AllgathervAlgorithm::Ring, "ring"),
         (AllgathervAlgorithm::RecursiveDoubling, "recursive_doubling"),
     ] {
-        let (traces, profiles) = run(algo);
+        let capture = run(algo);
+        let traces = capture.traces.expect("traced");
         let graph = HbGraph::build(&traces);
         let path = graph.critical_path();
         let attr = attribute_rounds(&traces);
@@ -65,7 +70,7 @@ fn main() {
         println!("wait/skew attribution (per op, spread across ranks):");
         println!("{}", attr.render());
         println!("stage imbalance across ranks (-log_view style):");
-        println!("{}", imbalance_report(&profiles));
+        println!("{}", imbalance_report(&capture.profiles.expect("profiled")));
 
         let json = format!("target/analysis/critical_path_{slug}.json");
         write_artifact(&json, &analysis_json(&path, &attr)).expect("write analysis json");

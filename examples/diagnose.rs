@@ -29,8 +29,8 @@ use nucomm::core::{
     decisions_from_trace, detect_misselections, remediation_hints, render_hints, Comm, MpiConfig,
 };
 use nucomm::simnet::{
-    diagnose, diagnosis_json, merge_comm_maps, mirror_to_recorders, render_dump, write_artifact,
-    Cluster, ClusterConfig, WaitPattern,
+    diagnose, diagnosis_json, mirror_to_recorders, render_dump, write_artifact, Cluster,
+    ClusterConfig, Observers, WaitPattern,
 };
 
 const RANKS: usize = 16;
@@ -38,13 +38,16 @@ const STEPS: usize = 3;
 const OUTLIER: usize = 0;
 
 fn main() {
-    let cluster = ClusterConfig::paper_testbed(RANKS);
+    let observers = Observers {
+        trace: true,
+        comm_map: true,
+        ..Observers::NONE
+    };
+    let cluster = ClusterConfig::paper_testbed(RANKS).observe(observers);
     let cost = cluster.cost.clone();
     let cfg = MpiConfig::baseline();
     let mpi = cfg.clone();
     let run = Cluster::new(cluster).try_run(move |rank| {
-        rank.enable_tracing();
-        rank.enable_comm_map();
         let mut comm = Comm::new(rank, mpi.clone());
         let me = comm.rank();
         let n = comm.size();
@@ -60,12 +63,11 @@ fn main() {
             let mut recv = vec![0u8; total];
             comm.allgatherv(&send, &counts, &mut recv);
         }
-        let map = comm.rank_mut().take_comm_map();
-        let trace = comm.rank_mut().take_trace();
-        (trace, map)
     });
-    let out = run.results.unwrap_or_else(|err| err.raise(&run.recorders));
-    let (traces, maps): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+    let recorders = run.recorders.clone();
+    let (_, capture) = run.unwrap();
+    let traces = capture.traces.expect("traced");
+    let map = capture.comm_map.expect("mapped");
 
     // Classify every blocked receive and rank the findings.
     let diag = diagnose(&traces);
@@ -73,16 +75,15 @@ fn main() {
 
     // Join against the decision audit for remediation hints.
     let decisions = decisions_from_trace(&traces[OUTLIER]);
-    let map = merge_comm_maps(&maps);
     let audit = detect_misselections(&decisions, Some(&map), &cost, &cfg);
     let hints = remediation_hints(&diag, &decisions, &audit, &[]);
     print!("{}", render_hints(&hints));
 
     // Mirror the top findings into the blamed ranks' flight recorders,
     // then show the dump a failure would produce.
-    let mirrored = mirror_to_recorders(&diag, 3, &run.recorders);
+    let mirrored = mirror_to_recorders(&diag, 3, &recorders);
     println!("\n{mirrored} finding(s) mirrored into the flight recorder;");
-    let dump = render_dump(&run.recorders);
+    let dump = render_dump(&recorders);
     for line in dump.lines().filter(|l| l.contains("diag ")) {
         println!("{line}");
     }

@@ -25,8 +25,7 @@ use nucomm::core::{
     AllgathervAlgorithm, Comm, DriftConfig, MpiConfig,
 };
 use nucomm::simnet::{
-    history_json, history_report, merge_histories, render_dump, write_artifact, Cluster,
-    ClusterConfig,
+    history_json, history_report, render_dump, write_artifact, Cluster, ClusterConfig, Observers,
 };
 
 const RANKS: usize = 16;
@@ -53,9 +52,13 @@ fn counts(spot: Option<usize>, depth: u32) -> Vec<usize> {
 fn main() {
     // (spot, depth) per regime: uniform, refine at 5, remesh to 10 deeper.
     let regimes = [(None, 0u32), (Some(5), 2), (Some(10), 3)];
-    let run = Cluster::new(ClusterConfig::paper_testbed(RANKS)).try_run(move |rank| {
-        rank.enable_tracing();
-        rank.enable_history(); // also enables the comm map it derives from
+    let observers = Observers {
+        trace: true,
+        history: true,
+        ..Observers::NONE
+    };
+    let cluster = ClusterConfig::paper_testbed(RANKS).observe(observers);
+    let run = Cluster::new(cluster).try_run(move |rank| {
         let mut comm = Comm::new(rank, MpiConfig::optimized());
         let me = comm.rank();
         for (spot, depth) in regimes {
@@ -69,19 +72,16 @@ fn main() {
                 comm.allgatherv_with(AllgathervAlgorithm::Ring, &send, &counts, &mut recv);
             }
         }
-        let trace = comm.rank_mut().take_trace();
-        let history = comm.rank_mut().take_history();
-        (trace, history)
     });
-    let out = run.results.unwrap_or_else(|err| err.raise(&run.recorders));
+    let recorders = run.recorders.clone();
+    let (_, capture) = run.unwrap();
 
     // --- The epoch time series -------------------------------------------
-    let histories: Vec<_> = out.iter().map(|(_, h)| h.clone()).collect();
-    let merged = merge_histories(&histories);
+    let merged = capture.history.expect("history");
     print!("{}", history_report(&merged));
 
     // --- Drift events the online monitor fired ----------------------------
-    let drift = drift_events_from_trace(&out[0].0);
+    let drift = drift_events_from_trace(&capture.traces.expect("traced")[0]);
     print!("\n{}", render_drift_events(&drift));
     let bound = DriftConfig::default().warmup + 1;
     for boundary in [EPOCHS as u32, 2 * EPOCHS as u32] {
@@ -95,7 +95,7 @@ fn main() {
 
     // The same events survive in the flight recorder's drift ring, immune
     // to main-ring eviction — this is what a post-mortem dump shows.
-    let dump = render_dump(&run.recorders);
+    let dump = render_dump(&recorders);
     let drift_lines: Vec<&str> = dump
         .lines()
         .filter(|l| l.contains("drift      "))

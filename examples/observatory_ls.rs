@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example observatory_ls`
 
-use ncd_bench::{ledger_run, time_phase, Observe, Series};
+use ncd_bench::{ledger_run, time_phase, Series, OBSERVATORY};
 use ncd_core::{MpiConfig, RunRecord};
 use ncd_simnet::{latest_run_id, ledger_root, read_run, ClusterConfig};
 
@@ -32,7 +32,7 @@ struct Row {
 /// Ledger one run of the Figure 14 workload under `cfg`.
 fn seed_run(flavor: &str, cfg: MpiConfig) {
     let cluster = ClusterConfig::uniform(PROCS);
-    let run = time_phase(cluster, cfg, 3, Observe::ALL, |comm, _| {
+    let run = time_phase(cluster.observe(OBSERVATORY), cfg, 3, |comm, _| {
         let mut counts = vec![8usize; comm.size()];
         counts[0] = 4096 * 8;
         let me = comm.rank();

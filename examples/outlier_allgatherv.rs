@@ -11,6 +11,7 @@
 //! Run with: `cargo run --release --example outlier_allgatherv`
 
 use nucomm::core::{detect_outliers, Comm, MpiConfig, VolumeShape};
+use nucomm::simnet::volume::OUTLIER_FRACTION;
 use nucomm::simnet::{Cluster, ClusterConfig, SimTime};
 
 fn gather(nprocs: usize, outlier_bytes: usize, cfg: MpiConfig) -> (SimTime, String) {
@@ -43,12 +44,10 @@ fn main() {
 
     let mut vols = vec![8usize; n];
     vols[0] = outlier;
-    println!(
-        "volume set: one rank at {outlier} B, {} ranks at 8 B -> {:?}",
-        n - 1,
-        detect_outliers(&vols, 0.9, 8.0)
-    );
-    assert_eq!(detect_outliers(&vols, 0.9, 8.0), VolumeShape::Outliers);
+    let shape = detect_outliers(&vols, OUTLIER_FRACTION, 8.0);
+    let ranks = n - 1;
+    println!("volume set: one rank at {outlier} B, {ranks} ranks at 8 B -> {shape:?}");
+    assert_eq!(shape, VolumeShape::Outliers);
 
     let (tb, algo_b) = gather(n, outlier, MpiConfig::baseline());
     let (tn, algo_n) = gather(n, outlier, MpiConfig::optimized());

@@ -21,7 +21,7 @@ use nucomm::datatype::{
     pack_all_profiled, BlockLog, Datatype, EngineKind, EngineParams, StructField,
 };
 use nucomm::simnet::{
-    chrome_trace_json, render_timeline_fit, write_artifact, Cluster, ClusterConfig, Tag,
+    chrome_trace_json, render_timeline_fit, write_artifact, Cluster, ClusterConfig, Observers, Tag,
 };
 
 /// One particle: 24 bytes of position, an 8-byte hole, then a tag double.
@@ -122,8 +122,11 @@ fn main() {
     ] {
         let mut cfg = cfg;
         cfg.engine.block_size = 4096;
-        let traces = Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
-            rank.enable_tracing();
+        let trace = Observers {
+            trace: true,
+            ..Observers::NONE
+        };
+        let run = Cluster::new(ClusterConfig::uniform(2).observe(trace)).try_run(move |rank| {
             let mut comm = Comm::new(rank, cfg.clone());
             let dt = particle();
             let n = 2048;
@@ -136,8 +139,8 @@ fn main() {
                 let row = Datatype::contiguous(total, &Datatype::byte()).expect("row");
                 comm.recv(&mut dst, &row, 1, Some(0), Tag(0));
             }
-            comm.rank_mut().take_trace()
         });
+        let traces = run.unwrap().1.traces.expect("traced");
         println!("\n{label}: pack blocks on the dt lane (p = sparse/packed):");
         print!("{}", render_timeline_fit(&traces, 100));
         let json = format!("target/figures/pack_profile_{}.json", {

@@ -9,7 +9,7 @@
 
 use nucomm::core::{Comm, MpiConfig};
 use nucomm::petsc::{richardson, KspSettings, LaplacianOp, Multigrid, PVec, ScatterBackend};
-use nucomm::simnet::{Cluster, ClusterConfig, MetricsRegistry, Profiler};
+use nucomm::simnet::{Cluster, ClusterConfig, Observers, Profiler};
 
 const GRID: usize = 24;
 const RANKS: usize = 8;
@@ -30,9 +30,13 @@ fn main() {
             ScatterBackend::Datatype,
         ),
     ] {
-        let out = Cluster::new(ClusterConfig::paper_testbed(RANKS)).run(|rank| {
-            rank.enable_profiling();
-            rank.enable_metrics();
+        let observers = Observers {
+            profile: true,
+            metrics: true,
+            ..Observers::NONE
+        };
+        let cluster = ClusterConfig::paper_testbed(RANKS).observe(observers);
+        let run = Cluster::new(cluster).try_run(|rank| {
             let mut comm = Comm::new(rank, cfg.clone());
             let h = 1.0 / GRID as f64;
             let mg = Multigrid::new(&mut comm, &[GRID, GRID, GRID], h, 3, backend);
@@ -63,18 +67,14 @@ fn main() {
             );
             comm.rank_mut().stage_end("solve");
             assert!(res.converged, "solver did not converge: {res:?}");
-            (
-                comm.rank_mut().take_profile(),
-                comm.rank_mut().take_metrics(),
-            )
         });
 
+        let (_, capture) = run.unwrap();
         let mut profile = Profiler::enabled();
-        let mut metrics = MetricsRegistry::enabled();
-        for (p, m) in &out {
+        for p in &capture.profiles.expect("profiled") {
             profile.merge(p);
-            metrics.merge(m);
         }
+        let metrics = capture.metrics.expect("metered");
         println!("=== {label} ===");
         println!("{}", profile.report());
         println!(

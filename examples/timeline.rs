@@ -14,17 +14,22 @@
 use nucomm::core::{Comm, MpiConfig, WPeer};
 use nucomm::datatype::Datatype;
 use nucomm::simnet::{
-    chrome_trace_json, render_timeline_fit, write_artifact, Cluster, ClusterConfig, TraceEvent,
+    chrome_trace_json, render_timeline_fit, write_artifact, Cluster, ClusterConfig, Observers,
+    TraceEvent,
 };
 
 const RANKS: usize = 8;
 
 fn run(cfg: MpiConfig, ranks: usize) -> Vec<Vec<TraceEvent>> {
-    Cluster::new(ClusterConfig::paper_testbed(ranks)).run(|rank| {
+    let trace = Observers {
+        trace: true,
+        ..Observers::NONE
+    };
+    let run = Cluster::new(ClusterConfig::paper_testbed(ranks).observe(trace)).try_run(|rank| {
         let mut comm = Comm::new(rank, cfg.clone());
         comm.barrier();
         comm.rank_mut().reset_clock();
-        comm.rank_mut().enable_tracing();
+        let _ = comm.rank_mut().harvest(); // trace from here on
 
         let me = comm.rank();
         let n = comm.size();
@@ -41,8 +46,8 @@ fn run(cfg: MpiConfig, ranks: usize) -> Vec<Vec<TraceEvent>> {
         let sendbuf = vec![me as u8; 1600];
         let mut recvbuf = vec![0u8; 1600];
         comm.alltoallw(&sendbuf, &sends, &mut recvbuf, &recvs);
-        comm.rank_mut().take_trace()
-    })
+    });
+    run.unwrap().1.traces.expect("traced")
 }
 
 fn main() {

@@ -6,7 +6,7 @@
 use nucomm::core::{AlltoallwSchedule, Comm, MpiConfig, WPeer};
 use nucomm::datatype::Datatype;
 use nucomm::petsc::{IndexSet, Layout, PVec, ScatterBackend, VecScatter};
-use nucomm::simnet::{Cluster, ClusterConfig, EventKind, Rank};
+use nucomm::simnet::{Cluster, ClusterConfig, EventKind, Observers, Rank};
 
 const RANKS: usize = 16;
 
@@ -31,25 +31,36 @@ fn fnv1a<'a>(buffers: impl Iterator<Item = &'a [u8]>) -> u64 {
     })
 }
 
-/// What one rank hands back: its pin and the bytes it received.
-fn pin(rank: &mut Rank, received: Vec<u8>) -> (RankPin, Vec<u8>) {
-    let order = rank
-        .take_trace()
-        .into_iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Recv { src, .. } => Some(src),
-            _ => None,
+/// Run `f`, which returns the bytes its rank received, traced on
+/// `cluster`: every rank's pin and those bytes.
+fn pinned(
+    cluster: ClusterConfig,
+    f: impl Fn(&mut Rank) -> Vec<u8> + Send + Sync,
+) -> Vec<(RankPin, Vec<u8>)> {
+    let trace = Observers {
+        trace: true,
+        ..Observers::NONE
+    };
+    let (out, capture) = Cluster::new(cluster.observe(trace))
+        .try_run(|rank| {
+            let received = f(rank);
+            let stats = rank.stats();
+            let clock = rank.now().as_ns();
+            let pin = (clock, stats.pack.as_ns(), stats.msgs_sent, stats.bytes_sent);
+            (pin, received)
         })
-        .collect();
-    let stats = rank.stats();
-    let pin = (
-        rank.now().as_ns(),
-        stats.pack.as_ns(),
-        stats.msgs_sent,
-        stats.bytes_sent,
-        order,
-    );
-    (pin, received)
+        .unwrap();
+    let traces = capture.traces.expect("traced");
+    out.into_iter()
+        .zip(traces)
+        .map(|(((clock, pack, msgs, bytes), received), trace)| {
+            let order = trace.iter().filter_map(|e| match e.kind {
+                EventKind::Recv { src, .. } => Some(src),
+                _ => None,
+            });
+            ((clock, pack, msgs, bytes, order.collect()), received)
+        })
+        .collect()
 }
 
 /// Every rank's result checked against one [`Case`].
@@ -91,8 +102,7 @@ fn alltoallw(
 ) -> Vec<(RankPin, Vec<u8>)> {
     const REGION: usize = 2 * 190;
     let value = |src: usize, dst: usize, k: usize| ((src * RANKS + dst) * 1000 + k) as f64;
-    Cluster::new(cluster).run(move |rank| {
-        rank.enable_tracing();
+    pinned(cluster, move |rank| {
         let mut comm = Comm::new(rank, MpiConfig::optimized());
         let me = comm.rank();
         let double = Datatype::double();
@@ -119,7 +129,7 @@ fn alltoallw(
                 assert_eq!(got, value(j, me, k), "rank {me} slot {j}/{k}");
             }
         }
-        pin(comm.rank_mut(), recvbuf)
+        recvbuf
     })
 }
 
@@ -131,7 +141,7 @@ fn hand_tuned_scatter() -> Vec<(RankPin, Vec<u8>)> {
     let n = RANKS * LOCAL;
     let dest_of = move |g: usize| (g * 37 + 11) % n;
     let cluster = ClusterConfig::paper_testbed(RANKS).with_seed(20070326);
-    Cluster::new(cluster).run(move |rank| {
+    pinned(cluster, move |rank| {
         let mut comm = Comm::new(rank, MpiConfig::optimized());
         let me = comm.rank();
         let layout = Layout::balanced(n, RANKS);
@@ -141,7 +151,7 @@ fn hand_tuned_scatter() -> Vec<(RankPin, Vec<u8>)> {
         let src = IndexSet::stride(s, 1, e - s);
         let dst = IndexSet::general((s..e).map(dest_of).collect::<Vec<_>>());
         let plan = VecScatter::create(&mut comm, layout.clone(), &src, layout, &dst);
-        comm.rank_mut().enable_tracing();
+        let _ = comm.rank_mut().harvest(); // trace the apply, not the set-up
         comm.rank_mut().compute_flops(staggered(me));
         plan.apply(&mut comm, &x, &mut y, ScatterBackend::HandTuned);
         for g in 0..n {
@@ -150,8 +160,7 @@ fn hand_tuned_scatter() -> Vec<(RankPin, Vec<u8>)> {
                 assert_eq!(y.local()[d - s], g as f64, "slot {d}");
             }
         }
-        let received: Vec<u8> = y.local().iter().flat_map(|v| v.to_le_bytes()).collect();
-        pin(comm.rank_mut(), received)
+        y.local().iter().flat_map(|v| v.to_le_bytes()).collect()
     })
 }
 

@@ -10,25 +10,31 @@
 
 use nucomm::core::{AllgathervAlgorithm, Comm, MpiConfig};
 use nucomm::simnet::{
-    analysis_json, attribute_rounds, Cluster, ClusterConfig, HbGraph, SimTime, TraceEvent,
+    analysis_json, attribute_rounds, Cluster, ClusterConfig, HbGraph, Observers, SimTime,
+    TraceEvent,
 };
 
 const RANKS: usize = 8;
 
 fn outlier_allgatherv(algo: AllgathervAlgorithm) -> Vec<Vec<TraceEvent>> {
-    Cluster::new(ClusterConfig::paper_testbed(RANKS)).run(move |rank| {
+    let trace = Observers {
+        trace: true,
+        ..Observers::NONE
+    };
+    let cluster = Cluster::new(ClusterConfig::paper_testbed(RANKS).observe(trace));
+    let run = cluster.try_run(move |rank| {
         let mut comm = Comm::new(rank, MpiConfig::baseline());
         comm.barrier();
         comm.rank_mut().reset_clock();
-        comm.rank_mut().enable_tracing();
+        let _ = comm.rank_mut().harvest(); // trace from here on
         let me = comm.rank();
         let mut counts = vec![8usize; RANKS];
         counts[0] = 4096 * 8;
         let send = vec![me as u8; counts[me]];
         let mut recv = vec![0u8; counts.iter().sum()];
         comm.allgatherv_with(algo, &send, &counts, &mut recv);
-        comm.rank_mut().take_trace()
-    })
+    });
+    run.unwrap().1.traces.expect("traced")
 }
 
 #[test]

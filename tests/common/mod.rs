@@ -3,9 +3,9 @@
 
 use nucomm::core::{decisions_from_trace, decisions_json, Comm, MpiConfig};
 use nucomm::simnet::{
-    analysis_json, attribute_rounds, comm_matrix_json, diagnose, diagnosis_json, merge_comm_maps,
-    metrics_artifact_json, series_json, Cluster, ClusterConfig, HbGraph, LedgerRun,
-    MetricsRegistry, RunManifest, Series, SCHEMA_VERSION,
+    analysis_json, attribute_rounds, comm_matrix_json, diagnose, diagnosis_json,
+    metrics_artifact_json, series_json, Cluster, ClusterConfig, HbGraph, LedgerRun, Observers,
+    RunManifest, Series, SCHEMA_VERSION,
 };
 
 /// Sixteen ranks gather one 32 KiB outlier among 8-byte blocks, every
@@ -14,30 +14,23 @@ pub fn ledgered(flavor: &str, cfg: MpiConfig) -> LedgerRun {
     let n = 16;
     let mut counts = vec![8usize; n];
     counts[0] = 32 * 1024;
-    let parts = Cluster::new(ClusterConfig::paper_testbed(n)).run(move |rank| {
-        rank.enable_tracing();
-        rank.enable_metrics();
-        rank.enable_comm_map();
+    let observers = Observers {
+        trace: true,
+        metrics: true,
+        comm_map: true,
+        ..Observers::NONE
+    };
+    let cluster = ClusterConfig::paper_testbed(n).observe(observers);
+    let run = Cluster::new(cluster).try_run(move |rank| {
         let mut comm = Comm::new(rank, cfg.clone());
         let mut recv = vec![0u8; counts.iter().sum()];
         comm.allgatherv(&vec![1u8; counts[comm.rank()]], &counts, &mut recv);
-        let rank = comm.rank_mut();
-        let done = rank.now();
-        (
-            rank.take_trace(),
-            rank.take_comm_map(),
-            rank.take_metrics(),
-            done,
-        )
+        comm.rank_ref().now()
     });
-    let mut metrics = MetricsRegistry::enabled();
-    let (mut traces, mut maps, mut makespan) = (Vec::new(), Vec::new(), 0);
-    for (trace, map, reg, done) in parts {
-        traces.push(trace);
-        maps.push(map);
-        metrics.merge(&reg);
-        makespan = makespan.max(done.as_ns());
-    }
+    let (done, capture) = run.unwrap();
+    let makespan = done.iter().map(|t| t.as_ns()).max().unwrap_or(0);
+    let traces = capture.traces.expect("traced");
+    let metrics = capture.metrics.expect("metered");
     let mut latency = Series::new("allgatherv-ns");
     latency.push("16", makespan as f64);
     let path = HbGraph::build(&traces).critical_path();
@@ -46,7 +39,10 @@ pub fn ledgered(flavor: &str, cfg: MpiConfig) -> LedgerRun {
             "analysis.json",
             analysis_json(&path, &attribute_rounds(&traces)),
         ),
-        ("comm.json", comm_matrix_json(&merge_comm_maps(&maps))),
+        (
+            "comm.json",
+            comm_matrix_json(&capture.comm_map.expect("mapped")),
+        ),
         (
             "decisions.json",
             decisions_json(&decisions_from_trace(&traces[0])),

@@ -15,7 +15,9 @@
 
 use nucomm::core::{Comm, MpiConfig, WPeer};
 use nucomm::datatype::Datatype;
-use nucomm::simnet::{check_severity_bound, diagnose, Cluster, ClusterConfig, TraceEvent};
+use nucomm::simnet::{
+    check_severity_bound, diagnose, Cluster, ClusterConfig, Observers, TraceEvent,
+};
 
 /// Deterministic 64-bit LCG (Knuth's MMIX constants); high bits only.
 struct Lcg(u64);
@@ -96,8 +98,12 @@ impl Schedule {
 }
 
 fn run_schedule(seed: u64, n: usize, cfg: MpiConfig) -> Vec<Vec<TraceEvent>> {
-    Cluster::new(ClusterConfig::paper_testbed(n)).run(move |rank| {
-        rank.enable_tracing();
+    let trace = Observers {
+        trace: true,
+        ..Observers::NONE
+    };
+    let cluster = Cluster::new(ClusterConfig::paper_testbed(n).observe(trace));
+    let run = cluster.try_run(move |rank| {
         let sched = Schedule::draw(seed, n);
         let mut comm = Comm::new(rank, cfg.clone());
         let me = comm.rank();
@@ -146,8 +152,8 @@ fn run_schedule(seed: u64, n: usize, cfg: MpiConfig) -> Vec<Vec<TraceEvent>> {
             let part = comm.scatterv(supplied.as_deref(), root);
             assert_eq!(part.len(), parts[me]);
         }
-        comm.rank_mut().take_trace()
-    })
+    });
+    run.unwrap().1.traces.expect("traced")
 }
 
 #[test]

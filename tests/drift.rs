@@ -10,8 +10,7 @@ use nucomm::core::{
     DriftConfig, DriftDirection, MpiConfig,
 };
 use nucomm::simnet::{
-    history_json, merge_histories, render_dump, Cluster, ClusterConfig, EventKind, History,
-    TraceEvent,
+    history_json, render_dump, Cluster, ClusterConfig, EventKind, History, Observers, TraceEvent,
 };
 
 const RANKS: usize = 8;
@@ -38,10 +37,14 @@ fn counts(spot: Option<usize>, depth: u32) -> Vec<usize> {
 /// injected remeshes. Returns rank 0's trace, the merged history and the
 /// run's flight-recorder dump.
 fn remeshing_run() -> (Vec<TraceEvent>, History, String) {
-    let run = Cluster::new(ClusterConfig::paper_testbed(RANKS)).try_run(|rank| {
-        rank.enable_metrics();
-        rank.enable_tracing();
-        rank.enable_history();
+    let observers = Observers {
+        metrics: true,
+        trace: true,
+        history: true,
+        ..Observers::NONE
+    };
+    let cluster = ClusterConfig::paper_testbed(RANKS).observe(observers);
+    let run = Cluster::new(cluster).try_run(|rank| {
         let mut comm = Comm::new(rank, MpiConfig::optimized());
         let me = comm.rank();
         for (spot, depth) in [(None, 0u32), (Some(2), 2), (Some(6), 3)] {
@@ -55,23 +58,22 @@ fn remeshing_run() -> (Vec<TraceEvent>, History, String) {
                 comm.allgatherv_with(AllgathervAlgorithm::Ring, &send, &counts, &mut recv);
             }
         }
-        let metrics = comm.rank_mut().take_metrics();
-        let trace = comm.rank_mut().take_trace();
-        let history = comm.rank_mut().take_history();
-        (trace, history, metrics)
+        // Each rank's own registry (the merged one is the capture's).
+        let metrics = comm.rank_mut().metrics_mut().expect("metered");
+        metrics.counter("drift", "allgatherv/ring", "bytes")
     });
     let out = run.results.expect("the remeshing run completes");
-    let histories: Vec<_> = out.iter().map(|(_, h, _)| h.clone()).collect();
     // The drift counter must have fired on every rank's registry.
-    for (_, _, m) in &out {
+    for fired in out {
         assert!(
-            m.counter("drift", "allgatherv/ring", "bytes") > 0,
+            fired > 0,
             "drift events must be mirrored into drift/* metrics"
         );
     }
+    let traces = run.capture.traces.expect("traced");
     (
-        out.into_iter().next().unwrap().0,
-        merge_histories(&histories),
+        traces.into_iter().next().unwrap(),
+        run.capture.history.expect("history"),
         render_dump(&run.recorders),
     )
 }

@@ -8,7 +8,9 @@
 
 use nucomm::core::{AllgathervAlgorithm, Comm, MpiConfig, WPeer};
 use nucomm::datatype::Datatype;
-use nucomm::simnet::{diagnose, mirror_to_recorders, render_dump, Cluster, ClusterConfig, Tag};
+use nucomm::simnet::{
+    diagnose, mirror_to_recorders, render_dump, Cluster, ClusterConfig, Observers, Tag,
+};
 
 const RANKS: usize = 4;
 /// Epochs per stationary regime of the remeshing sequence.
@@ -84,15 +86,20 @@ fn program(comm: &mut Comm) {
 const GOLDEN: &str = include_str!("golden/flight_dump.txt");
 
 fn observed_run_dump() -> String {
-    let run =
-        Cluster::new(ClusterConfig::uniform(RANKS).with_recorder_capacity(16)).try_run(|rank| {
-            rank.enable_tracing();
-            rank.enable_profiling();
-            rank.enable_history();
-            program(&mut Comm::new(rank, MpiConfig::optimized()));
-            rank.take_trace()
-        });
-    let diagnosis = diagnose(&run.results.expect("the program completes"));
+    let observers = Observers {
+        trace: true,
+        profile: true,
+        history: true,
+        ..Observers::NONE
+    };
+    let cluster = ClusterConfig::uniform(RANKS)
+        .with_recorder_capacity(16)
+        .observe(observers);
+    let run = Cluster::new(cluster).try_run(|rank| {
+        program(&mut Comm::new(rank, MpiConfig::optimized()));
+    });
+    assert!(run.results.is_ok(), "the program completes");
+    let diagnosis = diagnose(&run.capture.traces.expect("traced"));
     assert!(
         mirror_to_recorders(&diagnosis, 4, &run.recorders) > 0,
         "the late rank must leave a finding to mirror"

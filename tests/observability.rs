@@ -12,16 +12,19 @@
 use nucomm::core::{Comm, MpiConfig};
 use nucomm::datatype::{matrix_column_type, Datatype};
 use nucomm::simnet::{
-    check_severity_bound, diagnose, Cluster, ClusterConfig, CostKind, MetricsRegistry, SimTime,
-    Stats, Tag, TraceEvent,
+    check_severity_bound, diagnose, Cluster, ClusterConfig, CostKind, MetricsRegistry, Observers,
+    SimTime, Stats, Tag,
 };
 
 /// The Figure 13 workload: rank 0 sends `n` strided columns, rank 1
 /// receives them contiguously. Returns per-rank stats and the cluster-wide
 /// merged metrics registry.
 fn transpose_run(n: usize, cfg: MpiConfig) -> (Vec<Stats>, MetricsRegistry) {
-    let out = Cluster::new(ClusterConfig::uniform(2)).run(|rank| {
-        rank.enable_metrics();
+    let metrics = Observers {
+        metrics: true,
+        ..Observers::NONE
+    };
+    let run = Cluster::new(ClusterConfig::uniform(2).observe(metrics)).try_run(|rank| {
         let mut comm = Comm::new(rank, cfg.clone());
         let bytes = n * n * 24;
         let col = matrix_column_type(n, n, 3).expect("column type");
@@ -33,16 +36,10 @@ fn transpose_run(n: usize, cfg: MpiConfig) -> (Vec<Stats>, MetricsRegistry) {
             let mut dst = vec![0u8; bytes];
             comm.recv(&mut dst, &row, 1, Some(0), Tag(7));
         }
-        (
-            comm.rank_ref().stats().clone(),
-            comm.rank_mut().take_metrics(),
-        )
+        comm.rank_ref().stats().clone()
     });
-    let mut merged = MetricsRegistry::enabled();
-    for (_, m) in &out {
-        merged.merge(m);
-    }
-    (out.into_iter().map(|(s, _)| s).collect(), merged)
+    let (stats, capture) = run.unwrap();
+    (stats, capture.metrics.expect("metered"))
 }
 
 #[test]
@@ -125,21 +122,10 @@ fn search_share_grows_single_context_and_stays_zero_dual() {
 
 /// The workload for the no-overhead check: an allgatherv (multi-round
 /// collective, exercises rounds instrumentation) followed by an alltoallw
-/// (bin counters) and a strided send/recv pair (engine counters).
-fn busy_workload(
-    rank: &mut nucomm::simnet::Rank,
-    cfg: &MpiConfig,
-    observed: bool,
-) -> (SimTime, Vec<TraceEvent>) {
-    if observed {
-        rank.enable_metrics();
-        rank.enable_tracing();
-        rank.enable_profiling();
-        // The temporal layer rides along: epoch history (which pulls in
-        // the comm map) plus the online drift monitor it arms.
-        rank.enable_history();
-        rank.stage_begin("workload");
-    }
+/// (bin counters) and a strided send/recv pair (engine counters), inside
+/// one profiling stage (a no-op unless the run profiles).
+fn busy_workload(rank: &mut nucomm::simnet::Rank, cfg: &MpiConfig) -> SimTime {
+    rank.stage_begin("workload");
     let mut comm = Comm::new(rank, cfg.clone());
     let n = comm.size();
     let me = comm.rank();
@@ -172,24 +158,23 @@ fn busy_workload(
         comm.recv(&mut dst, &row, 1, Some(0), Tag(9));
     }
     comm.barrier();
-    if observed {
-        comm.rank_mut().stage_end("workload");
-    }
-    (comm.rank_ref().now(), comm.rank_mut().take_trace())
+    comm.rank_mut().stage_end("workload");
+    comm.rank_ref().now()
 }
 
 #[test]
 fn observability_disabled_and_enabled_produce_identical_times() {
     for cfg in [MpiConfig::baseline(), MpiConfig::optimized()] {
         for ranks in [4, 8] {
-            let quiet: Vec<SimTime> = Cluster::new(ClusterConfig::paper_testbed(ranks))
-                .run(|rank| busy_workload(rank, &cfg, false))
-                .into_iter()
-                .map(|(t, _)| t)
-                .collect();
-            let out = Cluster::new(ClusterConfig::paper_testbed(ranks))
-                .run(|rank| busy_workload(rank, &cfg, true));
-            let (observed, traces): (Vec<SimTime>, Vec<Vec<TraceEvent>>) = out.into_iter().unzip();
+            let quiet = Cluster::new(ClusterConfig::paper_testbed(ranks))
+                .run(|rank| busy_workload(rank, &cfg));
+            // Every observer, the temporal layer included: epoch history
+            // (which pulls in the comm map) and the drift monitor it arms.
+            let everything = ClusterConfig::paper_testbed(ranks).observe(Observers::ALL);
+            let (observed, capture) = Cluster::new(everything)
+                .try_run(|rank| busy_workload(rank, &cfg))
+                .unwrap();
+            let traces = capture.traces.expect("traced");
             assert_eq!(
                 quiet, observed,
                 "metrics/tracing/profiling/history must not perturb simulated time \
