@@ -253,7 +253,7 @@ fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
     let diag = run.diagnosis().expect("traced");
     let decisions = decisions_from_trace(&traces[OUTLIER]);
     let audit = detect_misselections(&decisions, run.capture.comm_map.as_ref(), &cost, &cfg);
-    let hints = remediation_hints(&diag, &decisions, &audit, &[]);
+    let hints = remediation_hints(&diag, &decisions, &audit);
     report(
         cli,
         "ext_amr_diagnosis",

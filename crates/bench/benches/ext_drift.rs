@@ -13,7 +13,7 @@
 //! What the temporal layer must show (and this bench asserts):
 //!
 //! * every injected remesh fires a [`DriftEvent`] on the volume or skew
-//!   series within the detector's warmup bound of the boundary epoch;
+//!   series within [`DRIFT_DETECTION_BOUND`] epochs of the boundary;
 //! * the pattern-recurrence join sees each regime's hash recur while the
 //!   regimes stay put, so recurrence stability drops as remeshes pile up.
 //!
@@ -22,8 +22,8 @@
 
 use ncd_bench::{report, BenchCli, RunCapture, Series, OBSERVATORY};
 use ncd_core::{
-    drift_events_from_trace, pattern_recurrence, AllgathervAlgorithm, Comm, DriftConfig,
-    DriftEvent, MpiConfig,
+    drift_events_from_trace, pattern_recurrence, AllgathervAlgorithm, Comm, DriftEvent, MpiConfig,
+    DRIFT_DETECTION_BOUND,
 };
 use ncd_simnet::{Cluster, ClusterConfig, SimTime};
 
@@ -159,7 +159,7 @@ fn main() {
 
     // Every injected remesh (the entry into regimes 1 and 2) must be
     // flagged within the detector's re-warm bound of the boundary epoch.
-    let bound = DriftConfig::default().warmup + 1;
+    let bound = DRIFT_DETECTION_BOUND;
     for (i, boundary) in [epochs as u32, 2 * epochs as u32].iter().enumerate() {
         let hit = drift
             .iter()

@@ -74,7 +74,6 @@ fn mg_solve_time(nprocs: usize) -> SimTime {
             rtol: 1e-6,
             max_it: 30,
             backend: ScatterBackend::Datatype,
-            ..Default::default()
         };
         let res = richardson(&mut comm, &op, &mg, 1.0, &b, &mut x, &settings);
         assert!(res.converged, "MG solve did not converge: {res:?}");

@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use ncd_core::{Comm, DriftConfig, MpiConfig, RunDiff, SeriesDelta};
+use ncd_core::{Comm, MpiConfig, RunDiff, SeriesDelta};
 use ncd_simnet::{
     Capture, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, JsonWriter, MetricsRegistry,
     Observers, RankRecorder, RunManifest, RunOutput, SchedStats, SimTime, Stats,
@@ -134,8 +134,9 @@ impl BenchCli {
     /// higher-is-better ones like improvement % stay out and only show in
     /// the diff. Every bench that gates any has a reference run committed
     /// under [`REFERENCE_ROOT`]; `fig13_breakdown` (percent shares:
-    /// nothing is lower-is-better) and `fig17_multigrid` (a smoke run of
-    /// minutes ledgering megabytes) gate nothing and commit none.
+    /// nothing is lower-is-better) and `fig17_multigrid` (a ≈ 30 s smoke
+    /// sweep on a 2-vCPU Intel Xeon, ledgering megabytes) gate nothing
+    /// and commit none.
     ///
     /// The comparison base is resolved *before* the current run is
     /// written, so `--compare latest` means "the previous ledgered run",
@@ -795,7 +796,7 @@ pub fn report(
     // series goes to `<name>.history.json`.
     if let Some(h) = &capture.capture.history {
         print!("\n{}", ncd_simnet::history_report(h));
-        let drift = ncd_core::detect_drift(h, &DriftConfig::default());
+        let drift = ncd_core::detect_drift(h);
         if !drift.is_empty() {
             print!("\n{}", ncd_core::render_drift_events(&drift));
         }

@@ -19,7 +19,7 @@ use ncd_datatype::{BlockMode, Datatype, OpCounts, PackEngine, Unpacker};
 use ncd_simnet::{millis_to_ratio, ratio_to_millis, volume, CostKind, EventKind, Rank, Tag};
 
 use crate::config::MpiConfig;
-use crate::drift::{DriftConfig, DriftDirection, DriftMonitor};
+use crate::drift::{DriftDirection, DriftMonitor};
 use crate::view;
 
 /// The communicator: a rank handle plus an implementation personality.
@@ -89,9 +89,7 @@ impl<'a> Comm<'a> {
         if !self.rank.history_enabled() {
             return;
         }
-        let monitor = self
-            .drift
-            .get_or_insert_with(|| DriftMonitor::new(DriftConfig::default()));
+        let monitor = self.drift.get_or_insert_with(DriftMonitor::default);
         let total: u64 = volumes.iter().sum();
         let skew = volume::gini(volumes);
         for e in monitor.observe(label, total as f64, skew) {

@@ -86,11 +86,6 @@ pub fn decisions_from_trace(events: &[TraceEvent]) -> Vec<AlgorithmDecision> {
         .collect()
 }
 
-/// [`decisions_from_trace`] over every rank's trace.
-pub fn decisions_from_traces(traces: &[Vec<TraceEvent>]) -> Vec<Vec<AlgorithmDecision>> {
-    traces.iter().map(|t| decisions_from_trace(t)).collect()
-}
-
 /// JSON export of a decision list (the `decisions.json` ledger artifact):
 /// occurrence indices assigned per collective in call order, ratios in
 /// integer thousandths so no float formatting drifts.
@@ -561,10 +556,9 @@ mod tests {
 
         let mut inf = ring_decision(f64::INFINITY);
         inf.collective = "alltoallw".to_string();
-        let per_rank = decisions_from_traces(&[vec![decision_event(&inf)], vec![]]);
-        assert_eq!(per_rank.len(), 2);
-        assert!(per_rank[0][0].outlier_ratio.is_infinite());
-        assert!(per_rank[1].is_empty());
+        let parsed = decisions_from_trace(&[decision_event(&inf)]);
+        assert_eq!(parsed.len(), 1);
+        assert!(parsed[0].outlier_ratio.is_infinite());
     }
 
     #[test]

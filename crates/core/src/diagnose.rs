@@ -1,5 +1,5 @@
 //! Remediation hints: joining a wait-state diagnosis against the
-//! algorithm-decision audit and the drift history.
+//! algorithm-decision audit.
 //!
 //! [`ncd_simnet::diagnosis`] classifies *why* ranks waited; this module
 //! answers *what to do about it* by cross-referencing each ranked finding
@@ -12,9 +12,6 @@
 //! * a finding on an epoch whose selection the audit did *not* contradict
 //!   becomes "selection-consistent", steering the reader toward
 //!   computational skew on the blamed rank instead of the algorithm;
-//! * a finding on an epoch with a recorded [`DriftEvent`] is annotated
-//!   with the regime shift, flagging a recent regression rather than a
-//!   steady-state property;
 //! * when one rank owns the majority of the blame matrix, a concentration
 //!   hint names it — the paper's outlier-rank shape.
 //!
@@ -24,7 +21,6 @@
 use ncd_simnet::diagnosis::{Diagnosis, Finding};
 
 use crate::commstats::{AlgorithmDecision, MisselectionAudit};
-use crate::drift::DriftEvent;
 
 /// The index of the `occurrence`-th decision matching
 /// `(collective, chosen)` in call order — the "#k" a hint points at.
@@ -47,7 +43,6 @@ fn hint_for_finding(
     f: &Finding,
     decisions: &[AlgorithmDecision],
     audit: &MisselectionAudit,
-    drifts: &[DriftEvent],
     seen: &mut std::collections::BTreeSet<(String, &'static str)>,
 ) -> Vec<String> {
     let mut out = Vec::new();
@@ -55,7 +50,7 @@ fn hint_for_finding(
         return out;
     };
     // Epoch labels are `<collective>/<algorithm>` — the same key the
-    // misselection join and the drift monitor use.
+    // misselection join uses.
     let Some((collective, algo)) = op.split_once('/') else {
         return out;
     };
@@ -105,31 +100,23 @@ fn hint_for_finding(
             f.blamed
         ));
     }
-    if let Some(d) = drifts.iter().find(|d| d.label == op) {
-        out.push(format!(
-            "{head} — {} {} drifted {:?} at occurrence {} ({:.1} -> {:.1}): \
-             likely a recent regression, compare against the pre-shift epochs",
-            d.label, d.metric, d.direction, d.occurrence, d.baseline, d.observed,
-        ));
-    }
     out
 }
 
-/// Join a diagnosis against the decision audit and drift history and
-/// return remediation hints, one or more strings per joined finding plus
-/// a blame-concentration hint when a single rank owns the majority of
-/// the classified wait. Empty when nothing joins — callers should print
+/// Join a diagnosis against the decision audit and return remediation
+/// hints, one or more strings per joined finding plus a
+/// blame-concentration hint when a single rank owns the majority of the
+/// classified wait. Empty when nothing joins — callers should print
 /// the diagnosis itself regardless.
 pub fn remediation_hints(
     diag: &Diagnosis,
     decisions: &[AlgorithmDecision],
     audit: &MisselectionAudit,
-    drifts: &[DriftEvent],
 ) -> Vec<String> {
     let mut out = Vec::new();
     let mut seen = std::collections::BTreeSet::new();
     for (i, f) in diag.findings.iter().enumerate() {
-        out.extend(hint_for_finding(i, f, decisions, audit, drifts, &mut seen));
+        out.extend(hint_for_finding(i, f, decisions, audit, &mut seen));
     }
     let total = diag.blame.total_bytes();
     if total > 0 {
@@ -169,7 +156,6 @@ pub fn render_hints(hints: &[String]) -> String {
 mod tests {
     use super::*;
     use crate::commstats::Misselection;
-    use crate::drift::DriftDirection;
     use ncd_simnet::diagnosis::WaitPattern;
     use ncd_simnet::{CommMatrix, SimTime};
 
@@ -233,12 +219,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let hints = remediation_hints(
-            &diag_with_finding("allgatherv/ring", 0),
-            &decisions,
-            &audit,
-            &[],
-        );
+        let hints = remediation_hints(&diag_with_finding("allgatherv/ring", 0), &decisions, &audit);
         assert!(
             hints[0].contains("consistent with flagged misselection"),
             "{hints:?}"
@@ -254,34 +235,9 @@ mod tests {
             &diag_with_finding("allgatherv/ring", 2),
             &decisions,
             &MisselectionAudit::default(),
-            &[],
         );
         assert!(hints[0].contains("selection-consistent"), "{hints:?}");
         assert!(hints[0].contains("rank 2"), "{hints:?}");
-    }
-
-    #[test]
-    fn drift_on_the_epoch_is_annotated() {
-        let drifts = vec![DriftEvent {
-            label: "allgatherv/ring".to_string(),
-            metric: "bytes".to_string(),
-            occurrence: 7,
-            direction: DriftDirection::Up,
-            baseline: 64.0,
-            observed: 4096.0,
-        }];
-        let hints = remediation_hints(
-            &diag_with_finding("allgatherv/ring", 0),
-            &[],
-            &MisselectionAudit::default(),
-            &drifts,
-        );
-        assert!(
-            hints
-                .iter()
-                .any(|h| h.contains("drifted Up at occurrence 7")),
-            "{hints:?}"
-        );
     }
 
     #[test]
@@ -290,7 +246,6 @@ mod tests {
             &diag_with_finding("allgatherv/ring", 0),
             &[],
             &MisselectionAudit::default(),
-            &[],
         );
         assert!(
             hints
@@ -305,7 +260,7 @@ mod tests {
     fn no_evidence_no_noise() {
         let mut d = diag_with_finding("allgatherv/ring", 0);
         d.blame = CommMatrix::new(4); // no concentration signal either
-        let hints = remediation_hints(&d, &[], &MisselectionAudit::default(), &[]);
+        let hints = remediation_hints(&d, &[], &MisselectionAudit::default());
         assert!(hints.is_empty(), "{hints:?}");
         assert_eq!(render_hints(&hints), "");
     }

@@ -11,7 +11,7 @@
 //!
 //! Two entry points cover the two consumption styles:
 //!
-//! * **Online** — [`DriftMonitor`] lives inside a `Comm` and is fed each
+//! * **Online** — a drift monitor lives inside each `Comm` and is fed each
 //!   collective's volume vector as its epoch closes. Fired events are
 //!   mirrored into the trace ([`EventKind::Drift`]), the metrics registry,
 //!   and the flight recorder's dedicated drift ring, so a post-mortem dump
@@ -19,12 +19,13 @@
 //! * **Offline** — [`detect_drift`] replays a merged [`History`] through
 //!   the same detector, for analysis of an exported run.
 //!
-//! The detector is an EWMA-normalised CUSUM ([`CusumDetector`]): an
+//! The detector is an EWMA-normalised CUSUM with fixed parameters: an
 //! exponentially weighted mean/deviation tracks the current regime, each
 //! sample's z-score feeds two one-sided cumulative sums, and a sum
 //! exceeding the decision threshold fires a shift in that direction. After
 //! firing, the detector re-warms on the new regime, so a large step is
-//! flagged at most [`DriftConfig::warmup`]` + 1` epochs after it lands.
+//! flagged within the first [`DRIFT_DETECTION_BOUND`] epochs of the new
+//! regime.
 //!
 //! [`pattern_recurrence`] answers the complementary question — "is the
 //! *shape* of the traffic recurring?" — by joining the order-invariant
@@ -40,37 +41,25 @@ use ncd_simnet::{millis_to_ratio, EventKind, History, TraceEvent};
 
 use crate::commstats::render_ratio;
 
-/// Tuning for the EWMA/CUSUM changepoint detector.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DriftConfig {
-    /// EWMA smoothing factor for the running mean and deviation; higher
-    /// adapts faster but forgets the baseline sooner.
-    pub ewma_alpha: f64,
-    /// CUSUM slack in z-score units: drift smaller than `k` sigmas per
-    /// epoch never accumulates.
-    pub cusum_k: f64,
-    /// CUSUM decision threshold: fire when a one-sided sum exceeds it.
-    pub cusum_h: f64,
-    /// Samples absorbed into the baseline before testing begins — both at
-    /// startup and after each fired event (re-warming on the new regime).
-    pub warmup: u32,
-    /// Deviation floor as a fraction of `max(|mean|, 1)`, so a perfectly
-    /// steady baseline cannot make an infinitesimal wiggle look like an
-    /// infinite z-score.
-    pub sigma_floor: f64,
-}
+/// EWMA smoothing factor for the running mean and deviation; higher
+/// adapts faster but forgets the baseline sooner.
+const EWMA_ALPHA: f64 = 0.3;
+/// CUSUM slack in z-score units: drift smaller than this many sigmas per
+/// epoch never accumulates.
+const CUSUM_K: f64 = 0.5;
+/// CUSUM decision threshold: fire when a one-sided sum exceeds it.
+const CUSUM_H: f64 = 4.0;
+/// Samples absorbed into the baseline before testing begins — both at
+/// startup and after each fired event (re-warming on the new regime).
+const WARMUP: u32 = 3;
+/// Deviation floor as a fraction of `max(|mean|, 1)`, so a perfectly
+/// steady baseline cannot make an infinitesimal wiggle look like an
+/// infinite z-score.
+const SIGMA_FLOOR: f64 = 0.05;
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig {
-            ewma_alpha: 0.3,
-            cusum_k: 0.5,
-            cusum_h: 4.0,
-            warmup: 3,
-            sigma_floor: 0.05,
-        }
-    }
-}
+/// The detection bound: a large step in a series is flagged within the
+/// first this-many epochs of the new regime (the warm-up window plus one).
+pub const DRIFT_DETECTION_BOUND: u32 = WARMUP + 1;
 
 /// Which way a monitored series moved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,9 +88,8 @@ pub struct DriftEvent {
 /// series. Feed observations in order with [`observe`](Self::observe);
 /// a `Some` return is a fired shift, after which the detector has already
 /// reset onto the new regime.
-#[derive(Clone, Debug)]
-pub struct CusumDetector {
-    cfg: DriftConfig,
+#[derive(Debug, Default)]
+struct CusumDetector {
     mean: f64,
     dev: f64,
     s_pos: f64,
@@ -110,33 +98,12 @@ pub struct CusumDetector {
 }
 
 impl CusumDetector {
-    pub fn new(cfg: DriftConfig) -> Self {
-        CusumDetector {
-            cfg,
-            mean: 0.0,
-            dev: 0.0,
-            s_pos: 0.0,
-            s_neg: 0.0,
-            count: 0,
-        }
-    }
-
-    /// Observations absorbed since the last reset (or construction).
-    pub fn count(&self) -> u32 {
-        self.count
-    }
-
-    /// Current baseline estimate (EWMA mean).
-    pub fn baseline(&self) -> f64 {
-        self.mean
-    }
-
     /// Feed the next observation. Returns the fired shift, if any, as
     /// `(direction, baseline)` — the caller owns labelling/occurrence
     /// bookkeeping. Non-finite observations are absorbed into nothing and
     /// never fire (an infinite outlier ratio is a *shape* statement, not a
     /// volume one — the skew series uses the bounded Gini instead).
-    pub fn observe(&mut self, x: f64) -> Option<(DriftDirection, f64)> {
+    fn observe(&mut self, x: f64) -> Option<(DriftDirection, f64)> {
         if !x.is_finite() {
             return None;
         }
@@ -146,16 +113,14 @@ impl CusumDetector {
             self.dev = 0.0;
             return None;
         }
-        let fired = if self.count > self.cfg.warmup {
-            let sigma = self
-                .dev
-                .max(self.cfg.sigma_floor * self.mean.abs().max(1.0));
+        let fired = if self.count > WARMUP {
+            let sigma = self.dev.max(SIGMA_FLOOR * self.mean.abs().max(1.0));
             let z = (x - self.mean) / sigma;
-            self.s_pos = (self.s_pos + z - self.cfg.cusum_k).max(0.0);
-            self.s_neg = (self.s_neg - z - self.cfg.cusum_k).max(0.0);
-            if self.s_pos > self.cfg.cusum_h {
+            self.s_pos = (self.s_pos + z - CUSUM_K).max(0.0);
+            self.s_neg = (self.s_neg - z - CUSUM_K).max(0.0);
+            if self.s_pos > CUSUM_H {
                 Some(DriftDirection::Up)
-            } else if self.s_neg > self.cfg.cusum_h {
+            } else if self.s_neg > CUSUM_H {
                 Some(DriftDirection::Down)
             } else {
                 None
@@ -174,7 +139,7 @@ impl CusumDetector {
             self.count = 1;
             return Some((direction, baseline));
         }
-        let a = self.cfg.ewma_alpha;
+        let a = EWMA_ALPHA;
         self.dev = a * (x - self.mean).abs() + (1.0 - a) * self.dev;
         self.mean = a * x + (1.0 - a) * self.mean;
         None
@@ -183,7 +148,7 @@ impl CusumDetector {
 
 /// Per-series detector pair: traffic volume and skew move independently
 /// (a remesh can redistribute the same total), so each gets its own CUSUM.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SeriesState {
     bytes: CusumDetector,
     skew: CusumDetector,
@@ -191,34 +156,19 @@ struct SeriesState {
 }
 
 /// Online drift monitor over many labelled series. One lives inside each
-/// `Comm` once history recording is enabled; collectives feed it their
+/// `Comm` of a run that records history; collectives feed it their
 /// per-peer volume vector as each epoch closes.
-#[derive(Debug)]
-pub struct DriftMonitor {
-    cfg: DriftConfig,
+#[derive(Debug, Default)]
+pub(crate) struct DriftMonitor {
     series: HashMap<String, SeriesState>,
 }
 
 impl DriftMonitor {
-    pub fn new(cfg: DriftConfig) -> Self {
-        DriftMonitor {
-            cfg,
-            series: HashMap::new(),
-        }
-    }
-
     /// Feed one closed epoch of `label`: total volume in bytes plus a
     /// bounded skew statistic (Gini of the per-peer volumes). Returns the
     /// shifts fired by this epoch — at most one per metric.
-    pub fn observe(&mut self, label: &str, total_bytes: f64, skew: f64) -> Vec<DriftEvent> {
-        let state = self
-            .series
-            .entry(label.to_string())
-            .or_insert_with(|| SeriesState {
-                bytes: CusumDetector::new(self.cfg.clone()),
-                skew: CusumDetector::new(self.cfg.clone()),
-                occurrence: 0,
-            });
+    pub(crate) fn observe(&mut self, label: &str, total_bytes: f64, skew: f64) -> Vec<DriftEvent> {
+        let state = self.series.entry(label.to_string()).or_default();
         let occurrence = state.occurrence;
         state.occurrence += 1;
         let mut out = Vec::new();
@@ -245,10 +195,10 @@ impl DriftMonitor {
 /// contributes a `bytes` (cluster total) and a `skew` (per-rank Gini)
 /// stream. Events come out grouped by series in first-seen order, each
 /// series' events in occurrence order.
-pub fn detect_drift(history: &History, cfg: &DriftConfig) -> Vec<DriftEvent> {
+pub fn detect_drift(history: &History) -> Vec<DriftEvent> {
     let mut out = Vec::new();
     for label in history.series_labels() {
-        let mut monitor = DriftMonitor::new(cfg.clone());
+        let mut monitor = DriftMonitor::default();
         for p in history.series(label) {
             for mut e in monitor.observe(label, p.bytes as f64, p.gini) {
                 // The monitor counts its own occurrences from zero; report
@@ -406,7 +356,7 @@ mod tests {
 
     #[test]
     fn stationary_series_never_fires() {
-        let mut d = CusumDetector::new(DriftConfig::default());
+        let mut d = CusumDetector::default();
         for i in 0..200u64 {
             // Small bounded wiggle around 1000.
             let x = 1000.0 + ((i * 7) % 13) as f64 - 6.0;
@@ -416,15 +366,14 @@ mod tests {
 
     #[test]
     fn step_up_fires_within_warmup_plus_one() {
-        let cfg = DriftConfig::default();
-        let mut d = CusumDetector::new(cfg.clone());
+        let mut d = CusumDetector::default();
         for _ in 0..20 {
             assert_eq!(d.observe(1000.0), None);
         }
         // A 16x step: the z-score dwarfs k and h, so the very first
         // post-shift sample past warmup must fire.
         let mut fired_at = None;
-        for lag in 0..=(cfg.warmup as usize + 1) {
+        for lag in 0..=DRIFT_DETECTION_BOUND {
             if let Some((direction, baseline)) = d.observe(16_000.0) {
                 assert_eq!(direction, DriftDirection::Up);
                 assert!((baseline - 1000.0).abs() < 1e-9, "baseline {baseline}");
@@ -442,7 +391,7 @@ mod tests {
 
     #[test]
     fn step_down_fires_down() {
-        let mut d = CusumDetector::new(DriftConfig::default());
+        let mut d = CusumDetector::default();
         for _ in 0..10 {
             d.observe(8_000.0);
         }
@@ -455,18 +404,18 @@ mod tests {
 
     #[test]
     fn non_finite_observations_are_ignored() {
-        let mut d = CusumDetector::new(DriftConfig::default());
+        let mut d = CusumDetector::default();
         for _ in 0..10 {
             d.observe(100.0);
         }
         assert_eq!(d.observe(f64::INFINITY), None);
         assert_eq!(d.observe(f64::NAN), None);
-        assert_eq!(d.count(), 10, "non-finite samples must not count");
+        assert_eq!(d.count, 10, "non-finite samples must not count");
     }
 
     #[test]
     fn monitor_tracks_series_and_metrics_independently() {
-        let mut m = DriftMonitor::new(DriftConfig::default());
+        let mut m = DriftMonitor::default();
         for _ in 0..10 {
             assert!(m.observe("allgatherv/ring", 1000.0, 0.1).is_empty());
             assert!(m.observe("alltoallw/binned", 500.0, 0.5).is_empty());
@@ -490,7 +439,7 @@ mod tests {
             points.push(point("allgatherv/ring", occ, bytes, 0.2, 7));
         }
         let history = History { n: 4, points };
-        let events = detect_drift(&history, &DriftConfig::default());
+        let events = detect_drift(&history);
         assert_eq!(events.len(), 1, "events {events:?}");
         assert_eq!(events[0].metric, "bytes");
         assert_eq!(events[0].direction, DriftDirection::Up);

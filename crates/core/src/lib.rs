@@ -43,9 +43,9 @@ pub mod whatif;
 pub use coll::{AllgathervAlgorithm, AlltoallwSchedule, WPeer};
 pub use comm::{bytes_to_f64s, f64s_to_bytes, Comm};
 pub use commstats::{
-    analyze_comm_map, analyze_matrix, decisions_from_trace, decisions_from_traces, decisions_json,
-    detect_misselections, parse_decisions, render_decision_log, AlgorithmDecision, CommAnalysis,
-    EpochAnalysis, Misselection, MisselectionAudit,
+    analyze_comm_map, analyze_matrix, decisions_from_trace, decisions_json, detect_misselections,
+    parse_decisions, render_decision_log, AlgorithmDecision, CommAnalysis, EpochAnalysis,
+    Misselection, MisselectionAudit,
 };
 pub use compare::{
     compare, diff_json, outer_join, render_compare, AttributionDelta, Cause, CommDiff,
@@ -56,8 +56,7 @@ pub use config::{MpiConfig, MpiFlavor};
 pub use diagnose::{remediation_hints, render_hints};
 pub use drift::{
     detect_drift, drift_events_from_trace, pattern_recurrence, render_drift_events,
-    render_recurrence, CusumDetector, DriftConfig, DriftDirection, DriftEvent, DriftMonitor,
-    PatternRecurrence,
+    render_recurrence, DriftDirection, DriftEvent, PatternRecurrence, DRIFT_DETECTION_BOUND,
 };
 pub use ncd_simnet::volume::{k_select, outlier_ratio_of};
 pub use request::{Completion, Request};

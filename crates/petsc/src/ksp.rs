@@ -70,13 +70,14 @@ impl Preconditioner for JacobiPc {
     }
 }
 
+/// Absolute tolerance on the residual's 2-norm, PETSc's default.
+const ATOL: f64 = 1e-50;
+
 /// Solver tolerances and iteration limits.
 #[derive(Clone, Copy, Debug)]
 pub struct KspSettings {
     /// Relative tolerance on the (preconditioned residual's) 2-norm.
     pub rtol: f64,
-    /// Absolute tolerance.
-    pub atol: f64,
     pub max_it: usize,
     /// Which scatter backend the operator/PC applications use.
     pub backend: ScatterBackend,
@@ -86,7 +87,6 @@ impl Default for KspSettings {
     fn default() -> Self {
         KspSettings {
             rtol: 1e-8,
-            atol: 1e-50,
             max_it: 10_000,
             backend: ScatterBackend::HandTuned,
         }
@@ -128,7 +128,7 @@ pub fn cg(
 
     let bnorm = b.norm2(comm).max(f64::MIN_POSITIVE);
     let mut rnorm = r.norm2(comm);
-    if rnorm <= settings.rtol * bnorm || rnorm <= settings.atol {
+    if rnorm <= settings.rtol * bnorm || rnorm <= ATOL {
         return KspResult {
             converged: true,
             iterations: 0,
@@ -151,7 +151,7 @@ pub fn cg(
         x.axpy(comm, alpha, &p);
         r.axpy(comm, -alpha, &ap);
         rnorm = r.norm2(comm);
-        if rnorm <= settings.rtol * bnorm || rnorm <= settings.atol {
+        if rnorm <= settings.rtol * bnorm || rnorm <= ATOL {
             return KspResult {
                 converged: true,
                 iterations: it,
@@ -197,7 +197,7 @@ pub fn richardson(
         r.scale(comm, -1.0);
         r.axpy(comm, 1.0, b);
         rnorm = r.norm2(comm);
-        if rnorm <= settings.rtol * bnorm || rnorm <= settings.atol {
+        if rnorm <= settings.rtol * bnorm || rnorm <= ATOL {
             return KspResult {
                 converged: true,
                 iterations: it,

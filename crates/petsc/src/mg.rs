@@ -463,7 +463,6 @@ impl Multigrid {
                 rtol: Self::COARSE_RTOL,
                 max_it: Self::COARSE_MAX_IT,
                 backend: self.backend,
-                ..Default::default()
             };
             cg(comm, &level.op(), &IdentityPc, b, x, &settings);
             comm.rank_mut().stage_end("coarse_solve");
@@ -745,7 +744,6 @@ mod tests {
                 rtol: 1e-8,
                 max_it: 60,
                 backend: ScatterBackend::Datatype,
-                ..Default::default()
             };
             let res = richardson(comm, &op, &mg, 1.0, &b, &mut x, &settings);
             (res.converged, res.iterations, x.sum(comm))

@@ -519,32 +519,6 @@ impl RoundAttribution {
         }
         out
     }
-
-    /// Per-rank detail rows for one op.
-    pub fn render_op(&self, op: &str) -> String {
-        let mut out = String::new();
-        let Some(ranks) = self.per_op.get(op) else {
-            return format!("(no attribution for {op})\n");
-        };
-        let _ = writeln!(
-            out,
-            "{op}\n{:>5} {:>6} {:>12} {:>12} {:>8} {:>12}",
-            "rank", "rounds", "wait", "transfer", "msgs", "bytes"
-        );
-        for (rank, s) in ranks.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{:>5} {:>6} {:>12} {:>12} {:>8} {:>12}",
-                rank,
-                s.rounds,
-                s.wait.to_string(),
-                s.transfer.to_string(),
-                s.msgs,
-                s.bytes,
-            );
-        }
-        out
-    }
 }
 
 /// One critical-path step as `analysis.json` holds it: a [`PathStep`]
@@ -872,8 +846,6 @@ mod tests {
         }
         let report = attr.render();
         assert!(report.contains("ring/step"), "{report}");
-        let detail = attr.render_op("ring/step");
-        assert!(detail.contains("rank"), "{detail}");
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl RankCapture {
         RankCapture {
             trace: on.trace.then(Vec::new),
             metrics: on.metrics.then(MetricsRegistry::enabled),
-            profile: on.profile.then(Profiler::enabled),
+            profile: on.profile.then(Profiler::default),
             comm_map: (on.comm_map || on.history).then(|| RankCommMap::new(rank, size)),
             history: on.history.then(|| RankHistory::new(rank, size)),
         }

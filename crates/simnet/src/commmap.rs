@@ -112,18 +112,6 @@ impl RankCommMap {
     pub fn epochs(&self) -> &[RankEpoch] {
         &self.epochs
     }
-
-    /// Total bytes delivered to this rank from `src` since construction:
-    /// every delivery belongs to exactly one epoch, so this is the sum
-    /// over the closed epochs plus the open one.
-    pub fn total_bytes_from(&self, src: usize) -> u64 {
-        self.cur_bytes[src] + self.epochs.iter().map(|e| e.bytes[src]).sum::<u64>()
-    }
-
-    /// Total messages delivered to this rank from `src`.
-    pub fn total_msgs_from(&self, src: usize) -> u64 {
-        self.cur_msgs[src] + self.epochs.iter().map(|e| e.msgs[src]).sum::<u64>()
-    }
 }
 
 /// A dense src×dst matrix of byte and message counts.
@@ -461,13 +449,6 @@ mod tests {
         assert_eq!(merged.epochs[0].matrix.bytes(0, 1), 64);
         assert_eq!(merged.epochs[1].matrix.bytes(1, 0), 8);
         assert_eq!(merged.epochs[1].matrix.bytes(0, 1), 0);
-    }
-
-    #[test]
-    fn totals_keep_counting_after_epoch_close() {
-        let maps = two_rank_fixture();
-        assert_eq!(maps[0].total_bytes_from(1), 72);
-        assert_eq!(maps[0].total_msgs_from(1), 2);
     }
 
     #[test]

@@ -529,12 +529,6 @@ pub(crate) fn warning_block(unmatched_recvs: usize, unmatched_sends: usize) -> O
     Some(out)
 }
 
-/// One-call convenience: diagnose and render with the default finding
-/// budget.
-pub fn diagnosis_report(traces: &[Vec<TraceEvent>]) -> String {
-    diagnose(traces).render(10)
-}
-
 /// One finding as `diagnosis.json` holds it: a [`Finding`] without the
 /// timestamp its flight-recorder mirror carries.
 #[derive(Clone, Debug, PartialEq)]

@@ -73,9 +73,9 @@ pub use commmap::{
     render_heatmap, ClusterCommMap, CommMatrix, EpochMatrix, RankCommMap, RankEpoch,
 };
 pub use diagnosis::{
-    check_severity_bound, diagnose, diagnosis_json, diagnosis_report, mirror_to_recorders,
-    parse_diagnosis, render_stage_overlap, stage_overlap, Diagnosis, DiagnosisSummary, Finding,
-    FindingSummary, StageOverlap, WaitInstance, WaitPattern, ALL_PATTERNS,
+    check_severity_bound, diagnose, diagnosis_json, mirror_to_recorders, parse_diagnosis,
+    render_stage_overlap, stage_overlap, Diagnosis, DiagnosisSummary, Finding, FindingSummary,
+    StageOverlap, WaitInstance, WaitPattern, ALL_PATTERNS,
 };
 pub use export::chrome_trace_json;
 pub use history::{
@@ -98,5 +98,5 @@ pub use runtime::{last_sched_stats, Cluster, ClusterConfig, Rank, RunOutput, Spe
 pub use sched::{ParkedWait, RunError, SchedStats, TaskBackend, DEPTH_BUCKETS, MIN_STACK_BYTES};
 pub use stats::{CostKind, Stats};
 pub use time::{CostModel, SimTime};
-pub use trace::{render_timeline, render_timeline_fit, EventKind, TraceEvent, TIMELINE_GUTTER};
+pub use trace::{render_timeline_fit, EventKind, TraceEvent, TIMELINE_GUTTER};
 pub use volume::pattern_hash_rank;

@@ -8,12 +8,12 @@
 //! both "the v-cycle is 80% of the solve" and "of that, smoothing is 60
 //! points and grid transfer 15".
 //!
-//! Stages are driven by [`crate::Rank::stage_begin`] / `stage_end` (or the
-//! closure form [`crate::Rank::stage`]), which do nothing unless the run
-//! profiles ([`crate::Observers`], the one way in: a run option, as
-//! `-log_view` is). The run's [`crate::Capture`] holds one profile per
-//! rank: they [`Profiler::merge`] into a cluster-wide view,
-//! [`Profiler::report`] renders the familiar indented table.
+//! Stages are driven by [`crate::Rank::stage_begin`] / `stage_end`, which
+//! do nothing unless the run profiles ([`crate::Observers`], the one way
+//! in: a run option, as `-log_view` is). The run's [`crate::Capture`]
+//! holds one profile per rank: they [`Profiler::merge`] into a
+//! cluster-wide view, [`Profiler::report`] renders the familiar indented
+//! table.
 
 use std::collections::BTreeMap;
 
@@ -55,11 +55,6 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// An empty profiler (named like [`crate::MetricsRegistry::enabled`]).
-    pub fn enabled() -> Self {
-        Self::default()
-    }
-
     /// Open a stage named `name` at simulated time `now`. Nested stages
     /// accumulate under the parent's path (`parent/name`).
     pub fn begin(&mut self, name: &str, now: SimTime) {
@@ -113,10 +108,6 @@ impl Profiler {
 
     pub fn stage(&self, path: &str) -> Option<&StageStats> {
         self.stages.get(path)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
     }
 
     /// Total inclusive time of root (depth-0) stages — the denominator for
@@ -224,7 +215,7 @@ mod tests {
 
     #[test]
     fn nested_stages_split_inclusive_and_exclusive() {
-        let mut p = Profiler::enabled();
+        let mut p = Profiler::default();
         p.begin("solve", t(0));
         p.begin("smooth", t(10));
         p.end("smooth", t(40));
@@ -246,7 +237,7 @@ mod tests {
 
     #[test]
     fn deep_nesting_builds_paths() {
-        let mut p = Profiler::enabled();
+        let mut p = Profiler::default();
         p.begin("a", t(0));
         p.begin("b", t(1));
         p.begin("c", t(2));
@@ -260,7 +251,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match")]
     fn mismatched_end_panics() {
-        let mut p = Profiler::enabled();
+        let mut p = Profiler::default();
         p.begin("a", t(0));
         p.end("b", t(1));
     }
@@ -268,23 +259,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "no open stage")]
     fn end_without_begin_panics() {
-        let mut p = Profiler::enabled();
+        let mut p = Profiler::default();
         p.end("a", t(1));
     }
 
     #[test]
     #[should_panic(expected = "slash-free")]
     fn slash_in_name_panics() {
-        let mut p = Profiler::enabled();
+        let mut p = Profiler::default();
         p.begin("a/b", t(0));
     }
 
     #[test]
     fn merge_accumulates_across_ranks() {
-        let mut a = Profiler::enabled();
+        let mut a = Profiler::default();
         a.begin("x", t(0));
         a.end("x", t(10));
-        let mut b = Profiler::enabled();
+        let mut b = Profiler::default();
         b.begin("x", t(0));
         b.end("x", t(30));
         b.begin("y", t(30));
@@ -297,7 +288,7 @@ mod tests {
 
     #[test]
     fn report_indents_children_and_sums_percent() {
-        let mut p = Profiler::enabled();
+        let mut p = Profiler::default();
         p.begin("solve", t(0));
         p.begin("smooth", t(0));
         p.end("smooth", t(60));
@@ -311,10 +302,10 @@ mod tests {
 
     #[test]
     fn imbalance_report_shows_spread_and_total_skew() {
-        let mut a = Profiler::enabled();
+        let mut a = Profiler::default();
         a.begin("solve", t(0));
         a.end("solve", t(100));
-        let mut b = Profiler::enabled();
+        let mut b = Profiler::default();
         b.begin("solve", t(0));
         b.end("solve", t(300));
         b.begin("pack", t(300));
@@ -328,7 +319,7 @@ mod tests {
 
     #[test]
     fn closed_stage_reports_span() {
-        let mut p = Profiler::enabled();
+        let mut p = Profiler::default();
         p.begin("s", t(5));
         let c = p.end("s", t(9));
         assert_eq!(

@@ -40,11 +40,6 @@ impl SimTime {
         }
     }
 
-    /// Construct from microseconds.
-    pub fn from_us(us: f64) -> Self {
-        Self::from_ns_f64(us * 1_000.0)
-    }
-
     pub fn as_ns(self) -> u64 {
         self.0
     }
@@ -220,7 +215,7 @@ mod tests {
 
     #[test]
     fn simtime_conversions_round_trip() {
-        let t = SimTime::from_us(12.5);
+        let t = SimTime::from_ns_f64(12.5 * 1_000.0);
         assert_eq!(t.as_ns(), 12_500);
         assert!((t.as_us() - 12.5).abs() < 1e-9);
         assert_eq!(SimTime::from_ns(3_000_000).as_ms(), 3.0);

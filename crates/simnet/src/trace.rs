@@ -165,29 +165,30 @@ fn cell_char(kind: &EventKind) -> u8 {
 /// `|` adds one more column).
 pub const TIMELINE_GUTTER: usize = 10;
 
-/// [`render_timeline`] sized to a terminal: `total_width` is the whole
-/// line budget *including* the label gutter and both `|` borders. Widths
-/// smaller than the gutter never underflow — the timeline degrades to a
-/// single column instead.
-pub fn render_timeline_fit(traces: &[Vec<TraceEvent>], total_width: usize) -> String {
-    render_timeline(traces, total_width.saturating_sub(TIMELINE_GUTTER + 2))
-}
-
-/// Render a set of per-rank traces as an ASCII timeline: one row per rank,
-/// `width` columns spanning `[0, horizon]`, with `s`/`r` cells for
-/// send/receive activity, `=` for profiling spans, `|`/`^` for marks and
-/// collective rounds, and `.` for idle/compute time. When events overlap
-/// in a cell the highest-priority one wins (mark > round > recv > send >
-/// span > idle), so zero-length markers are never hidden by the activity
-/// around them. A `width` of zero is clamped to one column, so callers
-/// computing widths from a terminal size cannot underflow the renderer.
+/// Render a set of per-rank traces as an ASCII timeline sized to a
+/// terminal: one row per rank, with `s`/`r` cells for send/receive
+/// activity, `=` for profiling spans, `|`/`^` for marks and collective
+/// rounds, and `.` for idle/compute time, the columns spanning simulated
+/// time from 0 to the last event's end. When events overlap in a cell the highest-priority one
+/// wins (mark > round > recv > send > span > idle), so zero-length
+/// markers are never hidden by the activity around them.
 ///
 /// Ranks with [`EventKind::PackBlock`] events additionally get a `dt` lane
 /// directly under their message row, showing the pack pipeline's blocks:
 /// `p` for sparse (packed through a buffer) and `d` for dense (shipped
 /// direct). The lane shares the message row's gutter width, so both stay
-/// aligned under any `width`.
-pub fn render_timeline(traces: &[Vec<TraceEvent>], width: usize) -> String {
+/// aligned under any width.
+///
+/// `total_width` is the whole line budget *including* the label gutter and
+/// both `|` borders. Widths smaller than the gutter never underflow — the
+/// timeline degrades to a single column instead.
+pub fn render_timeline_fit(traces: &[Vec<TraceEvent>], total_width: usize) -> String {
+    render_timeline(traces, total_width.saturating_sub(TIMELINE_GUTTER + 2))
+}
+
+/// [`render_timeline_fit`] at `width` timeline cells per row; a `width` of
+/// zero is clamped to one column.
+fn render_timeline(traces: &[Vec<TraceEvent>], width: usize) -> String {
     let width = width.max(1);
     let horizon = traces
         .iter()

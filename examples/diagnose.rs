@@ -76,7 +76,7 @@ fn main() {
     // Join against the decision audit for remediation hints.
     let decisions = decisions_from_trace(&traces[OUTLIER]);
     let audit = detect_misselections(&decisions, Some(&map), &cost, &cfg);
-    let hints = remediation_hints(&diag, &decisions, &audit, &[]);
+    let hints = remediation_hints(&diag, &decisions, &audit);
     print!("{}", render_hints(&hints));
 
     // Mirror the top findings into the blamed ranks' flight recorders,

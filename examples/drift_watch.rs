@@ -22,7 +22,7 @@
 
 use nucomm::core::{
     drift_events_from_trace, pattern_recurrence, render_drift_events, render_recurrence,
-    AllgathervAlgorithm, Comm, DriftConfig, MpiConfig,
+    AllgathervAlgorithm, Comm, MpiConfig, DRIFT_DETECTION_BOUND,
 };
 use nucomm::simnet::{
     history_json, history_report, render_dump, write_artifact, Cluster, ClusterConfig, Observers,
@@ -83,7 +83,7 @@ fn main() {
     // --- Drift events the online monitor fired ----------------------------
     let drift = drift_events_from_trace(&capture.traces.expect("traced")[0]);
     print!("\n{}", render_drift_events(&drift));
-    let bound = DriftConfig::default().warmup + 1;
+    let bound = DRIFT_DETECTION_BOUND;
     for boundary in [EPOCHS as u32, 2 * EPOCHS as u32] {
         assert!(
             drift

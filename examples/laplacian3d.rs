@@ -38,7 +38,6 @@ fn solve(cfg: MpiConfig, backend: ScatterBackend) -> (SimTime, usize, f64) {
                 rtol: 1e-8,
                 max_it: 40,
                 backend,
-                ..Default::default()
             },
         );
         assert!(res.converged, "solver did not converge: {res:?}");

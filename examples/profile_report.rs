@@ -62,7 +62,6 @@ fn main() {
                     rtol: 1e-8,
                     max_it: 40,
                     backend,
-                    ..Default::default()
                 },
             );
             comm.rank_mut().stage_end("solve");
@@ -70,7 +69,7 @@ fn main() {
         });
 
         let (_, capture) = run.unwrap();
-        let mut profile = Profiler::enabled();
+        let mut profile = Profiler::default();
         for p in &capture.profiles.expect("profiled") {
             profile.merge(p);
         }

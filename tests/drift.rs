@@ -7,7 +7,7 @@
 
 use nucomm::core::{
     detect_drift, drift_events_from_trace, pattern_recurrence, AllgathervAlgorithm, Comm,
-    DriftConfig, DriftDirection, MpiConfig,
+    DriftDirection, MpiConfig, DRIFT_DETECTION_BOUND,
 };
 use nucomm::simnet::{
     history_json, render_dump, Cluster, ClusterConfig, EventKind, History, Observers, TraceEvent,
@@ -82,9 +82,9 @@ fn remeshing_run() -> (Vec<TraceEvent>, History, String) {
 fn every_injected_remesh_is_flagged_within_bounded_lag() {
     let (trace, history, _) = remeshing_run();
     let online = drift_events_from_trace(&trace);
-    // The detector's re-warm bound: a step change must fire within
-    // warmup + 1 epochs of the boundary.
-    let bound = DriftConfig::default().warmup + 1;
+    // The detector's re-warm bound: a step change must fire within the
+    // first `DRIFT_DETECTION_BOUND` epochs of the new regime.
+    let bound = DRIFT_DETECTION_BOUND;
     for boundary in [EPOCHS as u32, 2 * EPOCHS as u32] {
         let hit = online
             .iter()
@@ -104,7 +104,7 @@ fn every_injected_remesh_is_flagged_within_bounded_lag() {
     }
     // Offline replay over the merged history agrees with the online
     // monitor on where the bytes series shifted.
-    let offline = detect_drift(&history, &DriftConfig::default());
+    let offline = detect_drift(&history);
     for boundary in [EPOCHS as u32, 2 * EPOCHS as u32] {
         assert!(
             offline.iter().any(|e| e.metric == "bytes"

@@ -32,7 +32,6 @@ fn run(backend: ScatterBackend) -> Pinned {
             rtol: 1e-8,
             max_it: 40,
             backend,
-            ..Default::default()
         };
         let res = richardson(&mut comm, &op, &mg, 1.0, &b, &mut x, &settings);
         assert!(res.converged);

@@ -160,7 +160,6 @@ fn multigrid_claim() {
                     rtol: 1e-7,
                     max_it: 40,
                     backend,
-                    ..Default::default()
                 },
             );
             assert!(res.converged);
