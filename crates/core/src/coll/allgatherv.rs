@@ -16,7 +16,7 @@
 use std::ops::Range;
 
 use ncd_simnet::volume::OUTLIER_FRACTION;
-use ncd_simnet::CostKind;
+use ncd_simnet::{CostKind, Violation};
 
 use crate::coll::{coll_tag, CollOp};
 use crate::comm::Comm;
@@ -25,6 +25,11 @@ use crate::select::{detect_outliers, detect_outliers_with_ratio, VolumeShape};
 
 /// Total volume (bytes) from which allgatherv is large (MPICH2's switchover).
 const LONG_THRESHOLD: usize = 32 * 1024;
+
+/// The [`Violation::ByteCount`] label of a step's payload that does not
+/// exactly fill the blocks it should — the sign that some rank passed
+/// different `counts`. Every step checks before it stores anything.
+const PAYLOAD: &str = "allgatherv payload";
 
 /// Which data-movement pattern an allgatherv uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,7 +262,9 @@ impl Comm<'_> {
             self.rank_mut().send_bytes(right, tag, chunk);
             let (data, _) = self.wait(req).into_recv();
             let runs = block_runs(counts, displs, recv_idx, 1);
-            self.check_payload(AllgathervAlgorithm::Ring, step as u32, left, &runs, &data);
+            let at = Some((AllgathervAlgorithm::Ring.label(), step as u32));
+            let sizes = (runs[0].len() + runs[1].len(), data.len());
+            Violation::expect_bytes(PAYLOAD, at, (rank, left), sizes);
             self.rank_mut().charge_copy(CostKind::Pack, data.len(), 1);
             store_runs(recvbuf, runs, &data);
             chunk = data;
@@ -290,8 +297,9 @@ impl Comm<'_> {
             let (data, _) = self.wait(req).into_recv();
 
             let runs = group_of(partner);
-            let algo = AllgathervAlgorithm::RecursiveDoubling;
-            self.check_payload(algo, phase, partner, &runs, &data);
+            let at = Some((AllgathervAlgorithm::RecursiveDoubling.label(), phase));
+            let sizes = (runs[0].len() + runs[1].len(), data.len());
+            Violation::expect_bytes(PAYLOAD, at, (rank, partner), sizes);
             self.rank_mut()
                 .charge_copy(CostKind::Pack, data.len(), mask as u64);
             store_runs(recvbuf, runs, &data);
@@ -331,36 +339,15 @@ impl Comm<'_> {
             let (data, _) = self.wait(req).into_recv();
 
             let runs = ending_at(src);
-            let algo = AllgathervAlgorithm::Dissemination;
-            self.check_payload(algo, phase, src, &runs, &data);
+            let at = Some((AllgathervAlgorithm::Dissemination.label(), phase));
+            let sizes = (runs[0].len() + runs[1].len(), data.len());
+            Violation::expect_bytes(PAYLOAD, at, (rank, src), sizes);
             self.rank_mut()
                 .charge_copy(CostKind::Pack, data.len(), send_cnt as u64);
             store_runs(recvbuf, runs, &data);
             owned += send_cnt;
             phase += 1;
         }
-    }
-
-    /// Panic, naming both ranks, unless `data` from `peer` in `algo`'s
-    /// step `step` exactly fills `runs` — the sign that some rank passed
-    /// different `counts`. Every caller checks before it stores anything.
-    fn check_payload(
-        &self,
-        algo: AllgathervAlgorithm,
-        step: u32,
-        peer: usize,
-        runs: &Runs,
-        data: &[u8],
-    ) {
-        let expected = runs[0].len() + runs[1].len();
-        assert!(
-            data.len() == expected,
-            "allgatherv payload mismatch: rank {} expected {expected} bytes from rank {peer} \
-             in {} step {step}, got {}",
-            self.rank(),
-            algo.label(),
-            data.len()
-        );
     }
 }
 
@@ -400,7 +387,7 @@ fn store_runs(recvbuf: &mut [u8], [head, tail]: Runs, payload: &[u8]) {
 mod tests {
     use super::*;
     use crate::config::MpiConfig;
-    use ncd_simnet::{Cluster, ClusterConfig, Observers, SimTime};
+    use ncd_simnet::{Cluster, ClusterConfig, Observers, RunError, SimTime};
 
     fn pattern(rank: usize, len: usize) -> Vec<u8> {
         (0..len).map(|i| ((rank * 31 + i) % 251) as u8).collect()
@@ -470,11 +457,11 @@ mod tests {
 
     /// `n` ranks gather blocks of 3, 5, 2, 4, 3, ... bytes, except that
     /// rank `liar` says its own block is 4 bytes longer. Rank 0 is the
-    /// first to receive the liar's block, so its panic is the one the run
-    /// reports.
-    fn run_disagreeing(algo: AllgathervAlgorithm, n: usize, liar: usize) {
+    /// first to receive the liar's block, so its violation is the one the
+    /// run reports.
+    fn run_disagreeing(algo: AllgathervAlgorithm, n: usize, liar: usize) -> (usize, Violation) {
         let agreed: Vec<usize> = [3, 5, 2, 4].into_iter().cycle().take(n).collect();
-        Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {
+        let out = Cluster::new(ClusterConfig::uniform(n)).try_run(move |rank| {
             let mut comm = Comm::new(rank, MpiConfig::optimized());
             let me = comm.rank();
             let mut counts = agreed.clone();
@@ -484,30 +471,66 @@ mod tests {
             let mut recv = vec![0u8; counts.iter().sum()];
             comm.allgatherv_with(algo, &pattern(me, counts[me]), &counts, &mut recv);
         });
+        match out.results {
+            Err(RunError::Violation { rank, violation }) => (rank, violation),
+            other => panic!("expected a violation, got {:?}", other.err()),
+        }
+    }
+
+    /// Rank 0's byte-count violation: `expected` bytes from `peer` in
+    /// `algo`'s step 0, and `got`.
+    fn payload_mismatch(algo: &'static str, peer: usize, expected: usize, got: usize) -> Violation {
+        Violation::ByteCount {
+            check: "allgatherv payload",
+            rank: 0,
+            peer,
+            expected,
+            got,
+            step: Some((algo, 0)),
+        }
     }
 
     #[test]
-    #[should_panic(
-        expected = "allgatherv payload mismatch: rank 0 expected 4 bytes from rank 3 in ring step 0, got 8"
-    )]
     fn ring_names_a_rank_with_different_counts() {
-        run_disagreeing(AllgathervAlgorithm::Ring, 4, 3);
+        let (rank, violation) = run_disagreeing(AllgathervAlgorithm::Ring, 4, 3);
+        assert_eq!((rank, violation), (0, payload_mismatch("ring", 3, 4, 8)));
     }
 
     #[test]
-    #[should_panic(
-        expected = "allgatherv payload mismatch: rank 0 expected 5 bytes from rank 1 in recursive_doubling step 0, got 9"
-    )]
     fn recursive_doubling_names_a_rank_with_different_counts() {
-        run_disagreeing(AllgathervAlgorithm::RecursiveDoubling, 4, 1);
+        let (rank, violation) = run_disagreeing(AllgathervAlgorithm::RecursiveDoubling, 4, 1);
+        let want = payload_mismatch("recursive_doubling", 1, 5, 9);
+        assert_eq!((rank, violation), (0, want));
     }
 
     #[test]
-    #[should_panic(
-        expected = "allgatherv payload mismatch: rank 0 expected 2 bytes from rank 2 in dissemination step 0, got 6"
-    )]
     fn dissemination_names_a_rank_with_different_counts() {
-        run_disagreeing(AllgathervAlgorithm::Dissemination, 3, 2);
+        let (rank, violation) = run_disagreeing(AllgathervAlgorithm::Dissemination, 3, 2);
+        let want = payload_mismatch("dissemination", 2, 2, 6);
+        assert_eq!((rank, violation), (0, want));
+    }
+
+    /// Each algorithm's text is the one it had as a bare panic.
+    #[test]
+    fn payload_mismatches_keep_their_text() {
+        let texts = [
+            (
+                payload_mismatch("ring", 3, 4, 8),
+                "4 bytes from rank 3 in ring step 0, got 8",
+            ),
+            (
+                payload_mismatch("recursive_doubling", 1, 5, 9),
+                "5 bytes from rank 1 in recursive_doubling step 0, got 9",
+            ),
+            (
+                payload_mismatch("dissemination", 2, 2, 6),
+                "2 bytes from rank 2 in dissemination step 0, got 6",
+            ),
+        ];
+        for (violation, tail) in texts {
+            let text = format!("allgatherv payload mismatch: rank 0 expected {tail}");
+            assert_eq!(violation.to_string(), text);
+        }
     }
 
     #[test]

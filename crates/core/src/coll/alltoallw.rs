@@ -17,11 +17,15 @@
 //! cheap receivers never wait behind expensive preprocessing.
 
 use ncd_datatype::Datatype;
-use ncd_simnet::volume;
+use ncd_simnet::{volume, Violation};
 
 use crate::coll::{coll_tag, CollOp};
 use crate::comm::Comm;
 use crate::config::MpiFlavor;
+
+/// The [`Violation::ByteCount`] label of a peer's message whose size is
+/// not what this rank's receive slot for it expects.
+const PAIRWISE: &str = "pairwise byte count";
 
 /// One peer's slot in an alltoallw: `count` instances of `dtype` located at
 /// `offset` bytes into the send (or receive) buffer — the analogue of MPI's
@@ -166,20 +170,10 @@ impl Comm<'_> {
         self.close_epoch("alltoallw", schedule.label(), volumes);
     }
 
-    /// Panic unless the exchange with `src` delivered the `want` bytes
-    /// this rank's receive slot expects, naming both ranks and both counts.
-    fn check_exchange_bytes(&self, what: &str, src: usize, want: usize, got: usize) {
-        assert_eq!(
-            got,
-            want,
-            "{what} mismatch: rank {} expected {want} bytes from rank {src}, got {got}",
-            self.rank()
-        );
-    }
-
     /// Local exchange with self: pack and unpack without the wire.
     fn a2aw_self_copy(&mut self, sendbuf: &[u8], s: &WPeer, recvbuf: &mut [u8], r: &WPeer) {
-        self.check_exchange_bytes("self exchange size", self.rank(), r.bytes(), s.bytes());
+        let (rank, sizes) = (self.rank(), (r.bytes(), s.bytes()));
+        Violation::expect_bytes("self exchange size", None, (rank, rank), sizes);
         if s.bytes() == 0 {
             return;
         }
@@ -218,7 +212,7 @@ impl Comm<'_> {
             self.rank_mut().send_bytes(dst, tag, payload);
             let (data, _) = self.wait(req).into_recv();
             let r = &recvs[src];
-            self.check_exchange_bytes("pairwise byte count", src, r.bytes(), data.len());
+            Violation::expect_bytes(PAIRWISE, None, (rank, src), (r.bytes(), data.len()));
             if !data.is_empty() {
                 self.deliver_recv(&mut recvbuf[r.offset..], &r.dtype, r.count, &data);
             }
@@ -287,7 +281,7 @@ impl Comm<'_> {
         self.wait_each(recv_reqs, |comm, _, completion| {
             let (data, src) = completion.into_recv();
             let r = &recvs[src];
-            comm.check_exchange_bytes("pairwise byte count", src, r.bytes(), data.len());
+            Violation::expect_bytes(PAIRWISE, None, (rank, src), (r.bytes(), data.len()));
             comm.deliver_recv(&mut recvbuf[r.offset..], &r.dtype, r.count, &data);
         });
 
@@ -302,7 +296,7 @@ mod tests {
     use super::*;
     use crate::comm::{bytes_to_f64s, f64s_to_bytes, Comm};
     use crate::config::MpiConfig;
-    use ncd_simnet::{Cluster, ClusterConfig, Observers};
+    use ncd_simnet::{Cluster, ClusterConfig, Observers, RunError};
 
     /// Nearest-neighbour ring exchange of one double with succ and pred —
     /// the Figure 15 communication pattern in miniature.
@@ -506,11 +500,12 @@ mod tests {
         );
     }
 
-    /// Rank 0 sends rank 1 two doubles where rank 1 expects one.
-    fn mismatched_pair_sizes(cfg: MpiConfig) {
+    /// Rank 0 sends rank 1 two doubles where rank 1 expects one: rank 1's
+    /// violation (rank 0's receive is fine, so it is the only one).
+    fn mismatched_pair_sizes(cfg: MpiConfig) -> (usize, Violation) {
         let dt = Datatype::double();
         let empty = Datatype::contiguous(0, &Datatype::double()).unwrap();
-        Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
+        let out = Cluster::new(ClusterConfig::uniform(2)).try_run(move |rank| {
             let mut comm = Comm::new(rank, cfg.clone());
             let me = comm.rank();
             let peer = 1 - me;
@@ -523,21 +518,64 @@ mod tests {
             let mut recvbuf = vec![0u8; 8];
             comm.alltoallw(&sendbuf, &sends, &mut recvbuf, &recvs);
         });
+        match out.results {
+            Err(RunError::Violation { rank, violation }) => (rank, violation),
+            other => panic!("expected a violation, got {:?}", other.err()),
+        }
+    }
+
+    const PAIR_MISMATCH: Violation = Violation::ByteCount {
+        check: "pairwise byte count",
+        rank: 1,
+        peer: 0,
+        expected: 8,
+        got: 16,
+        step: None,
+    };
+
+    #[test]
+    fn mismatched_pair_sizes_are_a_violation() {
+        let got = mismatched_pair_sizes(MpiConfig::baseline());
+        assert_eq!(got, (1, PAIR_MISMATCH));
+        assert_eq!(
+            PAIR_MISMATCH.to_string(),
+            "pairwise byte count mismatch: rank 1 expected 8 bytes from rank 0, got 16"
+        );
     }
 
     #[test]
-    #[should_panic(
-        expected = "pairwise byte count mismatch: rank 1 expected 8 bytes from rank 0, got 16"
-    )]
-    fn mismatched_pair_sizes_panic() {
-        mismatched_pair_sizes(MpiConfig::baseline());
+    fn mismatched_pair_sizes_are_a_violation_under_the_binned_schedule() {
+        let got = mismatched_pair_sizes(MpiConfig::optimized());
+        assert_eq!(got, (1, PAIR_MISMATCH));
     }
 
+    /// A rank whose own send and receive slots disagree fails before its
+    /// first message, under either schedule.
     #[test]
-    #[should_panic(
-        expected = "pairwise byte count mismatch: rank 1 expected 8 bytes from rank 0, got 16"
-    )]
-    fn mismatched_pair_sizes_panic_under_the_binned_schedule() {
-        mismatched_pair_sizes(MpiConfig::optimized());
+    fn a_self_exchange_of_another_size_is_a_violation() {
+        for cfg in [MpiConfig::baseline(), MpiConfig::optimized()] {
+            let out = Cluster::new(ClusterConfig::uniform(1)).try_run(move |rank| {
+                let mut comm = Comm::new(rank, cfg.clone());
+                let sends = [WPeer::new(0, 2, Datatype::double())];
+                let recvs = [WPeer::new(0, 1, Datatype::double())];
+                comm.alltoallw(&[0u8; 16], &sends, &mut [0u8; 8], &recvs);
+            });
+            let Err(RunError::Violation { rank, violation }) = out.results else {
+                panic!("a self exchange of another size is refused");
+            };
+            let want = Violation::ByteCount {
+                check: "self exchange size",
+                rank: 0,
+                peer: 0,
+                expected: 8,
+                got: 16,
+                step: None,
+            };
+            assert_eq!((rank, violation), (0, want.clone()));
+            assert_eq!(
+                want.to_string(),
+                "self exchange size mismatch: rank 0 expected 8 bytes from rank 0, got 16"
+            );
+        }
     }
 }

@@ -16,7 +16,9 @@
 //!   no copy, the bytes go straight from user memory to the wire.
 
 use ncd_datatype::{BlockMode, Datatype, OpCounts, PackEngine, Unpacker};
-use ncd_simnet::{millis_to_ratio, ratio_to_millis, volume, CostKind, EventKind, Rank, Tag};
+use ncd_simnet::{
+    millis_to_ratio, ratio_to_millis, volume, CostKind, EventKind, Rank, Tag, Violation,
+};
 
 use crate::config::MpiConfig;
 use crate::drift::{DriftDirection, DriftMonitor};
@@ -280,20 +282,33 @@ impl<'a> Comm<'a> {
         count: usize,
         bytes: &[u8],
     ) {
+        // What arrived must fit the receive type, and the receive type
+        // (for a contiguous one, what arrived) must fit the buffer.
+        let rank = self.rank();
+        let fits = |what, into, bytes: usize, room: usize| {
+            if bytes > room {
+                Violation::RecvOverflow {
+                    rank,
+                    what,
+                    into,
+                    bytes,
+                    room,
+                }
+                .raise();
+            }
+        };
         let total = dt.size() * count;
-        assert!(
-            bytes.len() <= total,
-            "message of {} bytes overflows receive type of {} bytes",
-            bytes.len(),
-            total
-        );
+        fits("message", "receive type", bytes.len(), total);
         if bytes.is_empty() {
             return;
         }
         if dt.is_contiguous() {
+            fits("message", "receive buffer", bytes.len(), buf.len());
             buf[..bytes.len()].copy_from_slice(bytes);
             return;
         }
+        let span = dt.true_bounds(count).1.max(0) as usize;
+        fits("receive type", "receive buffer", span, buf.len());
         let mut unpacker = Unpacker::new(dt, count);
         let counts = unpacker
             .unpack(buf, bytes)
@@ -353,7 +368,7 @@ pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
 mod tests {
     use super::*;
     use ncd_datatype::matrix_column_type;
-    use ncd_simnet::{Cluster, ClusterConfig, Observers};
+    use ncd_simnet::{Cluster, ClusterConfig, Observers, RunError};
 
     fn two_ranks<R: Send>(f: impl Fn(&mut Comm) -> R + Send + Sync) -> Vec<R> {
         Cluster::new(ClusterConfig::uniform(2)).run(move |rank| {
@@ -415,6 +430,68 @@ mod tests {
         let col = matrix_column_type(rows, cols, 3).unwrap();
         let expected = ncd_datatype::pack_all(&col, cols, src).unwrap();
         assert_eq!(dst, &expected);
+    }
+
+    /// Rank 0 sends two doubles; rank 1 receives them as `count` of
+    /// `rdt` into a buffer of `len` bytes. The run's violation.
+    fn receive_two_doubles(rdt: Datatype, count: usize, len: usize) -> (usize, Violation) {
+        let out = Cluster::new(ClusterConfig::uniform(2)).try_run(move |rank| {
+            let mut comm = Comm::new(rank, MpiConfig::optimized());
+            if comm.rank() == 0 {
+                comm.send(&[7u8; 16], &Datatype::double(), 2, 1, Tag(0));
+            } else {
+                comm.recv(&mut vec![0u8; len], &rdt, count, Some(0), Tag(0));
+            }
+        });
+        match out.results {
+            Err(RunError::Violation { rank, violation }) => (rank, violation),
+            other => panic!("expected a violation, got {:?}", other.err()),
+        }
+    }
+
+    fn overflow(what: &'static str, into: &'static str, bytes: usize, room: usize) -> Violation {
+        Violation::RecvOverflow {
+            rank: 1,
+            what,
+            into,
+            bytes,
+            room,
+        }
+    }
+
+    #[test]
+    fn a_message_longer_than_the_receive_type_is_a_violation() {
+        let got = receive_two_doubles(Datatype::double(), 1, 16);
+        let want = overflow("message", "receive type", 16, 8);
+        assert_eq!(got, (1, want.clone()));
+        assert_eq!(
+            want.to_string(),
+            "message of 16 bytes overflows receive type of 8 bytes"
+        );
+    }
+
+    #[test]
+    fn a_contiguous_receive_into_a_short_buffer_is_a_violation() {
+        let got = receive_two_doubles(Datatype::double(), 2, 8);
+        let want = overflow("message", "receive buffer", 16, 8);
+        assert_eq!(got, (1, want.clone()));
+        assert_eq!(
+            want.to_string(),
+            "message of 16 bytes overflows receive buffer of 8 bytes"
+        );
+    }
+
+    #[test]
+    fn a_typed_receive_into_a_short_buffer_is_a_violation() {
+        // Two doubles one double apart: 16 bytes of data over a 24-byte span.
+        let strided = Datatype::vector(2, 1, 2, &Datatype::double()).unwrap();
+        let got = receive_two_doubles(strided, 1, 16);
+        let want = overflow("receive type", "receive buffer", 24, 16);
+        assert_eq!(got, (1, want.clone()));
+        assert_eq!(
+            want.to_string(),
+            "receive type of 24 bytes overflows receive buffer of 16 bytes"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use ncd_core::{view, Comm, Request, WPeer};
 use ncd_datatype::{hindexed_from_f64_indices, Datatype};
-use ncd_simnet::{CostKind, Tag};
+use ncd_simnet::{CostKind, Tag, Violation};
 
 use crate::is::IndexSet;
 use crate::layout::Layout;
@@ -424,14 +424,8 @@ impl VecScatter {
         comm.wait_each(recv_reqs, |comm, idx, completion| {
             let (bytes, _) = completion.into_recv();
             let r = &self.dst.remote[idx];
-            let (want, got) = (8 * r.offsets.len(), bytes.len());
-            assert_eq!(
-                got,
-                want,
-                "scatter payload mismatch: rank {} expected {want} bytes from rank {}, got {got}",
-                comm.rank(),
-                r.peer
-            );
+            let sizes = (8 * r.offsets.len(), bytes.len());
+            Violation::expect_bytes("scatter payload", None, (comm.rank(), r.peer), sizes);
             store(to.local_mut(), &r.offsets, view::f64s_in(&bytes));
             charge_indexed(comm, r.offsets.len(), r.runs);
         });
@@ -453,14 +447,11 @@ fn refuse_repeated_dsts(rank: usize, layout: &Layout, local: &[usize], recvs: &[
     for (_, offsets) in senders() {
         for &o in offsets {
             if std::mem::replace(&mut filled[o], true) {
-                let by: Vec<usize> = senders()
+                let from = senders()
                     .flat_map(|(peer, offs)| offs.iter().filter(|&&p| p == o).map(move |_| peer))
                     .collect();
-                panic!(
-                    "scatter destination {} is named by more than one pair: rank {rank} \
-                     would receive it from ranks {by:?}",
-                    layout.range(rank).0 + o
-                );
+                let index = layout.range(rank).0 + o;
+                Violation::RepeatedDestination { index, rank, from }.raise();
             }
         }
     }
@@ -494,9 +485,9 @@ pub(crate) fn route(comm: &mut Comm, tag: Tag, outgoing: &[Vec<u64>]) -> Vec<(us
     for (peer, n) in view::u64s_in(&announced).enumerate() {
         if peer != rank && n > 0 {
             let (bytes, _) = comm.rank_mut().recv_bytes(Some(peer), tag);
-            let words: Vec<u64> = view::u64s_in(&bytes).collect();
-            assert_eq!(words.len() as u64, n, "rank {peer} announced another size");
-            incoming.push((peer, words));
+            let sizes = (8 * n as usize, bytes.len());
+            Violation::expect_bytes("routed bucket size", None, (rank, peer), sizes);
+            incoming.push((peer, view::u64s_in(&bytes).collect()));
         }
     }
     incoming
@@ -506,7 +497,7 @@ pub(crate) fn route(comm: &mut Comm, tag: Tag, outgoing: &[Vec<u64>]) -> Vec<(us
 mod tests {
     use super::*;
     use ncd_core::MpiConfig;
-    use ncd_simnet::{Cluster, ClusterConfig, Observers};
+    use ncd_simnet::{Cluster, ClusterConfig, Observers, RunError};
 
     fn with_n<R: Send>(n: usize, f: impl Fn(&mut Comm) -> R + Send + Sync) -> Vec<R> {
         Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {
@@ -725,16 +716,58 @@ mod tests {
             let dst = IndexSet::general(vec![3]);
             VecScatter::create(&mut comm, layout.clone(), &src, layout, &dst);
         });
-        let err = out.results.expect_err("a repeated destination is refused");
-        let msg = err.to_string();
-        let named = "scatter destination 3 is named by more than one pair: \
-                     rank 1 would receive it from ranks [1, 0]";
-        assert!(msg.contains(named), "{msg}");
+        let Err(RunError::Violation { rank, violation }) = out.results else {
+            panic!("a repeated destination is refused");
+        };
+        let want = Violation::RepeatedDestination {
+            index: 3,
+            rank: 1,
+            from: vec![1, 0],
+        };
+        assert_eq!((rank, violation), (1, want.clone()));
+        assert_eq!(
+            want.to_string(),
+            "scatter destination 3 is named by more than one pair: \
+             rank 1 would receive it from ranks [1, 0]"
+        );
+    }
+
+    /// A message on the set-up tag that `route` did not announce: rank 1
+    /// owes rank 0 one pair (two words) and a stray 8-byte message goes
+    /// first, so rank 0 reads it in the pair's place.
+    #[test]
+    fn a_routed_bucket_of_another_size_is_refused_by_name() {
+        let out = Cluster::new(ClusterConfig::uniform(2)).try_run(|rank| {
+            let mut comm = Comm::new(rank, MpiConfig::optimized());
+            let layout = Layout::balanced(4, comm.size());
+            let pairs = comm.rank();
+            if pairs == 1 {
+                comm.rank_mut().send_bytes(0, SETUP_PAIRS_TAG, vec![0u8; 8]);
+            }
+            let (src, dst) = (IndexSet::stride(0, 1, pairs), IndexSet::stride(3, 1, pairs));
+            VecScatter::create(&mut comm, layout.clone(), &src, layout, &dst);
+        });
+        let Err(RunError::Violation { rank, violation }) = out.results else {
+            panic!("an unannounced size is refused");
+        };
+        let want = Violation::ByteCount {
+            check: "routed bucket size",
+            rank: 0,
+            peer: 1,
+            expected: 16,
+            got: 8,
+            step: None,
+        };
+        assert_eq!((rank, violation), (0, want.clone()));
+        assert_eq!(
+            want.to_string(),
+            "routed bucket size mismatch: rank 0 expected 16 bytes from rank 1, got 8"
+        );
     }
 
     /// Rank 0 owes rank 1 four values and sends `bad` in their place:
-    /// rank 1's panic message from `end`, and its vector afterwards.
-    fn end_on_payload(bad: &'static [u8]) -> (String, Vec<f64>) {
+    /// rank 1's violation from `end`, and its vector afterwards.
+    fn end_on_payload(bad: &'static [u8]) -> (Violation, Vec<f64>) {
         let mut out = with_n(2, move |comm| {
             let layout = Layout::balanced(8, comm.size());
             let pairs = if comm.rank() == 0 { 4 } else { 0 };
@@ -749,25 +782,38 @@ mod tests {
             let h = plan.begin(comm, &x, &mut y, ScatterBackend::HandTuned);
             let end = std::panic::AssertUnwindSafe(|| plan.end(comm, h, &mut y));
             let panic = std::panic::catch_unwind(end).expect_err("a bad payload is refused");
-            let msg = panic.downcast::<String>().expect("a formatted message");
-            Some((*msg, y.local().to_vec()))
+            let violation = panic.downcast::<Violation>().expect("a violation");
+            Some((*violation, y.local().to_vec()))
         });
         out.remove(1).expect("rank 1 reports")
     }
 
+    fn payload_mismatch(got: usize) -> Violation {
+        Violation::ByteCount {
+            check: "scatter payload",
+            rank: 1,
+            peer: 0,
+            expected: 32,
+            got,
+            step: None,
+        }
+    }
+
     #[test]
     fn ragged_payload_is_named_and_nothing_is_stored() {
-        let (msg, y) = end_on_payload(&[0u8; 31]);
-        let named = "scatter payload mismatch: rank 1 expected 32 bytes from rank 0, got 31";
-        assert!(msg.contains(named), "{msg}");
+        let (violation, y) = end_on_payload(&[0u8; 31]);
+        assert_eq!(violation, payload_mismatch(31));
         assert_eq!(y, [-1.0; 4]);
+        assert_eq!(
+            violation.to_string(),
+            "scatter payload mismatch: rank 1 expected 32 bytes from rank 0, got 31"
+        );
     }
 
     #[test]
     fn short_payload_is_named_and_nothing_is_stored() {
-        let (msg, y) = end_on_payload(&[0u8; 24]);
-        let named = "scatter payload mismatch: rank 1 expected 32 bytes from rank 0, got 24";
-        assert!(msg.contains(named), "{msg}");
+        let (violation, y) = end_on_payload(&[0u8; 24]);
+        assert_eq!(violation, payload_mismatch(24));
         assert_eq!(y, [-1.0; 4]);
     }
 

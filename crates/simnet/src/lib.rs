@@ -95,7 +95,9 @@ pub use metrics::{
 pub use profile::{imbalance_report, Profiler, StageStats};
 pub use recorder::{render_dump, RankRecorder, RecCode, Recorded, SIDE_RING_SLOTS};
 pub use runtime::{last_sched_stats, Cluster, ClusterConfig, Rank, RunOutput, SpeedProfile};
-pub use sched::{ParkedWait, RunError, SchedStats, TaskBackend, DEPTH_BUCKETS, MIN_STACK_BYTES};
+pub use sched::{
+    ParkedWait, RunError, SchedStats, TaskBackend, Violation, DEPTH_BUCKETS, MIN_STACK_BYTES,
+};
 pub use stats::{CostKind, Stats};
 pub use time::{CostModel, SimTime};
 pub use trace::{render_timeline_fit, EventKind, TraceEvent, TIMELINE_GUTTER};

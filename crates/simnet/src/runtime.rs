@@ -28,6 +28,7 @@ use crate::profile::Profiler;
 use crate::recorder::{render_dump, RankRecorder};
 use crate::sched::{
     self, EventCtl, EventHandle, RunError, SchedStats, Stacks, Task, TaskBackend, TaskShared,
+    Violation,
 };
 use crate::stats::{CostKind, Stats};
 use crate::time::{CostModel, SimTime};
@@ -234,7 +235,9 @@ impl Cluster {
     /// simulated-time order (see [`crate::sched`] for the event loop and
     /// the park/unpark protocol). A failed run still runs every other
     /// rank as far as it can go, and still returns its survey and its
-    /// recorders; its capture is empty.
+    /// recorders; its capture is empty. A rank that notices a misuse
+    /// (ranks that disagree, a receive too small) raises a [`Violation`],
+    /// which comes back as [`RunError::Violation`].
     pub fn try_run<R, F>(&self, f: F) -> RunOutput<R>
     where
         R: Send,
@@ -340,7 +343,8 @@ impl<R> RunOutput<R> {
 impl RunError {
     /// Fail loudly, as [`Cluster::run`] does: write the flight-recorder
     /// dump of the failed run's `recorders` to stderr, then re-raise a
-    /// rank's own panic with its payload, or panic with this error's text.
+    /// rank's own panic with its payload, or panic with this error's text
+    /// (a [`Violation`]'s `Display`, a stall's report) as a `String`.
     pub fn raise(self, recorders: &[Arc<RankRecorder>]) -> ! {
         eprintln!(
             "flight recorder: panic on rank {}\n{}",
@@ -729,12 +733,10 @@ impl Rank {
         };
         // A send to a rank whose program has returned is an error in the
         // program being simulated, reported on the sender.
-        let delivered = self.sched.post(dst, msg);
-        assert!(
-            delivered,
-            "destination rank {dst} hung up: rank {} sent it tag {} after its program returned",
-            self.rank, tag.0
-        );
+        if !self.sched.post(dst, msg) {
+            let rank = self.rank;
+            Violation::HungUp { rank, dst, tag }.raise();
+        }
     }
 
     /// Blockingly receive a message matching `(src, tag)`; returns the
@@ -1488,46 +1490,68 @@ mod tests {
         );
     }
 
+    /// Rank 0 sends rank 1 a message tagged `tag` after rank 1's program
+    /// has returned (its one message to rank 0 was its last act).
+    fn send_after_hang_up(r: &mut Rank, tag: Tag) {
+        if r.rank() == 0 {
+            let _ = r.recv_bytes(Some(1), Tag(0));
+            r.send_bytes(1, tag, vec![1]);
+        } else {
+            r.send_bytes(0, Tag(0), vec![1]);
+        }
+    }
+
     /// A send to a rank whose program has already returned is an error
     /// in the simulated program, reported on the sender.
     #[test]
     fn send_to_finished_rank_panics() {
-        let res = std::panic::catch_unwind(|| {
-            Cluster::new(ClusterConfig::uniform(2)).run(|r| {
-                if r.rank() == 0 {
-                    // Rank 1 has returned by the time its message is here.
-                    let _ = r.recv_bytes(Some(1), Tag(0));
-                    r.send_bytes(1, Tag(0), vec![1]);
-                } else {
-                    r.send_bytes(0, Tag(0), vec![1]);
-                }
-            })
-        });
-        let payload = res.expect_err("send to an exited rank must not succeed");
-        let msg = panic_message(payload);
-        assert!(msg.contains("hung up"), "unexpected message: {msg}");
+        let out =
+            Cluster::new(ClusterConfig::uniform(2)).try_run(|r| send_after_hang_up(r, Tag(0)));
+        let Err(RunError::Violation { rank, violation }) = out.results else {
+            panic!("send to an exited rank must not succeed");
+        };
+        let want = Violation::HungUp {
+            rank: 0,
+            dst: 1,
+            tag: Tag(0),
+        };
+        assert_eq!((rank, violation), (0, want));
     }
 
-    /// The same send, as data: the sender's panic names both parties and
-    /// the tag.
+    /// The same send, as data: the sender's violation names both parties
+    /// and the tag.
     #[test]
     fn a_send_to_a_finished_rank_names_the_sender_destination_and_tag() {
-        let out = Cluster::new(ClusterConfig::uniform(2)).try_run(|r| {
-            if r.rank() == 0 {
-                let _ = r.recv_bytes(Some(1), Tag(0));
-                r.send_bytes(1, Tag(5), vec![1]);
-            } else {
-                r.send_bytes(0, Tag(0), vec![1]);
-            }
-        });
+        let out =
+            Cluster::new(ClusterConfig::uniform(2)).try_run(|r| send_after_hang_up(r, Tag(5)));
         let err = out.results.expect_err("rank 1 has returned");
-        assert!(
-            matches!(err, RunError::RankPanicked { rank: 0, .. }),
-            "{err:?}"
-        );
+        let want = Violation::HungUp {
+            rank: 0,
+            dst: 1,
+            tag: Tag(5),
+        };
         assert_eq!(
-            err.to_string(),
+            want.to_string(),
             "destination rank 1 hung up: rank 0 sent it tag 5 after its program returned"
+        );
+        assert_eq!(err.to_string(), want.to_string());
+        let RunError::Violation { rank, violation } = err else {
+            panic!("{err:?}");
+        };
+        assert_eq!((rank, violation), (0, want));
+    }
+
+    /// `Cluster::run` raises a violation as a panic whose payload is the
+    /// violation's text, as a `String`.
+    #[test]
+    fn run_panics_with_a_violations_text() {
+        let res = std::panic::catch_unwind(|| {
+            Cluster::new(ClusterConfig::uniform(2)).run(|r| send_after_hang_up(r, Tag(5)))
+        });
+        let payload = res.expect_err("a violating run must not return");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("destination rank 1 hung up: rank 0 sent it tag 5 after its program returned")
         );
     }
 

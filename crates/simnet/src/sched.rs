@@ -105,10 +105,133 @@ impl fmt::Display for ParkedWait {
     }
 }
 
+/// A misuse of the message layer that the rank noticing it names: ranks
+/// that disagree about what they exchange, or a receive that cannot hold
+/// what arrived. Raised with [`Violation::raise`] on that rank; a run that
+/// raises one fails with [`RunError::Violation`]. `Display` is the text
+/// [`crate::Cluster::run`] panics with.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Violation {
+    /// A receive on `rank` cannot hold what arrived: `bytes` bytes of
+    /// `what` overflow the `room` bytes of `into`. The `"message"` must
+    /// fit the `"receive type"` (`count` × its size), and the `"receive
+    /// buffer"` must hold the message (contiguous type) or the
+    /// `"receive type"`'s span.
+    RecvOverflow {
+        rank: usize,
+        what: &'static str,
+        into: &'static str,
+        bytes: usize,
+        room: usize,
+    },
+    /// `rank` expected `expected` bytes from `peer` and got `got` — the
+    /// sign that the two passed different counts, types or plans. `check`
+    /// names the exchange; `step` is allgatherv's algorithm and step.
+    ByteCount {
+        check: &'static str,
+        rank: usize,
+        peer: usize,
+        expected: usize,
+        got: usize,
+        step: Option<(&'static str, u32)>,
+    },
+    /// A scatter plan fills destination `index` more than once: `rank`
+    /// owns it and would receive it from each rank in `from`.
+    RepeatedDestination {
+        index: usize,
+        rank: usize,
+        from: Vec<usize>,
+    },
+    /// `rank` sent `dst` a message tagged `tag` after `dst`'s program had
+    /// returned.
+    HungUp { rank: usize, dst: usize, tag: Tag },
+}
+
+impl Violation {
+    /// Unwind the calling rank with `self` as the payload. Cold and out
+    /// of line, so a check costs its caller one comparison; unwinding
+    /// with `resume_unwind` skips the panic hook's message, since the
+    /// run's error carries the text.
+    #[cold]
+    #[inline(never)]
+    pub fn raise(self) -> ! {
+        std::panic::resume_unwind(Box::new(self))
+    }
+
+    /// Raise a [`Violation::ByteCount`] unless `got == expected`.
+    #[inline]
+    pub fn expect_bytes(
+        check: &'static str,
+        step: Option<(&'static str, u32)>,
+        (rank, peer): (usize, usize),
+        (expected, got): (usize, usize),
+    ) {
+        if got != expected {
+            let v = Violation::ByteCount {
+                check,
+                rank,
+                peer,
+                expected,
+                got,
+                step,
+            };
+            v.raise();
+        }
+    }
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Violation::RecvOverflow {
+                what,
+                into,
+                bytes,
+                room,
+                ..
+            } => {
+                write!(
+                    f,
+                    "{what} of {bytes} bytes overflows {into} of {room} bytes"
+                )
+            }
+            Violation::ByteCount {
+                check,
+                rank,
+                peer,
+                expected,
+                got,
+                step,
+            } => {
+                let at = step.map_or(String::new(), |(algo, n)| format!(" in {algo} step {n}"));
+                write!(
+                    f,
+                    "{check} mismatch: rank {rank} expected {expected} bytes from rank {peer}{at}, \
+                     got {got}"
+                )
+            }
+            Violation::RepeatedDestination { index, rank, from } => write!(
+                f,
+                "scatter destination {index} is named by more than one pair: rank {rank} \
+                 would receive it from ranks {from:?}"
+            ),
+            Violation::HungUp { rank, dst, tag } => write!(
+                f,
+                "destination rank {dst} hung up: rank {rank} sent it tag {} \
+                 after its program returned",
+                tag.0
+            ),
+        }
+    }
+}
+
 /// Why a cluster run did not complete — what [`crate::Cluster::try_run`]
 /// returns in place of the results. `Display` is the text
 /// [`crate::Cluster::run`] panics with.
 pub enum RunError {
+    /// The lowest-numbered panicking rank raised a [`Violation`]. It
+    /// outranks any stall it left behind, as a panic does.
+    Violation { rank: usize, violation: Violation },
     /// The lowest-numbered rank whose program panicked, with its panic
     /// payload. It outranks any stall the panic left behind.
     RankPanicked {
@@ -132,7 +255,7 @@ impl RunError {
     /// the lowest parked one.
     pub fn rank(&self) -> usize {
         match self {
-            RunError::RankPanicked { rank, .. } => *rank,
+            RunError::Violation { rank, .. } | RunError::RankPanicked { rank, .. } => *rank,
             RunError::Deadlock { waits, .. } | RunError::Disconnected { waits } => {
                 waits.first().map_or(0, |w| w.rank)
             }
@@ -141,10 +264,11 @@ impl RunError {
 }
 
 impl fmt::Display for RunError {
-    /// A panic's own message; a stall's kind, then each parked rank's
-    /// wait, the first eight by name and the rest counted.
+    /// A violation's or a panic's own message; a stall's kind, then each
+    /// parked rank's wait, the first eight by name and the rest counted.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let waits = match self {
+            RunError::Violation { violation, .. } => return violation.fmt(f),
             RunError::RankPanicked { rank, payload } => {
                 return match (
                     payload.downcast_ref::<String>(),
@@ -470,7 +594,8 @@ impl SchedStats {
 
 /// Run every task to completion under the deterministic event loop, and
 /// survey the run whether it completed or not. The lowest-numbered
-/// rank's own panic is the run's error; failing that, a stall.
+/// rank's own panic is the run's error (a [`RunError::Violation`] when it
+/// raised one); failing that, a stall.
 ///
 /// `tie_seed` perturbs which of several ready ranks with *equal*
 /// simulated park time runs first — `None` breaks ties by rank id.
@@ -516,7 +641,13 @@ pub(crate) fn drive(
         stats.deposit_wakes = inner.deposit_wakes;
     });
     let panicked = panics.into_iter().min_by_key(|(r, _)| *r);
-    let err = panicked.map(|(rank, payload)| RunError::RankPanicked { rank, payload });
+    let err = panicked.map(|(rank, payload)| match payload.downcast::<Violation>() {
+        Ok(violation) => RunError::Violation {
+            rank,
+            violation: *violation,
+        },
+        Err(payload) => RunError::RankPanicked { rank, payload },
+    });
     (err.or(stalled).map_or(Ok(()), Err), stats)
 }
 
