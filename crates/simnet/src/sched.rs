@@ -339,6 +339,8 @@ struct CtlInner {
     parks_blocked: u64,
     /// Introspection: parked ranks woken by [`EventHandle::post`].
     deposit_wakes: u64,
+    /// Introspection: the most envelopes one mailbox has held.
+    max_mailbox_depth: usize,
 }
 
 /// Shared scheduler state: one per [`drive`] invocation, visible to
@@ -376,6 +378,7 @@ impl EventCtl {
                 poison: None,
                 parks_blocked: 0,
                 deposit_wakes: 0,
+                max_mailbox_depth: 0,
             }),
             entered: AtomicBool::new(false),
         }
@@ -470,7 +473,9 @@ impl EventHandle {
                     inner.deposit_wakes += 1;
                 }
             }
-            inner.mailboxes[dst].push(msg);
+            let mailbox = &mut inner.mailboxes[dst];
+            mailbox.push(msg);
+            inner.max_mailbox_depth = inner.max_mailbox_depth.max(mailbox.len());
             true
         })
     }
@@ -568,6 +573,11 @@ pub struct SchedStats {
     /// all tasks and parks. 0 under the handoff backend — OS thread
     /// stacks are opaque.
     pub max_stack_bytes: usize,
+    /// High-water mark of envelopes queued in one mailbox, across all
+    /// ranks and posts: how far an eager sender ran ahead of a late
+    /// receiver. A drained queue deeper than
+    /// [`crate::mailbox::RELEASE_FLOOR`] gave its buffer back.
+    pub max_mailbox_depth: usize,
 }
 
 impl SchedStats {
@@ -639,6 +649,7 @@ pub(crate) fn drive(
     ctl.with(|inner| {
         stats.parks_blocked = inner.parks_blocked;
         stats.deposit_wakes = inner.deposit_wakes;
+        stats.max_mailbox_depth = inner.max_mailbox_depth;
     });
     let panicked = panics.into_iter().min_by_key(|(r, _)| *r);
     let err = panicked.map(|(rank, payload)| match payload.downcast::<Violation>() {
@@ -1437,6 +1448,8 @@ mod tests {
         assert_eq!(stats.resumes, 12);
         assert_eq!(stats.parks_blocked, 8);
         assert_eq!(stats.deposit_wakes, 8);
+        // The token is the only envelope ever in flight.
+        assert_eq!(stats.max_mailbox_depth, 1);
         // The first round drains depths 4, 3, 2, 1; after that only the
         // token's holder is ever ready.
         assert_eq!(stats.depth_sum, 18);

@@ -57,8 +57,13 @@ fn scheduling_decisions_match_the_recorded_survey() {
         let (out, s) = (run.results.expect("the program completes"), run.sched);
         assert_eq!(s.backend, backend.label());
         assert_eq!(
-            (s.resumes, s.parks_blocked, s.deposit_wakes),
-            (117, 101, 101),
+            (
+                s.resumes,
+                s.parks_blocked,
+                s.deposit_wakes,
+                s.max_mailbox_depth
+            ),
+            (117, 101, 101, 7),
             "{backend:?}"
         );
         assert_eq!(s.ready_depth_log2, ready_depth_log2, "{backend:?}");
