@@ -3,8 +3,10 @@
 //!
 //! A view lets [`Comm`](crate::Comm) read and write `f64` / `u64` memory in
 //! place. The encoding is native-endian: sender and receiver are ranks of one
-//! process, so no byte order ever crosses a boundary. Received payloads are
-//! read back through [`f64s_in`] / [`u64s_in`] rather than viewed, because a
+//! process, so no byte order ever crosses a boundary. A payload is built and
+//! stored as bytes through these views (a scatter copies its runs between a
+//! payload and a vector's view), or read back word by word through
+//! [`f64s_in`] / [`u64s_in`]; it is never viewed as words, because a
 //! `Vec<u8>` is not 8-aligned.
 
 /// Eight-byte plain words: no padding, no invalid bit pattern. Private, so
@@ -38,13 +40,6 @@ pub fn f64s_as_bytes_mut(vals: &mut [f64]) -> &mut [u8] {
     // no write through the view leaves `vals` invalid; the result holds the
     // exclusive borrow of `vals`, so nothing aliases it meanwhile.
     unsafe { std::slice::from_raw_parts_mut(vals.as_mut_ptr().cast(), len) }
-}
-
-/// Gather `vals` into a fresh payload.
-pub fn f64s_to_payload(vals: impl Iterator<Item = f64>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 * vals.size_hint().0);
-    vals.for_each(|v| out.extend_from_slice(&v.to_ne_bytes()));
-    out
 }
 
 fn words_in(bytes: &[u8]) -> impl Iterator<Item = [u8; 8]> + '_ {
@@ -96,7 +91,6 @@ mod tests {
         assert!(u64s_as_bytes(&[]).is_empty());
         assert!(f64s_as_bytes_mut(&mut []).is_empty());
         assert_eq!(f64s_in(&[]).count(), 0);
-        assert!(f64s_to_payload(std::iter::empty()).is_empty());
     }
 
     #[test]
@@ -104,7 +98,6 @@ mod tests {
         let v = awkward();
         assert_eq!(f64s_as_bytes(&v).len(), 8 * v.len());
         assert_eq!(f64s_to_bytes(&v), f64s_as_bytes(&v));
-        assert_eq!(f64s_to_payload(v.iter().copied()), f64s_as_bytes(&v));
         let w = [0u64, 1, u64::MAX, 0x0102_0304_0506_0708];
         assert_eq!(u64s_as_bytes(&w).len(), 32);
         assert_eq!(u64s_in(u64s_as_bytes(&w)).collect::<Vec<_>>(), w);

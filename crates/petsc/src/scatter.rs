@@ -6,19 +6,26 @@
 //! §5.4 compares:
 //!
 //! * [`ScatterBackend::HandTuned`] — PETSc's historical default: each
-//!   peer's values are gathered once, straight into the message payload,
-//!   sent and received individually and stored from the arriving bytes.
-//!   Fast, but the packing and communication pattern live inside the library.
-//! * [`ScatterBackend::Datatype`] — build an MPI derived datatype
-//!   (hindexed over the vector's storage, runs of consecutive indices
-//!   coalesced) per peer at plan-creation time and execute the whole
-//!   scatter as **one `MPI_Alltoallw`** over the vectors' own memory
-//!   ([`ncd_core::view`]). Simpler library code; performance now depends
-//!   entirely on how well the MPI layer handles noncontiguous data and
-//!   nonuniform volumes — which is exactly what the paper's optimizations
-//!   fix. Run it over a `Baseline` communicator to reproduce the
-//!   "MVAPICH2-0.9.5" series and over an `Optimized` one for "MVAPICH2-New".
+//!   peer's values are gathered once, run by run, straight into the message
+//!   payload, sent and received individually and stored run by run from the
+//!   arriving bytes. Fast, but the packing and communication pattern live
+//!   inside the library.
+//! * [`ScatterBackend::Datatype`] — execute the whole scatter as **one
+//!   `MPI_Alltoallw`** over the vectors' own memory ([`ncd_core::view`]),
+//!   one derived datatype per peer. Simpler library code; performance now
+//!   depends entirely on how well the MPI layer handles noncontiguous data
+//!   and nonuniform volumes — which is exactly what the paper's
+//!   optimizations fix. Run it over a `Baseline` communicator to reproduce
+//!   the "MVAPICH2-0.9.5" series and over an `Optimized` one for
+//!   "MVAPICH2-New".
+//!
+//! A plan *is* its type maps: at creation each side's per-peer spec is
+//! committed once as a hindexed datatype over that side's vector (runs of
+//! consecutive indices coalesced), and nothing else is kept per element.
+//! The datatype backend hands the maps to `alltoallw`; the hand-tuned
+//! executor walks their runs.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ncd_core::{view, Comm, Request, WPeer};
@@ -62,41 +69,64 @@ const SETUP_PAIRS_TAG: Tag = Tag(0x4000_0001);
 const SETUP_DSTS_TAG: Tag = Tag(0x4000_0002);
 const DATA_TAG: Tag = Tag(0x4000_0010);
 
-/// `to[offsets[k]] = vals[k]`.
-fn store(to: &mut [f64], offsets: &[usize], vals: impl Iterator<Item = f64>) {
-    offsets.iter().zip(vals).for_each(|(&o, v)| to[o] = v);
-}
-
-/// What one side of a plan exchanges with one peer.
+/// What one side of a plan exchanges with one peer: the committed
+/// hindexed map over this side's vector, its runs in transfer order.
 #[derive(Clone, Debug)]
 struct PeerSpec {
     peer: usize,
-    /// Local offsets into this side's vector, in transfer order.
-    offsets: Vec<usize>,
-    /// Number of coalesced contiguous runs in `offsets`.
-    runs: u64,
+    map: Datatype,
 }
 
 impl PeerSpec {
-    fn new(peer: usize, offsets: Vec<usize>) -> PeerSpec {
-        PeerSpec {
-            peer,
-            runs: count_runs(&offsets),
-            offsets,
-        }
+    /// The spec moving the elements at `offsets`, in that order.
+    fn new(peer: usize, offsets: &[usize]) -> PeerSpec {
+        let map = hindexed_from_f64_indices(offsets).expect("scatter datatype");
+        PeerSpec { peer, map }
+    }
+
+    /// Elements moved.
+    fn len(&self) -> usize {
+        self.map.size() / 8
+    }
+
+    /// The runs as byte ranges of this side's vector, in transfer order.
+    fn byte_runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let segments = self.map.segments().iter();
+        segments.map(|s| s.offset as usize..s.end() as usize)
     }
 }
 
-fn count_runs(offsets: &[usize]) -> u64 {
-    let mut runs = 0u64;
-    let mut prev: Option<usize> = None;
-    for &o in offsets {
-        if prev != Some(o.wrapping_sub(1)) {
-            runs += 1;
+/// A payload of `spec`'s runs of `from`, gathered run by run.
+fn pack(from: &[f64], spec: &PeerSpec) -> Vec<u8> {
+    let from = view::f64s_as_bytes(from);
+    let mut payload = Vec::with_capacity(spec.map.size());
+    spec.byte_runs()
+        .for_each(|r| payload.extend_from_slice(&from[r]));
+    payload
+}
+
+/// Copy `from`'s runs `src` into `to`'s runs `dst`, byte `k` to byte `k`,
+/// with one cursor per side: both cover the same number of bytes, but
+/// their runs may break at different points.
+fn copy_runs(
+    from: &[u8],
+    mut src: impl Iterator<Item = Range<usize>>,
+    to: &mut [u8],
+    mut dst: impl Iterator<Item = Range<usize>>,
+) {
+    let (mut s, mut d) = (src.next(), dst.next());
+    while let (Some(sr), Some(dr)) = (&mut s, &mut d) {
+        let n = sr.len().min(dr.len());
+        to[dr.start..dr.start + n].copy_from_slice(&from[sr.start..sr.start + n]);
+        sr.start += n;
+        dr.start += n;
+        if sr.start == sr.end {
+            s = src.next();
         }
-        prev = Some(o);
+        if dr.start == dr.end {
+            d = dst.next();
+        }
     }
-    runs
 }
 
 /// One side of a compiled plan: the source vector's side packs, the
@@ -108,22 +138,21 @@ struct Side {
     local: PeerSpec,
     /// One spec per remote peer, in ascending peer order.
     remote: Vec<PeerSpec>,
-    /// Prebuilt per-rank alltoallw slots (offset 0 into the local array's
-    /// bytes; the self slot carries `local`).
+    /// Per-rank alltoallw slots (offset 0 into the local array's bytes),
+    /// each sharing its spec's map; the self slot carries `local`.
     types: Vec<WPeer>,
 }
 
 impl Side {
-    fn new(comm: &Comm, layout: Arc<Layout>, local: Vec<usize>, remote: Vec<PeerSpec>) -> Side {
+    fn new(comm: &Comm, layout: Arc<Layout>, local: &[usize], remote: Vec<PeerSpec>) -> Side {
         let local = PeerSpec::new(comm.rank(), local);
         let empty = Datatype::contiguous(0, &Datatype::double()).expect("empty type");
         let mut types: Vec<WPeer> = (0..comm.size())
             .map(|_| WPeer::new(0, 0, empty.clone()))
             .collect();
         for p in remote.iter().chain([&local]) {
-            if !p.offsets.is_empty() {
-                let dt = hindexed_from_f64_indices(&p.offsets).expect("scatter datatype");
-                types[p.peer] = WPeer::new(0, 1, dt);
+            if p.len() > 0 {
+                types[p.peer] = WPeer::new(0, 1, p.map.clone());
             }
         }
         Side {
@@ -134,8 +163,13 @@ impl Side {
         }
     }
 
+    /// The local spec, then the remote ones in peer order.
+    fn specs(&self) -> impl Iterator<Item = &PeerSpec> {
+        std::iter::once(&self.local).chain(&self.remote)
+    }
+
     fn remote_elems(&self) -> usize {
-        self.remote.iter().map(|p| p.offsets.len()).sum()
+        self.remote.iter().map(PeerSpec::len).sum()
     }
 
     /// `v` must be laid out like this side (`role`: "source" / "destination").
@@ -147,7 +181,7 @@ impl Side {
 /// An in-flight scatter: returned by [`VecScatter::begin`], consumed by
 /// [`VecScatter::end`]. Holds the outstanding send/receive requests — the
 /// receive requests are parallel to the destination side's peer specs, so
-/// `end` can route each arriving payload to its offsets.
+/// `end` can route each arriving payload to its runs.
 pub struct ScatterHandle {
     send_reqs: Vec<Request>,
     recv_reqs: Vec<Request>,
@@ -261,22 +295,21 @@ impl VecScatter {
         let recvs: Vec<PeerSpec> = route(comm, SETUP_DSTS_TAG, &send_dsts)
             .into_iter()
             .map(|(peer, dsts)| {
-                let offsets = dsts.iter().map(|&dg| dg as usize - my_dst_start);
-                PeerSpec::new(peer, offsets.collect())
+                let offsets: Vec<usize> =
+                    dsts.iter().map(|&dg| dg as usize - my_dst_start).collect();
+                PeerSpec::new(peer, &offsets)
             })
             .collect();
-        refuse_repeated_dsts(rank, &dst_layout, &local_dst, &recvs);
+        let dst = Side::new(comm, dst_layout, &local_dst, recvs);
+        refuse_repeated_dsts(rank, &dst);
         let sends = send_offsets
-            .into_iter()
+            .iter()
             .enumerate()
             .filter(|(_, offsets)| !offsets.is_empty())
             .map(|(peer, offsets)| PeerSpec::new(peer, offsets))
             .collect();
-
-        VecScatter {
-            src: Side::new(comm, src_layout, local_src, sends),
-            dst: Side::new(comm, dst_layout, local_dst, recvs),
-        }
+        let src = Side::new(comm, src_layout, &local_src, sends);
+        VecScatter { src, dst }
     }
 
     /// Total elements this rank sends to remote ranks.
@@ -291,7 +324,14 @@ impl VecScatter {
 
     /// Elements handled by pure local copy.
     pub fn local_elems(&self) -> usize {
-        self.src.local.offsets.len()
+        self.src.local.len()
+    }
+
+    /// Contiguous runs in this rank's per-peer maps, both sides: what the
+    /// plan holds besides one header per spec.
+    pub fn num_segments(&self) -> usize {
+        let specs = self.src.specs().chain(self.dst.specs());
+        specs.map(|p| p.map.num_segments()).sum()
     }
 
     /// Number of remote peers this rank communicates with.
@@ -387,18 +427,18 @@ impl VecScatter {
                     .map(|r| comm.irecv(Some(r.peer), DATA_TAG))
                     .collect();
                 let (here, there) = (&self.src.local, &self.dst.local);
-                if !here.offsets.is_empty() {
-                    let vals = here.offsets.iter().map(|&o| from.local()[o]);
-                    store(to.local_mut(), &there.offsets, vals);
-                    charge_indexed(comm, here.offsets.len(), here.runs);
+                if here.len() > 0 {
+                    let (x, y) = (from.local(), to.local_mut());
+                    let (x, y) = (view::f64s_as_bytes(x), view::f64s_as_bytes_mut(y));
+                    copy_runs(x, here.byte_runs(), y, there.byte_runs());
+                    charge_indexed(comm, here);
                 }
-                // Gather each peer's values straight into its payload (the
+                // Gather each peer's runs straight into its payload (the
                 // message's only copy on this side) and initiate the send; its
                 // wire time runs on the NIC while the next one is packed.
                 for s in &self.src.remote {
-                    let vals = s.offsets.iter().map(|&o| from.local()[o]);
-                    let payload = view::f64s_to_payload(vals);
-                    charge_indexed(comm, s.offsets.len(), s.runs);
+                    let payload = pack(from.local(), s);
+                    charge_indexed(comm, s);
                     let req = comm.isend_bytes(s.peer, DATA_TAG, payload);
                     handle.send_reqs.push(req);
                 }
@@ -424,10 +464,11 @@ impl VecScatter {
         comm.wait_each(recv_reqs, |comm, idx, completion| {
             let (bytes, _) = completion.into_recv();
             let r = &self.dst.remote[idx];
-            let sizes = (8 * r.offsets.len(), bytes.len());
+            let sizes = (r.map.size(), bytes.len());
             Violation::expect_bytes("scatter payload", None, (comm.rank(), r.peer), sizes);
-            store(to.local_mut(), &r.offsets, view::f64s_in(&bytes));
-            charge_indexed(comm, r.offsets.len(), r.runs);
+            let y = view::f64s_as_bytes_mut(to.local_mut());
+            copy_runs(&bytes, std::iter::once(0..bytes.len()), y, r.byte_runs());
+            charge_indexed(comm, r);
         });
         // Drain the sends: charge whatever wire time was not hidden.
         comm.waitall(handle.send_reqs);
@@ -435,35 +476,36 @@ impl VecScatter {
 }
 
 /// Refuse a plan that fills one destination slot twice: the hand-tuned
-/// path would keep the last arrival and `alltoallw` its own order. `local`
-/// and each `recvs[i].offsets` are offsets into `rank`'s destination block;
+/// path would keep the last arrival and `alltoallw` its own order. The
+/// runs of `dst`, `rank`'s destination side, are byte ranges of its block;
 /// the local pairs count as sent by `rank` itself.
-fn refuse_repeated_dsts(rank: usize, layout: &Layout, local: &[usize], recvs: &[PeerSpec]) {
-    let senders = || {
-        let remote = recvs.iter().map(|r| (r.peer, r.offsets.as_slice()));
-        std::iter::once((rank, local)).chain(remote)
-    };
-    let mut filled = vec![false; layout.local_size(rank)];
-    for (_, offsets) in senders() {
-        for &o in offsets {
-            if std::mem::replace(&mut filled[o], true) {
-                let from = senders()
-                    .flat_map(|(peer, offs)| offs.iter().filter(|&&p| p == o).map(move |_| peer))
-                    .collect();
-                let index = layout.range(rank).0 + o;
-                Violation::RepeatedDestination { index, rank, from }.raise();
-            }
+fn refuse_repeated_dsts(rank: usize, dst: &Side) {
+    let mut filled = vec![false; dst.layout.local_size(rank)];
+    for r in dst.specs().flat_map(PeerSpec::byte_runs) {
+        let slots = r.start / 8..r.end / 8;
+        if let Some(o) = slots.clone().find(|&o| filled[o]) {
+            let from = dst
+                .specs()
+                .flat_map(|s| {
+                    s.byte_runs()
+                        .filter(|r| r.contains(&(8 * o)))
+                        .map(|_| s.peer)
+                })
+                .collect();
+            let index = dst.layout.range(rank).0 + o;
+            Violation::RepeatedDestination { index, rank, from }.raise();
         }
+        filled[slots].fill(true);
     }
 }
 
-/// Charge an indexed copy of `elems` doubles in `runs` coalesced runs.
+/// Charge an indexed copy of `spec`'s elements in its coalesced runs.
 /// Hand-tuned packing copies runs with a loop specialized at compile time —
 /// cheaper per run than the datatype engine's interpreted segment
 /// processing — and is charged accordingly.
-fn charge_indexed(comm: &mut Comm, elems: usize, runs: u64) {
+fn charge_indexed(comm: &mut Comm, spec: &PeerSpec) {
     let cost = comm.rank_ref().cost_model();
-    let ns = cost.indexed_copy_ns(8 * elems, runs);
+    let ns = cost.indexed_copy_ns(spec.map.size(), spec.map.num_segments() as u64);
     comm.rank_mut().charge_cpu(CostKind::Pack, ns);
 }
 
@@ -498,6 +540,110 @@ mod tests {
     use super::*;
     use ncd_core::MpiConfig;
     use ncd_simnet::{Cluster, ClusterConfig, Observers, RunError};
+    use proptest::prelude::*;
+
+    /// The per-element form a spec had before it became its map: the
+    /// offsets themselves, their run count, and element-wise moves.
+    mod oracle {
+        pub fn count_runs(offsets: &[usize]) -> u64 {
+            let mut runs = 0u64;
+            let mut prev: Option<usize> = None;
+            for &o in offsets {
+                if prev != Some(o.wrapping_sub(1)) {
+                    runs += 1;
+                }
+                prev = Some(o);
+            }
+            runs
+        }
+
+        /// The payload: `from[offsets[k]]` for each `k`, in order.
+        pub fn gather(from: &[f64], offsets: &[usize]) -> Vec<u8> {
+            offsets
+                .iter()
+                .flat_map(|&o| from[o].to_ne_bytes())
+                .collect()
+        }
+
+        /// `to[offsets[k]] = vals[k]`.
+        pub fn store(to: &mut [f64], offsets: &[usize], vals: impl Iterator<Item = f64>) {
+            offsets.iter().zip(vals).for_each(|(&o, v)| to[o] = v);
+        }
+    }
+
+    /// Offsets in blocks: each block starts `gap` elements after the last
+    /// one ended (clamped at 0), so a gap of 0 continues the run and a
+    /// negative gap steps back over elements already named (repeats).
+    fn offsets() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec((-6i64..6, 1usize..7), 0..24).prop_map(|blocks| {
+            let mut out = Vec::new();
+            let mut end = 0i64;
+            for (gap, len) in blocks {
+                let start = (end + gap).max(0);
+                out.extend(start as usize..start as usize + len);
+                end = start + len as i64;
+            }
+            out
+        })
+    }
+
+    /// Distinct bit patterns, NaN payloads included, one per slot.
+    fn vector(len: usize, salt: u64) -> Vec<f64> {
+        let bits = |i: usize| (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
+        (0..len).map(|i| f64::from_bits(bits(i))).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn span(offsets: &[usize]) -> usize {
+        offsets.iter().max().map_or(0, |&m| m + 1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A spec's map holds exactly its offsets: the same count, runs and
+        /// order, and its run-wise pack and unpack move the same bytes as
+        /// the per-element oracle.
+        #[test]
+        fn a_spec_is_its_offsets(list in offsets()) {
+            let spec = PeerSpec::new(0, &list);
+            prop_assert_eq!(spec.len(), list.len());
+            prop_assert_eq!(spec.map.num_segments() as u64, oracle::count_runs(&list));
+            let expanded: Vec<usize> =
+                spec.byte_runs().flat_map(|r| r.start / 8..r.end / 8).collect();
+            prop_assert_eq!(&expanded, &list);
+
+            let from = vector(span(&list), 1);
+            let payload = pack(&from, &spec);
+            prop_assert_eq!(&payload, &oracle::gather(&from, &list));
+
+            let (mut runwise, mut oracle) = (vector(span(&list), 2), vector(span(&list), 2));
+            let whole = std::iter::once(0..payload.len());
+            let to = view::f64s_as_bytes_mut(&mut runwise);
+            copy_runs(&payload, whole, to, spec.byte_runs());
+            oracle::store(&mut oracle, &list, view::f64s_in(&payload));
+            prop_assert_eq!(bits(&runwise), bits(&oracle));
+        }
+
+        /// The two-cursor self copy against the element-wise one, with the
+        /// two sides' runs breaking at different points.
+        #[test]
+        fn the_self_copy_is_the_element_wise_copy(mut here in offsets(), mut there in offsets()) {
+            let n = here.len().min(there.len());
+            here.truncate(n);
+            there.truncate(n);
+            let from = vector(span(&here), 3);
+            let (mut runwise, mut oracle) = (vector(span(&there), 4), vector(span(&there), 4));
+            let (src, dst) = (PeerSpec::new(0, &here), PeerSpec::new(0, &there));
+            let (x, y) = (view::f64s_as_bytes(&from), view::f64s_as_bytes_mut(&mut runwise));
+            copy_runs(x, src.byte_runs(), y, dst.byte_runs());
+            oracle::store(&mut oracle, &there, here.iter().map(|&o| from[o]));
+            prop_assert_eq!(bits(&runwise), bits(&oracle));
+        }
+    }
 
     fn with_n<R: Send>(n: usize, f: impl Fn(&mut Comm) -> R + Send + Sync) -> Vec<R> {
         Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {

@@ -7,6 +7,55 @@ use ncd_petsc::{IndexSet, Layout, PVec, ScatterBackend, VecScatter};
 use ncd_simnet::{Cluster, ClusterConfig};
 use proptest::prelude::*;
 
+const BACKENDS: [ScatterBackend; 2] = [ScatterBackend::HandTuned, ScatterBackend::Datatype];
+
+/// Scatter `x0[src[k]]` into `y0[dst[k]]` on `nranks` ranks, each rank
+/// contributing a slice of the pair list, with the split form; the
+/// gathered destination vector.
+fn scatter_on_cluster(
+    nranks: usize,
+    cfg: MpiConfig,
+    backend: ScatterBackend,
+    (x0, y0): (&[f64], &[f64]),
+    (src, dst): (&[usize], &[usize]),
+) -> Vec<f64> {
+    let (x0, y0, src, dst) = (x0.to_vec(), y0.to_vec(), src.to_vec(), dst.to_vec());
+    let out = Cluster::new(ClusterConfig::uniform(nranks)).run(move |rank| {
+        let mut comm = Comm::new(rank, cfg.clone());
+        let vec_of = |vals: &[f64]| {
+            let layout = Layout::balanced(vals.len(), comm.size());
+            let (s, e) = layout.range(comm.rank());
+            PVec::from_local(layout, comm.rank(), vals[s..e].to_vec())
+        };
+        let (x, mut y) = (vec_of(&x0), vec_of(&y0));
+        let per = src.len().div_ceil(comm.size());
+        let lo = (comm.rank() * per).min(src.len());
+        let hi = ((comm.rank() + 1) * per).min(src.len());
+        let plan = VecScatter::create(
+            &mut comm,
+            x.layout().clone(),
+            &IndexSet::general(src[lo..hi].to_vec()),
+            y.layout().clone(),
+            &IndexSet::general(dst[lo..hi].to_vec()),
+        );
+        let handle = plan.begin(&mut comm, &x, &mut y, backend);
+        plan.end(&mut comm, handle, &mut y);
+        y.local().to_vec()
+    });
+    out.into_iter().flatten().collect()
+}
+
+/// Runs of `len` consecutive indices, each starting `gap` past the
+/// previous run's end (a gap of 0 extends the run).
+fn runs_of(blocks: &[(usize, usize)]) -> Vec<usize> {
+    let mut out = Vec::new();
+    for &(gap, len) in blocks {
+        let start = out.last().map_or(gap, |&last| last + 1 + gap);
+        out.extend(start..start + len);
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -52,9 +101,9 @@ proptest! {
         let x0: Vec<f64> = (0..n).map(|g| awkward(g, 0)).collect();
         let y0: Vec<f64> = (0..m).map(|g| awkward(g, 1)).collect();
 
-        let cases = [false, true].into_iter().flat_map(|repeat| {
-            [ScatterBackend::HandTuned, ScatterBackend::Datatype].map(|backend| (repeat, backend))
-        });
+        let cases = [false, true]
+            .into_iter()
+            .flat_map(|repeat| BACKENDS.map(|backend| (repeat, backend)));
         for (repeat, backend) in cases {
             // Repeats fold the sources onto fewer indices; the destinations
             // stay distinct, as `create` requires.
@@ -69,37 +118,57 @@ proptest! {
             }
 
             let cfg = if baseline { MpiConfig::baseline() } else { MpiConfig::optimized() };
-            let (x0_c, y0_c) = (x0.clone(), y0.clone());
-            let out = Cluster::new(ClusterConfig::uniform(nranks)).run(move |rank| {
-                let mut comm = Comm::new(rank, cfg.clone());
-                let vec_of = |len: usize, vals: &[f64]| {
-                    let layout = Layout::balanced(len, comm.size());
-                    let (s, e) = layout.range(comm.rank());
-                    PVec::from_local(layout, comm.rank(), vals[s..e].to_vec())
-                };
-                let (x, mut y) = (vec_of(n, &x0_c), vec_of(m, &y0_c));
-                // Each rank contributes a slice of the pair list.
-                let per = src_v.len().div_ceil(comm.size());
-                let lo = (comm.rank() * per).min(src_v.len());
-                let hi = ((comm.rank() + 1) * per).min(src_v.len());
-                let plan = VecScatter::create(
-                    &mut comm,
-                    x.layout().clone(),
-                    &IndexSet::general(src_v[lo..hi].to_vec()),
-                    y.layout().clone(),
-                    &IndexSet::general(dst_v[lo..hi].to_vec()),
-                );
-                let handle = plan.begin(&mut comm, &x, &mut y, backend);
-                plan.end(&mut comm, handle, &mut y);
-                y.local().to_vec()
-            });
-            let got: Vec<f64> = out.into_iter().flatten().collect();
+            let got = scatter_on_cluster(nranks, cfg, backend, (&x0, &y0), (&src_v, &dst_v));
             prop_assert_eq!(got.len(), want.len());
             for (g, (&v, &w)) in got.iter().zip(&want).enumerate() {
                 prop_assert!(
                     v.to_bits() == w.to_bits(),
                     "{:?} repeat={}: slot {} holds {} ({:#x}), want {} ({:#x}), started at {}",
                     backend, repeat, g, v, v.to_bits(), w, w.to_bits(), y0[g]
+                );
+            }
+        }
+    }
+
+    /// Multi-element runs on both sides that break at different points —
+    /// the source in blocks of one set of lengths (optionally stepping back
+    /// over sources already named), the destination in blocks of another —
+    /// so the self copy's two cursors, the run-wise pack and the run-wise
+    /// unpack all meet runs that end inside a run of the other side. Under both backends and both MPI
+    /// flavors, every slot must match the sequential model bit for bit.
+    #[test]
+    fn run_heavy_scatters_move_values_exactly(
+        nranks in 1usize..6,
+        src_blocks in proptest::collection::vec((0usize..4, 1usize..9), 1..12),
+        dst_blocks in proptest::collection::vec((0usize..4, 1usize..9), 1..12),
+        back in 0usize..4,
+    ) {
+        let mut src_v = runs_of(&src_blocks);
+        let mut dst_v = runs_of(&dst_blocks);
+        // Repeated sources: the second half steps back `3 * back` elements
+        // and re-reads what the first half already sent.
+        let half = src_v.len() / 2;
+        for s in &mut src_v[half..] {
+            *s = s.saturating_sub(back * 3);
+        }
+        let k = src_v.len().min(dst_v.len());
+        src_v.truncate(k);
+        dst_v.truncate(k);
+        let n = src_v.iter().max().map_or(0, |&s| s + 1) + 2;
+        let m = dst_v.iter().max().map_or(0, |&d| d + 1) + 3;
+        let x0: Vec<f64> = (0..n).map(|g| f64::from_bits(0x7ff8_0000_0000_0000 | (g as u64 + 1))).collect();
+        let y0: Vec<f64> = (0..m).map(|g| -((g + 1) as f64)).collect();
+        let mut want = y0.clone();
+        for (&sg, &dg) in src_v.iter().zip(&dst_v) {
+            want[dg] = x0[sg];
+        }
+        for cfg in [MpiConfig::baseline(), MpiConfig::optimized()] {
+            for backend in BACKENDS {
+                let got = scatter_on_cluster(nranks, cfg.clone(), backend, (&x0, &y0), (&src_v, &dst_v));
+                prop_assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{:?}", backend
                 );
             }
         }
