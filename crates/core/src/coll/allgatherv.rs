@@ -21,7 +21,7 @@ use ncd_simnet::{CostKind, Violation};
 use crate::coll::{coll_tag, CollOp};
 use crate::comm::Comm;
 use crate::config::MpiFlavor;
-use crate::select::{detect_outliers, detect_outliers_with_ratio, VolumeShape};
+use crate::select::{detect_outliers_with_ratio, VolumeShape};
 
 /// Total volume (bytes) from which allgatherv is large (MPICH2's switchover).
 const LONG_THRESHOLD: usize = 32 * 1024;
@@ -73,8 +73,8 @@ impl Comm<'_> {
     /// `counts` (as in MPI, where the count/displacement arrays are
     /// replicated).
     ///
-    /// The algorithm is chosen per the communicator's flavor; see
-    /// [`Comm::allgatherv_choose`].
+    /// The algorithm is chosen per the communicator's flavor, from the
+    /// total volume and (optimized flavor only) the outlier test.
     pub fn allgatherv(&mut self, send: &[u8], counts: &[usize], recvbuf: &mut [u8]) {
         // Algorithm selection cost: the baseline scans the volume set once
         // (for the total); the optimized path adds the two Floyd–Rivest
@@ -153,13 +153,6 @@ impl Comm<'_> {
             }
         }
         self.allgatherv_with(algo, send, counts, recvbuf);
-    }
-
-    /// The algorithm-selection policy under the current flavor.
-    pub fn allgatherv_choose(&self, counts: &[usize]) -> AllgathervAlgorithm {
-        let cfg = self.config();
-        let shape = detect_outliers(counts, OUTLIER_FRACTION, cfg.outlier_ratio);
-        self.choose(counts.iter().sum(), shape)
     }
 
     /// The policy itself, given the evidence: the total volume and the
@@ -387,7 +380,14 @@ fn store_runs(recvbuf: &mut [u8], [head, tail]: Runs, payload: &[u8]) {
 mod tests {
     use super::*;
     use crate::config::MpiConfig;
+    use crate::select::detect_outliers;
     use ncd_simnet::{Cluster, ClusterConfig, Observers, RunError, SimTime};
+
+    /// The policy `allgatherv` applies to `counts` under `comm`'s flavor.
+    fn choice(comm: &Comm, counts: &[usize]) -> AllgathervAlgorithm {
+        let shape = detect_outliers(counts, OUTLIER_FRACTION, comm.config().outlier_ratio);
+        comm.choose(counts.iter().sum(), shape)
+    }
 
     fn pattern(rank: usize, len: usize) -> Vec<u8> {
         (0..len).map(|i| ((rank * 31 + i) % 251) as u8).collect()
@@ -548,7 +548,7 @@ mod tests {
             let counts = counts.clone();
             Cluster::new(ClusterConfig::uniform(16)).run(move |rank| {
                 let mut comm = Comm::new(rank, cfg.clone());
-                let algo = comm.allgatherv_choose(&counts);
+                let algo = choice(&comm, &counts);
                 let me = comm.rank();
                 let send = pattern(me, counts[me]);
                 let mut recv = vec![0u8; counts.iter().sum()];
@@ -636,7 +636,7 @@ mod tests {
         let counts = vec![8192usize; 8];
         let out = Cluster::new(ClusterConfig::uniform(8)).run(move |rank| {
             let comm = Comm::new(rank, MpiConfig::optimized());
-            comm.allgatherv_choose(&counts)
+            choice(&comm, &counts)
         });
         assert!(out.iter().all(|&a| a == AllgathervAlgorithm::Ring));
     }
@@ -646,7 +646,7 @@ mod tests {
         let counts = vec![16usize; 6];
         let out = Cluster::new(ClusterConfig::uniform(6)).run(move |rank| {
             let comm = Comm::new(rank, MpiConfig::baseline());
-            comm.allgatherv_choose(&counts)
+            choice(&comm, &counts)
         });
         assert!(out.iter().all(|&a| a == AllgathervAlgorithm::Dissemination));
     }

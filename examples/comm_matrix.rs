@@ -3,7 +3,7 @@
 //!
 //! The paper's second half is about *nonuniform communication volumes*;
 //! this example makes them visible. An AMR-style moving refinement
-//! hotspot (see `examples/amr_skew.rs`) runs its boundary exchanges under
+//! hotspot (the `ext_amr_skew` bench's model) runs its boundary exchanges under
 //! the baseline flavor with the comm map and tracing enabled, plus one
 //! nonuniform allgatherv whose volume set carries a 64 KB outlier. The
 //! run then prints:

@@ -80,5 +80,7 @@ fn main() {
         "\noptimized framework improves the solve by {:.1}% over the baseline",
         100.0 * (base.as_ns() as f64 - new.as_ns() as f64) / base.as_ns() as f64
     );
-    println!("(run `cargo bench --bench fig17_multigrid` for the full 100³ scaling study)");
+    println!(
+        "(run `cargo bench -p ncd-bench --bench fig17_multigrid` for the full 100³ scaling study)"
+    );
 }
