@@ -54,9 +54,8 @@ struct Geometry {
     stencil: StencilKind,
     width: usize,
     pgrid: [usize; 3],
-    /// Per-dimension split boundaries: `splits[d][c]..splits[d][c+1]` is
-    /// the range owned by process-coordinate `c` in dimension `d`.
-    splits: [Vec<usize>; 3],
+    /// How each dimension's points split over its process coordinates.
+    axes: [Axis; 3],
     own_start: [usize; 3],
     own_len: [usize; 3],
     gh_start: [usize; 3],
@@ -113,17 +112,36 @@ fn factor_process_grid(p: usize, dims: &[usize; 3], ndim: usize) -> [usize; 3] {
     best
 }
 
-fn balanced_splits(n: usize, p: usize) -> Vec<usize> {
-    let base = n / p;
-    let extra = n % p;
-    let mut starts = Vec::with_capacity(p + 1);
-    let mut acc = 0usize;
-    starts.push(0);
-    for c in 0..p {
-        acc += base + usize::from(c < extra);
-        starts.push(acc);
+/// One dimension's balanced split: `n` points over `p` process
+/// coordinates, each `base = n / p` long and the first `extra = n % p` one
+/// longer. A subdomain is never empty, so `base ≥ 1` and both directions
+/// are closed forms.
+#[derive(Clone, Copy)]
+struct Axis {
+    base: usize,
+    extra: usize,
+}
+
+impl Axis {
+    /// (start, len) of process coordinate `c`'s range.
+    fn range(self, c: usize) -> (usize, usize) {
+        let Axis { base, extra } = self;
+        (c * base + c.min(extra), base + usize::from(c < extra))
     }
-    starts
+
+    /// The process coordinate whose range holds point `x`, with that
+    /// range's (start, len).
+    fn locate(self, x: usize) -> (usize, usize, usize) {
+        let Axis { base, extra } = self;
+        let long = extra * (base + 1);
+        let c = if x < long {
+            x / (base + 1)
+        } else {
+            extra + (x - long) / base
+        };
+        let (s, l) = self.range(c);
+        (c, s, l)
+    }
 }
 
 /// Grid coordinates of rank `r` in the process grid (x fastest).
@@ -150,12 +168,11 @@ impl Geometry {
         let mut d3 = [1usize; 3];
         d3[..ndim].copy_from_slice(dims);
         let pgrid = factor_process_grid(size, &d3, ndim);
-        let splits = [
-            balanced_splits(d3[0], pgrid[0]),
-            balanced_splits(d3[1], pgrid[1]),
-            balanced_splits(d3[2], pgrid[2]),
-        ];
-        let own_range = |d: usize, c: usize| (splits[d][c], splits[d][c + 1] - splits[d][c]);
+        let axes = [0, 1, 2].map(|d| Axis {
+            base: d3[d] / pgrid[d],
+            extra: d3[d] % pgrid[d],
+        });
+        let own_range = |d: usize, c: usize| axes[d].range(c);
         // (start, len) of process-coordinate `c`'s owned range in dimension
         // `d` widened by the ghost frame, clipped at the physical boundary.
         let ghost_range = |d: usize, c: usize| {
@@ -196,7 +213,7 @@ impl Geometry {
             stencil,
             width,
             pgrid,
-            splits,
+            axes,
             own_start,
             own_len,
             gh_start,
@@ -252,29 +269,17 @@ impl Geometry {
         }
     }
 
-    fn owner_of(&self, p: [usize; 3]) -> usize {
-        let mut c = [0usize; 3];
-        for (d, cd) in c.iter_mut().enumerate() {
-            debug_assert!(p[d] < self.dims[d], "point {p:?} outside grid");
-            *cd = self.splits[d].partition_point(|&s| s <= p[d]) - 1;
-        }
-        (c[2] * self.pgrid[1] + c[1]) * self.pgrid[0] + c[0]
-    }
-
+    /// The owner's rank and the point's offset in the owner's box, both
+    /// x fastest, from each axis's closed form; the rank's start from the
+    /// global layout.
     fn global_vec_index(&self, p: [usize; 3], c: usize) -> usize {
-        let r = self.owner_of(p);
-        let pc = coords_of(&self.pgrid, r);
-        let s = [
-            self.splits[0][pc[0]],
-            self.splits[1][pc[1]],
-            self.splits[2][pc[2]],
-        ];
-        let l = [
-            self.splits[0][pc[0] + 1] - s[0],
-            self.splits[1][pc[1] + 1] - s[1],
-            self.splits[2][pc[2] + 1] - s[2],
-        ];
-        let off = ((p[2] - s[2]) * l[1] + (p[1] - s[1])) * l[0] + (p[0] - s[0]);
+        let (mut r, mut off) = (0, 0);
+        for d in (0..3).rev() {
+            debug_assert!(p[d] < self.dims[d], "point {p:?} outside grid");
+            let (pc, s, l) = self.axes[d].locate(p[d]);
+            r = r * self.pgrid[d] + pc;
+            off = off * l + (p[d] - s);
+        }
         self.global_layout.range(r).0 + off * self.dof + c
     }
 
@@ -433,6 +438,98 @@ mod tests {
     use super::*;
     use ncd_core::MpiConfig;
     use ncd_simnet::{Cluster, ClusterConfig};
+    use proptest::prelude::*;
+
+    /// The searched index the closed form replaced: per-dimension split
+    /// boundaries, a `partition_point` per dimension for the owner, and
+    /// the owner's process coordinates back from its rank.
+    struct Searched {
+        /// `splits[d][c]..splits[d][c+1]` is process coordinate `c`'s range.
+        splits: [Vec<usize>; 3],
+        pgrid: [usize; 3],
+    }
+
+    impl Searched {
+        fn new(geom: &Geometry) -> Searched {
+            let splits = [0, 1, 2].map(|d| balanced_splits(geom.dims[d], geom.pgrid[d]));
+            Searched {
+                splits,
+                pgrid: geom.pgrid,
+            }
+        }
+
+        fn owner_of(&self, p: [usize; 3]) -> usize {
+            let c: [usize; 3] =
+                [0, 1, 2].map(|d| self.splits[d].partition_point(|&s| s <= p[d]) - 1);
+            (c[2] * self.pgrid[1] + c[1]) * self.pgrid[0] + c[0]
+        }
+
+        fn global_vec_index(&self, geom: &Geometry, p: [usize; 3], c: usize) -> usize {
+            let r = self.owner_of(p);
+            let pc = coords_of(&self.pgrid, r);
+            let s = [0, 1, 2].map(|d| self.splits[d][pc[d]]);
+            let l = [0, 1, 2].map(|d| self.splits[d][pc[d] + 1] - s[d]);
+            let off = ((p[2] - s[2]) * l[1] + (p[1] - s[1])) * l[0] + (p[0] - s[0]);
+            geom.global_layout.range(r).0 + off * geom.dof + c
+        }
+    }
+
+    fn balanced_splits(n: usize, p: usize) -> Vec<usize> {
+        let base = n / p;
+        let extra = n % p;
+        let mut starts = Vec::with_capacity(p + 1);
+        let mut acc = 0usize;
+        starts.push(0);
+        for c in 0..p {
+            acc += base + usize::from(c < extra);
+            starts.push(acc);
+        }
+        starts
+    }
+
+    /// A grid of 1–3 dimensions, each 1–12 points, and a rank count that
+    /// partitions it (a process grid no wider than the grid).
+    fn grid_and_ranks() -> impl Strategy<Value = (Vec<usize>, usize)> {
+        let dims = proptest::collection::vec(1usize..13, 1..4);
+        let widths = proptest::collection::vec(1usize..6, 3);
+        (dims, widths).prop_map(|(dims, widths)| {
+            let size = dims.iter().zip(widths).map(|(&n, w)| w.min(n)).product();
+            (dims, size)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every point's global index, and every process coordinate's
+        /// range, are the searched form's.
+        #[test]
+        fn global_indices_are_the_searched_ones(
+            (dims, size) in grid_and_ranks(),
+            dof in 1usize..4,
+        ) {
+            let geom = Geometry::new(0, size, &dims, dof, StencilKind::Box, 1);
+            let searched = Searched::new(&geom);
+            for d in 0..3 {
+                for c in 0..geom.pgrid[d] {
+                    let split = &searched.splits[d];
+                    prop_assert_eq!(geom.axes[d].range(c), (split[c], split[c + 1] - split[c]));
+                }
+            }
+            let n = geom.dims;
+            for k in 0..n[2] {
+                for j in 0..n[1] {
+                    for i in 0..n[0] {
+                        for c in 0..dof {
+                            let p = [i, j, k];
+                            let want = searched.global_vec_index(&geom, p, c);
+                            prop_assert_eq!(geom.global_vec_index(p, c), want, "{:?} dof {}", p, c);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn with_n<R: Send>(n: usize, f: impl Fn(&mut Comm) -> R + Send + Sync) -> Vec<R> {
         Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {

@@ -63,16 +63,22 @@ impl Layout {
         self.starts.partition_point(|&s| s <= g) - 1
     }
 
-    /// Convert a global index to (owner, local offset).
-    pub fn to_local(&self, g: usize) -> (usize, usize) {
-        let r = self.owner(g);
-        (r, g - self.starts[r])
+    /// [`Layout::owner`] for a stream of indices: `last` is the owner the
+    /// stream's previous index had, and its range is checked before any
+    /// search. A stream sorted by index walks the owners as a monotone
+    /// cursor, searching once per owner change.
+    pub fn owner_after(&self, last: usize, g: usize) -> usize {
+        match self.starts.get(last..last + 2) {
+            Some(&[s, e]) if s <= g && g < e => last,
+            _ => self.owner(g),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn balanced_split_distributes_remainder_first() {
@@ -112,15 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn to_local_round_trips() {
-        let l = Layout::balanced(23, 4);
-        for g in 0..23 {
-            let (r, off) = l.to_local(g);
-            assert_eq!(l.range(r).0 + off, g);
-        }
-    }
-
-    #[test]
     fn from_local_sizes_preserves_sizes() {
         let l = Layout::from_local_sizes(&[3, 0, 5, 2]);
         assert_eq!(l.global_size(), 10);
@@ -133,6 +130,41 @@ mod tests {
     #[should_panic(expected = "out of layout")]
     fn owner_out_of_range_panics() {
         Layout::balanced(5, 2).owner(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "index 5 out of layout")]
+    fn a_stream_index_out_of_range_panics() {
+        Layout::balanced(5, 2).owner_after(1, 5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A stream's owners are [`Layout::owner`]'s, index by index, over
+        /// layouts whose ranks may own nothing, for a stream in any order
+        /// and for the same stream sorted.
+        #[test]
+        fn a_streams_owners_are_the_searched_owners(
+            sizes in proptest::collection::vec(
+                prop_oneof![Just(0usize), 1usize..6], 1..9),
+            picks in proptest::collection::vec(0usize..1 << 20, 0..64),
+        ) {
+            let layout = Layout::from_local_sizes(&sizes);
+            let n = layout.global_size();
+            if n == 0 {
+                return Ok(());
+            }
+            let mut stream: Vec<usize> = picks.iter().map(|p| p % n).collect();
+            for _ in 0..2 {
+                let mut last = 0;
+                for &g in &stream {
+                    last = layout.owner_after(last, g);
+                    prop_assert_eq!(last, layout.owner(g));
+                }
+                stream.sort_unstable();
+            }
+        }
     }
 
     #[test]

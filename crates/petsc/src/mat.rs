@@ -91,8 +91,9 @@ impl AijMat {
         // Route off-process triplets to the row owner.
         let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); comm.size()];
         let mut mine: Vec<(usize, usize, f64)> = Vec::new();
+        let mut owner = rank;
         for &(r, c, v) in &self.pending {
-            let owner = self.row_layout.owner(r);
+            owner = self.row_layout.owner_after(owner, r);
             if owner == rank {
                 mine.push((r, c, v));
             } else {
@@ -152,7 +153,8 @@ impl AijMat {
             .collect();
 
         // Build the ghost gather plan (collective).
-        let (plan, buf_layout) = VecScatter::gather_plan(comm, self.col_layout.clone(), &ghost_set);
+        let (plan, buf_layout) =
+            VecScatter::gather_plan(comm, self.col_layout.clone(), ghost_set.clone());
 
         self.row_ptr = row_ptr;
         self.cols = cols;

@@ -23,7 +23,6 @@
 //! loops would make.
 
 use std::cell::{OnceCell, RefCell};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -228,8 +227,13 @@ struct InterpPlan {
     plan: VecScatter,
     /// Where the gather lands.
     buf: RefCell<PVec>,
-    /// CSR-style: the entries of fine point `i` are `starts[i]..starts[i+1]`
-    /// of `slots` (gather buffer slot) and `weights` (index into `palette`).
+    stencils: Stencils,
+}
+
+/// Each owned fine point's interpolation entries. CSR-style: the entries
+/// of fine point `i` are `starts[i]..starts[i+1]` of `slots` (gather
+/// buffer slot) and `weights` (index into `palette`).
+struct Stencils {
     starts: Vec<u32>,
     slots: Vec<u32>,
     weights: Vec<u8>,
@@ -427,15 +431,16 @@ impl Multigrid {
         let buf = &mut *t.buf.borrow_mut();
         t.plan.apply(comm, coarse_x, buf, self.backend);
         let vals = buf.local();
-        for (xi, se) in fine_x.local_mut().iter_mut().zip(t.starts.windows(2)) {
+        let s = &t.stencils;
+        for (xi, se) in fine_x.local_mut().iter_mut().zip(s.starts.windows(2)) {
             let entries = se[0] as usize..se[1] as usize;
             let mut acc = 0.0;
-            for (&slot, &w) in t.slots[entries.clone()].iter().zip(&t.weights[entries]) {
-                acc += t.palette[w as usize] * vals[slot as usize];
+            for (&slot, &w) in s.slots[entries.clone()].iter().zip(&s.weights[entries]) {
+                acc += s.palette[w as usize] * vals[slot as usize];
             }
             *xi += acc;
         }
-        comm.rank_mut().compute_flops(2 * t.slots.len() as u64);
+        comm.rank_mut().compute_flops(2 * s.slots.len() as u64);
     }
 
     /// Recursive V-cycle on level `lev`: improve `x` for `A_lev x = b`.
@@ -538,11 +543,36 @@ fn build_restrict(
         needed.extend(children.map(|ch| fine.global_vec_index(ch, 0)));
         counts.push((needed.len() - before) as u32);
     }
-    let (plan, buf_layout) = VecScatter::gather_plan(comm, fine.global_layout().clone(), &needed);
+    let (plan, buf_layout) = VecScatter::gather_plan(comm, fine.global_layout().clone(), needed);
     RestrictPlan {
         plan,
         buf: RefCell::new(PVec::zeros(buf_layout, comm.rank())),
         counts,
+    }
+}
+
+fn build_interp(comm: &mut Comm, fine: &DistributedArray, coarse: &DistributedArray) -> InterpPlan {
+    let (unique, stencils) = interp_stencils(fine, coarse);
+    let (plan, buf_layout) = VecScatter::gather_plan(comm, coarse.global_layout().clone(), unique);
+    InterpPlan {
+        plan,
+        buf: RefCell::new(PVec::zeros(buf_layout, comm.rank())),
+        stencils,
+    }
+}
+
+/// Per-dimension coarse stencil of fine coordinate `f`: the parent with
+/// weight 0.75 and the neighbour on the fine cell's side with 0.25, in
+/// ascending coordinate order; at the grid boundary the parent with 1.0
+/// and a zero weight.
+fn axis_stencil(f: usize, cn: usize) -> [(usize, f64); 2] {
+    let (parent, even) = (f / 2, f.is_multiple_of(2));
+    if even && parent > 0 {
+        [(parent - 1, 0.25), (parent, 0.75)]
+    } else if !even && parent + 1 < cn {
+        [(parent, 0.75), (parent + 1, 0.25)]
+    } else {
+        [(parent, 1.0), (parent, 0.0)]
     }
 }
 
@@ -551,54 +581,66 @@ fn build_restrict(
 /// coarse cell on the other side (weight 1/4); at the grid boundary the
 /// missing neighbour's weight folds back onto the parent (constant
 /// extrapolation). In d dimensions the weights are the tensor product.
-fn build_interp(comm: &mut Comm, fine: &DistributedArray, coarse: &DistributedArray) -> InterpPlan {
+///
+/// Returns the coarse points the owned fine points read, each once in
+/// first-use order (a fine point's own by global index), and the fine
+/// points' entries over them. Every coarse point read lies in the box of
+/// the owned fine box's parents widened by one and clipped to the grid,
+/// so the box's global indices are computed once and a dense array over
+/// it maps a point to its slot.
+fn interp_stencils(fine: &DistributedArray, coarse: &DistributedArray) -> (Vec<usize>, Stencils) {
     let ndim = fine.ndim();
     let cdims = coarse.dims();
-    let mut unique: Vec<usize> = Vec::new();
-    let mut slot_of: HashMap<usize, u32> = HashMap::new();
-    let mut starts: Vec<u32> = vec![0];
-    let mut slots: Vec<u32> = Vec::new();
-    let mut weights: Vec<u8> = Vec::new();
-    let mut palette: Vec<f64> = Vec::new();
+    let (own, len) = fine.owned();
+    let lo = [0, 1, 2].map(|d| (own[d] / 2).saturating_sub(1));
+    let hi = [0, 1, 2].map(|d| ((own[d] + len[d] - 1) / 2 + 2).min(cdims[d]));
+    let width = [0, 1, 2].map(|d| hi[d] - lo[d]);
+    let mut box_index = Vec::with_capacity(width.iter().product());
+    for k in lo[2]..hi[2] {
+        for j in lo[1]..hi[1] {
+            box_index.extend((lo[0]..hi[0]).map(|i| coarse.global_vec_index([i, j, k], 0)));
+        }
+    }
+    let mut slot_of = vec![u32::MAX; box_index.len()];
 
+    // A fine point reads at most 2^ndim coarse points.
+    let owned: usize = len.iter().product();
+    let mut unique: Vec<usize> = Vec::new();
+    let mut starts: Vec<u32> = Vec::with_capacity(owned + 1);
+    starts.push(0);
+    let mut slots: Vec<u32> = Vec::with_capacity(owned << ndim);
+    let mut weights: Vec<u8> = Vec::with_capacity(owned << ndim);
+    let mut palette: Vec<f64> = Vec::new();
     for fp in fine.owned_points() {
-        // Per-dimension coarse stencil: (parent, 0.75), (neighbour, 0.25).
         let mut dim_pts: [[(usize, f64); 2]; 3] = [[(0, 1.0), (0, 0.0)]; 3];
         for d in 0..ndim {
-            let parent = fp[d] / 2;
-            let neighbour = if fp[d] % 2 == 0 {
-                parent.checked_sub(1)
-            } else if parent + 1 < cdims[d] {
-                Some(parent + 1)
-            } else {
-                None
-            };
-            dim_pts[d] = match neighbour {
-                Some(nb) => [(parent, 0.75), (nb, 0.25)],
-                None => [(parent, 1.0), (parent, 0.0)],
-            };
+            dim_pts[d] = axis_stencil(fp[d], cdims[d]);
         }
         // Tensor product over dimensions, skipping zero weights; the
-        // coarse points of one fine point are distinct.
-        let mut pts = [(0usize, 0.0f64); 8];
+        // coarse points of one fine point are distinct. They come out in
+        // coordinate order, which is global-index order unless they
+        // straddle a partition boundary, so the sort mostly finds them
+        // in place.
+        let mut pts = [(0usize, 0usize, 0.0f64); 8];
         let mut n = 0;
         for &(cz, wz) in &dim_pts[2] {
             for &(cy, wy) in &dim_pts[1] {
                 for &(cx, wx) in &dim_pts[0] {
                     if wx != 0.0 && wy != 0.0 && wz != 0.0 {
-                        pts[n] = (coarse.global_vec_index([cx, cy, cz], 0), wx * wy * wz);
+                        let b = ((cz - lo[2]) * width[1] + (cy - lo[1])) * width[0] + (cx - lo[0]);
+                        pts[n] = (box_index[b], b, wx * wy * wz);
                         n += 1;
                     }
                 }
             }
         }
-        pts[..n].sort_unstable_by_key(|&(g, _)| g);
-        for &(g, w) in &pts[..n] {
-            let slot = *slot_of.entry(g).or_insert_with(|| {
+        pts[..n].sort_unstable_by_key(|&(g, _, _)| g);
+        for &(g, b, w) in &pts[..n] {
+            if slot_of[b] == u32::MAX {
+                slot_of[b] = unique.len() as u32;
                 unique.push(g);
-                (unique.len() - 1) as u32
-            });
-            slots.push(slot);
+            }
+            slots.push(slot_of[b]);
             let known = palette.iter().position(|p| p.to_bits() == w.to_bits());
             let index = known.unwrap_or_else(|| {
                 palette.push(w);
@@ -608,15 +650,13 @@ fn build_interp(comm: &mut Comm, fine: &DistributedArray, coarse: &DistributedAr
         }
         starts.push(slots.len() as u32);
     }
-    let (plan, buf_layout) = VecScatter::gather_plan(comm, coarse.global_layout().clone(), &unique);
-    InterpPlan {
-        plan,
-        buf: RefCell::new(PVec::zeros(buf_layout, comm.rank())),
+    let stencils = Stencils {
         starts,
         slots,
         weights,
         palette,
-    }
+    };
+    (unique, stencils)
 }
 
 #[cfg(test)]
@@ -625,6 +665,124 @@ mod tests {
     use crate::ksp::richardson;
     use ncd_core::MpiConfig;
     use ncd_simnet::{Cluster, ClusterConfig};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The hashed form the dense box replaced: each entry's coarse point
+    /// indexed on its own, and its slot found in a `HashMap` keyed by
+    /// global index.
+    fn interp_stencils_hashed(
+        fine: &DistributedArray,
+        coarse: &DistributedArray,
+    ) -> (Vec<usize>, Stencils) {
+        let ndim = fine.ndim();
+        let cdims = coarse.dims();
+        let mut unique: Vec<usize> = Vec::new();
+        let mut slot_of: HashMap<usize, u32> = HashMap::new();
+        let mut starts: Vec<u32> = vec![0];
+        let mut slots: Vec<u32> = Vec::new();
+        let mut weights: Vec<u8> = Vec::new();
+        let mut palette: Vec<f64> = Vec::new();
+        for fp in fine.owned_points() {
+            let mut dim_pts: [[(usize, f64); 2]; 3] = [[(0, 1.0), (0, 0.0)]; 3];
+            for d in 0..ndim {
+                let parent = fp[d] / 2;
+                let neighbour = if fp[d] % 2 == 0 {
+                    parent.checked_sub(1)
+                } else if parent + 1 < cdims[d] {
+                    Some(parent + 1)
+                } else {
+                    None
+                };
+                dim_pts[d] = match neighbour {
+                    Some(nb) => [(parent, 0.75), (nb, 0.25)],
+                    None => [(parent, 1.0), (parent, 0.0)],
+                };
+            }
+            let mut pts = [(0usize, 0.0f64); 8];
+            let mut n = 0;
+            for &(cz, wz) in &dim_pts[2] {
+                for &(cy, wy) in &dim_pts[1] {
+                    for &(cx, wx) in &dim_pts[0] {
+                        if wx != 0.0 && wy != 0.0 && wz != 0.0 {
+                            pts[n] = (coarse.global_vec_index([cx, cy, cz], 0), wx * wy * wz);
+                            n += 1;
+                        }
+                    }
+                }
+            }
+            pts[..n].sort_unstable_by_key(|&(g, _)| g);
+            for &(g, w) in &pts[..n] {
+                let slot = *slot_of.entry(g).or_insert_with(|| {
+                    unique.push(g);
+                    (unique.len() - 1) as u32
+                });
+                slots.push(slot);
+                let known = palette.iter().position(|p| p.to_bits() == w.to_bits());
+                let index = known.unwrap_or_else(|| {
+                    palette.push(w);
+                    palette.len() - 1
+                });
+                weights.push(u8::try_from(index).expect("at most 27 distinct weight products"));
+            }
+            starts.push(slots.len() as u32);
+        }
+        let stencils = Stencils {
+            starts,
+            slots,
+            weights,
+            palette,
+        };
+        (unique, stencils)
+    }
+
+    /// Everything a [`Stencils`] and its gather list hold, weights by bits.
+    type Parts = (Vec<usize>, Vec<u32>, Vec<u32>, Vec<u8>, Vec<u64>);
+
+    fn parts((unique, s): (Vec<usize>, Stencils)) -> Parts {
+        let palette = s.palette.iter().map(|w| w.to_bits()).collect();
+        (unique, s.starts, s.slots, s.weights, palette)
+    }
+
+    /// Whether `p` ranks partition `dims` (a process grid no wider than
+    /// the grid in any dimension).
+    fn fits(dims: &[usize], p: usize) -> bool {
+        let d = |i: usize| dims.get(i).copied().unwrap_or(1);
+        (1..=p).filter(|px| p.is_multiple_of(*px)).any(|px| {
+            let rest = p / px;
+            (1..=rest)
+                .any(|py| rest.is_multiple_of(py) && px <= d(0) && py <= d(1) && rest / py <= d(2))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The dense box's gather list and entries are the hashed form's,
+        /// over fine grids of 1–3 dimensions, their halved coarse grids,
+        /// and the partitions of up to 8 ranks both grids admit.
+        #[test]
+        fn interp_stencils_are_the_hashed_ones(
+            fine_dims in proptest::collection::vec(1usize..12, 1..4),
+            want in 1usize..9,
+        ) {
+            let coarse_dims: Vec<usize> = fine_dims.iter().map(|n| n.div_ceil(2)).collect();
+            let n = (1..=want)
+                .rev()
+                .find(|&p| fits(&fine_dims, p) && fits(&coarse_dims, p))
+                .expect("one rank partitions any grid");
+            let (fd, cd) = (fine_dims.clone(), coarse_dims.clone());
+            let out = with_n(n, move |comm| {
+                let fine = DistributedArray::new(comm, &fd, 1, StencilKind::Star, 1);
+                let coarse = DistributedArray::new(comm, &cd, 1, StencilKind::Star, 1);
+                let dense = parts(interp_stencils(&fine, &coarse));
+                (dense, parts(interp_stencils_hashed(&fine, &coarse)))
+            });
+            for (rank, (dense, hashed)) in out.into_iter().enumerate() {
+                prop_assert_eq!(dense, hashed, "rank {} of {}", rank, n);
+            }
+        }
+    }
 
     fn with_n<R: Send>(n: usize, f: impl Fn(&mut Comm) -> R + Send + Sync) -> Vec<R> {
         Cluster::new(ClusterConfig::uniform(n)).run(move |rank| {

@@ -215,21 +215,20 @@ impl VecScatter {
     pub fn gather_plan(
         comm: &mut Comm,
         src_layout: Arc<Layout>,
-        needed: &[usize],
+        needed: Vec<usize>,
     ) -> (VecScatter, Arc<Layout>) {
         // Build the destination layout from everyone's request count.
         let mut counts = vec![0u8; 8 * comm.size()];
         comm.allgather(view::u64s_as_bytes(&[needed.len() as u64]), &mut counts);
         let sizes: Vec<usize> = view::u64s_in(&counts).map(|c| c as usize).collect();
         let dst_layout = Layout::from_local_sizes(&sizes);
-        let (base, _) = dst_layout.range(comm.rank());
-        let dst: Vec<usize> = (0..needed.len()).map(|i| base + i).collect();
+        let (base, n) = (dst_layout.range(comm.rank()).0, needed.len());
         let plan = VecScatter::create(
             comm,
             src_layout,
-            &IndexSet::general(needed.to_vec()),
+            &IndexSet::general(needed),
             dst_layout.clone(),
-            &IndexSet::general(dst),
+            &IndexSet::stride(base, 1, n),
         );
         (plan, dst_layout)
     }
@@ -258,9 +257,10 @@ impl VecScatter {
         // Phase 1: route every pair to the owner of its source index.
         let mut my_pairs: Vec<(u64, u64)> = Vec::new();
         let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); size];
+        let mut owner = rank;
         for k in 0..src_is.len() {
             let (sg, dg) = (src_is.get(k), dst_is.get(k));
-            let owner = src_layout.owner(sg);
+            owner = src_layout.owner_after(owner, sg);
             if owner == rank {
                 my_pairs.push((sg as u64, dg as u64));
             } else {
@@ -272,15 +272,17 @@ impl VecScatter {
         }
 
         // Phase 2: with all sources local, split by destination owner.
-        // Deterministic transfer order: sorted by destination global index.
+        // Deterministic transfer order: sorted by destination global index,
+        // so the owner lookup walks the destination ranks once, in order.
         my_pairs.sort_unstable_by_key(|&(_, dg)| dg);
         let (my_src_start, _) = src_layout.range(rank);
         let (my_dst_start, _) = dst_layout.range(rank);
         let (mut local_src, mut local_dst) = (Vec::new(), Vec::new());
         let mut send_offsets: Vec<Vec<usize>> = vec![Vec::new(); size];
         let mut send_dsts: Vec<Vec<u64>> = vec![Vec::new(); size];
+        let mut owner = 0;
         for &(sg, dg) in &my_pairs {
-            let owner = dst_layout.owner(dg as usize);
+            owner = dst_layout.owner_after(owner, dg as usize);
             if owner == rank {
                 local_src.push(sg as usize - my_src_start);
                 local_dst.push(dg as usize - my_dst_start);

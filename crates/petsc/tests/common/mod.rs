@@ -122,7 +122,7 @@ impl ListInterp {
             starts.push(entries.len() as u32);
         }
         let (plan, buf_layout) =
-            VecScatter::gather_plan(comm, coarse.global_layout().clone(), &unique);
+            VecScatter::gather_plan(comm, coarse.global_layout().clone(), unique);
         ListInterp {
             plan,
             buf_layout,

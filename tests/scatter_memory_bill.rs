@@ -186,15 +186,15 @@ fn program(rank: &mut Rank, readings: &Mutex<Vec<Reading>>) -> Vec<Shape> {
         ];
         for (name, from, needed) in gathers {
             let needed = needed(fine, coarse);
+            let n = needed.len();
             let layout = from.global_layout().clone();
-            let (plan, buf_layout) = VecScatter::gather_plan(&mut comm, layout, &needed);
+            let (plan, buf_layout) = VecScatter::gather_plan(&mut comm, layout, needed);
             let buffer = PVec::zeros(buf_layout, comm.rank());
             let segments = plan.num_segments();
             shapes.push(Shape {
                 segments,
-                buffer: needed.len(),
+                buffer: n,
             });
-            drop(needed);
             plans.push((plan, buffer));
             read(
                 &mut comm,
