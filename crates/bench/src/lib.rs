@@ -305,8 +305,8 @@ pub fn gate_failure_report(
 pub fn datatype_report(reg: &MetricsRegistry) -> Option<String> {
     let mut engines: Vec<String> = reg
         .counters()
-        .filter(|(k, _)| k.subsystem == "datatype" && k.op == "blocks")
-        .map(|(k, _)| k.algorithm.clone())
+        .filter(|((subsystem, op, _), _)| (*subsystem, *op) == ("datatype", "blocks"))
+        .map(|((_, _, algorithm), _)| algorithm.to_string())
         .collect();
     engines.sort();
     engines.dedup();
@@ -395,8 +395,8 @@ pub fn sched_report(stats: &SchedStats) -> Option<String> {
 pub fn decision_report(reg: &MetricsRegistry) -> Option<String> {
     let mut rows: Vec<(String, String)> = reg
         .counters()
-        .filter(|(k, _)| k.subsystem == "decision")
-        .map(|(k, _)| (k.op.clone(), k.algorithm.clone()))
+        .filter(|((subsystem, _, _), _)| *subsystem == "decision")
+        .map(|((_, op, algorithm), _)| (op.to_string(), algorithm.to_string()))
         .collect();
     rows.sort();
     rows.dedup();
@@ -423,8 +423,8 @@ pub fn decision_report(reg: &MetricsRegistry) -> Option<String> {
     }
     let mut reasons: Vec<(String, String, u64)> = reg
         .counters()
-        .filter(|(k, _)| k.subsystem == "decision_reason")
-        .map(|(k, v)| (k.op.clone(), k.algorithm.clone(), v))
+        .filter(|((subsystem, _, _), _)| *subsystem == "decision_reason")
+        .map(|((_, op, algorithm), v)| (op.to_string(), algorithm.to_string(), v))
         .collect();
     reasons.sort();
     for (coll, reason, count) in &reasons {

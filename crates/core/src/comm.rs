@@ -16,6 +16,7 @@
 //!   no copy, the bytes go straight from user memory to the wire.
 
 use ncd_datatype::{BlockMode, Datatype, OpCounts, PackEngine, Unpacker};
+use ncd_simnet::trace::Label;
 use ncd_simnet::{
     millis_to_ratio, ratio_to_millis, volume, CostKind, EventKind, Rank, Tag, Violation,
 };
@@ -96,18 +97,19 @@ impl<'a> Comm<'a> {
         let skew = volume::gini(volumes);
         for e in monitor.observe(label, total as f64, skew) {
             let observed_millis = ratio_to_millis(e.observed);
+            let (label, metric) = (Label::from(e.label), Label::from(e.metric));
             if let Some(m) = self.rank.metrics_mut() {
-                m.counter_add("drift", &e.label, &e.metric, 1);
+                m.counter_add("drift", label.clone(), metric.clone(), 1);
                 // Read back through the event's thousandths, so the gauge
                 // is the value the trace and the recorder carry.
                 let observed = millis_to_ratio(observed_millis);
                 if observed.is_finite() {
-                    m.gauge_set("drift_observed", &e.label, &e.metric, observed);
+                    m.gauge_set("drift_observed", label.clone(), metric.clone(), observed);
                 }
             }
             let drift = EventKind::Drift {
-                label: e.label.into(),
-                metric: e.metric.into(),
+                label,
+                metric,
                 occurrence: e.occurrence,
                 up: e.direction == DriftDirection::Up,
                 baseline_millis: ratio_to_millis(e.baseline),
@@ -141,7 +143,7 @@ impl<'a> Comm<'a> {
     /// Record executed datatype-engine op counts in the metrics registry,
     /// keyed by the engine (or unpack path) that executed them. No-op when
     /// metrics are off; never touches the simulated clock.
-    pub(crate) fn record_engine_metrics(&mut self, algo: &str, c: &OpCounts) {
+    pub(crate) fn record_engine_metrics(&mut self, algo: &'static str, c: &OpCounts) {
         let Some(m) = self.rank.metrics_mut() else {
             return;
         };

@@ -58,12 +58,27 @@ impl IndexSet {
 
     /// Materialize as an explicit vector.
     pub fn to_vec(&self) -> Vec<usize> {
-        (0..self.len()).map(|i| self.get(i)).collect()
+        self.iter().collect()
     }
 
-    /// Iterate over the indices without materializing.
+    /// Iterate over the indices without materializing. The variant is
+    /// matched once, not per index as [`IndexSet::get`] does.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
+        let (mut general, mut stride, mut block) = (None, None, None);
+        match self {
+            IndexSet::General(v) => general = Some(v.iter().copied()),
+            &IndexSet::Stride { first, step, n } => {
+                stride = Some((0..n).map(move |i| first + i * step))
+            }
+            &IndexSet::Block { bs, ref blocks } => {
+                block = Some(blocks.iter().flat_map(move |&b| b * bs..(b + 1) * bs))
+            }
+        }
+        general
+            .into_iter()
+            .flatten()
+            .chain(stride.into_iter().flatten())
+            .chain(block.into_iter().flatten())
     }
 }
 
@@ -102,9 +117,21 @@ mod tests {
     }
 
     #[test]
-    fn iter_matches_to_vec() {
-        let is = IndexSet::stride(0, 2, 5);
-        assert_eq!(is.iter().collect::<Vec<_>>(), is.to_vec());
+    fn iter_visits_what_get_reads() {
+        for is in [
+            IndexSet::general(vec![5, 3, 9]),
+            IndexSet::stride(10, 3, 4),
+            IndexSet::stride(0, 2, 5),
+            IndexSet::stride(7, 0, 1),
+            IndexSet::block(3, vec![4, 0, 2]),
+            IndexSet::general(vec![]),
+        ] {
+            let visited: Vec<usize> = is.iter().collect();
+            assert_eq!(
+                visited,
+                (0..is.len()).map(|i| is.get(i)).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

@@ -453,7 +453,7 @@ impl Multigrid {
         let stage = &self.levels[lev].stage;
         comm.rank_mut().stage_begin(stage);
         if let Some(m) = comm.rank_mut().metrics_mut() {
-            m.counter_add("mg", "vcycle", &stage[10..], 1);
+            m.counter_add("mg", "vcycle", stage[10..].to_owned(), 1);
         }
         self.vcycle_inner(comm, lev, b, x);
         comm.rank_mut().stage_end(stage);
@@ -611,6 +611,12 @@ fn interp_stencils(fine: &DistributedArray, coarse: &DistributedArray) -> (Vec<u
     let mut slots: Vec<u32> = Vec::with_capacity(owned << ndim);
     let mut weights: Vec<u8> = Vec::with_capacity(owned << ndim);
     let mut palette: Vec<f64> = Vec::new();
+    // A weight product's palette index by its per-dimension weight classes
+    // (each weight in quarters: 1, 3 or 4): the palette is searched once
+    // per class triple, the first time it occurs, so indices keep their
+    // first-seen order.
+    let mut class_index = [u8::MAX; 125];
+    let quarters = |w: f64| (w * 4.0) as usize;
     for fp in fine.owned_points() {
         let mut dim_pts: [[(usize, f64); 2]; 3] = [[(0, 1.0), (0, 0.0)]; 3];
         for d in 0..ndim {
@@ -621,32 +627,37 @@ fn interp_stencils(fine: &DistributedArray, coarse: &DistributedArray) -> (Vec<u
         // coordinate order, which is global-index order unless they
         // straddle a partition boundary, so the sort mostly finds them
         // in place.
-        let mut pts = [(0usize, 0usize, 0.0f64); 8];
+        let mut pts = [(0usize, 0usize, 0.0f64, 0usize); 8];
         let mut n = 0;
         for &(cz, wz) in &dim_pts[2] {
             for &(cy, wy) in &dim_pts[1] {
                 for &(cx, wx) in &dim_pts[0] {
                     if wx != 0.0 && wy != 0.0 && wz != 0.0 {
                         let b = ((cz - lo[2]) * width[1] + (cy - lo[1])) * width[0] + (cx - lo[0]);
-                        pts[n] = (box_index[b], b, wx * wy * wz);
+                        let class = (quarters(wz) * 5 + quarters(wy)) * 5 + quarters(wx);
+                        pts[n] = (box_index[b], b, wx * wy * wz, class);
                         n += 1;
                     }
                 }
             }
         }
-        pts[..n].sort_unstable_by_key(|&(g, _, _)| g);
-        for &(g, b, w) in &pts[..n] {
+        pts[..n].sort_unstable_by_key(|&(g, _, _, _)| g);
+        for &(g, b, w, class) in &pts[..n] {
             if slot_of[b] == u32::MAX {
                 slot_of[b] = unique.len() as u32;
                 unique.push(g);
             }
             slots.push(slot_of[b]);
-            let known = palette.iter().position(|p| p.to_bits() == w.to_bits());
-            let index = known.unwrap_or_else(|| {
-                palette.push(w);
-                palette.len() - 1
-            });
-            weights.push(u8::try_from(index).expect("at most 27 distinct weight products"));
+            if class_index[class] == u8::MAX {
+                let known = palette.iter().position(|p| p.to_bits() == w.to_bits());
+                let index = known.unwrap_or_else(|| {
+                    palette.push(w);
+                    palette.len() - 1
+                });
+                class_index[class] =
+                    u8::try_from(index).expect("at most 27 distinct weight products");
+            }
+            weights.push(class_index[class]);
         }
         starts.push(slots.len() as u32);
     }

@@ -258,8 +258,7 @@ impl VecScatter {
         let mut my_pairs: Vec<(u64, u64)> = Vec::new();
         let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); size];
         let mut owner = rank;
-        for k in 0..src_is.len() {
-            let (sg, dg) = (src_is.get(k), dst_is.get(k));
+        for (sg, dg) in src_is.iter().zip(dst_is.iter()) {
             owner = src_layout.owner_after(owner, sg);
             if owner == rank {
                 my_pairs.push((sg as u64, dg as u64));

@@ -10,115 +10,128 @@
 //! instant (`"i"`) events for marks and collective rounds. Timestamps are
 //! microseconds of simulated time with nanosecond precision.
 //!
-//! Rendering goes through [`crate::json::JsonWriter`]; the event field
-//! order is `name, cat, ph, ts, dur, pid, tid, s, args`.
+//! Rendering goes through [`crate::json::JsonWriter`] as one template per
+//! [`EventKind`]: every run of constant text between two values (keys,
+//! punctuation, category and phase, the words of a name) is one
+//! pre-escaped `&'static str`, integers and timestamps are written as
+//! digits, and only the [`crate::trace::Label`] values (span, mark and
+//! round names, engine, decision and drift strings) are scanned for
+//! escapes. The event field order is `name, cat, ph, ts, dur, pid, tid,
+//! s, args`.
 
-use std::fmt;
-
-use crate::json::{JsonValue, JsonWriter};
+use crate::json::JsonWriter;
 use crate::trace::{EventKind, TraceEvent};
 
 /// Bytes reserved per trace event: a complete event with four args runs
 /// ~130 bytes, an instant ~90.
 const EVENT_BYTES: usize = 128;
 
-/// One `"key":value` of an event's `args`.
-type Arg<'a> = (&'a str, &'a dyn JsonValue);
-
 /// Serialize per-rank traces (indexed by rank, as a traced run's
 /// [`crate::Capture::traces`] holds them) into Chrome trace-event JSON.
 pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
-    // Metadata: name the process and one thread per rank, so the viewer
-    // shows "rank N" lanes in order.
-    let meta = |w: &mut JsonWriter, what: &str, tid: Option<usize>, name: fmt::Arguments<'_>| {
-        w.object(|w| {
-            w.field("name", what).field("ph", "M").field("pid", 0);
-            if let Some(tid) = tid {
-                w.field("tid", tid);
-            }
-            w.key("args").object(|w| {
-                w.field("name", name);
-            });
-        });
-    };
     let events: usize = traces.iter().map(Vec::len).sum();
     let mut w = JsonWriter::with_capacity((1 + traces.len() + events) * EVENT_BYTES);
-    w.object(|w| {
-        w.key("traceEvents").array(|w| {
-            meta(w, "process_name", None, format_args!("simnet"));
-            for rank in 0..traces.len() {
-                meta(w, "thread_name", Some(rank), format_args!("rank {rank}"));
-            }
-            for (rank, events) in traces.iter().enumerate() {
-                for e in events {
-                    trace_event(w, rank, e);
-                }
-            }
-        });
-        w.field("displayTimeUnit", "ns");
-    });
+    // Metadata: name the process and one thread per rank, so the viewer
+    // shows "rank N" lanes in order. The process entry comes first, so
+    // every later entry opens with its `,`.
+    w.text(concat!(
+        r#"{"traceEvents":["#,
+        r#"{"name":"process_name","ph":"M","pid":0,"args":{"name":"simnet"}}"#
+    ));
+    for rank in 0..traces.len() as u64 {
+        w.text(r#",{"name":"thread_name","ph":"M","pid":0,"tid":"#)
+            .digits(rank)
+            .text(r#","args":{"name":"rank "#)
+            .digits(rank)
+            .text(r#""}}"#);
+    }
+    for (rank, events) in (0u64..).zip(traces) {
+        for e in events {
+            trace_event(&mut w, rank, e);
+        }
+    }
+    w.text(r#"],"displayTimeUnit":"ns"}"#);
     w.finish()
 }
 
-/// One trace event as its Chrome event(s): every kind is a name, a
-/// category, a phase and its `args`.
-fn trace_event(w: &mut JsonWriter, rank: usize, e: &TraceEvent) {
-    // Phases: complete ("X") events span `start..end` on the rank's lane
-    // and are the only lane events carrying args; instants ("i") mark a
-    // point on the lane ("s":"t" scopes them to the thread); counter ("C")
-    // events form one sampled per-process track per name.
-    let mut emit = |name: fmt::Arguments<'_>, cat: &str, ph: &str, args: &[Arg<'_>]| {
-        w.object(|w| {
-            w.field("name", name).field("cat", cat).field("ph", ph);
-            // Simulated time as microseconds with nanosecond precision.
-            w.key("ts").thousandths(e.start.as_ns());
-            if ph == "X" {
-                w.key("dur")
-                    .thousandths(e.end.saturating_sub(e.start).as_ns());
-            }
-            w.field("pid", 0);
-            if ph != "C" {
-                w.field("tid", rank);
-            }
-            if ph == "i" {
-                w.field("s", "t");
-            }
-            if !args.is_empty() {
-                w.key("args").object(|w| {
-                    for (key, value) in args {
-                        w.field(key, value);
-                    }
-                });
-            }
-        });
+/// Opens every event after the metadata, up to the first character of
+/// its name.
+const NAME: &str = r#",{"name":""#;
+
+/// The constant text from the end of an event's name to its `ts` value.
+macro_rules! cat_ph {
+    ($cat:literal, $ph:literal) => {
+        concat!(r#"","cat":""#, $cat, r#"","ph":""#, $ph, r#"","ts":"#)
+    };
+}
+
+/// One trace event as its Chrome event(s), from its kind's template.
+///
+/// Phases: complete (`"X"`) events span `start..end` on the rank's lane
+/// and are the only lane events carrying args; instants (`"i"`) mark a
+/// point on the lane (`"s":"t"` scopes them to the thread); counter
+/// (`"C"`) events form one sampled per-process track per name.
+fn trace_event(w: &mut JsonWriter, rank: u64, e: &TraceEvent) {
+    // Simulated time as microseconds with nanosecond precision.
+    let (ts, dur) = (e.start.as_ns(), e.duration().as_ns());
+    // `cat_ph` text, then `T,"dur":D,"pid":0,"tid":R`; the caller writes
+    // the args (if any) and closes the object.
+    let complete = |w: &mut JsonWriter, cat_ph: &'static str| {
+        w.text(cat_ph)
+            .thousandths(ts)
+            .text(r#","dur":"#)
+            .thousandths(dur)
+            .text(r#","pid":0,"tid":"#)
+            .digits(rank);
+    };
+    // An instant is whole once its time and lane are written.
+    let instant = |w: &mut JsonWriter, cat_ph: &'static str| {
+        w.text(cat_ph)
+            .thousandths(ts)
+            .text(r#","pid":0,"tid":"#)
+            .digits(rank)
+            .text(r#","s":"t"}"#);
     };
     match &e.kind {
-        EventKind::Send { dst, bytes, seq } => emit(
-            format_args!("send to {dst}"),
-            "comm",
-            "X",
-            &[("dst", dst), ("bytes", bytes), ("seq", seq)],
-        ),
+        EventKind::Send { dst, bytes, seq } => {
+            w.text(r#",{"name":"send to "#).digits(*dst as u64);
+            complete(w, cat_ph!("comm", "X"));
+            let args = [
+                (r#","args":{"dst":"#, *dst as u64),
+                (r#","bytes":"#, *bytes as u64),
+                (r#","seq":"#, *seq),
+            ];
+            ints(w, &args).text("}}");
+        }
         EventKind::Recv {
             src,
             bytes,
             seq,
             wait,
-        } => emit(
-            format_args!("recv from {src}"),
-            "comm",
-            "X",
-            &[
-                ("src", src),
-                ("bytes", bytes),
-                ("seq", seq),
-                ("wait_ns", &wait.as_ns()),
-            ],
-        ),
-        EventKind::Span { name } => emit(format_args!("{name}"), "stage", "X", &[]),
-        EventKind::Mark { label } => emit(format_args!("{label}"), "mark", "i", &[]),
+        } => {
+            w.text(r#",{"name":"recv from "#).digits(*src as u64);
+            complete(w, cat_ph!("comm", "X"));
+            let args = [
+                (r#","args":{"src":"#, *src as u64),
+                (r#","bytes":"#, *bytes as u64),
+                (r#","seq":"#, *seq),
+                (r#","wait_ns":"#, wait.as_ns()),
+            ];
+            ints(w, &args).text("}}");
+        }
+        EventKind::Span { name } => {
+            w.text(NAME).escaped(name);
+            complete(w, cat_ph!("stage", "X"));
+            w.text("}");
+        }
+        EventKind::Mark { label } => {
+            w.text(NAME).escaped(label);
+            instant(w, cat_ph!("mark", "i"));
+        }
         EventKind::Round { op, round } => {
-            emit(format_args!("{op} round {round}"), "round", "i", &[])
+            w.text(NAME).escaped(op).text(" round ");
+            w.digits(u64::from(*round));
+            instant(w, cat_ph!("round", "i"));
         }
         EventKind::PackBlock {
             engine,
@@ -129,41 +142,52 @@ fn trace_event(w: &mut JsonWriter, rank: usize, e: &TraceEvent) {
             bytes,
         } => {
             // The block itself as a span on the rank's lane...
-            emit(
-                format_args!("pack {engine} block {index}"),
-                "datatype",
-                "X",
-                &[
-                    ("engine", engine),
-                    ("sparse", sparse),
-                    ("seek", seek),
-                    ("lookahead", lookahead),
-                    ("bytes", bytes),
-                ],
-            );
+            w.text(r#",{"name":"pack "#).escaped(engine).text(" block ");
+            w.digits(*index);
+            complete(w, cat_ph!("datatype", "X"));
+            w.text(r#","args":{"engine":""#).escaped(engine);
+            w.text(if *sparse {
+                r#"","sparse":true"#
+            } else {
+                r#"","sparse":false"#
+            });
+            let args = [
+                (r#","seek":"#, *seek),
+                (r#","lookahead":"#, *lookahead),
+                (r#","bytes":"#, *bytes),
+            ];
+            ints(w, &args).text("}}");
             // ...plus a counter track sampling the seek cost, so
             // single-cursor runs show a growing staircase while
             // dual-context stays flat at zero. The rank goes into the
             // name to keep one track per rank.
-            emit(
-                format_args!("pack seek (rank {rank})"),
-                "datatype",
-                "C",
-                &[("seek", seek), ("lookahead", lookahead)],
-            );
+            w.text(r#",{"name":"pack seek (rank "#).digits(rank);
+            w.text(concat!(")", cat_ph!("datatype", "C")))
+                .thousandths(ts);
+            let args = [
+                (r#","pid":0,"args":{"seek":"#, *seek),
+                (r#","lookahead":"#, *lookahead),
+            ];
+            ints(w, &args).text("}}");
         }
         EventKind::IrecvPost { src: Some(s), .. } => {
-            emit(format_args!("irecv posted (src {s})"), "request", "i", &[])
+            w.text(r#",{"name":"irecv posted (src "#).digits(*s as u64);
+            instant(w, concat!(")", cat_ph!("request", "i")));
         }
-        EventKind::IrecvPost { src: None, .. } => {
-            emit(format_args!("irecv posted (any src)"), "request", "i", &[])
-        }
-        EventKind::SendWait { residual } => emit(
-            format_args!("send drain"),
-            "request",
-            "X",
-            &[("residual_ns", &residual.as_ns())],
+        EventKind::IrecvPost { src: None, .. } => instant(
+            w,
+            concat!(
+                r#",{"name":"irecv posted (any src)"#,
+                cat_ph!("request", "i")
+            ),
         ),
+        EventKind::SendWait { residual } => {
+            complete(
+                w,
+                concat!(r#",{"name":"send drain"#, cat_ph!("request", "X")),
+            );
+            ints(w, &[(r#","args":{"residual_ns":"#, residual.as_ns())]).text("}}");
+        }
         // Decisions and drift flags are zero-duration complete events
         // rather than instants: the reason string and the shift evidence
         // are the point, and only "X" events carry args here.
@@ -175,18 +199,24 @@ fn trace_event(w: &mut JsonWriter, rank: usize, e: &TraceEvent) {
             pow2,
             chosen,
             reason,
-        } => emit(
-            format_args!("{collective} -> {chosen}"),
-            "decision",
-            "X",
-            &[
-                ("n", n),
-                ("total_bytes", total_bytes),
-                ("ratio_millis", ratio_millis),
-                ("pow2", pow2),
-                ("reason", reason),
-            ],
-        ),
+        } => {
+            w.text(NAME)
+                .escaped(collective)
+                .text(" -> ")
+                .escaped(chosen);
+            complete(w, cat_ph!("decision", "X"));
+            let args = [
+                (r#","args":{"n":"#, *n as u64),
+                (r#","total_bytes":"#, *total_bytes),
+                (r#","ratio_millis":"#, *ratio_millis),
+            ];
+            ints(w, &args).text(if *pow2 {
+                r#","pow2":true,"reason":""#
+            } else {
+                r#","pow2":false,"reason":""#
+            });
+            w.escaped(reason).text(r#""}}"#);
+        }
         EventKind::Drift {
             label,
             metric,
@@ -194,29 +224,326 @@ fn trace_event(w: &mut JsonWriter, rank: usize, e: &TraceEvent) {
             up,
             baseline_millis,
             observed_millis,
-        } => emit(
-            format_args!("drift {label} {metric}"),
-            "drift",
-            "X",
-            &[
-                ("label", label),
-                ("metric", metric),
-                ("occurrence", occurrence),
-                ("up", up),
-                ("baseline_millis", baseline_millis),
-                ("observed_millis", observed_millis),
-            ],
-        ),
+        } => {
+            w.text(r#",{"name":"drift "#).escaped(label).text(" ");
+            w.escaped(metric);
+            complete(w, cat_ph!("drift", "X"));
+            w.text(r#","args":{"label":""#).escaped(label);
+            w.text(r#"","metric":""#).escaped(metric);
+            w.text(r#"","occurrence":"#).digits(u64::from(*occurrence));
+            w.text(if *up {
+                r#","up":true"#
+            } else {
+                r#","up":false"#
+            });
+            let args = [
+                (r#","baseline_millis":"#, *baseline_millis),
+                (r#","observed_millis":"#, *observed_millis),
+            ];
+            ints(w, &args).text("}}");
+        }
     }
+}
+
+/// Each value's digits after the constant text that leads up to it.
+fn ints<'w>(w: &'w mut JsonWriter, fields: &[(&'static str, u64)]) -> &'w mut JsonWriter {
+    for &(text, n) in fields {
+        w.text(text).digits(n);
+    }
+    w
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    use crate::json::tests::{any_u64, fmt_oracle};
+    use std::fmt;
+
+    use crate::json::tests::{any_text, any_u64, fmt_oracle};
+    use crate::json::JsonValue;
     use crate::time::SimTime;
     use proptest::prelude::*;
+
+    /// The export as it was before the per-kind templates: one `emit`
+    /// closure over a name, category, phase and a `&dyn JsonValue` arg
+    /// table, every key and literal written through `JsonWriter`'s
+    /// escaping field calls, timestamps through [`Ts`]. The byte-for-byte
+    /// oracle of [`chrome_trace_json`].
+    mod oracle {
+        use super::*;
+
+        type Arg<'a> = (&'a str, &'a dyn JsonValue);
+
+        pub(super) fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
+            let meta =
+                |w: &mut JsonWriter, what: &str, tid: Option<usize>, name: fmt::Arguments<'_>| {
+                    w.object(|w| {
+                        w.field("name", what).field("ph", "M").field("pid", 0);
+                        if let Some(tid) = tid {
+                            w.field("tid", tid);
+                        }
+                        w.key("args").object(|w| {
+                            w.field("name", name);
+                        });
+                    });
+                };
+            let mut w = JsonWriter::new();
+            w.object(|w| {
+                w.key("traceEvents").array(|w| {
+                    meta(w, "process_name", None, format_args!("simnet"));
+                    for rank in 0..traces.len() {
+                        meta(w, "thread_name", Some(rank), format_args!("rank {rank}"));
+                    }
+                    for (rank, events) in traces.iter().enumerate() {
+                        for e in events {
+                            trace_event(w, rank, e);
+                        }
+                    }
+                });
+                w.field("displayTimeUnit", "ns");
+            });
+            w.finish()
+        }
+
+        fn trace_event(w: &mut JsonWriter, rank: usize, e: &TraceEvent) {
+            let mut emit = |name: fmt::Arguments<'_>, cat: &str, ph: &str, args: &[Arg<'_>]| {
+                w.object(|w| {
+                    w.field("name", name).field("cat", cat).field("ph", ph);
+                    w.key("ts").number(Ts(e.start));
+                    if ph == "X" {
+                        w.key("dur").number(Ts(e.end.saturating_sub(e.start)));
+                    }
+                    w.field("pid", 0);
+                    if ph != "C" {
+                        w.field("tid", rank);
+                    }
+                    if ph == "i" {
+                        w.field("s", "t");
+                    }
+                    if !args.is_empty() {
+                        w.key("args").object(|w| {
+                            for (key, value) in args {
+                                w.field(key, value);
+                            }
+                        });
+                    }
+                });
+            };
+            match &e.kind {
+                EventKind::Send { dst, bytes, seq } => emit(
+                    format_args!("send to {dst}"),
+                    "comm",
+                    "X",
+                    &[("dst", dst), ("bytes", bytes), ("seq", seq)],
+                ),
+                EventKind::Recv {
+                    src,
+                    bytes,
+                    seq,
+                    wait,
+                } => emit(
+                    format_args!("recv from {src}"),
+                    "comm",
+                    "X",
+                    &[
+                        ("src", src),
+                        ("bytes", bytes),
+                        ("seq", seq),
+                        ("wait_ns", &wait.as_ns()),
+                    ],
+                ),
+                EventKind::Span { name } => emit(format_args!("{name}"), "stage", "X", &[]),
+                EventKind::Mark { label } => emit(format_args!("{label}"), "mark", "i", &[]),
+                EventKind::Round { op, round } => {
+                    emit(format_args!("{op} round {round}"), "round", "i", &[])
+                }
+                EventKind::PackBlock {
+                    engine,
+                    index,
+                    sparse,
+                    seek,
+                    lookahead,
+                    bytes,
+                } => {
+                    emit(
+                        format_args!("pack {engine} block {index}"),
+                        "datatype",
+                        "X",
+                        &[
+                            ("engine", engine),
+                            ("sparse", sparse),
+                            ("seek", seek),
+                            ("lookahead", lookahead),
+                            ("bytes", bytes),
+                        ],
+                    );
+                    emit(
+                        format_args!("pack seek (rank {rank})"),
+                        "datatype",
+                        "C",
+                        &[("seek", seek), ("lookahead", lookahead)],
+                    );
+                }
+                EventKind::IrecvPost { src: Some(s), .. } => {
+                    emit(format_args!("irecv posted (src {s})"), "request", "i", &[])
+                }
+                EventKind::IrecvPost { src: None, .. } => {
+                    emit(format_args!("irecv posted (any src)"), "request", "i", &[])
+                }
+                EventKind::SendWait { residual } => emit(
+                    format_args!("send drain"),
+                    "request",
+                    "X",
+                    &[("residual_ns", &residual.as_ns())],
+                ),
+                EventKind::AlgoDecision {
+                    collective,
+                    n,
+                    total_bytes,
+                    ratio_millis,
+                    pow2,
+                    chosen,
+                    reason,
+                } => emit(
+                    format_args!("{collective} -> {chosen}"),
+                    "decision",
+                    "X",
+                    &[
+                        ("n", n),
+                        ("total_bytes", total_bytes),
+                        ("ratio_millis", ratio_millis),
+                        ("pow2", pow2),
+                        ("reason", reason),
+                    ],
+                ),
+                EventKind::Drift {
+                    label,
+                    metric,
+                    occurrence,
+                    up,
+                    baseline_millis,
+                    observed_millis,
+                } => emit(
+                    format_args!("drift {label} {metric}"),
+                    "drift",
+                    "X",
+                    &[
+                        ("label", label),
+                        ("metric", metric),
+                        ("occurrence", occurrence),
+                        ("up", up),
+                        ("baseline_millis", baseline_millis),
+                        ("observed_millis", observed_millis),
+                    ],
+                ),
+            }
+        }
+    }
+
+    /// A label with every class of byte the escaper treats differently,
+    /// borrowed or owned.
+    fn any_label() -> impl Strategy<Value = crate::trace::Label> {
+        prop_oneof![
+            Just("allgatherv/ring".into()),
+            any_text().prop_map(Into::into),
+        ]
+    }
+
+    fn any_u32() -> impl Strategy<Value = u32> {
+        prop_oneof![Just(0u32), Just(u32::MAX), 0u32..u32::MAX]
+    }
+
+    /// Any event of any kind, with extreme integers and times.
+    fn any_event() -> impl Strategy<Value = TraceEvent> {
+        let small = || prop_oneof![Just(0usize), Just(usize::MAX), 0usize..1 << 16];
+        let kind = prop_oneof![
+            (small(), small(), any_u64()).prop_map(|(dst, bytes, seq)| EventKind::Send {
+                dst,
+                bytes,
+                seq
+            }),
+            (small(), small(), any_u64(), any_u64()).prop_map(|(src, bytes, seq, w)| {
+                EventKind::Recv {
+                    src,
+                    bytes,
+                    seq,
+                    wait: SimTime(w),
+                }
+            }),
+            any_label().prop_map(|label| EventKind::Mark { label }),
+            any_label().prop_map(|name| EventKind::Span { name }),
+            (any_label(), any_u32()).prop_map(|(op, round)| EventKind::Round { op, round }),
+            (
+                any_label(),
+                any_u64(),
+                any::<bool>(),
+                any_u64(),
+                any_u64(),
+                any_u64()
+            )
+                .prop_map(|(engine, index, sparse, seek, lookahead, bytes)| {
+                    EventKind::PackBlock {
+                        engine,
+                        index,
+                        sparse,
+                        seek,
+                        lookahead,
+                        bytes,
+                    }
+                }),
+            (prop_oneof![Just(None), small().prop_map(Some)], any_u32())
+                .prop_map(|(src, tag)| EventKind::IrecvPost { src, tag }),
+            any_u64().prop_map(|r| EventKind::SendWait {
+                residual: SimTime(r)
+            }),
+            (
+                any_label(),
+                small(),
+                (any_u64(), any_u64()),
+                any::<bool>(),
+                any_label(),
+                any_label()
+            )
+                .prop_map(
+                    |(collective, n, (total_bytes, ratio_millis), pow2, chosen, reason)| {
+                        EventKind::AlgoDecision {
+                            collective,
+                            n,
+                            total_bytes,
+                            ratio_millis,
+                            pow2,
+                            chosen,
+                            reason,
+                        }
+                    }
+                ),
+            (
+                any_label(),
+                any_label(),
+                any_u32(),
+                any::<bool>(),
+                any_u64(),
+                any_u64()
+            )
+                .prop_map(
+                    |(label, metric, occurrence, up, baseline_millis, observed_millis)| {
+                        EventKind::Drift {
+                            label,
+                            metric,
+                            occurrence,
+                            up,
+                            baseline_millis,
+                            observed_millis,
+                        }
+                    }
+                ),
+        ];
+        (kind, any_u64(), any_u64()).prop_map(|(kind, a, b)| TraceEvent {
+            kind,
+            start: SimTime(a.min(b)),
+            end: SimTime(a.max(b)),
+        })
+    }
 
     /// The timestamp as it was formatted before it became two integer
     /// writes: the oracle of [`JsonWriter::thousandths`].
@@ -253,6 +580,13 @@ mod tests {
         #[test]
         fn timestamps_match_the_fmt_writer(ns in any_u64()) {
             prop_assert_eq!(ts(SimTime(ns)), fmt_oracle::number(Ts(SimTime(ns))));
+        }
+
+        #[test]
+        fn templates_write_what_the_emit_closure_wrote(
+            traces in proptest::collection::vec(proptest::collection::vec(any_event(), 0..12), 0..4),
+        ) {
+            prop_assert_eq!(chrome_trace_json(&traces), oracle::chrome_trace_json(&traces));
         }
     }
 

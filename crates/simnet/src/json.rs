@@ -107,7 +107,8 @@ impl fmt::Write for Escaped<'_> {
     }
 }
 
-/// Append `n`'s decimal digits to `out`.
+/// Append `n`'s decimal digits to `out`, each pushed as the ASCII `char`
+/// it is (no UTF-8 check of the buffer).
 fn digits_into(out: &mut String, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
@@ -119,7 +120,7 @@ fn digits_into(out: &mut String, mut n: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+    out.extend(buf[at..].iter().map(|&d| char::from(d)));
 }
 
 impl JsonWriter {
@@ -252,8 +253,7 @@ impl JsonWriter {
     /// An unsigned integer value, as its decimal digits.
     fn unsigned(&mut self, n: u64) -> &mut Self {
         self.separate();
-        digits_into(&mut self.out, n);
-        self
+        self.digits(n)
     }
 
     /// A signed integer value, as its decimal digits.
@@ -266,10 +266,34 @@ impl JsonWriter {
         self
     }
 
+    /// An already-rendered JSON document as the next value.
+    pub fn raw(&mut self, json: &str) -> &mut Self {
+        self.separate();
+        self.out.push_str(json);
+        self
+    }
+
+    // Template pieces: a writer whose punctuation and keys are known at
+    // compile time (the Chrome export) spells them as constant text and
+    // fills the holes with these. None of them writes a separator or
+    // tracks one: the template's own text carries every `,` and quote.
+
+    /// Constant, already-escaped JSON text, appended verbatim.
+    pub(crate) fn text(&mut self, fragment: &'static str) -> &mut Self {
+        self.out.push_str(fragment);
+        self
+    }
+
+    /// `n`'s decimal digits.
+    pub(crate) fn digits(&mut self, n: u64) -> &mut Self {
+        digits_into(&mut self.out, n);
+        self
+    }
+
     /// The fixed-point number `thousandths / 1000` with exactly three
     /// decimals (`1234` → `1.234`, `5` → `0.005`).
     pub(crate) fn thousandths(&mut self, thousandths: u64) -> &mut Self {
-        self.unsigned(thousandths / 1000);
+        self.digits(thousandths / 1000);
         let frac = thousandths % 1000;
         self.out.push('.');
         for digit in [frac / 100, frac / 10 % 10, frac % 10] {
@@ -278,10 +302,10 @@ impl JsonWriter {
         self
     }
 
-    /// An already-rendered JSON document as the next value.
-    pub fn raw(&mut self, json: &str) -> &mut Self {
-        self.separate();
-        self.out.push_str(json);
+    /// `s` as the body of a string (escaped, not quoted): the only piece
+    /// that scans its bytes.
+    pub(crate) fn escaped(&mut self, s: &str) -> &mut Self {
+        escape_into(&mut self.out, s);
         self
     }
 }
@@ -1180,7 +1204,7 @@ pub(crate) mod tests {
     /// Text drawn from the characters the escaper treats differently:
     /// quotes, backslashes, the named and unnamed control bytes, DEL,
     /// and one- to four-byte UTF-8.
-    fn any_text() -> impl Strategy<Value = String> {
+    pub(crate) fn any_text() -> impl Strategy<Value = String> {
         const POOL: [char; 16] = [
             'a', 'Z', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{1f}', '\u{7f}',
             'é', '€', '𝄞',

@@ -89,8 +89,7 @@ pub use ledger::{
 };
 pub use mailbox::{NetMsg, Tag};
 pub use metrics::{
-    metrics_artifact_json, metrics_json, parse_metrics, Histogram, MetricKey, MetricsRegistry,
-    MetricsSnapshot,
+    metrics_artifact_json, metrics_json, parse_metrics, Histogram, MetricsRegistry, MetricsSnapshot,
 };
 pub use profile::{imbalance_report, Profiler, StageStats};
 pub use recorder::{render_dump, RankRecorder, RecCode, Recorded, SIDE_RING_SLOTS};

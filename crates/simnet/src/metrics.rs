@@ -24,39 +24,81 @@
 //! `if let Some` on [`crate::Rank::metrics_mut`] — the same contract as
 //! [`crate::trace`]. The run's [`crate::Capture`] merges the registries.
 
-use std::collections::BTreeMap;
 use std::sync::LazyLock;
 
 use crate::json::{parse_schema_led, Json, JsonValue, JsonWriter};
 use crate::stats::CostKind;
+use crate::trace::Label;
 
-/// Identifies one metric stream. `algorithm` distinguishes competing
-/// implementations of the same operation (`ring` vs `recursive_doubling`,
-/// `single-context` vs `dual-context`); leave it empty when there is only
-/// one.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MetricKey {
-    pub subsystem: String,
-    pub op: String,
-    pub algorithm: String,
+/// A metric stream's name as text: `(subsystem, op, algorithm)`.
+/// `algorithm` distinguishes competing implementations of the same
+/// operation (`ring` vs `recursive_doubling`, `single-context` vs
+/// `dual-context`); it is empty when there is only one.
+pub type KeyParts<'a> = (&'a str, &'a str, &'a str);
+
+/// `subsystem/op` or `subsystem/op/algorithm` — a key's display form.
+fn path((subsystem, op, algorithm): KeyParts<'_>) -> String {
+    if algorithm.is_empty() {
+        format!("{subsystem}/{op}")
+    } else {
+        format!("{subsystem}/{op}/{algorithm}")
+    }
 }
 
-impl MetricKey {
-    pub fn new(subsystem: &str, op: &str, algorithm: &str) -> Self {
-        MetricKey {
-            subsystem: subsystem.to_string(),
-            op: op.to_string(),
-            algorithm: algorithm.to_string(),
-        }
+/// A stored key: the three [`Label`]s a stream was first recorded under,
+/// ordered part by part. A literal part is borrowed, so a key of literals
+/// allocates nothing.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(Label, Label, Label);
+
+impl Key {
+    fn parts(&self) -> KeyParts<'_> {
+        (&self.0, &self.1, &self.2)
+    }
+}
+
+/// One family of streams (the counters, the gauges or the histograms):
+/// every key in key order with its value, the order every read walks,
+/// binary-searched by text.
+#[derive(Clone, Debug)]
+struct Family<V>(Vec<(Key, V)>);
+
+impl<V> Default for Family<V> {
+    fn default() -> Self {
+        Family(Vec::new())
+    }
+}
+
+impl<V: Default> Family<V> {
+    /// The value under `key`, created empty on first use.
+    fn slot(&mut self, key: Key) -> &mut V {
+        let at = match self.find(key.parts()) {
+            Ok(at) => at,
+            Err(at) => {
+                self.0.insert(at, (key, V::default()));
+                at
+            }
+        };
+        &mut self.0[at].1
     }
 
-    /// `subsystem/op` or `subsystem/op/algorithm` — the display form.
-    pub fn path(&self) -> String {
-        if self.algorithm.is_empty() {
-            format!("{}/{}", self.subsystem, self.op)
-        } else {
-            format!("{}/{}/{}", self.subsystem, self.op, self.algorithm)
-        }
+    /// Where `parts` is in key order, or where it would go.
+    fn find(&self, parts: KeyParts<'_>) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| k.parts().cmp(&parts))
+    }
+
+    fn get(&self, parts: KeyParts<'_>) -> Option<&V> {
+        let at = self.find(parts).ok()?;
+        Some(&self.0[at].1)
+    }
+
+    /// Every stream in key order.
+    fn iter(&self) -> impl Iterator<Item = (&Key, &V)> {
+        self.0.iter().map(|(k, v)| (k, v))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 }
 
@@ -203,8 +245,8 @@ impl Histogram {
 }
 
 /// A registry as its JSON export holds it: every key flattened to its
-/// [`MetricKey::path`] (ops and algorithms contain `/`, so a path does not
-/// split back into a key), each family in key order.
+/// path, `subsystem/op[/algorithm]` (ops and algorithms contain `/`, so a
+/// path does not split back into a key), each family in key order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
@@ -299,10 +341,10 @@ const TIME_KEY_ORDER: [CostKind; 5] = [
     CostKind::Wait,
 ];
 
-/// The key of each slot of [`TIME_KEY_ORDER`], for the reads that hand
-/// out `&MetricKey`.
-static TIME_KEYS: LazyLock<[MetricKey; 5]> =
-    LazyLock::new(|| TIME_KEY_ORDER.map(|k| MetricKey::new("time", k.label(), "")));
+/// The key of each slot of [`TIME_KEY_ORDER`], for the reads that merge
+/// the slots into the keyed counters.
+static TIME_KEYS: LazyLock<[Key; 5]> =
+    LazyLock::new(|| TIME_KEY_ORDER.map(|k| Key("time".into(), k.label().into(), "".into())));
 
 /// The cost kind whose slot holds `subsystem/op/algorithm`, if any.
 fn time_slot(subsystem: &str, op: &str, algorithm: &str) -> Option<CostKind> {
@@ -313,15 +355,30 @@ fn time_slot(subsystem: &str, op: &str, algorithm: &str) -> Option<CostKind> {
 }
 
 /// Per-rank registry of named metrics; see the module docs.
+///
+/// Recording calls take each key part as a [`Label`]: a literal is
+/// borrowed (a key of literals allocates nothing) and a part built at run
+/// time is passed owned; the stream is found by its text. They are
+/// never inlined, so the collective paths that call them keep their
+/// frames, which every rank's fiber stack holds, as small with metrics
+/// off as before.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     /// The `time/<kind>` counters, indexed by `CostKind as usize`: `None`
     /// until the first charge (of any size) creates the key. No key in
     /// `counters` is ever one of these.
     time: [Option<u64>; 5],
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, f64>,
-    histograms: BTreeMap<MetricKey, Histogram>,
+    /// Boxed, so a registry stays small where it is held inline: every
+    /// rank's fiber stack holds its rank, observed or not.
+    keyed: Box<Keyed>,
+}
+
+/// The keyed streams of a [`MetricsRegistry`], one family per kind.
+#[derive(Clone, Debug, Default)]
+struct Keyed {
+    counters: Family<u64>,
+    gauges: Family<f64>,
+    histograms: Family<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -338,59 +395,83 @@ impl MetricsRegistry {
     }
 
     /// Add `delta` to a counter (creating it at zero).
-    pub fn counter_add(&mut self, subsystem: &str, op: &str, algorithm: &str, delta: u64) {
-        if let Some(kind) = time_slot(subsystem, op, algorithm) {
+    #[inline(never)]
+    pub fn counter_add(
+        &mut self,
+        subsystem: impl Into<Label>,
+        op: impl Into<Label>,
+        algorithm: impl Into<Label>,
+        delta: u64,
+    ) {
+        let key = Key(subsystem.into(), op.into(), algorithm.into());
+        if let Some(kind) = time_slot(&key.0, &key.1, &key.2) {
             self.charge_time(kind, delta);
             return;
         }
-        *self
-            .counters
-            .entry(MetricKey::new(subsystem, op, algorithm))
-            .or_insert(0) += delta;
+        *self.keyed.counters.slot(key) += delta;
     }
 
     /// Set a gauge to its latest observed value.
-    pub fn gauge_set(&mut self, subsystem: &str, op: &str, algorithm: &str, value: f64) {
-        self.gauges
-            .insert(MetricKey::new(subsystem, op, algorithm), value);
+    #[inline(never)]
+    pub fn gauge_set(
+        &mut self,
+        subsystem: impl Into<Label>,
+        op: impl Into<Label>,
+        algorithm: impl Into<Label>,
+        value: f64,
+    ) {
+        let key = Key(subsystem.into(), op.into(), algorithm.into());
+        *self.keyed.gauges.slot(key) = value;
     }
 
     /// Record one sample into a histogram (creating it empty).
-    pub fn observe(&mut self, subsystem: &str, op: &str, algorithm: &str, value: u64) {
-        self.histograms
-            .entry(MetricKey::new(subsystem, op, algorithm))
-            .or_default()
-            .record(value);
+    #[inline(never)]
+    pub fn observe(
+        &mut self,
+        subsystem: impl Into<Label>,
+        op: impl Into<Label>,
+        algorithm: impl Into<Label>,
+        value: u64,
+    ) {
+        let key = Key(subsystem.into(), op.into(), algorithm.into());
+        self.keyed.histograms.slot(key).record(value);
     }
 
     /// Current value of a counter (0 if never touched).
     pub fn counter(&self, subsystem: &str, op: &str, algorithm: &str) -> u64 {
         let value = match time_slot(subsystem, op, algorithm) {
             Some(kind) => self.time[kind as usize],
-            None => self
-                .counters
-                .get(&MetricKey::new(subsystem, op, algorithm))
-                .copied(),
+            None => self.keyed.counters.get((subsystem, op, algorithm)).copied(),
         };
         value.unwrap_or(0)
     }
 
     /// Latest value of a gauge, if ever set.
     pub fn gauge(&self, subsystem: &str, op: &str, algorithm: &str) -> Option<f64> {
-        self.gauges
-            .get(&MetricKey::new(subsystem, op, algorithm))
-            .copied()
+        self.keyed.gauges.get((subsystem, op, algorithm)).copied()
     }
 
     /// A histogram, if any sample was ever recorded under the key.
     pub fn histogram(&self, subsystem: &str, op: &str, algorithm: &str) -> Option<&Histogram> {
-        self.histograms
-            .get(&MetricKey::new(subsystem, op, algorithm))
+        self.keyed.histograms.get((subsystem, op, algorithm))
     }
 
     /// Every counter in key order, the `time/<kind>` slots merged in.
-    pub fn counters(&self) -> impl Iterator<Item = (&MetricKey, u64)> {
-        let mut named = self.counters.iter().map(|(k, &v)| (k, v)).peekable();
+    pub fn counters(&self) -> impl Iterator<Item = (KeyParts<'_>, u64)> {
+        self.counter_keys().map(|(k, v)| (k.parts(), v))
+    }
+
+    pub fn gauges(&self) -> impl Iterator<Item = (KeyParts<'_>, f64)> {
+        self.keyed.gauges.iter().map(|(k, &v)| (k.parts(), v))
+    }
+
+    pub fn histograms(&self) -> impl Iterator<Item = (KeyParts<'_>, &Histogram)> {
+        self.keyed.histograms.iter().map(|(k, h)| (k.parts(), h))
+    }
+
+    /// [`MetricsRegistry::counters`] with the stored keys.
+    fn counter_keys(&self) -> impl Iterator<Item = (&Key, u64)> {
+        let mut named = self.keyed.counters.iter().map(|(k, &v)| (k, v)).peekable();
         let mut time = TIME_KEY_ORDER
             .iter()
             .zip(TIME_KEYS.iter())
@@ -403,26 +484,20 @@ impl MetricsRegistry {
         })
     }
 
-    pub fn gauges(&self) -> impl Iterator<Item = (&MetricKey, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k, v))
-    }
-
-    pub fn histograms(&self) -> impl Iterator<Item = (&MetricKey, &Histogram)> {
-        self.histograms.iter()
-    }
-
     pub fn is_empty(&self) -> bool {
-        self.counters().next().is_none() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters().next().is_none()
+            && self.keyed.gauges.is_empty()
+            && self.keyed.histograms.is_empty()
     }
 
     /// The registry as it exports: keys as paths, families in key order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters().map(|(k, v)| (k.path(), v)).collect(),
-            gauges: self.gauges().map(|(k, v)| (k.path(), v)).collect(),
+            counters: self.counters().map(|(k, v)| (path(k), v)).collect(),
+            gauges: self.gauges().map(|(k, v)| (path(k), v)).collect(),
             histograms: self
                 .histograms()
-                .map(|(k, h)| (k.path(), h.clone()))
+                .map(|(k, h)| (path(k), h.clone()))
                 .collect(),
         }
     }
@@ -436,17 +511,15 @@ impl MetricsRegistry {
                 self.charge_time(kind, ns);
             }
         }
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+        for (k, v) in other.keyed.counters.iter() {
+            *self.keyed.counters.slot(k.clone()) += v;
         }
-        for (k, &v) in &other.gauges {
-            self.gauges
-                .entry(k.clone())
-                .and_modify(|g| *g = g.max(v))
-                .or_insert(v);
+        for (k, &v) in other.keyed.gauges.iter() {
+            let merged = self.keyed.gauges.get(k.parts()).map_or(v, |g| g.max(v));
+            *self.keyed.gauges.slot(k.clone()) = merged;
         }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
+        for (k, h) in other.keyed.histograms.iter() {
+            self.keyed.histograms.slot(k.clone()).merge(h);
         }
     }
 
@@ -458,24 +531,24 @@ impl MetricsRegistry {
         if counters.peek().is_some() {
             out.push_str("counters:\n");
             for (k, v) in counters {
-                out.push_str(&format!("  {:<46} {v}\n", k.path()));
+                out.push_str(&format!("  {:<46} {v}\n", path(k)));
             }
         }
-        if !self.gauges.is_empty() {
+        if !self.keyed.gauges.is_empty() {
             out.push_str("gauges:\n");
-            for (k, v) in &self.gauges {
-                out.push_str(&format!("  {:<46} {v:.3}\n", k.path()));
+            for (k, v) in self.gauges() {
+                out.push_str(&format!("  {:<46} {v:.3}\n", path(k)));
             }
         }
-        if !self.histograms.is_empty() {
+        if !self.keyed.histograms.is_empty() {
             out.push_str(&format!(
                 "histograms: {:<34} {:>9} {:>12} {:>10} {:>10} {:>10} {:>12}\n",
                 "", "count", "mean", "p50", "p90", "p99", "max"
             ));
-            for (k, h) in &self.histograms {
+            for (k, h) in self.histograms() {
                 out.push_str(&format!(
                     "  {:<44} {:>9} {:>12.1} {:>10} {:>10} {:>10} {:>12}\n",
-                    k.path(),
+                    path(k),
                     h.count(),
                     h.mean(),
                     h.p50(),
@@ -494,6 +567,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
+    use std::collections::BTreeMap;
 
     #[test]
     fn bucket_indexing_is_log2() {
@@ -621,8 +695,8 @@ mod tests {
 
     #[test]
     fn key_paths_elide_empty_algorithm() {
-        assert_eq!(MetricKey::new("a", "b", "").path(), "a/b");
-        assert_eq!(MetricKey::new("a", "b", "c").path(), "a/b/c");
+        assert_eq!(path(("a", "b", "")), "a/b");
+        assert_eq!(path(("a", "b", "c")), "a/b/c");
     }
 
     #[test]
@@ -642,7 +716,7 @@ mod tests {
         sorted.sort();
         assert_eq!(sorted, *TIME_KEYS);
         for (kind, key) in TIME_KEY_ORDER.iter().zip(TIME_KEYS.iter()) {
-            assert_eq!(key.path(), format!("time/{}", kind.label()));
+            assert_eq!(path(key.parts()), format!("time/{}", kind.label()));
         }
         let mut kinds = TIME_KEY_ORDER.map(|k| k as usize);
         kinds.sort();
@@ -658,38 +732,51 @@ mod tests {
         assert_eq!(r.snapshot().counters, vec![("time/wait".to_string(), 0)]);
     }
 
-    /// The registry as it was before the `time/<kind>` slots: every
-    /// family one `BTreeMap`. The oracle of every read.
+    /// A key as the registry stored it before it held [`Label`]s: three
+    /// owned strings, built on every call.
+    type OwnedKey = (String, String, String);
+
+    fn owned_key(subsystem: &str, op: &str, algorithm: &str) -> OwnedKey {
+        (subsystem.into(), op.into(), algorithm.into())
+    }
+
+    fn owned_path(k: &OwnedKey) -> String {
+        path((&k.0, &k.1, &k.2))
+    }
+
+    /// The registry as it was before the `time/<kind>` slots and the
+    /// label keys: every family one `BTreeMap` of [`OwnedKey`]s. The
+    /// oracle of every read.
     #[derive(Default)]
     struct Reference {
-        counters: BTreeMap<MetricKey, u64>,
-        gauges: BTreeMap<MetricKey, f64>,
-        histograms: BTreeMap<MetricKey, Histogram>,
+        counters: BTreeMap<OwnedKey, u64>,
+        gauges: BTreeMap<OwnedKey, f64>,
+        histograms: BTreeMap<OwnedKey, Histogram>,
     }
 
     impl Reference {
         fn counter_add(&mut self, subsystem: &str, op: &str, algorithm: &str, delta: u64) {
             *self
                 .counters
-                .entry(MetricKey::new(subsystem, op, algorithm))
+                .entry(owned_key(subsystem, op, algorithm))
                 .or_insert(0) += delta;
         }
 
         fn gauge_set(&mut self, subsystem: &str, op: &str, algorithm: &str, value: f64) {
             self.gauges
-                .insert(MetricKey::new(subsystem, op, algorithm), value);
+                .insert(owned_key(subsystem, op, algorithm), value);
         }
 
         fn observe(&mut self, subsystem: &str, op: &str, algorithm: &str, value: u64) {
             self.histograms
-                .entry(MetricKey::new(subsystem, op, algorithm))
+                .entry(owned_key(subsystem, op, algorithm))
                 .or_default()
                 .record(value);
         }
 
         fn counter(&self, subsystem: &str, op: &str, algorithm: &str) -> u64 {
             self.counters
-                .get(&MetricKey::new(subsystem, op, algorithm))
+                .get(&owned_key(subsystem, op, algorithm))
                 .copied()
                 .unwrap_or(0)
         }
@@ -700,12 +787,20 @@ mod tests {
 
         fn snapshot(&self) -> MetricsSnapshot {
             MetricsSnapshot {
-                counters: self.counters.iter().map(|(k, &v)| (k.path(), v)).collect(),
-                gauges: self.gauges.iter().map(|(k, &v)| (k.path(), v)).collect(),
+                counters: self
+                    .counters
+                    .iter()
+                    .map(|(k, &v)| (owned_path(k), v))
+                    .collect(),
+                gauges: self
+                    .gauges
+                    .iter()
+                    .map(|(k, &v)| (owned_path(k), v))
+                    .collect(),
                 histograms: self
                     .histograms
                     .iter()
-                    .map(|(k, h)| (k.path(), h.clone()))
+                    .map(|(k, h)| (owned_path(k), h.clone()))
                     .collect(),
             }
         }
@@ -730,13 +825,13 @@ mod tests {
             if !self.counters.is_empty() {
                 out.push_str("counters:\n");
                 for (k, v) in &self.counters {
-                    out.push_str(&format!("  {:<46} {v}\n", k.path()));
+                    out.push_str(&format!("  {:<46} {v}\n", owned_path(k)));
                 }
             }
             if !self.gauges.is_empty() {
                 out.push_str("gauges:\n");
                 for (k, v) in &self.gauges {
-                    out.push_str(&format!("  {:<46} {v:.3}\n", k.path()));
+                    out.push_str(&format!("  {:<46} {v:.3}\n", owned_path(k)));
                 }
             }
             if !self.histograms.is_empty() {
@@ -747,7 +842,7 @@ mod tests {
                 for (k, h) in &self.histograms {
                     out.push_str(&format!(
                         "  {:<44} {:>9} {:>12.1} {:>10} {:>10} {:>10} {:>12}\n",
-                        k.path(),
+                        owned_path(k),
                         h.count(),
                         h.mean(),
                         h.p50(),
@@ -767,41 +862,93 @@ mod tests {
     const OPS: [&str; 8] = [
         "comm", "compute", "pack", "search", "wait", "comn", "rounds", "x",
     ];
-    const ALGORITHMS: [&str; 3] = ["", "ring", "a"];
+    const ALGORITHMS: [&str; 4] = ["", "ring", "a", "rin"];
+
+    /// How a key part reaches the registry: a literal, or text built at
+    /// run time — an owned `String` (drift's `e.label`) or a slice of one
+    /// copied out (the V-cycle's `stage[10..]`).
+    #[derive(Clone, Copy, Debug)]
+    enum Text {
+        Literal,
+        Owned,
+        Sliced,
+    }
+
+    /// Part `i` of `pool` as a [`Label`] reached the way `how` says.
+    fn label(pool: &[&'static str], (i, how): (usize, Text)) -> Label {
+        match how {
+            Text::Literal => pool[i].into(),
+            Text::Owned => pool[i].to_string().into(),
+            Text::Sliced => format!("mg_vcycle_{}", pool[i])[10..].to_owned().into(),
+        }
+    }
+
+    type PartsIx = [(usize, Text); 3];
 
     #[derive(Clone, Debug)]
     enum Op {
-        Counter(usize, usize, usize, u64),
-        Observe(usize, usize, usize, u64),
-        Gauge(usize, usize, usize, f64),
+        Counter(PartsIx, u64),
+        Observe(PartsIx, u64),
+        Gauge(PartsIx, f64),
         Charge(CostKind, u64),
     }
 
+    fn any_part(len: usize) -> impl Strategy<Value = (usize, Text)> {
+        let how = prop_oneof![Just(Text::Literal), Just(Text::Owned), Just(Text::Sliced)];
+        (0..len, how)
+    }
+
     fn any_op() -> impl Strategy<Value = Op> {
-        let key = (0..SUBSYSTEMS.len(), 0..OPS.len(), 0..ALGORITHMS.len());
+        let key = || {
+            (
+                any_part(SUBSYSTEMS.len()),
+                any_part(OPS.len()),
+                any_part(ALGORITHMS.len()),
+            )
+                .prop_map(|(s, o, a)| [s, o, a])
+        };
         let amount = prop_oneof![Just(0u64), 0u64..1 << 20];
         prop_oneof![
-            (key.clone(), amount.clone()).prop_map(|((s, o, a), d)| Op::Counter(s, o, a, d)),
-            (key.clone(), amount.clone()).prop_map(|((s, o, a), v)| Op::Observe(s, o, a, v)),
-            (key, -1000i64..1000).prop_map(|((s, o, a), v)| Op::Gauge(s, o, a, v as f64 / 8.0)),
+            (key(), amount.clone()).prop_map(|(k, d)| Op::Counter(k, d)),
+            (key(), amount.clone()).prop_map(|(k, v)| Op::Observe(k, v)),
+            (key(), -1000i64..1000).prop_map(|(k, v)| Op::Gauge(k, v as f64 / 8.0)),
             (0..CostKind::ALL.len(), amount).prop_map(|(k, ns)| Op::Charge(CostKind::ALL[k], ns)),
         ]
     }
 
+    /// Up to `len` ops, each repeated one to three times in a row, so an
+    /// existing key is looked up again through every kind of text.
+    fn any_ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec((any_op(), 1usize..4), 0..len).prop_map(|runs| {
+            runs.into_iter()
+                .flat_map(|(op, n)| std::iter::repeat_n(op, n))
+                .collect()
+        })
+    }
+
     fn apply(ops: &[Op], reg: &mut MetricsRegistry, reference: &mut Reference) {
+        let labels =
+            |[s, o, a]: PartsIx| (label(&SUBSYSTEMS, s), label(&OPS, o), label(&ALGORITHMS, a));
+        let text = |[s, o, a]: PartsIx| (SUBSYSTEMS[s.0], OPS[o.0], ALGORITHMS[a.0]);
         for op in ops {
             match *op {
-                Op::Counter(s, o, a, d) => {
-                    reg.counter_add(SUBSYSTEMS[s], OPS[o], ALGORITHMS[a], d);
-                    reference.counter_add(SUBSYSTEMS[s], OPS[o], ALGORITHMS[a], d);
+                Op::Counter(k, d) => {
+                    let (s, o, a) = labels(k);
+                    reg.counter_add(s, o, a, d);
+                    let (s, o, a) = text(k);
+                    reference.counter_add(s, o, a, d);
                 }
-                Op::Observe(s, o, a, v) => {
-                    reg.observe(SUBSYSTEMS[s], OPS[o], ALGORITHMS[a], v);
-                    reference.observe(SUBSYSTEMS[s], OPS[o], ALGORITHMS[a], v);
+                Op::Observe(k, v) => {
+                    let (s, o, a) = labels(k);
+                    reg.observe(s, o, a, v);
+                    let (s, o, a) = text(k);
+                    reference.observe(s, o, a, v);
                 }
-                Op::Gauge(s, o, a, v) => {
-                    reg.gauge_set(SUBSYSTEMS[s], OPS[o], ALGORITHMS[a], v);
-                    reference.gauge_set(SUBSYSTEMS[s], OPS[o], ALGORITHMS[a], v);
+                Op::Gauge(k, v) => {
+                    let (s, o, a) = labels(k);
+                    reg.gauge_set(s, o, a, v);
+                    let (s, o, a) = text(k);
+                    reference.gauge_set(s, o, a, v);
                 }
                 // What `Rank::charge_span` does, against what it did.
                 Op::Charge(kind, ns) => {
@@ -814,9 +961,12 @@ mod tests {
 
     /// Every read of `reg` equals the same read of `reference`.
     fn same_reads(reg: &MetricsRegistry, reference: &Reference) -> Result<(), TestCaseError> {
-        let counters: Vec<(&MetricKey, u64)> = reg.counters().collect();
-        let want: Vec<(&MetricKey, u64)> =
-            reference.counters.iter().map(|(k, &v)| (k, v)).collect();
+        let counters: Vec<(KeyParts<'_>, u64)> = reg.counters().collect();
+        let want: Vec<(KeyParts<'_>, u64)> = reference
+            .counters
+            .iter()
+            .map(|(k, &v)| ((k.0.as_str(), k.1.as_str(), k.2.as_str()), v))
+            .collect();
         prop_assert_eq!(&counters, &want, "counters {:?}", counters);
         for s in SUBSYSTEMS {
             for o in OPS {
@@ -847,9 +997,9 @@ mod tests {
 
         #[test]
         fn slotted_registry_reads_like_the_all_map_reference(
-            before in proptest::collection::vec(any_op(), 0..24),
-            other in proptest::collection::vec(any_op(), 0..24),
-            after in proptest::collection::vec(any_op(), 0..8),
+            before in any_ops(16),
+            other in any_ops(16),
+            after in any_ops(6),
         ) {
             let (mut reg, mut reference) = (MetricsRegistry::enabled(), Reference::default());
             apply(&before, &mut reg, &mut reference);

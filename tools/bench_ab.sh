@@ -1,0 +1,211 @@
+#!/usr/bin/env bash
+# A/B the frozen benchmark (benchmark/) between two trees and write the
+# result as BENCH_<pr>.json at the repository root.
+#
+#   tools/bench_ab.sh --pr N [--base REV] [--head REV] [--pairs N]
+#                     [--unused-pairs M] [--workloads "a b ..."]
+#                     [--sim-moves "a b"] [--scratch DIR]
+#
+# --head defaults to the working tree (tracked and untracked-but-not-ignored
+# files, so an uncommitted change can be measured). --base defaults to the
+# head's parent: HEAD^ when --head names a commit or the working tree is
+# clean, HEAD when the working tree holds a change. Each side is exported
+# into its own directory under --scratch (default $TMPDIR/bench_ab) with
+# `git archive` and built once, with its own CARGO_TARGET_DIR. Then, per
+# workload, --pairs alternating child runs (`ncd-benchmark --workload W
+# --seed S --trace 0` at the benchmark's own DEFAULT_SECONDS) at the
+# benchmark's DEFAULT_SEED and --unused-pairs (default --pairs) at
+# UNUSED_SEED: odd pairs run the base first, even pairs the head first.
+# Each side then makes one `ncd-benchmark trace` run for a per-layer probe
+# snapshot.
+#
+# The entry holds, per seed, workload and end-to-end metric, both sides'
+# runs with median and quartiles, the head/base ratio of the medians, the
+# pairs the head won, and whether the median gap exceeds the base's
+# interquartile range; plus the host tag, every MALLOC_* variable in the
+# environment, and the workloads whose simulated makespan is expected to
+# move (--sim-moves; CI checks every other one is equal on both sides).
+set -euo pipefail
+
+repo="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
+# A seed no change is written against; the benchmark's default is the other.
+UNUSED_SEED=9173
+pr="" base="" head="" pairs=10 unused_pairs="" workloads="" sim_moves=""
+scratch="${TMPDIR:-/tmp}/bench_ab"
+while [ $# -gt 0 ]; do
+    case "$1" in
+        --pr) pr="$2"; shift 2 ;;
+        --base) base="$2"; shift 2 ;;
+        --head) head="$2"; shift 2 ;;
+        --pairs) pairs="$2"; shift 2 ;;
+        --unused-pairs) unused_pairs="$2"; shift 2 ;;
+        --workloads) workloads="$2"; shift 2 ;;
+        --sim-moves) sim_moves="$2"; shift 2 ;;
+        --scratch) scratch="$2"; shift 2 ;;
+        *) sed -n '2,27p' "${BASH_SOURCE[0]}" >&2; exit 2 ;;
+    esac
+done
+[ -n "$pr" ] || { echo "bench_ab.sh: --pr is required" >&2; exit 2; }
+out="$repo/BENCH_$pr.json"
+unused_pairs="${unused_pairs:-$pairs}"
+if [ -z "$base" ]; then
+    if [ -n "$head" ]; then
+        base="$head^"
+    elif [ -z "$(git -C "$repo" status --porcelain --untracked-files=normal)" ]; then
+        base="HEAD^"
+    else
+        base="HEAD"
+    fi
+fi
+if [ -z "$workloads" ]; then
+    workloads="$(python3 -c 'import json,sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$repo/BENCHMARK.json")"
+fi
+
+# Export one side into $scratch/<side>/tree and build its benchmark.
+export_tree() {
+    local side="$1" rev="$2" dir="$scratch/$1/tree"
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    if [ -z "$rev" ]; then
+        git -C "$repo" ls-files -z -c -o --exclude-standard |
+            (cd "$repo" && tar --null -T - -cf -) | tar -xf - -C "$dir"
+    else
+        git -C "$repo" archive "$rev" | tar -xf - -C "$dir"
+    fi
+    echo "bench_ab.sh: building $side (${rev:-working tree})" >&2
+    CARGO_TARGET_DIR="$scratch/$side/target" cargo build --release --offline --quiet \
+        --manifest-path "$dir/benchmark/Cargo.toml"
+}
+export_tree base "$base"
+export_tree head "$head"
+bin() { echo "$scratch/$1/target/release/ncd-benchmark"; }
+base_rev="$(git -C "$repo" rev-parse "$base")"
+head_rev="$( [ -n "$head" ] && git -C "$repo" rev-parse "$head" || echo "working tree on $(git -C "$repo" rev-parse HEAD)")"
+
+runs="$scratch/runs.jsonl"
+: > "$runs"
+# One child run; appends {"seed","workload","side","pair","result"} to $runs.
+child() {
+    local side="$1" w="$2" s="$3" pair="$4" line
+    line="$(cd "$scratch/$side/tree" && "$(bin "$side")" --workload "$w" --seed "$s" \
+        --trace 0 2>/dev/null | tail -n 1)"
+    printf '{"seed":%s,"workload":"%s","side":"%s","pair":%s,"result":%s}\n' \
+        "$s" "$w" "$side" "$pair" "$line" >> "$runs"
+}
+runner="$scratch/head/tree/benchmark/src/runner.rs"
+seed="$(sed -n 's/^pub const DEFAULT_SEED: u64 = \([0-9]*\);/\1/p' "$runner")"
+seconds="$(sed -n 's/^pub const DEFAULT_SECONDS: f64 = \([0-9.]*\);/\1/p' "$runner")"
+[ -n "$seed" ] && [ -n "$seconds" ] || { echo "bench_ab.sh: no DEFAULT_SEED / DEFAULT_SECONDS in $runner" >&2; exit 1; }
+for w in $workloads; do
+    for spec in "$seed:$pairs" "$UNUSED_SEED:$unused_pairs"; do
+        s="${spec%%:*}" n="${spec##*:}"
+        for ((p = 1; p <= n; p++)); do
+            echo "bench_ab.sh: $w seed $s pair $p/$n" >&2
+            if ((p % 2)); then
+                child base "$w" "$s" "$p"; child head "$w" "$s" "$p"
+            else
+                child head "$w" "$s" "$p"; child base "$w" "$s" "$p"
+            fi
+        done
+    done
+done
+
+for side in base head; do
+    rm -f "$scratch/$side/tree/benchmark/out/results.json"
+    echo "bench_ab.sh: trace probes, $side" >&2
+    (cd "$scratch/$side/tree" && "$(bin "$side")" trace > /dev/null 2>&1)
+done
+
+python3 - "$repo/BENCHMARK.json" "$runs" "$scratch" "$out" "$pr" "$base_rev" "$head_rev" \
+    "$pairs" "$unused_pairs" "$seconds" "$sim_moves" <<'EOF'
+import json, os, platform, subprocess, sys
+bench, runs, scratch, out, pr, base_rev, head_rev, pairs, unused_pairs, seconds, sim_moves = sys.argv[1:]
+end_to_end = json.load(open(bench))["end_to_end"]
+
+def summary(v):
+    """Median and quartiles by the benchmark's own rule (exclusive, k(n+1)/4)."""
+    v = sorted(v)
+    n = len(v)
+    def q(k):
+        if n == 1:
+            return v[0]
+        pos = k * (n + 1) / 4
+        j = min(max(int(pos), 1), n - 1)
+        return v[j - 1] + (v[j] - v[j - 1]) * (pos - j)
+    return {"median": q(2), "q1": q(1), "q3": q(3), "min": v[0], "max": v[-1], "n": n}
+
+lines = [json.loads(l) for l in open(runs)]
+entry_seeds = []
+for seed in dict.fromkeys(l["seed"] for l in lines):
+    workloads = {}
+    for w in dict.fromkeys(l["workload"] for l in lines if l["seed"] == seed):
+        mine = [l for l in lines if l["seed"] == seed and l["workload"] == w]
+        by = {s: {l["pair"]: l["result"] for l in mine if l["side"] == s} for s in ("base", "head")}
+        row = {"correct": {s: all(r["correct"] for r in by[s].values()) for s in by},
+               "failed": {s: sum(r["failed"] for r in by[s].values()) for s in by}}
+        for m in end_to_end:
+            name, lower = m["name"], m["better"] == "lower"
+            vals = {s: {p: r["metrics"][name]["value"] for p, r in by[s].items()
+                        if name in r["metrics"]} for s in by}
+            if not vals["base"] or not vals["head"]:
+                continue
+            sb, sh = summary(list(vals["base"].values())), summary(list(vals["head"].values()))
+            both = sorted(set(vals["base"]) & set(vals["head"]))
+            won = sum((vals["head"][p] < vals["base"][p]) if lower else (vals["head"][p] > vals["base"][p])
+                      for p in both)
+            gap = (sb["median"] - sh["median"]) if lower else (sh["median"] - sb["median"])
+            row[name] = {
+                "unit": m["unit"], "better": m["better"],
+                "base": dict(sb, runs=[vals["base"][p] for p in sorted(vals["base"])]),
+                "head": dict(sh, runs=[vals["head"][p] for p in sorted(vals["head"])]),
+                "ratio": sh["median"] / sb["median"] if sb["median"] else None,
+                "pairs_won": won, "pairs": len(both),
+                "gap_exceeds_base_iqr": gap > sb["q3"] - sb["q1"],
+            }
+        workloads[w] = row
+    entry_seeds.append({"seed": seed, "workloads": workloads})
+
+def probe_snapshot(side):
+    path = os.path.join(scratch, side, "tree", "benchmark", "out", "results.json")
+    if not os.path.exists(path):
+        return None
+    res = json.load(open(path))
+    names = dict.fromkeys(k for w in res["workloads"] for k in w["per_layer"])
+    snap = {}
+    for k in names:
+        v = [w["per_layer"][k]["value"] for w in res["workloads"] if k in w["per_layer"]]
+        snap[k] = {"unit": res["workloads"][0]["per_layer"][k]["unit"], **summary(v)}
+    return {"seed": res["seed"], "runs": len(res["workloads"]), "probes": snap}
+
+def first_line(cmd):
+    try:
+        return subprocess.run(cmd, capture_output=True, text=True).stdout.splitlines()[0]
+    except (OSError, IndexError):
+        return "unknown"
+
+cpu = next((l.split(":", 1)[1].strip() for l in open("/proc/cpuinfo") if l.startswith("model name")),
+           "unknown") if os.path.exists("/proc/cpuinfo") else platform.processor()
+entry = {
+    "pr": int(pr),
+    "base": base_rev, "head": head_rev,
+    "host": {"nproc": os.cpu_count(), "cpu": cpu, "rustc": first_line(["rustc", "--version"]),
+             "kernel": platform.release()},
+    "malloc_env": {k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")},
+    "seconds": float(seconds), "pairs": int(pairs), "unused_pairs": int(unused_pairs),
+    "sim_moves": sim_moves.split(),
+    "seeds": entry_seeds,
+    "probes": {"base": probe_snapshot("base"), "head": probe_snapshot("head")},
+}
+with open(out, "w") as f:
+    json.dump(entry, f, indent=1)
+    f.write("\n")
+for s in entry_seeds:
+    for w, row in s["workloads"].items():
+        for name, m in row.items():
+            if isinstance(m, dict) and "ratio" in m:
+                ratio = "-" if m["ratio"] is None else f"x{m['ratio']:.3f}"
+                print(f"seed {s['seed']:>9} {w:<20} {name:<16} base {m['base']['median']:.6g} "
+                      f"head {m['head']['median']:.6g} {ratio} won {m['pairs_won']}/{m['pairs']}"
+                      f"{' gap>IQR' if m['gap_exceeds_base_iqr'] else ''}")
+print(f"wrote {out}")
+EOF
