@@ -8,14 +8,14 @@
 //! confines it to the hotspot's neighbourhood.
 //!
 //! Every run also collects the communication map and the decision-audit
-//! metrics (neither touches the simulated clock, so the gated latencies
-//! are identical to an uninstrumented run): the depth-sweep report appends
+//! metrics (neither touches the simulated clock, so the latencies are
+//! identical to an uninstrumented run): the depth-sweep report appends
 //! the who-talks-to-whom heatmap and the algorithm-decision table, and
 //! writes `target/analysis/ext_amr_depth.{comm.json,decisions.txt}` for
 //! CI artifact upload.
 //!
-//! `--smoke` shrinks the machine and the sweeps for CI; the lower-is-better
-//! latency series are gated against the committed reference run with
+//! `--smoke` shrinks the machine and the sweeps for CI, which gates the
+//! run against its committed reference with
 //! `--compare benches/baselines/observatory`.
 
 use ncd_bench::{
@@ -202,14 +202,7 @@ fn main() {
             ("steps".to_string(), STEPS.to_string()),
             ("diag_flavor".to_string(), "baseline-ring".to_string()),
         ];
-        let gated = [
-            "depth/round-robin",
-            "depth/three-bin",
-            "scaling/round-robin",
-            "scaling/three-bin",
-            "outlier-blame-share-%",
-        ];
-        cli.observatory("ext_amr_skew", &knobs, &ledgered, &gated, &diag_run);
+        cli.observatory("ext_amr_skew", &knobs, &ledgered, &diag_run);
     }
 }
 

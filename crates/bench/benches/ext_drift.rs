@@ -17,8 +17,8 @@
 //! * the pattern-recurrence join sees each regime's hash recur while the
 //!   regimes stay put, so recurrence stability drops as remeshes pile up.
 //!
-//! The per-regime step latencies are gated against the committed
-//! reference run with `--compare benches/baselines/observatory`.
+//! The run is gated against its committed reference with
+//! `--compare benches/baselines/observatory`.
 
 use ncd_bench::{report, BenchCli, RunCapture, Series, OBSERVATORY};
 use ncd_core::{
@@ -202,6 +202,6 @@ fn main() {
             ("algorithm".to_string(), "ring-pinned".to_string()),
         ];
         capture.capture.traces = traces;
-        cli.observatory("ext_drift", &knobs, &series, &["step-latency"], &capture);
+        cli.observatory("ext_drift", &knobs, &series, &capture);
     }
 }

@@ -179,8 +179,7 @@ fn main() {
 
     // Observatory pass: one fully traced run of the smallest sweep point
     // (tracing all 1024 ranks would dominate the bench); the ledgered run
-    // still carries the gated big-N series — every latency; the ring/rd
-    // ratio is derived from them.
+    // still carries every big-N series.
     if cli.wants_observatory() {
         let traced = time_phase(
             ClusterConfig::uniform(procs[0]).observe(OBSERVATORY),
@@ -196,12 +195,10 @@ fn main() {
         let mut ledgered: Vec<Series> = Vec::new();
         ledgered.extend(series_a);
         ledgered.extend(series_c);
-        let mut gated = vec!["ring", "recursive-doubling", "MVAPICH2-New"];
         if !cli.smoke {
             // The large-block sweep reuses the small-block pair's labels.
             ledgered.extend(relabel("large", &series_b));
-            gated.extend(["large/ring", "large/recursive-doubling"]);
         }
-        cli.observatory("ext_scale", &knobs, &ledgered, &gated, &traced);
+        cli.observatory("ext_scale", &knobs, &ledgered, &traced);
     }
 }

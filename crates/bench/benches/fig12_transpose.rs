@@ -89,8 +89,7 @@ fn main() {
     // Observatory pass: one traced transpose at the sweep's largest
     // matrix under the optimized engine, so pack-pipeline regressions
     // (seek counters, per-block search) land in the ledgered metrics the
-    // differential classifies as pack-side. The gate reads the raw
-    // latencies; improvement-% is higher-is-better and derived from them.
+    // differential classifies as pack-side.
     if cli.wants_observatory() {
         let n = *sizes.last().expect("nonempty sweep");
         let traced = time_phase(
@@ -104,7 +103,6 @@ fn main() {
             ("ranks".to_string(), "2".to_string()),
             ("flavor".to_string(), "auto".to_string()),
         ];
-        let gated = ["MVAPICH2-0.9.5", "MVAPICH2-New"];
-        cli.observatory("fig12_transpose", &knobs, &series, &gated, &traced);
+        cli.observatory("fig12_transpose", &knobs, &series, &traced);
     }
 }

@@ -98,8 +98,7 @@ fn main() {
     // Observatory pass: both engines' breakdown series in one ledgered
     // run, plus a traced transpose at the largest matrix under the
     // optimized engine so a search-share regression arrives with the
-    // pack-pipeline counters that explain it. Nothing is gated: percent
-    // shares are not lower-is-better.
+    // pack-pipeline counters that explain it.
     if cli.wants_observatory() {
         let n = *sizes.last().expect("nonempty sweep");
         let traced = time_phase(
@@ -113,6 +112,6 @@ fn main() {
             ("ranks".to_string(), "2".to_string()),
             ("flavor".to_string(), "auto".to_string()),
         ];
-        cli.observatory("fig13_breakdown", &knobs, &ledgered, &[], &traced);
+        cli.observatory("fig13_breakdown", &knobs, &ledgered, &traced);
     }
 }

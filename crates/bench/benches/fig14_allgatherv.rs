@@ -100,9 +100,7 @@ fn main() {
     // configuration (the 32 KB outlier on the largest machine of the
     // sweep, selector left on auto), so the ledgered run carries the
     // decision audit, the critical path and the wait-state diagnosis the
-    // differential engine attributes regressions with. The gate reads
-    // the raw latencies only: improvement-% is higher-is-better and
-    // derived from them anyway.
+    // differential engine attributes regressions with.
     if cli.wants_observatory() {
         let traced = time_phase(
             ClusterConfig::uniform(procs_a).observe(OBSERVATORY),
@@ -117,12 +115,6 @@ fn main() {
         ];
         let mut ledgered = relabel("a", &series_a);
         ledgered.extend(relabel("b", &series_b));
-        let gated = [
-            "a/MVAPICH2-0.9.5",
-            "a/MVAPICH2-New",
-            "b/MVAPICH2-0.9.5",
-            "b/MVAPICH2-New",
-        ];
-        cli.observatory("fig14_allgatherv", &knobs, &ledgered, &gated, &traced);
+        cli.observatory("fig14_allgatherv", &knobs, &ledgered, &traced);
     }
 }

@@ -77,8 +77,7 @@ fn main() {
     // Observatory pass: one fully traced ring exchange under the
     // optimized schedule (a mid-size machine — tracing 128 heterogeneous
     // ranks adds nothing the differential needs), so skew regressions
-    // show up with wait-state blame attached. The gate reads the raw
-    // latencies; improvement-% is higher-is-better and derived from them.
+    // show up with wait-state blame attached.
     if cli.wants_observatory() {
         let n = if cli.smoke { 16 } else { 32 };
         let traced = time_phase(
@@ -92,7 +91,6 @@ fn main() {
             ("matrix".to_string(), "10x10-doubles".to_string()),
             ("flavor".to_string(), "auto".to_string()),
         ];
-        let gated = ["MVAPICH2-0.9.5", "MVAPICH2-New"];
-        cli.observatory("fig15_alltoallw", &knobs, &series, &gated, &traced);
+        cli.observatory("fig15_alltoallw", &knobs, &series, &traced);
     }
 }

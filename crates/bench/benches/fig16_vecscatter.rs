@@ -113,8 +113,7 @@ fn main() {
     // Observatory pass: one traced scatter (plan creation + apply) under
     // the optimized datatype path, so the ledgered run carries the
     // alltoallw schedule decisions and the per-peer traffic matrix the
-    // differential diffs structurally. The gate reads the three latency
-    // series; the two improvement-% series are derived from them.
+    // differential diffs structurally.
     if cli.wants_observatory() {
         let n = if cli.smoke { 16 } else { 32 };
         let traced = time_phase(
@@ -147,7 +146,6 @@ fn main() {
         let mut ledgered: Vec<Series> = Vec::new();
         ledgered.extend(latency);
         ledgered.extend(improvement);
-        let gated = ["hand-tuned", "MVAPICH2-0.9.5", "MVAPICH2-New"];
-        cli.observatory("fig16_vecscatter", &knobs, &ledgered, &gated, &traced);
+        cli.observatory("fig16_vecscatter", &knobs, &ledgered, &traced);
     }
 }

@@ -10,10 +10,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use ncd_core::{Comm, MpiConfig, RunDiff, SeriesDelta};
+use ncd_core::{Comm, MpiConfig, RunDiff, RunRecord};
 use ncd_simnet::{
-    Capture, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, JsonWriter, MetricsRegistry,
-    Observers, RankRecorder, RunManifest, RunOutput, SchedStats, SimTime, Stats,
+    Capture, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, JsonWriter, LedgerRun,
+    MetricsRegistry, Observers, RankRecorder, RunManifest, RunOutput, SchedStats, SimTime, Stats,
 };
 
 pub mod workloads;
@@ -48,20 +48,13 @@ pub struct BenchCli {
     pub whatif: bool,
 }
 
-/// How much slower than the reference a gated point may be, in percent.
-/// The simulation is deterministic, so an unchanged tree reproduces the
-/// reference digit for digit; the slack absorbs *intentional* cost-model
-/// retuning, and anything beyond it must be argued for by refreshing the
-/// committed reference run.
-pub const TOLERANCE_PCT: f64 = 10.0;
-
 /// The reference tree CI gates against, relative to the bench cwd
 /// (`crates/bench`).
 pub const REFERENCE_ROOT: &str = "benches/baselines/observatory";
 
 /// Exit code when `--compare` resolves to no ledgered run, kept distinct
-/// from `1` (an actual regression) so CI logs are unambiguous about *why*
-/// the gate failed.
+/// from `1` (a run that differs from its reference) so CI logs are
+/// unambiguous about *why* the gate failed.
 pub const EXIT_NO_REFERENCE: i32 = 3;
 
 impl BenchCli {
@@ -125,18 +118,16 @@ impl BenchCli {
     }
 
     /// Ledger the captured run ([`ledger_run`]) and, when `--compare` was
-    /// given, print and persist the differential against the base run,
-    /// then gate on it: exit 1 with [`gate_failure_report`] when
-    /// [`regressions`] finds any, exit [`EXIT_NO_REFERENCE`] with the
-    /// refresh command when the spec resolves to no run.
+    /// given, gate it on the base run: it passes only when it reproduces
+    /// the base byte for byte ([`mismatches`] is empty), and otherwise
+    /// exits 1 with [`gate_failure_report`]; it exits
+    /// [`EXIT_NO_REFERENCE`] with the refresh command when the spec
+    /// resolves to no run. The differential against the base is written
+    /// next to the run either way.
     ///
-    /// `gated` names the lower-is-better series (latencies); derived
-    /// higher-is-better ones like improvement % stay out and only show in
-    /// the diff. Every bench that gates any has a reference run committed
-    /// under [`REFERENCE_ROOT`]; `fig13_breakdown` (percent shares:
-    /// nothing is lower-is-better) and `fig17_multigrid` (a ≈ 30 s smoke
-    /// sweep on a 2-vCPU Intel Xeon, ledgering megabytes) gate nothing
-    /// and commit none.
+    /// CI gates every bench with a reference run committed under
+    /// [`REFERENCE_ROOT`]; `fig17_multigrid` (a ≈ 30 s smoke sweep on a
+    /// 2-vCPU Intel Xeon, ledgering megabytes) commits none.
     ///
     /// The comparison base is resolved *before* the current run is
     /// written, so `--compare latest` means "the previous ledgered run",
@@ -146,18 +137,10 @@ impl BenchCli {
         name: &str,
         knobs: &[(String, String)],
         series: &[Series],
-        gated: &[&str],
         capture: &RunCapture,
     ) {
         if !self.wants_observatory() {
             return;
-        }
-        // A label that names no series would gate nothing, silently.
-        for label in gated {
-            assert!(
-                series.iter().any(|s| s.label == *label),
-                "{name} gates {label:?}, which is not among its ledgered series"
-            );
         }
         let root = ncd_simnet::ledger_root();
         let base_dir = self
@@ -171,21 +154,20 @@ impl BenchCli {
             eprint!("{}", missing_reference_message(name, self.smoke, &e));
             std::process::exit(EXIT_NO_REFERENCE)
         });
-        let load = |dir: &Path| -> ncd_core::RunRecord {
-            let run = ncd_simnet::read_run(dir).unwrap_or_else(|e| {
-                die(format!("cannot read ledgered run {}: {e}", dir.display()))
-            });
-            ncd_core::RunRecord::from_ledger(&run).unwrap_or_else(|e| {
-                die(format!("malformed run artifacts in {}: {e}", dir.display()))
-            })
+        let read = |dir: &Path| {
+            ncd_simnet::read_run(dir)
+                .unwrap_or_else(|e| die(format!("cannot read ledgered run {}: {e}", dir.display())))
         };
-        let base = load(&base_dir);
-        let cur = load(&root.join(name).join(&manifest.run_id));
-        let diff = ncd_core::compare(&base, &cur);
-        let table = ncd_core::render_compare(&diff, 10);
-        print!("\n{table}");
+        let record = |run: &LedgerRun| {
+            let id = &run.manifest.run_id;
+            RunRecord::from_ledger(run).unwrap_or_else(|e| die(format!("malformed run {id}: {e}")))
+        };
+        let base = read(&base_dir);
+        let cur = read(&root.join(name).join(&manifest.run_id));
+        let diff = ncd_core::compare(&record(&base), &record(&cur));
         let bench_dir = root.join(name);
         let json = ncd_core::diff_json(&diff);
+        let table = ncd_core::render_compare(&diff, 10);
         if ncd_simnet::write_artifact(bench_dir.join("diff.json"), &json).is_ok()
             && ncd_simnet::write_artifact(bench_dir.join("diff.txt"), &table).is_ok()
         {
@@ -194,15 +176,17 @@ impl BenchCli {
                 bench_dir.join("diff.json").display()
             );
         }
-        let failing = regressions(&diff, gated);
-        if !failing.is_empty() {
-            let report = gate_failure_report(name, &failing, &capture.recorders);
+        let differing = mismatches(&base, &cur);
+        if !differing.is_empty() {
+            let report =
+                gate_failure_report(name, self.smoke, &diff, &differing, &capture.recorders);
             eprint!("{report}");
             std::process::exit(1);
         }
+        print!("\n{table}");
         println!(
-            "reference gate passed: {name} ({} gated series, tolerance {TOLERANCE_PCT}%)",
-            gated.len()
+            "reference gate passed: {name} reproduces run {}",
+            base.manifest.run_id
         );
     }
 }
@@ -220,68 +204,77 @@ fn write_out(sub: &str, file: String, text: &str) -> Option<PathBuf> {
     ncd_simnet::write_artifact(&path, text).ok().map(|()| path)
 }
 
+/// The command, run from the repository root, that ledgers `name`'s
+/// reference run into the committed tree.
+fn ledger_command(name: &str, smoke: bool) -> String {
+    let smoke_flag = if smoke { "--smoke " } else { "" };
+    format!(
+        "NCD_OBSERVATORY={REFERENCE_ROOT} \
+         cargo bench -p ncd-bench --bench {name} -- {smoke_flag}--ledger"
+    )
+}
+
 /// What `--compare` prints when its spec resolves to no ledgered run:
 /// why, and the command that ledgers the committed reference, so the fix
 /// is copy-paste instead of archaeology.
 pub fn missing_reference_message(name: &str, smoke: bool, err: &str) -> String {
-    let smoke_flag = if smoke { "--smoke " } else { "" };
     format!(
         "reference gate FAILED for {name}: no reference run ({err})\n\
-         ledger one with: NCD_OBSERVATORY={REFERENCE_ROOT} \
-         cargo bench -p ncd-bench --bench {name} -- {smoke_flag}--ledger\n\
+         ledger one with: {}\n\
          then commit crates/bench/{REFERENCE_ROOT}/{name}/ \
-         (exit code {EXIT_NO_REFERENCE} = no reference; 1 = regression)\n"
+         (exit code {EXIT_NO_REFERENCE} = no reference; 1 = differs)\n",
+        ledger_command(name, smoke)
     )
 }
 
-/// The part of `diff` that fails a run against its reference, empty when
-/// it passes: the deltas of `gated` (lower-is-better) series that are
-/// slower than the reference by more than [`TOLERANCE_PCT`] or unmeasured
-/// on either side, the shape notes a gate must not pass over
-/// ([`RunDiff::series_shape_notes`] — a renamed or dropped series is not a
-/// pass) and, with either, the diff's ranked causes. Faster points and the
-/// other series are the diff's business, not the gate's.
-pub fn regressions(diff: &RunDiff, gated: &[&str]) -> RunDiff {
-    let fails = |d: &&SeriesDelta| {
-        let limit = d.base * (1.0 + TOLERANCE_PCT / 100.0);
-        let unmeasured = d.base.is_nan() || d.current.is_nan();
-        gated.contains(&d.series.as_str()) && (unmeasured || d.current > limit)
-    };
-    let mut failing = RunDiff {
-        bench: diff.bench.clone(),
-        base_id: diff.base_id.clone(),
-        cur_id: diff.cur_id.clone(),
-        series_deltas: diff.series_deltas.iter().filter(fails).cloned().collect(),
-        notes: diff.series_shape_notes(gated).map(String::from).collect(),
-        ..RunDiff::default()
-    };
-    if !failing.is_empty() {
-        failing.causes = diff.causes.clone();
+/// Everything that keeps `cur` from reproducing `reference` byte for
+/// byte, empty when it does: the manifest's mode and knobs, then each
+/// artifact file, by name, whose bytes differ or which one run
+/// lacks. A file the differential never reads (`history.json`,
+/// `whatif.json`, the comm map's epochs) is named like any other.
+pub fn mismatches(reference: &LedgerRun, cur: &LedgerRun) -> Vec<String> {
+    let (b, c) = (&reference.manifest, &cur.manifest);
+    let mut out = Vec::new();
+    if (&b.mode, &b.knobs) != (&c.mode, &c.knobs) {
+        out.push("manifest (mode or knobs)".to_string());
     }
-    failing
+    let files = ncd_core::outer_join(&reference.artifacts, &cur.artifacts, |(file, _)| file);
+    for (file, b, c) in files {
+        match (b, c) {
+            (Some((_, b)), Some((_, c))) if b == c => {}
+            (Some(_), Some(_)) => out.push(file.clone()),
+            (Some(_), None) => out.push(format!("{file} (reference only)")),
+            (None, _) => out.push(format!("{file} (current run only)")),
+        }
+    }
+    out
 }
 
-/// Compose the full failure output of the gate: what [`regressions`]
-/// found, through the differential's own renderer (ranked causes, the
-/// failing points, the shape changes), followed by the flight recorder's
-/// last-window events for every rank of the measured run (`recorders`,
-/// [`RunCapture::recorders`]) — the moments right before the regression
-/// was measured. The dump is also written to
-/// `target/flight/<name>.flight.txt` (for CI artifact upload).
+/// Compose the full failure output of the gate: what differs from the
+/// reference ([`mismatches`]), the differential `diff` through its own
+/// renderer (ranked causes, every moved point, the shape changes), the
+/// flight recorder's last-window events for every rank of the measured
+/// run (`recorders`, [`RunCapture::recorders`]) — also written to
+/// `target/flight/<name>.flight.txt` for CI artifact upload — and the
+/// commands that refresh the reference when the change is meant to move
+/// it.
 ///
 /// Split out of [`BenchCli::observatory`] so tests can exercise the whole
 /// failure path without exiting the process.
 pub fn gate_failure_report(
     name: &str,
-    failing: &RunDiff,
+    smoke: bool,
+    diff: &RunDiff,
+    differing: &[String],
     recorders: &[Arc<RankRecorder>],
 ) -> String {
     let mut out = format!(
-        "reference gate FAILED for {name}: {} gated point(s) unmeasured or more than \
-         {TOLERANCE_PCT}% slower than the reference, {} shape change(s)\n{}",
-        failing.series_deltas.len(),
-        failing.notes.len(),
-        ncd_core::render_compare(failing, usize::MAX)
+        "reference gate FAILED for {name}: run {} does not reproduce reference {}\n\
+         differs from the reference: {}\n{}",
+        diff.cur_id,
+        diff.base_id,
+        differing.join(", "),
+        ncd_core::render_compare(diff, usize::MAX)
     );
     if !recorders.is_empty() {
         let dump = ncd_simnet::render_dump(recorders);
@@ -293,6 +286,12 @@ pub fn gate_failure_report(
             ));
         }
     }
+    out.push_str(&format!(
+        "if the change is meant to move this reference, refresh it:\n  \
+         rm -r crates/bench/{REFERENCE_ROOT}/{name}\n  {}\n\
+         then commit crates/bench/{REFERENCE_ROOT}/{name}/\n",
+        ledger_command(name, smoke)
+    ));
     out
 }
 
@@ -576,7 +575,7 @@ pub fn time_phase(
 
 /// Persist one run into the observatory ledger
 /// (`target/observatory/<name>/<run-id>/`, override with
-/// `NCD_OBSERVATORY`): the gated series plus every byte-stable export the
+/// `NCD_OBSERVATORY`): the series plus every byte-stable export the
 /// capture holds — metrics snapshot, comm matrix, epoch history, (from
 /// the traces) critical-path analysis, the algorithm-decision audit and
 /// the wait-state diagnosis, and the what-if profile. The run id is a
@@ -1194,19 +1193,32 @@ mod tests {
                 comm.recv(&mut vec![0u8; n], &row, 1, Some(0), Tag(0));
             }
         });
-        let mut base = gated_run("smoke", "latency", &[("1024", 10.0)]);
-        let mut cur = gated_run("smoke", "latency", &[("1024", 20.0)]);
+        let mut base = record("latency", &[("1024", 10.0)]);
+        let mut cur = record("latency", &[("1024", 20.0)]);
         let seeks = |n| ("datatype/seek_total/single-context".to_string(), n);
         base.metrics.counters.push(seeks(40));
         cur.metrics.counters.push(seeks(120));
-        let failing = regressions(&ncd_core::compare(&base, &cur), &["latency"]);
-        let report = gate_failure_report("unit_test_gate_fig", &failing, &capture.recorders);
-        assert!(report.contains("reference gate FAILED for unit_test_gate_fig: 1 gated point(s)"));
-        assert!(report.contains("+100.0%"), "regression row:\n{report}");
+        (base.run_id, cur.run_id) = ("00000000000000aa".into(), "00000000000000bb".into());
+        let diff = ncd_core::compare(&base, &cur);
+        let differing = ["metrics.json".to_string(), "series.json".to_string()];
+        let report = gate_failure_report(
+            "unit_test_gate_fig",
+            true,
+            &diff,
+            &differing,
+            &capture.recorders,
+        );
+        assert!(report.starts_with(
+            "reference gate FAILED for unit_test_gate_fig: run 00000000000000bb does not \
+             reproduce reference 00000000000000aa\n\
+             differs from the reference: metrics.json, series.json\n"
+        ));
+        assert!(report.contains("+100.0%"), "moved point:\n{report}");
         assert!(
             report.contains("[pack] +80  context-search segments 40 -> 120"),
             "ranked causes:\n{report}"
         );
+        assert_eq!(report.matches("run differential").count(), 1, "{report}");
         assert!(
             report.contains("flight recorder: last events per rank"),
             "report missing dump:\n{report}"
@@ -1303,82 +1315,90 @@ mod tests {
         );
     }
 
-    /// A run holding only what the gate reads: the mode and one series.
-    fn gated_run(mode: &str, label: &str, points: &[(&str, f64)]) -> ncd_core::RunRecord {
+    /// A run record holding one series, as the differential reads it.
+    fn record(label: &str, points: &[(&str, f64)]) -> RunRecord {
         let mut series = Series::new(label);
         points.iter().for_each(|&(x, y)| series.push(x, y));
-        ncd_core::RunRecord {
-            mode: mode.to_string(),
+        RunRecord {
+            mode: "smoke".to_string(),
             series: vec![series],
-            ..ncd_core::RunRecord::default()
+            ..RunRecord::default()
         }
     }
 
+    /// A ledgered run of the bench `gate`, its id hashed from its parts.
+    fn ledgered(mode: &str, knobs: &[(&str, &str)], files: &[(&str, String)]) -> LedgerRun {
+        let knobs: Vec<_> = knobs.iter().map(|&(k, v)| (k.into(), v.into())).collect();
+        let artifacts: Vec<_> = files
+            .iter()
+            .map(|(f, c)| (f.to_string(), c.clone()))
+            .collect();
+        LedgerRun {
+            manifest: RunManifest {
+                bench: "gate".to_string(),
+                mode: mode.to_string(),
+                schema: ncd_simnet::SCHEMA_VERSION,
+                run_id: ncd_simnet::ledger::run_id("gate", mode, &knobs, &artifacts),
+                knobs,
+            },
+            artifacts,
+        }
+    }
+
+    /// The `series.json` of one series `label` in `mode`.
+    fn series_file(mode: &str, label: &str, points: &[(&str, f64)]) -> (&'static str, String) {
+        let mut series = Series::new(label);
+        points.iter().for_each(|&(x, y)| series.push(x, y));
+        (
+            "series.json",
+            series_json("gate", mode == "smoke", &[series]),
+        )
+    }
+
     #[test]
-    fn the_gate_fails_what_is_slower_unmeasured_or_reshaped_and_nothing_else() {
-        const NAN: f64 = f64::NAN;
-        let lat = |points| gated_run("smoke", "lat", points);
-        let base = || lat(&[("1", 100.0), ("2", 200.0)]);
-        // (reference, current, x of each failing point, failing shape notes)
-        let table: [(_, _, &[&str], &[&str]); 12] = [
-            (base(), base(), &[], &[]),
-            // Within tolerance up to the boundary, beyond it, and faster.
-            (base(), lat(&[("1", 109.0), ("2", 220.0)]), &[], &[]),
-            (base(), lat(&[("1", 150.0), ("2", 221.0)]), &["1", "2"], &[]),
-            (base(), lat(&[("1", 10.0), ("2", 200.0)]), &[], &[]),
-            // A point either run did not measure compares false with any
-            // bound; that must not read as "not slower".
-            (base(), lat(&[("1", 100.0), ("2", NAN)]), &["2"], &[]),
-            (lat(&[("1", NAN), ("2", 200.0)]), base(), &["1"], &[]),
-            // Series and points on one side only, renames included.
-            (
-                base(),
-                gated_run("smoke", "latency", &[("1", 100.0), ("2", 200.0)]),
-                &[],
-                &["series 'lat' missing from current run"],
-            ),
-            (
-                gated_run("smoke", "latency", &[("1", 100.0), ("2", 200.0)]),
-                base(),
-                &[],
-                &["series 'lat' new in current run"],
-            ),
-            (
-                base(),
-                lat(&[("1", 100.0)]),
-                &[],
-                &["series 'lat' point 2 missing from current run"],
-            ),
-            (
-                lat(&[("1", 100.0)]),
-                base(),
-                &[],
-                &["series 'lat' point 2 new in current run"],
-            ),
+    fn the_gate_passes_only_a_run_that_is_its_reference_byte_for_byte() {
+        const POINTS: [(&str, f64); 2] = [("1", 100.0), ("2", 200.0)];
+        const SERIES: &[&str] = &["series.json"];
+        const MANIFEST: &str = "manifest (mode or knobs)";
+        let run = |mode, label, points: &[(&str, f64)]| {
+            ledgered(mode, &[], &[series_file(mode, label, points)])
+        };
+        let lat = |points: &[(&str, f64)]| run("smoke", "lat", points);
+        let base = || lat(&POINTS);
+        // The reference plus a `whatif.json` holding `n`.
+        let whatif = |n: u32| {
+            let file = ("whatif.json", format!("{{\"schema\":1,\"n\":{n}}}"));
+            ledgered("smoke", &[], &[series_file("smoke", "lat", &POINTS), file])
+        };
+        let procs = ledgered(
+            "smoke",
+            &[("procs", "4")],
+            &[series_file("smoke", "lat", &POINTS)],
+        );
+        // (reference, current, what the gate names)
+        let table: [(_, _, &[&str]); 12] = [
+            (base(), base(), &[]),
+            // Slower within the old 10 % slack, faster, or unmeasured.
+            (base(), lat(&[("1", 109.0), POINTS[1]]), SERIES),
+            (base(), lat(&[("1", 50.0), POINTS[1]]), SERIES),
+            (base(), lat(&[POINTS[0], ("2", f64::NAN)]), SERIES),
+            // Renamed, or a point gone.
+            (base(), run("smoke", "latency", &POINTS), SERIES),
+            (base(), lat(&POINTS[..1]), SERIES),
             // A smoke run against a full reference sweeps other sizes.
-            (
-                gated_run("full", "lat", &[("1", 100.0), ("2", 200.0)]),
-                base(),
-                &[],
-                &["mode changed: full -> smoke"],
-            ),
-            // Series outside the gated set only show in the diff.
-            (
-                gated_run("smoke", "improvement-%", &[("1", 10.0)]),
-                gated_run("smoke", "improvement-%", &[("1", 90.0)]),
-                &[],
-                &[],
-            ),
+            (run("full", "lat", &POINTS), base(), &[MANIFEST, SERIES[0]]),
+            (base(), procs, &[MANIFEST]),
+            // A file the differential never reads, on one side only or
+            // one byte apart.
+            (base(), whatif(1), &["whatif.json (current run only)"]),
+            (whatif(1), base(), &["whatif.json (reference only)"]),
+            (whatif(1), whatif(2), &["whatif.json"]),
+            (whatif(1), whatif(1), &[]),
         ];
-        for (case, (reference, current, points, notes)) in table.into_iter().enumerate() {
-            let diff = ncd_core::compare(&reference, &current);
-            let failing = regressions(&diff, &["lat"]);
-            let xs: Vec<&str> = failing.series_deltas.iter().map(|d| d.x.as_str()).collect();
-            assert_eq!(xs, points, "row {case}");
-            assert_eq!(failing.notes, notes, "row {case}");
-            assert_eq!(failing.is_empty(), points.is_empty() && notes.is_empty());
-            // Whatever the gate says, the diff itself saw the change.
-            assert_eq!(diff.is_empty(), case == 0, "row {case}");
+        for (case, (reference, current, names)) in table.into_iter().enumerate() {
+            assert_eq!(mismatches(&reference, &current), names, "row {case}");
+            let same_id = reference.manifest.run_id == current.manifest.run_id;
+            assert_eq!(names.is_empty(), same_id, "row {case}");
         }
     }
 

@@ -363,25 +363,6 @@ impl RunDiff {
             && self.causes.is_empty()
             && self.notes.is_empty()
     }
-
-    /// The shape notes a gate over the series named `labels` must not
-    /// pass over: the `smoke`/`full` mode changing (the two runs swept
-    /// different sizes), and a labelled series — or one of its points —
-    /// present in one run only.
-    pub fn series_shape_notes<'a>(&'a self, labels: &'a [&str]) -> impl Iterator<Item = &'a str> {
-        self.notes.iter().map(String::as_str).filter(move |note| {
-            let about = |label: &&str| note.starts_with(&series_subject(label));
-            note.starts_with(MODE_CHANGED) || labels.iter().any(about)
-        })
-    }
-}
-
-/// How the note about the run mode starts.
-const MODE_CHANGED: &str = "mode changed";
-
-/// How every shape note about the series `label` starts.
-fn series_subject(label: &str) -> String {
-    format!("series '{label}'")
 }
 
 /// Both sides of `what` — a joined row, or an artifact only some benches
@@ -563,13 +544,13 @@ pub fn compare(base: &RunRecord, cur: &RunRecord) -> RunDiff {
     }
     if base.mode != cur.mode {
         diff.notes
-            .push(format!("{MODE_CHANGED}: {} -> {}", base.mode, cur.mode));
+            .push(format!("mode changed: {} -> {}", base.mode, cur.mode));
     }
 
     // Series: join by (label, x); moved points become deltas, shape
     // mismatches become notes.
     for (label, b, c) in outer_join(&base.series, &cur.series, |s| &s.label) {
-        let series = series_subject(label);
+        let series = format!("series '{label}'");
         let Some((bs, cs)) = present(format_args!("{series}"), b, c, &mut diff.notes) else {
             continue;
         };
@@ -1155,8 +1136,6 @@ mod tests {
         assert!(diff.notes[0].contains("point 2 missing"));
         let diff = compare(&b, &RunRecord::default());
         assert_eq!(diff.notes, ["series 'lat' missing from current run"]);
-        assert_eq!(diff.series_shape_notes(&["lat"]).count(), 1);
-        assert_eq!(diff.series_shape_notes(&["la", "other"]).count(), 0);
     }
 
     /// Every artifact goes through the reader beside its writer, so one

@@ -18,7 +18,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn k_select_matches_sort(mut v in proptest::collection::vec(0u64..1000, 1..200), k_frac in 0.0f64..1.0) {
+    fn k_select_matches_sort(mut v in proptest::collection::vec(0u64..1000, 1..1500), k_frac in 0.0f64..1.0) {
         let k = ((v.len() - 1) as f64 * k_frac) as usize;
         let mut sorted = v.clone();
         sorted.sort_unstable();

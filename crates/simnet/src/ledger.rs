@@ -14,7 +14,7 @@
 //!   fig14a_allgatherv_size/
 //!     a1b2c3d4e5f60718/
 //!       manifest.json      # bench, mode, knobs, schema, run id
-//!       series.json        # the gated latency series
+//!       series.json        # the bench's latency series
 //!       metrics.json       # cluster-merged registry snapshot
 //!       comm.json          # merged src×dst traffic matrix
 //!       ...
@@ -43,7 +43,7 @@ pub struct RunManifest {
     /// Report name the run belongs to (e.g. `fig14a_allgatherv_size`).
     pub bench: String,
     /// Problem-size mode, `smoke` or `full`; the reference gate
-    /// (`--compare`) never compares across the two.
+    /// (`--compare`) never passes a run across the two.
     pub mode: String,
     /// Export schema version the artifacts were written with.
     pub schema: u32,

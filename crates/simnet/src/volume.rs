@@ -42,7 +42,14 @@ fn fr_select(data: &mut [u64], mut left: i64, mut right: i64, k: i64) {
     while right > left {
         // On large ranges, first narrow [left, right] around position k by
         // selecting within a sample — the bound-tightening step that gives
-        // the algorithm its near-optimal comparison count.
+        // the algorithm its near-optimal comparison count. These are the
+        // workspace's only libm calls (`ln`, `exp`; `sqrt` is IEEE-exact),
+        // and they only pick the sample window: the recursion permutes
+        // within [left, right] and the partition below places the exact
+        // k-th value whatever the window, so no selected value, and no
+        // simulated or ledgered number, depends on the platform's libm.
+        // (The permutation does, which is why `outlier_ratio_of` selects
+        // in a copy.)
         if right - left > 600 {
             let n = (right - left + 1) as f64;
             let i = (k - left + 1) as f64;

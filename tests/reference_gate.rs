@@ -1,25 +1,27 @@
 //! The reference gate, end to end and in memory: a real observed run is
-//! the reference, the "current" run is the same run with its latency
-//! series rewritten through the series writer and re-loaded the way
-//! `--compare` loads it, and `ncd_bench::regressions` reads the verdict
-//! off the differential — slower beyond the tolerance or reshaped fails,
-//! everything else only shows in the diff.
+//! the reference, and the "current" run is the same run with its latency
+//! series rewritten through the series writer, or with one file the
+//! differential never reads changed. `ncd_bench::mismatches` reads the
+//! verdict: only a run that is its reference byte for byte passes.
 
 mod common;
 
 use common::ledgered;
-use ncd_bench::{gate_failure_report, regressions};
-use nucomm::core::{compare, MpiConfig, RunRecord};
+use ncd_bench::{gate_failure_report, mismatches};
+use nucomm::core::{compare, whatif_json, CausalProfile, MpiConfig, RunRecord};
 use nucomm::simnet::{series_json, LedgerRun, Series};
 
 const LATENCY: &str = "allgatherv-ns";
 
+fn record(run: &LedgerRun) -> RunRecord {
+    RunRecord::from_ledger(run).expect("reads back")
+}
+
 /// `run` with its latency series renamed to `label` and every point
 /// scaled by `factor`.
-fn reshaped(run: &LedgerRun, label: &str, factor: f64) -> RunRecord {
-    let measured = RunRecord::from_ledger(run).expect("reads back").series;
+fn reshaped(run: &LedgerRun, label: &str, factor: f64) -> LedgerRun {
     let mut series = Series::new(label);
-    for (x, y) in &measured[0].points {
+    for (x, y) in &record(run).series[0].points {
         series.push(x.clone(), y * factor);
     }
     let mut run = run.clone();
@@ -28,47 +30,63 @@ fn reshaped(run: &LedgerRun, label: &str, factor: f64) -> RunRecord {
             *contents = series_json("roundtrip", true, std::slice::from_ref(&series));
         }
     }
-    RunRecord::from_ledger(&run).expect("reads back")
+    run
 }
 
 #[test]
-fn slower_beyond_tolerance_or_reshaped_fails_and_nothing_else_does() {
+fn only_a_run_that_reproduces_its_reference_passes() {
     let run = ledgered("optimized", MpiConfig::optimized());
-    let reference = RunRecord::from_ledger(&run).expect("reads back");
     for (case, label, factor, fails) in [
         ("unchanged", LATENCY, 1.0, false),
-        ("+9 %", LATENCY, 1.09, false),
+        ("+9 %", LATENCY, 1.09, true),
         ("+11 %", LATENCY, 1.11, true),
-        ("-50 %", LATENCY, 0.5, false),
-        ("gated series renamed", "allgatherv-latency", 1.0, true),
+        ("-50 %", LATENCY, 0.5, true),
+        ("renamed", "allgatherv-latency", 1.0, true),
     ] {
-        let diff = compare(&reference, &reshaped(&run, label, factor));
-        assert_eq!(!regressions(&diff, &[LATENCY]).is_empty(), fails, "{case}");
-        // Outside the gated set the same change only shows in the diff.
-        assert!(regressions(&diff, &[]).is_empty(), "{case}");
-        assert_eq!(diff.is_empty(), case == "unchanged", "{case}");
+        let current = reshaped(&run, label, factor);
+        let named: &[&str] = if fails { &["series.json"] } else { &[] };
+        assert_eq!(mismatches(&run, &current), named, "{case}");
+        assert_eq!(compare(&record(&run), &record(&current)).is_empty(), !fails);
     }
+
+    // One byte of a file the differential never reads: the diff sees
+    // nothing, and the gate still fails, naming the file.
+    let with_whatif = |baseline_ns| {
+        let profile = CausalProfile {
+            baseline_ns,
+            outcomes: Vec::new(),
+        };
+        let mut run = run.clone();
+        run.artifacts
+            .push(("whatif.json".to_string(), whatif_json(&profile)));
+        run
+    };
+    let (reference, current) = (with_whatif(1000), with_whatif(1001));
+    assert!(compare(&record(&reference), &record(&current)).is_empty());
+    assert_eq!(mismatches(&reference, &current), ["whatif.json"]);
 }
 
 /// A real regression — the selector sending the outlier round the ring —
 /// fails with its explanation attached: the flip and the waits it caused.
 #[test]
 fn a_failing_gate_arrives_with_the_differentials_causes() {
-    let load = |flavor, cfg| RunRecord::from_ledger(&ledgered(flavor, cfg)).expect("reads back");
-    let reference = load("optimized", MpiConfig::optimized());
-    let ring = load("baseline", MpiConfig::baseline());
-    let failing = regressions(&compare(&reference, &ring), &[LATENCY]);
-    assert_eq!(failing.series_deltas.len(), 1);
-    let report = gate_failure_report("roundtrip", &failing, &[]);
+    let reference = ledgered("optimized", MpiConfig::optimized());
+    let ring = ledgered("baseline", MpiConfig::baseline());
+    let differing = mismatches(&reference, &ring);
+    let diff = compare(&record(&reference), &record(&ring));
+    assert_eq!(diff.series_deltas.len(), 1);
+    let report = gate_failure_report("roundtrip", true, &diff, &differing, &[]);
     for expected in [
-        "reference gate FAILED for roundtrip: 1 gated point(s)",
+        "reference gate FAILED for roundtrip: run ",
+        "differs from the reference: manifest (mode or knobs), analysis.json, comm.json",
         "[decision] +1",
         "[wait] +",
         LATENCY,
+        "rm -r crates/bench/benches/baselines/observatory/roundtrip",
     ] {
         assert!(report.contains(expected), "{expected:?} not in:\n{report}");
     }
-    // The other way round the ring run is the reference and the
-    // outlier-aware run only improves on it.
-    assert!(regressions(&compare(&ring, &reference), &[LATENCY]).is_empty());
+    // The other way round the outlier-aware run improves on the ring
+    // run's reference, and that is a change as well.
+    assert!(!mismatches(&ring, &reference).is_empty());
 }
