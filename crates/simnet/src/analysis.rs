@@ -11,7 +11,9 @@
 //! * [`HbGraph`] rebuilds the happens-before relation from per-rank
 //!   timelines — program order within a rank, plus send→recv message edges
 //!   matched through the correlation ids the runtime stamps on every
-//!   message ([`crate::mailbox::NetMsg::seq`]).
+//!   message ([`crate::mailbox::NetMsg::seq`]). Matching happens once, at
+//!   build, by index into each sender's seq-ordered sends; the unmatched
+//!   receives and sends are kept, so later questions are reads.
 //! * [`HbGraph::critical_path`] walks that graph backward from the last
 //!   event to finish, following a message edge exactly when the receive
 //!   was the binding constraint (`wait > 0`), producing the dependency
@@ -26,7 +28,6 @@
 //! and byte-stable across runs (see [`analysis_json`]).
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::json::{parse_schema_led, Json, JsonWriter};
@@ -42,42 +43,75 @@ pub type NodeId = (usize, usize);
 ///
 /// Edges are implicit: each event depends on its program-order predecessor
 /// on the same rank, and each receive additionally depends on the matching
-/// send (located via the `(source rank, seq)` correlation id). Sends from
-/// ranks that were not tracing have no node; such receives simply lack a
-/// message edge ([`HbGraph::unmatched_recvs`] lists them).
+/// send (located via the `(source rank, seq)` correlation id). Every
+/// receive is matched once, in [`HbGraph::build`], by index rather than by
+/// hashing; the unmatched lists are kept, so every later question is a
+/// read. Sends from ranks that were not tracing have no node; such
+/// receives simply lack a message edge ([`HbGraph::unmatched_recvs`] lists
+/// them).
 pub struct HbGraph<'a> {
     traces: &'a [Vec<TraceEvent>],
-    /// `(sender rank, seq)` → send node.
-    sends: HashMap<(usize, u64), NodeId>,
+    /// Per sender rank, its traced sends as `(seq, event index)` in
+    /// increasing seq order.
+    sends: Vec<Vec<(u64, usize)>>,
+    unmatched_recvs: Vec<NodeId>,
+    unmatched_sends: Vec<NodeId>,
     /// Per rank, per event: index of the governing [`EventKind::Round`]
     /// event (the latest one at or before the event), if any.
     round_idx: Vec<Vec<Option<usize>>>,
 }
 
 impl<'a> HbGraph<'a> {
-    /// Index the traces: register every send under its correlation id and
-    /// precompute which collective round governs each event.
+    /// Index the traces: list every rank's sends by correlation id, match
+    /// every receive against that index, and precompute which collective
+    /// round governs each event.
     pub fn build(traces: &'a [Vec<TraceEvent>]) -> Self {
-        let mut sends = HashMap::new();
+        let mut sends = Vec::with_capacity(traces.len());
         let mut round_idx = Vec::with_capacity(traces.len());
-        for (rank, events) in traces.iter().enumerate() {
+        for events in traces {
             let mut current = None;
+            let mut mine = Vec::new();
             let mut per_event = Vec::with_capacity(events.len());
             for (i, e) in events.iter().enumerate() {
                 match &e.kind {
-                    EventKind::Send { seq, .. } => {
-                        sends.insert((rank, *seq), (rank, i));
-                    }
+                    EventKind::Send { seq, .. } => mine.push((*seq, i)),
                     EventKind::Round { .. } => current = Some(i),
                     _ => {}
                 }
                 per_event.push(current);
             }
+            // The runtime numbers a rank's sends in trace order. A trace
+            // built by hand may not; there the last send of a seq wins.
+            if !mine.windows(2).all(|w| w[0].0 < w[1].0) {
+                mine.sort_unstable_by_key(|&(seq, i)| (seq, std::cmp::Reverse(i)));
+                mine.dedup_by_key(|s| s.0);
+            }
+            sends.push(mine);
             round_idx.push(per_event);
         }
+        let mut matched: Vec<Vec<bool>> = sends.iter().map(|s| vec![false; s.len()]).collect();
+        let mut unmatched_recvs = Vec::new();
+        for (rank, events) in traces.iter().enumerate() {
+            for (i, e) in events.iter().enumerate() {
+                if let EventKind::Recv { src, seq, .. } = &e.kind {
+                    match send_slot(&sends, *src, *seq) {
+                        Some(k) => matched[*src][k] = true,
+                        None => unmatched_recvs.push((rank, i)),
+                    }
+                }
+            }
+        }
+        let mut unmatched_sends = Vec::new();
+        for (rank, (sends, matched)) in sends.iter().zip(&matched).enumerate() {
+            let unmarked = sends.iter().zip(matched).filter(|(_, &m)| !m);
+            unmatched_sends.extend(unmarked.map(|(&(_, i), _)| (rank, i)));
+        }
+        unmatched_sends.sort_unstable();
         HbGraph {
             traces,
             sends,
+            unmatched_recvs,
+            unmatched_sends,
             round_idx,
         }
     }
@@ -94,26 +128,18 @@ impl<'a> HbGraph<'a> {
     /// Returns `None` for non-receive nodes.
     pub fn matching_send(&self, node: NodeId) -> Option<NodeId> {
         match &self.event(node).kind {
-            EventKind::Recv { src, seq, .. } => self.sends.get(&(*src, *seq)).copied(),
+            EventKind::Recv { src, seq, .. } => {
+                send_slot(&self.sends, *src, *seq).map(|k| (*src, self.sends[*src][k].1))
+            }
             _ => None,
         }
     }
 
     /// Receive nodes whose matching send was not found (sender not
     /// tracing, or a correlation bug — the property tests assert this is
-    /// empty when every rank traces).
-    pub fn unmatched_recvs(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for (rank, events) in self.traces.iter().enumerate() {
-            for (i, e) in events.iter().enumerate() {
-                if matches!(e.kind, EventKind::Recv { .. })
-                    && self.matching_send((rank, i)).is_none()
-                {
-                    out.push((rank, i));
-                }
-            }
-        }
-        out
+    /// empty when every rank traces), sorted by `(rank, index)`.
+    pub fn unmatched_recvs(&self) -> &[NodeId] {
+        &self.unmatched_recvs
     }
 
     /// Send nodes no traced receive consumed (receiver not tracing, a
@@ -121,23 +147,8 @@ impl<'a> HbGraph<'a> {
     /// The dual of [`HbGraph::unmatched_recvs`]; both are surfaced as an
     /// explicit WARNING in [`CriticalPath::render`] and the diagnosis
     /// report instead of being silently dropped.
-    pub fn unmatched_sends(&self) -> Vec<NodeId> {
-        let mut matched: std::collections::HashSet<(usize, u64)> = std::collections::HashSet::new();
-        for events in self.traces {
-            for e in events {
-                if let EventKind::Recv { src, seq, .. } = &e.kind {
-                    matched.insert((*src, *seq));
-                }
-            }
-        }
-        let mut out: Vec<NodeId> = self
-            .sends
-            .iter()
-            .filter(|(key, _)| !matched.contains(key))
-            .map(|(_, node)| *node)
-            .collect();
-        out.sort_unstable();
-        out
+    pub fn unmatched_sends(&self) -> &[NodeId] {
+        &self.unmatched_sends
     }
 
     /// The collective-round label (`op` of the governing
@@ -242,6 +253,18 @@ impl<'a> HbGraph<'a> {
             unmatched_recvs,
             unmatched_sends,
         }
+    }
+}
+
+/// Where the send `(src, seq)` sits in `src`'s send index: at slot
+/// `seq - first seq` (a trace may start mid-run) when that slot holds
+/// `seq`, else by binary search (seqs with gaps: tracing was toggled).
+fn send_slot(sends: &[Vec<(u64, usize)>], src: usize, seq: u64) -> Option<usize> {
+    let sends = sends.get(src)?;
+    let guess = seq.checked_sub(sends.first()?.0)? as usize;
+    match sends.get(guess) {
+        Some(&(s, _)) if s == seq => Some(guess),
+        _ => sends.binary_search_by_key(&seq, |&(s, _)| s).ok(),
     }
 }
 
@@ -682,8 +705,233 @@ pub(crate) fn render_ratio(r: f64) -> String {
 mod tests {
     use super::*;
     use crate::capture::tests::traced;
+    use crate::diagnosis::{diagnose, diagnose_graph};
     use crate::runtime::ClusterConfig;
     use crate::Tag;
+    use proptest::prelude::*;
+
+    /// The graph's matching before the send index: a SipHash map from
+    /// `(sender rank, seq)` to the send node, probed once per receive on
+    /// every call, and a `HashSet` of every receive's id for the
+    /// unmatched sends.
+    mod oracle {
+        use std::collections::{HashMap, HashSet};
+
+        use crate::analysis::{HbGraph, NodeId};
+        use crate::trace::{EventKind, TraceEvent};
+
+        pub struct Graph<'a> {
+            traces: &'a [Vec<TraceEvent>],
+            sends: HashMap<(usize, u64), NodeId>,
+        }
+
+        impl<'a> Graph<'a> {
+            pub fn build(traces: &'a [Vec<TraceEvent>]) -> Self {
+                let mut sends = HashMap::new();
+                for (rank, events) in traces.iter().enumerate() {
+                    for (i, e) in events.iter().enumerate() {
+                        if let EventKind::Send { seq, .. } = &e.kind {
+                            sends.insert((rank, *seq), (rank, i));
+                        }
+                    }
+                }
+                Graph { traces, sends }
+            }
+
+            pub fn matching_send(&self, node: NodeId) -> Option<NodeId> {
+                match &self.traces[node.0][node.1].kind {
+                    EventKind::Recv { src, seq, .. } => self.sends.get(&(*src, *seq)).copied(),
+                    _ => None,
+                }
+            }
+
+            pub fn unmatched_recvs(&self) -> Vec<NodeId> {
+                let mut out = Vec::new();
+                for (rank, events) in self.traces.iter().enumerate() {
+                    for (i, e) in events.iter().enumerate() {
+                        if matches!(e.kind, EventKind::Recv { .. })
+                            && self.matching_send((rank, i)).is_none()
+                        {
+                            out.push((rank, i));
+                        }
+                    }
+                }
+                out
+            }
+
+            pub fn unmatched_sends(&self) -> Vec<NodeId> {
+                let mut matched = HashSet::new();
+                for e in self.traces.iter().flatten() {
+                    if let EventKind::Recv { src, seq, .. } = &e.kind {
+                        matched.insert((*src, *seq));
+                    }
+                }
+                let mut out: Vec<NodeId> = (self.sends.iter())
+                    .filter(|(key, _)| !matched.contains(key))
+                    .map(|(_, node)| *node)
+                    .collect();
+                out.sort_unstable();
+                out
+            }
+
+            /// This matching as an [`HbGraph`]: the map's entries as the
+            /// per-rank send index, the unmatched lists computed here. The
+            /// critical path and the diagnosis then read only what this
+            /// oracle matched.
+            pub fn as_graph(&self) -> HbGraph<'a> {
+                let mut sends = vec![Vec::new(); self.traces.len()];
+                for (&(rank, seq), &(_, i)) in &self.sends {
+                    sends[rank].push((seq, i));
+                }
+                for s in &mut sends {
+                    s.sort_unstable();
+                }
+                HbGraph {
+                    traces: self.traces,
+                    sends,
+                    unmatched_recvs: self.unmatched_recvs(),
+                    unmatched_sends: self.unmatched_sends(),
+                    round_idx: HbGraph::build(self.traces).round_idx,
+                }
+            }
+        }
+    }
+
+    /// Random traces of `n` ranks, made in one global time order so every
+    /// message edge points back in time. A step is `(rank, kind, a, b,
+    /// duration)`. Rank `r` numbers its sends from `first[r]` and sometimes
+    /// skips seqs (tracing toggled). A receive names an issued send, a send
+    /// of rank `n` (which has no trace), or a seq no rank reaches. Then
+    /// rank `r` loses `cuts[r].0` events at its front and `cuts[r].1` at
+    /// its back, or its whole trace when `cuts[r].2` is 0.
+    fn random_traces(
+        n: usize,
+        first: &[u64],
+        steps: &[(usize, u32, u32, u32, u64)],
+        cuts: &[(usize, usize, u32)],
+    ) -> Vec<Vec<TraceEvent>> {
+        let mut traces = vec![Vec::new(); n];
+        let mut next = first.to_vec();
+        let mut issued = Vec::new();
+        let mut t = 0;
+        for &(rank, kind, a, b, dur) in steps {
+            let rank = rank % n;
+            let start = SimTime::from_ns(t);
+            t += dur;
+            let end = SimTime::from_ns(t);
+            t += 1;
+            let kind = match kind {
+                0 | 1 => {
+                    let seq = next[rank];
+                    next[rank] += 1 + u64::from(b % 8 == 0) * u64::from(a % 5);
+                    issued.push((rank, seq));
+                    let (dst, bytes) = (a as usize % n, b as usize);
+                    EventKind::Send { dst, bytes, seq }
+                }
+                2 | 3 => {
+                    let (src, seq) = match b % 6 {
+                        0 => (n, u64::from(a)),
+                        1 => (a as usize % n, u64::MAX - u64::from(a)),
+                        _ if issued.is_empty() => (n, 0),
+                        _ => issued[a as usize % issued.len()],
+                    };
+                    let wait = SimTime::from_ns(u64::from(b % 3) * dur / 2);
+                    let bytes = a as usize;
+                    EventKind::Recv {
+                        src,
+                        bytes,
+                        seq,
+                        wait,
+                    }
+                }
+                4 => EventKind::Round {
+                    op: if a % 2 == 0 { "ag/ring" } else { "a2aw" }.into(),
+                    round: b,
+                },
+                _ => EventKind::PackBlock {
+                    engine: "dt".into(),
+                    index: a.into(),
+                    sparse: false,
+                    seek: 0,
+                    lookahead: 0,
+                    bytes: b.into(),
+                },
+            };
+            traces[rank].push(TraceEvent { kind, start, end });
+        }
+        for (events, &(front, back, traced)) in traces.iter_mut().zip(cuts) {
+            let back = if traced == 0 { events.len() } else { back };
+            events.truncate(events.len().saturating_sub(back));
+            events.drain(..front.min(events.len()));
+        }
+        traces
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn matching_by_index_is_the_hashed_matching(
+            n in 1usize..6,
+            first in proptest::collection::vec(0u64..4, 6),
+            steps in proptest::collection::vec((0usize..6, 0u32..6, 0u32..256, 0u32..256, 0u64..7), 0..120),
+            cuts in proptest::collection::vec((0usize..4, 0usize..4, 0u32..7), 6),
+        ) {
+            let traces = random_traces(n, &first, &steps, &cuts);
+            let graph = HbGraph::build(&traces);
+            let oracle = oracle::Graph::build(&traces);
+            for (rank, events) in traces.iter().enumerate() {
+                for i in 0..events.len() {
+                    prop_assert_eq!(graph.matching_send((rank, i)), oracle.matching_send((rank, i)));
+                }
+            }
+            prop_assert_eq!(graph.unmatched_recvs(), oracle.unmatched_recvs());
+            prop_assert_eq!(graph.unmatched_sends(), oracle.unmatched_sends());
+            let hashed = oracle.as_graph();
+            prop_assert_eq!(
+                format!("{:?}", graph.critical_path()),
+                format!("{:?}", hashed.critical_path())
+            );
+            prop_assert_eq!(
+                format!("{:?}", diagnose(&traces)),
+                format!("{:?}", diagnose_graph(&hashed))
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_order_seqs_match_like_the_hashed_graph() {
+        let event = |kind| TraceEvent {
+            kind,
+            start: SimTime::ZERO,
+            end: SimTime::ZERO,
+        };
+        let (dst, src, bytes, wait) = (1, 0, 0, SimTime::ZERO);
+        let send = |seq| event(EventKind::Send { dst, bytes, seq });
+        let recv = |seq| {
+            event(EventKind::Recv {
+                src,
+                bytes,
+                seq,
+                wait,
+            })
+        };
+        let traces = vec![
+            vec![send(5), send(2), send(5), send(9), send(3)],
+            vec![recv(5), recv(2), recv(4)],
+        ];
+        let graph = HbGraph::build(&traces);
+        let oracle = oracle::Graph::build(&traces);
+        // The later of the two sends numbered 5 is the one matched.
+        assert_eq!(graph.matching_send((1, 0)), Some((0, 2)));
+        for i in 0..3 {
+            assert_eq!(graph.matching_send((1, i)), oracle.matching_send((1, i)));
+        }
+        assert_eq!(graph.unmatched_recvs(), [(1, 2)]);
+        // Seq order (3, then 9) is not trace order here.
+        assert_eq!(graph.unmatched_sends(), [(0, 3), (0, 4)]);
+        assert_eq!(graph.unmatched_sends(), oracle.unmatched_sends());
+    }
 
     fn ring_traces(n: usize, bytes: usize) -> Vec<Vec<TraceEvent>> {
         traced(ClusterConfig::uniform(n), move |rank| {

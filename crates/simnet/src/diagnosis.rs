@@ -249,7 +249,12 @@ fn pack_bound(
 /// the pattern taxonomy. Deterministic for deterministic traces, so the
 /// JSON export is byte-stable.
 pub fn diagnose(traces: &[Vec<TraceEvent>]) -> Diagnosis {
-    let graph = HbGraph::build(traces);
+    diagnose_graph(&HbGraph::build(traces))
+}
+
+/// [`diagnose`] over a graph already built from the traces.
+pub(crate) fn diagnose_graph(graph: &HbGraph<'_>) -> Diagnosis {
+    let traces = graph.traces();
     let n = traces.len();
     let makespan = traces
         .iter()
@@ -285,7 +290,7 @@ pub fn diagnose(traces: &[Vec<TraceEvent>]) -> Diagnosis {
             // failed to hide.
             let sender_late = post_delay.as_ns().saturating_mul(2) > wait.as_ns();
             let (pattern, blamed, chain_depth) = if sender_late {
-                let (root, depth) = chain_root(&graph, send, e.start);
+                let (root, depth) = chain_root(graph, send, e.start);
                 if depth > 0 {
                     (WaitPattern::SerializationChain, root, depth)
                 } else if pack_bound(traces, send, e.start, post_delay) {

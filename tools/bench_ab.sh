@@ -25,6 +25,9 @@
 # interquartile range; plus the host tag, every MALLOC_* variable in the
 # environment, and the workloads whose simulated makespan is expected to
 # move (--sim-moves; CI checks every other one is equal on both sides).
+# Its `stages` fold each side's trace_<workload>.json from the probe run:
+# host microseconds per span name summed over the traced rounds, a `check`
+# span named after the stage it checks, with both sides and their ratio.
 set -euo pipefail
 
 repo="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
@@ -42,7 +45,7 @@ while [ $# -gt 0 ]; do
         --workloads) workloads="$2"; shift 2 ;;
         --sim-moves) sim_moves="$2"; shift 2 ;;
         --scratch) scratch="$2"; shift 2 ;;
-        *) sed -n '2,27p' "${BASH_SOURCE[0]}" >&2; exit 2 ;;
+        *) sed -n '2,30p' "${BASH_SOURCE[0]}" >&2; exit 2 ;;
     esac
 done
 [ -n "$pr" ] || { echo "bench_ab.sh: --pr is required" >&2; exit 2; }
@@ -177,6 +180,30 @@ def probe_snapshot(side):
         snap[k] = {"unit": res["workloads"][0]["per_layer"][k]["unit"], **summary(v)}
     return {"seed": res["seed"], "runs": len(res["workloads"]), "probes": snap}
 
+def span_totals(path):
+    totals, stage = {}, None
+    for s in json.load(open(path))["spans"]:
+        name = s["name"]
+        if name == "check":
+            name = f"{stage}/check"
+        elif name != "sync":
+            stage = name
+        totals[name] = totals.get(name, 0.0) + s["end"] - s["start"]
+    return totals
+
+def stages():
+    out = {}
+    for w in dict.fromkeys(l["workload"] for l in lines):
+        paths = [os.path.join(scratch, side, "tree", "benchmark", "out", f"trace_{w}.json")
+                 for side in ("base", "head")]
+        if not all(os.path.exists(p) for p in paths):
+            continue
+        base, head = (span_totals(p) for p in paths)
+        out[w] = {name: {"base": base[name], "head": head[name],
+                         "ratio": head[name] / base[name] if base[name] else None}
+                  for name in base if name in head}
+    return {"unit": "us", "workloads": out}
+
 def first_line(cmd):
     try:
         return subprocess.run(cmd, capture_output=True, text=True).stdout.splitlines()[0]
@@ -195,6 +222,7 @@ entry = {
     "sim_moves": sim_moves.split(),
     "seeds": entry_seeds,
     "probes": {"base": probe_snapshot("base"), "head": probe_snapshot("head")},
+    "stages": stages(),
 }
 with open(out, "w") as f:
     json.dump(entry, f, indent=1)
@@ -207,5 +235,9 @@ for s in entry_seeds:
                 print(f"seed {s['seed']:>9} {w:<20} {name:<16} base {m['base']['median']:.6g} "
                       f"head {m['head']['median']:.6g} {ratio} won {m['pairs_won']}/{m['pairs']}"
                       f"{' gap>IQR' if m['gap_exceeds_base_iqr'] else ''}")
+for w, spans in entry["stages"]["workloads"].items():
+    for name, m in spans.items():
+        ratio = "-" if m["ratio"] is None else f"x{m['ratio']:.3f}"
+        print(f"stage {w:<20} {name:<28} base {m['base']:.0f} us head {m['head']:.0f} us {ratio}")
 print(f"wrote {out}")
 EOF
