@@ -105,20 +105,18 @@ impl Datatype {
     }
 
     fn leaf(size: usize) -> Datatype {
-        Self::from_map(
-            vec![Segment {
-                offset: 0,
-                len: size,
-            }],
-            None,
-        )
+        let map = vec![Segment {
+            offset: 0,
+            len: size,
+        }];
+        Self::from_map(map, None).expect("a leaf is one short segment")
     }
 
     // ----- derived constructors ---------------------------------------
 
     /// `count` consecutive copies of `child` (MPI_Type_contiguous).
     pub fn contiguous(count: usize, child: &Datatype) -> Result<Datatype> {
-        Self::commit([(0, count, child)], None)
+        Self::commit([Ok((0, count, child))], None)
     }
 
     /// `count` blocks of `blocklen` children, block starts `stride` child
@@ -129,7 +127,7 @@ impl Datatype {
         stride: i64,
         child: &Datatype,
     ) -> Result<Datatype> {
-        Self::hvector(count, blocklen, stride * child.extent(), child)
+        Self::hvector(count, blocklen, times(stride, child.extent())?, child)
     }
 
     /// Like [`Datatype::vector`] but with the stride in bytes
@@ -140,32 +138,34 @@ impl Datatype {
         stride_bytes: i64,
         child: &Datatype,
     ) -> Result<Datatype> {
-        let blocks = (0..count).map(|i| (i as i64 * stride_bytes, blocklen, child));
+        let blocks = (0..count).map(|i| Ok((times(i, stride_bytes)?, blocklen, child)));
         Self::commit(blocks, None)
     }
 
     /// Blocks of `(displacement in child extents, blocklen)` (MPI_Type_indexed).
     pub fn indexed(blocks: &[(i64, usize)], child: &Datatype) -> Result<Datatype> {
         let ext = child.extent();
-        Self::commit(blocks.iter().map(|&(d, n)| (d * ext, n, child)), None)
+        let runs = blocks.iter().map(|&(d, n)| Ok((times(d, ext)?, n, child)));
+        Self::commit(runs, None)
     }
 
     /// Blocks of `(displacement in bytes, blocklen)` (MPI_Type_create_hindexed).
     pub fn hindexed(blocks: &[(i64, usize)], child: &Datatype) -> Result<Datatype> {
-        Self::commit(blocks.iter().map(|&(d, n)| (d, n, child)), None)
+        Self::commit(blocks.iter().map(|&(d, n)| Ok((d, n, child))), None)
     }
 
     /// Fixed-length blocks at the given displacements, in child extents
     /// (MPI_Type_create_indexed_block).
     pub fn indexed_block(blocklen: usize, disps: &[i64], child: &Datatype) -> Result<Datatype> {
         let ext = child.extent();
-        Self::commit(disps.iter().map(|&d| (d * ext, blocklen, child)), None)
+        let runs = disps.iter().map(|&d| Ok((times(d, ext)?, blocklen, child)));
+        Self::commit(runs, None)
     }
 
     /// Heterogeneous fields at explicit byte displacements
     /// (MPI_Type_create_struct).
     pub fn structure(fields: &[StructField]) -> Result<Datatype> {
-        Self::commit(fields.iter().map(|f| (f.disp, f.count, &f.dtype)), None)
+        Self::commit(fields.iter().map(|f| Ok((f.disp, f.count, &f.dtype))), None)
     }
 
     /// An n-dimensional subarray of an n-dimensional array in row-major (C)
@@ -200,18 +200,20 @@ impl Datatype {
         let last = sizes.len() - 1;
         let mut strides = vec![child.extent(); sizes.len()];
         for d in (0..last).rev() {
-            strides[d] = strides[d + 1] * sizes[d + 1] as i64;
+            strides[d] = times(sizes[d + 1], strides[d + 1])?;
         }
         // Row `r` in row-major order is an odometer reading over the outer
         // dimensions, the one just outside the row turning fastest.
-        let rows: usize = subsizes[..last].iter().product();
-        let runs = (0..rows).map(|mut r| {
-            let mut disp = starts[last] as i64 * strides[last];
+        let rows = subsizes[..last]
+            .iter()
+            .try_fold(1, |a: usize, &b| a.checked_mul(b));
+        let runs = (0..fits(rows)?).map(|mut r| {
+            let mut disp = times(starts[last], strides[last])?;
             for d in (0..last).rev() {
-                disp += (starts[d] + r % subsizes[d]) as i64 * strides[d];
+                disp = fits(disp.checked_add(times(starts[d] + r % subsizes[d], strides[d])?))?;
                 r /= subsizes[d];
             }
-            (disp, subsizes[last], child)
+            Ok((disp, subsizes[last], child))
         });
         Self::commit(runs, None)
     }
@@ -223,7 +225,7 @@ impl Datatype {
                 "negative extents are not supported".into(),
             ));
         }
-        Self::commit([(0, 1, child)], Some((lb, extent)))
+        Self::commit([Ok((0, 1, child))], Some((lb, extent)))
     }
 
     // ----- accessors ----------------------------------------------------
@@ -303,23 +305,44 @@ impl Datatype {
     /// a run's copies keep their child's own (possibly resized) spacing,
     /// but the new type's extent is the MPI "true extent", which is what
     /// all workloads in this workspace rely on.
+    ///
+    /// Commit costs O(runs + emitted segments), never O(bytes): the copies
+    /// of a dense child (one segment as long as its extent) abut, so its
+    /// run is one piece, the one the sink would merge from `n` copies. A
+    /// byte offset, extent or size outside its integer type is `Invalid`.
     pub(crate) fn commit<'a>(
-        runs: impl IntoIterator<Item = Run<'a>>,
+        runs: impl IntoIterator<Item = Result<Run<'a>>>,
         resize: Option<(i64, i64)>,
     ) -> Result<Datatype> {
         let mut sink = Sink::new(segment_limit());
-        for (disp, n, child) in runs {
-            for i in 0..n {
-                let base = disp + i as i64 * child.extent();
-                for s in child.segments() {
-                    sink.push(base + s.offset, s.len)?;
+        for run in runs {
+            let (disp, n, child) = run?;
+            let (segs, ext) = (child.segments(), child.extent());
+            if n == 0 || segs.is_empty() {
+                continue;
+            }
+            // The run's lowest and highest byte, checked once: every offset
+            // and length below lies between them, so none can overflow.
+            let last = times(n - 1, ext)?;
+            let lo = fits(disp.checked_add(child.0.true_lb))?;
+            let hi = fits(fits(disp.checked_add(child.0.true_ub))?.checked_add(last))?;
+            fits(hi.checked_sub(lo))?;
+            match segs {
+                // A dense child's copies abut: the run is one piece.
+                [s] if s.len as i64 == ext => sink.push(disp + s.offset, n * s.len)?,
+                _ => {
+                    for i in 0..n {
+                        for s in segs {
+                            sink.push(disp + s.offset + i as i64 * ext, s.len)?;
+                        }
+                    }
                 }
             }
         }
-        Ok(Self::from_map(sink.finish(), resize))
+        Self::from_map(sink.finish(), resize)
     }
 
-    fn from_map(segments: Vec<Segment>, resize: Option<(i64, i64)>) -> Datatype {
+    fn from_map(segments: Vec<Segment>, resize: Option<(i64, i64)>) -> Result<Datatype> {
         let mut starts = Vec::with_capacity(segments.len());
         let mut size = 0usize;
         for s in &segments {
@@ -327,13 +350,16 @@ impl Datatype {
             // increasing; `Sink::push` drops empty pieces.
             assert!(s.len > 0, "flattened segment of zero length");
             starts.push(size);
-            size += s.len;
+            size = fits(size.checked_add(s.len))?;
         }
         // "True" bounds: the lowest and highest byte touched.
         let true_lb = segments.iter().map(|s| s.offset).min().unwrap_or(0);
         let true_ub = segments.iter().map(Segment::end).max().unwrap_or(0);
-        let (lb, extent) = resize.unwrap_or((true_lb, true_ub - true_lb));
-        Datatype(Arc::new(Inner {
+        let (lb, extent) = match resize {
+            Some(declared) => declared,
+            None => (true_lb, fits(true_ub.checked_sub(true_lb))?),
+        };
+        Ok(Datatype(Arc::new(Inner {
             size,
             lb,
             extent,
@@ -341,8 +367,24 @@ impl Datatype {
             starts,
             true_lb,
             true_ub,
-        }))
+        })))
     }
+}
+
+/// `v`, or `Invalid` when the arithmetic that made it overflowed.
+pub(crate) fn fits<T>(v: Option<T>) -> Result<T> {
+    v.ok_or_else(overflow)
+}
+
+/// Out of line, so the checks inline into commit's per-run loop.
+#[cold]
+fn overflow() -> TypeError {
+    TypeError::Invalid("a byte offset, extent or size overflows".into())
+}
+
+/// `i * by` in bytes, checked.
+pub(crate) fn times(i: impl TryInto<i64>, by: i64) -> Result<i64> {
+    fits(i.try_into().ok().and_then(|i: i64| i.checked_mul(by)))
 }
 
 /// Coalescing segment sink: adjacent-in-memory, consecutive-in-pack-order
@@ -361,6 +403,8 @@ impl Sink {
     }
 
     fn push(&mut self, offset: i64, len: usize) -> Result<()> {
+        #[cfg(test)]
+        tests::PUSHES.with(|p| p.set(p.get() + 1));
         if len == 0 {
             return Ok(());
         }
@@ -408,6 +452,8 @@ mod tests {
 
     thread_local! {
         pub(super) static LIMIT: Cell<usize> = const { Cell::new(MAX_SEGMENTS) };
+        /// Calls to `Sink::push` on this thread: the work a commit does.
+        pub(super) static PUSHES: Cell<usize> = const { Cell::new(0) };
     }
 
     proptest! {
@@ -675,6 +721,64 @@ mod tests {
                 .avg_segment_len(),
             0
         );
+    }
+
+    /// Sink pushes `build` makes.
+    fn pushes(build: impl FnOnce() -> Result<Datatype>) -> usize {
+        PUSHES.set(0);
+        build().unwrap();
+        PUSHES.get()
+    }
+
+    #[test]
+    fn a_dense_childs_run_is_one_push_whatever_its_length() {
+        let d = Datatype::double();
+        // Dense, though not at offset 0: one segment as long as its extent.
+        let shifted = Datatype::resized(-8, 8, &d).unwrap();
+        for n in [1, 2, 1000, 1 << 20] {
+            assert_eq!(pushes(|| Datatype::contiguous(n, &d)), 1);
+            assert_eq!(pushes(|| Datatype::contiguous(n, &shifted)), 1);
+            assert_eq!(pushes(|| Datatype::vector(7, n, -3, &d)), 7);
+            let rows = || Datatype::subarray(&[4, 5, 2 * n], &[2, 3, n], &[1, 2, n], &d);
+            assert_eq!(pushes(rows), 6);
+        }
+        // A child with a gap still costs one push per copy.
+        let gappy = Datatype::resized(0, 16, &d).unwrap();
+        assert_eq!(pushes(|| Datatype::contiguous(1000, &gappy)), 1000);
+    }
+
+    #[test]
+    fn a_terabyte_of_bytes_commits_to_one_segment() {
+        let t = Datatype::contiguous(1 << 40, &Datatype::byte()).unwrap();
+        assert_eq!(
+            t.segments(),
+            [Segment {
+                offset: 0,
+                len: 1 << 40
+            }]
+        );
+        assert_eq!((t.size(), t.extent()), (1 << 40, 1 << 40));
+    }
+
+    #[test]
+    fn overflowing_offsets_are_invalid_not_wrapped() {
+        let d = Datatype::double();
+        let invalid = |r: Result<Datatype>| matches!(r, Err(TypeError::Invalid(_)));
+        // Block 2 would sit at 2 * 2^63 - 16.
+        assert!(invalid(Datatype::vector(3, 1, i64::MAX / 8, &d)));
+        assert!(invalid(Datatype::hvector(4, 1, i64::MAX / 2, &d)));
+        // 2^62 doubles are 2^65 bytes.
+        assert!(invalid(Datatype::contiguous(usize::MAX / 4, &d)));
+        // In range on its own, out of range at a displacement.
+        let big = Datatype::contiguous(1 << 62, &Datatype::byte()).unwrap();
+        assert!(invalid(Datatype::hindexed(&[(1 << 62, 1)], &big)));
+        // The offsets fit, the span between them does not.
+        assert!(invalid(Datatype::hindexed(
+            &[(i64::MIN, 1), (i64::MAX - 8, 1)],
+            &d
+        )));
+        // Overlapping copies whose sizes add past `usize`.
+        assert!(invalid(Datatype::hvector(5, 1, 0, &big)));
     }
 
     #[test]

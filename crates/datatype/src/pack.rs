@@ -3,7 +3,7 @@
 //! layouts used throughout the workspace.
 
 use crate::cursor::TypeCursor;
-use crate::desc::Datatype;
+use crate::desc::{times, Datatype};
 use crate::engine::{EngineKind, EngineParams, OpCounts, PackEngine, Unpacker};
 use crate::error::Result;
 use crate::observe::PackObserver;
@@ -63,7 +63,8 @@ pub fn matrix_column_type(rows: usize, cols: usize, doubles_per_elem: usize) -> 
 /// of consecutive indices into one segment.
 pub fn hindexed_from_f64_indices(indices: &[usize]) -> Result<Datatype> {
     let double = Datatype::double();
-    Datatype::commit(indices.iter().map(|&ix| (ix as i64 * 8, 1, &double)), None)
+    let runs = indices.iter().map(|&ix| Ok((times(ix, 8)?, 1, &double)));
+    Datatype::commit(runs, None)
 }
 
 #[cfg(test)]

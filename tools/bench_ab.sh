@@ -28,6 +28,10 @@
 # Its `stages` fold each side's trace_<workload>.json from the probe run:
 # host microseconds per span name summed over the traced rounds, a `check`
 # span named after the stage it checks, with both sides and their ratio.
+# Set-up steps (the children of the `setup` span) are listed apart, under
+# `stages.setup_envelopes` and as `envelope` lines: each is the earliest
+# start to the latest end of that step over all ranks, so they overlap one
+# another (one rank's step can sit inside another's) and do not add up.
 set -euo pipefail
 
 repo="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
@@ -181,28 +185,39 @@ def probe_snapshot(side):
     return {"seed": res["seed"], "runs": len(res["workloads"]), "probes": snap}
 
 def span_totals(path):
-    totals, stage = {}, None
-    for s in json.load(open(path))["spans"]:
+    """(measured totals by span name, set-up step envelopes by name)."""
+    spans = json.load(open(path))["spans"]
+    setup = {s["id"] for s in spans if s["name"] == "setup"}
+    totals, envelopes, stage = {}, {}, None
+    for s in spans:
         name = s["name"]
+        if s["parent"] in setup:
+            envelopes[name] = envelopes.get(name, 0.0) + s["end"] - s["start"]
+            continue
         if name == "check":
             name = f"{stage}/check"
         elif name != "sync":
             stage = name
         totals[name] = totals.get(name, 0.0) + s["end"] - s["start"]
-    return totals
+    return totals, envelopes
 
 def stages():
-    out = {}
+    def sides(base, head):
+        return {name: {"base": base[name], "head": head[name],
+                       "ratio": head[name] / base[name] if base[name] else None}
+                for name in base if name in head}
+    out, envelopes = {}, {}
     for w in dict.fromkeys(l["workload"] for l in lines):
         paths = [os.path.join(scratch, side, "tree", "benchmark", "out", f"trace_{w}.json")
                  for side in ("base", "head")]
         if not all(os.path.exists(p) for p in paths):
             continue
-        base, head = (span_totals(p) for p in paths)
-        out[w] = {name: {"base": base[name], "head": head[name],
-                         "ratio": head[name] / base[name] if base[name] else None}
-                  for name in base if name in head}
-    return {"unit": "us", "workloads": out}
+        (base, base_env), (head, head_env) = (span_totals(p) for p in paths)
+        out[w] = sides(base, head)
+        envelopes[w] = sides(base_env, head_env)
+    return {"unit": "us", "workloads": out, "setup_envelopes": {
+        "note": "first rank in to last rank out per set-up step: envelopes overlap, never add them",
+        "workloads": envelopes}}
 
 def first_line(cmd):
     try:
@@ -235,9 +250,11 @@ for s in entry_seeds:
                 print(f"seed {s['seed']:>9} {w:<20} {name:<16} base {m['base']['median']:.6g} "
                       f"head {m['head']['median']:.6g} {ratio} won {m['pairs_won']}/{m['pairs']}"
                       f"{' gap>IQR' if m['gap_exceeds_base_iqr'] else ''}")
-for w, spans in entry["stages"]["workloads"].items():
-    for name, m in spans.items():
-        ratio = "-" if m["ratio"] is None else f"x{m['ratio']:.3f}"
-        print(f"stage {w:<20} {name:<28} base {m['base']:.0f} us head {m['head']:.0f} us {ratio}")
+for kind, table in (("stage", entry["stages"]["workloads"]),
+                    ("envelope", entry["stages"]["setup_envelopes"]["workloads"])):
+    for w, spans in table.items():
+        for name, m in spans.items():
+            ratio = "-" if m["ratio"] is None else f"x{m['ratio']:.3f}"
+            print(f"{kind:<8} {w:<20} {name:<28} base {m['base']:.0f} us head {m['head']:.0f} us {ratio}")
 print(f"wrote {out}")
 EOF
