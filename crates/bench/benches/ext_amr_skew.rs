@@ -22,10 +22,7 @@ use ncd_bench::{
     amr_diag_loop, amr_diag_workload, improvement_pct, relabel, report, whatif_phase, BenchCli,
     RunCapture, Series, AMR_DIAG_OUTLIER,
 };
-use ncd_core::{
-    decisions_from_trace, detect_misselections, remediation_hints, render_hints, Comm, MpiConfig,
-    WPeer,
-};
+use ncd_core::{decisions_from_trace, detect_misselections, Comm, MpiConfig, WPeer};
 use ncd_datatype::Datatype;
 use ncd_simnet::{
     mirror_to_recorders, Capture, Cluster, ClusterCommMap, ClusterConfig, MetricsRegistry,
@@ -210,8 +207,8 @@ fn main() {
 /// rank both computes longest and contributes the outlier volume, and the
 /// baseline picks the ring over it (total over the long threshold). The
 /// wait-state classifier must blame the majority of the allgatherv wait
-/// on the outlier rank via sender-caused patterns, and the remediation
-/// join must cross-reference the misselection the decision audit flags.
+/// on the outlier rank via sender-caused patterns, and the decision audit
+/// must flag the ring as a misselection.
 /// Returns the outlier's blame-share series plus the run's capture
 /// (traffic matrix and per-rank traces) so the observatory pass can
 /// ledger it.
@@ -246,7 +243,6 @@ fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
     let diag = run.diagnosis().expect("traced");
     let decisions = decisions_from_trace(&traces[OUTLIER]);
     let audit = detect_misselections(&decisions, run.capture.comm_map.as_ref(), &cost, &cfg);
-    let hints = remediation_hints(&diag, &decisions, &audit);
     report(
         cli,
         "ext_amr_diagnosis",
@@ -255,7 +251,6 @@ fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
         &[],
         &run,
     );
-    print!("{}", render_hints(&hints));
     let mirrored = mirror_to_recorders(&diag, 5, &run.recorders);
     println!("{mirrored} finding(s) mirrored into the flight recorder");
 
@@ -271,8 +266,12 @@ fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
         "the outlier rank must own the majority of the allgatherv wait, got {share:.1}%"
     );
     assert!(
-        hints.iter().any(|h| h.contains("misselection")),
-        "the top finding must cross-reference the flagged ring misselection: {hints:?}"
+        audit
+            .flags
+            .iter()
+            .any(|m| m.collective == "allgatherv" && m.chosen == "ring"),
+        "the decision audit must flag allgatherv's ring: {:?}",
+        audit.flags
     );
 
     let mut s = Series::new("outlier-blame-share-%");

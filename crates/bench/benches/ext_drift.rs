@@ -20,12 +20,12 @@
 //! The run is gated against its committed reference with
 //! `--compare benches/baselines/observatory`.
 
-use ncd_bench::{report, BenchCli, RunCapture, Series, OBSERVATORY};
+use ncd_bench::{report, BenchCli, RunCapture, Series};
 use ncd_core::{
     drift_events_from_trace, pattern_recurrence, AllgathervAlgorithm, Comm, DriftEvent, MpiConfig,
     DRIFT_DETECTION_BOUND,
 };
-use ncd_simnet::{Cluster, ClusterConfig, SimTime};
+use ncd_simnet::{Cluster, ClusterConfig, Observers, SimTime};
 
 const BASE_DOUBLES: usize = 16;
 
@@ -84,7 +84,7 @@ fn counts_for(n: usize, r: &Regime) -> Vec<usize> {
 /// regime is part of the story). Returns the per-regime step latencies,
 /// the drift events the online monitor fired, and the capture.
 fn run(nranks: usize, epochs: usize) -> (Vec<SimTime>, Vec<DriftEvent>, RunCapture) {
-    let cluster = ClusterConfig::paper_testbed(nranks).observe(OBSERVATORY);
+    let cluster = ClusterConfig::paper_testbed(nranks).observe(Observers::ALL);
     let run = Cluster::new(cluster).try_run(|rank| {
         let mut comm = Comm::new(rank, MpiConfig::optimized());
         let me = comm.rank();

@@ -11,10 +11,10 @@
 //! gates the run against its committed reference with
 //! `--compare benches/baselines/observatory`.
 
-use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig};
 use ncd_petsc::{DistributedArray, ScatterBackend, StencilKind};
-use ncd_simnet::{Cluster, ClusterConfig, SimTime};
+use ncd_simnet::{Cluster, ClusterConfig, Observers, SimTime};
 
 /// Per-iteration makespan (max over ranks / reps) of one ghost exchange
 /// plus `flops` of interior compute, split or sequential.
@@ -83,7 +83,7 @@ fn main() {
     if cli.wants_observatory() {
         let flops = *sweep.last().expect("nonempty sweep");
         let traced = time_phase(
-            ClusterConfig::paper_testbed(nranks).observe(OBSERVATORY),
+            ClusterConfig::paper_testbed(nranks).observe(Observers::ALL),
             MpiConfig::optimized(),
             3,
             move |comm, _| {

@@ -16,10 +16,10 @@
 //! overhead term. The multigrid point pins the §5.5 claim at the paper's
 //! full 128-process machine size.
 
-use ncd_bench::{relabel, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY};
+use ncd_bench::{relabel, report, time_phase, BenchCli, RunCapture, Series};
 use ncd_core::{AllgathervAlgorithm, Comm, MpiConfig};
 use ncd_petsc::{richardson, KspSettings, LaplacianOp, Multigrid, PVec, ScatterBackend};
-use ncd_simnet::{Cluster, ClusterConfig, SimTime};
+use ncd_simnet::{Cluster, ClusterConfig, Observers, SimTime};
 
 /// Uniform allgatherv with the algorithm pinned: every rank contributes
 /// `block` bytes.
@@ -182,7 +182,7 @@ fn main() {
     // still carries every big-N series.
     if cli.wants_observatory() {
         let traced = time_phase(
-            ClusterConfig::uniform(procs[0]).observe(OBSERVATORY),
+            ClusterConfig::uniform(procs[0]).observe(Observers::ALL),
             MpiConfig::optimized(),
             1,
             |comm, _| uniform_allgatherv(comm, AllgathervAlgorithm::RecursiveDoubling, SMALL_BLOCK),

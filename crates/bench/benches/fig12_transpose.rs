@@ -14,7 +14,7 @@
 //! with a `-log_view`-style per-engine table (blocks, sparse/dense mix,
 //! seek segments) that makes the quadratic re-search directly visible.
 
-use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig};
 use ncd_datatype::{matrix_column_type, Datatype};
 use ncd_simnet::{Capture, ClusterConfig, MetricsRegistry, Observers, SimTime, Tag};
@@ -93,7 +93,7 @@ fn main() {
     if cli.wants_observatory() {
         let n = *sizes.last().expect("nonempty sweep");
         let traced = time_phase(
-            ClusterConfig::uniform(2).observe(OBSERVATORY),
+            ClusterConfig::uniform(2).observe(Observers::ALL),
             MpiConfig::optimized(),
             1,
             move |comm, _| transpose_once(comm, n),

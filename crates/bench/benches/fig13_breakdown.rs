@@ -10,9 +10,7 @@
 //! plotted series plus the cluster-wide metrics snapshot — to
 //! `target/figures/<name>.json`.
 
-use ncd_bench::{
-    aggregate, relabel, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY,
-};
+use ncd_bench::{aggregate, relabel, report, time_phase, BenchCli, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig};
 use ncd_datatype::{matrix_column_type, Datatype};
 use ncd_simnet::{Capture, ClusterConfig, CostKind, MetricsRegistry, Observers, Tag};
@@ -102,7 +100,7 @@ fn main() {
     if cli.wants_observatory() {
         let n = *sizes.last().expect("nonempty sweep");
         let traced = time_phase(
-            ClusterConfig::uniform(2).observe(OBSERVATORY),
+            ClusterConfig::uniform(2).observe(Observers::ALL),
             MpiConfig::optimized(),
             1,
             move |comm, _| transpose_once(comm, n),

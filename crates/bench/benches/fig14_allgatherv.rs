@@ -13,11 +13,9 @@
 //! Paper result: both series grow, the baseline faster; ~20% improvement
 //! at 64 processes / 32 KB.
 
-use ncd_bench::{
-    improvement_pct, relabel, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY,
-};
+use ncd_bench::{improvement_pct, relabel, report, time_phase, BenchCli, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig};
-use ncd_simnet::{ClusterConfig, SimTime};
+use ncd_simnet::{ClusterConfig, Observers, SimTime};
 
 /// One allgatherv where rank 0 contributes `outlier_doubles` doubles and
 /// everyone else a single double.
@@ -103,7 +101,7 @@ fn main() {
     // differential engine attributes regressions with.
     if cli.wants_observatory() {
         let traced = time_phase(
-            ClusterConfig::uniform(procs_a).observe(OBSERVATORY),
+            ClusterConfig::uniform(procs_a).observe(Observers::ALL),
             MpiConfig::optimized(),
             5,
             |comm, _| skewed_allgatherv(comm, 4096),

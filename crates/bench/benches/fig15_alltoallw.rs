@@ -14,10 +14,10 @@
 //!
 //! Paper result: ~50% improvement at 32 processes, >88% at 128.
 
-use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig, WPeer};
 use ncd_datatype::Datatype;
-use ncd_simnet::{ClusterConfig, SimTime};
+use ncd_simnet::{ClusterConfig, Observers, SimTime};
 
 /// One ring exchange: each rank sends a 10x10 matrix of doubles (800 B)
 /// to its ring successor and predecessor.
@@ -81,7 +81,7 @@ fn main() {
     if cli.wants_observatory() {
         let n = if cli.smoke { 16 } else { 32 };
         let traced = time_phase(
-            ClusterConfig::paper_testbed(n).observe(OBSERVATORY),
+            ClusterConfig::paper_testbed(n).observe(Observers::ALL),
             MpiConfig::optimized(),
             10,
             |comm, _| ring_exchange(comm),

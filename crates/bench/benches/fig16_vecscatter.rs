@@ -16,10 +16,10 @@
 //! Paper result: the optimized MPI recovers to within ~4% of hand-tuned
 //! (>95% better than the baseline at 128 procs).
 
-use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig};
 use ncd_petsc::{IndexSet, Layout, PVec, ScatterBackend, VecScatter};
-use ncd_simnet::{Cluster, ClusterConfig, SimTime};
+use ncd_simnet::{Cluster, ClusterConfig, Observers, SimTime};
 
 /// Elements per process (the grid scales with the process count).
 const LOCAL_ELEMS: usize = 4096;
@@ -117,7 +117,7 @@ fn main() {
     if cli.wants_observatory() {
         let n = if cli.smoke { 16 } else { 32 };
         let traced = time_phase(
-            ClusterConfig::paper_testbed(n).observe(OBSERVATORY),
+            ClusterConfig::paper_testbed(n).observe(Observers::ALL),
             MpiConfig::optimized(),
             3,
             |comm, _| {

@@ -16,10 +16,10 @@
 //! (≈90% improvement there) and sits within ~3% of hand-tuned (which leads
 //! by ~10% at 4 processes).
 
-use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series, OBSERVATORY};
+use ncd_bench::{improvement_pct, report, time_phase, BenchCli, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig};
 use ncd_petsc::{richardson, KspSettings, LaplacianOp, Multigrid, PVec, ScatterBackend};
-use ncd_simnet::{Cluster, ClusterConfig, SimTime};
+use ncd_simnet::{Cluster, ClusterConfig, Observers, SimTime};
 
 const GRID: usize = 100;
 const LEVELS: usize = 3;
@@ -139,7 +139,7 @@ fn main() {
     if cli.wants_observatory() {
         let n = procs[0];
         let traced = time_phase(
-            ClusterConfig::paper_testbed(n).observe(OBSERVATORY),
+            ClusterConfig::paper_testbed(n).observe(Observers::ALL),
             MpiConfig::optimized(),
             1,
             |comm, _| mg_solve(comm, ScatterBackend::Datatype),

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use ncd_core::{Comm, MpiConfig, RunDiff, RunRecord};
 use ncd_simnet::{
     Capture, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, JsonWriter, LedgerRun,
-    MetricsRegistry, Observers, RankRecorder, RunManifest, RunOutput, SchedStats, SimTime, Stats,
+    MetricsRegistry, RankRecorder, RunManifest, RunOutput, SchedStats, SimTime, Stats,
 };
 
 pub mod workloads;
@@ -487,14 +487,6 @@ pub fn comm_report(map: &ClusterCommMap) -> Option<String> {
     Some(out)
 }
 
-/// Every observer the observatory ledger persists (the profiler's stage
-/// spans and `stage:` epochs would be new artifacts), configured on one
-/// representative run when [`BenchCli::wants_observatory`].
-pub const OBSERVATORY: Observers = Observers {
-    profile: false,
-    ..Observers::ALL
-};
-
 /// Everything one captured run produced. [`report`], [`ledger_run`] and
 /// [`BenchCli::observatory`] print and persist a section or artifact for
 /// exactly the parts that are `Some`; the default value holds nothing.
@@ -858,7 +850,7 @@ pub fn report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncd_simnet::Tag;
+    use ncd_simnet::{Observers, Tag};
 
     #[test]
     fn time_phase_measures_per_iteration() {
@@ -945,7 +937,6 @@ mod tests {
             amr_sweep,
             amr_diag,
             history,
-            OBSERVATORY,
             Observers::ALL,
         ] {
             let c = run(observe);
@@ -962,7 +953,6 @@ mod tests {
                     parts.comm_map.is_some(),
                     parts.history.is_some(),
                     parts.traces.is_some(),
-                    parts.profiles.is_some(),
                     c.whatif.is_some()
                 ),
                 (
@@ -970,7 +960,6 @@ mod tests {
                     observe.comm_map || observe.history, // a history brings its map
                     observe.history,
                     observe.trace,
-                    observe.profile,
                     false
                 ),
                 "{observe:?}"
@@ -978,7 +967,7 @@ mod tests {
             assert_eq!(c.diagnosis().is_some(), observe.trace);
         }
 
-        let all = run(OBSERVATORY).capture;
+        let all = run(Observers::ALL).capture;
         let stats = run(Observers::NONE).stats;
         // Metrics: 4 ranks x 3 measured reps, warm-up dropped.
         let metrics = all.metrics.as_ref().expect("metrics");
@@ -1427,7 +1416,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         std::env::set_var("NCD_OBSERVATORY", &root);
         let run_once = || {
-            let cluster = ClusterConfig::uniform(4).observe(OBSERVATORY);
+            let cluster = ClusterConfig::uniform(4).observe(Observers::ALL);
             let mut capture = time_phase(cluster, MpiConfig::optimized(), 2, allgatherv4);
             capture.whatif = Some(ncd_core::whatif_json(&ncd_core::CausalProfile {
                 baseline_ns: 1000,

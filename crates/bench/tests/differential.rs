@@ -10,12 +10,13 @@
 //! wait-state diagnosis JSON agree byte for byte. Off x86-64 unix there
 //! is no fiber backend; the workloads then run under the baton alone.
 
-use ncd_bench::{time_phase, OBSERVATORY};
+use ncd_bench::time_phase;
 use ncd_core::{Comm, MpiConfig, WPeer};
 use ncd_datatype::Datatype;
 use ncd_petsc::{DistributedArray, ScatterBackend, StencilKind};
 use ncd_simnet::{
-    chrome_trace_json, comm_matrix_json, diagnosis_json, ClusterConfig, SimTime, TaskBackend,
+    chrome_trace_json, comm_matrix_json, diagnosis_json, ClusterConfig, Observers, SimTime,
+    TaskBackend,
 };
 
 /// Run `body` under one backend and collapse the observable artifacts to
@@ -29,7 +30,7 @@ where
     F: Fn(&mut Comm, usize) + Send + Sync,
 {
     let run = time_phase(
-        cfg.with_task_backend(backend).observe(OBSERVATORY),
+        cfg.with_task_backend(backend).observe(Observers::ALL),
         MpiConfig::optimized(),
         2,
         body,

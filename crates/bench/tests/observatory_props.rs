@@ -8,10 +8,10 @@
 //! nonempty diff must be a genuine behaviour change, never parse noise,
 //! float formatting, or unstable ordering.
 
-use ncd_bench::{ledger_run, time_phase, RunCapture, OBSERVATORY};
+use ncd_bench::{ledger_run, time_phase, RunCapture};
 use ncd_core::{compare, Comm, MpiConfig, RunRecord, WPeer};
 use ncd_datatype::Datatype;
-use ncd_simnet::{ledger_root, read_run, ClusterConfig};
+use ncd_simnet::{ledger_root, read_run, ClusterConfig, Observers};
 use proptest::prelude::*;
 
 /// Point every ledger write of this test process at one private root, so
@@ -84,7 +84,7 @@ proptest! {
             ledger_and_reload(
                 "prop_alltoallw",
                 &knobs,
-                time_phase(ClusterConfig::uniform(n).observe(OBSERVATORY), MpiConfig::optimized(), 2, &body),
+                time_phase(ClusterConfig::uniform(n).observe(Observers::ALL), MpiConfig::optimized(), 2, &body),
             )
         };
         let (id1, rec1) = run();
@@ -131,7 +131,7 @@ proptest! {
             ledger_and_reload(
                 "prop_scatterv",
                 &knobs,
-                time_phase(ClusterConfig::uniform(n).observe(OBSERVATORY), MpiConfig::optimized(), 2, &body),
+                time_phase(ClusterConfig::uniform(n).observe(Observers::ALL), MpiConfig::optimized(), 2, &body),
             )
         };
         let (id1, rec1) = run();

@@ -7,9 +7,9 @@
 //! artifact, the artifact set, and the content-hash run id — plus a few
 //! writers the ledger does not own.
 
-use ncd_bench::{ledger_run, series_json, time_phase, Series, OBSERVATORY};
+use ncd_bench::{ledger_run, series_json, time_phase, Series};
 use ncd_core::{compare, diff_json, Comm, MpiConfig, RunRecord};
-use ncd_simnet::{ledger_root, manifest_json, read_run, ClusterConfig, SCHEMA_VERSION};
+use ncd_simnet::{ledger_root, manifest_json, read_run, ClusterConfig, Observers, SCHEMA_VERSION};
 
 fn schema_prefix() -> String {
     format!("{{\"schema\":{SCHEMA_VERSION},")
@@ -24,7 +24,7 @@ fn every_byte_stable_export_leads_with_the_shared_schema_version() {
     // metrics, comm matrix, history, analysis, decisions, diagnosis) is
     // non-trivial.
     let mut capture = time_phase(
-        ClusterConfig::uniform(4).observe(OBSERVATORY),
+        ClusterConfig::uniform(4).observe(Observers::ALL),
         MpiConfig::optimized(),
         2,
         |comm: &mut Comm, _| {

@@ -398,8 +398,9 @@ pub fn detect_misselections(
             _ => {}
         }
     }
-    // Collective epochs (not `stage:` profiling epochs — those never have
-    // a matching decision by construction) that no decision joined with.
+    // Collective epochs (not a program's own `stage:` phase epochs — those
+    // never have a matching decision by construction) that no decision
+    // joined with.
     let unmatched_epochs = map.map_or(0, |m| {
         m.epochs
             .iter()

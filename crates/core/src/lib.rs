@@ -33,7 +33,6 @@ pub mod comm;
 pub mod commstats;
 pub mod compare;
 pub mod config;
-pub mod diagnose;
 pub mod drift;
 pub mod request;
 pub mod select;
@@ -53,7 +52,6 @@ pub use compare::{
     RegressionClass, RunDiff, RunRecord, SeriesDelta, StepDelta,
 };
 pub use config::{MpiConfig, MpiFlavor};
-pub use diagnose::{remediation_hints, render_hints};
 pub use drift::{
     detect_drift, drift_events_from_trace, pattern_recurrence, render_drift_events,
     render_recurrence, DriftDirection, DriftEvent, PatternRecurrence, DRIFT_DETECTION_BOUND,

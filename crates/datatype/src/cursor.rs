@@ -86,7 +86,7 @@ impl TypeCursor {
         if lb < 0 || ub > buf_len as i64 {
             return Err(TypeError::OutOfBounds {
                 offset: lb,
-                len: (ub - lb) as usize,
+                len: ub.abs_diff(lb) as usize,
                 buf_len,
             });
         }
@@ -364,6 +364,27 @@ mod tests {
         // Nothing touched, nothing to check.
         assert_eq!(col.true_bounds(0), (0, 0));
         assert!(TypeCursor::new(&col, 0).check_fits(0).is_ok());
+    }
+
+    /// A (type, count) stream longer than `i64` bytes fits no buffer: its
+    /// bound does not wrap to something small, in any build profile.
+    #[test]
+    fn a_span_past_i64_fits_no_buffer() {
+        let t = Datatype::contiguous(4, &Datatype::double()).unwrap();
+        let count = usize::MAX / 2;
+        assert_eq!(t.true_bounds(count), (0, i64::MAX));
+        let err = TypeCursor::new(&t, count).check_fits(1 << 20).unwrap_err();
+        let want = TypeError::OutOfBounds {
+            offset: 0,
+            len: i64::MAX as usize,
+            buf_len: 1 << 20,
+        };
+        assert_eq!(err, want);
+        assert!(err.to_string().contains("outside buffer of 1048576 bytes"));
+        // Below the edge the bound is exact.
+        let edge = (i64::MAX / 32) as usize;
+        assert_eq!(t.true_bounds(edge), (0, 32 * edge as i64));
+        assert_eq!(t.true_bounds(edge + 1), (0, i64::MAX));
     }
 
     #[test]

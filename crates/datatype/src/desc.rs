@@ -189,7 +189,7 @@ impl Datatype {
             ));
         }
         for d in 0..sizes.len() {
-            if starts[d] + subsizes[d] > sizes[d] {
+            if starts[d] > sizes[d] || subsizes[d] > sizes[d] - starts[d] {
                 return fail(format!(
                     "subarray dim {d}: start {} + subsize {} exceeds size {}",
                     starts[d], subsizes[d], sizes[d]
@@ -265,13 +265,18 @@ impl Datatype {
     /// Lowest byte offset and one-past-highest byte offset that `count`
     /// consecutive instances touch, relative to the buffer start: the
     /// extremes sit in replica 0 and replica `count - 1` (extents are never
-    /// negative). `(0, 0)` when nothing is touched.
+    /// negative). `(0, 0)` when nothing is touched. A span whose end does
+    /// not fit in `i64` ends at `i64::MAX`, past every buffer, so a buffer
+    /// check refuses it instead of reading a wrapped bound.
     pub fn true_bounds(&self, count: usize) -> (i64, i64) {
         if count == 0 || self.0.segments.is_empty() {
             return (0, 0);
         }
-        let last = (count - 1) as i64 * self.0.extent;
-        (self.0.true_lb, self.0.true_ub + last)
+        let ub = i64::try_from(count - 1)
+            .ok()
+            .and_then(|last| last.checked_mul(self.0.extent))
+            .and_then(|last| self.0.true_ub.checked_add(last));
+        (self.0.true_lb, ub.unwrap_or(i64::MAX))
     }
 
     /// Average contiguous segment length in bytes (density measure); 0 for
@@ -666,6 +671,20 @@ mod tests {
         assert!(Datatype::subarray(&[4], &[2], &[3], &d).is_err());
         assert!(Datatype::subarray(&[4, 4], &[2], &[0], &d).is_err());
         assert!(Datatype::subarray(&[], &[], &[], &d).is_err());
+    }
+
+    /// A start + subsize past `usize::MAX` is the dimension's own error,
+    /// not an overflow panic (debug) or a later generic one (release).
+    #[test]
+    fn a_subarray_range_past_usize_names_its_dimension() {
+        let d = Datatype::double();
+        for (subsize, start) in [(usize::MAX, 2), (2, usize::MAX), (0, 5)] {
+            let Err(TypeError::Invalid(msg)) = Datatype::subarray(&[4], &[subsize], &[start], &d)
+            else {
+                panic!("subsize {subsize} at {start} of 4 is refused");
+            };
+            assert!(msg.starts_with("subarray dim 0: "), "{msg}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl fmt::Display for TypeError {
             } => write!(
                 f,
                 "datatype touches [{offset}, {}) outside buffer of {buf_len} bytes",
-                offset + *len as i64
+                offset.saturating_add_unsigned(*len as u64)
             ),
             TypeError::StreamOverrun { extra } => {
                 write!(f, "unpack stream has {extra} bytes beyond the receive type")

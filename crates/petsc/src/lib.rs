@@ -48,8 +48,5 @@ pub use ksp::{
 pub use layout::Layout;
 pub use mat::AijMat;
 pub use mg::{LaplacianOp, Multigrid};
-pub use scatter::{
-    ScatterBackend, ScatterHandle, VecScatter, STAGE_SCATTER_APPLY, STAGE_SCATTER_BEGIN,
-    STAGE_SCATTER_END,
-};
+pub use scatter::{ScatterBackend, ScatterHandle, VecScatter};
 pub use vec::PVec;

@@ -265,8 +265,8 @@ struct Level {
     h: f64,
     /// Reciprocal of the operator diagonal (for the Jacobi smoother).
     inv_diag: Vec<f64>,
-    /// `mg_vcycle_l<lev>`, the level's profiling stage.
-    stage: String,
+    /// `l<lev>`, the level's key under the `mg/vcycle` counter.
+    vcycle_key: String,
     scratch: RefCell<Scratch>,
     coarser: Option<Coarser>,
 }
@@ -327,7 +327,7 @@ impl Multigrid {
                 da,
                 h: cur_h,
                 inv_diag,
-                stage: format!("mg_vcycle_l{lev}"),
+                vcycle_key: format!("l{lev}"),
                 coarser: None,
             });
             if lev + 1 < nlevels {
@@ -444,45 +444,28 @@ impl Multigrid {
     }
 
     /// Recursive V-cycle on level `lev`: improve `x` for `A_lev x = b`.
-    ///
-    /// Each level runs inside a `mg_vcycle_l<lev>` profiling stage, with
-    /// nested `smooth`/`residual`/`restrict`/`interp`/`coarse_solve`
-    /// stages, so a `-log_view`-style report shows where V-cycle time goes
-    /// per level.
+    /// Each call counts once under the `mg/vcycle/l<lev>` metric.
     pub fn vcycle(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
-        let stage = &self.levels[lev].stage;
-        comm.rank_mut().stage_begin(stage);
-        if let Some(m) = comm.rank_mut().metrics_mut() {
-            m.counter_add("mg", "vcycle", stage[10..].to_owned(), 1);
-        }
-        self.vcycle_inner(comm, lev, b, x);
-        comm.rank_mut().stage_end(stage);
-    }
-
-    fn vcycle_inner(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
         let level = &self.levels[lev];
+        if let Some(m) = comm.rank_mut().metrics_mut() {
+            m.counter_add("mg", "vcycle", level.vcycle_key.clone(), 1);
+        }
         if lev == self.levels.len() - 1 {
             // Coarse solve: CG to a loose tolerance.
-            comm.rank_mut().stage_begin("coarse_solve");
             let settings = KspSettings {
                 rtol: Self::COARSE_RTOL,
                 max_it: Self::COARSE_MAX_IT,
                 backend: self.backend,
             };
             cg(comm, &level.op(), &IdentityPc, b, x, &settings);
-            comm.rank_mut().stage_end("coarse_solve");
             return;
         }
         for _ in 0..Self::NU_PRE {
-            comm.rank_mut().stage_begin("smooth");
             self.smooth(comm, lev, b, x);
-            comm.rank_mut().stage_end("smooth");
         }
         self.coarse_correction(comm, lev, b, x);
         for _ in 0..Self::NU_POST {
-            comm.rank_mut().stage_begin("smooth");
             self.smooth(comm, lev, b, x);
-            comm.rank_mut().stage_end("smooth");
         }
     }
 
@@ -490,17 +473,11 @@ impl Multigrid {
     /// V-cycle from zero, in the level's vectors.
     fn coarse_correction(&self, comm: &mut Comm, lev: usize, b: &PVec, x: &mut PVec) {
         let work = &mut *self.levels[lev].coarser().work.borrow_mut();
-        comm.rank_mut().stage_begin("residual");
         self.residual(comm, lev, b, x, &mut work.r);
-        comm.rank_mut().stage_end("residual");
-        comm.rank_mut().stage_begin("restrict");
         self.restrict(comm, lev, &work.r, &mut work.coarse_b);
-        comm.rank_mut().stage_end("restrict");
         work.coarse_x.set_all(0.0);
         self.vcycle(comm, lev + 1, &work.coarse_b, &mut work.coarse_x);
-        comm.rank_mut().stage_begin("interp");
         self.interp_add(comm, lev, &work.coarse_x, x);
-        comm.rank_mut().stage_end("interp");
     }
 }
 

@@ -36,16 +36,6 @@ use crate::is::IndexSet;
 use crate::layout::Layout;
 use crate::vec::PVec;
 
-/// Stage label mirrored into the trace by [`VecScatter::apply`] (when
-/// profiling and tracing are enabled). Pass the begin/end pair to
-/// [`ncd_simnet::stage_overlap`] to measure how much of the scatter's
-/// wire time the caller's compute hid.
-pub const STAGE_SCATTER_APPLY: &str = "scatter_apply";
-/// Stage label mirrored into the trace by [`VecScatter::begin`].
-pub const STAGE_SCATTER_BEGIN: &str = "scatter_begin";
-/// Stage label mirrored into the trace by [`VecScatter::end`].
-pub const STAGE_SCATTER_END: &str = "scatter_end";
-
 /// Execution strategy for a compiled scatter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScatterBackend {
@@ -347,10 +337,8 @@ impl VecScatter {
     /// the ghost traffic.
     pub fn apply(&self, comm: &mut Comm, x: &PVec, y: &mut PVec, backend: ScatterBackend) {
         self.record_apply_metrics(comm, backend, "apply");
-        comm.rank_mut().stage_begin(STAGE_SCATTER_APPLY);
         let handle = self.start(comm, x, y, backend);
         self.finish(comm, handle, y);
-        comm.rank_mut().stage_end(STAGE_SCATTER_APPLY);
     }
 
     /// Initiate a scatter from `from` into `to` (PETSc's `VecScatterBegin`
@@ -373,19 +361,14 @@ impl VecScatter {
         backend: ScatterBackend,
     ) -> ScatterHandle {
         self.record_apply_metrics(comm, backend, "begin");
-        comm.rank_mut().stage_begin(STAGE_SCATTER_BEGIN);
-        let handle = self.start(comm, from, to, backend);
-        comm.rank_mut().stage_end(STAGE_SCATTER_BEGIN);
-        handle
+        self.start(comm, from, to, backend)
     }
 
     /// Complete a scatter started with [`VecScatter::begin`] on this plan:
     /// unpack inbound messages (in arrival order) into `to` and drain the
     /// sends, charging only wait time the caller's compute did not hide.
     pub fn end(&self, comm: &mut Comm, handle: ScatterHandle, to: &mut PVec) {
-        comm.rank_mut().stage_begin(STAGE_SCATTER_END);
         self.finish(comm, handle, to);
-        comm.rank_mut().stage_end(STAGE_SCATTER_END);
     }
 
     fn record_apply_metrics(&self, comm: &mut Comm, backend: ScatterBackend, op: &'static str) {
@@ -812,10 +795,9 @@ mod tests {
     }
 
     #[test]
-    fn split_scatter_is_metered_and_staged() {
+    fn split_scatter_is_metered() {
         let observers = Observers {
             metrics: true,
-            profile: true,
             ..Observers::NONE
         };
         let cluster = Cluster::new(ClusterConfig::uniform(4).observe(observers));
@@ -846,10 +828,6 @@ mod tests {
         assert_eq!(metrics.counter("scatter", "begin", "datatype"), 4);
         let bytes = metrics.histogram("scatter", "bytes", "datatype");
         assert_eq!(bytes.map(|h| h.sum()), Some(packed.iter().sum()));
-        for profile in capture.profiles.expect("profiled") {
-            assert!(profile.stage(STAGE_SCATTER_BEGIN).is_some());
-            assert!(profile.stage(STAGE_SCATTER_END).is_some());
-        }
     }
 
     #[test]

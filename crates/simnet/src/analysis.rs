@@ -274,7 +274,6 @@ fn describe(kind: &EventKind) -> String {
         EventKind::Send { dst, bytes, .. } => format!("send to {dst} ({bytes} B)"),
         EventKind::Recv { src, bytes, .. } => format!("recv from {src} ({bytes} B)"),
         EventKind::Mark { label } => format!("mark {label}"),
-        EventKind::Span { name } => format!("span {name}"),
         EventKind::Round { op, round } => format!("round {op}#{round}"),
         EventKind::PackBlock {
             engine,
@@ -480,7 +479,6 @@ pub fn attribute_rounds(traces: &[Vec<TraceEvent>]) -> RoundAttribution {
                     }
                 }
                 EventKind::Mark { .. }
-                | EventKind::Span { .. }
                 | EventKind::PackBlock { .. }
                 | EventKind::IrecvPost { .. }
                 | EventKind::AlgoDecision { .. }

@@ -10,18 +10,16 @@
 use crate::commmap::{merge_comm_maps, ClusterCommMap, RankCommMap};
 use crate::history::{merge_histories, History, RankHistory};
 use crate::metrics::MetricsRegistry;
-use crate::profile::Profiler;
 use crate::trace::TraceEvent;
 
 /// Which observers every rank of a run starts with (see [`crate::trace`],
-/// [`crate::metrics`], [`crate::profile`], [`crate::commmap`] and
-/// [`crate::history`]). A history is fed from closed comm-map epochs, so
-/// it brings the comm map along, into the capture too.
+/// [`crate::metrics`], [`crate::commmap`] and [`crate::history`]). A
+/// history is fed from closed comm-map epochs, so it brings the comm map
+/// along, into the capture too.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Observers {
     pub trace: bool,
     pub metrics: bool,
-    pub profile: bool,
     pub comm_map: bool,
     pub history: bool,
 }
@@ -34,7 +32,6 @@ impl Observers {
         Observers {
             trace: on,
             metrics: on,
-            profile: on,
             comm_map: on,
             history: on,
         }
@@ -46,7 +43,6 @@ impl Observers {
 pub struct RankCapture {
     pub(crate) trace: Option<Vec<TraceEvent>>,
     pub(crate) metrics: Option<MetricsRegistry>,
-    pub(crate) profile: Option<Profiler>,
     pub(crate) comm_map: Option<RankCommMap>,
     pub(crate) history: Option<RankHistory>,
 }
@@ -57,7 +53,6 @@ impl RankCapture {
         RankCapture {
             trace: on.trace.then(Vec::new),
             metrics: on.metrics.then(MetricsRegistry::enabled),
-            profile: on.profile.then(Profiler::default),
             comm_map: (on.comm_map || on.history).then(|| RankCommMap::new(rank, size)),
             history: on.history.then(|| RankHistory::new(rank, size)),
         }
@@ -65,13 +60,11 @@ impl RankCapture {
 }
 
 /// What a run's observers saw: a part is `Some` exactly when its observer
-/// was configured and the run completed. Traces and profiles stay per
-/// rank, indexed by rank ([`crate::imbalance_report`] reads one profile
-/// per rank); the rest is merged cluster-wide.
+/// was configured and the run completed. Traces stay per rank, indexed
+/// by rank; the rest is merged cluster-wide.
 #[derive(Debug, Default)]
 pub struct Capture {
     pub traces: Option<Vec<Vec<TraceEvent>>>,
-    pub profiles: Option<Vec<Profiler>>,
     pub metrics: Option<MetricsRegistry>,
     pub comm_map: Option<ClusterCommMap>,
     pub history: Option<History>,
@@ -81,7 +74,7 @@ impl Capture {
     /// Join the ranks' shares, in rank order.
     pub(crate) fn merge(parts: impl IntoIterator<Item = RankCapture>) -> Capture {
         let mut metrics: Option<MetricsRegistry> = None;
-        let (mut traces, mut profiles) = (Vec::new(), Vec::new());
+        let mut traces = Vec::new();
         let (mut maps, mut histories) = (Vec::new(), Vec::new());
         for part in parts {
             if let Some(m) = part.metrics {
@@ -90,13 +83,11 @@ impl Capture {
                     .merge(&m);
             }
             traces.extend(part.trace);
-            profiles.extend(part.profile);
             maps.extend(part.comm_map);
             histories.extend(part.history);
         }
         Capture {
             traces: (!traces.is_empty()).then_some(traces),
-            profiles: (!profiles.is_empty()).then_some(profiles),
             metrics,
             comm_map: (!maps.is_empty()).then(|| merge_comm_maps(&maps)),
             history: (!histories.is_empty()).then(|| merge_histories(&histories)),

@@ -15,8 +15,8 @@
 //! and snapshotted at each boundary:
 //! - the collectives close one epoch per call, labeled
 //!   `<collective>/<algorithm>` (e.g. `alltoallw/binned`), and
-//! - [`crate::Rank::stage_end`] closes one per profiling stage, labeled
-//!   `stage:<path>`,
+//! - a program closes one per phase of its own through
+//!   [`crate::Rank::comm_epoch`] (e.g. `stage:solve`),
 //!
 //! so nonuniformity can be attributed to the call or phase that caused
 //! it, not just observed in aggregate. A delivery belongs to exactly one

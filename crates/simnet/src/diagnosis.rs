@@ -683,150 +683,6 @@ pub fn mirror_to_recorders(d: &Diagnosis, top_k: usize, recorders: &[Arc<RankRec
     mirrored
 }
 
-/// Overlap efficiency of a begin/compute/end split phase: how much of the
-/// wire time the compute window hid. One entry per rank that recorded at
-/// least one `(begin, end)` stage pair; see [`stage_overlap`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StageOverlap {
-    pub rank: usize,
-    /// Number of begin/end pairs found.
-    pub windows: u64,
-    /// Total compute gap between each begin stage's close and the
-    /// matching end stage's open — the room available for hiding wire
-    /// time.
-    pub window: SimTime,
-    /// Send-drain residual ([`EventKind::SendWait`]) inside the end
-    /// stages: wire time the window did *not* hide.
-    pub exposed: SimTime,
-    /// Blocked receive time inside the end stages (peers' data arriving
-    /// late).
-    pub recv_wait: SimTime,
-}
-
-impl StageOverlap {
-    /// Wire time that leaked past the compute window: send-drain
-    /// residuals plus blocked-receive time inside the end stages. Either
-    /// way the rank sat idle in `end` instead of overlapping.
-    pub fn leaked(&self) -> SimTime {
-        self.exposed + self.recv_wait
-    }
-
-    /// Fraction of (window + leaked wire) that the window covered;
-    /// 1.0 = fully hidden, lower = wire time leaked past the compute.
-    pub fn efficiency(&self) -> f64 {
-        let total = self.window.as_ns() + self.leaked().as_ns();
-        if total == 0 {
-            1.0
-        } else {
-            self.window.as_ns() as f64 / total as f64
-        }
-    }
-}
-
-/// Measure overlap efficiency of a split phase from [`EventKind::Span`]
-/// stage mirrors: pair each span whose path ends with `begin_stage` with
-/// the next span ending with `end_stage` on the same rank, sum the
-/// compute gap between them, and attribute [`EventKind::SendWait`]
-/// residuals and blocked-receive time inside the end span as exposed
-/// wire. Requires profiling *and* tracing enabled on the traced ranks
-/// (stages mirror into the trace only then).
-pub fn stage_overlap(
-    traces: &[Vec<TraceEvent>],
-    begin_stage: &str,
-    end_stage: &str,
-) -> Vec<StageOverlap> {
-    let mut out = Vec::new();
-    for (rank, events) in traces.iter().enumerate() {
-        // Spans are recorded at stage close, so both span kinds appear in
-        // close order; collect intervals first.
-        let mut begins = Vec::new();
-        let mut ends = Vec::new();
-        for e in events {
-            if let EventKind::Span { name } = &e.kind {
-                if name == begin_stage || name.ends_with(&format!("/{begin_stage}")) {
-                    begins.push((e.start, e.end));
-                } else if name == end_stage || name.ends_with(&format!("/{end_stage}")) {
-                    ends.push((e.start, e.end));
-                }
-            }
-        }
-        let mut o = StageOverlap {
-            rank,
-            windows: 0,
-            window: SimTime::ZERO,
-            exposed: SimTime::ZERO,
-            recv_wait: SimTime::ZERO,
-        };
-        let mut ei = 0;
-        for &(_, bend) in &begins {
-            while ei < ends.len() && ends[ei].0 < bend {
-                ei += 1;
-            }
-            if ei == ends.len() {
-                break;
-            }
-            let (estart, eend) = ends[ei];
-            ei += 1;
-            o.windows += 1;
-            o.window += estart.saturating_sub(bend);
-            for e in events {
-                if e.start < estart || e.end > eend {
-                    continue;
-                }
-                match &e.kind {
-                    EventKind::SendWait { .. } => o.exposed += e.duration(),
-                    EventKind::Recv { wait, .. } => o.recv_wait += *wait,
-                    _ => {}
-                }
-            }
-        }
-        if o.windows > 0 {
-            out.push(o);
-        }
-    }
-    out
-}
-
-/// Render the per-rank overlap table plus the aggregate verdict.
-pub fn render_stage_overlap(findings: &[StageOverlap], phase: &str) -> String {
-    let mut out = String::new();
-    if findings.is_empty() {
-        let _ = writeln!(out, "(no {phase} begin/end stage pairs traced)");
-        return out;
-    }
-    let _ = writeln!(
-        out,
-        "{phase} overlap (wire hidden vs exposed):\n{:>5} {:>8} {:>14} {:>14} {:>14} {:>10}",
-        "rank", "windows", "window", "exposed", "recv wait", "hidden"
-    );
-    let (mut window, mut leaked) = (SimTime::ZERO, SimTime::ZERO);
-    for f in findings {
-        window += f.window;
-        leaked += f.leaked();
-        let _ = writeln!(
-            out,
-            "{:>5} {:>8} {:>14} {:>14} {:>14} {:>9.1}%",
-            f.rank,
-            f.windows,
-            f.window.to_string(),
-            f.exposed.to_string(),
-            f.recv_wait.to_string(),
-            100.0 * f.efficiency(),
-        );
-    }
-    let total = window.as_ns() + leaked.as_ns();
-    let eff = if total == 0 {
-        100.0
-    } else {
-        100.0 * window.as_ns() as f64 / total as f64
-    };
-    let _ = writeln!(
-        out,
-        "overall: {leaked} of wire time exposed against a {window} compute window ({eff:.1}% hidden)"
-    );
-    out
-}
-
 /// Property-test hook: per-op classified severity must never exceed that
 /// op's total wait from [`attribute_rounds`]. Returns the first violated
 /// op, if any.

@@ -6,7 +6,7 @@
 //! The trace output follows the Chrome trace-event format (the JSON array
 //! flavour inside a `traceEvents` object) and loads directly into
 //! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev): one *thread*
-//! per rank, complete (`"X"`) events for sends/receives/profiling spans,
+//! per rank, complete (`"X"`) events for sends and receives,
 //! instant (`"i"`) events for marks and collective rounds. Timestamps are
 //! microseconds of simulated time with nanosecond precision.
 //!
@@ -14,8 +14,8 @@
 //! [`EventKind`]: every run of constant text between two values (keys,
 //! punctuation, category and phase, the words of a name) is one
 //! pre-escaped `&'static str`, integers and timestamps are written as
-//! digits, and only the [`crate::trace::Label`] values (span, mark and
-//! round names, engine, decision and drift strings) are scanned for
+//! digits, and only the [`crate::trace::Label`] values (mark and round
+//! names, engine, decision and drift strings) are scanned for
 //! escapes. The event field order is `name, cat, ph, ts, dur, pid, tid,
 //! s, args`.
 
@@ -118,11 +118,6 @@ fn trace_event(w: &mut JsonWriter, rank: u64, e: &TraceEvent) {
                 (r#","wait_ns":"#, wait.as_ns()),
             ];
             ints(w, &args).text("}}");
-        }
-        EventKind::Span { name } => {
-            w.text(NAME).escaped(name);
-            complete(w, cat_ph!("stage", "X"));
-            w.text("}");
         }
         EventKind::Mark { label } => {
             w.text(NAME).escaped(label);
@@ -352,7 +347,6 @@ mod tests {
                         ("wait_ns", &wait.as_ns()),
                     ],
                 ),
-                EventKind::Span { name } => emit(format_args!("{name}"), "stage", "X", &[]),
                 EventKind::Mark { label } => emit(format_args!("{label}"), "mark", "i", &[]),
                 EventKind::Round { op, round } => {
                     emit(format_args!("{op} round {round}"), "round", "i", &[])
@@ -471,7 +465,6 @@ mod tests {
                 }
             }),
             any_label().prop_map(|label| EventKind::Mark { label }),
-            any_label().prop_map(|name| EventKind::Span { name }),
             (any_label(), any_u32()).prop_map(|(op, round)| EventKind::Round { op, round }),
             (
                 any_label(),
@@ -629,13 +622,6 @@ mod tests {
                 end: SimTime(2_000),
             },
             TraceEvent {
-                kind: EventKind::Span {
-                    name: "solve/smooth".into(),
-                },
-                start: SimTime(0),
-                end: SimTime(2_000),
-            },
-            TraceEvent {
                 kind: EventKind::Round {
                     op: "allgatherv/ring".into(),
                     round: 3,
@@ -705,7 +691,6 @@ mod tests {
         assert!(json.contains("\"name\":\"send to 1\""));
         assert!(json.contains("\"name\":\"recv from 1\""));
         assert!(json.contains("\"name\":\"phase\""));
-        assert!(json.contains("\"name\":\"solve/smooth\""));
         assert!(json.contains("\"name\":\"allgatherv/ring round 3\""));
         assert!(json.contains("\"seq\":7"));
         assert!(json.contains("\"wait_ns\":250"));

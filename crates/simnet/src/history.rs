@@ -4,9 +4,9 @@
 //! one epoch; this module answers *how that changes over time*. When a
 //! run observes it ([`crate::Observers`], the one way in; `enable_history`
 //! is the frozen benchmark's primitive), every closed epoch — one per
-//! auto- or pinned collective call (`<collective>/<algorithm>`) and one per profiling stage
-//! (`stage:<path>`) — is kept per rank as the comm map's own
-//! [`RankEpoch`] with its simulated close time. The cross-rank merge
+//! auto- or pinned collective call (`<collective>/<algorithm>`) and one
+//! per phase a program closes itself (`stage:<name>`) — is kept per rank
+//! as the comm map's own [`RankEpoch`] with its simulated close time. The cross-rank merge
 //! ([`merge_histories`]) joins them by `(label, occurrence)` with the
 //! comm map's join and derives, per cluster-wide epoch, the delivered
 //! totals, an order-invariant 64-bit **pattern hash** of the per-source
@@ -64,9 +64,8 @@ impl RankHistory {
     }
 
     /// Keep a just-closed comm-map epoch, closed at simulated time
-    /// `time`. Normally fed by [`crate::Rank::comm_epoch`] /
-    /// [`crate::Rank::stage_end`]; public so fixtures can build histories
-    /// by hand.
+    /// `time`. Normally fed by [`crate::Rank::comm_epoch`]; public so
+    /// fixtures can build histories by hand.
     pub fn append(&mut self, epoch: &RankEpoch, time: SimTime) {
         self.epochs.push((epoch.clone(), time));
     }

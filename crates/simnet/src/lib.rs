@@ -54,7 +54,6 @@ pub mod knobs;
 pub mod ledger;
 pub mod mailbox;
 pub mod metrics;
-pub mod profile;
 pub mod recorder;
 pub mod runtime;
 pub mod sched;
@@ -74,8 +73,7 @@ pub use commmap::{
 };
 pub use diagnosis::{
     check_severity_bound, diagnose, diagnosis_json, mirror_to_recorders, parse_diagnosis,
-    render_stage_overlap, stage_overlap, Diagnosis, DiagnosisSummary, Finding, FindingSummary,
-    StageOverlap, WaitInstance, WaitPattern, ALL_PATTERNS,
+    Diagnosis, DiagnosisSummary, Finding, FindingSummary, WaitInstance, WaitPattern, ALL_PATTERNS,
 };
 pub use export::chrome_trace_json;
 pub use history::{
@@ -91,7 +89,6 @@ pub use mailbox::{NetMsg, Tag};
 pub use metrics::{
     metrics_artifact_json, metrics_json, parse_metrics, Histogram, MetricsRegistry, MetricsSnapshot,
 };
-pub use profile::{imbalance_report, Profiler, StageStats};
 pub use recorder::{render_dump, RankRecorder, RecCode, Recorded, SIDE_RING_SLOTS};
 pub use runtime::{last_sched_stats, Cluster, ClusterConfig, Rank, RunOutput, SpeedProfile};
 pub use sched::{

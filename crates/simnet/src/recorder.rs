@@ -34,13 +34,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::time::SimTime;
 use crate::trace::{EventKind, Label, TraceEvent};
 
-/// What kind of event a flight-recorder slot holds.
+/// What kind of event a flight-recorder slot holds. Code 4 is retired
+/// (it held profiling stages) and is not reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecCode {
     Send = 1,
     Recv = 2,
     Mark = 3,
-    Stage = 4,
     Round = 5,
     PackBlock = 6,
     IrecvPost = 7,
@@ -56,7 +56,6 @@ impl RecCode {
             1 => Some(RecCode::Send),
             2 => Some(RecCode::Recv),
             3 => Some(RecCode::Mark),
-            4 => Some(RecCode::Stage),
             5 => Some(RecCode::Round),
             6 => Some(RecCode::PackBlock),
             7 => Some(RecCode::IrecvPost),
@@ -76,7 +75,6 @@ impl RecCode {
 /// | `Send`      | dst          | bytes    | msg seq   | –         | –     |
 /// | `Recv`      | src          | bytes    | wait ns   | –         | –     |
 /// | `Mark`      | label hash   | –        | –         | –         | –     |
-/// | `Stage`     | label hash   | dur ns   | –         | –         | –     |
 /// | `Round`     | op hash      | round    | –         | –         | –     |
 /// | `PackBlock` | engine hash  | index    | seek segs | la<<1\|sp | bytes |
 /// | `IrecvPost` | src (MAX=any)| tag      | –         | –         | –     |
@@ -215,7 +213,7 @@ pub struct RankRecorder {
     /// Whether a running rank still owns this recorder as its writer
     /// (see the module docs).
     writer_live: AtomicBool,
-    /// Hash → string for label payloads (marks, stages, engine names).
+    /// Hash → string for label payloads (marks, engine names).
     /// Touched only the first time a literal label is recorded, on every
     /// owned label, and by renders.
     labels: Mutex<Vec<(u64, String)>>,
@@ -424,10 +422,6 @@ fn pack_event(event: &TraceEvent, mut label: impl FnMut(&Label) -> u64) -> (RecC
             [*src as u64, *bytes as u64, wait.as_ns(), 0, 0],
         ),
         EventKind::Mark { label: text } => (RecCode::Mark, [label(text), 0, 0, 0, 0]),
-        EventKind::Span { name } => (
-            RecCode::Stage,
-            [label(name), event.duration().as_ns(), 0, 0, 0],
-        ),
         EventKind::Round { op, round } => (RecCode::Round, [label(op), u64::from(*round), 0, 0, 0]),
         EventKind::PackBlock {
             engine,
@@ -495,7 +489,6 @@ fn render_record(rank: usize, r: &Recorded, label: &impl Fn(u64) -> String) -> S
         RecCode::Send => format!("send       dst={} bytes={} seq={}", r.a, r.b, r.c),
         RecCode::Recv => format!("recv       src={} bytes={} wait_ns={}", r.a, r.b, r.c),
         RecCode::Mark => format!("mark       {}", label(r.a)),
-        RecCode::Stage => format!("stage      {} dur_ns={}", label(r.a), r.b),
         RecCode::Round => format!("round      {} #{}", label(r.a), r.b),
         RecCode::PackBlock => format!(
             "pack-block engine={} index={} {} seek={} lookahead={} bytes={}",
@@ -1024,7 +1017,6 @@ mod tests {
                 }
             }),
             label().prop_map(|label| EventKind::Mark { label }),
-            label().prop_map(|name| EventKind::Span { name }),
             (label(), 0..u32::MAX).prop_map(|(op, round)| EventKind::Round { op, round }),
             (label(), ANY, any::<bool>(), ANY, 0..u64::MAX >> 1, ANY).prop_map(
                 |(engine, index, sparse, seek, lookahead, bytes)| EventKind::PackBlock {

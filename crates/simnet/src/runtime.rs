@@ -24,7 +24,6 @@ use crate::history::RankHistory;
 use crate::knobs::{CostKnobs, ResolvedKnobs};
 use crate::mailbox::{NetMsg, Tag};
 use crate::metrics::MetricsRegistry;
-use crate::profile::Profiler;
 use crate::recorder::{render_dump, RankRecorder};
 use crate::sched::{
     self, EventCtl, EventHandle, RunError, SchedStats, Stacks, Task, TaskBackend, TaskShared,
@@ -371,8 +370,8 @@ pub fn last_sched_stats() -> Option<SchedStats> {
 }
 
 /// Handle given to each rank's task: identity, clock, network, stats —
-/// and its observers. The flight recorder is always on. The other five
-/// (trace, metrics, profiler, comm map, history) exist only when the run
+/// and its observers. The flight recorder is always on. The other four
+/// (trace, metrics, comm map, history) exist only when the run
 /// is configured with them ([`ClusterConfig::observe`], the one way in)
 /// and cost one branch and no memory otherwise; [`Rank::harvest`] takes
 /// them. `enable_*` / `take_*` are the frozen benchmark's primitive and a
@@ -400,7 +399,7 @@ pub struct Rank {
     /// Always-on flight recorder (shared with the run's [`RunOutput`]; see
     /// [`crate::recorder`]). This rank is its only writer until dropped.
     pub(crate) recorder: Arc<RankRecorder>,
-    /// The five optional observers, and the set the run configured.
+    /// The four optional observers, and the set the run configured.
     observed: RankCapture,
     observers: Observers,
     /// This rank's side of the scheduler: its mailbox, its peers'
@@ -441,17 +440,7 @@ impl Rank {
     /// Take what the observers gathered, leaving fresh ones of the
     /// configured set: [`Cluster::try_run`] calls it after the program, and
     /// a program that discards one mid-run drops a warm-up's observations.
-    /// Panics, naming the stage, if a profiling stage is still open.
     pub fn harvest(&mut self) -> RankCapture {
-        if let Some(path) = self
-            .observed
-            .profile
-            .as_ref()
-            .and_then(Profiler::open_stage)
-        {
-            let rank = self.rank;
-            panic!("rank {rank} harvested with profiling stage {path:?} still open");
-        }
         let fresh = RankCapture::new(self.observers, self.rank, self.size);
         std::mem::replace(&mut self.observed, fresh)
     }
@@ -516,28 +505,6 @@ impl Rank {
         take_observer(&mut self.observed.metrics, MetricsRegistry::enabled())
     }
 
-    /// Open a profiling stage at the current simulated time.
-    pub fn stage_begin(&mut self, name: &str) {
-        if let Some(profiler) = &mut self.observed.profile {
-            profiler.begin(name, self.now);
-        }
-    }
-
-    /// Close the innermost profiling stage (must be named `name`): the
-    /// closed stage is recorded as an [`EventKind::Span`] and closes a
-    /// `stage:<path>` comm-map epoch.
-    pub fn stage_end(&mut self, name: &str) {
-        let Some(profiler) = &mut self.observed.profile else {
-            return;
-        };
-        let closed = profiler.end(name, self.now);
-        if self.observed.comm_map.is_some() {
-            self.comm_epoch(&format!("stage:{}", closed.path));
-        }
-        let name = closed.path.into();
-        self.record(closed.start, EventKind::Span { name });
-    }
-
     /// Start accumulating the communication-topology map (see
     /// [`crate::commmap`]).
     pub fn enable_comm_map(&mut self) {
@@ -562,8 +529,7 @@ impl Rank {
     /// Close the current comm-map epoch under `label` and mirror it into
     /// the history when that is on (no-op when the map is off). The
     /// collectives call this once per call with
-    /// `<collective>/<algorithm>`; [`Rank::stage_end`] closes
-    /// `stage:<path>` epochs automatically.
+    /// `<collective>/<algorithm>`.
     pub fn comm_epoch(&mut self, label: &str) {
         let Some(map) = &mut self.observed.comm_map else {
             return;
@@ -1150,29 +1116,20 @@ mod tests {
     fn the_configured_observers_are_harvested_after_the_program() {
         let history = Observers {
             history: true,
-            profile: true,
             ..Observers::NONE
         };
         let out = Cluster::new(ClusterConfig::uniform(2).observe(history)).try_run(|r| {
             let on = &r.observed;
-            assert!(on.comm_map.is_some() && on.history.is_some() && on.profile.is_some());
+            assert!(on.comm_map.is_some() && on.history.is_some());
             assert!(on.trace.is_none() && on.metrics.is_none());
-            r.stage_begin("solve");
             r.compute_flops(100);
-            r.stage_end("solve");
+            r.comm_epoch("allgatherv/ring");
         });
         let capture = out.capture;
         assert!(capture.traces.is_none() && capture.metrics.is_none());
         let epochs = &capture.comm_map.expect("the history's map").epochs;
         let points = &capture.history.expect("history").points;
-        assert_eq!(
-            (epochs.len(), points.len()),
-            (1, 1),
-            "the stage closed one epoch"
-        );
-        let profiles = capture.profiles.expect("profiled");
-        assert_eq!(profiles.len(), 2);
-        assert!(profiles.iter().all(|p| p.stage("solve").is_some()));
+        assert_eq!((epochs.len(), points.len()), (1, 1), "one epoch closed");
     }
 
     /// `run` hands back no capture, so it refuses to gather one.
@@ -1214,35 +1171,8 @@ mod tests {
         let err = out.results.expect_err("rank 2 panicked");
         assert!(matches!(err, RunError::RankPanicked { rank: 2, .. }));
         let c = out.capture;
-        assert!(c.traces.is_none() && c.profiles.is_none() && c.metrics.is_none());
+        assert!(c.traces.is_none() && c.metrics.is_none());
         assert!(c.comm_map.is_none() && c.history.is_none());
-    }
-
-    /// Returning with a profiling stage open fails the harvest, naming
-    /// the rank and the stage's path.
-    #[test]
-    fn a_stage_left_open_is_named_by_its_path() {
-        let profile = Observers {
-            profile: true,
-            ..Observers::NONE
-        };
-        let out = Cluster::new(ClusterConfig::uniform(2).observe(profile)).try_run(|r| {
-            r.stage_begin("solve");
-            if r.rank() == 1 {
-                r.stage_begin("smooth");
-            } else {
-                r.stage_end("solve");
-            }
-        });
-        let err = out.results.expect_err("rank 1 left a stage open");
-        assert_eq!(
-            (err.rank(), err.to_string()),
-            (
-                1,
-                "rank 1 harvested with profiling stage \"solve/smooth\" still open".into()
-            )
-        );
-        assert!(out.capture.profiles.is_none());
     }
 
     fn pack_block(index: u64, sparse: bool, seek: u64) -> EventKind {
@@ -1286,15 +1216,12 @@ mod tests {
     #[test]
     fn an_observer_that_is_off_does_not_exist() {
         Cluster::new(ClusterConfig::uniform(2)).run(|r| {
-            // Traffic, an event, a stage and an epoch with nothing enabled:
-            // only the flight recorder sees them.
+            // Traffic, an event and an epoch with nothing enabled: only the
+            // flight recorder sees them.
             let peer = 1 - r.rank();
             r.send_bytes(peer, Tag(0), vec![0u8; 64]);
             let _ = r.recv_bytes(Some(peer), Tag(0));
             r.record(r.now(), pack_block(0, true, 0));
-            r.stage_begin("solve");
-            r.compute_flops(100);
-            r.stage_end("solve");
             r.comm_epoch("allgatherv/ring");
             assert_eq!(r.recorder.recorded(), 3);
             // Taking from an absent observer answers empty...
@@ -1308,11 +1235,7 @@ mod tests {
             assert_eq!((history.rank(), history.size()), (r.rank(), 2));
             assert!(crate::merge_histories(&[history]).points.is_empty());
             // ...and does not switch it on.
-            assert!(
-                r.observed.trace.is_none()
-                    && r.observed.metrics.is_none()
-                    && r.observed.profile.is_none()
-            );
+            assert!(r.observed.trace.is_none() && r.observed.metrics.is_none());
             assert!(r.observed.comm_map.is_none() && r.observed.history.is_none());
             assert!(r.metrics_mut().is_none());
 
@@ -1320,11 +1243,7 @@ mod tests {
             // — and nothing else.
             r.enable_history();
             assert!(r.observed.comm_map.is_some() && r.observed.history.is_some());
-            assert!(
-                r.observed.trace.is_none()
-                    && r.observed.metrics.is_none()
-                    && r.observed.profile.is_none()
-            );
+            assert!(r.observed.trace.is_none() && r.observed.metrics.is_none());
             // Taking from an observer that is on leaves it on.
             r.comm_epoch("allgatherv/ring");
             let epochs = |h: RankHistory| crate::merge_histories(&[h]).points.len();

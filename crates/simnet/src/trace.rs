@@ -8,8 +8,8 @@
 //! is the frozen benchmark's primitive), appends it to the timeline the
 //! run's [`crate::Capture`] returns. Until then the rank holds no
 //! timeline, and because labels are [`Cow`]s — every label the runtime
-//! and the collectives emit is a `&'static str`; only marks, stage paths
-//! and drift labels are built at run time — recording allocates nothing.
+//! and the collectives emit is a `&'static str`; only marks and drift
+//! labels are built at run time — recording allocates nothing.
 //! The `examples/timeline.rs` demo renders the events of every rank as an
 //! ASCII Gantt chart that makes the round-robin alltoallw's serialization
 //! directly visible.
@@ -41,9 +41,6 @@ pub enum EventKind {
     /// A user-defined marker (phase boundaries and the like); may be
     /// dynamically named (`format!("vcycle-{i}")`).
     Mark { label: Label },
-    /// A closed profiling stage (see [`crate::profile`]), mirrored into
-    /// the trace so exports show the stage hierarchy over the messages.
-    Span { name: Label },
     /// One round of a multi-round collective (`op` names the collective
     /// and algorithm, e.g. `allgatherv/ring`); a zero-length instant.
     Round { op: Label, round: u32 },
@@ -117,14 +114,13 @@ impl TraceEvent {
 }
 
 /// Drawing priority of an event kind when several overlap in one timeline
-/// cell: mark > round > recv > send > span > idle. Higher wins.
+/// cell: mark > round > recv > send > idle. Higher wins.
 fn cell_priority(kind: &EventKind) -> u8 {
     match kind {
         EventKind::Mark { .. } => 5,
         EventKind::Round { .. } => 4,
         EventKind::Recv { .. } => 3,
         EventKind::Send { .. } => 2,
-        EventKind::Span { .. } => 1,
         // Pack blocks render on their own `dt` lane; priority 0 keeps them
         // out of the message row (the row's floor is already 0).
         EventKind::PackBlock { .. } => 0,
@@ -144,7 +140,6 @@ fn cell_char(kind: &EventKind) -> u8 {
         EventKind::Send { .. } => b's',
         EventKind::Recv { .. } => b'r',
         EventKind::Mark { .. } => b'|',
-        EventKind::Span { .. } => b'=',
         EventKind::Round { .. } => b'^',
         EventKind::PackBlock { sparse, .. } => {
             if *sparse {
@@ -167,11 +162,11 @@ pub const TIMELINE_GUTTER: usize = 10;
 
 /// Render a set of per-rank traces as an ASCII timeline sized to a
 /// terminal: one row per rank, with `s`/`r` cells for send/receive
-/// activity, `=` for profiling spans, `|`/`^` for marks and collective
-/// rounds, and `.` for idle/compute time, the columns spanning simulated
-/// time from 0 to the last event's end. When events overlap in a cell the highest-priority one
-/// wins (mark > round > recv > send > span > idle), so zero-length
-/// markers are never hidden by the activity around them.
+/// activity, `|`/`^` for marks and collective rounds, and `.` for
+/// idle/compute time, the columns spanning simulated time from 0 to the
+/// last event's end. When events overlap in a cell the highest-priority one
+/// wins (mark > round > recv > send > idle), so zero-length markers are
+/// never hidden by the activity around them.
 ///
 /// Ranks with [`EventKind::PackBlock`] events additionally get a `dt` lane
 /// directly under their message row, showing the pack pipeline's blocks:
@@ -337,7 +332,7 @@ mod tests {
 
     #[test]
     fn overlap_priority_mark_beats_recv_beats_send() {
-        // All four kinds cover the same cell range; the rendered row must
+        // All three kinds cover the same cell range; the rendered row must
         // show the highest-priority kind, not the last-pushed one.
         let span = |kind| TraceEvent {
             kind,
@@ -357,9 +352,6 @@ mod tests {
                 bytes: 1,
                 seq: 0,
             }),
-            span(EventKind::Span {
-                name: "stage".into(),
-            }),
         ];
         let art = render_timeline(&[events], 10);
         // The mark is zero-width priority-wise irrelevant here: it covers
@@ -369,16 +361,14 @@ mod tests {
             "mark must win everywhere:\n{art}"
         );
 
-        // Without the mark, recv wins over send and span.
+        // Without the mark, recv wins over send and an irecv post.
         let events = vec![
             span(EventKind::Send {
                 dst: 0,
                 bytes: 1,
                 seq: 0,
             }),
-            span(EventKind::Span {
-                name: "stage".into(),
-            }),
+            span(EventKind::IrecvPost { src: None, tag: 0 }),
             span(EventKind::Recv {
                 src: 0,
                 bytes: 1,
@@ -389,15 +379,13 @@ mod tests {
         let art = render_timeline(&[events], 10);
         assert!(
             art.contains("rrrrrrrrrr"),
-            "recv must win over send/span:\n{art}"
+            "recv must win over send/irecv:\n{art}"
         );
 
-        // Send beats span; span beats idle.
+        // Send beats an irecv post; the post beats idle.
         let events = vec![
             TraceEvent {
-                kind: EventKind::Span {
-                    name: "stage".into(),
-                },
+                kind: EventKind::IrecvPost { src: None, tag: 0 },
                 start: SimTime(0),
                 end: SimTime(100),
             },
@@ -413,8 +401,8 @@ mod tests {
         ];
         let art = render_timeline(&[events], 10);
         assert!(
-            art.contains("sssss====="),
-            "send over span over idle:\n{art}"
+            art.contains("sssssvvvvv"),
+            "send over irecv over idle:\n{art}"
         );
     }
 

@@ -237,13 +237,6 @@ fn fixture() -> Vec<Vec<TraceEvent>> {
     vec![
         vec![
             ev(
-                EventKind::Span {
-                    name: "solve".into(),
-                },
-                0,
-                5_000,
-            ),
-            ev(
                 EventKind::Send {
                     dst: 1,
                     bytes: 256,
@@ -343,9 +336,9 @@ fn exporter_output_is_well_formed_json() {
         .get("traceEvents")
         .expect("traceEvents field")
         .as_array();
-    // 1 process_name + 2 thread_name metadata + 7 fixture events, plus the
+    // 1 process_name + 2 thread_name metadata + 6 fixture events, plus the
     // pack block's span + its seek counter sample.
-    assert_eq!(events.len(), 12);
+    assert_eq!(events.len(), 11);
     assert_eq!(
         doc.get("displayTimeUnit").expect("display unit").as_str(),
         "ns"

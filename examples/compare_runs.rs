@@ -14,9 +14,9 @@
 //!
 //! Run with: `cargo run --release --example compare_runs`
 
-use ncd_bench::{ledger_run, time_phase, Series, OBSERVATORY};
+use ncd_bench::{ledger_run, time_phase, Series};
 use ncd_core::{compare, render_compare, Comm, MpiConfig, RegressionClass, RunRecord};
-use ncd_simnet::{ledger_root, read_run, ClusterConfig};
+use ncd_simnet::{ledger_root, read_run, ClusterConfig, Observers};
 
 const PROCS: usize = 16;
 const OUTLIER_DOUBLES: usize = 4096;
@@ -36,7 +36,7 @@ fn skewed_allgatherv(comm: &mut Comm) {
 /// [`RunRecord`] the differential engine consumes.
 fn ledger_once(flavor: &str, cfg: MpiConfig) -> RunRecord {
     let cluster = ClusterConfig::uniform(PROCS);
-    let run = time_phase(cluster.observe(OBSERVATORY), cfg, 5, |comm, _| {
+    let run = time_phase(cluster.observe(Observers::ALL), cfg, 5, |comm, _| {
         skewed_allgatherv(comm)
     });
     let mut latency = Series::new("latency-usec");

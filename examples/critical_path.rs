@@ -11,25 +11,23 @@
 //! proportionally shorter makespan.
 //!
 //! Output: top-k critical-path table per algorithm, the per-op wait/skew
-//! attribution, a PETSc `-log_view`-style imbalance table across ranks,
-//! and machine-readable artifacts under `target/analysis/` plus a Chrome
-//! trace under `target/figures/`.
+//! attribution, and machine-readable artifacts under `target/analysis/`
+//! plus a Chrome trace under `target/figures/`.
 //!
 //! Run with: `cargo run --release --example critical_path`
 
 use nucomm::core::{AllgathervAlgorithm, Comm, MpiConfig};
 use nucomm::simnet::{
-    analysis_json, attribute_rounds, chrome_trace_json, imbalance_report, write_artifact, Capture,
-    Cluster, ClusterConfig, HbGraph, Observers,
+    analysis_json, attribute_rounds, chrome_trace_json, write_artifact, Cluster, ClusterConfig,
+    HbGraph, Observers, TraceEvent,
 };
 
 const RANKS: usize = 8;
 const OUTLIER_DOUBLES: usize = 4096; // 32 KB from rank 0
 
-fn run(algo: AllgathervAlgorithm) -> Capture {
+fn run(algo: AllgathervAlgorithm) -> Vec<Vec<TraceEvent>> {
     let observers = Observers {
         trace: true,
-        profile: true,
         ..Observers::NONE
     };
     let cluster = ClusterConfig::paper_testbed(RANKS).observe(observers);
@@ -44,11 +42,9 @@ fn run(algo: AllgathervAlgorithm) -> Capture {
         counts[0] = OUTLIER_DOUBLES * 8;
         let send = vec![me as u8; counts[me]];
         let mut recv = vec![0u8; counts.iter().sum()];
-        comm.rank_mut().stage_begin("allgatherv");
         comm.allgatherv_with(algo, &send, &counts, &mut recv);
-        comm.rank_mut().stage_end("allgatherv");
     });
-    run.unwrap().1
+    run.unwrap().1.traces.expect("traced")
 }
 
 fn main() {
@@ -59,8 +55,7 @@ fn main() {
         (AllgathervAlgorithm::Ring, "ring"),
         (AllgathervAlgorithm::RecursiveDoubling, "recursive_doubling"),
     ] {
-        let capture = run(algo);
-        let traces = capture.traces.expect("traced");
+        let traces = run(algo);
         let graph = HbGraph::build(&traces);
         let path = graph.critical_path();
         let attr = attribute_rounds(&traces);
@@ -69,8 +64,6 @@ fn main() {
         println!("{}", path.render(12));
         println!("wait/skew attribution (per op, spread across ranks):");
         println!("{}", attr.render());
-        println!("stage imbalance across ranks (-log_view style):");
-        println!("{}", imbalance_report(&capture.profiles.expect("profiled")));
 
         let json = format!("target/analysis/critical_path_{slug}.json");
         write_artifact(&json, &analysis_json(&path, &attr)).expect("write analysis json");

@@ -2,7 +2,7 @@
 //! other goldens (Chrome trace, diagnosis, comm matrix, history) do not
 //! cover. One small run drives every producer of a flight-recorder record
 //! and the dump of that run's recorders must match
-//! `tests/golden/flight_dump.txt` byte for byte: all eleven
+//! `tests/golden/flight_dump.txt` byte for byte: all ten
 //! [`RecCode`](nucomm::simnet::RecCode)s and all three side rings, with the
 //! main ring small enough to have evicted.
 
@@ -58,7 +58,6 @@ fn program(comm: &mut Comm) {
         &slots([left, right]),
     );
 
-    comm.rank_mut().stage_begin("exchange");
     // Noncontiguous typed send around the ring (so the pack pipeline
     // runs); blocking `send` is isend + wait, so the wire it did not hide
     // is a send residual.
@@ -79,7 +78,6 @@ fn program(comm: &mut Comm) {
     let sreq = comm.isend(&dst, &row, 1, right, Tag(8));
     comm.wait(sreq);
     comm.wait(rreq);
-    comm.rank_mut().stage_end("exchange");
     comm.rank_mut().trace_mark(format!("done-{me}"));
 }
 
@@ -88,7 +86,6 @@ const GOLDEN: &str = include_str!("golden/flight_dump.txt");
 fn observed_run_dump() -> String {
     let observers = Observers {
         trace: true,
-        profile: true,
         history: true,
         ..Observers::NONE
     };
@@ -133,7 +130,6 @@ fn golden_shows_every_record_code_and_side_ring() {
         "send       dst=",
         "recv       src=",
         "mark       done-",
-        "stage      exchange dur_ns=",
         "round      alltoallw/binned #",
         "pack-block engine=dual-context",
         "irecv      src=",

@@ -122,10 +122,8 @@ fn search_share_grows_single_context_and_stays_zero_dual() {
 
 /// The workload for the no-overhead check: an allgatherv (multi-round
 /// collective, exercises rounds instrumentation) followed by an alltoallw
-/// (bin counters) and a strided send/recv pair (engine counters), inside
-/// one profiling stage (a no-op unless the run profiles).
+/// (bin counters) and a strided send/recv pair (engine counters).
 fn busy_workload(rank: &mut nucomm::simnet::Rank, cfg: &MpiConfig) -> SimTime {
-    rank.stage_begin("workload");
     let mut comm = Comm::new(rank, cfg.clone());
     let n = comm.size();
     let me = comm.rank();
@@ -158,7 +156,6 @@ fn busy_workload(rank: &mut nucomm::simnet::Rank, cfg: &MpiConfig) -> SimTime {
         comm.recv(&mut dst, &row, 1, Some(0), Tag(9));
     }
     comm.barrier();
-    comm.rank_mut().stage_end("workload");
     comm.rank_ref().now()
 }
 
@@ -177,7 +174,7 @@ fn observability_disabled_and_enabled_produce_identical_times() {
             let traces = capture.traces.expect("traced");
             assert_eq!(
                 quiet, observed,
-                "metrics/tracing/profiling/history must not perturb simulated time \
+                "metrics/tracing/comm map/history must not perturb simulated time \
                  ({:?}, {ranks} ranks)",
                 cfg.flavor
             );
