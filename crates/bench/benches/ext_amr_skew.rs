@@ -10,9 +10,7 @@
 //! Every run also collects the communication map and the decision-audit
 //! metrics (neither touches the simulated clock, so the latencies are
 //! identical to an uninstrumented run): the depth-sweep report appends
-//! the who-talks-to-whom heatmap and the algorithm-decision table, and
-//! writes `target/analysis/ext_amr_depth.{comm.json,decisions.txt}` for
-//! CI artifact upload.
+//! the who-talks-to-whom heatmap and the algorithm-decision table.
 //!
 //! `--smoke` shrinks the machine and the sweeps for CI, which gates the
 //! run against its committed reference with
@@ -134,7 +132,6 @@ fn main() {
         ..RunCapture::default()
     };
     report(
-        &cli,
         "ext_amr_depth",
         "refinement depth",
         &format!("time per run (msec), {depth_ranks} ranks"),
@@ -155,7 +152,6 @@ fn main() {
     }
     let series_scaling = vec![base, binned, imp];
     report(
-        &cli,
         "ext_amr_scaling",
         "processes",
         "time per run (msec), depth 2",
@@ -166,7 +162,7 @@ fn main() {
     // (c) Root-cause diagnosis phase. Its capture carries the run's flight
     // recorders, with the mirrored findings in them, so a reference-gate
     // failure dumps this run.
-    let (diag_series, mut diag_run) = diagnosis_phase(&cli, depth_ranks);
+    let (diag_series, mut diag_run) = diagnosis_phase(depth_ranks);
 
     // (d) Counterfactual verification (`--whatif`): plan interventions
     // from the diagnosis the phase above just produced, deterministically
@@ -212,7 +208,7 @@ fn main() {
 /// Returns the outlier's blame-share series plus the run's capture
 /// (traffic matrix and per-rank traces) so the observatory pass can
 /// ledger it.
-fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
+fn diagnosis_phase(nranks: usize) -> (Series, RunCapture) {
     const OUTLIER: usize = AMR_DIAG_OUTLIER;
     const OBSERVE: Observers = Observers {
         trace: true,
@@ -244,7 +240,6 @@ fn diagnosis_phase(cli: &BenchCli, nranks: usize) -> (Series, RunCapture) {
     let decisions = decisions_from_trace(&traces[OUTLIER]);
     let audit = detect_misselections(&decisions, run.capture.comm_map.as_ref(), &cost, &cfg);
     report(
-        cli,
         "ext_amr_diagnosis",
         "metric",
         &format!("skewed allgatherv under the baseline ring, {nranks} ranks"),

@@ -149,7 +149,6 @@ fn main() {
     // section they would add) are for the ledger only.
     let traces = capture.capture.traces.take();
     report(
-        &cli,
         "ext_drift",
         "regime",
         &format!("time per exchange step (usec), {nranks} ranks, pinned ring"),

@@ -69,7 +69,6 @@ fn main() {
     }
     let series = vec![seq, ovl, hidden];
     report(
-        &cli,
         "ext_overlap",
         "interior flops",
         &format!("latency per exchange (usec), {grid}x{grid} star DA, {nranks} ranks"),

@@ -126,7 +126,6 @@ fn main() {
     let series_a = [ring_s, rd_s, ratio];
     let plain = RunCapture::default();
     report(
-        &cli,
         "ext_scale_allgatherv_small",
         "processes",
         "latency (usec), 64 B/rank",
@@ -150,7 +149,6 @@ fn main() {
         mark("allgatherv large-block sweep");
         series_b = vec![ring_l, rd_l];
         report(
-            &cli,
             "ext_scale_allgatherv_large",
             "processes",
             "latency (usec), 16 KB/rank",
@@ -169,7 +167,6 @@ fn main() {
     mark("multigrid sweep");
     let series_c = [mg];
     report(
-        &cli,
         "ext_scale_multigrid",
         "processes",
         "execution time (sec)",

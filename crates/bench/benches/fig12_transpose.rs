@@ -78,7 +78,6 @@ fn main() {
         ..RunCapture::default()
     };
     report(
-        &cli,
         "fig12_transpose",
         "matrix",
         "latency (msec)",

@@ -6,9 +6,10 @@
 //! matrix grows; the optimized engine eliminates search entirely, leaving
 //! communication dominant.
 //!
-//! Pass `--report json` to also write a machine-readable run report — the
-//! plotted series plus the cluster-wide metrics snapshot — to
-//! `target/figures/<name>.json`.
+//! Each sweep prints the pack-pipeline summary of its merged metrics.
+//! `--ledger` persists both engines' series and a traced transpose at the
+//! largest matrix as byte-stable JSON under
+//! `target/observatory/fig13_breakdown/`.
 
 use ncd_bench::{aggregate, relabel, report, time_phase, BenchCli, RunCapture, Series};
 use ncd_core::{Comm, MpiConfig};
@@ -87,7 +88,7 @@ fn main() {
             },
             ..RunCapture::default()
         };
-        report(&cli, name, "matrix", "% of time", &series, &sweep);
+        report(name, "matrix", "% of time", &series, &sweep);
         if cli.wants_observatory() {
             ledgered.extend(relabel(prefix, &series));
         }

@@ -56,7 +56,6 @@ fn main() {
     }
     let series_a = [base_a, new_a, imp_a];
     report(
-        &cli,
         "fig14a_allgatherv_size",
         "msg (doubles)",
         if smoke {
@@ -86,7 +85,6 @@ fn main() {
     }
     let series_b = [base_b, new_b, imp_b];
     report(
-        &cli,
         "fig14b_allgatherv_procs",
         "processes",
         "latency (usec), 32KB outlier",

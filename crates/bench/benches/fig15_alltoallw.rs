@@ -66,7 +66,6 @@ fn main() {
     }
     let series = [base, new, imp];
     report(
-        &cli,
         "fig15_alltoallw",
         "processes",
         "latency (usec)",

@@ -94,7 +94,6 @@ fn main() {
     let improvement = [imp_new, imp_hand];
     let plain = RunCapture::default();
     report(
-        &cli,
         "fig16a_vecscatter",
         "processes",
         "latency (usec)",
@@ -102,7 +101,6 @@ fn main() {
         &plain,
     );
     report(
-        &cli,
         "fig16b_vecscatter_improvement",
         "processes",
         "% improvement over MVAPICH2-0.9.5",

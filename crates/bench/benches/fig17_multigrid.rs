@@ -117,7 +117,6 @@ fn main() {
     let improvement = [imp_new, imp_hand];
     let plain = RunCapture::default();
     report(
-        &cli,
         "fig17a_multigrid",
         "processes",
         "execution time (sec)",
@@ -125,7 +124,6 @@ fn main() {
         &plain,
     );
     report(
-        &cli,
         "fig17b_multigrid_improvement",
         "processes",
         "% improvement over MVAPICH2-0.9.5",

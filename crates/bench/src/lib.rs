@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use ncd_core::{Comm, MpiConfig, RunDiff, RunRecord};
 use ncd_simnet::{
-    Capture, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, JsonWriter, LedgerRun,
-    MetricsRegistry, RankRecorder, RunManifest, RunOutput, SchedStats, SimTime, Stats,
+    Capture, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, LedgerRun, MetricsRegistry,
+    RankRecorder, RunManifest, RunOutput, SchedStats, SimTime, Stats,
 };
 
 pub mod workloads;
@@ -24,17 +24,16 @@ pub use workloads::{
 };
 
 /// The harness options every bench target accepts, parsed once at the top
-/// of `main`, so `--smoke`, `--report json`, `--ledger`, `--compare <spec>`
-/// and `--whatif` behave identically across every `fig*`/`ext_*`/`ablation`
-/// bench.
+/// of `main`, so `--smoke`, `--ledger`, `--compare <spec>` and `--whatif`
+/// behave identically across every `fig*`/`ext_*`/`ablation` bench. The
+/// ledger ([`BenchCli::observatory`]) is a run's one machine-readable
+/// output.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BenchCli {
     /// Reduced problem sizes (`--smoke`), so CI does not run the full
     /// figure sweep on every push. The mode is part of a ledgered run's
     /// manifest: a smoke run never gates against a full reference.
     pub smoke: bool,
-    /// Machine-readable report requested (`--report json`).
-    pub report_json: bool,
     /// Persist this run's byte-stable exports to the observatory ledger
     /// (`--ledger`).
     pub ledger: bool,
@@ -68,15 +67,14 @@ impl BenchCli {
         })
     }
 
-    /// One pass over `args`: `--smoke`, `--report json` / `--report=json`,
-    /// `--ledger`, `--compare <spec>` / `--compare=<spec>`, `--whatif`.
+    /// One pass over `args`: `--smoke`, `--ledger`, `--compare <spec>` /
+    /// `--compare=<spec>`, `--whatif`.
     /// Anything else that looks like a flag is an error — a misspelt flag
     /// must not silently switch the gate off — except `--bench`, which
     /// cargo appends to every `harness = false` target; bare words are
     /// cargo's name filter and are ignored.
     pub fn from_args(args: &[String]) -> Result<BenchCli, String> {
-        const ACCEPTED: &str =
-            "--smoke, --report json, --ledger, --compare <run-id|latest|path>, --whatif";
+        const ACCEPTED: &str = "--smoke, --ledger, --compare <run-id|latest|path>, --whatif";
         let mut cli = BenchCli::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -96,10 +94,6 @@ impl BenchCli {
                 "--ledger" => cli.ledger = true,
                 "--whatif" => cli.whatif = true,
                 "--bench" => {}
-                "--report" => match value("a format: json")?.as_str() {
-                    "json" => cli.report_json = true,
-                    other => return Err(format!("--report writes json, not {other:?}")),
-                },
                 "--compare" => cli.compare = Some(value("a run id, 'latest', or a path")?),
                 _ if flag.starts_with('-') => {
                     return Err(format!("unknown flag {flag}; accepted: {ACCEPTED}"))
@@ -648,10 +642,9 @@ pub const WHATIF_SEEDS: &[u64] = &[7, 99];
 /// plan targeted interventions from the findings and the decision audit
 /// ([`ncd_core::plan_experiments`]), deterministically replay each one on
 /// the event backend ([`ncd_core::causal_profile`]), print the causal
-/// profile and the findings with their measured `verified_gain`, and
-/// write the byte-stable JSON to `target/analysis/<name>.whatif.json`.
+/// profile and the findings with their measured `verified_gain`.
 ///
-/// Returns the JSON for ledgering — benches store it in
+/// Returns the byte-stable JSON for ledgering — benches store it in
 /// [`RunCapture::whatif`] before calling [`BenchCli::observatory`].
 /// `None` when the planner found nothing to test. `workload` must be the
 /// same workload `run` captured, or the replayed gains verify a different
@@ -682,11 +675,7 @@ pub fn whatif_phase(
     profile.apply_verified_gains(&mut diag);
     print!("{}", ncd_core::whatif_report(&profile));
     print!("\n{}", diag.render(5));
-    let json = ncd_core::whatif_json(&profile);
-    if let Some(path) = write_out("analysis", format!("{name}.whatif.json"), &json) {
-        println!("what-if profile written: {}", path.display());
-    }
-    Some(json)
+    Some(ncd_core::whatif_json(&profile))
 }
 
 /// Aggregate per-rank stats into one cluster-wide breakdown.
@@ -722,18 +711,10 @@ pub fn relabel(prefix: &str, series: &[Series]) -> Vec<Series> {
 
 /// Print an aligned table of several series sharing the x axis and write
 /// the same data as CSV under `target/figures/<name>.csv`, followed by one
-/// section — and one `target/analysis/<name>.*` artifact for CI upload —
-/// per part `capture` holds. Pass `&RunCapture::default()` for a plain
-/// sweep. With `--report json` the series and the metrics snapshot are
-/// also written to `target/figures/<name>.json`.
-pub fn report(
-    cli: &BenchCli,
-    name: &str,
-    x_label: &str,
-    y_label: &str,
-    series: &[Series],
-    capture: &RunCapture,
-) {
+/// printed section per part `capture` holds. Pass `&RunCapture::default()`
+/// for a plain sweep. The parts' byte-stable JSON is written only by the
+/// ledger ([`BenchCli::observatory`]).
+pub fn report(name: &str, x_label: &str, y_label: &str, series: &[Series], capture: &RunCapture) {
     println!("\n=== {name} ({y_label}) ===");
     print!("{:>14}", x_label);
     for s in series {
@@ -763,28 +744,22 @@ pub fn report(
     // Metrics: the pack-pipeline summary whenever the registry saw
     // datatype-engine activity (noncontiguous sends), and the
     // algorithm-decision audit whenever an auto-selecting collective ran
-    // under it (`<name>.decisions.txt`).
+    // under it.
     let metrics = capture.capture.metrics.as_ref();
     if let Some(table) = metrics.and_then(datatype_report) {
         print!("{table}");
     }
     if let Some(table) = metrics.and_then(decision_report) {
         print!("{table}");
-        write_out("analysis", format!("{name}.decisions.txt"), &table);
     }
 
-    // Comm map: who talks to whom; the raw matrix goes to `<name>.comm.json`.
-    if let Some(map) = &capture.capture.comm_map {
-        if let Some(table) = comm_report(map) {
-            print!("{table}");
-        }
-        let json = ncd_simnet::comm_matrix_json(map);
-        write_out("analysis", format!("{name}.comm.json"), &json);
+    // Comm map: who talks to whom.
+    if let Some(table) = capture.capture.comm_map.as_ref().and_then(comm_report) {
+        print!("{table}");
     }
 
     // History: the sparkline dashboard, any regime shifts an offline
-    // replay detects, and the pattern-recurrence table; the byte-stable
-    // series goes to `<name>.history.json`.
+    // replay detects, and the pattern-recurrence table.
     if let Some(h) = &capture.capture.history {
         print!("\n{}", ncd_simnet::history_report(h));
         let drift = ncd_core::detect_drift(h);
@@ -795,16 +770,11 @@ pub fn report(
         if !recurrence.is_empty() {
             print!("\n{}", ncd_core::render_recurrence(&recurrence));
         }
-        let json = ncd_simnet::history_json(h);
-        write_out("analysis", format!("{name}.history.json"), &json);
     }
 
-    // Traces: the ranked wait-pattern findings and blame matrix; the
-    // byte-stable classification goes to `<name>.diagnosis.json`.
+    // Traces: the ranked wait-pattern findings and blame matrix.
     if let Some(d) = capture.diagnosis() {
         print!("\n{}", d.render(10));
-        let json = ncd_simnet::diagnosis_json(&d);
-        write_out("analysis", format!("{name}.diagnosis.json"), &json);
     }
 
     // The scheduler's survey of the captured run — how hard the event
@@ -830,21 +800,6 @@ pub fn report(
         csv.push('\n');
     }
     write_out("figures", format!("{name}.csv"), &csv);
-
-    if cli.report_json {
-        let mut w = JsonWriter::new();
-        w.object(|w| {
-            w.field("name", name).field("x_label", x_label);
-            w.field("y_label", y_label);
-            w.field("series", series);
-            if let Some(m) = metrics {
-                w.field("metrics", m.snapshot());
-            }
-        });
-        if let Some(path) = write_out("figures", format!("{name}.json"), &w.finish()) {
-            println!("json report: {}", path.display());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -876,22 +831,6 @@ mod tests {
         assert_eq!(improvement_pct(SimTime(100), SimTime(100)), 0.0);
         assert!(improvement_pct(SimTime(50), SimTime(100)) < 0.0);
         assert_eq!(improvement_pct(SimTime(0), SimTime(10)), 0.0);
-    }
-
-    #[test]
-    fn series_and_report_do_not_panic() {
-        let mut s = Series::new("test");
-        s.push("1", 2.0);
-        s.push("2", 4.0);
-        let cli = BenchCli::default();
-        report(
-            &cli,
-            "unit_test_fig",
-            "x",
-            "y",
-            &[s],
-            &RunCapture::default(),
-        );
     }
 
     /// The 4-rank uniform allgatherv the observer tests below share.
@@ -1027,30 +966,29 @@ mod tests {
         assert!(traces.iter().all(|t| !t.is_empty()));
     }
 
+    /// `report` prints a section per captured part and writes the CSV and
+    /// nothing else: every part's byte-stable JSON is the ledger's alone.
     #[test]
-    fn json_report_writes_valid_file_when_requested() {
-        let mut s = Series::new("baseline");
-        s.push("64", 1.5);
-        let cli = BenchCli {
-            report_json: true,
-            ..BenchCli::default()
-        };
-        let mut reg = MetricsRegistry::enabled();
-        reg.counter_add("a", "b", "c", 7);
-        let capture = RunCapture {
-            capture: Capture {
-                metrics: Some(reg),
-                ..Capture::default()
-            },
-            ..RunCapture::default()
-        };
-        report(&cli, "unit_test_json_fig", "n", "us", &[s], &capture);
-        let path = std::path::Path::new("target/figures/unit_test_json_fig.json");
-        let json = std::fs::read_to_string(path).expect("json report written");
-        assert!(json.starts_with("{\"name\":\"unit_test_json_fig\""));
-        assert!(json.contains("\"points\":[[\"64\",1.5]]"));
-        assert!(json.contains("\"key\":\"a/b/c\",\"value\":7"));
-        assert!(json.ends_with("}"));
+    fn report_writes_only_the_csv() {
+        let mut s = Series::new("latency");
+        s.push("4", 1.0);
+        s.push("8", 2.5);
+        let cluster = ClusterConfig::uniform(4).observe(Observers::ALL);
+        let capture = time_phase(cluster, MpiConfig::optimized(), 3, allgatherv4);
+        let name = "unit_test_csv_only_fig";
+        report(name, "n", "us", &[s], &capture);
+        let csv = std::fs::read_to_string(format!("target/figures/{name}.csv")).expect("csv");
+        assert_eq!(csv, "n,latency\n4,1\n8,2.5\n");
+        let written = |path: String| Path::new(&path).exists();
+        assert!(!written(format!("target/figures/{name}.json")));
+        for part in [
+            "comm.json",
+            "history.json",
+            "diagnosis.json",
+            "decisions.txt",
+        ] {
+            assert!(!written(format!("target/analysis/{name}.{part}")), "{part}");
+        }
     }
 
     #[test]
@@ -1089,73 +1027,6 @@ mod tests {
         assert!(table.contains("ring") && table.contains("8192.0"));
         assert!(table.contains("total >= long threshold (16)"));
         assert!(decision_report(&MetricsRegistry::enabled()).is_none());
-    }
-
-    #[test]
-    fn report_writes_one_artifact_per_captured_part() {
-        let cli = BenchCli::default();
-        let mut s = Series::new("latency");
-        s.push("4", 1.0);
-
-        // Metrics and comm map: the decision table and the matrix.
-        let mut reg = MetricsRegistry::enabled();
-        reg.counter_add("decision", "alltoallw", "binned", 3);
-        let m0 = ncd_simnet::RankCommMap::new(0, 2);
-        let mut m1 = ncd_simnet::RankCommMap::new(1, 2);
-        m1.record_delivery(0, 4096);
-        let capture = RunCapture {
-            capture: Capture {
-                metrics: Some(reg),
-                comm_map: Some(ncd_simnet::merge_comm_maps(&[m0, m1])),
-                ..Capture::default()
-            },
-            ..RunCapture::default()
-        };
-        report(&cli, "unit_test_obs_fig", "n", "us", &[s], &capture);
-        let json = std::fs::read_to_string("target/analysis/unit_test_obs_fig.comm.json")
-            .expect("comm matrix artifact");
-        assert!(json.starts_with("{\"schema\":1,\"ranks\":2,"));
-        assert!(json.contains("[0,1,4096,1]"));
-        let decisions = std::fs::read_to_string("target/analysis/unit_test_obs_fig.decisions.txt")
-            .expect("decision table artifact");
-        assert!(decisions.contains("binned"));
-
-        // History: the epoch series.
-        let observe = Observers {
-            comm_map: true,
-            history: true,
-            ..Observers::NONE
-        };
-        let cluster = ClusterConfig::uniform(4).observe(observe);
-        let capture = time_phase(cluster, MpiConfig::optimized(), 3, allgatherv4);
-        report(&cli, "unit_test_history_fig", "n", "us", &[], &capture);
-        let json = std::fs::read_to_string("target/analysis/unit_test_history_fig.history.json")
-            .expect("history artifact written");
-        assert!(json.starts_with("{\"schema\":1,\"ranks\":4,"));
-        assert!(json.contains("allgatherv/recursive_doubling"));
-
-        // Traces: the wait-state diagnosis.
-        let trace = Observers {
-            trace: true,
-            ..Observers::NONE
-        };
-        let run = Cluster::new(ClusterConfig::uniform(2).observe(trace)).try_run(|rank| {
-            if rank.rank() == 0 {
-                rank.compute_flops(1_000_000);
-                rank.send_bytes(1, Tag(0), vec![0u8; 64]);
-            } else {
-                let _ = rank.recv_bytes(Some(0), Tag(0));
-            }
-            (rank.now(), rank.take_stats())
-        });
-        let capture = RunCapture::of(run);
-        let d = capture.diagnosis().expect("traced");
-        assert!(d.classified > SimTime::ZERO, "rank 1 must have waited");
-        report(&cli, "unit_test_diag_fig", "n", "us", &[], &capture);
-        let json = std::fs::read_to_string("target/analysis/unit_test_diag_fig.diagnosis.json")
-            .expect("diagnosis artifact written");
-        assert!(json.starts_with("{\"schema\":1,"), "{json}");
-        assert!(json.contains("\"pattern\":\"late-sender\""), "{json}");
     }
 
     #[test]
@@ -1261,13 +1132,12 @@ mod tests {
         };
         let all = BenchCli {
             smoke: true,
-            report_json: true,
             ledger: true,
             compare: Some("latest".to_string()),
             whatif: true,
         };
-        let spaced = cli("--smoke --report json --ledger --compare latest --whatif");
-        let inline = cli("--smoke --report=json --ledger --compare=latest --whatif");
+        let spaced = cli("--smoke --ledger --compare latest --whatif");
+        let inline = cli("--smoke --ledger --compare=latest --whatif");
         assert_eq!((spaced, inline), (Ok(all.clone()), Ok(all)));
         assert_eq!(cli(""), Ok(BenchCli::default()));
         assert!(!BenchCli::default().wants_observatory());
@@ -1289,15 +1159,15 @@ mod tests {
             ("--ledger=yes", "--ledger takes no value"),
             ("--whatif=1", "--whatif takes no value"),
             ("--bench=x", "--bench takes no value"),
-            ("--report xml", "--report writes json, not \"xml\""),
-            ("--report", "--report needs a format"),
+            ("--report json", "unknown flag --report"),
+            ("--report=json", "unknown flag --report"),
             ("--compare", "--compare needs a run id"),
         ] {
             let err = cli(line).expect_err(names);
             assert!(err.contains(names), "{line}: {err}");
         }
         let err = cli("--basline").unwrap_err();
-        let accepted = "--smoke, --report json, --ledger, --compare <run-id|latest|path>, --whatif";
+        let accepted = "--smoke, --ledger, --compare <run-id|latest|path>, --whatif";
         assert!(
             err.ends_with(accepted),
             "must list the accepted flags: {err}"

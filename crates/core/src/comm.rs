@@ -181,7 +181,7 @@ impl<'a> Comm<'a> {
 
     /// Produce the wire bytes for a typed message, charging pack costs.
     pub(crate) fn prepare_send(&mut self, buf: &[u8], dt: &Datatype, count: usize) -> Vec<u8> {
-        let total = dt.size() * count;
+        let total = message_bytes(dt, count);
         if total == 0 {
             return Vec::new();
         }
@@ -217,7 +217,7 @@ impl<'a> Comm<'a> {
             .expect("datatype out of bounds during send");
         let name = kind.name();
         let mut counts = OpCounts::default();
-        let mut payload = Vec::with_capacity(dt.size() * count);
+        let mut payload = Vec::with_capacity(message_bytes(dt, count));
         loop {
             let block_start = self.rank.now();
             let mut block = OpCounts::default();
@@ -299,7 +299,7 @@ impl<'a> Comm<'a> {
                 .raise();
             }
         };
-        let total = dt.size() * count;
+        let total = message_bytes(dt, count);
         fits("message", "receive type", bytes.len(), total);
         if bytes.is_empty() {
             return;
@@ -354,6 +354,15 @@ impl<'a> Comm<'a> {
         let (bytes, actual) = self.rank.recv_bytes(src, tag);
         (bytes_to_f64s(&bytes), actual)
     }
+}
+
+/// The bytes in `count` instances of `dt`. A product past `usize` is
+/// refused here, before any byte is copied or any cost charged, as a
+/// short buffer is.
+pub(crate) fn message_bytes(dt: &Datatype, count: usize) -> usize {
+    let size = dt.size();
+    size.checked_mul(count)
+        .unwrap_or_else(|| panic!("{count} instances of a {size}-byte type overflow usize"))
 }
 
 /// Copy f64s into a byte vector (native-endian; see [`crate::view`]).
@@ -500,32 +509,38 @@ mod tests {
     fn short_buffers_fail_before_any_charge_or_copy() {
         // `cols` columns of the column type touch the whole matrix. With a
         // buffer one byte short, the last block used to be the one that
-        // noticed — after every earlier block had been charged.
+        // noticed — after every earlier block had been charged. And
+        // `usize::MAX / 4 + 1` zero-extent doubles all touch the same 8
+        // bytes, while their 2^65 packed bytes wrap to 8 in `usize`.
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let (rows, cols) = (64, 64);
         let n = rows * cols * 24;
-        for cfg in [MpiConfig::baseline(), MpiConfig::optimized()] {
-            let mut cfg = cfg;
-            cfg.engine.block_size = 4096;
-            let out = Cluster::new(ClusterConfig::uniform(1)).run(move |rank| {
-                let mut comm = Comm::new(rank, cfg.clone());
-                let col = matrix_column_type(rows, cols, 3).unwrap();
-                let short = vec![3u8; n - 1];
-                let send = catch_unwind(AssertUnwindSafe(|| {
-                    comm.prepare_send(&short, &col, cols);
-                }));
-                let mut dst = vec![0u8; n - 1];
-                let recv = catch_unwind(AssertUnwindSafe(|| {
-                    comm.deliver_recv(&mut dst, &col, cols, &[7u8; 4096]);
-                }));
-                let stats = comm.rank_ref().stats();
-                (
-                    send.is_err() && recv.is_err(),
-                    stats.pack.as_ns() + stats.search.as_ns(),
-                    dst.iter().all(|&b| b == 0),
-                )
-            });
-            assert_eq!(out[0], (true, 0, true));
+        let col = matrix_column_type(rows, cols, 3).unwrap();
+        let stacked = Datatype::resized(0, 0, &Datatype::double()).unwrap();
+        let inputs = [(col, cols, n - 1), (stacked, usize::MAX / 4 + 1, 8)];
+        for (dt, count, len) in inputs {
+            for mut cfg in [MpiConfig::baseline(), MpiConfig::optimized()] {
+                let dt = dt.clone();
+                cfg.engine.block_size = 4096;
+                let out = Cluster::new(ClusterConfig::uniform(1)).run(move |rank| {
+                    let mut comm = Comm::new(rank, cfg.clone());
+                    let short = vec![3u8; len];
+                    let send = catch_unwind(AssertUnwindSafe(|| {
+                        comm.prepare_send(&short, &dt, count);
+                    }));
+                    let mut dst = vec![0u8; len];
+                    let recv = catch_unwind(AssertUnwindSafe(|| {
+                        comm.deliver_recv(&mut dst, &dt, count, &[7u8; 4096]);
+                    }));
+                    let stats = comm.rank_ref().stats();
+                    (
+                        send.is_err() && recv.is_err(),
+                        stats.pack.as_ns() + stats.search.as_ns(),
+                        dst.iter().all(|&b| b == 0),
+                    )
+                });
+                assert_eq!(out[0], (true, 0, true));
+            }
         }
     }
 

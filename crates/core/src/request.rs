@@ -112,7 +112,7 @@ impl Comm<'_> {
         dst: usize,
         tag: Tag,
     ) -> Request {
-        let total = dt.size() * count;
+        let total = crate::comm::message_bytes(dt, count);
         if total == 0 || dt.is_contiguous() {
             return self.isend_bytes(dst, tag, buf[..total].to_vec());
         }

@@ -80,7 +80,10 @@ impl TypeCursor {
     /// Check that a buffer of `buf_len` bytes holds every byte the whole
     /// (type, count) stream touches — once per message, so the copy loops
     /// behind [`TypeCursor::consume`] need no per-piece check and a short
-    /// buffer is reported before anything was copied or charged.
+    /// buffer is reported before anything was copied or charged. Replicas
+    /// that overlap keep the bounds small however long the stream is, so a
+    /// stream longer than `usize` bytes is then [`TypeError::Invalid`]
+    /// rather than a wrapped length.
     pub(crate) fn check_fits(&self, buf_len: usize) -> Result<()> {
         let (lb, ub) = self.dt.true_bounds(self.count);
         if lb < 0 || ub > buf_len as i64 {
@@ -89,6 +92,13 @@ impl TypeCursor {
                 len: ub.abs_diff(lb) as usize,
                 buf_len,
             });
+        }
+        if self.dt.size().checked_mul(self.count).is_none() {
+            return Err(TypeError::Invalid(format!(
+                "{} instances of a {}-byte type overflow usize",
+                self.count,
+                self.dt.size()
+            )));
         }
         Ok(())
     }
@@ -385,6 +395,30 @@ mod tests {
         let edge = (i64::MAX / 32) as usize;
         assert_eq!(t.true_bounds(edge), (0, 32 * edge as i64));
         assert_eq!(t.true_bounds(edge + 1), (0, i64::MAX));
+    }
+
+    /// Replicas of a zero-extent double all land on the same 8 bytes, so
+    /// `usize::MAX / 4 + 1` of them fit an 8-byte buffer while their 2^65
+    /// packed bytes wrap to 8: the engine refuses before packing anything.
+    #[test]
+    fn a_stream_past_usize_is_refused_whatever_its_bounds() {
+        let t = Datatype::resized(0, 0, &Datatype::double()).unwrap();
+        let count = usize::MAX / 4 + 1;
+        assert_eq!(t.true_bounds(count), (0, 8));
+        let got = crate::pack_all_profiled(
+            crate::EngineKind::DualContext,
+            &t,
+            count,
+            crate::EngineParams::default(),
+            &[0u8; 8],
+            &mut crate::NullObserver,
+        );
+        let msg = format!("{count} instances of a 8-byte type overflow usize");
+        assert_eq!(got.unwrap_err(), TypeError::Invalid(msg));
+        let mut dst = [0u8; 8];
+        let got = crate::unpack_all(&t, count, &mut dst, &[1u8; 8]);
+        assert!(matches!(got, Err(TypeError::Invalid(_))), "{got:?}");
+        assert_eq!(dst, [0u8; 8], "nothing written");
     }
 
     #[test]

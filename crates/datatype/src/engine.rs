@@ -372,12 +372,12 @@ impl Unpacker {
     /// Returns per-call op counts (unpack cost mirrors pack cost). Nothing
     /// is written unless the stream fits the type and the type fits `dst`.
     pub fn unpack(&mut self, dst: &mut [u8], bytes: &[u8]) -> Result<OpCounts> {
+        self.cursor.check_fits(dst.len())?;
         if bytes.len() > self.cursor.remaining() {
             return Err(TypeError::StreamOverrun {
                 extra: bytes.len() - self.cursor.remaining(),
             });
         }
-        self.cursor.check_fits(dst.len())?;
         let mut rest = bytes;
         let segments = self.cursor.consume(bytes.len(), |at, len| {
             let (piece, tail) = rest.split_at(len);

@@ -273,7 +273,6 @@ fn describe(kind: &EventKind) -> String {
     match kind {
         EventKind::Send { dst, bytes, .. } => format!("send to {dst} ({bytes} B)"),
         EventKind::Recv { src, bytes, .. } => format!("recv from {src} ({bytes} B)"),
-        EventKind::Mark { label } => format!("mark {label}"),
         EventKind::Round { op, round } => format!("round {op}#{round}"),
         EventKind::PackBlock {
             engine,
@@ -478,8 +477,7 @@ pub fn attribute_rounds(traces: &[Vec<TraceEvent>]) -> RoundAttribution {
                         per_op.get_mut(op).expect("op registered")[rank].transfer += e.duration();
                     }
                 }
-                EventKind::Mark { .. }
-                | EventKind::PackBlock { .. }
+                EventKind::PackBlock { .. }
                 | EventKind::IrecvPost { .. }
                 | EventKind::AlgoDecision { .. }
                 | EventKind::Drift { .. } => {}

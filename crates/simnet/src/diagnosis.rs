@@ -390,15 +390,6 @@ pub(crate) fn diagnose_graph(graph: &HbGraph<'_>) -> Diagnosis {
 }
 
 impl Diagnosis {
-    /// Total severity of one pattern.
-    pub fn pattern_severity(&self, p: WaitPattern) -> SimTime {
-        self.per_pattern
-            .iter()
-            .find(|(q, _, _)| *q == p)
-            .map(|(_, s, _)| *s)
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// Classified severity of instances whose governing op starts with
     /// `prefix` (e.g. `"allgatherv"` matches every algorithm).
     pub fn op_severity(&self, prefix: &str) -> SimTime {

@@ -7,15 +7,15 @@
 //! flavour inside a `traceEvents` object) and loads directly into
 //! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev): one *thread*
 //! per rank, complete (`"X"`) events for sends and receives,
-//! instant (`"i"`) events for marks and collective rounds. Timestamps are
+//! instant (`"i"`) events for collective rounds. Timestamps are
 //! microseconds of simulated time with nanosecond precision.
 //!
 //! Rendering goes through [`crate::json::JsonWriter`] as one template per
 //! [`EventKind`]: every run of constant text between two values (keys,
 //! punctuation, category and phase, the words of a name) is one
 //! pre-escaped `&'static str`, integers and timestamps are written as
-//! digits, and only the [`crate::trace::Label`] values (mark and round
-//! names, engine, decision and drift strings) are scanned for
+//! digits, and only the [`crate::trace::Label`] values (round names,
+//! engine, decision and drift strings) are scanned for
 //! escapes. The event field order is `name, cat, ph, ts, dur, pid, tid,
 //! s, args`.
 
@@ -118,10 +118,6 @@ fn trace_event(w: &mut JsonWriter, rank: u64, e: &TraceEvent) {
                 (r#","wait_ns":"#, wait.as_ns()),
             ];
             ints(w, &args).text("}}");
-        }
-        EventKind::Mark { label } => {
-            w.text(NAME).escaped(label);
-            instant(w, cat_ph!("mark", "i"));
         }
         EventKind::Round { op, round } => {
             w.text(NAME).escaped(op).text(" round ");
@@ -347,7 +343,6 @@ mod tests {
                         ("wait_ns", &wait.as_ns()),
                     ],
                 ),
-                EventKind::Mark { label } => emit(format_args!("{label}"), "mark", "i", &[]),
                 EventKind::Round { op, round } => {
                     emit(format_args!("{op} round {round}"), "round", "i", &[])
                 }
@@ -464,7 +459,6 @@ mod tests {
                     wait: SimTime(w),
                 }
             }),
-            any_label().prop_map(|label| EventKind::Mark { label }),
             (any_label(), any_u32()).prop_map(|(op, round)| EventKind::Round { op, round }),
             (
                 any_label(),
@@ -615,13 +609,6 @@ mod tests {
                 end: SimTime(2_000),
             },
             TraceEvent {
-                kind: EventKind::Mark {
-                    label: "phase".into(),
-                },
-                start: SimTime(2_000),
-                end: SimTime(2_000),
-            },
-            TraceEvent {
                 kind: EventKind::Round {
                     op: "allgatherv/ring".into(),
                     round: 3,
@@ -690,7 +677,6 @@ mod tests {
         let json = chrome_trace_json(&[events]);
         assert!(json.contains("\"name\":\"send to 1\""));
         assert!(json.contains("\"name\":\"recv from 1\""));
-        assert!(json.contains("\"name\":\"phase\""));
         assert!(json.contains("\"name\":\"allgatherv/ring round 3\""));
         assert!(json.contains("\"seq\":7"));
         assert!(json.contains("\"wait_ns\":250"));

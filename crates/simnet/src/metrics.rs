@@ -522,44 +522,6 @@ impl MetricsRegistry {
             self.keyed.histograms.slot(k.clone()).merge(h);
         }
     }
-
-    /// Human-readable dump: counters, gauges, then histograms with
-    /// count/mean/p50/p90/p99/max.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut counters = self.counters().peekable();
-        if counters.peek().is_some() {
-            out.push_str("counters:\n");
-            for (k, v) in counters {
-                out.push_str(&format!("  {:<46} {v}\n", path(k)));
-            }
-        }
-        if !self.keyed.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (k, v) in self.gauges() {
-                out.push_str(&format!("  {:<46} {v:.3}\n", path(k)));
-            }
-        }
-        if !self.keyed.histograms.is_empty() {
-            out.push_str(&format!(
-                "histograms: {:<34} {:>9} {:>12} {:>10} {:>10} {:>10} {:>12}\n",
-                "", "count", "mean", "p50", "p90", "p99", "max"
-            ));
-            for (k, h) in self.histograms() {
-                out.push_str(&format!(
-                    "  {:<44} {:>9} {:>12.1} {:>10} {:>10} {:>10} {:>12}\n",
-                    path(k),
-                    h.count(),
-                    h.mean(),
-                    h.p50(),
-                    h.p90(),
-                    h.p99(),
-                    h.max()
-                ));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -700,17 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn render_lists_everything() {
-        let mut r = MetricsRegistry::enabled();
-        r.counter_add("engine", "search", "single-context", 42);
-        r.observe("engine", "bytes", "dual-context", 4096);
-        let s = r.render();
-        assert!(s.contains("engine/search/single-context"));
-        assert!(s.contains("42"));
-        assert!(s.contains("engine/bytes/dual-context"));
-    }
-
-    #[test]
     fn time_slots_are_in_key_order() {
         let mut sorted = TIME_KEYS.to_vec();
         sorted.sort();
@@ -818,41 +769,6 @@ mod tests {
             for (k, h) in &other.histograms {
                 self.histograms.entry(k.clone()).or_default().merge(h);
             }
-        }
-
-        fn render(&self) -> String {
-            let mut out = String::new();
-            if !self.counters.is_empty() {
-                out.push_str("counters:\n");
-                for (k, v) in &self.counters {
-                    out.push_str(&format!("  {:<46} {v}\n", owned_path(k)));
-                }
-            }
-            if !self.gauges.is_empty() {
-                out.push_str("gauges:\n");
-                for (k, v) in &self.gauges {
-                    out.push_str(&format!("  {:<46} {v:.3}\n", owned_path(k)));
-                }
-            }
-            if !self.histograms.is_empty() {
-                out.push_str(&format!(
-                    "histograms: {:<34} {:>9} {:>12} {:>10} {:>10} {:>10} {:>12}\n",
-                    "", "count", "mean", "p50", "p90", "p99", "max"
-                ));
-                for (k, h) in &self.histograms {
-                    out.push_str(&format!(
-                        "  {:<44} {:>9} {:>12.1} {:>10} {:>10} {:>10} {:>12}\n",
-                        owned_path(k),
-                        h.count(),
-                        h.mean(),
-                        h.p50(),
-                        h.p90(),
-                        h.p99(),
-                        h.max()
-                    ));
-                }
-            }
-            out
         }
     }
 
@@ -988,7 +904,6 @@ mod tests {
         let mut w = JsonWriter::new();
         w.value(&snapshot);
         prop_assert_eq!(metrics_json(reg), w.finish());
-        prop_assert_eq!(reg.render(), reference.render());
         Ok(())
     }
 

@@ -34,13 +34,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::time::SimTime;
 use crate::trace::{EventKind, Label, TraceEvent};
 
-/// What kind of event a flight-recorder slot holds. Code 4 is retired
-/// (it held profiling stages) and is not reused.
+/// What kind of event a flight-recorder slot holds. Codes 3 and 4 are
+/// retired (they held user marks and profiling stages) and are not reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecCode {
     Send = 1,
     Recv = 2,
-    Mark = 3,
     Round = 5,
     PackBlock = 6,
     IrecvPost = 7,
@@ -55,7 +54,6 @@ impl RecCode {
         match v {
             1 => Some(RecCode::Send),
             2 => Some(RecCode::Recv),
-            3 => Some(RecCode::Mark),
             5 => Some(RecCode::Round),
             6 => Some(RecCode::PackBlock),
             7 => Some(RecCode::IrecvPost),
@@ -74,7 +72,6 @@ impl RecCode {
 /// |-------------|--------------|----------|-----------|-----------|-------|
 /// | `Send`      | dst          | bytes    | msg seq   | –         | –     |
 /// | `Recv`      | src          | bytes    | wait ns   | –         | –     |
-/// | `Mark`      | label hash   | –        | –         | –         | –     |
 /// | `Round`     | op hash      | round    | –         | –         | –     |
 /// | `PackBlock` | engine hash  | index    | seek segs | la<<1\|sp | bytes |
 /// | `IrecvPost` | src (MAX=any)| tag      | –         | –         | –     |
@@ -213,7 +210,7 @@ pub struct RankRecorder {
     /// Whether a running rank still owns this recorder as its writer
     /// (see the module docs).
     writer_live: AtomicBool,
-    /// Hash → string for label payloads (marks, engine names).
+    /// Hash → string for label payloads (collective ops, engine names).
     /// Touched only the first time a literal label is recorded, on every
     /// owned label, and by renders.
     labels: Mutex<Vec<(u64, String)>>,
@@ -421,7 +418,6 @@ fn pack_event(event: &TraceEvent, mut label: impl FnMut(&Label) -> u64) -> (RecC
             RecCode::Recv,
             [*src as u64, *bytes as u64, wait.as_ns(), 0, 0],
         ),
-        EventKind::Mark { label: text } => (RecCode::Mark, [label(text), 0, 0, 0, 0]),
         EventKind::Round { op, round } => (RecCode::Round, [label(op), u64::from(*round), 0, 0, 0]),
         EventKind::PackBlock {
             engine,
@@ -488,7 +484,6 @@ fn render_record(rank: usize, r: &Recorded, label: &impl Fn(u64) -> String) -> S
     let body = match r.code {
         RecCode::Send => format!("send       dst={} bytes={} seq={}", r.a, r.b, r.c),
         RecCode::Recv => format!("recv       src={} bytes={} wait_ns={}", r.a, r.b, r.c),
-        RecCode::Mark => format!("mark       {}", label(r.a)),
         RecCode::Round => format!("round      {} #{}", label(r.a), r.b),
         RecCode::PackBlock => format!(
             "pack-block engine={} index={} {} seek={} lookahead={} bytes={}",
@@ -642,11 +637,9 @@ mod tests {
     #[test]
     fn labels_render_back_in_dumps() {
         let rec = RankRecorder::new(2, 16);
-        let (mark, round) = (rec.intern("phase-1"), rec.intern("allgatherv/ring"));
-        rec.record(RecCode::Mark, SimTime(5), mark, 0, 0, 0, 0);
+        let round = rec.intern("allgatherv/ring");
         rec.record(RecCode::Round, SimTime(9), round, 3, 0, 0, 0);
         let dump = render_dump(&[Arc::new(rec)]);
-        assert!(dump.contains("mark       phase-1"), "{dump}");
         assert!(dump.contains("round      allgatherv/ring #3"), "{dump}");
         assert!(dump.contains("rank   2"), "{dump}");
     }
@@ -787,7 +780,7 @@ mod tests {
     #[test]
     fn unknown_label_renders_as_hash() {
         let rec = RankRecorder::new(0, 8);
-        rec.record(RecCode::Mark, SimTime(0), 0xdead_beef, 0, 0, 0, 0);
+        rec.record(RecCode::Round, SimTime(0), 0xdead_beef, 0, 0, 0, 0);
         let dump = render_dump(&[Arc::new(rec)]);
         assert!(dump.contains("#00000000deadbeef"), "{dump}");
     }
@@ -1016,7 +1009,6 @@ mod tests {
                     wait: SimTime(wait),
                 }
             }),
-            label().prop_map(|label| EventKind::Mark { label }),
             (label(), 0..u32::MAX).prop_map(|(op, round)| EventKind::Round { op, round }),
             (label(), ANY, any::<bool>(), ANY, 0..u64::MAX >> 1, ANY).prop_map(
                 |(engine, index, sparse, seek, lookahead, bytes)| EventKind::PackBlock {

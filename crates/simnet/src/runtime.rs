@@ -11,7 +11,6 @@
 //! switches instead of kernel ones, park/unpark on the simulated clock.
 //! This is what lets N=1024 sweeps run in CI smoke time.
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
@@ -477,14 +476,6 @@ impl Rank {
         if let Some(trace) = &mut self.observed.trace {
             trace.push(event);
         }
-    }
-
-    /// Record a zero-length marker event at the current simulated time.
-    /// Takes a literal or an owned, dynamically built label
-    /// (`format!("vcycle-{i}")`).
-    pub fn trace_mark(&mut self, label: impl Into<Cow<'static, str>>) {
-        let label = label.into();
-        self.record(self.now, EventKind::Mark { label });
     }
 
     /// Start recording named metrics (see [`crate::metrics`]).
@@ -1034,14 +1025,20 @@ mod tests {
             } else {
                 let _ = r.recv_bytes(Some(0), Tag(0));
             }
-            r.trace_mark("done");
+            r.record(
+                r.now(),
+                EventKind::Round {
+                    op: "done".into(),
+                    round: 0,
+                },
+            );
             r.recorder.recorded()
         });
-        assert_eq!(out.results.unwrap(), vec![2, 2]); // send+mark / recv+mark
+        assert_eq!(out.results.unwrap(), vec![2, 2]); // send+round / recv+round
         let dump = render_dump(&out.recorders);
         assert!(dump.contains("send       dst=1 bytes=64"), "{dump}");
         assert!(dump.contains("recv       src=0 bytes=64"), "{dump}");
-        assert!(dump.contains("mark       done"), "{dump}");
+        assert!(dump.contains("round      done #0"), "{dump}");
     }
 
     #[test]
@@ -1146,16 +1143,20 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::uniform(1).observe(Observers::ALL));
         let (_, capture) = cluster
             .try_run(|r| {
-                r.trace_mark("warm-up");
+                let round = |op: &'static str| EventKind::Round {
+                    op: op.into(),
+                    round: 0,
+                };
+                r.record(r.now(), round("warm-up"));
                 let warm = r.harvest();
                 assert_eq!(warm.trace.as_ref().map(Vec::len), Some(1));
-                r.trace_mark("measured");
+                r.record(r.now(), round("measured"));
             })
             .unwrap();
         let traces = capture.traces.expect("traced");
-        let marks: Vec<_> = traces[0].iter().map(|e| e.kind.clone()).collect();
-        let label = "measured".into();
-        assert_eq!(marks, [EventKind::Mark { label }]);
+        let kinds: Vec<_> = traces[0].iter().map(|e| e.kind.clone()).collect();
+        let op = "measured".into();
+        assert_eq!(kinds, [EventKind::Round { op, round: 0 }]);
     }
 
     /// A rank that panics in an observed run fails the run, and the run's

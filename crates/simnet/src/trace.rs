@@ -8,8 +8,8 @@
 //! is the frozen benchmark's primitive), appends it to the timeline the
 //! run's [`crate::Capture`] returns. Until then the rank holds no
 //! timeline, and because labels are [`Cow`]s — every label the runtime
-//! and the collectives emit is a `&'static str`; only marks and drift
-//! labels are built at run time — recording allocates nothing.
+//! and the collectives emit is a `&'static str`; only drift labels are
+//! built at run time — recording allocates nothing.
 //! The `examples/timeline.rs` demo renders the events of every rank as an
 //! ASCII Gantt chart that makes the round-robin alltoallw's serialization
 //! directly visible.
@@ -38,9 +38,6 @@ pub enum EventKind {
         seq: u64,
         wait: SimTime,
     },
-    /// A user-defined marker (phase boundaries and the like); may be
-    /// dynamically named (`format!("vcycle-{i}")`).
-    Mark { label: Label },
     /// One round of a multi-round collective (`op` names the collective
     /// and algorithm, e.g. `allgatherv/ring`); a zero-length instant.
     Round { op: Label, round: u32 },
@@ -114,10 +111,9 @@ impl TraceEvent {
 }
 
 /// Drawing priority of an event kind when several overlap in one timeline
-/// cell: mark > round > recv > send > idle. Higher wins.
+/// cell: round > recv > send > idle. Higher wins.
 fn cell_priority(kind: &EventKind) -> u8 {
     match kind {
-        EventKind::Mark { .. } => 5,
         EventKind::Round { .. } => 4,
         EventKind::Recv { .. } => 3,
         EventKind::Send { .. } => 2,
@@ -139,7 +135,6 @@ fn cell_char(kind: &EventKind) -> u8 {
     match kind {
         EventKind::Send { .. } => b's',
         EventKind::Recv { .. } => b'r',
-        EventKind::Mark { .. } => b'|',
         EventKind::Round { .. } => b'^',
         EventKind::PackBlock { sparse, .. } => {
             if *sparse {
@@ -162,11 +157,11 @@ pub const TIMELINE_GUTTER: usize = 10;
 
 /// Render a set of per-rank traces as an ASCII timeline sized to a
 /// terminal: one row per rank, with `s`/`r` cells for send/receive
-/// activity, `|`/`^` for marks and collective rounds, and `.` for
-/// idle/compute time, the columns spanning simulated time from 0 to the
-/// last event's end. When events overlap in a cell the highest-priority one
-/// wins (mark > round > recv > send > idle), so zero-length markers are
-/// never hidden by the activity around them.
+/// activity, `^` for collective rounds, and `.` for idle/compute time,
+/// the columns spanning simulated time from 0 to the last event's end.
+/// When events overlap in a cell the highest-priority one wins (round >
+/// recv > send > idle), so zero-length rounds are never hidden by the
+/// activity around them.
 ///
 /// Ranks with [`EventKind::PackBlock`] events additionally get a `dt` lane
 /// directly under their message row, showing the pack pipeline's blocks:
@@ -296,42 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn marks_are_recorded() {
-        let out = traced(ClusterConfig::uniform(1), |rank| {
-            rank.compute_flops(1000);
-            rank.trace_mark("phase-1");
-            rank.compute_flops(1000);
-        });
-        assert_eq!(out[0].len(), 1);
-        assert_eq!(
-            out[0][0].kind,
-            EventKind::Mark {
-                label: "phase-1".into()
-            }
-        );
-        assert!(out[0][0].start > SimTime::ZERO);
-    }
-
-    #[test]
-    fn dynamically_named_marks_are_recorded() {
-        let out = traced(ClusterConfig::uniform(1), |rank| {
-            for i in 0..3 {
-                rank.compute_flops(100);
-                rank.trace_mark(format!("vcycle-{i}"));
-            }
-        });
-        let labels: Vec<_> = out[0]
-            .iter()
-            .map(|e| match &e.kind {
-                EventKind::Mark { label } => label.clone(),
-                other => panic!("expected mark, got {other:?}"),
-            })
-            .collect();
-        assert_eq!(labels, vec!["vcycle-0", "vcycle-1", "vcycle-2"]);
-    }
-
-    #[test]
-    fn overlap_priority_mark_beats_recv_beats_send() {
+    fn overlap_priority_round_beats_recv_beats_send() {
         // All three kinds cover the same cell range; the rendered row must
         // show the highest-priority kind, not the last-pushed one.
         let span = |kind| TraceEvent {
@@ -340,7 +300,10 @@ mod tests {
             end: SimTime(100),
         };
         let events = vec![
-            span(EventKind::Mark { label: "m".into() }),
+            span(EventKind::Round {
+                op: "m".into(),
+                round: 0,
+            }),
             span(EventKind::Recv {
                 src: 0,
                 bytes: 1,
@@ -354,14 +317,13 @@ mod tests {
             }),
         ];
         let art = render_timeline(&[events], 10);
-        // The mark is zero-width priority-wise irrelevant here: it covers
-        // the whole range, so every cell shows '|'.
+        // The round covers the whole range, so every cell shows '^'.
         assert!(
-            art.contains("||||||||||"),
-            "mark must win everywhere:\n{art}"
+            art.contains("^^^^^^^^^^"),
+            "round must win everywhere:\n{art}"
         );
 
-        // Without the mark, recv wins over send and an irecv post.
+        // Without the round, recv wins over send and an irecv post.
         let events = vec![
             span(EventKind::Send {
                 dst: 0,
@@ -407,12 +369,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_length_mark_survives_on_top_of_long_send() {
-        // A send spans the whole timeline; a mark in the middle must still
+    fn zero_length_round_survives_on_top_of_long_send() {
+        // A send spans the whole timeline; a round in the middle must still
         // be visible (the old renderer let later events overwrite it).
         let events = vec![
             TraceEvent {
-                kind: EventKind::Mark { label: "m".into() },
+                kind: EventKind::Round {
+                    op: "m".into(),
+                    round: 0,
+                },
                 start: SimTime(50),
                 end: SimTime(50),
             },
@@ -428,8 +393,8 @@ mod tests {
         ];
         let art = render_timeline(&[events], 10);
         assert!(
-            art.contains("sssss|ssss"),
-            "mark must not be hidden:\n{art}"
+            art.contains("sssss^ssss"),
+            "round must not be hidden:\n{art}"
         );
     }
 

