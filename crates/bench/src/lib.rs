@@ -640,9 +640,9 @@ pub const WHATIF_SEEDS: &[u64] = &[7, 99];
 
 /// Run the counterfactual what-if profiler over a traced diagnosis run:
 /// plan targeted interventions from the findings and the decision audit
-/// ([`ncd_core::plan_experiments`]), deterministically replay each one on
-/// the event backend ([`ncd_core::causal_profile`]), print the causal
-/// profile and the findings with their measured `verified_gain`.
+/// ([`ncd_core::plan_experiments`]), deterministically replay each one
+/// ([`ncd_core::causal_profile`], one replay per core at a time), print
+/// the causal profile and the findings with their measured `verified_gain`.
 ///
 /// Returns the byte-stable JSON for ledgering — benches store it in
 /// [`RunCapture::whatif`] before calling [`BenchCli::observatory`].

@@ -3,7 +3,7 @@
 //! definition, or "the profiler reproduced the finding" silently stops
 //! meaning anything. Each workload here is deterministic given the
 //! cluster/MPI configuration, so a [`ncd_core::causal_profile`] replay of
-//! it is bit-reproducible on the event backend.
+//! it is bit-reproducible, on whichever thread it runs.
 
 use ncd_core::Comm;
 

@@ -14,11 +14,13 @@
 //!    ([`crate::MpiConfig::allgatherv_pin`]) — plus one deliberately
 //!    irrelevant control experiment that must measure ~0.
 //! 2. **Replay** ([`causal_profile`]): re-run the workload unchanged and
-//!    once per experiment on the event backend, and report each
-//!    intervention's measured makespan delta. Confidence comes from
-//!    tie-break-seed perturbation: the scheduler's equal-time tie order
-//!    must not change the result, so any spread across perturbed seeds
-//!    marks the measurement (not the simulation) as fragile.
+//!    once per experiment, and report each intervention's measured
+//!    makespan delta. Confidence comes from tie-break-seed perturbation:
+//!    the scheduler's equal-time tie order must not change the result, so
+//!    any spread across perturbed seeds marks the measurement (not the
+//!    simulation) as fragile. The replays are independent, so they run
+//!    concurrently, one cluster per OS thread; the profile is the same
+//!    for every thread count.
 //! 3. **Join back** ([`CausalProfile::apply_verified_gains`]): each
 //!    finding the plan targeted gains a measured `verified_gain`,
 //!    upgrading "probably the bottleneck" to "removing it saves N ns".
@@ -28,9 +30,13 @@
 //! `whatif.json` observatory artifact behind `BenchCli --whatif`.
 
 use std::fmt::Write as _;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 use ncd_simnet::{
-    Cluster, ClusterConfig, CostKnobs, Diagnosis, JsonValue, JsonWriter, KnobDim, WaitPattern,
+    Cluster, ClusterConfig, CostKnobs, Diagnosis, JsonValue, JsonWriter, KnobDim, TaskBackend,
+    WaitPattern,
 };
 
 use crate::coll::{AllgathervAlgorithm, AlltoallwSchedule};
@@ -338,15 +344,20 @@ impl CausalProfile {
 /// Deterministically replay `workload` under every experiment and
 /// measure the causal profile.
 ///
-/// Every run is forced onto the event backend (the scheduler whose
-/// determinism the measurement leans on). `perturb_seeds` re-runs each
-/// *intervened* configuration with the scheduler's equal-time tie order
-/// shuffled; the simulation contract says results must not change, so
-/// the observed spread is the confidence term of each outcome.
+/// The replays are the baseline, then per experiment its intervened
+/// configuration once plus once per `perturb_seeds` entry, which
+/// re-runs it with the scheduler's equal-time tie order shuffled; the
+/// simulation contract says results must not change, so the observed
+/// spread is the confidence term of each outcome.
 ///
 /// The workload runs once per configuration from a cold start; its
 /// makespan (all it measures: it observes nothing) is the latest rank
-/// completion time.
+/// completion time. The replays are independent, so they run at once,
+/// one cluster per OS thread, on up to `available_parallelism` threads
+/// (one when the cluster's ranks are handoff threads already); the
+/// profile does not depend on the thread count. The calling thread runs
+/// the last replay, so [`ncd_simnet::last_sched_stats`] is its survey.
+/// A replay that panics is re-raised with its own payload.
 pub fn causal_profile<F>(
     cluster: &ClusterConfig,
     mpi: &MpiConfig,
@@ -357,53 +368,149 @@ pub fn causal_profile<F>(
 where
     F: Fn(&mut Comm) + Send + Sync,
 {
-    let run = |cl: ClusterConfig, mp: &MpiConfig| -> u64 {
-        let times = Cluster::new(cl.observe(ncd_simnet::Observers::NONE)).run(|rank| {
-            let mut comm = Comm::new(rank, mp.clone());
-            workload(&mut comm);
-            comm.rank_ref().now()
-        });
-        times.iter().map(|t| t.as_ns()).max().unwrap_or(0)
-    };
-    let baseline_ns = run(cluster.clone(), mpi);
-    let mut outcomes = Vec::with_capacity(experiments.len());
+    let replays = 1 + experiments.len() * (1 + perturb_seeds.len());
+    let threads = replay_threads(cluster, replays);
+    profile_on(threads, cluster, mpi, experiments, perturb_seeds, &workload)
+}
+
+/// OS threads for `replays` replays of `cluster`: the available cores,
+/// but one when each replay's ranks already hold an OS thread apiece.
+fn replay_threads(cluster: &ClusterConfig, replays: usize) -> usize {
+    let backend = cluster
+        .task_backend
+        .unwrap_or_else(TaskBackend::default_for_target);
+    if backend == TaskBackend::Handoff {
+        return 1;
+    }
+    thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(replays)
+}
+
+/// [`causal_profile`] on `threads` OS threads, the caller's included.
+fn profile_on<F>(
+    threads: usize,
+    cluster: &ClusterConfig,
+    mpi: &MpiConfig,
+    experiments: &[Experiment],
+    perturb_seeds: &[u64],
+    workload: &F,
+) -> CausalProfile
+where
+    F: Fn(&mut Comm) + Send + Sync,
+{
+    // Plan order: the baseline, then per experiment its replay and one
+    // per perturb seed.
+    let mut replays = vec![(cluster.clone(), mpi.clone())];
     for e in experiments {
         let mut cl = e_cluster(cluster);
         let mut mp = mpi.clone();
         e.apply(&mut cl, &mut mp);
-        let makespan_ns = run(cl.clone(), &mp);
-        let mut lo = makespan_ns;
-        let mut hi = makespan_ns;
-        for &seed in perturb_seeds {
-            let m = run(cl.clone().with_tie_break_seed(seed), &mp);
-            lo = lo.min(m);
-            hi = hi.max(m);
-        }
-        let spread_ns = hi - lo;
-        let gain_ns = baseline_ns as i64 - makespan_ns as i64;
-        let gain_pct = if baseline_ns > 0 {
-            100.0 * gain_ns as f64 / baseline_ns as f64
-        } else {
-            0.0
-        };
-        let confidence = if spread_ns == 0 {
-            1.0
-        } else {
-            (1.0 - spread_ns as f64 / gain_ns.unsigned_abs().max(1) as f64).max(0.0)
-        };
-        outcomes.push(Outcome {
-            experiment: e.clone(),
-            makespan_ns,
-            gain_ns,
-            gain_pct,
-            spread_ns,
-            confidence,
-        });
+        replays.push((cl.clone(), mp.clone()));
+        replays.extend(
+            perturb_seeds
+                .iter()
+                .map(|&seed| (cl.clone().with_tie_break_seed(seed), mp.clone())),
+        );
     }
+    let makespans = replay_all(&replays, threads, workload);
+    let baseline_ns = makespans[0];
+    let outcomes = experiments
+        .iter()
+        .zip(makespans[1..].chunks(1 + perturb_seeds.len()))
+        .map(|(e, runs)| {
+            let makespan_ns = runs[0];
+            let spread_ns = runs.iter().max().unwrap_or(&0) - runs.iter().min().unwrap_or(&0);
+            let gain_ns = baseline_ns as i64 - makespan_ns as i64;
+            let gain_pct = if baseline_ns > 0 {
+                100.0 * gain_ns as f64 / baseline_ns as f64
+            } else {
+                0.0
+            };
+            let confidence = if spread_ns == 0 {
+                1.0
+            } else {
+                (1.0 - spread_ns as f64 / gain_ns.unsigned_abs().max(1) as f64).max(0.0)
+            };
+            Outcome {
+                experiment: e.clone(),
+                makespan_ns,
+                gain_ns,
+                gain_pct,
+                spread_ns,
+                confidence,
+            }
+        })
+        .collect();
     CausalProfile {
         baseline_ns,
         outcomes,
     }
+}
+
+/// Every replay's makespan, by index. Thread `k` of `threads` runs
+/// replays `k`, `k + threads`, … in order; the caller is the thread
+/// whose share ends with the last replay. No replay past a failed one
+/// starts, and the lowest-indexed panic is re-raised with its own
+/// payload, as a sequential loop would raise it.
+fn replay_all<F>(replays: &[(ClusterConfig, MpiConfig)], threads: usize, workload: &F) -> Vec<u64>
+where
+    F: Fn(&mut Comm) + Send + Sync,
+{
+    let n = replays.len();
+    let t = threads.clamp(1, n);
+    // The lowest failed index so far; it only skips work, so `Relaxed`.
+    let failed = AtomicUsize::new(n);
+    let share = |k: usize| -> Vec<thread::Result<u64>> {
+        (k..n)
+            .step_by(t)
+            .take_while(|&i| i < failed.load(Ordering::Relaxed))
+            .map(|i| {
+                let (cl, mp) = &replays[i];
+                let ran = panic::catch_unwind(AssertUnwindSafe(|| makespan(cl, mp, workload)));
+                if ran.is_err() {
+                    failed.fetch_min(i, Ordering::Relaxed);
+                }
+                ran
+            })
+            .collect()
+    };
+    let share = &share;
+    let caller = (n - 1) % t;
+    let shares = thread::scope(|s| {
+        let workers: Vec<_> = (0..t)
+            .filter(|&k| k != caller)
+            .map(|k| s.spawn(move || share(k)))
+            .collect();
+        let mine = share(caller);
+        let mut shares: Vec<_> = workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|p| panic::resume_unwind(p)))
+            .collect();
+        shares.insert(caller, mine);
+        shares
+    });
+    let mut shares: Vec<_> = shares.into_iter().map(Vec::into_iter).collect();
+    (0..n)
+        .map(|i| {
+            let ran = shares[i % t].next().expect("replays up to a failure ran");
+            ran.unwrap_or_else(|payload| panic::resume_unwind(payload))
+        })
+        .collect()
+}
+
+/// One unobserved replay's makespan: the latest rank completion (ns).
+fn makespan<F>(cluster: &ClusterConfig, mpi: &MpiConfig, workload: &F) -> u64
+where
+    F: Fn(&mut Comm) + Send + Sync,
+{
+    let cl = cluster.clone().observe(ncd_simnet::Observers::NONE);
+    let times = Cluster::new(cl).run(|rank| {
+        let mut comm = Comm::new(rank, mpi.clone());
+        workload(&mut comm);
+        comm.rank_ref().now()
+    });
+    times.iter().map(|t| t.as_ns()).max().unwrap_or(0)
 }
 
 fn e_cluster(base: &ClusterConfig) -> ClusterConfig {
@@ -467,7 +574,277 @@ pub fn whatif_json(p: &CausalProfile) -> String {
 mod tests {
     use super::*;
     use crate::commstats::Misselection;
-    use ncd_simnet::{diagnose, Observers, Tag, TraceEvent};
+    use ncd_simnet::{diagnose, last_sched_stats, Observers, Tag, TraceEvent};
+    use proptest::prelude::*;
+
+    /// The sequential replay loop [`causal_profile`] replaced: the
+    /// baseline, then per experiment its replay and its perturbed ones,
+    /// one after another on the calling thread.
+    mod oracle {
+        use super::super::*;
+
+        pub fn causal_profile<F>(
+            cluster: &ClusterConfig,
+            mpi: &MpiConfig,
+            experiments: &[Experiment],
+            perturb_seeds: &[u64],
+            workload: F,
+        ) -> CausalProfile
+        where
+            F: Fn(&mut Comm) + Send + Sync,
+        {
+            let run = |cl: ClusterConfig, mp: &MpiConfig| -> u64 {
+                let times = Cluster::new(cl.observe(ncd_simnet::Observers::NONE)).run(|rank| {
+                    let mut comm = Comm::new(rank, mp.clone());
+                    workload(&mut comm);
+                    comm.rank_ref().now()
+                });
+                times.iter().map(|t| t.as_ns()).max().unwrap_or(0)
+            };
+            let baseline_ns = run(cluster.clone(), mpi);
+            let mut outcomes = Vec::with_capacity(experiments.len());
+            for e in experiments {
+                let mut cl = e_cluster(cluster);
+                let mut mp = mpi.clone();
+                e.apply(&mut cl, &mut mp);
+                let makespan_ns = run(cl.clone(), &mp);
+                let mut lo = makespan_ns;
+                let mut hi = makespan_ns;
+                for &seed in perturb_seeds {
+                    let m = run(cl.clone().with_tie_break_seed(seed), &mp);
+                    lo = lo.min(m);
+                    hi = hi.max(m);
+                }
+                let spread_ns = hi - lo;
+                let gain_ns = baseline_ns as i64 - makespan_ns as i64;
+                let gain_pct = if baseline_ns > 0 {
+                    100.0 * gain_ns as f64 / baseline_ns as f64
+                } else {
+                    0.0
+                };
+                let confidence = if spread_ns == 0 {
+                    1.0
+                } else {
+                    (1.0 - spread_ns as f64 / gain_ns.unsigned_abs().max(1) as f64).max(0.0)
+                };
+                outcomes.push(Outcome {
+                    experiment: e.clone(),
+                    makespan_ns,
+                    gain_ns,
+                    gain_pct,
+                    spread_ns,
+                    confidence,
+                });
+            }
+            CausalProfile {
+                baseline_ns,
+                outcomes,
+            }
+        }
+    }
+
+    /// Field by field, floats by bits, and the JSON byte for byte.
+    fn assert_same_profile(got: &CausalProfile, want: &CausalProfile) {
+        assert_eq!(got.baseline_ns, want.baseline_ns);
+        assert_eq!(got.outcomes.len(), want.outcomes.len());
+        for (g, w) in got.outcomes.iter().zip(&want.outcomes) {
+            assert_eq!(g.experiment, w.experiment);
+            assert_eq!(g.makespan_ns, w.makespan_ns, "{}", w.experiment.id);
+            assert_eq!(g.gain_ns, w.gain_ns, "{}", w.experiment.id);
+            assert_eq!(g.gain_pct.to_bits(), w.gain_pct.to_bits());
+            assert_eq!(g.spread_ns, w.spread_ns, "{}", w.experiment.id);
+            assert_eq!(g.confidence.to_bits(), w.confidence.to_bits());
+        }
+        assert_eq!(whatif_json(got), whatif_json(want));
+    }
+
+    /// A skewed allgatherv loop: rank `r` computes `flops[r]` and
+    /// contributes `counts[r]` bytes, twice.
+    fn skewed_loop(flops: &[u64], counts: &[usize]) -> impl Fn(&mut Comm) + Send + Sync {
+        let (flops, counts) = (flops.to_vec(), counts.to_vec());
+        move |comm| {
+            let me = comm.rank();
+            let total: usize = counts.iter().sum();
+            for _ in 0..2 {
+                comm.rank_mut().compute_flops(flops[me]);
+                let send = vec![me as u8; counts[me]];
+                let mut recv = vec![0u8; total];
+                comm.allgatherv(&send, &counts, &mut recv);
+            }
+        }
+    }
+
+    fn cost(rank: usize, dim: KnobDim, factor: f64) -> Action {
+        Action::Cost { rank, dim, factor }
+    }
+
+    const DISSEMINATE: Action = Action::PinAllgatherv(AllgathervAlgorithm::Dissemination);
+
+    fn experiment(id: usize, actions: Vec<Action>) -> Experiment {
+        Experiment {
+            id: format!("e{id}"),
+            rationale: "test".to_string(),
+            target_finding: None,
+            actions,
+        }
+    }
+
+    /// An action on `n` ranks from three draws: a rank, a kind (three
+    /// cost dimensions or a pin) and a factor (or which algorithm).
+    fn action(n: usize, (rank, kind, f): (usize, usize, usize)) -> Action {
+        let dims = [KnobDim::Pack, KnobDim::Wire, KnobDim::Compute];
+        match (kind, f) {
+            (3, 0) => Action::PinAllgatherv(AllgathervAlgorithm::Ring),
+            (3, 2) if n.is_power_of_two() => {
+                Action::PinAllgatherv(AllgathervAlgorithm::RecursiveDoubling)
+            }
+            (3, _) => DISSEMINATE,
+            _ => cost(rank % n, dims[kind], [0.0, 0.5, 2.0][f]),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// 4–8 ranks on the jittered testbed, 0–4 experiments of one or
+        /// two actions, perturb seeds `[]`, `[7]` or `[7, 99]`, and the
+        /// base configuration's own tie seed on or off.
+        #[test]
+        fn concurrent_replays_match_the_sequential_oracle(
+            n in 4usize..9,
+            flops in proptest::collection::vec(0u64..4_000_000, 8),
+            counts in proptest::collection::vec(0usize..3_000, 8),
+            draws in proptest::collection::vec(
+                ((0usize..8, 0usize..4, 0usize..3), (0usize..8, 0usize..4, 0usize..3), any::<bool>()),
+                0..5,
+            ),
+            seeds in 0usize..3,
+            tie in (any::<bool>(), 0u64..1_000),
+        ) {
+            let plan: Vec<Experiment> = draws
+                .into_iter()
+                .enumerate()
+                .map(|(i, (a, b, two))| {
+                    let mut actions = vec![action(n, a)];
+                    if two {
+                        actions.push(action(n, b));
+                    }
+                    experiment(i, actions)
+                })
+                .collect();
+            let seeds = &[7, 99][..seeds];
+            let mut cluster = ClusterConfig::paper_testbed(n);
+            cluster.sched_tie_seed = tie.0.then_some(tie.1);
+            let mpi = MpiConfig::baseline();
+            let work = skewed_loop(&flops[..n], &counts[..n]);
+            let want = oracle::causal_profile(&cluster, &mpi, &plan, seeds, &work);
+            for threads in 1..=4 {
+                let got = profile_on(threads, &cluster, &mpi, &plan, seeds, &work);
+                assert_same_profile(&got, &want);
+            }
+            assert_same_profile(&causal_profile(&cluster, &mpi, &plan, seeds, &work), &want);
+        }
+    }
+
+    #[test]
+    fn handoff_replays_match_the_oracle_on_the_calling_thread() {
+        let cluster = ClusterConfig::paper_testbed(6).with_task_backend(TaskBackend::Handoff);
+        let plan = vec![
+            experiment(0, vec![DISSEMINATE]),
+            experiment(1, vec![cost(5, KnobDim::Compute, 0.5)]),
+        ];
+        let mpi = MpiConfig::baseline();
+        let work = skewed_loop(&[0, 0, 0, 0, 0, 3_000_000], &[64, 64, 64, 64, 64, 2_048]);
+        assert_eq!(replay_threads(&cluster, 7), 1, "handoff ranks hold threads");
+        let want = oracle::causal_profile(&cluster, &mpi, &plan, &[7], &work);
+        assert_same_profile(&causal_profile(&cluster, &mpi, &plan, &[7], &work), &want);
+    }
+
+    #[test]
+    fn replay_threads_are_bounded_by_cores_and_replays() {
+        let fiber = ClusterConfig::uniform(4).with_task_backend(TaskBackend::Fiber);
+        let cores = thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(replay_threads(&fiber, 1), 1);
+        assert_eq!(replay_threads(&fiber, 9), cores.min(9));
+        let handoff = fiber.with_task_backend(TaskBackend::Handoff);
+        assert_eq!(replay_threads(&handoff, 9), 1);
+    }
+
+    #[test]
+    fn a_replays_panic_is_raised_with_its_own_payload() {
+        let cluster = ClusterConfig::paper_testbed(5);
+        let plan = vec![
+            experiment(0, vec![cost(1, KnobDim::Wire, 0.0)]),
+            experiment(1, vec![DISSEMINATE]),
+            experiment(2, vec![cost(4, KnobDim::Pack, 0.5)]),
+        ];
+        let base = skewed_loop(&[0; 5], &[32, 32, 32, 32, 900]);
+        let entered = AtomicUsize::new(0);
+        let work = |comm: &mut Comm| {
+            entered.fetch_add(1, Ordering::Relaxed);
+            let pinned = comm.config().allgatherv_pin == Some(AllgathervAlgorithm::Dissemination);
+            if pinned && comm.rank() == 3 {
+                panic!("rank {} refuses to disseminate", comm.rank());
+            }
+            base(comm);
+        };
+        for threads in 1..=4 {
+            let raised = panic::catch_unwind(AssertUnwindSafe(|| {
+                profile_on(
+                    threads,
+                    &cluster,
+                    &MpiConfig::baseline(),
+                    &plan,
+                    &[7],
+                    &work,
+                )
+            }))
+            .expect_err("the pinned replay panics");
+            assert_eq!(
+                raised.downcast_ref::<String>().map(String::as_str),
+                Some("rank 3 refuses to disseminate"),
+                "{threads} threads"
+            );
+            if threads == 1 {
+                // The baseline, experiment 0 twice, then the failure: no
+                // replay after it starts.
+                assert_eq!(entered.swap(0, Ordering::Relaxed), 4 * 5);
+            }
+        }
+    }
+
+    #[test]
+    fn the_caller_keeps_the_final_replays_survey() {
+        let cluster = ClusterConfig::paper_testbed(8);
+        let mpi = MpiConfig::baseline();
+        let plan = vec![
+            experiment(0, vec![cost(7, KnobDim::Compute, 0.5)]),
+            experiment(1, vec![DISSEMINATE]),
+        ];
+        let seeds = [7, 99];
+        let work = skewed_loop(&[0, 0, 0, 0, 0, 0, 0, 4_000_000], &[16; 8]);
+        // The final replay, and the baseline, each run alone on a fresh thread.
+        let alone = |cl: &ClusterConfig, mp: &MpiConfig| {
+            thread::scope(|s| {
+                s.spawn(|| {
+                    makespan(cl, mp, &work);
+                    last_sched_stats()
+                })
+                .join()
+                .unwrap()
+            })
+        };
+        let mut last = e_cluster(&cluster).with_tie_break_seed(99);
+        let mut last_mpi = mpi.clone();
+        plan[1].apply(&mut last, &mut last_mpi);
+        let survey = alone(&last, &last_mpi);
+        assert!(survey.is_some());
+        assert_ne!(survey, alone(&cluster, &mpi), "the check tells runs apart");
+        for threads in 1..=4 {
+            profile_on(threads, &cluster, &mpi, &plan, &seeds, &work);
+            assert_eq!(last_sched_stats(), survey, "{threads} threads");
+        }
+    }
 
     /// Two ranks; rank 0 computes, then sends. Rank 1 waits — a
     /// late-sender finding blaming rank 0.
