@@ -22,10 +22,7 @@ use ncd_bench::{
 };
 use ncd_core::{decisions_from_trace, detect_misselections, Comm, MpiConfig, WPeer};
 use ncd_datatype::Datatype;
-use ncd_simnet::{
-    mirror_to_recorders, Capture, Cluster, ClusterCommMap, ClusterConfig, MetricsRegistry,
-    Observers,
-};
+use ncd_simnet::{Capture, Cluster, ClusterCommMap, ClusterConfig, MetricsRegistry, Observers};
 
 const STEPS: usize = 10;
 const BASE_CELLS: u64 = 2_000;
@@ -160,8 +157,7 @@ fn main() {
     );
 
     // (c) Root-cause diagnosis phase. Its capture carries the run's flight
-    // recorders, with the mirrored findings in them, so a reference-gate
-    // failure dumps this run.
+    // recorders, so a reference-gate failure dumps this run.
     let (diag_series, mut diag_run) = diagnosis_phase(depth_ranks);
 
     // (d) Counterfactual verification (`--whatif`): plan interventions
@@ -246,8 +242,6 @@ fn diagnosis_phase(nranks: usize) -> (Series, RunCapture) {
         &[],
         &run,
     );
-    let mirrored = mirror_to_recorders(&diag, 5, &run.recorders);
-    println!("{mirrored} finding(s) mirrored into the flight recorder");
 
     let op_total = diag.op_severity("allgatherv");
     let outlier_caused = diag.sender_caused_severity("allgatherv", OUTLIER);

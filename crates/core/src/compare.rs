@@ -38,8 +38,8 @@ use std::fmt::{self, Write as _};
 
 use ncd_simnet::{
     parse_analysis, parse_comm_matrix, parse_diagnosis, parse_metrics, parse_series,
-    AnalysisSummary, CommMatrix, DiagnosisSummary, FindingSummary, Histogram, JsonValue,
-    JsonWriter, LedgerRun, MetricsSnapshot, Series, SimTime,
+    AnalysisSummary, CommMatrix, DiagnosisSummary, Finding, Histogram, JsonValue, JsonWriter,
+    LedgerRun, MetricsSnapshot, Series, SimTime,
 };
 
 use crate::commstats::{parse_decisions, AlgorithmDecision};
@@ -648,7 +648,7 @@ pub fn compare(base: &RunRecord, cur: &RunRecord) -> RunDiff {
             (f.pattern, f.op.as_deref(), f.blamed)
         });
         for ((pattern, op, blamed), b, c) in findings {
-            let severity = |f: Option<&FindingSummary>| f.map_or(0, |f| f.severity.as_ns());
+            let severity = |f: Option<&Finding>| f.map_or(0, |f| f.severity.as_ns());
             let (base_ns, cur_ns) = (severity(b), severity(c));
             let status = match (b, c) {
                 (Some(_), None) => FindingStatus::Resolved,
@@ -1231,7 +1231,7 @@ mod tests {
     #[test]
     fn finding_diff_tracks_all_four_statuses() {
         let diagnosed = |classified: u64, findings: &[(WaitPattern, usize, u64)]| {
-            let finding = |&(pattern, blamed, ns): &(WaitPattern, usize, u64)| FindingSummary {
+            let finding = |&(pattern, blamed, ns): &(WaitPattern, usize, u64)| Finding {
                 pattern,
                 op: Some("allgatherv/ring".to_string()),
                 blamed,

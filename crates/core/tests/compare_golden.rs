@@ -66,7 +66,6 @@ fn canned_run(
             waiters: 3,
             severity,
             max_severity: severity,
-            last_end: SimTime::ZERO,
             verified_gain: None,
         }],
         blame: CommMatrix::new(4),

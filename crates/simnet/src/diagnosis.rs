@@ -50,12 +50,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use crate::analysis::{attribute_rounds, HbGraph, NodeId};
 use crate::commmap::{matrix_from, ranks_from, render_heatmap, CommMatrix};
 use crate::json::{parse_schema_led, Json, JsonWriter};
-use crate::recorder::{RankRecorder, RecCode};
 use crate::time::SimTime;
 use crate::trace::{EventKind, TraceEvent};
 
@@ -80,8 +78,7 @@ pub const ALL_PATTERNS: [WaitPattern; 5] = [
 ];
 
 impl WaitPattern {
-    /// Stable kebab-case label (used in reports, JSON, and the flight
-    /// recorder).
+    /// Stable kebab-case label (used in reports and JSON).
     pub fn label(self) -> &'static str {
         match self {
             WaitPattern::LateSender => "late-sender",
@@ -125,13 +122,11 @@ pub struct WaitInstance {
     pub chain_depth: u32,
     /// The receive node in the waiter's trace.
     pub node: NodeId,
-    /// End of the receive span (used to timestamp mirrored findings).
-    pub end: SimTime,
 }
 
 /// Instances aggregated by `(pattern, op, blamed rank)`, ranked by
-/// severity.
-#[derive(Clone, Debug)]
+/// severity; `diagnosis.json` holds every field.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Finding {
     pub pattern: WaitPattern,
     pub op: Option<String>,
@@ -142,8 +137,6 @@ pub struct Finding {
     pub severity: SimTime,
     /// Largest single instance in the group.
     pub max_severity: SimTime,
-    /// Latest receive end in the group (timestamp for mirrored records).
-    pub last_end: SimTime,
     /// Causally verified gain in nanoseconds, filled in by the what-if
     /// profiler (`core::whatif`) after replaying the workload with this
     /// finding's cost removed: baseline makespan minus intervention
@@ -313,36 +306,27 @@ pub(crate) fn diagnose_graph(graph: &HbGraph<'_>) -> Diagnosis {
                 severity: *wait,
                 chain_depth,
                 node: (rank, i),
-                end: e.end,
             });
         }
     }
 
     let mut blame = CommMatrix::new(n);
     type GroupKey = (WaitPattern, Option<String>, usize);
-    let mut groups: BTreeMap<GroupKey, (u64, BTreeSet<usize>, SimTime, SimTime, SimTime)> =
-        BTreeMap::new();
+    let mut groups: BTreeMap<GroupKey, (u64, BTreeSet<usize>, SimTime, SimTime)> = BTreeMap::new();
     for inst in &instances {
         blame.add(inst.blamed, inst.waiter, inst.severity.as_ns(), 1);
         let g = groups
             .entry((inst.pattern, inst.op.clone(), inst.blamed))
-            .or_insert((
-                0,
-                BTreeSet::new(),
-                SimTime::ZERO,
-                SimTime::ZERO,
-                SimTime::ZERO,
-            ));
+            .or_insert((0, BTreeSet::new(), SimTime::ZERO, SimTime::ZERO));
         g.0 += 1;
         g.1.insert(inst.waiter);
         g.2 += inst.severity;
         g.3 = g.3.max(inst.severity);
-        g.4 = g.4.max(inst.end);
     }
     let mut findings: Vec<Finding> = groups
         .into_iter()
         .map(
-            |((pattern, op, blamed), (count, waiters, severity, max_severity, last_end))| Finding {
+            |((pattern, op, blamed), (count, waiters, severity, max_severity))| Finding {
                 pattern,
                 op,
                 blamed,
@@ -350,7 +334,6 @@ pub(crate) fn diagnose_graph(graph: &HbGraph<'_>) -> Diagnosis {
                 waiters: waiters.len() as u64,
                 severity,
                 max_severity,
-                last_end,
                 verified_gain: None,
             },
         )
@@ -525,20 +508,6 @@ pub(crate) fn warning_block(unmatched_recvs: usize, unmatched_sends: usize) -> O
     Some(out)
 }
 
-/// One finding as `diagnosis.json` holds it: a [`Finding`] without the
-/// timestamp its flight-recorder mirror carries.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FindingSummary {
-    pub pattern: WaitPattern,
-    pub op: Option<String>,
-    pub blamed: usize,
-    pub waiters: u64,
-    pub instances: u64,
-    pub severity: SimTime,
-    pub max_severity: SimTime,
-    pub verified_gain: Option<i64>,
-}
-
 /// A diagnosis as `diagnosis.json` holds it: the totals, per-pattern rows,
 /// ranked findings and blame matrix of a [`Diagnosis`]; the classified
 /// instances stay with the run.
@@ -549,7 +518,7 @@ pub struct DiagnosisSummary {
     pub total_wait: SimTime,
     pub classified: SimTime,
     pub per_pattern: Vec<(WaitPattern, SimTime, u64)>,
-    pub findings: Vec<FindingSummary>,
+    pub findings: Vec<Finding>,
     pub blame: CommMatrix,
     pub unmatched_recvs: usize,
     pub unmatched_sends: usize,
@@ -557,23 +526,13 @@ pub struct DiagnosisSummary {
 
 /// JSON export of a diagnosis (golden-tested).
 pub fn diagnosis_json(d: &Diagnosis) -> String {
-    let finding = |f: &Finding| FindingSummary {
-        pattern: f.pattern,
-        op: f.op.clone(),
-        blamed: f.blamed,
-        waiters: f.waiters,
-        instances: f.instances,
-        severity: f.severity,
-        max_severity: f.max_severity,
-        verified_gain: f.verified_gain,
-    };
     summary_json(&DiagnosisSummary {
         n: d.n,
         makespan: d.makespan,
         total_wait: d.total_wait,
         classified: d.classified,
         per_pattern: d.per_pattern.clone(),
-        findings: d.findings.iter().map(finding).collect(),
+        findings: d.findings.clone(),
         blame: d.blame.clone(),
         unmatched_recvs: d.unmatched_recvs,
         unmatched_sends: d.unmatched_sends,
@@ -625,7 +584,7 @@ pub fn parse_diagnosis(text: &str) -> Result<DiagnosisSummary, String> {
             Ok((pattern(p)?, ns(p, "severity_ns")?, p.u64("instances")?))
         })?,
         findings: v.list("findings", |f| {
-            Ok(FindingSummary {
+            Ok(Finding {
                 pattern: pattern(f)?,
                 op: f.opt_str("op").map(str::to_string),
                 blamed: f.u64("blamed")? as usize,
@@ -643,35 +602,6 @@ pub fn parse_diagnosis(text: &str) -> Result<DiagnosisSummary, String> {
         unmatched_recvs: v.u64("unmatched_recvs")? as usize,
         unmatched_sends: v.u64("unmatched_sends")? as usize,
     })
-}
-
-/// Mirror the `top_k` highest-severity findings into a run's flight
-/// `recorders` (indexed by rank, as [`crate::RunOutput::recorders`]): each
-/// finding lands in its blamed rank's dedicated diagnosis ring, so the
-/// run's dump carries the diagnosis. A live rank is its recorder's only
-/// writer (see [`crate::recorder`]), so a recorder whose rank is still
-/// running is skipped and not counted. Returns the number of findings
-/// mirrored.
-pub fn mirror_to_recorders(d: &Diagnosis, top_k: usize, recorders: &[Arc<RankRecorder>]) -> usize {
-    let mut mirrored = 0;
-    for f in d.findings.iter().take(top_k) {
-        let Some(rec) = recorders.get(f.blamed).filter(|rec| !rec.writer_live()) else {
-            continue;
-        };
-        let pattern = rec.intern(f.pattern.label());
-        let op = rec.intern(f.op.as_deref().unwrap_or("-"));
-        rec.record(
-            RecCode::Diagnosis,
-            f.last_end,
-            pattern,
-            op,
-            f.blamed as u64,
-            f.instances,
-            f.severity.as_ns(),
-        );
-        mirrored += 1;
-    }
-    mirrored
 }
 
 /// Property-test hook: per-op classified severity must never exceed that
@@ -700,8 +630,8 @@ pub fn check_severity_bound(traces: &[Vec<TraceEvent>], d: &Diagnosis) -> Option
 mod tests {
     use super::*;
     use crate::capture::tests::traced;
-    use crate::runtime::{Cluster, ClusterConfig};
-    use crate::{Observers, Tag, SCHEMA_VERSION};
+    use crate::runtime::ClusterConfig;
+    use crate::{Tag, SCHEMA_VERSION};
 
     /// Rank 0 computes before sending: rank 1's blocked recv is a plain
     /// late-sender blamed on 0.
@@ -723,57 +653,6 @@ mod tests {
         assert_eq!(d.classified, d.total_wait);
         assert_eq!(d.blame.bytes(0, 1), inst.severity.as_ns());
         assert_eq!(d.blame.msgs(0, 1), 1);
-    }
-
-    /// Mirroring writes only into a recorder whose rank has finished:
-    /// inside a run the rank's own live recorder is skipped and counts 0;
-    /// once that rank is dropped the same recorder takes the finding.
-    #[test]
-    fn mirroring_skips_a_live_ranks_recorder() {
-        let trace = Observers {
-            trace: true,
-            ..Observers::NONE
-        };
-        let cluster = Cluster::new(ClusterConfig::uniform(2).observe(trace));
-        let out = cluster.try_run(|rank| {
-            if rank.rank() == 0 {
-                rank.compute_flops(500_000);
-                rank.send_bytes(1, Tag(0), vec![0u8; 64]);
-            } else {
-                let _ = rank.recv_bytes(Some(0), Tag(0));
-            }
-        });
-        let (traces, recorders) = (out.capture.traces.expect("traced"), out.recorders);
-        let d = diagnose(&traces);
-        assert_eq!(d.findings.len(), 1);
-        assert_eq!(d.findings[0].blamed, 0);
-
-        let live = Cluster::new(ClusterConfig::uniform(1)).run(|rank| {
-            let own = std::slice::from_ref(&rank.recorder);
-            assert!(own[0].writer_live());
-            let mirrored = mirror_to_recorders(&d, 4, own);
-            (
-                mirrored,
-                own[0].recent(RecCode::Diagnosis).len(),
-                own[0].clone(),
-            )
-        });
-        let (mirrored, ring, own) = live.into_iter().next().expect("one rank");
-        assert_eq!(
-            (mirrored, ring),
-            (0, 0),
-            "a live rank's recorder is skipped"
-        );
-        assert!(
-            !own.writer_live(),
-            "dropping the rank releases its recorder"
-        );
-        assert_eq!(mirror_to_recorders(&d, 4, std::slice::from_ref(&own)), 1);
-        assert_eq!(own.recent(RecCode::Diagnosis).len(), 1);
-
-        assert_eq!(mirror_to_recorders(&d, 4, &recorders), 1);
-        let ring = recorders[0].recent(RecCode::Diagnosis);
-        assert_eq!((ring.len(), ring[0].c), (1, 0), "blamed rank 0");
     }
 
     /// 0 computes, sends to 1; 1 forwards to 2 immediately: 2's wait is a

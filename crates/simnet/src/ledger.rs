@@ -33,6 +33,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::json::{parse_json, parse_schema_led, Json, JsonValue, JsonWriter, SCHEMA_VERSION};
+use crate::volume::{fnv_bytes, FNV_OFFSET};
 
 /// Identity of one persisted run: everything that names *what* ran, and
 /// the content hash of what it produced. Deliberately contains no
@@ -55,15 +56,6 @@ pub struct RunManifest {
     pub run_id: String,
 }
 
-/// Fold bytes into an FNV-1a 64-bit state.
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The deterministic run id: FNV-1a over bench, mode, schema, knobs, and
 /// each artifact `(name, contents)` in the given order, rendered as 16
 /// hex digits. A separator byte between fields keeps concatenation
@@ -74,7 +66,7 @@ pub fn run_id(
     knobs: &[(String, String)],
     artifacts: &[(String, String)],
 ) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for part in [bench, mode] {
         h = fnv_bytes(h, part.as_bytes());
         h = fnv_bytes(h, &[0]);

@@ -72,8 +72,8 @@ pub use commmap::{
     render_heatmap, ClusterCommMap, CommMatrix, EpochMatrix, RankCommMap, RankEpoch,
 };
 pub use diagnosis::{
-    check_severity_bound, diagnose, diagnosis_json, mirror_to_recorders, parse_diagnosis,
-    Diagnosis, DiagnosisSummary, Finding, FindingSummary, WaitInstance, WaitPattern, ALL_PATTERNS,
+    check_severity_bound, diagnose, diagnosis_json, parse_diagnosis, Diagnosis, DiagnosisSummary,
+    Finding, WaitInstance, WaitPattern, ALL_PATTERNS,
 };
 pub use export::chrome_trace_json;
 pub use history::{

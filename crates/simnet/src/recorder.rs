@@ -5,7 +5,7 @@
 //! is the opposite trade: **always on**, bounded, and cheap enough to leave
 //! enabled everywhere — the black box that survives a crash. Each rank owns
 //! a [`RankRecorder`] fed by [`crate::Rank::record`] through
-//! [`RankRecorder::record_event`], the one place an event is packed into
+//! `RankRecorder::record_event`, the one place an event is packed into
 //! slot words (`render_record` is its inverse). Recording an event costs
 //! the stores of its slot and nothing else: the owning rank is the ring's
 //! only writer while it runs, so a slot is claimed with a plain load and
@@ -15,12 +15,11 @@
 //! has recorded before costs no hash, lock or scan. Recording never
 //! touches the simulated clock.
 //!
-//! The single-writer contract holds by construction: a recorder made by
-//! [`crate::Cluster::try_run`] belongs to its rank until the
-//! [`crate::Rank`] is dropped (on return or unwind), and post-run writers
-//! ([`crate::diagnosis::mirror_to_recorders`]) skip a recorder whose
-//! rank is still live. Every field is an atomic or behind a lock, so a broken
-//! contract loses records but never memory safety.
+//! The single-writer contract holds by visibility: `RankRecorder::new`
+//! and `RankRecorder::record_event` are crate-private, and the one
+//! caller of the latter is [`crate::Rank::record`], so the only thing that
+//! writes a recorder is its own rank. Every field is an atomic or behind
+//! a lock, so a broken contract loses records but never memory safety.
 //!
 //! A run hands its recorders back in its [`crate::RunOutput`], failed or
 //! not. Whoever holds them renders the recent window with [`render_dump`]:
@@ -28,14 +27,16 @@
 //! run stalls, and the bench reference gate (`--compare`) appends its own
 //! run's dump to a regression report.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::time::SimTime;
 use crate::trace::{EventKind, Label, TraceEvent};
+use crate::volume::{fnv_bytes, FNV_OFFSET};
 
-/// What kind of event a flight-recorder slot holds. Codes 3 and 4 are
-/// retired (they held user marks and profiling stages) and are not reused.
+/// What kind of event a flight-recorder slot holds. Codes 3, 4 and 11 are
+/// retired (they held user marks, profiling stages and post-run diagnosis
+/// findings) and are not reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecCode {
     Send = 1,
@@ -46,7 +47,6 @@ pub enum RecCode {
     SendWait = 8,
     AlgoDecision = 9,
     Drift = 10,
-    Diagnosis = 11,
 }
 
 impl RecCode {
@@ -60,7 +60,6 @@ impl RecCode {
             8 => Some(RecCode::SendWait),
             9 => Some(RecCode::AlgoDecision),
             10 => Some(RecCode::Drift),
-            11 => Some(RecCode::Diagnosis),
             _ => None,
         }
     }
@@ -78,7 +77,6 @@ impl RecCode {
 /// | `SendWait`  | residual ns  | –        | –         | –         | –     |
 /// | `AlgoDecision` | coll hash | chosen hash | n<<1\|pow2 | bytes | ratio millis |
 /// | `Drift`     | label hash | metric hash | occ<<1\|up | baseline millis | observed millis |
-/// | `Diagnosis` | pattern hash | op hash | blamed rank | instances | severity ns |
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Recorded {
     /// Global order within the rank (1-based claim order).
@@ -166,29 +164,21 @@ impl Ring {
 }
 
 /// FNV-1a 64-bit — the label hash used for string payloads.
-pub fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+fn fnv1a(s: &str) -> u64 {
+    fnv_bytes(FNV_OFFSET, s.as_bytes())
 }
 
-/// How many records each side ring keeps. Decisions, drift events and
-/// mirrored diagnosis findings are rare, but the traffic that caused them
-/// evicts them from the main ring long before anything dumps it; a
-/// dedicated ring per such code cannot be evicted by traffic, so a
-/// reference-gate dump always shows which algorithms were active, when
-/// the traffic shifted, and what the post-mortem diagnosis
-/// ([`crate::diagnosis::mirror_to_recorders`]) blamed.
+/// How many records each side ring keeps. Decisions and drift events are
+/// rare, but the traffic that caused them evicts them from the main ring
+/// long before anything dumps it; a dedicated ring per such code cannot
+/// be evicted by traffic, so a reference-gate dump always shows which
+/// algorithms were active and when the traffic shifted.
 pub const SIDE_RING_SLOTS: usize = 8;
 
 /// The codes that get a side ring, with the dump heading of each.
-const SIDE_RINGS: [(RecCode, &str); 3] = [
+const SIDE_RINGS: [(RecCode, &str); 2] = [
     (RecCode::AlgoDecision, "algorithm decisions"),
     (RecCode::Drift, "drift events"),
-    (RecCode::Diagnosis, "diagnosis findings"),
 ];
 
 /// Entries in the writer-side label cache (a power of two).
@@ -207,9 +197,6 @@ struct CachedLabel {
 pub struct RankRecorder {
     rank: usize,
     main: Ring,
-    /// Whether a running rank still owns this recorder as its writer
-    /// (see the module docs).
-    writer_live: AtomicBool,
     /// Hash → string for label payloads (collective ops, engine names).
     /// Touched only the first time a literal label is recorded, on every
     /// owned label, and by renders.
@@ -225,7 +212,7 @@ pub struct RankRecorder {
 impl RankRecorder {
     /// `capacity` is rounded up to a power of two (minimum 8). Panics,
     /// naming the value, when no power of two that large fits a `usize`.
-    pub fn new(rank: usize, capacity: usize) -> Self {
+    pub(crate) fn new(rank: usize, capacity: usize) -> Self {
         let cap = capacity
             .max(8)
             .checked_next_power_of_two()
@@ -233,32 +220,10 @@ impl RankRecorder {
         RankRecorder {
             rank,
             main: Ring::new(cap),
-            writer_live: AtomicBool::new(false),
             labels: Mutex::new(Vec::new()),
             label_cache: Default::default(),
             side: Default::default(),
         }
-    }
-
-    /// A recorder owned by a running rank from birth: [`Self::writer_live`]
-    /// until [`Self::release_writer`].
-    pub(crate) fn owned_by_rank(rank: usize, capacity: usize) -> Self {
-        RankRecorder {
-            writer_live: AtomicBool::new(true),
-            ..Self::new(rank, capacity)
-        }
-    }
-
-    /// The owning rank is gone; its last records happen-before any
-    /// write by a thread that then sees [`Self::writer_live`] false.
-    pub(crate) fn release_writer(&self) {
-        self.writer_live.store(false, Ordering::Release);
-    }
-
-    /// Whether a running rank still owns this recorder: only that rank
-    /// may record into it until this turns false.
-    pub(crate) fn writer_live(&self) -> bool {
-        self.writer_live.load(Ordering::Acquire)
     }
 
     pub fn rank(&self) -> usize {
@@ -278,16 +243,7 @@ impl RankRecorder {
     /// code has a side ring). Safe to call from the writer while other
     /// threads snapshot.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record(
-        &self,
-        code: RecCode,
-        time: SimTime,
-        a: u64,
-        b: u64,
-        c: u64,
-        d: u64,
-        e: u64,
-    ) {
+    fn record(&self, code: RecCode, time: SimTime, a: u64, b: u64, c: u64, d: u64, e: u64) {
         let time = time.as_ns();
         let seq = self.main.push([time, code as u64, a, b, c, d, e]);
         if let Some(at) = side_ring_index(code) {
@@ -319,7 +275,7 @@ impl RankRecorder {
 
     /// Intern `label` so dumps can print it back; returns its hash, the
     /// word [`RankRecorder::record`] stores for it.
-    pub(crate) fn intern(&self, label: &str) -> u64 {
+    fn intern(&self, label: &str) -> u64 {
         let h = fnv1a(label);
         let mut labels = self.labels.lock().expect("label table poisoned");
         if !labels.iter().any(|(hash, _)| *hash == h) {
@@ -383,7 +339,7 @@ impl RankRecorder {
     /// ended. Force-inlined for the reason given at
     /// [`crate::Rank::record`], its one caller.
     #[inline(always)]
-    pub fn record_event(&self, event: &TraceEvent) {
+    pub(crate) fn record_event(&self, event: &TraceEvent) {
         let (code, [a, b, c, d, e]) = pack_event(event, |label| self.label_word(label));
         self.record(code, event.end, a, b, c, d, e);
     }
@@ -521,14 +477,6 @@ fn render_record(rank: usize, r: &Recorded, label: &impl Fn(u64) -> String) -> S
             if r.c & 1 == 1 { "up" } else { "down" },
             render_millis(r.d),
             render_millis(r.e),
-        ),
-        RecCode::Diagnosis => format!(
-            "diag       {} op={} blamed={} instances={} severity_ns={}",
-            label(r.a),
-            label(r.b),
-            r.c,
-            r.d,
-            r.e,
         ),
     };
     format!("{head} {body}")
@@ -1065,24 +1013,11 @@ mod tests {
         ]
     }
 
-    /// What a test step writes: an observed event, or a diagnosis finding
-    /// as `crate::diagnosis::mirror_to_recorders` writes it.
-    #[derive(Clone, Debug)]
-    enum Step {
-        Event(TraceEvent),
-        Finding([Label; 2], [u64; 4]),
-    }
-
-    fn step() -> impl Strategy<Value = Step> {
-        let event = (event_kind(), 0..1u64 << 40, 0..1u64 << 20)
-            .prop_map(|(kind, start, len)| {
-                let (start, end) = (SimTime(start), SimTime(start + len));
-                Step::Event(TraceEvent { kind, start, end })
-            })
-            .boxed();
-        let finding = (label(), label(), (ANY, ANY, ANY, ANY))
-            .prop_map(|(pattern, op, (t, c, d, e))| Step::Finding([pattern, op], [t, c, d, e]));
-        prop_oneof![event.clone(), event.clone(), event, finding]
+    fn event() -> impl Strategy<Value = TraceEvent> {
+        (event_kind(), 0..1u64 << 40, 0..1u64 << 20).prop_map(|(kind, start, len)| {
+            let (start, end) = (SimTime(start), SimTime(start + len));
+            TraceEvent { kind, start, end }
+        })
     }
 
     proptest! {
@@ -1094,28 +1029,14 @@ mod tests {
         #[test]
         fn single_writer_recorder_matches_the_reference(
             capacity in (3..6u32).prop_map(|log2| 1usize << log2),
-            steps in proptest::collection::vec(step(), 1..160),
+            events in proptest::collection::vec(event(), 1..160),
         ) {
             let rec = RankRecorder::new(3, capacity);
             let reference = Reference::new(3, capacity);
-            for (i, step) in steps.iter().enumerate() {
-                let (code, words) = match step {
-                    Step::Event(event) => {
-                        rec.record_event(event);
-                        reference.record_event(event);
-                        pack_event(event, |label| fnv1a(label))
-                    }
-                    Step::Finding([pattern, op], [time, blamed, instances, severity]) => {
-                        let args = |intern: &dyn Fn(&str) -> u64| {
-                            (intern(pattern), intern(op), *blamed, *instances, *severity)
-                        };
-                        let (a, b, c, d, e) = args(&|l| rec.intern(l));
-                        rec.record(RecCode::Diagnosis, SimTime(*time), a, b, c, d, e);
-                        let (a, b, c, d, e) = args(&|l| reference.intern(l));
-                        reference.record(RecCode::Diagnosis, SimTime(*time), a, b, c, d, e);
-                        (RecCode::Diagnosis, [fnv1a(pattern), fnv1a(op), *blamed, *instances, *severity])
-                    }
-                };
+            for (i, event) in events.iter().enumerate() {
+                rec.record_event(event);
+                reference.record_event(event);
+                let (code, words) = pack_event(event, |label| fnv1a(label));
                 let last = rec.snapshot().pop().expect("a record was just written");
                 prop_assert_eq!(
                     (last.seq, last.code, [last.a, last.b, last.c, last.d, last.e]),

@@ -242,10 +242,10 @@ impl Cluster {
         F: Fn(&mut Rank) -> R + Send + Sync,
     {
         let n = self.cfg.n_ranks;
-        // Each recorder is owned by its rank until that `Rank` drops, and
-        // returned on every path: a failed run's recorders are its evidence.
+        // Each recorder is written only by its rank and returned on every
+        // path: a failed run's recorders are its evidence.
         let recorders: Vec<Arc<RankRecorder>> = (0..n)
-            .map(|r| Arc::new(RankRecorder::owned_by_rank(r, self.cfg.recorder_capacity)))
+            .map(|r| Arc::new(RankRecorder::new(r, self.cfg.recorder_capacity)))
             .collect();
         let ctl = Arc::new(EventCtl::new(n));
         let task_backend = self
@@ -320,8 +320,8 @@ pub struct RunOutput<R> {
     pub results: Result<Vec<R>, RunError>,
     /// The scheduler's survey of the run.
     pub sched: SchedStats,
-    /// Every rank's flight recorder, indexed by rank; each rank has
-    /// released its recorder once its program returned or unwound.
+    /// Every rank's flight recorder, indexed by rank, as its rank left
+    /// it when its program returned or unwound.
     pub recorders: Vec<Arc<RankRecorder>>,
     /// What the configured observers saw ([`ClusterConfig::observe`]);
     /// empty when the run failed.
@@ -460,7 +460,7 @@ impl Rank {
     /// written by its producer (see [`Rank::metrics_mut`]). Allocates
     /// nothing with tracing off.
     ///
-    /// Force-inlined with [`RankRecorder::record_event`]: every caller
+    /// Force-inlined with `RankRecorder::record_event`: every caller
     /// passes a literal variant, so the table folds to that variant's row
     /// and, with tracing off, the words go straight into the recorder slot.
     /// Otherwise each event is first built on the rank's stack, which at
@@ -846,14 +846,6 @@ impl Rank {
     }
 }
 
-impl Drop for Rank {
-    /// On return or unwind: the rank writes no more records, so post-run
-    /// code may now write to its recorder.
-    fn drop(&mut self) {
-        self.recorder.release_writer();
-    }
-}
-
 /// A finished rank's slot.
 fn finished<T>(slot: Mutex<Option<T>>) -> T {
     let slot = slot.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -1055,12 +1047,10 @@ mod tests {
     }
 
     /// A failed run's recorders are returned with its error: the victim's
-    /// last send is in them, and every rank, panicked or poisoned, has
-    /// released its recorder.
+    /// last send is in them.
     #[test]
     fn a_panicking_runs_recorders_hold_the_victims_last_send() {
         let out = Cluster::new(ClusterConfig::uniform(2)).try_run(|r| {
-            assert!(r.recorder.writer_live());
             if r.rank() == 1 {
                 r.send_bytes(0, Tag(0), vec![1, 2, 3]);
                 panic!("rank 1 exploded");
@@ -1072,18 +1062,7 @@ mod tests {
         assert_eq!((err.rank(), err.to_string()), (1, "rank 1 exploded".into()));
         let dump = render_dump(&out.recorders);
         assert!(dump.contains("send       dst=0 bytes=3"), "{dump}");
-        assert!(out.recorders.iter().all(|rec| !rec.writer_live()));
         assert_eq!(out.sched.tasks, 2);
-    }
-
-    #[test]
-    fn an_unwinding_rank_releases_its_recorder() {
-        let out = Cluster::new(ClusterConfig::uniform(1)).try_run(|r| {
-            assert!(r.recorder.writer_live());
-            panic!("rank 0 exploded");
-        });
-        assert!(out.results.is_err(), "the panic is the run's outcome");
-        assert!(!out.recorders[0].writer_live());
     }
 
     /// A rank's own panic keeps its rank and its payload, whatever type

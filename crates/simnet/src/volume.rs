@@ -143,13 +143,15 @@ pub fn gini(volumes: &[u64]) -> f64 {
     (2.0 * weighted as f64) / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64
 }
 
-/// Fold one little-endian `u64` into an FNV-1a state.
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The FNV-1a 64-bit offset basis: the state before any byte is folded.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into an FNV-1a 64-bit state: the one fold behind pattern
+/// hashes, ledger run ids and flight-recorder label words.
+pub(crate) fn fnv_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// This rank's additive share of the cluster pattern hash for one epoch:
@@ -158,11 +160,10 @@ fn fnv_u64(mut h: u64, v: u64) -> u64 {
 /// `wrapping_add`, so the combined hash is independent of merge order yet
 /// changes (w.h.p.) when any single length does.
 pub fn pattern_hash_rank(rank: usize, lengths: &[u64]) -> u64 {
-    let mut h = fnv_u64(0xcbf2_9ce4_8422_2325, rank as u64);
-    for &len in lengths {
-        h = fnv_u64(h, len);
-    }
-    h
+    let h = fnv_bytes(FNV_OFFSET, &(rank as u64).to_le_bytes());
+    lengths
+        .iter()
+        .fold(h, |h, len| fnv_bytes(h, &len.to_le_bytes()))
 }
 
 #[cfg(test)]
