@@ -8,12 +8,13 @@
 //! mid-run. This bench drives a synthetic remeshing schedule — three
 //! regimes, each ending in an injected remesh that relocates and deepens
 //! the refinement hotspot — through a pinned-ring allgatherv boundary
-//! exchange, with the epoch history and online drift monitor armed.
+//! exchange, with the epoch history armed.
 //!
 //! What the temporal layer must show (and this bench asserts):
 //!
-//! * every injected remesh fires a [`DriftEvent`] on the volume or skew
-//!   series within [`DRIFT_DETECTION_BOUND`] epochs of the boundary;
+//! * every injected remesh fires a [`DriftEvent`](ncd_core::DriftEvent)
+//!   on the volume or skew series of the merged history ([`detect_drift`])
+//!   within [`DRIFT_DETECTION_BOUND`] epochs of the boundary;
 //! * the pattern-recurrence join sees each regime's hash recur while the
 //!   regimes stay put, so recurrence stability drops as remeshes pile up.
 //!
@@ -22,8 +23,7 @@
 
 use ncd_bench::{report, BenchCli, RunCapture, Series};
 use ncd_core::{
-    drift_events_from_trace, pattern_recurrence, AllgathervAlgorithm, Comm, DriftEvent, MpiConfig,
-    DRIFT_DETECTION_BOUND,
+    detect_drift, pattern_recurrence, AllgathervAlgorithm, Comm, MpiConfig, DRIFT_DETECTION_BOUND,
 };
 use ncd_simnet::{Cluster, ClusterConfig, Observers, SimTime};
 
@@ -81,9 +81,9 @@ fn counts_for(n: usize, r: &Regime) -> Vec<usize> {
 }
 
 /// The whole remeshing run under every observer (no warm-up: the first
-/// regime is part of the story). Returns the per-regime step latencies,
-/// the drift events the online monitor fired, and the capture.
-fn run(nranks: usize, epochs: usize) -> (Vec<SimTime>, Vec<DriftEvent>, RunCapture) {
+/// regime is part of the story). Returns the per-regime step latencies
+/// and the capture.
+fn run(nranks: usize, epochs: usize) -> (Vec<SimTime>, RunCapture) {
     let cluster = ClusterConfig::paper_testbed(nranks).observe(Observers::ALL);
     let run = Cluster::new(cluster).try_run(|rank| {
         let mut comm = Comm::new(rank, MpiConfig::optimized());
@@ -122,24 +122,14 @@ fn run(nranks: usize, epochs: usize) -> (Vec<SimTime>, Vec<DriftEvent>, RunCaptu
         recorders,
         ..RunCapture::default()
     };
-    // SPMD: every rank's monitor fires identically; the first rank that
-    // saw any event stands for the run.
-    let drift = capture
-        .capture
-        .traces
-        .iter()
-        .flatten()
-        .map(|trace| drift_events_from_trace(trace))
-        .find(|events| !events.is_empty())
-        .unwrap_or_default();
-    (marks, drift, capture)
+    (marks, capture)
 }
 
 fn main() {
     let cli = BenchCli::parse();
     let (nranks, epochs) = if cli.smoke { (16, 8) } else { (64, 12) };
 
-    let (marks, drift, mut capture) = run(nranks, epochs);
+    let (marks, mut capture) = run(nranks, epochs);
     let mut lat = Series::new("step-latency");
     for (i, t) in marks.iter().enumerate() {
         lat.push(format!("regime{i}"), t.as_us());
@@ -158,6 +148,8 @@ fn main() {
 
     // Every injected remesh (the entry into regimes 1 and 2) must be
     // flagged within the detector's re-warm bound of the boundary epoch.
+    let history = capture.capture.history.as_ref().expect("history observed");
+    let drift = detect_drift(history);
     let bound = DRIFT_DETECTION_BOUND;
     for (i, boundary) in [epochs as u32, 2 * epochs as u32].iter().enumerate() {
         let hit = drift
@@ -177,7 +169,7 @@ fn main() {
     // Recurrence: three stationary regimes → exactly three distinct
     // pattern hashes on the ring series, dominant recurring every epoch
     // of its regime.
-    let rec = pattern_recurrence(capture.capture.history.as_ref().expect("history observed"));
+    let rec = pattern_recurrence(history);
     let ring = rec
         .iter()
         .find(|r| r.label == "allgatherv/ring")
@@ -189,10 +181,10 @@ fn main() {
     );
     assert_eq!(ring.dominant_count, epochs);
 
-    // Observatory pass: the drift run is already fully traced (the
-    // detector feeds off the trace), so ledgering it costs nothing extra.
-    // The epoch history rides along, letting the differential flag a
-    // regime whose step latency drifted between commits.
+    // Observatory pass: the drift run is already fully observed, so
+    // ledgering it costs nothing extra. The epoch history rides along,
+    // letting the differential flag a regime whose step latency drifted
+    // between commits.
     if cli.wants_observatory() {
         let knobs = vec![
             ("ranks".to_string(), nranks.to_string()),

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use ncd_core::{Comm, MpiConfig, RunDiff, RunRecord};
 use ncd_simnet::{
-    Capture, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, LedgerRun, MetricsRegistry,
-    RankRecorder, RunManifest, RunOutput, SchedStats, SimTime, Stats,
+    render_ratio, Capture, Cluster, ClusterCommMap, ClusterConfig, Diagnosis, LedgerRun,
+    MetricsRegistry, RankRecorder, RunManifest, RunOutput, SchedStats, SimTime, Stats,
 };
 
 pub mod workloads;
@@ -426,14 +426,6 @@ pub fn decision_report(reg: &MetricsRegistry) -> Option<String> {
     Some(out)
 }
 
-fn fmt_ratio(r: f64) -> String {
-    if r.is_infinite() {
-        "inf".to_string()
-    } else {
-        format!("{r:.1}")
-    }
-}
-
 /// "Who talks to whom" summary of a merged communication map: the ASCII
 /// heatmap, nonuniformity analytics of the total matrix (outlier ratio,
 /// spread, Gini), the hottest pairs, and the per-epoch breakdown. Returns
@@ -454,8 +446,8 @@ pub fn comm_report(map: &ClusterCommMap) -> Option<String> {
         total.max_bytes,
         total.min_bytes,
         total.mean_bytes,
-        fmt_ratio(total.spread),
-        fmt_ratio(total.outlier_ratio),
+        render_ratio(total.spread),
+        render_ratio(total.outlier_ratio),
         total.gini
     ));
     out.push_str("hot pairs:");
@@ -473,7 +465,7 @@ pub fn comm_report(map: &ClusterCommMap) -> Option<String> {
                 format!("{}#{}", e.label, e.occurrence),
                 a.pairs,
                 bytes,
-                fmt_ratio(a.outlier_ratio),
+                render_ratio(a.outlier_ratio),
                 a.gini
             ));
         }

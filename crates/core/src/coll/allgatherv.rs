@@ -231,8 +231,7 @@ impl Comm<'_> {
                 }
             }
         }
-        let volumes = counts.iter().map(|&c| c as u64);
-        self.close_epoch("allgatherv", algo.label(), volumes);
+        self.close_epoch("allgatherv", algo.label());
     }
 
     /// Ring: at step s, forward block (rank - s) to the right neighbour.

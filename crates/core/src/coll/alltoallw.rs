@@ -166,8 +166,7 @@ impl Comm<'_> {
             AlltoallwSchedule::RoundRobin => self.a2aw_round_robin(sendbuf, sends, recvbuf, recvs),
             AlltoallwSchedule::Binned => self.a2aw_binned(sendbuf, sends, recvbuf, recvs),
         }
-        let volumes = recvs.iter().map(|r| r.bytes() as u64);
-        self.close_epoch("alltoallw", schedule.label(), volumes);
+        self.close_epoch("alltoallw", schedule.label());
     }
 
     /// Local exchange with self: pack and unpack without the wire.

@@ -53,10 +53,7 @@ impl Comm<'_> {
     /// the `<collective>/rounds/<algorithm>` counter.
     pub(crate) fn round(&mut self, op: &'static str, round: u32) {
         let now = self.rank_ref().now();
-        let event = EventKind::Round {
-            op: op.into(),
-            round,
-        };
+        let event = EventKind::Round { op, round };
         self.rank_mut().record(now, event);
         if let Some(m) = self.rank_mut().metrics_mut() {
             let (collective, algorithm) = op.split_once('/').expect("<collective>/<algorithm>");
@@ -93,13 +90,13 @@ impl Comm<'_> {
             m.observe("decision_bytes", collective, chosen, total_bytes);
         }
         let decision = EventKind::AlgoDecision {
-            collective: collective.into(),
+            collective,
             n,
             total_bytes,
             ratio_millis,
             pow2: n.is_power_of_two(),
-            chosen: chosen.into(),
-            reason: reason.into(),
+            chosen,
+            reason,
         };
         let now = self.rank_ref().now();
         self.rank_mut().record(now, decision);

@@ -16,13 +16,9 @@
 //!   no copy, the bytes go straight from user memory to the wire.
 
 use ncd_datatype::{BlockMode, Datatype, OpCounts, PackEngine, Unpacker};
-use ncd_simnet::trace::Label;
-use ncd_simnet::{
-    millis_to_ratio, ratio_to_millis, volume, CostKind, EventKind, Rank, Tag, Violation,
-};
+use ncd_simnet::{CostKind, EventKind, Rank, Tag, Violation};
 
 use crate::config::MpiConfig;
-use crate::drift::{DriftDirection, DriftMonitor};
 use crate::view;
 
 /// The communicator: a rank handle plus an implementation personality.
@@ -31,19 +27,11 @@ use crate::view;
 pub struct Comm<'a> {
     rank: &'a mut Rank,
     cfg: MpiConfig,
-    /// Online regime-shift watcher over the per-collective epoch series.
-    /// Lazily created on the first epoch closed with history recording
-    /// enabled, so an unobserved run never allocates it.
-    drift: Option<DriftMonitor>,
 }
 
 impl<'a> Comm<'a> {
     pub fn new(rank: &'a mut Rank, cfg: MpiConfig) -> Self {
-        Comm {
-            rank,
-            cfg,
-            drift: None,
-        }
+        Comm { rank, cfg }
     }
 
     /// This rank's number.
@@ -71,51 +59,11 @@ impl<'a> Comm<'a> {
     }
 
     /// Close one collective call's comm-map epoch, labeled `<op>/<algo>`
-    /// (pinned and auto-selected runs alike), and feed it to the drift
-    /// monitor. `volumes` are the per-peer byte counts this rank knows
-    /// locally (receive counts for allgatherv, per-source receive volumes
-    /// for alltoallw). No-op unless the comm map is on.
-    pub(crate) fn close_epoch(&mut self, op: &str, algo: &str, volumes: impl Iterator<Item = u64>) {
-        if !self.rank.comm_map_enabled() {
-            return;
-        }
-        let label = format!("{op}/{algo}");
-        self.rank.comm_epoch(&label);
-        self.drift_epoch(&label, &volumes.collect::<Vec<u64>>());
-    }
-
-    /// Feed the drift monitor one closed collective epoch. Each fired
-    /// regime shift is recorded as an [`EventKind::Drift`] (flight
-    /// recorder's drift ring, trace) with its `drift*/*` metrics. No-op
-    /// unless history recording is enabled on the rank.
-    fn drift_epoch(&mut self, label: &str, volumes: &[u64]) {
-        if !self.rank.history_enabled() {
-            return;
-        }
-        let monitor = self.drift.get_or_insert_with(DriftMonitor::default);
-        let total: u64 = volumes.iter().sum();
-        let skew = volume::gini(volumes);
-        for e in monitor.observe(label, total as f64, skew) {
-            let observed_millis = ratio_to_millis(e.observed);
-            let (label, metric) = (Label::from(e.label), Label::from(e.metric));
-            if let Some(m) = self.rank.metrics_mut() {
-                m.counter_add("drift", label.clone(), metric.clone(), 1);
-                // Read back through the event's thousandths, so the gauge
-                // is the value the trace and the recorder carry.
-                let observed = millis_to_ratio(observed_millis);
-                if observed.is_finite() {
-                    m.gauge_set("drift_observed", label.clone(), metric.clone(), observed);
-                }
-            }
-            let drift = EventKind::Drift {
-                label,
-                metric,
-                occurrence: e.occurrence,
-                up: e.direction == DriftDirection::Up,
-                baseline_millis: ratio_to_millis(e.baseline),
-                observed_millis,
-            };
-            self.rank.record(self.rank.now(), drift);
+    /// (pinned and auto-selected runs alike). No-op unless the comm map is
+    /// on.
+    pub(crate) fn close_epoch(&mut self, op: &str, algo: &str) {
+        if self.rank.comm_map_enabled() {
+            self.rank.comm_epoch(&format!("{op}/{algo}"));
         }
     }
 
@@ -243,7 +191,7 @@ impl<'a> Comm<'a> {
             // `seek` is the segments re-walked from the type root — the
             // paper's quadratic signal, always zero for dual-context.
             let block = EventKind::PackBlock {
-                engine: name.into(),
+                engine: name,
                 index: obs.index,
                 sparse,
                 seek: obs.seek_segments,

@@ -451,16 +451,20 @@ mod tests {
     use super::*;
     use ncd_simnet::{EpochMatrix, SimTime};
 
+    fn leak(text: &str) -> &'static str {
+        Box::leak(text.into())
+    }
+
     fn decision_event(d: &AlgorithmDecision) -> TraceEvent {
         TraceEvent {
             kind: EventKind::AlgoDecision {
-                collective: d.collective.clone().into(),
+                collective: leak(&d.collective),
                 n: d.n,
                 total_bytes: d.total_bytes,
                 ratio_millis: ncd_simnet::ratio_to_millis(d.outlier_ratio),
                 pow2: d.pow2,
-                chosen: d.chosen.clone().into(),
-                reason: d.reason.clone().into(),
+                chosen: leak(&d.chosen),
+                reason: leak(&d.reason),
             },
             start: SimTime(5),
             end: SimTime(5),

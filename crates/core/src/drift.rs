@@ -9,15 +9,11 @@
 //! in traffic volume or skew — as structured [`DriftEvent`]s, the same way
 //! `commstats` surfaces per-call [`AlgorithmDecision`]s.
 //!
-//! Two entry points cover the two consumption styles:
-//!
-//! * **Online** — a drift monitor lives inside each `Comm` and is fed each
-//!   collective's volume vector as its epoch closes. Fired events are
-//!   mirrored into the trace ([`EventKind::Drift`]), the metrics registry,
-//!   and the flight recorder's dedicated drift ring, so a post-mortem dump
-//!   shows the last few regime shifts even after the main ring wrapped.
-//! * **Offline** — [`detect_drift`] replays a merged [`History`] through
-//!   the same detector, for analysis of an exported run.
+//! There is one entry point, [`detect_drift`], over a run's merged
+//! [`History`]: the cluster-wide series every observed run already
+//! captures. No rank watches its own epochs while it runs, so turning the
+//! history observer on changes nothing the trace, the metrics or the
+//! flight recorder hold.
 //!
 //! The detector is an EWMA-normalised CUSUM with fixed parameters: an
 //! exponentially weighted mean/deviation tracks the current regime, each
@@ -32,12 +28,11 @@
 //! pattern hashes across epochs of each series.
 //!
 //! [`AlgorithmDecision`]: crate::commstats::AlgorithmDecision
-//! [`EventKind::Drift`]: ncd_simnet::EventKind::Drift
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use ncd_simnet::{millis_to_ratio, EventKind, History, TraceEvent};
+use ncd_simnet::History;
 
 use crate::commstats::render_ratio;
 
@@ -146,99 +141,35 @@ impl CusumDetector {
     }
 }
 
-/// Per-series detector pair: traffic volume and skew move independently
-/// (a remesh can redistribute the same total), so each gets its own CUSUM.
-#[derive(Debug, Default)]
-struct SeriesState {
-    bytes: CusumDetector,
-    skew: CusumDetector,
-    occurrence: u32,
-}
-
-/// Online drift monitor over many labelled series. One lives inside each
-/// `Comm` of a run that records history; collectives feed it their
-/// per-peer volume vector as each epoch closes.
-#[derive(Debug, Default)]
-pub(crate) struct DriftMonitor {
-    series: HashMap<String, SeriesState>,
-}
-
-impl DriftMonitor {
-    /// Feed one closed epoch of `label`: total volume in bytes plus a
-    /// bounded skew statistic (Gini of the per-peer volumes). Returns the
-    /// shifts fired by this epoch — at most one per metric.
-    pub(crate) fn observe(&mut self, label: &str, total_bytes: f64, skew: f64) -> Vec<DriftEvent> {
-        let state = self.series.entry(label.to_string()).or_default();
-        let occurrence = state.occurrence;
-        state.occurrence += 1;
-        let mut out = Vec::new();
-        for (metric, detector, x) in [
-            ("bytes", &mut state.bytes, total_bytes),
-            ("skew", &mut state.skew, skew),
-        ] {
-            if let Some((direction, baseline)) = detector.observe(x) {
-                out.push(DriftEvent {
-                    label: label.to_string(),
-                    metric: metric.to_string(),
-                    occurrence,
-                    direction,
-                    baseline,
-                    observed: x,
-                });
-            }
-        }
-        out
-    }
-}
-
-/// Replay a merged [`History`] through the detector offline: every series
+/// Replay a merged [`History`] through the detector: every series
 /// contributes a `bytes` (cluster total) and a `skew` (per-rank Gini)
-/// stream. Events come out grouped by series in first-seen order, each
-/// series' events in occurrence order.
+/// stream, each with its own CUSUM, since traffic volume and skew move
+/// independently (a remesh can redistribute the same total). Events come
+/// out grouped by series in first-seen order, each series' events in
+/// occurrence order, `bytes` before `skew` within one epoch.
 pub fn detect_drift(history: &History) -> Vec<DriftEvent> {
     let mut out = Vec::new();
     for label in history.series_labels() {
-        let mut monitor = DriftMonitor::default();
+        let (mut bytes, mut skew) = (CusumDetector::default(), CusumDetector::default());
         for p in history.series(label) {
-            for mut e in monitor.observe(label, p.bytes as f64, p.gini) {
-                // The monitor counts its own occurrences from zero; report
-                // the history's, which survive merge gaps.
-                e.occurrence = p.occurrence;
-                out.push(e);
+            for (metric, detector, x) in [
+                ("bytes", &mut bytes, p.bytes as f64),
+                ("skew", &mut skew, p.gini),
+            ] {
+                if let Some((direction, baseline)) = detector.observe(x) {
+                    out.push(DriftEvent {
+                        label: label.to_string(),
+                        metric: metric.to_string(),
+                        occurrence: p.occurrence,
+                        direction,
+                        baseline,
+                        observed: x,
+                    });
+                }
             }
         }
     }
     out
-}
-
-/// Recover [`DriftEvent`]s from one rank's trace (the online monitor's
-/// mirror of its fired events), in emission order.
-pub fn drift_events_from_trace(events: &[TraceEvent]) -> Vec<DriftEvent> {
-    events
-        .iter()
-        .filter_map(|e| match &e.kind {
-            EventKind::Drift {
-                label,
-                metric,
-                occurrence,
-                up,
-                baseline_millis,
-                observed_millis,
-            } => Some(DriftEvent {
-                label: label.to_string(),
-                metric: metric.to_string(),
-                occurrence: *occurrence,
-                direction: if *up {
-                    DriftDirection::Up
-                } else {
-                    DriftDirection::Down
-                },
-                baseline: millis_to_ratio(*baseline_millis),
-                observed: millis_to_ratio(*observed_millis),
-            }),
-            _ => None,
-        })
-        .collect()
 }
 
 /// How often each series' traffic *shape* recurs across its epochs.
@@ -414,21 +345,23 @@ mod tests {
     }
 
     #[test]
-    fn monitor_tracks_series_and_metrics_independently() {
-        let mut m = DriftMonitor::default();
-        for _ in 0..10 {
-            assert!(m.observe("allgatherv/ring", 1000.0, 0.1).is_empty());
-            assert!(m.observe("alltoallw/binned", 500.0, 0.5).is_empty());
+    fn series_and_metrics_are_detected_independently() {
+        // Two interleaved series; only the skew of one shifts, at its
+        // tenth epoch. The other series and the bytes metric stay quiet.
+        let mut points = Vec::new();
+        for occ in 0..12u32 {
+            let gini = if occ < 10 { 0.1 } else { 0.9 };
+            points.push(point("allgatherv/ring", occ, 1000, gini, 7));
+            points.push(point("alltoallw/binned", occ, 500, 0.5, 9));
         }
-        // Shift only the skew of one series; the other series and the
-        // bytes metric stay quiet.
-        let events = m.observe("allgatherv/ring", 1000.0, 0.9);
+        let events = detect_drift(&History { n: 4, points });
         assert_eq!(events.len(), 1, "events {events:?}");
         assert_eq!(events[0].label, "allgatherv/ring");
         assert_eq!(events[0].metric, "skew");
         assert_eq!(events[0].direction, DriftDirection::Up);
         assert_eq!(events[0].occurrence, 10);
-        assert!(m.observe("alltoallw/binned", 500.0, 0.5).is_empty());
+        assert!((events[0].baseline - 0.1).abs() < 1e-9);
+        assert_eq!(events[0].observed, 0.9);
     }
 
     #[test]
@@ -497,34 +430,5 @@ mod tests {
         assert!(table.contains("stage:solve"));
         assert!(table.contains("0000000000000abc"));
         assert!(table.contains("100%"));
-    }
-
-    #[test]
-    fn drift_events_round_trip_through_the_trace() {
-        use ncd_simnet::TraceEvent;
-        let events = vec![TraceEvent {
-            kind: EventKind::Drift {
-                label: "alltoallw/binned".into(),
-                metric: "skew".into(),
-                occurrence: 3,
-                up: false,
-                baseline_millis: 900,
-                observed_millis: 100,
-            },
-            start: SimTime(5),
-            end: SimTime(5),
-        }];
-        let recovered = drift_events_from_trace(&events);
-        assert_eq!(
-            recovered,
-            vec![DriftEvent {
-                label: "alltoallw/binned".into(),
-                metric: "skew".into(),
-                occurrence: 3,
-                direction: DriftDirection::Down,
-                baseline: 0.9,
-                observed: 0.1,
-            }]
-        );
     }
 }

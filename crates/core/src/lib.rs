@@ -53,8 +53,8 @@ pub use compare::{
 };
 pub use config::{MpiConfig, MpiFlavor};
 pub use drift::{
-    detect_drift, drift_events_from_trace, pattern_recurrence, render_drift_events,
-    render_recurrence, DriftDirection, DriftEvent, PatternRecurrence, DRIFT_DETECTION_BOUND,
+    detect_drift, pattern_recurrence, render_drift_events, render_recurrence, DriftDirection,
+    DriftEvent, PatternRecurrence, DRIFT_DETECTION_BOUND,
 };
 pub use ncd_simnet::volume::{k_select, outlier_ratio_of};
 pub use request::{Completion, Request};

@@ -288,7 +288,6 @@ fn describe(kind: &EventKind) -> String {
         EventKind::AlgoDecision {
             collective, chosen, ..
         } => format!("decision {collective} -> {chosen}"),
-        EventKind::Drift { label, metric, .. } => format!("drift {label} {metric}"),
     }
 }
 
@@ -479,8 +478,7 @@ pub fn attribute_rounds(traces: &[Vec<TraceEvent>]) -> RoundAttribution {
                 }
                 EventKind::PackBlock { .. }
                 | EventKind::IrecvPost { .. }
-                | EventKind::AlgoDecision { .. }
-                | EventKind::Drift { .. } => {}
+                | EventKind::AlgoDecision { .. } => {}
             }
         }
     }
@@ -689,7 +687,7 @@ pub fn imbalance(values: &[f64]) -> Imbalance {
 }
 
 /// Format a ratio column: `inf` for total skew, else one decimal.
-pub(crate) fn render_ratio(r: f64) -> String {
+pub fn render_ratio(r: f64) -> String {
     if r.is_infinite() {
         "inf".to_string()
     } else {
@@ -841,11 +839,11 @@ mod tests {
                     }
                 }
                 4 => EventKind::Round {
-                    op: if a % 2 == 0 { "ag/ring" } else { "a2aw" }.into(),
+                    op: if a % 2 == 0 { "ag/ring" } else { "a2aw" },
                     round: b,
                 },
                 _ => EventKind::PackBlock {
-                    engine: "dt".into(),
+                    engine: "dt",
                     index: a.into(),
                     sparse: false,
                     seek: 0,
@@ -934,7 +932,7 @@ mod tests {
             let me = rank.rank();
             let right = (me + 1) % n;
             let left = (me + n - 1) % n;
-            let op = "ring/step".into();
+            let op = "ring/step";
             rank.record(rank.now(), EventKind::Round { op, round: 0 });
             rank.send_bytes(right, Tag(0), vec![0u8; bytes]);
             let _ = rank.recv_bytes(Some(left), Tag(0));

@@ -2,7 +2,7 @@
 //! states over the happens-before graph.
 //!
 //! The observability layers below answer *what happened* — traces, comm
-//! matrices, decision audits, drift flags. This module answers *why rank R
+//! matrices, decision audits, epoch histories. This module answers *why rank R
 //! was slow*: every blocked receive in a set of per-rank traces is
 //! classified into one typed inefficiency pattern with a severity equal to
 //! the simulated time the instance cost, then aggregated into a ranked
@@ -705,7 +705,7 @@ mod tests {
                     rank.send_bytes(1, Tag(0), vec![0u8; 1 << 20]);
                 } else {
                     if round {
-                        let op = "allgatherv/ring".into();
+                        let op = "allgatherv/ring";
                         rank.record(rank.now(), EventKind::Round { op, round: 0 });
                     }
                     let _ = rank.recv_bytes(Some(0), Tag(0));
@@ -748,7 +748,7 @@ mod tests {
         let n = 4;
         let traces = traced(ClusterConfig::paper_testbed(n), move |rank| {
             let me = rank.rank();
-            let op = "ring/step".into();
+            let op = "ring/step";
             rank.record(rank.now(), EventKind::Round { op, round: 0 });
             rank.compute_flops(50_000 * (me as u64 + 1));
             rank.send_bytes((me + 1) % n, Tag(0), vec![0u8; 4096]);

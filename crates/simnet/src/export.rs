@@ -14,9 +14,8 @@
 //! [`EventKind`]: every run of constant text between two values (keys,
 //! punctuation, category and phase, the words of a name) is one
 //! pre-escaped `&'static str`, integers and timestamps are written as
-//! digits, and only the [`crate::trace::Label`] values (round names,
-//! engine, decision and drift strings) are scanned for
-//! escapes. The event field order is `name, cat, ph, ts, dur, pid, tid,
+//! digits, and only the label values (round names, engine and decision
+//! strings) are scanned for escapes. The event field order is `name, cat, ph, ts, dur, pid, tid,
 //! s, args`.
 
 use crate::json::JsonWriter;
@@ -179,9 +178,9 @@ fn trace_event(w: &mut JsonWriter, rank: u64, e: &TraceEvent) {
             );
             ints(w, &[(r#","args":{"residual_ns":"#, residual.as_ns())]).text("}}");
         }
-        // Decisions and drift flags are zero-duration complete events
-        // rather than instants: the reason string and the shift evidence
-        // are the point, and only "X" events carry args here.
+        // Decisions are zero-duration complete events rather than
+        // instants: the reason string is the point, and only "X" events
+        // carry args here.
         EventKind::AlgoDecision {
             collective,
             n,
@@ -207,31 +206,6 @@ fn trace_event(w: &mut JsonWriter, rank: u64, e: &TraceEvent) {
                 r#","pow2":false,"reason":""#
             });
             w.escaped(reason).text(r#""}}"#);
-        }
-        EventKind::Drift {
-            label,
-            metric,
-            occurrence,
-            up,
-            baseline_millis,
-            observed_millis,
-        } => {
-            w.text(r#",{"name":"drift "#).escaped(label).text(" ");
-            w.escaped(metric);
-            complete(w, cat_ph!("drift", "X"));
-            w.text(r#","args":{"label":""#).escaped(label);
-            w.text(r#"","metric":""#).escaped(metric);
-            w.text(r#"","occurrence":"#).digits(u64::from(*occurrence));
-            w.text(if *up {
-                r#","up":true"#
-            } else {
-                r#","up":false"#
-            });
-            let args = [
-                (r#","baseline_millis":"#, *baseline_millis),
-                (r#","observed_millis":"#, *observed_millis),
-            ];
-            ints(w, &args).text("}}");
         }
     }
 }
@@ -405,36 +379,16 @@ mod tests {
                         ("reason", reason),
                     ],
                 ),
-                EventKind::Drift {
-                    label,
-                    metric,
-                    occurrence,
-                    up,
-                    baseline_millis,
-                    observed_millis,
-                } => emit(
-                    format_args!("drift {label} {metric}"),
-                    "drift",
-                    "X",
-                    &[
-                        ("label", label),
-                        ("metric", metric),
-                        ("occurrence", occurrence),
-                        ("up", up),
-                        ("baseline_millis", baseline_millis),
-                        ("observed_millis", observed_millis),
-                    ],
-                ),
             }
         }
     }
 
-    /// A label with every class of byte the escaper treats differently,
-    /// borrowed or owned.
-    fn any_label() -> impl Strategy<Value = crate::trace::Label> {
+    /// A label with every class of byte the escaper treats differently:
+    /// a literal, or text built at run time and leaked to `'static`.
+    fn any_label() -> impl Strategy<Value = &'static str> {
         prop_oneof![
-            Just("allgatherv/ring".into()),
-            any_text().prop_map(Into::into),
+            Just("allgatherv/ring"),
+            any_text().prop_map(|text| &*Box::leak(text.into_boxed_str())),
         ]
     }
 
@@ -501,26 +455,6 @@ mod tests {
                             pow2,
                             chosen,
                             reason,
-                        }
-                    }
-                ),
-            (
-                any_label(),
-                any_label(),
-                any_u32(),
-                any::<bool>(),
-                any_u64(),
-                any_u64()
-            )
-                .prop_map(
-                    |(label, metric, occurrence, up, baseline_millis, observed_millis)| {
-                        EventKind::Drift {
-                            label,
-                            metric,
-                            occurrence,
-                            up,
-                            baseline_millis,
-                            observed_millis,
                         }
                     }
                 ),
@@ -610,7 +544,7 @@ mod tests {
             },
             TraceEvent {
                 kind: EventKind::Round {
-                    op: "allgatherv/ring".into(),
+                    op: "allgatherv/ring",
                     round: 3,
                 },
                 start: SimTime(500),
@@ -618,7 +552,7 @@ mod tests {
             },
             TraceEvent {
                 kind: EventKind::PackBlock {
-                    engine: "single-context".into(),
+                    engine: "single-context",
                     index: 2,
                     sparse: true,
                     seek: 16,
@@ -650,28 +584,16 @@ mod tests {
             },
             TraceEvent {
                 kind: EventKind::AlgoDecision {
-                    collective: "allgatherv".into(),
+                    collective: "allgatherv",
                     n: 16,
                     total_bytes: 65_664,
                     ratio_millis: 8_192_000,
                     pow2: true,
-                    chosen: "recursive_doubling".into(),
-                    reason: "outliers: adaptive short-message path".into(),
+                    chosen: "recursive_doubling",
+                    reason: "outliers: adaptive short-message path",
                 },
                 start: SimTime(450),
                 end: SimTime(450),
-            },
-            TraceEvent {
-                kind: EventKind::Drift {
-                    label: "allgatherv/ring".into(),
-                    metric: "bytes".into(),
-                    occurrence: 6,
-                    up: true,
-                    baseline_millis: 4_096_000,
-                    observed_millis: 65_536_000,
-                },
-                start: SimTime(470),
-                end: SimTime(470),
             },
         ];
         let json = chrome_trace_json(&[events]);
@@ -698,12 +620,6 @@ mod tests {
         ));
         assert!(json.contains(
             "\"n\":16,\"total_bytes\":65664,\"ratio_millis\":8192000,\"pow2\":true,\"reason\":\"outliers: adaptive short-message path\""
-        ));
-        // Drift flags: zero-duration spans carrying the shift evidence.
-        assert!(json
-            .contains("\"name\":\"drift allgatherv/ring bytes\",\"cat\":\"drift\",\"ph\":\"X\""));
-        assert!(json.contains(
-            "\"label\":\"allgatherv/ring\",\"metric\":\"bytes\",\"occurrence\":6,\"up\":true,\"baseline_millis\":4096000,\"observed_millis\":65536000"
         ));
     }
 }

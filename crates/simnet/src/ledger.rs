@@ -319,7 +319,7 @@ pub(crate) mod tests {
             .try_run(move |rank| {
                 let me = rank.rank();
                 for round in 0..2 {
-                    let op = "allgatherv/ring".into();
+                    let op = "allgatherv/ring";
                     rank.record(rank.now(), EventKind::Round { op, round });
                     if me == 0 {
                         rank.compute_flops(5_000_000);

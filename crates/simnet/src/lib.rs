@@ -63,8 +63,8 @@ pub mod trace;
 pub mod volume;
 
 pub use analysis::{
-    analysis_json, attribute_rounds, imbalance, parse_analysis, AnalysisSummary, CriticalPath,
-    HbGraph, Imbalance, OpRankStats, PathStep, RoundAttribution, StepSummary,
+    analysis_json, attribute_rounds, imbalance, parse_analysis, render_ratio, AnalysisSummary,
+    CriticalPath, HbGraph, Imbalance, OpRankStats, PathStep, RoundAttribution, StepSummary,
 };
 pub use capture::{Capture, Observers, RankCapture};
 pub use commmap::{
@@ -89,7 +89,7 @@ pub use mailbox::{NetMsg, Tag};
 pub use metrics::{
     metrics_artifact_json, metrics_json, parse_metrics, Histogram, MetricsRegistry, MetricsSnapshot,
 };
-pub use recorder::{render_dump, RankRecorder, RecCode, Recorded, SIDE_RING_SLOTS};
+pub use recorder::{render_dump, RankRecorder, RecCode, Recorded, DECISION_RING_SLOTS};
 pub use runtime::{last_sched_stats, Cluster, ClusterConfig, Rank, RunOutput, SpeedProfile};
 pub use sched::{
     ParkedWait, RunError, SchedStats, TaskBackend, Violation, DEPTH_BUCKETS, MIN_STACK_BYTES,

@@ -24,11 +24,15 @@
 //! `if let Some` on [`crate::Rank::metrics_mut`] — the same contract as
 //! [`crate::trace`]. The run's [`crate::Capture`] merges the registries.
 
+use std::borrow::Cow;
 use std::sync::LazyLock;
 
 use crate::json::{parse_schema_led, Json, JsonValue, JsonWriter};
 use crate::stats::CostKind;
-use crate::trace::Label;
+
+/// One part of a metric key: borrowed when it is a literal, owned when
+/// built at run time (the V-cycle's per-level key, built at set-up).
+pub type Label = Cow<'static, str>;
 
 /// A metric stream's name as text: `(subsystem, op, algorithm)`.
 /// `algorithm` distinguishes competing implementations of the same
@@ -781,8 +785,8 @@ mod tests {
     const ALGORITHMS: [&str; 4] = ["", "ring", "a", "rin"];
 
     /// How a key part reaches the registry: a literal, or text built at
-    /// run time — an owned `String` (drift's `e.label`) or a slice of one
-    /// copied out (the V-cycle's `stage[10..]`).
+    /// run time — an owned `String` (the V-cycle's `l{lev}`) or a slice of
+    /// one copied out.
     #[derive(Clone, Copy, Debug)]
     enum Text {
         Literal,

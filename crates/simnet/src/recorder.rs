@@ -11,9 +11,9 @@
 //! only writer while it runs, so a slot is claimed with a plain load and
 //! store of the ring head, filled with relaxed stores, and stamped last
 //! with a release-ordered sequence number so readers on other threads can
-//! tell complete records from in-flight ones. A literal label the rank
-//! has recorded before costs no hash, lock or scan. Recording never
-//! touches the simulated clock.
+//! tell complete records from in-flight ones. Every label is a
+//! `&'static str`; one the rank has recorded before costs no hash, lock
+//! or scan. Recording never touches the simulated clock.
 //!
 //! The single-writer contract holds by visibility: `RankRecorder::new`
 //! and `RankRecorder::record_event` are crate-private, and the one
@@ -31,12 +31,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::time::SimTime;
-use crate::trace::{EventKind, Label, TraceEvent};
+use crate::trace::{EventKind, TraceEvent};
 use crate::volume::{fnv_bytes, FNV_OFFSET};
 
-/// What kind of event a flight-recorder slot holds. Codes 3, 4 and 11 are
-/// retired (they held user marks, profiling stages and post-run diagnosis
-/// findings) and are not reused.
+/// What kind of event a flight-recorder slot holds. Codes 3, 4, 10 and 11
+/// are retired (they held user marks, profiling stages, drift flags and
+/// post-run diagnosis findings) and are not reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecCode {
     Send = 1,
@@ -46,7 +46,6 @@ pub enum RecCode {
     IrecvPost = 7,
     SendWait = 8,
     AlgoDecision = 9,
-    Drift = 10,
 }
 
 impl RecCode {
@@ -59,7 +58,6 @@ impl RecCode {
             7 => Some(RecCode::IrecvPost),
             8 => Some(RecCode::SendWait),
             9 => Some(RecCode::AlgoDecision),
-            10 => Some(RecCode::Drift),
             _ => None,
         }
     }
@@ -76,7 +74,6 @@ impl RecCode {
 /// | `IrecvPost` | src (MAX=any)| tag      | –         | –         | –     |
 /// | `SendWait`  | residual ns  | –        | –         | –         | –     |
 /// | `AlgoDecision` | coll hash | chosen hash | n<<1\|pow2 | bytes | ratio millis |
-/// | `Drift`     | label hash | metric hash | occ<<1\|up | baseline millis | observed millis |
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Recorded {
     /// Global order within the rank (1-based claim order).
@@ -94,8 +91,8 @@ pub struct Recorded {
 /// One ring slot: eight word-sized atomics, 64 bytes. `stamp` is written
 /// last (release) and doubles as the "record complete" flag; `words` are
 /// `[time, code, a, b, c, d, e]` in the main ring and
-/// `[time, main-ring seq, a, b, c, d, e]` in a side ring, whose code is
-/// fixed. (Not cache-line aligned: at N = 1024 an aligned ring costs
+/// `[time, main-ring seq, a, b, c, d, e]` in the decision ring, whose code
+/// is fixed. (Not cache-line aligned: at N = 1024 an aligned ring costs
 /// ~3 MiB of allocator padding.)
 #[derive(Default)]
 struct Slot {
@@ -168,18 +165,12 @@ fn fnv1a(s: &str) -> u64 {
     fnv_bytes(FNV_OFFSET, s.as_bytes())
 }
 
-/// How many records each side ring keeps. Decisions and drift events are
-/// rare, but the traffic that caused them evicts them from the main ring
-/// long before anything dumps it; a dedicated ring per such code cannot
-/// be evicted by traffic, so a reference-gate dump always shows which
-/// algorithms were active and when the traffic shifted.
-pub const SIDE_RING_SLOTS: usize = 8;
-
-/// The codes that get a side ring, with the dump heading of each.
-const SIDE_RINGS: [(RecCode, &str); 2] = [
-    (RecCode::AlgoDecision, "algorithm decisions"),
-    (RecCode::Drift, "drift events"),
-];
+/// How many records the decision ring keeps. Algorithm decisions are
+/// rare, but the traffic that follows them evicts them from the main ring
+/// long before anything dumps it; a dedicated ring cannot be evicted by
+/// traffic, so a reference-gate dump always shows which algorithms were
+/// active.
+pub const DECISION_RING_SLOTS: usize = 8;
 
 /// Entries in the writer-side label cache (a power of two).
 const LABEL_CACHE_SLOTS: usize = 16;
@@ -197,16 +188,16 @@ struct CachedLabel {
 pub struct RankRecorder {
     rank: usize,
     main: Ring,
-    /// Hash → string for label payloads (collective ops, engine names).
-    /// Touched only the first time a literal label is recorded, on every
-    /// owned label, and by renders.
-    labels: Mutex<Vec<(u64, String)>>,
-    /// Literal labels already interned, keyed by address and length; read
+    /// Hash → text for label payloads (collective ops, engine names).
+    /// Touched only the first time a label is recorded (or after another
+    /// evicted it from the cache) and by renders.
+    labels: Mutex<Vec<(u64, &'static str)>>,
+    /// Labels already interned, keyed by address and length; read
     /// and written only by the writer.
     label_cache: [CachedLabel; LABEL_CACHE_SLOTS],
-    /// The last [`SIDE_RING_SLOTS`] records of each [`SIDE_RINGS`] code,
-    /// in table order, allocated on the code's first record.
-    side: [OnceLock<Ring>; SIDE_RINGS.len()],
+    /// The last [`DECISION_RING_SLOTS`] [`RecCode::AlgoDecision`]
+    /// records, allocated on the first one.
+    decisions: OnceLock<Ring>,
 }
 
 impl RankRecorder {
@@ -222,7 +213,7 @@ impl RankRecorder {
             main: Ring::new(cap),
             labels: Mutex::new(Vec::new()),
             label_cache: Default::default(),
-            side: Default::default(),
+            decisions: OnceLock::new(),
         }
     }
 
@@ -239,31 +230,31 @@ impl RankRecorder {
         self.main.pushed()
     }
 
-    /// Write one packed record: the stores of one slot (two when the
-    /// code has a side ring). Safe to call from the writer while other
-    /// threads snapshot.
+    /// Write one packed record: the stores of one slot (two for a
+    /// decision). Safe to call from the writer while other threads
+    /// snapshot.
     #[allow(clippy::too_many_arguments)]
     fn record(&self, code: RecCode, time: SimTime, a: u64, b: u64, c: u64, d: u64, e: u64) {
         let time = time.as_ns();
         let seq = self.main.push([time, code as u64, a, b, c, d, e]);
-        if let Some(at) = side_ring_index(code) {
-            self.side[at]
-                .get_or_init(|| Ring::new(SIDE_RING_SLOTS))
+        if code == RecCode::AlgoDecision {
+            self.decisions
+                .get_or_init(|| Ring::new(DECISION_RING_SLOTS))
                 .push([time, seq, a, b, c, d, e]);
         }
     }
 
-    /// The last [`SIDE_RING_SLOTS`] records of `code`, oldest → newest
-    /// (empty for a code without a side ring).
-    pub fn recent(&self, code: RecCode) -> Vec<Recorded> {
-        let Some(ring) = side_ring_index(code).and_then(|at| self.side[at].get()) else {
+    /// The last [`DECISION_RING_SLOTS`] algorithm decisions, oldest →
+    /// newest.
+    pub fn recent_decisions(&self) -> Vec<Recorded> {
+        let Some(ring) = self.decisions.get() else {
             return Vec::new();
         };
         ring.read()
             .map(|(_, [time, seq, a, b, c, d, e])| Recorded {
                 seq,
                 time: SimTime(time),
-                code,
+                code: RecCode::AlgoDecision,
                 a,
                 b,
                 c,
@@ -275,25 +266,22 @@ impl RankRecorder {
 
     /// Intern `label` so dumps can print it back; returns its hash, the
     /// word [`RankRecorder::record`] stores for it.
-    fn intern(&self, label: &str) -> u64 {
+    fn intern(&self, label: &'static str) -> u64 {
         let h = fnv1a(label);
         let mut labels = self.labels.lock().expect("label table poisoned");
         if !labels.iter().any(|(hash, _)| *hash == h) {
-            labels.push((h, label.to_string()));
+            labels.push((h, label));
         }
         h
     }
 
-    /// The word recorded for `label` — always `fnv1a(label)`, interned.
-    /// A literal already seen resolves by address from the writer-side
-    /// cache, with no hash, lock or scan; an owned label, or a literal
-    /// seen for the first time (or evicted by one sharing its cache
-    /// entry), goes through [`Self::intern`].
+    /// The word recorded for `text` — always `fnv1a(text)`, interned.
+    /// A label already seen resolves by address from the writer-side
+    /// cache, with no hash, lock or scan; one seen for the first time (or
+    /// evicted by one sharing its cache entry) goes through
+    /// [`Self::intern`].
     #[inline(always)]
-    fn label_word(&self, label: &Label) -> u64 {
-        let Label::Borrowed(text) = label else {
-            return self.intern(label);
-        };
+    fn label_word(&self, text: &'static str) -> u64 {
         let (addr, len) = (text.as_ptr() as usize, text.len());
         let entry = &self.label_cache[label_cache_index(addr, len)];
         if entry.addr.load(Ordering::Relaxed) == addr && entry.len.load(Ordering::Relaxed) == len {
@@ -311,8 +299,7 @@ impl RankRecorder {
         labels
             .iter()
             .find(|(h, _)| *h == hash)
-            .map(|(_, s)| s.clone())
-            .unwrap_or_else(|| format!("#{hash:016x}"))
+            .map_or_else(|| format!("#{hash:016x}"), |(_, s)| s.to_string())
     }
 
     /// The surviving window, oldest → newest. Incomplete (torn) slots are
@@ -345,12 +332,6 @@ impl RankRecorder {
     }
 }
 
-/// Which [`SIDE_RINGS`] entry holds `code`, if any.
-#[inline(always)]
-fn side_ring_index(code: RecCode) -> Option<usize> {
-    SIDE_RINGS.iter().position(|(c, _)| *c == code)
-}
-
 /// The label-cache entry for a literal at `addr` of `len` bytes
 /// (Fibonacci hashing of both; the top bits pick the entry).
 #[inline(always)]
@@ -363,7 +344,10 @@ fn label_cache_index(addr: usize, len: usize) -> usize {
 /// its inverse and [`Recorded`] documents the word layout. `label` gives
 /// the word for a label payload.
 #[inline(always)]
-fn pack_event(event: &TraceEvent, mut label: impl FnMut(&Label) -> u64) -> (RecCode, [u64; 5]) {
+fn pack_event(
+    event: &TraceEvent,
+    mut label: impl FnMut(&'static str) -> u64,
+) -> (RecCode, [u64; 5]) {
     match &event.kind {
         EventKind::Send { dst, bytes, seq } => {
             (RecCode::Send, [*dst as u64, *bytes as u64, *seq, 0, 0])
@@ -415,23 +399,6 @@ fn pack_event(event: &TraceEvent, mut label: impl FnMut(&Label) -> u64) -> (RecC
                 *ratio_millis,
             ],
         ),
-        EventKind::Drift {
-            label: series,
-            metric,
-            occurrence,
-            up,
-            baseline_millis,
-            observed_millis,
-        } => (
-            RecCode::Drift,
-            [
-                label(series),
-                label(metric),
-                (u64::from(*occurrence) << 1) | u64::from(*up),
-                *baseline_millis,
-                *observed_millis,
-            ],
-        ),
     }
 }
 
@@ -469,15 +436,6 @@ fn render_record(rank: usize, r: &Recorded, label: &impl Fn(u64) -> String) -> S
             r.d,
             render_millis(r.e),
         ),
-        RecCode::Drift => format!(
-            "drift      {} {} occ={} {} baseline={} observed={}",
-            label(r.a),
-            label(r.b),
-            r.c >> 1,
-            if r.c & 1 == 1 { "up" } else { "down" },
-            render_millis(r.d),
-            render_millis(r.e),
-        ),
     };
     format!("{head} {body}")
 }
@@ -503,7 +461,7 @@ pub fn render_dump(recorders: &[Arc<RankRecorder>]) -> String {
             rec.rank(),
             rec.recorded(),
             &rec.snapshot(),
-            |code| rec.recent(code),
+            &rec.recent_decisions(),
             |hash| rec.label_of(hash),
         );
     }
@@ -511,13 +469,13 @@ pub fn render_dump(recorders: &[Arc<RankRecorder>]) -> String {
 }
 
 /// Append one rank's section of [`render_dump`]: its main-ring window,
-/// then every non-empty side ring. `label` resolves a label word.
+/// then its decision ring if it holds any. `label` resolves a label word.
 fn render_rank(
     out: &mut String,
     rank: usize,
     recorded: u64,
     snapshot: &[Recorded],
-    recent: impl Fn(RecCode) -> Vec<Recorded>,
+    decisions: &[Recorded],
     label: impl Fn(u64) -> String,
 ) {
     out.push_str(&format!(
@@ -528,17 +486,14 @@ fn render_rank(
         out.push_str(&render_record(rank, r, &label));
         out.push('\n');
     }
-    for (code, heading) in SIDE_RINGS {
-        let recent = recent(code);
-        if !recent.is_empty() {
-            out.push_str(&format!(
-                "rank {rank:>3}: last {} {heading}\n",
-                recent.len()
-            ));
-            for r in &recent {
-                out.push_str(&render_record(rank, r, &label));
-                out.push('\n');
-            }
+    if !decisions.is_empty() {
+        out.push_str(&format!(
+            "rank {rank:>3}: last {} algorithm decisions\n",
+            decisions.len()
+        ));
+        for r in decisions {
+            out.push_str(&render_record(rank, r, &label));
+            out.push('\n');
         }
     }
 }
@@ -649,7 +604,7 @@ mod tests {
         let rec = RankRecorder::new(0, 256);
         let coll = rec.intern("alltoallw");
         let chosen = rec.intern("binned");
-        for i in 0..(SIDE_RING_SLOTS as u64 + 3) {
+        for i in 0..(DECISION_RING_SLOTS as u64 + 3) {
             rec.record(
                 RecCode::AlgoDecision,
                 SimTime(i),
@@ -660,51 +615,10 @@ mod tests {
                 0,
             );
         }
-        let decisions = rec.recent(RecCode::AlgoDecision);
-        assert_eq!(decisions.len(), SIDE_RING_SLOTS);
+        let decisions = rec.recent_decisions();
+        assert_eq!(decisions.len(), DECISION_RING_SLOTS);
         assert_eq!(decisions[0].d, 3, "oldest surviving decision");
-        assert_eq!(decisions.last().unwrap().d, SIDE_RING_SLOTS as u64 + 2);
-    }
-
-    #[test]
-    fn drift_events_survive_main_ring_eviction() {
-        let rec = RankRecorder::new(0, 8);
-        let label = rec.intern("allgatherv/ring");
-        let metric = rec.intern("bytes");
-        rec.record(
-            RecCode::Drift,
-            SimTime(5),
-            label,
-            metric,
-            (4 << 1) | 1,
-            1_000,
-            5_500,
-        );
-        for i in 0..100u64 {
-            rec.record(RecCode::Send, SimTime(i + 10), 1, 64, i, 0, 0);
-        }
-        let dump = render_dump(&[Arc::new(rec)]);
-        assert!(dump.contains("last 1 drift events"), "{dump}");
-        assert!(
-            dump.contains(
-                "drift      allgatherv/ring bytes occ=4 up baseline=1.000 observed=5.500"
-            ),
-            "{dump}"
-        );
-    }
-
-    #[test]
-    fn drift_ring_keeps_only_the_last_slots() {
-        let rec = RankRecorder::new(0, 256);
-        let label = rec.intern("alltoallw/binned");
-        let metric = rec.intern("skew");
-        for i in 0..(SIDE_RING_SLOTS as u64 + 2) {
-            rec.record(RecCode::Drift, SimTime(i), label, metric, i << 1, i, 0);
-        }
-        let drifts = rec.recent(RecCode::Drift);
-        assert_eq!(drifts.len(), SIDE_RING_SLOTS);
-        assert_eq!(drifts[0].d, 2, "oldest surviving drift event");
-        assert_eq!(drifts.last().unwrap().d, SIDE_RING_SLOTS as u64 + 1);
+        assert_eq!(decisions.last().unwrap().d, DECISION_RING_SLOTS as u64 + 2);
     }
 
     #[test]
@@ -781,15 +695,15 @@ mod tests {
 
     /// The recorder as it was before the single-writer claim and the
     /// label cache, kept as the oracle: a `fetch_add` claims each slot,
-    /// every label is hashed and interned under the table lock, and each
-    /// side ring is a `Mutex<Vec>`.
+    /// every label is hashed and interned under the table lock, and the
+    /// decision ring is a `Mutex<Vec>`.
     struct Reference {
         rank: usize,
         head: AtomicU64,
         /// `[seq, time, code, a, b, c, d, e]`; `seq` stored last.
         slots: Box<[[AtomicU64; 8]]>,
         labels: Mutex<Vec<(u64, String)>>,
-        side: [Mutex<Vec<Recorded>>; SIDE_RINGS.len()],
+        decisions: Mutex<Vec<Recorded>>,
     }
 
     impl Reference {
@@ -800,7 +714,7 @@ mod tests {
                 head: AtomicU64::new(0),
                 slots: (0..cap).map(|_| Default::default()).collect(),
                 labels: Mutex::new(Vec::new()),
-                side: Default::default(),
+                decisions: Mutex::default(),
             }
         }
 
@@ -813,9 +727,9 @@ mod tests {
                 word.store(value, Ordering::Relaxed);
             }
             slot[0].store(seq, Ordering::Release);
-            if let Some(at) = side_ring_index(code) {
-                let mut ring = self.side[at].lock().unwrap();
-                if ring.len() == SIDE_RING_SLOTS {
+            if code == RecCode::AlgoDecision {
+                let mut ring = self.decisions.lock().unwrap();
+                if ring.len() == DECISION_RING_SLOTS {
                     ring.remove(0);
                 }
                 ring.push(Recorded {
@@ -874,10 +788,6 @@ mod tests {
             out
         }
 
-        fn recent(&self, code: RecCode) -> Vec<Recorded> {
-            side_ring_index(code).map_or_else(Vec::new, |at| self.side[at].lock().unwrap().clone())
-        }
-
         fn dump(&self) -> String {
             let mut out = String::from(DUMP_TITLE);
             let label_of = |hash: u64| {
@@ -887,14 +797,13 @@ mod tests {
                     .find(|(h, _)| *h == hash)
                     .map_or_else(|| format!("#{hash:016x}"), |(_, s)| s.clone())
             };
-            let snapshot = self.snapshot();
-            let recent = |code| self.recent(code);
+            let decisions = self.decisions.lock().unwrap().clone();
             render_rank(
                 &mut out,
                 self.rank,
                 self.recorded(),
-                &snapshot,
-                recent,
+                &self.snapshot(),
+                &decisions,
                 label_of,
             );
             out
@@ -932,14 +841,20 @@ mod tests {
     /// Any `u64` (the stand-in `proptest` draws from ranges).
     const ANY: std::ops::Range<u64> = 0..u64::MAX;
 
-    fn label() -> impl Strategy<Value = Label> {
+    /// A label: a literal, a copy of one at a fresh address, a prefix
+    /// of [`PREFIXED`], or text built at run time, leaked to `'static`.
+    fn label() -> impl Strategy<Value = &'static str> {
         prop_oneof![
-            (0..LITERALS.len()).prop_map(|i| Label::Borrowed(LITERALS[i])),
-            (0..LITERALS.len()).prop_map(|i| Label::Borrowed(LITERALS[i])),
-            (0..LITERALS.len()).prop_map(|i| Label::Owned(LITERALS[i].to_string())),
-            (0..PREFIXED.len() + 1).prop_map(|len| Label::Borrowed(&PREFIXED[..len])),
-            (0..64u32).prop_map(|n| Label::Owned(format!("fresh-{n}"))),
+            (0..LITERALS.len()).prop_map(|i| LITERALS[i]),
+            (0..LITERALS.len()).prop_map(|i| LITERALS[i]),
+            (0..LITERALS.len()).prop_map(|i| leak(LITERALS[i].to_string())),
+            (0..PREFIXED.len() + 1).prop_map(|len| &PREFIXED[..len]),
+            (0..64u32).prop_map(|n| leak(format!("fresh-{n}"))),
         ]
+    }
+
+    fn leak(text: String) -> &'static str {
+        Box::leak(text.into_boxed_str())
     }
 
     fn event_kind() -> impl Strategy<Value = EventKind> {
@@ -994,22 +909,10 @@ mod tests {
                             ratio_millis,
                             pow2,
                             chosen,
-                            reason: "why".into(),
+                            reason: "why",
                         }
                     }
                 ),
-            (label(), label(), 0..u32::MAX, any::<bool>(), ANY, ANY).prop_map(
-                |(label, metric, occurrence, up, baseline_millis, observed_millis)| {
-                    EventKind::Drift {
-                        label,
-                        metric,
-                        occurrence,
-                        up,
-                        baseline_millis,
-                        observed_millis,
-                    }
-                }
-            ),
         ]
     }
 
@@ -1023,8 +926,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Every record, side ring, count and dump equals the reference's,
-        /// through evictions of the main ring, the side rings and the
+        /// Every record, decision, count and dump equals the reference's,
+        /// through evictions of the main ring, the decision ring and the
         /// label cache; every label word is the label's FNV-1a hash.
         #[test]
         fn single_writer_recorder_matches_the_reference(
@@ -1036,7 +939,7 @@ mod tests {
             for (i, event) in events.iter().enumerate() {
                 rec.record_event(event);
                 reference.record_event(event);
-                let (code, words) = pack_event(event, |label| fnv1a(label));
+                let (code, words) = pack_event(event, fnv1a);
                 let last = rec.snapshot().pop().expect("a record was just written");
                 prop_assert_eq!(
                     (last.seq, last.code, [last.a, last.b, last.c, last.d, last.e]),
@@ -1045,9 +948,10 @@ mod tests {
             }
             prop_assert_eq!(rec.recorded(), reference.recorded());
             prop_assert_eq!(rec.snapshot(), reference.snapshot());
-            for (code, _) in SIDE_RINGS {
-                prop_assert_eq!(rec.recent(code), reference.recent(code));
-            }
+            prop_assert_eq!(
+                rec.recent_decisions(),
+                reference.decisions.lock().unwrap().clone()
+            );
             prop_assert_eq!(render_dump(&[Arc::new(rec)]), reference.dump());
         }
     }

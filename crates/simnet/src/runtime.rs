@@ -542,10 +542,6 @@ impl Rank {
             .get_or_insert_with(|| RankHistory::new(rank, size));
     }
 
-    pub fn history_enabled(&self) -> bool {
-        self.observed.history.is_some()
-    }
-
     /// Take the accumulated history.
     pub fn take_history(&mut self) -> RankHistory {
         take_observer(
@@ -1020,7 +1016,7 @@ mod tests {
             r.record(
                 r.now(),
                 EventKind::Round {
-                    op: "done".into(),
+                    op: "done",
                     round: 0,
                 },
             );
@@ -1122,10 +1118,7 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::uniform(1).observe(Observers::ALL));
         let (_, capture) = cluster
             .try_run(|r| {
-                let round = |op: &'static str| EventKind::Round {
-                    op: op.into(),
-                    round: 0,
-                };
+                let round = |op: &'static str| EventKind::Round { op, round: 0 };
                 r.record(r.now(), round("warm-up"));
                 let warm = r.harvest();
                 assert_eq!(warm.trace.as_ref().map(Vec::len), Some(1));
@@ -1134,7 +1127,7 @@ mod tests {
             .unwrap();
         let traces = capture.traces.expect("traced");
         let kinds: Vec<_> = traces[0].iter().map(|e| e.kind.clone()).collect();
-        let op = "measured".into();
+        let op = "measured";
         assert_eq!(kinds, [EventKind::Round { op, round: 0 }]);
     }
 
@@ -1157,7 +1150,7 @@ mod tests {
 
     fn pack_block(index: u64, sparse: bool, seek: u64) -> EventKind {
         EventKind::PackBlock {
-            engine: "single-context".into(),
+            engine: "single-context",
             index,
             sparse,
             seek,

@@ -7,20 +7,13 @@
 //! observes traces ([`crate::Observers`], the one way in; `enable_tracing`
 //! is the frozen benchmark's primitive), appends it to the timeline the
 //! run's [`crate::Capture`] returns. Until then the rank holds no
-//! timeline, and because labels are [`Cow`]s — every label the runtime
-//! and the collectives emit is a `&'static str`; only drift labels are
-//! built at run time — recording allocates nothing.
+//! timeline, and because every label is a `&'static str` recording
+//! allocates nothing.
 //! The `examples/timeline.rs` demo renders the events of every rank as an
 //! ASCII Gantt chart that makes the round-robin alltoallw's serialization
 //! directly visible.
 
-use std::borrow::Cow;
-
 use crate::time::SimTime;
-
-/// An event label: borrowed when it is a literal, owned when built at run
-/// time.
-pub type Label = Cow<'static, str>;
 
 /// What happened during a traced span.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,7 +33,7 @@ pub enum EventKind {
     },
     /// One round of a multi-round collective (`op` names the collective
     /// and algorithm, e.g. `allgatherv/ring`); a zero-length instant.
-    Round { op: Label, round: u32 },
+    Round { op: &'static str, round: u32 },
     /// One pipeline block produced by a datatype pack engine (`engine` is
     /// the engine name, e.g. `single-context`). `seek` is the number of
     /// segments re-walked from the type root to recover a lost context —
@@ -49,7 +42,7 @@ pub enum EventKind {
     /// (true = packed through an intermediate buffer). Rendered on a
     /// separate per-rank `dt` lane, not the message row.
     PackBlock {
-        engine: Label,
+        engine: &'static str,
         index: u64,
         sparse: bool,
         seek: u64,
@@ -72,27 +65,13 @@ pub enum EventKind {
     /// [`crate::commmap::millis_to_ratio`]) — stored as an integer so the
     /// event stays `Eq` and exports stay byte-stable.
     AlgoDecision {
-        collective: Label,
+        collective: &'static str,
         n: usize,
         total_bytes: u64,
         ratio_millis: u64,
         pow2: bool,
-        chosen: Label,
-        reason: Label,
-    },
-    /// A changepoint detected by the drift monitor (see `ncd-core`'s
-    /// drift module): the epoch series `label` shifted in `metric`
-    /// (`bytes`, `skew`) at the given occurrence. A zero-length instant;
-    /// the baseline and observed values are stored in integer thousandths
-    /// ([`crate::commmap::ratio_to_millis`], `u64::MAX` = infinite) so the
-    /// event stays `Eq` and exports stay byte-stable.
-    Drift {
-        label: Label,
-        metric: Label,
-        occurrence: u32,
-        up: bool,
-        baseline_millis: u64,
-        observed_millis: u64,
+        chosen: &'static str,
+        reason: &'static str,
     },
 }
 
@@ -124,10 +103,9 @@ fn cell_priority(kind: &EventKind) -> u8 {
         // zero-length bookkeeping instant that should not mask traffic.
         EventKind::SendWait { .. } => 2,
         EventKind::IrecvPost { .. } => 1,
-        // Decisions and drift flags are bookkeeping instants like irecv
-        // posts: visible on idle cells, never masking traffic.
+        // Decisions are bookkeeping instants like irecv posts: visible on
+        // idle cells, never masking traffic.
         EventKind::AlgoDecision { .. } => 1,
-        EventKind::Drift { .. } => 1,
     }
 }
 
@@ -146,7 +124,6 @@ fn cell_char(kind: &EventKind) -> u8 {
         EventKind::SendWait { .. } => b'w',
         EventKind::IrecvPost { .. } => b'v',
         EventKind::AlgoDecision { .. } => b'a',
-        EventKind::Drift { .. } => b'!',
     }
 }
 
@@ -248,6 +225,13 @@ mod tests {
     use crate::{Cluster, ClusterConfig, Tag};
 
     #[test]
+    fn trace_event_is_96_bytes() {
+        // Every label is a `&'static str`; the largest variant is the
+        // decision's three labels and three words.
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 96);
+    }
+
+    #[test]
     fn tracing_records_sends_and_recvs_with_causal_spans() {
         let out = traced(ClusterConfig::uniform(2), |rank| {
             if rank.rank() == 0 {
@@ -300,10 +284,7 @@ mod tests {
             end: SimTime(100),
         };
         let events = vec![
-            span(EventKind::Round {
-                op: "m".into(),
-                round: 0,
-            }),
+            span(EventKind::Round { op: "m", round: 0 }),
             span(EventKind::Recv {
                 src: 0,
                 bytes: 1,
@@ -374,10 +355,7 @@ mod tests {
         // be visible (the old renderer let later events overwrite it).
         let events = vec![
             TraceEvent {
-                kind: EventKind::Round {
-                    op: "m".into(),
-                    round: 0,
-                },
+                kind: EventKind::Round { op: "m", round: 0 },
                 start: SimTime(50),
                 end: SimTime(50),
             },
@@ -447,7 +425,7 @@ mod tests {
     ) -> TraceEvent {
         TraceEvent {
             kind: EventKind::PackBlock {
-                engine: engine.into(),
+                engine,
                 index,
                 sparse,
                 seek: if sparse { index * 8 } else { 0 },

@@ -16,8 +16,8 @@
 //!   order-invariant epoch pattern hash.
 //!
 //! The selector in `ncd_core` thresholds the ratio into its verdict; the
-//! comm-map analytics, the epoch history and the drift monitor read these
-//! same functions, so the evidence a collective chose from and the
+//! comm-map analytics and the epoch history (and through it the drift
+//! detector) read these same functions, so the evidence a collective chose from and the
 //! evidence an analysis reports cannot drift apart.
 
 /// `OUTLIER_FRACT` of the paper's equation 1, the quantile bounding "the

@@ -247,7 +247,7 @@ fn fixture() -> Vec<Vec<TraceEvent>> {
             ),
             ev(
                 EventKind::Round {
-                    op: "allgatherv/ring".into(),
+                    op: "allgatherv/ring",
                     round: 0,
                 },
                 2_000,
@@ -255,7 +255,7 @@ fn fixture() -> Vec<Vec<TraceEvent>> {
             ),
             ev(
                 EventKind::PackBlock {
-                    engine: "single-context".into(),
+                    engine: "single-context",
                     index: 2,
                     sparse: true,
                     seek: 16,

@@ -37,8 +37,8 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 /// Trace events of both Chrome shapes: sends and receives (`"X"` with
-/// `args`) and rounds (`"i"` with `"s"`), half of them with owned labels,
-/// 2 560 per rank.
+/// `args`) and rounds (`"i"` with `"s"`), half of them with labels built
+/// at run time (leaked to `'static`), 2 560 per rank.
 fn traces(ranks: usize) -> Vec<Vec<TraceEvent>> {
     (0..ranks)
         .map(|rank| {
@@ -57,11 +57,11 @@ fn traces(ranks: usize) -> Vec<Vec<TraceEvent>> {
                             wait: SimTime::from_ns(i * 7),
                         },
                         2 => EventKind::Round {
-                            op: format!("step-{}", i / 4).into(),
+                            op: Box::leak(format!("step-{}", i / 4).into_boxed_str()),
                             round: (i / 4) as u32,
                         },
                         _ => EventKind::Round {
-                            op: "allgatherv/ring".into(),
+                            op: "allgatherv/ring",
                             round: (i / 4) as u32,
                         },
                     };

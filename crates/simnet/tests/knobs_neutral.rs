@@ -35,14 +35,14 @@ fn fixture(knobs: Option<CostKnobs>) -> Vec<(SimTime, Vec<TraceEvent>)> {
     let (clocks, capture) = Cluster::new(cfg)
         .try_run(move |rank| {
             let me = rank.rank();
-            let op = "allgatherv/ring".into();
+            let op = "allgatherv/ring";
             rank.record(rank.now(), EventKind::Round { op, round: 0 });
             if me == 0 {
                 rank.compute_flops(5_000_000);
             }
             rank.send_bytes((me + 1) % n, Tag(0), vec![0u8; 2048]);
             let (data, _) = rank.recv_bytes(Some((me + n - 1) % n), Tag(0));
-            let op = "allgatherv/ring".into();
+            let op = "allgatherv/ring";
             rank.record(rank.now(), EventKind::Round { op, round: 1 });
             rank.send_bytes((me + 1) % n, Tag(1), data);
             let _ = rank.recv_bytes(Some((me + n - 1) % n), Tag(1));

@@ -1,17 +1,14 @@
 //! Temporal observability, end to end: a remeshing run through the full
 //! stack must leave a complete temporal record — every injected remesh
-//! flagged by the online drift monitor within its bounded detection lag,
-//! the events mirrored into trace, metrics, and the flight recorder's
-//! drift ring, and the pattern-recurrence join seeing exactly one hash
+//! flagged by [`detect_drift`] over the merged history within its bounded
+//! detection lag, and the pattern-recurrence join seeing exactly one hash
 //! per stationary regime.
 
 use nucomm::core::{
-    detect_drift, drift_events_from_trace, pattern_recurrence, AllgathervAlgorithm, Comm,
-    DriftDirection, MpiConfig, DRIFT_DETECTION_BOUND,
+    detect_drift, pattern_recurrence, AllgathervAlgorithm, Comm, DriftDirection, DriftEvent,
+    MpiConfig, DRIFT_DETECTION_BOUND,
 };
-use nucomm::simnet::{
-    history_json, render_dump, Cluster, ClusterConfig, EventKind, History, Observers, TraceEvent,
-};
+use nucomm::simnet::{history_json, Cluster, ClusterConfig, History, Observers};
 
 const RANKS: usize = 8;
 /// Epochs per stationary regime; remeshes land at EPOCHS and 2*EPOCHS.
@@ -34,12 +31,9 @@ fn counts(spot: Option<usize>, depth: u32) -> Vec<usize> {
 
 /// Three stationary regimes: uniform, hotspot at rank 2, hotspot moved to
 /// rank 6 and deepened. The transitions into regimes 1 and 2 are the
-/// injected remeshes. Returns rank 0's trace, the merged history and the
-/// run's flight-recorder dump.
-fn remeshing_run() -> (Vec<TraceEvent>, History, String) {
+/// injected remeshes. Returns the merged history.
+fn remeshing_run() -> History {
     let observers = Observers {
-        metrics: true,
-        trace: true,
         history: true,
         ..Observers::NONE
     };
@@ -58,75 +52,38 @@ fn remeshing_run() -> (Vec<TraceEvent>, History, String) {
                 comm.allgatherv_with(AllgathervAlgorithm::Ring, &send, &counts, &mut recv);
             }
         }
-        // Each rank's own registry (the merged one is the capture's).
-        let metrics = comm.rank_mut().metrics_mut().expect("metered");
-        metrics.counter("drift", "allgatherv/ring", "bytes")
     });
-    let out = run.results.expect("the remeshing run completes");
-    // The drift counter must have fired on every rank's registry.
-    for fired in out {
-        assert!(
-            fired > 0,
-            "drift events must be mirrored into drift/* metrics"
-        );
-    }
-    let traces = run.capture.traces.expect("traced");
-    (
-        traces.into_iter().next().unwrap(),
-        run.capture.history.expect("history"),
-        render_dump(&run.recorders),
-    )
+    run.results.expect("the remeshing run completes");
+    run.capture.history.expect("history")
 }
 
 #[test]
 fn every_injected_remesh_is_flagged_within_bounded_lag() {
-    let (trace, history, _) = remeshing_run();
-    let online = drift_events_from_trace(&trace);
+    let events = detect_drift(&remeshing_run());
     // The detector's re-warm bound: a step change must fire within the
     // first `DRIFT_DETECTION_BOUND` epochs of the new regime.
     let bound = DRIFT_DETECTION_BOUND;
     for boundary in [EPOCHS as u32, 2 * EPOCHS as u32] {
-        let hit = online
-            .iter()
-            .find(|e| e.occurrence >= boundary && e.occurrence < boundary + bound);
+        let flagged = |e: &&DriftEvent| {
+            e.metric == "bytes" && e.occurrence >= boundary && e.occurrence < boundary + bound
+        };
         assert!(
-            hit.is_some(),
+            events.iter().any(|e| flagged(&e)),
             "remesh at epoch {boundary} not flagged within {bound} epochs; \
-             events: {online:?}"
+             events: {events:?}"
         );
         // Both remeshes grow the hotspot volume, so the flagged shift on
         // the bytes series points up.
-        assert!(online
+        assert!(events
             .iter()
-            .filter(|e| e.metric == "bytes")
-            .filter(|e| e.occurrence >= boundary && e.occurrence < boundary + bound)
+            .filter(flagged)
             .all(|e| e.direction == DriftDirection::Up));
-    }
-    // Offline replay over the merged history agrees with the online
-    // monitor on where the bytes series shifted.
-    let offline = detect_drift(&history);
-    for boundary in [EPOCHS as u32, 2 * EPOCHS as u32] {
-        assert!(
-            offline.iter().any(|e| e.metric == "bytes"
-                && e.occurrence >= boundary
-                && e.occurrence < boundary + bound),
-            "offline replay must also flag the remesh at epoch {boundary}"
-        );
     }
 }
 
 #[test]
-fn drift_events_reach_trace_ring_and_recurrence_join() {
-    let (trace, history, dump) = remeshing_run();
-    // Trace: structured Drift events present.
-    assert!(trace
-        .iter()
-        .any(|e| matches!(&e.kind, EventKind::Drift { label, .. } if label == "allgatherv/ring")));
-    // Flight recorder: the dedicated drift ring survives into the dump.
-    assert!(
-        dump.lines().any(|l| l.contains("drift      ")),
-        "flight recorder dump must show the drift ring"
-    );
+fn recurrence_join_sees_one_hash_per_regime() {
+    let history = remeshing_run();
     // Recurrence: three stationary regimes leave exactly three distinct
     // pattern hashes, each recurring across its whole regime.
     let rec = pattern_recurrence(&history);

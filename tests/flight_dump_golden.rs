@@ -2,8 +2,8 @@
 //! other goldens (Chrome trace, diagnosis, comm matrix, history) do not
 //! cover. One small run drives every producer of a flight-recorder record
 //! and the dump of that run's recorders must match
-//! `tests/golden/flight_dump.txt` byte for byte: all eight
-//! [`RecCode`](nucomm::simnet::RecCode)s and both side rings, with the
+//! `tests/golden/flight_dump.txt` byte for byte: all seven
+//! [`RecCode`](nucomm::simnet::RecCode)s and the decision ring, with the
 //! main ring small enough to have evicted.
 
 use nucomm::core::{AllgathervAlgorithm, Comm, MpiConfig, WPeer};
@@ -11,7 +11,7 @@ use nucomm::datatype::Datatype;
 use nucomm::simnet::{render_dump, Cluster, ClusterConfig, Observers, Tag};
 
 const RANKS: usize = 4;
-/// Epochs per stationary regime of the remeshing sequence.
+/// Calls per regime of the allgatherv sequence.
 const EPOCHS: usize = 6;
 /// Blocks of the strided type: three doubles out of every four.
 const BLOCKS: usize = 256;
@@ -21,9 +21,8 @@ fn program(comm: &mut Comm) {
     let right = (me + 1) % RANKS;
     let left = (me + RANKS - 1) % RANKS;
 
-    // Remeshing allgatherv: a uniform regime, then rank 2 refines 16x —
-    // the step the drift monitor flags. Pinned ring so the shift cannot
-    // split the epoch series by changing the selector's choice.
+    // Pinned-ring allgatherv rounds that fill the main ring: a uniform
+    // regime, then rank 2 refines 16x.
     for hot in [128usize, 2048] {
         let mut counts = vec![128usize; RANKS];
         counts[2] = hot;
@@ -83,7 +82,6 @@ const GOLDEN: &str = include_str!("golden/flight_dump.txt");
 fn observed_run_dump() -> String {
     let observers = Observers {
         trace: true,
-        history: true,
         ..Observers::NONE
     };
     let cluster = ClusterConfig::uniform(RANKS)
@@ -133,9 +131,7 @@ fn golden_shows_every_record_code_and_side_ring() {
         "irecv      src=",
         "send-wait  residual_ns=",
         "algo       alltoallw -> binned",
-        "drift      allgatherv/ring bytes",
         "algorithm decisions\n",
-        "drift events\n",
     ] {
         assert!(GOLDEN.contains(body), "golden lacks {body:?}");
     }
@@ -149,7 +145,7 @@ fn golden_shows_every_record_code_and_side_ring() {
 }
 
 /// Reads only the committed file: within every section (a rank's main
-/// window or one of its side rings) the records run forward in time.
+/// window or its decision ring) the records run forward in time.
 #[test]
 fn golden_windows_run_forward_in_time() {
     let lines: Vec<&str> = GOLDEN.lines().collect();

@@ -165,8 +165,8 @@ fn observability_disabled_and_enabled_produce_identical_times() {
         for ranks in [4, 8] {
             let quiet = Cluster::new(ClusterConfig::paper_testbed(ranks))
                 .run(|rank| busy_workload(rank, &cfg));
-            // Every observer, the temporal layer included: epoch history
-            // (which pulls in the comm map) and the drift monitor it arms.
+            // Every observer, the temporal layer included: the epoch
+            // history, which pulls in the comm map.
             let everything = ClusterConfig::paper_testbed(ranks).observe(Observers::ALL);
             let (observed, capture) = Cluster::new(everything)
                 .try_run(|rank| busy_workload(rank, &cfg))

@@ -5,18 +5,21 @@
 //!
 //! The fixture is a 16-rank run on the jittered testbed with tracing,
 //! metrics, comm map and history on: eight auto-selected `allgatherv`s
-//! whose outlier grows mid-run (decisions, rounds, drift), a strided-type
-//! `alltoallw` (pack blocks) and one column send (search time). It runs
-//! twice, observed through `ClusterConfig::observe(Observers::ALL)` and
-//! through the in-closure `enable_*` / `take_*` path the frozen benchmark
-//! uses, and both must hit the same digests.
+//! whose outlier grows mid-run (decisions, rounds, a drift in the
+//! history), a strided-type `alltoallw` (pack blocks) and one column send
+//! (search time). It runs twice, observed through
+//! `ClusterConfig::observe(Observers::ALL)` and through the in-closure
+//! `enable_*` / `take_*` path the frozen benchmark uses, and both must hit
+//! the same digests. Observers are independent: a run with only the trace
+//! on, or none at all, holds the same traces and flight recorders.
 
 use nucomm::core::{Comm, MpiConfig, WPeer};
 use nucomm::datatype::{matrix_column_type, Datatype};
 use nucomm::simnet::{
     analysis_json, attribute_rounds, chrome_trace_json, comm_matrix_json, diagnose, diagnosis_json,
-    history_json, merge_comm_maps, merge_histories, metrics_json, Cluster, ClusterCommMap,
-    ClusterConfig, CostKind, HbGraph, History, MetricsRegistry, Observers, Rank, Tag, TraceEvent,
+    history_json, merge_comm_maps, merge_histories, metrics_json, render_dump, Cluster,
+    ClusterCommMap, ClusterConfig, CostKind, HbGraph, History, MetricsRegistry, Observers, Rank,
+    Tag, TraceEvent,
 };
 
 const RANKS: usize = 16;
@@ -174,15 +177,54 @@ fn every_export_and_time_counter_of_an_observed_run_is_pinned() {
     assert_eq!(digests(&configured()), want, "configured path");
 }
 
+/// The run under `observers`: its traces, if traced, and the dump of its
+/// flight recorders.
+fn traces_and_dump(observers: Observers) -> (Option<Vec<Vec<TraceEvent>>>, String) {
+    let run = Cluster::new(cluster().observe(observers)).try_run(program);
+    let dump = render_dump(&run.recorders);
+    (run.unwrap().1.traces, dump)
+}
+
+#[test]
+fn one_observer_changes_nothing_another_holds() {
+    let (all, all_dump) = traces_and_dump(Observers::ALL);
+    let (all, events) = (all.expect("traced"), |t: &[Vec<TraceEvent>]| {
+        t.iter().map(Vec::len).sum::<usize>()
+    });
+    let trace_only = Observers {
+        trace: true,
+        ..Observers::NONE
+    };
+    let (traces, dump) = traces_and_dump(trace_only);
+    let traces = traces.expect("traced");
+    assert!(
+        traces == all,
+        "the trace alone holds {} events, every observer {}",
+        events(&traces),
+        events(&all)
+    );
+    assert_eq!(
+        dump, all_dump,
+        "flight recorders: trace alone vs every observer"
+    );
+    let (_, none_dump) = traces_and_dump(Observers::NONE);
+    assert_eq!(
+        none_dump, all_dump,
+        "flight recorders: none vs every observer"
+    );
+}
+
 // Captured at the commit before the time counters moved into fixed slots
 // and the writer stopped formatting through `core::fmt`; never edit them
-// for a host-side change.
+// for a host-side change. The Chrome trace, metrics and analysis digests
+// were re-pinned when the per-rank drift monitor and its trace events and
+// `drift*/*` metrics were deleted.
 const DOCS: [(&str, usize, u64); 6] = [
-    ("chrome_trace_json", 1_112_348, 0x37683eb7c3a32ba6),
-    ("metrics_json", 3_679, 0x25344862d5265bc8),
+    ("chrome_trace_json", 1_108_550, 0xa5f32e2f976c74bf),
+    ("metrics_json", 3_568, 0xc1cc5ef9e82cfb5d),
     ("comm_matrix_json", 9_185, 0xbc26765417872114),
     ("history_json", 677, 0x396717b307bea3d0),
-    ("analysis_json", 91_433, 0xc7691491eb43fa82),
+    ("analysis_json", 91_278, 0xf48bb67185b4c9ac),
     ("diagnosis_json", 12_892, 0x43c6269b3647a9c0),
 ];
 

@@ -16,8 +16,8 @@
 # --seed S --trace 0` at the benchmark's own DEFAULT_SECONDS) at the
 # benchmark's DEFAULT_SEED and --unused-pairs (default --pairs) at
 # UNUSED_SEED: odd pairs run the base first, even pairs the head first.
-# Each side then makes one `ncd-benchmark trace` run for a per-layer probe
-# snapshot.
+# Then PROBE_RUNS `ncd-benchmark trace` runs per side, paired and ordered
+# the same way, give the per-layer probe snapshot and the stage table.
 #
 # The entry holds, per seed, workload and end-to-end metric, both sides'
 # runs with median and quartiles, the head/base ratio of the medians, the
@@ -25,18 +25,24 @@
 # interquartile range; plus the host tag, every MALLOC_* variable in the
 # environment, and the workloads whose simulated makespan is expected to
 # move (--sim-moves; CI checks every other one is equal on both sides).
-# Its `stages` fold each side's trace_<workload>.json from the probe run:
-# host microseconds per span name summed over the traced rounds, a `check`
-# span named after the stage it checks, with both sides and their ratio.
-# Set-up steps (the children of the `setup` span) are listed apart, under
-# `stages.setup_envelopes` and as `envelope` lines: each is the earliest
-# start to the latest end of that step over all ranks, so they overlap one
-# another (one rank's step can sit inside another's) and do not add up.
+# Its `stages` fold each probe run's trace_<workload>.json: host
+# microseconds per span name summed over the traced rounds, a `check` span
+# named after the stage it checks. Per stage, each side holds its median,
+# min and max over the probe runs, and the ratio is head median over base
+# median; a ratio is `within_noise` when the two sides' min-max ranges
+# overlap, since one probe run per side cannot tell a change from the
+# box's swing. Set-up steps (the children of the `setup` span) are listed
+# apart, under `stages.setup_envelopes` and as `envelope` lines: each is
+# the earliest start to the latest end of that step over all ranks, so
+# they overlap one another (one rank's step can sit inside another's) and
+# do not add up.
 set -euo pipefail
 
 repo="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
 # A seed no change is written against; the benchmark's default is the other.
 UNUSED_SEED=9173
+# `ncd-benchmark trace` runs per side behind the probe snapshot and stages.
+PROBE_RUNS=3
 pr="" base="" head="" pairs=10 unused_pairs="" workloads="" sim_moves=""
 scratch="${TMPDIR:-/tmp}/bench_ab"
 while [ $# -gt 0 ]; do
@@ -49,7 +55,7 @@ while [ $# -gt 0 ]; do
         --workloads) workloads="$2"; shift 2 ;;
         --sim-moves) sim_moves="$2"; shift 2 ;;
         --scratch) scratch="$2"; shift 2 ;;
-        *) sed -n '2,30p' "${BASH_SOURCE[0]}" >&2; exit 2 ;;
+        *) sed -n '2,38p' "${BASH_SOURCE[0]}" >&2; exit 2 ;;
     esac
 done
 [ -n "$pr" ] || { echo "bench_ab.sh: --pr is required" >&2; exit 2; }
@@ -74,8 +80,11 @@ export_tree() {
     rm -rf "$dir"
     mkdir -p "$dir"
     if [ -z "$rev" ]; then
+        # A tracked file the working tree deleted is listed but not there.
         git -C "$repo" ls-files -z -c -o --exclude-standard |
-            (cd "$repo" && tar --null -T - -cf -) | tar -xf - -C "$dir"
+            (cd "$repo" && while IFS= read -r -d '' f; do
+                if [ -e "$f" ]; then printf '%s\0' "$f"; fi
+            done | tar --null -T - -cf -) | tar -xf - -C "$dir"
     else
         git -C "$repo" archive "$rev" | tar -xf - -C "$dir"
     fi
@@ -117,16 +126,29 @@ for w in $workloads; do
     done
 done
 
-for side in base head; do
-    rm -f "$scratch/$side/tree/benchmark/out/results.json"
-    echo "bench_ab.sh: trace probes, $side" >&2
+# One trace probe run; keeps its out/ files as $scratch/probes/<side>/<run>.
+probe() {
+    local side="$1" run="$2" dir="$scratch/$1/tree/benchmark/out"
+    rm -f "$dir"/results.json "$dir"/trace_*.json
+    echo "bench_ab.sh: trace probe $run/$PROBE_RUNS, $side" >&2
     (cd "$scratch/$side/tree" && "$(bin "$side")" trace > /dev/null 2>&1)
+    mkdir -p "$scratch/probes/$side/$run"
+    cp "$dir"/results.json "$dir"/trace_*.json "$scratch/probes/$side/$run/" 2>/dev/null || true
+}
+rm -rf "$scratch/probes"
+for ((p = 1; p <= PROBE_RUNS; p++)); do
+    if ((p % 2)); then
+        probe base "$p"; probe head "$p"
+    else
+        probe head "$p"; probe base "$p"
+    fi
 done
 
 python3 - "$repo/BENCHMARK.json" "$runs" "$scratch" "$out" "$pr" "$base_rev" "$head_rev" \
-    "$pairs" "$unused_pairs" "$seconds" "$sim_moves" <<'EOF'
+    "$pairs" "$unused_pairs" "$seconds" "$sim_moves" "$PROBE_RUNS" <<'EOF'
 import json, os, platform, subprocess, sys
-bench, runs, scratch, out, pr, base_rev, head_rev, pairs, unused_pairs, seconds, sim_moves = sys.argv[1:]
+(bench, runs, scratch, out, pr, base_rev, head_rev, pairs, unused_pairs, seconds, sim_moves,
+ probe_runs) = sys.argv[1:]
 end_to_end = json.load(open(bench))["end_to_end"]
 
 def summary(v):
@@ -172,17 +194,23 @@ for seed in dict.fromkeys(l["seed"] for l in lines):
         workloads[w] = row
     entry_seeds.append({"seed": seed, "workloads": workloads})
 
+def probe_files(side, name):
+    """`name` from each of the side's probe runs that wrote it, in run order."""
+    runs = [os.path.join(scratch, "probes", side, str(i), name)
+            for i in range(1, int(probe_runs) + 1)]
+    return [p for p in runs if os.path.exists(p)]
+
 def probe_snapshot(side):
-    path = os.path.join(scratch, side, "tree", "benchmark", "out", "results.json")
-    if not os.path.exists(path):
+    results = [json.load(open(p)) for p in probe_files(side, "results.json")]
+    if not results:
         return None
-    res = json.load(open(path))
-    names = dict.fromkeys(k for w in res["workloads"] for k in w["per_layer"])
+    rows = [w for res in results for w in res["workloads"]]
     snap = {}
-    for k in names:
-        v = [w["per_layer"][k]["value"] for w in res["workloads"] if k in w["per_layer"]]
-        snap[k] = {"unit": res["workloads"][0]["per_layer"][k]["unit"], **summary(v)}
-    return {"seed": res["seed"], "runs": len(res["workloads"]), "probes": snap}
+    for k in dict.fromkeys(k for w in rows for k in w["per_layer"]):
+        v = [w["per_layer"][k]["value"] for w in rows if k in w["per_layer"]]
+        unit = next(w["per_layer"][k]["unit"] for w in rows if k in w["per_layer"])
+        snap[k] = {"unit": unit, **summary(v)}
+    return {"seed": results[0]["seed"], "runs": len(rows), "probes": snap}
 
 def span_totals(path):
     """(measured totals by span name, set-up step envelopes by name)."""
@@ -202,20 +230,31 @@ def span_totals(path):
     return totals, envelopes
 
 def stages():
+    def spread(v):
+        s = summary(v)
+        return {"median": s["median"], "min": s["min"], "max": s["max"], "runs": v}
     def sides(base, head):
-        return {name: {"base": base[name], "head": head[name],
-                       "ratio": head[name] / base[name] if base[name] else None}
-                for name in base if name in head}
+        """Per name, each side's spread over its probe runs and their ratio."""
+        out = {}
+        for name in dict.fromkeys(n for run in base for n in run):
+            b = spread([run[name] for run in base if name in run])
+            h = [run[name] for run in head if name in run]
+            if not h:
+                continue
+            h = spread(h)
+            out[name] = {"base": b, "head": h,
+                         "ratio": h["median"] / b["median"] if b["median"] else None,
+                         "within_noise": b["min"] <= h["max"] and h["min"] <= b["max"]}
+        return out
     out, envelopes = {}, {}
     for w in dict.fromkeys(l["workload"] for l in lines):
-        paths = [os.path.join(scratch, side, "tree", "benchmark", "out", f"trace_{w}.json")
-                 for side in ("base", "head")]
-        if not all(os.path.exists(p) for p in paths):
+        base, head = ([span_totals(p) for p in probe_files(side, f"trace_{w}.json")]
+                      for side in ("base", "head"))
+        if not base or not head:
             continue
-        (base, base_env), (head, head_env) = (span_totals(p) for p in paths)
-        out[w] = sides(base, head)
-        envelopes[w] = sides(base_env, head_env)
-    return {"unit": "us", "workloads": out, "setup_envelopes": {
+        out[w] = sides([t for t, _ in base], [t for t, _ in head])
+        envelopes[w] = sides([e for _, e in base], [e for _, e in head])
+    return {"unit": "us", "probe_runs": int(probe_runs), "workloads": out, "setup_envelopes": {
         "note": "first rank in to last rank out per set-up step: envelopes overlap, never add them",
         "workloads": envelopes}}
 
@@ -255,6 +294,10 @@ for kind, table in (("stage", entry["stages"]["workloads"]),
     for w, spans in table.items():
         for name, m in spans.items():
             ratio = "-" if m["ratio"] is None else f"x{m['ratio']:.3f}"
-            print(f"{kind:<8} {w:<20} {name:<28} base {m['base']:.0f} us head {m['head']:.0f} us {ratio}")
+            b, h = m["base"], m["head"]
+            print(f"{kind:<8} {w:<20} {name:<28} base {b['median']:.0f} us "
+                  f"[{b['min']:.0f}-{b['max']:.0f}] head {h['median']:.0f} us "
+                  f"[{h['min']:.0f}-{h['max']:.0f}] {ratio}"
+                  f"{' within noise' if m['within_noise'] else ''}")
 print(f"wrote {out}")
 EOF
