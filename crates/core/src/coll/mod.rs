@@ -16,7 +16,7 @@ pub mod basic;
 pub use allgatherv::AllgathervAlgorithm;
 pub use alltoallw::{AlltoallwSchedule, WPeer};
 
-use ncd_simnet::{millis_to_ratio, ratio_to_millis, EventKind, Tag};
+use ncd_simnet::{ratio_to_millis, EventKind, Tag};
 
 use crate::comm::Comm;
 
@@ -49,16 +49,13 @@ pub(crate) fn coll_tag(op: CollOp, phase: u32) -> Tag {
 
 impl Comm<'_> {
     /// Mark the start of round `round` of the multi-round collective `op`
-    /// (`<collective>/<algorithm>`): an [`EventKind::Round`] instant and
-    /// the `<collective>/rounds/<algorithm>` counter.
+    /// (`<collective>/<algorithm>`): an [`EventKind::Round`] instant, from
+    /// which `Rank::record` folds the `<collective>/rounds/<algorithm>`
+    /// counter.
     pub(crate) fn round(&mut self, op: &'static str, round: u32) {
         let now = self.rank_ref().now();
         let event = EventKind::Round { op, round };
         self.rank_mut().record(now, event);
-        if let Some(m) = self.rank_mut().metrics_mut() {
-            let (collective, algorithm) = op.split_once('/').expect("<collective>/<algorithm>");
-            m.counter_add(collective, "rounds", algorithm, 1);
-        }
     }
 
     /// Audit one algorithm selection of an adaptive collective: an
@@ -66,8 +63,8 @@ impl Comm<'_> {
     /// parks in its decision ring) carrying the evidence — `n` volumes
     /// totalling `total_bytes` with outlier ratio `ratio` (infinite for a
     /// zero bulk quantile under a nonzero max) — what was `chosen` and the
-    /// policy branch (`reason`) that chose it, plus the `decision*/*`
-    /// metrics. Charges no simulated time.
+    /// policy branch (`reason`) that chose it. `Rank::record` folds the
+    /// `decision*/*` metrics from it. Charges no simulated time.
     pub(crate) fn audit_decision(
         &mut self,
         collective: &'static str,
@@ -77,23 +74,11 @@ impl Comm<'_> {
         chosen: &'static str,
         reason: &'static str,
     ) {
-        let ratio_millis = ratio_to_millis(ratio);
-        if let Some(m) = self.rank_mut().metrics_mut() {
-            m.counter_add("decision", collective, chosen, 1);
-            m.counter_add("decision_reason", collective, reason, 1);
-            // Read back through the event's thousandths, so the gauge is
-            // the value the trace and the recorder carry.
-            let ratio = millis_to_ratio(ratio_millis);
-            if ratio.is_finite() {
-                m.gauge_set("decision_ratio", collective, chosen, ratio);
-            }
-            m.observe("decision_bytes", collective, chosen, total_bytes);
-        }
         let decision = EventKind::AlgoDecision {
             collective,
             n,
             total_bytes,
-            ratio_millis,
+            ratio_millis: ratio_to_millis(ratio),
             pow2: n.is_power_of_two(),
             chosen,
             reason,

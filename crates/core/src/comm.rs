@@ -147,12 +147,12 @@ impl<'a> Comm<'a> {
     /// payload: each pipeline block's op counts are charged to the simulated
     /// clock as it is produced, the block is recorded as an
     /// [`EventKind::PackBlock`] (flight recorder; the trace's `dt` lane /
-    /// Chrome datatype track) with its `datatype/*` metrics — log₂
-    /// histograms of seek distance, look-ahead window and block bytes, plus
-    /// block counters — and then `block_done(self, block bytes)` runs (the
-    /// nonblocking send puts the block on the NIC there). Aggregate totals
-    /// are identical to one-shot charging up to per-charge nanosecond
-    /// rounding.
+    /// Chrome datatype track; `Rank::record` folds its `datatype/*`
+    /// metrics — log₂ histograms of seek distance, look-ahead window and
+    /// block bytes, plus block counters — from it), and then
+    /// `block_done(self, block bytes)` runs (the nonblocking send puts the
+    /// block on the NIC there). Aggregate totals are identical to one-shot
+    /// charging up to per-charge nanosecond rounding.
     pub(crate) fn pack_pipeline(
         &mut self,
         buf: &[u8],
@@ -174,26 +174,12 @@ impl<'a> Comm<'a> {
             };
             self.charge_op_counts(&block);
             counts.merge(&block);
-            let sparse = obs.mode == BlockMode::Packed;
-            if let Some(m) = self.rank.metrics_mut() {
-                m.observe("datatype", "seek_segments", name, obs.seek_segments);
-                m.observe("datatype", "lookahead_window", name, obs.lookahead_segments);
-                m.observe("datatype", "block_bytes", name, obs.bytes);
-                m.counter_add("datatype", "blocks", name, 1);
-                m.counter_add("datatype", "seek_total", name, obs.seek_segments);
-                let density = if sparse {
-                    "sparse_blocks"
-                } else {
-                    "dense_blocks"
-                };
-                m.counter_add("datatype", density, name, 1);
-            }
             // `seek` is the segments re-walked from the type root — the
             // paper's quadratic signal, always zero for dual-context.
             let block = EventKind::PackBlock {
                 engine: name,
                 index: obs.index,
-                sparse,
+                sparse: obs.mode == BlockMode::Packed,
                 seek: obs.seek_segments,
                 lookahead: obs.lookahead_segments,
                 bytes: obs.bytes,
