@@ -903,8 +903,8 @@ mod tests {
         // Metrics: 4 ranks x 3 measured reps, warm-up dropped.
         let metrics = all.metrics.as_ref().expect("metrics");
         let h = metrics
-            .histogram("allgatherv", "bytes", "adaptive")
-            .expect("adaptive histogram");
+            .histogram("decision_bytes", "allgatherv", "recursive_doubling")
+            .expect("audited bytes");
         assert_eq!(h.count(), 4 * REPS as u64);
         assert_eq!(
             metrics.counter("decision", "allgatherv", "recursive_doubling"),

@@ -46,9 +46,11 @@ fn every_byte_stable_export_leads_with_the_shared_schema_version() {
     let manifest =
         ledger_run("schema_probe", true, &knobs, &series, &capture).expect("ledger the probe run");
     // The id is a content hash over the manifest and every artifact's
-    // bytes. This literal was produced by the five-rung harness this one
-    // replaced (commit fb51a8f): the artifact set and bytes are unchanged.
-    assert_eq!(manifest.run_id, "481a6a6a460907d6");
+    // bytes. It was produced by the five-rung harness this one replaced
+    // (commit fb51a8f) as `481a6a6a460907d6`, and moved only when the
+    // `allgatherv/{bytes/adaptive, selected, verdict, outlier_ratio}`
+    // metrics, copies of the `decision*/*` keys, left `metrics.json`.
+    assert_eq!(manifest.run_id, "13d3cb8b4a032521");
 
     // Every persisted artifact, the manifest included, leads with the
     // shared version.
