@@ -342,10 +342,6 @@ impl DistributedArray {
         self.geom.width
     }
 
-    pub fn process_grid(&self) -> [usize; 3] {
-        self.geom.pgrid
-    }
-
     pub fn rank(&self) -> usize {
         self.geom.rank
     }
@@ -551,7 +547,7 @@ mod tests {
         let out = with_n(6, |comm| {
             let da = DistributedArray::new(comm, &[12, 9], 1, StencilKind::Star, 1);
             let (s, l) = da.owned();
-            (s, l, da.process_grid())
+            (s, l, da.geom.pgrid)
         });
         let mut total = 0usize;
         for (_, l, _) in &out {

@@ -164,11 +164,6 @@ impl AijMat {
         self.assembled = true;
     }
 
-    /// Number of off-process columns referenced by local rows.
-    pub fn num_ghost_cols(&self) -> usize {
-        self.ghost_cols.len()
-    }
-
     /// `y = A x` (collective). `x` over the column layout, `y` over the row
     /// layout.
     pub fn mat_mult(&self, comm: &mut Comm, x: &PVec, y: &mut PVec, backend: ScatterBackend) {
@@ -343,7 +338,7 @@ mod tests {
     fn ghost_columns_counted() {
         let out = with_n(4, |comm| {
             let a = laplacian_1d(comm, 16);
-            a.num_ghost_cols()
+            a.ghost_cols.len()
         });
         // Interior ranks reference one column on each side.
         assert_eq!(out, vec![1, 2, 2, 1]);

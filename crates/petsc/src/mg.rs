@@ -356,10 +356,6 @@ impl Multigrid {
         Multigrid { levels, backend }
     }
 
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
     pub fn fine_da(&self) -> &DistributedArray {
         &self.levels[0].da
     }
@@ -911,7 +907,7 @@ mod tests {
     fn mg_levels_have_halved_dims() {
         with_n(2, |comm| {
             let mg = Multigrid::new(comm, &[20, 20], 0.05, 3, ScatterBackend::HandTuned);
-            assert_eq!(mg.num_levels(), 3);
+            assert_eq!(mg.levels.len(), 3);
             assert_eq!(mg.level_da(0).dims()[0], 20);
             assert_eq!(mg.level_da(1).dims()[0], 10);
             assert_eq!(mg.level_da(2).dims()[0], 5);

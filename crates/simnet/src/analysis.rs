@@ -342,16 +342,6 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// Message hops on the path whose receive is governed by a collective
-    /// round whose op starts with `prefix` (e.g. `"allgatherv/ring"`).
-    pub fn hops_for_op(&self, prefix: &str) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| s.via_message)
-            .filter(|s| s.op.as_deref().is_some_and(|op| op.starts_with(prefix)))
-            .count()
-    }
-
     /// Render a summary plus the path table. When the path has more than
     /// `top_k` steps, only the `top_k` longest-duration steps are shown
     /// (in time order), so the expensive links dominate the output.
