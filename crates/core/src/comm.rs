@@ -143,8 +143,8 @@ impl<'a> Comm<'a> {
     /// return the packed payload. `buf` is checked against the type's
     /// bounds before any byte is copied or any cost charged.
     ///
-    /// The engine is driven block by block, appending straight into the
-    /// payload: each pipeline block's op counts are charged to the simulated
+    /// The engine is driven block by block and owns the payload it packs
+    /// into: each pipeline block's op counts are charged to the simulated
     /// clock as it is produced, the block is recorded as an
     /// [`EventKind::PackBlock`] (flight recorder; the trace's `dt` lane /
     /// Chrome datatype track; `Rank::record` folds its `datatype/*`
@@ -165,11 +165,10 @@ impl<'a> Comm<'a> {
             .expect("datatype out of bounds during send");
         let name = kind.name();
         let mut counts = OpCounts::default();
-        let mut payload = Vec::with_capacity(message_bytes(dt, count));
         loop {
             let block_start = self.rank.now();
             let mut block = OpCounts::default();
-            let Some(obs) = engine.next_block(&mut payload, &mut block) else {
+            let Some(obs) = engine.next_block(&mut block) else {
                 break;
             };
             self.charge_op_counts(&block);
@@ -188,7 +187,7 @@ impl<'a> Comm<'a> {
             block_done(self, obs.bytes as usize);
         }
         self.record_engine_metrics(name, &counts);
-        payload
+        engine.into_payload()
     }
 
     /// Receive `count` instances of `dt` into `buf` from `src` (None = any

@@ -774,6 +774,11 @@ fn capped<T>(
     }
 }
 
+/// The column a table's keys are padded to: its longest printed key.
+fn key_width<'a>(keys: impl Iterator<Item = &'a String>) -> usize {
+    keys.map(|k| k.chars().count()).max().unwrap_or(0)
+}
+
 /// Render the differential as the "what regressed and who is to blame"
 /// report. `top_k` caps each section's row count.
 pub fn render_compare(diff: &RunDiff, top_k: usize) -> String {
@@ -940,10 +945,11 @@ pub fn render_compare(diff: &RunDiff, top_k: usize) -> String {
         );
         let mut rows: Vec<&MetricDelta> = diff.metric_deltas.iter().collect();
         rows.sort_by_key(|d| std::cmp::Reverse(d.current.abs_diff(d.base)));
+        let width = key_width(rows.iter().take(top_k).map(|d| &d.key));
         capped(&mut out, &rows, top_k, "counter(s)", |out, d| {
             let _ = writeln!(
                 out,
-                "  {:<44} {:>12} -> {:>12} ({:+})",
+                "  {:<width$} {:>12} -> {:>12} ({:+})",
                 d.key,
                 d.base,
                 d.current,
@@ -954,10 +960,11 @@ pub fn render_compare(diff: &RunDiff, top_k: usize) -> String {
     if !diff.histogram_shifts.is_empty() {
         out.push_str("distribution shifts:\n");
         let shifts = &diff.histogram_shifts;
+        let width = key_width(shifts.iter().take(top_k).map(|h| &h.key));
         capped(&mut out, shifts, top_k, "histogram(s)", |out, h| {
             let _ = writeln!(
                 out,
-                "  {:<44} mean {:.1} -> {:.1}  p90 {} -> {}  moved {:.1}%",
+                "  {:<width$} mean {:.1} -> {:.1}  p90 {} -> {}  moved {:.1}%",
                 h.key,
                 h.base_mean_millis as f64 / 1000.0,
                 h.cur_mean_millis as f64 / 1000.0,
@@ -1106,6 +1113,29 @@ mod tests {
         assert!(!diff.is_empty());
         let table = render_compare(&diff, 10);
         assert!(table.contains("+50.0%"), "{table}");
+    }
+
+    /// A key longer than any fixed column still lines its row up with the
+    /// others: every row's `->` sits in one column.
+    #[test]
+    fn metric_rows_align_past_a_long_key() {
+        let delta = |key: &str, current| MetricDelta {
+            key: key.into(),
+            base: 0,
+            current,
+        };
+        let diff = RunDiff {
+            metric_deltas: vec![
+                delta("time/wait", 9),
+                delta("decision_reason/allgatherv/outliers: binomial movement", 8),
+            ],
+            ..RunDiff::default()
+        };
+        let table = render_compare(&diff, 10);
+        let rows = table.lines().filter(|l| l.starts_with("  "));
+        let arrows: Vec<usize> = rows.filter_map(|l| l.find("->")).collect();
+        assert_eq!(arrows.len(), 2, "{table}");
+        assert_eq!(arrows[0], arrows[1], "{table}");
     }
 
     /// A point one run did not measure is NaN in the record: the delta

@@ -256,7 +256,45 @@ impl TypeCursor {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::test_common::{arb_spec, build, position};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// `advance_to(p + k)` is the closed form of the walk `consume(k, …)`
+        /// does from `p`: it lands where the walk lands and counts the pieces
+        /// the walk hands out. Random trees of all nine constructors, often
+        /// resized (extents below the span interleave the replicas), from
+        /// any position (part-way into a segment too), across replica wraps
+        /// and with limits past the end.
+        #[test]
+        fn advance_to_counts_the_pieces_consume_hands_out(
+            spec in arb_spec(),
+            (resize, lb, extent) in (any::<bool>(), -8i64..8, 0i64..40),
+            count in 1usize..5,
+            at in 0usize..4096,
+            limit in 0usize..400,
+        ) {
+            let Ok(mut dt) = build(&spec) else { return Ok(()) };
+            if resize {
+                dt = Datatype::resized(lb, extent, &dt).expect("resized");
+            }
+            let mut walked = TypeCursor::new(&dt, count);
+            // `consume` hands out offsets into a buffer the type fits.
+            if walked.check_fits(i64::MAX as usize).is_err() {
+                return Ok(());
+            }
+            walked.consume(at % (walked.total_bytes() + 1), |_, _| {});
+            let mut closed = walked.clone();
+            let pieces = walked.consume(limit, |_, _| {});
+            let target = closed.packed_offset() + limit.min(closed.remaining());
+            prop_assert_eq!(closed.advance_to(target), pieces);
+            prop_assert_eq!(position(&closed), position(&walked));
+        }
+    }
 
     fn column_type() -> Datatype {
         // 8 elements of 24 bytes, stride 8 elements (one matrix column).

@@ -30,10 +30,12 @@
 //! machine's quadratic to obtain them: the re-search count comes from
 //! [`TypeCursor::search_from_start`]'s closed form (proven equal to the
 //! executed walk by `tests/prop_datatype.rs`), and both personalities share
-//! one block routine that copies straight into the caller's payload at the
-//! speed of a hand-written loop — or, where the replicas of a message
+//! one block routine that copies straight into the payload the engine owns
+//! at the speed of a hand-written loop — or, where the replicas of a message
 //! interleave in memory, faster than the pack-order loop: such messages are
-//! gathered a tile of replicas at a time (`TileGather`).
+//! gathered a tile of replicas at a time straight into the payload
+//! (`TileGather`), in one pass, and their blocks count their pieces with
+//! [`TypeCursor::advance_to`]'s closed form instead of walking them.
 
 use crate::cursor::TypeCursor;
 use crate::desc::Datatype;
@@ -133,7 +135,7 @@ impl EngineKind {
 }
 
 /// A pipelined pack engine over `count` replicas of a datatype laid out in
-/// one source buffer.
+/// one source buffer, packing into a payload of its own.
 pub struct PackEngine<'a> {
     kind: EngineKind,
     /// The pack position. Look-ahead reads past it without moving it; what
@@ -143,6 +145,10 @@ pub struct PackEngine<'a> {
     params: EngineParams,
     src: &'a [u8],
     block_index: u64,
+    /// The message, allocated once at its size. Its first
+    /// `cursor.packed_offset()` bytes are what the blocks so far produced;
+    /// a tiled gather may have written further, up to its tile's end.
+    payload: Vec<u8>,
     /// `Some` when the message's replicas interleave in memory: the host
     /// copy then runs a tile of replicas at a time (see [`TileGather`]).
     tiles: Option<TileGather>,
@@ -150,7 +156,8 @@ pub struct PackEngine<'a> {
 
 impl<'a> PackEngine<'a> {
     /// Fails with [`TypeError::OutOfBounds`] — before any byte is copied —
-    /// unless `src` holds every byte `count` instances of `dt` touch.
+    /// unless `src` holds every byte `count` instances of `dt` touch. The
+    /// payload is allocated here, once, at the message's size.
     pub fn new(
         kind: EngineKind,
         dt: &Datatype,
@@ -166,26 +173,19 @@ impl<'a> PackEngine<'a> {
         cursor.check_fits(src.len())?;
         Ok(PackEngine {
             kind,
-            cursor,
             params,
             src,
             block_index: 0,
-            tiles: TileGather::worthwhile(dt, count).then(|| TileGather {
-                count,
-                next_replica: 0,
-                stage: Vec::new(),
-                taken: 0,
-            }),
+            payload: Vec::with_capacity(cursor.total_bytes()),
+            tiles: TileGather::worthwhile(dt, count).then_some(TileGather { count }),
+            cursor,
         })
     }
 
-    /// Append the next pipeline block to `out` and add its operations to
-    /// `counts`; `None` when the message is complete.
-    pub fn next_block(
-        &mut self,
-        out: &mut Vec<u8>,
-        counts: &mut OpCounts,
-    ) -> Option<BlockObservation> {
+    /// Produce the next pipeline block into the payload (it ends
+    /// [`PackEngine::packed`]) and add its operations to `counts`; `None`
+    /// when the message is complete.
+    pub fn next_block(&mut self, counts: &mut OpCounts) -> Option<BlockObservation> {
         if self.cursor.is_done() {
             return None;
         }
@@ -224,16 +224,17 @@ impl<'a> PackEngine<'a> {
         };
         counts.searched_segments += seek_segments;
 
-        let src = self.src;
-        let segments = match &mut self.tiles {
+        let (src, payload) = (self.src, &mut self.payload);
+        let segments = match &self.tiles {
             None => self.cursor.consume(limit, |at, len| {
-                out.extend_from_slice(&src[at..at + len]);
+                payload.extend_from_slice(&src[at..at + len]);
             }),
             Some(tiles) => {
-                let segments = self.cursor.consume(limit, |_, _| {});
-                let bytes = self.cursor.packed_offset() - start;
-                tiles.append(self.cursor.datatype(), src, bytes, out);
-                segments
+                // The pieces are counted in closed form; the bytes are
+                // already in the payload once the tiles they fall in are.
+                let end = start + limit.min(self.cursor.remaining());
+                tiles.fill(self.cursor.datatype(), src, payload, end);
+                self.cursor.advance_to(end)
             }
         };
         let bytes = (self.cursor.packed_offset() - start) as u64;
@@ -262,14 +263,25 @@ impl<'a> PackEngine<'a> {
         })
     }
 
-    /// Drain the whole stream into one buffer, reporting every block to
-    /// `observer`.
+    /// The bytes the blocks so far produced, in pack order.
+    pub fn packed(&self) -> &[u8] {
+        &self.payload[..self.cursor.packed_offset()]
+    }
+
+    /// The produced bytes as an owned buffer: the whole message once
+    /// [`PackEngine::next_block`] has returned `None`.
+    pub fn into_payload(mut self) -> Vec<u8> {
+        self.payload.truncate(self.cursor.packed_offset());
+        self.payload
+    }
+
+    /// Drain the whole stream, reporting every block to `observer`, and
+    /// return the message.
     pub fn pack_all(mut self, counts: &mut OpCounts, observer: &mut dyn PackObserver) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.cursor.remaining());
-        while let Some(obs) = self.next_block(&mut out, counts) {
+        while let Some(obs) = self.next_block(counts) {
             observer.on_block(&obs);
         }
-        out
+        self.into_payload()
     }
 }
 
@@ -278,24 +290,24 @@ impl<'a> PackEngine<'a> {
 /// extent of one element. In pack order every piece of such a message sits
 /// on another page and cache line than the one before, and the line is
 /// fetched again for the next column. Gathering [`TILE_REPLICAS`] replicas
-/// per pass, segment by segment, reads each line once; the pieces land in a
-/// stage laid out in pack order and the pipeline blocks append their bytes
-/// from it. Only the order of the host's loads changes.
+/// per pass, segment by segment, reads each line once and writes the pieces
+/// straight to their places in the payload; blocks only move the produced
+/// mark past them. Only the order of the host's copies changes.
 struct TileGather {
     count: usize,
-    /// First replica not yet gathered.
-    next_replica: usize,
-    /// The current tile, and how much of it blocks have taken.
-    stage: Vec<u8>,
-    taken: usize,
 }
 
-/// Eight pieces of one to four doubles cover whole cache lines, and eight
-/// output streams plus the source still fit one L1 set when the columns
-/// are a power of two apart.
-const TILE_REPLICAS: usize = 8;
+/// Replicas per tile. A segment's pieces of a tile sit side by side in the
+/// source (384 bytes for 24-byte elements, six whole cache lines), and each
+/// goes to its own replica's place in the payload. Measured on the Figure 12
+/// column type (`transpose_1k` and the `datatype.pack_*` probes, 1024 and
+/// 512 rows of 24-byte elements, 2-vCPU Xeon): 8 packs no faster than a
+/// two-pass gather of 8 through a stage, 16 and 32 alike and ≈ 20 % faster,
+/// and 16 keeps columns of up to 2730 such rows under [`TILE_MAX_BYTES`].
+const TILE_REPLICAS: usize = 16;
 
-/// A tile must stay cache-resident between its gather and its blocks.
+/// The tile that `resize` zero-fills in the payload must still be in cache
+/// when the gather overwrites it.
 const TILE_MAX_BYTES: usize = 1 << 20;
 
 impl TileGather {
@@ -311,33 +323,31 @@ impl TileGather {
             && dt.size() * TILE_REPLICAS <= TILE_MAX_BYTES
     }
 
-    /// Append the next `want` bytes of the packed stream to `out`.
-    fn append(&mut self, dt: &Datatype, src: &[u8], mut want: usize, out: &mut Vec<u8>) {
-        while want > 0 {
-            if self.taken == self.stage.len() {
-                self.gather(dt, src);
-            }
-            let take = want.min(self.stage.len() - self.taken);
-            out.extend_from_slice(&self.stage[self.taken..self.taken + take]);
-            self.taken += take;
-            want -= take;
+    /// Gather tiles into `payload` until it holds the first `end` bytes of
+    /// the packed stream. The payload always ends on a replica boundary.
+    fn fill(&self, dt: &Datatype, src: &[u8], payload: &mut Vec<u8>, end: usize) {
+        while payload.len() < end {
+            self.gather(dt, src, payload);
         }
     }
 
-    /// Stage the next tile: for each segment, that segment of every replica.
-    fn gather(&mut self, dt: &Datatype, src: &[u8]) {
-        let replicas = (self.count - self.next_replica).min(TILE_REPLICAS);
+    /// Append the next tile: for each segment, that segment of every replica.
+    fn gather(&self, dt: &Datatype, src: &[u8], payload: &mut Vec<u8>) {
         let (size, extent) = (dt.size(), dt.extent() as usize);
-        self.stage.resize(replicas * size, 0);
+        let first = payload.len() / size;
+        let replicas = (self.count - first).min(TILE_REPLICAS);
+        let base = payload.len();
+        payload.resize(base + replicas * size, 0);
+        let tile = &mut payload[base..];
         for (seg, &start) in dt.segments().iter().zip(dt.segment_starts()) {
-            let from = (self.next_replica as i64 * dt.extent() + seg.offset) as usize;
+            let from = (first as i64 * dt.extent() + seg.offset) as usize;
             // A constant length compiles to plain loads and stores, a
             // variable one to a `memcpy` call per piece.
             macro_rules! pieces {
                 ($len:expr) => {
                     for r in 0..replicas {
                         let (to, at) = (r * size + start, from + r * extent);
-                        self.stage[to..to + $len].copy_from_slice(&src[at..at + $len]);
+                        tile[to..to + $len].copy_from_slice(&src[at..at + $len]);
                     }
                 };
             }
@@ -349,8 +359,6 @@ impl TileGather {
                 len => pieces!(len),
             }
         }
-        self.taken = 0;
-        self.next_replica += replicas;
     }
 }
 
@@ -525,14 +533,13 @@ mod tests {
         };
         let mut e = PackEngine::new(EngineKind::DualContext, &col, 1, params, &m).unwrap();
         let mut counts = OpCounts::default();
-        let mut out = Vec::new();
         let mut blocks = Vec::new();
-        while let Some(b) = e.next_block(&mut out, &mut counts) {
-            // Each block appends exactly its bytes to the caller's buffer.
+        while let Some(b) = e.next_block(&mut counts) {
+            // Each block extends the produced bytes by exactly its own.
             assert!(b.bytes <= 64);
             blocks.push(b);
             assert_eq!(
-                out.len() as u64,
+                e.packed().len() as u64,
                 blocks.iter().map(|b| b.bytes).sum::<u64>()
             );
         }
@@ -766,7 +773,8 @@ mod tests {
         for kind in KINDS {
             let mut e = PackEngine::new(kind, &t, 3, EngineParams::default(), &[]).unwrap();
             let mut c = OpCounts::default();
-            assert!(e.next_block(&mut Vec::new(), &mut c).is_none());
+            assert!(e.next_block(&mut c).is_none());
+            assert!(e.into_payload().is_empty());
             assert_eq!(c, OpCounts::default());
         }
     }

@@ -52,7 +52,7 @@ fn all_block_sizes_produce_the_same_stream() {
                 assert_eq!(cb.searched_segments, 0, "dual never searches");
                 for kind in KINDS {
                     assert_matches_reference(kind, &col, 32, params, &src);
-                    // Interleaved replicas are gathered eight at a time:
+                    // Interleaved replicas are gathered sixteen at a time:
                     // 19 columns end in a ragged tile.
                     assert_matches_reference(kind, &col, 19, params, &src);
                 }

@@ -746,17 +746,17 @@ pub fn assert_matches_reference(
     let mut engine = ncd_datatype::PackEngine::new(kind, dt, count, params, src).expect("bounds");
     let mut counts = OpCounts::default();
     let mut log = BlockLog::new();
-    let mut out = Vec::new();
     for w in &want {
-        let before = out.len();
+        let before = engine.packed().len();
         let obs = engine
-            .next_block(&mut out, &mut counts)
+            .next_block(&mut counts)
             .unwrap_or_else(|| panic!("{what}: stream ended at block {}", w.obs.index));
         assert_eq!(obs, w.obs, "{what}");
-        assert_eq!(&out[before..], &w.data[..], "{what}: block {}", obs.index);
+        let block = &engine.packed()[before..];
+        assert_eq!(block, &w.data[..], "{what}: block {}", obs.index);
         log.on_block(&obs);
     }
-    assert!(engine.next_block(&mut out, &mut counts).is_none(), "{what}");
+    assert!(engine.next_block(&mut counts).is_none(), "{what}");
     assert_eq!(counts, want_counts, "{what}");
     assert_eq!(log.total_seek(), want_counts.searched_segments, "{what}");
 }

@@ -15,8 +15,8 @@ mod common;
 
 use common::{assert_matches_reference, position, walk_from_start, walk_to};
 use ncd_datatype::{
-    pack_all, pack_all_profiled, unpack_all, BlockLog, Datatype, EngineKind, EngineParams,
-    NullObserver, StructField, TypeCursor,
+    matrix_column_type, pack_all, pack_all_profiled, unpack_all, BlockLog, Datatype, EngineKind,
+    EngineParams, NullObserver, StructField, TypeCursor,
 };
 use proptest::prelude::*;
 
@@ -285,6 +285,31 @@ proptest! {
                     "advance_to({} -> {})", target, further
                 );
             }
+        }
+    }
+
+    /// Matrix columns, the messages whose replicas interleave, are gathered
+    /// a tile (16 columns) at a time straight into the payload: full and
+    /// ragged tiles, blocks that end inside a tile or a segment, both
+    /// personalities.
+    #[test]
+    fn tiled_columns_match_reference_block_stream(
+        (rows, cols, doubles) in (2usize..24, 16usize..48, 1usize..5),
+        take in 0usize..48,
+        block_size in 1usize..2048,
+        lookahead in 1usize..20,
+        dense_threshold in 1usize..96,
+    ) {
+        let col = matrix_column_type(rows, cols, doubles).expect("column");
+        let src: Vec<u8> = (0..rows * cols * doubles * 8).map(|i| (i % 251) as u8).collect();
+        let count = 16 + take % (cols - 15);
+        let params = EngineParams {
+            block_size,
+            lookahead_segments: lookahead,
+            dense_threshold,
+        };
+        for kind in [EngineKind::SingleContext, EngineKind::DualContext] {
+            assert_matches_reference(kind, &col, count, params, &src);
         }
     }
 
