@@ -88,27 +88,17 @@ impl<'a> Comm<'a> {
         }
     }
 
-    /// Record executed datatype-engine op counts in the metrics registry,
-    /// keyed by the engine (or unpack path) that executed them. No-op when
-    /// metrics are off; never touches the simulated clock.
+    /// Record one message through a datatype engine (or the unpack path)
+    /// in the metrics registry: its invocation and its bytes, the
+    /// per-message facts no event carries. The per-block counts are the
+    /// `PackBlock` events' `datatype/*` keys. No-op when metrics are off;
+    /// never touches the simulated clock.
     pub(crate) fn record_engine_metrics(&mut self, algo: &'static str, c: &OpCounts) {
         let Some(m) = self.rank.metrics_mut() else {
             return;
         };
         m.counter_add("engine", "invocations", algo, 1);
         m.observe("engine", "bytes", algo, c.total_bytes());
-        if c.searched_segments > 0 {
-            m.counter_add("engine", "searched_segments", algo, c.searched_segments);
-        }
-        if c.lookahead_segments > 0 {
-            m.counter_add("engine", "lookahead_segments", algo, c.lookahead_segments);
-        }
-        if c.packed_blocks > 0 {
-            m.counter_add("engine", "packed_blocks", algo, c.packed_blocks);
-        }
-        if c.direct_blocks > 0 {
-            m.counter_add("engine", "direct_blocks", algo, c.direct_blocks);
-        }
     }
 
     /// Send `count` instances of `dt` taken from `buf` to `dst`.

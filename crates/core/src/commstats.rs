@@ -417,35 +417,6 @@ pub fn detect_misselections(
     }
 }
 
-/// Format a ratio for the fixed-width tables: `inf` for a zero bulk
-/// quantile, else three decimals.
-pub(crate) fn render_ratio(r: f64) -> String {
-    if r.is_infinite() {
-        "inf".to_string()
-    } else {
-        format!("{r:.3}")
-    }
-}
-
-/// Render a decision log as a fixed-width table, one row per decision.
-pub fn render_decision_log(decisions: &[AlgorithmDecision]) -> String {
-    let mut out = String::new();
-    out.push_str("collective    chosen                  n      bytes     ratio pow2  reason\n");
-    for d in decisions {
-        out.push_str(&format!(
-            "{:<13} {:<20} {:>4} {:>10} {:>9} {:<5} {}\n",
-            d.collective,
-            d.chosen,
-            d.n,
-            d.total_bytes,
-            render_ratio(d.outlier_ratio),
-            d.pow2,
-            d.reason
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -803,18 +774,5 @@ mod tests {
             audit.unmatched_epochs, 1,
             "the binned epoch is orphaned; the stage: epoch is exempt"
         );
-    }
-
-    #[test]
-    fn decision_log_renders_one_row_per_decision() {
-        let mut d2 = ring_decision(f64::INFINITY);
-        d2.chosen = "recursive_doubling".to_string();
-        d2.reason = "outliers: binomial movement".to_string();
-        let table = render_decision_log(&[ring_decision(8192.0), d2]);
-        let lines: Vec<&str> = table.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("collective"));
-        assert!(lines[1].contains("ring") && lines[1].contains("8192.000"));
-        assert!(lines[2].contains("recursive_doubling") && lines[2].contains("inf"));
     }
 }

@@ -32,9 +32,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use ncd_simnet::History;
-
-use crate::commstats::render_ratio;
+use ncd_simnet::{render_ratio, History};
 
 /// EWMA smoothing factor for the running mean and deviation; higher
 /// adapts faster but forgets the baseline sooner.
@@ -420,8 +418,8 @@ mod tests {
         assert!(log.contains("=== drift events (1) ==="));
         assert!(log.contains("allgatherv/ring"));
         assert!(log.contains("up"));
-        assert!(log.contains("baseline=4096.000"));
-        assert!(log.contains("observed=262144.000"));
+        assert!(log.contains("baseline=4096.0 "));
+        assert!(log.contains("observed=262144.0\n"));
 
         let table = render_recurrence(&pattern_recurrence(&History {
             n: 2,

@@ -43,8 +43,8 @@ pub use coll::{AllgathervAlgorithm, AlltoallwSchedule, WPeer};
 pub use comm::{bytes_to_f64s, f64s_to_bytes, Comm};
 pub use commstats::{
     analyze_comm_map, analyze_matrix, decisions_from_trace, decisions_json, detect_misselections,
-    parse_decisions, render_decision_log, AlgorithmDecision, CommAnalysis, EpochAnalysis,
-    Misselection, MisselectionAudit,
+    parse_decisions, AlgorithmDecision, CommAnalysis, EpochAnalysis, Misselection,
+    MisselectionAudit,
 };
 pub use compare::{
     compare, diff_json, outer_join, render_compare, AttributionDelta, Cause, CommDiff,

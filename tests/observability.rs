@@ -3,6 +3,9 @@
 //! 1. The metrics registry's per-kind time counters equal the flat
 //!    [`Stats`] accounting on the Figure 13 transpose exactly, kind by
 //!    kind: both are fed from the one charge site, `Rank::charge_span`.
+//!    The `datatype/*` keys folded from the `PackBlock` events carry the
+//!    engine's own op counts: the re-walked segments `Stats` charged, and
+//!    the block kinds and look-ahead window `pack_all_profiled` counts.
 //! 2. The paper's qualitative claim read back through metrics alone: the
 //!    single-context engine's search share grows with the matrix, the
 //!    dual-context engine's stays at zero.
@@ -10,10 +13,10 @@
 //!    simulated timings: instrumentation must never touch the clock.
 
 use nucomm::core::{Comm, MpiConfig};
-use nucomm::datatype::{matrix_column_type, Datatype};
+use nucomm::datatype::{matrix_column_type, pack_all_profiled, Datatype, NullObserver};
 use nucomm::simnet::{
-    check_severity_bound, diagnose, Cluster, ClusterConfig, CostKind, MetricsRegistry, Observers,
-    SimTime, Stats, Tag,
+    check_severity_bound, diagnose, Cluster, ClusterConfig, CostKind, Histogram, MetricsRegistry,
+    Observers, SimTime, Stats, Tag,
 };
 
 /// The Figure 13 workload: rank 0 sends `n` strided columns, rank 1
@@ -53,7 +56,7 @@ fn metrics_time_counters_equal_stats_exactly() {
         (MpiConfig::baseline(), &baseline_keys[..]),
         (MpiConfig::optimized(), &optimized_keys[..]),
     ] {
-        let (stats, metrics) = transpose_run(256, cfg);
+        let (stats, metrics) = transpose_run(256, cfg.clone());
         let mut total = Stats::new();
         for s in &stats {
             total.merge(s);
@@ -81,15 +84,44 @@ fn metrics_time_counters_equal_stats_exactly() {
             .filter(|k| k.starts_with("time/"))
             .collect();
         assert_eq!(keys, want_keys);
+
+        // The one column send's blocks, folded from its events, against
+        // the same type and count packed outside a run.
+        let (kind, n) = (cfg.engine_kind(), 256);
+        let col = matrix_column_type(n, n, 3).expect("column type");
+        let src = vec![1u8; n * n * 24];
+        let (_, counts) = pack_all_profiled(kind, &col, n, cfg.engine, &src, &mut NullObserver)
+            .expect("pack the column");
+        let engine = kind.name();
+        let folded = |op| metrics.counter("datatype", op, engine);
+        let window = metrics
+            .histogram("datatype", "lookahead_window", engine)
+            .map_or(0, Histogram::sum);
+        assert_eq!(
+            (
+                folded("seek_total"),
+                folded("seek_total"),
+                folded("sparse_blocks"),
+                folded("dense_blocks"),
+                window,
+            ),
+            (
+                total.segments_searched,
+                counts.searched_segments,
+                counts.packed_blocks,
+                counts.direct_blocks,
+                counts.lookahead_segments,
+            ),
+            "{engine}: the folded datatype/* keys and the engine's op counts disagree"
+        );
     }
 }
 
 #[test]
 fn search_share_grows_single_context_and_stays_zero_dual() {
     let search_ns = |metrics: &MetricsRegistry| metrics.counter("time", "search", "");
-    let searched = |metrics: &MetricsRegistry, engine: &str| {
-        metrics.counter("engine", "searched_segments", engine)
-    };
+    let searched =
+        |metrics: &MetricsRegistry, engine: &str| metrics.counter("datatype", "seek_total", engine);
 
     let (_, small_base) = transpose_run(64, MpiConfig::baseline());
     let (_, large_base) = transpose_run(512, MpiConfig::baseline());

@@ -193,10 +193,12 @@ fn one_observer_changes_nothing_another_holds() {
 // were re-pinned when the per-rank drift monitor and its trace events and
 // `drift*/*` metrics were deleted, and the metrics digest again (3 568 →
 // 3 360 B) when `allgatherv/{bytes/adaptive, selected/*}`, copies of the
-// `decision*/*` keys, were deleted.
+// `decision*/*` keys, were deleted, and again (3 360 → 3 175 B) when
+// `engine/{searched_segments, lookahead_segments, packed_blocks}`, copies
+// of the `datatype/*` keys folded from the `PackBlock` events, were.
 const DOCS: [(&str, usize, u64); 6] = [
     ("chrome_trace_json", 1_108_550, 0xa5f32e2f976c74bf),
-    ("metrics_json", 3_360, 0x303b153fe585d278),
+    ("metrics_json", 3_175, 0x333c9e05bdb111e2),
     ("comm_matrix_json", 9_185, 0xbc26765417872114),
     ("history_json", 677, 0x396717b307bea3d0),
     ("analysis_json", 91_278, 0xf48bb67185b4c9ac),
