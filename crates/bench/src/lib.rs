@@ -116,8 +116,8 @@ impl BenchCli {
     /// the base byte for byte ([`mismatches`] is empty), and otherwise
     /// exits 1 with [`gate_failure_report`]; it exits
     /// [`EXIT_NO_REFERENCE`] with the refresh command when the spec
-    /// resolves to no run. The differential against the base is written
-    /// next to the run either way.
+    /// resolves to no run. The differential against the base is printed
+    /// either way (`render_compare`); nothing is written beside the run.
     ///
     /// CI gates every bench with a reference run committed under
     /// [`REFERENCE_ROOT`]; `fig17_multigrid` (a ≈ 30 s smoke sweep on a
@@ -159,17 +159,6 @@ impl BenchCli {
         let base = read(&base_dir);
         let cur = read(&root.join(name).join(&manifest.run_id));
         let diff = ncd_core::compare(&record(&base), &record(&cur));
-        let bench_dir = root.join(name);
-        let json = ncd_core::diff_json(&diff);
-        let table = ncd_core::render_compare(&diff, 10);
-        if ncd_simnet::write_artifact(bench_dir.join("diff.json"), &json).is_ok()
-            && ncd_simnet::write_artifact(bench_dir.join("diff.txt"), &table).is_ok()
-        {
-            println!(
-                "differential written: {} (and diff.txt)",
-                bench_dir.join("diff.json").display()
-            );
-        }
         let differing = mismatches(&base, &cur);
         if !differing.is_empty() {
             let report =
@@ -177,7 +166,7 @@ impl BenchCli {
             eprint!("{report}");
             std::process::exit(1);
         }
-        print!("\n{table}");
+        print!("\n{}", ncd_core::render_compare(&diff, 10));
         println!(
             "reference gate passed: {name} reproduces run {}",
             base.manifest.run_id

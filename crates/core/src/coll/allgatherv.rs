@@ -52,6 +52,15 @@ impl AllgathervAlgorithm {
         }
     }
 
+    /// The comm-map epoch label of one call, `allgatherv/<label>`.
+    pub fn epoch_label(self) -> &'static str {
+        match self {
+            AllgathervAlgorithm::Ring => "allgatherv/ring",
+            AllgathervAlgorithm::RecursiveDoubling => "allgatherv/recursive_doubling",
+            AllgathervAlgorithm::Dissemination => "allgatherv/dissemination",
+        }
+    }
+
     /// Inverse of [`label`](Self::label): parse an algorithm from the name
     /// the decision audit records (e.g. a misselection's `suggested`
     /// field), so a what-if experiment can pin exactly what the audit
@@ -213,7 +222,7 @@ impl Comm<'_> {
                 }
             }
         }
-        self.close_epoch("allgatherv", algo.label());
+        self.rank_mut().comm_epoch(algo.epoch_label());
     }
 
     /// Ring: at step s, forward block (rank - s) to the right neighbour.
@@ -392,6 +401,18 @@ mod tests {
             comm.allgatherv_with(algo, &send, &counts, &mut recv);
             recv
         })
+    }
+
+    /// Every algorithm's name parses back to it, and its epoch label is
+    /// `allgatherv/<name>`: the key `detect_misselections` rebuilds from a
+    /// decision to find that call's epoch.
+    #[test]
+    fn labels_round_trip_and_name_their_epoch() {
+        use AllgathervAlgorithm::*;
+        for algo in [Ring, RecursiveDoubling, Dissemination] {
+            assert_eq!(AllgathervAlgorithm::from_label(algo.label()), Some(algo));
+            assert_eq!(algo.epoch_label(), format!("allgatherv/{}", algo.label()));
+        }
     }
 
     #[test]

@@ -70,6 +70,14 @@ impl AlltoallwSchedule {
         }
     }
 
+    /// The comm-map epoch label of one call, `alltoallw/<label>`.
+    pub fn epoch_label(self) -> &'static str {
+        match self {
+            AlltoallwSchedule::RoundRobin => "alltoallw/round_robin",
+            AlltoallwSchedule::Binned => "alltoallw/binned",
+        }
+    }
+
     /// Inverse of [`label`](Self::label), for pinning the schedule a
     /// decision audit suggested (see `MpiConfig::alltoallw_pin`).
     pub fn from_label(label: &str) -> Option<AlltoallwSchedule> {
@@ -166,7 +174,7 @@ impl Comm<'_> {
             AlltoallwSchedule::RoundRobin => self.a2aw_round_robin(sendbuf, sends, recvbuf, recvs),
             AlltoallwSchedule::Binned => self.a2aw_binned(sendbuf, sends, recvbuf, recvs),
         }
-        self.close_epoch("alltoallw", schedule.label());
+        self.rank_mut().comm_epoch(schedule.epoch_label());
     }
 
     /// Local exchange with self: pack and unpack without the wire.
@@ -339,6 +347,18 @@ mod tests {
             comm.alltoallw_with(schedule, &sendbuf, &sends, &mut recvbuf, &recvs);
             (bytes_to_f64s(&recvbuf), comm.rank_ref().stats().msgs_sent)
         })
+    }
+
+    /// Every schedule's name parses back to it, and its epoch label is
+    /// `alltoallw/<name>`: the key `detect_misselections` rebuilds from a
+    /// decision to find that call's epoch.
+    #[test]
+    fn labels_round_trip_and_name_their_epoch() {
+        use AlltoallwSchedule::*;
+        for s in [RoundRobin, Binned] {
+            assert_eq!(AlltoallwSchedule::from_label(s.label()), Some(s));
+            assert_eq!(s.epoch_label(), format!("alltoallw/{}", s.label()));
+        }
     }
 
     #[test]

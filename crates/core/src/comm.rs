@@ -58,15 +58,6 @@ impl<'a> Comm<'a> {
         self.rank
     }
 
-    /// Close one collective call's comm-map epoch, labeled `<op>/<algo>`
-    /// (pinned and auto-selected runs alike). No-op unless the comm map is
-    /// on.
-    pub(crate) fn close_epoch(&mut self, op: &str, algo: &str) {
-        if self.rank.comm_map_enabled() {
-            self.rank.comm_epoch(&format!("{op}/{algo}"));
-        }
-    }
-
     /// Charge the simulated clock for a batch of datatype engine operations
     /// (either a whole stream, or one pipeline block).
     pub(crate) fn charge_op_counts(&mut self, c: &OpCounts) {

@@ -16,12 +16,15 @@
 //! - the collectives close one epoch per call, labeled
 //!   `<collective>/<algorithm>` (e.g. `alltoallw/binned`), and
 //! - a program closes one per phase of its own through
-//!   [`crate::Rank::comm_epoch`] (e.g. `stage:solve`),
+//!   [`crate::Rank::comm_epoch`], labeled `stage:<name>` (e.g.
+//!   `stage:solve`),
 //!
 //! so nonuniformity can be attributed to the call or phase that caused
-//! it, not just observed in aggregate. A delivery belongs to exactly one
-//! closed or open epoch, so the running totals are a view: the sum over
-//! the epochs. Epochs from different ranks are matched by `(label,
+//! it, not just observed in aggregate. A label is a literal (`&'static
+//! str`), so closing an epoch allocates only its two vectors; the merged
+//! epochs own their labels. A delivery belongs to exactly one closed or
+//! open epoch, so the running totals are a view: the sum over the
+//! epochs. Epochs from different ranks are matched by `(label,
 //! occurrence)` — the k-th `allgatherv/ring` epoch on every rank
 //! describes the same collective call in an SPMD program — by the one
 //! cross-rank join this module owns, which the history merge
@@ -50,7 +53,7 @@ pub struct RankCommMap {
     cur_bytes: Vec<u64>,
     cur_msgs: Vec<u64>,
     /// Per-label occurrence counters (the epoch-matching key).
-    occurrences: HashMap<String, u32>,
+    occurrences: HashMap<&'static str, u32>,
     epochs: Vec<RankEpoch>,
 }
 
@@ -58,7 +61,7 @@ pub struct RankCommMap {
 /// two boundaries, indexed by source.
 #[derive(Debug, Clone)]
 pub struct RankEpoch {
-    pub label: String,
+    pub label: &'static str,
     /// 0-based occurrence of `label` on this rank (k-th epoch so named).
     pub occurrence: u32,
     pub bytes: Vec<u64>,
@@ -97,10 +100,10 @@ impl RankCommMap {
     /// Close the current epoch under `label`, starting a fresh one. The
     /// snapshot is taken even if no traffic arrived (an epoch with zero
     /// deliveries is still a call that happened).
-    pub fn close_epoch(&mut self, label: &str) {
-        let occurrence = self.occurrences.entry(label.to_string()).or_insert(0);
+    pub fn close_epoch(&mut self, label: &'static str) {
+        let occurrence = self.occurrences.entry(label).or_insert(0);
         let epoch = RankEpoch {
-            label: label.to_string(),
+            label,
             occurrence: *occurrence,
             bytes: std::mem::replace(&mut self.cur_bytes, vec![0; self.size]),
             msgs: std::mem::replace(&mut self.cur_msgs, vec![0; self.size]),
@@ -241,7 +244,7 @@ pub(crate) fn join_epochs<'a, T>(
         for item in items {
             let epoch = epoch_of(item);
             let slot = *index
-                .entry((&epoch.label, epoch.occurrence))
+                .entry((epoch.label, epoch.occurrence))
                 .or_insert_with(|| {
                     groups.push(Vec::new());
                     groups.len() - 1
@@ -280,7 +283,7 @@ pub fn merge_comm_maps(maps: &[RankCommMap]) -> ClusterCommMap {
             total.merge(&matrix);
             let first = group[0].1;
             EpochMatrix {
-                label: first.label.clone(),
+                label: first.label.to_string(),
                 occurrence: first.occurrence,
                 matrix,
             }

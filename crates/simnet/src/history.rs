@@ -167,8 +167,8 @@ pub fn merge_histories(histories: &[RankHistory]) -> History {
                 per_rank[rank] += epoch.bytes.iter().sum::<u64>();
             }
             EpochPoint {
-                algo: algo_of(&first.label),
-                label: first.label.clone(),
+                algo: algo_of(first.label),
+                label: first.label.to_string(),
                 occurrence: first.occurrence,
                 time,
                 bytes: per_rank.iter().sum(),
@@ -315,7 +315,7 @@ mod tests {
     impl ReferenceRecord {
         fn derive(rank: usize, epoch: &RankEpoch, time: SimTime) -> Self {
             ReferenceRecord {
-                label: epoch.label.clone(),
+                label: epoch.label.to_string(),
                 occurrence: epoch.occurrence,
                 time,
                 bytes: epoch.bytes.iter().sum(),
@@ -463,10 +463,10 @@ mod tests {
         }
     }
 
-    fn epoch(label: &str, occurrence: u32, bytes: Vec<u64>) -> RankEpoch {
+    fn epoch(label: &'static str, occurrence: u32, bytes: Vec<u64>) -> RankEpoch {
         let msgs = bytes.iter().map(|&b| u64::from(b > 0)).collect();
         RankEpoch {
-            label: label.to_string(),
+            label,
             occurrence,
             bytes,
             msgs,

@@ -511,10 +511,6 @@ impl Rank {
             .get_or_insert_with(|| RankCommMap::new(rank, size));
     }
 
-    pub fn comm_map_enabled(&self) -> bool {
-        self.observed.comm_map.is_some()
-    }
-
     /// Take the accumulated comm map.
     pub fn take_comm_map(&mut self) -> RankCommMap {
         take_observer(
@@ -524,10 +520,10 @@ impl Rank {
     }
 
     /// Close the current comm-map epoch under `label` and mirror it into
-    /// the history when that is on (no-op when the map is off). The
-    /// collectives call this once per call with
-    /// `<collective>/<algorithm>`.
-    pub fn comm_epoch(&mut self, label: &str) {
+    /// the history when that is on (no-op when the map is off). A label
+    /// is a literal: `<collective>/<algorithm>`, which the collectives
+    /// close once per call, or a program's own `stage:<name>`.
+    pub fn comm_epoch(&mut self, label: &'static str) {
         let Some(map) = &mut self.observed.comm_map else {
             return;
         };

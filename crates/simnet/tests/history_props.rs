@@ -19,7 +19,7 @@ fn rank_history(rank: usize, size: usize, bytes: Vec<u64>) -> RankHistory {
     let msgs = bytes.iter().map(|&b| u64::from(b > 0)).collect();
     h.append(
         &RankEpoch {
-            label: "exchange/ring".to_string(),
+            label: "exchange/ring",
             occurrence: 0,
             bytes,
             msgs,

@@ -9,11 +9,13 @@
 //! observer's cost over it are pinned as literals: a change that adds an
 //! allocation per event, or a key per call, fails here by name. Each byte
 //! count that has a closed form sits at or above it and under twice it
-//! (`Vec` growth, labels, the open epoch): the trace's one `TraceEvent`
-//! (96 B) per event; the comm map's per-rank epoch vectors and merged
-//! matrices; the history's second copy of those vectors, pinned apart as
-//! the history's bill over the comm map's. This file holds one test, so
-//! nothing else allocates while it counts.
+//! (`Vec` growth, the open epoch): the trace's one `TraceEvent` (96 B) per
+//! event; the comm map's per-rank epoch vectors and merged matrices; the
+//! history's second copy of those vectors, pinned apart as the history's
+//! bill over the comm map's. A rank's epoch close allocates its two
+//! vectors and nothing else (the label is a literal), so the comm map's
+//! allocations sit at or above two per rank-epoch and under four. This
+//! file holds one test, so nothing else allocates while it counts.
 //!
 //! `cargo test --release --test observer_bill -- --nocapture` prints the
 //! bill.
@@ -180,13 +182,20 @@ fn each_observer_costs_its_pinned_allocations_and_bytes() {
         over(all, none).1 - METRICS.1,
         trace_form(all.events) + history_form(all.epochs),
     );
+
+    let rank_epochs = p * comm_map.epochs;
+    let allocs = over(comm_map, none).0;
+    assert!(
+        2 * rank_epochs <= allocs && allocs < 4 * rank_epochs,
+        "comm map: {allocs} allocations for {rank_epochs} rank-epochs"
+    );
 }
 
 // (allocations, bytes added).
 const UNOBSERVED: (usize, usize) = (5_873, 33_540_384);
 const METRICS: (usize, usize) = (153, 204_040);
 const TRACE: (usize, usize) = (148, 1_577_984);
-const COMM_MAP: (usize, usize) = (1_075, 128_017);
-const HISTORY: (usize, usize) = (1_637, 198_613);
-const DUPLICATE: (usize, usize) = (562, 70_596);
-const ALL: (usize, usize) = (1_936, 1_971_165);
+const COMM_MAP: (usize, usize) = (483, 117_809);
+const HISTORY: (usize, usize) = (901, 184_101);
+const DUPLICATE: (usize, usize) = (418, 66_292);
+const ALL: (usize, usize) = (1_200, 1_956_653);

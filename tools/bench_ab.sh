@@ -35,7 +35,10 @@
 # apart, under `stages.setup_envelopes` and as `envelope` lines: each is
 # the earliest start to the latest end of that step over all ranks, so
 # they overlap one another (one rank's step can sit inside another's) and
-# do not add up.
+# do not add up. Its `layout` holds each side's `Observe::amr_loop` address
+# and class (address % 64) from `nm -C` of that side's binary: `observe_64`
+# `setup_s` follows that class, not the change, and a warning goes to
+# stderr when the two classes differ and one of them is 0.
 set -euo pipefail
 
 repo="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
@@ -55,7 +58,7 @@ while [ $# -gt 0 ]; do
         --workloads) workloads="$2"; shift 2 ;;
         --sim-moves) sim_moves="$2"; shift 2 ;;
         --scratch) scratch="$2"; shift 2 ;;
-        *) sed -n '2,38p' "${BASH_SOURCE[0]}" >&2; exit 2 ;;
+        *) sed -n '2,41p' "${BASH_SOURCE[0]}" >&2; exit 2 ;;
     esac
 done
 [ -n "$pr" ] || { echo "bench_ab.sh: --pr is required" >&2; exit 2; }
@@ -95,6 +98,21 @@ export_tree() {
 export_tree base "$base"
 export_tree head "$head"
 bin() { echo "$scratch/$1/target/release/ncd-benchmark"; }
+# "<address> <address % 64>" of `Observe::amr_loop` in a side's binary, or
+# nothing when nm cannot read it.
+amr_loop() {
+    local a
+    a="$(nm -C "$(bin "$1")" 2>/dev/null |
+        sed -n 's/^\([0-9a-f]*\) [tT] .*Observe::amr_loop$/\1/p' | head -n 1 || true)"
+    if [ -n "$a" ]; then echo "0x$a $((16#$a % 64))"; fi
+}
+base_layout="$(amr_loop base)" head_layout="$(amr_loop head)"
+base_class="${base_layout#* }" head_class="${head_layout#* }"
+if [ -n "$base_layout" ] && [ -n "$head_layout" ] && [ "$base_class" != "$head_class" ] &&
+    { [ "$base_class" = 0 ] || [ "$head_class" = 0 ]; }; then
+    echo "bench_ab.sh: warning: Observe::amr_loop is at % 64 = $base_class (base)" \
+        "and $head_class (head); observe_64 setup_s follows that class" >&2
+fi
 base_rev="$(git -C "$repo" rev-parse "$base")"
 head_rev="$( [ -n "$head" ] && git -C "$repo" rev-parse "$head" || echo "working tree on $(git -C "$repo" rev-parse HEAD)")"
 
@@ -145,10 +163,10 @@ for ((p = 1; p <= PROBE_RUNS; p++)); do
 done
 
 python3 - "$repo/BENCHMARK.json" "$runs" "$scratch" "$out" "$pr" "$base_rev" "$head_rev" \
-    "$pairs" "$unused_pairs" "$seconds" "$sim_moves" "$PROBE_RUNS" <<'EOF'
+    "$pairs" "$unused_pairs" "$seconds" "$sim_moves" "$PROBE_RUNS" "$base_layout" "$head_layout" <<'EOF'
 import json, os, platform, subprocess, sys
 (bench, runs, scratch, out, pr, base_rev, head_rev, pairs, unused_pairs, seconds, sim_moves,
- probe_runs) = sys.argv[1:]
+ probe_runs, base_layout, head_layout) = sys.argv[1:]
 end_to_end = json.load(open(bench))["end_to_end"]
 
 def summary(v):
@@ -277,6 +295,8 @@ entry = {
     "seeds": entry_seeds,
     "probes": {"base": probe_snapshot("base"), "head": probe_snapshot("head")},
     "stages": stages(),
+    "layout": {side: {"amr_loop": hex(int(a.split()[0], 16)), "mod64": int(a.split()[1])} if a else None
+               for side, a in (("base", base_layout), ("head", head_layout))},
 }
 with open(out, "w") as f:
     json.dump(entry, f, indent=1)
